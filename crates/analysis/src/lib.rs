@@ -11,7 +11,7 @@
 //! * **lock-discipline** — no `RwLock`/`Mutex` guard binding may live
 //!   across an fsync (`sync_all`/`sync_data`/`fsync`), a `.snapshot()`
 //!   construction, or a `publish(..)` call (the snapshot-publication
-//!   point must flip readers with no stripe or slot lock held).
+//!   point must swap the readers' view in with no other lock held).
 //! * **cast-safety** — no truncating `as` casts on offset/length
 //!   arithmetic in `crates/storage`; use `try_into`/checked conversions.
 //! * **api-contract** — `StoreReader` impl methods take `&self`, and every

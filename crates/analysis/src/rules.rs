@@ -154,8 +154,8 @@ const SYNC_CALLS: [&str; 4] = ["sync_all", "sync_data", "fsync", "fdatasync"];
 /// not stay live across an fsync (`sync_all`/`sync_data`/`fsync`), a
 /// `.snapshot()` construction, or a `publish(..)` call — a blocked reader
 /// must never be waiting on the disk, and the snapshot-publication point
-/// (the atomic flip that redirects every reader) must run with no stripe
-/// or slot lock held. Detection: a `let` whose initializer *ends* in
+/// (the pointer swap that redirects every reader) must run with no other
+/// lock held. Detection: a `let` whose initializer *ends* in
 /// `.read()` / `.write()` / `.lock()` (optionally followed by `?` /
 /// `.unwrap()` / `.expect(..)`) binds a guard; any sync call, snapshot
 /// construction, or publication before the binding's scope closes (or an
@@ -227,7 +227,7 @@ pub fn lock_discipline(ctx: &FileCtx<'_>) -> Vec<RawDiag> {
                     &t[k + 1],
                     format!(
                         "lock guard `{name}` is live across `.snapshot()` construction — \
-                         pin snapshots off the published word, not from inside a locked \
+                         pin snapshots off the published view, not from inside a locked \
                          section"
                     ),
                 ));
@@ -237,8 +237,8 @@ pub fn lock_discipline(ctx: &FileCtx<'_>) -> Vec<RawDiag> {
                     &t[k],
                     format!(
                         "lock guard `{name}` is live across `publish()` — the publication \
-                         point redirects every reader with one atomic flip and must run \
-                         with no stripe or slot lock held; drop the guard first"
+                         point redirects every reader with one pointer swap and must run \
+                         with no other lock held; drop the guard first"
                     ),
                 ));
             }

@@ -5,8 +5,9 @@
 //! target `paper_figures` (run by `cargo bench`) prints each figure's data
 //! series as CSV; `microbench` times the core operations with Criterion.
 //!
-//! See `EXPERIMENTS.md` at the repository root for the paper-vs-measured
-//! comparison of every experiment.
+//! The repository's measured benchmark — end-to-end metrics with regression
+//! bounds, per-layer traces — is the `xarch-bench` binary; see
+//! `crates/bench/src/bin/xarch-bench/README.md`.
 
 pub mod figures;
 pub mod series;

@@ -15,10 +15,12 @@
 //! footnote about version 5 of the company database).
 
 use std::fmt;
+use std::sync::Arc;
 
 use xarch_keys::{KeyError, KeySpec, KeyValue, NodeClass};
 use xarch_xml::{Sym, SymbolTable};
 
+use crate::cow::CowVec;
 use crate::timeset::TimeSet;
 
 /// Index of a node in the archive arena.
@@ -121,13 +123,18 @@ pub struct ArchiveStats {
 }
 
 /// The merged archive of all versions.
+///
+/// `Clone` is cheap and shares structure: the node arena is a
+/// copy-on-write [`CowVec`] and the symbol table and key spec sit behind
+/// [`Arc`]s, so a clone is an immutable view that costs reference-count
+/// bumps to take and only the chunks later merges write to keep.
 #[derive(Debug, Clone)]
 pub struct Archive {
-    nodes: Vec<ANode>,
-    syms: SymbolTable,
+    nodes: CowVec<ANode>,
+    syms: Arc<SymbolTable>,
     root: ANodeId,
     latest: u32,
-    spec: KeySpec,
+    spec: Arc<KeySpec>,
     compaction: Compaction,
 }
 
@@ -139,6 +146,12 @@ impl Archive {
 
     /// Creates an empty archive with an explicit compaction mode.
     pub fn with_compaction(spec: KeySpec, compaction: Compaction) -> Self {
+        Self::with_shared_spec(Arc::new(spec), compaction)
+    }
+
+    /// Creates an empty archive over an already-shared spec (the chunked
+    /// archive hands every partition the same one).
+    pub(crate) fn with_shared_spec(spec: Arc<KeySpec>, compaction: Compaction) -> Self {
         let mut syms = SymbolTable::new();
         let root_tag = syms.intern("root");
         let root = ANode {
@@ -151,8 +164,8 @@ impl Archive {
             class: NodeClass::Keyed,
         };
         Self {
-            nodes: vec![root],
-            syms,
+            nodes: CowVec::from_iter([root]),
+            syms: Arc::new(syms),
             root: ANodeId(0),
             latest: 0,
             spec,
@@ -172,11 +185,11 @@ impl Archive {
         latest: u32,
     ) -> Self {
         Self {
-            nodes,
-            syms,
+            nodes: nodes.into_iter().collect(),
+            syms: Arc::new(syms),
             root,
             latest,
-            spec,
+            spec: Arc::new(spec),
             compaction,
         }
     }
@@ -214,10 +227,27 @@ impl Archive {
     }
 
     /// Mutably borrow a node (crate-internal; invariants are maintained by
-    /// the merge algorithms).
+    /// the merge algorithms). Copies the node's arena chunk if a view
+    /// still shares it, so take this borrow only when a write follows.
     #[inline]
     pub(crate) fn node_mut(&mut self, id: ANodeId) -> &mut ANode {
-        &mut self.nodes[id.index()]
+        self.nodes.get_mut(id.index())
+    }
+
+    /// Adds version `i` to `id`'s own timestamp and returns it; an
+    /// inheriting node is left alone — and unborrowed, so its arena chunk
+    /// stays shared with every published view.
+    pub(crate) fn augment_time(&mut self, id: ANodeId, i: u32) -> Option<&TimeSet> {
+        self.node(id).time.as_ref()?;
+        let t = self.node_mut(id).time.as_mut()?;
+        t.insert(i);
+        Some(t)
+    }
+
+    /// The node arena (read-only) — `nodes().shared_chunks(..)` measures
+    /// how much structure two archives share.
+    pub fn nodes(&self) -> &CowVec<ANode> {
+        &self.nodes
     }
 
     /// Children of a node.
@@ -245,7 +275,11 @@ impl Archive {
     }
 
     pub(crate) fn intern(&mut self, name: &str) -> Sym {
-        self.syms.intern(name)
+        // a known name must not un-share the table from published views
+        match self.syms.get(name) {
+            Some(s) => s,
+            None => Arc::make_mut(&mut self.syms).intern(name),
+        }
     }
 
     pub(crate) fn bump_version(&mut self) -> u32 {
@@ -258,11 +292,11 @@ impl Archive {
     }
 
     /// Allocates a node and links it under `parent` (append).
-    pub(crate) fn push_node(&mut self, parent: ANodeId, node: ANode) -> ANodeId {
+    pub(crate) fn push_node(&mut self, parent: ANodeId, mut node: ANode) -> ANodeId {
         let id = ANodeId(self.nodes.len() as u32);
+        node.parent = Some(parent);
         self.nodes.push(node);
-        self.nodes[id.index()].parent = Some(parent);
-        self.nodes[parent.index()].children.push(id);
+        self.node_mut(parent).children.push(id);
         id
     }
 
@@ -276,8 +310,8 @@ impl Archive {
     /// Re-parents `child` under `parent` (append). The child must currently
     /// be detached.
     pub(crate) fn attach(&mut self, parent: ANodeId, child: ANodeId) {
-        self.nodes[child.index()].parent = Some(parent);
-        self.nodes[parent.index()].children.push(child);
+        self.node_mut(child).parent = Some(parent);
+        self.node_mut(parent).children.push(child);
     }
 
     /// The *effective* timestamp of a node: its own, or the nearest
@@ -326,82 +360,6 @@ impl Archive {
         }
         for &c in &n.children {
             self.stats_rec(c, s);
-        }
-    }
-
-    /// Aggregate statistics of the archive *as it stood* after version `v`
-    /// merged. A node counts iff its effective timestamp intersects
-    /// `1..=v`; merging later versions never changes that membership
-    /// (append-only: a merge decides only its own version number), so the
-    /// answer is a pure function of the first `v` versions and stays
-    /// fixed while the live archive grows. Explicit-time and interval
-    /// counts follow the canonical clamped rendering rule of
-    /// [`Archive::to_xml_at`]: a timestamp counts as explicit iff its
-    /// clamp to `1..=v` differs from the parent's clamped effective time.
-    pub fn stats_at(&self, v: u32) -> ArchiveStats {
-        let mut s = ArchiveStats {
-            elements: 0,
-            texts: 0,
-            stamps: 0,
-            explicit_times: 0,
-            intervals: 0,
-        };
-        // The root always counts (its clamped time is explicit by
-        // definition — `to_xml_at` always wraps the root), even at v=0
-        // when its clamped timestamp is empty.
-        let root_time = self.effective_time(self.root).clamp_range(1, v);
-        s.elements += 1;
-        s.explicit_times += 1;
-        s.intervals += root_time.run_count();
-        let children: Vec<ANodeId> = self.node(self.root).children.clone();
-        for c in children {
-            self.stats_at_rec(c, &root_time, v, &mut s);
-        }
-        s
-    }
-
-    fn stats_at_rec(&self, id: ANodeId, parent_eff: &TimeSet, v: u32, s: &mut ArchiveStats) {
-        let n = self.node(id);
-        let clamped = match &n.time {
-            Some(t) => t.clamp_range(1, v),
-            None => parent_eff.clone(),
-        };
-        if clamped.is_empty() {
-            // Invisible at every version ≤ v — the node (and, by the §2
-            // superset invariant, its whole subtree) joined later.
-            return;
-        }
-        match n.kind {
-            AKind::Element(_) => s.elements += 1,
-            AKind::Text(_) => s.texts += 1,
-            AKind::Stamp => {
-                // Canonical stamp elision: a merge only wraps a text
-                // alternative in a stamp when it does NOT span its
-                // element's whole lifetime. If the clamp to `1..=v` makes
-                // this the sole surviving alternative covering the
-                // parent's entire clamped existence, a serial replay of
-                // versions `1..=v` would have stored it unwrapped — count
-                // it that way, or the answer would depend on merges > v.
-                if clamped == *parent_eff {
-                    for &c in &n.children {
-                        self.stats_at_rec(c, parent_eff, v, s);
-                    }
-                    return;
-                }
-                s.stamps += 1;
-            }
-        }
-        // Canonical explicitness: a (non-elided) stamp always renders with
-        // its clamped time; any other node renders a wrapper iff its
-        // clamped time differs from the parent's clamped effective time.
-        let explicit =
-            matches!(n.kind, AKind::Stamp) || (n.time.is_some() && clamped != *parent_eff);
-        if explicit {
-            s.explicit_times += 1;
-            s.intervals += clamped.run_count();
-        }
-        for &c in &n.children {
-            self.stats_at_rec(c, &clamped, v, s);
         }
     }
 

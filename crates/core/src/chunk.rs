@@ -15,6 +15,7 @@
 //! whole-document archiving.
 
 use std::io::{self, Write};
+use std::sync::Arc;
 
 use xarch_keys::{annotate, fingerprint, Annotations, KeySpec};
 use xarch_xml::escape::escape_attr;
@@ -41,7 +42,7 @@ fn partition_label<'a>(tag: &str, canons: impl Iterator<Item = &'a str>) -> Stri
 #[derive(Debug, Clone)]
 pub struct ChunkedArchive {
     chunks: Vec<Archive>,
-    spec: KeySpec,
+    spec: Arc<KeySpec>,
     root_tag: Option<String>,
     latest: u32,
 }
@@ -56,9 +57,10 @@ impl ChunkedArchive {
     /// compaction mode.
     pub fn with_compaction(spec: KeySpec, n: usize, compaction: Compaction) -> Self {
         assert!(n >= 1, "need at least one chunk");
+        let spec = Arc::new(spec);
         Self {
             chunks: (0..n)
-                .map(|_| Archive::with_compaction(spec.clone(), compaction))
+                .map(|_| Archive::with_shared_spec(Arc::clone(&spec), compaction))
                 .collect(),
             spec,
             root_tag: None,
@@ -88,7 +90,7 @@ impl ChunkedArchive {
     ) -> Self {
         Self {
             chunks,
-            spec,
+            spec: Arc::new(spec),
             root_tag,
             latest,
         }
@@ -485,34 +487,6 @@ impl ChunkedArchive {
     /// Total size across chunks (pretty XML form).
     pub fn size_bytes(&self) -> usize {
         self.chunks.iter().map(|c| c.size_bytes()).sum()
-    }
-
-    /// Aggregate statistics summed over chunks *as they stood* after
-    /// version `v` merged — the pinned-exact counterpart of
-    /// [`ChunkedArchive::stats`] (see [`Archive::stats_at`]).
-    pub fn stats_at(&self, v: u32) -> ArchiveStats {
-        let mut total = ArchiveStats {
-            elements: 0,
-            texts: 0,
-            stamps: 0,
-            explicit_times: 0,
-            intervals: 0,
-        };
-        for chunk in &self.chunks {
-            let s = chunk.stats_at(v);
-            total.elements += s.elements;
-            total.texts += s.texts;
-            total.stamps += s.stamps;
-            total.explicit_times += s.explicit_times;
-            total.intervals += s.intervals;
-        }
-        total
-    }
-
-    /// Total size across chunks as they stood after version `v` merged
-    /// (canonical clamped pretty XML form — see [`Archive::size_bytes_at`]).
-    pub fn size_bytes_at(&self, v: u32) -> usize {
-        self.chunks.iter().map(|c| c.size_bytes_at(v)).sum()
     }
 }
 

@@ -26,6 +26,8 @@
 //!   inverse, making the archive "yet another XML document",
 //! * [`chunk`] — hash-partitioned chunked archiving (§5's memory
 //!   workaround),
+//! * [`cow`] — the chunked copy-on-write arena under the archive (and the
+//!   §7 index tables) that makes [`VersionStore::view`] cost O(changed),
 //! * [`equiv`] — key-aware document equivalence used to state correctness,
 //! * [`wire`] — the shared varint/string wire primitives (one byte-level
 //!   grammar for event streams, checkpoint states, and durable block
@@ -40,6 +42,7 @@
 pub mod archive;
 pub mod changes;
 pub mod chunk;
+pub mod cow;
 pub mod equiv;
 pub mod history;
 pub mod merge;
@@ -56,9 +59,10 @@ pub mod xmlrep;
 pub use archive::{AKind, ANode, ANodeId, Archive, ArchiveStats, Compaction, MergeError};
 pub use changes::{describe_changes, Change, ChangeKind};
 pub use chunk::ChunkedArchive;
+pub use cow::CowVec;
 pub use equiv::equiv_modulo_key_order;
 pub use history::KeyQuery;
 pub use observed::{ObservedStore, QueryMetrics};
 pub use query::{ElementHistory, RangeEntry, VersionDelta};
-pub use store::{StoreError, StoreReader, StoreStats, VersionStore};
+pub use store::{StoreError, StoreReader, StoreStats, StoreView, VersionStore};
 pub use timeset::TimeSet;

@@ -186,11 +186,8 @@ fn nested_merge(
     i: u32,
 ) {
     // "If time(x) exists, then add i to time(x), let T be time(x)."
-    let t_cur = match a.node_mut(x).time.as_mut() {
-        Some(t) => {
-            t.insert(i);
-            t.clone()
-        }
+    let t_cur = match a.augment_time(x, i) {
+        Some(t) => t.clone(),
         None => inherited.clone(),
     };
     if ann.is_frontier(y) {
@@ -761,10 +758,8 @@ fn match_unkeyed(
         let matched = by_canon.get_mut(&cy).and_then(|v| v.pop());
         match matched {
             Some(xc) => {
-                if let Some(t) = a.node_mut(xc).time.as_mut() {
-                    t.insert(i);
-                }
                 // time == None: inherits, which already includes i
+                a.augment_time(xc, i);
             }
             None => {
                 insert_new(a, x, doc, ann, yc, i);

@@ -11,7 +11,8 @@
 //! any read or write path.
 
 use std::io::Write;
-use std::ops::RangeInclusive;
+use std::ops::{Deref, RangeInclusive};
+use std::sync::Arc;
 
 use xarch_keys::KeySpec;
 use xarch_obs::{Counter, Histogram, Obs};
@@ -19,7 +20,7 @@ use xarch_xml::Document;
 
 use crate::history::KeyQuery;
 use crate::query::{ElementHistory, RangeEntry, VersionDelta};
-use crate::store::{StoreError, StoreReader, StoreStats, VersionStore};
+use crate::store::{StoreError, StoreReader, StoreStats, StoreView, VersionStore};
 use crate::timeset::TimeSet;
 
 /// The canonical `query.*` / `ingest.*` metric handles an
@@ -88,22 +89,24 @@ impl QueryMetrics {
     }
 }
 
-/// A [`VersionStore`] wrapper that times every query kind and ingest call
-/// into the canonical latency histograms. Built by
+/// A store wrapper that times every query kind and ingest call into the
+/// canonical latency histograms. Built by
 /// `ArchiveBuilder::with_observability(..)` as the outermost layer.
-pub struct ObservedStore {
-    inner: Box<dyn VersionStore>,
+///
+/// `S` is whatever owns the wrapped store: the default boxed
+/// [`VersionStore`] for the read-write wrapper, or the `Arc`'d reader of
+/// an immutable view ([`VersionStore::view`]) — both record into the same
+/// metric handles, so a query is counted once wherever it is served.
+pub struct ObservedStore<S = Box<dyn VersionStore>> {
+    inner: S,
     metrics: QueryMetrics,
-    /// True for handle-side replicas made by [`VersionStore::fork`]: the
-    /// replica shares the original's metric handles so queries served
-    /// from it record into the same `query.*` histograms (each query runs
-    /// on exactly one instance), but the writer applies every merge to
-    /// *both* instances — so a replica must not record `ingest.*`, or
-    /// every commit would count twice.
-    replica: bool,
 }
 
-impl std::fmt::Debug for ObservedStore {
+impl<S> std::fmt::Debug for ObservedStore<S>
+where
+    S: Deref,
+    S::Target: StoreReader,
+{
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ObservedStore")
             .field("latest", &self.inner.latest())
@@ -118,7 +121,6 @@ impl ObservedStore {
         Self {
             inner,
             metrics: QueryMetrics::registered(obs),
-            replica: false,
         }
     }
 
@@ -133,7 +135,11 @@ impl ObservedStore {
     }
 }
 
-impl StoreReader for ObservedStore {
+impl<S> StoreReader for ObservedStore<S>
+where
+    S: Deref,
+    S::Target: StoreReader,
+{
     fn spec(&self) -> &KeySpec {
         self.inner.spec()
     }
@@ -165,10 +171,6 @@ impl StoreReader for ObservedStore {
         self.inner.stats()
     }
 
-    fn stats_at(&self, v: u32) -> Result<StoreStats, StoreError> {
-        self.inner.stats_at(v)
-    }
-
     fn as_of(&self, steps: &[KeyQuery], v: u32) -> Result<Option<Document>, StoreError> {
         let _t = self.metrics.as_of.start_timer();
         self.inner.as_of(steps, v)
@@ -196,9 +198,6 @@ impl StoreReader for ObservedStore {
 
 impl VersionStore for ObservedStore {
     fn add_version(&mut self, doc: &Document) -> Result<u32, StoreError> {
-        if self.replica {
-            return self.inner.add_version(doc);
-        }
         let _t = self.metrics.merge_duration.start_timer();
         let v = self.inner.add_version(doc)?;
         self.metrics.ingest_versions.inc();
@@ -206,9 +205,6 @@ impl VersionStore for ObservedStore {
     }
 
     fn add_empty_version(&mut self) -> Result<u32, StoreError> {
-        if self.replica {
-            return self.inner.add_empty_version();
-        }
         let _t = self.metrics.merge_duration.start_timer();
         let v = self.inner.add_empty_version()?;
         self.metrics.ingest_versions.inc();
@@ -218,9 +214,6 @@ impl VersionStore for ObservedStore {
     fn add_versions(&mut self, docs: &[Document]) -> Result<Vec<u32>, StoreError> {
         if docs.is_empty() {
             return Ok(Vec::new());
-        }
-        if self.replica {
-            return self.inner.add_versions(docs);
         }
         let _t = self.metrics.batch_merge_duration.start_timer();
         let assigned = self.inner.add_versions(docs)?;
@@ -237,11 +230,10 @@ impl VersionStore for ObservedStore {
         self.inner.restore_checkpoint(state)
     }
 
-    fn fork(&self) -> Result<Box<dyn VersionStore>, StoreError> {
-        Ok(Box::new(ObservedStore {
-            inner: self.inner.fork()?,
+    fn view(&self) -> Result<StoreView, StoreError> {
+        Ok(Arc::new(ObservedStore {
+            inner: self.inner.view()?,
             metrics: self.metrics.clone(),
-            replica: true,
         }))
     }
 }
@@ -321,34 +313,25 @@ mod tests {
     }
 
     #[test]
-    fn forked_replica_records_queries_but_never_ingest() {
+    fn a_view_records_queries_into_the_same_histograms() {
         let obs = Obs::disconnected();
         let mut s = observed(&obs);
         s.add_version(&doc("<db><rec><id>1</id></rec></db>"))
             .expect("merge");
-        let mut replica = s.fork().expect("fork");
-        // The shared handle applies every commit to both instances — the
-        // replica's copy of the merge must not count a second time.
-        replica
-            .add_version(&doc("<db><rec><id>2</id></rec></db>"))
-            .expect("replica merge");
-        let _ = replica.retrieve(1).expect("replica read");
+        let view = s.view().expect("view");
+        s.add_version(&doc("<db><rec><id>2</id></rec></db>"))
+            .expect("merge");
+        assert_eq!(view.latest(), 1, "a view never moves");
+        let _ = view.retrieve(1).expect("view read");
+        let _ = s.retrieve(1).expect("store read");
         let r = obs.registry();
-        assert_eq!(r.get_counter("ingest.versions").expect("reg").get(), 1);
-        assert_eq!(
-            r.get_histogram("ingest.merge_duration")
-                .expect("reg")
-                .count(),
-            1
-        );
-        // … but queries served from the replica land in the shared
-        // query.* histograms like any other read.
         assert_eq!(
             r.get_histogram("query.retrieve.duration")
                 .expect("reg")
                 .count(),
-            1
+            2
         );
+        assert_eq!(r.get_counter("ingest.versions").expect("reg").get(), 2);
     }
 
     #[test]

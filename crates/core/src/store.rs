@@ -25,6 +25,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{self, Write};
 use std::ops::RangeInclusive;
+use std::sync::Arc;
 
 use xarch_keys::KeySpec;
 use xarch_xml::Document;
@@ -176,25 +177,6 @@ pub trait StoreReader {
     /// Aggregate statistics of the stored archive.
     fn stats(&self) -> Result<StoreStats, StoreError>;
 
-    /// Aggregate statistics of the archive *as it stood* after version `v`
-    /// merged — the pinned-exact counterpart of [`StoreReader::stats`].
-    ///
-    /// The archive is append-only: merging a later version never changes
-    /// which versions ≤ `v` a node belongs to, so this answer is a pure
-    /// function of the first `v` versions and stays fixed while the live
-    /// store keeps growing. Snapshots (`xarch::Snapshot::stats`) report
-    /// exactly this. `v` saturates at [`StoreReader::latest`].
-    ///
-    /// The default recomputes [`StoreReader::stats`] and clamps only the
-    /// version count — correct for `versions`, *live* for the node/byte
-    /// counts. Every in-tree backend overrides it with counts and a
-    /// canonical clamped serialized size that are exact at the pin.
-    fn stats_at(&self, v: u32) -> Result<StoreStats, StoreError> {
-        let mut s = self.stats()?;
-        s.versions = v.min(self.latest());
-        Ok(s)
-    }
-
     // ---- temporal queries (§7) ------------------------------------------
     //
     // Every method below has a whole-retrieve fallback, so a backend is
@@ -279,6 +261,11 @@ pub trait StoreReader {
     }
 }
 
+/// An immutable, shareable reader over a store as it stood at one committed
+/// version — what [`VersionStore::view`] returns, `xarch::ArchiveHandle`
+/// publishes and `xarch::Snapshot` holds.
+pub type StoreView = Arc<dyn StoreReader + Send + Sync>;
+
 /// The full archiver contract shared by every storage backend: the
 /// [`StoreReader`] query surface plus the two mutators.
 ///
@@ -358,36 +345,35 @@ pub trait VersionStore: StoreReader + Send + Sync {
         Ok(false)
     }
 
-    /// Forks an independent replica: a second store that answers every
-    /// read identically to `self` at the moment of the fork and evolves
-    /// on its own afterwards.
+    /// An immutable view of the store as it stands now: a reader that
+    /// answers every query exactly as `self` does at this moment and never
+    /// changes afterwards, however many merges `self` absorbs.
     ///
-    /// This is the publication primitive behind `xarch::ArchiveHandle`'s
-    /// left-right scheme: the handle keeps the store *and* one fork,
-    /// points readers at one instance with an atomic word, and merges on
-    /// the other — so reads never take a blocking lock.
+    /// This is the publication primitive behind `xarch::ArchiveHandle`:
+    /// the handle owns one store, applies each mutation once, and swaps
+    /// the resulting view in for readers — `xarch::Snapshot` holds the
+    /// `Arc`.
     ///
-    /// Every in-tree backend overrides this with a same-configuration
-    /// clone, making the replica answer *byte-identically* (durable
-    /// wrappers fork only their wrapped in-memory store: reads never
-    /// touch the journal, so the replica reads the same bytes while
-    /// journaling/fsync stays single-copy). The default replays every
-    /// version into a fresh in-memory [`Archive`] under the same key
-    /// spec — semantically equivalent answers for any foreign backend,
-    /// at in-memory cost.
-    fn fork(&self) -> Result<Box<dyn VersionStore>, StoreError> {
-        let mut replica = Archive::new(self.spec().clone());
+    /// Every in-tree backend overrides this with structural sharing (a
+    /// clone over copy-on-write chunks, an `Arc`'d stream), so a view
+    /// costs O(changed), not O(archive); wrappers view what they wrap
+    /// (durable wrappers view only their in-memory store: reads never
+    /// touch the journal). The default replays every version into a fresh
+    /// in-memory [`Archive`] under the same key spec — semantically
+    /// equivalent answers for any foreign backend, at in-memory cost.
+    fn view(&self) -> Result<StoreView, StoreError> {
+        let mut replay = Archive::new(self.spec().clone());
         for v in 1..=self.latest() {
             match self.retrieve(v)? {
                 Some(doc) => {
-                    replica.add_version(&doc)?;
+                    replay.add_version(&doc)?;
                 }
                 None => {
-                    replica.add_empty_version();
+                    replay.add_empty_version();
                 }
             }
         }
-        Ok(Box::new(replica))
+        Ok(Arc::new(replay))
     }
 }
 
@@ -421,15 +407,6 @@ impl StoreReader for Archive {
             Archive::stats(self),
             Archive::latest(self),
             self.size_bytes(),
-        ))
-    }
-
-    fn stats_at(&self, v: u32) -> Result<StoreStats, StoreError> {
-        let v = v.min(Archive::latest(self));
-        Ok(StoreStats::from_archive(
-            Archive::stats_at(self, v),
-            v,
-            self.size_bytes_at(v),
         ))
     }
 
@@ -478,8 +455,8 @@ impl VersionStore for Archive {
         }
     }
 
-    fn fork(&self) -> Result<Box<dyn VersionStore>, StoreError> {
-        Ok(Box::new(self.clone()))
+    fn view(&self) -> Result<StoreView, StoreError> {
+        Ok(Arc::new(self.clone()))
     }
 }
 
@@ -513,15 +490,6 @@ impl StoreReader for ChunkedArchive {
             ChunkedArchive::stats(self),
             ChunkedArchive::latest(self),
             self.size_bytes(),
-        ))
-    }
-
-    fn stats_at(&self, v: u32) -> Result<StoreStats, StoreError> {
-        let v = v.min(ChunkedArchive::latest(self));
-        Ok(StoreStats::from_archive(
-            ChunkedArchive::stats_at(self, v),
-            v,
-            self.size_bytes_at(v),
         ))
     }
 
@@ -576,8 +544,8 @@ impl VersionStore for ChunkedArchive {
         }
     }
 
-    fn fork(&self) -> Result<Box<dyn VersionStore>, StoreError> {
-        Ok(Box::new(self.clone()))
+    fn view(&self) -> Result<StoreView, StoreError> {
+        Ok(Arc::new(self.clone()))
     }
 }
 

@@ -110,9 +110,7 @@ pub(crate) fn weave_frontier(
             }
         }
         // matched: the child also exists at version i
-        if let Some(t) = a.node_mut(c).time.as_mut() {
-            t.insert(i);
-        }
+        a.augment_time(c, i);
         new_children.push(c);
         live_idx += 1;
         y_pos += 1;
@@ -124,5 +122,7 @@ pub(crate) fn weave_frontier(
         insert_ys(a, &mut new_children, &mut y_pos, count);
     }
     debug_assert_eq!(y_pos, y_children.len());
-    a.node_mut(x).children = new_children;
+    if new_children != old_children {
+        a.node_mut(x).children = new_children;
+    }
 }

@@ -71,39 +71,6 @@ impl Archive {
         self.to_xml_pretty().len()
     }
 
-    /// Renders the archive *as it stood* after version `v` merged: the
-    /// Fig-5 document restricted to nodes whose effective timestamp
-    /// intersects `1..=v`, every timestamp clamped to that window.
-    ///
-    /// The rendering is canonical: a node is wrapped in `<T t="...">` iff
-    /// its clamped timestamp differs from its parent's clamped effective
-    /// time (stamp nodes always carry theirs). Because append-only merges
-    /// never change which versions ≤ `v` a node belongs to, the rendering
-    /// — and therefore [`Archive::size_bytes_at`] — is a pure function of
-    /// the first `v` versions: pinned snapshots report it unchanged while
-    /// the live archive keeps growing.
-    pub fn to_xml_at(&self, v: u32) -> Document {
-        let mut doc = Document::new(STAMP_TAG);
-        let t = self
-            .node(self.root())
-            .time
-            .as_ref()
-            .expect("root carries a timestamp")
-            .clamp_range(1, v);
-        let root_did = doc.root();
-        doc.set_attr(root_did, STAMP_ATTR, &t.to_string());
-        let el = doc.add_element(root_did, "root");
-        self.emit_attrs(self.root(), &mut doc, el);
-        self.emit_xml_children_at(self.root(), &t, v, &mut doc, el);
-        doc
-    }
-
-    /// Serialized size in bytes (pretty XML form) of the archive as it
-    /// stood after version `v` merged — see [`Archive::to_xml_at`].
-    pub fn size_bytes_at(&self, v: u32) -> usize {
-        to_pretty_string(&self.to_xml_at(v), 0).len()
-    }
-
     fn emit_attrs(&self, id: ANodeId, doc: &mut Document, did: NodeId) {
         let attrs: Vec<(String, String)> = self
             .node(id)
@@ -151,69 +118,6 @@ impl Archive {
                         None => {
                             doc.add_text(did, &txt);
                         }
-                    }
-                }
-            }
-        }
-    }
-
-    /// The clamped counterpart of [`Archive::emit_xml_children`], used by
-    /// [`Archive::to_xml_at`]: children invisible at every version ≤ `v`
-    /// are skipped, and a `<T>` wrapper is emitted iff the child's clamped
-    /// timestamp differs from `parent_eff` (the parent's clamped effective
-    /// time).
-    fn emit_xml_children_at(
-        &self,
-        id: ANodeId,
-        parent_eff: &TimeSet,
-        v: u32,
-        doc: &mut Document,
-        did: NodeId,
-    ) {
-        for &c in self.children(id) {
-            let n = self.node(c);
-            let clamped = match &n.time {
-                Some(t) => t.clamp_range(1, v),
-                None => parent_eff.clone(),
-            };
-            if clamped.is_empty() {
-                continue;
-            }
-            match &n.kind {
-                AKind::Stamp => {
-                    // Canonical stamp elision: if clamping leaves this as
-                    // the sole alternative spanning the parent's whole
-                    // clamped lifetime, a serial replay of `1..=v` would
-                    // have stored its contents unwrapped — render them so
-                    if clamped == *parent_eff {
-                        self.emit_xml_children_at(c, parent_eff, v, doc, did);
-                    } else {
-                        let t_el = doc.add_element(did, STAMP_TAG);
-                        doc.set_attr(t_el, STAMP_ATTR, &clamped.to_string());
-                        self.emit_xml_children_at(c, &clamped, v, doc, t_el);
-                    }
-                }
-                AKind::Element(s) => {
-                    let tag = self.syms().resolve(*s).to_owned();
-                    let parent = if n.time.is_some() && clamped != *parent_eff {
-                        let w = doc.add_element(did, STAMP_TAG);
-                        doc.set_attr(w, STAMP_ATTR, &clamped.to_string());
-                        w
-                    } else {
-                        did
-                    };
-                    let el = doc.add_element(parent, &tag);
-                    self.emit_attrs(c, doc, el);
-                    self.emit_xml_children_at(c, &clamped, v, doc, el);
-                }
-                AKind::Text(txt) => {
-                    let txt = txt.clone();
-                    if n.time.is_some() && clamped != *parent_eff {
-                        let w = doc.add_element(did, STAMP_TAG);
-                        doc.set_attr(w, STAMP_ATTR, &clamped.to_string());
-                        doc.add_text(w, &txt);
-                    } else {
-                        doc.add_text(did, &txt);
                     }
                 }
             }

@@ -10,8 +10,9 @@
 //! archive and version, it incurs O(N/B) I/Os."
 
 use std::io::Write;
+use std::sync::Arc;
 
-use xarch_core::store::{StoreError, StoreReader, StoreStats, VersionStore};
+use xarch_core::store::{StoreError, StoreReader, StoreStats, StoreView, VersionStore};
 use xarch_core::{KeyQuery, RangeEntry, TimeSet};
 use xarch_keys::{annotate, KeySpec};
 use xarch_xml::escape::{escape_attr, escape_text};
@@ -32,11 +33,11 @@ type Result<T> = std::result::Result<T, StreamError>;
 /// All query passes take `&self`: the stream is immutable between merges,
 /// and the per-pass page accounting is charged through atomics
 /// ([`SharedIoStats`]), so concurrent readers never contend.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ExtArchive {
     spec: KeySpec,
     cfg: IoConfig,
-    data: Vec<u8>,
+    data: Arc<Vec<u8>>,
     latest: u32,
     stats: SharedIoStats,
 }
@@ -69,7 +70,7 @@ impl ExtArchive {
         Self {
             spec,
             cfg,
-            data,
+            data: Arc::new(data),
             latest: 0,
             stats,
         }
@@ -129,7 +130,7 @@ impl ExtArchive {
         self.stats.add_reads(ar.pages_read() + vr.pages_read());
         let (bytes, writes) = out.finish();
         self.stats.add_writes(writes);
-        self.data = bytes;
+        self.data = Arc::new(bytes);
         self.latest = i;
         Ok(i)
     }
@@ -206,7 +207,7 @@ impl ExtArchive {
             .add_reads(ar.pages_read() + vcur.iter().map(|c| c.cur.pages_read()).sum::<u64>());
         let (bytes, writes) = out.finish();
         self.stats.add_writes(writes);
-        self.data = bytes;
+        self.data = Arc::new(bytes);
         self.latest += docs.len() as u32;
         Ok(assigned)
     }
@@ -236,7 +237,7 @@ impl ExtArchive {
         self.stats.add_reads(ar.pages_read() + vr.pages_read());
         let (bytes, writes) = out.finish();
         self.stats.add_writes(writes);
-        self.data = bytes;
+        self.data = Arc::new(bytes);
         self.latest = i;
         Ok(i)
     }
@@ -457,85 +458,6 @@ impl ExtArchive {
         Ok(s)
     }
 
-    /// Aggregate statistics of the archive *as it stood* after version
-    /// `v` merged, computed with one pass over the stream: an entry
-    /// counts iff its effective timestamp intersects `1..=v`, and
-    /// `size_bytes` is the length of the canonical clamped re-encoding
-    /// (explicit timestamps survive iff their clamp differs from the
-    /// parent's clamped effective time). Append-only merges never change
-    /// either, so the answer stays fixed while the live archive grows.
-    pub fn store_stats_at(&self, v: u32) -> Result<StoreStats> {
-        let v = v.min(self.latest);
-        let mut cur = StreamCursor::new(&self.data, self.cfg.page_bytes);
-        let mut s = StoreStats {
-            versions: v,
-            ..StoreStats::default()
-        };
-        let mut size = 0usize;
-        let mut scratch = Vec::new();
-        // clamped effective timestamps of the currently-open spines
-        let mut stack: Vec<TimeSet> = Vec::new();
-        loop {
-            match cur.peek()? {
-                Peeked::Eof => break,
-                Peeked::Close => {
-                    cur.take_spine_close()?;
-                    stack.pop();
-                    scratch.clear();
-                    encode_spine_close(&mut scratch);
-                    size += scratch.len();
-                }
-                Peeked::Spine(_) => {
-                    let h = cur.take_spine_open()?;
-                    let clamped = match (&h.time, stack.last()) {
-                        (Some(t), _) => t.clamp_range(1, v),
-                        (None, Some(p)) => p.clone(),
-                        (None, None) => TimeSet::new(),
-                    };
-                    // the root spine always renders — even clamped empty
-                    // (the empty archive at v = 0); any other spine whose
-                    // clamped time is empty joined after v, subtree and all
-                    if clamped.is_empty() && !stack.is_empty() {
-                        skip_spine(&mut cur)?;
-                        continue;
-                    }
-                    s.elements += 1;
-                    let explicit = match stack.last() {
-                        None => true,
-                        Some(p) => h.time.is_some() && clamped != *p,
-                    };
-                    scratch.clear();
-                    encode_spine_open(
-                        &SpineHeader {
-                            tag: h.tag,
-                            attrs: h.attrs,
-                            sort_key: h.sort_key,
-                            time: explicit.then(|| clamped.clone()),
-                        },
-                        &mut scratch,
-                    );
-                    size += scratch.len();
-                    stack.push(clamped);
-                }
-                Peeked::Small(_) => {
-                    let t = cur.take_small()?;
-                    let parent = stack.last().cloned().unwrap_or_default();
-                    let mut survivors = Vec::new();
-                    clamp_tree(&t, v, &parent, &mut survivors);
-                    for ct in &survivors {
-                        count_tree(ct, &mut s);
-                        scratch.clear();
-                        encode_small(ct, &mut scratch);
-                        size += scratch.len();
-                    }
-                }
-            }
-        }
-        self.stats.add_reads(cur.pages_read());
-        s.size_bytes = size;
-        Ok(s)
-    }
-
     /// Retrieves version `v` with one streaming pass.
     pub fn retrieve(&self, v: u32) -> Result<Option<Document>> {
         if v == 0 || v > self.latest {
@@ -586,10 +508,6 @@ impl StoreReader for ExtArchive {
 
     fn stats(&self) -> std::result::Result<StoreStats, StoreError> {
         Ok(ExtArchive::store_stats(self)?)
-    }
-
-    fn stats_at(&self, v: u32) -> std::result::Result<StoreStats, StoreError> {
-        Ok(ExtArchive::store_stats_at(self, v)?)
     }
 
     fn as_of(
@@ -668,22 +586,16 @@ impl VersionStore for ExtArchive {
         // must decode, so a damaged-but-checksummed payload fails loudly
         // here instead of mid-query
         validate_stream(data)?;
-        self.data = data.to_vec();
+        self.data = Arc::new(data.to_vec());
         self.latest = latest;
         Ok(true)
     }
 
-    fn fork(&self) -> std::result::Result<Box<dyn VersionStore>, StoreError> {
-        // the replica shares the I/O counters (its passes are real paged
-        // I/O charged to the same archive) and copies the event stream,
-        // so it answers every read byte-identically
-        Ok(Box::new(ExtArchive {
-            spec: self.spec.clone(),
-            cfg: self.cfg,
-            data: self.data.clone(),
-            latest: self.latest,
-            stats: self.stats.clone(),
-        }))
+    fn view(&self) -> std::result::Result<StoreView, StoreError> {
+        // the view shares the event stream (a merge swaps in a new one,
+        // never writes the old) and the I/O counters (its passes are real
+        // paged I/O charged to the same archive)
+        Ok(Arc::new(self.clone()))
     }
 }
 
@@ -1051,43 +963,6 @@ fn write_etree<W: Write + ?Sized>(t: &ETree, out: &mut W) -> std::io::Result<()>
             }
         }
     }
-}
-
-/// Clamps a fragment to the versions ≤ `v`, canonically, appending the
-/// surviving nodes to `out`: nodes whose clamped effective timestamp is
-/// empty vanish with their subtrees; a stamp whose clamped time equals
-/// the parent's whole clamped lifetime is *elided* (its children splice
-/// up unwrapped — exactly what a serial replay of `1..=v` would have
-/// stored); any other surviving node keeps an explicit timestamp iff its
-/// clamp differs from the parent's clamped effective time. Used by
-/// [`ExtArchive::store_stats_at`] so pinned statistics are a pure
-/// function of the first `v` versions.
-fn clamp_tree(t: &ETree, v: u32, parent_eff: &TimeSet, out: &mut Vec<ETree>) {
-    let clamped = match &t.time {
-        Some(ts) => ts.clamp_range(1, v),
-        None => parent_eff.clone(),
-    };
-    if clamped.is_empty() {
-        return;
-    }
-    if matches!(t.kind, EKind::Stamp) && clamped == *parent_eff {
-        for c in &t.children {
-            clamp_tree(c, v, parent_eff, out);
-        }
-        return;
-    }
-    let mut children = Vec::new();
-    for c in &t.children {
-        clamp_tree(c, v, &clamped, &mut children);
-    }
-    let explicit = matches!(t.kind, EKind::Stamp) || (t.time.is_some() && clamped != *parent_eff);
-    out.push(ETree {
-        kind: t.kind.clone(),
-        sort_key: t.sort_key.clone(),
-        frontier: t.frontier,
-        time: explicit.then_some(clamped),
-        children,
-    });
 }
 
 /// Counts one fragment's nodes into the unified statistics.

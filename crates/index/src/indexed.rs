@@ -18,10 +18,11 @@
 
 use std::io::Write;
 use std::ops::RangeInclusive;
+use std::sync::Arc;
 
 use xarch_core::{
     Archive, Compaction, ElementHistory, KeyQuery, RangeEntry, StoreError, StoreReader, StoreStats,
-    TimeSet, VersionStore,
+    StoreView, TimeSet, VersionStore,
 };
 use xarch_keys::KeySpec;
 use xarch_xml::Document;
@@ -135,15 +136,6 @@ impl StoreReader for IndexedArchive {
             self.archive.stats(),
             self.archive.latest(),
             self.archive.size_bytes(),
-        ))
-    }
-
-    fn stats_at(&self, v: u32) -> Result<StoreStats, StoreError> {
-        let v = v.min(self.archive.latest());
-        Ok(StoreStats::from_archive(
-            self.archive.stats_at(v),
-            v,
-            self.archive.size_bytes_at(v),
         ))
     }
 
@@ -261,11 +253,11 @@ impl VersionStore for IndexedArchive {
         Ok(true)
     }
 
-    fn fork(&self) -> Result<Box<dyn VersionStore>, StoreError> {
-        // archive and derived indexes clone structurally; the clone shares
-        // the registry-bound probe counter handles, so replica probes keep
-        // charging the same `index.*` counters
-        Ok(Box::new(self.clone()))
+    fn view(&self) -> Result<StoreView, StoreError> {
+        // archive and derived indexes clone structurally (copy-on-write
+        // chunks); the clone shares the registry-bound probe counter
+        // handles, so reads served from views keep charging `index.*`
+        Ok(Arc::new(self.clone()))
     }
 }
 
@@ -384,6 +376,73 @@ mod tests {
 
         // populated stores refuse to restore
         assert!(fresh.restore_checkpoint(&state).is_err());
+    }
+
+    /// Publication is O(changed): after a merge that changes `k` of `N`
+    /// records, all but O(k) chunks of the archive arena and of both index
+    /// tables are still pointer-equal with the view taken before it.
+    #[test]
+    fn a_merge_of_k_changed_records_keeps_all_but_k_chunks_shared_with_the_view() {
+        const N: usize = 640;
+        const K: usize = 3;
+        let doc = |changed: &[usize]| {
+            let mut src = String::from("<db>");
+            for i in 0..N {
+                let val = if changed.contains(&i) { "new" } else { "old" };
+                src.push_str(&format!("<rec><id>{i}</id><val>{val}</val></rec>"));
+            }
+            src.push_str("</db>");
+            parse(&src).unwrap()
+        };
+        let mut s = IndexedArchive::new(spec());
+        s.add_version(&doc(&[])).unwrap();
+        s.add_version(&doc(&[])).unwrap();
+        let unshared = |s: &IndexedArchive, view: &IndexedArchive| {
+            let arena = view.archive.nodes();
+            let (hist, hist_total) = view.hist.shared_chunks(&s.hist);
+            let (ts, ts_total) = view.ts.shared_chunks(&s.ts);
+            assert!(
+                arena.chunk_count() > 10 * K && ts_total > 10 * K,
+                "fixture too small"
+            );
+            (
+                arena.chunk_count() - arena.shared_chunks(s.archive.nodes()),
+                hist_total - hist,
+                ts_total - ts,
+            )
+        };
+
+        let view = s.clone();
+        assert_eq!(
+            unshared(&s, &view),
+            (0, 0, 0),
+            "a fresh view shares everything"
+        );
+
+        // an unchanged release writes the root and document-root timestamps
+        s.add_version(&doc(&[])).unwrap();
+        let (arena, hist, ts) = unshared(&s, &view);
+        assert!(arena <= 1 && hist == 0 && ts <= 1, "{arena} {hist} {ts}");
+
+        // K changed records: their frontier nodes split into alternatives
+        let view = s.clone();
+        s.add_version(&doc(&[5, 300, 600])).unwrap();
+        let (arena, hist, ts) = unshared(&s, &view);
+        assert!(arena <= 2 * K + 2, "arena copied {arena} chunks");
+        assert_eq!(hist, 0, "no keyed child joined any list");
+        assert!(ts <= 2 * K + 2, "timestamp index copied {ts} chunks");
+
+        // and the view still answers as of its pin
+        assert_eq!(view.latest(), 3);
+        let q = vec![
+            KeyQuery::new("db"),
+            KeyQuery::new("rec").with_text("id", "300"),
+        ];
+        let old = view.as_of(&q, 3).unwrap().expect("rec 300 at v3");
+        assert!(xarch_xml::writer::to_compact_string(&old).contains("<val>old</val>"));
+        assert!(view.as_of(&q, 4).unwrap().is_none());
+        let new = s.as_of(&q, 4).unwrap().expect("rec 300 at v4");
+        assert!(xarch_xml::writer::to_compact_string(&new).contains("<val>new</val>"));
     }
 
     #[test]

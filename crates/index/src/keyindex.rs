@@ -6,74 +6,50 @@
 //!
 //! The index is maintained *incrementally*: [`HistoryIndex::apply_version`]
 //! walks only the nodes visible at the newly merged version (the nested
-//! merge touches nothing else — archive-only subtrees keep their resolved
-//! timestamps), so keeping the index current costs O(|version|), not
-//! O(|archive|).
+//! merge touches nothing else), so keeping the index current costs
+//! O(|version|), not O(|archive|) — and it *writes* only the lists whose
+//! keyed child set actually changed, so the table keeps sharing every
+//! other chunk with the views published before the merge.
 
 use std::cmp::Ordering;
-use std::collections::HashMap;
+use std::sync::Arc;
 
-use xarch_core::{ANodeId, Archive, KeyQuery, RangeEntry, TimeSet};
+use xarch_core::{ANodeId, Archive, CowVec, KeyQuery, RangeEntry, TimeSet};
 use xarch_obs::Counter;
 
-/// One record of a sorted child list: the child id plus, per the paper,
-/// an "index offset" (here: the child's own list lives in the same map)
-/// and a "timestamp offset" (here: the resolved effective timestamp).
-#[derive(Debug, Clone)]
-struct Entry {
-    child: ANodeId,
-    time: TimeSet,
-}
-
-/// Sorted child-key lists for every keyed node.
+/// Sorted child-key lists for every keyed node: one slot per archive node
+/// (by arena index) holding its keyed children in label order. A list
+/// names the children only — per the paper its records carry a "timestamp
+/// offset", here the child's own timestamp in the archive, resolved
+/// against the parent's during the descent (inheritance, §2) — so a list
+/// changes only when a keyed child joins it.
 ///
-/// The comparison counter is an [`xarch_obs::Counter`] (atomic under the
-/// hood) so a built index can be shared across reader threads
-/// (`HistoryIndex` is `Send + Sync`; lookups take `&self`) — and so the
-/// same handle can be registered with an observability registry, making
-/// the §7 probe accounting read from one source of truth.
-#[derive(Debug)]
+/// The table is a copy-on-write [`CowVec`] with `Arc`'d lists: cloning the
+/// index shares everything, and the clone shares the comparison counter
+/// too — an [`xarch_obs::Counter`] (atomic under the hood), so a built
+/// index can be shared across reader threads (`HistoryIndex` is
+/// `Send + Sync`; lookups take `&self`) and the same handle can be
+/// registered with an observability registry, making the §7 probe
+/// accounting read from one source of truth.
+#[derive(Debug, Clone, Default)]
 pub struct HistoryIndex {
-    lists: HashMap<ANodeId, Vec<Entry>>,
+    lists: CowVec<Option<Arc<[ANodeId]>>>,
     comparisons: Counter,
-}
-
-impl Clone for HistoryIndex {
-    fn clone(&self) -> Self {
-        Self {
-            lists: self.lists.clone(),
-            // detached: the clone keeps the count but not the registration
-            comparisons: Counter::with_value(self.comparisons.get()),
-        }
-    }
-}
-
-impl Default for HistoryIndex {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl HistoryIndex {
     /// An empty index (for an empty archive); grow it with
     /// [`HistoryIndex::apply_version`].
     pub fn new() -> Self {
-        Self {
-            lists: HashMap::new(),
-            comparisons: Counter::new(),
-        }
+        Self::default()
     }
 
     /// Builds the index with a single scan of the archive ("all key values
     /// of children nodes of any node x are known by the time x is exited").
     pub fn build(archive: &Archive) -> Self {
-        let mut lists: HashMap<ANodeId, Vec<Entry>> = HashMap::new();
-        let root_time = archive.effective_time(archive.root());
-        build_rec(archive, archive.root(), &root_time, &mut lists);
-        Self {
-            lists,
-            comparisons: Counter::new(),
-        }
+        let mut idx = Self::new();
+        idx.index_rec(archive, archive.root(), None);
+        idx
     }
 
     /// Replace the comparison counter with `counter` (typically one
@@ -92,37 +68,49 @@ impl HistoryIndex {
     }
 
     /// Incrementally absorbs version `v`, which must be the version the
-    /// archive just merged. Only nodes visible at `v` (and their immediate
-    /// children, whose terminations the rebuild picks up) can have changed
-    /// child lists or resolved timestamps, so the walk recurses only into
-    /// the subtrees version `v` touches.
+    /// archive just merged. Only nodes visible at `v` can have gained keyed
+    /// children, so the walk recurses only into the subtrees version `v`
+    /// touches.
     pub fn apply_version(&mut self, archive: &Archive, v: u32) {
         let root = archive.root();
-        let root_time = archive.effective_time(root);
-        if !root_time.contains(v) {
-            return;
+        if archive
+            .node(root)
+            .time
+            .as_ref()
+            .is_some_and(|t| t.contains(v))
+        {
+            self.index_rec(archive, root, Some(v));
         }
-        self.apply_rec(archive, root, &root_time, v);
     }
 
-    fn apply_rec(&mut self, archive: &Archive, id: ANodeId, eff: &TimeSet, v: u32) {
-        let mut entries: Vec<Entry> = Vec::new();
+    /// Re-derives `id`'s list and recurses — into every child for a full
+    /// build (`only == None`), or only into the children visible at the
+    /// version being applied (`id` itself is; an inheriting child then is
+    /// too).
+    fn index_rec(&mut self, archive: &Archive, id: ANodeId, only: Option<u32>) {
+        let mut keyed: Vec<ANodeId> = Vec::new();
         for &c in archive.children(id) {
-            let ceff = archive.node(c).time.clone().unwrap_or_else(|| eff.clone());
-            if archive.node(c).key.is_some() {
-                entries.push(Entry {
-                    child: c,
-                    time: ceff.clone(),
-                });
+            let n = archive.node(c);
+            if n.key.is_some() {
+                keyed.push(c);
             }
-            if ceff.contains(v) {
-                self.apply_rec(archive, c, &ceff, v);
+            let visible = only.is_none_or(|v| n.time.as_ref().is_none_or(|t| t.contains(v)));
+            if visible {
+                self.index_rec(archive, c, only);
             }
         }
-        if !entries.is_empty() {
-            entries.sort_by(|a, b| cmp_children(archive, a.child, b.child));
-            self.lists.insert(id, entries);
+        if keyed.is_empty() {
+            return;
         }
+        // sort by (tag, key value) — the same order query_cmp probes
+        keyed.sort_by(|&a, &b| cmp_children(archive, a, b));
+        if self.list(id) != Some(&keyed[..]) {
+            *self.lists.slot_mut(id.index()) = Some(keyed.into());
+        }
+    }
+
+    fn list(&self, id: ANodeId) -> Option<&[ANodeId]> {
+        self.lists.get(id.index())?.as_deref()
     }
 
     /// Resolves a key-query path to the archive node it addresses plus
@@ -132,14 +120,14 @@ impl HistoryIndex {
         let mut cur = archive.root();
         let mut time = archive.effective_time(cur);
         for step in steps {
-            let list = self.lists.get(&cur)?;
+            let list = self.list(cur)?;
             let mut lo = 0usize;
             let mut hi = list.len();
             let mut found = None;
             while lo < hi {
                 let mid = (lo + hi) / 2;
                 self.comparisons.inc();
-                match archive.query_cmp(list[mid].child, step) {
+                match archive.query_cmp(list[mid], step) {
                     Ordering::Less => lo = mid + 1,
                     Ordering::Greater => hi = mid,
                     Ordering::Equal => {
@@ -148,9 +136,10 @@ impl HistoryIndex {
                     }
                 }
             }
-            let idx = found?;
-            time = list[idx].time.clone();
-            cur = list[idx].child;
+            cur = list[found?];
+            if let Some(t) = &archive.node(cur).time {
+                time = t.clone();
+            }
         }
         Some((cur, time))
     }
@@ -175,19 +164,18 @@ impl HistoryIndex {
         lo: u32,
         hi: u32,
     ) -> Vec<RangeEntry> {
-        let Some((node, _)) = self.locate(archive, prefix) else {
+        let Some((node, inherited)) = self.locate(archive, prefix) else {
             return Vec::new();
         };
         let mut out = Vec::new();
-        if let Some(list) = self.lists.get(&node) {
-            for e in list {
-                let time = e.time.clamp_range(lo, hi);
-                if time.is_empty() {
-                    continue;
-                }
-                if let Some(step) = archive.step_of(e.child) {
-                    out.push(RangeEntry { step, time });
-                }
+        for &child in self.list(node).unwrap_or_default() {
+            let own = archive.node(child).time.as_ref();
+            let time = own.unwrap_or(&inherited).clamp_range(lo, hi);
+            if time.is_empty() {
+                continue;
+            }
+            if let Some(step) = archive.step_of(child) {
+                out.push(RangeEntry { step, time });
             }
         }
         out
@@ -207,35 +195,21 @@ impl HistoryIndex {
 
     /// Maximum list length `d` (for the `O(l log d)` bound).
     pub fn max_degree(&self) -> usize {
-        self.lists.values().map(|l| l.len()).max().unwrap_or(0)
+        self.lists
+            .iter()
+            .map(|l| l.as_ref().map_or(0, |l| l.len()))
+            .max()
+            .unwrap_or(0)
     }
-}
 
-fn build_rec(
-    archive: &Archive,
-    id: ANodeId,
-    inherited: &TimeSet,
-    lists: &mut HashMap<ANodeId, Vec<Entry>>,
-) {
-    let mut entries: Vec<Entry> = Vec::new();
-    for &c in archive.children(id) {
-        let eff = archive
-            .node(c)
-            .time
-            .clone()
-            .unwrap_or_else(|| inherited.clone());
-        if archive.node(c).key.is_some() {
-            entries.push(Entry {
-                child: c,
-                time: eff.clone(),
-            });
-        }
-        build_rec(archive, c, &eff, lists);
-    }
-    if !entries.is_empty() {
-        // sort by (tag, key value) — the same order query_cmp probes
-        entries.sort_by(|a, b| cmp_children(archive, a.child, b.child));
-        lists.insert(id, entries);
+    /// `(shared, total)` table chunks this index holds by pointer in
+    /// common with `other` — how much a view taken before a merge still
+    /// shares with the index after it.
+    pub fn shared_chunks(&self, other: &Self) -> (usize, usize) {
+        (
+            self.lists.shared_chunks(&other.lists),
+            self.lists.chunk_count(),
+        )
     }
 }
 

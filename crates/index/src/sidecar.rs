@@ -23,29 +23,33 @@
 
 use std::collections::BTreeMap;
 use std::io::Write;
-use std::ops::RangeInclusive;
+use std::ops::{Deref, RangeInclusive};
+use std::sync::Arc;
 
 use xarch_core::state::{corrupt, get_timeset, put_timeset, STATE_INDEXED_STORE};
 use xarch_core::wire::{get_bytes, get_str, get_varint, put_bytes, put_str, put_varint};
 use xarch_core::{
-    KeyQuery, RangeEntry, StoreError, StoreReader, StoreStats, TimeSet, VersionStore,
+    KeyQuery, RangeEntry, StoreError, StoreReader, StoreStats, StoreView, TimeSet, VersionStore,
 };
 use xarch_keys::{annotate, KeySpec};
 use xarch_xml::{Document, NodeKind};
 
 /// One trie node: when the element exists, and its keyed children in
-/// label order.
+/// label order. Children sit behind [`Arc`]s: absorbing a version
+/// path-copies the nodes it touches ([`Arc::make_mut`]) and leaves every
+/// other subtree shared with the clones taken before it.
 #[derive(Debug, Clone, Default)]
 struct QNode {
     time: TimeSet,
-    children: BTreeMap<KeyQuery, QNode>,
+    children: BTreeMap<KeyQuery, Arc<QNode>>,
 }
 
 /// A trie over keyed element paths with existence timestamps — the query
-/// sidecar any [`VersionStore`] can maintain.
+/// sidecar any [`VersionStore`] can maintain. `Clone` is one reference
+/// count bump.
 #[derive(Debug, Clone, Default)]
 pub struct QueryIndex {
-    root: QNode,
+    root: Arc<QNode>,
 }
 
 impl QueryIndex {
@@ -64,23 +68,24 @@ impl QueryIndex {
     ) -> Result<(), StoreError> {
         let ann = annotate(doc, spec)
             .map_err(|e| StoreError::Backend(format!("sidecar annotation failed: {e}")))?;
-        self.root.time.insert(v);
+        let top = Arc::make_mut(&mut self.root);
+        top.time.insert(v);
         let root = doc.root();
         if let (NodeKind::Element(_), Some(_)) = (&doc.node(root).kind, ann.key(root)) {
-            insert_rec(&mut self.root, doc, &ann, root, v);
+            insert_rec(top, doc, &ann, root, v);
         }
         Ok(())
     }
 
     /// Absorbs an *empty* version: only the synthetic root ticks.
     pub fn apply_empty_version(&mut self, v: u32) {
-        self.root.time.insert(v);
+        Arc::make_mut(&mut self.root).time.insert(v);
     }
 
     /// The existence set of the element addressed by `steps` (`None` if
     /// never archived). The empty path addresses the synthetic root.
     pub fn history(&self, steps: &[KeyQuery]) -> Option<TimeSet> {
-        let mut cur = &self.root;
+        let mut cur = &*self.root;
         for step in steps {
             cur = cur.children.get(step)?;
         }
@@ -91,7 +96,7 @@ impl QueryIndex {
     /// clamped to `lo..=hi`; results come out of the sorted map already
     /// in label order.
     pub fn range(&self, prefix: &[KeyQuery], lo: u32, hi: u32) -> Vec<RangeEntry> {
-        let mut cur = &self.root;
+        let mut cur = &*self.root;
         for step in prefix {
             match cur.children.get(step) {
                 Some(n) => cur = n,
@@ -114,7 +119,7 @@ impl QueryIndex {
     /// structure only, no content).
     pub fn len(&self) -> usize {
         fn count(n: &QNode) -> usize {
-            1 + n.children.values().map(count).sum::<usize>()
+            1 + n.children.values().map(|c| count(c)).sum::<usize>()
         }
         count(&self.root)
     }
@@ -185,7 +190,8 @@ fn get_qnode(buf: &[u8], pos: &mut usize) -> Result<QNode, StoreError> {
             };
             match stack.last_mut() {
                 Some(parent) => {
-                    if parent.node.children.insert(done.step, done.node).is_some() {
+                    let child = Arc::new(done.node);
+                    if parent.node.children.insert(done.step, child).is_some() {
                         return Err(corrupt_at(
                             *pos,
                             "checkpoint state: duplicate sidecar child",
@@ -240,7 +246,7 @@ fn insert_rec(
             .map(|p| (p.path.clone(), p.canon.clone()))
             .collect(),
     };
-    let node = parent.children.entry(step).or_default();
+    let node = Arc::make_mut(parent.children.entry(step).or_default());
     node.time.insert(v);
     for &c in doc.children(id) {
         if let (NodeKind::Element(_), Some(_)) = (&doc.node(c).kind, ann.key(c)) {
@@ -253,12 +259,21 @@ fn insert_rec(
 /// `history` and `range` are answered from the sidecar with no backend
 /// I/O; `as_of` uses the sidecar to reject missing elements and the
 /// backend's own partial retrieval for content.
-pub struct IndexedStore {
-    inner: Box<dyn VersionStore>,
+///
+/// `S` is whatever owns the wrapped store: the default boxed
+/// [`VersionStore`] for the read-write wrapper, or the `Arc`'d reader of
+/// an immutable view ([`VersionStore::view`]) paired with the sidecar as
+/// it stood then.
+pub struct IndexedStore<S = Box<dyn VersionStore>> {
+    inner: S,
     sidecar: QueryIndex,
 }
 
-impl std::fmt::Debug for IndexedStore {
+impl<S> std::fmt::Debug for IndexedStore<S>
+where
+    S: Deref,
+    S::Target: StoreReader,
+{
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("IndexedStore")
             .field("latest", &self.inner.latest())
@@ -293,7 +308,11 @@ impl IndexedStore {
     }
 }
 
-impl StoreReader for IndexedStore {
+impl<S> StoreReader for IndexedStore<S>
+where
+    S: Deref,
+    S::Target: StoreReader,
+{
     fn spec(&self) -> &KeySpec {
         self.inner.spec()
     }
@@ -320,10 +339,6 @@ impl StoreReader for IndexedStore {
 
     fn stats(&self) -> Result<StoreStats, StoreError> {
         self.inner.stats()
-    }
-
-    fn stats_at(&self, v: u32) -> Result<StoreStats, StoreError> {
-        self.inner.stats_at(v)
     }
 
     fn as_of(&self, steps: &[KeyQuery], v: u32) -> Result<Option<Document>, StoreError> {
@@ -406,15 +421,17 @@ impl VersionStore for IndexedStore {
         if !self.inner.restore_checkpoint(inner_state)? {
             return Ok(false);
         }
-        self.sidecar = QueryIndex { root };
+        self.sidecar = QueryIndex {
+            root: Arc::new(root),
+        };
         Ok(true)
     }
 
-    fn fork(&self) -> Result<Box<dyn VersionStore>, StoreError> {
-        // fork the backend, clone the derived sidecar — the pair stays
+    fn view(&self) -> Result<StoreView, StoreError> {
+        // view the backend, share the derived sidecar — the pair stays
         // consistent because both describe the same version sequence
-        Ok(Box::new(IndexedStore {
-            inner: self.inner.fork()?,
+        Ok(Arc::new(IndexedStore {
+            inner: self.inner.view()?,
             sidecar: self.sidecar.clone(),
         }))
     }

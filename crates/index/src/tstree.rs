@@ -7,29 +7,38 @@
 //! union does not contain `v`. Following the paper, the search also counts
 //! probes and falls back to scanning all `k` leaves once `k` tree nodes
 //! have been probed, bounding the worst case at `2k` probes.
+//!
+//! Timestamps are stored as the archive stores them: a child that
+//! *inherits* its parent's timestamp (§2) is a leaf with no timestamp of
+//! its own, relevant wherever the parent is. A tree therefore changes only
+//! when its node's child list or a child's own timestamp does, and an
+//! incremental apply leaves every other tree — and every table chunk that
+//! holds only such trees — shared with the views published before it.
 
-use std::collections::HashMap;
+use std::sync::Arc;
 
-use xarch_core::{ANodeId, Archive, TimeSet};
+use xarch_core::{ANodeId, Archive, CowVec, TimeSet};
 use xarch_obs::Counter;
 
-/// One node of a timestamp binary tree.
-#[derive(Debug, Clone)]
+/// One node of a timestamp binary tree. `time` is `None` when a child
+/// under it inherits the parent's timestamp — such a subtree is relevant
+/// at every version the parent is.
+#[derive(Debug, Clone, PartialEq)]
 enum TsNode {
     Leaf {
-        time: TimeSet,
+        time: Option<TimeSet>,
         /// "offset to the corresponding child node in the archive"
         child: ANodeId,
     },
     Inner {
-        time: TimeSet,
+        time: Option<TimeSet>,
         left: usize,
         right: usize,
     },
 }
 
 /// The timestamp tree of one archive node's children.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TsTree {
     nodes: Vec<TsNode>,
     root: Option<usize>,
@@ -39,15 +48,11 @@ pub struct TsTree {
 impl TsTree {
     /// Builds the tree for `parent`'s children ("pairing nodes repeatedly
     /// in a bottom-up manner and taking the union of timestamps").
-    fn build(archive: &Archive, parent: ANodeId, inherited: &TimeSet) -> Self {
+    fn build(archive: &Archive, parent: ANodeId) -> Self {
         let mut nodes = Vec::new();
         let mut level: Vec<usize> = Vec::new();
         for &c in archive.children(parent) {
-            let time = archive
-                .node(c)
-                .time
-                .clone()
-                .unwrap_or_else(|| inherited.clone());
+            let time = archive.node(c).time.clone();
             nodes.push(TsNode::Leaf { time, child: c });
             level.push(nodes.len() - 1);
         }
@@ -56,7 +61,10 @@ impl TsTree {
             let mut next = Vec::with_capacity(level.len().div_ceil(2));
             for pair in level.chunks(2) {
                 if let [l, r] = pair {
-                    let time = nodes[*l].time().union(nodes[*r].time());
+                    let time = match (nodes[*l].time(), nodes[*r].time()) {
+                        (Some(a), Some(b)) => Some(a.union(b)),
+                        _ => None,
+                    };
                     nodes.push(TsNode::Inner {
                         time,
                         left: *l,
@@ -76,8 +84,9 @@ impl TsTree {
         }
     }
 
-    /// Children relevant to version `v`, plus the number of tree nodes
-    /// probed. Falls back to scanning all leaves after `k` probes.
+    /// Children relevant to version `v` — given that the tree's own node
+    /// exists at `v` — plus the number of tree nodes probed. Falls back to
+    /// scanning all leaves after `k` probes.
     pub fn relevant(&self, v: u32) -> (Vec<ANodeId>, usize) {
         let Some(root) = self.root else {
             return (Vec::new(), 0);
@@ -94,27 +103,25 @@ impl TsTree {
                 // not id-sorted once the weave reorders them).
                 out.clear();
                 for node in &self.nodes {
-                    if let TsNode::Leaf { time, child } = node {
+                    if let TsNode::Leaf { child, .. } = node {
                         probes += 1;
-                        if time.contains(v) {
+                        if node.covers(v) {
                             out.push(*child);
                         }
                     }
                 }
                 return (out, probes);
             }
-            match &self.nodes[n] {
-                TsNode::Leaf { time, child } => {
-                    if time.contains(v) {
-                        out.push(*child);
-                    }
-                }
-                TsNode::Inner { time, left, right } => {
-                    if time.contains(v) {
-                        // push right first so left is visited first
-                        stack.push(*right);
-                        stack.push(*left);
-                    }
+            let node = &self.nodes[n];
+            if !node.covers(v) {
+                continue;
+            }
+            match node {
+                TsNode::Leaf { child, .. } => out.push(*child),
+                TsNode::Inner { left, right, .. } => {
+                    // push right first so left is visited first
+                    stack.push(*right);
+                    stack.push(*left);
                 }
             }
         }
@@ -128,66 +135,49 @@ impl TsTree {
 }
 
 impl TsNode {
-    fn time(&self) -> &TimeSet {
+    fn time(&self) -> Option<&TimeSet> {
         match self {
-            TsNode::Leaf { time, .. } | TsNode::Inner { time, .. } => time,
+            TsNode::Leaf { time, .. } | TsNode::Inner { time, .. } => time.as_ref(),
         }
+    }
+
+    fn covers(&self, v: u32) -> bool {
+        self.time().is_none_or(|t| t.contains(v))
     }
 }
 
 /// Timestamp trees for every internal archive node, built with one scan
-/// or maintained incrementally, one merged version at a time.
+/// or maintained incrementally, one merged version at a time: one slot per
+/// archive node (by arena index) in a copy-on-write [`CowVec`], each tree
+/// behind an `Arc`, so cloning the index shares everything.
 ///
 /// The probe counter is an [`xarch_obs::Counter`] (atomic under the hood)
-/// so a built index can be shared across reader threads (`TimestampIndex`
-/// is `Send + Sync`; lookups take `&self`) — and so the same handle can
-/// be registered with an observability registry, making the §7 probe
-/// accounting read from one source of truth.
-#[derive(Debug)]
+/// shared by every clone, so a built index can be shared across reader
+/// threads (`TimestampIndex` is `Send + Sync`; lookups take `&self`) — and
+/// so the same handle can be registered with an observability registry,
+/// making the §7 probe accounting read from one source of truth.
+#[derive(Debug, Clone, Default)]
 pub struct TimestampIndex {
-    trees: HashMap<ANodeId, TsTree>,
+    trees: CowVec<Option<Arc<TsTree>>>,
     /// Total probes across all `relevant_children` calls (a monotone
     /// count; measurement windows difference it, or use
     /// [`TimestampIndex::reset_probes`] on a detached index).
     probes: Counter,
 }
 
-impl Clone for TimestampIndex {
-    fn clone(&self) -> Self {
-        Self {
-            trees: self.trees.clone(),
-            // detached: the clone keeps the count but not the registration
-            probes: Counter::with_value(self.probes.get()),
-        }
-    }
-}
-
-impl Default for TimestampIndex {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl TimestampIndex {
     /// An empty index (for an empty archive); grow it with
     /// [`TimestampIndex::apply_version`].
     pub fn new() -> Self {
-        Self {
-            trees: HashMap::new(),
-            probes: Counter::new(),
-        }
+        Self::default()
     }
 
     /// Builds the index ("the timestamp trees are created each time a new
     /// version arrives and after nested merge is applied").
     pub fn build(archive: &Archive) -> Self {
-        let mut trees = HashMap::new();
-        let root_time = archive.effective_time(archive.root());
-        build_rec(archive, archive.root(), &root_time, &mut trees);
-        Self {
-            trees,
-            probes: Counter::new(),
-        }
+        let mut idx = Self::new();
+        idx.adopt(archive, archive.root());
+        idx
     }
 
     /// Replace the probe counter with `counter` (typically one registered
@@ -205,56 +195,63 @@ impl TimestampIndex {
     }
 
     /// Incrementally absorbs version `v`, which must be the version the
-    /// archive just merged: the trees of nodes visible at `v` are rebuilt
-    /// (their child sets or child timestamps may have changed — including
-    /// terminations, which the per-node rebuild picks up); everything else
-    /// is untouched, so maintenance costs O(|version|) instead of the
-    /// paper's per-version full rebuild.
+    /// archive just merged: the trees of nodes visible at `v` are
+    /// re-derived (their child sets or child timestamps may have changed —
+    /// including terminations) and written back only where they differ;
+    /// everything else is untouched, so maintenance costs O(|version|)
+    /// instead of the paper's per-version full rebuild.
     pub fn apply_version(&mut self, archive: &Archive, v: u32) {
         let root = archive.root();
-        let root_time = archive.effective_time(root);
-        if !root_time.contains(v) {
-            return;
+        if archive
+            .node(root)
+            .time
+            .as_ref()
+            .is_some_and(|t| t.contains(v))
+        {
+            self.apply_rec(archive, root, v);
         }
-        self.apply_rec(archive, root, &root_time, v);
     }
 
-    fn apply_rec(&mut self, archive: &Archive, id: ANodeId, eff: &TimeSet, v: u32) {
+    /// `id` is visible at `v`; so is every child that inherits from it.
+    fn apply_rec(&mut self, archive: &Archive, id: ANodeId, v: u32) {
         if !archive.children(id).is_empty() {
-            self.trees.insert(id, TsTree::build(archive, id, eff));
+            let tree = TsTree::build(archive, id);
+            if self.tree(id) != Some(&tree) {
+                *self.trees.slot_mut(id.index()) = Some(Arc::new(tree));
+            }
         }
         for &c in archive.children(id) {
-            let ceff = archive.node(c).time.clone().unwrap_or_else(|| eff.clone());
-            if ceff.contains(v) {
-                self.apply_rec(archive, c, &ceff, v);
+            if archive.node(c).time.as_ref().is_none_or(|t| t.contains(v)) {
+                self.apply_rec(archive, c, v);
             } else {
                 // A frontier split allocates a *new* stamp node that is
                 // invisible at `v` (it holds the old alternatives with
                 // `T−{i}`) and re-parents the old content beneath it. The
                 // moved nodes keep their valid trees; only the fresh stamp
                 // lacks one — build it, stopping at already-treed nodes.
-                self.adopt(archive, c, &ceff);
+                self.adopt(archive, c);
             }
         }
     }
 
-    /// Builds trees for a subtree that entered the archive *invisible* at
-    /// the version being applied (re-parented frontier content). Nodes
-    /// that already have a tree are complete below — recursion stops.
-    fn adopt(&mut self, archive: &Archive, id: ANodeId, eff: &TimeSet) {
-        if archive.children(id).is_empty() || self.trees.contains_key(&id) {
+    /// Builds trees for a subtree the index has not seen: the whole
+    /// archive on a full build, or content that entered *invisible* at the
+    /// version being applied (re-parented frontier content). Nodes that
+    /// already have a tree are complete below — recursion stops.
+    fn adopt(&mut self, archive: &Archive, id: ANodeId) {
+        if archive.children(id).is_empty() || self.tree(id).is_some() {
             return;
         }
-        self.trees.insert(id, TsTree::build(archive, id, eff));
+        *self.trees.slot_mut(id.index()) = Some(Arc::new(TsTree::build(archive, id)));
         for &c in archive.children(id) {
-            let ceff = archive.node(c).time.clone().unwrap_or_else(|| eff.clone());
-            self.adopt(archive, c, &ceff);
+            self.adopt(archive, c);
         }
     }
 
-    /// The children of `parent` relevant to version `v`, using the tree.
+    /// The children of `parent` relevant to version `v` (at which `parent`
+    /// itself must exist), using the tree.
     pub fn relevant_children(&self, parent: ANodeId, v: u32) -> Vec<ANodeId> {
-        match self.trees.get(&parent) {
+        match self.tree(parent) {
             Some(t) => {
                 let (out, p) = t.relevant(v);
                 self.probes.add(p as u64);
@@ -278,7 +275,17 @@ impl TimestampIndex {
 
     /// The tree of one node (for inspection).
     pub fn tree(&self, parent: ANodeId) -> Option<&TsTree> {
-        self.trees.get(&parent)
+        self.trees.get(parent.index())?.as_deref()
+    }
+
+    /// `(shared, total)` table chunks this index holds by pointer in
+    /// common with `other` — how much a view taken before a merge still
+    /// shares with the index after it.
+    pub fn shared_chunks(&self, other: &Self) -> (usize, usize) {
+        (
+            self.trees.shared_chunks(&other.trees),
+            self.trees.chunk_count(),
+        )
     }
 
     /// Retrieves version `v` via the index: only relevant subtrees are
@@ -370,26 +377,6 @@ fn copy_attrs(
         .collect();
     for (n, v) in attrs {
         doc.set_attr(did, &n, &v);
-    }
-}
-
-fn build_rec(
-    archive: &Archive,
-    id: ANodeId,
-    inherited: &TimeSet,
-    trees: &mut HashMap<ANodeId, TsTree>,
-) {
-    if archive.children(id).is_empty() {
-        return;
-    }
-    trees.insert(id, TsTree::build(archive, id, inherited));
-    for &c in archive.children(id) {
-        let eff = archive
-            .node(c)
-            .time
-            .clone()
-            .unwrap_or_else(|| inherited.clone());
-        build_rec(archive, c, &eff, trees);
     }
 }
 

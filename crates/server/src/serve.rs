@@ -22,7 +22,7 @@
 //!   structured error and the connection *survives* — framing is still
 //!   sound;
 //! * every query runs against a pinned snapshot — fresh pins and lease
-//!   opens are a single atomic load of the handle's published version,
+//!   opens are one `Arc` clone of the handle's published view,
 //!   so no worker (and therefore no client) ever waits behind an
 //!   in-flight merge, and a writer fault can never take the read side
 //!   of the service down;
@@ -602,7 +602,7 @@ fn answer(req: Request, state: &mut ConnState, ctx: &Ctx, peer: &str) -> (Respon
 
 /// Resolves the lease (0 = fresh pin) and runs `f` against the
 /// snapshot, mapping `StoreError` to a structured `store` error. A
-/// fresh pin is wait-free (one atomic load of the published version),
+/// fresh pin is one `Arc` clone of the published view,
 /// and a held lease answers exactly as it did when opened — concurrent
 /// ingest through the same handle never blocks or perturbs either path.
 fn with_snapshot(

@@ -14,7 +14,7 @@ use std::path::{Path, PathBuf};
 
 use xarch_compress::BlockCodec;
 use xarch_core::{
-    ElementHistory, KeyQuery, RangeEntry, StoreError, StoreReader, StoreStats, TimeSet,
+    ElementHistory, KeyQuery, RangeEntry, StoreError, StoreReader, StoreStats, StoreView, TimeSet,
     VersionDelta, VersionStore,
 };
 use xarch_keys::KeySpec;
@@ -549,10 +549,6 @@ impl StoreReader for DurableArchive {
         self.inner.stats()
     }
 
-    fn stats_at(&self, v: u32) -> Result<StoreStats, StoreError> {
-        self.inner.stats_at(v)
-    }
-
     // Temporal queries delegate to the inner store rather than taking the
     // trait's whole-retrieve defaults: when the wrapped backend is
     // indexed, its indexes are re-established *during* journal replay (the
@@ -678,14 +674,13 @@ impl VersionStore for DurableArchive {
         ))
     }
 
-    /// Forks only the wrapped in-memory store: reads never touch the
-    /// journal, so the replica answers byte-identically, while the journal
-    /// and its fsyncs stay single-copy on the durable instance. The
-    /// shared handle applies every commit to the durable instance first
-    /// (and publishes only after it lands), so the replica never holds a
-    /// version that could vanish on crash.
-    fn fork(&self) -> Result<Box<dyn VersionStore>, StoreError> {
-        self.inner.fork()
+    /// Views only the wrapped in-memory store: reads never touch the
+    /// journal, so the view answers byte-identically while the journal and
+    /// its fsyncs stay on this instance. The shared handle takes the view
+    /// after the commit lands, so a published view never holds a version
+    /// that could vanish on crash.
+    fn view(&self) -> Result<StoreView, StoreError> {
+        self.inner.view()
     }
 }
 

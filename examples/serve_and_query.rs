@@ -1,20 +1,20 @@
 //! The archive as a network service: a real `xarch-server` on an
-//! ephemeral port, a curator feeding it batched releases **over the
-//! wire**, and client threads querying it concurrently — each from its
-//! own leased snapshot, so every answer is internally consistent no
-//! matter how many ingests land meanwhile. Ends with the ops report:
-//! the server's own `server.*` metrics rendered as Prometheus text,
-//! fetched over the protocol's `metrics` verb.
+//! ephemeral port, a curator feeding it batched releases — the first
+//! in-process through the served [`xarch::ArchiveHandle`] (the embedded
+//! deployment), the rest **over the wire** — and client threads querying
+//! it concurrently, each from its own leased snapshot, so every answer is
+//! internally consistent no matter how many ingests land meanwhile. Ends
+//! with the ops report: the server's own `server.*` metrics rendered as
+//! Prometheus text, fetched over the protocol's `metrics` verb.
 //!
-//! The wire protocol is specified byte-for-byte in `docs/PROTOCOL.md`;
-//! `examples/concurrent_service.rs` shows the same deployment shape
-//! with the curator in-process.
+//! The wire protocol is specified byte-for-byte in `docs/PROTOCOL.md`.
 //!
 //!     cargo run --release --example serve_and_query
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use xarch::core::KeyQuery;
+use xarch::StoreReader;
 use xarch_proto::Client;
 use xarch_server::{Server, ServerConfig};
 
@@ -45,11 +45,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let queries_served = AtomicU64::new(0);
 
+    // ---- the curator, embedded: the first release merges in-process -----
+    // through the handle the server serves from
+    let first: Vec<_> = (1..=BATCH as u32)
+        .map(|i| xarch::xml::parse(&doc(i)))
+        .collect::<Result<_, _>>()?;
+    server.handle().add_versions(&first)?;
+
     std::thread::scope(|s| {
-        // ---- the curator: batched ingest over the wire -------------------
+        // ---- the curator, remote: batched ingest over the wire -----------
         s.spawn(move || {
             let mut curator = Client::connect(addr).expect("curator connects");
-            let mut next = 1u32;
+            let mut next = BATCH as u32 + 1;
             while next <= VERSIONS {
                 let batch: Vec<String> = (0..BATCH as u32)
                     .map(|k| next + k)
@@ -109,6 +116,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         queries_served.load(Ordering::Relaxed),
         health.served,
         health.latest
+    );
+    // the embedding process reads the same archive without a round trip
+    let stats = server.handle().snapshot().stats()?;
+    println!(
+        "final archive: {} versions, {} elements, {} bytes",
+        stats.versions, stats.elements, stats.size_bytes
     );
     let report = admin.metrics()?;
     print!("{report}");

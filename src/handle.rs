@@ -1,29 +1,28 @@
 //! The concurrent service layer: one writer, many readers, over any
-//! backend — with wait-free snapshot publication.
+//! backend — one archive instance, published as immutable views.
 //!
-//! The paper's archive is an *append-only* structure: merging version `i`
-//! decides only whether `i` belongs to each element's timestamp, never the
-//! membership of earlier versions. So the answer to any query *about
-//! versions ≤ P* is fixed the moment version `P` commits — exactly the
-//! property an online archive service needs to serve heavy read traffic
-//! while curation continues. [`ArchiveHandle`] packages that property:
+//! The paper's archive is *append-only*: merging version `i` decides only
+//! whether `i` belongs to each element's timestamp, and — timestamps being
+//! inherited — writes only the changed nodes and their ancestor paths. So
+//! the archive as of version `P` is fixed the moment `P` commits *and*
+//! almost entirely shared with the archive as of `P + 1`: what an online
+//! archive needs to serve heavy read traffic while curation continues.
 //!
-//! * the handle is cheaply clonable (an [`Arc`]) and `Send + Sync`;
-//! * writes (`add_version`) are single-writer, serialized on a writer
-//!   mutex that **readers never touch**;
-//! * reads are *wait-free*: the handle keeps **two instances** of the
-//!   archive — the store it was built over and a [`VersionStore::fork`]
-//!   replica — and an atomic word says which one readers enter. The
-//!   writer merges into the passive instance, flips the word (the
-//!   *publication point*: one atomic store), then catches the other
-//!   instance up. A reader is never blocked by a queued or running
-//!   writer, and a writer panic can never poison a lock readers depend
-//!   on — readers just keep serving the published instance;
+//! * [`ArchiveHandle`] is cheaply clonable (an [`Arc`]), `Send + Sync`,
+//!   and owns **one** store. Writes are single-writer, serialized on a
+//!   mutex that **readers never touch**, and each mutation is applied
+//!   once — journal and fsync included;
+//! * after a mutation commits, the writer takes the store's
+//!   [`VersionStore::view`] — an immutable reader sharing every unchanged
+//!   chunk with the store, so it costs O(changed) — and **publishes** it
+//!   with one pointer swap, whose lock is never held across a merge, an
+//!   fsync or a query: a reader never waits behind a writer, and a writer
+//!   panic cannot touch what readers see;
 //! * [`ArchiveHandle::snapshot`] returns a [`Snapshot`]: a [`StoreReader`]
-//!   pinned at the published version — taking one is a single atomic
-//!   load. Every query through the snapshot clamps to the pinned version,
-//!   so a reader observes one consistent archive — repeatable reads
-//!   across many queries — while merges keep landing behind it.
+//!   holding the published view — a pinned root, not a window over live
+//!   storage. Taking one copies no archive data, and every query through
+//!   it, `stats` included, answers from exactly the archive as of the pin
+//!   while merges keep landing behind it.
 //!
 //! ```
 //! use xarch::keys::KeySpec;
@@ -45,69 +44,34 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! # The left-right publication protocol
-//!
-//! Slot 0 holds the *authoritative* store (the one the handle was built
-//! over — if it journals and fsyncs, that happens here, once). Slot 1
-//! holds the replica. `active` names the slot readers enter; `published`
-//! is the pin new snapshots take. One mutation runs:
-//!
-//! 1. divert `active` to the replica (identical content — readers see no
-//!    change);
-//! 2. write-lock the authoritative slot (this waits only for reader
-//!    stragglers that entered before the diversion, never the other way
-//!    round) and apply the mutation — durability included;
-//! 3. drop the guard, then **publish**: `active` back to the
-//!    authoritative slot, `published` to the new version. Two release
-//!    stores; no lock is held across them;
-//! 4. write-lock the replica slot and apply the same mutation, so the
-//!    next write can divert to it again.
-//!
-//! Readers `try_read` the active slot in a loop: the writer only ever
-//! write-locks the slot it has already diverted readers away from, so a
-//! failed `try_read` means the active word just moved — the reload
-//! succeeds. No reader ever parks on a lock.
-//!
 //! A mutation that *fails cleanly* (key rejection, oversized payload)
-//! leaves both instances untouched — backends validate before mutating —
-//! and the error is returned with nothing published. A mutation that
-//! *panics*, or succeeds on one instance and fails on the other, leaves
-//! the two instances potentially divergent: the handle **quarantines** —
-//! every later write returns [`StoreError::Backend`], while reads keep
-//! serving the (consistent, published) active instance indefinitely.
+//! leaves the store untouched and publishes nothing. One that *panics* may
+//! leave the store half-merged: the handle **quarantines** its write side
+//! — later writes return [`StoreError::Backend`] — while reads keep
+//! serving the last published view indefinitely.
 
 use std::io::Write;
 use std::ops::RangeInclusive;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock, RwLockWriteGuard, TryLockError};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 use xarch_core::{
-    Archive, ElementHistory, KeyQuery, RangeEntry, StoreError, StoreReader, StoreStats, TimeSet,
-    VersionDelta, VersionStore,
+    Archive, ElementHistory, KeyQuery, RangeEntry, StoreError, StoreReader, StoreStats, StoreView,
+    TimeSet, VersionDelta, VersionStore,
 };
 use xarch_keys::KeySpec;
 use xarch_obs::{Counter, Histogram, Obs};
 use xarch_xml::Document;
 
-/// Slot index of the authoritative instance (the store the handle was
-/// built over; journaling/fsync happen here, once).
-const AUTH: usize = 0;
-/// Slot index of the forked replica.
-const REPLICA: usize = 1;
-
-/// The canonical `handle.*` metric handles: how often readers pin
-/// snapshots, how long the writer section runs, and how many publications
-/// have flipped the readers' view.
+/// The canonical `handle.*` metric handles.
 #[derive(Clone, Debug, Default)]
 struct HandleMetrics {
     /// `handle.snapshot_pins` — snapshots taken (repeatable-read pins).
     snapshot_pins: Counter,
-    /// `handle.write_lock_hold` — writer-section duration per mutation
-    /// (µs): divert, authoritative apply, publish, replica catch-up.
+    /// `handle.write_lock_hold` — writer section per mutation (µs):
+    /// apply (durability included), take the view, publish.
     write_lock_hold: Histogram,
-    /// `handle.publications` — snapshot publications (one atomic flip per
-    /// committed mutation).
+    /// `handle.publications` — views published, one per committed mutation.
     publications: Counter,
 }
 
@@ -128,185 +92,95 @@ impl HandleMetrics {
             publications: r.counter(
                 "handle.publications",
                 "publications",
-                "snapshot publications (atomic view flips) through the shared handle",
+                "immutable views published (pointer swaps) through the shared handle",
             ),
         }
     }
 }
 
-/// The state one handle and all its snapshots share. The spec is cached
-/// outside the slots: it is fixed at construction, and
-/// `StoreReader::spec` returns a borrow that must not depend on holding a
-/// guard.
+/// The write side: the one store, and — once it may be inconsistent (a
+/// panic mid-merge) or ahead of what could be published — why writes stop.
+struct Writer {
+    store: Box<dyn VersionStore>,
+    fault: Option<String>,
+}
+
+/// The state one handle and all its clones share.
 struct Shared {
-    /// `slots[AUTH]` is the authoritative store, `slots[REPLICA]` its
-    /// fork. The `RwLock`s provide *memory* exclusion between one writer
-    /// and reader stragglers on a single slot — never reader-vs-writer
-    /// scheduling: readers only `try_read`, and the writer only
-    /// write-locks the slot readers have been diverted away from.
-    slots: [RwLock<Box<dyn VersionStore>>; 2],
-    /// Which slot readers enter right now.
-    active: AtomicUsize,
-    /// The version pin new snapshots take — always queryable on the
-    /// active slot.
-    published: AtomicU32,
-    /// Serializes writers. Readers never touch it.
-    writer: Mutex<()>,
-    /// Set when the two instances may have diverged (a writer panic, or a
-    /// mutation that succeeded on one instance and failed on the other).
-    /// Reads keep serving; writes are refused.
-    quarantined: AtomicBool,
-    /// Why the handle was quarantined (first fault wins).
-    quarantine_why: OnceLock<String>,
+    /// Serializes writers and owns the store. Readers never touch it.
+    writer: Mutex<Writer>,
+    /// The view every read path answers from. Locked only to clone or
+    /// swap the `Arc` — never across a merge, an fsync or a query.
+    published: RwLock<StoreView>,
+    /// Cached: `StoreReader::spec` returns a borrow, which no guard may back.
     spec: KeySpec,
     metrics: HandleMetrics,
 }
 
 impl Shared {
-    /// Runs `f` over the active instance — wait-free for readers. A
-    /// `try_read` on the active slot can fail only when the writer just
-    /// diverted `active` elsewhere and write-locked this slot; reloading
-    /// `active` then names the other slot, whose `try_read` succeeds.
-    /// Nested calls (query-inside-`with_store`) are safe for the same
-    /// reason: the writer never write-locks the slot `active` names.
-    fn enter<R>(&self, f: impl FnOnce(&dyn VersionStore) -> R) -> R {
-        loop {
-            let i = self.active.load(Ordering::Acquire);
-            match self.slots[i].try_read() {
-                Ok(g) => return f(g.as_ref()),
-                // Unreachable: a slot poisons only if a thread panics
-                // while holding its *write* guard, and the writer catches
-                // mutation panics before the guard drops (then
-                // quarantines). Recover rather than compound the fault.
-                Err(TryLockError::Poisoned(p)) => return f(p.into_inner().as_ref()),
-                Err(TryLockError::WouldBlock) => std::thread::yield_now(),
-            }
-        }
+    /// The published view: one `Arc` clone. (A poisoned lock still holds
+    /// a valid pointer — the only write under it is `publish`'s swap.)
+    fn current(&self) -> StoreView {
+        Arc::clone(&self.published.read().unwrap_or_else(|p| p.into_inner()))
     }
 
-    /// The version every read path answers from — a single atomic load.
-    fn published(&self) -> u32 {
-        self.published.load(Ordering::Acquire)
-    }
-
-    /// The publication point: two release stores — readers back to the
-    /// authoritative slot, then the new pin. No lock is held across this
-    /// call (the analyzer's `lock-discipline` rule enforces that).
-    fn publish(&self, pin: u32) {
-        self.active.store(AUTH, Ordering::Release);
-        self.published.store(pin, Ordering::Release);
+    /// The publication point: one pointer swap; the displaced view drops
+    /// after the guard (freeing a last reference can be slow). The analyzer
+    /// keeps lock guards off this call (`lock-discipline`); only the writer
+    /// mutex, which no reader takes, spans it.
+    fn publish(&self, view: StoreView) {
+        let mut slot = self.published.write().unwrap_or_else(|p| p.into_inner());
+        let _displaced = std::mem::replace(&mut *slot, view);
+        drop(slot);
         self.metrics.publications.inc();
     }
 
-    fn quarantine(&self, why: String) {
-        let _ = self.quarantine_why.set(why);
-        self.quarantined.store(true, Ordering::Release);
+    /// Enters the writer section. Poison is unreachable (`mutate` catches
+    /// merge panics before the guard drops) and refused rather than
+    /// recovered: a store abandoned mid-update must not be written again.
+    fn writer(&self) -> Result<MutexGuard<'_, Writer>, StoreError> {
+        self.writer
+            .lock()
+            .map_err(|_| StoreError::Backend("archive handle writer lock is poisoned".into()))
     }
 
-    fn check_writable(&self) -> Result<(), StoreError> {
-        if self.quarantined.load(Ordering::Acquire) {
-            return Err(StoreError::Backend(format!(
-                "archive handle is quarantined ({}); reads keep serving the published \
-                 version, writes are refused",
-                self.quarantine_why
-                    .get()
-                    .map(String::as_str)
-                    .unwrap_or("writer fault")
-            )));
-        }
-        Ok(())
-    }
-
-    /// One serialized mutation through the left-right protocol. `op` is
-    /// applied to the authoritative instance first (durability included),
-    /// published, then replayed onto the replica. See the module docs for
-    /// the failure matrix.
+    /// One serialized mutation: apply `op` to the store once, take the
+    /// resulting view, publish it.
     fn mutate<T>(
         &self,
-        op: impl Fn(&mut Box<dyn VersionStore>) -> Result<T, StoreError>,
+        op: impl FnOnce(&mut dyn VersionStore) -> Result<T, StoreError>,
     ) -> Result<T, StoreError> {
-        let _writer = match self.writer.lock() {
-            // the mutex guards nothing by itself (each slot has its own
-            // lock); a poisoned writer mutex just means a past writer
-            // panicked — which already quarantined the handle below
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
-        self.check_writable()?;
-        // declared after the mutex: drops (and records) when the whole
-        // writer section — divert, apply, publish, catch-up — finishes
-        let _hold = self.metrics.write_lock_hold.start_timer();
-
-        // 1. divert readers to the replica (identical content pre-merge)
-        self.active.store(REPLICA, Ordering::Release);
-
-        // 2. apply to the authoritative instance
-        let (value, pin) = {
-            let mut g = write_guard(&self.slots[AUTH]);
-            match catch_unwind(AssertUnwindSafe(|| op(&mut g))) {
-                Err(panic) => {
-                    // half-applied merge: the authoritative instance may
-                    // be inconsistent. Readers stay on the untouched
-                    // replica; nothing is published; writes stop here.
-                    let why = format!("writer panicked mid-merge: {}", panic_msg(&panic));
-                    drop(g);
-                    self.quarantine(why.clone());
-                    return Err(StoreError::Backend(why));
-                }
-                Ok(Err(e)) => {
-                    // clean rejection: backends validate before mutating,
-                    // so both instances are still identical — put readers
-                    // back on the authoritative slot and surface the error
-                    drop(g);
-                    self.active.store(AUTH, Ordering::Release);
-                    return Err(e);
-                }
-                Ok(Ok(v)) => {
-                    let pin = g.latest();
-                    (v, pin)
-                }
-            }
-            // guard drops here — before publication
-        };
-
-        // 3. publish: readers flip to the authoritative slot (which has
-        //    the new version, durably committed) and the pin advances
-        self.publish(pin);
-
-        // 4. catch the replica up so the next write can divert to it
-        let caught_up = {
-            let mut g = write_guard(&self.slots[REPLICA]);
-            match catch_unwind(AssertUnwindSafe(|| op(&mut g))) {
-                Ok(Ok(_)) => Ok(()),
-                Ok(Err(e)) => Err(format!(
-                    "instances diverged: mutation committed on the archive but was \
-                     rejected by the replica: {e}"
-                )),
-                Err(panic) => Err(format!(
-                    "instances diverged: mutation committed on the archive but \
-                     panicked on the replica: {}",
-                    panic_msg(&panic)
-                )),
-            }
-        };
-        if let Err(why) = caught_up {
-            // the committed, published version stays readable (the active
-            // slot is consistent); only future writes are refused
-            self.quarantine(why);
+        let mut w = self.writer()?;
+        if let Some(why) = &w.fault {
+            return Err(StoreError::Backend(format!(
+                "archive handle is quarantined ({why}); reads keep serving the published \
+                 version, writes are refused"
+            )));
         }
-        Ok(value)
-    }
-}
-
-/// Write-locks one slot. Poison is unreachable (mutation panics are
-/// caught before the guard drops), so recover instead of panicking —
-/// readers of the published instance must survive any writer fault.
-fn write_guard(
-    lock: &RwLock<Box<dyn VersionStore>>,
-) -> RwLockWriteGuard<'_, Box<dyn VersionStore>> {
-    match lock.write() {
-        Ok(g) => g,
-        Err(p) => p.into_inner(),
+        // declared after the guard, so it records the whole writer section
+        let _hold = self.metrics.write_lock_hold.start_timer();
+        let store = w.store.as_mut();
+        let applied = catch_unwind(AssertUnwindSafe(|| {
+            // a clean rejection returns here, the store untouched: backends
+            // validate before mutating
+            let value = op(store)?;
+            Ok((value, store.view()))
+        }));
+        let why = match applied {
+            Ok(Ok((value, Ok(view)))) => {
+                self.publish(view);
+                return Ok(value);
+            }
+            Ok(Err(rejected)) => return Err(rejected),
+            // committed (durably, if the store journals) but unpublishable:
+            // a later write would publish a view that skips a version
+            Ok(Ok((_, Err(e)))) => format!("committed version could not be published: {e}"),
+            // half-applied merge: the store may be inconsistent. Readers
+            // stay on the last published view; writes stop here.
+            Err(panic) => format!("writer panicked mid-merge: {}", panic_msg(&panic)),
+        };
+        w.fault = Some(why.clone());
+        Err(StoreError::Backend(why))
     }
 }
 
@@ -320,16 +194,14 @@ fn panic_msg(p: &(dyn std::any::Any + Send)) -> &str {
 
 /// A cheaply-clonable, thread-safe handle to a shared archive:
 /// single-writer / multi-reader over any [`VersionStore`] backend, with
-/// wait-free reads (see the module docs for the publication protocol).
+/// reads that never wait behind a writer (see the module docs).
 ///
 /// Reads through the handle (it implements [`StoreReader`]) are *live* —
-/// each query sees whatever has been published when it enters the active
-/// instance. For a consistent view across several queries, take a
-/// [`ArchiveHandle::snapshot`].
-///
+/// each query answers from whatever view is published when it starts; for
+/// consistency across several queries take an [`ArchiveHandle::snapshot`].
 /// Constructed by [`crate::ArchiveBuilder::build_shared`] /
-/// [`crate::ArchiveBuilder::try_build_shared`], or directly from any boxed
-/// store with [`ArchiveHandle::new`].
+/// [`crate::ArchiveBuilder::try_build_shared`], or from any boxed store
+/// with [`ArchiveHandle::new`].
 #[derive(Clone)]
 pub struct ArchiveHandle {
     shared: Arc<Shared>,
@@ -337,67 +209,46 @@ pub struct ArchiveHandle {
 
 impl std::fmt::Debug for ArchiveHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ArchiveHandle")
-            .field("latest", &self.latest())
-            .finish()
+        write!(f, "ArchiveHandle {{ latest: {} }}", self.latest())
     }
 }
 
 impl ArchiveHandle {
     /// Wraps `store` for shared use with detached (unregistered) handle
-    /// metrics — recording is still lock-free, just invisible.
-    ///
-    /// The handle immediately takes a [`VersionStore::fork`] replica of
-    /// `store` (every in-tree backend forks cheaply and byte-identically;
-    /// the trait default replays into an in-memory archive). In the
-    /// degenerate case that the fork itself fails, the handle starts
-    /// quarantined: reads serve `store` wait-free, writes are refused.
+    /// metrics, publishing a [`VersionStore::view`] of it at once. If that
+    /// view cannot be built (a foreign backend whose replay fails), the
+    /// handle starts quarantined over an empty view: writes are refused.
     pub fn new(store: Box<dyn VersionStore>) -> Self {
         Self::with_metrics(store, HandleMetrics::default())
     }
 
-    /// Wraps `store` for shared use, registering the `handle.*` metrics
-    /// (snapshot pins, writer-section duration, publications) in `obs`'s
-    /// registry.
+    /// Like [`ArchiveHandle::new`], with `handle.*` registered in `obs`.
     pub fn observed(store: Box<dyn VersionStore>, obs: &Obs) -> Self {
         Self::with_metrics(store, HandleMetrics::registered(obs))
     }
 
     fn with_metrics(store: Box<dyn VersionStore>, metrics: HandleMetrics) -> Self {
         let spec = store.spec().clone();
-        let published = store.latest();
-        let (replica, fork_failure) = match store.fork() {
-            Ok(r) => (r, None),
-            // no replica, no publication protocol: serve reads off the
-            // (sole) authoritative slot forever, refuse writes
+        let (view, fault) = match store.view() {
+            Ok(view) => (view, None),
             Err(e) => (
-                Box::new(Archive::new(spec.clone())) as Box<dyn VersionStore>,
-                Some(format!("replica construction failed: {e}")),
+                Arc::new(Archive::new(spec.clone())) as StoreView,
+                Some(format!("initial view construction failed: {e}")),
             ),
         };
-        let shared = Shared {
-            slots: [RwLock::new(store), RwLock::new(replica)],
-            active: AtomicUsize::new(AUTH),
-            published: AtomicU32::new(published),
-            writer: Mutex::new(()),
-            quarantined: AtomicBool::new(false),
-            quarantine_why: OnceLock::new(),
-            spec,
-            metrics,
-        };
-        if let Some(why) = fork_failure {
-            shared.quarantine(why);
-        }
         Self {
-            shared: Arc::new(shared),
+            shared: Arc::new(Shared {
+                writer: Mutex::new(Writer { store, fault }),
+                published: RwLock::new(view),
+                spec,
+                metrics,
+            }),
         }
     }
 
-    /// Merges `doc` as the next version. Single-writer: concurrent writes
-    /// serialize on the writer mutex. Readers are never blocked — they
-    /// keep answering from the currently-published instance until the
-    /// merge publishes, and snapshots taken earlier are unaffected (their
-    /// pinned answers never change).
+    /// Merges `doc` as the next version. Concurrent writes serialize on
+    /// the writer mutex; readers keep answering from the published view
+    /// until the merge publishes, and earlier snapshots are unaffected.
     pub fn add_version(&self, doc: &Document) -> Result<u32, StoreError> {
         self.shared.mutate(|s| s.add_version(doc))
     }
@@ -408,101 +259,80 @@ impl ArchiveHandle {
     }
 
     /// Bulk ingest as **one** writer section with **one** publication:
-    /// the wrapped backend's batch fast path (the chunked backend merges
-    /// its partitions under independent per-chunk stripes on worker
-    /// threads) runs against the passive instance while readers keep
-    /// answering from the published one, and the batch becomes visible
-    /// with a single atomic flip. A snapshot pins either the pre-batch or
-    /// the post-batch version, never a prefix.
+    /// the backend's batch fast path runs while readers keep answering
+    /// from the published view, and a snapshot pins either the pre-batch
+    /// or the post-batch version, never a prefix.
     pub fn add_versions(&self, docs: &[Document]) -> Result<Vec<u32>, StoreError> {
         self.shared.mutate(|s| s.add_versions(docs))
     }
 
     /// A read-only view pinned at the currently-published version. Taking
-    /// a snapshot is **wait-free** — one atomic load of the published
-    /// pin, no lock, no data copied; the snapshot clamps every query to
-    /// the pinned version instead. Pinning proceeds at full speed while a
-    /// merge is in flight.
+    /// a snapshot copies no archive data — one `Arc` clone and a counter —
+    /// and proceeds at full speed while a merge is in flight.
     pub fn snapshot(&self) -> Snapshot {
-        let pinned = self.shared.published();
         self.shared.metrics.snapshot_pins.inc();
         Snapshot {
-            shared: Arc::clone(&self.shared),
-            pinned,
+            view: self.shared.current(),
         }
     }
-
-    /// Runs `f` with the active instance — an escape hatch for backend
-    /// inspection (I/O stats, recovery stats) that the trait does not
-    /// carry. Reads only; the closure gets `&dyn VersionStore`.
-    ///
-    /// Re-entry is safe: calling any read method of this handle (or a
-    /// clone, or a snapshot of it) from inside `f` cannot deadlock, even
-    /// with a writer running concurrently — readers never park on a lock
-    /// (the old global-`RwLock` handle documented exactly that hazard;
-    /// the publication protocol removed it, and `tests/concurrency.rs`
-    /// pins the fix). The view is *live*: a nested read after a
-    /// concurrent publication may see a newer version than `f`'s own
-    /// argument.
-    pub fn with_store<R>(&self, f: impl FnOnce(&dyn VersionStore) -> R) -> R {
-        self.shared.enter(f)
-    }
 }
 
-impl StoreReader for ArchiveHandle {
-    fn spec(&self) -> &KeySpec {
-        &self.shared.spec
-    }
-
-    fn latest(&self) -> u32 {
-        // wait-free: the published pin IS the active instance's version
-        self.shared.published()
-    }
-
-    fn has_version(&self, v: u32) -> bool {
-        v >= 1 && v <= self.shared.published()
-    }
-
-    fn retrieve(&self, v: u32) -> Result<Option<Document>, StoreError> {
-        self.shared.enter(|s| s.retrieve(v))
-    }
-
-    fn retrieve_into(&self, v: u32, out: &mut dyn Write) -> Result<bool, StoreError> {
-        self.shared.enter(|s| s.retrieve_into(v, out))
-    }
-
-    fn history(&self, steps: &[KeyQuery]) -> Result<Option<TimeSet>, StoreError> {
-        self.shared.enter(|s| s.history(steps))
-    }
-
-    fn stats(&self) -> Result<StoreStats, StoreError> {
-        self.shared.enter(|s| s.stats())
-    }
-
-    fn stats_at(&self, v: u32) -> Result<StoreStats, StoreError> {
-        self.shared.enter(|s| s.stats_at(v))
-    }
-
-    fn as_of(&self, steps: &[KeyQuery], v: u32) -> Result<Option<Document>, StoreError> {
-        self.shared.enter(|s| s.as_of(steps, v))
-    }
-
-    fn history_values(&self, steps: &[KeyQuery]) -> Result<Option<ElementHistory>, StoreError> {
-        self.shared.enter(|s| s.history_values(steps))
-    }
-
-    fn range(
-        &self,
-        prefix: &[KeyQuery],
-        versions: RangeInclusive<u32>,
-    ) -> Result<Vec<RangeEntry>, StoreError> {
-        self.shared.enter(|s| s.range(prefix, versions))
-    }
-
-    fn diff(&self, steps: &[KeyQuery], v1: u32, v2: u32) -> Result<VersionDelta, StoreError> {
-        self.shared.enter(|s| s.diff(steps, v1, v2))
-    }
+/// Implements [`StoreReader`] by answering every query from the [`StoreView`]
+/// `$view` names (and the key spec `$spec` borrows), given the receiver `$s`.
+macro_rules! read_through_view {
+    ($ty:ty, |$s:ident| $view:expr, $spec:expr) => {
+        impl StoreReader for $ty {
+            fn spec(&self) -> &KeySpec {
+                let $s = self;
+                $spec
+            }
+            fn latest(&self) -> u32 {
+                let $s = self;
+                $view.latest()
+            }
+            fn retrieve(&self, v: u32) -> Result<Option<Document>, StoreError> {
+                let $s = self;
+                $view.retrieve(v)
+            }
+            fn retrieve_into(&self, v: u32, out: &mut dyn Write) -> Result<bool, StoreError> {
+                let $s = self;
+                $view.retrieve_into(v, out)
+            }
+            fn history(&self, steps: &[KeyQuery]) -> Result<Option<TimeSet>, StoreError> {
+                let $s = self;
+                $view.history(steps)
+            }
+            fn stats(&self) -> Result<StoreStats, StoreError> {
+                let $s = self;
+                $view.stats()
+            }
+            fn as_of(&self, steps: &[KeyQuery], v: u32) -> Result<Option<Document>, StoreError> {
+                let $s = self;
+                $view.as_of(steps, v)
+            }
+            fn history_values(&self, q: &[KeyQuery]) -> Result<Option<ElementHistory>, StoreError> {
+                let $s = self;
+                $view.history_values(q)
+            }
+            fn range(
+                &self,
+                prefix: &[KeyQuery],
+                versions: RangeInclusive<u32>,
+            ) -> Result<Vec<RangeEntry>, StoreError> {
+                let $s = self;
+                $view.range(prefix, versions)
+            }
+            fn diff(&self, q: &[KeyQuery], v1: u32, v2: u32) -> Result<VersionDelta, StoreError> {
+                let $s = self;
+                $view.diff(q, v1, v2)
+            }
+        }
+    };
 }
+
+// live — the view published as each query starts — and pinned
+read_through_view!(ArchiveHandle, |h| h.shared.current(), &h.shared.spec);
+read_through_view!(Snapshot, |s| s.view, s.view.spec());
 
 /// The handle is itself a [`VersionStore`], so it can slot into any code
 /// written against the trait (conformance suites, generic drivers). The
@@ -524,144 +354,52 @@ impl VersionStore for ArchiveHandle {
     }
 
     fn checkpoint_state(&self) -> Result<Option<Vec<u8>>, StoreError> {
-        self.shared.enter(|s| s.checkpoint_state())
+        // a read of the store itself: it queues behind a running writer
+        self.shared.writer()?.store.checkpoint_state()
     }
 
     fn restore_checkpoint(&mut self, state: &[u8]) -> Result<bool, StoreError> {
         self.shared.mutate(|s| s.restore_checkpoint(state))
     }
 
-    fn fork(&self) -> Result<Box<dyn VersionStore>, StoreError> {
-        self.shared.enter(|s| s.fork())
+    fn view(&self) -> Result<StoreView, StoreError> {
+        Ok(self.shared.current())
     }
 }
 
-/// A read-only view of a shared archive pinned at one version.
+/// A read-only view of a shared archive pinned at one version `P`.
 ///
-/// All [`StoreReader`] queries are clamped to the pinned version `P`:
-/// `latest()` answers `P`, versions beyond `P` do not exist, histories
-/// and range lifetimes are restricted to `1..=P`, and an element first
-/// archived after `P` was "never archived". Because merged versions are
-/// immutable, every query answer equals what a serial replay of versions
-/// `1..=P` would produce — no matter how many merges commit after the
-/// snapshot was taken. That includes [`StoreReader::stats`]: node counts
-/// and the serialized size are exact *at the pin*
-/// ([`StoreReader::stats_at`]), not descriptions of the live storage.
-///
-/// Snapshots are cheap (`Arc` + a version number), `Clone`, and
+/// The snapshot *is* the archive as of `P`: `latest()` answers `P`,
+/// versions and elements first archived after `P` do not exist, and
+/// [`StoreReader::stats`] counts exactly the nodes and bytes a serial
+/// replay of versions `1..=P` would hold — however many merges commit
+/// after it was taken. Snapshots are cheap (one `Arc`), `Clone`, and
 /// `Send + Sync`: hand one to each request handler thread. A snapshot
-/// holds no lock and references no particular instance — each query
-/// enters whichever instance is published at that moment (any published
-/// instance answers identically for versions ≤ `P`), so a long-lived
-/// snapshot never stalls the writer.
+/// holds no lock, so a long-lived one never stalls the writer; it keeps
+/// alive only the chunks later merges have since rewritten.
 #[derive(Clone)]
 pub struct Snapshot {
-    shared: Arc<Shared>,
-    pinned: u32,
+    view: StoreView,
 }
 
 impl std::fmt::Debug for Snapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Snapshot")
-            .field("pinned", &self.pinned)
-            .finish()
+        write!(f, "Snapshot {{ pinned: {} }}", self.pinned())
     }
 }
 
 impl Snapshot {
-    /// The version this snapshot is pinned at (0 for a snapshot of an
-    /// empty archive).
+    /// The version this snapshot is pinned at (0 over an empty archive).
     pub fn pinned(&self) -> u32 {
-        self.pinned
+        self.view.latest()
     }
-
-    /// Clamps a history answer to the snapshot window. An element whose
-    /// clamped existence is empty was not yet archived as of the pinned
-    /// version — it must read as "never archived" (`None`). The synthetic
-    /// root (empty path) is the one exception: it always exists, its
-    /// existence set is just empty while the archive is.
-    fn clamp_history(&self, steps: &[KeyQuery], t: TimeSet) -> Option<TimeSet> {
-        let clamped = t.clamp_range(1, self.pinned);
-        (steps.is_empty() || !clamped.is_empty()).then_some(clamped)
-    }
-}
-
-impl StoreReader for Snapshot {
-    fn spec(&self) -> &KeySpec {
-        &self.shared.spec
-    }
-
-    fn latest(&self) -> u32 {
-        self.pinned
-    }
-
-    fn retrieve(&self, v: u32) -> Result<Option<Document>, StoreError> {
-        if v == 0 || v > self.pinned {
-            return Ok(None);
-        }
-        self.shared.enter(|s| s.retrieve(v))
-    }
-
-    fn retrieve_into(&self, v: u32, out: &mut dyn Write) -> Result<bool, StoreError> {
-        if v == 0 || v > self.pinned {
-            return Ok(false);
-        }
-        self.shared.enter(|s| s.retrieve_into(v, out))
-    }
-
-    fn history(&self, steps: &[KeyQuery]) -> Result<Option<TimeSet>, StoreError> {
-        match self.shared.enter(|s| s.history(steps))? {
-            None => Ok(None),
-            Some(t) => Ok(self.clamp_history(steps, t)),
-        }
-    }
-
-    fn stats(&self) -> Result<StoreStats, StoreError> {
-        // exact at the pin: node counts include only nodes that existed
-        // in some version ≤ pinned, and the size is the canonical clamped
-        // serialization — a pure function of the pinned content, stable
-        // no matter how many merges land after the pin
-        self.shared.enter(|s| s.stats_at(self.pinned))
-    }
-
-    fn stats_at(&self, v: u32) -> Result<StoreStats, StoreError> {
-        self.shared.enter(|s| s.stats_at(v.min(self.pinned)))
-    }
-
-    fn as_of(&self, steps: &[KeyQuery], v: u32) -> Result<Option<Document>, StoreError> {
-        if v == 0 || v > self.pinned {
-            return Ok(None);
-        }
-        self.shared.enter(|s| s.as_of(steps, v))
-    }
-
-    // `history_values` takes the trait default: it loops over the
-    // *clamped* existence set from `history` above and materializes one
-    // subtree per in-window version via the clamped `as_of` — O(pinned
-    // history), never the live element's full (and growing) history.
-
-    fn range(
-        &self,
-        prefix: &[KeyQuery],
-        versions: RangeInclusive<u32>,
-    ) -> Result<Vec<RangeEntry>, StoreError> {
-        let lo = (*versions.start()).max(1);
-        let hi = (*versions.end()).min(self.pinned);
-        if lo > hi {
-            return Ok(Vec::new());
-        }
-        self.shared.enter(|s| s.range(prefix, lo..=hi))
-    }
-
-    // `diff` takes the trait default, which composes from the clamped
-    // `as_of` above: versions beyond the pin read as absent.
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::store::ArchiveBuilder;
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::Barrier;
     use xarch_xml::parse;
 
@@ -839,6 +577,33 @@ mod tests {
         assert_eq!(handle.latest(), 5);
     }
 
+    /// The test doubles below wrap an [`Archive`] as `inner` and intercept
+    /// only mutations; their reads are the archive's.
+    macro_rules! reads_from_inner {
+        ($ty:ty) => {
+            impl StoreReader for $ty {
+                fn spec(&self) -> &KeySpec {
+                    Archive::spec(&self.inner)
+                }
+                fn latest(&self) -> u32 {
+                    Archive::latest(&self.inner)
+                }
+                fn retrieve(&self, v: u32) -> Result<Option<Document>, StoreError> {
+                    StoreReader::retrieve(&self.inner, v)
+                }
+                fn retrieve_into(&self, v: u32, out: &mut dyn Write) -> Result<bool, StoreError> {
+                    StoreReader::retrieve_into(&self.inner, v, out)
+                }
+                fn history(&self, steps: &[KeyQuery]) -> Result<Option<TimeSet>, StoreError> {
+                    StoreReader::history(&self.inner, steps)
+                }
+                fn stats(&self) -> Result<StoreStats, StoreError> {
+                    StoreReader::stats(&self.inner)
+                }
+            }
+        };
+    }
+
     /// A store whose merges rendezvous with the test on barriers while
     /// `stall` is set, holding the writer section open deterministically.
     struct GatedStore {
@@ -848,26 +613,7 @@ mod tests {
         released: Arc<Barrier>,
     }
 
-    impl StoreReader for GatedStore {
-        fn spec(&self) -> &KeySpec {
-            Archive::spec(&self.inner)
-        }
-        fn latest(&self) -> u32 {
-            Archive::latest(&self.inner)
-        }
-        fn retrieve(&self, v: u32) -> Result<Option<Document>, StoreError> {
-            StoreReader::retrieve(&self.inner, v)
-        }
-        fn retrieve_into(&self, v: u32, out: &mut dyn Write) -> Result<bool, StoreError> {
-            StoreReader::retrieve_into(&self.inner, v, out)
-        }
-        fn history(&self, steps: &[KeyQuery]) -> Result<Option<TimeSet>, StoreError> {
-            StoreReader::history(&self.inner, steps)
-        }
-        fn stats(&self) -> Result<StoreStats, StoreError> {
-            StoreReader::stats(&self.inner)
-        }
-    }
+    reads_from_inner!(GatedStore);
 
     impl VersionStore for GatedStore {
         fn add_version(&mut self, doc: &Document) -> Result<u32, StoreError> {
@@ -905,8 +651,7 @@ mod tests {
             s.spawn(move || {
                 writer.add_version(&doc(2)).unwrap();
             });
-            // the merge is now parked inside the authoritative apply,
-            // write guard held …
+            // the merge is now parked inside the store, writer mutex held …
             entered.wait();
             // … and every read path still answers instantly
             let snap = handle.snapshot();
@@ -914,18 +659,59 @@ mod tests {
             assert!(snap.retrieve(1).unwrap().is_some());
             assert_eq!(handle.latest(), 1);
             assert!(handle.retrieve(1).unwrap().is_some());
-            // with_store re-entry mid-merge: the documented deadlock of
-            // the old handle (read guard + queued writer + nested read)
-            let (outer, nested, pin) = handle.with_store(|st| {
-                let nested = handle.with_store(|st2| st2.latest());
-                (st.latest(), nested, handle.snapshot().pinned())
-            });
-            assert_eq!((outer, nested, pin), (1, 1, 1));
             stall.store(false, Ordering::Release);
             released.wait();
         });
         assert_eq!(handle.latest(), 2);
         assert!(handle.retrieve(2).unwrap().is_some());
+    }
+
+    /// A store that counts the mutations that reach it.
+    struct CountingStore {
+        inner: Archive,
+        singles: Arc<AtomicUsize>,
+        batches: Arc<AtomicUsize>,
+    }
+
+    reads_from_inner!(CountingStore);
+
+    impl VersionStore for CountingStore {
+        fn add_version(&mut self, doc: &Document) -> Result<u32, StoreError> {
+            self.singles.fetch_add(1, Ordering::Relaxed);
+            VersionStore::add_version(&mut self.inner, doc)
+        }
+        fn add_empty_version(&mut self) -> Result<u32, StoreError> {
+            self.singles.fetch_add(1, Ordering::Relaxed);
+            VersionStore::add_empty_version(&mut self.inner)
+        }
+        fn add_versions(&mut self, docs: &[Document]) -> Result<Vec<u32>, StoreError> {
+            self.batches.fetch_add(1, Ordering::Relaxed);
+            VersionStore::add_versions(&mut self.inner, docs)
+        }
+        fn view(&self) -> Result<StoreView, StoreError> {
+            self.inner.view()
+        }
+    }
+
+    /// One instance: a mutation through the handle reaches the wrapped
+    /// store exactly once.
+    #[test]
+    fn each_mutation_is_applied_to_the_store_exactly_once() {
+        let singles = Arc::new(AtomicUsize::new(0));
+        let batches = Arc::new(AtomicUsize::new(0));
+        let handle = ArchiveHandle::new(Box::new(CountingStore {
+            inner: Archive::new(spec()),
+            singles: Arc::clone(&singles),
+            batches: Arc::clone(&batches),
+        }));
+        handle.add_version(&doc(1)).unwrap();
+        handle.add_empty_version().unwrap();
+        handle.add_versions(&[doc(2), doc(3)]).unwrap();
+        assert_eq!(handle.add_versions(&[]).unwrap(), Vec::<u32>::new());
+        assert_eq!(singles.load(Ordering::Relaxed), 2);
+        assert_eq!(batches.load(Ordering::Relaxed), 2);
+        assert_eq!(handle.latest(), 4);
+        assert_eq!(handle.snapshot().pinned(), 4);
     }
 
     /// A store that panics mid-merge when the incoming document carries
@@ -934,26 +720,7 @@ mod tests {
         inner: Archive,
     }
 
-    impl StoreReader for FaultyStore {
-        fn spec(&self) -> &KeySpec {
-            Archive::spec(&self.inner)
-        }
-        fn latest(&self) -> u32 {
-            Archive::latest(&self.inner)
-        }
-        fn retrieve(&self, v: u32) -> Result<Option<Document>, StoreError> {
-            StoreReader::retrieve(&self.inner, v)
-        }
-        fn retrieve_into(&self, v: u32, out: &mut dyn Write) -> Result<bool, StoreError> {
-            StoreReader::retrieve_into(&self.inner, v, out)
-        }
-        fn history(&self, steps: &[KeyQuery]) -> Result<Option<TimeSet>, StoreError> {
-            StoreReader::history(&self.inner, steps)
-        }
-        fn stats(&self) -> Result<StoreStats, StoreError> {
-            StoreReader::stats(&self.inner)
-        }
-    }
+    reads_from_inner!(FaultyStore);
 
     impl VersionStore for FaultyStore {
         fn add_version(&mut self, doc: &Document) -> Result<u32, StoreError> {
@@ -1003,7 +770,7 @@ mod tests {
     }
 
     /// A clean rejection (no panic) must leave the handle fully live:
-    /// both instances stay consistent and later writes succeed.
+    /// nothing is published and later writes succeed.
     #[test]
     fn rejected_merges_do_not_quarantine() {
         let handle = ArchiveBuilder::new(spec()).build_shared();

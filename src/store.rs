@@ -240,14 +240,13 @@ impl ArchiveBuilder {
 
     /// Builds the configured store wrapped in an [`ArchiveHandle`]: a
     /// cheaply-clonable, `Send + Sync` handle with single-writer /
-    /// multi-reader semantics and **wait-free** consistent snapshots
-    /// ([`ArchiveHandle::snapshot`] is one atomic load of the published
-    /// version — never blocked by an in-flight merge). The handle forks
-    /// the built store ([`VersionStore::fork`]) into the passive replica
-    /// its publication protocol merges into. Composes with every backend
-    /// axis — `.chunks(..)`, `.backend(..)`, `.with_index()`,
-    /// `.durable(..)`. Surfaces the same construction errors as
-    /// [`ArchiveBuilder::try_build`].
+    /// multi-reader semantics and consistent snapshots that never wait
+    /// behind a merge ([`ArchiveHandle::snapshot`] clones the `Arc` of the
+    /// published view). The handle owns the one built store and publishes
+    /// an immutable [`VersionStore::view`] of it after every commit.
+    /// Composes with every backend axis — `.chunks(..)`, `.backend(..)`,
+    /// `.with_index()`, `.durable(..)`. Surfaces the same construction
+    /// errors as [`ArchiveBuilder::try_build`].
     pub fn try_build_shared(self) -> Result<ArchiveHandle, StoreError> {
         let obs = self.observability.clone();
         let store = self.try_build()?;

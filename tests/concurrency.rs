@@ -611,9 +611,9 @@ fn stress_durable_indexed() {
 }
 
 /// A backend wrapper that parks inside every merge for `delay`,
-/// advertising the stall through `in_merge`. Its replica comes from the
-/// trait's *default* `fork` (serial replay into an in-memory archive), so
-/// this doubles as racing coverage for replay-built replicas.
+/// advertising the stall through `in_merge`. Its views come from the
+/// trait's *default* `view` (serial replay into an in-memory archive), so
+/// this doubles as racing coverage for replay-built views.
 struct StallingStore {
     inner: Box<dyn VersionStore>,
     delay: std::time::Duration,
@@ -648,9 +648,6 @@ impl StoreReader for StallingStore {
     }
     fn stats(&self) -> Result<xarch::StoreStats, xarch::StoreError> {
         self.inner.stats()
-    }
-    fn stats_at(&self, v: u32) -> Result<xarch::StoreStats, xarch::StoreError> {
-        self.inner.stats_at(v)
     }
     fn as_of(
         &self,

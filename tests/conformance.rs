@@ -161,11 +161,43 @@ fn snapshots_pin_reads_on_every_backend() {
         KeyQuery::new("db"),
         KeyQuery::new("rec").with_text("id", "3"),
     ];
+    // everything a snapshot can be asked, rendered: versions 0..=5 as
+    // streamed bytes, histories, a range scan, an as-of, and the stats
+    let everything = |snap: &xarch::Snapshot| -> String {
+        let mut out = format!(
+            "latest {} stats {:?}\n",
+            snap.latest(),
+            snap.stats().unwrap()
+        );
+        for v in 0..=5 {
+            let mut bytes = Vec::new();
+            let found = snap.retrieve_into(v, &mut bytes).unwrap();
+            out.push_str(&format!(
+                "v{v} {found} {}\n",
+                String::from_utf8_lossy(&bytes)
+            ));
+            out.push_str(&format!(
+                "as_of {:?}\n",
+                snap.as_of(&q1, v).unwrap().is_some()
+            ));
+        }
+        for q in [&q1[..], &q3[..], &[]] {
+            out.push_str(&format!("history {:?}\n", snap.history(q).unwrap()));
+        }
+        let range = snap.range(&[KeyQuery::new("db")], 1..=u32::MAX).unwrap();
+        out.push_str(&format!("range {range:?}\n"));
+        out
+    };
     let (_scratch, backends) = all_backends(&spec());
     for (label, s) in backends {
         let handle = xarch::ArchiveHandle::new(s);
+        // a snapshot pinned at every version, with what it answered then
+        let mut pins = vec![handle.snapshot()];
         handle.add_version(&v1).unwrap();
+        pins.push(handle.snapshot());
         handle.add_version(&v2).unwrap();
+        pins.push(handle.snapshot());
+        let recorded: Vec<String> = pins.iter().map(everything).collect();
         // record what the archive answers at pin level 2 …
         let snap = handle.snapshot();
         assert_eq!(snap.pinned(), 2, "{label}");
@@ -201,6 +233,12 @@ fn snapshots_pin_reads_on_every_backend() {
         let live = handle.snapshot();
         assert_eq!(live.pinned(), 4, "{label}");
         assert!(live.history(&q3).unwrap().is_some(), "{label}");
+        // and every earlier pin answers — stats included — exactly as it
+        // did when taken
+        for (p, (pin, want)) in pins.iter().zip(&recorded).enumerate() {
+            assert_eq!(pin.pinned(), p as u32, "{label}");
+            assert_eq!(&everything(pin), want, "{label}: pin {p} moved");
+        }
     }
 }
 

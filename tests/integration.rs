@@ -186,10 +186,9 @@ fn queries_figure_shows_sublinear_indexed_probes() {
 
 #[test]
 fn ingest_figure_shows_group_commit_speedup() {
-    // The bulk-ingest acceptance gate: batched durable ingest (batch 64,
-    // one group-committed block + one fsync per batch) must run at least
-    // 2x the one-at-a-time durable rate, and batching must never hurt
-    // the in-memory backend.
+    // The bulk-ingest structural gate: serial durable ingest journals one
+    // block + one fsync per version, batch-64 group-commits exactly one of
+    // each. (The speed-up that buys is xarch-bench's to measure.)
     let scale = xarch_bench_scale();
     xarch_bench::figures::ingest_sanity(&scale).unwrap();
 }
@@ -206,21 +205,17 @@ fn durability_figure_shows_flat_checkpointed_reopen_and_cold_reads() {
 
 #[test]
 fn concurrency_figure_shows_wait_free_read_scaling() {
-    // The publication-protocol acceptance gate: 8 snapshot readers never
-    // contend with each other, an actively-merging writer cannot collapse
-    // their throughput (merges divert readers to the passive instance
-    // instead of blocking them), and on multi-core machines reads scale
-    // past one thread even while the writer races.
+    // The publication structural gate: snapshot readers make progress
+    // alone, eight together, and eight racing an actively-merging writer.
     let scale = xarch_bench_scale();
     xarch_bench::figures::concurrency_sanity(&scale).unwrap();
 }
 
 #[test]
 fn service_figure_shows_ingest_does_not_starve_network_readers() {
-    // The serving acceptance gate: with 4 client connections streaming
-    // retrieves over real sockets, queries/sec during concurrent ingest
-    // must stay within 5x of the idle rate — the single-writer /
-    // multi-reader handle means merges tax readers but never starve them.
+    // The serving structural gate: 4 client connections streaming
+    // retrieves over real sockets are answered both idle and during
+    // concurrent ingest — merges may tax readers but never starve them.
     let scale = xarch_bench_scale();
     xarch_bench::figures::service_sanity(&scale).unwrap();
 }
