@@ -15,6 +15,14 @@ impl StoreReader for Reader {
     }
 }
 
+pub struct Wrapper(Reader);
+
+impl xarch_core::Layer for Wrapper {
+    fn latest(&self) -> u32 {
+        1
+    }
+}
+
 pub struct Store;
 
 impl VersionStore for Store {}

@@ -12,7 +12,7 @@ use xarch_datagen::omim::{omim_spec, OmimGen};
 use xarch_datagen::swissprot::{swissprot_spec, SwissProtGen};
 use xarch_datagen::xmark::{xmark_spec, XmarkGen};
 use xarch_extmem::{ExtArchive, IoConfig};
-use xarch_index::{HistoryIndex, TimestampIndex};
+use xarch_index::IndexedArchive;
 use xarch_xml::Document;
 
 use crate::series::{size_series, SeriesOptions, SizeRow};
@@ -335,21 +335,23 @@ pub fn fig_index(scale: &Scale) {
     for d in &versions {
         archive.add_version(d).expect("merge");
     }
-    let tsidx = TimestampIndex::build(&archive);
+    let idx = IndexedArchive::from_archive(archive);
+    let archive = idx.archive();
     println!("## §7.1: version retrieval — timestamp-tree probes vs full scan");
     println!("version,tree_probes,scan_nodes");
     let scan = archive.scan_cost();
     let n = versions.len() as u32;
     for v in [1, n / 4, n / 2, n] {
         let v = v.max(1);
-        let (_, probes) = tsidx.retrieve(&archive, v);
-        println!("{v},{probes},{scan}");
+        idx.reset_probes();
+        StoreReader::retrieve(&idx, v).expect("retrieve");
+        println!("{v},{},{scan}", idx.timestamp_index().probes());
     }
     println!();
 
     println!("## §7.2: history lookup — sorted-index comparisons vs naive scan");
     println!("query,comparisons,naive_nodes,found");
-    let hidx = HistoryIndex::build(&archive);
+    let hidx = idx.history_index();
     // pick a real record number from the first version
     let d0 = &versions[0];
     let rec = d0
@@ -362,7 +364,7 @@ pub fn fig_index(scale: &Scale) {
         KeyQuery::new("Record").with_text("Num", &num),
     ];
     hidx.reset();
-    let t = hidx.history(&archive, &q);
+    let t = StoreReader::history(&idx, &q).expect("history");
     println!(
         "Record[Num={num}],{},{},{}",
         hidx.comparisons(),
@@ -374,7 +376,7 @@ pub fn fig_index(scale: &Scale) {
         KeyQuery::new("Record").with_text("Num", "0"),
     ];
     hidx.reset();
-    let t = hidx.history(&archive, &q_missing);
+    let t = StoreReader::history(&idx, &q_missing).expect("history");
     println!(
         "Record[Num=0] (absent),{},{},{}",
         hidx.comparisons(),
@@ -480,7 +482,6 @@ struct QueryRow {
 fn query_rows(scale: &Scale, sizes: &[usize]) -> Vec<QueryRow> {
     use std::time::Instant;
     use xarch_core::query::{find_in_doc, subtree_doc};
-    use xarch_index::IndexedArchive;
 
     const REPS: u32 = 20;
     let spec = omim_spec();
@@ -531,7 +532,9 @@ fn query_rows(scale: &Scale, sizes: &[usize]) -> Vec<QueryRow> {
 
         let start = Instant::now();
         for _ in 0..REPS {
-            idx.history_index().history(archive, &q).expect("exists");
+            StoreReader::history(&idx, &q)
+                .expect("history")
+                .expect("exists");
         }
         let indexed_hist_us = start.elapsed().as_secs_f64() * 1e6 / REPS as f64;
 

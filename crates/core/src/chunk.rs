@@ -21,8 +21,9 @@ use xarch_keys::{annotate, fingerprint, Annotations, KeySpec};
 use xarch_xml::escape::escape_attr;
 use xarch_xml::{Document, NodeId, NodeKind};
 
-use crate::archive::{AKind, Archive, ArchiveStats, Compaction, MergeError};
+use crate::archive::{Archive, ArchiveStats, Compaction, MergeError};
 use crate::history::KeyQuery;
+use crate::kernel::{doc_root, Scan};
 use crate::timeset::TimeSet;
 
 /// The partition label a top-level element (or the query step addressing
@@ -350,13 +351,7 @@ impl ChunkedArchive {
             .chunks
             .iter()
             .enumerate()
-            .filter_map(|(i, c)| {
-                c.children(c.root())
-                    .iter()
-                    .copied()
-                    .find(|&dr| matches!(c.node(dr).kind, AKind::Element(_)) && c.visible(dr, v))
-                    .map(|dr| (i, dr))
-            })
+            .filter_map(|(i, c)| doc_root(c, &Scan, v).map(|dr| (i, dr)))
             .collect();
         let Some(&(first, first_root)) = visible.first() else {
             return Ok(false);

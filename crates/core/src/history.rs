@@ -5,15 +5,14 @@
 //! For example, the history of employee Joe given by the path
 //! `/db/dept[name=finance]/emp[fn=John, ln=Doe]` is `3,4`."
 //!
-//! A query is a sequence of [`KeyQuery`] steps, one per keyed level. The
-//! naive lookup here walks the archive level by level; `xarch-index`
-//! provides the sorted-list index that answers the same query in
-//! `O(l log d)`.
+//! A query is a sequence of [`KeyQuery`] steps, one per keyed level,
+//! resolved by the query kernel ([`crate::kernel`]): the plain archive
+//! walks level by level; `xarch-index` provides the sorted-list index that
+//! answers the same query in `O(l log d)`.
 
 use std::cmp::Ordering;
 
 use xarch_xml::escape::{escape_attr, escape_text};
-use xarch_xml::Document;
 
 use crate::archive::{AKind, ANodeId, Archive};
 use crate::timeset::TimeSet;
@@ -71,93 +70,9 @@ impl KeyQuery {
     fn sort(&mut self) {
         self.parts.sort_by(|a, b| a.0.cmp(&b.0));
     }
-
-    fn matches(&self, a: &Archive, id: ANodeId) -> bool {
-        let n = a.node(id);
-        let AKind::Element(s) = n.kind else {
-            return false;
-        };
-        if a.syms().resolve(s) != self.tag {
-            return false;
-        }
-        let Some(k) = &n.key else {
-            return false;
-        };
-        if k.parts.len() != self.parts.len() {
-            return false;
-        }
-        k.parts
-            .iter()
-            .zip(self.parts.iter())
-            .all(|(p, (qp, qv))| p.path == *qp && p.canon == *qv)
-    }
 }
 
 impl Archive {
-    /// Finds the archive node addressed by a key-query path. The first step
-    /// addresses the document root (e.g. `db`).
-    pub fn find(&self, steps: &[KeyQuery]) -> Option<ANodeId> {
-        let mut cur = self.root();
-        for step in steps {
-            cur = self
-                .children(cur)
-                .iter()
-                .copied()
-                .find(|&c| step.matches(self, c))?;
-        }
-        Some(cur)
-    }
-
-    /// The temporal history of the element addressed by `steps`: the set of
-    /// versions in which it exists. `None` if no such element was ever
-    /// archived.
-    pub fn history(&self, steps: &[KeyQuery]) -> Option<TimeSet> {
-        self.find(steps).map(|id| self.effective_time(id))
-    }
-
-    /// Partial retrieval (§7.1 applied below the root): the subtree
-    /// addressed by `steps` as it existed at version `v`. The walk
-    /// descends the key path and then emits only the nodes visible at
-    /// `v`, so the cost is O(path + answer). An empty path addresses the
-    /// whole document.
-    pub fn as_of(&self, steps: &[KeyQuery], v: u32) -> Option<Document> {
-        if !self.has_version(v) {
-            return None;
-        }
-        if steps.is_empty() {
-            return self.retrieve(v);
-        }
-        self.find(steps).and_then(|id| self.subtree_at(id, v))
-    }
-
-    /// Range scan (§7.2 turned sideways): every keyed element child of
-    /// the node addressed by `prefix` whose lifetime intersects the
-    /// closed version window, with the lifetime clamped to the window.
-    /// Results are in label order.
-    pub fn range(
-        &self,
-        prefix: &[KeyQuery],
-        versions: std::ops::RangeInclusive<u32>,
-    ) -> Vec<crate::query::RangeEntry> {
-        let lo = (*versions.start()).max(1);
-        let hi = (*versions.end()).min(self.latest());
-        let Some(node) = self.find(prefix) else {
-            return Vec::new();
-        };
-        let mut out: Vec<crate::query::RangeEntry> = Vec::new();
-        for &c in self.children(node) {
-            let Some(step) = self.step_of(c) else {
-                continue;
-            };
-            let time = self.effective_time(c).clamp_range(lo, hi);
-            if !time.is_empty() {
-                out.push(crate::query::RangeEntry { step, time });
-            }
-        }
-        out.sort_by(|a, b| a.step.cmp(&b.step));
-        out
-    }
-
     /// The query step addressing archive node `id` — its tag plus key
     /// value — or `None` for text, stamp, and unkeyed fallback nodes,
     /// which no key path can address.
@@ -214,14 +129,15 @@ impl Archive {
         out
     }
 
-    /// Compares a query step against a node label — exposed for the sorted
-    /// index in `xarch-index`.
+    /// Compares a node's label against a query step in label order (`≤lab`):
+    /// the one comparison both navigators descend by — the scan tests
+    /// keyed siblings for `Equal`, the sorted index binary-searches.
     pub fn query_cmp(&self, id: ANodeId, step: &KeyQuery) -> Ordering {
         let n = self.node(id);
         let AKind::Element(s) = n.kind else {
             return Ordering::Less;
         };
-        let tag = a_tag(self, s);
+        let tag = self.syms().resolve(s);
         tag.cmp(step.tag.as_str()).then_with(|| {
             let empty: &[xarch_keys::KeyPart] = &[];
             let parts = n.key.as_ref().map_or(empty, |k| k.parts.as_slice());
@@ -240,8 +156,4 @@ impl Archive {
             })
         })
     }
-}
-
-fn a_tag(a: &Archive, s: xarch_xml::Sym) -> &str {
-    a.syms().resolve(s)
 }

@@ -11,13 +11,17 @@
 //! * [`merge`] — **Nested Merge** (§4.2), entered via
 //!   [`Archive::add_version`],
 //! * [`weave`] — "further compaction" beneath frontier nodes (Fig 10),
-//! * [`retrieve`] — single-scan version retrieval (§7.1), materializing or
-//!   streaming to any `io::Write` sink,
+//! * [`kernel`] — the query kernel (§7): key-path descent plus "children
+//!   visible at `v`", with `retrieve` / `as_of` / `history` / `range` /
+//!   `history_values` written once over a [`kernel::Nav`],
+//! * [`retrieve`] — single-scan version retrieval (§7.1) streamed to any
+//!   `io::Write` sink,
 //! * [`store`] — the [`StoreReader`] / [`VersionStore`] trait pair: the
 //!   shared-read query surface (all `&self`) and the mutators on top,
 //!   implemented by every storage backend (in-memory, chunked,
-//!   external-memory),
-//! * [`history`] — temporal history of keyed elements (§7.2),
+//!   external-memory), and [`Layer`], the forwarding-by-default base of
+//!   every wrapper,
+//! * [`history`] — key-query steps and frontier value histories (§7.2),
 //! * [`query`] — the temporal query model: `as_of` / `history_values` /
 //!   `range` / `diff` result types and the document-side navigation the
 //!   whole-retrieve fallbacks share,
@@ -45,6 +49,7 @@ pub mod chunk;
 pub mod cow;
 pub mod equiv;
 pub mod history;
+pub mod kernel;
 pub mod merge;
 pub mod observed;
 pub mod query;
@@ -64,5 +69,5 @@ pub use equiv::equiv_modulo_key_order;
 pub use history::KeyQuery;
 pub use observed::{ObservedStore, QueryMetrics};
 pub use query::{ElementHistory, RangeEntry, VersionDelta};
-pub use store::{StoreError, StoreReader, StoreStats, StoreView, VersionStore};
+pub use store::{Layer, StoreError, StoreReader, StoreStats, StoreView, VersionStore};
 pub use timeset::TimeSet;

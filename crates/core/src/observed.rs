@@ -14,13 +14,12 @@ use std::io::Write;
 use std::ops::{Deref, RangeInclusive};
 use std::sync::Arc;
 
-use xarch_keys::KeySpec;
 use xarch_obs::{Counter, Histogram, Obs};
 use xarch_xml::Document;
 
 use crate::history::KeyQuery;
 use crate::query::{ElementHistory, RangeEntry, VersionDelta};
-use crate::store::{StoreError, StoreReader, StoreStats, StoreView, VersionStore};
+use crate::store::{StoreError, StoreReader, StoreView, VersionStore};
 use crate::timeset::TimeSet;
 
 /// The canonical `query.*` / `ingest.*` metric handles an
@@ -124,32 +123,23 @@ impl ObservedStore {
         }
     }
 
-    /// The wrapped store.
-    pub fn inner(&self) -> &dyn VersionStore {
-        self.inner.as_ref()
-    }
-
     /// The metric handles this wrapper records into.
     pub fn metrics(&self) -> &QueryMetrics {
         &self.metrics
     }
 }
 
-impl<S> StoreReader for ObservedStore<S>
+/// Times every query kind; `spec`, `latest`, `has_version` and `stats`
+/// are not queries and forward untimed.
+impl<S> crate::store::Layer for ObservedStore<S>
 where
     S: Deref,
     S::Target: StoreReader,
 {
-    fn spec(&self) -> &KeySpec {
-        self.inner.spec()
-    }
+    type Inner = S::Target;
 
-    fn latest(&self) -> u32 {
-        self.inner.latest()
-    }
-
-    fn has_version(&self, v: u32) -> bool {
-        self.inner.has_version(v)
+    fn inner(&self) -> &S::Target {
+        &self.inner
     }
 
     fn retrieve(&self, v: u32) -> Result<Option<Document>, StoreError> {
@@ -165,10 +155,6 @@ where
     fn history(&self, steps: &[KeyQuery]) -> Result<Option<TimeSet>, StoreError> {
         let _t = self.metrics.history.start_timer();
         self.inner.history(steps)
-    }
-
-    fn stats(&self) -> Result<StoreStats, StoreError> {
-        self.inner.stats()
     }
 
     fn as_of(&self, steps: &[KeyQuery], v: u32) -> Result<Option<Document>, StoreError> {
@@ -242,6 +228,7 @@ impl VersionStore for ObservedStore {
 mod tests {
     use super::*;
     use crate::archive::Archive;
+    use xarch_keys::KeySpec;
 
     fn spec() -> KeySpec {
         KeySpec::parse("(/, (db, {}))\n(/db, (rec, {id}))").expect("valid spec")

@@ -7,10 +7,10 @@
 //! ("what changed between v1 and v2"). This module defines the result
 //! types those queries share across every backend, plus the
 //! annotate-based [`Document`] navigation the default (whole-retrieve)
-//! fallbacks are built from. The fast paths live with each backend: the
-//! in-memory archive prunes with the §7 index structures, the chunked
-//! archive routes to the owning chunk, the external-memory archive does a
-//! partial stream scan.
+//! fallbacks are built from. The fast paths live elsewhere: the arena's
+//! in [`crate::kernel`] (scanned or §7-indexed), the chunked archive
+//! routes to the owning chunk, the external-memory archive does a partial
+//! stream scan.
 
 use std::cmp::Ordering;
 
@@ -56,6 +56,16 @@ pub struct ElementHistory {
     /// element serialized as compact XML, paired with the versions at
     /// which that exact content held.
     pub values: Vec<(TimeSet, String)>,
+}
+
+/// Folds "the element read `content` at version `v`" into an
+/// [`ElementHistory::values`] list: versions are visited in ascending
+/// order, so distinct contents stay ordered by first appearance.
+pub(crate) fn record_value(values: &mut Vec<(TimeSet, String)>, v: u32, content: String) {
+    match values.iter_mut().find(|(_, c)| *c == content) {
+        Some((t, _)) => t.insert(v),
+        None => values.push((TimeSet::from_version(v), content)),
+    }
 }
 
 /// One hit of a range scan: a keyed child alive somewhere in the queried

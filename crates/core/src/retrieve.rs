@@ -2,17 +2,18 @@
 //! retrieve any version" — whenever a timestamp is encountered, its content
 //! is emitted iff the requested version number lies in the timestamp.
 //!
-//! Two forms are provided: [`Archive::retrieve`] materializes the version
-//! as a [`Document`], and [`Archive::retrieve_into`] streams the visible
-//! nodes directly into an [`io::Write`] sink as compact XML — the same
-//! single scan, but with O(depth) memory instead of a full tree.
+//! Two forms are provided: [`Archive::retrieve`] (the query kernel's
+//! [`crate::kernel::retrieve`]) materializes the version as a `Document`,
+//! and [`Archive::retrieve_into`], here, streams the visible nodes
+//! directly into an [`io::Write`] sink as compact XML — the same single
+//! scan, but with O(depth) memory instead of a full tree.
 
 use std::io::{self, Write};
 
 use xarch_xml::escape::{escape_attr, escape_text};
-use xarch_xml::{Document, NodeId};
 
 use crate::archive::{AKind, ANodeId, Archive};
+use crate::kernel::{doc_root, Scan};
 
 impl Archive {
     /// True if version `v` has been archived (it may still be an *empty*
@@ -21,106 +22,21 @@ impl Archive {
         v >= 1 && v <= self.latest()
     }
 
-    /// Reconstructs version `v` with a single scan. Returns `None` when `v`
-    /// was never archived *or* when the database was empty at `v` (use
-    /// [`Archive::has_version`] to distinguish).
-    pub fn retrieve(&self, v: u32) -> Option<Document> {
-        if !self.has_version(v) {
-            return None;
-        }
-        let root = self.root();
-        // Find the visible element child of the synthetic root — the
-        // document root of version v.
-        let doc_root = self
-            .children(root)
-            .iter()
-            .copied()
-            .find(|&c| matches!(self.node(c).kind, AKind::Element(_)) && self.visible(c, v))?;
-        let tag = self.tag_name(doc_root).expect("element").to_owned();
-        let mut doc = Document::new(&tag);
-        let did = doc.root();
-        self.copy_attrs(doc_root, &mut doc, did);
-        self.emit_children(doc_root, v, &mut doc, did);
-        Some(doc)
-    }
-
     /// Visibility of a node at version `v` given that its parent is
     /// visible: explicit timestamp decides, otherwise inherited (= true).
     pub(crate) fn visible(&self, id: ANodeId, v: u32) -> bool {
         self.node(id).time.as_ref().is_none_or(|t| t.contains(v))
     }
 
-    fn copy_attrs(&self, id: ANodeId, doc: &mut Document, did: NodeId) {
-        let attrs: Vec<(String, String)> = self
-            .node(id)
-            .attrs
-            .iter()
-            .map(|(s, v)| (self.syms().resolve(*s).to_owned(), v.clone()))
-            .collect();
-        for (n, v) in attrs {
-            doc.set_attr(did, &n, &v);
-        }
-    }
-
-    fn emit_children(&self, id: ANodeId, v: u32, doc: &mut Document, did: NodeId) {
-        for &c in self.children(id) {
-            if !self.visible(c, v) {
-                continue;
-            }
-            match &self.node(c).kind {
-                AKind::Stamp => {
-                    // transparent: emit the alternative's content in place
-                    self.emit_children(c, v, doc, did);
-                }
-                AKind::Element(s) => {
-                    let tag = self.syms().resolve(*s).to_owned();
-                    let e = doc.add_element(did, &tag);
-                    self.copy_attrs(c, doc, e);
-                    self.emit_children(c, v, doc, e);
-                }
-                AKind::Text(t) => {
-                    let t = t.clone();
-                    doc.add_text(did, &t);
-                }
-            }
-        }
-    }
-
-    /// Materializes the subtree rooted at element `id` as it existed at
-    /// version `v` — the partial-retrieval walk behind `Archive::as_of`.
-    /// Returns `None` when `id` is not an element or does not exist at
-    /// `v`; cost is proportional to the visible subtree, never the
-    /// archive.
-    pub fn subtree_at(&self, id: ANodeId, v: u32) -> Option<Document> {
-        if !self.has_version(v) || !self.exists_at(id, v) {
-            return None;
-        }
-        let tag = self.tag_name(id)?.to_owned();
-        let mut doc = Document::new(&tag);
-        let did = doc.root();
-        self.copy_attrs(id, &mut doc, did);
-        self.emit_children(id, v, &mut doc, did);
-        Some(doc)
-    }
-
     /// Streaming retrieval: serializes version `v` directly into `out` as
-    /// compact XML without materializing a [`Document`]. Returns `true`
+    /// compact XML without materializing a document. Returns `true`
     /// iff a document was written — `false` mirrors the `None` cases of
     /// [`Archive::retrieve`] (never archived, or empty at `v`).
     pub fn retrieve_into<W: Write + ?Sized>(&self, v: u32, out: &mut W) -> io::Result<bool> {
-        if !self.has_version(v) {
-            return Ok(false);
-        }
-        let root = self.root();
-        let Some(doc_root) = self
-            .children(root)
-            .iter()
-            .copied()
-            .find(|&c| matches!(self.node(c).kind, AKind::Element(_)) && self.visible(c, v))
-        else {
+        let Some(root) = doc_root(self, &Scan, v) else {
             return Ok(false);
         };
-        self.write_visible(doc_root, v, out)?;
+        self.write_visible(root, v, out)?;
         Ok(true)
     }
 

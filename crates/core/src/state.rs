@@ -120,8 +120,14 @@ fn get_byte(buf: &[u8], pos: &mut usize) -> Result<u8, StoreError> {
 }
 
 /// Decodes a [`TimeSet`] written by [`put_timeset`], rejecting unordered
-/// or overflowing intervals.
+/// or overflowing intervals. The cost is per run, never per version.
 pub fn get_timeset(buf: &[u8], pos: &mut usize) -> Result<TimeSet, StoreError> {
+    get_timeset_within(buf, pos, u32::MAX)
+}
+
+/// [`get_timeset`] for a decoder that knows the newest version its
+/// payload can mention: a run reaching past `latest` is corruption.
+fn get_timeset_within(buf: &[u8], pos: &mut usize, latest: u32) -> Result<TimeSet, StoreError> {
     let runs = get_varint(buf, pos).map_err(corrupt)? as usize;
     // a run costs ≥ 2 encoded bytes; an implausible count is corruption
     if runs > buf.len() / 2 + 1 {
@@ -139,10 +145,11 @@ pub fn get_timeset(buf: &[u8], pos: &mut usize) -> Result<TimeSet, StoreError> {
         if lo == 0 || prev_hi.is_some_and(|p| lo <= p) {
             return Err(corrupt_at(at, "checkpoint state: intervals out of order"));
         }
-        prev_hi = Some(hi);
-        for v in lo..=hi {
-            t.insert(v);
+        if hi > latest {
+            return Err(corrupt_at(at, "checkpoint state: interval past latest"));
         }
+        prev_hi = Some(hi);
+        t = t.union(&TimeSet::from_range(lo, hi));
     }
     Ok(t)
 }
@@ -303,7 +310,7 @@ fn get_archive_body(
         }
         let time = match get_byte(buf, pos)? {
             0 => None,
-            1 => Some(get_timeset(buf, pos)?),
+            1 => Some(get_timeset_within(buf, pos, latest)?),
             _ => return Err(corrupt_at(*pos - 1, "checkpoint state: bad time flag")),
         };
         let key = match get_byte(buf, pos)? {
@@ -549,6 +556,29 @@ mod tests {
         a2.retrieve_into(a2.latest(), &mut want).unwrap();
         b2.retrieve_into(b2.latest(), &mut got).unwrap();
         assert_eq!(want, got);
+    }
+
+    /// A run is decoded in O(1), whatever it spans, and an archive body
+    /// refuses one that reaches past its own `latest` — a flipped varint
+    /// continuation bit used to spin `restore_checkpoint` for up to 2³²
+    /// inserts.
+    #[test]
+    fn a_run_spanning_the_whole_version_space_decodes_promptly_and_is_refused() {
+        let whole = TimeSet::from_range(1, u32::MAX);
+        let mut bytes = Vec::new();
+        put_timeset(&mut bytes, &whole);
+        assert_eq!(get_timeset(&bytes, &mut 0).unwrap(), whole);
+
+        let mut a = populated();
+        let root = a.root();
+        a.node_mut(root).time = Some(whole);
+        let err = decode_archive(&encode_archive(&a), &spec(), Compaction::Alternatives)
+            .expect_err("a timestamp past `latest` is corruption");
+        assert!(
+            matches!(&err, StoreError::Corrupt { offset, reason }
+                if *offset > 0 && reason.contains("past latest")),
+            "{err}"
+        );
     }
 
     #[test]

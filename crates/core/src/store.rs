@@ -33,6 +33,7 @@ use xarch_xml::Document;
 use crate::archive::{Archive, ArchiveStats, MergeError};
 use crate::chunk::ChunkedArchive;
 use crate::history::KeyQuery;
+use crate::kernel;
 use crate::query::{self, ElementHistory, RangeEntry, VersionDelta};
 use crate::timeset::TimeSet;
 
@@ -179,11 +180,14 @@ pub trait StoreReader {
 
     // ---- temporal queries (§7) ------------------------------------------
     //
-    // Every method below has a whole-retrieve fallback, so a backend is
-    // complete once the six methods above work; the fast paths — index
-    // descent, timestamp-tree pruning, chunk routing, partial stream
-    // scans — are overrides whose cost is proportional to the answer, not
-    // the archive.
+    // Every method below has a whole-document fallback, so a backend is
+    // complete once the six methods above work (`ColdArchive` and foreign
+    // backends ride these). The fast paths are overrides whose cost is
+    // proportional to the answer, not the archive: the arena backends
+    // call the query kernel (`crate::kernel`, scanned or §7-indexed), the
+    // chunked archive routes to the owning chunk, the external-memory
+    // archive scans part of its stream. Wrappers never land here by
+    // accident: they implement [`Layer`], which forwards by default.
 
     /// Partial retrieval: the subtree addressed by `steps` as it existed
     /// at version `v`, or `None` when the element (or the version) does
@@ -208,17 +212,12 @@ pub trait StoreReader {
         let Some(existence) = self.history(steps)? else {
             return Ok(None);
         };
-        let mut values: Vec<(TimeSet, String)> = Vec::new();
-        let versions: Vec<u32> = existence.versions().collect();
-        for v in versions {
+        let mut values = Vec::new();
+        for v in existence.versions() {
             let Some(sub) = self.as_of(steps, v)? else {
                 continue;
             };
-            let content = xarch_xml::writer::to_compact_string(&sub);
-            match values.iter_mut().find(|(_, c)| *c == content) {
-                Some((t, _)) => t.insert(v),
-                None => values.push((TimeSet::from_version(v), content)),
-            }
+            query::record_value(&mut values, v, xarch_xml::writer::to_compact_string(&sub));
         }
         Ok(Some(ElementHistory { existence, values }))
     }
@@ -261,6 +260,133 @@ pub trait StoreReader {
     }
 }
 
+/// A reader that wraps another reader. Every [`StoreReader`] method is
+/// defaulted here to forward to [`Layer::inner`], and the blanket impl
+/// below turns a `Layer` into a `StoreReader` — so a wrapper spells only
+/// the methods it intercepts, and one it does not mention reaches the inner
+/// store's *own* method, fast path included, never the whole-retrieve
+/// fallbacks above.
+///
+/// Implement it by path (`impl xarch_core::Layer for W`) rather than
+/// importing it: a wrapper answers every method under both trait names,
+/// so with both in scope a plain `w.retrieve(v)` would be ambiguous.
+pub trait Layer {
+    /// What this layer wraps.
+    type Inner: StoreReader + ?Sized;
+
+    /// The wrapped reader.
+    fn inner(&self) -> &Self::Inner;
+
+    /// [`StoreReader::spec`], forwarded.
+    fn spec(&self) -> &KeySpec {
+        self.inner().spec()
+    }
+
+    /// [`StoreReader::latest`], forwarded.
+    fn latest(&self) -> u32 {
+        self.inner().latest()
+    }
+
+    /// [`StoreReader::has_version`], forwarded.
+    fn has_version(&self, v: u32) -> bool {
+        self.inner().has_version(v)
+    }
+
+    /// [`StoreReader::retrieve`], forwarded.
+    fn retrieve(&self, v: u32) -> Result<Option<Document>, StoreError> {
+        self.inner().retrieve(v)
+    }
+
+    /// [`StoreReader::retrieve_into`], forwarded.
+    fn retrieve_into(&self, v: u32, out: &mut dyn Write) -> Result<bool, StoreError> {
+        self.inner().retrieve_into(v, out)
+    }
+
+    /// [`StoreReader::history`], forwarded.
+    fn history(&self, steps: &[KeyQuery]) -> Result<Option<TimeSet>, StoreError> {
+        self.inner().history(steps)
+    }
+
+    /// [`StoreReader::stats`], forwarded.
+    fn stats(&self) -> Result<StoreStats, StoreError> {
+        self.inner().stats()
+    }
+
+    /// [`StoreReader::as_of`], forwarded.
+    fn as_of(&self, steps: &[KeyQuery], v: u32) -> Result<Option<Document>, StoreError> {
+        self.inner().as_of(steps, v)
+    }
+
+    /// [`StoreReader::history_values`], forwarded.
+    fn history_values(&self, steps: &[KeyQuery]) -> Result<Option<ElementHistory>, StoreError> {
+        self.inner().history_values(steps)
+    }
+
+    /// [`StoreReader::range`], forwarded.
+    fn range(
+        &self,
+        prefix: &[KeyQuery],
+        versions: RangeInclusive<u32>,
+    ) -> Result<Vec<RangeEntry>, StoreError> {
+        self.inner().range(prefix, versions)
+    }
+
+    /// [`StoreReader::diff`], forwarded.
+    fn diff(&self, steps: &[KeyQuery], v1: u32, v2: u32) -> Result<VersionDelta, StoreError> {
+        self.inner().diff(steps, v1, v2)
+    }
+}
+
+impl<L: Layer> StoreReader for L {
+    fn spec(&self) -> &KeySpec {
+        Layer::spec(self)
+    }
+
+    fn latest(&self) -> u32 {
+        Layer::latest(self)
+    }
+
+    fn has_version(&self, v: u32) -> bool {
+        Layer::has_version(self, v)
+    }
+
+    fn retrieve(&self, v: u32) -> Result<Option<Document>, StoreError> {
+        Layer::retrieve(self, v)
+    }
+
+    fn retrieve_into(&self, v: u32, out: &mut dyn Write) -> Result<bool, StoreError> {
+        Layer::retrieve_into(self, v, out)
+    }
+
+    fn history(&self, steps: &[KeyQuery]) -> Result<Option<TimeSet>, StoreError> {
+        Layer::history(self, steps)
+    }
+
+    fn stats(&self) -> Result<StoreStats, StoreError> {
+        Layer::stats(self)
+    }
+
+    fn as_of(&self, steps: &[KeyQuery], v: u32) -> Result<Option<Document>, StoreError> {
+        Layer::as_of(self, steps, v)
+    }
+
+    fn history_values(&self, steps: &[KeyQuery]) -> Result<Option<ElementHistory>, StoreError> {
+        Layer::history_values(self, steps)
+    }
+
+    fn range(
+        &self,
+        prefix: &[KeyQuery],
+        versions: RangeInclusive<u32>,
+    ) -> Result<Vec<RangeEntry>, StoreError> {
+        Layer::range(self, prefix, versions)
+    }
+
+    fn diff(&self, steps: &[KeyQuery], v1: u32, v2: u32) -> Result<VersionDelta, StoreError> {
+        Layer::diff(self, steps, v1, v2)
+    }
+}
+
 /// An immutable, shareable reader over a store as it stood at one committed
 /// version — what [`VersionStore::view`] returns, `xarch::ArchiveHandle`
 /// publishes and `xarch::Snapshot` holds.
@@ -269,13 +395,15 @@ pub type StoreView = Arc<dyn StoreReader + Send + Sync>;
 /// The full archiver contract shared by every storage backend: the
 /// [`StoreReader`] query surface plus the two mutators.
 ///
-/// | backend | paper | crate |
-/// |---|---|---|
-/// | [`Archive`] | §4.2 in-memory nested merge | `xarch_core` |
-/// | [`ChunkedArchive`] | §5 hash-partitioned chunks | `xarch_core` |
-/// | `ExtArchive` | §6.3 external-memory streams | `xarch_extmem` |
-/// | `DurableArchive` | durable segmented journal over any of the above | `xarch_storage` |
-/// | `IndexedArchive` / `IndexedStore` | §7 query indexes over any of the above | `xarch_index` |
+/// | backend | paper | crate | reads |
+/// |---|---|---|---|
+/// | [`Archive`] | §4.2 in-memory nested merge | `xarch_core` | the query kernel over [`kernel::Scan`] |
+/// | [`ChunkedArchive`] | §5 hash-partitioned chunks | `xarch_core` | routed to the owning chunk's [`Archive`] |
+/// | `ExtArchive` | §6.3 external-memory streams | `xarch_extmem` | partial stream scans |
+/// | `IndexedArchive` | §7 indexes over the arena | `xarch_index` | [`Layer`] over [`Archive`]: the query kernel over the indexes |
+/// | `IndexedStore` | §7 key-path sidecar over any of the above | `xarch_index` | [`Layer`]: `history`/`range` from the sidecar, `as_of` gated by it |
+/// | `DurableArchive` | durable segmented journal over any of the above | `xarch_storage` | [`Layer`]: intercepts nothing |
+/// | [`crate::ObservedStore`] | latency histograms over any of the above | `xarch_core` | [`Layer`]: times each query kind |
 ///
 /// `Send + Sync` is part of the contract: a store is single-writer by
 /// `&mut` discipline, but its reads are `&self` and safe to share, so
@@ -386,10 +514,6 @@ impl StoreReader for Archive {
         Archive::latest(self)
     }
 
-    fn has_version(&self, v: u32) -> bool {
-        Archive::has_version(self, v)
-    }
-
     fn retrieve(&self, v: u32) -> Result<Option<Document>, StoreError> {
         Ok(Archive::retrieve(self, v))
     }
@@ -412,6 +536,10 @@ impl StoreReader for Archive {
 
     fn as_of(&self, steps: &[KeyQuery], v: u32) -> Result<Option<Document>, StoreError> {
         Ok(Archive::as_of(self, steps, v))
+    }
+
+    fn history_values(&self, steps: &[KeyQuery]) -> Result<Option<ElementHistory>, StoreError> {
+        Ok(kernel::history_values(self, &kernel::Scan, steps))
     }
 
     fn range(
@@ -467,10 +595,6 @@ impl StoreReader for ChunkedArchive {
 
     fn latest(&self) -> u32 {
         ChunkedArchive::latest(self)
-    }
-
-    fn has_version(&self, v: u32) -> bool {
-        ChunkedArchive::has_version(self, v)
     }
 
     fn retrieve(&self, v: u32) -> Result<Option<Document>, StoreError> {

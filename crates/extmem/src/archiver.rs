@@ -490,10 +490,6 @@ impl StoreReader for ExtArchive {
         ExtArchive::latest(self)
     }
 
-    fn has_version(&self, v: u32) -> bool {
-        ExtArchive::has_version(self, v)
-    }
-
     fn retrieve(&self, v: u32) -> std::result::Result<Option<Document>, StoreError> {
         Ok(ExtArchive::retrieve(self, v)?)
     }

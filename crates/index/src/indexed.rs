@@ -2,10 +2,11 @@
 //! structures kept current, answering temporal queries in time
 //! proportional to the answer.
 //!
-//! The plain [`Archive`] answers `retrieve` with a full scan and
-//! `history` with a per-level sibling scan. This wrapper maintains the
-//! history index (§7.2, sorted child-key lists) and the timestamp index
-//! (§7.1, per-node timestamp trees) *incrementally* after every merge, so:
+//! The plain [`Archive`] runs the query kernel (`xarch_core::kernel`) with
+//! a full scan for `retrieve` and a per-level sibling scan for `history`.
+//! This wrapper runs the same kernel over the history index (§7.2, sorted
+//! child-key lists) and the timestamp index (§7.1, per-node timestamp
+//! trees), both maintained *incrementally* after every merge, so:
 //!
 //! * `history` / `locate` cost `O(l log d)` comparisons,
 //! * `retrieve` and `as_of` prune invisible subtrees via the timestamp
@@ -16,13 +17,13 @@
 //! the new version (see [`HistoryIndex::apply_version`]), so the archiver
 //! keeps the paper's merge complexity.
 
-use std::io::Write;
 use std::ops::RangeInclusive;
 use std::sync::Arc;
 
+use xarch_core::kernel::{self, Nav};
 use xarch_core::{
-    Archive, Compaction, ElementHistory, KeyQuery, RangeEntry, StoreError, StoreReader, StoreStats,
-    StoreView, TimeSet, VersionStore,
+    ANodeId, Archive, Compaction, ElementHistory, KeyQuery, RangeEntry, StoreError, StoreView,
+    TimeSet, VersionDelta, VersionStore,
 };
 use xarch_keys::KeySpec;
 use xarch_xml::Document;
@@ -106,81 +107,54 @@ impl IndexedArchive {
     }
 }
 
-impl StoreReader for IndexedArchive {
-    fn spec(&self) -> &KeySpec {
-        self.archive.spec()
+/// The indexed navigator: a key step is one binary search over the
+/// history index, and the children visible at `v` come off the timestamp
+/// tree — both charged to the probe counters. `a` is always
+/// `self.archive`.
+impl Nav for IndexedArchive {
+    const LABEL_ORDERED: bool = true;
+
+    fn child(&self, a: &Archive, parent: ANodeId, step: &KeyQuery) -> Option<ANodeId> {
+        self.hist.child(a, parent, step)
     }
 
-    fn latest(&self) -> u32 {
-        self.archive.latest()
+    fn visible<'a>(
+        &'a self,
+        _: &'a Archive,
+        parent: ANodeId,
+        v: u32,
+    ) -> impl Iterator<Item = ANodeId> + 'a {
+        self.ts.relevant_children(parent, v).into_iter()
     }
 
-    fn has_version(&self, v: u32) -> bool {
-        self.archive.has_version(v)
+    fn keyed<'a>(&'a self, _: &'a Archive, parent: ANodeId) -> &'a [ANodeId] {
+        self.hist.list(parent)
+    }
+}
+
+/// Every query kind but streaming retrieval runs the kernel over the
+/// indexes; `retrieve_into` (like everything else) is the archive's own.
+impl xarch_core::Layer for IndexedArchive {
+    type Inner = Archive;
+
+    fn inner(&self) -> &Archive {
+        &self.archive
     }
 
     fn retrieve(&self, v: u32) -> Result<Option<Document>, StoreError> {
-        Ok(self.ts.retrieve(&self.archive, v).0)
-    }
-
-    fn retrieve_into(&self, v: u32, out: &mut dyn Write) -> Result<bool, StoreError> {
-        Ok(self.archive.retrieve_into(v, out)?)
+        Ok(kernel::retrieve(&self.archive, self, v))
     }
 
     fn history(&self, steps: &[KeyQuery]) -> Result<Option<TimeSet>, StoreError> {
-        Ok(self.hist.locate(&self.archive, steps).map(|(_, t)| t))
-    }
-
-    fn stats(&self) -> Result<StoreStats, StoreError> {
-        Ok(StoreStats::from_archive(
-            self.archive.stats(),
-            self.archive.latest(),
-            self.archive.size_bytes(),
-        ))
+        Ok(kernel::history(&self.archive, self, steps))
     }
 
     fn as_of(&self, steps: &[KeyQuery], v: u32) -> Result<Option<Document>, StoreError> {
-        if !self.archive.has_version(v) {
-            return Ok(None);
-        }
-        if steps.is_empty() {
-            return self.retrieve(v);
-        }
-        let Some((id, time)) = self.hist.locate(&self.archive, steps) else {
-            return Ok(None);
-        };
-        if !time.contains(v) {
-            return Ok(None);
-        }
-        Ok(self.ts.retrieve_subtree(&self.archive, id, v))
+        Ok(kernel::as_of(&self.archive, self, steps, v))
     }
 
     fn history_values(&self, steps: &[KeyQuery]) -> Result<Option<ElementHistory>, StoreError> {
-        // one locate, then one pruned subtree emit per version it exists in
-        let Some((id, existence)) = self.hist.locate(&self.archive, steps) else {
-            return Ok(None);
-        };
-        let root = self.archive.root();
-        let mut values: Vec<(TimeSet, String)> = Vec::new();
-        for v in existence.versions() {
-            // the empty path addresses the synthetic root: its "content" is
-            // the whole document (absent on empty versions), same as the
-            // default fallback — never the synthetic <root> wrapper itself
-            let sub = if id == root {
-                self.ts.retrieve(&self.archive, v).0
-            } else {
-                self.ts.retrieve_subtree(&self.archive, id, v)
-            };
-            let Some(sub) = sub else {
-                continue;
-            };
-            let content = xarch_xml::writer::to_compact_string(&sub);
-            match values.iter_mut().find(|(_, c)| *c == content) {
-                Some((t, _)) => t.insert(v),
-                None => values.push((TimeSet::from_version(v), content)),
-            }
-        }
-        Ok(Some(ElementHistory { existence, values }))
+        Ok(kernel::history_values(&self.archive, self, steps))
     }
 
     fn range(
@@ -188,9 +162,13 @@ impl StoreReader for IndexedArchive {
         prefix: &[KeyQuery],
         versions: RangeInclusive<u32>,
     ) -> Result<Vec<RangeEntry>, StoreError> {
-        let lo = (*versions.start()).max(1);
-        let hi = (*versions.end()).min(self.archive.latest());
-        Ok(self.hist.range_of(&self.archive, prefix, lo, hi))
+        Ok(kernel::range(&self.archive, self, prefix, versions))
+    }
+
+    fn diff(&self, steps: &[KeyQuery], v1: u32, v2: u32) -> Result<VersionDelta, StoreError> {
+        let at = |v| kernel::as_of(&self.archive, self, steps, v);
+        let (a, b) = (at(v1), at(v2));
+        Ok(xarch_core::query::delta(a.as_ref(), b.as_ref(), v1, v2))
     }
 }
 
@@ -264,7 +242,8 @@ impl VersionStore for IndexedArchive {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xarch_core::equiv_modulo_key_order;
+    use xarch_core::{equiv_modulo_key_order, StoreReader};
+    use xarch_keys::KeySpec;
     use xarch_xml::parse;
 
     fn spec() -> KeySpec {
@@ -471,5 +450,71 @@ mod tests {
             touched * 4 < scan,
             "indexed as_of touched {touched} vs scan {scan}"
         );
+    }
+
+    /// The kernel does the same work: a fixed query script answers
+    /// identically through the scanning and the indexed navigator, and the
+    /// indexed one is charged exactly the comparisons and probes the
+    /// pre-kernel `IndexedArchive` spent on it (measured at the commit
+    /// before the kernel existed).
+    #[test]
+    fn the_kernel_answers_alike_and_charges_the_same_index_work() {
+        const COMPARISONS: usize = 407;
+        const PROBES: usize = 22819;
+        // record i is absent whenever (i + v) % 7 == 0; its value changes
+        // every (i % 3 + 1) versions; version 5 is empty
+        let doc = |v: u32| {
+            let mut src = String::from("<db>");
+            for i in (0..48u32).filter(|i| !(i + v).is_multiple_of(7)) {
+                let val = v / (i % 3 + 1);
+                src.push_str(&format!("<rec><id>{i}</id><val>{val}</val></rec>"));
+            }
+            src.push_str("</db>");
+            parse(&src).unwrap()
+        };
+        let mut plain = Archive::new(spec());
+        let mut indexed = IndexedArchive::new(spec());
+        for v in 1..=8u32 {
+            if v == 5 {
+                plain.add_empty_version();
+                indexed.add_empty_version().unwrap();
+            } else {
+                plain.add_version(&doc(v)).unwrap();
+                indexed.add_version(&doc(v)).unwrap();
+            }
+        }
+        let rec = |i: u32| {
+            vec![
+                KeyQuery::new("db"),
+                KeyQuery::new("rec").with_text("id", &i.to_string()),
+            ]
+        };
+        let mut paths: Vec<Vec<KeyQuery>> = [0, 7, 13, 47, 99].map(rec).into();
+        paths.push(vec![]);
+        paths.push(vec![KeyQuery::new("db")]);
+        paths.push([rec(20), vec![KeyQuery::new("val")]].concat());
+        let xml = |d: Option<Document>| d.map(|d| xarch_xml::writer::to_compact_string(&d));
+        let script = |s: &dyn StoreReader| {
+            let mut said = Vec::new();
+            for v in 0..=9 {
+                said.push(format!("retrieve {v} {:?}", xml(s.retrieve(v).unwrap())));
+            }
+            for q in &paths {
+                said.push(format!("{q:?} history {:?}", s.history(q).unwrap()));
+                for v in [1, 4, 5, 8, 9] {
+                    said.push(format!("as_of {v} {:?}", xml(s.as_of(q, v).unwrap())));
+                }
+                said.push(format!("{:?}", s.history_values(q).unwrap()));
+                said.push(format!("{:?}", s.diff(q, 2, 7).unwrap()));
+                for window in [1..=8, 3..=5, 6..=20] {
+                    said.push(format!("{:?}", s.range(q, window).unwrap()));
+                }
+            }
+            said
+        };
+        indexed.reset_probes();
+        assert_eq!(script(&indexed), script(&plain));
+        assert_eq!(indexed.history_index().comparisons(), COMPARISONS);
+        assert_eq!(indexed.timestamp_index().probes(), PROBES);
     }
 }

@@ -14,7 +14,7 @@
 use std::cmp::Ordering;
 use std::sync::Arc;
 
-use xarch_core::{ANodeId, Archive, CowVec, KeyQuery, RangeEntry, TimeSet};
+use xarch_core::{ANodeId, Archive, CowVec, KeyQuery};
 use xarch_obs::Counter;
 
 /// Sorted child-key lists for every keyed node: one slot per archive node
@@ -38,16 +38,10 @@ pub struct HistoryIndex {
 }
 
 impl HistoryIndex {
-    /// An empty index (for an empty archive); grow it with
-    /// [`HistoryIndex::apply_version`].
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Builds the index with a single scan of the archive ("all key values
     /// of children nodes of any node x are known by the time x is exited").
     pub fn build(archive: &Archive) -> Self {
-        let mut idx = Self::new();
+        let mut idx = Self::default();
         idx.index_rec(archive, archive.root(), None);
         idx
     }
@@ -104,81 +98,37 @@ impl HistoryIndex {
         }
         // sort by (tag, key value) — the same order query_cmp probes
         keyed.sort_by(|&a, &b| cmp_children(archive, a, b));
-        if self.list(id) != Some(&keyed[..]) {
+        if self.list(id) != keyed.as_slice() {
             *self.lists.slot_mut(id.index()) = Some(keyed.into());
         }
     }
 
-    fn list(&self, id: ANodeId) -> Option<&[ANodeId]> {
-        self.lists.get(id.index())?.as_deref()
+    /// `id`'s keyed children in label order (none for a node without any).
+    pub(crate) fn list(&self, id: ANodeId) -> &[ANodeId] {
+        self.lists
+            .get(id.index())
+            .and_then(|l| l.as_deref())
+            .unwrap_or_default()
     }
 
-    /// Resolves a key-query path to the archive node it addresses plus
-    /// that node's effective timestamp, by one binary search per step. An
-    /// empty path addresses the synthetic root.
-    pub fn locate(&self, archive: &Archive, steps: &[KeyQuery]) -> Option<(ANodeId, TimeSet)> {
-        let mut cur = archive.root();
-        let mut time = archive.effective_time(cur);
-        for step in steps {
-            let list = self.list(cur)?;
-            let mut lo = 0usize;
-            let mut hi = list.len();
-            let mut found = None;
-            while lo < hi {
-                let mid = (lo + hi) / 2;
-                self.comparisons.inc();
-                match archive.query_cmp(list[mid], step) {
-                    Ordering::Less => lo = mid + 1,
-                    Ordering::Greater => hi = mid,
-                    Ordering::Equal => {
-                        found = Some(mid);
-                        break;
-                    }
-                }
-            }
-            cur = list[found?];
-            if let Some(t) = &archive.node(cur).time {
-                time = t.clone();
+    /// The keyed child of `parent` that `step` addresses, by one binary
+    /// search over `parent`'s list — the indexed half of a key-path
+    /// descent (`xarch_core::kernel::locate`), charged to the comparison
+    /// counter.
+    pub fn child(&self, archive: &Archive, parent: ANodeId, step: &KeyQuery) -> Option<ANodeId> {
+        let list = self.list(parent);
+        let mut lo = 0usize;
+        let mut hi = list.len();
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            self.comparisons.inc();
+            match archive.query_cmp(list[mid], step) {
+                Ordering::Less => lo = mid + 1,
+                Ordering::Greater => hi = mid,
+                Ordering::Equal => return Some(list[mid]),
             }
         }
-        Some((cur, time))
-    }
-
-    /// Answers a temporal-history query by one binary search per step.
-    /// Returns the element's effective timestamp.
-    pub fn history(&self, archive: &Archive, steps: &[KeyQuery]) -> Option<TimeSet> {
-        if steps.is_empty() {
-            return None;
-        }
-        self.locate(archive, steps).map(|(_, t)| t)
-    }
-
-    /// Range scan straight off the sorted lists: the keyed children of the
-    /// node addressed by `prefix`, with lifetimes clamped to `lo..=hi`
-    /// (children whose lifetime misses the window are dropped). The lists
-    /// are kept in label order, so no sort is needed.
-    pub fn range_of(
-        &self,
-        archive: &Archive,
-        prefix: &[KeyQuery],
-        lo: u32,
-        hi: u32,
-    ) -> Vec<RangeEntry> {
-        let Some((node, inherited)) = self.locate(archive, prefix) else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        for &child in self.list(node).unwrap_or_default() {
-            let own = archive.node(child).time.as_ref();
-            let time = own.unwrap_or(&inherited).clamp_range(lo, hi);
-            if time.is_empty() {
-                continue;
-            }
-            if let Some(step) = archive.step_of(child) {
-                out.push(RangeEntry { step, time });
-            }
-        }
-        out
+        None
     }
 
     /// Comparison counter (reset with [`HistoryIndex::reset`]).
@@ -225,9 +175,16 @@ fn cmp_children(archive: &Archive, a: ANodeId, b: ANodeId) -> Ordering {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use xarch_core::{Archive, KeyQuery, StoreReader, VersionStore};
     use xarch_keys::KeySpec;
     use xarch_xml::parse;
+
+    use crate::IndexedArchive;
+
+    /// `a`, indexed by one full build.
+    fn built(a: &Archive) -> IndexedArchive {
+        IndexedArchive::from_archive(a.clone())
+    }
 
     fn spec() -> KeySpec {
         KeySpec::parse(
@@ -259,7 +216,7 @@ mod tests {
     #[test]
     fn indexed_history_matches_naive() {
         let a = sample();
-        let idx = HistoryIndex::build(&a);
+        let idx = built(&a);
         let queries: Vec<Vec<KeyQuery>> = vec![
             vec![KeyQuery::new("db")],
             vec![
@@ -279,7 +236,7 @@ mod tests {
             ],
         ];
         for q in &queries {
-            assert_eq!(idx.history(&a, q), a.history(q), "query {q:?}");
+            assert_eq!(idx.history(q).unwrap(), a.history(q), "query {q:?}");
         }
     }
 
@@ -302,12 +259,11 @@ mod tests {
              <emp><fn>John</fn><ln>Doe</ln><sal>99K</sal></emp>\
              <emp><fn>Jane</fn><ln>Smith</ln><sal>85K</sal></emp></dept></db>",
         ];
-        let mut a = Archive::new(spec());
-        let mut idx = HistoryIndex::new();
+        let mut idx = IndexedArchive::new(spec());
         for (n, src) in versions.iter().enumerate() {
-            let v = a.add_version(&parse(src).unwrap()).unwrap();
-            idx.apply_version(&a, v);
-            let rebuilt = HistoryIndex::build(&a);
+            idx.add_version(&parse(src).unwrap()).unwrap();
+            let a = idx.archive();
+            let rebuilt = built(a);
             let queries: Vec<Vec<KeyQuery>> = vec![
                 vec![KeyQuery::new("db")],
                 vec![
@@ -336,38 +292,35 @@ mod tests {
             ];
             for q in &queries {
                 assert_eq!(
-                    idx.history(&a, q),
-                    rebuilt.history(&a, q),
+                    idx.history(q).unwrap(),
+                    rebuilt.history(q).unwrap(),
                     "after version {}: query {q:?}",
                     n + 1
                 );
-                assert_eq!(idx.history(&a, q), a.history(q), "naive, v{}", n + 1);
+                assert_eq!(idx.history(q).unwrap(), a.history(q), "naive, v{}", n + 1);
             }
         }
         // empty versions terminate everything but the root
-        let v = a.add_empty_version();
-        idx.apply_version(&a, v);
-        let rebuilt = HistoryIndex::build(&a);
+        idx.add_empty_version().unwrap();
+        let rebuilt = built(idx.archive());
         let q = vec![KeyQuery::new("db")];
-        assert_eq!(idx.history(&a, &q), rebuilt.history(&a, &q));
-        assert_eq!(idx.history(&a, &q), a.history(&q));
+        assert_eq!(idx.history(&q).unwrap(), rebuilt.history(&q).unwrap());
+        assert_eq!(idx.history(&q).unwrap(), idx.archive().history(&q));
     }
 
     #[test]
     fn locate_and_range_walk_the_lists() {
         let a = sample();
-        let idx = HistoryIndex::build(&a);
-        let (root, t) = idx.locate(&a, &[]).unwrap();
-        assert_eq!(root, a.root());
-        assert_eq!(t.to_string(), "1-2");
+        let idx = built(&a);
+        assert_eq!(idx.history(&[]).unwrap().unwrap().to_string(), "1-2");
         let prefix = vec![KeyQuery::new("db")];
-        let hits = idx.range_of(&a, &prefix, 1, 2);
+        let hits = idx.range(&prefix, 1..=2).unwrap();
         assert_eq!(hits.len(), 2, "{hits:?}"); // two departments
         assert_eq!(hits[0].step.tag, "dept");
         assert_eq!(hits[0].time.to_string(), "1-2"); // finance
         assert_eq!(hits[1].time.to_string(), "2"); // marketing
                                                    // window clamps: only version 1
-        let hits = idx.range_of(&a, &prefix, 1, 1);
+        let hits = idx.range(&prefix, 1..=1).unwrap();
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].time.to_string(), "1");
     }
@@ -375,12 +328,12 @@ mod tests {
     #[test]
     fn missing_element_is_none() {
         let a = sample();
-        let idx = HistoryIndex::build(&a);
+        let idx = built(&a);
         let q = vec![
             KeyQuery::new("db"),
             KeyQuery::new("dept").with_text("name", "hr"),
         ];
-        assert_eq!(idx.history(&a, &q), None);
+        assert_eq!(idx.history(&q).unwrap(), None);
         assert_eq!(a.history(&q), None);
     }
 
@@ -394,8 +347,8 @@ mod tests {
         s.push_str("</dept></db>");
         let mut a = Archive::new(spec());
         a.add_version(&parse(&s).unwrap()).unwrap();
-        let idx = HistoryIndex::build(&a);
-        idx.reset();
+        let idx = built(&a);
+        idx.reset_probes();
         let q = vec![
             KeyQuery::new("db"),
             KeyQuery::new("dept").with_text("name", "finance"),
@@ -403,15 +356,16 @@ mod tests {
                 .with_text("fn", "F100")
                 .with_text("ln", "L100"),
         ];
-        let t = idx.history(&a, &q).unwrap();
+        let t = idx.history(&q).unwrap().unwrap();
         assert_eq!(t.to_string(), "1");
         // 3 levels, d ≤ 257 → well under 3 * (log2(257)+1) ≈ 27
+        let hist = idx.history_index();
         assert!(
-            idx.comparisons() <= 30,
+            hist.comparisons() <= 30,
             "comparisons = {}",
-            idx.comparisons()
+            hist.comparisons()
         );
-        assert!(idx.max_degree() >= 256);
+        assert!(hist.max_degree() >= 256);
     }
 
     #[test]
@@ -431,7 +385,7 @@ mod tests {
         .unwrap();
         a.add_version(&v3).unwrap();
         a.add_version(&v4).unwrap();
-        let idx = HistoryIndex::build(&a);
+        let idx = built(&a);
         let q = vec![
             KeyQuery::new("db"),
             KeyQuery::new("dept").with_text("name", "finance"),
@@ -439,6 +393,6 @@ mod tests {
                 .with_text("fn", "Jane")
                 .with_text("ln", "Smith"),
         ];
-        assert_eq!(idx.history(&a, &q).unwrap().to_string(), "2,4");
+        assert_eq!(idx.history(&q).unwrap().unwrap().to_string(), "2,4");
     }
 }

@@ -22,15 +22,12 @@
 //! never pay a per-query rebuild.
 
 use std::collections::BTreeMap;
-use std::io::Write;
 use std::ops::{Deref, RangeInclusive};
 use std::sync::Arc;
 
 use xarch_core::state::{corrupt, get_timeset, put_timeset, STATE_INDEXED_STORE};
 use xarch_core::wire::{get_bytes, get_str, get_varint, put_bytes, put_str, put_varint};
-use xarch_core::{
-    KeyQuery, RangeEntry, StoreError, StoreReader, StoreStats, StoreView, TimeSet, VersionStore,
-};
+use xarch_core::{KeyQuery, RangeEntry, StoreError, StoreReader, StoreView, TimeSet, VersionStore};
 use xarch_keys::{annotate, KeySpec};
 use xarch_xml::{Document, NodeKind};
 
@@ -301,44 +298,23 @@ impl IndexedStore {
     pub fn query_index(&self) -> &QueryIndex {
         &self.sidecar
     }
-
-    /// The wrapped backend.
-    pub fn inner(&self) -> &dyn VersionStore {
-        self.inner.as_ref()
-    }
 }
 
-impl<S> StoreReader for IndexedStore<S>
+/// Intercepts `history` and `range` (answered by the sidecar alone) and
+/// `as_of` (gated by it); everything else is the backend's.
+impl<S> xarch_core::Layer for IndexedStore<S>
 where
     S: Deref,
     S::Target: StoreReader,
 {
-    fn spec(&self) -> &KeySpec {
-        self.inner.spec()
-    }
+    type Inner = S::Target;
 
-    fn latest(&self) -> u32 {
-        self.inner.latest()
-    }
-
-    fn has_version(&self, v: u32) -> bool {
-        self.inner.has_version(v)
-    }
-
-    fn retrieve(&self, v: u32) -> Result<Option<Document>, StoreError> {
-        self.inner.retrieve(v)
-    }
-
-    fn retrieve_into(&self, v: u32, out: &mut dyn Write) -> Result<bool, StoreError> {
-        self.inner.retrieve_into(v, out)
+    fn inner(&self) -> &S::Target {
+        &self.inner
     }
 
     fn history(&self, steps: &[KeyQuery]) -> Result<Option<TimeSet>, StoreError> {
         Ok(self.sidecar.history(steps))
-    }
-
-    fn stats(&self) -> Result<StoreStats, StoreError> {
-        self.inner.stats()
     }
 
     fn as_of(&self, steps: &[KeyQuery], v: u32) -> Result<Option<Document>, StoreError> {

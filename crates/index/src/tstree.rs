@@ -166,16 +166,10 @@ pub struct TimestampIndex {
 }
 
 impl TimestampIndex {
-    /// An empty index (for an empty archive); grow it with
-    /// [`TimestampIndex::apply_version`].
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Builds the index ("the timestamp trees are created each time a new
     /// version arrives and after nested merge is applied").
     pub fn build(archive: &Archive) -> Self {
-        let mut idx = Self::new();
+        let mut idx = Self::default();
         idx.adopt(archive, archive.root());
         idx
     }
@@ -287,105 +281,16 @@ impl TimestampIndex {
             self.trees.chunk_count(),
         )
     }
-
-    /// Retrieves version `v` via the index: only relevant subtrees are
-    /// visited. Returns the document plus the probe count consumed by
-    /// *this call* (measured as a delta, so the cumulative counter stays
-    /// monotone and registry-bound counters are never cleared).
-    pub fn retrieve(&self, archive: &Archive, v: u32) -> (Option<xarch_xml::Document>, usize) {
-        let before = self.probes.get();
-        let spent = |probes: &Counter| {
-            usize::try_from(probes.get().saturating_sub(before)).unwrap_or(usize::MAX)
-        };
-        if !archive.has_version(v) {
-            return (None, 0);
-        }
-        let vis = self.relevant_children(archive.root(), v);
-        let doc_root = vis
-            .into_iter()
-            .find(|&c| matches!(archive.node(c).kind, xarch_core::AKind::Element(_)));
-        let Some(doc_root) = doc_root else {
-            return (None, spent(&self.probes));
-        };
-        let tag = archive.tag_name(doc_root).expect("element").to_owned();
-        let mut doc = xarch_xml::Document::new(&tag);
-        let did = doc.root();
-        copy_attrs(archive, doc_root, &mut doc, did);
-        self.emit(archive, doc_root, v, &mut doc, did);
-        (Some(doc), spent(&self.probes))
-    }
-
-    /// Materializes the subtree rooted at element `id` at version `v`,
-    /// pruning with the timestamp trees: only subtrees whose union
-    /// timestamp contains `v` are entered, so the cost is proportional to
-    /// the answer. The caller supplies `id` (typically located via the
-    /// history index); probes accumulate on the shared counter.
-    pub fn retrieve_subtree(
-        &self,
-        archive: &Archive,
-        id: ANodeId,
-        v: u32,
-    ) -> Option<xarch_xml::Document> {
-        if !archive.has_version(v) || !archive.exists_at(id, v) {
-            return None;
-        }
-        let tag = archive.tag_name(id)?.to_owned();
-        let mut doc = xarch_xml::Document::new(&tag);
-        let did = doc.root();
-        copy_attrs(archive, id, &mut doc, did);
-        self.emit(archive, id, v, &mut doc, did);
-        Some(doc)
-    }
-
-    fn emit(
-        &self,
-        archive: &Archive,
-        id: ANodeId,
-        v: u32,
-        doc: &mut xarch_xml::Document,
-        did: xarch_xml::NodeId,
-    ) {
-        for c in self.relevant_children(id, v) {
-            match &archive.node(c).kind {
-                xarch_core::AKind::Stamp => self.emit(archive, c, v, doc, did),
-                xarch_core::AKind::Element(s) => {
-                    let tag = archive.syms().resolve(*s).to_owned();
-                    let e = doc.add_element(did, &tag);
-                    copy_attrs(archive, c, doc, e);
-                    self.emit(archive, c, v, doc, e);
-                }
-                xarch_core::AKind::Text(t) => {
-                    let t = t.clone();
-                    doc.add_text(did, &t);
-                }
-            }
-        }
-    }
-}
-
-fn copy_attrs(
-    archive: &Archive,
-    id: ANodeId,
-    doc: &mut xarch_xml::Document,
-    did: xarch_xml::NodeId,
-) {
-    let attrs: Vec<(String, String)> = archive
-        .node(id)
-        .attrs
-        .iter()
-        .map(|(s, v)| (archive.syms().resolve(*s).to_owned(), v.clone()))
-        .collect();
-    for (n, v) in attrs {
-        doc.set_attr(did, &n, &v);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xarch_core::{equiv_modulo_key_order, Archive};
+    use xarch_core::{equiv_modulo_key_order, Archive, StoreReader};
     use xarch_keys::KeySpec;
     use xarch_xml::parse;
+
+    use crate::IndexedArchive;
 
     fn spec() -> KeySpec {
         KeySpec::parse("(/, (db, {}))\n(/db, (rec, {id}))\n(/db/rec, (val, {}))").unwrap()
@@ -398,6 +303,14 @@ mod tests {
         }
         s.push_str("</db>");
         parse(&s).unwrap()
+    }
+
+    /// Retrieves `v` through the timestamp trees; returns the document and
+    /// the probes that one retrieval spent.
+    fn retrieve(idx: &IndexedArchive, v: u32) -> (Option<xarch_xml::Document>, usize) {
+        let before = idx.timestamp_index().probes();
+        let doc = idx.retrieve(v).unwrap();
+        (doc, idx.timestamp_index().probes() - before)
     }
 
     fn sample_archive() -> (Archive, Vec<xarch_xml::Document>) {
@@ -415,10 +328,10 @@ mod tests {
     #[test]
     fn indexed_retrieval_matches_scan() {
         let (a, versions) = sample_archive();
-        let idx = TimestampIndex::build(&a);
+        let idx = IndexedArchive::from_archive(a.clone());
         for (i, want) in versions.iter().enumerate() {
             let v = i as u32 + 1;
-            let (got, probes) = idx.retrieve(&a, v);
+            let (got, probes) = retrieve(&idx, v);
             let got = got.expect("version exists");
             assert!(equiv_modulo_key_order(&got, want, a.spec()), "version {v}");
             assert!(probes > 0);
@@ -428,10 +341,9 @@ mod tests {
     #[test]
     fn early_versions_probe_fewer_nodes() {
         // Version 1 touches 1/8 of the records: pruning must show.
-        let (a, _) = sample_archive();
-        let idx = TimestampIndex::build(&a);
-        let (_, probes_v1) = idx.retrieve(&a, 1);
-        let (_, probes_v8) = idx.retrieve(&a, 8);
+        let idx = IndexedArchive::from_archive(sample_archive().0);
+        let (_, probes_v1) = retrieve(&idx, 1);
+        let (_, probes_v8) = retrieve(&idx, 8);
         assert!(
             probes_v1 < probes_v8,
             "v1 probes {probes_v1} should be < v8 probes {probes_v8}"
@@ -454,10 +366,9 @@ mod tests {
 
     #[test]
     fn missing_version_is_none() {
-        let (a, _) = sample_archive();
-        let idx = TimestampIndex::build(&a);
-        assert!(idx.retrieve(&a, 0).0.is_none());
-        assert!(idx.retrieve(&a, 99).0.is_none());
+        let idx = IndexedArchive::from_archive(sample_archive().0);
+        assert!(retrieve(&idx, 0).0.is_none());
+        assert!(retrieve(&idx, 99).0.is_none());
     }
 
     #[test]

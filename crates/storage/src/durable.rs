@@ -8,16 +8,10 @@
 //! the journaled version documents are replayed through the same
 //! deterministic merge, rebuilding exactly the pre-crash archive.
 
-use std::io::Write;
-use std::ops::RangeInclusive;
 use std::path::{Path, PathBuf};
 
 use xarch_compress::BlockCodec;
-use xarch_core::{
-    ElementHistory, KeyQuery, RangeEntry, StoreError, StoreReader, StoreStats, StoreView, TimeSet,
-    VersionDelta, VersionStore,
-};
-use xarch_keys::KeySpec;
+use xarch_core::{StoreError, StoreView, VersionStore};
 use xarch_obs::{Level, Obs};
 use xarch_xml::Document;
 
@@ -107,7 +101,7 @@ impl DurableArchive {
 
     /// Opens (or creates) the segment at `path`, replaying any journaled
     /// versions into `inner` — which must be freshly built (zero versions)
-    /// and carry the same [`KeySpec`] the segment was created under.
+    /// and carry the same [`xarch_keys::KeySpec`] the segment was created under.
     pub fn open_with(
         path: impl AsRef<Path>,
         options: DurableOptions,
@@ -516,63 +510,16 @@ impl DurableArchive {
     }
 }
 
-impl StoreReader for DurableArchive {
-    fn spec(&self) -> &KeySpec {
-        self.inner.spec()
-    }
+/// Reads intercept nothing: every query goes straight to the wrapped
+/// store's own method (indexed fast paths included — the indexes are
+/// re-established *during* journal replay, by the same incremental
+/// `add_version` path that maintains them live) with no journal
+/// involvement; the segment file only matters at commit and open time.
+impl xarch_core::Layer for DurableArchive {
+    type Inner = dyn VersionStore;
 
-    fn latest(&self) -> u32 {
-        self.inner.latest()
-    }
-
-    fn has_version(&self, v: u32) -> bool {
-        self.inner.has_version(v)
-    }
-
-    // Reads delegate straight to the wrapped store with no journal
-    // involvement (and, behind a shared handle, no write lock): the
-    // segment file only matters at commit and open time.
-
-    fn retrieve(&self, v: u32) -> Result<Option<Document>, StoreError> {
-        self.inner.retrieve(v)
-    }
-
-    fn retrieve_into(&self, v: u32, out: &mut dyn Write) -> Result<bool, StoreError> {
-        self.inner.retrieve_into(v, out)
-    }
-
-    fn history(&self, steps: &[KeyQuery]) -> Result<Option<TimeSet>, StoreError> {
-        self.inner.history(steps)
-    }
-
-    fn stats(&self) -> Result<StoreStats, StoreError> {
-        self.inner.stats()
-    }
-
-    // Temporal queries delegate to the inner store rather than taking the
-    // trait's whole-retrieve defaults: when the wrapped backend is
-    // indexed, its indexes are re-established *during* journal replay (the
-    // same incremental `add_version` path that maintains them live), so a
-    // reopened archive answers queries without any per-query rebuild.
-
-    fn as_of(&self, steps: &[KeyQuery], v: u32) -> Result<Option<Document>, StoreError> {
-        self.inner.as_of(steps, v)
-    }
-
-    fn history_values(&self, steps: &[KeyQuery]) -> Result<Option<ElementHistory>, StoreError> {
-        self.inner.history_values(steps)
-    }
-
-    fn range(
-        &self,
-        prefix: &[KeyQuery],
-        versions: RangeInclusive<u32>,
-    ) -> Result<Vec<RangeEntry>, StoreError> {
-        self.inner.range(prefix, versions)
-    }
-
-    fn diff(&self, steps: &[KeyQuery], v1: u32, v2: u32) -> Result<VersionDelta, StoreError> {
-        self.inner.diff(steps, v1, v2)
+    fn inner(&self) -> &(dyn VersionStore + 'static) {
+        self.inner.as_ref()
     }
 }
 
@@ -688,7 +635,8 @@ impl VersionStore for DurableArchive {
 mod tests {
     use super::*;
     use crate::scratch_path;
-    use xarch_core::Archive;
+    use xarch_core::{Archive, StoreReader};
+    use xarch_keys::KeySpec;
     use xarch_xml::parse;
 
     fn spec() -> KeySpec {
@@ -916,24 +864,10 @@ mod tests {
         }
         // an inner store that refuses snapshots forces the full-replay path
         struct NoSnapshot(Archive);
-        impl StoreReader for NoSnapshot {
-            fn spec(&self) -> &KeySpec {
-                self.0.spec()
-            }
-            fn latest(&self) -> u32 {
-                self.0.latest()
-            }
-            fn retrieve(&self, v: u32) -> Result<Option<Document>, StoreError> {
-                StoreReader::retrieve(&self.0, v)
-            }
-            fn retrieve_into(&self, v: u32, out: &mut dyn Write) -> Result<bool, StoreError> {
-                StoreReader::retrieve_into(&self.0, v, out)
-            }
-            fn history(&self, steps: &[KeyQuery]) -> Result<Option<TimeSet>, StoreError> {
-                StoreReader::history(&self.0, steps)
-            }
-            fn stats(&self) -> Result<StoreStats, StoreError> {
-                StoreReader::stats(&self.0)
+        impl xarch_core::Layer for NoSnapshot {
+            type Inner = Archive;
+            fn inner(&self) -> &Archive {
+                &self.0
             }
         }
         impl VersionStore for NoSnapshot {

@@ -11,9 +11,9 @@ use xarch::compress::{lzss, xmill};
 use xarch::core::{equiv_modulo_key_order, Archive, KeyQuery};
 use xarch::datagen::omim::{omim_spec, OmimGen};
 use xarch::diff::{CumulativeRepo, IncrementalRepo};
-use xarch::index::HistoryIndex;
+use xarch::index::IndexedArchive;
 use xarch::xml::writer::to_pretty_string;
-use xarch::VersionStore;
+use xarch::{StoreReader, VersionStore};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut gen = OmimGen::new(2002);
@@ -73,15 +73,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let d0 = &versions[0];
     let rec = d0.child_elements(d0.root(), "Record").next().unwrap();
     let num = d0.text_content(d0.first_child_element(rec, "Num").unwrap());
-    let idx = HistoryIndex::build(&archive);
+    let idx = IndexedArchive::from_archive(archive);
     let q = [
         KeyQuery::new("ROOT"),
         KeyQuery::new("Record").with_text("Num", &num),
     ];
-    let t = idx.history(&archive, &q).expect("record exists");
+    let t = idx.history(&q)?.expect("record exists");
     println!(
         "record {num} exists at versions {t} (found with {} comparisons)",
-        idx.comparisons()
+        idx.history_index().comparisons()
     );
     Ok(())
 }

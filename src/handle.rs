@@ -277,62 +277,58 @@ impl ArchiveHandle {
     }
 }
 
-/// Implements [`StoreReader`] by answering every query from the [`StoreView`]
-/// `$view` names (and the key spec `$spec` borrows), given the receiver `$s`.
-macro_rules! read_through_view {
-    ($ty:ty, |$s:ident| $view:expr, $spec:expr) => {
-        impl StoreReader for $ty {
-            fn spec(&self) -> &KeySpec {
-                let $s = self;
-                $spec
-            }
-            fn latest(&self) -> u32 {
-                let $s = self;
-                $view.latest()
-            }
-            fn retrieve(&self, v: u32) -> Result<Option<Document>, StoreError> {
-                let $s = self;
-                $view.retrieve(v)
-            }
-            fn retrieve_into(&self, v: u32, out: &mut dyn Write) -> Result<bool, StoreError> {
-                let $s = self;
-                $view.retrieve_into(v, out)
-            }
-            fn history(&self, steps: &[KeyQuery]) -> Result<Option<TimeSet>, StoreError> {
-                let $s = self;
-                $view.history(steps)
-            }
-            fn stats(&self) -> Result<StoreStats, StoreError> {
-                let $s = self;
-                $view.stats()
-            }
-            fn as_of(&self, steps: &[KeyQuery], v: u32) -> Result<Option<Document>, StoreError> {
-                let $s = self;
-                $view.as_of(steps, v)
-            }
-            fn history_values(&self, q: &[KeyQuery]) -> Result<Option<ElementHistory>, StoreError> {
-                let $s = self;
-                $view.history_values(q)
-            }
-            fn range(
-                &self,
-                prefix: &[KeyQuery],
-                versions: RangeInclusive<u32>,
-            ) -> Result<Vec<RangeEntry>, StoreError> {
-                let $s = self;
-                $view.range(prefix, versions)
-            }
-            fn diff(&self, q: &[KeyQuery], v1: u32, v2: u32) -> Result<VersionDelta, StoreError> {
-                let $s = self;
-                $view.diff(q, v1, v2)
-            }
-        }
-    };
+/// Live reads: each query answers from the view published as it starts.
+/// That view is an owned `Arc` taken under the publication lock, not a
+/// borrow [`xarch_core::Layer::inner`] could hand out — hence the
+/// forwards spelled out.
+impl StoreReader for ArchiveHandle {
+    fn spec(&self) -> &KeySpec {
+        &self.shared.spec
+    }
+    fn latest(&self) -> u32 {
+        self.shared.current().latest()
+    }
+    fn has_version(&self, v: u32) -> bool {
+        self.shared.current().has_version(v)
+    }
+    fn retrieve(&self, v: u32) -> Result<Option<Document>, StoreError> {
+        self.shared.current().retrieve(v)
+    }
+    fn retrieve_into(&self, v: u32, out: &mut dyn Write) -> Result<bool, StoreError> {
+        self.shared.current().retrieve_into(v, out)
+    }
+    fn history(&self, steps: &[KeyQuery]) -> Result<Option<TimeSet>, StoreError> {
+        self.shared.current().history(steps)
+    }
+    fn stats(&self) -> Result<StoreStats, StoreError> {
+        self.shared.current().stats()
+    }
+    fn as_of(&self, steps: &[KeyQuery], v: u32) -> Result<Option<Document>, StoreError> {
+        self.shared.current().as_of(steps, v)
+    }
+    fn history_values(&self, steps: &[KeyQuery]) -> Result<Option<ElementHistory>, StoreError> {
+        self.shared.current().history_values(steps)
+    }
+    fn range(
+        &self,
+        prefix: &[KeyQuery],
+        versions: RangeInclusive<u32>,
+    ) -> Result<Vec<RangeEntry>, StoreError> {
+        self.shared.current().range(prefix, versions)
+    }
+    fn diff(&self, steps: &[KeyQuery], v1: u32, v2: u32) -> Result<VersionDelta, StoreError> {
+        self.shared.current().diff(steps, v1, v2)
+    }
 }
 
-// live — the view published as each query starts — and pinned
-read_through_view!(ArchiveHandle, |h| h.shared.current(), &h.shared.spec);
-read_through_view!(Snapshot, |s| s.view, s.view.spec());
+/// Pinned reads: every query is the held view's own.
+impl xarch_core::Layer for Snapshot {
+    type Inner = dyn StoreReader + Send + Sync;
+
+    fn inner(&self) -> &(dyn StoreReader + Send + Sync + 'static) {
+        self.view.as_ref()
+    }
+}
 
 /// The handle is itself a [`VersionStore`], so it can slot into any code
 /// written against the trait (conformance suites, generic drivers). The
@@ -581,24 +577,10 @@ mod tests {
     /// only mutations; their reads are the archive's.
     macro_rules! reads_from_inner {
         ($ty:ty) => {
-            impl StoreReader for $ty {
-                fn spec(&self) -> &KeySpec {
-                    Archive::spec(&self.inner)
-                }
-                fn latest(&self) -> u32 {
-                    Archive::latest(&self.inner)
-                }
-                fn retrieve(&self, v: u32) -> Result<Option<Document>, StoreError> {
-                    StoreReader::retrieve(&self.inner, v)
-                }
-                fn retrieve_into(&self, v: u32, out: &mut dyn Write) -> Result<bool, StoreError> {
-                    StoreReader::retrieve_into(&self.inner, v, out)
-                }
-                fn history(&self, steps: &[KeyQuery]) -> Result<Option<TimeSet>, StoreError> {
-                    StoreReader::history(&self.inner, steps)
-                }
-                fn stats(&self) -> Result<StoreStats, StoreError> {
-                    StoreReader::stats(&self.inner)
+            impl xarch_core::Layer for $ty {
+                type Inner = Archive;
+                fn inner(&self) -> &Archive {
+                    &self.inner
                 }
             }
         };

@@ -620,62 +620,11 @@ struct StallingStore {
     in_merge: Arc<std::sync::atomic::AtomicBool>,
 }
 
-impl StoreReader for StallingStore {
-    fn spec(&self) -> &KeySpec {
-        self.inner.spec()
-    }
-    fn latest(&self) -> u32 {
-        self.inner.latest()
-    }
-    fn has_version(&self, v: u32) -> bool {
-        self.inner.has_version(v)
-    }
-    fn retrieve(&self, v: u32) -> Result<Option<xarch::xml::Document>, xarch::StoreError> {
-        self.inner.retrieve(v)
-    }
-    fn retrieve_into(
-        &self,
-        v: u32,
-        out: &mut dyn std::io::Write,
-    ) -> Result<bool, xarch::StoreError> {
-        self.inner.retrieve_into(v, out)
-    }
-    fn history(
-        &self,
-        steps: &[KeyQuery],
-    ) -> Result<Option<xarch::core::TimeSet>, xarch::StoreError> {
-        self.inner.history(steps)
-    }
-    fn stats(&self) -> Result<xarch::StoreStats, xarch::StoreError> {
-        self.inner.stats()
-    }
-    fn as_of(
-        &self,
-        steps: &[KeyQuery],
-        v: u32,
-    ) -> Result<Option<xarch::xml::Document>, xarch::StoreError> {
-        self.inner.as_of(steps, v)
-    }
-    fn history_values(
-        &self,
-        steps: &[KeyQuery],
-    ) -> Result<Option<xarch::ElementHistory>, xarch::StoreError> {
-        self.inner.history_values(steps)
-    }
-    fn range(
-        &self,
-        prefix: &[KeyQuery],
-        versions: std::ops::RangeInclusive<u32>,
-    ) -> Result<Vec<RangeEntry>, xarch::StoreError> {
-        self.inner.range(prefix, versions)
-    }
-    fn diff(
-        &self,
-        steps: &[KeyQuery],
-        v1: u32,
-        v2: u32,
-    ) -> Result<xarch::VersionDelta, xarch::StoreError> {
-        self.inner.diff(steps, v1, v2)
+impl xarch::core::Layer for StallingStore {
+    type Inner = dyn VersionStore;
+
+    fn inner(&self) -> &(dyn VersionStore + 'static) {
+        self.inner.as_ref()
     }
 }
 

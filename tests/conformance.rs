@@ -5,13 +5,22 @@
 //! empty versions, history lookups, statistics, and the equivalence of
 //! materialized and streamed retrieval.
 
+use std::io::Write;
+use std::ops::RangeInclusive;
+use std::sync::{Arc, Mutex};
+
 use xarch::core::query::{find_in_doc, subtree_doc};
-use xarch::core::{equiv_modulo_key_order, Compaction, KeyQuery};
+use xarch::core::{
+    equiv_modulo_key_order, Archive, Compaction, KeyQuery, ObservedStore, StoreView, TimeSet,
+};
 use xarch::datagen::omim::{omim_spec, OmimGen};
 use xarch::extmem::IoConfig;
 use xarch::keys::KeySpec;
-use xarch::xml::parse;
-use xarch::{ArchiveBuilder, Backend, StoreReader, VersionStore};
+use xarch::xml::{parse, Document};
+use xarch::{
+    ArchiveBuilder, Backend, ElementHistory, RangeEntry, StoreError, StoreReader, StoreStats,
+    VersionDelta, VersionStore,
+};
 
 fn spec() -> KeySpec {
     KeySpec::parse("(/, (db, {}))\n(/db, (rec, {id}))\n(/db/rec, (val, {}))").unwrap()
@@ -545,6 +554,154 @@ fn streamed_retrieval_equivalent_on_omim_workload() {
                 equiv_modulo_key_order(&reparsed, &materialized, s.spec()),
                 "{label}: streamed v{v} diverged from materialized"
             );
+        }
+    }
+}
+
+/// An in-memory store that logs which of its own `StoreReader` methods
+/// ran; its views share the log.
+#[derive(Clone)]
+struct Recording {
+    archive: Archive,
+    log: Arc<Mutex<Vec<&'static str>>>,
+}
+
+impl Recording {
+    fn hit(&self, method: &'static str) -> &Archive {
+        self.log.lock().unwrap().push(method);
+        &self.archive
+    }
+}
+
+impl StoreReader for Recording {
+    fn spec(&self) -> &KeySpec {
+        self.hit("spec").spec()
+    }
+    fn latest(&self) -> u32 {
+        self.hit("latest").latest()
+    }
+    fn has_version(&self, v: u32) -> bool {
+        self.hit("has_version").has_version(v)
+    }
+    fn retrieve(&self, v: u32) -> Result<Option<Document>, StoreError> {
+        StoreReader::retrieve(self.hit("retrieve"), v)
+    }
+    fn retrieve_into(&self, v: u32, out: &mut dyn Write) -> Result<bool, StoreError> {
+        StoreReader::retrieve_into(self.hit("retrieve_into"), v, out)
+    }
+    fn history(&self, steps: &[KeyQuery]) -> Result<Option<TimeSet>, StoreError> {
+        StoreReader::history(self.hit("history"), steps)
+    }
+    fn stats(&self) -> Result<StoreStats, StoreError> {
+        StoreReader::stats(self.hit("stats"))
+    }
+    fn as_of(&self, steps: &[KeyQuery], v: u32) -> Result<Option<Document>, StoreError> {
+        StoreReader::as_of(self.hit("as_of"), steps, v)
+    }
+    fn history_values(&self, q: &[KeyQuery]) -> Result<Option<ElementHistory>, StoreError> {
+        self.hit("history_values").history_values(q)
+    }
+    fn range(&self, q: &[KeyQuery], w: RangeInclusive<u32>) -> Result<Vec<RangeEntry>, StoreError> {
+        StoreReader::range(self.hit("range"), q, w)
+    }
+    fn diff(&self, q: &[KeyQuery], v1: u32, v2: u32) -> Result<VersionDelta, StoreError> {
+        self.hit("diff").diff(q, v1, v2)
+    }
+}
+
+impl VersionStore for Recording {
+    fn add_version(&mut self, doc: &Document) -> Result<u32, StoreError> {
+        VersionStore::add_version(&mut self.archive, doc)
+    }
+    fn add_empty_version(&mut self) -> Result<u32, StoreError> {
+        VersionStore::add_empty_version(&mut self.archive)
+    }
+    fn view(&self) -> Result<StoreView, StoreError> {
+        Ok(Arc::new(self.clone()))
+    }
+}
+
+#[test]
+fn every_wrapper_reaches_the_inner_fast_path() {
+    // Each wrapper forwards every reader method it does not intercept to
+    // the *same-named* method of the store it wraps — so an inner fast
+    // path (an indexed `history_values`, say) is never silently replaced
+    // by the trait's whole-retrieve fallback composing it from
+    // per-version `retrieve`s. Removing any forward fails this test.
+    fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<Recording>();
+    let q = [
+        KeyQuery::new("db"),
+        KeyQuery::new("rec").with_text("id", "1"),
+    ];
+    type Call<'a> = &'a dyn Fn(&dyn StoreReader);
+    let methods: [(&str, Call); 11] = [
+        ("spec", &|r| _ = r.spec()),
+        ("latest", &|r| _ = r.latest()),
+        ("has_version", &|r| _ = r.has_version(1)),
+        ("retrieve", &|r| _ = r.retrieve(1).unwrap()),
+        ("retrieve_into", &|r| {
+            _ = r.retrieve_into(1, &mut Vec::new()).unwrap()
+        }),
+        ("history", &|r| _ = r.history(&q).unwrap()),
+        ("stats", &|r| _ = r.stats().unwrap()),
+        ("as_of", &|r| _ = r.as_of(&q, 1).unwrap()),
+        ("history_values", &|r| _ = r.history_values(&q).unwrap()),
+        ("range", &|r| _ = r.range(&q[..1], 1..=2).unwrap()),
+        ("diff", &|r| _ = r.diff(&q, 1, 2).unwrap()),
+    ];
+
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let recording = || -> Box<dyn VersionStore> {
+        Box::new(Recording {
+            archive: Archive::new(spec()),
+            log: Arc::clone(&log),
+        })
+    };
+    let path = xarch::storage::scratch_path("conformance-forwarding");
+    let _scratch = ScratchFiles(vec![path.clone()]);
+    let durable = xarch::DurableArchive::open(&path, recording()).unwrap();
+    let observed = ObservedStore::new(recording(), &xarch::obs::Obs::disconnected());
+    let handle = xarch::ArchiveHandle::new(recording());
+    // (wrapper, the store under test, the methods it answers itself)
+    let mut wrappers: Vec<(&str, Box<dyn VersionStore>, &[&str])> = vec![
+        ("DurableArchive", Box::new(durable), &[]),
+        ("ObservedStore", Box::new(observed), &[]),
+        // answered from the sidecar alone (`as_of` is only gated by it)
+        (
+            "IndexedStore",
+            Box::new(xarch::IndexedStore::new(recording()).unwrap()),
+            &["history", "range"],
+        ),
+        // the key spec is cached: no guard may back the returned borrow
+        ("ArchiveHandle", Box::new(handle.clone()), &["spec"]),
+    ];
+    for (_, store, _) in &mut wrappers {
+        for val in ["a", "b"] {
+            let src = format!("<db><rec><id>1</id><val>{val}</val></rec></db>");
+            store.add_version(&parse(&src).unwrap()).unwrap();
+        }
+    }
+    let snapshot = handle.snapshot();
+    let mut readers: Vec<(&str, &dyn StoreReader, &[&str])> = vec![("Snapshot", &snapshot, &[])];
+    for (label, store, intercepted) in &wrappers {
+        readers.push((label, store.as_ref(), intercepted));
+    }
+
+    for (label, reader, intercepted) in readers {
+        for (method, call) in methods {
+            log.lock().unwrap().clear();
+            call(reader);
+            let hits = log.lock().unwrap().clone();
+            if intercepted.contains(&method) {
+                // answered by the wrapper: at most a version-count lookup
+                assert!(
+                    hits.iter().all(|h| *h == "latest"),
+                    "{label}::{method} reached {hits:?}"
+                );
+            } else {
+                assert_eq!(hits, [method], "{label}::{method}");
+            }
         }
     }
 }
