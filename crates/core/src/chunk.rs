@@ -18,12 +18,13 @@ use std::io::{self, Write};
 use std::sync::Arc;
 
 use xarch_keys::{annotate, fingerprint, Annotations, KeySpec};
-use xarch_xml::escape::escape_attr;
+use xarch_xml::escape::write_attr_pair;
 use xarch_xml::{Document, NodeId, NodeKind};
 
 use crate::archive::{Archive, ArchiveStats, Compaction, MergeError};
 use crate::history::KeyQuery;
 use crate::kernel::{doc_root, Scan};
+use crate::retrieve::{buffered, write_end};
 use crate::timeset::TimeSet;
 
 /// The partition label a top-level element (or the query step addressing
@@ -356,23 +357,19 @@ impl ChunkedArchive {
         let Some(&(first, first_root)) = visible.first() else {
             return Ok(false);
         };
-        write!(out, "<{root_tag}")?;
-        let fc = &self.chunks[first];
-        for (a, val) in &fc.node(first_root).attrs {
-            write!(out, " {}=\"{}\"", fc.syms().resolve(*a), escape_attr(val))?;
-        }
-        if visible
-            .iter()
-            .any(|&(i, dr)| self.chunks[i].has_visible_content(dr, v))
-        {
-            write!(out, ">")?;
-            for &(i, dr) in &visible {
-                self.chunks[i].write_visible_children(dr, v, out)?;
+        buffered(out, |out| {
+            out.write_all(b"<")?;
+            out.write_all(root_tag.as_bytes())?;
+            let fc = &self.chunks[first];
+            for (a, val) in &fc.node(first_root).attrs {
+                write_attr_pair(fc.syms().resolve(*a), val, out)?;
             }
-            write!(out, "</{root_tag}>")?;
-        } else {
-            write!(out, "/>")?;
-        }
+            let mut open = true;
+            for &(i, dr) in &visible {
+                self.chunks[i].write_content(dr, v, &mut open, out)?;
+            }
+            write_end(root_tag.as_bytes(), open, out)
+        })?;
         Ok(true)
     }
 

@@ -12,7 +12,7 @@
 
 use std::cmp::Ordering;
 
-use xarch_xml::escape::{escape_attr, escape_text};
+use xarch_xml::escape::{escape_attr, escape_text_into};
 
 use crate::archive::{AKind, ANodeId, Archive};
 use crate::timeset::TimeSet;
@@ -41,10 +41,12 @@ impl KeyQuery {
     /// `<fn>John</fn>`.
     pub fn with_text(mut self, path: &str, text: &str) -> Self {
         let last = path.rsplit('/').next().unwrap_or(path);
-        self.parts.push((
-            path.to_owned(),
-            format!("<{last}>{}</{last}>", escape_text(text)),
-        ));
+        let mut canon = format!("<{last}>");
+        escape_text_into(text, &mut canon);
+        canon.push_str("</");
+        canon.push_str(last);
+        canon.push('>');
+        self.parts.push((path.to_owned(), canon));
         self.sort();
         self
     }

@@ -10,10 +10,46 @@
 
 use std::io::{self, Write};
 
-use xarch_xml::escape::{escape_attr, escape_text};
+use xarch_xml::escape::{write_attr_pair, write_text};
+use xarch_xml::Sym;
 
 use crate::archive::{AKind, ANodeId, Archive};
 use crate::kernel::{doc_root, Scan};
+
+/// Runs `emit` against a buffered front of `out`. The scan writes a few
+/// bytes at a time (a `<`, a tag, a `>`), and behind the `dyn Write` of
+/// [`crate::StoreReader::retrieve_into`] each would be a virtual call; the
+/// buffer makes them inlined copies and hands `out` 8 KiB at a time. The
+/// buffer is drained into `out`; `out` itself is never flushed.
+pub(crate) fn buffered<W: Write + ?Sized>(
+    out: &mut W,
+    emit: impl FnOnce(&mut io::BufWriter<&mut W>) -> io::Result<()>,
+) -> io::Result<()> {
+    let mut front = io::BufWriter::new(out);
+    emit(&mut front)?;
+    front.into_inner().map_err(io::IntoInnerError::into_error)?;
+    Ok(())
+}
+
+/// Gives a start tag still lacking its `>` that `>`, before its first
+/// content node.
+fn close_start_tag<W: Write + ?Sized>(open: &mut bool, out: &mut W) -> io::Result<()> {
+    if std::mem::take(open) {
+        out.write_all(b">")?;
+    }
+    Ok(())
+}
+
+/// Ends the element `tag`: `/>` if its start tag is still `open` (it had
+/// no content), its end tag otherwise.
+pub(crate) fn write_end<W: Write + ?Sized>(tag: &[u8], open: bool, out: &mut W) -> io::Result<()> {
+    if open {
+        return out.write_all(b"/>");
+    }
+    out.write_all(b"</")?;
+    out.write_all(tag)?;
+    out.write_all(b">")
+}
 
 impl Archive {
     /// True if version `v` has been archived (it may still be an *empty*
@@ -36,59 +72,64 @@ impl Archive {
         let Some(root) = doc_root(self, &Scan, v) else {
             return Ok(false);
         };
-        self.write_visible(root, v, out)?;
+        let AKind::Element(tag) = self.node(root).kind else {
+            return Ok(false); // `doc_root` yields elements only
+        };
+        buffered(out, |out| self.write_element(root, tag, v, out))?;
         Ok(true)
     }
 
-    /// Writes one visible archive subtree (stamps transparent) as compact
-    /// XML. The caller has established that `id` is visible at `v`.
-    fn write_visible<W: Write + ?Sized>(&self, id: ANodeId, v: u32, out: &mut W) -> io::Result<()> {
-        match &self.node(id).kind {
-            AKind::Text(t) => write!(out, "{}", escape_text(t)),
-            AKind::Stamp => self.write_visible_children(id, v, out),
-            AKind::Element(s) => {
-                let tag = self.syms().resolve(*s);
-                write!(out, "<{tag}")?;
-                for (a, val) in &self.node(id).attrs {
-                    write!(out, " {}=\"{}\"", self.syms().resolve(*a), escape_attr(val))?;
-                }
-                if self.has_visible_content(id, v) {
-                    write!(out, ">")?;
-                    self.write_visible_children(id, v, out)?;
-                    write!(out, "</{tag}>")
-                } else {
-                    write!(out, "/>")
-                }
-            }
-        }
-    }
-
-    /// Writes the visible children of `id` (used by the chunked backend to
-    /// splice chunk contents under one document root).
-    pub(crate) fn write_visible_children<W: Write + ?Sized>(
+    /// Writes the element `id`, visible at `v`, as compact XML: tag,
+    /// attribute and text bytes go to `out` as they are, escaped run by
+    /// run — nothing is formatted or allocated per node.
+    fn write_element<W: Write + ?Sized>(
         &self,
         id: ANodeId,
+        tag: Sym,
         v: u32,
         out: &mut W,
     ) -> io::Result<()> {
+        let tag = self.syms().resolve(tag).as_bytes();
+        out.write_all(b"<")?;
+        out.write_all(tag)?;
+        for (a, val) in &self.node(id).attrs {
+            write_attr_pair(self.syms().resolve(*a), val, out)?;
+        }
+        let mut open = true;
+        self.write_content(id, v, &mut open, out)?;
+        write_end(tag, open, out)
+    }
+
+    /// Writes the content of `id` visible at `v`, stamps transparent.
+    /// `open` says the enclosing start tag still lacks its `>`: the first
+    /// content node written closes it, so an element that turns out to
+    /// have none can end in `/>` without a look-ahead pass over its
+    /// children. (The chunked backend carries one `open` across chunks to
+    /// splice their contents under one document root.)
+    pub(crate) fn write_content<W: Write + ?Sized>(
+        &self,
+        id: ANodeId,
+        v: u32,
+        open: &mut bool,
+        out: &mut W,
+    ) -> io::Result<()> {
         for &c in self.children(id) {
-            if self.visible(c, v) {
-                self.write_visible(c, v, out)?;
+            if !self.visible(c, v) {
+                continue;
+            }
+            match &self.node(c).kind {
+                AKind::Stamp => self.write_content(c, v, open, out)?,
+                AKind::Text(t) => {
+                    close_start_tag(open, out)?;
+                    write_text(t, out)?;
+                }
+                AKind::Element(tag) => {
+                    close_start_tag(open, out)?;
+                    self.write_element(c, *tag, v, out)?;
+                }
             }
         }
         Ok(())
-    }
-
-    /// True when the element would serialize with content at `v` — decides
-    /// `<tag/>` vs `<tag></tag>`, looking through transparent stamps.
-    pub(crate) fn has_visible_content(&self, id: ANodeId, v: u32) -> bool {
-        self.children(id).iter().any(|&c| {
-            self.visible(c, v)
-                && match self.node(c).kind {
-                    AKind::Stamp => self.has_visible_content(c, v),
-                    _ => true,
-                }
-        })
     }
 
     /// Number of archive nodes touched by a full retrieval scan — the cost

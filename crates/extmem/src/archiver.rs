@@ -15,7 +15,7 @@ use std::sync::Arc;
 use xarch_core::store::{StoreError, StoreReader, StoreStats, StoreView, VersionStore};
 use xarch_core::{KeyQuery, RangeEntry, TimeSet};
 use xarch_keys::{annotate, KeySpec};
-use xarch_xml::escape::{escape_attr, escape_text};
+use xarch_xml::escape::{write_attr_pair, write_text};
 use xarch_xml::Document;
 
 use crate::etree::{insert_new, merge_tree, terminate, EKind, ETree};
@@ -902,7 +902,7 @@ fn emit_spine<W: Write + ?Sized>(
 ) -> std::result::Result<(), StoreError> {
     write!(out, "<{}", h.tag).map_err(StoreError::Io)?;
     for (a, val) in &h.attrs {
-        write!(out, " {}=\"{}\"", a, escape_attr(val)).map_err(StoreError::Io)?;
+        write_attr_pair(a, val, out).map_err(StoreError::Io)?;
     }
     write!(out, ">").map_err(StoreError::Io)?;
     loop {
@@ -936,7 +936,7 @@ fn emit_spine<W: Write + ?Sized>(
 /// transparent).
 fn write_etree<W: Write + ?Sized>(t: &ETree, out: &mut W) -> std::io::Result<()> {
     match &t.kind {
-        EKind::Text(s) => write!(out, "{}", escape_text(s)),
+        EKind::Text(s) => write_text(s, out),
         EKind::Stamp => {
             for c in &t.children {
                 write_etree(c, out)?;
@@ -946,7 +946,7 @@ fn write_etree<W: Write + ?Sized>(t: &ETree, out: &mut W) -> std::io::Result<()>
         EKind::Element { tag, attrs } => {
             write!(out, "<{tag}")?;
             for (a, val) in attrs {
-                write!(out, " {}=\"{}\"", a, escape_attr(val))?;
+                write_attr_pair(a, val, out)?;
             }
             if t.children.is_empty() {
                 write!(out, "/>")

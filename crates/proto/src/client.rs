@@ -173,7 +173,7 @@ impl Client {
     pub fn call(&mut self, req: &Request) -> Result<Response, ClientError> {
         write_frame(&mut self.writer, &req.encode())?;
         let body = read_frame(&mut self.reader, MAX_FRAME_LEN)?;
-        Ok(Response::decode(&body)?)
+        Ok(Response::decode_owned(body)?)
     }
 
     /// Like [`Client::call`], but lifts a [`Response::Error`] into

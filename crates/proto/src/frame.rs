@@ -91,12 +91,12 @@ fn le_u32(buf: &[u8], at: usize) -> Option<u32> {
     Some(u32::from_le_bytes(bytes))
 }
 
-/// Writes `body` as one frame: header (length + CRC) then the body.
+/// The header for `body`: its length and CRC.
 ///
 /// Fails with `InvalidInput` when `body` exceeds [`MAX_FRAME_LEN`] —
 /// oversized messages must be rejected at the sender, not shipped to be
 /// rejected at the receiver.
-pub fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
+fn header_for(body: &[u8]) -> io::Result<[u8; FRAME_HEADER_LEN]> {
     let len = u32::try_from(body.len())
         .ok()
         .filter(|&l| l <= MAX_FRAME_LEN)
@@ -110,9 +110,35 @@ pub fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
     let (len_bytes, crc_bytes) = header.split_at_mut(4);
     len_bytes.copy_from_slice(&len.to_le_bytes());
     crc_bytes.copy_from_slice(&crc32(body).to_le_bytes());
+    Ok(header)
+}
+
+/// Writes `body` as one frame: header (length + CRC) then the body.
+/// Refuses a body longer than [`MAX_FRAME_LEN`] with `InvalidInput`,
+/// before anything is written.
+pub fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
+    let header = header_for(body)?;
     w.write_all(&header)?;
     w.write_all(body)?;
     w.flush()
+}
+
+/// Finishes a frame built in place. The body is `buf[body_start..]` and
+/// the caller left [`FRAME_HEADER_LEN`] bytes of room before it; the
+/// header is written into that room and the whole frame returned — header
+/// and body contiguous, the same bytes [`write_frame`] puts on the wire,
+/// ready for one `write_all` with no copy of the body. Refuses an
+/// oversized body exactly as [`write_frame`] does.
+pub fn finish_frame(buf: &mut [u8], body_start: usize) -> io::Result<&[u8]> {
+    let no_room = || io::Error::new(io::ErrorKind::InvalidInput, "no room for a frame header");
+    let start = body_start
+        .checked_sub(FRAME_HEADER_LEN)
+        .ok_or_else(no_room)?;
+    let header = header_for(buf.get(body_start..).ok_or_else(no_room)?)?;
+    buf.get_mut(start..body_start)
+        .ok_or_else(no_room)?
+        .copy_from_slice(&header);
+    buf.get(start..).ok_or_else(no_room)
 }
 
 /// Reads one frame body, enforcing `max_len` (clamped to
@@ -125,8 +151,12 @@ pub fn read_frame(r: &mut impl Read, max_len: u32) -> Result<Vec<u8>, FrameError
     let mut header = [0u8; FRAME_HEADER_LEN];
     let mut filled = 0usize;
     while filled < FRAME_HEADER_LEN {
-        let n = match header.get_mut(filled..) {
-            Some(rest) => r.read(rest)?,
+        let n = match header.get_mut(filled..).map(|rest| r.read(rest)) {
+            Some(Ok(n)) => n,
+            // a signal landing between header bytes is not a failure —
+            // the body's `read_exact` retries it too
+            Some(Err(e)) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Some(Err(e)) => return Err(FrameError::Io(e)),
             None => 0,
         };
         if n == 0 {
@@ -192,6 +222,75 @@ mod tests {
                 "cut at {cut}: expected Io, got {err}"
             );
         }
+    }
+
+    /// Yields its bytes one per `read`, with one `Interrupted` before
+    /// byte `interrupt_at`.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        at: usize,
+        interrupt_at: Option<usize>,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if self.interrupt_at == Some(self.at) {
+                self.interrupt_at = None;
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            match (self.bytes.get(self.at), buf.first_mut()) {
+                (Some(&b), Some(slot)) => {
+                    *slot = b;
+                    self.at += 1;
+                    Ok(1)
+                }
+                _ => Ok(0),
+            }
+        }
+    }
+
+    #[test]
+    fn an_interrupted_header_read_is_retried() {
+        let bytes = frame_bytes(b"still here");
+        let trickle = |bytes, interrupt_at| Trickle {
+            bytes,
+            at: 0,
+            interrupt_at,
+        };
+        for interrupt_at in 0..FRAME_HEADER_LEN {
+            let got = read_frame(&mut trickle(&bytes, Some(interrupt_at)), MAX_FRAME_LEN)
+                .unwrap_or_else(|e| panic!("interrupt before header byte {interrupt_at}: {e}"));
+            assert_eq!(got, b"still here");
+        }
+        // the retry does not blur the two ways a header can end early
+        assert!(matches!(
+            read_frame(&mut trickle(&[], Some(0)), MAX_FRAME_LEN),
+            Err(FrameError::Eof)
+        ));
+        let err = read_frame(&mut trickle(&bytes[..1], Some(1)), MAX_FRAME_LEN).unwrap_err();
+        assert!(
+            matches!(&err, FrameError::Io(e) if e.kind() == io::ErrorKind::UnexpectedEof),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_frame_finished_in_place_is_the_frame_written() {
+        for body in [&b""[..], b"x", &[7u8; 300][..]] {
+            for room in [FRAME_HEADER_LEN, FRAME_HEADER_LEN + 5] {
+                let mut buf = vec![0xAAu8; room];
+                buf.extend_from_slice(body);
+                assert_eq!(finish_frame(&mut buf, room).unwrap(), frame_bytes(body));
+            }
+        }
+        // too little room, or a body start past the end: refused, no panic
+        let mut buf = vec![0u8; 16];
+        assert!(finish_frame(&mut buf, FRAME_HEADER_LEN - 1).is_err());
+        assert!(finish_frame(&mut buf, 17).is_err());
+        // the sender-side ceiling holds in place as it does for write_frame
+        let mut big = vec![0u8; FRAME_HEADER_LEN + MAX_FRAME_LEN as usize + 1];
+        let err = finish_frame(&mut big, FRAME_HEADER_LEN).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 
     #[test]

@@ -44,7 +44,9 @@ pub mod frame;
 pub mod msg;
 
 pub use client::{Client, ClientError, Lease};
-pub use frame::{read_frame, write_frame, FrameError, FRAME_HEADER_LEN, MAX_FRAME_LEN};
+pub use frame::{
+    finish_frame, read_frame, write_frame, FrameError, FRAME_HEADER_LEN, MAX_FRAME_LEN,
+};
 pub use msg::{negotiate, DecodeError, ErrorCode, Health, Hello, Request, Response};
 
 /// The handshake magic: the first four body bytes of every `Hello`

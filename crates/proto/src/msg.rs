@@ -706,17 +706,25 @@ impl Response {
     /// Encodes the response as a frame body.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the response, encoded as a frame body, to `out` — so a
+    /// sender can build the body behind room it reserved for the frame
+    /// header and never copy it again.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Response::Hello(h) => {
                 out.push(tags::HELLO_OK);
-                put_varint(&mut out, u64::from(h.version));
-                put_str(&mut out, &h.spec);
-                put_varint(&mut out, u64::from(h.latest));
+                put_varint(out, u64::from(h.version));
+                put_str(out, &h.spec);
+                put_varint(out, u64::from(h.latest));
             }
             Response::Pong => out.push(tags::PONG),
             Response::Document(doc) => {
                 out.push(tags::DOCUMENT);
-                put_opt_doc(&mut out, doc.as_deref());
+                put_opt_doc(out, doc.as_deref());
             }
             Response::History(t) => {
                 out.push(tags::HISTORY);
@@ -724,7 +732,7 @@ impl Response {
                     None => out.push(0),
                     Some(t) => {
                         out.push(1);
-                        put_timeset(&mut out, t);
+                        put_timeset(out, t);
                     }
                 }
             }
@@ -734,78 +742,135 @@ impl Response {
                     None => out.push(0),
                     Some(h) => {
                         out.push(1);
-                        put_timeset(&mut out, &h.existence);
-                        put_varint(&mut out, h.values.len() as u64);
+                        put_timeset(out, &h.existence);
+                        put_varint(out, h.values.len() as u64);
                         for (t, content) in &h.values {
-                            put_timeset(&mut out, t);
-                            put_str(&mut out, content);
+                            put_timeset(out, t);
+                            put_str(out, content);
                         }
                     }
                 }
             }
             Response::Range(entries) => {
                 out.push(tags::RANGE);
-                put_varint(&mut out, entries.len() as u64);
+                put_varint(out, entries.len() as u64);
                 for e in entries {
-                    put_steps(&mut out, std::slice::from_ref(&e.step));
-                    put_timeset(&mut out, &e.time);
+                    put_steps(out, std::slice::from_ref(&e.step));
+                    put_timeset(out, &e.time);
                 }
             }
             Response::Diff(d) => {
                 out.push(tags::DIFF);
-                put_varint(&mut out, u64::from(d.v1));
-                put_varint(&mut out, u64::from(d.v2));
+                put_varint(out, u64::from(d.v1));
+                put_varint(out, u64::from(d.v2));
                 out.push(u8::from(d.present.0));
                 out.push(u8::from(d.present.1));
-                put_varint(&mut out, d.removed as u64);
-                put_varint(&mut out, d.added as u64);
-                put_str(&mut out, &d.script);
+                put_varint(out, d.removed as u64);
+                put_varint(out, d.added as u64);
+                put_str(out, &d.script);
             }
             Response::Stats(s) => {
                 out.push(tags::STATS);
-                put_varint(&mut out, u64::from(s.versions));
-                put_varint(&mut out, s.elements as u64);
-                put_varint(&mut out, s.texts as u64);
-                put_varint(&mut out, s.stamps as u64);
-                put_varint(&mut out, s.size_bytes as u64);
+                put_varint(out, u64::from(s.versions));
+                put_varint(out, s.elements as u64);
+                put_varint(out, s.texts as u64);
+                put_varint(out, s.stamps as u64);
+                put_varint(out, s.size_bytes as u64);
             }
             Response::Latest(v) => {
                 out.push(tags::LATEST);
-                put_varint(&mut out, u64::from(*v));
+                put_varint(out, u64::from(*v));
             }
             Response::Ingested(versions) => {
                 out.push(tags::INGESTED);
-                put_varint(&mut out, versions.len() as u64);
+                put_varint(out, versions.len() as u64);
                 for v in versions {
-                    put_varint(&mut out, u64::from(*v));
+                    put_varint(out, u64::from(*v));
                 }
             }
             Response::SnapOpened { lease, pinned } => {
                 out.push(tags::SNAP_OPENED);
-                put_varint(&mut out, *lease);
-                put_varint(&mut out, u64::from(*pinned));
+                put_varint(out, *lease);
+                put_varint(out, u64::from(*pinned));
             }
             Response::SnapClosed => out.push(tags::SNAP_CLOSED),
             Response::Metrics(text) => {
                 out.push(tags::METRICS);
-                put_str(&mut out, text);
+                put_str(out, text);
             }
             Response::Health(h) => {
                 out.push(tags::HEALTH);
                 out.push(u8::from(h.ok));
-                put_varint(&mut out, u64::from(h.latest));
-                put_varint(&mut out, h.in_flight);
-                put_varint(&mut out, h.leases);
-                put_varint(&mut out, h.served);
+                put_varint(out, u64::from(h.latest));
+                put_varint(out, h.in_flight);
+                put_varint(out, h.leases);
+                put_varint(out, h.served);
             }
             Response::ShuttingDown => out.push(tags::SHUTTING_DOWN),
             Response::Error { code, message } => {
                 out.push(tags::ERROR);
                 out.push(code.code());
-                put_str(&mut out, message);
+                put_str(out, message);
             }
         }
-        out
+    }
+
+    /// Room to leave before a document rendered in place, for
+    /// [`Response::document_in_place`]: the tag, the present flag, and a
+    /// length varint of up to five bytes (any `u32` — frames stop at
+    /// `MAX_FRAME_LEN`, long before).
+    pub const DOCUMENT_ROOM: usize = 2 + 5;
+
+    /// Makes `buf[text_start..]` — a document rendered in place — the
+    /// tail of the body [`Response::encode`] gives
+    /// `Response::Document(Some(text))`, without moving it: checks the
+    /// text is UTF-8, then writes tag, flag and the minimal length varint
+    /// right-aligned against it, into the [`Response::DOCUMENT_ROOM`] the
+    /// caller left. Returns where the body starts; the error says why
+    /// there is no such body.
+    pub fn document_in_place(buf: &mut [u8], text_start: usize) -> Result<usize, &'static str> {
+        let text = buf
+            .get(text_start..)
+            .ok_or("document starts past its buffer")?;
+        if std::str::from_utf8(text).is_err() {
+            return Err("retrieved document is not utf-8");
+        }
+        let mut prefix = Vec::with_capacity(Response::DOCUMENT_ROOM);
+        prefix.push(tags::DOCUMENT);
+        prefix.push(1);
+        put_varint(&mut prefix, text.len() as u64);
+        let body_start = text_start
+            .checked_sub(prefix.len())
+            .ok_or("no room before the document for its prefix")?;
+        buf.get_mut(body_start..text_start)
+            .ok_or("no room before the document for its prefix")?
+            .copy_from_slice(&prefix);
+        Ok(body_start)
+    }
+
+    /// [`Response::decode`] for a receiver that owns the frame body: a
+    /// found document or a metrics text — one string that is the whole
+    /// tail of the body — keeps the body's allocation instead of being
+    /// copied out of a borrow. Same answers, same errors.
+    pub fn decode_owned(mut body: Vec<u8>) -> Result<Response, DecodeError> {
+        let Some(text_start) = whole_tail_text(&body) else {
+            return Response::decode(&body);
+        };
+        let document = body.first() == Some(&tags::DOCUMENT);
+        body.drain(..text_start);
+        match (String::from_utf8(body), document) {
+            (Ok(text), true) => Ok(Response::Document(Some(text))),
+            (Ok(text), false) => Ok(Response::Metrics(text)),
+            // positioned as `get_opt_doc` / `get_str` position them
+            (Err(_), true) => Err(DecodeError::Wire(WireError {
+                offset: 2,
+                reason: "document is not utf-8",
+            })),
+            (Err(_), false) => Err(DecodeError::Wire(WireError {
+                offset: text_start,
+                reason: "invalid utf-8",
+            })),
+        }
     }
 
     /// Decodes a frame body as a response — the same totality contract
@@ -942,6 +1007,20 @@ impl Response {
     }
 }
 
+/// Where the text starts, if `body` is a found document or a metrics
+/// text whose length prefix covers exactly the rest of the body (UTF-8
+/// not yet checked). `None` sends anything else — every malformed body
+/// included — to [`Response::decode`].
+fn whole_tail_text(body: &[u8]) -> Option<usize> {
+    let mut pos = match (body.first()?, body.get(1)) {
+        (&tags::DOCUMENT, Some(1)) => 2,
+        (&tags::METRICS, _) => 1,
+        _ => return None,
+    };
+    let len = get_usize(body, &mut pos).ok()?;
+    (pos.checked_add(len)? == body.len()).then_some(pos)
+}
+
 /// The version-negotiation rule both sides apply: the highest revision
 /// inside both `[client_min, client_max]` and
 /// `[`[`MIN_PROTO_VERSION`]`, `[`PROTO_VERSION`]`]`, or `None` when the
@@ -1017,9 +1096,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn every_response_round_trips() {
-        let responses = vec![
+    fn responses() -> Vec<Response> {
+        vec![
             Response::Hello(Hello {
                 version: 1,
                 spec: "(/, (db, {}))".into(),
@@ -1075,11 +1153,75 @@ mod tests {
                 code: ErrorCode::NoSuchLease,
                 message: "lease 9 is not held by this connection".into(),
             },
-        ];
-        for resp in responses {
+        ]
+    }
+
+    #[test]
+    fn every_response_round_trips() {
+        for resp in responses() {
             let body = resp.encode();
             assert_eq!(Response::decode(&body).unwrap(), resp, "{resp:?}");
         }
+    }
+
+    #[test]
+    fn decoding_an_owned_body_answers_as_decoding_a_borrow() {
+        let mut bodies: Vec<Vec<u8>> = responses().iter().map(Response::encode).collect();
+        bodies.push(Response::Document(Some(String::new())).encode());
+        bodies.push(Response::Metrics(String::new()).encode());
+        bodies.push(Response::Document(Some("é€😀 <db/>".repeat(40))).encode());
+        // malformed: every cut and a trailing byte of a document and a
+        // metrics text, bad utf-8 in each, a bad flag, a hostile length
+        for whole in [
+            Response::Document(Some("<db>text</db>".into())).encode(),
+            Response::Metrics("x 1\n".into()).encode(),
+        ] {
+            for cut in 0..whole.len() {
+                bodies.push(whole[..cut].to_vec());
+            }
+            let mut trailing = whole.clone();
+            trailing.push(0);
+            bodies.push(trailing);
+            let mut not_utf8 = whole;
+            *not_utf8.last_mut().unwrap() = 0xFF;
+            bodies.push(not_utf8);
+        }
+        bodies.push(vec![tags::DOCUMENT, 2, 0]);
+        let mut hostile = vec![tags::DOCUMENT, 1];
+        put_varint(&mut hostile, u64::MAX);
+        bodies.push(hostile);
+        for body in bodies {
+            assert_eq!(
+                Response::decode_owned(body.clone()),
+                Response::decode(&body),
+                "{body:02x?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_document_finished_in_place_is_the_document_encoded() {
+        // lengths on both sides of every varint width a frame can reach
+        for len in [0, 1, 127, 128, 16_383, 16_384, 2_097_151, 2_097_152] {
+            let text = "é".repeat(len / 2) + &"x".repeat(len % 2);
+            assert_eq!(text.len(), len);
+            let mut buf = vec![0xAAu8; 3 + Response::DOCUMENT_ROOM];
+            let text_start = buf.len();
+            buf.extend_from_slice(text.as_bytes());
+            let body_start = Response::document_in_place(&mut buf, text_start).unwrap();
+            assert_eq!(
+                buf[body_start..],
+                Response::Document(Some(text)).encode(),
+                "{len} bytes"
+            );
+        }
+        // not utf-8, no room, a start past the end: refused, nothing panics
+        let mut buf = vec![0u8; Response::DOCUMENT_ROOM];
+        buf.push(0xFF);
+        assert!(Response::document_in_place(&mut buf, Response::DOCUMENT_ROOM).is_err());
+        let mut buf = b"..<db/>".to_vec();
+        assert!(Response::document_in_place(&mut buf, 2).is_err());
+        assert!(Response::document_in_place(&mut buf, 8).is_err());
     }
 
     #[test]

@@ -32,7 +32,7 @@
 //!   peer can send.
 
 use std::collections::HashMap;
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender};
@@ -41,7 +41,7 @@ use std::thread::JoinHandle;
 
 use xarch::{ArchiveHandle, Snapshot, StoreError, StoreReader};
 use xarch_obs::{Level, Obs};
-use xarch_proto::frame::{read_frame, write_frame, FrameError};
+use xarch_proto::frame::{finish_frame, read_frame, FrameError, FRAME_HEADER_LEN};
 use xarch_proto::msg::{negotiate, DecodeError, ErrorCode, Health, Hello, Request, Response};
 use xarch_xml::writer::to_compact_string;
 
@@ -332,7 +332,10 @@ fn serve_connection(stream: TcpStream, ctx: &Ctx, peer: &str) -> Option<u64> {
         Err(_) => return None,
     };
     let mut reader = BufReader::new(read_half);
-    let mut writer = BufWriter::new(stream);
+    let mut writer = Outbox {
+        w: stream,
+        buf: Vec::new(),
+    };
     let mut state = ConnState {
         hello_done: false,
         leases: HashMap::new(),
@@ -394,13 +397,13 @@ fn serve_connection(stream: TcpStream, ctx: &Ctx, peer: &str) -> Option<u64> {
         ctx.metrics.requests.inc();
         ctx.metrics.in_flight.add(1);
         let timer = ctx.metrics.verb_timer(req.verb_name());
-        let (resp, after) = answer(req, &mut state, ctx, peer);
+        let (reply, after) = answer(req, &mut state, ctx, peer, &mut writer.buf);
         drop(timer);
         ctx.metrics.in_flight.add(-1);
-        if matches!(resp, Response::Error { .. }) {
+        if matches!(reply, Reply::Message(Response::Error { .. })) {
             ctx.metrics.errors.inc();
         }
-        if write_frame(&mut writer, &resp.encode()).is_err() {
+        if writer.send(&reply).is_err() {
             break;
         }
         if matches!(after, After::Drop) {
@@ -410,32 +413,117 @@ fn serve_connection(stream: TcpStream, ctx: &Ctx, peer: &str) -> Option<u64> {
     Some(state.leases.len() as u64)
 }
 
+/// What [`answer`] hands the connection loop to send.
+enum Reply {
+    /// A message, still to be encoded.
+    Message(Response),
+    /// A found document, already rendered in the response buffer as the
+    /// message body that starts at this offset.
+    Rendered(usize),
+}
+
+impl From<Response> for Reply {
+    fn from(resp: Response) -> Self {
+        Reply::Message(resp)
+    }
+}
+
+/// Where a document rendered in place starts in the response buffer:
+/// behind room for the frame header and the message's own prefix.
+const TEXT_START: usize = FRAME_HEADER_LEN + Response::DOCUMENT_ROOM;
+
+/// A response buffer that grew past this is dropped once its frame is
+/// sent, so one large answer does not pin its allocation for as long as
+/// the connection (and its leases) live.
+const KEEP_CAPACITY: usize = 4 << 20;
+
+/// Answers `retrieve(v)` by rendering the version once, straight into the
+/// buffer its frame will leave in: the text lands at [`TEXT_START`], is
+/// checked as UTF-8 where it lies, and gets its prefix written
+/// right-aligned against it — the bytes on the wire are those of
+/// `Response::Document(..).encode()` in a frame, with no copy made.
+fn render_retrieve(
+    snap: &impl StoreReader,
+    v: u32,
+    out: &mut Vec<u8>,
+) -> Result<Reply, StoreError> {
+    out.clear();
+    out.resize(TEXT_START, 0);
+    if !snap.retrieve_into(v, out)? {
+        return Ok(Response::Document(None).into());
+    }
+    match Response::document_in_place(out, TEXT_START) {
+        Ok(body_start) => Ok(Reply::Rendered(body_start)),
+        Err(why) => Err(StoreError::Backend(why.into())),
+    }
+}
+
+/// A connection's way out: the socket and the one response buffer every
+/// answer is built in, as a whole frame.
+struct Outbox<W> {
+    w: W,
+    buf: Vec<u8>,
+}
+
+impl<W: Write> Outbox<W> {
+    /// Sends `reply` as one frame, header and body in a single write. An
+    /// oversized body is refused before anything is written.
+    fn send(&mut self, reply: &Reply) -> io::Result<()> {
+        let body_start = match reply {
+            Reply::Rendered(body_start) => *body_start,
+            Reply::Message(resp) => {
+                // cut back to the header's room first: whatever a failed
+                // or empty render left behind must not reach the wire —
+                // never a half document, never a frame whose CRC covers
+                // stale bytes
+                self.buf.clear();
+                self.buf.resize(FRAME_HEADER_LEN, 0);
+                resp.encode_into(&mut self.buf);
+                FRAME_HEADER_LEN
+            }
+        };
+        let sent =
+            finish_frame(&mut self.buf, body_start).and_then(|frame| self.w.write_all(frame));
+        if self.buf.capacity() > KEEP_CAPACITY {
+            self.buf = Vec::new();
+        }
+        sent
+    }
+}
+
 /// Sends a structured error outside the normal dispatch path (framing
 /// and decode failures). Write failures are moot — the connection is
 /// about to drop anyway.
-fn send_error(w: &mut impl Write, ctx: &Ctx, code: ErrorCode, message: &str) {
+fn send_error(w: &mut Outbox<impl Write>, ctx: &Ctx, code: ErrorCode, message: &str) {
     ctx.metrics.errors.inc();
     let resp = Response::Error {
         code,
         message: message.to_owned(),
     };
-    let _ = write_frame(w, &resp.encode());
+    let _ = w.send(&resp.into());
 }
 
 /// Answers one decoded request. Never panics; every failure path is a
 /// structured error.
-fn answer(req: Request, state: &mut ConnState, ctx: &Ctx, peer: &str) -> (Response, After) {
+fn answer(
+    req: Request,
+    state: &mut ConnState,
+    ctx: &Ctx,
+    peer: &str,
+    out: &mut Vec<u8>,
+) -> (Reply, After) {
     // the handshake gate: everything but Hello needs a completed hello
     if !state.hello_done && !matches!(req, Request::Hello { .. }) {
         return (
             Response::Error {
                 code: ErrorCode::NeedHello,
                 message: "handshake required before any other verb".into(),
-            },
+            }
+            .into(),
             After::Keep,
         );
     }
-    match req {
+    let (resp, after) = match req {
         Request::Hello { min, max } => match negotiate(min, max) {
             Some(version) => {
                 state.hello_done = true;
@@ -475,19 +563,9 @@ fn answer(req: Request, state: &mut ConnState, ctx: &Ctx, peer: &str) -> (Respon
             }
         },
         Request::Ping => (Response::Pong, After::Keep),
-        Request::Retrieve { lease, v } => with_snapshot(state, ctx, lease, |snap| {
-            let mut buf = Vec::new();
-            let found = snap.retrieve_into(v, &mut buf)?;
-            if !found {
-                return Ok(Response::Document(None));
-            }
-            match String::from_utf8(buf) {
-                Ok(xml) => Ok(Response::Document(Some(xml))),
-                Err(_) => Err(StoreError::Backend(
-                    "retrieved document is not utf-8".into(),
-                )),
-            }
-        }),
+        Request::Retrieve { lease, v } => {
+            return with_snapshot(state, ctx, lease, |snap| render_retrieve(snap, v, out))
+        }
         Request::AsOf { lease, v, steps } => with_snapshot(state, ctx, lease, |snap| {
             let doc = snap.as_of(&steps, v)?;
             Ok(Response::Document(doc.map(|d| to_compact_string(&d))))
@@ -530,7 +608,8 @@ fn answer(req: Request, state: &mut ConnState, ctx: &Ctx, peer: &str) -> (Respon
                             Response::Error {
                                 code: ErrorCode::BadPayload,
                                 message: format!("ingest document {i} does not parse: {e}"),
-                            },
+                            }
+                            .into(),
                             After::Keep,
                         )
                     }
@@ -597,7 +676,8 @@ fn answer(req: Request, state: &mut ConnState, ctx: &Ctx, peer: &str) -> (Respon
                 )
             }
         }
-    }
+    };
+    (resp.into(), after)
 }
 
 /// Resolves the lease (0 = fresh pin) and runs `f` against the
@@ -605,12 +685,12 @@ fn answer(req: Request, state: &mut ConnState, ctx: &Ctx, peer: &str) -> (Respon
 /// fresh pin is one `Arc` clone of the published view,
 /// and a held lease answers exactly as it did when opened — concurrent
 /// ingest through the same handle never blocks or perturbs either path.
-fn with_snapshot(
+fn with_snapshot<R: From<Response>>(
     state: &ConnState,
     ctx: &Ctx,
     lease: u64,
-    f: impl FnOnce(&Snapshot) -> Result<Response, StoreError>,
-) -> (Response, After) {
+    f: impl FnOnce(&Snapshot) -> Result<R, StoreError>,
+) -> (R, After) {
     let fresh;
     let snap = if lease == 0 {
         fresh = ctx.handle.snapshot();
@@ -623,7 +703,8 @@ fn with_snapshot(
                     Response::Error {
                         code: ErrorCode::NoSuchLease,
                         message: format!("lease {lease} is not held by this connection"),
-                    },
+                    }
+                    .into(),
                     After::Keep,
                 )
             }
@@ -635,8 +716,124 @@ fn with_snapshot(
             Response::Error {
                 code: ErrorCode::Store,
                 message: e.to_string(),
-            },
+            }
+            .into(),
             After::Keep,
         ),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use xarch_core::Archive;
+    use xarch_keys::KeySpec;
+    use xarch_proto::frame::{write_frame, MAX_FRAME_LEN};
+    use xarch_xml::Document;
+
+    /// `<db>` + `filler` bytes of text + `</db>`, as versions 1.., with an
+    /// empty version after the last.
+    fn archive_of(fillers: &[usize]) -> Archive {
+        let mut a = Archive::new(KeySpec::parse("(/, (db, {}))").unwrap());
+        for &filler in fillers {
+            let mut doc = Document::new("db");
+            doc.add_text(doc.root(), &"é".repeat(filler / 2));
+            doc.add_text(doc.root(), &"x".repeat(filler % 2));
+            a.add_version(&doc).unwrap();
+        }
+        a.add_empty_version();
+        a
+    }
+
+    /// What the connection loop puts on the wire for `retrieve(v)`.
+    fn served(snap: &impl StoreReader, v: u32, out: &mut Outbox<Vec<u8>>) -> Vec<u8> {
+        let reply = render_retrieve(snap, v, &mut out.buf).unwrap_or_else(|e| {
+            Response::Error {
+                code: ErrorCode::Store,
+                message: e.to_string(),
+            }
+            .into()
+        });
+        out.send(&reply).unwrap();
+        std::mem::take(&mut out.w)
+    }
+
+    fn outbox() -> Outbox<Vec<u8>> {
+        Outbox {
+            w: Vec::new(),
+            buf: Vec::new(),
+        }
+    }
+
+    /// The frame `write_frame` makes of the snapshot's own answer.
+    fn expected(a: &Archive, v: u32) -> Vec<u8> {
+        let mut text = Vec::new();
+        let doc = a
+            .retrieve_into(v, &mut text)
+            .unwrap()
+            .then(|| String::from_utf8(text).unwrap());
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &Response::Document(doc).encode()).unwrap();
+        wire
+    }
+
+    #[test]
+    fn the_frame_built_in_place_is_the_frame_written() {
+        // `<db>…</db>` is 9 bytes around the filler: documents of 127, 128,
+        // 16383 and 16384 bytes sit on the length varint's width boundaries
+        let fillers = [118, 119, 16_374, 16_375, 300_000, 0];
+        let a = archive_of(&fillers);
+        let mut out = outbox();
+        // found (a large answer, then small ones through the same buffer:
+        // no stale tail), empty at v, never archived
+        for v in [5, 1, 2, 3, 4, 6, 7, 8, 1] {
+            assert_eq!(served(&a, v, &mut out), expected(&a, v), "v{v}");
+        }
+        let mut text = Vec::new();
+        assert!(a.retrieve_into(2, &mut text).unwrap());
+        assert_eq!(text.len(), 128);
+    }
+
+    /// Writes half a document, then fails.
+    struct TornRender(Archive);
+
+    impl xarch_core::Layer for TornRender {
+        type Inner = Archive;
+
+        fn inner(&self) -> &Archive {
+            &self.0
+        }
+
+        fn retrieve_into(&self, _: u32, out: &mut dyn Write) -> Result<bool, StoreError> {
+            out.write_all(b"<db>half a docum")?;
+            Err(StoreError::Backend("the disk caught fire".into()))
+        }
+    }
+
+    #[test]
+    fn a_render_that_fails_midway_is_answered_with_an_error_and_leaves_nothing_behind() {
+        let torn = TornRender(archive_of(&[40]));
+        let mut out = outbox();
+        let wire = served(&torn, 1, &mut out);
+        let body = read_frame(&mut wire.as_slice(), MAX_FRAME_LEN).unwrap();
+        match Response::decode(&body).unwrap() {
+            Response::Error { code, message } => {
+                assert_eq!(code, ErrorCode::Store);
+                assert!(message.contains("caught fire"), "{message}");
+            }
+            other => panic!("expected a structured error, got {other:?}"),
+        }
+        // the next, good retrieve through the same buffer is untouched by it
+        assert_eq!(served(&torn.0, 1, &mut out), expected(&torn.0, 1));
+    }
+
+    #[test]
+    fn a_buffer_grown_past_the_keep_limit_is_dropped_once_sent() {
+        let a = archive_of(&[KEEP_CAPACITY + 1, 10]);
+        let mut out = outbox();
+        assert_eq!(served(&a, 2, &mut out), expected(&a, 2));
+        assert!(out.buf.capacity() > 0, "a small buffer is reused");
+        assert_eq!(served(&a, 1, &mut out), expected(&a, 1));
+        assert_eq!(out.buf.capacity(), 0);
     }
 }

@@ -16,6 +16,7 @@ use xarch::core::{
 use xarch::datagen::omim::{omim_spec, OmimGen};
 use xarch::extmem::IoConfig;
 use xarch::keys::KeySpec;
+use xarch::xml::writer::to_compact_string;
 use xarch::xml::{parse, Document};
 use xarch::{
     ArchiveBuilder, Backend, ElementHistory, RangeEntry, StoreError, StoreReader, StoreStats,
@@ -553,6 +554,63 @@ fn streamed_retrieval_equivalent_on_omim_workload() {
             assert!(
                 equiv_modulo_key_order(&reparsed, &materialized, s.spec()),
                 "{label}: streamed v{v} diverged from materialized"
+            );
+        }
+    }
+}
+
+#[test]
+fn streamed_bytes_are_the_compact_writers_on_text_that_needs_escaping() {
+    // `retrieve_into` writes bytes itself; `to_compact_string(retrieve(v))`
+    // goes through the document writer. Both must produce the same bytes
+    // on every escapable character — alone, in runs, first, last, and next
+    // to 2-, 3- and 4-byte sequences — and on empty values and content.
+    let hostile = [
+        "&",
+        "<",
+        ">",
+        "\"",
+        "'",
+        "&&<<>>\"\"''",
+        "<lead",
+        "trail>",
+        "a&b<c>d\"e'f",
+        "é&é<é>é\"é",
+        "&é€😀",
+        "é€😀&",
+        "€<€",
+        "😀>\"😀",
+        "",
+    ];
+    let release = |shift: usize| {
+        let mut doc = Document::new("db");
+        doc.set_attr(doc.root(), "note", hostile[shift % hostile.len()]);
+        doc.set_attr(doc.root(), "blank", "");
+        for (i, _) in hostile.iter().enumerate() {
+            let rec = doc.add_element(doc.root(), "rec");
+            doc.set_attr(rec, "a", hostile[(i + shift) % hostile.len()]);
+            doc.set_attr(rec, "b", hostile[(i + 2 * shift + 1) % hostile.len()]);
+            doc.add_text_element(rec, "id", &format!("k{i}"));
+            // an empty string leaves `<val/>`: an element with no content
+            doc.add_text_element(rec, "val", hostile[(i + 3 * shift) % hostile.len()]);
+        }
+        doc
+    };
+    // later releases move every value, so contents sit under timestamps
+    let versions: Vec<Document> = (0..3).map(release).collect();
+    let (_scratch, backends) = all_backends(&spec());
+    for (label, mut s) in backends {
+        for d in &versions {
+            s.add_version(d).unwrap();
+        }
+        for v in 1..=versions.len() as u32 {
+            let want = to_compact_string(&s.retrieve(v).unwrap().expect("archived"));
+            let mut bytes = Vec::new();
+            assert!(s.retrieve_into(v, &mut bytes).unwrap(), "{label} v{v}");
+            assert_eq!(
+                String::from_utf8(bytes).unwrap(),
+                want,
+                "{label}: streamed v{v} is not the compact writer's bytes"
             );
         }
     }
