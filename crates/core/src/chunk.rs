@@ -386,14 +386,21 @@ impl ChunkedArchive {
         (fingerprint(&label) % self.chunks.len() as u128) as usize
     }
 
-    /// The temporal history of the element addressed by `steps` (§7.2).
-    /// Paths of two or more steps descend through exactly one top-level
-    /// element, so they route to the chunk owning it; the document root
-    /// (and the empty path) carry the same timestamp in every chunk, so
-    /// the union over chunks answers those.
+    /// The one chunk that can answer a query over `steps`: a path of two
+    /// or more steps descends through exactly one top-level element, and
+    /// everything beneath it lives in the chunk owning it. `None` for the
+    /// document root and the empty path, which span every chunk.
+    pub(crate) fn owner(&self, steps: &[KeyQuery]) -> Option<&Archive> {
+        steps.get(1).map(|top| &self.chunks[self.chunk_for(top)])
+    }
+
+    /// The temporal history of the element addressed by `steps` (§7.2),
+    /// from the owning chunk; the document root (and the empty path) carry
+    /// the same timestamp in every chunk, so the union over chunks answers
+    /// those.
     pub fn history(&self, steps: &[KeyQuery]) -> Option<TimeSet> {
-        if steps.len() >= 2 {
-            return self.chunks[self.chunk_for(&steps[1])].history(steps);
+        if let Some(chunk) = self.owner(steps) {
+            return chunk.history(steps);
         }
         let mut found = None;
         for chunk in &self.chunks {
@@ -415,8 +422,8 @@ impl ChunkedArchive {
         if !self.has_version(v) {
             return None;
         }
-        if steps.len() >= 2 {
-            return self.chunks[self.chunk_for(&steps[1])].as_of(steps, v);
+        if let Some(chunk) = self.owner(steps) {
+            return chunk.as_of(steps, v);
         }
         let doc = self.retrieve(v)?;
         if steps.is_empty() {
@@ -437,8 +444,8 @@ impl ChunkedArchive {
         prefix: &[KeyQuery],
         versions: std::ops::RangeInclusive<u32>,
     ) -> Vec<crate::query::RangeEntry> {
-        if prefix.len() >= 2 {
-            return self.chunks[self.chunk_for(&prefix[1])].range(prefix, versions);
+        if let Some(chunk) = self.owner(prefix) {
+            return chunk.range(prefix, versions);
         }
         let mut acc: std::collections::BTreeMap<KeyQuery, TimeSet> =
             std::collections::BTreeMap::new();

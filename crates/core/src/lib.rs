@@ -13,7 +13,8 @@
 //! * [`weave`] — "further compaction" beneath frontier nodes (Fig 10),
 //! * [`kernel`] — the query kernel (§7): key-path descent plus "children
 //!   visible at `v`", with `retrieve` / `as_of` / `history` / `range` /
-//!   `history_values` written once over a [`kernel::Nav`],
+//!   `history_values` / `diff` written once over a [`kernel::Nav`] — the
+//!   last two answered from the stored change points,
 //! * [`retrieve`] — single-scan version retrieval (§7.1) streamed to any
 //!   `io::Write` sink,
 //! * [`store`] — the [`StoreReader`] / [`VersionStore`] trait pair: the

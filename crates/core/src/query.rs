@@ -8,9 +8,10 @@
 //! types those queries share across every backend, plus the
 //! annotate-based [`Document`] navigation the default (whole-retrieve)
 //! fallbacks are built from. The fast paths live elsewhere: the arena's
-//! in [`crate::kernel`] (scanned or §7-indexed), the chunked archive
-//! routes to the owning chunk, the external-memory archive does a partial
-//! stream scan.
+//! in [`crate::kernel`] (scanned or §7-indexed; `history_values` and
+//! `diff` answered from the stored change points rather than version by
+//! version), the chunked archive routes to the owning chunk, the
+//! external-memory archive does a partial stream scan.
 
 use std::cmp::Ordering;
 
@@ -48,6 +49,11 @@ impl Ord for KeyQuery {
 
 /// The full temporal account of one element: the versions it exists in,
 /// and each distinct content it held, with the versions that held it.
+///
+/// Defined per version — the element as of each, equal contents folded.
+/// The arena backends compute it as one emit per interval of constant
+/// content, cut at the subtree's own timestamps ([`crate::kernel`]); the
+/// answer is the same.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ElementHistory {
     /// Every version in which the element exists (§7.2's history).
@@ -58,13 +64,18 @@ pub struct ElementHistory {
     pub values: Vec<(TimeSet, String)>,
 }
 
-/// Folds "the element read `content` at version `v`" into an
-/// [`ElementHistory::values`] list: versions are visited in ascending
+/// Folds "the element read `content` over the versions `lo..=hi`" into an
+/// [`ElementHistory::values`] list: intervals are visited in ascending
 /// order, so distinct contents stay ordered by first appearance.
-pub(crate) fn record_value(values: &mut Vec<(TimeSet, String)>, v: u32, content: String) {
+pub(crate) fn record_value(
+    values: &mut Vec<(TimeSet, String)>,
+    (lo, hi): (u32, u32),
+    content: String,
+) {
+    let held = TimeSet::from_range(lo, hi);
     match values.iter_mut().find(|(_, c)| *c == content) {
-        Some((t, _)) => t.insert(v),
-        None => values.push((TimeSet::from_version(v), content)),
+        Some((t, _)) => *t = t.union(&held),
+        None => values.push((held, content)),
     }
 }
 
@@ -106,8 +117,9 @@ impl VersionDelta {
 }
 
 /// Builds a [`VersionDelta`] from the two materialized subtrees (either
-/// side may be absent). Shared by the default trait implementation — and
-/// thereby by every backend, since `diff` composes from `as_of`.
+/// side may be absent): the definition of `diff`, which the trait default
+/// and the kernel (whenever a timestamp separates the two versions) both
+/// end in.
 pub fn delta(a: Option<&Document>, b: Option<&Document>, v1: u32, v2: u32) -> VersionDelta {
     let ta = a
         .map(|d| xarch_xml::writer::to_pretty_string(d, 2))

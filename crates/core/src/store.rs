@@ -208,18 +208,11 @@ pub trait StoreReader {
 
     /// The full temporal account of one element: the versions it exists
     /// in (§7.2's history) plus each distinct content it held and when.
+    /// The definition is per version — the element as of each, equal
+    /// contents folded — and that is what this default computes; the
+    /// arena backends answer it from the stored change points instead.
     fn history_values(&self, steps: &[KeyQuery]) -> Result<Option<ElementHistory>, StoreError> {
-        let Some(existence) = self.history(steps)? else {
-            return Ok(None);
-        };
-        let mut values = Vec::new();
-        for v in existence.versions() {
-            let Some(sub) = self.as_of(steps, v)? else {
-                continue;
-            };
-            query::record_value(&mut values, v, xarch_xml::writer::to_compact_string(&sub));
-        }
-        Ok(Some(ElementHistory { existence, values }))
+        history_values_by_version(self, steps)
     }
 
     /// Range scan: every keyed element that lived directly under the node
@@ -251,13 +244,45 @@ pub trait StoreReader {
 
     /// What changed in the element addressed by `steps` between versions
     /// `v1` and `v2`, as a Myers line diff over the pretty-printed
-    /// subtrees (`crates/diff`). Composes from [`StoreReader::as_of`],
-    /// so indexed backends pay O(answer) here too.
+    /// subtrees (`crates/diff`).
     fn diff(&self, steps: &[KeyQuery], v1: u32, v2: u32) -> Result<VersionDelta, StoreError> {
-        let a = self.as_of(steps, v1)?;
-        let b = self.as_of(steps, v2)?;
-        Ok(query::delta(a.as_ref(), b.as_ref(), v1, v2))
+        diff_of_as_ofs(self, steps, v1, v2)
     }
+}
+
+/// [`StoreReader::history_values`] by its per-version definition: the
+/// element as of every version it exists in, equal contents folded. The
+/// trait default, the only thing a backend without a stored tree can do,
+/// and the oracle the kernel's interval sweep is tested against.
+fn history_values_by_version<R: StoreReader + ?Sized>(
+    reader: &R,
+    steps: &[KeyQuery],
+) -> Result<Option<ElementHistory>, StoreError> {
+    let Some(existence) = reader.history(steps)? else {
+        return Ok(None);
+    };
+    let mut values = Vec::new();
+    for v in existence.versions() {
+        let Some(sub) = reader.as_of(steps, v)? else {
+            continue;
+        };
+        let content = xarch_xml::writer::to_compact_string(&sub);
+        query::record_value(&mut values, (v, v), content);
+    }
+    Ok(Some(ElementHistory { existence, values }))
+}
+
+/// [`StoreReader::diff`] by its definition: [`query::delta`] of the two
+/// [`StoreReader::as_of`]s.
+fn diff_of_as_ofs<R: StoreReader + ?Sized>(
+    reader: &R,
+    steps: &[KeyQuery],
+    v1: u32,
+    v2: u32,
+) -> Result<VersionDelta, StoreError> {
+    let a = reader.as_of(steps, v1)?;
+    let b = reader.as_of(steps, v2)?;
+    Ok(query::delta(a.as_ref(), b.as_ref(), v1, v2))
 }
 
 /// A reader that wraps another reader. Every [`StoreReader`] method is
@@ -398,7 +423,7 @@ pub type StoreView = Arc<dyn StoreReader + Send + Sync>;
 /// | backend | paper | crate | reads |
 /// |---|---|---|---|
 /// | [`Archive`] | §4.2 in-memory nested merge | `xarch_core` | the query kernel over [`kernel::Scan`] |
-/// | [`ChunkedArchive`] | §5 hash-partitioned chunks | `xarch_core` | routed to the owning chunk's [`Archive`] |
+/// | [`ChunkedArchive`] | §5 hash-partitioned chunks | `xarch_core` | every kind routed to the owning chunk's [`Archive`] |
 /// | `ExtArchive` | §6.3 external-memory streams | `xarch_extmem` | partial stream scans |
 /// | `IndexedArchive` | §7 indexes over the arena | `xarch_index` | [`Layer`] over [`Archive`]: the query kernel over the indexes |
 /// | `IndexedStore` | §7 key-path sidecar over any of the above | `xarch_index` | [`Layer`]: `history`/`range` from the sidecar, `as_of` gated by it |
@@ -549,6 +574,10 @@ impl StoreReader for Archive {
     ) -> Result<Vec<RangeEntry>, StoreError> {
         Ok(Archive::range(self, prefix, versions))
     }
+
+    fn diff(&self, steps: &[KeyQuery], v1: u32, v2: u32) -> Result<VersionDelta, StoreError> {
+        Ok(kernel::diff(self, &kernel::Scan, steps, v1, v2))
+    }
 }
 
 impl VersionStore for Archive {
@@ -621,12 +650,27 @@ impl StoreReader for ChunkedArchive {
         Ok(ChunkedArchive::as_of(self, steps, v))
     }
 
+    fn history_values(&self, steps: &[KeyQuery]) -> Result<Option<ElementHistory>, StoreError> {
+        match self.owner(steps) {
+            Some(chunk) => chunk.history_values(steps),
+            // the document root spans every chunk
+            None => history_values_by_version(self, steps),
+        }
+    }
+
     fn range(
         &self,
         prefix: &[KeyQuery],
         versions: RangeInclusive<u32>,
     ) -> Result<Vec<RangeEntry>, StoreError> {
         Ok(ChunkedArchive::range(self, prefix, versions))
+    }
+
+    fn diff(&self, steps: &[KeyQuery], v1: u32, v2: u32) -> Result<VersionDelta, StoreError> {
+        match self.owner(steps) {
+            Some(chunk) => chunk.diff(steps, v1, v2),
+            None => diff_of_as_ofs(self, steps, v1, v2),
+        }
     }
 }
 

@@ -900,16 +900,13 @@ fn emit_spine<W: Write + ?Sized>(
     v: u32,
     out: &mut W,
 ) -> std::result::Result<(), StoreError> {
-    write!(out, "<{}", h.tag).map_err(StoreError::Io)?;
-    for (a, val) in &h.attrs {
-        write_attr_pair(a, val, out).map_err(StoreError::Io)?;
-    }
-    write!(out, ">").map_err(StoreError::Io)?;
+    write_open_tag(&h.tag, &h.attrs, out)?;
+    out.write_all(b">")?;
     loop {
         match cur.peek()? {
             Peeked::Close => {
                 cur.take_spine_close()?;
-                write!(out, "</{}>", h.tag).map_err(StoreError::Io)?;
+                write_close_tag(&h.tag, out)?;
                 return Ok(());
             }
             Peeked::Eof => return Err(StreamError::new("unterminated spine").into()),
@@ -932,6 +929,27 @@ fn emit_spine<W: Write + ?Sized>(
     }
 }
 
+/// Writes `<tag a="v"…`: a start tag up to, not including, its `>` — bytes
+/// as they are, values through the shared escaper, nothing formatted.
+fn write_open_tag<W: Write + ?Sized>(
+    tag: &str,
+    attrs: &[(String, String)],
+    out: &mut W,
+) -> std::io::Result<()> {
+    out.write_all(b"<")?;
+    out.write_all(tag.as_bytes())?;
+    for (a, val) in attrs {
+        write_attr_pair(a, val, out)?;
+    }
+    Ok(())
+}
+
+fn write_close_tag<W: Write + ?Sized>(tag: &str, out: &mut W) -> std::io::Result<()> {
+    out.write_all(b"</")?;
+    out.write_all(tag.as_bytes())?;
+    out.write_all(b">")
+}
+
 /// Writes an already-filtered fragment as compact XML (stamps are
 /// transparent).
 fn write_etree<W: Write + ?Sized>(t: &ETree, out: &mut W) -> std::io::Result<()> {
@@ -944,18 +962,15 @@ fn write_etree<W: Write + ?Sized>(t: &ETree, out: &mut W) -> std::io::Result<()>
             Ok(())
         }
         EKind::Element { tag, attrs } => {
-            write!(out, "<{tag}")?;
-            for (a, val) in attrs {
-                write_attr_pair(a, val, out)?;
-            }
+            write_open_tag(tag, attrs, out)?;
             if t.children.is_empty() {
-                write!(out, "/>")
+                out.write_all(b"/>")
             } else {
-                write!(out, ">")?;
+                out.write_all(b">")?;
                 for c in &t.children {
                     write_etree(c, out)?;
                 }
-                write!(out, "</{tag}>")
+                write_close_tag(tag, out)
             }
         }
     }

@@ -13,14 +13,14 @@
 //! tests can byte-compare a socket answer against a local snapshot
 //! without a parse/reserialize step in between.
 
-use std::io::{BufReader, BufWriter};
+use std::io::{self, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use xarch_core::wire::WireError;
 use xarch_core::{ElementHistory, KeyQuery, RangeEntry, StoreStats, TimeSet, VersionDelta};
 
-use crate::frame::{read_frame, write_frame, FrameError, MAX_FRAME_LEN};
+use crate::frame::{read_frame, send_built_frame, FrameError, FRAME_HEADER_LEN, MAX_FRAME_LEN};
 use crate::msg::{ErrorCode, Health, Hello, Request, Response};
 use crate::{MIN_PROTO_VERSION, PROTO_VERSION};
 
@@ -114,8 +114,20 @@ impl From<crate::msg::DecodeError> for ClientError {
 /// A blocking connection to an archive server, post-handshake.
 pub struct Client {
     reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
+    writer: TcpStream,
+    /// The one buffer every request is built in, as a whole frame.
+    request: Vec<u8>,
     hello: Hello,
+}
+
+/// Builds `req` in `buf` as a whole frame — body encoded behind room for
+/// the header — and sends it in a single write. An oversized request is
+/// refused before anything is written.
+fn send_request(w: &mut impl Write, buf: &mut Vec<u8>, req: &Request) -> io::Result<()> {
+    buf.clear();
+    buf.resize(FRAME_HEADER_LEN, 0);
+    req.encode_into(buf);
+    send_built_frame(w, buf, FRAME_HEADER_LEN)
 }
 
 impl Client {
@@ -131,7 +143,8 @@ impl Client {
         let write_half = stream.try_clone()?;
         let mut client = Client {
             reader: BufReader::new(stream),
-            writer: BufWriter::new(write_half),
+            writer: write_half,
+            request: Vec::new(),
             hello: Hello {
                 version: 0,
                 spec: String::new(),
@@ -171,7 +184,7 @@ impl Client {
     /// One request/response exchange; the protocol is strictly
     /// call-and-answer, so this is the only transport primitive.
     pub fn call(&mut self, req: &Request) -> Result<Response, ClientError> {
-        write_frame(&mut self.writer, &req.encode())?;
+        send_request(&mut self.writer, &mut self.request, req)?;
         let body = read_frame(&mut self.reader, MAX_FRAME_LEN)?;
         Ok(Response::decode_owned(body)?)
     }
@@ -362,5 +375,62 @@ impl Client {
             Response::ShuttingDown => Ok(()),
             _ => Err(ClientError::Unexpected("shutdown ack")),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::frame::write_frame;
+
+    /// Records each `write` it is handed, whole.
+    struct Socket(Vec<Vec<u8>>);
+
+    impl Write for Socket {
+        fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+            self.0.push(bytes.to_vec());
+            Ok(bytes.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_request_leaves_in_one_write_as_the_frame_write_frame_writes() {
+        let small = Request::Retrieve {
+            lease: 1 << 49,
+            v: 1,
+        };
+        assert_eq!(small.encode().len(), 10);
+        let large = Request::Ingest {
+            docs: vec!["<db/>".repeat((1 << 20) / 5)],
+        };
+        assert!(large.encode().len() > 1 << 20);
+        let mut buf = Vec::new();
+        // large between small ones: the buffer is reused, never stale
+        for req in [&small, &large, &small] {
+            let mut socket = Socket(Vec::new());
+            send_request(&mut socket, &mut buf, req).unwrap();
+            let mut want = Vec::new();
+            write_frame(&mut want, &req.encode()).unwrap();
+            assert_eq!(socket.0.len(), 1, "one write per request");
+            assert!(socket.0[0] == want, "the bytes write_frame writes");
+        }
+        assert!(buf.capacity() > 0, "the buffer is kept between requests");
+    }
+
+    #[test]
+    fn an_oversized_request_is_refused_before_anything_is_written() {
+        let too_big = Request::Ingest {
+            docs: vec![" ".repeat(MAX_FRAME_LEN as usize)],
+        };
+        let mut socket = Socket(Vec::new());
+        let mut buf = Vec::new();
+        let err = send_request(&mut socket, &mut buf, &too_big).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(socket.0.is_empty(), "nothing may hit the wire");
+        assert_eq!(buf.capacity(), 0, "a buffer past the keep limit is dropped");
     }
 }

@@ -29,6 +29,12 @@ pub const FRAME_HEADER_LEN: usize = 8;
 /// Receivers may configure a tighter limit; they never accept more.
 pub const MAX_FRAME_LEN: u32 = 64 << 20;
 
+/// A buffer frames are built in is reused from one message to the next; one
+/// that grew past this is dropped once its frame is sent, so a single
+/// large message does not pin its allocation for as long as the connection
+/// lives.
+pub const KEEP_CAPACITY: usize = 4 << 20;
+
 /// Why a frame could not be read.
 #[derive(Debug)]
 pub enum FrameError {
@@ -139,6 +145,22 @@ pub fn finish_frame(buf: &mut [u8], body_start: usize) -> io::Result<&[u8]> {
         .ok_or_else(no_room)?
         .copy_from_slice(&header);
     buf.get(start..).ok_or_else(no_room)
+}
+
+/// Sends the frame built in `buf` — body at `body_start`, behind room for
+/// the header ([`finish_frame`]) — in a single write, so a message of any
+/// size leaves as one piece rather than a header packet followed by its
+/// body. A buffer that grew past [`KEEP_CAPACITY`] is dropped afterwards.
+pub fn send_built_frame(
+    w: &mut impl Write,
+    buf: &mut Vec<u8>,
+    body_start: usize,
+) -> io::Result<()> {
+    let sent = finish_frame(buf, body_start).and_then(|frame| w.write_all(frame));
+    if buf.capacity() > KEEP_CAPACITY {
+        *buf = Vec::new();
+    }
+    sent
 }
 
 /// Reads one frame body, enforcing `max_len` (clamped to

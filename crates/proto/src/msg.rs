@@ -417,34 +417,42 @@ impl Request {
     /// Encodes the request as a frame body.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the request, encoded as a frame body, to `out` — the
+    /// mirror of [`Response::encode_into`], so a client too builds its
+    /// frame in one buffer behind room for the header.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Request::Hello { min, max } => {
                 out.push(verbs::HELLO);
                 out.extend_from_slice(&PROTO_MAGIC);
-                put_varint(&mut out, u64::from(*min));
-                put_varint(&mut out, u64::from(*max));
+                put_varint(out, u64::from(*min));
+                put_varint(out, u64::from(*max));
             }
             Request::Ping => out.push(verbs::PING),
             Request::Retrieve { lease, v } => {
                 out.push(verbs::RETRIEVE);
-                put_varint(&mut out, *lease);
-                put_varint(&mut out, u64::from(*v));
+                put_varint(out, *lease);
+                put_varint(out, u64::from(*v));
             }
             Request::AsOf { lease, v, steps } => {
                 out.push(verbs::AS_OF);
-                put_varint(&mut out, *lease);
-                put_varint(&mut out, u64::from(*v));
-                put_steps(&mut out, steps);
+                put_varint(out, *lease);
+                put_varint(out, u64::from(*v));
+                put_steps(out, steps);
             }
             Request::History { lease, steps } => {
                 out.push(verbs::HISTORY);
-                put_varint(&mut out, *lease);
-                put_steps(&mut out, steps);
+                put_varint(out, *lease);
+                put_steps(out, steps);
             }
             Request::HistoryValues { lease, steps } => {
                 out.push(verbs::HISTORY_VALUES);
-                put_varint(&mut out, *lease);
-                put_steps(&mut out, steps);
+                put_varint(out, *lease);
+                put_steps(out, steps);
             }
             Request::Range {
                 lease,
@@ -453,10 +461,10 @@ impl Request {
                 prefix,
             } => {
                 out.push(verbs::RANGE);
-                put_varint(&mut out, *lease);
-                put_varint(&mut out, u64::from(*lo));
-                put_varint(&mut out, u64::from(*hi));
-                put_steps(&mut out, prefix);
+                put_varint(out, *lease);
+                put_varint(out, u64::from(*lo));
+                put_varint(out, u64::from(*hi));
+                put_steps(out, prefix);
             }
             Request::Diff {
                 lease,
@@ -465,36 +473,35 @@ impl Request {
                 steps,
             } => {
                 out.push(verbs::DIFF);
-                put_varint(&mut out, *lease);
-                put_varint(&mut out, u64::from(*v1));
-                put_varint(&mut out, u64::from(*v2));
-                put_steps(&mut out, steps);
+                put_varint(out, *lease);
+                put_varint(out, u64::from(*v1));
+                put_varint(out, u64::from(*v2));
+                put_steps(out, steps);
             }
             Request::Stats { lease } => {
                 out.push(verbs::STATS);
-                put_varint(&mut out, *lease);
+                put_varint(out, *lease);
             }
             Request::Latest { lease } => {
                 out.push(verbs::LATEST);
-                put_varint(&mut out, *lease);
+                put_varint(out, *lease);
             }
             Request::Ingest { docs } => {
                 out.push(verbs::INGEST);
-                put_varint(&mut out, docs.len() as u64);
+                put_varint(out, docs.len() as u64);
                 for d in docs {
-                    put_bytes(&mut out, d.as_bytes());
+                    put_bytes(out, d.as_bytes());
                 }
             }
             Request::SnapOpen => out.push(verbs::SNAP_OPEN),
             Request::SnapClose { lease } => {
                 out.push(verbs::SNAP_CLOSE);
-                put_varint(&mut out, *lease);
+                put_varint(out, *lease);
             }
             Request::Metrics => out.push(verbs::METRICS),
             Request::Health => out.push(verbs::HEALTH),
             Request::Shutdown => out.push(verbs::SHUTDOWN),
         }
-        out
     }
 
     /// Decodes a frame body as a request. Total: every malformed input

@@ -41,7 +41,7 @@ use std::thread::JoinHandle;
 
 use xarch::{ArchiveHandle, Snapshot, StoreError, StoreReader};
 use xarch_obs::{Level, Obs};
-use xarch_proto::frame::{finish_frame, read_frame, FrameError, FRAME_HEADER_LEN};
+use xarch_proto::frame::{read_frame, send_built_frame, FrameError, FRAME_HEADER_LEN};
 use xarch_proto::msg::{negotiate, DecodeError, ErrorCode, Health, Hello, Request, Response};
 use xarch_xml::writer::to_compact_string;
 
@@ -432,11 +432,6 @@ impl From<Response> for Reply {
 /// behind room for the frame header and the message's own prefix.
 const TEXT_START: usize = FRAME_HEADER_LEN + Response::DOCUMENT_ROOM;
 
-/// A response buffer that grew past this is dropped once its frame is
-/// sent, so one large answer does not pin its allocation for as long as
-/// the connection (and its leases) live.
-const KEEP_CAPACITY: usize = 4 << 20;
-
 /// Answers `retrieve(v)` by rendering the version once, straight into the
 /// buffer its frame will leave in: the text lands at [`TEXT_START`], is
 /// checked as UTF-8 where it lies, and gets its prefix written
@@ -482,12 +477,7 @@ impl<W: Write> Outbox<W> {
                 FRAME_HEADER_LEN
             }
         };
-        let sent =
-            finish_frame(&mut self.buf, body_start).and_then(|frame| self.w.write_all(frame));
-        if self.buf.capacity() > KEEP_CAPACITY {
-            self.buf = Vec::new();
-        }
-        sent
+        send_built_frame(&mut self.w, &mut self.buf, body_start)
     }
 }
 
@@ -728,7 +718,7 @@ mod tests {
     use super::*;
     use xarch_core::Archive;
     use xarch_keys::KeySpec;
-    use xarch_proto::frame::{write_frame, MAX_FRAME_LEN};
+    use xarch_proto::frame::{write_frame, KEEP_CAPACITY, MAX_FRAME_LEN};
     use xarch_xml::Document;
 
     /// `<db>` + `filler` bytes of text + `</db>`, as versions 1.., with an

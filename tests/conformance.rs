@@ -5,6 +5,8 @@
 //! empty versions, history lookups, statistics, and the equivalence of
 //! materialized and streamed retrieval.
 
+mod common;
+
 use std::io::Write;
 use std::ops::RangeInclusive;
 use std::sync::{Arc, Mutex};
@@ -58,6 +60,16 @@ type NamedStore = (&'static str, Box<dyn VersionStore>);
 /// deletes, so the whole contract suite also exercises the persistent
 /// tier without littering the temp directory.
 fn all_backends(spec: &KeySpec) -> (ScratchFiles, Vec<NamedStore>) {
+    let (guard, mut backends) = backends_compacting(spec, Compaction::Alternatives);
+    let weave = ArchiveBuilder::new(spec.clone()).compaction(Compaction::Weave);
+    backends.insert(1, ("in-memory/weave", weave.build()));
+    (guard, backends)
+}
+
+/// The nine tier × index × durability configurations, each under the
+/// given frontier compaction mode (which the external-memory tier
+/// ignores).
+fn backends_compacting(spec: &KeySpec, compaction: Compaction) -> (ScratchFiles, Vec<NamedStore>) {
     let durable_path = xarch::storage::scratch_path("conformance");
     let durable_chunked_path = xarch::storage::scratch_path("conformance-chunked");
     let durable_indexed_path = xarch::storage::scratch_path("conformance-indexed");
@@ -66,64 +78,27 @@ fn all_backends(spec: &KeySpec) -> (ScratchFiles, Vec<NamedStore>) {
         durable_chunked_path.clone(),
         durable_indexed_path.clone(),
     ]);
+    let builder = || ArchiveBuilder::new(spec.clone()).compaction(compaction);
+    let extmem = || builder().backend(Backend::ExtMem(small_ext_cfg()));
+    let durable = |b: ArchiveBuilder, path| b.durable(path).try_build().expect("durable store");
     let backends = vec![
-        ("in-memory", ArchiveBuilder::new(spec.clone()).build()),
-        (
-            "in-memory/weave",
-            ArchiveBuilder::new(spec.clone())
-                .compaction(Compaction::Weave)
-                .build(),
-        ),
-        (
-            "in-memory/indexed",
-            ArchiveBuilder::new(spec.clone()).with_index().build(),
-        ),
-        (
-            "chunked(4)",
-            ArchiveBuilder::new(spec.clone()).chunks(4).build(),
-        ),
+        ("in-memory", builder().build()),
+        ("in-memory/indexed", builder().with_index().build()),
+        ("chunked(4)", builder().chunks(4).build()),
         (
             "chunked(4)/indexed",
-            ArchiveBuilder::new(spec.clone())
-                .chunks(4)
-                .with_index()
-                .build(),
+            builder().chunks(4).with_index().build(),
         ),
-        (
-            "extmem",
-            ArchiveBuilder::new(spec.clone())
-                .backend(Backend::ExtMem(small_ext_cfg()))
-                .build(),
-        ),
-        (
-            "extmem/indexed",
-            ArchiveBuilder::new(spec.clone())
-                .backend(Backend::ExtMem(small_ext_cfg()))
-                .with_index()
-                .build(),
-        ),
-        (
-            "durable",
-            ArchiveBuilder::new(spec.clone())
-                .durable(durable_path)
-                .try_build()
-                .expect("durable store"),
-        ),
+        ("extmem", extmem().build()),
+        ("extmem/indexed", extmem().with_index().build()),
+        ("durable", durable(builder(), durable_path)),
         (
             "durable/chunked(4)",
-            ArchiveBuilder::new(spec.clone())
-                .chunks(4)
-                .durable(durable_chunked_path)
-                .try_build()
-                .expect("durable store"),
+            durable(builder().chunks(4), durable_chunked_path),
         ),
         (
             "durable/indexed",
-            ArchiveBuilder::new(spec.clone())
-                .with_index()
-                .durable(durable_indexed_path)
-                .try_build()
-                .expect("durable store"),
+            durable(builder().with_index(), durable_indexed_path),
         ),
     ];
     (guard, backends)
@@ -504,7 +479,7 @@ fn history_values_and_diff_track_content() {
         assert!(h.values[0].1.contains("<val>a</val>"), "{label}");
         assert_eq!(h.values[1].0.to_string(), "3", "{label}");
         assert!(h.values[1].1.contains("<val>z</val>"), "{label}");
-        // diff composes from as_of: unchanged pair, changed pair,
+        // diff: unchanged pair, changed pair,
         // element-vs-absent
         assert!(s.diff(&q, 1, 2).unwrap().is_same(), "{label}");
         let d = s.diff(&q, 2, 3).unwrap();
@@ -527,6 +502,118 @@ fn history_values_and_diff_track_content() {
         assert_eq!(whole.values.len(), 2, "{label}: {:?}", whole.values);
         for (_, content) in &whole.values {
             assert!(content.starts_with("<db>"), "{label}: {content}");
+        }
+    }
+}
+
+/// The scripted history the oracle tests run: a value that reverts
+/// (A → B → A), an element deleted and re-inserted, an empty version in the
+/// middle, a change in a nested keyed child and one in an attribute.
+/// `None` is an empty version.
+fn scripted_history() -> (KeySpec, Vec<Option<Document>>, Vec<Vec<KeyQuery>>) {
+    let spec = KeySpec::parse(
+        "(/, (db, {}))\n(/db, (rec, {id}))\n(/db/rec, (val, {}))\n\
+         (/db/rec, (item, {name}))\n(/db/rec/item, (qty, {}))",
+    )
+    .unwrap();
+    let rec1 = |unit: &str, val: &str, items: &[(&str, u32)]| {
+        let items: String = items
+            .iter()
+            .map(|(name, qty)| format!("<item><name>{name}</name><qty>{qty}</qty></item>"))
+            .collect();
+        format!("<rec><id>1</id><val><m unit=\"{unit}\">{val}</m></val>{items}</rec>")
+    };
+    let rec = |id: u32, val: &str| format!("<rec><id>{id}</id><val>{val}</val></rec>");
+    let versions = [
+        Some(rec1("kg", "A", &[("x", 1)]) + &rec(2, "p")),
+        Some(rec1("kg", "B", &[("x", 1)]) + &rec(2, "p")),
+        // rec 1's value reverts
+        Some(rec1("kg", "A", &[("x", 1)]) + &rec(2, "p")),
+        None,
+        // rec 2 is deleted; rec 3 arrives
+        Some(rec1("kg", "A", &[("x", 1)]) + &rec(3, "u")),
+        // a nested keyed child changes, rec 3's value moves away …
+        Some(rec1("kg", "A", &[("x", 2)]) + &rec(3, "w")),
+        // … and back; an attribute beneath the frontier changes; rec 2 returns
+        Some(rec1("g", "A", &[("x", 2)]) + &rec(2, "p") + &rec(3, "u")),
+        // a nested keyed child is inserted
+        Some(rec1("g", "A", &[("x", 2), ("y", 7)]) + &rec(2, "p") + &rec(3, "u")),
+    ]
+    .map(|recs| recs.map(|recs| parse(&format!("<db>{recs}</db>")).unwrap()));
+    let rec_path = |id: &str| {
+        vec![
+            KeyQuery::new("db"),
+            KeyQuery::new("rec").with_text("id", id),
+        ]
+    };
+    let item_x = [
+        rec_path("1"),
+        vec![KeyQuery::new("item").with_text("name", "x")],
+    ]
+    .concat();
+    let paths = vec![
+        vec![],
+        vec![KeyQuery::new("db")],
+        rec_path("1"),
+        rec_path("2"),
+        rec_path("3"),
+        [rec_path("1"), vec![KeyQuery::new("val")]].concat(),
+        [item_x.clone(), vec![KeyQuery::new("qty")]].concat(),
+        item_x,
+        [
+            rec_path("1"),
+            vec![KeyQuery::new("item").with_text("name", "y")],
+        ]
+        .concat(),
+        // never archived: absent on both sides of every diff
+        rec_path("9"),
+    ];
+    (spec, versions.into(), paths)
+}
+
+#[test]
+fn history_values_and_diff_equal_their_per_version_definitions() {
+    // The arena backends answer both from the stored change points — one
+    // emit per interval of constant content, none for an unchanged diff;
+    // the definitions are per version. Same answers, on every backend
+    // configuration under both compaction modes, for every path and every
+    // ordered pair of versions (never-archived 0 and 9 included).
+    let (spec, versions, paths) = scripted_history();
+    for compaction in [Compaction::Alternatives, Compaction::Weave] {
+        let (_scratch, backends) = backends_compacting(&spec, compaction);
+        for (label, mut s) in backends {
+            for doc in &versions {
+                match doc {
+                    Some(doc) => s.add_version(doc).unwrap(),
+                    None => s.add_empty_version().unwrap(),
+                };
+            }
+            if let Err(diverged) = common::check_against_definitions(s.as_ref(), &paths) {
+                panic!("{label} under {compaction:?}: {diverged}");
+            }
+            // and the definitions say what the script was written to say
+            let held = |path: &[KeyQuery]| -> (String, Vec<String>) {
+                let h = s.history_values(path).unwrap().expect("archived");
+                let runs = h.values.iter().map(|(t, _)| t.to_string()).collect();
+                (h.existence.to_string(), runs)
+            };
+            let said = |existence: &str, runs: &[&str]| {
+                let runs = runs.iter().map(|r| r.to_string()).collect();
+                (existence.to_owned(), runs)
+            };
+            // A → B → A comes back as one entry holding two runs
+            assert_eq!(held(&paths[4]), said("5-8", &["5,7-8", "6"]), "{label}");
+            // deleted and re-inserted: a gap in existence, one content
+            assert_eq!(held(&paths[3]), said("1-3,7-8", &["1-3,7-8"]), "{label}");
+            assert_eq!(
+                held(&paths[2]),
+                said("1-3,5-8", &["1,3,5", "2", "6", "7", "8"]),
+                "{label}"
+            );
+            // the empty version holds no document, yet the root exists in it
+            assert_eq!(held(&paths[0]).0, "1-8", "{label}");
+            assert_eq!(held(&paths[1]).0, "1-3,5-8", "{label}");
+            assert!(s.history_values(&paths[9]).unwrap().is_none(), "{label}");
         }
     }
 }

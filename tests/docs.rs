@@ -3,7 +3,9 @@
 //! asserted against the storage and wire-protocol sources (golden
 //! tests), and every intra-repo markdown link in `README.md` /
 //! `docs/*.md` must resolve — a renamed file or section fails CI
-//! instead of silently breaking the specs' cross-references.
+//! instead of silently breaking the specs' cross-references. The
+//! committed benchmark ledgers (`BENCH_<pr>.json`) are held to the shape
+//! `BENCHMARK.json` declares by the same gate.
 
 use std::path::{Path, PathBuf};
 
@@ -409,4 +411,173 @@ fn intra_repo_markdown_links_resolve() {
         "broken intra-repo links:\n{}",
         broken.join("\n")
     );
+}
+
+// ---------- the ledger gate ----------
+
+/// A JSON value, parsed strictly enough that a truncated or hand-mangled
+/// ledger file fails instead of being half-read.
+#[derive(Debug)]
+enum Json {
+    Null,
+    Bool,
+    Number(f64),
+    Text(String),
+    List(Vec<Json>),
+    Object(Vec<(String, Json)>),
+}
+
+impl Json {
+    fn parse(src: &str) -> Result<Json, String> {
+        let mut rest = src.trim_start();
+        let value = Json::value(&mut rest)?;
+        match rest.trim_start() {
+            "" => Ok(value),
+            trailing => Err(format!(
+                "trailing text {:?}",
+                &trailing[..trailing.len().min(20)]
+            )),
+        }
+    }
+
+    fn value(rest: &mut &str) -> Result<Json, String> {
+        *rest = rest.trim_start();
+        let eat = |rest: &mut &str, token: &str| {
+            *rest = rest.trim_start();
+            rest.strip_prefix(token).map(|r| *rest = r).is_some()
+        };
+        if eat(rest, "{") {
+            let mut members = Vec::new();
+            while !eat(rest, "}") {
+                if !members.is_empty() && !eat(rest, ",") {
+                    return Err("expected `,` or `}` in an object".into());
+                }
+                let Json::Text(key) = Json::value(rest)? else {
+                    return Err("an object key must be a string".into());
+                };
+                if !eat(rest, ":") {
+                    return Err(format!("expected `:` after key {key:?}"));
+                }
+                members.push((key, Json::value(rest)?));
+            }
+            return Ok(Json::Object(members));
+        }
+        if eat(rest, "[") {
+            let mut items = Vec::new();
+            while !eat(rest, "]") {
+                if !items.is_empty() && !eat(rest, ",") {
+                    return Err("expected `,` or `]` in a list".into());
+                }
+                items.push(Json::value(rest)?);
+            }
+            return Ok(Json::List(items));
+        }
+        if eat(rest, "\"") {
+            let mut text = String::new();
+            let mut chars = rest.char_indices();
+            while let Some((i, c)) = chars.next() {
+                match c {
+                    '"' => {
+                        *rest = &rest[i + 1..];
+                        return Ok(Json::Text(text));
+                    }
+                    // the ledgers escape nothing but quotes and backslashes
+                    '\\' => match chars.next() {
+                        Some((_, c @ ('"' | '\\' | '/'))) => text.push(c),
+                        other => return Err(format!("unsupported escape {other:?}")),
+                    },
+                    c => text.push(c),
+                }
+            }
+            return Err("unterminated string".into());
+        }
+        for (word, value) in [
+            ("null", Json::Null),
+            ("true", Json::Bool),
+            ("false", Json::Bool),
+        ] {
+            if eat(rest, word) {
+                return Ok(value);
+            }
+        }
+        let end = rest
+            .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
+            .unwrap_or(rest.len());
+        let (number, tail) = rest.split_at(end);
+        *rest = tail;
+        number
+            .parse()
+            .map(Json::Number)
+            .map_err(|_| format!("not a JSON value: {:?}", &number[..number.len().min(20)]))
+    }
+
+    fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Object(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// The `name` of every object in the list under `key`.
+    fn names_under(&self, key: &str) -> Vec<&str> {
+        let Some(Json::List(items)) = self.get(key) else {
+            panic!("BENCHMARK.json has no `{key}` list");
+        };
+        items
+            .iter()
+            .map(|item| match item.get("name") {
+                Some(Json::Text(name)) => name.as_str(),
+                _ => panic!("a `{key}` entry of BENCHMARK.json has no name"),
+            })
+            .collect()
+    }
+}
+
+#[test]
+fn every_committed_ledger_parses_and_names_what_the_benchmark_declares() {
+    // A speed-up that is not in the ledger did not happen (ROADMAP aim 1)
+    // — so a `BENCH_<pr>.json` that does not parse, or that leaves out a
+    // workload or an end-to-end metric `BENCHMARK.json` declares, fails
+    // here rather than passing for a ledger.
+    let root = repo_root();
+    let declared = Json::parse(&read(&root.join("BENCHMARK.json"))).expect("BENCHMARK.json parses");
+    let workloads = declared.names_under("workloads");
+    let metrics = declared.names_under("end_to_end");
+    assert_eq!((workloads.len(), metrics.len()), (2, 9));
+
+    let mut ledgers: Vec<PathBuf> = std::fs::read_dir(&root)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| {
+            let name = p.file_name().unwrap().to_string_lossy();
+            let pr = name
+                .strip_prefix("BENCH_")
+                .and_then(|n| n.strip_suffix(".json"));
+            pr.is_some_and(|pr| !pr.is_empty() && pr.bytes().all(|b| b.is_ascii_digit()))
+        })
+        .collect();
+    ledgers.sort();
+    assert!(!ledgers.is_empty(), "no BENCH_<pr>.json at the repo root");
+    for path in ledgers {
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        let ledger = Json::parse(&read(&path)).unwrap_or_else(|e| panic!("{name}: {e}"));
+        for workload in &workloads {
+            for metric in &metrics {
+                let row = ledger
+                    .get("end_to_end")
+                    .and_then(|e| e.get(workload))
+                    .and_then(|w| w.get(metric))
+                    .unwrap_or_else(|| panic!("{name} has no end_to_end.{workload}.{metric}"));
+                for side in ["parent", "change"] {
+                    assert!(
+                        matches!(
+                            row.get(side).and_then(|s| s.get("median")),
+                            Some(Json::Number(m)) if m.is_finite()
+                        ),
+                        "{name}: end_to_end.{workload}.{metric}.{side}.median is not a number"
+                    );
+                }
+            }
+        }
+    }
 }

@@ -1,5 +1,7 @@
 //! Property-based tests (proptest) for the system's core invariants.
 
+mod common;
+
 use proptest::prelude::*;
 
 use xarch::core::{equiv_modulo_key_order, Archive, TimeSet};
@@ -458,6 +460,71 @@ proptest! {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn history_values_and_diff_equal_their_definitions_on_random_edits(
+        // few ids and few values, so records revert, vanish and return
+        versions in proptest::collection::vec(
+            (
+                proptest::collection::btree_map(
+                    0u8..4,
+                    ("[ab]{0,1}", proptest::collection::vec(0u8..3, 0..2)),
+                    0..4,
+                ),
+                0u8..8,
+            ),
+            1..8,
+        )
+    ) {
+        // The kernel answers both from the stored change points; the
+        // definitions are per version (`common`). Random edit sequences —
+        // marker 0 turns one version in eight empty — through the scanning
+        // kernel under both compaction modes, the indexed kernel, the
+        // chunk-routed one and a backend that rides the trait defaults.
+        use xarch::core::{Compaction, KeyQuery};
+
+        let spec = mini_spec();
+        let mut paths = vec![vec![], vec![KeyQuery::new("db")]];
+        for id in 0..4u8 {
+            let rec = vec![
+                KeyQuery::new("db"),
+                KeyQuery::new("rec").with_text("id", &id.to_string()),
+            ];
+            paths.push([rec.clone(), vec![KeyQuery::new("val")]].concat());
+            paths.push([rec.clone(), vec![KeyQuery::new("tel").with_canon(".", "<tel>1</tel>")]].concat());
+            paths.push(rec);
+        }
+        let builder = || ArchiveBuilder::new(spec.clone());
+        let backends: Vec<(&str, Box<dyn VersionStore>)> = vec![
+            ("in-memory", builder().build()),
+            ("in-memory/weave", builder().compaction(Compaction::Weave).build()),
+            ("in-memory/indexed", builder().with_index().build()),
+            ("in-memory/weave/indexed", builder().compaction(Compaction::Weave).with_index().build()),
+            ("chunked(3)", builder().chunks(3).build()),
+            ("chunked(3)/weave/indexed", builder().chunks(3).compaction(Compaction::Weave).with_index().build()),
+            (
+                "extmem",
+                builder()
+                    .backend(Backend::ExtMem(IoConfig { mem_bytes: 1 << 10, page_bytes: 128 }))
+                    .build(),
+            ),
+        ];
+        for (label, mut store) in backends {
+            for (recs, marker) in &versions {
+                if *marker == 0 {
+                    store.add_empty_version().unwrap();
+                } else {
+                    let recs: Vec<_> = recs
+                        .iter()
+                        .map(|(id, (val, tels))| (*id, val.clone(), tels.clone()))
+                        .collect();
+                    store.add_version(&build_version(&recs)).unwrap();
+                }
+            }
+            let checked = common::check_against_definitions(store.as_ref(), &paths);
+            prop_assert!(checked.is_ok(), "{}: {}", label, checked.unwrap_err());
         }
     }
 
