@@ -64,6 +64,43 @@ pub struct ANode {
     pub key: Option<KeyValue>,
     /// Classification relative to the key structure.
     pub class: NodeClass,
+    /// Some node *beneath* this one carries a timestamp of its own — a
+    /// merge has written there. While it is `false` every descendant
+    /// inherits, which is what lets Nested Merge return at this node when
+    /// the incoming subtree equals it (see `crate::merge`). Derived state:
+    /// kept by `Archive::set_time`, recomputed on restore, never
+    /// persisted; `true` with nothing stamped beneath is allowed (the
+    /// merge then merely takes the full walk), `false` with something
+    /// stamped beneath is what [`Archive::check_invariants`] refuses.
+    pub written_beneath: bool,
+}
+
+impl ANode {
+    /// A detached node of `kind` and `class`: no children, attributes, key
+    /// or timestamp.
+    pub(crate) fn new(kind: AKind, class: NodeClass) -> Self {
+        ANode {
+            kind,
+            parent: None,
+            children: Vec::new(),
+            attrs: Vec::new(),
+            time: None,
+            key: None,
+            class,
+            written_beneath: false,
+        }
+    }
+}
+
+/// What the merges of an [`Archive`] have done so far, as counts that
+/// repeat exactly: keyed subtrees Nested Merge returned at without
+/// descending, and node pairs its equality walks looked at to decide.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct MergeTally {
+    /// Matched subtrees found equal and never written beneath — skipped.
+    pub subtrees_skipped: u64,
+    /// Archive/version node pairs the equality walks compared.
+    pub nodes_compared: u64,
 }
 
 /// How contents beneath frontier nodes are compacted.
@@ -136,6 +173,10 @@ pub struct Archive {
     latest: u32,
     spec: Arc<KeySpec>,
     compaction: Compaction,
+    pub(crate) tally: MergeTally,
+    /// Tests switch the no-op rule off to get the full walk it must equal.
+    #[cfg(test)]
+    pub(crate) full_walk: bool,
 }
 
 impl Archive {
@@ -155,13 +196,8 @@ impl Archive {
         let mut syms = SymbolTable::new();
         let root_tag = syms.intern("root");
         let root = ANode {
-            kind: AKind::Element(root_tag),
-            parent: None,
-            children: Vec::new(),
-            attrs: Vec::new(),
             time: Some(TimeSet::new()),
-            key: None,
-            class: NodeClass::Keyed,
+            ..ANode::new(AKind::Element(root_tag), NodeClass::Keyed)
         };
         Self {
             nodes: CowVec::from_iter([root]),
@@ -170,12 +206,18 @@ impl Archive {
             latest: 0,
             spec,
             compaction,
+            tally: MergeTally::default(),
+            #[cfg(test)]
+            full_walk: false,
         }
     }
 
     /// Rebuilds an archive from a deserialized arena (checkpoint
-    /// restore). The caller (`crate::state`) has range-checked every id
-    /// and runs [`Archive::check_invariants`] on the result.
+    /// restore). The caller (`crate::state`) has checked that the nodes
+    /// form one tree under `root` and runs [`Archive::check_invariants`]
+    /// on the result. The `written_beneath` bits are not stored; they are
+    /// derived here, one climb per timestamped node that stops at the
+    /// first ancestor already marked.
     pub(crate) fn from_arena(
         spec: KeySpec,
         compaction: Compaction,
@@ -184,14 +226,24 @@ impl Archive {
         root: ANodeId,
         latest: u32,
     ) -> Self {
-        Self {
+        let mut a = Self {
             nodes: nodes.into_iter().collect(),
             syms: Arc::new(syms),
             root,
             latest,
             spec: Arc::new(spec),
             compaction,
+            tally: MergeTally::default(),
+            #[cfg(test)]
+            full_walk: false,
+        };
+        for i in 0..a.len() {
+            let id = ANodeId(i as u32);
+            if a.node(id).time.is_some() {
+                a.mark_written_above(id);
+            }
         }
+        a
     }
 
     /// The synthetic root node.
@@ -242,6 +294,33 @@ impl Archive {
         let t = self.node_mut(id).time.as_mut()?;
         t.insert(i);
         Some(t)
+    }
+
+    /// Gives `id` the timestamp `t` of its own. Every timestamp a merge or
+    /// an import assigns goes through here, so this is where the
+    /// ancestors learn they have been written beneath.
+    pub(crate) fn set_time(&mut self, id: ANodeId, t: TimeSet) {
+        self.node_mut(id).time = Some(t);
+        self.mark_written_above(id);
+    }
+
+    /// Marks every ancestor of `id` written beneath; the climb stops at
+    /// the first already marked (whose ancestors then are too), and takes
+    /// no write borrow there, so its arena chunk stays shared.
+    fn mark_written_above(&mut self, id: ANodeId) {
+        let mut above = self.node(id).parent;
+        while let Some(p) = above {
+            if self.node(p).written_beneath {
+                break;
+            }
+            self.node_mut(p).written_beneath = true;
+            above = self.node(p).parent;
+        }
+    }
+
+    /// What this archive's merges have skipped and compared so far.
+    pub fn merge_tally(&self) -> MergeTally {
+        self.tally
     }
 
     /// The node arena (read-only) — `nodes().shared_chunks(..)` measures
@@ -300,15 +379,9 @@ impl Archive {
         id
     }
 
-    /// Allocates a detached node (the caller wires `children`).
-    pub(crate) fn alloc_detached(&mut self, node: ANode) -> ANodeId {
-        let id = ANodeId(self.nodes.len() as u32);
-        self.nodes.push(node);
-        id
-    }
-
     /// Re-parents `child` under `parent` (append). The child must currently
-    /// be detached.
+    /// be detached, and neither it nor anything beneath it timestamped
+    /// (nothing tells `parent`'s ancestors here).
     pub(crate) fn attach(&mut self, parent: ANodeId, child: ANodeId) {
         self.node_mut(child).parent = Some(parent);
         self.node_mut(parent).children.push(child);
@@ -371,7 +444,9 @@ impl Archive {
     ///    effective timestamp (the paper's §2 property);
     /// 2. stamp nodes carry an explicit timestamp and appear only beneath
     ///    frontier nodes (or beneath unkeyed fallback nodes);
-    /// 3. the root's timestamp is exactly `1..=latest`.
+    /// 3. the root's timestamp is exactly `1..=latest`;
+    /// 4. a node with a timestamped node beneath it is marked
+    ///    [`ANode::written_beneath`] (marked with none beneath is allowed).
     pub fn check_invariants(&self) -> Result<(), String> {
         let root_time = self
             .node(self.root)
@@ -381,10 +456,12 @@ impl Archive {
         if self.latest > 0 && root_time != TimeSet::from_range(1, self.latest) {
             return Err(format!("root timestamp {root_time} != 1-{}", self.latest));
         }
-        self.check_rec(self.root, &root_time)
+        self.check_rec(self.root, &root_time).map(|_| ())
     }
 
-    fn check_rec(&self, id: ANodeId, inherited: &TimeSet) -> Result<(), String> {
+    /// Checks the subtree at `id`; answers whether any node in it, `id`
+    /// included, carries a timestamp of its own.
+    fn check_rec(&self, id: ANodeId, inherited: &TimeSet) -> Result<bool, String> {
         let n = self.node(id);
         let eff = match &n.time {
             Some(t) => {
@@ -400,10 +477,16 @@ impl Archive {
         if matches!(n.kind, AKind::Stamp) && n.time.is_none() {
             return Err(format!("stamp node {id:?} without explicit timestamp"));
         }
+        let mut stamped_beneath = false;
         for &c in &n.children {
-            self.check_rec(c, &eff)?;
+            stamped_beneath |= self.check_rec(c, &eff)?;
         }
-        Ok(())
+        if stamped_beneath && !n.written_beneath {
+            return Err(format!(
+                "node {id:?} has a timestamp beneath it but is not marked written_beneath"
+            ));
+        }
+        Ok(stamped_beneath || n.time.is_some())
     }
 }
 
@@ -431,18 +514,7 @@ mod tests {
         a.node_mut(root).time = Some(TimeSet::from_range(1, 4));
         a.latest = 4;
         let sym = a.intern("db");
-        let db = a.push_node(
-            root,
-            ANode {
-                kind: AKind::Element(sym),
-                parent: None,
-                children: Vec::new(),
-                attrs: Vec::new(),
-                time: None,
-                key: None,
-                class: NodeClass::Keyed,
-            },
-        );
+        let db = a.push_node(root, ANode::new(AKind::Element(sym), NodeClass::Keyed));
         assert_eq!(a.effective_time(db), TimeSet::from_range(1, 4));
         assert!(a.exists_at(db, 2));
         assert!(!a.exists_at(db, 5));
@@ -459,13 +531,8 @@ mod tests {
         let db = a.push_node(
             root,
             ANode {
-                kind: AKind::Element(sym),
-                parent: None,
-                children: Vec::new(),
-                attrs: Vec::new(),
                 time: Some(TimeSet::from_range(1, 9)),
-                key: None,
-                class: NodeClass::Keyed,
+                ..ANode::new(AKind::Element(sym), NodeClass::Keyed)
             },
         );
         let _ = db;
@@ -480,26 +547,13 @@ mod tests {
         let db = a.push_node(
             root,
             ANode {
-                kind: AKind::Element(sym),
-                parent: None,
-                children: Vec::new(),
-                attrs: Vec::new(),
                 time: Some(TimeSet::from_version(1)),
-                key: None,
-                class: NodeClass::Keyed,
+                ..ANode::new(AKind::Element(sym), NodeClass::Keyed)
             },
         );
         a.push_node(
             db,
-            ANode {
-                kind: AKind::Text("x".into()),
-                parent: None,
-                children: Vec::new(),
-                attrs: Vec::new(),
-                time: None,
-                key: None,
-                class: NodeClass::BeyondFrontier,
-            },
+            ANode::new(AKind::Text("x".into()), NodeClass::BeyondFrontier),
         );
         let s = a.stats();
         assert_eq!(s.elements, 2); // root + db

@@ -62,7 +62,9 @@ pub mod weave;
 pub mod wire;
 pub mod xmlrep;
 
-pub use archive::{AKind, ANode, ANodeId, Archive, ArchiveStats, Compaction, MergeError};
+pub use archive::{
+    AKind, ANode, ANodeId, Archive, ArchiveStats, Compaction, MergeError, MergeTally,
+};
 pub use changes::{describe_changes, Change, ChangeKind};
 pub use chunk::ChunkedArchive;
 pub use cow::CowVec;

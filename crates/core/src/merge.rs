@@ -18,6 +18,28 @@
 //! Children on both sides are sorted by the label order `≤lab` (tag, then
 //! key arity, then key-path names, then key-path values under `≤v`) and
 //! paired by a single merge pass, giving the paper's `O(αN log N)` bound.
+//! Labels are compared where they are stored — the tag through the symbol
+//! table, the key value in the arena node or the [`Annotations`] — and the
+//! sorts move node ids.
+//!
+//! **The no-op rule.** If no node beneath archive node `x` carries a
+//! timestamp of its own and `children(x) =v children(y)` in order, the
+//! steps above write nothing beneath `x`: every keyed child pairs with its
+//! equal, every descendant inherits a timestamp that `i` has already been
+//! added to higher up, every frontier content compares equal, and neither
+//! `terminate` nor an insertion fires. So a merge that has brought
+//! `time(x)` up to date checks exactly that (`unchanged`) and returns.
+//! The precondition matters: beneath a node that *has* been written — a
+//! record terminated once, a `Text` with two alternatives — the same
+//! children can need `i` added to a timestamp, so such a node always takes
+//! the walk. "Written beneath" is [`ANode::written_beneath`], kept by
+//! `Archive::set_time`, through which every timestamp is assigned. The
+//! equality asked for is positional, attributes included, so it allocates
+//! nothing and hashes nothing; a subtree that is equal only after
+//! reordering fails it and is merged the long way, to the same archive.
+//! An accretive release — the paper's OMIM changes about one record in
+//! 300 — therefore costs one read of what it did not change plus the
+//! walk of what it did. [`Archive::merge_tally`] counts both.
 //!
 //! Above the frontier, children not covered by any key (mixed content,
 //! schema drift) fall back to whole-value matching — the "conventional diff
@@ -28,27 +50,118 @@ use std::collections::HashMap;
 
 use xarch_keys::{annotate, Annotations, KeyValue, NodeClass};
 use xarch_xml::canon::canonical;
-use xarch_xml::{Document, NodeId, NodeKind};
+use xarch_xml::{Document, NodeId, NodeKind, Sym};
 
 use crate::archive::{AKind, ANode, ANodeId, Archive, Compaction, MergeError};
 use crate::timeset::TimeSet;
 use crate::weave::weave_frontier;
 
-/// A child label: tag name plus key value (the paper's
-/// `l{p1=v1, ..., pk=vk}`).
-#[derive(Debug, Clone)]
-pub(crate) struct Label {
-    pub tag: String,
-    pub key: KeyValue,
+/// One incoming version as the merge reads it: the document, its key
+/// annotations, and the version number it is archived as.
+pub(crate) struct Version<'a> {
+    pub doc: &'a Document,
+    pub ann: &'a Annotations,
+    /// The version number being merged.
+    pub i: u32,
+    /// `doc`'s symbols in the archive's table as of the start of the
+    /// merge, so tags and attribute names compare as `Sym`s. `None` is a
+    /// name the archive did not have then; the merge may have interned it
+    /// since, so those compare by spelling ([`Version::same_name`]).
+    syms: Vec<Option<Sym>>,
+    /// The paper pairs the archive root `rA` with a virtual root `rD`
+    /// whose only child is the document root: this is that child list.
+    top: [NodeId; 1],
 }
 
-impl Label {
-    pub(crate) fn cmp(&self, other: &Label) -> Ordering {
-        self.tag
-            .cmp(&other.tag)
-            .then_with(|| self.key.cmp_parts(&other.key))
+impl<'a> Version<'a> {
+    fn new(a: &Archive, doc: &'a Document, ann: &'a Annotations, i: u32) -> Self {
+        Version {
+            doc,
+            ann,
+            i,
+            syms: doc.syms().iter().map(|(_, n)| a.syms().get(n)).collect(),
+            top: [doc.root()],
+        }
+    }
+
+    /// `doc`'s symbol `s` in the archive's table, interned if new.
+    fn intern(&self, a: &mut Archive, s: Sym) -> Sym {
+        self.syms[s.index()].unwrap_or_else(|| a.intern(self.doc.syms().resolve(s)))
+    }
+
+    /// Whether the archive's symbol `x` and `doc`'s symbol `y` are one name.
+    fn same_name(&self, a: &Archive, x: Sym, y: Sym) -> bool {
+        match self.syms[y.index()] {
+            Some(mapped) => mapped == x,
+            None => a.syms().resolve(x) == self.doc.syms().resolve(y),
+        }
     }
 }
+
+/// A child label — tag name plus key value, the paper's
+/// `l{p1=v1, ..., pk=vk}` — read where it is stored.
+type LabelRef<'a> = (&'a str, &'a KeyValue);
+
+/// The label of archive node `id`, when it is a keyed element.
+fn x_label(a: &Archive, id: ANodeId) -> Option<LabelRef<'_>> {
+    let n = a.node(id);
+    match (&n.kind, &n.key) {
+        (AKind::Element(s), Some(k)) => Some((a.syms().resolve(*s), k)),
+        _ => None,
+    }
+}
+
+/// The label of version node `id`, when it is a keyed element.
+fn y_label<'a>(ver: &Version<'a>, id: NodeId) -> Option<LabelRef<'a>> {
+    match (&ver.doc.node(id).kind, ver.ann.key(id)) {
+        (NodeKind::Element(s), Some(k)) => Some((ver.doc.syms().resolve(*s), k)),
+        _ => None,
+    }
+}
+
+/// The label order `≤lab`.
+fn cmp_labels(p: LabelRef<'_>, q: LabelRef<'_>) -> Ordering {
+    p.0.cmp(q.0).then_with(|| p.1.cmp_parts(q.1))
+}
+
+/// The keyed children of archive node `x`, sorted by label. The sort is
+/// stable, so siblings that (illegally) share a label keep document order
+/// and pair positionally.
+fn sorted_keyed_x(a: &Archive, x: ANodeId) -> Vec<ANodeId> {
+    let mut kx: Vec<(LabelRef<'_>, ANodeId)> = Vec::new();
+    for &c in a.children(x) {
+        debug_assert!(
+            !matches!(a.node(c).kind, AKind::Stamp),
+            "stamp nodes occur only beneath frontier nodes"
+        );
+        kx.extend(x_label(a, c).map(|l| (l, c)));
+    }
+    kx.sort_by(|p, q| cmp_labels(p.0, q.0));
+    kx.into_iter().map(|p| p.1).collect()
+}
+
+/// Splits a version child list into its keyed children, sorted by label
+/// (stably, as [`sorted_keyed_x`]), and the others in document order.
+fn split_y(ver: &Version<'_>, y_children: &[NodeId]) -> (Vec<NodeId>, Vec<NodeId>) {
+    let mut ky: Vec<(LabelRef<'_>, NodeId)> = Vec::new();
+    let mut oy = Vec::new();
+    for &c in y_children {
+        match y_label(ver, c) {
+            Some(l) => ky.push((l, c)),
+            None => oy.push(c),
+        }
+    }
+    ky.sort_by(|p, q| cmp_labels(p.0, q.0));
+    (ky.into_iter().map(|p| p.1).collect(), oy)
+}
+
+/// The children of `x` that are not keyed elements, in document order.
+fn unkeyed_x(a: &Archive, x: ANodeId) -> Vec<ANodeId> {
+    let others = a.children(x).iter().copied();
+    others.filter(|&c| x_label(a, c).is_none()).collect()
+}
+
+const KEYED: &str = "the keyed lists hold keyed elements";
 
 impl Archive {
     /// Annotates `doc` against the archive's key spec and merges it as the
@@ -66,17 +179,12 @@ impl Archive {
         }
         let i = self.bump_version();
         let root = self.root();
-        let t = self
-            .node_mut(root)
-            .time
-            .as_mut()
-            .expect("root carries a timestamp");
-        t.insert(i);
-        let t_cur = t.clone();
-        // The paper pairs the archive root rA with a virtual root rD whose
-        // only child is the document root; equivalently, merge the child
-        // lists directly.
-        merge_children(self, root, doc, ann, &[doc.root()], &t_cur, i);
+        let t_cur = self
+            .augment_time(root, i)
+            .expect("root carries a timestamp")
+            .clone();
+        let ver = Version::new(self, doc, ann, i);
+        merge_children(self, root, &ver, &ver.top, &t_cur);
         Ok(i)
     }
 
@@ -127,32 +235,21 @@ impl Archive {
             .time
             .clone()
             .expect("root carries a timestamp");
-        let mut assigned = Vec::with_capacity(docs.len());
-        let mut levels: Vec<BatchLevel<'_>> = Vec::with_capacity(docs.len());
+        let mut vers: Vec<Version<'_>> = Vec::with_capacity(docs.len());
         for (doc, ann) in docs.iter().zip(anns) {
-            let v = self.bump_version();
-            assigned.push(v);
-            // the paper's virtual root: each version contributes its
-            // document root as the sole child to merge beneath `root`
-            levels.push(BatchLevel {
-                v,
-                doc,
-                ann,
-                children: vec![doc.root()],
-            });
+            let i = self.bump_version();
+            vers.push(Version::new(self, doc, ann, i));
+            self.augment_time(root, i);
         }
-        {
-            let t = self
-                .node_mut(root)
-                .time
-                .as_mut()
-                .expect("root carries a timestamp");
-            for &v in &assigned {
-                t.insert(v);
-            }
-        }
+        let levels: Vec<BatchLevel<'_>> = vers
+            .iter()
+            .map(|ver| BatchLevel {
+                ver,
+                children: &ver.top,
+            })
+            .collect();
         batch_merge_children(self, root, &levels, &eff0);
-        assigned
+        vers.iter().map(|ver| ver.i).collect()
     }
 
     /// Archives an *empty* database as the next version (§2's footnote:
@@ -160,13 +257,10 @@ impl Archive {
     pub fn add_empty_version(&mut self) -> u32 {
         let i = self.bump_version();
         let root = self.root();
-        let t = self
-            .node_mut(root)
-            .time
-            .as_mut()
-            .expect("root carries a timestamp");
-        t.insert(i);
-        let t_cur = t.clone();
+        let t_cur = self
+            .augment_time(root, i)
+            .expect("root carries a timestamp")
+            .clone();
         for c in self.children(root).to_vec() {
             terminate(self, c, &t_cur, i);
         }
@@ -174,27 +268,80 @@ impl Archive {
     }
 }
 
-/// The recursive core: merge version node `y` into archive node `x`
-/// (their labels are equal by construction).
-fn nested_merge(
+/// The no-op rule: `true` when merging every `(version, y)` of `ys` into
+/// the matched archive node `x` would write nothing beneath `x`, so the
+/// caller, having brought `time(x)` up to date, may return.
+///
+/// That holds when nothing beneath `x` carries a timestamp of its own and
+/// `children(x) =v children(y)` for each `y` — decided here by one
+/// allocation-free walk that reads both sides in place. The walk wants
+/// children *and attributes* in the same order; a subtree that is equal
+/// only up to a reordering answers `false` and takes the full walk, which
+/// pairs by label and finds it equal the slow way.
+fn unchanged<'v>(
     a: &mut Archive,
     x: ANodeId,
-    doc: &Document,
-    ann: &Annotations,
-    y: NodeId,
-    inherited: &TimeSet,
-    i: u32,
-) {
+    mut ys: impl Iterator<Item = (&'v Version<'v>, NodeId)>,
+) -> bool {
+    #[cfg(test)]
+    if a.full_walk {
+        return false;
+    }
+    if a.node(x).written_beneath {
+        return false;
+    }
+    let mut compared = 0;
+    let same = ys.all(|(ver, y)| same_children(a, x, ver, y, &mut compared));
+    a.tally.nodes_compared += compared;
+    a.tally.subtrees_skipped += u64::from(same);
+    same
+}
+
+/// `children(x) =v children(y)`, position by position. Only asked of an
+/// `x` with no timestamp beneath it, so no stamp node can turn up.
+fn same_children(a: &Archive, x: ANodeId, ver: &Version<'_>, y: NodeId, n: &mut u64) -> bool {
+    let (xs, ys) = (a.children(x), ver.doc.children(y));
+    xs.len() == ys.len()
+        && xs
+            .iter()
+            .zip(ys)
+            .all(|(&xc, &yc)| same_node(a, xc, ver, yc, n))
+}
+
+fn same_node(a: &Archive, xc: ANodeId, ver: &Version<'_>, yc: NodeId, n: &mut u64) -> bool {
+    *n += 1;
+    let (xn, yn) = (a.node(xc), ver.doc.node(yc));
+    let same_name = |x: Sym, y: Sym| ver.same_name(a, x, y);
+    match (&xn.kind, &yn.kind) {
+        (AKind::Text(t1), NodeKind::Text(t2)) => t1 == t2,
+        (AKind::Element(s1), NodeKind::Element(s2)) => {
+            same_name(*s1, *s2)
+                && xn.attrs.len() == yn.attrs.len()
+                && xn
+                    .attrs
+                    .iter()
+                    .zip(&yn.attrs)
+                    .all(|(p, q)| same_name(p.0, q.0) && p.1 == q.1)
+                && same_children(a, xc, ver, yc, n)
+        }
+        _ => false,
+    }
+}
+
+/// The recursive core: merge version node `y` into archive node `x`
+/// (their labels are equal by construction).
+fn nested_merge(a: &mut Archive, x: ANodeId, ver: &Version<'_>, y: NodeId, inherited: &TimeSet) {
     // "If time(x) exists, then add i to time(x), let T be time(x)."
-    let t_cur = match a.augment_time(x, i) {
-        Some(t) => t.clone(),
-        None => inherited.clone(),
-    };
-    if ann.is_frontier(y) {
-        frontier_merge(a, x, doc, ann, y, &t_cur, i);
+    a.augment_time(x, ver.i);
+    if unchanged(a, x, std::iter::once((ver, y))) {
+        return;
+    }
+    let own = a.node(x).time.clone();
+    let t_cur = own.as_ref().unwrap_or(inherited);
+    if ver.ann.is_frontier(y) {
+        frontier_merge(a, x, ver, y, t_cur);
     } else {
-        let y_children = doc.children(y).to_vec();
-        merge_children(a, x, doc, ann, &y_children, &t_cur, i);
+        merge_children(a, x, ver, ver.doc.children(y), t_cur);
     }
 }
 
@@ -203,79 +350,46 @@ fn nested_merge(
 pub(crate) fn merge_children(
     a: &mut Archive,
     x: ANodeId,
-    doc: &Document,
-    ann: &Annotations,
+    ver: &Version<'_>,
     y_children: &[NodeId],
     t_cur: &TimeSet,
-    i: u32,
 ) {
-    // Split both child lists into keyed and other nodes.
-    let mut kx: Vec<(Label, ANodeId)> = Vec::new();
-    let mut ox: Vec<ANodeId> = Vec::new();
-    for &c in a.children(x) {
-        let n = a.node(c);
-        debug_assert!(
-            !matches!(n.kind, AKind::Stamp),
-            "stamp nodes occur only beneath frontier nodes"
-        );
-        match (&n.kind, &n.key) {
-            (AKind::Element(s), Some(k)) => kx.push((
-                Label {
-                    tag: a.syms().resolve(*s).to_owned(),
-                    key: k.clone(),
-                },
-                c,
-            )),
-            _ => ox.push(c),
-        }
-    }
-    let mut ky: Vec<(Label, NodeId)> = Vec::new();
-    let mut oy: Vec<NodeId> = Vec::new();
-    for &c in y_children {
-        match (&doc.node(c).kind, ann.key(c)) {
-            (NodeKind::Element(s), Some(k)) => ky.push((
-                Label {
-                    tag: doc.syms().resolve(*s).to_owned(),
-                    key: k.clone(),
-                },
-                c,
-            )),
-            _ => oy.push(c),
-        }
-    }
-    kx.sort_by(|p, q| p.0.cmp(&q.0));
-    ky.sort_by(|p, q| p.0.cmp(&q.0));
+    let kx = sorted_keyed_x(a, x);
+    let ox = unkeyed_x(a, x);
+    let (ky, oy) = split_y(ver, y_children);
 
     // Merge pass over the two sorted lists.
     let (mut ix, mut iy) = (0usize, 0usize);
     while ix < kx.len() && iy < ky.len() {
-        match kx[ix].0.cmp(&ky[iy].0) {
+        let lx = x_label(a, kx[ix]).expect(KEYED);
+        let ly = y_label(ver, ky[iy]).expect(KEYED);
+        match cmp_labels(lx, ly) {
             Ordering::Equal => {
                 // action (a): recursive merge
-                nested_merge(a, kx[ix].1, doc, ann, ky[iy].1, t_cur, i);
+                nested_merge(a, kx[ix], ver, ky[iy], t_cur);
                 ix += 1;
                 iy += 1;
             }
             Ordering::Less => {
                 // action (b): terminate the archive-only node
-                terminate(a, kx[ix].1, t_cur, i);
+                terminate(a, kx[ix], t_cur, ver.i);
                 ix += 1;
             }
             Ordering::Greater => {
                 // action (c): new subtree
-                insert_new(a, x, doc, ann, ky[iy].1, i);
+                insert_new(a, x, ver, ky[iy]);
                 iy += 1;
             }
         }
     }
-    for (_, xc) in &kx[ix..] {
-        terminate(a, *xc, t_cur, i);
+    for &xc in &kx[ix..] {
+        terminate(a, xc, t_cur, ver.i);
     }
-    for (_, yc) in &ky[iy..] {
-        insert_new(a, x, doc, ann, *yc, i);
+    for &yc in &ky[iy..] {
+        insert_new(a, x, ver, yc);
     }
 
-    match_unkeyed(a, x, &ox, doc, ann, &oy, t_cur, i);
+    match_unkeyed(a, x, &ox, ver, &oy, t_cur);
 }
 
 /// Action (b): "If time(x′) does not exist, then let time(x′) be T − {i}."
@@ -283,23 +397,16 @@ pub(crate) fn terminate(a: &mut Archive, xc: ANodeId, t_cur: &TimeSet, i: u32) {
     if a.node(xc).time.is_none() {
         let mut t = t_cur.clone();
         t.remove(i);
-        a.node_mut(xc).time = Some(t);
+        a.set_time(xc, t);
     }
 }
 
 /// Action (c): copy a version subtree into the archive with timestamp `{i}`.
 /// Returns the id of the copied root (the batch merge recurses into it for
 /// the later versions of a batch).
-fn insert_new(
-    a: &mut Archive,
-    parent: ANodeId,
-    doc: &Document,
-    ann: &Annotations,
-    y: NodeId,
-    i: u32,
-) -> ANodeId {
-    let id = copy_subtree(a, doc, ann, y, parent);
-    a.node_mut(id).time = Some(TimeSet::from_version(i));
+fn insert_new(a: &mut Archive, parent: ANodeId, ver: &Version<'_>, y: NodeId) -> ANodeId {
+    let id = copy_subtree(a, ver, y, parent);
+    a.set_time(id, TimeSet::from_version(ver.i));
     id
 }
 
@@ -307,43 +414,27 @@ fn insert_new(
 /// and node classes so future merges need not re-annotate the archive.
 pub(crate) fn copy_subtree(
     a: &mut Archive,
-    doc: &Document,
-    ann: &Annotations,
+    ver: &Version<'_>,
     y: NodeId,
     parent: ANodeId,
 ) -> ANodeId {
-    let node = match &doc.node(y).kind {
+    let class = ver.ann.class(y);
+    let node = match &ver.doc.node(y).kind {
         NodeKind::Element(s) => {
-            let tag = a.intern(doc.syms().resolve(*s));
-            let attrs = doc
-                .attrs(y)
-                .iter()
-                .map(|(s, v)| (doc.syms().resolve(*s).to_owned(), v.clone()))
-                .collect::<Vec<_>>();
-            let attrs = attrs.into_iter().map(|(n, v)| (a.intern(&n), v)).collect();
+            let tag = ver.intern(a, *s);
             ANode {
-                kind: AKind::Element(tag),
-                parent: None,
-                children: Vec::new(),
-                attrs,
-                time: None,
-                key: ann.key(y).cloned(),
-                class: ann.class(y),
+                attrs: (ver.doc.attrs(y).iter())
+                    .map(|(s, v)| (ver.intern(a, *s), v.clone()))
+                    .collect(),
+                key: ver.ann.key(y).cloned(),
+                ..ANode::new(AKind::Element(tag), class)
             }
         }
-        NodeKind::Text(t) => ANode {
-            kind: AKind::Text(t.clone()),
-            parent: None,
-            children: Vec::new(),
-            attrs: Vec::new(),
-            time: None,
-            key: None,
-            class: ann.class(y),
-        },
+        NodeKind::Text(t) => ANode::new(AKind::Text(t.clone()), class),
     };
     let id = a.push_node(parent, node);
-    for &c in doc.children(y) {
-        copy_subtree(a, doc, ann, c, id);
+    for &c in ver.doc.children(y) {
+        copy_subtree(a, ver, c, id);
     }
     id
 }
@@ -382,20 +473,23 @@ pub(crate) fn copy_subtree(
 // Frontier nodes and unkeyed (mixed-content) children are handled by the
 // serial helpers per present version, in version order — their costs are
 // bounded by version content, not archive size.
+//
+// The no-op rule holds for a batch as for one version: a matched node
+// nothing was ever written beneath, whose subtree EVERY present version
+// of the batch equals, gets its timestamp as above and nothing else.
 // ---------------------------------------------------------------------------
 
-/// One version of a batch at the current tree level: its assigned version
-/// number, source document + annotations, and the child list to merge.
 /// A deferred insertion found during the k-way label walk: the level that
 /// first introduces the label, its version node, and the later levels'
 /// nodes to nested-merge into the fresh subtree.
 type DeferredInsert = (usize, NodeId, Vec<(usize, NodeId)>);
 
+/// One version of a batch at the current tree level: the version and the
+/// child list to merge.
+#[derive(Clone, Copy)]
 struct BatchLevel<'a> {
-    v: u32,
-    doc: &'a Document,
-    ann: &'a Annotations,
-    children: Vec<NodeId>,
+    ver: &'a Version<'a>,
+    children: &'a [NodeId],
 }
 
 /// `eff0 ∪ {v ∈ versions : v ≤ upto}` — the node's effective timestamp as
@@ -420,56 +514,16 @@ fn batch_merge_children(a: &mut Archive, x: ANodeId, levels: &[BatchLevel<'_>], 
     // minus the batch scaffolding — common under newly inserted records
     if let [l] = levels {
         let mut t_cur = eff0.clone();
-        t_cur.insert(l.v);
-        merge_children(a, x, l.doc, l.ann, &l.children, &t_cur, l.v);
+        t_cur.insert(l.ver.i);
+        merge_children(a, x, l.ver, l.children, &t_cur);
         return;
     }
-    let present: Vec<u32> = levels.iter().map(|l| l.v).collect();
+    let present: Vec<u32> = levels.iter().map(|l| l.ver.i).collect();
 
-    // Partition and sort the archive's children ONCE for the whole batch.
-    let mut kx: Vec<(Label, ANodeId)> = Vec::new();
-    for &c in a.children(x) {
-        let n = a.node(c);
-        debug_assert!(
-            !matches!(n.kind, AKind::Stamp),
-            "stamp nodes occur only beneath frontier nodes"
-        );
-        if let (AKind::Element(s), Some(k)) = (&n.kind, &n.key) {
-            kx.push((
-                Label {
-                    tag: a.syms().resolve(*s).to_owned(),
-                    key: k.clone(),
-                },
-                c,
-            ));
-        }
-    }
-    kx.sort_by(|p, q| p.0.cmp(&q.0));
-
-    // Per version: sorted keyed children + unkeyed children in doc order.
-    // The sort is stable, so siblings that (illegally) share a label keep
-    // document order and pair positionally, exactly as the serial pass.
-    let mut kys: Vec<Vec<(Label, NodeId)>> = Vec::with_capacity(levels.len());
-    let mut oys: Vec<Vec<NodeId>> = Vec::with_capacity(levels.len());
-    for l in levels {
-        let mut ky: Vec<(Label, NodeId)> = Vec::new();
-        let mut oy: Vec<NodeId> = Vec::new();
-        for &c in &l.children {
-            match (&l.doc.node(c).kind, l.ann.key(c)) {
-                (NodeKind::Element(s), Some(k)) => ky.push((
-                    Label {
-                        tag: l.doc.syms().resolve(*s).to_owned(),
-                        key: k.clone(),
-                    },
-                    c,
-                )),
-                _ => oy.push(c),
-            }
-        }
-        ky.sort_by(|p, q| p.0.cmp(&q.0));
-        kys.push(ky);
-        oys.push(oy);
-    }
+    // Partition and sort the archive's children ONCE for the whole batch,
+    // and each version's: sorted keyed children + the others in doc order.
+    let kx = sorted_keyed_x(a, x);
+    let (kys, oys): (Vec<_>, Vec<_>) = levels.iter().map(|l| split_y(l.ver, l.children)).unzip();
 
     // k-way label walk. Each round consumes at most one front entry per
     // list, so duplicate labels pair positionally across rounds. New
@@ -479,36 +533,39 @@ fn batch_merge_children(a: &mut Archive, x: ANodeId, levels: &[BatchLevel<'_>], 
     let mut iys = vec![0usize; levels.len()];
     let mut news: Vec<DeferredInsert> = Vec::new();
     loop {
-        let mut min: Option<&Label> = (ix < kx.len()).then(|| &kx[ix].0);
-        for (li, ky) in kys.iter().enumerate() {
-            if let Some((lab, _)) = ky.get(iys[li]) {
-                min = match min {
-                    Some(m) if m.cmp(lab) != Ordering::Greater => Some(m),
-                    _ => Some(lab),
-                };
-            }
-        }
-        let Some(min) = min else { break };
-        let min = min.clone();
-        let mut parts: Vec<(usize, NodeId)> = Vec::new();
-        for (li, ky) in kys.iter().enumerate() {
-            if let Some((lab, y)) = ky.get(iys[li]) {
-                if lab.cmp(&min) == Ordering::Equal {
-                    parts.push((li, *y));
-                    iys[li] += 1;
+        let front = |li: usize| {
+            let y = *kys[li].get(iys[li])?;
+            Some((y, y_label(levels[li].ver, y).expect(KEYED)))
+        };
+        let x_front = kx.get(ix).map(|&c| (c, x_label(a, c).expect(KEYED)));
+        let mut min = x_front.map(|f| f.1);
+        for li in 0..levels.len() {
+            if let Some((_, lab)) = front(li) {
+                if min.is_none_or(|m| cmp_labels(m, lab) == Ordering::Greater) {
+                    min = Some(lab);
                 }
             }
         }
-        let x_here = (ix < kx.len() && kx[ix].0.cmp(&min) == Ordering::Equal).then(|| {
-            ix += 1;
-            kx[ix - 1].1
-        });
+        let Some(min) = min else { break };
+        let x_here = x_front
+            .filter(|f| cmp_labels(f.1, min) == Ordering::Equal)
+            .map(|f| f.0);
+        let parts: Vec<(usize, NodeId)> = (0..levels.len())
+            .filter_map(|li| {
+                let (y, lab) = front(li)?;
+                (cmp_labels(lab, min) == Ordering::Equal).then_some((li, y))
+            })
+            .collect();
+        ix += usize::from(x_here.is_some());
+        for &(li, _) in &parts {
+            iys[li] += 1;
+        }
         match x_here {
             // archive-only: serial terminates at the batch's first version
             // with t_cur(v₁) − {v₁} = eff0; later versions are no-ops
             Some(xc) if parts.is_empty() => {
                 if a.node(xc).time.is_none() {
-                    a.node_mut(xc).time = Some(eff0.clone());
+                    a.set_time(xc, eff0.clone());
                 }
             }
             Some(xc) => batch_merge_node(a, xc, levels, &parts, eff0),
@@ -522,10 +579,7 @@ fn batch_merge_children(a: &mut Archive, x: ANodeId, levels: &[BatchLevel<'_>], 
     // sort keeps label order within each version
     news.sort_by_key(|&(first_li, _, _)| first_li);
     let mut news = news.into_iter().peekable();
-    let mut have_unkeyed_x = a.children(x).iter().any(|&c| {
-        let n = a.node(c);
-        !(matches!(n.kind, AKind::Element(_)) && n.key.is_some())
-    });
+    let mut have_unkeyed_x = a.children(x).iter().any(|&c| x_label(a, c).is_none());
 
     // Insertions and unkeyed matching, replayed in version order so the
     // archive's child append order is byte-identical to a serial replay:
@@ -533,21 +587,13 @@ fn batch_merge_children(a: &mut Archive, x: ANodeId, levels: &[BatchLevel<'_>], 
     // insertions (doc order), then version j+1's.
     for (li, l) in levels.iter().enumerate() {
         while let Some((_, y, followups)) = news.next_if(|&(first, _, _)| first == li) {
-            let id = insert_new(a, x, l.doc, l.ann, y, l.v);
+            let id = insert_new(a, x, l.ver, y);
             // later versions of the batch merge into the fresh node — its
             // timestamp is explicit, so these are self-contained and do
             // not touch x's child list
             for &(fli, fy) in &followups {
-                let fl = &levels[fli];
-                nested_merge(
-                    a,
-                    id,
-                    fl.doc,
-                    fl.ann,
-                    fy,
-                    &t_cur_at(eff0, &present, fl.v),
-                    fl.v,
-                );
+                let fv = levels[fli].ver;
+                nested_merge(a, id, fv, fy, &t_cur_at(eff0, &present, fv.i));
             }
         }
         // unkeyed matching only when there is anything unkeyed in play —
@@ -556,25 +602,9 @@ fn batch_merge_children(a: &mut Archive, x: ANodeId, levels: &[BatchLevel<'_>], 
         // rescan: their pools include it.
         let oy = &oys[li];
         if have_unkeyed_x || !oy.is_empty() {
-            let ox: Vec<ANodeId> = a
-                .children(x)
-                .iter()
-                .copied()
-                .filter(|&c| {
-                    let n = a.node(c);
-                    !(matches!(n.kind, AKind::Element(_)) && n.key.is_some())
-                })
-                .collect();
-            match_unkeyed(
-                a,
-                x,
-                &ox,
-                l.doc,
-                l.ann,
-                oy,
-                &t_cur_at(eff0, &present, l.v),
-                l.v,
-            );
+            let ox = unkeyed_x(a, x);
+            let t_cur = t_cur_at(eff0, &present, l.ver.i);
+            match_unkeyed(a, x, &ox, l.ver, oy, &t_cur);
             have_unkeyed_x = have_unkeyed_x || !oy.is_empty();
         }
     }
@@ -591,55 +621,43 @@ fn batch_merge_node(
     parts: &[(usize, NodeId)],
     eff0_parent: &TimeSet,
 ) {
-    let pre = a.node(xc).time.clone();
-    let eff0 = pre.clone().unwrap_or_else(|| eff0_parent.clone());
-    let part_versions: Vec<u32> = parts.iter().map(|&(li, _)| levels[li].v).collect();
-    match pre {
-        Some(mut t) => {
-            for &v in &part_versions {
-                t.insert(v);
-            }
-            a.node_mut(xc).time = Some(t);
+    let part_versions: Vec<u32> = parts.iter().map(|&(li, _)| levels[li].ver.i).collect();
+    let eff0 = match &a.node(xc).time {
+        Some(pre) => pre.clone(),
+        None => eff0_parent.clone(),
+    };
+    if a.node(xc).time.is_some() {
+        for &v in &part_versions {
+            a.augment_time(xc, v);
         }
-        // present wherever the parent is: keeps inheriting
-        None if parts.len() == levels.len() => {}
+    } else if parts.len() < levels.len() {
         // terminated at its first absent version, then re-augmented
-        None => {
-            let mut t = eff0_parent.clone();
-            for &v in &part_versions {
-                t.insert(v);
-            }
-            a.node_mut(xc).time = Some(t);
-        }
+        // (present wherever the parent is, it would keep inheriting)
+        a.set_time(xc, t_cur_at(&eff0, &part_versions, u32::MAX));
     }
-    let frontier = levels[parts[0].0].ann.is_frontier(parts[0].1);
+    let in_batch = |&(li, y): &(usize, NodeId)| (levels[li].ver, y);
+    if unchanged(a, xc, parts.iter().map(in_batch)) {
+        return;
+    }
+    let frontier = levels[parts[0].0].ver.ann.is_frontier(parts[0].1);
     debug_assert!(
         parts
             .iter()
-            .all(|&(li, y)| levels[li].ann.is_frontier(y) == frontier),
+            .all(|&(li, y)| levels[li].ver.ann.is_frontier(y) == frontier),
         "frontier classification must agree across a batch"
     );
     if frontier {
         for &(li, y) in parts {
-            let l = &levels[li];
-            frontier_merge(
-                a,
-                xc,
-                l.doc,
-                l.ann,
-                y,
-                &t_cur_at(&eff0, &part_versions, l.v),
-                l.v,
-            );
+            let ver = levels[li].ver;
+            let t_cur = t_cur_at(&eff0, &part_versions, ver.i);
+            frontier_merge(a, xc, ver, y, &t_cur);
         }
     } else {
         let sub: Vec<BatchLevel<'_>> = parts
             .iter()
             .map(|&(li, y)| BatchLevel {
-                v: levels[li].v,
-                doc: levels[li].doc,
-                ann: levels[li].ann,
-                children: levels[li].doc.children(y).to_vec(),
+                ver: levels[li].ver,
+                children: levels[li].ver.doc.children(y),
             })
             .collect();
         batch_merge_children(a, xc, &sub, &eff0);
@@ -648,103 +666,68 @@ fn batch_merge_node(
 
 /// Frontier handling (§4.2): beneath the deepest keyed nodes, contents are
 /// matched by value.
-fn frontier_merge(
-    a: &mut Archive,
-    x: ANodeId,
-    doc: &Document,
-    ann: &Annotations,
-    y: NodeId,
-    t_cur: &TimeSet,
-    i: u32,
-) {
+fn frontier_merge(a: &mut Archive, x: ANodeId, ver: &Version<'_>, y: NodeId, t_cur: &TimeSet) {
     if a.compaction() == Compaction::Weave {
-        weave_frontier(a, x, doc, ann, y, t_cur, i);
+        weave_frontier(a, x, ver, y, t_cur);
         return;
     }
-    let y_children = doc.children(y).to_vec();
-    let has_stamps = a
-        .children(x)
-        .iter()
-        .any(|&c| matches!(a.node(c).kind, AKind::Stamp));
-    if !has_stamps {
+    let (doc, i) = (ver.doc, ver.i);
+    let y_children = doc.children(y);
+    let is_stamp = |a: &Archive, c: ANodeId| matches!(a.node(c).kind, AKind::Stamp);
+    if !a.children(x).iter().any(|&c| is_stamp(a, c)) {
         // "If every node in children(x) is not a timestamp node":
-        if !content_equals(a, a.children(x), doc, &y_children) {
+        if !content_equals(a, a.children(x), doc, y_children) {
             // split into two alternatives t1 = T−{i}, t2 = {i}
             let old: Vec<ANodeId> = std::mem::take(&mut a.node_mut(x).children);
             let mut t_old = t_cur.clone();
             t_old.remove(i);
-            let t1 = a.alloc_detached(ANode {
-                kind: AKind::Stamp,
-                parent: None,
-                children: Vec::new(),
-                attrs: Vec::new(),
-                time: Some(t_old),
-                key: None,
-                class: NodeClass::BeyondFrontier,
-            });
+            let t1 = push_stamp(a, x, t_old);
             for c in old {
                 a.attach(t1, c);
             }
-            a.attach(x, t1);
-            push_alternative(a, x, doc, ann, &y_children, i);
+            push_alternative(a, x, ver, y_children);
         }
         // equal contents: nothing to do, children keep inheriting
     } else {
         // find an existing alternative with value-equal content
-        let stamp = a.children(x).to_vec().into_iter().find(|&sc| {
-            matches!(a.node(sc).kind, AKind::Stamp)
-                && content_equals(a, a.children(sc), doc, &y_children)
-        });
+        let stamps = a.children(x).iter().copied();
+        let stamp = stamps
+            .filter(|&sc| is_stamp(a, sc))
+            .find(|&sc| content_equals(a, a.children(sc), doc, y_children));
         match stamp {
             Some(sc) => {
-                a.node_mut(sc)
-                    .time
-                    .as_mut()
-                    .expect("stamps carry timestamps")
-                    .insert(i);
+                a.augment_time(sc, i).expect("stamps carry timestamps");
             }
-            None => push_alternative(a, x, doc, ann, &y_children, i),
+            None => push_alternative(a, x, ver, y_children),
         }
     }
 }
 
+/// Appends an empty `<T t="t">` alternative to frontier node `x`.
+fn push_stamp(a: &mut Archive, x: ANodeId, t: TimeSet) -> ANodeId {
+    let stamp = a.push_node(x, ANode::new(AKind::Stamp, NodeClass::BeyondFrontier));
+    a.set_time(stamp, t);
+    stamp
+}
+
 /// Appends a new `<T t="i">` alternative holding a copy of `y_children`.
-fn push_alternative(
-    a: &mut Archive,
-    x: ANodeId,
-    doc: &Document,
-    ann: &Annotations,
-    y_children: &[NodeId],
-    i: u32,
-) {
-    let t2 = a.alloc_detached(ANode {
-        kind: AKind::Stamp,
-        parent: None,
-        children: Vec::new(),
-        attrs: Vec::new(),
-        time: Some(TimeSet::from_version(i)),
-        key: None,
-        class: NodeClass::BeyondFrontier,
-    });
+fn push_alternative(a: &mut Archive, x: ANodeId, ver: &Version<'_>, y_children: &[NodeId]) {
+    let t2 = push_stamp(a, x, TimeSet::from_version(ver.i));
     for &c in y_children {
-        copy_subtree(a, doc, ann, c, t2);
+        copy_subtree(a, ver, c, t2);
     }
-    a.attach(x, t2);
 }
 
 /// Fallback matching for children not covered by keys: pair archive and
 /// version children with value-equal subtrees; augment matched timestamps,
 /// terminate unmatched archive children, insert unmatched version children.
-#[allow(clippy::too_many_arguments)]
 fn match_unkeyed(
     a: &mut Archive,
     x: ANodeId,
     ox: &[ANodeId],
-    doc: &Document,
-    ann: &Annotations,
+    ver: &Version<'_>,
     oy: &[NodeId],
     t_cur: &TimeSet,
-    i: u32,
 ) {
     if ox.is_empty() && oy.is_empty() {
         return;
@@ -754,21 +737,21 @@ fn match_unkeyed(
         by_canon.entry(canonical_anode(a, xc)).or_default().push(xc);
     }
     for &yc in oy {
-        let cy = canonical(doc, yc);
+        let cy = canonical(ver.doc, yc);
         let matched = by_canon.get_mut(&cy).and_then(|v| v.pop());
         match matched {
             Some(xc) => {
                 // time == None: inherits, which already includes i
-                a.augment_time(xc, i);
+                a.augment_time(xc, ver.i);
             }
             None => {
-                insert_new(a, x, doc, ann, yc, i);
+                insert_new(a, x, ver, yc);
             }
         }
     }
     for (_, rest) in by_canon {
         for xc in rest {
-            terminate(a, xc, t_cur, i);
+            terminate(a, xc, t_cur, ver.i);
         }
     }
 }
@@ -865,6 +848,9 @@ fn node_equals(a: &Archive, xc: ANodeId, doc: &Document, yc: NodeId) -> bool {
         _ => false,
     }
 }
+
+#[cfg(test)]
+mod skip_tests;
 
 #[cfg(test)]
 mod tests {

@@ -344,13 +344,12 @@ fn get_archive_body(
         let class = class_from_id(get_byte(buf, pos)?)
             .ok_or_else(|| corrupt_at(*pos - 1, "checkpoint state: bad node class"))?;
         nodes.push(ANode {
-            kind,
             parent,
             children,
             attrs,
             time,
             key,
-            class,
+            ..ANode::new(kind, class)
         });
     }
     let root = get_id(buf, pos)?;

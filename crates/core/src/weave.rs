@@ -11,26 +11,24 @@
 //! This module reuses the Myers diff of `xarch-diff`, treating each child
 //! subtree's canonical form as one "line".
 
-use xarch_keys::Annotations;
 use xarch_xml::canon::canonical;
-use xarch_xml::{Document, NodeId};
+use xarch_xml::NodeId;
 
 use crate::archive::{ANodeId, Archive};
-use crate::merge::{canonical_anode, copy_subtree, terminate};
+use crate::merge::{canonical_anode, copy_subtree, terminate, Version};
 use crate::timeset::TimeSet;
 
 /// Weaves the children of frontier version node `y` into the children of
 /// frontier archive node `x`. `t_cur` is `time(x)` *including* the new
-/// version `i`.
+/// version `ver.i`.
 pub(crate) fn weave_frontier(
     a: &mut Archive,
     x: ANodeId,
-    doc: &Document,
-    ann: &Annotations,
+    ver: &Version<'_>,
     y: NodeId,
     t_cur: &TimeSet,
-    i: u32,
 ) {
+    let (doc, i) = (ver.doc, ver.i);
     let mut t_old = t_cur.clone();
     t_old.remove(i);
     // The reference sequence is the content at the most recent version in
@@ -52,7 +50,7 @@ pub(crate) fn weave_frontier(
         .filter(|(_, &l)| l)
         .map(|(&c, _)| canonical_anode(a, c))
         .collect();
-    let y_children = doc.children(y).to_vec();
+    let y_children = doc.children(y);
     let y_canons: Vec<String> = y_children.iter().map(|&c| canonical(doc, c)).collect();
 
     let x_refs: Vec<&str> = x_canons.iter().map(|s| s.as_str()).collect();
@@ -68,12 +66,12 @@ pub(crate) fn weave_frontier(
     let insert_ys = |a: &mut Archive, out: &mut Vec<ANodeId>, y_pos: &mut usize, count: usize| {
         for k in 0..count {
             let yc = y_children[*y_pos + k];
-            let id = copy_subtree(a, doc, ann, yc, x);
+            let id = copy_subtree(a, ver, yc, x);
             // copy_subtree appended id to x's children; we manage order
             // ourselves, so pop it back off.
             let popped = a.node_mut(x).children.pop();
             debug_assert_eq!(popped, Some(id));
-            a.node_mut(id).time = Some(TimeSet::from_version(i));
+            a.set_time(id, TimeSet::from_version(i));
             out.push(id);
         }
         *y_pos += count;

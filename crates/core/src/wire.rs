@@ -89,6 +89,11 @@ pub fn put_str(out: &mut Vec<u8>, s: &str) {
 
 /// Decodes a length-prefixed string at `*pos`, advancing the cursor.
 pub fn get_str(buf: &[u8], pos: &mut usize) -> WireResult<String> {
+    get_str_ref(buf, pos).map(str::to_owned)
+}
+
+/// [`get_str`] without the copy: the string borrows from `buf`.
+pub fn get_str_ref<'a>(buf: &'a [u8], pos: &mut usize) -> WireResult<&'a str> {
     let len = get_varint(buf, pos)?;
     let len = usize::try_from(len).map_err(|_| WireError {
         offset: *pos,
@@ -101,7 +106,7 @@ pub fn get_str(buf: &[u8], pos: &mut usize) -> WireResult<String> {
     };
     *pos += len;
     match std::str::from_utf8(bytes) {
-        Ok(s) => Ok(s.to_owned()),
+        Ok(s) => Ok(s),
         // report the *start* of the bad string — the offset a maintainer
         // will inspect — not the already-advanced cursor
         Err(_) => err(start, "invalid utf-8"),

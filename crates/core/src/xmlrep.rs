@@ -157,7 +157,7 @@ pub fn from_xml(doc: &Document, spec: &KeySpec) -> Result<Archive, XmlRepError> 
     let mut a = Archive::new(spec.clone());
     a.set_latest(latest);
     let root_aid = a.root();
-    a.node_mut(root_aid).time = Some(t);
+    a.set_time(root_aid, t);
     // copy attrs of <root> if any
     copy_attrs(doc, *root_el, &mut a, root_aid);
 
@@ -225,19 +225,14 @@ fn build(
         NodeKind::Text(txt) => {
             a.push_node(
                 parent,
-                ANode {
-                    kind: AKind::Text(txt.clone()),
-                    parent: None,
-                    children: Vec::new(),
-                    attrs: Vec::new(),
-                    time: None,
-                    key: None,
-                    class: if beyond {
+                ANode::new(
+                    AKind::Text(txt.clone()),
+                    if beyond {
                         NodeClass::BeyondFrontier
                     } else {
                         NodeClass::Text
                     },
-                },
+                ),
             );
             Ok(())
         }
@@ -247,18 +242,9 @@ fn build(
             // explicit timestamp on that element; a <T> beneath a frontier
             // node is a stamp alternative. We distinguish by `beyond`.
             if beyond {
-                let stamp = a.push_node(
-                    parent,
-                    ANode {
-                        kind: AKind::Stamp,
-                        parent: None,
-                        children: Vec::new(),
-                        attrs: Vec::new(),
-                        time: Some(t),
-                        key: None,
-                        class: NodeClass::BeyondFrontier,
-                    },
-                );
+                let stamp =
+                    a.push_node(parent, ANode::new(AKind::Stamp, NodeClass::BeyondFrontier));
+                a.set_time(stamp, t);
                 for &c in doc.children(did) {
                     build(doc, c, a, stamp, spec, keyed, frontier, labels, true)?;
                 }
@@ -270,7 +256,7 @@ fn build(
                     build(doc, c, a, parent, spec, keyed, frontier, labels, false)?;
                     let new_children: Vec<ANodeId> = a.children(parent)[before..].to_vec();
                     for nc in new_children {
-                        a.node_mut(nc).time = Some(t.clone());
+                        a.set_time(nc, t.clone());
                     }
                 }
                 Ok(())
@@ -301,13 +287,8 @@ fn build(
             let aid = a.push_node(
                 parent,
                 ANode {
-                    kind: AKind::Element(sym),
-                    parent: None,
-                    children: Vec::new(),
-                    attrs: Vec::new(),
-                    time: None,
                     key,
-                    class,
+                    ..ANode::new(AKind::Element(sym), class)
                 },
             );
             copy_attrs(doc, did, a, aid);

@@ -26,8 +26,8 @@ pub const KIND_STAMP: u8 = 0x03;
 pub const KIND_SPINE_OPEN: u8 = 0x04;
 pub const KIND_SPINE_CLOSE: u8 = 0x05;
 
-const FLAG_TIME: u8 = 1;
-const FLAG_KEY: u8 = 2;
+pub const FLAG_TIME: u8 = 1;
+pub const FLAG_KEY: u8 = 2;
 const FLAG_FRONTIER: u8 = 4;
 
 /// Errors raised while decoding a stream.
@@ -232,7 +232,8 @@ pub fn decode_small(buf: &[u8], pos: &mut usize) -> Result<ETree> {
             };
             let tag = get_str(buf, pos)?;
             let n_attrs = get_varint(buf, pos)? as usize;
-            let mut attrs = Vec::with_capacity(n_attrs);
+            // grown by pushing: the count is untrusted input
+            let mut attrs = Vec::new();
             for _ in 0..n_attrs {
                 let a = get_str(buf, pos)?;
                 let v = get_str(buf, pos)?;
@@ -318,7 +319,8 @@ fn decode_spine_header(buf: &[u8], pos: &mut usize) -> Result<SpineHeader> {
     };
     let tag = get_str(buf, pos)?;
     let n_attrs = get_varint(buf, pos)? as usize;
-    let mut attrs = Vec::with_capacity(n_attrs);
+    // grown by pushing: the count is untrusted input
+    let mut attrs = Vec::new();
     for _ in 0..n_attrs {
         let a = get_str(buf, pos)?;
         let v = get_str(buf, pos)?;

@@ -12,17 +12,26 @@
 //! directly against the tree, which performs the same `O(N·h·(Σmᵢ+q))` work
 //! with the "pointer" representation of key-path values the paper's analysis
 //! assumes. Values are canonicalized and fingerprinted on extraction.
+//!
+//! The walk reads the spec in its compiled form (`crate::spec::Compiled`):
+//! the keyed paths as a trie. Each call carries its parent's trie state
+//! down, so a node is classified by one step along an edge — its tag,
+//! compared as a `Sym` — and the state says at once which key governs it
+//! and whether it is a frontier node. The label path is spelled out only
+//! to report an error. There is one walker; what happens to a key that
+//! cannot be extracted is its caller's choice ([`annotate`] stops at the
+//! first, `validate` records them all), and either way the pass is
+//! complete before anyone acts on its result.
 
 use std::cmp::Ordering;
-use std::collections::HashMap;
 use std::fmt;
 
-use xarch_xml::canon::canonical;
+use xarch_xml::canon::canonical_into;
 use xarch_xml::escape::escape_attr;
-use xarch_xml::{Document, NodeId, NodeKind, Path};
+use xarch_xml::{Document, NodeId, NodeKind, Sym};
 
 use crate::fingerprint::Fingerprinter;
-use crate::spec::KeySpec;
+use crate::spec::{Compiled, KeyPath, KeySpec, Rule};
 
 /// One component of a key value: the key path, the canonical form of the
 /// value found at its end, and the fingerprint of that canonical form.
@@ -161,39 +170,14 @@ pub fn annotate(doc: &Document, spec: &KeySpec) -> Result<Annotations, KeyError>
 }
 
 /// Runs Annotate Keys with an explicit fingerprinter (tests use narrow
-/// widths to force collisions).
+/// widths to force collisions). The first key-extraction failure aborts
+/// the walk.
 pub fn annotate_with(
     doc: &Document,
     spec: &KeySpec,
     fper: Fingerprinter,
 ) -> Result<Annotations, KeyError> {
-    let mut ann = Annotations {
-        classes: vec![NodeClass::Text; doc.len()],
-        keys: vec![None; doc.len()],
-    };
-    // Map absolute keyed path -> key index, plus the frontier set.
-    let mut keyed: HashMap<Vec<String>, usize> = HashMap::new();
-    for (i, k) in spec.keys().iter().enumerate() {
-        keyed.insert(k.keyed_path().steps().to_vec(), i);
-    }
-    let frontier: Vec<Vec<String>> = spec
-        .frontier_paths()
-        .iter()
-        .map(|p| p.steps().to_vec())
-        .collect();
-    let mut labels: Vec<String> = Vec::new();
-    walk(
-        doc,
-        doc.root(),
-        spec,
-        &keyed,
-        &frontier,
-        &fper,
-        &mut labels,
-        false,
-        &mut ann,
-    )?;
-    Ok(ann)
+    Walk::new(doc, spec, fper).run(&mut Err)
 }
 
 /// Lenient annotation used by [`crate::validate`]: key-extraction failures
@@ -205,229 +189,185 @@ pub(crate) fn annotate_lenient(
     violations: &mut Vec<crate::validate::Violation>,
 ) -> Annotations {
     use crate::validate::{Violation, ViolationKind};
-    let mut ann = Annotations {
-        classes: vec![NodeClass::Text; doc.len()],
-        keys: vec![None; doc.len()],
-    };
-    let mut keyed: HashMap<Vec<String>, usize> = HashMap::new();
-    for (i, k) in spec.keys().iter().enumerate() {
-        keyed.insert(k.keyed_path().steps().to_vec(), i);
+    let recorded = Walk::new(doc, spec, Fingerprinter::default()).run(&mut |e: KeyError| {
+        let kind = if e.message.contains("not unique") {
+            ViolationKind::DuplicateKeyPath
+        } else {
+            ViolationKind::MissingKeyPath
+        };
+        violations.push(Violation {
+            kind,
+            at: e.at,
+            detail: e.message,
+        });
+        Ok(())
+    });
+    match recorded {
+        Ok(ann) => ann,
+        Err(_) => unreachable!("the lenient sink records every error and continues"),
     }
-    let frontier: Vec<Vec<String>> = spec
-        .frontier_paths()
-        .iter()
-        .map(|p| p.steps().to_vec())
-        .collect();
-    let fper = Fingerprinter::default();
-    // Iterative preorder with explicit label stack and per-node classification.
-    let mut labels: Vec<String> = Vec::new();
-    #[allow(clippy::too_many_arguments)]
-    fn rec(
-        doc: &Document,
+}
+
+/// What a walk does with a key-extraction failure: `Err` ends the walk
+/// with it, `Ok` leaves the node key-less and carries on.
+type Sink<'s> = &'s mut dyn FnMut(KeyError) -> Result<(), KeyError>;
+
+/// One annotate pass: the document, the compiled spec with its names
+/// resolved against the document's symbol table, and the annotations so
+/// far.
+struct Walk<'a> {
+    doc: &'a Document,
+    spec: &'a Compiled,
+    /// `spec.names` in `doc`'s symbol table (`None`: the document never
+    /// uses the name, so no node or attribute can match it).
+    syms: Vec<Option<Sym>>,
+    fper: Fingerprinter,
+    ann: Annotations,
+    /// Where canonical forms are built, so each key part is then one
+    /// allocation of exactly its length — a batch holds the annotations of
+    /// all its documents at once, and slack in every part adds up.
+    scratch: String,
+}
+
+impl<'a> Walk<'a> {
+    fn new(doc: &'a Document, spec: &'a KeySpec, fper: Fingerprinter) -> Self {
+        let spec = spec.compiled();
+        Walk {
+            doc,
+            spec,
+            syms: spec.names.iter().map(|n| doc.syms().get(n)).collect(),
+            fper,
+            ann: Annotations {
+                classes: vec![NodeClass::Text; doc.len()],
+                keys: vec![None; doc.len()],
+            },
+            scratch: String::new(),
+        }
+    }
+
+    fn run(mut self, sink: Sink<'_>) -> Result<Annotations, KeyError> {
+        self.node(self.doc.root(), Some(Compiled::ROOT), false, sink)?;
+        Ok(self.ann)
+    }
+
+    /// Classifies `id` and its subtree. `above` is the parent's trie state
+    /// (`None` once the label path has left every keyed path); `beyond`
+    /// says a frontier node lies above.
+    fn node(
+        &mut self,
         id: NodeId,
-        spec: &KeySpec,
-        keyed: &HashMap<Vec<String>, usize>,
-        frontier: &[Vec<String>],
-        fper: &Fingerprinter,
-        labels: &mut Vec<String>,
+        above: Option<usize>,
         beyond: bool,
-        ann: &mut Annotations,
-        violations: &mut Vec<Violation>,
-    ) {
-        let tag = match &doc.node(id).kind {
+        sink: Sink<'_>,
+    ) -> Result<(), KeyError> {
+        let doc = self.doc;
+        let tag = match doc.node(id).kind {
             NodeKind::Text(_) => {
-                ann.classes[id.index()] = if beyond {
+                self.ann.classes[id.index()] = if beyond {
                     NodeClass::BeyondFrontier
                 } else {
                     NodeClass::Text
                 };
-                return;
+                return Ok(());
             }
-            NodeKind::Element(s) => doc.syms().resolve(*s).to_owned(),
+            NodeKind::Element(s) => s,
         };
-        labels.push(tag);
+        let state = match above {
+            Some(s) if !beyond => self.spec.step(s, |name| self.syms[name] == Some(tag)),
+            _ => None,
+        };
         let mut child_beyond = beyond;
-        if beyond {
-            ann.classes[id.index()] = NodeClass::BeyondFrontier;
-        } else if let Some(&ki) = keyed.get(labels.as_slice()) {
-            let key = &spec.keys()[ki];
-            match extract_key_value(doc, id, &key.key_paths, fper, labels) {
-                Ok(kv) => ann.keys[id.index()] = Some(kv),
-                Err(e) => {
-                    let kind = if e.message.contains("not unique") {
-                        ViolationKind::DuplicateKeyPath
-                    } else {
-                        ViolationKind::MissingKeyPath
-                    };
-                    violations.push(Violation {
-                        kind,
-                        at: e.at,
-                        detail: e.message,
-                    });
-                }
+        self.ann.classes[id.index()] = if beyond {
+            NodeClass::BeyondFrontier
+        } else if let Some(rule) = state.and_then(|s| self.spec.rule(s)) {
+            match self.key_value(id, rule) {
+                Ok(kv) => self.ann.keys[id.index()] = Some(kv),
+                Err(message) => sink(KeyError {
+                    at: doc.label_path(id).join("/"),
+                    message,
+                })?,
             }
-            let is_frontier = frontier.iter().any(|f| f == labels);
-            ann.classes[id.index()] = if is_frontier {
+            if rule.frontier {
                 child_beyond = true;
                 NodeClass::Frontier
             } else {
                 NodeClass::Keyed
-            };
+            }
         } else {
-            ann.classes[id.index()] = NodeClass::Unkeyed;
-        }
-        for &c in doc.children(id) {
-            rec(
-                doc,
-                c,
-                spec,
-                keyed,
-                frontier,
-                fper,
-                labels,
-                child_beyond,
-                ann,
-                violations,
-            );
-        }
-        labels.pop();
-    }
-    rec(
-        doc,
-        doc.root(),
-        spec,
-        &keyed,
-        &frontier,
-        &fper,
-        &mut labels,
-        false,
-        &mut ann,
-        violations,
-    );
-    ann
-}
-
-#[allow(clippy::too_many_arguments)]
-fn walk(
-    doc: &Document,
-    id: NodeId,
-    spec: &KeySpec,
-    keyed: &HashMap<Vec<String>, usize>,
-    frontier: &[Vec<String>],
-    fper: &Fingerprinter,
-    labels: &mut Vec<String>,
-    beyond: bool,
-    ann: &mut Annotations,
-) -> Result<(), KeyError> {
-    let tag = match &doc.node(id).kind {
-        NodeKind::Text(_) => {
-            ann.classes[id.index()] = if beyond {
-                NodeClass::BeyondFrontier
-            } else {
-                NodeClass::Text
-            };
-            return Ok(());
-        }
-        NodeKind::Element(s) => doc.syms().resolve(*s).to_owned(),
-    };
-    labels.push(tag);
-    let mut child_beyond = beyond;
-    if beyond {
-        ann.classes[id.index()] = NodeClass::BeyondFrontier;
-    } else if let Some(&ki) = keyed.get(labels.as_slice()) {
-        let key = &spec.keys()[ki];
-        let kv = extract_key_value(doc, id, &key.key_paths, fper, labels)?;
-        ann.keys[id.index()] = Some(kv);
-        let is_frontier = frontier.iter().any(|f| f == labels);
-        ann.classes[id.index()] = if is_frontier {
-            child_beyond = true;
-            NodeClass::Frontier
-        } else {
-            NodeClass::Keyed
+            NodeClass::Unkeyed
         };
-    } else {
-        ann.classes[id.index()] = NodeClass::Unkeyed;
+        for &c in doc.children(id) {
+            self.node(c, state, child_beyond, sink)?;
+        }
+        Ok(())
     }
-    for &c in doc.children(id) {
-        walk(
-            doc,
-            c,
-            spec,
-            keyed,
-            frontier,
-            fper,
-            labels,
-            child_beyond,
-            ann,
-        )?;
-    }
-    labels.pop();
-    Ok(())
-}
 
-/// Extracts the key value of the keyed node `id`: resolves every key path to
-/// a unique node (or attribute) and canonicalizes the value found there.
-fn extract_key_value(
-    doc: &Document,
-    id: NodeId,
-    key_paths: &[Path],
-    fper: &Fingerprinter,
-    labels: &[String],
-) -> Result<KeyValue, KeyError> {
-    let mut parts = Vec::with_capacity(key_paths.len());
-    for p in key_paths {
-        let canon = resolve_key_path(doc, id, p, labels)?;
-        let fp = fper.fp(&canon);
-        parts.push(KeyPart {
-            path: p.to_string(),
-            canon,
-            fp,
-        });
-    }
-    // ≤lab assumes key paths sorted lexicographically by path name.
-    parts.sort_by(|a, b| a.path.cmp(&b.path));
-    Ok(KeyValue { parts })
-}
-
-/// Resolves one key path from `id`, returning the canonical value string.
-fn resolve_key_path(
-    doc: &Document,
-    id: NodeId,
-    path: &Path,
-    labels: &[String],
-) -> Result<String, KeyError> {
-    let err = |msg: String| KeyError {
-        at: labels.join("/"),
-        message: msg,
-    };
-    if path.is_empty() {
-        // `{.}`: the node is identified by its own value.
-        return Ok(canonical(doc, id));
-    }
-    let mut cur = id;
-    let steps = path.steps();
-    for (i, step) in steps.iter().enumerate() {
-        let matches: Vec<NodeId> = doc.child_elements(cur, step).collect();
-        match matches.len() {
-            1 => cur = matches[0],
-            0 => {
-                // The final step may name an attribute (paths consist of
-                // "node and attribute names", Appendix A.2).
-                if i == steps.len() - 1 {
-                    if let Some(v) = doc.attr(cur, step) {
-                        return Ok(format!("@{}=\"{}\"", step, escape_attr(v)));
+    /// The key value of keyed node `id`: every key path resolved to a
+    /// unique node (or attribute) and its value canonicalized. Fails with
+    /// the message of the first key path, as declared, that does not
+    /// resolve.
+    fn key_value(&mut self, id: NodeId, rule: &Rule) -> Result<KeyValue, String> {
+        let mut parts = Vec::with_capacity(rule.key_paths.len());
+        let mut failed: Option<(usize, String)> = None;
+        for kp in &rule.key_paths {
+            match self.resolve(id, kp) {
+                Ok(canon) => parts.push(KeyPart {
+                    path: kp.name.clone(),
+                    fp: self.fper.fp(&canon),
+                    canon,
+                }),
+                Err(message) => {
+                    if failed.as_ref().is_none_or(|f| kp.declared < f.0) {
+                        failed = Some((kp.declared, message));
                     }
                 }
-                return Err(err(format!("key path `{path}`: step `{step}` not found")));
-            }
-            n => {
-                return Err(err(format!(
-                    "key path `{path}`: step `{step}` is not unique ({n} matches)"
-                )))
             }
         }
+        match failed {
+            None => Ok(KeyValue { parts }),
+            Some((_, message)) => Err(message),
+        }
     }
-    Ok(canonical(doc, cur))
+
+    /// Resolves one key path from `id` to the canonical value at its end.
+    fn resolve(&mut self, id: NodeId, kp: &KeyPath) -> Result<String, String> {
+        let doc = self.doc;
+        // `{.}`: an empty path identifies the node by its own value
+        let mut cur = id;
+        for (i, &step) in kp.steps.iter().enumerate() {
+            let want = self.syms[step];
+            let mut hits = doc
+                .children(cur)
+                .iter()
+                .filter(|&&c| matches!(doc.node(c).kind, NodeKind::Element(s) if Some(s) == want));
+            match (hits.next(), hits.count()) {
+                (Some(&c), 0) => cur = c,
+                (None, _) => {
+                    // The final step may name an attribute (paths consist of
+                    // "node and attribute names", Appendix A.2).
+                    let attr = (i == kp.steps.len() - 1)
+                        .then(|| doc.attrs(cur).iter().find(|a| Some(a.0) == want))
+                        .flatten();
+                    let step = &self.spec.names[step];
+                    return match attr {
+                        Some((_, v)) => Ok(format!("@{}=\"{}\"", step, escape_attr(v))),
+                        None => Err(format!("key path `{}`: step `{step}` not found", kp.name)),
+                    };
+                }
+                (Some(_), more) => {
+                    return Err(format!(
+                        "key path `{}`: step `{}` is not unique ({} matches)",
+                        kp.name,
+                        self.spec.names[step],
+                        more + 1
+                    ))
+                }
+            }
+        }
+        self.scratch.clear();
+        canonical_into(doc, cur, &mut self.scratch);
+        Ok(self.scratch.clone())
+    }
 }
 
 #[cfg(test)]
@@ -547,6 +487,31 @@ mod tests {
         let doc = parse("<db><dept><name>a</name><name>b</name></dept></db>").unwrap();
         let e = annotate(&doc, &spec).unwrap_err();
         assert!(e.message.contains("not unique"));
+    }
+
+    #[test]
+    fn the_first_declared_failing_key_path_is_the_one_reported() {
+        // parts are extracted in sorted order (`a` before `z`); the error
+        // still names the path the key lists first
+        let spec = KeySpec::parse("(/, (db, {}))\n(/db, (emp, {z, a}))").unwrap();
+        let doc = parse("<db><emp/></db>").unwrap();
+        let e = annotate(&doc, &spec).unwrap_err();
+        assert_eq!(e.at, "db/emp");
+        assert!(e.message.contains("key path `z`"), "{e}");
+    }
+
+    #[test]
+    fn a_multi_step_target_keys_its_end_not_its_middle() {
+        let spec = KeySpec::parse("(/, (db, {}))\n(/db, (list/emp, {id}))").unwrap();
+        let doc = parse("<db><list><emp><id>1</id></emp><other/></list><emp/></db>").unwrap();
+        let ann = annotate(&doc, &spec).unwrap();
+        let list = doc.first_child_element(doc.root(), "list").unwrap();
+        let emp = doc.first_child_element(list, "emp").unwrap();
+        assert_eq!(ann.class(list), NodeClass::Unkeyed);
+        assert_eq!(ann.class(emp), NodeClass::Keyed);
+        assert_eq!(ann.class(doc.children(list)[1]), NodeClass::Unkeyed);
+        // the same tag off the keyed path is not keyed, nor asked for `id`
+        assert_eq!(ann.class(doc.children(doc.root())[1]), NodeClass::Unkeyed);
     }
 
     #[test]

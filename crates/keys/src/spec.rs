@@ -70,19 +70,39 @@ impl fmt::Display for SpecError {
 impl std::error::Error for SpecError {}
 
 /// A complete key specification: a list of relative keys.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KeySpec {
     keys: Vec<Key>,
+    /// `keys` compiled for the annotate walk; a function of `keys` alone.
+    compiled: Compiled,
+}
+
+impl Default for KeySpec {
+    fn default() -> Self {
+        Self {
+            keys: Vec::new(),
+            compiled: Compiled::new(&[]),
+        }
+    }
 }
 
 impl KeySpec {
     /// Builds a spec from keys, adding the implied keys of §3 and checking
     /// the structural assumptions.
     pub fn new(keys: Vec<Key>) -> Result<Self, SpecError> {
-        let mut spec = Self { keys };
+        let mut spec = Self {
+            keys,
+            ..Self::default()
+        };
         spec.add_implied_keys();
         spec.check_assumptions()?;
+        spec.compiled = Compiled::new(&spec.keys);
         Ok(spec)
+    }
+
+    /// The spec as the annotate walk reads it.
+    pub(crate) fn compiled(&self) -> &Compiled {
+        &self.compiled
     }
 
     /// Synthesizes the implied keys: for every explicit key
@@ -240,6 +260,128 @@ impl KeySpec {
             }
         }
         Ok(())
+    }
+}
+
+/// A [`KeySpec`] compiled for one pass over a document: the keyed paths
+/// as a trie whose states the annotate walk carries down the tree, so a
+/// node is classified by one step from its parent's state instead of a
+/// lookup of its whole label path.
+///
+/// Tag and key-path step names live once in `names`; a walk resolves them
+/// against its document's symbol table once and compares `Sym`s from then
+/// on.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Compiled {
+    /// Every distinct tag / key-path step name; edges and steps index it.
+    pub names: Vec<String>,
+    /// Trie states; [`Compiled::ROOT`] is the empty path.
+    states: Vec<State>,
+}
+
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+struct State {
+    /// `(name, target state)` per child step.
+    edges: Vec<(usize, usize)>,
+    /// The key governing nodes at this path, if it is a keyed path.
+    rule: Option<Rule>,
+}
+
+/// The key of one keyed path.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Rule {
+    /// Key paths sorted by rendered name — the order `≤lab` assumes.
+    pub key_paths: Vec<KeyPath>,
+    /// No keyed path extends this one: nodes here are frontier nodes.
+    pub frontier: bool,
+}
+
+/// One key path of a [`Rule`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct KeyPath {
+    /// The path as [`Path`]'s `Display` renders it (`.` when empty).
+    pub name: String,
+    /// Step names, as indexes into [`Compiled::names`].
+    pub steps: Vec<usize>,
+    /// Position among the key's paths as declared; when several fail to
+    /// resolve, the error names the first declared.
+    pub declared: usize,
+}
+
+impl Compiled {
+    /// The state of the empty path, above the document root.
+    pub const ROOT: usize = 0;
+
+    fn new(keys: &[Key]) -> Self {
+        let mut c = Compiled {
+            names: Vec::new(),
+            states: vec![State::default()],
+        };
+        for k in keys {
+            let mut at = Self::ROOT;
+            for step in k.context.steps().iter().chain(k.target.steps()) {
+                let name = c.name(step);
+                at = match c.states[at].edges.iter().find(|e| e.0 == name) {
+                    Some(&(_, to)) => to,
+                    None => {
+                        c.states.push(State::default());
+                        let to = c.states.len() - 1;
+                        c.states[at].edges.push((name, to));
+                        to
+                    }
+                };
+            }
+            let mut key_paths: Vec<KeyPath> = k
+                .key_paths
+                .iter()
+                .enumerate()
+                .map(|(declared, p)| KeyPath {
+                    name: p.to_string(),
+                    steps: p.steps().iter().map(|s| c.name(s)).collect(),
+                    declared,
+                })
+                .collect();
+            key_paths.sort_by(|a, b| a.name.cmp(&b.name));
+            // keyed paths are unique (`check_assumptions`)
+            c.states[at].rule = Some(Rule {
+                key_paths,
+                frontier: false,
+            });
+        }
+        for s in &mut c.states {
+            if let Some(rule) = &mut s.rule {
+                // the trie holds keyed paths only, so every leaf is one and
+                // every inner state has a keyed path beneath it
+                rule.frontier = s.edges.is_empty();
+            }
+        }
+        c
+    }
+
+    fn name(&mut self, name: &str) -> usize {
+        self.names
+            .iter()
+            .position(|n| n == name)
+            .unwrap_or_else(|| {
+                self.names.push(name.to_owned());
+                self.names.len() - 1
+            })
+    }
+
+    /// The state one step below `state` along the edge `is_name` accepts
+    /// (it is handed indexes into [`Compiled::names`]); `None` once the
+    /// path leaves every keyed path.
+    pub fn step(&self, state: usize, is_name: impl Fn(usize) -> bool) -> Option<usize> {
+        self.states[state]
+            .edges
+            .iter()
+            .find(|e| is_name(e.0))
+            .map(|e| e.1)
+    }
+
+    /// The key governing nodes at `state`, if it is a keyed path.
+    pub fn rule(&self, state: usize) -> Option<&Rule> {
+        self.states[state].rule.as_ref()
     }
 }
 
