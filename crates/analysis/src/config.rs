@@ -127,9 +127,12 @@ impl Config {
     /// The **project policy** — the scopes CI enforces on this workspace.
     ///
     /// * `panic-freedom` binds to the storage decode/recovery modules,
-    ///   the external-memory event decoder, the wire-protocol crate, and
-    ///   the server's request loop: every path a corrupted or hostile
-    ///   byte can reach must answer with a typed error, never a panic —
+    ///   the bit reader and LZSS decoder a stored block's bytes pass
+    ///   through (the encoder, which reads only its caller's bytes, is
+    ///   a file of its own outside the scope), the external-memory event
+    ///   decoder, the wire-protocol crate, and the server's request
+    ///   loop: every path a corrupted or hostile byte can reach must
+    ///   answer with a typed error, never a panic —
     ///   on disk that is `StoreError::Corrupt`; on the wire it is a
     ///   `FrameError`/`DecodeError` or a structured error response.
     /// * `cast-safety` binds to the whole storage crate, where offsets and
@@ -157,6 +160,8 @@ impl Config {
                         "crates/storage/src/checkpoint.rs",
                         "crates/storage/src/cold.rs",
                         "crates/storage/src/mmap.rs",
+                        "crates/compress/src/bitio.rs",
+                        "crates/compress/src/lzss/decode.rs",
                         "crates/extmem/src/events.rs",
                         "crates/proto/src/",
                         "crates/server/src/serve.rs",

@@ -57,12 +57,15 @@ impl BlockCodec {
         }
     }
 
-    /// Decodes bytes written by [`BlockCodec::encode`]. Returns `None` when
-    /// the payload is not a valid encoding under this codec.
-    pub fn decode(self, data: &[u8]) -> Option<Vec<u8>> {
+    /// Decodes bytes written by [`BlockCodec::encode`] for a payload of
+    /// `raw_len` bytes. Returns `None` when `data` is not a valid encoding
+    /// of exactly that many bytes under this codec — decided from what the
+    /// encoding declares, before anything is allocated on its word. Takes
+    /// `data` by value: a raw payload is handed back as it came.
+    pub fn decode(self, data: Vec<u8>, raw_len: usize) -> Option<Vec<u8>> {
         match self {
-            BlockCodec::Raw => Some(data.to_vec()),
-            BlockCodec::Lzss => lzss::decompress(data),
+            BlockCodec::Raw => (data.len() == raw_len).then_some(data),
+            BlockCodec::Lzss => lzss::decompress_exact(&data, raw_len),
         }
     }
 }
@@ -85,7 +88,8 @@ mod tests {
         let (c, enc) = BlockCodec::Raw.encode(&data);
         assert_eq!(c, BlockCodec::Raw);
         assert!(matches!(enc, std::borrow::Cow::Borrowed(_)));
-        assert_eq!(c.decode(&enc).unwrap(), data);
+        assert_eq!(c.decode(enc.to_vec(), data.len()), Some(data.clone()));
+        assert_eq!(c.decode(data.clone(), data.len() + 1), None);
     }
 
     #[test]
@@ -99,7 +103,8 @@ mod tests {
         let (c, enc) = BlockCodec::Lzss.encode(&data);
         assert_eq!(c, BlockCodec::Lzss);
         assert!(enc.len() < data.len());
-        assert_eq!(c.decode(&enc).unwrap(), data);
+        assert_eq!(c.decode(enc.to_vec(), data.len()), Some(data.clone()));
+        assert_eq!(c.decode(enc.to_vec(), data.len() - 1), None);
     }
 
     #[test]

@@ -12,7 +12,11 @@
 //! The format is self-delimiting via a leading varint holding the
 //! uncompressed length.
 
-use crate::bitio::{read_varint, write_varint, BitReader, BitWriter};
+mod decode;
+
+pub use decode::{decompress, decompress_exact};
+
+use crate::bitio::{write_varint, BitWriter};
 
 const WINDOW: usize = 1 << 15; // 32 KiB
 const MIN_MATCH: usize = 3;
@@ -28,10 +32,18 @@ fn hash3(data: &[u8], i: usize) -> usize {
 
 /// Compresses `data`; output starts with a varint of the original length.
 pub fn compress(data: &[u8]) -> Vec<u8> {
-    let mut header = Vec::with_capacity(10);
-    write_varint(&mut header, data.len() as u64);
+    let mut out = Vec::with_capacity(10);
+    write_varint(&mut out, data.len() as u64);
     let mut w = BitWriter::new();
+    tokens(data, |v, n| w.write_bits(v, n));
+    out.extend_from_slice(&w.finish());
+    out
+}
 
+/// The token stream for `data`, handed to `put` as `(value, width)` bit
+/// fields in stream order — the matching is here, the packing is the
+/// caller's (tests pack the same fields with the bit-at-a-time writer).
+fn tokens(data: &[u8], mut put: impl FnMut(u32, u8)) {
     let mut head = vec![usize::MAX; 1 << HASH_BITS];
     let mut prev = vec![usize::MAX; data.len().max(1)];
 
@@ -91,69 +103,28 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
         };
         match take {
             Some((len, dist)) => {
-                w.write_bit(false);
-                write_dist(&mut w, dist);
-                w.write_bits((len - MIN_MATCH) as u32, 8);
+                put(0, 1);
+                // `dist - 1` as a 4-bit width and that many bits: distance
+                // 1 costs 4 bits, distance 32768 costs 19
+                let v = (dist - 1) as u32;
+                let width = (32 - v.leading_zeros()) as u8;
+                debug_assert!(width <= 15);
+                put(u32::from(width), 4);
+                put(v, width);
+                put((len - MIN_MATCH) as u32, 8);
                 for k in 0..len {
                     insert(&mut head, &mut prev, i + k);
                 }
                 i += len;
             }
             None => {
-                w.write_bit(true);
-                w.write_bits(data[i] as u32, 8);
+                put(1, 1);
+                put(data[i] as u32, 8);
                 insert(&mut head, &mut prev, i);
                 i += 1;
             }
         }
     }
-    let mut out = header;
-    out.extend_from_slice(&w.finish());
-    out
-}
-
-/// Decompresses a buffer produced by [`compress`].
-pub fn decompress(buf: &[u8]) -> Option<Vec<u8>> {
-    let mut pos = 0usize;
-    let n = read_varint(buf, &mut pos)? as usize;
-    let mut r = BitReader::new(&buf[pos..]);
-    let mut out = Vec::with_capacity(n);
-    while out.len() < n {
-        let is_lit = r.read_bit()?;
-        if is_lit {
-            out.push(r.read_bits(8)? as u8);
-        } else {
-            let dist = read_dist(&mut r)?;
-            let len = r.read_bits(8)? as usize + MIN_MATCH;
-            if dist > out.len() {
-                return None;
-            }
-            let start = out.len() - dist;
-            for k in 0..len {
-                let b = out[start + k];
-                out.push(b);
-            }
-        }
-    }
-    (out.len() == n).then_some(out)
-}
-
-/// Encodes `dist - 1` as a 4-bit width followed by that many payload bits.
-/// Distance 1 costs 4 bits; distance 32768 costs 19.
-fn write_dist(w: &mut BitWriter, dist: usize) {
-    let v = (dist - 1) as u32;
-    let nbits = if v == 0 { 0 } else { 32 - v.leading_zeros() } as u8;
-    debug_assert!(nbits <= 15);
-    w.write_bits(nbits as u32, 4);
-    if nbits > 0 {
-        w.write_bits(v, nbits);
-    }
-}
-
-fn read_dist(r: &mut BitReader<'_>) -> Option<usize> {
-    let nbits = r.read_bits(4)? as u8;
-    let v = if nbits == 0 { 0 } else { r.read_bits(nbits)? };
-    Some(v as usize + 1)
 }
 
 /// Compressed size of `data` (convenience for the size series).
@@ -162,7 +133,7 @@ pub fn compressed_len(data: &[u8]) -> usize {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn round_trip(data: &[u8]) -> usize {
@@ -237,16 +208,166 @@ mod tests {
         round_trip(&data);
     }
 
+    /// `decompress` as it was: one bit per step off the reference reader,
+    /// one byte per push.
+    fn reference_decompress(buf: &[u8]) -> Option<Vec<u8>> {
+        use crate::bitio::{read_varint, reference::BitReader};
+        let mut pos = 0usize;
+        let n = read_varint(buf, &mut pos)? as usize;
+        let mut r = BitReader::new(&buf[pos..]);
+        // (the one liberty taken: no `with_capacity(n)`, which is the abort
+        // on a hostile length the new decoder exists to refuse)
+        let mut out = Vec::new();
+        while out.len() < n {
+            if r.read_bit()? {
+                out.push(r.read_bits(8)? as u8);
+            } else {
+                let nbits = r.read_bits(4)? as u8;
+                let dist = if nbits == 0 { 0 } else { r.read_bits(nbits)? } as usize + 1;
+                let len = r.read_bits(8)? as usize + MIN_MATCH;
+                if dist > out.len() {
+                    return None;
+                }
+                let start = out.len() - dist;
+                for k in 0..len {
+                    let b = out[start + k];
+                    out.push(b);
+                }
+            }
+        }
+        (out.len() == n).then_some(out)
+    }
+
+    /// `compress` as it was: the same tokens through the reference writer.
+    pub(crate) fn reference_compress(data: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        write_varint(&mut out, data.len() as u64);
+        let mut w = crate::bitio::reference::BitWriter::default();
+        tokens(data, |v, n| w.write_bits(v, n));
+        out.extend_from_slice(&w.finish());
+        out
+    }
+
+    fn xorshift_bytes(len: usize, mut x: u32) -> Vec<u8> {
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 17;
+                x ^= x << 5;
+                x as u8
+            })
+            .collect()
+    }
+
+    /// Inputs that reach every decoder path: nothing, literals only, XML
+    /// with near and far matches, runs (`dist = 1`, the match overlapping
+    /// its own output), short periods, and more than a window of each.
+    fn corpus() -> Vec<Vec<u8>> {
+        let xml: String = (0..400)
+            .map(|i| {
+                format!(
+                    "<emp id=\"{i}\"><fn>Name{i}</fn><sal>{}K</sal></emp>\n",
+                    i % 7
+                )
+            })
+            .collect();
+        vec![
+            Vec::new(),
+            b"a".to_vec(),
+            b"abcabcabcabc".to_vec(),
+            xorshift_bytes(3000, 0x1234_5678),
+            xml.clone().into_bytes(),
+            vec![b'x'; 9_000],
+            b"ab".repeat(500),
+            b"abcdefg".repeat(300),
+            (0..WINDOW * 2 + 100).map(|i| (i % 251) as u8).collect(),
+            [
+                xml.as_bytes(),
+                &xorshift_bytes(WINDOW + 7, 99),
+                xml.as_bytes(),
+            ]
+            .concat(),
+        ]
+    }
+
     #[test]
-    fn corrupt_input_returns_none() {
-        let c = compress(b"hello world hello world");
-        assert!(decompress(&c[..c.len() - 1]).is_none() || decompress(&c[..c.len() - 1]).is_some());
+    fn compress_writes_the_bytes_the_bit_at_a_time_writer_wrote() {
+        for data in corpus() {
+            let packed = compress(&data);
+            assert_eq!(packed, reference_compress(&data), "{} bytes in", data.len());
+            assert_eq!(decompress(&packed).as_deref(), Some(&data[..]));
+            assert_eq!(decompress_exact(&packed, data.len()), Some(data.clone()));
+            assert_eq!(decompress_exact(&packed, data.len() + 1), None);
+        }
+    }
+
+    /// Valid, truncated anywhere, or with any one bit flipped: the decoder
+    /// answers exactly as the bit-at-a-time one did, and never panics.
+    #[test]
+    fn decodes_as_the_bit_at_a_time_decoder_did_intact_or_damaged() {
+        for data in corpus() {
+            let packed = compress(&data);
+            // every cut and flip of a short stream; of a long one, every
+            // one near its ends and a stride through its middle
+            let near_an_end = |i: usize, len: usize| len < 512 || i < 16 || i + 16 >= len;
+            for cut in (0..packed.len()).filter(|&i| near_an_end(i, packed.len()) || i % 251 == 0) {
+                let short = &packed[..cut];
+                assert_eq!(
+                    decompress(short),
+                    reference_decompress(short),
+                    "cut at {cut}"
+                );
+            }
+            let bits = packed.len() * 8;
+            for bit in (0..bits).filter(|&i| near_an_end(i / 8, packed.len()) || i % 4001 == 0) {
+                let mut flipped = packed.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                assert_eq!(
+                    decompress(&flipped),
+                    reference_decompress(&flipped),
+                    "bit {bit} flipped"
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Arbitrary bytes — almost never a stream `compress` wrote — and
+        /// arbitrary inputs round-tripped.
+        #[test]
+        fn decodes_arbitrary_bytes_as_the_bit_at_a_time_decoder_did(
+            declared in 0usize..600,
+            noise in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..300),
+            text in proptest::collection::vec(0u8..4, 0..600),
+        ) {
+            let mut hostile = Vec::new();
+            write_varint(&mut hostile, declared as u64);
+            hostile.extend_from_slice(&noise);
+            assert_eq!(decompress(&hostile), reference_decompress(&hostile));
+            assert_eq!(decompress(&noise), reference_decompress(&noise));
+            let packed = compress(&text);
+            assert_eq!(&packed, &reference_compress(&text));
+            assert_eq!(decompress(&packed), Some(text));
+        }
+    }
+
+    #[test]
+    fn refuses_a_declared_length_the_stream_cannot_reach() {
         // truncated header
         assert_eq!(decompress(&[0x80]), None);
-        // declared length longer than stream
-        let mut bogus = Vec::new();
-        write_varint(&mut bogus, 1000);
-        assert_eq!(decompress(&bogus), None);
+        // declared length longer than the stream, up to one no allocator
+        // could serve: refused, not attempted
+        for declared in [1000u64, 1 << 40, 1 << 60, u64::MAX] {
+            let mut bogus = Vec::new();
+            write_varint(&mut bogus, declared);
+            assert_eq!(decompress(&bogus), None);
+            bogus.extend_from_slice(&[0x00; 64]);
+            assert_eq!(decompress(&bogus), None, "declared {declared}");
+        }
+        // about the most a stream can declare and still deliver: matches
+        // at distance 1, 13 bits for 258 bytes
+        let run = vec![7u8; 1 + 258 * 40];
+        assert_eq!(decompress(&compress(&run)), Some(run));
     }
 
     #[test]

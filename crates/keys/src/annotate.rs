@@ -180,6 +180,22 @@ pub fn annotate_with(
     Walk::new(doc, spec, fper).run(&mut Err)
 }
 
+/// Runs Annotate Keys over `doc` as the subtree it is of a larger
+/// document, its root a child of the node at label path `above`: every
+/// node gets the class and key the whole document's [`annotate`] gives it
+/// (key paths resolve inside the node they key, so the subtree is all the
+/// walk needs). It is that same walk, entered at the trie state — and the
+/// side of the frontier — that `above` leads to.
+pub fn annotate_under(
+    doc: &Document,
+    spec: &KeySpec,
+    above: &[&str],
+) -> Result<Annotations, KeyError> {
+    let mut walk = Walk::new(doc, spec, Fingerprinter::default());
+    walk.above = above;
+    walk.run(&mut Err)
+}
+
 /// Lenient annotation used by [`crate::validate`]: key-extraction failures
 /// are recorded as violations instead of aborting, and the offending node is
 /// left key-less (it will also not participate in sibling-uniqueness checks).
@@ -217,6 +233,9 @@ type Sink<'s> = &'s mut dyn FnMut(KeyError) -> Result<(), KeyError>;
 /// far.
 struct Walk<'a> {
     doc: &'a Document,
+    /// The label path `doc`'s root sits beneath (empty for a whole
+    /// document).
+    above: &'a [&'a str],
     spec: &'a Compiled,
     /// `spec.names` in `doc`'s symbol table (`None`: the document never
     /// uses the name, so no node or attribute can match it).
@@ -234,6 +253,7 @@ impl<'a> Walk<'a> {
         let spec = spec.compiled();
         Walk {
             doc,
+            above: &[],
             spec,
             syms: spec.names.iter().map(|n| doc.syms().get(n)).collect(),
             fper,
@@ -246,8 +266,30 @@ impl<'a> Walk<'a> {
     }
 
     fn run(mut self, sink: Sink<'_>) -> Result<Annotations, KeyError> {
-        self.node(self.doc.root(), Some(Compiled::ROOT), false, sink)?;
+        let (mut state, mut beyond) = (Some(Compiled::ROOT), false);
+        for label in self.above {
+            (state, beyond) = self.step(state, beyond, |name| self.spec.names[name] == *label);
+        }
+        self.node(self.doc.root(), state, beyond, sink)?;
         Ok(self.ann)
+    }
+
+    /// One step down the tree, from a node with trie state `above` (and
+    /// `beyond` a frontier node or not) to a child whose tag `is_name`
+    /// accepts: the child's state, and whether *its* children lie beyond
+    /// the frontier.
+    fn step(
+        &self,
+        above: Option<usize>,
+        beyond: bool,
+        is_name: impl Fn(usize) -> bool,
+    ) -> (Option<usize>, bool) {
+        let state = match above {
+            Some(s) if !beyond => self.spec.step(s, is_name),
+            _ => None,
+        };
+        let frontier = (state.and_then(|s| self.spec.rule(s))).is_some_and(|rule| rule.frontier);
+        (state, beyond || frontier)
     }
 
     /// Classifies `id` and its subtree. `above` is the parent's trie state
@@ -272,23 +314,21 @@ impl<'a> Walk<'a> {
             }
             NodeKind::Element(s) => s,
         };
-        let state = match above {
-            Some(s) if !beyond => self.spec.step(s, |name| self.syms[name] == Some(tag)),
-            _ => None,
-        };
-        let mut child_beyond = beyond;
+        let (state, child_beyond) = self.step(above, beyond, |name| self.syms[name] == Some(tag));
         self.ann.classes[id.index()] = if beyond {
             NodeClass::BeyondFrontier
         } else if let Some(rule) = state.and_then(|s| self.spec.rule(s)) {
             match self.key_value(id, rule) {
                 Ok(kv) => self.ann.keys[id.index()] = Some(kv),
-                Err(message) => sink(KeyError {
-                    at: doc.label_path(id).join("/"),
-                    message,
-                })?,
+                Err(message) => {
+                    let labels = self.above.iter().map(|l| (*l).to_owned());
+                    sink(KeyError {
+                        at: (labels.chain(doc.label_path(id)).collect::<Vec<_>>()).join("/"),
+                        message,
+                    })?
+                }
             }
             if rule.frontier {
-                child_beyond = true;
                 NodeClass::Frontier
             } else {
                 NodeClass::Keyed
@@ -436,6 +476,45 @@ mod tests {
         // text under sal is beyond the frontier
         let sal_text = doc.children(sal)[0];
         assert_eq!(ann.class(sal_text), NodeClass::BeyondFrontier);
+    }
+
+    /// Every element of the document, cut out and annotated under the
+    /// label path it came from, is annotated as it was in place — above,
+    /// at and beyond the frontier, and off the keyed paths altogether.
+    #[test]
+    fn a_subtree_annotates_under_its_path_as_it_does_in_place() {
+        let doc = parse(
+            "<db><dept><name>finance</name><memo><sal>note</sal></memo>\
+               <emp><fn>Jane</fn><ln>Smith</ln><sal><cur>USD</cur>95K</sal><tel>1</tel><tel>2</tel></emp>\
+             </dept></db>",
+        )
+        .unwrap();
+        let spec = company_spec();
+        let whole = annotate(&doc, &spec).unwrap();
+        let mut cut_out = 0;
+        for id in doc.preorder(doc.root()) {
+            let NodeKind::Element(_) = doc.node(id).kind else {
+                continue;
+            };
+            let mut sub = Document::new(doc.tag_name(id));
+            for &c in doc.children(id) {
+                sub.copy_subtree_from(&doc, c, sub.root());
+            }
+            let mut above = doc.label_path(id);
+            above.pop();
+            let above: Vec<&str> = above.iter().map(String::as_str).collect();
+            let ann = annotate_under(&sub, &spec, &above).unwrap();
+            for (here, there) in doc.preorder(id).zip(sub.preorder(sub.root())) {
+                assert_eq!(ann.class(there), whole.class(here), "under /{above:?}");
+                assert_eq!(ann.key(there), whole.key(here), "under /{above:?}");
+            }
+            cut_out += 1;
+        }
+        assert_eq!(cut_out, 12);
+        // a key that does not resolve is reported at its whole label path
+        let emp = parse("<emp><fn>Jane</fn></emp>").unwrap();
+        let e = annotate_under(&emp, &spec, &["db", "dept"]).unwrap_err();
+        assert_eq!(e.at, "db/dept/emp");
     }
 
     #[test]

@@ -26,7 +26,9 @@ pub mod fingerprint;
 pub mod spec;
 pub mod validate;
 
-pub use annotate::{annotate, annotate_with, Annotations, KeyError, KeyPart, KeyValue, NodeClass};
+pub use annotate::{
+    annotate, annotate_under, annotate_with, Annotations, KeyError, KeyPart, KeyValue, NodeClass,
+};
 pub use fingerprint::{fingerprint, Fingerprinter};
 pub use spec::{Key, KeySpec, SpecError};
 pub use validate::{validate, Violation, ViolationKind};

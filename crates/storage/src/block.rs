@@ -116,6 +116,30 @@ pub struct ScannedBlock {
     pub offset: u64,
 }
 
+/// The payload of a verified block as it was handed to the writer: the
+/// stored bytes decoded per `header.codec`, exactly `header.raw_len` of
+/// them. The header's length (at most [`MAX_PAYLOAD`], or the block would
+/// not have scanned) is the only one trusted: an encoding that declares
+/// another is refused before anything is allocated for it. Takes the block
+/// by value, so a raw payload is moved out rather than copied.
+pub fn decode_payload(b: ScannedBlock) -> Result<Vec<u8>, StoreError> {
+    let ScannedBlock {
+        header,
+        payload,
+        offset,
+    } = b;
+    usize::try_from(header.raw_len)
+        .ok()
+        .and_then(|raw_len| header.codec.decode(payload, raw_len))
+        .ok_or_else(|| StoreError::Corrupt {
+            offset: offset + BLOCK_HEADER_LEN as u64,
+            reason: format!(
+                "block payload does not decode to the {} bytes its header declares",
+                header.raw_len
+            ),
+        })
+}
+
 /// Encodes a complete block (header, payload, trailer) ready to append.
 pub fn encode_block(
     kind: BlockKind,

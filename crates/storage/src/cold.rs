@@ -11,6 +11,17 @@
 //! the blocks they need. A point `retrieve`/`as_of` checksums and decodes
 //! one block; the rest of the file stays untouched OS page cache at most.
 //!
+//! What a query then does with the decoded payload is as little as its
+//! answer needs, all of it through the one payload walk
+//! ([`crate::payload`]): `retrieve_into` writes the XML straight from the
+//! entry bytes, and `as_of`/`history` descend the entries by their key
+//! steps — over siblings by their body lengths — building of each
+//! candidate only what its key reads, keyed by the evaluator `annotate`
+//! runs entered at the candidate's label path
+//! ([`xarch_keys::annotate_under`]), and whole only the element found.
+//! `history_values`, `range` and `diff` are the trait's per-version
+//! definitions over these.
+//!
 //! Cold readers hold a *shared* OS lock, so any number may coexist — but
 //! a live writer (which holds the exclusive lock) blocks cold opens and
 //! vice versa, keeping the map stable for its whole lifetime.
@@ -28,18 +39,18 @@ use std::fs::File;
 use std::io::Write;
 use std::path::Path;
 
-use xarch_compress::BlockCodec;
 use xarch_core::{query, KeyQuery, StoreError, StoreReader, StoreStats, TimeSet};
-use xarch_keys::KeySpec;
+use xarch_extmem::StreamError;
+use xarch_keys::{annotate_under, Key, KeySpec};
 use xarch_obs::{Level, Obs};
-use xarch_xml::Document;
+use xarch_xml::{Document, Path as LabelPath};
 
-use crate::block::{
-    self, BlockKind, Scan, ScannedBlock, BLOCK_HEADER_LEN, BLOCK_TRAILER_LEN, MAX_PAYLOAD,
-};
+use crate::block::{self, BlockKind, Scan, BLOCK_HEADER_LEN, BLOCK_TRAILER_LEN, MAX_PAYLOAD};
 use crate::metrics::ColdMetrics;
 use crate::mmap::MappedFile;
-use crate::payload::{batch_bytes_to_docs, bytes_to_doc};
+use crate::payload::{
+    bytes_to_doc, bytes_to_xml, entry_err, positioned, walk, BatchEntries, DocBuilder, Sink, Visit,
+};
 use crate::superblock;
 
 /// One committed data block in the version index: which versions it
@@ -60,8 +71,8 @@ struct IndexEntry {
 /// A read-only archive view served directly off the mmap'd segment file.
 ///
 /// Built by [`ColdArchive::open`]; answers every [`StoreReader`] query
-/// (the temporal ones through the trait's whole-retrieve defaults) while
-/// decoding only the blocks each query touches.
+/// while decoding only the blocks each query touches, and of a decoded
+/// block building only what the answer holds.
 ///
 /// ```no_run
 /// use xarch_core::StoreReader;
@@ -202,85 +213,257 @@ impl ColdArchive {
                 ));
             }
         };
-        let raw = decode_payload(&scanned)?;
+        let span = block_span(scanned.header.stored_len);
+        let raw = block::decode_payload(scanned)?;
         self.metrics.blocks_decoded.inc();
-        self.metrics
-            .bytes_decoded
-            .add(block_span(scanned.header.stored_len));
+        self.metrics.bytes_decoded.add(span);
         Ok(raw)
     }
 
-    /// Decodes the documents of one data block: `None` per empty version,
-    /// `Some(doc)` otherwise, in version order starting at
-    /// `entry.first_version`.
-    fn docs_in(&self, entry: IndexEntry) -> Result<Vec<Option<Document>>, StoreError> {
-        match entry.kind {
-            BlockKind::Empty => Ok(vec![None]),
-            BlockKind::Version => {
-                let raw = self.load_block(entry)?;
-                let doc = bytes_to_doc(&raw).map_err(|e| stream_err(entry.offset, e))?;
-                Ok(vec![Some(doc)])
+    /// Hands `read` the payload of version `v` — its own `doc_to_bytes`
+    /// bytes, out of the one block holding it — and positions a refusal at
+    /// that block. `None` when `v` was never archived or archived empty.
+    fn read_version<T>(
+        &self,
+        v: u32,
+        read: impl FnOnce(&[u8]) -> Result<T, StreamError>,
+    ) -> Result<Option<T>, StoreError> {
+        self.metrics.retrieves.inc();
+        let Some(entry) = self.entry_for(v).filter(|e| e.kind != BlockKind::Empty) else {
+            return Ok(None);
+        };
+        let raw = self.load_block(entry)?;
+        let versions = versions_in(entry, &raw)?;
+        let held = usize::try_from(v.saturating_sub(entry.first_version))
+            .ok()
+            .and_then(|i| versions.get(i));
+        let Some(held) = held else {
+            return Err(corrupt(entry.offset, "indexed version is not in its block"));
+        };
+        held.read(read).map(Some)
+    }
+}
+
+/// One version's payload — its own `doc_to_bytes` bytes — inside a decoded
+/// data block.
+#[derive(Debug, Clone, Copy)]
+struct VersionPayload<'r> {
+    bytes: &'r [u8],
+    /// Where in the block's payload it lies, if it is one of a batch.
+    at: Option<usize>,
+    /// File offset of the block.
+    block: u64,
+}
+
+impl VersionPayload<'_> {
+    /// What `read` makes of the payload, a refusal positioned at the block
+    /// holding it.
+    fn read<T>(&self, read: impl FnOnce(&[u8]) -> Result<T, StreamError>) -> Result<T, StoreError> {
+        read(self.bytes).map_err(|e| {
+            let e = match self.at {
+                Some(at) => entry_err(at, e),
+                None => e,
+            };
+            positioned(self.block, e)
+        })
+    }
+}
+
+/// The payloads of the versions the decoded data block `raw` holds, in
+/// version order, each with its offset in `raw` if it is one of a batch —
+/// whose entries are found by their length prefixes, none of them decoded.
+fn versions_in(entry: IndexEntry, raw: &[u8]) -> Result<Vec<VersionPayload<'_>>, StoreError> {
+    let block = entry.offset;
+    match entry.kind {
+        BlockKind::Version => Ok(vec![VersionPayload {
+            bytes: raw,
+            at: None,
+            block,
+        }]),
+        BlockKind::Batch => {
+            let entries = BatchEntries::new(raw).map_err(|e| positioned(entry.offset, e))?;
+            if entries.declared() != u64::from(entry.count) {
+                return Err(corrupt(
+                    entry.offset,
+                    format!(
+                        "batch block holds {} versions, the index expected {}",
+                        entries.declared(),
+                        entry.count
+                    ),
+                ));
             }
-            BlockKind::Batch => {
-                let raw = self.load_block(entry)?;
-                let docs = batch_bytes_to_docs(&raw).map_err(|e| stream_err(entry.offset, e))?;
-                if docs.len() as u64 != u64::from(entry.count) {
-                    return Err(corrupt(
-                        entry.offset,
-                        format!(
-                            "batch block holds {} versions, the index expected {}",
-                            docs.len(),
-                            entry.count
-                        ),
-                    ));
-                }
-                Ok(docs.into_iter().map(Some).collect())
-            }
-            BlockKind::Checkpoint => Err(corrupt(
-                entry.offset,
-                "checkpoint block reached the version index",
-            )),
+            entries
+                .map(|e| {
+                    e.map(|(at, bytes)| VersionPayload {
+                        bytes,
+                        at: Some(at),
+                        block,
+                    })
+                })
+                .collect::<Result<_, _>>()
+                .map_err(|e| positioned(block, e))
         }
+        BlockKind::Empty => Ok(Vec::new()),
+        BlockKind::Checkpoint => Err(corrupt(
+            entry.offset,
+            "checkpoint block reached the version index",
+        )),
+    }
+}
+
+/// The element `steps` address in the document the version payload
+/// `payload` holds — what `query::find_in_doc` finds in the whole
+/// document — as a document of its own, found without building the
+/// document around it. One level per step: among the children of the
+/// element found so far (the payload's root, for the first step) the
+/// first the step names is the one followed, with no way back, as in
+/// `find_in_doc`. A candidate is keyed from the part of it its key reads
+/// ([`KeyProbe`]) and everything else is stepped over by its declared
+/// length (the block's checksum has vouched for the payload; what is
+/// stepped over is not verified again), so a point query builds a few
+/// nodes per record it passes and, whole, the element it returns.
+fn find_in_payload(
+    payload: &[u8],
+    spec: &KeySpec,
+    steps: &[KeyQuery],
+) -> Result<Option<Document>, StreamError> {
+    // the element the steps so far lead to, and where in `payload` it lies
+    let mut found: Option<(usize, &[u8])> = None;
+    let mut above: Vec<&str> = Vec::new();
+    for step in steps {
+        // the key governing an element of the step's tag at this depth:
+        // off the keyed paths, nothing has a key for the step to name
+        let here = LabelPath::from_steps(above.iter().copied().chain([step.tag.as_str()]));
+        let Some(key) = spec.key_for_path(&here) else {
+            return Ok(None);
+        };
+        let (at, entry) = found.unwrap_or((0, payload));
+        let mut level = FirstMatch {
+            step,
+            key,
+            spec,
+            above: &above,
+            // the payload's root is the one candidate for the first step;
+            // after it, the candidates are the children of the last found
+            inside: found.is_none(),
+            found: None,
+        };
+        walk(entry, &mut level).map_err(|e| within(at, e))?;
+        let Some((child_at, child)) = level.found else {
+            return Ok(None);
+        };
+        found = Some((at + child_at, child));
+        above.push(&step.tag);
+    }
+    let Some((at, entry)) = found else {
+        return Ok(None);
+    };
+    bytes_to_doc(entry).map(Some).map_err(|e| within(at, e))
+}
+
+/// A failure in the entry at byte `at` of a version payload, as a failure
+/// of the payload; the root entry, at 0, *is* the payload.
+fn within(at: usize, e: StreamError) -> StreamError {
+    if at == 0 {
+        e
+    } else {
+        entry_err(at, e)
+    }
+}
+
+/// One level of [`find_in_payload`], as a sink: enters the element whose
+/// children are the candidates, steps over each child that is not the one
+/// `step` names, and stops at the first that is.
+struct FirstMatch<'a, 'b> {
+    step: &'a KeyQuery,
+    /// The key governing elements of the step's tag at this level.
+    key: &'a Key,
+    spec: &'a KeySpec,
+    /// The label path the candidates sit beneath.
+    above: &'a [&'a str],
+    /// The element whose children are the candidates has been entered.
+    inside: bool,
+    found: Option<(usize, &'b [u8])>,
+}
+
+impl<'b> Sink<'b> for FirstMatch<'_, 'b> {
+    fn open(&mut self, tag: &'b str, at: usize, entry: &'b [u8]) -> Result<Visit, StreamError> {
+        if !std::mem::replace(&mut self.inside, true) {
+            return Ok(Visit::Enter);
+        }
+        if tag != self.step.tag {
+            return Ok(Visit::Skip);
+        }
+        let mut probe = KeyProbe {
+            built: DocBuilder::new(),
+            key: self.key,
+            depth: 0,
+        };
+        walk(entry, &mut probe).map_err(|e| entry_err(at, e))?;
+        // (a key that cannot be read names nothing)
+        let named = probe.built.doc.is_some_and(|doc| {
+            annotate_under(&doc, self.spec, self.above)
+                .is_ok_and(|ann| query::step_matches_doc(&doc, &ann, doc.root(), self.step))
+        });
+        if named {
+            self.found = Some((at, entry));
+            return Ok(Visit::Stop);
+        }
+        Ok(Visit::Skip)
+    }
+
+    fn attr(&mut self, _: &'b str, _: &'b str) {}
+    fn text(&mut self, _: &'b str) {}
+    fn close(&mut self, _: &'b str) {}
+}
+
+/// The sink that builds, of the one element a payload holds, the part its
+/// key is read from, as a document for the key evaluator: its attributes,
+/// and whole each child a key path begins with — all of it when it is
+/// keyed by its own content (`.`). The other children are stepped over.
+struct KeyProbe<'a> {
+    built: DocBuilder,
+    /// The key governing the element.
+    key: &'a Key,
+    /// Elements entered and not yet left.
+    depth: usize,
+}
+
+impl KeyProbe<'_> {
+    fn reads_all(&self) -> bool {
+        self.key.key_paths.iter().any(LabelPath::is_empty)
+    }
+}
+
+impl<'b> Sink<'b> for KeyProbe<'_> {
+    fn open(&mut self, tag: &'b str, at: usize, entry: &'b [u8]) -> Result<Visit, StreamError> {
+        let begins = |path: &LabelPath| path.steps().first().is_some_and(|s| s == tag);
+        if self.depth == 1 && !self.reads_all() && !self.key.key_paths.iter().any(begins) {
+            return Ok(Visit::Skip);
+        }
+        self.depth += 1;
+        self.built.open(tag, at, entry)
+    }
+
+    fn attr(&mut self, name: &'b str, value: &'b str) {
+        self.built.attr(name, value);
+    }
+
+    fn text(&mut self, text: &'b str) {
+        if self.depth > 1 || self.reads_all() {
+            self.built.text(text);
+        }
+    }
+
+    fn close(&mut self, tag: &'b str) {
+        self.depth = self.depth.saturating_sub(1);
+        self.built.close(tag);
     }
 }
 
 /// Total file span of a block with the given stored payload size.
 fn block_span(stored_len: u64) -> u64 {
     stored_len + (BLOCK_HEADER_LEN + BLOCK_TRAILER_LEN) as u64
-}
-
-/// Positions an event-stream decode failure at the block that held it.
-fn stream_err(offset: u64, e: xarch_extmem::StreamError) -> StoreError {
-    let reason = match e.offset {
-        Some(p) => format!("{} (byte {p} of the decoded payload)", e.reason),
-        None => e.reason,
-    };
-    StoreError::Corrupt { offset, reason }
-}
-
-/// Uncompresses a verified block's payload and checks the declared raw
-/// length.
-fn decode_payload(b: &ScannedBlock) -> Result<Vec<u8>, StoreError> {
-    let raw = match b.header.codec {
-        BlockCodec::Raw => b.payload.clone(),
-        codec => codec.decode(&b.payload).ok_or_else(|| {
-            corrupt(
-                b.offset + BLOCK_HEADER_LEN as u64,
-                "block payload failed to decompress",
-            )
-        })?,
-    };
-    if raw.len() as u64 != b.header.raw_len {
-        return Err(corrupt(
-            b.offset,
-            format!(
-                "decompressed payload is {} bytes, header says {}",
-                raw.len(),
-                b.header.raw_len
-            ),
-        ));
-    }
-    Ok(raw)
 }
 
 /// Walks block headers (payloads untouched) building the version index.
@@ -398,10 +581,16 @@ fn build_index(
                     }
                 };
                 decoded_span = Some(block_span(scanned.header.stored_len));
-                let payload = decode_payload(&scanned)?;
-                let docs =
-                    batch_bytes_to_docs(&payload).map_err(|err| stream_err(e.offset, err))?;
-                u32::try_from(docs.len())
+                let payload = block::decode_payload(scanned)?;
+                // the count, held to the length prefixes: every entry in
+                // bounds and nothing after the last
+                let mut entries =
+                    BatchEntries::new(&payload).map_err(|err| positioned(e.offset, err))?;
+                let count = entries.declared();
+                entries
+                    .try_for_each(|entry| entry.map(drop))
+                    .map_err(|err| positioned(e.offset, err))?;
+                u32::try_from(count)
                     .ok()
                     .filter(|&c| c >= 1)
                     .ok_or_else(|| corrupt(e.offset, "batch block with zero versions"))?
@@ -429,41 +618,45 @@ impl StoreReader for ColdArchive {
     }
 
     fn retrieve(&self, v: u32) -> Result<Option<Document>, StoreError> {
-        self.metrics.retrieves.inc();
-        let Some(entry) = self.entry_for(v) else {
-            return Ok(None);
-        };
-        if entry.kind == BlockKind::Empty {
-            return Ok(None);
-        }
-        let mut docs = self.docs_in(entry)?;
-        let at = usize::try_from(v.saturating_sub(entry.first_version))
-            .map_err(|_| corrupt(entry.offset, "version offset exceeds the address space"))?;
-        Ok(docs.get_mut(at).and_then(Option::take))
+        self.read_version(v, bytes_to_doc)
     }
 
+    /// Block → decoded bytes → XML: rendered from the payload entries as
+    /// they lie, with no [`Document`] between, and handed to `out` whole
+    /// — not a byte of it unless the whole payload verifies.
     fn retrieve_into(&self, v: u32, out: &mut dyn Write) -> Result<bool, StoreError> {
-        match self.retrieve(v)? {
-            Some(doc) => {
-                out.write_all(xarch_xml::writer::to_compact_string(&doc).as_bytes())?;
+        match self.read_version(v, bytes_to_xml)? {
+            Some(xml) => {
+                out.write_all(xml.as_bytes())?;
                 Ok(true)
             }
             None => Ok(false),
         }
     }
 
+    /// One block decoded, and of it the record built that is returned —
+    /// not the release around it (`find_in_payload`).
+    fn as_of(&self, steps: &[KeyQuery], v: u32) -> Result<Option<Document>, StoreError> {
+        if steps.is_empty() {
+            return self.retrieve(v);
+        }
+        let found = self.read_version(v, |payload| find_in_payload(payload, &self.spec, steps))?;
+        Ok(found.flatten())
+    }
+
     /// Streaming scan: decodes one block at a time (never the whole
-    /// archive at once) and probes each version's document for the
+    /// archive at once) and probes each version's payload for the
     /// addressed element.
     fn history(&self, steps: &[KeyQuery]) -> Result<Option<TimeSet>, StoreError> {
         let mut ts = TimeSet::new();
         for &entry in &self.index {
-            for (i, doc) in self.docs_in(entry)?.iter().enumerate() {
-                let Some(doc) = doc else { continue };
-                if query::find_in_doc(doc, &self.spec, steps).is_some() {
-                    let v = entry
-                        .first_version
-                        .saturating_add(u32::try_from(i).unwrap_or(u32::MAX));
+            if entry.kind == BlockKind::Empty {
+                continue;
+            }
+            let raw = self.load_block(entry)?;
+            for (v, payload) in (entry.first_version..).zip(versions_in(entry, &raw)?) {
+                let found = payload.read(|bytes| find_in_payload(bytes, &self.spec, steps))?;
+                if found.is_some() {
                     ts.insert(v);
                 }
             }
@@ -542,7 +735,7 @@ mod tests {
     fn cold_reader_handles_batches_empties_and_checkpoints() {
         let path = scratch_path("cold-mixed");
         let opts = DurableOptions {
-            compression: BlockCodec::Lzss,
+            compression: xarch_compress::BlockCodec::Lzss,
             checkpoint_every: Some(2),
             ..DurableOptions::default()
         };
@@ -573,7 +766,6 @@ mod tests {
         ];
         let ts = StoreReader::history(&cold, &steps).unwrap().unwrap();
         assert_eq!(ts.versions().collect::<Vec<_>>(), vec![1, 2, 3, 4, 6]);
-        // as_of rides the default: one retrieve, one descent
         let sub = StoreReader::as_of(&cold, &steps, 3).unwrap().unwrap();
         assert!(xarch_xml::writer::to_compact_string(&sub).contains("v3"));
         std::fs::remove_file(&path).unwrap();
@@ -588,7 +780,13 @@ mod tests {
         let committed = std::fs::metadata(&path).unwrap().len();
         {
             use std::io::Write as _;
-            let torn = block::encode_block(BlockKind::Version, BlockCodec::Raw, 4, 3, b"abc");
+            let torn = block::encode_block(
+                BlockKind::Version,
+                xarch_compress::BlockCodec::Raw,
+                4,
+                3,
+                b"abc",
+            );
             let mut f = std::fs::OpenOptions::new()
                 .append(true)
                 .open(&path)

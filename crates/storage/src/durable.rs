@@ -15,10 +15,12 @@ use xarch_core::{StoreError, StoreView, VersionStore};
 use xarch_obs::{Level, Obs};
 use xarch_xml::Document;
 
-use crate::block::{BlockKind, Scan, BLOCK_HEADER_LEN, MAX_PAYLOAD};
+use crate::block::{decode_payload, BlockKind, Scan, BLOCK_HEADER_LEN, MAX_PAYLOAD};
 use crate::checkpoint::{decode_checkpoint, encode_checkpoint};
 use crate::metrics::StorageMetrics;
-use crate::payload::{batch_bytes_to_docs, bytes_to_doc, doc_to_bytes, docs_to_batch_bytes};
+use crate::payload::{
+    batch_bytes_to_docs, bytes_to_doc, doc_to_bytes, docs_to_batch_bytes, positioned,
+};
 use crate::segment::{scan_block_at, scan_checkpoints, RecoveryStats, ResumeFrom, Segment};
 
 /// Tuning knobs for a [`DurableArchive`].
@@ -183,21 +185,16 @@ impl DurableArchive {
                 // damaged or torn candidate: an older snapshot may be fine
                 _ => continue,
             };
-            let raw = match verified.header.codec {
-                BlockCodec::Raw => verified.payload,
-                codec => match codec.decode(&verified.payload) {
-                    Some(raw) => raw,
-                    None => continue,
-                },
-            };
-            if raw.len() as u64 != verified.header.raw_len {
+            let covered = verified.header.version;
+            // a snapshot that does not decode is one more damaged candidate
+            let Ok(raw) = decode_payload(verified) else {
                 continue;
-            }
+            };
             let payload_at = cand.offset + BLOCK_HEADER_LEN as u64;
             let Ok(cp) = decode_checkpoint(&raw, payload_at) else {
                 continue;
             };
-            if cp.covered != verified.header.version {
+            if cp.covered != covered {
                 continue;
             }
             match inner.restore_checkpoint(&cp.state) {
@@ -231,43 +228,7 @@ impl DurableArchive {
             metrics,
             resume,
             |b| {
-                let crate::block::ScannedBlock {
-                    header,
-                    payload,
-                    offset,
-                } = b;
-                // raw blocks are already the decoded bytes — reuse the
-                // scan's allocation instead of copying a third time
-                let decode_payload = |payload: Vec<u8>| -> Result<Vec<u8>, StoreError> {
-                    let raw = match header.codec {
-                        BlockCodec::Raw => payload,
-                        codec => codec.decode(&payload).ok_or_else(|| StoreError::Corrupt {
-                            offset: offset + BLOCK_HEADER_LEN as u64,
-                            reason: "block payload failed to decompress".into(),
-                        })?,
-                    };
-                    if raw.len() as u64 != header.raw_len {
-                        return Err(StoreError::Corrupt {
-                            offset,
-                            reason: format!(
-                                "decompressed payload is {} bytes, header says {}",
-                                raw.len(),
-                                header.raw_len
-                            ),
-                        });
-                    }
-                    Ok(raw)
-                };
-                // e.offset addresses the *decoded* payload, which only
-                // coincides with file bytes for raw blocks — keep the block's
-                // file offset and say where the decode failed in the reason
-                let decode_err = |e: xarch_extmem::StreamError| {
-                    let reason = match e.offset {
-                        Some(p) => format!("{} (byte {p} of the decoded payload)", e.reason),
-                        None => e.reason,
-                    };
-                    StoreError::Corrupt { offset, reason }
-                };
+                let (header, offset) = (b.header, b.offset);
                 let (replayed, committed) = match header.kind {
                     BlockKind::Checkpoint => {
                         // nothing to replay — the snapshot duplicates
@@ -279,16 +240,16 @@ impl DurableArchive {
                     }
                     BlockKind::Empty => (inner.add_empty_version()?, 1u32),
                     BlockKind::Version => {
-                        let raw = decode_payload(payload)?;
-                        let doc = bytes_to_doc(&raw).map_err(decode_err)?;
+                        let raw = decode_payload(b)?;
+                        let doc = bytes_to_doc(&raw).map_err(|e| positioned(offset, e))?;
                         (inner.add_version(&doc)?, 1)
                     }
                     BlockKind::Batch => {
                         // a verified batch block replays atomically through
                         // the inner store's own batch fast path, so reopening
                         // restores exactly the group-committed state
-                        let raw = decode_payload(payload)?;
-                        let docs = batch_bytes_to_docs(&raw).map_err(decode_err)?;
+                        let raw = decode_payload(b)?;
+                        let docs = batch_bytes_to_docs(&raw).map_err(|e| positioned(offset, e))?;
                         if docs.is_empty() {
                             return Err(StoreError::Corrupt {
                                 offset,

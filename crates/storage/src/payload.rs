@@ -17,11 +17,20 @@
 //! [`bytes_to_doc`] grows the document as it reads. The bytes are the
 //! ones `encode_small` writes for the same tree and the refusals the ones
 //! `decode_small` makes; the tests hold both to that.
+//!
+//! Reading is one `walk` over the entries, every bound checked, handing
+//! what it reads — open, attribute, text, close — to a sink that says of
+//! each element whether to enter it, step over it by its declared length,
+//! or stop: [`bytes_to_doc`]'s sink builds the [`Document`],
+//! [`bytes_to_xml`]'s writes the XML the document would serialize to
+//! without building it, and the cold reader's look for one element and
+//! step over the rest.
 
 use xarch_core::wire;
-use xarch_core::TimeSet;
+use xarch_core::{StoreError, TimeSet};
 use xarch_extmem::events::{FLAG_KEY, FLAG_TIME, KIND_SMALL, KIND_STAMP, KIND_TEXT};
 use xarch_extmem::{decode_small, get_varint, StreamError};
+use xarch_xml::escape::{escape_text_into, push_attr_pair};
 use xarch_xml::{Document, NodeId, NodeKind};
 
 /// Encodes `doc` as one small-node event entry.
@@ -128,130 +137,300 @@ fn str_len(s: &str) -> usize {
 
 /// Decodes a payload written by [`doc_to_bytes`] back into a [`Document`].
 pub fn bytes_to_doc(buf: &[u8]) -> Result<Document, StreamError> {
-    let mut d = Decoder {
-        buf,
-        pos: 0,
-        stamp_seen: false,
+    let mut built = DocBuilder::new();
+    walk(buf, &mut built)?;
+    // `walk` refuses a payload that does not begin an element
+    built
+        .doc
+        .ok_or_else(|| StreamError::new("version payload root is not an element"))
+}
+
+/// The document a [`doc_to_bytes`] payload holds as compact XML — what
+/// `to_compact_string(&bytes_to_doc(buf)?)` returns, refused exactly when
+/// and as [`bytes_to_doc`] refuses — written straight from the entry
+/// bytes, no document built.
+pub fn bytes_to_xml(buf: &[u8]) -> Result<String, StreamError> {
+    let mut written = XmlWriter {
+        // markup and escapes add about a tenth to the entry bytes
+        out: String::with_capacity(buf.len() + buf.len() / 4),
+        open: false,
+        attrs: Vec::new(),
     };
-    // anything but an element at the top is refused below, once the
-    // stream decoder has had its say on how well-formed it is
-    let doc = if buf.first() == Some(&KIND_SMALL) {
-        d.pos = 1;
-        let (flags, end, tag) = d.element_head()?;
-        let mut doc = Document::new(tag);
-        let root = doc.root();
-        d.element_body(&mut doc, root, flags, end)?;
-        Some(doc)
-    } else {
-        decode_small(buf, &mut d.pos)?;
-        None
-    };
-    if d.pos != buf.len() {
-        return Err(StreamError::at(
-            d.pos,
-            "trailing bytes after version payload",
-        ));
+    walk(buf, &mut written)?;
+    Ok(written.out)
+}
+
+/// What a [`Sink`] wants of the element [`walk`] has just opened.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Visit {
+    /// Its attributes, its content, and its close.
+    Enter,
+    /// Nothing: it is stepped over by its declared length, unread.
+    Skip,
+    /// Nothing, of it or of the rest of the payload: the walk ends here.
+    Stop,
+}
+
+/// What [`walk`] hands the entries of a payload to, in document order.
+pub(crate) trait Sink<'b> {
+    /// An element entry begins, with this tag. `entry` is the whole of it
+    /// by the length it declares — a payload of its own, for another
+    /// [`walk`] — and `at` its offset in the payload walked.
+    fn open(&mut self, tag: &'b str, at: usize, entry: &'b [u8]) -> Result<Visit, StreamError>;
+    /// An attribute of the element just entered.
+    fn attr(&mut self, name: &'b str, value: &'b str);
+    /// A text entry.
+    fn text(&mut self, text: &'b str);
+    /// The innermost element entered, of this tag, ends.
+    fn close(&mut self, tag: &'b str);
+}
+
+/// The sink that builds the [`Document`]: [`bytes_to_doc`]'s, and what the
+/// cold reader builds the part of a record it keys with.
+#[derive(Debug)]
+pub(crate) struct DocBuilder {
+    /// Built so far; `None` until the first element opens.
+    pub(crate) doc: Option<Document>,
+    cur: NodeId,
+}
+
+impl DocBuilder {
+    pub(crate) fn new() -> Self {
+        DocBuilder {
+            doc: None,
+            cur: NodeId(0),
+        }
     }
-    let Some(doc) = doc else {
+}
+
+impl<'b> Sink<'b> for DocBuilder {
+    #[inline]
+    fn open(&mut self, tag: &'b str, _: usize, _: &'b [u8]) -> Result<Visit, StreamError> {
+        self.cur = match &mut self.doc {
+            Some(doc) => doc.add_element(self.cur, tag),
+            None => self.doc.insert(Document::new(tag)).root(),
+        };
+        Ok(Visit::Enter)
+    }
+
+    #[inline]
+    fn attr(&mut self, name: &'b str, value: &'b str) {
+        if let Some(doc) = &mut self.doc {
+            doc.set_attr(self.cur, name, value);
+        }
+    }
+
+    #[inline]
+    fn text(&mut self, text: &'b str) {
+        if let Some(doc) = &mut self.doc {
+            doc.add_text(self.cur, text);
+        }
+    }
+
+    #[inline]
+    fn close(&mut self, _: &'b str) {
+        if let Some(doc) = &self.doc {
+            self.cur = doc.parent(self.cur).unwrap_or(self.cur);
+        }
+    }
+}
+
+/// The sink that writes compact XML. What a [`Document`] built from the
+/// same entries would drop or fold, it drops or folds: empty text, and an
+/// attribute named twice (first position, last value).
+struct XmlWriter<'b> {
+    out: String,
+    /// The start tag last written still lacks its `>`: the first content
+    /// closes it, and an element that turns out to have none ends in `/>`.
+    open: bool,
+    /// The attributes of that start tag, written when it is closed.
+    attrs: Vec<(&'b str, &'b str)>,
+}
+
+impl XmlWriter<'_> {
+    /// Finishes the start tag still open, if one is, with `end`.
+    #[inline]
+    fn close_start_tag(&mut self, end: &str) -> bool {
+        let was_open = std::mem::take(&mut self.open);
+        if was_open {
+            for (name, value) in self.attrs.drain(..) {
+                push_attr_pair(name, value, &mut self.out);
+            }
+            self.out.push_str(end);
+        }
+        was_open
+    }
+}
+
+impl<'b> Sink<'b> for XmlWriter<'b> {
+    #[inline]
+    fn open(&mut self, tag: &'b str, _: usize, _: &'b [u8]) -> Result<Visit, StreamError> {
+        self.close_start_tag(">");
+        self.out.push('<');
+        self.out.push_str(tag);
+        self.open = true;
+        Ok(Visit::Enter)
+    }
+
+    #[inline]
+    fn attr(&mut self, name: &'b str, value: &'b str) {
+        match self.attrs.iter_mut().find(|a| a.0 == name) {
+            Some(named) => named.1 = value,
+            None => self.attrs.push((name, value)),
+        }
+    }
+
+    #[inline]
+    fn text(&mut self, text: &'b str) {
+        if !text.is_empty() {
+            self.close_start_tag(">");
+            escape_text_into(text, &mut self.out);
+        }
+    }
+
+    #[inline]
+    fn close(&mut self, tag: &'b str) {
+        if !self.close_start_tag("/>") {
+            self.out.push_str("</");
+            self.out.push_str(tag);
+            self.out.push('>');
+        }
+    }
+}
+
+/// The one reader of small-node entries: walks the version payload `buf`
+/// front to back, handing its entries to `sink`, with the bounds and the
+/// positioned errors of `decode_small` — a truncated body, bad UTF-8, an
+/// unknown entry kind; bytes after the root entry; a stamp entry anywhere
+/// (decoded like any other, so a malformed one is reported as malformed,
+/// and the payload refused at the end). A sort key is read and dropped and
+/// a timestamp must parse, as `decode_small` has them. Whether a
+/// [`Document`] is built of the entries, XML written, or one record looked
+/// for and the rest stepped over is the sink's business. A walk a sink
+/// [`Visit::Stop`]s ends there, the rest of the payload unjudged.
+pub(crate) fn walk<'b>(buf: &'b [u8], sink: &mut impl Sink<'b>) -> Result<(), StreamError> {
+    if buf.first() != Some(&KIND_SMALL) {
+        // refused for certain; the stream decoder first has its say on how
+        // well-formed whatever is there is
+        let mut pos = 0;
+        decode_small(buf, &mut pos)?;
+        if pos != buf.len() {
+            return Err(trailing_bytes(pos));
+        }
         return Err(StreamError::new("version payload root is not an element"));
-    };
-    if d.stamp_seen {
+    }
+    let mut r = Reader { buf, pos: 0 };
+    // the elements entered and not yet left, outermost first: where each
+    // body ends, and its tag
+    let mut entered: Vec<(usize, &'b str)> = Vec::new();
+    let mut stamp_seen = false;
+    loop {
+        while let Some(&(_, tag)) = entered.last().filter(|top| r.pos >= top.0) {
+            entered.pop();
+            sink.close(tag);
+        }
+        // the root entry began at 0: once past it, nothing is open
+        if entered.is_empty() && r.pos > 0 {
+            break;
+        }
+        let start = r.pos;
+        let Some(&kind) = buf.get(start) else {
+            return Err(StreamError::at(start, "truncated entry"));
+        };
+        r.pos += 1;
+        match kind {
+            KIND_TEXT => sink.text(r.str()?),
+            KIND_SMALL => {
+                let Some(&flags) = buf.get(r.pos) else {
+                    return Err(StreamError::at(r.pos, "truncated flags"));
+                };
+                r.pos += 1;
+                let body_len = r.varint()?;
+                let entry = (r.pos.checked_add(body_len)).and_then(|end| buf.get(start..end));
+                let Some(entry) = entry else {
+                    return Err(StreamError::at(r.pos, "truncated node body"));
+                };
+                let end = start + entry.len();
+                if flags & FLAG_KEY != 0 {
+                    r.str()?;
+                }
+                let tag = r.str()?;
+                match sink.open(tag, start, entry)? {
+                    Visit::Stop => return Ok(()),
+                    Visit::Skip => r.pos = r.pos.max(end),
+                    Visit::Enter => {
+                        for _ in 0..r.varint()? {
+                            let name = r.str()?;
+                            sink.attr(name, r.str()?);
+                        }
+                        if flags & FLAG_TIME != 0 {
+                            TimeSet::parse(r.str()?)
+                                .map_err(|e| StreamError::new(e.to_string()))?;
+                        }
+                        entered.push((end, tag));
+                    }
+                }
+            }
+            KIND_STAMP => {
+                // a stamp entry is decoded like any other — a malformed
+                // one is reported as malformed — and the payload refused
+                // at the end
+                r.pos = start;
+                decode_small(buf, &mut r.pos)?;
+                stamp_seen = true;
+            }
+            k => {
+                return Err(StreamError::at(
+                    start,
+                    format!("unexpected entry kind {k} in small context"),
+                ))
+            }
+        }
+    }
+    if r.pos != buf.len() {
+        return Err(trailing_bytes(r.pos));
+    }
+    if stamp_seen {
         return Err(StreamError::new(
             "stamp entry inside a version payload (payloads hold plain documents)",
         ));
     }
-    Ok(doc)
+    Ok(())
 }
 
-/// Reads small entries off `buf` into a [`Document`], with the bounds and
-/// the positioned errors of `decode_small`.
-struct Decoder<'b> {
+/// A cursor over payload bytes.
+struct Reader<'b> {
     buf: &'b [u8],
     pos: usize,
-    /// A stamp entry went by. It is decoded like any other — a malformed
-    /// one is reported as malformed — and the payload refused at the end.
-    stamp_seen: bool,
 }
 
-impl<'b> Decoder<'b> {
+impl<'b> Reader<'b> {
+    #[inline]
     fn varint(&mut self) -> Result<usize, StreamError> {
         let v = get_varint(self.buf, &mut self.pos)?;
         usize::try_from(v).map_err(|_| StreamError::at(self.pos, "length exceeds address space"))
     }
 
+    #[inline]
     fn str(&mut self) -> Result<&'b str, StreamError> {
         wire::get_str_ref(self.buf, &mut self.pos).map_err(|e| StreamError::at(e.offset, e.reason))
     }
+}
 
-    /// What an element entry says before its attributes, the kind byte
-    /// having been read: its flags, where its body ends, and its tag.
-    fn element_head(&mut self) -> Result<(u8, usize, &'b str), StreamError> {
-        let Some(&flags) = self.buf.get(self.pos) else {
-            return Err(StreamError::at(self.pos, "truncated flags"));
-        };
-        self.pos += 1;
-        let body_len = self.varint()?;
-        let Some(end) = (self.pos.checked_add(body_len)).filter(|&e| e <= self.buf.len()) else {
-            return Err(StreamError::at(self.pos, "truncated node body"));
-        };
-        if flags & FLAG_KEY != 0 {
-            self.str()?;
-        }
-        Ok((flags, end, self.str()?))
-    }
+fn trailing_bytes(pos: usize) -> StreamError {
+    StreamError::at(pos, "trailing bytes after version payload")
+}
 
-    /// The rest of an element entry, decoded onto `el`: attributes, then
-    /// child entries up to `end`.
-    fn element_body(
-        &mut self,
-        doc: &mut Document,
-        el: NodeId,
-        flags: u8,
-        end: usize,
-    ) -> Result<(), StreamError> {
-        for _ in 0..self.varint()? {
-            let name = self.str()?;
-            doc.set_attr(el, name, self.str()?);
-        }
-        if flags & FLAG_TIME != 0 {
-            TimeSet::parse(self.str()?).map_err(|e| StreamError::new(e.to_string()))?;
-        }
-        while self.pos < end {
-            self.entry(doc, el)?;
-        }
-        Ok(())
-    }
-
-    /// Decodes one entry as a new last child of `parent`.
-    fn entry(&mut self, doc: &mut Document, parent: NodeId) -> Result<(), StreamError> {
-        let at = self.pos;
-        let Some(&kind) = self.buf.get(at) else {
-            return Err(StreamError::at(at, "truncated entry"));
-        };
-        self.pos += 1;
-        match kind {
-            KIND_TEXT => {
-                doc.add_text(parent, self.str()?);
-            }
-            KIND_SMALL => {
-                let (flags, end, tag) = self.element_head()?;
-                let el = doc.add_element(parent, tag);
-                self.element_body(doc, el, flags, end)?;
-            }
-            KIND_STAMP => {
-                self.pos = at;
-                decode_small(self.buf, &mut self.pos)?;
-                self.stamp_seen = true;
-            }
-            k => {
-                return Err(StreamError::at(
-                    at,
-                    format!("unexpected entry kind {k} in small context"),
-                ))
-            }
-        }
-        Ok(())
-    }
+/// A payload decode failure as the corruption of the block at `offset`
+/// that held it. The failure's own offset addresses the *decoded* payload,
+/// which coincides with file bytes only in a raw block, so it goes into
+/// the reason and the error stays positioned at the block.
+pub(crate) fn positioned(offset: u64, e: StreamError) -> StoreError {
+    let reason = match e.offset {
+        Some(p) => format!("{} (byte {p} of the decoded payload)", e.reason),
+        None => e.reason,
+    };
+    StoreError::Corrupt { offset, reason }
 }
 
 /// Encodes a batch of version documents as one group-commit payload: a
@@ -270,47 +449,101 @@ pub fn docs_to_batch_bytes(docs: &[Document]) -> Vec<u8> {
 /// Decodes a payload written by [`docs_to_batch_bytes`]. Offsets in errors
 /// address the batch payload (the caller maps them to file offsets).
 pub fn batch_bytes_to_docs(buf: &[u8]) -> Result<Vec<Document>, StreamError> {
-    let mut pos = 0usize;
-    let count = get_varint(buf, &mut pos)?;
-    // every entry costs at least a length varint plus one payload byte,
-    // so a count beyond half the buffer is provably rot — reject before
-    // any allocation sized from untrusted input (and grow `docs` by
-    // pushing, never by the declared count)
-    if count > (buf.len() as u64) / 2 {
-        return Err(StreamError::at(
-            0,
-            format!(
-                "implausible batch count {count} for a {} byte payload",
-                buf.len()
-            ),
-        ));
-    }
+    // grown by pushing, never sized by the declared count
     let mut docs = Vec::new();
-    for _ in 0..count {
-        let len_raw = get_varint(buf, &mut pos)?;
+    for entry in BatchEntries::new(buf)? {
+        let (at, entry) = entry?;
+        docs.push(bytes_to_doc(entry).map_err(|e| entry_err(at, e))?);
+    }
+    Ok(docs)
+}
+
+/// A failure inside the batch entry at byte `at` of its payload, as a
+/// failure of the batch payload.
+pub(crate) fn entry_err(at: usize, e: StreamError) -> StreamError {
+    StreamError {
+        reason: e.reason,
+        offset: Some(e.offset.unwrap_or(0) + at as u64),
+    }
+}
+
+/// The per-version entries of a [`docs_to_batch_bytes`] payload, each with
+/// its offset in it, found by their length prefixes alone: no entry is
+/// decoded. Ends with an error if bytes follow the last entry.
+#[derive(Debug)]
+pub(crate) struct BatchEntries<'b> {
+    buf: &'b [u8],
+    pos: usize,
+    /// Entries declared and not yet handed out.
+    left: u64,
+}
+
+impl<'b> BatchEntries<'b> {
+    pub(crate) fn new(buf: &'b [u8]) -> Result<Self, StreamError> {
+        let mut pos = 0usize;
+        let count = get_varint(buf, &mut pos)?;
+        // every entry costs at least a length varint plus one payload byte,
+        // so a count beyond half the buffer is provably rot
+        if count > (buf.len() as u64) / 2 {
+            return Err(StreamError::at(
+                0,
+                format!(
+                    "implausible batch count {count} for a {} byte payload",
+                    buf.len()
+                ),
+            ));
+        }
+        Ok(BatchEntries {
+            buf,
+            pos,
+            left: count,
+        })
+    }
+
+    /// How many entries the payload declares.
+    pub(crate) fn declared(&self) -> u64 {
+        self.left
+    }
+
+    fn entry(&mut self) -> Result<(usize, &'b [u8]), StreamError> {
+        let len_raw = get_varint(self.buf, &mut self.pos)?;
         let Ok(len) = usize::try_from(len_raw) else {
             return Err(StreamError::at(
-                pos,
+                self.pos,
                 "batch entry length exceeds address space",
             ));
         };
-        let Some(end) = pos.checked_add(len).filter(|&e| e <= buf.len()) else {
-            return Err(StreamError::at(pos, "truncated batch entry"));
+        let at = self.pos;
+        let Some(entry) = at.checked_add(len).and_then(|end| self.buf.get(at..end)) else {
+            return Err(StreamError::at(at, "truncated batch entry"));
         };
-        let Some(entry) = buf.get(pos..end) else {
-            return Err(StreamError::at(pos, "truncated batch entry"));
+        self.pos += len;
+        Ok((at, entry))
+    }
+}
+
+impl<'b> Iterator for BatchEntries<'b> {
+    type Item = Result<(usize, &'b [u8]), StreamError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let item = if self.left > 0 {
+            self.left -= 1;
+            self.entry()
+        } else if self.pos != self.buf.len() {
+            Err(StreamError::at(
+                self.pos,
+                "trailing bytes after batch payload",
+            ))
+        } else {
+            return None;
         };
-        let doc = bytes_to_doc(entry).map_err(|e| StreamError {
-            reason: e.reason,
-            offset: Some(e.offset.unwrap_or(0) + pos as u64),
-        })?;
-        docs.push(doc);
-        pos = end;
+        if item.is_err() {
+            // an error is the last item
+            self.left = 0;
+            self.pos = self.buf.len();
+        }
+        Some(item)
     }
-    if pos != buf.len() {
-        return Err(StreamError::at(pos, "trailing bytes after batch payload"));
-    }
-    Ok(docs)
 }
 
 #[cfg(test)]
@@ -481,6 +714,12 @@ mod tests {
                     (Err(got), Err(want)) => prop_assert_eq!(got, want),
                     (got, want) => panic!("direct {got:?} but via ETree {want:?} on {input:?}"),
                 }
+                // and the XML written straight from the bytes is the XML
+                // of that document, or the same refusal
+                prop_assert_eq!(
+                    bytes_to_xml(&input),
+                    bytes_to_doc(&input).map(|doc| xarch_xml::writer::to_compact_string(&doc))
+                );
             }
         }
     }
@@ -524,6 +763,49 @@ mod tests {
         // a body length reaching past the buffer, at the offset after it
         let e = bytes_to_doc(&[KIND_SMALL, 0, 9, 2, b'd', b'b', 0]).unwrap_err();
         assert_eq!(e, StreamError::at(3, "truncated node body"));
+    }
+
+    /// Entries no encoder of ours writes, and a `Document` quietly absorbs:
+    /// the XML written straight from the bytes absorbs them the same way.
+    #[test]
+    fn xml_from_the_bytes_drops_and_folds_what_a_document_does() {
+        let text = |s: &str| ETree {
+            kind: EKind::Text(s.into()),
+            sort_key: None,
+            frontier: false,
+            time: None,
+            children: vec![],
+        };
+        let element = |tag: &str, attrs: &[(&str, &str)], children: Vec<ETree>| ETree {
+            kind: EKind::Element {
+                tag: tag.into(),
+                attrs: (attrs.iter())
+                    .map(|(a, v)| ((*a).to_owned(), (*v).to_owned()))
+                    .collect(),
+            },
+            children,
+            ..text("")
+        };
+        let tree = element(
+            "db",
+            &[("a", "1"), ("b", "x\"<y"), ("a", "2 & 3")],
+            vec![
+                element("only-empty-text", &[], vec![text(""), text("")]),
+                element("e", &[("k", "")], vec![]),
+                text(""),
+                element("t", &[], vec![text("a < b"), text(""), text("&c")]),
+            ],
+        );
+        let mut bytes = Vec::new();
+        encode_small(&tree, &mut bytes);
+        let xml = bytes_to_xml(&bytes).unwrap();
+        assert_eq!(
+            xml,
+            "<db a=\"2 &amp; 3\" b=\"x&quot;&lt;y\"><only-empty-text/><e k=\"\"/>\
+             <t>a &lt; b&amp;c</t></db>"
+        );
+        let doc = bytes_to_doc(&bytes).unwrap();
+        assert_eq!(xml, xarch_xml::writer::to_compact_string(&doc));
     }
 
     #[test]

@@ -71,6 +71,18 @@ pub fn escape_attr_into(s: &str, out: &mut String) {
     push_runs(s, true, out);
 }
 
+/// Appends one attribute as it stands in an open tag — a space, the name,
+/// and the escaped value in double quotes — to `out`: [`write_attr_pair`]
+/// for a `String`.
+#[inline]
+pub fn push_attr_pair(name: &str, value: &str, out: &mut String) {
+    out.push(' ');
+    out.push_str(name);
+    out.push_str("=\"");
+    escape_attr_into(value, out);
+    out.push('"');
+}
+
 /// Writes the escaped form of `s` (text-content rules) to `out`.
 #[inline]
 pub fn write_text<W: Write + ?Sized>(s: &str, out: &mut W) -> io::Result<()> {

@@ -1,0 +1,441 @@
+//! The cold read path against what it replaced. `ColdArchive` answers
+//! `retrieve_into`, `as_of` and `history` straight from the decoded
+//! payload bytes; here each is held to the long way round — `retrieve`
+//! the whole [`Document`], then `to_compact_string` or `find_in_doc` — over
+//! every block kind, raw and LZSS, and over payloads no writer of ours
+//! would have produced.
+
+mod common;
+
+use xarch::compress::BlockCodec;
+use xarch::core::query::{find_in_doc, subtree_doc};
+use xarch::core::{KeyQuery, StoreError};
+use xarch::extmem::{encode_small, EKind, ETree};
+use xarch::keys::KeySpec;
+use xarch::obs::Obs;
+use xarch::storage::block::{encode_block, BlockKind};
+use xarch::storage::payload::{bytes_to_doc, doc_to_bytes, docs_to_batch_bytes};
+use xarch::storage::{scratch_path, superblock};
+use xarch::xml::writer::to_compact_string;
+use xarch::xml::{parse, Document};
+use xarch::{ArchiveBuilder, ColdArchive, DurableOptions, StoreReader};
+
+fn spec() -> KeySpec {
+    KeySpec::parse(
+        "(/, (db, {}))\n\
+         (/db, (meta, {}))\n\
+         (/db, (rec, {id}))\n\
+         (/db/rec, (val, {}))\n\
+         (/db/rec, (note, {.}))\n\
+         (/db/meta, (src, {name}))",
+    )
+    .unwrap()
+}
+
+/// Release `n`: attributes, characters that need escaping in text and in
+/// attribute values, empty elements, multi-byte text — and enough records
+/// that LZSS keeps its block. Record `n` exists only in release `n`;
+/// record 2's `val` changes with `n`.
+fn release(n: u32) -> Document {
+    let mut src = format!(
+        "<db rel=\"{n}\" note=\"a &lt; b &amp; &quot;c&quot;\">\
+         <meta><src name=\"omim &amp; co\" url=\"http://x/?a=1&amp;b=2\"/><src name=\"other\"/></meta>"
+    );
+    for id in (1..=30).chain([100 + n]) {
+        src.push_str(&format!(
+            "<rec kind=\"k{}\"><id>{id}</id><val>{}</val><empty/>\
+             <note>x &lt; y &amp; z</note><note>née 東京 {id}</note></rec>",
+            id % 3,
+            if id == 2 {
+                format!("v{n}")
+            } else {
+                "same".to_owned()
+            },
+        ));
+    }
+    src.push_str("</db>");
+    parse(&src).unwrap()
+}
+
+fn rec(id: u32) -> KeyQuery {
+    KeyQuery::new("rec").with_text("id", &id.to_string())
+}
+
+/// Paths that resolve at the root, at a record, deeper than the record
+/// and under a second `{}` step — and paths that do not resolve, at every
+/// depth and for every reason.
+fn paths() -> Vec<Vec<KeyQuery>> {
+    let db = || KeyQuery::new("db");
+    let note = |text: &str| KeyQuery {
+        tag: "note".into(),
+        parts: vec![(".".into(), format!("<note>{text}</note>"))],
+    };
+    let src = |name: &str| KeyQuery {
+        tag: "src".into(),
+        parts: vec![("name".into(), format!("@name=\"{name}\""))],
+    };
+    vec![
+        vec![],
+        vec![db()],
+        vec![db(), rec(1)],
+        vec![db(), rec(2)],
+        vec![db(), rec(30)],
+        vec![db(), rec(103)],
+        vec![db(), rec(2), KeyQuery::new("val")],
+        vec![db(), rec(7), note("née 東京 7")],
+        vec![db(), KeyQuery::new("meta")],
+        vec![db(), KeyQuery::new("meta"), src("omim &amp; co")],
+        vec![db(), KeyQuery::new("meta"), src("other")],
+        // none of these is there
+        vec![KeyQuery::new("nope")],
+        vec![db(), rec(99)],
+        vec![db(), KeyQuery::new("rec")],
+        vec![db().with_text("id", "1")],
+        vec![db(), KeyQuery::new("zzz")],
+        vec![db(), rec(2), KeyQuery::new("zzz")],
+        vec![db(), rec(2), KeyQuery::new("val"), KeyQuery::new("deeper")],
+        vec![db(), rec(2), KeyQuery::new("id")],
+        vec![db(), rec(7), note("no such note")],
+        vec![db(), KeyQuery::new("meta"), src("absent")],
+        vec![db(), KeyQuery::new("meta"), KeyQuery::new("src")],
+        vec![db(), KeyQuery::new("empty"), KeyQuery::new("x")],
+    ]
+}
+
+/// Versions 1, a batch of 2–4, an empty 5, and 6: every data block kind.
+fn write_mixed(path: &std::path::Path, compression: BlockCodec) {
+    let options = DurableOptions {
+        compression,
+        sync: false,
+        checkpoint_every: Some(2),
+    };
+    let mut d = ArchiveBuilder::new(spec())
+        .durable_with(path, options)
+        .try_build()
+        .unwrap();
+    d.add_version(&release(1)).unwrap();
+    d.add_versions(&[release(2), release(3), release(4)])
+        .unwrap();
+    d.add_empty_version().unwrap();
+    d.add_version(&release(6)).unwrap();
+}
+
+fn as_xml(doc: Option<Document>) -> Option<String> {
+    doc.map(|d| to_compact_string(&d))
+}
+
+#[test]
+fn cold_answers_equal_the_whole_document_route_over_every_block_kind() {
+    let mut segment_lens = Vec::new();
+    for compression in [BlockCodec::Raw, BlockCodec::Lzss] {
+        let path = scratch_path("cold-read-mixed");
+        write_mixed(&path, compression);
+        segment_lens.push(std::fs::metadata(&path).unwrap().len());
+        let obs = Obs::new();
+        let cold = ColdArchive::open_observed(&path, &obs).unwrap();
+        let decoded = || {
+            obs.registry()
+                .get_counter("cold.blocks_decoded")
+                .unwrap()
+                .get()
+        };
+        assert_eq!(cold.latest(), 6);
+
+        for v in 0..=7 {
+            let whole = cold.retrieve(v).unwrap();
+            let before = decoded();
+            let mut out = Vec::new();
+            let wrote = cold.retrieve_into(v, &mut out).unwrap();
+            assert_eq!(wrote, whole.is_some(), "version {v}");
+            assert_eq!(
+                String::from_utf8(out).unwrap(),
+                as_xml(whole.clone()).unwrap_or_default(),
+                "retrieve_into({v}) under {compression:?}"
+            );
+            let held = u64::from(whole.is_some());
+            assert_eq!(decoded() - before, held, "retrieve_into({v}) decodes");
+
+            for path in paths() {
+                let before = decoded();
+                let got = cold.as_of(&path, v).unwrap();
+                assert_eq!(decoded() - before, held, "as_of({path:?}, {v}) decodes");
+                let want = match &whole {
+                    Some(doc) if path.is_empty() => Some(doc.clone()),
+                    Some(doc) => {
+                        find_in_doc(doc, cold.spec(), &path).and_then(|id| subtree_doc(doc, id))
+                    }
+                    None => None,
+                };
+                assert_eq!(as_xml(got), as_xml(want), "as_of({path:?}, {v})");
+            }
+        }
+        for path in paths().iter().filter(|p| !p.is_empty()) {
+            let want = common::history_values_by_definition(&cold, path);
+            assert_eq!(
+                cold.history(path).unwrap(),
+                want.map(|h| h.existence),
+                "history({path:?})"
+            );
+        }
+        // some of the paths are there, in the versions they should be
+        let versions =
+            |p: &[KeyQuery]| (cold.history(p).unwrap()).map(|t| t.versions().collect::<Vec<_>>());
+        assert_eq!(versions(&paths()[3]), Some(vec![1, 2, 3, 4, 6]));
+        assert_eq!(versions(&paths()[5]), Some(vec![3]));
+        assert_eq!(versions(&paths()[9]), Some(vec![1, 2, 3, 4, 6]));
+        assert_eq!(versions(&paths()[12]), None);
+        // and `history_values` / `diff`, the per-version definitions over
+        // these, still say what the definitions say
+        common::check_against_definitions(&cold, &paths()[1..8]).unwrap();
+        drop(cold);
+        std::fs::remove_file(&path).unwrap();
+    }
+    assert!(
+        segment_lens[1] < segment_lens[0] / 2,
+        "LZSS fell back to raw blocks ({segment_lens:?}): the fixture no longer compresses"
+    );
+}
+
+/// A segment of hand-built blocks, one version each: `(kind, payload)`.
+fn write_blocks(path: &std::path::Path, blocks: &[(BlockKind, Vec<u8>)]) {
+    let mut file = superblock::encode(&spec()).unwrap();
+    for (i, (kind, payload)) in blocks.iter().enumerate() {
+        let (codec, stored) = BlockCodec::Lzss.encode(payload);
+        file.extend_from_slice(&encode_block(
+            *kind,
+            codec,
+            i as u32 + 1,
+            payload.len() as u64,
+            &stored,
+        ));
+    }
+    std::fs::write(path, file).unwrap();
+}
+
+fn corrupt_reason(e: StoreError) -> (u64, String) {
+    match e {
+        StoreError::Corrupt { offset, reason } => (offset, reason),
+        other => panic!("expected Corrupt, got {other}"),
+    }
+}
+
+/// A payload whose checksum is fine and whose bytes are not: every answer
+/// is the positioned refusal `bytes_to_doc` words, and `out` stays empty.
+#[test]
+fn a_payload_that_does_not_verify_is_refused_alike_and_writes_nothing() {
+    let good = doc_to_bytes(&release(1));
+    let stamped = {
+        let text = |s: &str| ETree {
+            kind: EKind::Text(s.into()),
+            sort_key: None,
+            frontier: false,
+            time: None,
+            children: vec![],
+        };
+        let mut stamp = text("");
+        stamp.kind = EKind::Stamp;
+        stamp.time = Some(xarch::core::TimeSet::from_version(3));
+        stamp.children = vec![text("inside")];
+        let mut root = text("");
+        root.kind = EKind::Element {
+            tag: "db".into(),
+            attrs: vec![],
+        };
+        root.children = vec![text("before"), stamp];
+        let mut out = Vec::new();
+        encode_small(&root, &mut out);
+        out
+    };
+    let trailing = [&good[..], &[0xEE]].concat();
+    let mut payloads = vec![stamped, trailing];
+    // one flipped byte, at a spread of places: most flips break a length
+    // or a kind, some only change a character and the payload still reads
+    for (i, at) in (0..good.len()).step_by(good.len() / 60).enumerate() {
+        let mut flipped = good.clone();
+        flipped[at] ^= if i % 2 == 0 { 0x81 } else { 0x01 };
+        payloads.push(flipped);
+    }
+    let blocks: Vec<(BlockKind, Vec<u8>)> =
+        (payloads.iter().cloned().map(|p| (BlockKind::Version, p))).collect();
+    let path = scratch_path("cold-read-damaged");
+    write_blocks(&path, &blocks);
+    let cold = ColdArchive::open(&path).unwrap();
+    let (mut refused, mut read) = (0, 0);
+    for (i, payload) in payloads.iter().enumerate() {
+        let v = i as u32 + 1;
+        let mut out = Vec::new();
+        match bytes_to_doc(payload) {
+            Ok(doc) => {
+                assert!(cold.retrieve_into(v, &mut out).unwrap());
+                assert_eq!(String::from_utf8(out).unwrap(), to_compact_string(&doc));
+                read += 1;
+            }
+            Err(e) => {
+                let (at, reason) = corrupt_reason(cold.retrieve(v).unwrap_err());
+                assert!(reason.starts_with(&e.reason), "{reason} / {e}");
+                let into = corrupt_reason(cold.retrieve_into(v, &mut out).unwrap_err());
+                assert_eq!(into, (at, reason), "payload {i}");
+                assert!(
+                    out.is_empty(),
+                    "payload {i} left {} bytes in `out`",
+                    out.len()
+                );
+                refused += 1;
+            }
+        }
+    }
+    assert!(refused >= 20 && read >= 1, "{refused} refused, {read} read");
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// In a batch the versions are found by their length prefixes: a damaged
+/// one is refused where it is asked for, at its offset in the batch, and
+/// the others read as if it were not there.
+#[test]
+fn a_batch_is_read_one_version_at_a_time() {
+    let docs = [release(1), release(2), release(3)];
+    let batch = docs_to_batch_bytes(&docs);
+    // break the second entry where the last thing a scan for a record
+    // reads of it lies: the `id` of its last record, "102", which its
+    // offset in the batch payload then positions
+    let second_ends = batch.len() - doc_to_bytes(&docs[2]).len() - 3;
+    let id_at = (0..second_ends)
+        .rev()
+        .filter(|&i| batch[i..].starts_with(b"102"))
+        .nth(1)
+        .unwrap();
+    let mut damaged = batch.clone();
+    damaged[id_at] = 0xFF;
+    let path = scratch_path("cold-read-batch");
+    // (a batch block commits three versions; the block after it says so)
+    let mut file = superblock::encode(&spec()).unwrap();
+    let (codec, stored) = BlockCodec::Lzss.encode(&damaged);
+    file.extend_from_slice(&encode_block(
+        BlockKind::Batch,
+        codec,
+        1,
+        damaged.len() as u64,
+        &stored,
+    ));
+    file.extend_from_slice(&encode_block(BlockKind::Empty, BlockCodec::Raw, 4, 0, &[]));
+    std::fs::write(&path, file).unwrap();
+
+    let cold = ColdArchive::open(&path).unwrap();
+    assert_eq!(cold.latest(), 4);
+    for v in [1u32, 3] {
+        let mut out = Vec::new();
+        assert!(cold.retrieve_into(v, &mut out).unwrap());
+        assert_eq!(
+            String::from_utf8(out).unwrap(),
+            to_compact_string(&docs[v as usize - 1])
+        );
+        let found = cold.as_of(&[KeyQuery::new("db"), rec(2)], v).unwrap();
+        assert!(as_xml(found).unwrap().contains(&format!("<val>v{v}</val>")));
+    }
+    let mut out = Vec::new();
+    let into = corrupt_reason(cold.retrieve_into(2, &mut out).unwrap_err());
+    assert!(out.is_empty());
+    assert_eq!(into, corrupt_reason(cold.retrieve(2).unwrap_err()));
+    let (_, reason) = into;
+    let byte: usize = reason
+        .split("(byte ")
+        .nth(1)
+        .and_then(|s| s.split(' ').next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no payload offset in `{reason}`"));
+    assert_eq!(
+        byte, id_at,
+        "`{reason}` does not point at the string broken"
+    );
+    // a scan reads every version, and is refused where it has to read the
+    // damage — past record 2, which is found before it in all three
+    assert!(cold.history(&[KeyQuery::new("db"), rec(99)]).is_err());
+    let found = cold.history(&[KeyQuery::new("db"), rec(2)]).unwrap();
+    assert_eq!(found.unwrap().versions().collect::<Vec<_>>(), [1, 2, 3]);
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// A block whose checksum verifies and whose LZSS stream declares a length
+/// no allocator could serve: both readers answer `Corrupt` — neither
+/// reserves what the stream asks for (which used to abort the process).
+#[test]
+fn a_hostile_declared_length_is_refused_not_allocated() {
+    let leb = |mut v: u64| {
+        let mut out = Vec::new();
+        while v >= 0x80 {
+            out.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        out.push(v as u8);
+        out
+    };
+    // (what the header says, what the stream says): a stream that
+    // disagrees with its header, and the two agreeing on more than the
+    // few bytes that follow could ever decode to
+    for (raw_len, declared) in [(100u64, 1u64 << 60), (100, u64::MAX), (1 << 29, 1 << 29)] {
+        let mut stored = leb(declared);
+        stored.extend_from_slice(&[0x55; 16]);
+        let mut file = superblock::encode(&spec()).unwrap();
+        let at = file.len() as u64;
+        file.extend_from_slice(&encode_block(
+            BlockKind::Version,
+            BlockCodec::Lzss,
+            1,
+            raw_len,
+            &stored,
+        ));
+        let path = scratch_path("cold-read-hostile");
+        std::fs::write(&path, &file).unwrap();
+
+        let cold = ColdArchive::open(&path).unwrap();
+        let (offset, reason) = corrupt_reason(cold.retrieve(1).unwrap_err());
+        assert!(
+            offset >= at && reason.contains("does not decode"),
+            "{reason}"
+        );
+        let mut out = Vec::new();
+        corrupt_reason(cold.retrieve_into(1, &mut out).unwrap_err());
+        assert!(out.is_empty());
+        corrupt_reason(cold.as_of(&[KeyQuery::new("db")], 1).unwrap_err());
+        drop(cold);
+
+        let reopened = ArchiveBuilder::new(spec()).durable(&path).try_build();
+        corrupt_reason(reopened.map(|_| ()).unwrap_err());
+        std::fs::remove_file(&path).unwrap();
+    }
+}
+
+/// Siblings sharing a key (the merge takes them; `keys::validate` is the
+/// separate checker): the first is the one followed, with no way back, on
+/// the cold path as in `find_in_doc`.
+#[test]
+fn the_first_of_two_siblings_with_one_key_is_the_one_followed() {
+    let doc = parse(
+        "<db><rec><id>1</id></rec><rec><id>1</id><val>second</val></rec>\
+         <rec><id>2</id><val>x</val></rec></db>",
+    )
+    .unwrap();
+    let path = scratch_path("cold-read-twins");
+    write_blocks(&path, &[(BlockKind::Version, doc_to_bytes(&doc))]);
+    let cold = ColdArchive::open(&path).unwrap();
+    let db = || KeyQuery::new("db");
+    for (steps, want) in [
+        (vec![db(), rec(1)], Some("<rec><id>1</id></rec>")),
+        (vec![db(), rec(1), KeyQuery::new("val")], None),
+        (
+            vec![db(), rec(2), KeyQuery::new("val")],
+            Some("<val>x</val>"),
+        ),
+    ] {
+        let by_document = find_in_doc(&doc, cold.spec(), &steps)
+            .and_then(|id| subtree_doc(&doc, id))
+            .map(|d| to_compact_string(&d));
+        assert_eq!(by_document.as_deref(), want, "{steps:?}");
+        assert_eq!(
+            as_xml(cold.as_of(&steps, 1).unwrap()),
+            by_document,
+            "{steps:?}"
+        );
+    }
+    std::fs::remove_file(&path).unwrap();
+}

@@ -67,7 +67,7 @@ fn section<'a>(doc: &'a str, heading: &str) -> &'a str {
     }
 }
 
-// ---------- the FORMAT.md golden test ----------
+// ---------- the FORMAT.md golden tests ----------
 
 #[test]
 fn format_spec_constants_match_the_storage_source() {
@@ -156,6 +156,58 @@ fn format_spec_state_tags_match_the_source() {
             "FORMAT.md §Checkpoint blocks has no state-tag row mapping {tag} to {backend}"
         );
     }
+}
+
+/// §Codec 1 pins the LZSS stream to bytes a third party can produce and
+/// read: the golden vector is what `compress` writes and `decompress`
+/// reads, and the documented bounds are the coder's.
+#[test]
+fn format_spec_lzss_golden_vector_is_what_the_coder_writes_and_reads() {
+    use xarch::compress::{compress, decompress, BlockCodec};
+    let doc = read(&repo_root().join("docs/FORMAT.md"));
+    let sec = section(&doc, "Codec 1: LZSS stream");
+    let input = sec
+        .split("Golden vector: `")
+        .nth(1)
+        .and_then(|rest| rest.split('`').next())
+        .expect("§Codec 1 names its golden input in backticks");
+    let is_hex_line = |l: &&str| {
+        !l.is_empty()
+            && l.split(' ')
+                .all(|b| b.len() == 2 && u8::from_str_radix(b, 16).is_ok())
+    };
+    let stream: Vec<u8> = (sec.lines().find(is_hex_line))
+        .expect("§Codec 1 gives the golden stream as a line of hex bytes")
+        .split(' ')
+        .map(|b| u8::from_str_radix(b, 16).unwrap())
+        .collect();
+    assert_eq!(compress(input.as_bytes()), stream, "FORMAT.md §Codec 1");
+    assert_eq!(decompress(&stream).as_deref(), Some(input.as_bytes()));
+    assert_eq!(BlockCodec::Lzss.id(), 1);
+
+    // the documented bounds, through the coder: a run decodes from
+    // matches of `dist = 1`, 258 bytes for 13 bits; a repeat 32768 back
+    // is found, one 32769 back is not
+    let run = vec![b'x'; 1 + 258 * 8];
+    assert_eq!(compress(&run).len(), 2 + (9 + 13 * 8usize).div_ceil(8));
+    let noise = |len: usize| -> Vec<u8> {
+        let mut x = 0x2545_F491u32;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 17;
+                x ^= x << 5;
+                (x >> 8) as u8
+            })
+            .collect()
+    };
+    let repeat_at = |dist: usize| {
+        let mut data = noise(dist);
+        data.extend_from_within(..64);
+        compress(&data).len() as i64 - compress(&data[..dist]).len() as i64
+    };
+    assert!(repeat_at(32768) < 16, "a match at the window's edge");
+    assert!(repeat_at(32769) > 60, "no match past the window");
 }
 
 // ---------- the PROTOCOL.md golden tests ----------
