@@ -31,20 +31,25 @@ pub enum Rule {
     /// every measurement lands in the registry instead of vanishing into
     /// a local variable or the console.
     ObsDiscipline,
+    /// No function that calls itself on a path untrusted bytes reach: a
+    /// stack overflow is an abort, not a panic or an error. Exempt only
+    /// with `xarch-allow: recursion -- bounded by <const>`.
+    Recursion,
     /// Meta-rule: `xarch-allow` comments must be well-formed and used.
     Suppression,
 }
 
 impl Rule {
-    /// The six path-scoped invariant rules (excludes the suppression
+    /// The seven path-scoped invariant rules (excludes the suppression
     /// meta-rule, which is always active).
-    pub const CHECKABLE: [Rule; 6] = [
+    pub const CHECKABLE: [Rule; 7] = [
         Rule::PanicFreedom,
         Rule::LockDiscipline,
         Rule::CastSafety,
         Rule::ApiContract,
         Rule::UnsafeAudit,
         Rule::ObsDiscipline,
+        Rule::Recursion,
     ];
 
     /// The rule's stable name — used in diagnostics and in
@@ -57,6 +62,7 @@ impl Rule {
             Rule::ApiContract => "api-contract",
             Rule::UnsafeAudit => "unsafe-audit",
             Rule::ObsDiscipline => "obs-discipline",
+            Rule::Recursion => "recursion",
             Rule::Suppression => "suppression",
         }
     }
@@ -70,6 +76,7 @@ impl Rule {
             "api-contract" => Some(Rule::ApiContract),
             "unsafe-audit" => Some(Rule::UnsafeAudit),
             "obs-discipline" => Some(Rule::ObsDiscipline),
+            "recursion" => Some(Rule::Recursion),
             _ => None,
         }
     }
@@ -146,26 +153,32 @@ impl Config {
     ///   and not to the `xarch-server` binary entry point (startup and
     ///   usage errors go to stderr before any observability exists).
     ///   Examples and integration tests fall outside the include list.
+    /// * `recursion` binds where `panic-freedom` does, plus the two other
+    ///   places a tree is built from untrusted bytes: the XML parser and
+    ///   the checkpoint state decoder.
     pub fn project_policy() -> Self {
+        const UNTRUSTED_BYTES: [&str; 13] = [
+            "crates/storage/src/segment.rs",
+            "crates/storage/src/block.rs",
+            "crates/storage/src/payload.rs",
+            "crates/storage/src/superblock.rs",
+            "crates/storage/src/durable.rs",
+            "crates/storage/src/checkpoint.rs",
+            "crates/storage/src/cold.rs",
+            "crates/storage/src/mmap.rs",
+            "crates/compress/src/bitio.rs",
+            "crates/compress/src/lzss/decode.rs",
+            "crates/extmem/src/events.rs",
+            "crates/proto/src/",
+            "crates/server/src/serve.rs",
+        ];
+        let tree_builders = ["crates/xml/src/parser.rs", "crates/core/src/state.rs"];
         Self {
             rules: vec![
+                (Rule::PanicFreedom, PathFilter::only(UNTRUSTED_BYTES)),
                 (
-                    Rule::PanicFreedom,
-                    PathFilter::only([
-                        "crates/storage/src/segment.rs",
-                        "crates/storage/src/block.rs",
-                        "crates/storage/src/payload.rs",
-                        "crates/storage/src/superblock.rs",
-                        "crates/storage/src/durable.rs",
-                        "crates/storage/src/checkpoint.rs",
-                        "crates/storage/src/cold.rs",
-                        "crates/storage/src/mmap.rs",
-                        "crates/compress/src/bitio.rs",
-                        "crates/compress/src/lzss/decode.rs",
-                        "crates/extmem/src/events.rs",
-                        "crates/proto/src/",
-                        "crates/server/src/serve.rs",
-                    ]),
+                    Rule::Recursion,
+                    PathFilter::only(UNTRUSTED_BYTES.into_iter().chain(tree_builders)),
                 ),
                 (Rule::LockDiscipline, PathFilter::everywhere()),
                 (Rule::CastSafety, PathFilter::only(["crates/storage/src/"])),
@@ -253,6 +266,15 @@ mod tests {
             "the binary may expect() on startup"
         );
         assert!(!pf.matches("crates/core/src/archive.rs"));
+        let rec = p.scope(Rule::Recursion).unwrap();
+        assert!(
+            rec.matches("crates/storage/src/payload.rs"),
+            "every decode path"
+        );
+        assert!(rec.matches("crates/xml/src/parser.rs"));
+        assert!(rec.matches("crates/core/src/state.rs"));
+        assert!(!pf.matches("crates/xml/src/parser.rs"));
+        assert!(!rec.matches("crates/core/src/merge.rs"));
         let cs = p.scope(Rule::CastSafety).unwrap();
         assert!(cs.matches("crates/storage/src/crc.rs"));
         assert!(!cs.matches("src/handle.rs"));

@@ -254,6 +254,14 @@ fn parse_suppressions(comments: &[Comment]) -> (Vec<PendingSuppression>, Vec<(Ru
         if bad || rules.is_empty() {
             continue;
         }
+        if rules.contains(&Rule::Recursion) && !names_a_bound(reason) {
+            diags.push(malformed(
+                "malformed suppression: a recursion exemption must name what bounds the depth, \
+                 as `-- bounded by <const>`"
+                    .into(),
+            ));
+            continue;
+        }
         pending.push(PendingSuppression {
             line: c.line,
             rules,
@@ -262,6 +270,21 @@ fn parse_suppressions(comments: &[Comment]) -> (Vec<PendingSuppression>, Vec<(Ru
         });
     }
     (pending, diags)
+}
+
+/// Does a suppression reason read `bounded by <const>`, the constant a
+/// `SCREAMING_CASE` name (path-qualified or not), whatever follows it?
+fn names_a_bound(reason: &str) -> bool {
+    let Some(rest) = reason.strip_prefix("bounded by ") else {
+        return false;
+    };
+    let mut words = rest.split(|c: char| !(c.is_alphanumeric() || c == '_' || c == ':'));
+    let path = words.next().unwrap_or("").trim_end_matches(':');
+    let name = path.rsplit("::").next().unwrap_or("");
+    name.starts_with(|c: char| c.is_ascii_uppercase())
+        && name
+            .chars()
+            .all(|c| c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_')
 }
 
 /// Per-file intermediate state feeding the crate-level pass.
@@ -328,6 +351,9 @@ pub fn analyze_sources(files: &[SourceFile], config: &Config) -> Analysis {
                 }
                 Rule::ObsDiscipline => {
                     diags.extend(rules::obs_discipline(&ctx).into_iter().map(|d| (rule, d)));
+                }
+                Rule::Recursion => {
+                    diags.extend(rules::recursion(&ctx).into_iter().map(|d| (rule, d)));
                 }
                 Rule::Suppression => {}
             }

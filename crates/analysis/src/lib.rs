@@ -19,6 +19,10 @@
 //!   in its crate.
 //! * **unsafe-audit** — every `unsafe` carries a `// SAFETY:` comment; a
 //!   full inventory is generated in `report` mode.
+//! * **recursion** — no function on a decode path, in the XML parser or
+//!   in the checkpoint state decoder calls itself, unless an
+//!   `xarch-allow: recursion -- bounded by <const>` names what bounds its
+//!   depth: a stack overflow aborts the process.
 //!
 //! The pipeline: a hand-rolled [`lexer`] (strings, raw strings, char
 //! literals, nested block comments, attributes) feeds token-sequence rules

@@ -1,4 +1,4 @@
-//! The five invariant rules, as token-sequence lints.
+//! The seven invariant rules, as token-sequence lints.
 //!
 //! Each rule is a pure function from a lexed file to raw findings
 //! (line/col/message). The engine decides scope (which paths a rule binds
@@ -375,6 +375,76 @@ pub fn obs_discipline(ctx: &FileCtx<'_>) -> Vec<RawDiag> {
                      through the `xarch_obs` `Tracer` so it reaches the ring buffer \
                      and the configured sink",
                     t[i].text
+                ),
+            ));
+        }
+    }
+    out
+}
+
+/// Rule 7 — **recursion**: a function that calls itself recurses once per
+/// level of what it walks, so untrusted input nested deep enough overflows
+/// the stack — an abort, which no `Result` and no `panic-freedom` catches.
+/// Flags the function (at its `fn`) when its body calls it by name: a bare
+/// `name(` from a free or associated function, `self.name(` from a method,
+/// `Self::name(` from either. The only exemption is
+/// `xarch-allow: recursion -- bounded by <const>` (the engine holds the
+/// reason to that form): the constant must bound the depth.
+pub fn recursion(ctx: &FileCtx<'_>) -> Vec<RawDiag> {
+    let t = ctx.toks;
+    let mut out = Vec::new();
+    for i in 0..t.len() {
+        let Some(name) = t.get(i + 1).filter(|n| n.kind == TokKind::Ident) else {
+            continue;
+        };
+        if !t[i].is_ident("fn") || ctx.skip(Rule::Recursion, i) {
+            continue;
+        }
+        // the parameter list: the first `(` outside the generics
+        let mut angle = 0i32;
+        let Some(open) = (i + 2..t.len()).find(|&k| {
+            let after_dash = t[k - 1].is_punct('-');
+            if t[k].is_punct('<') {
+                angle += 1;
+            } else if t[k].is_punct('>') && !after_dash {
+                angle -= 1;
+            }
+            angle == 0 && t[k].is_punct('(')
+        }) else {
+            continue;
+        };
+        let params_end = matching_paren(t, open);
+        let method = t[open..params_end].iter().any(|x| x.is_ident("self"));
+        // a declaration ends in `;` and has no body to look in
+        let body = (params_end..t.len()).find(|&k| t[k].is_punct('{') || t[k].is_punct(';'));
+        let Some(body) = body.filter(|&k| t[k].is_punct('{')) else {
+            continue;
+        };
+        let before = |k: usize, back: usize| k.checked_sub(back).and_then(|p| t.get(p));
+        let calls_itself = (body + 1..matching_brace(t, body)).any(|k| {
+            if !t[k].is_ident(&name.text) || !t.get(k + 1).is_some_and(|x| x.is_punct('(')) {
+                return false;
+            }
+            let is = |back, f: &dyn Fn(&Tok) -> bool| before(k, back).is_some_and(f);
+            let via_self_type = is(1, &|p| p.is_punct(':'))
+                && is(2, &|p| p.is_punct(':'))
+                && is(3, &|p| p.is_ident("Self"));
+            let via_self = is(1, &|p| p.is_punct('.'))
+                && is(2, &|p| p.is_ident("self"))
+                && !is(3, &|p| p.is_punct('.'));
+            let bare = !is(1, &|p| {
+                p.is_punct('.') || p.is_punct(':') || p.is_ident("fn")
+            });
+            via_self_type || if method { via_self } else { bare }
+        });
+        if calls_itself {
+            out.push(diag(
+                &t[i],
+                format!(
+                    "`{}` calls itself — its stack grows with the depth of the input it walks, \
+                     and a deep enough input aborts the process; walk with an explicit stack, \
+                     or bound the depth and say by what",
+                    name.text
                 ),
             ));
         }

@@ -129,6 +129,16 @@ fn obs_discipline_clean_fixture_passes() {
 }
 
 #[test]
+fn recursion_fires_at_marked_lines() {
+    assert_fires(Rule::Recursion, "recursion_violating.rs");
+}
+
+#[test]
+fn recursion_clean_fixture_passes() {
+    assert_clean(Rule::Recursion, "recursion_clean.rs");
+}
+
+#[test]
 fn suppression_misuse_fires_at_marked_lines() {
     // the meta-rule is always active; the carrier rule is irrelevant
     assert_fires(Rule::CastSafety, "suppression_violating.rs");

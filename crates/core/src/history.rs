@@ -89,7 +89,7 @@ impl Archive {
             parts: k
                 .parts
                 .iter()
-                .map(|p| (p.path.clone(), p.canon.clone()))
+                .map(|p| (p.path.to_string(), p.canon.clone()))
                 .collect(),
         })
     }
@@ -145,7 +145,7 @@ impl Archive {
             let parts = n.key.as_ref().map_or(empty, |k| k.parts.as_slice());
             parts.len().cmp(&step.parts.len()).then_with(|| {
                 for (p, (qp, qv)) in parts.iter().zip(step.parts.iter()) {
-                    let o = p.path.as_str().cmp(qp.as_str());
+                    let o = (*p.path).cmp(qp.as_str());
                     if o != Ordering::Equal {
                         return o;
                     }

@@ -201,7 +201,7 @@ pub fn keyed_children_in_doc(doc: &Document, spec: &KeySpec, prefix: &[KeyQuery]
                 parts: k
                     .parts
                     .iter()
-                    .map(|p| (p.path.clone(), p.canon.clone()))
+                    .map(|p| (p.path.to_string(), p.canon.clone()))
                     .collect(),
             });
         }
@@ -254,7 +254,7 @@ pub fn step_matches_doc(
         && k.parts
             .iter()
             .zip(step.parts.iter())
-            .all(|(p, (qp, qv))| p.path == *qp && p.canon == *qv)
+            .all(|(p, (qp, qv))| *p.path == **qp && p.canon == *qv)
 }
 
 #[cfg(test)]

@@ -21,7 +21,7 @@
 //! broken archive.
 
 use xarch_keys::{KeyPart, KeySpec, KeyValue, NodeClass};
-use xarch_xml::{Sym, SymbolTable};
+use xarch_xml::{Sym, SymbolTable, MAX_DEPTH};
 
 use crate::archive::{AKind, ANode, ANodeId, Archive, Compaction};
 use crate::chunk::ChunkedArchive;
@@ -38,6 +38,11 @@ pub const STATE_EXTMEM: u8 = 3;
 /// State tag: an `xarch_index::IndexedStore` snapshot (inner state plus
 /// the serialized query sidecar).
 pub const STATE_INDEXED_STORE: u8 = 5;
+
+/// How far below its synthetic root an archive's nodes reach: a document's
+/// [`MAX_DEPTH`] elements, a stamp beneath a frontier node, and a text.
+/// A stored tree deeper than that was never written by an archive.
+pub const MAX_TREE_DEPTH: usize = MAX_DEPTH + 2;
 
 /// Converts a positioned wire failure into the storage error vocabulary.
 pub fn corrupt(e: WireError) -> StoreError {
@@ -332,7 +337,7 @@ fn get_archive_body(
                     let mut fp = [0u8; 16];
                     fp.copy_from_slice(fp_bytes);
                     parts.push(KeyPart {
-                        path,
+                        path: path.into(),
                         canon,
                         fp: u128::from_le_bytes(fp),
                     });
@@ -357,14 +362,18 @@ fn get_archive_body(
     // Iterative tree validation BEFORE the arena is handed to any
     // recursive walker: a corrupted child id can form a cycle or share a
     // subtree, and recursion over either overflows the stack instead of
-    // erroring. Every child edge must lead to an unvisited node whose
-    // parent pointer agrees.
+    // erroring — as does a tree deeper than any archive grows. Every
+    // child edge must lead to an unvisited node whose parent pointer
+    // agrees, at most `MAX_TREE_DEPTH` below the root.
     if nodes.get(root.index()).is_some_and(|r| r.parent.is_some()) {
         return Err(corrupt_at(*pos, "checkpoint state: root has a parent"));
     }
     let mut visited = vec![false; node_count];
-    let mut stack = vec![root];
-    while let Some(id) = stack.pop() {
+    let mut stack = vec![(root, 0)];
+    while let Some((id, depth)) = stack.pop() {
+        if depth > MAX_TREE_DEPTH {
+            return Err(corrupt_at(*pos, "checkpoint state: tree nests too deep"));
+        }
         let Some(seen) = visited.get_mut(id.index()) else {
             return Err(corrupt_at(*pos, "checkpoint state: node id out of range"));
         };
@@ -380,7 +389,7 @@ fn get_archive_body(
             if child_parent != Some(id) {
                 return Err(corrupt_at(*pos, "checkpoint state: parent pointer skew"));
             }
-            stack.push(c);
+            stack.push((c, depth + 1));
         }
     }
     if !visited.iter().all(|&v| v) {
@@ -576,6 +585,51 @@ mod tests {
         assert!(
             matches!(&err, StoreError::Corrupt { offset, reason }
                 if *offset > 0 && reason.contains("past latest")),
+            "{err}"
+        );
+    }
+
+    /// The deepest tree an archive grows — a document `MAX_DEPTH` elements
+    /// deep whose frontier content changed, so alternatives sit under a
+    /// stamp — restores; a node beneath its deepest is corruption, refused
+    /// before `check_invariants` or any other recursive walker sees it.
+    #[test]
+    fn a_tree_deeper_than_any_archive_grows_is_refused() {
+        let spec = KeySpec::parse("(/, (db, {}))").unwrap();
+        let deep = |leaf: &str| {
+            let mut d = xarch_xml::Document::new("db");
+            let mut at = d.root();
+            for _ in 1..MAX_DEPTH {
+                at = d.add_element(at, "a");
+            }
+            d.add_text(at, leaf);
+            d
+        };
+        let mut a = Archive::new(spec.clone());
+        a.add_version(&deep("x")).unwrap();
+        a.add_version(&deep("y")).unwrap();
+        assert_eq!(a.stats().stamps, 2, "the content split into alternatives");
+        let b = decode_archive(&encode_archive(&a), &spec, Compaction::Alternatives)
+            .unwrap()
+            .expect("the deepest archive restores");
+        for v in 1..=2 {
+            let (mut want, mut got) = (Vec::new(), Vec::new());
+            a.retrieve_into(v, &mut want).unwrap();
+            b.retrieve_into(v, &mut got).unwrap();
+            assert_eq!(want, got, "v{v}");
+        }
+        let leaf = (0..a.len() as u32)
+            .map(ANodeId)
+            .find(|&id| matches!(a.node(id).kind, AKind::Text(_)))
+            .unwrap();
+        a.push_node(
+            leaf,
+            ANode::new(AKind::Text("deeper".into()), NodeClass::BeyondFrontier),
+        );
+        let err = decode_archive(&encode_archive(&a), &spec, Compaction::Alternatives)
+            .expect_err("one level deeper than an archive grows");
+        assert!(
+            matches!(&err, StoreError::Corrupt { reason, .. } if reason.contains("too deep")),
             "{err}"
         );
     }

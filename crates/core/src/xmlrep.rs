@@ -349,7 +349,7 @@ fn extract_key(
         };
         let fp = fper.fp(&canon);
         parts.push(KeyPart {
-            path: p.to_string(),
+            path: p.to_string().into(),
             canon,
             fp,
         });

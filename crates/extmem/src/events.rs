@@ -15,6 +15,7 @@
 //! tiny vocabularies; an id dictionary would change constants, not
 //! asymptotics).
 
+use xarch_core::state::MAX_TREE_DEPTH;
 use xarch_core::TimeSet;
 
 use crate::etree::{EKind, ETree};
@@ -127,6 +128,7 @@ fn get_str(buf: &[u8], pos: &mut usize) -> Result<String> {
 // ---------- small-node encoding ----------
 
 /// Encodes a whole fragment as a *small* entry.
+// xarch-allow: recursion -- bounded by MAX_TREE_DEPTH: fragments come from annotated documents or `decode_small`, and both refuse deeper
 pub fn encode_small(tree: &ETree, out: &mut Vec<u8>) {
     match &tree.kind {
         EKind::Text(t) => {
@@ -180,8 +182,19 @@ pub fn encode_small(tree: &ETree, out: &mut Vec<u8>) {
     }
 }
 
-/// Decodes one small entry from a raw buffer, advancing `pos`.
+/// Decodes one small entry from a raw buffer, advancing `pos`. Entries
+/// nested deeper than an archive's tree reaches ([`MAX_TREE_DEPTH`]) are
+/// refused.
 pub fn decode_small(buf: &[u8], pos: &mut usize) -> Result<ETree> {
+    decode_nested(buf, pos, 0)
+}
+
+/// [`decode_small`] of an entry `depth` entries inside the one decoded.
+// xarch-allow: recursion -- bounded by MAX_TREE_DEPTH: deeper entries are refused
+fn decode_nested(buf: &[u8], pos: &mut usize, depth: usize) -> Result<ETree> {
+    if depth > MAX_TREE_DEPTH {
+        return err_at(*pos, format!("entries nest deeper than {MAX_TREE_DEPTH}"));
+    }
     let Some(&kind) = buf.get(*pos) else {
         return err_at(*pos, "truncated entry");
     };
@@ -206,7 +219,7 @@ pub fn decode_small(buf: &[u8], pos: &mut usize) -> Result<ETree> {
                 TimeSet::parse(&get_str(buf, pos)?).map_err(|e| StreamError::new(e.to_string()))?;
             let mut children = Vec::new();
             while *pos < end {
-                children.push(decode_small(buf, pos)?);
+                children.push(decode_nested(buf, pos, depth + 1)?);
             }
             Ok(ETree {
                 kind: EKind::Stamp,
@@ -249,7 +262,7 @@ pub fn decode_small(buf: &[u8], pos: &mut usize) -> Result<ETree> {
             };
             let mut children = Vec::new();
             while *pos < end {
-                children.push(decode_small(buf, pos)?);
+                children.push(decode_nested(buf, pos, depth + 1)?);
             }
             Ok(ETree {
                 kind: EKind::Element { tag, attrs },
@@ -449,46 +462,41 @@ impl<'a> StreamCursor<'a> {
     /// optionally overriding the timestamp of the entry's root node.
     /// Charges reads and writes.
     pub fn copy_entry(&mut self, out: &mut PagedWriter, set_time: Option<&TimeSet>) -> Result<()> {
-        match self.peek()? {
-            Peeked::Small(_) => {
-                let mut tree = self.take_small()?;
-                if let Some(t) = set_time {
-                    if tree.time.is_none() {
-                        tree.time = Some(t.clone());
+        let mut set_time = set_time;
+        // spines opened and not yet closed: their children are copied
+        // verbatim until the matching close
+        let mut open = 0usize;
+        loop {
+            let mut bytes = Vec::new();
+            match self.peek()? {
+                Peeked::Small(_) => {
+                    let mut tree = self.take_small()?;
+                    if let Some(t) = set_time.take() {
+                        tree.time.get_or_insert_with(|| t.clone());
                     }
+                    encode_small(&tree, &mut bytes);
                 }
-                let mut bytes = Vec::new();
-                encode_small(&tree, &mut bytes);
-                out.write(&bytes);
-                Ok(())
+                Peeked::Spine(_) => {
+                    let mut h = self.take_spine_open()?;
+                    if let Some(t) = set_time.take() {
+                        h.time.get_or_insert_with(|| t.clone());
+                    }
+                    encode_spine_open(&h, &mut bytes);
+                    open += 1;
+                }
+                Peeked::Close if open > 0 => {
+                    self.take_spine_close()?;
+                    encode_spine_close(&mut bytes);
+                    open -= 1;
+                }
+                Peeked::Eof if open > 0 => return err("unterminated spine"),
+                Peeked::Close => return err("cannot copy a close marker"),
+                Peeked::Eof => return err("cannot copy at EOF"),
             }
-            Peeked::Spine(_) => {
-                let mut h = self.take_spine_open()?;
-                if let Some(t) = set_time {
-                    if h.time.is_none() {
-                        h.time = Some(t.clone());
-                    }
-                }
-                let mut header = Vec::new();
-                encode_spine_open(&h, &mut header);
-                out.write(&header);
-                // copy children verbatim until the matching close
-                loop {
-                    match self.peek()? {
-                        Peeked::Close => {
-                            self.take_spine_close()?;
-                            let mut c = Vec::new();
-                            encode_spine_close(&mut c);
-                            out.write(&c);
-                            return Ok(());
-                        }
-                        Peeked::Eof => return err("unterminated spine"),
-                        _ => self.copy_entry(out, None)?,
-                    }
-                }
+            out.write(&bytes);
+            if open == 0 {
+                return Ok(());
             }
-            Peeked::Close => err("cannot copy a close marker"),
-            Peeked::Eof => err("cannot copy at EOF"),
         }
     }
 
@@ -621,6 +629,35 @@ mod tests {
         let mut buf = vec![KIND_SMALL, 0];
         put_varint(&mut buf, u64::MAX - 1);
         assert!(decode_small(&buf, &mut 0).is_err());
+    }
+
+    /// Entries nested as deep as an archive's tree reaches decode; one
+    /// deeper — however much deeper the stream goes on — is refused at the
+    /// entry, not recursed into.
+    #[test]
+    fn entries_nested_past_an_archives_depth_are_refused() {
+        // `n` small entries, each the one child of the last, no text
+        let nested = |n: usize| {
+            let mut buf = Vec::new();
+            for _ in 0..n {
+                // an empty tag and no attributes: two body bytes before
+                // the child
+                let mut wrapped = vec![KIND_SMALL, 0];
+                put_varint(&mut wrapped, buf.len() as u64 + 2);
+                wrapped.extend_from_slice(&[0, 0]);
+                wrapped.extend_from_slice(&buf);
+                buf = wrapped;
+            }
+            buf
+        };
+        let deepest = nested(MAX_TREE_DEPTH + 1);
+        let mut pos = 0;
+        decode_small(&deepest, &mut pos).unwrap();
+        assert_eq!(pos, deepest.len());
+        for n in [MAX_TREE_DEPTH + 2, 5_000] {
+            let e = decode_small(&nested(n), &mut 0).unwrap_err();
+            assert!(e.reason.contains("nest deeper"), "{e}");
+        }
     }
 
     #[test]

@@ -240,7 +240,7 @@ fn insert_rec(
         parts: k
             .parts
             .iter()
-            .map(|p| (p.path.clone(), p.canon.clone()))
+            .map(|p| (p.path.to_string(), p.canon.clone()))
             .collect(),
     };
     let node = Arc::make_mut(parent.children.entry(step).or_default());

@@ -25,20 +25,47 @@
 
 use std::cmp::Ordering;
 use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
 
 use xarch_xml::canon::canonical_into;
 use xarch_xml::escape::escape_attr;
-use xarch_xml::{Document, NodeId, NodeKind, Sym};
+use xarch_xml::{Document, NodeId, NodeKind, Sym, MAX_DEPTH};
 
 use crate::fingerprint::Fingerprinter;
 use crate::spec::{Compiled, KeyPath, KeySpec, Rule};
+
+/// A key path's name as key parts carry it: an `Arc<str>`, so every part
+/// extracted along a path shares the compiled spec's one copy. Reads as
+/// the `str`.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct PathName(Arc<str>);
+
+impl Deref for PathName {
+    type Target = str;
+    fn deref(&self) -> &str {
+        &self.0
+    }
+}
+
+impl PartialEq<&str> for PathName {
+    fn eq(&self, other: &&str) -> bool {
+        *self.0 == **other
+    }
+}
+
+impl From<String> for PathName {
+    fn from(name: String) -> Self {
+        PathName(name.into())
+    }
+}
 
 /// One component of a key value: the key path, the canonical form of the
 /// value found at its end, and the fingerprint of that canonical form.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KeyPart {
     /// The key path, e.g. `fn` or `Date/Month` (`.` for the empty path).
-    pub path: String,
+    pub path: PathName,
     /// Canonical form of the key-path value (attribute values are encoded
     /// as `@name="value"` so they can never collide with element content).
     pub canon: String,
@@ -92,7 +119,7 @@ impl fmt::Display for KeyValue {
             if i > 0 {
                 write!(f, ", ")?;
             }
-            write!(f, "{}={}", p.path, p.canon)?;
+            write!(f, "{}={}", &*p.path, p.canon)?;
         }
         write!(f, "}}")
     }
@@ -270,8 +297,18 @@ impl<'a> Walk<'a> {
         for label in self.above {
             (state, beyond) = self.step(state, beyond, |name| self.spec.names[name] == *label);
         }
-        self.node(self.doc.root(), state, beyond, sink)?;
+        self.node(self.doc.root(), state, beyond, self.above.len() + 1, sink)?;
         Ok(self.ann)
+    }
+
+    /// A key error at `id`, named by its whole label path.
+    fn error(&self, id: NodeId, message: String) -> KeyError {
+        let labels = self.above.iter().map(|l| (*l).to_owned());
+        let at = labels.chain(self.doc.label_path(id)).collect::<Vec<_>>();
+        KeyError {
+            at: at.join("/"),
+            message,
+        }
     }
 
     /// One step down the tree, from a node with trie state `above` (and
@@ -294,12 +331,15 @@ impl<'a> Walk<'a> {
 
     /// Classifies `id` and its subtree. `above` is the parent's trie state
     /// (`None` once the label path has left every keyed path); `beyond`
-    /// says a frontier node lies above.
+    /// says a frontier node lies above; `depth` is `id`'s, the root's 1. An
+    /// element deeper than [`MAX_DEPTH`] is an error, and not descended:
+    /// no archive holds a tree its readers would refuse.
     fn node(
         &mut self,
         id: NodeId,
         above: Option<usize>,
         beyond: bool,
+        depth: usize,
         sink: Sink<'_>,
     ) -> Result<(), KeyError> {
         let doc = self.doc;
@@ -314,19 +354,17 @@ impl<'a> Walk<'a> {
             }
             NodeKind::Element(s) => s,
         };
+        if depth > MAX_DEPTH {
+            let message = format!("elements nest deeper than {MAX_DEPTH}");
+            return sink(self.error(id, message));
+        }
         let (state, child_beyond) = self.step(above, beyond, |name| self.syms[name] == Some(tag));
         self.ann.classes[id.index()] = if beyond {
             NodeClass::BeyondFrontier
         } else if let Some(rule) = state.and_then(|s| self.spec.rule(s)) {
             match self.key_value(id, rule) {
                 Ok(kv) => self.ann.keys[id.index()] = Some(kv),
-                Err(message) => {
-                    let labels = self.above.iter().map(|l| (*l).to_owned());
-                    sink(KeyError {
-                        at: (labels.chain(doc.label_path(id)).collect::<Vec<_>>()).join("/"),
-                        message,
-                    })?
-                }
+                Err(message) => sink(self.error(id, message))?,
             }
             if rule.frontier {
                 NodeClass::Frontier
@@ -337,7 +375,7 @@ impl<'a> Walk<'a> {
             NodeClass::Unkeyed
         };
         for &c in doc.children(id) {
-            self.node(c, state, child_beyond, sink)?;
+            self.node(c, state, child_beyond, depth + 1, sink)?;
         }
         Ok(())
     }
@@ -391,13 +429,13 @@ impl<'a> Walk<'a> {
                     let step = &self.spec.names[step];
                     return match attr {
                         Some((_, v)) => Ok(format!("@{}=\"{}\"", step, escape_attr(v))),
-                        None => Err(format!("key path `{}`: step `{step}` not found", kp.name)),
+                        None => Err(format!("key path `{}`: step `{step}` not found", &*kp.name)),
                     };
                 }
                 (Some(_), more) => {
                     return Err(format!(
                         "key path `{}`: step `{}` is not unique ({} matches)",
-                        kp.name,
+                        &*kp.name,
                         self.spec.names[step],
                         more + 1
                     ))
@@ -646,5 +684,34 @@ mod tests {
         let ann = annotate(&doc, &company_spec()).unwrap();
         // db, dept, name, 2×emp, 2×fn, 2×ln, 2×sal, 3×tel = 14
         assert_eq!(ann.keyed_count(), 14);
+    }
+
+    /// A document built deeper than the parser admits is refused at its
+    /// first element past `MAX_DEPTH` — counted from the whole document's
+    /// root when a subtree is annotated in its place — and not descended.
+    #[test]
+    fn a_document_nested_past_max_depth_is_refused() {
+        let spec = KeySpec::parse("(/, (db, {}))").unwrap();
+        let nested = |depth: usize| {
+            let mut doc = Document::new("db");
+            let mut at = doc.root();
+            for _ in 1..depth {
+                at = doc.add_element(at, "a");
+            }
+            doc
+        };
+        assert!(annotate(&nested(MAX_DEPTH), &spec).is_ok());
+        assert!(annotate_under(&nested(MAX_DEPTH - 1), &spec, &["x"]).is_ok());
+        for e in [
+            annotate(&nested(MAX_DEPTH + 1), &spec).unwrap_err(),
+            annotate(&nested(50_000), &spec).unwrap_err(),
+            annotate_under(&nested(MAX_DEPTH), &spec, &["x"]).unwrap_err(),
+        ] {
+            assert_eq!(e.message, format!("elements nest deeper than {MAX_DEPTH}"));
+            assert_eq!(e.at.split('/').count(), MAX_DEPTH + 1, "{}", e.at);
+        }
+        let mut violations = Vec::new();
+        annotate_lenient(&nested(50_000), &spec, &mut violations);
+        assert_eq!(violations.len(), 1);
     }
 }

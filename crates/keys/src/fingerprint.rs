@@ -53,11 +53,6 @@ impl Fingerprinter {
         Self { bits }
     }
 
-    /// Width in bits.
-    pub fn bits(&self) -> u32 {
-        self.bits
-    }
-
     /// Fingerprints a canonical string.
     pub fn fp(&self, data: &str) -> u128 {
         let h = fnv1a(data.as_bytes());

@@ -28,6 +28,7 @@ pub mod validate;
 
 pub use annotate::{
     annotate, annotate_under, annotate_with, Annotations, KeyError, KeyPart, KeyValue, NodeClass,
+    PathName,
 };
 pub use fingerprint::{fingerprint, Fingerprinter};
 pub use spec::{Key, KeySpec, SpecError};

@@ -16,6 +16,8 @@ use std::fmt;
 
 use xarch_xml::Path;
 
+use crate::annotate::PathName;
+
 /// One relative key `(context, (target, {key paths}))`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Key {
@@ -299,8 +301,9 @@ pub(crate) struct Rule {
 /// One key path of a [`Rule`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct KeyPath {
-    /// The path as [`Path`]'s `Display` renders it (`.` when empty).
-    pub name: String,
+    /// The path as [`Path`]'s `Display` renders it (`.` when empty): the
+    /// name every key part extracted along it shares.
+    pub name: PathName,
     /// Step names, as indexes into [`Compiled::names`].
     pub steps: Vec<usize>,
     /// Position among the key's paths as declared; when several fail to
@@ -336,7 +339,7 @@ impl Compiled {
                 .iter()
                 .enumerate()
                 .map(|(declared, p)| KeyPath {
-                    name: p.to_string(),
+                    name: p.to_string().into(),
                     steps: p.steps().iter().map(|s| c.name(s)).collect(),
                     declared,
                 })

@@ -49,7 +49,8 @@ use crate::block::{self, BlockKind, Scan, BLOCK_HEADER_LEN, BLOCK_TRAILER_LEN, M
 use crate::metrics::ColdMetrics;
 use crate::mmap::MappedFile;
 use crate::payload::{
-    bytes_to_doc, bytes_to_xml, entry_err, positioned, walk, BatchEntries, DocBuilder, Sink, Visit,
+    bytes_to_doc, bytes_to_xml, doc_beneath, entry_err, positioned, walk, BatchEntries, DocBuilder,
+    Sink, Visit,
 };
 use crate::superblock;
 
@@ -348,7 +349,9 @@ fn find_in_payload(
             inside: found.is_none(),
             found: None,
         };
-        walk(entry, &mut level).map_err(|e| within(at, e))?;
+        // `above` names the elements the candidates sit in: the last is
+        // the entry walked, the others enclose it (the payload: none)
+        walk(entry, above.len().saturating_sub(1), &mut level).map_err(|e| within(at, e))?;
         let Some((child_at, child)) = level.found else {
             return Ok(None);
         };
@@ -358,7 +361,10 @@ fn find_in_payload(
     let Some((at, entry)) = found else {
         return Ok(None);
     };
-    bytes_to_doc(entry).map(Some).map_err(|e| within(at, e))
+    // an element each earlier step found encloses the one returned
+    doc_beneath(entry, steps.len().saturating_sub(1))
+        .map(Some)
+        .map_err(|e| within(at, e))
 }
 
 /// A failure in the entry at byte `at` of a version payload, as a failure
@@ -399,7 +405,7 @@ impl<'b> Sink<'b> for FirstMatch<'_, 'b> {
             key: self.key,
             depth: 0,
         };
-        walk(entry, &mut probe).map_err(|e| entry_err(at, e))?;
+        walk(entry, self.above.len(), &mut probe).map_err(|e| entry_err(at, e))?;
         // (a key that cannot be read names nothing)
         let named = probe.built.doc.is_some_and(|doc| {
             annotate_under(&doc, self.spec, self.above)

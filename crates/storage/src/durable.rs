@@ -209,9 +209,21 @@ impl DurableArchive {
                 // backend configuration — older snapshots would mismatch
                 // the same way, so go straight to a full replay
                 Ok(false) => break,
-                // damaged state bytes: walk back to an older snapshot
-                // (restore failures leave the inner store untouched)
-                Err(_) => continue,
+                // state bytes the block's checksum vouches for and the
+                // decoder refuses (a tree nested too deep, say): loudly,
+                // walk back to an older snapshot (restore failures leave
+                // the inner store untouched)
+                Err(e) => {
+                    metrics.checkpoints_skipped.inc();
+                    metrics.event(
+                        Level::Warn,
+                        "recovery.checkpoint_skipped",
+                        &[
+                            ("offset", cand.offset.to_string()),
+                            ("reason", e.to_string()),
+                        ],
+                    );
+                }
             }
         }
         // the newest checkpoint seen — restored or replayed over — so the
@@ -489,8 +501,9 @@ impl VersionStore for DurableArchive {
         self.check_writable()?;
         // encode and size-check up front: everything that can be rejected
         // without touching state is rejected *before* the merge, so an
-        // error here never leaves memory ahead of disk
-        let raw = doc_to_bytes(doc);
+        // error here never leaves memory ahead of disk (a document nested
+        // deeper than replay would read back is one)
+        let raw = doc_to_bytes(doc)?;
         if raw.len() as u64 > MAX_PAYLOAD {
             return Err(StoreError::Backend(format!(
                 "version payload of {} bytes exceeds the {MAX_PAYLOAD} byte block limit",
@@ -529,7 +542,7 @@ impl VersionStore for DurableArchive {
         }
         self.check_writable()?;
         // encode and size-check up front, before any state moves
-        let raw = docs_to_batch_bytes(docs);
+        let raw = docs_to_batch_bytes(docs)?;
         if raw.len() as u64 > MAX_PAYLOAD {
             return Err(StoreError::Backend(format!(
                 "batch payload of {} bytes exceeds the {MAX_PAYLOAD} byte block limit \
@@ -723,7 +736,7 @@ mod tests {
             let before = d.journal_bytes();
             assert_eq!(d.add_versions(&docs).unwrap(), vec![1, 2, 3]);
             // the whole batch is ONE block: header + batch payload + trailer
-            let raw = crate::payload::docs_to_batch_bytes(&docs);
+            let raw = crate::payload::docs_to_batch_bytes(&docs).unwrap();
             assert_eq!(
                 d.journal_bytes() - before,
                 (BLOCK_HEADER_LEN + raw.len() + crate::block::BLOCK_TRAILER_LEN) as u64
@@ -880,7 +893,7 @@ mod tests {
         }
         src.push_str("</db>");
         let doc = parse(&src).unwrap();
-        let raw_len = crate::payload::doc_to_bytes(&doc).len() as u64;
+        let raw_len = crate::payload::doc_to_bytes(&doc).unwrap().len() as u64;
         {
             let mut d = DurableArchive::open_with(&path, opts, fresh_inner()).unwrap();
             d.add_version(&doc).unwrap();

@@ -31,13 +31,14 @@ use xarch_core::{StoreError, TimeSet};
 use xarch_extmem::events::{FLAG_KEY, FLAG_TIME, KIND_SMALL, KIND_STAMP, KIND_TEXT};
 use xarch_extmem::{decode_small, get_varint, StreamError};
 use xarch_xml::escape::{escape_text_into, push_attr_pair};
-use xarch_xml::{Document, NodeId, NodeKind};
+use xarch_xml::{Document, NodeId, NodeKind, MAX_DEPTH};
 
-/// Encodes `doc` as one small-node event entry.
-pub fn doc_to_bytes(doc: &Document) -> Vec<u8> {
+/// Encodes `doc` as one small-node event entry. A document nested deeper
+/// than [`MAX_DEPTH`] is refused: the walk would refuse to read it back.
+pub fn doc_to_bytes(doc: &Document) -> Result<Vec<u8>, StreamError> {
     let mut out = Vec::new();
-    Encoder::default().entry(doc, false, &mut out);
-    out
+    Encoder::default().entry(doc, false, &mut out)?;
+    Ok(out)
 }
 
 /// The two passes of [`doc_to_bytes`], with the scratch list of body
@@ -52,25 +53,41 @@ struct Encoder {
 
 impl Encoder {
     /// Appends `doc`'s entry to `out`, after its length as a varint when
-    /// `prefixed`.
-    fn entry(&mut self, doc: &Document, prefixed: bool, out: &mut Vec<u8>) {
+    /// `prefixed`; refuses a document nested deeper than [`MAX_DEPTH`]
+    /// before writing anything.
+    fn entry(
+        &mut self,
+        doc: &Document,
+        prefixed: bool,
+        out: &mut Vec<u8>,
+    ) -> Result<(), StreamError> {
         self.bodies.clear();
         self.emitted = 0;
-        let len = self.measure(doc, doc.root());
+        let Some(len) = self.measure(doc, doc.root(), 1) else {
+            let deep = format!("document nests deeper than {MAX_DEPTH} elements");
+            return Err(StreamError::new(deep));
+        };
         out.reserve(len + varint_len(len));
         if prefixed {
             wire::put_varint(out, len as u64);
         }
         self.emit(doc, doc.root(), out);
+        Ok(())
     }
 
-    /// First pass: the encoded length of the entry for `id`, with the body
-    /// length of `id` and every element beneath pushed onto `bodies` in
-    /// document order — the order [`Encoder::emit`] reads them in.
-    fn measure(&mut self, doc: &Document, id: NodeId) -> usize {
+    /// First pass: the encoded length of the entry for `id`, `depth`
+    /// elements deep, with the body length of `id` and every element
+    /// beneath pushed onto `bodies` in document order — the order
+    /// [`Encoder::emit`] reads them in. `None` once an element lies deeper
+    /// than [`MAX_DEPTH`].
+    // xarch-allow: recursion -- bounded by MAX_DEPTH: an element deeper ends the pass
+    fn measure(&mut self, doc: &Document, id: NodeId, depth: usize) -> Option<usize> {
         match &doc.node(id).kind {
-            NodeKind::Text(t) => 1 + str_len(t),
+            NodeKind::Text(t) => Some(1 + str_len(t)),
             NodeKind::Element(tag) => {
+                if depth > MAX_DEPTH {
+                    return None;
+                }
                 let slot = self.bodies.len();
                 self.bodies.push(0);
                 let attrs = doc.attrs(id);
@@ -79,18 +96,19 @@ impl Encoder {
                     body += str_len(doc.syms().resolve(*a)) + str_len(v);
                 }
                 for &c in doc.children(id) {
-                    body += self.measure(doc, c);
+                    body += self.measure(doc, c, depth + 1)?;
                 }
                 if let Some(pushed) = self.bodies.get_mut(slot) {
                     *pushed = body;
                 }
                 // kind, flags, body length, body
-                2 + varint_len(body) + body
+                Some(2 + varint_len(body) + body)
             }
         }
     }
 
     /// Second pass: appends the entry for `id`.
+    // xarch-allow: recursion -- bounded by MAX_DEPTH: it runs on what `measure` admitted
     fn emit(&mut self, doc: &Document, id: NodeId, out: &mut Vec<u8>) {
         match &doc.node(id).kind {
             NodeKind::Text(t) => {
@@ -137,8 +155,14 @@ fn str_len(s: &str) -> usize {
 
 /// Decodes a payload written by [`doc_to_bytes`] back into a [`Document`].
 pub fn bytes_to_doc(buf: &[u8]) -> Result<Document, StreamError> {
+    doc_beneath(buf, 0)
+}
+
+/// [`bytes_to_doc`] of an element's entry, cut from a payload in which
+/// `above` elements enclose it.
+pub(crate) fn doc_beneath(buf: &[u8], above: usize) -> Result<Document, StreamError> {
     let mut built = DocBuilder::new();
-    walk(buf, &mut built)?;
+    walk(buf, above, &mut built)?;
     // `walk` refuses a payload that does not begin an element
     built
         .doc
@@ -156,7 +180,7 @@ pub fn bytes_to_xml(buf: &[u8]) -> Result<String, StreamError> {
         open: false,
         attrs: Vec::new(),
     };
-    walk(buf, &mut written)?;
+    walk(buf, 0, &mut written)?;
     Ok(written.out)
 }
 
@@ -304,11 +328,18 @@ impl<'b> Sink<'b> for XmlWriter<'b> {
 /// unknown entry kind; bytes after the root entry; a stamp entry anywhere
 /// (decoded like any other, so a malformed one is reported as malformed,
 /// and the payload refused at the end). A sort key is read and dropped and
-/// a timestamp must parse, as `decode_small` has them. Whether a
-/// [`Document`] is built of the entries, XML written, or one record looked
-/// for and the rest stepped over is the sink's business. A walk a sink
+/// a timestamp must parse, as `decode_small` has them. An element entered
+/// deeper than [`MAX_DEPTH`] — counting the `above` elements that enclose
+/// `buf` in the payload it was cut from — is refused: the parser admits
+/// no deeper document, so no journal holds one. Whether a [`Document`] is
+/// built of the entries, XML written, or one record looked for and the
+/// rest stepped over is the sink's business. A walk a sink
 /// [`Visit::Stop`]s ends there, the rest of the payload unjudged.
-pub(crate) fn walk<'b>(buf: &'b [u8], sink: &mut impl Sink<'b>) -> Result<(), StreamError> {
+pub(crate) fn walk<'b>(
+    buf: &'b [u8],
+    above: usize,
+    sink: &mut impl Sink<'b>,
+) -> Result<(), StreamError> {
     if buf.first() != Some(&KIND_SMALL) {
         // refused for certain; the stream decoder first has its say on how
         // well-formed whatever is there is
@@ -359,6 +390,10 @@ pub(crate) fn walk<'b>(buf: &'b [u8], sink: &mut impl Sink<'b>) -> Result<(), St
                     Visit::Stop => return Ok(()),
                     Visit::Skip => r.pos = r.pos.max(end),
                     Visit::Enter => {
+                        if above + entered.len() >= MAX_DEPTH {
+                            let deep = format!("elements nest deeper than {MAX_DEPTH}");
+                            return Err(StreamError::at(start, deep));
+                        }
                         for _ in 0..r.varint()? {
                             let name = r.str()?;
                             sink.attr(name, r.str()?);
@@ -436,14 +471,14 @@ pub(crate) fn positioned(offset: u64, e: StreamError) -> StoreError {
 /// Encodes a batch of version documents as one group-commit payload: a
 /// varint count followed by length-prefixed [`doc_to_bytes`] payloads, so
 /// the whole batch rides in a single checksummed block.
-pub fn docs_to_batch_bytes(docs: &[Document]) -> Vec<u8> {
+pub fn docs_to_batch_bytes(docs: &[Document]) -> Result<Vec<u8>, StreamError> {
     let mut out = Vec::new();
     wire::put_varint(&mut out, docs.len() as u64);
     let mut encoder = Encoder::default();
     for doc in docs {
-        encoder.entry(doc, true, &mut out);
+        encoder.entry(doc, true, &mut out)?;
     }
-    out
+    Ok(out)
 }
 
 /// Decodes a payload written by [`docs_to_batch_bytes`]. Offsets in errors
@@ -682,10 +717,10 @@ mod tests {
             wire::put_varint(&mut batch, docs.len() as u64);
             for doc in &docs {
                 let want = encode_via_etree(doc);
-                prop_assert_eq!(&doc_to_bytes(doc), &want);
+                prop_assert_eq!(&doc_to_bytes(doc).unwrap(), &want);
                 wire::put_bytes(&mut batch, &want);
             }
-            prop_assert_eq!(docs_to_batch_bytes(&docs), batch);
+            prop_assert_eq!(docs_to_batch_bytes(&docs).unwrap(), batch);
         }
 
         /// The direct decoder answers as the `ETree` path does on what the
@@ -696,7 +731,7 @@ mod tests {
             script in proptest::collection::vec(any::<u8>(), 0..60),
             damage in proptest::collection::vec((any::<usize>(), any::<u8>()), 0..24)
         ) {
-            let bytes = doc_to_bytes(&doc_from_script(&script));
+            let bytes = doc_to_bytes(&doc_from_script(&script)).unwrap();
             let mut inputs = vec![bytes.clone()];
             for (at, with) in damage {
                 let at = at % bytes.len();
@@ -710,7 +745,7 @@ mod tests {
             }
             for input in inputs {
                 match (bytes_to_doc(&input), decode_via_etree(&input)) {
-                    (Ok(got), Ok(want)) => prop_assert_eq!(doc_to_bytes(&got), doc_to_bytes(&want)),
+                    (Ok(got), Ok(want)) => prop_assert_eq!(doc_to_bytes(&got).unwrap(), doc_to_bytes(&want).unwrap()),
                     (Err(got), Err(want)) => prop_assert_eq!(got, want),
                     (got, want) => panic!("direct {got:?} but via ETree {want:?} on {input:?}"),
                 }
@@ -732,9 +767,64 @@ mod tests {
         let text = xarch_xml::writer::to_compact_string(&doc);
         assert!(text.contains("id=") && text.contains("/>"), "{text}");
         assert_eq!(
-            bytes_to_doc(&doc_to_bytes(&doc)).map(|d| doc_to_bytes(&d)),
-            Ok(doc_to_bytes(&doc))
+            bytes_to_doc(&doc_to_bytes(&doc).unwrap()).map(|d| doc_to_bytes(&d).unwrap()),
+            Ok(doc_to_bytes(&doc).unwrap())
         );
+    }
+
+    /// A payload `MAX_DEPTH` elements deep reads back; one deeper — written
+    /// by `encode_small`, since the encoder refuses the document, and
+    /// however much deeper it goes on — is refused at the start of the
+    /// element entry past the bound, as is an entry cut from a payload
+    /// that, counted from the payload's root, goes past it.
+    #[test]
+    fn the_walk_and_the_encoder_refuse_what_nests_past_max_depth() {
+        let nested = |depth: usize| {
+            let mut doc = Document::new("d");
+            let mut at = doc.root();
+            for _ in 1..depth {
+                at = doc.add_element(at, "d");
+            }
+            doc.add_text(at, "leaf");
+            doc
+        };
+        let at_limit = doc_to_bytes(&nested(MAX_DEPTH)).unwrap();
+        assert_eq!(at_limit, encode_via_etree(&nested(MAX_DEPTH)));
+        let back = bytes_to_doc(&at_limit).unwrap();
+        assert_eq!(doc_to_bytes(&back).unwrap(), at_limit);
+        assert!(doc_beneath(&at_limit, 1).is_err(), "one enclosing element");
+        for depth in [MAX_DEPTH + 1, 100_000] {
+            let e = doc_to_bytes(&nested(depth)).unwrap_err();
+            assert!(
+                e.reason.contains("nests deeper") && e.offset.is_none(),
+                "{e}"
+            );
+        }
+        // `n` more elements wrapped around a payload
+        let wrapped = |mut bytes: Vec<u8>, n: usize| {
+            for _ in 0..n {
+                let mut outer = vec![KIND_SMALL, 0];
+                wire::put_varint(&mut outer, bytes.len() as u64 + 2);
+                outer.extend_from_slice(&[0, 0]);
+                outer.extend_from_slice(&bytes);
+                bytes = outer;
+            }
+            bytes
+        };
+        for bytes in [
+            encode_via_etree(&nested(MAX_DEPTH + 1)),
+            wrapped(at_limit.clone(), 1),
+            wrapped(at_limit, 2_000),
+        ] {
+            let e = bytes_to_doc(&bytes).unwrap_err();
+            assert_eq!(e.reason, format!("elements nest deeper than {MAX_DEPTH}"));
+            let refused_at = e.offset.unwrap() as usize;
+            assert_eq!(
+                bytes.get(refused_at..refused_at + 2),
+                Some(&[KIND_SMALL, 0][..])
+            );
+            assert_eq!(bytes_to_xml(&bytes), Err(e));
+        }
     }
 
     /// The refusals `bytes_to_doc` made before it decoded directly.
@@ -814,7 +904,7 @@ mod tests {
             "<db><rec a=\"1\" b=\"two\"><id>7</id><val>x &amp; y</val></rec><rec><id>8</id></rec></db>",
         )
         .unwrap();
-        let bytes = doc_to_bytes(&doc);
+        let bytes = doc_to_bytes(&doc).unwrap();
         let back = bytes_to_doc(&bytes).unwrap();
         assert!(xarch_xml::value_equal(&doc, doc.root(), &back, back.root()));
     }
@@ -822,7 +912,7 @@ mod tests {
     #[test]
     fn rejects_trailing_garbage() {
         let doc = parse("<db/>").unwrap();
-        let mut bytes = doc_to_bytes(&doc);
+        let mut bytes = doc_to_bytes(&doc).unwrap();
         bytes.push(0xEE);
         assert!(bytes_to_doc(&bytes).is_err());
     }
@@ -830,7 +920,7 @@ mod tests {
     #[test]
     fn rejects_truncated_payload() {
         let doc = parse("<db><rec><id>1</id></rec></db>").unwrap();
-        let bytes = doc_to_bytes(&doc);
+        let bytes = doc_to_bytes(&doc).unwrap();
         assert!(bytes_to_doc(&bytes[..bytes.len() - 3]).is_err());
     }
 
@@ -844,14 +934,14 @@ mod tests {
         .iter()
         .map(|s| parse(s).unwrap())
         .collect();
-        let bytes = docs_to_batch_bytes(&docs);
+        let bytes = docs_to_batch_bytes(&docs).unwrap();
         let back = batch_bytes_to_docs(&bytes).unwrap();
         assert_eq!(back.len(), docs.len());
         for (a, b) in docs.iter().zip(&back) {
             assert!(xarch_xml::value_equal(a, a.root(), b, b.root()));
         }
         // the empty batch is representable and round-trips too
-        assert!(batch_bytes_to_docs(&docs_to_batch_bytes(&[]))
+        assert!(batch_bytes_to_docs(&docs_to_batch_bytes(&[]).unwrap())
             .unwrap()
             .is_empty());
     }
@@ -859,7 +949,7 @@ mod tests {
     #[test]
     fn batch_rejects_corruption() {
         let docs = vec![parse("<db><rec><id>1</id></rec></db>").unwrap()];
-        let bytes = docs_to_batch_bytes(&docs);
+        let bytes = docs_to_batch_bytes(&docs).unwrap();
         assert!(batch_bytes_to_docs(&bytes[..bytes.len() - 2]).is_err());
         let mut trailing = bytes.clone();
         trailing.push(0xEE);

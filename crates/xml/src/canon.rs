@@ -50,16 +50,6 @@ pub fn canonical_into(doc: &Document, id: NodeId, out: &mut String) {
     }
 }
 
-/// Canonical form of a *sequence* of sibling values (a key-path value can be
-/// the full content of a node, i.e. a list of children).
-pub fn canonical_list(doc: &Document, ids: &[NodeId]) -> String {
-    let mut out = String::new();
-    for &id in ids {
-        canonical_into(doc, id, &mut out);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,12 +87,5 @@ mod tests {
     fn canonical_empty_element_is_open_close() {
         let d = parse("<a/>").unwrap();
         assert_eq!(canonical(&d, d.root()), "<a></a>");
-    }
-
-    #[test]
-    fn canonical_list_concatenates() {
-        let d = parse("<a><b/>text<c/></a>").unwrap();
-        let kids = d.children(d.root());
-        assert_eq!(canonical_list(&d, kids), "<b></b>text<c></c>");
     }
 }

@@ -129,33 +129,6 @@ pub fn resolve_entity(name: &str) -> Option<char> {
     }
 }
 
-/// Unescapes character data, resolving entities. Unknown entities are left
-/// verbatim (lenient mode, used only in tests); the parser rejects them.
-pub fn unescape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut it = s.char_indices();
-    while let Some((i, c)) = it.next() {
-        if c != '&' {
-            out.push(c);
-            continue;
-        }
-        // find terminating ';'
-        if let Some(end) = s[i + 1..].find(';') {
-            let name = &s[i + 1..i + 1 + end];
-            if let Some(ch) = resolve_entity(name) {
-                out.push(ch);
-                // skip name and ';'
-                for _ in 0..name.len() + 1 {
-                    it.next();
-                }
-                continue;
-            }
-        }
-        out.push('&');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,13 +201,15 @@ mod tests {
     #[test]
     fn escape_round_trip_text() {
         let orig = "a < b && c > d";
-        assert_eq!(unescape(&escape_text(orig)), orig);
+        let doc = crate::parse(&format!("<a>{}</a>", escape_text(orig))).unwrap();
+        assert_eq!(doc.text_content(doc.root()), orig);
     }
 
     #[test]
     fn escape_round_trip_attr() {
         let orig = "he said \"x < y\" & left";
-        assert_eq!(unescape(&escape_attr(orig)), orig);
+        let doc = crate::parse(&format!("<a k=\"{}\"/>", escape_attr(orig))).unwrap();
+        assert_eq!(doc.attr(doc.root(), "k"), Some(orig));
     }
 
     #[test]
@@ -253,16 +228,5 @@ mod tests {
         assert_eq!(resolve_entity("quot"), Some('"'));
         assert_eq!(resolve_entity("apos"), Some('\''));
         assert_eq!(resolve_entity("nbsp"), None);
-    }
-
-    #[test]
-    fn unescape_lenient_on_unknown() {
-        assert_eq!(unescape("a &unknown; b"), "a &unknown; b");
-        assert_eq!(unescape("dangling &"), "dangling &");
-    }
-
-    #[test]
-    fn unescape_mixed() {
-        assert_eq!(unescape("&lt;tag&gt; &#38; more"), "<tag> & more");
     }
 }

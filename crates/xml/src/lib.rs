@@ -36,6 +36,6 @@ pub mod writer;
 pub use error::{ParseError, Result};
 pub use model::{Document, Node, NodeId, NodeKind};
 pub use order::{cmp_nodes, value_equal};
-pub use parser::{parse, parse_with_options, ParseOptions};
+pub use parser::{parse, MAX_DEPTH};
 pub use path::Path;
 pub use sym::{Sym, SymbolTable};

@@ -122,14 +122,6 @@ impl Document {
         self.nodes.len() <= 1
     }
 
-    /// The tag name of an element node, or `None` for text nodes.
-    pub fn tag(&self, id: NodeId) -> Option<Sym> {
-        match self.node(id).kind {
-            NodeKind::Element(s) => Some(s),
-            NodeKind::Text(_) => None,
-        }
-    }
-
     /// The tag name of an element node as a string.
     ///
     /// # Panics
@@ -227,11 +219,16 @@ impl Document {
     /// Sets (or replaces) an attribute on an element.
     pub fn set_attr(&mut self, id: NodeId, name: &str, value: &str) {
         let sym = self.syms.intern(name);
+        self.set_attr_sym(id, sym, value);
+    }
+
+    /// Sets (or replaces) an attribute whose name is already interned.
+    pub fn set_attr_sym(&mut self, id: NodeId, name: Sym, value: &str) {
         let node = &mut self.nodes[id.index()];
-        if let Some(pair) = node.attrs.iter_mut().find(|(s, _)| *s == sym) {
+        if let Some(pair) = node.attrs.iter_mut().find(|(s, _)| *s == name) {
             pair.1 = value.to_owned();
         } else {
-            node.attrs.push((sym, value.to_owned()));
+            node.attrs.push((name, value.to_owned()));
         }
     }
 
@@ -352,16 +349,6 @@ impl Document {
         }
     }
 
-    /// Depth of a node (root = 0).
-    pub fn depth(&self, mut id: NodeId) -> usize {
-        let mut d = 0;
-        while let Some(p) = self.parent(id) {
-            d += 1;
-            id = p;
-        }
-        d
-    }
-
     /// The sequence of tag names from the root down to `id` (inclusive),
     /// e.g. `["db", "dept", "emp"]`. Text nodes contribute nothing.
     pub fn label_path(&self, id: NodeId) -> Vec<String> {
@@ -417,7 +404,7 @@ mod tests {
         let name = d.first_child_element(dept, "name").unwrap();
         assert_eq!(d.text_content(name), "finance");
         assert_eq!(d.parent(name), Some(dept));
-        assert_eq!(d.depth(name), 2);
+        assert_eq!(d.label_path(name).len(), 3);
     }
 
     #[test]

@@ -72,12 +72,6 @@ pub fn value_equal(da: &Document, a: NodeId, db: &Document, b: NodeId) -> bool {
     cmp_nodes(da, a, db, b) == Ordering::Equal
 }
 
-/// Value equality of two child *sequences* (used by Nested Merge when
-/// comparing the contents of frontier nodes).
-pub fn lists_value_equal(da: &Document, xs: &[NodeId], db: &Document, ys: &[NodeId]) -> bool {
-    cmp_node_lists(da, xs, db, ys) == Ordering::Equal
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

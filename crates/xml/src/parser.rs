@@ -5,152 +5,138 @@
 //! attributes (single or double quoted), CDATA sections, predefined and
 //! numeric character references. Namespaces are treated lexically (a tag
 //! `T:emp` is just a name containing a colon, which is how the paper's
-//! timestamp namespace is handled).
+//! timestamp namespace is handled). Whitespace-only text nodes are dropped
+//! — the paper's value model ignores inter-element whitespace (§4.3 fn. 3).
 //!
-//! By default, whitespace-only text nodes between elements are dropped —
-//! the paper's value model ignores inter-element whitespace (§4.3 fn. 3).
+//! One forward pass: text and attribute values are scanned for the byte
+//! that ends them eight bytes at a time; names stay slices of the input,
+//! interned through a small cache; a text run goes to the document straight
+//! from the input; open elements are an explicit stack, at most
+//! [`MAX_DEPTH`] deep; and only the byte offset is kept — an error counts
+//! its line and column from it.
+
+use std::borrow::Cow;
+use std::ops::Range;
 
 use crate::error::{ParseError, Result};
 use crate::escape::resolve_entity;
 use crate::model::{Document, NodeId};
+use crate::sym::Sym;
 
-/// Parser configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct ParseOptions {
-    /// Drop text nodes that consist solely of whitespace (default: true).
-    pub ignore_whitespace: bool,
-    /// Trim leading/trailing whitespace of retained text nodes
-    /// (default: false).
-    pub trim_text: bool,
-}
+/// The deepest elements nest (the root is at depth 1): one bound from the
+/// wire to the disk. The parser refuses deeper text, annotation and the
+/// journal's encoder a deeper document built in code, and the readers of
+/// stored trees a deeper tree, so the recursive walkers after them go
+/// about this deep at most. The paper's corpora nest about a dozen deep;
+/// 256 is the largest power of two at which every backend a server can
+/// run serves such documents on a default worker stack in a debug build.
+pub const MAX_DEPTH: usize = 256;
 
-impl Default for ParseOptions {
-    fn default() -> Self {
-        Self {
-            ignore_whitespace: true,
-            trim_text: false,
-        }
-    }
-}
-
-/// Parses `input` with default options.
+/// Parses `input` into a [`Document`].
 pub fn parse(input: &str) -> Result<Document> {
-    parse_with_options(input, ParseOptions::default())
+    Parser {
+        src: input,
+        pos: 0,
+        names: [None; NAME_SLOTS],
+        run: 0..0,
+        scratch: String::new(),
+    }
+    .document()
 }
 
-/// Parses `input` with explicit options.
-pub fn parse_with_options(input: &str, opts: ParseOptions) -> Result<Document> {
-    let mut p = Parser::new(input, opts);
-    p.parse_document()
-}
+/// Slots of the parser's name cache.
+const NAME_SLOTS: usize = 64;
 
 struct Parser<'a> {
-    src: &'a [u8],
+    src: &'a str,
     pos: usize,
-    line: u32,
-    col: u32,
-    opts: ParseOptions,
+    /// Names met so far and their symbols, direct-mapped by a hash.
+    names: [Option<(&'a str, Sym)>; NAME_SLOTS],
+    /// The text of the innermost open element not yet added to it is
+    /// `scratch` then `run` — `scratch` empty unless an entity, a CDATA
+    /// section or a comment split the text, so a plain run is not copied.
+    run: Range<usize>,
+    scratch: String,
 }
 
 impl<'a> Parser<'a> {
-    fn new(input: &'a str, opts: ParseOptions) -> Self {
-        Self {
-            src: input.as_bytes(),
-            pos: 0,
-            line: 1,
-            col: 1,
-            opts,
-        }
+    fn bytes(&self) -> &'a [u8] {
+        self.src.as_bytes()
     }
 
-    fn err(&self, msg: impl Into<String>) -> ParseError {
-        ParseError::new(self.line, self.col, msg)
-    }
-
-    #[inline]
     fn peek(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
+        self.bytes().get(self.pos).copied()
     }
 
-    #[inline]
-    #[allow(dead_code)]
-    fn peek_at(&self, off: usize) -> Option<u8> {
-        self.src.get(self.pos + off).copied()
+    fn rest(&self) -> &'a [u8] {
+        &self.bytes()[self.pos..]
     }
 
-    #[inline]
-    fn bump(&mut self) -> Option<u8> {
-        let b = self.peek()?;
+    /// An error at the current offset, with the line and column of it.
+    fn err(&self, message: impl Into<String>) -> ParseError {
+        let before = &self.bytes()[..self.pos];
+        let line = 1 + before.iter().filter(|&&b| b == b'\n').count();
+        let col = match before.iter().rposition(|&b| b == b'\n') {
+            Some(newline) => self.pos - newline,
+            // a byte-order mark counts in no column
+            None if self.src.starts_with('\u{feff}') => self.pos - 2,
+            None => self.pos + 1,
+        };
+        ParseError::new(line as u32, col as u32, message)
+    }
+
+    fn expect(&mut self, b: u8) -> Result<()> {
+        if self.peek() != Some(b) {
+            return Err(self.err(format!("expected `{}`", char::from(b))));
+        }
         self.pos += 1;
-        if b == b'\n' {
-            self.line += 1;
-            self.col = 1;
-        } else {
-            self.col += 1;
-        }
-        Some(b)
-    }
-
-    fn starts_with(&self, s: &str) -> bool {
-        self.src[self.pos..].starts_with(s.as_bytes())
-    }
-
-    fn consume(&mut self, s: &str) -> bool {
-        if self.starts_with(s) {
-            for _ in 0..s.len() {
-                self.bump();
-            }
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, s: &str) -> Result<()> {
-        if self.consume(s) {
-            Ok(())
-        } else {
-            Err(self.err(format!("expected `{s}`")))
-        }
+        Ok(())
     }
 
     fn skip_ws(&mut self) {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.bump();
+            self.pos += 1;
         }
     }
 
-    /// Skips until (and including) the terminator string `end`.
-    fn skip_until(&mut self, end: &str, what: &str) -> Result<()> {
-        while self.pos < self.src.len() {
-            if self.consume(end) {
-                return Ok(());
-            }
-            self.bump();
-        }
-        Err(self.err(format!("unterminated {what}")))
+    /// Moves past the next `end`, or fails at the end of the input with
+    /// "unterminated `what`".
+    fn skip_past(&mut self, end: &str, what: &str) -> Result<()> {
+        let found = self
+            .rest()
+            .windows(end.len())
+            .position(|w| w == end.as_bytes());
+        self.pos = found.map_or(self.src.len(), |at| self.pos + at + end.len());
+        found
+            .map(drop)
+            .ok_or_else(|| self.err(format!("unterminated {what}")))
     }
 
+    /// Skips whitespace, comments, processing instructions and a DOCTYPE
+    /// (to its `>`, past one level of `[...]` internal subset).
     fn skip_misc(&mut self) -> Result<()> {
         loop {
             self.skip_ws();
-            if self.starts_with("<!--") {
-                self.consume("<!--");
-                self.skip_until("-->", "comment")?;
-            } else if self.starts_with("<?") {
-                self.consume("<?");
-                self.skip_until("?>", "processing instruction")?;
-            } else if self.starts_with("<!DOCTYPE") {
-                self.consume("<!DOCTYPE");
-                // skip to matching '>' allowing one level of [...] internal subset
+            let rest = self.rest();
+            if rest.starts_with(b"<!--") {
+                self.pos += 4;
+                self.skip_past("-->", "comment")?;
+            } else if rest.starts_with(b"<?") {
+                self.pos += 2;
+                self.skip_past("?>", "processing instruction")?;
+            } else if rest.starts_with(b"<!DOCTYPE") {
+                self.pos += 9;
                 let mut depth = 0i32;
                 loop {
-                    match self.bump() {
-                        Some(b'[') => depth += 1,
-                        Some(b']') => depth -= 1,
-                        Some(b'>') if depth <= 0 => break,
-                        Some(_) => {}
-                        None => return Err(self.err("unterminated DOCTYPE")),
+                    let b = self
+                        .peek()
+                        .ok_or_else(|| self.err("unterminated DOCTYPE"))?;
+                    self.pos += 1;
+                    match b {
+                        b'[' => depth += 1,
+                        b']' => depth -= 1,
+                        b'>' if depth <= 0 => break,
+                        _ => {}
                     }
                 }
             } else {
@@ -159,226 +145,252 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn is_name_start(b: u8) -> bool {
-        b.is_ascii_alphabetic() || b == b'_' || b == b':' || b >= 0x80
-    }
-
-    fn is_name_char(b: u8) -> bool {
-        Self::is_name_start(b) || b.is_ascii_digit() || b == b'-' || b == b'.'
-    }
-
-    fn parse_name(&mut self) -> Result<String> {
+    fn name(&mut self) -> Result<&'a str> {
         let start = self.pos;
-        match self.peek() {
-            Some(b) if Self::is_name_start(b) => {
-                self.bump();
-            }
-            _ => return Err(self.err("expected a name")),
+        if !self.peek().is_some_and(is_name_start) {
+            return Err(self.err("expected a name"));
         }
-        while matches!(self.peek(), Some(b) if Self::is_name_char(b)) {
-            self.bump();
-        }
-        Ok(String::from_utf8_lossy(&self.src[start..self.pos]).into_owned())
+        let len = self.rest().iter().skip(1).position(|&b| !is_name_char(b));
+        self.pos = len.map_or(self.src.len(), |len| start + 1 + len);
+        Ok(&self.src[start..self.pos])
     }
 
-    fn parse_entity(&mut self) -> Result<char> {
-        // positioned just after '&'
+    /// `name`'s symbol in `doc`: the cached one, else the document's — it
+    /// interns the name on first sight, in the order the parse meets names
+    /// — which then takes the name's cache slot.
+    fn sym(&mut self, doc: &mut Document, name: &'a str) -> Sym {
+        let hash = name.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+        });
+        let slot = (hash >> 58) as usize % NAME_SLOTS;
+        match self.names[slot] {
+            Some((cached, sym)) if cached == name => sym,
+            _ => {
+                let sym = doc.intern(name);
+                self.names[slot] = Some((name, sym));
+                sym
+            }
+        }
+    }
+
+    /// The character a reference stands for, the `&` just behind: its name
+    /// is at most 13 bytes, then `;`.
+    fn entity(&mut self) -> Result<char> {
         let start = self.pos;
-        while let Some(b) = self.peek() {
-            if b == b';' {
-                let name = std::str::from_utf8(&self.src[start..self.pos])
-                    .map_err(|_| self.err("invalid UTF-8 in entity"))?
-                    .to_owned();
-                self.bump(); // ';'
-                return resolve_entity(&name)
-                    .ok_or_else(|| self.err(format!("unknown entity `&{name};`")));
+        loop {
+            match self.peek() {
+                Some(b';') => {
+                    let name = &self.src[start..self.pos];
+                    self.pos += 1;
+                    return resolve_entity(name)
+                        .ok_or_else(|| self.err(format!("unknown entity `&{name};`")));
+                }
+                Some(b'<' | b'&') | None => break,
+                Some(_) if self.pos - start > 12 => break,
+                Some(_) => self.pos += 1,
             }
-            if b == b'<' || b == b'&' || self.pos - start > 12 {
-                break;
-            }
-            self.bump();
         }
         Err(self.err("malformed entity reference"))
     }
 
-    fn parse_attr_value(&mut self) -> Result<String> {
+    /// A quoted attribute value, references resolved: a slice of the input
+    /// unless it has one.
+    fn attr_value(&mut self) -> Result<Cow<'a, str>> {
         let quote = match self.peek() {
-            Some(q @ (b'"' | b'\'')) => {
-                self.bump();
-                q
-            }
+            Some(q @ (b'"' | b'\'')) => q,
             _ => return Err(self.err("expected quoted attribute value")),
         };
-        let mut out = String::new();
+        self.pos += 1;
+        let mut value = Cow::Borrowed("");
         loop {
+            let start = self.pos;
+            self.pos = scan(self.bytes(), start, [quote, b'&', b'<']);
+            let run = &self.src[start..self.pos];
+            value = match value.is_empty() {
+                true => Cow::Borrowed(run),
+                false => Cow::Owned(value.into_owned() + run),
+            };
             match self.peek() {
-                None => return Err(self.err("unterminated attribute value")),
-                Some(b) if b == quote => {
-                    self.bump();
-                    return Ok(out);
-                }
                 Some(b'&') => {
-                    self.bump();
-                    out.push(self.parse_entity()?);
+                    self.pos += 1;
+                    let c = self.entity()?;
+                    value.to_mut().push(c);
                 }
                 Some(b'<') => return Err(self.err("`<` not allowed in attribute value")),
                 Some(_) => {
-                    let start = self.pos;
-                    while let Some(b) = self.peek() {
-                        if b == quote || b == b'&' || b == b'<' {
-                            break;
-                        }
-                        self.bump();
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.src[start..self.pos])
-                            .map_err(|_| self.err("invalid UTF-8"))?,
-                    );
+                    self.pos += 1;
+                    return Ok(value);
                 }
+                None => return Err(self.err("unterminated attribute value")),
             }
         }
     }
 
-    fn parse_document(&mut self) -> Result<Document> {
-        // optional UTF-8 BOM
-        if self.src.starts_with(&[0xEF, 0xBB, 0xBF]) {
+    /// Reads the attributes of `el`, its name just read, to the end of its
+    /// start tag: `true` when content follows, `false` after `/>`.
+    fn start_tag(&mut self, doc: &mut Document, el: NodeId) -> Result<bool> {
+        loop {
+            self.skip_ws();
+            match self.peek() {
+                Some(b'/') => {
+                    self.pos += 1;
+                    return self.expect(b'>').map(|()| false);
+                }
+                Some(b'>') => {
+                    self.pos += 1;
+                    return Ok(true);
+                }
+                Some(b) if is_name_start(b) => {
+                    let name = self.name()?;
+                    self.skip_ws();
+                    self.expect(b'=')?;
+                    self.skip_ws();
+                    let value = self.attr_value()?;
+                    let sym = self.sym(doc, name);
+                    if doc.attrs(el).iter().any(|a| a.0 == sym) {
+                        return Err(self.err(format!("duplicate attribute `{name}`")));
+                    }
+                    doc.set_attr_sym(el, sym, &value);
+                }
+                _ => return Err(self.err("malformed start tag")),
+            }
+        }
+    }
+
+    /// Adds `range` of the input to the pending text.
+    fn text(&mut self, range: Range<usize>) {
+        let src = self.src;
+        self.scratch
+            .push_str(&src[std::mem::replace(&mut self.run, range)]);
+    }
+
+    /// Adds the pending text to `el`, unless it is all whitespace.
+    fn flush(&mut self, doc: &mut Document, el: NodeId) {
+        let text = if self.scratch.is_empty() {
+            &self.src[self.run.clone()]
+        } else {
+            self.text(0..0);
+            &self.scratch
+        };
+        if !text.chars().all(char::is_whitespace) {
+            doc.add_text(el, text);
+        }
+        self.run = 0..0;
+        self.scratch.clear();
+    }
+
+    fn document(mut self) -> Result<Document> {
+        if self.src.starts_with('\u{feff}') {
             self.pos = 3;
         }
         self.skip_misc()?;
         if self.peek() != Some(b'<') {
             return Err(self.err("expected root element"));
         }
-        self.bump(); // '<'
-        let root_tag = self.parse_name()?;
-        let mut doc = Document::new(&root_tag);
+        self.pos += 1;
+        let tag = self.name()?;
+        let mut doc = Document::new(tag);
         let root = doc.root();
-        self.parse_attrs_and_content(&mut doc, root, &root_tag)?;
+        // the elements open, innermost last, with their names as written
+        let mut open = Vec::new();
+        if self.start_tag(&mut doc, root)? {
+            open.push((root, tag));
+        }
+        while let Some(&(el, tag)) = open.last() {
+            let rest = self.rest();
+            match rest.first() {
+                None => return Err(self.err(format!("unexpected EOF inside <{tag}>"))),
+                Some(b'&') => {
+                    self.pos += 1;
+                    let c = self.entity()?;
+                    self.text(0..0);
+                    self.scratch.push(c);
+                }
+                Some(b'<') if rest.starts_with(b"</") => {
+                    self.flush(&mut doc, el);
+                    self.pos += 2;
+                    let close = self.name()?;
+                    if close != tag {
+                        return Err(
+                            self.err(format!("mismatched close tag </{close}> for <{tag}>"))
+                        );
+                    }
+                    self.skip_ws();
+                    self.expect(b'>')?;
+                    open.pop();
+                }
+                Some(b'<') if rest.starts_with(b"<!--") => {
+                    self.pos += 4;
+                    self.skip_past("-->", "comment")?;
+                }
+                Some(b'<') if rest.starts_with(b"<![CDATA[") => {
+                    self.pos += 9;
+                    let start = self.pos;
+                    self.skip_past("]]>", "CDATA section")?;
+                    self.text(start..self.pos - 3);
+                }
+                Some(b'<') if rest.starts_with(b"<?") => {
+                    self.pos += 2;
+                    self.skip_past("?>", "processing instruction")?;
+                }
+                Some(b'<') => {
+                    self.flush(&mut doc, el);
+                    let at = self.pos;
+                    self.pos += 1;
+                    let name = self.name()?;
+                    if open.len() == MAX_DEPTH {
+                        self.pos = at;
+                        return Err(self.err(format!("elements nest deeper than {MAX_DEPTH}")));
+                    }
+                    let sym = self.sym(&mut doc, name);
+                    let child = doc.add_element_sym(el, sym);
+                    if self.start_tag(&mut doc, child)? {
+                        open.push((child, name));
+                    }
+                }
+                Some(_) => {
+                    let start = self.pos;
+                    self.pos = scan(self.bytes(), start, [b'<', b'&']);
+                    self.text(start..self.pos);
+                }
+            }
+        }
         self.skip_misc()?;
         if self.pos < self.src.len() {
             return Err(self.err("content after root element"));
         }
         Ok(doc)
     }
+}
 
-    /// Parses attributes, then either `/>` or `> content </tag>`, for the
-    /// already-created element `el` whose `<name` has been consumed.
-    fn parse_attrs_and_content(&mut self, doc: &mut Document, el: NodeId, tag: &str) -> Result<()> {
-        loop {
-            self.skip_ws();
-            match self.peek() {
-                Some(b'/') => {
-                    self.bump();
-                    self.expect(">")?;
-                    return Ok(());
-                }
-                Some(b'>') => {
-                    self.bump();
-                    break;
-                }
-                Some(b) if Self::is_name_start(b) => {
-                    let name = self.parse_name()?;
-                    self.skip_ws();
-                    self.expect("=")?;
-                    self.skip_ws();
-                    let value = self.parse_attr_value()?;
-                    if doc.attr(el, &name).is_some() {
-                        return Err(self.err(format!("duplicate attribute `{name}`")));
-                    }
-                    doc.set_attr(el, &name, &value);
-                }
-                _ => return Err(self.err("malformed start tag")),
-            }
-        }
-        // content
-        let mut text = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err(format!("unexpected EOF inside <{tag}>"))),
-                Some(b'<') => {
-                    if self.starts_with("</") {
-                        self.flush_text(doc, el, &mut text);
-                        self.consume("</");
-                        let close = self.parse_name()?;
-                        if close != tag {
-                            return Err(
-                                self.err(format!("mismatched close tag </{close}> for <{tag}>"))
-                            );
-                        }
-                        self.skip_ws();
-                        self.expect(">")?;
-                        return Ok(());
-                    } else if self.starts_with("<!--") {
-                        self.consume("<!--");
-                        self.skip_until("-->", "comment")?;
-                    } else if self.starts_with("<![CDATA[") {
-                        self.consume("<![CDATA[");
-                        let start = self.pos;
-                        loop {
-                            if self.starts_with("]]>") {
-                                text.push_str(
-                                    std::str::from_utf8(&self.src[start..self.pos])
-                                        .map_err(|_| self.err("invalid UTF-8 in CDATA"))?,
-                                );
-                                self.consume("]]>");
-                                break;
-                            }
-                            if self.bump().is_none() {
-                                return Err(self.err("unterminated CDATA section"));
-                            }
-                        }
-                    } else if self.starts_with("<?") {
-                        self.consume("<?");
-                        self.skip_until("?>", "processing instruction")?;
-                    } else {
-                        self.flush_text(doc, el, &mut text);
-                        self.bump(); // '<'
-                        let child_tag = self.parse_name()?;
-                        let child = doc.add_element(el, &child_tag);
-                        self.parse_attrs_and_content(doc, child, &child_tag)?;
-                    }
-                }
-                Some(b'&') => {
-                    self.bump();
-                    text.push(self.parse_entity()?);
-                }
-                Some(_) => {
-                    let start = self.pos;
-                    while let Some(b) = self.peek() {
-                        if b == b'<' || b == b'&' {
-                            break;
-                        }
-                        self.bump();
-                    }
-                    text.push_str(
-                        std::str::from_utf8(&self.src[start..self.pos])
-                            .map_err(|_| self.err("invalid UTF-8 in text"))?,
-                    );
-                }
-            }
-        }
-    }
+fn is_name_start(b: u8) -> bool {
+    b.is_ascii_alphabetic() || b == b'_' || b == b':' || b >= 0x80
+}
 
-    fn flush_text(&mut self, doc: &mut Document, el: NodeId, text: &mut String) {
-        if text.is_empty() {
-            return;
+fn is_name_char(b: u8) -> bool {
+    is_name_start(b) || b.is_ascii_digit() || b == b'-' || b == b'.'
+}
+
+/// The offset of the first byte at or after `from` that is one of `stops`
+/// (`bytes.len()` if none is), eight bytes a step: XOR with a stop turns
+/// the bytes equal to it into zero bytes, and `(x - 0x01…) & !x & 0x80…`
+/// marks the lowest zero byte of a word exactly.
+fn scan<const N: usize>(bytes: &[u8], from: usize, stops: [u8; N]) -> usize {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    let mut at = from;
+    while let Some(word) = bytes.get(at..at + 8) {
+        let word = u64::from_le_bytes(word.try_into().unwrap_or_default());
+        let hits = stops.iter().fold(0, |hits, &stop| {
+            let x = word ^ (ONES * u64::from(stop));
+            hits | (x.wrapping_sub(ONES) & !x & (ONES << 7))
+        });
+        if hits != 0 {
+            return at + (hits.trailing_zeros() / 8) as usize;
         }
-        let keep = if self.opts.ignore_whitespace {
-            !text.chars().all(char::is_whitespace)
-        } else {
-            true
-        };
-        if keep {
-            if self.opts.trim_text {
-                let trimmed = text.trim();
-                if !trimmed.is_empty() {
-                    doc.add_text(el, trimmed);
-                }
-            } else {
-                doc.add_text(el, text);
-            }
-        }
-        text.clear();
+        at += 8;
     }
+    let tail = bytes[at..].iter().position(|b| stops.contains(b));
+    tail.map_or(bytes.len(), |i| at + i)
 }
 
 #[cfg(test)]
@@ -403,16 +415,6 @@ mod tests {
         let s = doc.stats();
         assert_eq!(s.elements, 3);
         assert_eq!(s.texts, 1);
-    }
-
-    #[test]
-    fn keeps_whitespace_when_asked() {
-        let opts = ParseOptions {
-            ignore_whitespace: false,
-            trim_text: false,
-        };
-        let doc = parse_with_options("<a> <b/> </a>", opts).unwrap();
-        assert_eq!(doc.stats().texts, 2);
     }
 
     #[test]

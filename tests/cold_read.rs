@@ -223,7 +223,7 @@ fn corrupt_reason(e: StoreError) -> (u64, String) {
 /// is the positioned refusal `bytes_to_doc` words, and `out` stays empty.
 #[test]
 fn a_payload_that_does_not_verify_is_refused_alike_and_writes_nothing() {
-    let good = doc_to_bytes(&release(1));
+    let good = doc_to_bytes(&release(1)).unwrap();
     let stamped = {
         let text = |s: &str| ETree {
             kind: EKind::Text(s.into()),
@@ -294,11 +294,11 @@ fn a_payload_that_does_not_verify_is_refused_alike_and_writes_nothing() {
 #[test]
 fn a_batch_is_read_one_version_at_a_time() {
     let docs = [release(1), release(2), release(3)];
-    let batch = docs_to_batch_bytes(&docs);
+    let batch = docs_to_batch_bytes(&docs).unwrap();
     // break the second entry where the last thing a scan for a record
     // reads of it lies: the `id` of its last record, "102", which its
     // offset in the batch payload then positions
-    let second_ends = batch.len() - doc_to_bytes(&docs[2]).len() - 3;
+    let second_ends = batch.len() - doc_to_bytes(&docs[2]).unwrap().len() - 3;
     let id_at = (0..second_ends)
         .rev()
         .filter(|&i| batch[i..].starts_with(b"102"))
@@ -416,7 +416,7 @@ fn the_first_of_two_siblings_with_one_key_is_the_one_followed() {
     )
     .unwrap();
     let path = scratch_path("cold-read-twins");
-    write_blocks(&path, &[(BlockKind::Version, doc_to_bytes(&doc))]);
+    write_blocks(&path, &[(BlockKind::Version, doc_to_bytes(&doc).unwrap())]);
     let cold = ColdArchive::open(&path).unwrap();
     let db = || KeyQuery::new("db");
     for (steps, want) in [
@@ -437,5 +437,97 @@ fn the_first_of_two_siblings_with_one_key_is_the_one_followed() {
             "{steps:?}"
         );
     }
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// `db`/`rec 1`/`val`, and beneath `val` a chain of `d` that brings the
+/// document to `depth` elements in all — built, not parsed, so it can be
+/// deeper than the parser admits.
+fn nested_record(depth: usize) -> Document {
+    let mut doc = Document::new("db");
+    let rec = doc.add_element(doc.root(), "rec");
+    doc.add_text_element(rec, "id", "1");
+    let mut at = doc.add_element(rec, "val");
+    for _ in 3..depth {
+        at = doc.add_element(at, "d");
+    }
+    doc.add_text(at, "deep");
+    doc
+}
+
+/// The payload of [`nested_record`] as `encode_small` writes it — what
+/// `doc_to_bytes` writes, when it does not refuse the document for its
+/// depth.
+fn nested_payload(depth: usize) -> Vec<u8> {
+    let node = |kind: EKind, children: Vec<ETree>| ETree {
+        kind,
+        sort_key: None,
+        frontier: false,
+        time: None,
+        children,
+    };
+    let el = |tag: &str, children| {
+        let attrs = Vec::new();
+        node(
+            EKind::Element {
+                tag: tag.into(),
+                attrs,
+            },
+            children,
+        )
+    };
+    let mut chain = node(EKind::Text("deep".into()), vec![]);
+    for _ in 3..depth {
+        chain = el("d", vec![chain]);
+    }
+    let id = el("id", vec![node(EKind::Text("1".into()), vec![])]);
+    let tree = el("db", vec![el("rec", vec![id, el("val", vec![chain])])]);
+    let mut out = Vec::new();
+    encode_small(&tree, &mut out);
+    out
+}
+
+/// A payload nesting one element past `MAX_DEPTH` is corrupt to every
+/// cold read that reaches the depth — the whole version, and the record
+/// that holds it, counted from the payload's root — and `out` stays
+/// empty; one nesting exactly `MAX_DEPTH` reads back whole and by record.
+#[test]
+fn a_payload_nested_past_max_depth_is_corrupt_to_every_read_of_it() {
+    use xarch::xml::MAX_DEPTH;
+    let deepest = nested_record(MAX_DEPTH);
+    assert_eq!(nested_payload(MAX_DEPTH), doc_to_bytes(&deepest).unwrap());
+    let path = scratch_path("cold-read-too-deep");
+    write_blocks(
+        &path,
+        &[
+            (BlockKind::Version, nested_payload(MAX_DEPTH)),
+            (BlockKind::Version, nested_payload(MAX_DEPTH + 1)),
+        ],
+    );
+    let cold = ColdArchive::open(&path).unwrap();
+    let record = vec![KeyQuery::new("db"), rec(1)];
+    let value = vec![KeyQuery::new("db"), rec(1), KeyQuery::new("val")];
+    let mut out = Vec::new();
+    assert!(cold.retrieve_into(1, &mut out).unwrap());
+    assert_eq!(String::from_utf8(out).unwrap(), to_compact_string(&deepest));
+    for steps in [&record, &value] {
+        let want = find_in_doc(&deepest, &spec(), steps).and_then(|id| subtree_doc(&deepest, id));
+        assert_eq!(as_xml(cold.as_of(steps, 1).unwrap()), as_xml(want));
+    }
+    let mut out = Vec::new();
+    let refusals = [
+        cold.retrieve(2).map(drop),
+        cold.retrieve_into(2, &mut out).map(drop),
+        cold.as_of(&record, 2).map(drop),
+        cold.as_of(&value, 2).map(drop),
+    ];
+    for refused in refusals {
+        let (_, reason) = corrupt_reason(refused.unwrap_err());
+        assert!(
+            reason.contains(&format!("nest deeper than {MAX_DEPTH}")),
+            "{reason}"
+        );
+    }
+    assert!(out.is_empty());
     std::fs::remove_file(&path).unwrap();
 }

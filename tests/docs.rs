@@ -90,6 +90,7 @@ fn format_spec_constants_match_the_storage_source() {
         ("BLOCK_TRAILER_LEN", block::BLOCK_TRAILER_LEN as u64),
         ("COMMIT_MAGIC", u64::from(block::COMMIT_MAGIC)),
         ("MAX_PAYLOAD", block::MAX_PAYLOAD),
+        ("MAX_DEPTH", xarch::xml::MAX_DEPTH as u64),
     ];
     for (name, actual) in numeric {
         let cell = table_value(&doc, name);

@@ -762,3 +762,180 @@ fn bit_flip_sweep_never_panics_and_never_lies() {
     }
     std::fs::remove_file(&path).unwrap();
 }
+
+/// `db`/`rec 1`/`val`, and beneath `val` a chain of `d` that brings the
+/// document to `depth` elements in all — built, not parsed, so it can be
+/// deeper than the parser admits.
+fn nested_record(depth: usize) -> xarch::xml::Document {
+    let mut doc = xarch::xml::Document::new("db");
+    let rec = doc.add_element(doc.root(), "rec");
+    doc.add_text_element(rec, "id", "1");
+    let mut at = doc.add_element(rec, "val");
+    for _ in 3..depth {
+        at = doc.add_element(at, "d");
+    }
+    doc.add_text(at, "deep");
+    doc
+}
+
+/// The payload of [`nested_record`] as `encode_small` writes it — what
+/// `doc_to_bytes` writes, when it does not refuse the document for its
+/// depth.
+fn nested_payload(depth: usize) -> Vec<u8> {
+    use xarch::extmem::{encode_small, EKind, ETree};
+    let node = |kind: EKind, children: Vec<ETree>| ETree {
+        kind,
+        sort_key: None,
+        frontier: false,
+        time: None,
+        children,
+    };
+    let el = |tag: &str, children| {
+        let attrs = Vec::new();
+        node(
+            EKind::Element {
+                tag: tag.into(),
+                attrs,
+            },
+            children,
+        )
+    };
+    let mut chain = node(EKind::Text("deep".into()), vec![]);
+    for _ in 3..depth {
+        chain = el("d", vec![chain]);
+    }
+    let id = el("id", vec![node(EKind::Text("1".into()), vec![])]);
+    let tree = el("db", vec![el("rec", vec![id, el("val", vec![chain])])]);
+    let mut out = Vec::new();
+    encode_small(&tree, &mut out);
+    out
+}
+
+/// A version block the checksum vouches for whose payload nests past
+/// `MAX_DEPTH` fails the reopen loudly, positioned at the block — replay
+/// never hands such a tree to the recursive merge. One `MAX_DEPTH` deep
+/// replays, and a store never journals a deeper one to begin with.
+#[test]
+fn a_version_block_nested_past_max_depth_is_corrupt_on_open() {
+    use xarch::compress::BlockCodec;
+    use xarch::storage::block::{encode_block, BlockKind};
+    use xarch::storage::payload::doc_to_bytes;
+    use xarch::xml::MAX_DEPTH;
+
+    let path = scratch_path("too-deep-version");
+    let deepest = nested_record(MAX_DEPTH);
+    {
+        let mut d = reopen(&path).unwrap();
+        d.add_version(&deepest).unwrap();
+        let refused = d.add_version(&nested_record(MAX_DEPTH + 1)).unwrap_err();
+        assert!(refused.to_string().contains("nests deeper"), "{refused}");
+    }
+    let mut d = reopen(&path).unwrap();
+    assert_eq!(d.latest(), 1, "the refused version was never journaled");
+    let mut reference = ArchiveBuilder::new(spec()).build();
+    reference.add_version(&deepest).unwrap();
+    assert_eq!(bytes_of(d.as_mut(), 1), bytes_of(reference.as_mut(), 1));
+    drop(d);
+
+    let at = std::fs::metadata(&path).unwrap().len();
+    assert_eq!(nested_payload(MAX_DEPTH), doc_to_bytes(&deepest).unwrap());
+    let payload = nested_payload(MAX_DEPTH + 1);
+    let block = encode_block(
+        BlockKind::Version,
+        BlockCodec::Raw,
+        2,
+        payload.len() as u64,
+        &payload,
+    );
+    let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+    f.write_all(&block).unwrap();
+    drop(f);
+    match reopen(&path).map(|_| ()).unwrap_err() {
+        StoreError::Corrupt { offset, reason } => {
+            assert_eq!(offset, at, "{reason}");
+            assert!(
+                reason.contains(&format!("nest deeper than {MAX_DEPTH}")),
+                "{reason}"
+            );
+        }
+        other => panic!("expected Corrupt, got {other}"),
+    }
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// A checkpoint the checksum vouches for, holding a tree deeper than any
+/// archive grows: restore refuses it, and the reopen says so — the
+/// skipped-checkpoint counter and a positioned event — and replays the
+/// journal instead, as for any checkpoint it cannot use.
+#[test]
+fn a_checkpoint_nested_past_max_depth_is_skipped_loudly() {
+    use xarch::compress::BlockCodec;
+    use xarch::core::{state, xmlrep};
+    use xarch::storage::block::{encode_block, BlockKind};
+    use xarch::storage::encode_checkpoint;
+    use xarch::xml::MAX_DEPTH;
+
+    let path = scratch_path("too-deep-checkpoint");
+    let docs = versions();
+    {
+        let mut d = reopen(&path).unwrap();
+        for doc in &docs {
+            d.add_version(doc).unwrap();
+        }
+    }
+    // the Fig-5 form of an archive one level deeper than any grows: the
+    // synthetic root, `db`, and `MAX_DEPTH + 2` elements beneath
+    let mut fig5 = xarch::xml::Document::new("T");
+    let top = fig5.root();
+    fig5.set_attr(top, "t", "1-3");
+    let mut at = fig5.add_element(top, "root");
+    for _ in 0..MAX_DEPTH + 3 {
+        at = fig5.add_element(at, "db");
+    }
+    let too_deep = xmlrep::from_xml(&fig5, &spec()).unwrap();
+    let raw = encode_checkpoint(0, 3, &state::encode_archive(&too_deep));
+    let cp_at = std::fs::metadata(&path).unwrap().len();
+    let block = encode_block(
+        BlockKind::Checkpoint,
+        BlockCodec::Raw,
+        3,
+        raw.len() as u64,
+        &raw,
+    );
+    let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+    f.write_all(&block).unwrap();
+    drop(f);
+
+    let obs = xarch::obs::Obs::disconnected();
+    let mut d = DurableArchive::open_observed(
+        &path,
+        Default::default(),
+        ArchiveBuilder::new(spec()).build(),
+        &obs,
+    )
+    .unwrap();
+    assert_eq!(d.latest(), 3);
+    assert!(!d.recovery().checkpoint_loaded, "the journal was replayed");
+    let skipped = obs.registry().get_counter("recovery.checkpoints_skipped");
+    assert_eq!(skipped.map(|c| c.get()), Some(1));
+    let warned = obs.recent_events().into_iter().any(|e| {
+        e.target == "recovery.checkpoint_skipped"
+            && e.fields.contains(&("offset", cp_at.to_string()))
+            && e.fields
+                .iter()
+                .any(|(k, v)| *k == "reason" && v.contains("too deep"))
+    });
+    assert!(
+        warned,
+        "no positioned skip event in {:?}",
+        obs.recent_events()
+    );
+    let mut reference = ArchiveBuilder::new(spec()).build();
+    for doc in &docs {
+        reference.add_version(doc).unwrap();
+    }
+    for v in 1..=3 {
+        assert_eq!(bytes_of(&mut d, v), bytes_of(reference.as_mut(), v), "v{v}");
+    }
+    std::fs::remove_file(&path).unwrap();
+}

@@ -22,7 +22,8 @@ use std::net::TcpStream;
 
 use xarch::core::KeyQuery;
 use xarch::storage::scratch_path;
-use xarch::xml::parse;
+use xarch::xml::writer::to_compact_string;
+use xarch::xml::{parse, MAX_DEPTH};
 use xarch::StoreReader;
 use xarch_proto::{
     read_frame, write_frame, Client, ClientError, ErrorCode, FrameError, Lease, Request, Response,
@@ -300,6 +301,134 @@ fn shutdown_is_refused_unless_enabled() {
     let mut client = Client::connect(server.addr()).unwrap();
     client.shutdown().unwrap();
     server.wait(); // must return: the verb really stops the server
+}
+
+/// `n` nested `<a>`, the innermost holding one text.
+fn nested(n: usize) -> String {
+    format!("{}x{}", "<a>".repeat(n), "</a>".repeat(n))
+}
+
+/// One document nesting past the bound, or far past it (200 000 levels
+/// aborted the process when the parser recursed), is a positioned
+/// `BadPayload` — and neither the connection nor the server goes down.
+#[test]
+fn documents_nested_past_max_depth_are_refused_and_the_server_survives() {
+    let server = start("");
+    let mut client = Client::connect(server.addr()).unwrap();
+    for n in [MAX_DEPTH + 1, 200_000] {
+        let err = client.ingest(&[nested(n)]).unwrap_err();
+        let ClientError::Server { code, message } = err else {
+            panic!("expected a server error, got {err}");
+        };
+        assert_eq!(code, ErrorCode::BadPayload, "{message}");
+        // the refused start tag, by line and column
+        let at = format!(
+            "at 1:{}: elements nest deeper than {MAX_DEPTH}",
+            3 * MAX_DEPTH + 1
+        );
+        assert!(message.contains(&at), "{message}");
+        client.ping().unwrap();
+        Client::connect(server.addr()).unwrap().ping().unwrap();
+    }
+    assert_eq!(
+        server.handle().snapshot().latest(),
+        0,
+        "nothing was ingested"
+    );
+}
+
+/// Release `i` of a record whose value nests `MAX_DEPTH` elements deep
+/// in all: `db`, `rec`, `val`, then a chain that changes with `i`.
+fn deepest_release(i: u32) -> String {
+    let chain = MAX_DEPTH - 3;
+    format!(
+        "<db><rec><id>1</id><val>{}v{i}{}</val></rec></db>",
+        "<d>".repeat(chain),
+        "</d>".repeat(chain)
+    )
+}
+
+/// A document nested exactly `MAX_DEPTH` deep goes everywhere a
+/// document goes, on the default worker stacks: served ingest, a
+/// restart that restores the checkpoint and replays the tail, and then
+/// the same bytes back — over the wire and read cold.
+#[test]
+fn a_document_at_max_depth_round_trips_ingest_restart_and_cold_read() {
+    let path = scratch_path("service-deepest");
+    let extra = format!("durable = {}\ncheckpoint_every = 2\n", path.display());
+    let releases: Vec<String> = (1..=3).map(deepest_release).collect();
+    let rec_1 = |text: &str| text["<db>".len()..text.len() - "</db>".len()].to_owned();
+    {
+        let server = start(&extra);
+        let mut client = Client::connect(server.addr()).unwrap();
+        for (i, release) in releases.iter().enumerate() {
+            assert_eq!(
+                client.ingest(std::slice::from_ref(release)).unwrap(),
+                vec![i as u32 + 1]
+            );
+        }
+    }
+    let server = start(&extra);
+    let restored = server
+        .obs()
+        .registry()
+        .get_counter("recovery.checkpoints_loaded")
+        .map(|c| c.get());
+    assert_eq!(restored, Some(1), "reopen restored the checkpoint");
+    let mut client = Client::connect(server.addr()).unwrap();
+    for (v, release) in (1..).zip(&releases) {
+        assert_eq!(
+            client.retrieve(Lease::FRESH, v).unwrap().as_ref(),
+            Some(release)
+        );
+        let record = client.as_of(Lease::FRESH, v, &q(1)).unwrap();
+        assert_eq!(record, Some(rec_1(release)), "v{v}");
+    }
+    drop(client);
+    drop(server);
+    let cold = xarch::ColdArchive::open(&path).unwrap();
+    for (v, release) in (1..).zip(&releases) {
+        let mut out = Vec::new();
+        assert!(cold.retrieve_into(v, &mut out).unwrap());
+        assert_eq!(&String::from_utf8(out).unwrap(), release, "cold v{v}");
+        let record = cold.as_of(&q(1), v).unwrap();
+        assert_eq!(record.map(|d| to_compact_string(&d)), Some(rec_1(release)));
+    }
+    drop(cold);
+    let _ = std::fs::remove_file(&path);
+}
+
+/// Every backend a server can be configured with ingests and answers
+/// every query verb on documents `MAX_DEPTH` deep, on the default worker
+/// stacks. This is what sizes the bound: in a debug build the external-
+/// memory backend overflows a worker at 384 levels.
+#[test]
+fn every_backend_serves_documents_at_max_depth() {
+    let val = || [q(1), vec![KeyQuery::new("val")]].concat();
+    for extra in [
+        "",
+        "indexed = true\n",
+        "backend = chunked:3\n",
+        "backend = extmem\n",
+    ] {
+        let server = start(extra);
+        let mut client = Client::connect(server.addr()).unwrap();
+        let batch: Vec<String> = (1..=3).map(deepest_release).collect();
+        assert_eq!(client.ingest(&batch).unwrap(), vec![1, 2, 3], "{extra}");
+        client.ingest(&[deepest_release(4)]).unwrap();
+        for steps in [q(1), val()] {
+            for v in 1..=4 {
+                let whole = client.retrieve(Lease::FRESH, v).unwrap();
+                assert_eq!(whole, Some(deepest_release(v)), "{extra}");
+                assert!(client.as_of(Lease::FRESH, v, &steps).unwrap().is_some());
+            }
+            client.history(Lease::FRESH, &steps).unwrap();
+            let values = client.history_values(Lease::FRESH, &steps).unwrap();
+            assert_eq!(values.map(|h| h.values.len()), Some(4), "{extra}");
+            client.diff(Lease::FRESH, &steps, 1, 4).unwrap();
+            client.range(Lease::FRESH, &steps, 1, 4).unwrap();
+        }
+    }
 }
 
 // --------------------------------------------------------------------------
