@@ -883,9 +883,9 @@ fn durable_ingest_run(
 /// durable, with the group-commit journal work alongside.
 ///
 /// The write path the ROADMAP cares about: serial ingest pays a full
-/// archive walk, an index apply, and (durable) a journal block + fsync
+/// archive walk, an index refresh, and (durable) a journal block + fsync
 /// *per version*; `add_versions` amortizes all three — one batch merge
-/// pass, one batched index apply, and one group-committed block with a
+/// pass, one index refresh, and one group-committed block with a
 /// single fsync. The `blocks`/`fsyncs` columns show the amortization
 /// directly (64 → 1 at batch 64); how far it moves the versions/sec
 /// column depends on what an fsync costs — milliseconds on commodity

@@ -60,11 +60,13 @@ impl BlockCodec {
     /// Decodes bytes written by [`BlockCodec::encode`] for a payload of
     /// `raw_len` bytes. Returns `None` when `data` is not a valid encoding
     /// of exactly that many bytes under this codec — decided from what the
-    /// encoding declares, before anything is allocated on its word. Takes
-    /// `data` by value: a raw payload is handed back as it came.
-    pub fn decode(self, data: Vec<u8>, raw_len: usize) -> Option<Vec<u8>> {
+    /// encoding declares, before anything is allocated on its word. An
+    /// owned raw payload is handed back as it came, a borrowed one copied;
+    /// a compressed one is decoded from wherever it lies.
+    pub fn decode<'a>(self, data: impl Into<Cow<'a, [u8]>>, raw_len: usize) -> Option<Vec<u8>> {
+        let data = data.into();
         match self {
-            BlockCodec::Raw => (data.len() == raw_len).then_some(data),
+            BlockCodec::Raw => (data.len() == raw_len).then(|| data.into_owned()),
             BlockCodec::Lzss => lzss::decompress_exact(&data, raw_len),
         }
     }

@@ -92,6 +92,20 @@ impl ANode {
     }
 }
 
+/// The ids [`Archive::node_mut`] handed out since the current merge
+/// began. Like `written_beneath` above it is derived state, never
+/// persisted; unlike it, it lives for one merge — `add_version`,
+/// `add_versions` and `add_empty_version` clear it before they write —
+/// and a clone starts empty, so the log never rides into a published view.
+#[derive(Debug, Default)]
+pub(crate) struct TouchedLog(pub(crate) Vec<ANodeId>);
+
+impl Clone for TouchedLog {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
 /// What the merges of an [`Archive`] have done so far, as counts that
 /// repeat exactly: keyed subtrees Nested Merge returned at without
 /// descending, and node pairs its equality walks looked at to decide.
@@ -174,6 +188,7 @@ pub struct Archive {
     spec: Arc<KeySpec>,
     compaction: Compaction,
     pub(crate) tally: MergeTally,
+    pub(crate) touched: TouchedLog,
     /// Tests switch the no-op rule off to get the full walk it must equal.
     #[cfg(test)]
     pub(crate) full_walk: bool,
@@ -207,6 +222,7 @@ impl Archive {
             spec,
             compaction,
             tally: MergeTally::default(),
+            touched: TouchedLog::default(),
             #[cfg(test)]
             full_walk: false,
         }
@@ -234,6 +250,7 @@ impl Archive {
             spec: Arc::new(spec),
             compaction,
             tally: MergeTally::default(),
+            touched: TouchedLog::default(),
             #[cfg(test)]
             full_walk: false,
         };
@@ -243,6 +260,7 @@ impl Archive {
                 a.mark_written_above(id);
             }
         }
+        a.touched.0.clear(); // a restore is no merge
         a
     }
 
@@ -281,9 +299,20 @@ impl Archive {
     /// Mutably borrow a node (crate-internal; invariants are maintained by
     /// the merge algorithms). Copies the node's arena chunk if a view
     /// still shares it, so take this borrow only when a write follows.
+    /// Every write to a node's timestamp or children comes through here.
     #[inline]
     pub(crate) fn node_mut(&mut self, id: ANodeId) -> &mut ANode {
+        self.touched.0.push(id);
         self.nodes.get_mut(id.index())
+    }
+
+    /// The nodes the last merge wrote, in write order, an id possibly more
+    /// than once. A node whose timestamp or children changed is in here,
+    /// or it is new and its parent is: all an index over timestamps and
+    /// child lists has to re-derive. Empty on a clone, a restored or an
+    /// imported archive.
+    pub fn touched(&self) -> &[ANodeId] {
+        &self.touched.0
     }
 
     /// Adds version `i` to `id`'s own timestamp and returns it; an

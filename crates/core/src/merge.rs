@@ -177,6 +177,7 @@ impl Archive {
         if !ann.is_keyed(doc.root()) {
             return Err(MergeError::UnkeyedRoot(doc.tag_name(doc.root()).to_owned()));
         }
+        self.touched.0.clear();
         let i = self.bump_version();
         let root = self.root();
         let t_cur = self
@@ -229,6 +230,7 @@ impl Archive {
         docs: &[Document],
         anns: &[Annotations],
     ) -> Vec<u32> {
+        self.touched.0.clear();
         let root = self.root();
         let eff0 = self
             .node(root)
@@ -255,6 +257,7 @@ impl Archive {
     /// Archives an *empty* database as the next version (§2's footnote:
     /// `root` keeps `t=[1-5]` while `db` ends at `t=[1-4]`).
     pub fn add_empty_version(&mut self) -> u32 {
+        self.touched.0.clear();
         let i = self.bump_version();
         let root = self.root();
         let t_cur = self
@@ -849,6 +852,8 @@ fn node_equals(a: &Archive, xc: ANodeId, doc: &Document, yc: NodeId) -> bool {
     }
 }
 
+#[cfg(test)]
+mod edit_scripts;
 #[cfg(test)]
 mod skip_tests;
 

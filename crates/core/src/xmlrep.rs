@@ -185,6 +185,7 @@ pub fn from_xml(doc: &Document, spec: &KeySpec) -> Result<Archive, XmlRepError> 
             false,
         )?;
     }
+    a.touched.0.clear(); // an import is no merge
     Ok(a)
 }
 

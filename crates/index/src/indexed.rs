@@ -13,9 +13,11 @@
 //!   trees — `O(answer)` probes instead of `O(archive)` nodes,
 //! * `range` reads straight off one sorted child list.
 //!
-//! Index maintenance after `add_version` walks only the nodes visible at
-//! the new version (see [`HistoryIndex::apply_version`]), so the archiver
-//! keeps the paper's merge complexity.
+//! Each commit — one version, a batch or an empty version — ends with one
+//! refresh of both indexes over the nodes the merge wrote
+//! ([`Archive::touched`]; see [`HistoryIndex::refresh`] and
+//! [`TimestampIndex::refresh`]), so index upkeep costs what the merge
+//! wrote and the archiver keeps the paper's merge complexity.
 
 use std::ops::RangeInclusive;
 use std::sync::Arc;
@@ -101,9 +103,11 @@ impl IndexedArchive {
         ));
     }
 
-    fn absorb(&mut self, v: u32) {
-        self.hist.apply_version(&self.archive, v);
-        self.ts.apply_version(&self.archive, v);
+    /// Brings both indexes up to the archive's last merge.
+    fn refresh(&mut self) {
+        let touched = self.archive.touched();
+        self.hist.refresh(&self.archive, touched);
+        self.ts.refresh(&self.archive, touched);
     }
 }
 
@@ -173,26 +177,22 @@ impl xarch_core::Layer for IndexedArchive {
 impl VersionStore for IndexedArchive {
     fn add_version(&mut self, doc: &Document) -> Result<u32, StoreError> {
         let v = self.archive.add_version(doc)?;
-        self.absorb(v);
+        self.refresh();
         Ok(v)
     }
 
     fn add_empty_version(&mut self) -> Result<u32, StoreError> {
         let v = self.archive.add_empty_version();
-        self.absorb(v);
+        self.refresh();
         Ok(v)
     }
 
     fn add_versions(&mut self, docs: &[Document]) -> Result<Vec<u32>, StoreError> {
-        // one one-pass batch merge, then one batched index apply: each
-        // version's incremental maintenance walks only the nodes visible
-        // at it, and applying them in ascending order over the final
-        // archive state resolves the same timestamps a per-merge apply
-        // would have seen (merges never disturb nodes invisible to them)
+        // one one-pass batch merge, then one refresh: the index describes
+        // the final archive state only, and the touched log holds every
+        // node the whole batch wrote
         let assigned = self.archive.add_versions(docs)?;
-        for &v in &assigned {
-            self.absorb(v);
-        }
+        self.refresh();
         Ok(assigned)
     }
 
@@ -219,13 +219,10 @@ impl VersionStore for IndexedArchive {
         };
         // rebuild the derived indexes, then re-bind the live counter
         // handles so registry-bound probe accounting survives the restore
-        let hist_counter = self.hist.counter_handle();
-        let ts_counter = self.ts.counter_handle();
-        self.archive = restored;
-        self.hist = HistoryIndex::build(&self.archive);
-        self.ts = TimestampIndex::build(&self.archive);
-        self.hist.bind_counter(hist_counter);
-        self.ts.bind_counter(ts_counter);
+        let (hist, ts) = (self.hist.counter_handle(), self.ts.counter_handle());
+        *self = Self::from_archive(restored);
+        self.hist.bind_counter(hist);
+        self.ts.bind_counter(ts);
         Ok(true)
     }
 
@@ -388,6 +385,16 @@ mod tests {
                 ts_total - ts,
             )
         };
+        // (lists, trees) the refresh after the last merge re-derived — a
+        // count that depends only on what the merge wrote, so a second
+        // refresh on copies of the indexes repeats it
+        let rederived = |s: &IndexedArchive| {
+            let touched = s.archive.touched();
+            (
+                s.hist.clone().refresh(&s.archive, touched),
+                s.ts.clone().refresh(&s.archive, touched),
+            )
+        };
 
         let view = s.clone();
         assert_eq!(
@@ -400,6 +407,7 @@ mod tests {
         s.add_version(&doc(&[])).unwrap();
         let (arena, hist, ts) = unshared(&s, &view);
         assert!(arena <= 1 && hist == 0 && ts <= 1, "{arena} {hist} {ts}");
+        assert_eq!(rederived(&s), (2, 2), "not O(N)");
 
         // K changed records: their frontier nodes split into alternatives
         let view = s.clone();
@@ -408,6 +416,9 @@ mod tests {
         assert!(arena <= 2 * K + 2, "arena copied {arena} chunks");
         assert_eq!(hist, 0, "no keyed child joined any list");
         assert!(ts <= 2 * K + 2, "timestamp index copied {ts} chunks");
+        // per record: rec, val, the old content, and two stamps to hold it
+        // and the new — beside the root and the document root
+        assert_eq!(rederived(&s), (2 + 5 * K, 2 + 5 * K));
 
         // and the view still answers as of its pin
         assert_eq!(view.latest(), 3);

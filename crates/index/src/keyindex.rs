@@ -4,12 +4,13 @@
 //! comparisons, where `l` is the key-path length and `d` the maximum
 //! degree.
 //!
-//! The index is maintained *incrementally*: [`HistoryIndex::apply_version`]
-//! walks only the nodes visible at the newly merged version (the nested
-//! merge touches nothing else), so keeping the index current costs
-//! O(|version|), not O(|archive|) — and it *writes* only the lists whose
-//! keyed child set actually changed, so the table keeps sharing every
-//! other chunk with the views published before the merge.
+//! The index is maintained *incrementally*: after a merge,
+//! [`HistoryIndex::refresh`] re-derives the lists of the nodes the merge
+//! wrote ([`Archive::touched`]) — a node's list changes only when its own
+//! child list does — so keeping the index current costs what the merge
+//! wrote, not O(|version|) or O(|archive|). It *writes* only the lists
+//! whose keyed child set actually changed, so the table keeps sharing
+//! every other chunk with the views published before the merge.
 
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -38,11 +39,13 @@ pub struct HistoryIndex {
 }
 
 impl HistoryIndex {
-    /// Builds the index with a single scan of the archive ("all key values
-    /// of children nodes of any node x are known by the time x is exited").
+    /// Builds the index with a single scan of the archive: the list of
+    /// every arena node, each derived from its own children.
     pub fn build(archive: &Archive) -> Self {
         let mut idx = Self::default();
-        idx.index_rec(archive, archive.root(), None);
+        for i in 0..archive.len() as u32 {
+            idx.rederive(archive, ANodeId(i));
+        }
         idx
     }
 
@@ -61,50 +64,34 @@ impl HistoryIndex {
         self.comparisons.clone()
     }
 
-    /// Incrementally absorbs version `v`, which must be the version the
-    /// archive just merged. Only nodes visible at `v` can have gained keyed
-    /// children, so the walk recurses only into the subtrees version `v`
-    /// touches.
-    pub fn apply_version(&mut self, archive: &Archive, v: u32) {
-        let root = archive.root();
-        if archive
-            .node(root)
-            .time
-            .as_ref()
-            .is_some_and(|t| t.contains(v))
-        {
-            self.index_rec(archive, root, Some(v));
+    /// Brings the index up to `archive` after a merge that wrote `ids`
+    /// (its [`Archive::touched`] log; repeats are fine): re-derives the
+    /// list of each, once. Returns how many lists it re-derived.
+    pub fn refresh(&mut self, archive: &Archive, ids: &[ANodeId]) -> usize {
+        let mut ids = ids.to_vec();
+        ids.sort_unstable();
+        ids.dedup();
+        for &id in &ids {
+            self.rederive(archive, id);
         }
+        ids.len()
     }
 
-    /// Re-derives `id`'s list and recurses — into every child for a full
-    /// build (`only == None`), or only into the children visible at the
-    /// version being applied (`id` itself is; an inheriting child then is
-    /// too).
-    fn index_rec(&mut self, archive: &Archive, id: ANodeId, only: Option<u32>) {
-        let mut keyed: Vec<ANodeId> = Vec::new();
-        for &c in archive.children(id) {
-            let n = archive.node(c);
-            if n.key.is_some() {
-                keyed.push(c);
-            }
-            let visible = only.is_none_or(|v| n.time.as_ref().is_none_or(|t| t.contains(v)));
-            if visible {
-                self.index_rec(archive, c, only);
-            }
-        }
-        if keyed.is_empty() {
-            return;
-        }
+    /// Derives `id`'s list from its children and stores it if it differs.
+    fn rederive(&mut self, archive: &Archive, id: ANodeId) {
+        let mut keyed: Vec<ANodeId> = (archive.children(id).iter())
+            .copied()
+            .filter(|&c| archive.node(c).key.is_some())
+            .collect();
         // sort by (tag, key value) — the same order query_cmp probes
         keyed.sort_by(|&a, &b| cmp_children(archive, a, b));
         if self.list(id) != keyed.as_slice() {
-            *self.lists.slot_mut(id.index()) = Some(keyed.into());
+            *self.lists.slot_mut(id.index()) = (!keyed.is_empty()).then(|| keyed.into());
         }
     }
 
     /// `id`'s keyed children in label order (none for a node without any).
-    pub(crate) fn list(&self, id: ANodeId) -> &[ANodeId] {
+    pub fn list(&self, id: ANodeId) -> &[ANodeId] {
         self.lists
             .get(id.index())
             .and_then(|l| l.as_deref())

@@ -11,18 +11,19 @@
 //!   temporal history of an element addressed by an `l`-step key path in
 //!   `O(l log d)` comparisons (binary search per level);
 //! * [`indexed`] — [`IndexedArchive`], the in-memory archiver with both
-//!   structures maintained *incrementally* after every merge, answering
-//!   `as_of` / `history` / `range` in time proportional to the answer;
+//!   structures refreshed after every commit from the nodes the merge
+//!   wrote, answering `as_of` / `history` / `range` in time proportional
+//!   to the answer;
 //! * [`sidecar`] — [`QueryIndex`], a key-path trie with existence
 //!   timestamps that any backend can maintain (the event-stream and
 //!   chunked backends have no stable node arena to index), and
 //!   [`IndexedStore`], the wrapper that feeds it.
 //!
 //! All index structures are `Send + Sync` — probe counters are atomics —
-//! so one built index can serve concurrent readers. Both maintenance
-//! paths (`apply_version` walks only the nodes the new version touches)
-//! keep the cost per merge at O(|version|), not O(|archive|), replacing
-//! the paper's rebuild-per-version suggestion.
+//! so one built index can serve concurrent readers. Neither rebuilds per
+//! version, as the paper suggests: the §7 structures re-derive only what
+//! the merge wrote (`refresh` over `Archive::touched`), the sidecar walks
+//! only the new version (`QueryIndex::apply_version`).
 
 pub mod indexed;
 pub mod keyindex;

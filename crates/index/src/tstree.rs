@@ -11,9 +11,11 @@
 //! Timestamps are stored as the archive stores them: a child that
 //! *inherits* its parent's timestamp (§2) is a leaf with no timestamp of
 //! its own, relevant wherever the parent is. A tree therefore changes only
-//! when its node's child list or a child's own timestamp does, and an
-//! incremental apply leaves every other tree — and every table chunk that
-//! holds only such trees — shared with the views published before it.
+//! when its node's child list or a child's own timestamp does — that is,
+//! when the merge wrote the node or one of its children — so a refresh
+//! re-derives just those trees, and leaves every other tree, and every
+//! table chunk that holds only such trees, shared with the views
+//! published before it.
 
 use std::sync::Arc;
 
@@ -147,7 +149,7 @@ impl TsNode {
 }
 
 /// Timestamp trees for every internal archive node, built with one scan
-/// or maintained incrementally, one merged version at a time: one slot per
+/// or refreshed after each merge from what it wrote: one slot per
 /// archive node (by arena index) in a copy-on-write [`CowVec`], each tree
 /// behind an `Arc`, so cloning the index shares everything.
 ///
@@ -170,7 +172,9 @@ impl TimestampIndex {
     /// version arrives and after nested merge is applied").
     pub fn build(archive: &Archive) -> Self {
         let mut idx = Self::default();
-        idx.adopt(archive, archive.root());
+        for i in 0..archive.len() as u32 {
+            idx.rederive(archive, ANodeId(i));
+        }
         idx
     }
 
@@ -188,57 +192,32 @@ impl TimestampIndex {
         self.probes.clone()
     }
 
-    /// Incrementally absorbs version `v`, which must be the version the
-    /// archive just merged: the trees of nodes visible at `v` are
-    /// re-derived (their child sets or child timestamps may have changed —
-    /// including terminations) and written back only where they differ;
-    /// everything else is untouched, so maintenance costs O(|version|)
-    /// instead of the paper's per-version full rebuild.
-    pub fn apply_version(&mut self, archive: &Archive, v: u32) {
-        let root = archive.root();
-        if archive
-            .node(root)
-            .time
-            .as_ref()
-            .is_some_and(|t| t.contains(v))
-        {
-            self.apply_rec(archive, root, v);
+    /// Brings the index up to `archive` after a merge that wrote `ids`
+    /// (its [`Archive::touched`] log; repeats are fine): re-derives, once
+    /// each, the tree of every written node — its child list may have
+    /// changed — and of its parent, of whose tree the node's own timestamp
+    /// is a leaf. Trees are written back only where they differ, instead
+    /// of the paper's per-version full rebuild. Returns how many trees it
+    /// re-derived.
+    pub fn refresh(&mut self, archive: &Archive, ids: &[ANodeId]) -> usize {
+        let mut ids: Vec<ANodeId> = (ids.iter())
+            .flat_map(|&id| [Some(id), archive.node(id).parent])
+            .flatten()
+            .collect();
+        ids.sort_unstable();
+        ids.dedup();
+        for &id in &ids {
+            self.rederive(archive, id);
         }
+        ids.len()
     }
 
-    /// `id` is visible at `v`; so is every child that inherits from it.
-    fn apply_rec(&mut self, archive: &Archive, id: ANodeId, v: u32) {
-        if !archive.children(id).is_empty() {
-            let tree = TsTree::build(archive, id);
-            if self.tree(id) != Some(&tree) {
-                *self.trees.slot_mut(id.index()) = Some(Arc::new(tree));
-            }
-        }
-        for &c in archive.children(id) {
-            if archive.node(c).time.as_ref().is_none_or(|t| t.contains(v)) {
-                self.apply_rec(archive, c, v);
-            } else {
-                // A frontier split allocates a *new* stamp node that is
-                // invisible at `v` (it holds the old alternatives with
-                // `T−{i}`) and re-parents the old content beneath it. The
-                // moved nodes keep their valid trees; only the fresh stamp
-                // lacks one — build it, stopping at already-treed nodes.
-                self.adopt(archive, c);
-            }
-        }
-    }
-
-    /// Builds trees for a subtree the index has not seen: the whole
-    /// archive on a full build, or content that entered *invisible* at the
-    /// version being applied (re-parented frontier content). Nodes that
-    /// already have a tree are complete below — recursion stops.
-    fn adopt(&mut self, archive: &Archive, id: ANodeId) {
-        if archive.children(id).is_empty() || self.tree(id).is_some() {
-            return;
-        }
-        *self.trees.slot_mut(id.index()) = Some(Arc::new(TsTree::build(archive, id)));
-        for &c in archive.children(id) {
-            self.adopt(archive, c);
+    /// Derives `id`'s tree (none for a childless node) and stores it if it
+    /// differs.
+    fn rederive(&mut self, archive: &Archive, id: ANodeId) {
+        let tree = (!archive.children(id).is_empty()).then(|| TsTree::build(archive, id));
+        if self.tree(id) != tree.as_ref() {
+            *self.trees.slot_mut(id.index()) = tree.map(Arc::new);
         }
     }
 

@@ -17,6 +17,8 @@
 //! payload reached disk. An *interior* block that fails verification can
 //! only be bit rot on committed data and fails loudly.
 
+use std::borrow::Cow;
+
 use xarch_compress::BlockCodec;
 use xarch_core::StoreError;
 
@@ -107,11 +109,12 @@ pub struct BlockHeader {
 
 /// One fully verified block read back from a segment.
 #[derive(Debug, Clone)]
-pub struct ScannedBlock {
+pub struct ScannedBlock<'a> {
     /// The decoded, CRC-verified header.
     pub header: BlockHeader,
-    /// Stored payload bytes (still encoded per `header.codec`).
-    pub payload: Vec<u8>,
+    /// Stored payload bytes (still encoded per `header.codec`): the buffer
+    /// a streaming reader read them into, or borrowed from a mapped file.
+    pub payload: Cow<'a, [u8]>,
     /// Byte offset of the block header within the file.
     pub offset: u64,
 }
@@ -121,8 +124,9 @@ pub struct ScannedBlock {
 /// them. The header's length (at most [`MAX_PAYLOAD`], or the block would
 /// not have scanned) is the only one trusted: an encoding that declares
 /// another is refused before anything is allocated for it. Takes the block
-/// by value, so a raw payload is moved out rather than copied.
-pub fn decode_payload(b: ScannedBlock) -> Result<Vec<u8>, StoreError> {
+/// by value, so an owned raw payload is moved out rather than copied, and
+/// a borrowed one is copied once or decompressed straight from the map.
+pub fn decode_payload(b: ScannedBlock<'_>) -> Result<Vec<u8>, StoreError> {
     let ScannedBlock {
         header,
         payload,
@@ -163,9 +167,9 @@ pub fn encode_block(
 
 /// The outcome of examining the bytes at one block offset.
 #[derive(Debug)]
-pub enum Scan {
+pub enum Scan<'a> {
     /// A fully committed, checksum-verified block.
-    Block(ScannedBlock),
+    Block(ScannedBlock<'a>),
     /// The file ends in an uncommitted (torn) write starting here: the
     /// block is incomplete and its commit word never made it to disk.
     /// Recovery truncates the file at this offset.
@@ -175,7 +179,7 @@ pub enum Scan {
     Corrupt(StoreError),
 }
 
-fn corrupt(offset: u64, reason: impl Into<String>) -> Scan {
+fn corrupt(offset: u64, reason: impl Into<String>) -> Scan<'static> {
     Scan::Corrupt(StoreError::Corrupt {
         offset,
         reason: reason.into(),
@@ -193,10 +197,10 @@ pub fn declared_payload_len(header: &[u8]) -> Option<u64> {
 
 /// Examines one block given its complete 22-byte `header`, the bytes read
 /// after it (`body` = payload + trailer, possibly short at end of file,
-/// owned so the verified payload can be returned without copying), its
-/// file `offset`, `bytes_after_end` — how many file bytes exist beyond the
-/// block's declared end — and `eof_commit_word` — whether the file's final
-/// four bytes are [`COMMIT_MAGIC`].
+/// owned or borrowed: the verified payload is handed back in it, never
+/// copied), its file `offset`, `bytes_after_end` — how many file bytes
+/// exist beyond the block's declared end — and `eof_commit_word` — whether
+/// the file's final four bytes are [`COMMIT_MAGIC`].
 ///
 /// Torn-write classification leans on append-only prefix semantics: a
 /// crashed append leaves a strict *prefix* of the block, so a complete
@@ -208,13 +212,14 @@ pub fn declared_payload_len(header: &[u8]) -> Option<u64> {
 /// `eof_commit_word`: a genuine torn append cannot leave a later block's
 /// commit word as the file's final bytes, so "length overruns the file,
 /// yet the file ends committed" is also bit rot, not a tear.
-pub fn scan_block_parts(
+pub fn scan_block_parts<'a>(
     header: &[u8],
-    mut body: Vec<u8>,
+    body: impl Into<Cow<'a, [u8]>>,
     offset: u64,
     bytes_after_end: u64,
     eof_commit_word: bool,
-) -> Scan {
+) -> Scan<'a> {
+    let body = body.into();
     if header.len() < BLOCK_HEADER_LEN {
         return Scan::TornTail;
     }
@@ -307,7 +312,13 @@ pub fn scan_block_parts(
     };
     // hand the verified payload back in the buffer it was read into (the
     // trailer is 8 bytes — truncating beats copying on the replay path)
-    body.truncate(payload_len);
+    let payload = match body {
+        Cow::Owned(mut bytes) => {
+            bytes.truncate(payload_len);
+            Cow::Owned(bytes)
+        }
+        Cow::Borrowed(bytes) => Cow::Borrowed(bytes.get(..payload_len).unwrap_or_default()),
+    };
     Scan::Block(ScannedBlock {
         header: BlockHeader {
             kind,
@@ -316,7 +327,7 @@ pub fn scan_block_parts(
             raw_len,
             stored_len,
         },
-        payload: body,
+        payload,
         offset,
     })
 }
@@ -383,8 +394,9 @@ fn contains_committed_block(region: &[u8]) -> bool {
 /// Examines the block starting at `offset` in `buf`, where `buf` holds the
 /// **whole file** (indexing is offset-absolute, and the end of `buf` is
 /// treated as end of file). In-memory convenience over
-/// [`scan_block_parts`].
-pub fn scan_block(buf: &[u8], offset: u64) -> Scan {
+/// [`scan_block_parts`]: the CRC is checked over `buf` in place, and a
+/// verified block's payload borrows from it.
+pub fn scan_block(buf: &[u8], offset: u64) -> Scan<'_> {
     let Ok(o) = usize::try_from(offset) else {
         return corrupt(offset, "block offset exceeds the address space");
     };
@@ -407,13 +419,7 @@ pub fn scan_block(buf: &[u8], offset: u64) -> Scan {
         return Scan::TornTail;
     };
     let eof_commit_word = buf.last_chunk::<4>() == Some(&COMMIT_MAGIC.to_le_bytes());
-    scan_block_parts(
-        header,
-        taken.to_vec(),
-        offset,
-        bytes_after_end,
-        eof_commit_word,
-    )
+    scan_block_parts(header, taken, offset, bytes_after_end, eof_commit_word)
 }
 
 #[cfg(test)]

@@ -146,7 +146,7 @@ pub fn scan_checkpoints(path: &Path) -> Result<Vec<CheckpointRef>, StoreError> {
 /// at `path`, classifying failures exactly like the sequential scan (torn
 /// tail vs interior corruption). I/O failures are `Err`; content
 /// classification is the returned [`Scan`].
-pub fn scan_block_at(path: &Path, offset: u64) -> Result<Scan, StoreError> {
+pub fn scan_block_at(path: &Path, offset: u64) -> Result<Scan<'static>, StoreError> {
     let mut file = File::open(path)?;
     let len = file.metadata()?.len();
     let eof_commit_word = if len >= offset.saturating_add(4) && len >= 4 {
@@ -286,7 +286,7 @@ impl Segment {
         path: &Path,
         spec: &KeySpec,
         sync: bool,
-        on_block: impl FnMut(ScannedBlock) -> Result<u32, StoreError>,
+        on_block: impl FnMut(ScannedBlock<'static>) -> Result<u32, StoreError>,
     ) -> Result<(Segment, RecoveryStats), StoreError> {
         Self::open_observed(path, spec, sync, StorageMetrics::detached(), on_block)
     }
@@ -299,7 +299,7 @@ impl Segment {
         spec: &KeySpec,
         sync: bool,
         metrics: StorageMetrics,
-        on_block: impl FnMut(ScannedBlock) -> Result<u32, StoreError>,
+        on_block: impl FnMut(ScannedBlock<'static>) -> Result<u32, StoreError>,
     ) -> Result<(Segment, RecoveryStats), StoreError> {
         Self::open_observed_from(path, spec, sync, metrics, None, on_block)
     }
@@ -316,7 +316,7 @@ impl Segment {
         sync: bool,
         metrics: StorageMetrics,
         resume: Option<ResumeFrom>,
-        mut on_block: impl FnMut(ScannedBlock) -> Result<u32, StoreError>,
+        mut on_block: impl FnMut(ScannedBlock<'static>) -> Result<u32, StoreError>,
     ) -> Result<(Segment, RecoveryStats), StoreError> {
         // records replay wall time on every exit, clean or failed
         let _replay = metrics.replay_duration.start_timer();
@@ -797,7 +797,7 @@ mod tests {
         })
         .unwrap();
         assert_eq!(blocks.len(), 2);
-        assert_eq!(blocks[0].payload, b"abc");
+        assert_eq!(blocks[0].payload, b"abc".as_slice());
         assert_eq!(blocks[1].header.kind, BlockKind::Empty);
         assert_eq!(stats.versions_recovered, 2);
         assert!(!stats.recovered_torn_tail());

@@ -57,7 +57,7 @@
 //! | `.chunks(n)` | [`core::ChunkedArchive`] | §5 | data outgrows one merge's memory: top-level records are hash-partitioned into `n` independent archives, merged chunk by chunk | native: all five kinds route to the owning chunk's kernel; `range` fans out and merges; the document root spans chunks and is composed from retrieves | the whole batch is partitioned once, then chunks merge their sub-batches on parallel worker threads | `&self`, lock-free; a view clones each partition the same way | `query.*` / `ingest.*` histograms (whole-store timing spans all chunks) |
 //! | `.backend(Backend::ExtMem(io_cfg))` | [`extmem::ExtArchive`] | §6.3 | data outgrows memory entirely: sorted event streams merged in one `O(N/B)` pass, with paged-I/O accounting | native: partial stream scan — non-matching spines are skipped, only the answer is materialized | the batch folds into a single streaming pass: one archive-sized read+write for `k` versions instead of `k` | `&self`; I/O accounting via atomics; a view shares the `Arc`'d event stream (a merge swaps in a new one) | `extmem.page_reads` / `extmem.page_writes` counters + `query.*` / `ingest.*` |
 //! | `.durable(path)` + `.checkpoint_every(n)` | [`storage::DurableArchive`] | — | the archive must outlive the process: every commit is journaled to a checksummed segment file and replayed on reopen (composes with any row above); a checkpoint cadence keeps reopen cost flat vs history by restoring the newest snapshot block and replaying only the tail | a [`Layer`] that intercepts nothing: every query is the wrapped backend's own; indexes are re-established during replay | **group commit** — one multi-version block, one commit word, one fsync per batch; a torn batch recovers to the pre-batch state, never a prefix | `&self`; reads never touch the journal — a view is the wrapped store's, taken after the commit lands | `segment.*` / `checkpoint.*` write/fsync counters, `recovery.*` replay counters + duration, structured recovery events (torn tail, corrupt block, skipped checkpoint) |
-//! | `.with_index()` | [`index::IndexedArchive`] / [`index::IndexedStore`] | §7 | query-heavy service workloads: timestamp trees + history index (in-memory) or a key-path sidecar (chunked, extmem), maintained incrementally per merge | indexed: the same query kernel over the §7 structures — `O(l log d)` descent, probe counts proportional to the answer (in-memory); `history`/`range` off the sidecar (chunked, extmem) | one batch merge, then one batched index apply | `&self`; probe counters are atomics, shared by every view; index tables share chunks, the sidecar trie path-copies | `index.history.comparisons` / `index.timestamp.probes` bound to the shared registry |
+//! | `.with_index()` | [`index::IndexedArchive`] / [`index::IndexedStore`] | §7 | query-heavy service workloads: timestamp trees + history index (in-memory) or a key-path sidecar (chunked, extmem); the in-memory structures are refreshed once per commit, over just the nodes the merge wrote | indexed: the same query kernel over the §7 structures — `O(l log d)` descent, probe counts proportional to the answer (in-memory); `history`/`range` off the sidecar (chunked, extmem) | one batch merge, then one index refresh over what the whole batch wrote (in-memory) or one sidecar walk per document (chunked, extmem) | `&self`; probe counters are atomics, shared by every view; index tables share chunks, the sidecar trie path-copies | `index.history.comparisons` / `index.timestamp.probes` bound to the shared registry |
 //! | [`ColdArchive::open`](storage::ColdArchive::open) | [`storage::ColdArchive`] | — | rarely-read archives that must answer without startup cost: queries run straight off the mmap'd segment file via a per-block version index, decoding only the blocks each answer needs — the archive is never materialized in RAM | per-block: `retrieve`/`as_of` decode one block, `retrieve_into` writes XML straight from its bytes and `as_of` builds only the element it returns; `history` streams block-at-a-time the same way; `range`/`history_values`/`diff` ride the trait fallbacks | n/a — cold readers are read-only (a shared OS lock admits any number of them beside each other, and refuses a live writer) | `&self`; the map itself is the shared state | `cold.retrieves` / `cold.blocks_decoded` / `cold.bytes_decoded` counters + `cold.mapped_bytes` gauge ([`storage::ColdArchive::open_observed`]) |
 //!
 //! `.compaction(Compaction::Weave)` additionally selects Fig 10's
