@@ -6,7 +6,7 @@
 //! regression bound live in `xarch-bench`
 //! (`crates/bench/src/bin/xarch-bench/README.md`), not here.
 
-use xarch::{ArchiveBuilder, Backend, StoreReader, VersionStore};
+use xarch::{ArchiveBuilder, StoreReader, VersionStore};
 use xarch_core::{Archive, KeyQuery};
 use xarch_datagen::omim::{omim_spec, OmimGen};
 use xarch_datagen::swissprot::{swissprot_spec, SwissProtGen};
@@ -250,8 +250,7 @@ pub fn claims(scale: &Scale) {
 }
 
 /// §6: external archiver I/O as a function of memory budget M and page
-/// size B. The archiver is driven through the `VersionStore` contract;
-/// only the I/O counters come from the concrete type.
+/// size B.
 pub fn fig_extmem(scale: &Scale) {
     println!("## §6: external archiver I/O (OMIM-like, 5 versions)");
     println!("mem_bytes,page_bytes,page_reads,page_writes,total_io");
@@ -270,9 +269,8 @@ pub fn fig_extmem(scale: &Scale) {
                 page_bytes: b,
             },
         );
-        let store: &mut dyn VersionStore = &mut ext;
         for d in &versions {
-            store.add_version(d).expect("merge");
+            ext.add_version(d).expect("merge");
         }
         let s = ext.io_stats();
         println!("{m},{b},{},{},{}", s.page_reads, s.page_writes, s.total());
@@ -282,7 +280,7 @@ pub fn fig_extmem(scale: &Scale) {
 
 /// Cross-backend comparison: the same workload archived by every storage
 /// tier the builder offers, reported through the unified `stats()` surface
-/// — the §4.2 / §5 / §6.3 implementations side by side.
+/// — the §4.2 / §5 implementations side by side.
 pub fn fig_backends(scale: &Scale) {
     let versions = OmimGen::new(0xBEEF).sequence(scale.omim_records / 2, 8);
     let spec = omim_spec();
@@ -294,15 +292,6 @@ pub fn fig_backends(scale: &Scale) {
         (
             "chunked(8) (§5)",
             ArchiveBuilder::new(spec.clone()).chunks(8).build(),
-        ),
-        (
-            "extmem (§6.3)",
-            ArchiveBuilder::new(spec.clone())
-                .backend(Backend::ExtMem(IoConfig {
-                    mem_bytes: 8 << 10,
-                    page_bytes: 1024,
-                }))
-                .build(),
         ),
     ];
     println!("## Backends: one workload, every storage tier (OMIM-like, 8 versions)");

@@ -19,9 +19,8 @@
 //!   `io::Write` sink,
 //! * [`store`] — the [`StoreReader`] / [`VersionStore`] trait pair: the
 //!   shared-read query surface (all `&self`) and the mutators on top,
-//!   implemented by every storage backend (in-memory, chunked,
-//!   external-memory), and [`Layer`], the forwarding-by-default base of
-//!   every wrapper,
+//!   implemented by every storage backend (in-memory, chunked, indexed),
+//!   and [`Layer`], the forwarding-by-default base of every wrapper,
 //! * [`history`] — key-query steps and frontier value histories (§7.2),
 //! * [`query`] — the temporal query model: `as_of` / `history_values` /
 //!   `range` / `diff` result types and the document-side navigation the

@@ -10,8 +10,7 @@
 //! fallbacks are built from. The fast paths live elsewhere: the arena's
 //! in [`crate::kernel`] (scanned or §7-indexed; `history_values` and
 //! `diff` answered from the stored change points rather than version by
-//! version), the chunked archive routes to the owning chunk, the
-//! external-memory archive does a partial stream scan.
+//! version), and the chunked archive routes to the owning chunk.
 
 use std::cmp::Ordering;
 

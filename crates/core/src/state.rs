@@ -4,9 +4,8 @@
 //! a *checkpoint block* (see `docs/FORMAT.md` §Checkpoint blocks) so that
 //! reopen restores the snapshot and replays only the tail of the journal.
 //! This module defines the state payloads for [`Archive`] and
-//! [`ChunkedArchive`]; `xarch_extmem` encodes its own (its state *is* the
-//! event stream), and the indexed wrappers reuse the inner backend's
-//! state and rebuild their indexes from it.
+//! [`ChunkedArchive`]; the indexed archive reuses the plain archive's
+//! state and rebuilds its indexes from it.
 //!
 //! Every state payload starts with a one-byte backend tag so a restoring
 //! store can tell "this checkpoint was taken by a different backend
@@ -33,11 +32,9 @@ use crate::wire::{get_bytes, get_str, get_varint, put_bytes, put_str, put_varint
 pub const STATE_ARCHIVE: u8 = 1;
 /// State tag: a [`ChunkedArchive`] snapshot (per-chunk archive bodies).
 pub const STATE_CHUNKED: u8 = 2;
-/// State tag: an `xarch_extmem::ExtArchive` snapshot (raw event stream).
-pub const STATE_EXTMEM: u8 = 3;
-/// State tag: an `xarch_index::IndexedStore` snapshot (inner state plus
-/// the serialized query sidecar).
-pub const STATE_INDEXED_STORE: u8 = 5;
+// Tags 3 and 5 are retired (`docs/FORMAT.md`): a state carrying either is
+// a configuration mismatch like any foreign tag, and neither is ever
+// reassigned.
 
 /// How far below its synthetic root an archive's nodes reach: a document's
 /// [`MAX_DEPTH`] elements, a stamp beneath a frontier node, and a text.
@@ -45,7 +42,7 @@ pub const STATE_INDEXED_STORE: u8 = 5;
 pub const MAX_TREE_DEPTH: usize = MAX_DEPTH + 2;
 
 /// Converts a positioned wire failure into the storage error vocabulary.
-pub fn corrupt(e: WireError) -> StoreError {
+fn corrupt(e: WireError) -> StoreError {
     StoreError::Corrupt {
         offset: e.offset as u64,
         reason: format!("checkpoint state: {}", e.reason),
@@ -61,7 +58,7 @@ fn corrupt_at(pos: usize, reason: impl Into<String>) -> StoreError {
 
 /// The spec's source text: its non-implied keys, one per line — the same
 /// canonical rendering the storage superblock records.
-pub fn spec_source(spec: &KeySpec) -> String {
+fn spec_source(spec: &KeySpec) -> String {
     spec.keys()
         .iter()
         .filter(|k| !k.implied)
@@ -99,9 +96,8 @@ fn class_from_id(id: u8) -> Option<NodeClass> {
 }
 
 /// Appends a [`TimeSet`] as `varint run-count` then per run
-/// `varint lo, varint (hi - lo)` — shared by the archive state codec and
-/// the query-sidecar codec in `xarch_index`.
-pub fn put_timeset(out: &mut Vec<u8>, t: &TimeSet) {
+/// `varint lo, varint (hi - lo)`.
+fn put_timeset(out: &mut Vec<u8>, t: &TimeSet) {
     let runs = t.intervals();
     put_varint(out, runs.len() as u64);
     for &(lo, hi) in runs {
@@ -125,14 +121,10 @@ fn get_byte(buf: &[u8], pos: &mut usize) -> Result<u8, StoreError> {
 }
 
 /// Decodes a [`TimeSet`] written by [`put_timeset`], rejecting unordered
-/// or overflowing intervals. The cost is per run, never per version.
-pub fn get_timeset(buf: &[u8], pos: &mut usize) -> Result<TimeSet, StoreError> {
-    get_timeset_within(buf, pos, u32::MAX)
-}
-
-/// [`get_timeset`] for a decoder that knows the newest version its
-/// payload can mention: a run reaching past `latest` is corruption.
-fn get_timeset_within(buf: &[u8], pos: &mut usize, latest: u32) -> Result<TimeSet, StoreError> {
+/// or overflowing intervals and any run reaching past `latest`, the newest
+/// version the payload can mention. The cost is per run, never per
+/// version.
+fn get_timeset(buf: &[u8], pos: &mut usize, latest: u32) -> Result<TimeSet, StoreError> {
     let runs = get_varint(buf, pos).map_err(corrupt)? as usize;
     // a run costs ≥ 2 encoded bytes; an implausible count is corruption
     if runs > buf.len() / 2 + 1 {
@@ -315,7 +307,7 @@ fn get_archive_body(
         }
         let time = match get_byte(buf, pos)? {
             0 => None,
-            1 => Some(get_timeset_within(buf, pos, latest)?),
+            1 => Some(get_timeset(buf, pos, latest)?),
             _ => return Err(corrupt_at(*pos - 1, "checkpoint state: bad time flag")),
         };
         let key = match get_byte(buf, pos)? {
@@ -575,7 +567,7 @@ mod tests {
         let whole = TimeSet::from_range(1, u32::MAX);
         let mut bytes = Vec::new();
         put_timeset(&mut bytes, &whole);
-        assert_eq!(get_timeset(&bytes, &mut 0).unwrap(), whole);
+        assert_eq!(get_timeset(&bytes, &mut 0, u32::MAX).unwrap(), whole);
 
         let mut a = populated();
         let root = a.root();
@@ -647,12 +639,15 @@ mod tests {
         assert!(decode_archive(&state, &other, Compaction::Alternatives)
             .unwrap()
             .is_none());
-        // foreign backend tag
-        let mut tagged = state.clone();
-        tagged[0] = STATE_EXTMEM;
-        assert!(decode_archive(&tagged, &spec(), Compaction::Alternatives)
-            .unwrap()
-            .is_none());
+        // a foreign backend tag: the retired external-memory (3) and
+        // key-path sidecar (5) tags read as a mismatch like any other
+        for tag in [3, 5] {
+            let mut tagged = state.clone();
+            tagged[0] = tag;
+            assert!(decode_archive(&tagged, &spec(), Compaction::Alternatives)
+                .unwrap()
+                .is_none());
+        }
     }
 
     #[test]

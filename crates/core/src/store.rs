@@ -5,10 +5,12 @@
 //! with interval-set timestamps — and then describes three ways of running
 //! it: wholly in memory (§4.2), hash-partitioned into chunks when the data
 //! outgrows memory (§5), and as a streaming external-memory pipeline
-//! (§6.3). [`VersionStore`] captures the contract all three share, so
-//! callers (tests, benches, services) are written once and the storage
-//! tier becomes a configuration choice — the separation of logical archive
-//! from physical tier that production cold-storage archives make.
+//! (§6.3). [`VersionStore`] captures the contract the two serving tiers
+//! share, so callers (tests, benches, services) are written once and the
+//! storage tier becomes a configuration choice — the separation of
+//! logical archive from physical tier that production cold-storage
+//! archives make. The external-memory pipeline (`xarch_extmem`) is kept
+//! as the §6 reproduction of its I/O counts, not as a serving tier.
 //!
 //! The contract is split along the read/write axis. [`StoreReader`] holds
 //! every query method with a `&self` receiver: versions are immutable once
@@ -39,10 +41,11 @@ use crate::timeset::TimeSet;
 
 /// Unified error type across storage backends.
 ///
-/// In-memory merges fail with [`MergeError`]; external-memory and durable
-/// backends fail while encoding/decoding their serialized representations
-/// (surfaced as [`StoreError::Corrupt`] with the byte offset of the bad
-/// data — `xarch_extmem` provides `From<StreamError> for StoreError`);
+/// In-memory merges fail with [`MergeError`]; durable and cold stores
+/// fail while decoding their serialized representations (surfaced as
+/// [`StoreError::Corrupt`] with the byte offset of the bad data —
+/// `xarch_extmem` provides `From<StreamError> for StoreError` for the
+/// event codec the journal payloads share);
 /// other backend failures (configuration, key-spec mismatch) are
 /// [`StoreError::Backend`]; streaming retrieval and durable journaling can
 /// fail in the operating system ([`StoreError::Io`]).
@@ -116,8 +119,7 @@ pub struct StoreStats {
     pub texts: usize,
     /// `<T>` stamp alternatives beneath frontier nodes.
     pub stamps: usize,
-    /// Serialized size of the archive in bytes (pretty XML for in-memory
-    /// backends, raw event stream for external-memory ones).
+    /// Serialized size of the archive in bytes (pretty XML).
     pub size_bytes: usize,
 }
 
@@ -141,8 +143,8 @@ impl StoreStats {
 /// whether `i` belongs to each element's timestamp, never the membership
 /// of versions `< i` — so every answer below is a pure function of the
 /// stored state and reads need no mutual exclusion. Backends that account
-/// per-pass costs (the external-memory archiver's paged I/O, the index
-/// structures' probe counters) do so with atomics.
+/// per-pass costs (the index structures' probe counters) do so with
+/// atomics.
 ///
 /// The trait is object-safe; `&dyn StoreReader` is the surface a
 /// snapshot or read-only service endpoint exposes.
@@ -185,9 +187,8 @@ pub trait StoreReader {
     // backends ride these). The fast paths are overrides whose cost is
     // proportional to the answer, not the archive: the arena backends
     // call the query kernel (`crate::kernel`, scanned or §7-indexed), the
-    // chunked archive routes to the owning chunk, the external-memory
-    // archive scans part of its stream. Wrappers never land here by
-    // accident: they implement [`Layer`], which forwards by default.
+    // chunked archive routes to the owning chunk. Wrappers never land here
+    // by accident: they implement [`Layer`], which forwards by default.
 
     /// Partial retrieval: the subtree addressed by `steps` as it existed
     /// at version `v`, or `None` when the element (or the version) does
@@ -424,9 +425,7 @@ pub type StoreView = Arc<dyn StoreReader + Send + Sync>;
 /// |---|---|---|---|
 /// | [`Archive`] | §4.2 in-memory nested merge | `xarch_core` | the query kernel over [`kernel::Scan`] |
 /// | [`ChunkedArchive`] | §5 hash-partitioned chunks | `xarch_core` | every kind routed to the owning chunk's [`Archive`] |
-/// | `ExtArchive` | §6.3 external-memory streams | `xarch_extmem` | partial stream scans |
 /// | `IndexedArchive` | §7 indexes over the arena | `xarch_index` | [`Layer`] over [`Archive`]: the query kernel over the indexes |
-/// | `IndexedStore` | §7 key-path sidecar over any of the above | `xarch_index` | [`Layer`]: `history`/`range` from the sidecar, `as_of` gated by it |
 /// | `DurableArchive` | durable segmented journal over any of the above | `xarch_storage` | [`Layer`]: intercepts nothing |
 /// | [`crate::ObservedStore`] | latency histograms over any of the above | `xarch_core` | [`Layer`]: times each query kind |
 ///
@@ -453,11 +452,9 @@ pub trait VersionStore: StoreReader + Send + Sync {
     /// but backends override this with *batch-native* fast paths: the
     /// in-memory archive pre-combines the batch and walks its own child
     /// lists once instead of once per version, the chunked archive merges
-    /// its partitions on parallel worker threads, the external-memory
-    /// archive folds the whole batch into a single streaming pass, and the
-    /// durable wrapper journals the batch as one group-committed block
-    /// with a single fsync (a torn batch recovers to the pre-batch state —
-    /// never a prefix).
+    /// its partitions on parallel worker threads, and the durable wrapper
+    /// journals the batch as one group-committed block with a single fsync
+    /// (a torn batch recovers to the pre-batch state — never a prefix).
     ///
     /// Native paths also validate the whole batch *before* mutating any
     /// state, so a rejected batch leaves the store untouched; only this

@@ -244,7 +244,7 @@ pub fn merge_tree(x: &mut ETree, y: &ETree, inherited: &TimeSet, i: u32) {
 }
 
 /// Terminates an archive-only fragment at version `i`.
-pub fn terminate(x: &mut ETree, t_cur: &TimeSet, i: u32) {
+fn terminate(x: &mut ETree, t_cur: &TimeSet, i: u32) {
     if x.time.is_none() {
         let mut t = t_cur.clone();
         t.remove(i);
@@ -253,7 +253,7 @@ pub fn terminate(x: &mut ETree, t_cur: &TimeSet, i: u32) {
 }
 
 /// Copies a version fragment into the archive with timestamp `{i}`.
-pub fn insert_new(y: &ETree, i: u32) -> ETree {
+fn insert_new(y: &ETree, i: u32) -> ETree {
     let mut c = y.clone();
     c.time = Some(TimeSet::from_version(i));
     c

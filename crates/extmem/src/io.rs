@@ -50,14 +50,10 @@ impl IoStats {
 }
 
 /// [`IoStats`] behind [`xarch_obs::Counter`] handles: the archiver's
-/// cumulative accounting, charged from `&self` read passes so queries can
-/// run concurrently.
+/// cumulative accounting, charged from `&self` retrieval passes.
 ///
 /// Counters are monotone sums backed by relaxed atomics — the totals
-/// never order other memory, and charging never takes a lock. By default
-/// the handles are detached (per-archive accounting, exactly the old
-/// `AtomicU64` behavior); [`SharedIoStats::registered`] binds them to an
-/// observability registry under the canonical `extmem.*` names instead.
+/// never order other memory, and charging never takes a lock.
 #[derive(Debug, Clone, Default)]
 pub struct SharedIoStats {
     page_reads: xarch_obs::Counter,
@@ -65,22 +61,6 @@ pub struct SharedIoStats {
 }
 
 impl SharedIoStats {
-    /// Counters registered under `extmem.page_reads` / `extmem.page_writes`.
-    pub fn registered(registry: &xarch_obs::Registry) -> Self {
-        Self {
-            page_reads: registry.counter(
-                "extmem.page_reads",
-                "pages",
-                "pages charged by external-memory read passes",
-            ),
-            page_writes: registry.counter(
-                "extmem.page_writes",
-                "pages",
-                "pages charged by external-memory write passes",
-            ),
-        }
-    }
-
     /// Charges `n` page reads.
     pub fn add_reads(&self, n: u64) {
         self.page_reads.add(n);
@@ -128,14 +108,6 @@ impl PagedWriter {
         self.buf.extend_from_slice(bytes);
         let after = self.buf.len() / self.page;
         self.pages_written += (after - before) as u64;
-    }
-
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
     }
 
     /// Finishes the file, charging the final partial page.
@@ -207,10 +179,6 @@ impl<'a> PagedReader<'a> {
 
     pub fn position(&self) -> usize {
         self.pos
-    }
-
-    pub fn is_eof(&self) -> bool {
-        self.pos >= self.buf.len()
     }
 
     pub fn pages_read(&self) -> u64 {

@@ -1,7 +1,7 @@
 //! # xarch-index
 //!
 //! The auxiliary index structures of §7 of *Archiving Scientific Data*,
-//! and the indexed `VersionStore` backends built from them:
+//! and the indexed `VersionStore` built from them:
 //!
 //! * [`tstree`] — **timestamp trees** (Fig 15): per-node binary trees over
 //!   the children's timestamps, letting version retrieval probe
@@ -13,26 +13,19 @@
 //! * [`indexed`] — [`IndexedArchive`], the in-memory archiver with both
 //!   structures refreshed after every commit from the nodes the merge
 //!   wrote, answering `as_of` / `history` / `range` in time proportional
-//!   to the answer;
-//! * [`sidecar`] — [`QueryIndex`], a key-path trie with existence
-//!   timestamps that any backend can maintain (the event-stream and
-//!   chunked backends have no stable node arena to index), and
-//!   [`IndexedStore`], the wrapper that feeds it.
+//!   to the answer.
 //!
 //! All index structures are `Send + Sync` — probe counters are atomics —
 //! so one built index can serve concurrent readers. Neither rebuilds per
-//! version, as the paper suggests: the §7 structures re-derive only what
-//! the merge wrote (`refresh` over `Archive::touched`), the sidecar walks
-//! only the new version (`QueryIndex::apply_version`).
+//! version, as the paper suggests: both re-derive only what the merge
+//! wrote (`refresh` over `Archive::touched`).
 
 pub mod indexed;
 pub mod keyindex;
-pub mod sidecar;
 pub mod tstree;
 
 pub use indexed::IndexedArchive;
 pub use keyindex::HistoryIndex;
-pub use sidecar::{IndexedStore, QueryIndex};
 pub use tstree::TimestampIndex;
 
 #[cfg(test)]
@@ -48,8 +41,6 @@ mod tests {
         // reader threads is safe by construction
         assert_send_sync::<HistoryIndex>();
         assert_send_sync::<TimestampIndex>();
-        assert_send_sync::<QueryIndex>();
         assert_send_sync::<IndexedArchive>();
-        assert_send_sync::<IndexedStore>();
     }
 }

@@ -12,7 +12,7 @@
 //! write_timeout_ms = 30000
 //! allow_shutdown = false
 //!
-//! # backend: memory | chunked:<n> | extmem, composable with the rest
+//! # backend: memory | chunked:<n>; indexed = true needs memory
 //! backend = memory
 //! indexed = true
 //! durable = /var/lib/xarch/journal
@@ -30,8 +30,7 @@
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use xarch::{ArchiveBuilder, Backend};
-use xarch_extmem::IoConfig;
+use xarch::ArchiveBuilder;
 use xarch_keys::KeySpec;
 use xarch_proto::MAX_FRAME_LEN;
 
@@ -78,8 +77,6 @@ pub enum BackendChoice {
     Memory,
     /// `backend = chunked:<n>` — `n` hash partitions.
     Chunked(usize),
-    /// `backend = extmem` — the external-memory event-stream backend.
-    ExtMem,
 }
 
 /// A validated server configuration.
@@ -104,7 +101,7 @@ pub struct ServerConfig {
     pub spec_text: String,
     /// Storage tier.
     pub backend: BackendChoice,
-    /// Maintain the §7 query indexes.
+    /// Maintain the §7 query indexes (in-memory backend only).
     pub indexed: bool,
     /// Journal path for crash-safe persistence.
     pub durable: Option<PathBuf>,
@@ -122,8 +119,9 @@ impl ServerConfig {
         let mut read_timeout = Some(Duration::from_millis(30_000));
         let mut write_timeout = Some(Duration::from_millis(30_000));
         let mut allow_shutdown = false;
-        let mut backend = BackendChoice::Memory;
-        let mut indexed = false;
+        // (value, the line that set it): a refused pairing names its line
+        let mut backend = (BackendChoice::Memory, 0);
+        let mut indexed = (false, 0);
         let mut durable = None;
         let mut checkpoint_every = None;
         let mut spec_lines: Vec<(usize, String)> = Vec::new();
@@ -168,11 +166,11 @@ impl ServerConfig {
                 "read_timeout_ms" => read_timeout = parse_timeout(n, key, value)?,
                 "write_timeout_ms" => write_timeout = parse_timeout(n, key, value)?,
                 "allow_shutdown" => allow_shutdown = parse_bool(n, key, value)?,
-                "indexed" => indexed = parse_bool(n, key, value)?,
+                "indexed" => indexed = (parse_bool(n, key, value)?, n),
                 "backend" => {
-                    backend = match value {
+                    backend.1 = n;
+                    backend.0 = match value {
                         "memory" => BackendChoice::Memory,
-                        "extmem" => BackendChoice::ExtMem,
                         other => match other.strip_prefix("chunked:") {
                             Some(count) => {
                                 let c: usize = parse_num(n, "chunked partition count", count)?;
@@ -189,7 +187,7 @@ impl ServerConfig {
                                     n,
                                     format!(
                                         "unknown backend `{other}` \
-                                         (expected memory, chunked:<n>, or extmem)"
+                                         (expected memory, chunked:<n>)"
                                     ),
                                 ))
                             }
@@ -237,6 +235,10 @@ impl ServerConfig {
             .join("\n");
         let spec = KeySpec::parse(&spec_text)
             .map_err(|e| ConfigError::at(first_spec_line, format!("invalid key spec: {e}")))?;
+        if indexed.0 && matches!(backend.0, BackendChoice::Chunked(_)) {
+            let why = "indexed = true needs backend = memory: the §7 indexes live in one archive";
+            return Err(ConfigError::at(backend.1.max(indexed.1), why));
+        }
         if checkpoint_every.is_some() && durable.is_none() {
             return Err(ConfigError::general(
                 "checkpoint_every is set but durable is not: checkpoints need a journal",
@@ -252,8 +254,8 @@ impl ServerConfig {
             allow_shutdown,
             spec,
             spec_text,
-            backend,
-            indexed,
+            backend: backend.0,
+            indexed: indexed.0,
             durable,
             checkpoint_every,
         })
@@ -272,11 +274,9 @@ impl ServerConfig {
     /// locally to compare answers.
     pub fn builder(&self) -> ArchiveBuilder {
         let mut b = ArchiveBuilder::new(self.spec.clone());
-        b = match self.backend {
-            BackendChoice::Memory => b,
-            BackendChoice::Chunked(n) => b.chunks(n),
-            BackendChoice::ExtMem => b.backend(Backend::ExtMem(IoConfig::default())),
-        };
+        if let BackendChoice::Chunked(n) = self.backend {
+            b = b.chunks(n);
+        }
         if self.indexed {
             b = b.with_index();
         }
@@ -329,7 +329,7 @@ read_timeout_ms = 100
 write_timeout_ms = 0
 allow_shutdown = yes
 backend = chunked:8
-indexed = true
+indexed = off
 spec = (/, (db, {}))
 spec = (/db, (rec, {id}))
 ";
@@ -344,7 +344,7 @@ spec = (/db, (rec, {id}))
         assert_eq!(cfg.write_timeout, None, "0 disables the deadline");
         assert!(cfg.allow_shutdown);
         assert_eq!(cfg.backend, BackendChoice::Chunked(8));
-        assert!(cfg.indexed);
+        assert!(!cfg.indexed);
         assert!(cfg.spec_text.contains("rec"));
     }
 
@@ -375,6 +375,32 @@ spec = (/db, (rec, {id}))
             let err = ServerConfig::from_text(text).unwrap_err();
             assert_eq!(err.line, Some(line), "{text:?} → {err}");
         }
+    }
+
+    #[test]
+    fn an_index_over_a_chunked_backend_is_rejected_on_its_line() {
+        let spec = "spec = (/, (db, {}))\n";
+        for (text, line) in [
+            (format!("indexed = true\nbackend = chunked:4\n{spec}"), 2),
+            (format!("backend = chunked:4\n{spec}indexed = true\n"), 3),
+        ] {
+            let err = ServerConfig::from_text(&text).unwrap_err();
+            assert_eq!(err.line, Some(line), "{text:?} → {err}");
+            assert!(err.message.contains("backend = memory"), "{err}");
+        }
+        // either half alone is fine
+        let indexed = ServerConfig::from_text(&format!("indexed = true\n{spec}")).unwrap();
+        assert!(indexed.indexed);
+        let chunked = ServerConfig::from_text(&format!("backend = chunked:4\n{spec}")).unwrap();
+        assert_eq!(chunked.backend, BackendChoice::Chunked(4));
+    }
+
+    #[test]
+    fn extmem_is_an_unknown_backend() {
+        let err = ServerConfig::from_text("backend = extmem\nspec = (/, (db, {}))\n").unwrap_err();
+        assert_eq!(err.line, Some(1), "{err}");
+        assert!(err.message.contains("unknown backend `extmem`"), "{err}");
+        assert!(err.message.contains("memory, chunked:<n>"), "{err}");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! [`DurableArchive`]: persistence as a `VersionStore` wrapper.
 //!
-//! The inner store (in-memory, chunked, or external-memory) holds the
+//! The inner store (in-memory, chunked, or indexed) holds the
 //! merged archive; the segment file journals every committed version.
 //! `add_version` runs the merge first (so a rejected document leaves both
 //! layers untouched), then appends one checksummed block and syncs before
@@ -232,7 +232,7 @@ impl DurableArchive {
         let mut last_cp: (u64, u32) = resume.map_or((0, 0), |r| (r.checkpoint_offset, r.versions));
         // replay happens inside the scan callback, so only one block's
         // payload is ever materialized — reopening stays within the inner
-        // backend's working set even for external-memory stores
+        // backend's working set
         let (segment, recovery) = Segment::open_observed_from(
             &path,
             &spec,

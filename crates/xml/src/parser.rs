@@ -27,9 +27,10 @@ use crate::sym::Sym;
 /// wire to the disk. The parser refuses deeper text, annotation and the
 /// journal's encoder a deeper document built in code, and the readers of
 /// stored trees a deeper tree, so the recursive walkers after them go
-/// about this deep at most. The paper's corpora nest about a dozen deep;
-/// 256 is the largest power of two at which every backend a server can
-/// run serves such documents on a default worker stack in a debug build.
+/// about this deep at most. The paper's corpora nest about a dozen deep.
+/// The value is a format constant: every backend a server can run serves
+/// documents 1536 deep on a default worker stack in a debug build (a
+/// worker overflows at 2048), so 256 leaves each of them headroom.
 pub const MAX_DEPTH: usize = 256;
 
 /// Parses `input` into a [`Document`].

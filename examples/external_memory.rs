@@ -1,7 +1,6 @@
 //! The external-memory archiver (§6): archive a database too big for the
 //! configured memory budget, watch the I/O accounting respond to M and B,
-//! and verify the result matches the in-memory archiver — with both
-//! backends driven through the same [`xarch::VersionStore`] contract.
+//! and verify the result matches the in-memory archiver.
 //!
 //! ```text
 //! cargo run --release --example external_memory
@@ -9,14 +8,15 @@
 
 use xarch::core::equiv_modulo_key_order;
 use xarch::datagen::omim::{omim_spec, OmimGen};
-use xarch::extmem::IoConfig;
-use xarch::{ArchiveBuilder, VersionStore};
+use xarch::extmem::{ExtArchive, IoConfig};
+use xarch::ArchiveBuilder;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let spec = omim_spec();
     let versions = OmimGen::new(42).sequence(120, 6);
 
-    // In-memory reference, built through the same trait.
-    let mut reference = ArchiveBuilder::new(omim_spec()).build();
+    // In-memory reference.
+    let mut reference = ArchiveBuilder::new(spec.clone()).build();
     for doc in &versions {
         reference.add_version(doc)?;
     }
@@ -27,8 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             mem_bytes: m,
             page_bytes: b,
         };
-        let mut concrete = xarch::extmem::ExtArchive::new(omim_spec(), cfg);
-        let ext: &mut dyn VersionStore = &mut concrete;
+        let mut ext = ExtArchive::new(spec.clone(), cfg);
         for doc in &versions {
             ext.add_version(doc)?;
         }
@@ -38,20 +37,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let v = i as u32 + 1;
             let got = ext.retrieve(v)?.expect("version exists");
             assert!(
-                equiv_modulo_key_order(&got, doc, ext.spec()),
+                equiv_modulo_key_order(&got, doc, &spec),
                 "external archive diverged at version {v}"
             );
             let mut bytes = Vec::new();
             assert!(ext.retrieve_into(v, &mut bytes)?);
             let reparsed = xarch::xml::parse(std::str::from_utf8(&bytes)?)?;
             assert!(
-                equiv_modulo_key_order(&reparsed, doc, ext.spec()),
+                equiv_modulo_key_order(&reparsed, doc, &spec),
                 "streamed retrieval diverged at version {v}"
             );
         }
-        // I/O accounting lives on the concrete type; read it after the
-        // retrieval loop so retrieval reads are included.
-        let s = concrete.io_stats();
+        // Read the I/O accounting after the retrieval loop, so retrieval
+        // reads are included.
+        let s = ext.io_stats();
         println!("{m},{b},{},{},{}", s.page_reads, s.page_writes, s.total());
     }
     println!(

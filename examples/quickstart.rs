@@ -11,7 +11,7 @@
 use xarch::core::{describe_changes, Archive, KeyQuery};
 use xarch::keys::KeySpec;
 use xarch::xml::parse;
-use xarch::{ArchiveBuilder, Backend};
+use xarch::ArchiveBuilder;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Declare the key structure: genes are identified by their <id>.
@@ -23,14 +23,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
 
     // 2. Pick a storage tier. The default is the in-memory archiver of
-    //    §4.2; `.chunks(n)` (§5) or `.backend(Backend::ExtMem(..))` (§6.3)
-    //    select the scale-out backends without changing any code below.
-    //    `.with_index()` maintains the §7 query indexes so the temporal
-    //    queries in step 5 cost time proportional to their answers.
-    let mut store = ArchiveBuilder::new(spec.clone())
-        .backend(Backend::InMemory)
-        .with_index()
-        .build();
+    //    §4.2; `.chunks(n)` (§5) selects hash partitions without changing
+    //    any code below. `.with_index()` maintains the §7 query indexes
+    //    over the in-memory tier, so the temporal queries in step 5 cost
+    //    time proportional to their answers.
+    let mut store = ArchiveBuilder::new(spec.clone()).with_index().build();
 
     // 3. Archive versions as they are published.
     let versions = [

@@ -8,8 +8,11 @@
 //! The paper contributes one archiving *model* — all versions merged into
 //! a single tree, elements identified across versions by their keys,
 //! interval-set timestamps recording when each element exists — and three
-//! ways of running it. This crate exposes all three behind one trait,
-//! [`VersionStore`], configured through [`ArchiveBuilder`]:
+//! ways of running it. This crate serves the first two — in memory (§4.2)
+//! and hash-partitioned into chunks (§5) — behind one trait,
+//! [`VersionStore`], configured through [`ArchiveBuilder`], and reproduces
+//! the third, §6's external-memory archiver, for its I/O counts in
+//! [`extmem`]. Serving looks like this:
 //!
 //! ```
 //! use xarch::core::KeyQuery;
@@ -55,9 +58,8 @@
 //! |---|---|---|---|---|---|---|---|
 //! | default | [`core::Archive`] | §4.2 | archive + version fit in RAM; fastest merges and queries | native: the query kernel ([`core::kernel`]) — key-path descent by sibling scan + visibility-filtered subtree walk; `history_values` emits once per interval of constant content (cut at the subtree's own timestamps), an unchanged `diff` emits nothing | batch nested merge — each archive level is sorted and walked once per batch, byte-identical to a serial replay | `&self`, lock-free; a view is a clone over copy-on-write arena chunks — O(changed) | `query.*` / `ingest.*` latency histograms via the outermost [`core::ObservedStore`] wrapper |
 //! | `.chunks(n)` | [`core::ChunkedArchive`] | §5 | data outgrows one merge's memory: top-level records are hash-partitioned into `n` independent archives, merged chunk by chunk | native: all five kinds route to the owning chunk's kernel; `range` fans out and merges; the document root spans chunks and is composed from retrieves | the whole batch is partitioned once, then chunks merge their sub-batches on parallel worker threads | `&self`, lock-free; a view clones each partition the same way | `query.*` / `ingest.*` histograms (whole-store timing spans all chunks) |
-//! | `.backend(Backend::ExtMem(io_cfg))` | [`extmem::ExtArchive`] | §6.3 | data outgrows memory entirely: sorted event streams merged in one `O(N/B)` pass, with paged-I/O accounting | native: partial stream scan — non-matching spines are skipped, only the answer is materialized | the batch folds into a single streaming pass: one archive-sized read+write for `k` versions instead of `k` | `&self`; I/O accounting via atomics; a view shares the `Arc`'d event stream (a merge swaps in a new one) | `extmem.page_reads` / `extmem.page_writes` counters + `query.*` / `ingest.*` |
 //! | `.durable(path)` + `.checkpoint_every(n)` | [`storage::DurableArchive`] | — | the archive must outlive the process: every commit is journaled to a checksummed segment file and replayed on reopen (composes with any row above); a checkpoint cadence keeps reopen cost flat vs history by restoring the newest snapshot block and replaying only the tail | a [`Layer`] that intercepts nothing: every query is the wrapped backend's own; indexes are re-established during replay | **group commit** — one multi-version block, one commit word, one fsync per batch; a torn batch recovers to the pre-batch state, never a prefix | `&self`; reads never touch the journal — a view is the wrapped store's, taken after the commit lands | `segment.*` / `checkpoint.*` write/fsync counters, `recovery.*` replay counters + duration, structured recovery events (torn tail, corrupt block, skipped checkpoint) |
-//! | `.with_index()` | [`index::IndexedArchive`] / [`index::IndexedStore`] | §7 | query-heavy service workloads: timestamp trees + history index (in-memory) or a key-path sidecar (chunked, extmem); the in-memory structures are refreshed once per commit, over just the nodes the merge wrote | indexed: the same query kernel over the §7 structures — `O(l log d)` descent, probe counts proportional to the answer (in-memory); `history`/`range` off the sidecar (chunked, extmem) | one batch merge, then one index refresh over what the whole batch wrote (in-memory) or one sidecar walk per document (chunked, extmem) | `&self`; probe counters are atomics, shared by every view; index tables share chunks, the sidecar trie path-copies | `index.history.comparisons` / `index.timestamp.probes` bound to the shared registry |
+//! | `.with_index()` | [`index::IndexedArchive`] | §7 | query-heavy service workloads on the in-memory tier: timestamp trees + history index over the archive's arena, refreshed once per commit over just the nodes the merge wrote (refused together with `.chunks(n)`, whose queries already go to the owning chunk) | indexed: the same query kernel over the §7 structures — `O(l log d)` descent, probe counts proportional to the answer | one batch merge, then one index refresh over what the whole batch wrote | `&self`; probe counters are atomics, shared by every view; index tables share chunks | `index.history.comparisons` / `index.timestamp.probes` bound to the shared registry |
 //! | [`ColdArchive::open`](storage::ColdArchive::open) | [`storage::ColdArchive`] | — | rarely-read archives that must answer without startup cost: queries run straight off the mmap'd segment file via a per-block version index, decoding only the blocks each answer needs — the archive is never materialized in RAM | per-block: `retrieve`/`as_of` decode one block, `retrieve_into` writes XML straight from its bytes and `as_of` builds only the element it returns; `history` streams block-at-a-time the same way; `range`/`history_values`/`diff` ride the trait fallbacks | n/a — cold readers are read-only (a shared OS lock admits any number of them beside each other, and refuses a live writer) | `&self`; the map itself is the shared state | `cold.retrieves` / `cold.blocks_decoded` / `cold.bytes_decoded` counters + `cold.mapped_bytes` gauge ([`storage::ColdArchive::open_observed`]) |
 //!
 //! `.compaction(Compaction::Weave)` additionally selects Fig 10's
@@ -156,13 +158,15 @@
 //!   (`as_of`/`history`/`history_values`/`range`/`diff`), change description, chunking, the
 //!   Fig-5 XML form, and the [`VersionStore`] / [`Layer`] traits;
 //! * [`compress`] — LZSS (gzip-class) and XMill-style compressors;
-//! * [`extmem`] — the external-memory archiver with I/O accounting;
+//! * [`extmem`] — the §6 reproduction: the external-memory archiver with
+//!   I/O accounting (not a serving backend), and the event codec the
+//!   journal payloads reuse;
 //! * [`storage`] — the durable segmented archive format (specified in
 //!   `docs/FORMAT.md`), the crash-safe [`storage::DurableArchive`]
 //!   backend with checkpointed reopen, and the mmap'd
 //!   [`storage::ColdArchive`] cold-read path;
 //! * [`index`] — timestamp trees, the history index, and the indexed
-//!   `VersionStore` backends built on them;
+//!   `VersionStore` built on them;
 //! * [`obs`] — the dependency-free observability layer: metrics registry
 //!   (counters/gauges/latency histograms over lock-free atomics),
 //!   structured tracing events with a post-mortem ring buffer, and
@@ -203,10 +207,10 @@ mod handle;
 mod store;
 
 pub use handle::{ArchiveHandle, Snapshot};
-pub use store::{ArchiveBuilder, Backend};
+pub use store::ArchiveBuilder;
 pub use xarch_core::{
     ElementHistory, Layer, RangeEntry, StoreError, StoreReader, StoreStats, VersionDelta,
     VersionStore,
 };
-pub use xarch_index::{IndexedArchive, IndexedStore, QueryIndex};
+pub use xarch_index::IndexedArchive;
 pub use xarch_storage::{ColdArchive, DurableArchive, DurableOptions, RecoveryStats};

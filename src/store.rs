@@ -1,24 +1,28 @@
 //! The builder facade: configure an archive once, get back a
 //! [`Box<dyn VersionStore>`] for whichever storage tier fits the workload.
 //!
+//! There are two tiers — one in-memory archive (the default, §4.2) or
+//! `.chunks(n)` hash partitions (§5) — and `.with_index()` adds the §7
+//! indexes to the in-memory tier:
+//!
 //! ```
-//! use xarch::{ArchiveBuilder, Backend};
+//! use xarch::ArchiveBuilder;
 //! use xarch::core::Compaction;
-//! use xarch::extmem::IoConfig;
 //! use xarch::keys::KeySpec;
 //!
 //! let spec = KeySpec::parse("(/, (db, {}))")?;
-//! let mut store = ArchiveBuilder::new(spec)
+//! let store = ArchiveBuilder::new(spec.clone())
 //!     .compaction(Compaction::Weave)
 //!     .chunks(16)
-//!     .backend(Backend::ExtMem(IoConfig::default()))
 //!     .build();
 //! assert_eq!(store.latest(), 0);
+//! let indexed = ArchiveBuilder::new(spec).with_index().build();
+//! assert_eq!(indexed.latest(), 0);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
 //! Persistence is one more axis of the same configuration: `.durable(path)`
-//! wraps whichever backend was selected in a crash-safe on-disk journal
+//! wraps whichever tier was selected in a crash-safe on-disk journal
 //! (see `xarch_storage`), replayed on reopen:
 //!
 //! ```
@@ -41,35 +45,19 @@ use std::path::PathBuf;
 
 use crate::handle::ArchiveHandle;
 use xarch_core::{Archive, ChunkedArchive, Compaction, ObservedStore, StoreError, VersionStore};
-use xarch_extmem::{ExtArchive, IoConfig};
-use xarch_index::{IndexedArchive, IndexedStore};
+use xarch_index::IndexedArchive;
 use xarch_keys::KeySpec;
 use xarch_obs::Obs;
 use xarch_storage::{DurableArchive, DurableOptions};
 
-/// The storage tier behind a [`VersionStore`].
-#[derive(Debug, Clone, Copy, Default)]
-pub enum Backend {
-    /// §4.2: the whole archive lives in memory (fastest; bounded by RAM).
-    #[default]
-    InMemory,
-    /// §5: hash-partitioned chunks, each an independent in-memory archive
-    /// (bounds the per-merge working set; the value is the chunk count).
-    Chunked(usize),
-    /// §6.3: sorted event streams merged in one pass with paged I/O
-    /// accounting (external-memory; bounded by disk).
-    ExtMem(IoConfig),
-}
-
-/// Configures and constructs an archive over any [`Backend`].
-///
-/// Later calls win: `.chunks(16)` selects [`Backend::Chunked`], and a
-/// subsequent `.backend(..)` replaces it.
+/// Configures and constructs an archive: the in-memory tier (§4.2) by
+/// default, or `.chunks(n)` hash partitions (§5).
 #[derive(Debug, Clone)]
 pub struct ArchiveBuilder {
     spec: KeySpec,
     compaction: Compaction,
-    backend: Backend,
+    /// `Some(n)`: the chunked tier with `n` partitions.
+    chunks: Option<usize>,
     durable: Option<(PathBuf, DurableOptions)>,
     /// Checkpoint cadence requested before `.durable(..)` was called —
     /// folded into the journal options when the durable layer is added.
@@ -86,7 +74,7 @@ impl ArchiveBuilder {
         Self {
             spec,
             compaction: Compaction::default(),
-            backend: Backend::default(),
+            chunks: None,
             durable: None,
             checkpoint_every: None,
             indexed: false,
@@ -96,10 +84,9 @@ impl ArchiveBuilder {
 
     /// Reports the store through `obs`: every backend layer registers its
     /// canonical metrics in `obs`'s registry (journal `segment.*` /
-    /// `recovery.*`, external-memory `extmem.*`, index probe counters)
-    /// and the built store is wrapped in an
-    /// [`ObservedStore`](xarch_core::ObservedStore) timing every query
-    /// kind and ingest call into `query.*` / `ingest.*` histograms.
+    /// `recovery.*`, index probe counters) and the built store is wrapped
+    /// in an [`ObservedStore`](xarch_core::ObservedStore) timing every
+    /// query kind and ingest call into `query.*` / `ingest.*` histograms.
     /// Recording is lock-free (atomic handles); keep a clone of `obs` to
     /// render the Prometheus/JSON report and read recent trace events.
     pub fn with_observability(mut self, obs: Obs) -> Self {
@@ -107,12 +94,13 @@ impl ArchiveBuilder {
         self
     }
 
-    /// Maintains the §7 query indexes alongside the store, so `as_of`,
-    /// `history`, `range` and `diff` cost time proportional to the answer
-    /// instead of a whole-version materialization. The in-memory backend
-    /// gets the native timestamp-tree + history-index pair
-    /// ([`xarch_index::IndexedArchive`]); chunked and external-memory
-    /// backends get the key-path sidecar ([`xarch_index::IndexedStore`]).
+    /// Maintains the §7 query indexes — timestamp trees and the history
+    /// index over the in-memory archive's arena
+    /// ([`xarch_index::IndexedArchive`]) — so `as_of`, `history`, `range`
+    /// and `diff` cost time proportional to the answer instead of a
+    /// whole-version materialization. In-memory tier only:
+    /// [`ArchiveBuilder::try_build`] refuses it together with
+    /// `.chunks(n)`, whose queries already go to the owning chunk.
     /// Composes with `.durable(..)`: journal replay re-establishes the
     /// index on reopen, so queries never pay a rebuild.
     pub fn with_index(mut self) -> Self {
@@ -121,28 +109,21 @@ impl ArchiveBuilder {
     }
 
     /// Sets the frontier compaction mode (§4.2's alternatives vs Fig 10's
-    /// weave). The external-memory backend manages frontier contents in
-    /// its event stream and ignores this knob.
+    /// weave), for either tier.
     pub fn compaction(mut self, compaction: Compaction) -> Self {
         self.compaction = compaction;
         self
     }
 
-    /// Selects the chunked backend with `n` hash partitions.
+    /// Selects the chunked tier with `n` hash partitions.
     pub fn chunks(mut self, n: usize) -> Self {
-        self.backend = Backend::Chunked(n);
+        self.chunks = Some(n);
         self
     }
 
-    /// Selects the storage backend explicitly.
-    pub fn backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// Wraps the selected backend in a crash-safe on-disk journal at
+    /// Wraps the selected tier in a crash-safe on-disk journal at
     /// `path` (created if absent, replayed if present) with default
-    /// [`DurableOptions`]. Composes with `.chunks(..)`, `.backend(..)` and
+    /// [`DurableOptions`]. Composes with `.chunks(..)`, `.with_index()` and
     /// `.compaction(..)`: those configure the wrapped store, this makes it
     /// persistent. Use [`ArchiveBuilder::try_build`] to surface open/replay
     /// errors.
@@ -177,44 +158,39 @@ impl ArchiveBuilder {
 
     /// Builds the configured store, surfacing construction errors — a
     /// durable store can fail to open (I/O error, corrupt segment,
-    /// key-spec mismatch) and a misconfigured backend (zero chunks) is
-    /// rejected here instead of misbehaving downstream. Pure in-memory
-    /// configurations with valid parameters cannot fail.
+    /// key-spec mismatch) and a misconfiguration (zero chunks, or chunks
+    /// with the §7 indexes) is rejected here instead of misbehaving
+    /// downstream. Pure in-memory configurations cannot fail.
     pub fn try_build(self) -> Result<Box<dyn VersionStore>, StoreError> {
-        if let Backend::Chunked(0) = self.backend {
-            return Err(StoreError::Backend(
-                "chunked backend requires at least one partition (chunks(0) has nowhere \
-                 to hash records to)"
-                    .into(),
-            ));
-        }
         let obs = self.observability;
-        let ext = |spec: KeySpec, cfg: IoConfig| match &obs {
-            Some(o) => ExtArchive::observed(spec, cfg, o.registry()),
-            None => ExtArchive::new(spec, cfg),
-        };
-        let inner: Box<dyn VersionStore> = match (self.backend, self.indexed) {
-            (Backend::InMemory, false) => {
-                Box::new(Archive::with_compaction(self.spec, self.compaction))
+        let inner: Box<dyn VersionStore> = match (self.chunks, self.indexed) {
+            (Some(0), _) => {
+                return Err(StoreError::Backend(
+                    "chunked backend requires at least one partition (chunks(0) has nowhere \
+                     to hash records to)"
+                        .into(),
+                ))
             }
-            (Backend::InMemory, true) => {
+            (Some(_), true) => {
+                return Err(StoreError::Backend(
+                    "with_index() needs the in-memory tier: the §7 indexes live in one \
+                     archive's arena, and chunks(n) already answers every query from the \
+                     owning chunk"
+                        .into(),
+                ))
+            }
+            (Some(n), false) => Box::new(ChunkedArchive::with_compaction(
+                self.spec,
+                n,
+                self.compaction,
+            )),
+            (None, false) => Box::new(Archive::with_compaction(self.spec, self.compaction)),
+            (None, true) => {
                 let mut idx = IndexedArchive::with_compaction(self.spec, self.compaction);
                 if let Some(o) = &obs {
                     idx.bind_observability(o.registry());
                 }
                 Box::new(idx)
-            }
-            (Backend::Chunked(n), false) => Box::new(ChunkedArchive::with_compaction(
-                self.spec,
-                n,
-                self.compaction,
-            )),
-            (Backend::Chunked(n), true) => Box::new(IndexedStore::new(Box::new(
-                ChunkedArchive::with_compaction(self.spec, n, self.compaction),
-            ))?),
-            (Backend::ExtMem(cfg), false) => Box::new(ext(self.spec, cfg)),
-            (Backend::ExtMem(cfg), true) => {
-                Box::new(IndexedStore::new(Box::new(ext(self.spec, cfg)))?)
             }
         };
         let inner: Box<dyn VersionStore> = match self.durable {
@@ -244,8 +220,8 @@ impl ArchiveBuilder {
     /// behind a merge ([`ArchiveHandle::snapshot`] clones the `Arc` of the
     /// published view). The handle owns the one built store and publishes
     /// an immutable [`VersionStore::view`] of it after every commit.
-    /// Composes with every backend axis — `.chunks(..)`, `.backend(..)`,
-    /// `.with_index()`, `.durable(..)`. Surfaces the same construction
+    /// Composes with every builder axis — `.chunks(..)` or
+    /// `.with_index()`, and `.durable(..)`. Surfaces the same construction
     /// errors as [`ArchiveBuilder::try_build`].
     pub fn try_build_shared(self) -> Result<ArchiveHandle, StoreError> {
         let obs = self.observability.clone();
@@ -294,12 +270,11 @@ mod tests {
         let doc = parse("<db><rec><id>1</id></rec></db>").unwrap();
         let builders = [
             ArchiveBuilder::new(spec()),
+            ArchiveBuilder::new(spec()).with_index(),
             ArchiveBuilder::new(spec()).chunks(4),
-            ArchiveBuilder::new(spec()).backend(Backend::ExtMem(IoConfig::default())),
             ArchiveBuilder::new(spec())
                 .compaction(Compaction::Weave)
-                .chunks(16)
-                .backend(Backend::ExtMem(IoConfig::default())),
+                .chunks(16),
         ];
         for b in builders {
             let mut store = b.build();
@@ -341,7 +316,6 @@ mod tests {
         // loudly at construction, not misbehave on the first merge
         for b in [
             ArchiveBuilder::new(spec()).chunks(0),
-            ArchiveBuilder::new(spec()).backend(Backend::Chunked(0)),
             ArchiveBuilder::new(spec()).chunks(0).with_index(),
             ArchiveBuilder::new(spec())
                 .chunks(0)
@@ -359,6 +333,28 @@ mod tests {
         assert!(panicked.is_err());
         // and a valid chunk count still builds
         assert!(ArchiveBuilder::new(spec()).chunks(1).try_build().is_ok());
+    }
+
+    #[test]
+    fn chunks_with_index_is_rejected_at_build_time() {
+        // the §7 indexes live in one archive's arena; a chunked store has
+        // n of them, so the combination is refused rather than served
+        // from some other index design
+        for b in [
+            ArchiveBuilder::new(spec()).chunks(4).with_index(),
+            ArchiveBuilder::new(spec()).with_index().chunks(4),
+            ArchiveBuilder::new(spec())
+                .chunks(4)
+                .with_index()
+                .durable(xarch_storage::scratch_path("builder-chunked-indexed")),
+        ] {
+            let err = b.try_build().map(|_| ()).unwrap_err();
+            assert!(
+                matches!(err, StoreError::Backend(_)),
+                "expected Backend error, got {err}"
+            );
+            assert!(err.to_string().contains("in-memory tier"), "{err}");
+        }
     }
 
     #[test]
@@ -418,17 +414,5 @@ mod tests {
         let got = store.retrieve(3).unwrap().unwrap();
         assert!(xarch_xml::writer::to_compact_string(&got).contains("<id>3</id>"));
         std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn later_backend_calls_win() {
-        let b = ArchiveBuilder::new(spec())
-            .chunks(8)
-            .backend(Backend::InMemory);
-        assert!(matches!(b.backend, Backend::InMemory));
-        let b = ArchiveBuilder::new(spec())
-            .backend(Backend::InMemory)
-            .chunks(8);
-        assert!(matches!(b.backend, Backend::Chunked(8)));
     }
 }

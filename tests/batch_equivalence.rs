@@ -12,21 +12,13 @@ use std::path::PathBuf;
 
 use xarch::core::KeyQuery;
 use xarch::datagen::omim::{omim_spec, OmimGen};
-use xarch::extmem::IoConfig;
 use xarch::keys::KeySpec;
 use xarch::xml::writer::to_compact_string;
 use xarch::xml::{parse, Document};
-use xarch::{ArchiveBuilder, Backend, StoreReader, VersionStore};
+use xarch::{ArchiveBuilder, StoreReader, VersionStore};
 
 fn spec() -> KeySpec {
     KeySpec::parse("(/, (db, {}))\n(/db, (rec, {id}))\n(/db/rec, (val, {}))").unwrap()
-}
-
-fn small_ext_cfg() -> IoConfig {
-    IoConfig {
-        mem_bytes: 2 << 10,
-        page_bytes: 256,
-    }
 }
 
 /// Removes scratch segment files when the test finishes.
@@ -98,41 +90,6 @@ fn all_configs(spec: &KeySpec, guard: &mut ScratchFiles) -> Vec<(&'static str, S
         out.push((
             "chunked(4)",
             Box::new(move || ArchiveBuilder::new(s.clone()).chunks(4).build()),
-        ));
-    }
-    {
-        let s = s.clone();
-        out.push((
-            "chunked(4)/indexed",
-            Box::new(move || {
-                ArchiveBuilder::new(s.clone())
-                    .chunks(4)
-                    .with_index()
-                    .build()
-            }),
-        ));
-    }
-    {
-        let s = s.clone();
-        out.push((
-            "extmem",
-            Box::new(move || {
-                ArchiveBuilder::new(s.clone())
-                    .backend(Backend::ExtMem(small_ext_cfg()))
-                    .build()
-            }),
-        ));
-    }
-    {
-        let s = s.clone();
-        out.push((
-            "extmem/indexed",
-            Box::new(move || {
-                ArchiveBuilder::new(s.clone())
-                    .backend(Backend::ExtMem(small_ext_cfg()))
-                    .with_index()
-                    .build()
-            }),
         ));
     }
     out.push((

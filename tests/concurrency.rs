@@ -13,10 +13,9 @@
 use std::sync::Arc;
 
 use xarch::core::KeyQuery;
-use xarch::extmem::IoConfig;
 use xarch::keys::KeySpec;
 use xarch::xml::parse;
-use xarch::{ArchiveBuilder, ArchiveHandle, Backend, RangeEntry, StoreReader, VersionStore};
+use xarch::{ArchiveBuilder, ArchiveHandle, RangeEntry, StoreReader, VersionStore};
 
 /// Versions the writer merges (version `EMPTY_VERSION` is archived
 /// empty); record `r` is present in version `v` iff `(v + r) % 4 != 0`,
@@ -301,13 +300,6 @@ impl Drop for Scratch {
     }
 }
 
-fn small_ext_cfg() -> IoConfig {
-    IoConfig {
-        mem_bytes: 2 << 10,
-        page_bytes: 256,
-    }
-}
-
 #[test]
 fn stress_in_memory() {
     stress(
@@ -371,28 +363,6 @@ fn stress_chunked() {
 }
 
 #[test]
-fn stress_chunked_indexed() {
-    stress(
-        "chunked(4)/indexed",
-        ArchiveBuilder::new(spec()).chunks(4).with_index().build(),
-        ArchiveBuilder::new(spec()).chunks(4).with_index().build(),
-    );
-}
-
-#[test]
-fn stress_extmem() {
-    stress(
-        "extmem",
-        ArchiveBuilder::new(spec())
-            .backend(Backend::ExtMem(small_ext_cfg()))
-            .build(),
-        ArchiveBuilder::new(spec())
-            .backend(Backend::ExtMem(small_ext_cfg()))
-            .build(),
-    );
-}
-
-#[test]
 fn stress_batch_writer_in_memory() {
     stress_batch_writer(
         "in-memory/batched",
@@ -402,13 +372,13 @@ fn stress_batch_writer_in_memory() {
 }
 
 #[test]
-fn stress_batch_writer_chunked_indexed() {
+fn stress_batch_writer_chunked() {
     // the chunked batch path merges partitions on worker threads while
     // readers hammer snapshots — the widest concurrency surface
     stress_batch_writer(
-        "chunked(4)/indexed/batched",
-        ArchiveBuilder::new(spec()).chunks(4).with_index().build(),
-        ArchiveBuilder::new(spec()).chunks(4).with_index().build(),
+        "chunked(4)/batched",
+        ArchiveBuilder::new(spec()).chunks(4).build(),
+        ArchiveBuilder::new(spec()).chunks(4).build(),
     );
 }
 

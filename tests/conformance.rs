@@ -16,24 +16,16 @@ use xarch::core::{
     equiv_modulo_key_order, Archive, Compaction, KeyQuery, ObservedStore, StoreView, TimeSet,
 };
 use xarch::datagen::omim::{omim_spec, OmimGen};
-use xarch::extmem::IoConfig;
 use xarch::keys::KeySpec;
 use xarch::xml::writer::to_compact_string;
 use xarch::xml::{parse, Document};
 use xarch::{
-    ArchiveBuilder, Backend, ElementHistory, RangeEntry, StoreError, StoreReader, StoreStats,
-    VersionDelta, VersionStore,
+    ArchiveBuilder, ElementHistory, RangeEntry, StoreError, StoreReader, StoreStats, VersionDelta,
+    VersionStore,
 };
 
 fn spec() -> KeySpec {
     KeySpec::parse("(/, (db, {}))\n(/db, (rec, {id}))\n(/db/rec, (val, {}))").unwrap()
-}
-
-fn small_ext_cfg() -> IoConfig {
-    IoConfig {
-        mem_bytes: 2 << 10,
-        page_bytes: 256,
-    }
 }
 
 /// Removes the scratch segment files when a test finishes (the stores are
@@ -53,9 +45,9 @@ impl Drop for ScratchFiles {
 type NamedStore = (&'static str, Box<dyn VersionStore>);
 
 /// Every backend, built from the facade, as the acceptance criteria
-/// require — each storage tier plain *and* with the query indexes
-/// maintained (`.with_index()`), so the indexed fast paths answer the
-/// same contract suite as the whole-retrieve fallbacks. The durable
+/// require — each storage tier plain, and the in-memory tier with the
+/// query indexes maintained (`.with_index()`), so the indexed fast paths
+/// answer the same contract suite as the whole-retrieve fallbacks. The durable
 /// backends journal to scratch segment files that the returned guard
 /// deletes, so the whole contract suite also exercises the persistent
 /// tier without littering the temp directory.
@@ -66,9 +58,8 @@ fn all_backends(spec: &KeySpec) -> (ScratchFiles, Vec<NamedStore>) {
     (guard, backends)
 }
 
-/// The nine tier × index × durability configurations, each under the
-/// given frontier compaction mode (which the external-memory tier
-/// ignores).
+/// The tier × index × durability configurations, each under the
+/// given frontier compaction mode.
 fn backends_compacting(spec: &KeySpec, compaction: Compaction) -> (ScratchFiles, Vec<NamedStore>) {
     let durable_path = xarch::storage::scratch_path("conformance");
     let durable_chunked_path = xarch::storage::scratch_path("conformance-chunked");
@@ -79,18 +70,11 @@ fn backends_compacting(spec: &KeySpec, compaction: Compaction) -> (ScratchFiles,
         durable_indexed_path.clone(),
     ]);
     let builder = || ArchiveBuilder::new(spec.clone()).compaction(compaction);
-    let extmem = || builder().backend(Backend::ExtMem(small_ext_cfg()));
     let durable = |b: ArchiveBuilder, path| b.durable(path).try_build().expect("durable store");
     let backends = vec![
         ("in-memory", builder().build()),
         ("in-memory/indexed", builder().with_index().build()),
         ("chunked(4)", builder().chunks(4).build()),
-        (
-            "chunked(4)/indexed",
-            builder().chunks(4).with_index().build(),
-        ),
-        ("extmem", extmem().build()),
-        ("extmem/indexed", extmem().with_index().build()),
         ("durable", durable(builder(), durable_path)),
         (
             "durable/chunked(4)",
@@ -812,12 +796,6 @@ fn every_wrapper_reaches_the_inner_fast_path() {
     let mut wrappers: Vec<(&str, Box<dyn VersionStore>, &[&str])> = vec![
         ("DurableArchive", Box::new(durable), &[]),
         ("ObservedStore", Box::new(observed), &[]),
-        // answered from the sidecar alone (`as_of` is only gated by it)
-        (
-            "IndexedStore",
-            Box::new(xarch::IndexedStore::new(recording()).unwrap()),
-            &["history", "range"],
-        ),
         // the key spec is cached: no guard may back the returned borrow
         ("ArchiveHandle", Box::new(handle.clone()), &["spec"]),
     ];

@@ -140,11 +140,12 @@ fn format_spec_block_kind_table_matches_the_source() {
 fn format_spec_state_tags_match_the_source() {
     use xarch::core::state;
     let doc = read(&repo_root().join("docs/FORMAT.md"));
+    let retired = "retired in rev 2: read as a configuration mismatch, never reassigned";
     let tags: &[(u8, &str)] = &[
         (state::STATE_ARCHIVE, "`Archive`"),
         (state::STATE_CHUNKED, "`ChunkedArchive`"),
-        (state::STATE_EXTMEM, "`ExtArchive`"),
-        (state::STATE_INDEXED_STORE, "`IndexedStore`"),
+        (3, retired),
+        (5, retired),
     ];
     for (tag, backend) in tags {
         assert!(

@@ -939,3 +939,93 @@ fn a_checkpoint_nested_past_max_depth_is_skipped_loudly() {
     }
     std::fs::remove_file(&path).unwrap();
 }
+
+/// A checkpoint the checksum vouches for whose state carries a retired
+/// tag — 3 (the external-memory event stream) or 5 (the key-path query
+/// sidecar) — reads as taken under another configuration: the in-memory
+/// and the indexed store both replay the whole journal, nothing is
+/// counted as damage, and every version comes back byte-identical.
+#[test]
+fn a_checkpoint_with_a_retired_state_tag_is_a_mismatch_not_damage() {
+    use xarch::compress::BlockCodec;
+    use xarch::core::{state, Archive};
+    use xarch::storage::block::{encode_block, BlockKind};
+    use xarch::storage::encode_checkpoint;
+
+    let docs = versions();
+    let mut reference = ArchiveBuilder::new(spec()).build();
+    let mut archive = Archive::new(spec());
+    for doc in &docs {
+        reference.add_version(doc).unwrap();
+        archive.add_version(doc).unwrap();
+    }
+    let builder = |indexed: bool| {
+        let b = ArchiveBuilder::new(spec());
+        if indexed {
+            b.with_index()
+        } else {
+            b
+        }
+    };
+    for tag in [3u8, 5] {
+        for indexed in [false, true] {
+            let path = scratch_path("retired-state-tag");
+            {
+                let mut d = builder(indexed).durable(&path).try_build().unwrap();
+                for doc in &docs {
+                    d.add_version(doc).unwrap();
+                }
+            }
+            // a well-formed archive body behind the retired tag, covering
+            // every journaled version
+            let mut retired = state::encode_archive(&archive);
+            retired[0] = tag;
+            let raw = encode_checkpoint(0, 3, &retired);
+            let block = encode_block(
+                BlockKind::Checkpoint,
+                BlockCodec::Raw,
+                3,
+                raw.len() as u64,
+                &raw,
+            );
+            let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+            f.write_all(&block).unwrap();
+            drop(f);
+
+            let obs = xarch::obs::Obs::disconnected();
+            let mut d = DurableArchive::open_observed(
+                &path,
+                Default::default(),
+                builder(indexed).build(),
+                &obs,
+            )
+            .unwrap();
+            let at = format!("tag {tag}, indexed {indexed}");
+            assert_eq!(d.latest(), 3, "{at}");
+            assert!(
+                !d.recovery().checkpoint_loaded,
+                "{at}: the journal was replayed"
+            );
+            let skipped = obs.registry().get_counter("recovery.checkpoints_skipped");
+            assert_eq!(
+                skipped.map(|c| c.get()),
+                Some(0),
+                "{at}: a mismatch, not damage"
+            );
+            let warned = obs
+                .recent_events()
+                .into_iter()
+                .any(|e| e.target == "recovery.checkpoint_skipped");
+            assert!(!warned, "{at}: {:?}", obs.recent_events());
+            for v in 1..=3 {
+                assert_eq!(
+                    bytes_of(&mut d, v),
+                    bytes_of(reference.as_mut(), v),
+                    "{at}: v{v}"
+                );
+            }
+            drop(d);
+            std::fs::remove_file(&path).unwrap();
+        }
+    }
+}

@@ -10,11 +10,10 @@
 //!   with what was merged.
 
 use xarch::core::KeyQuery;
-use xarch::extmem::IoConfig;
 use xarch::keys::KeySpec;
 use xarch::obs::Obs;
 use xarch::xml::parse;
-use xarch::{ArchiveBuilder, Backend};
+use xarch::ArchiveBuilder;
 
 fn spec() -> KeySpec {
     KeySpec::parse("(/, (db, {}))\n(/db, (rec, {id}))\n(/db/rec, (val, {}))").unwrap()
@@ -109,10 +108,6 @@ fn batch_of_64_costs_exactly_one_fsync_via_registry() {
 fn every_query_kind_populates_its_histogram_on_every_backend() {
     let durable_path = xarch::storage::scratch_path("metrics-sanity-matrix");
     let _guard = Scratch(durable_path.clone());
-    let small_io = IoConfig {
-        mem_bytes: 2 << 10,
-        page_bytes: 256,
-    };
     let matrix: Vec<(&str, ArchiveBuilder)> = vec![
         ("in-memory", ArchiveBuilder::new(spec())),
         (
@@ -120,14 +115,6 @@ fn every_query_kind_populates_its_histogram_on_every_backend() {
             ArchiveBuilder::new(spec()).with_index(),
         ),
         ("chunked(4)", ArchiveBuilder::new(spec()).chunks(4)),
-        (
-            "chunked(4)/indexed",
-            ArchiveBuilder::new(spec()).chunks(4).with_index(),
-        ),
-        (
-            "extmem",
-            ArchiveBuilder::new(spec()).backend(Backend::ExtMem(small_io)),
-        ),
         (
             "durable/indexed",
             ArchiveBuilder::new(spec())

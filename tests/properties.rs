@@ -6,10 +6,9 @@ use proptest::prelude::*;
 
 use xarch::core::{equiv_modulo_key_order, Archive, TimeSet};
 use xarch::diff::diff_lines;
-use xarch::extmem::IoConfig;
 use xarch::keys::KeySpec;
 use xarch::xml::{parse, Document};
-use xarch::{ArchiveBuilder, Backend, VersionStore};
+use xarch::{ArchiveBuilder, VersionStore};
 
 // ---------- TimeSet vs a BTreeSet model ----------
 
@@ -168,21 +167,12 @@ proptest! {
         versions in proptest::collection::vec(version_strategy(), 1..6)
     ) {
         // retrieve_into's bytes parse back to a document equivalent
-        // (modulo key order) to retrieve's output — on all three backends.
+        // (modulo key order) to retrieve's output — on every backend.
         let spec = mini_spec();
         let docs: Vec<Document> = versions.iter().map(|v| build_version(v)).collect();
         let backends: Vec<(&str, Box<dyn VersionStore>)> = vec![
             ("in-memory", ArchiveBuilder::new(spec.clone()).build()),
             ("chunked(3)", ArchiveBuilder::new(spec.clone()).chunks(3).build()),
-            (
-                "extmem",
-                ArchiveBuilder::new(spec.clone())
-                    .backend(Backend::ExtMem(IoConfig {
-                        mem_bytes: 1 << 10,
-                        page_bytes: 128,
-                    }))
-                    .build(),
-            ),
         ];
         for (label, mut store) in backends {
             for d in &docs {
@@ -219,12 +209,6 @@ proptest! {
         let configs: Vec<BackendConfig> = vec![
             ("in-memory", ArchiveBuilder::new),
             ("chunked(3)", |s| ArchiveBuilder::new(s).chunks(3)),
-            ("extmem", |s| {
-                ArchiveBuilder::new(s).backend(Backend::ExtMem(IoConfig {
-                    mem_bytes: 1 << 10,
-                    page_bytes: 128,
-                }))
-            }),
         ];
         for (label, configure) in configs {
             let path = xarch::storage::scratch_path("prop-reopen");
@@ -363,26 +347,6 @@ proptest! {
             ("in-memory", ArchiveBuilder::new(spec.clone()).build()),
             ("in-memory/indexed", ArchiveBuilder::new(spec.clone()).with_index().build()),
             ("chunked(3)", ArchiveBuilder::new(spec.clone()).chunks(3).build()),
-            ("chunked(3)/indexed", ArchiveBuilder::new(spec.clone()).chunks(3).with_index().build()),
-            (
-                "extmem",
-                ArchiveBuilder::new(spec.clone())
-                    .backend(Backend::ExtMem(IoConfig {
-                        mem_bytes: 1 << 10,
-                        page_bytes: 128,
-                    }))
-                    .build(),
-            ),
-            (
-                "extmem/indexed",
-                ArchiveBuilder::new(spec.clone())
-                    .backend(Backend::ExtMem(IoConfig {
-                        mem_bytes: 1 << 10,
-                        page_bytes: 128,
-                    }))
-                    .with_index()
-                    .build(),
-            ),
         ];
         for (label, mut store) in backends {
             for d in &docs {
@@ -481,8 +445,8 @@ proptest! {
         // The kernel answers both from the stored change points; the
         // definitions are per version (`common`). Random edit sequences —
         // marker 0 turns one version in eight empty — through the scanning
-        // kernel under both compaction modes, the indexed kernel, the
-        // chunk-routed one and a backend that rides the trait defaults.
+        // kernel under both compaction modes, the indexed kernel and the
+        // chunk-routed one.
         use xarch::core::{Compaction, KeyQuery};
 
         let spec = mini_spec();
@@ -503,13 +467,6 @@ proptest! {
             ("in-memory/indexed", builder().with_index().build()),
             ("in-memory/weave/indexed", builder().compaction(Compaction::Weave).with_index().build()),
             ("chunked(3)", builder().chunks(3).build()),
-            ("chunked(3)/weave/indexed", builder().chunks(3).compaction(Compaction::Weave).with_index().build()),
-            (
-                "extmem",
-                builder()
-                    .backend(Backend::ExtMem(IoConfig { mem_bytes: 1 << 10, page_bytes: 128 }))
-                    .build(),
-            ),
         ];
         for (label, mut store) in backends {
             for (recs, marker) in &versions {
@@ -553,12 +510,6 @@ proptest! {
             ("in-memory", ArchiveBuilder::new),
             ("in-memory/indexed", |s| ArchiveBuilder::new(s).with_index()),
             ("chunked(3)", |s| ArchiveBuilder::new(s).chunks(3)),
-            ("extmem", |s| {
-                ArchiveBuilder::new(s).backend(Backend::ExtMem(IoConfig {
-                    mem_bytes: 1 << 10,
-                    page_bytes: 128,
-                }))
-            }),
         ];
         let queries: Vec<Vec<xarch::core::KeyQuery>> = {
             use xarch::core::KeyQuery;
