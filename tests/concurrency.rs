@@ -383,6 +383,18 @@ fn stress_batch_writer_chunked() {
 }
 
 #[test]
+fn stress_batch_writer_in_memory_indexed() {
+    // a batch refreshes the §7 indexes over every node it wrote before
+    // the view is published, so no pin may see versions the timestamp
+    // trees and history index do not yet cover
+    stress_batch_writer(
+        "in-memory/indexed/batched",
+        ArchiveBuilder::new(spec()).with_index().build(),
+        ArchiveBuilder::new(spec()).with_index().build(),
+    );
+}
+
+#[test]
 fn stress_batch_writer_durable() {
     let serial_path = xarch::storage::scratch_path("stress-batch-serial");
     let live_path = xarch::storage::scratch_path("stress-batch-live");
