@@ -134,7 +134,8 @@ impl Config {
     /// The **project policy** — the scopes CI enforces on this workspace.
     ///
     /// * `panic-freedom` binds to the storage decode/recovery modules,
-    ///   the bit reader and LZSS decoder a stored block's bytes pass
+    ///   the checksum every frame and block is verified with, the bit
+    ///   reader and LZSS decoder a stored block's bytes pass
     ///   through (the encoder, which reads only its caller's bytes, is
     ///   a file of its own outside the scope), the external-memory event
     ///   decoder, the wire-protocol crate, and the server's request
@@ -157,7 +158,7 @@ impl Config {
     ///   places a tree is built from untrusted bytes: the XML parser and
     ///   the checkpoint state decoder.
     pub fn project_policy() -> Self {
-        const UNTRUSTED_BYTES: [&str; 13] = [
+        const UNTRUSTED_BYTES: [&str; 14] = [
             "crates/storage/src/segment.rs",
             "crates/storage/src/block.rs",
             "crates/storage/src/payload.rs",
@@ -166,6 +167,7 @@ impl Config {
             "crates/storage/src/checkpoint.rs",
             "crates/storage/src/cold.rs",
             "crates/storage/src/mmap.rs",
+            "crates/storage/src/crc.rs",
             "crates/compress/src/bitio.rs",
             "crates/compress/src/lzss/decode.rs",
             "crates/extmem/src/events.rs",
@@ -257,6 +259,10 @@ mod tests {
         let p = Config::project_policy();
         let pf = p.scope(Rule::PanicFreedom).unwrap();
         assert!(pf.matches("crates/storage/src/block.rs"));
+        assert!(
+            pf.matches("crates/storage/src/crc.rs"),
+            "reads every byte a peer sends"
+        );
         assert!(pf.matches("crates/extmem/src/events.rs"));
         assert!(pf.matches("crates/proto/src/msg.rs"), "wire decode paths");
         assert!(pf.matches("crates/proto/src/frame.rs"));

@@ -26,7 +26,7 @@ fn live_workspace_passes_project_policy() {
     // the deliberate, documented exemptions stay visible in the ledger:
     // four of them recursions of the event-stream and journal codecs, each
     // held to the one nesting bound
-    assert_eq!(analysis.suppressed_count(), 6);
+    assert_eq!(analysis.suppressed_count(), 5);
     assert!(analysis.suppressions.iter().all(|s| s.used));
     let recursions = analysis
         .suppressions
@@ -42,10 +42,14 @@ fn report_renders_ledger_and_inventory_for_live_workspace() {
     let analysis = analyze_workspace(workspace_root(), &Config::project_policy()).unwrap();
     let report = render_report(&analysis);
     assert!(report.contains("suppression ledger:"), "{report}");
-    assert!(report.contains("crates/storage/src/crc.rs"), "{report}");
-    assert!(report.contains("unsafe inventory:"), "{report}");
-    // the only unsafe code is the cold reader's mmap wrapper, and every
-    // block in it carries a SAFETY comment
-    assert!(report.contains("crates/storage/src/mmap.rs"), "{report}");
+    let (_, inventory) = report
+        .split_once("unsafe inventory:")
+        .unwrap_or_else(|| panic!("no unsafe inventory in:\n{report}"));
+    // unsafe code lives in two files: the cold reader's mmap wrapper, and
+    // the checksum's call into its CPU-feature kernel; every block in
+    // them carries a SAFETY comment
+    for file in ["crates/storage/src/mmap.rs", "crates/storage/src/crc.rs"] {
+        assert!(inventory.contains(file), "{file} missing from:\n{report}");
+    }
     assert!(!report.contains("UNDOCUMENTED"), "{report}");
 }

@@ -6,8 +6,10 @@
 //!   container grouping (XMill) and text grouping generally pay off, just
 //!   as gzip's Huffman-coded distances do;
 //! * matches: length 3..=258, encoded in 8 bits (`len - 3`);
-//! * match finder: 3-byte hash chains with a bounded probe depth, greedy
-//!   with one-step lazy matching (the standard gzip heuristic).
+//! * match finder: 3-byte hash chains of `u32` positions with a bounded
+//!   probe depth, greedy with one-step lazy matching (the standard gzip
+//!   heuristic); a candidate is extended a word at a time, and only if it
+//!   agrees with the input where the best match so far ends.
 //!
 //! The format is self-delimiting via a leading varint holding the
 //! uncompressed length.
@@ -31,6 +33,11 @@ fn hash3(data: &[u8], i: usize) -> usize {
 }
 
 /// Compresses `data`; output starts with a varint of the original length.
+///
+/// # Panics
+///
+/// If `data` is 4 GiB or longer: the match finder's positions are `u32`.
+/// (A storage block's payload is at most 1 GiB.)
 pub fn compress(data: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(10);
     write_varint(&mut out, data.len() as u64);
@@ -40,45 +47,59 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
     out
 }
 
+/// Ends a hash chain. Every position a chain holds is below it: a position
+/// is chained only with three bytes after it, and the input is shorter
+/// than `u32::MAX`.
+const NONE: u32 = u32::MAX;
+
 /// The token stream for `data`, handed to `put` as `(value, width)` bit
 /// fields in stream order — the matching is here, the packing is the
 /// caller's (tests pack the same fields with the bit-at-a-time writer).
 fn tokens(data: &[u8], mut put: impl FnMut(u32, u8)) {
-    let mut head = vec![usize::MAX; 1 << HASH_BITS];
-    let mut prev = vec![usize::MAX; data.len().max(1)];
+    assert!(
+        u32::try_from(data.len()).is_ok(),
+        "LZSS input of {} bytes: positions are u32",
+        data.len()
+    );
+    let mut head = vec![NONE; 1 << HASH_BITS];
+    let mut prev = vec![NONE; data.len().max(1)];
 
-    let find = |head: &[usize], prev: &[usize], i: usize| -> Option<(usize, usize)> {
+    let find = |head: &[u32], prev: &[u32], i: usize| -> Option<(usize, usize)> {
         if i + MIN_MATCH > data.len() {
             return None;
         }
+        let max_len = MAX_MATCH.min(data.len() - i);
+        let here = &data[i..i + max_len];
         let mut best: Option<(usize, usize)> = None; // (len, dist)
         let mut cand = head[hash3(data, i)];
         let mut chain = 0;
-        while cand != usize::MAX && chain < MAX_CHAIN {
-            if i - cand > WINDOW {
+        while cand != NONE && chain < MAX_CHAIN {
+            let at = cand as usize;
+            if i - at > WINDOW {
                 break;
             }
-            let max_len = MAX_MATCH.min(data.len() - i);
-            let mut len = 0;
-            while len < max_len && data[cand + len] == data[i + len] {
-                len += 1;
-            }
-            if len >= MIN_MATCH && best.is_none_or(|(bl, _)| len > bl) {
-                best = Some((len, i - cand));
-                if len == max_len {
-                    break;
+            let there = &data[at..at + max_len];
+            // a candidate that differs at the best length cannot beat it
+            // (and `best` is shorter than `max_len`, or the walk had ended)
+            if best.is_none_or(|(bl, _)| there[bl] == here[bl]) {
+                let len = common_prefix(here, there);
+                if len >= MIN_MATCH && best.is_none_or(|(bl, _)| len > bl) {
+                    best = Some((len, i - at));
+                    if len == max_len {
+                        break;
+                    }
                 }
             }
-            cand = prev[cand];
+            cand = prev[at];
             chain += 1;
         }
         best
     };
-    let insert = |head: &mut [usize], prev: &mut [usize], i: usize| {
+    let insert = |head: &mut [u32], prev: &mut [u32], i: usize| {
         if i + MIN_MATCH <= data.len() {
             let h = hash3(data, i);
             prev[i] = head[h];
-            head[h] = i;
+            head[h] = i as u32; // below `NONE`: see its definition
         }
     };
 
@@ -127,9 +148,115 @@ fn tokens(data: &[u8], mut put: impl FnMut(u32, u8)) {
     }
 }
 
+/// How many leading bytes `a` and `b` (of equal length) share, compared
+/// eight at a time: the first set bit of the xor of two little-endian
+/// words is in the first byte that differs.
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    let word = |w: &[u8]| u64::from_le_bytes(w.try_into().expect("chunks_exact(8)"));
+    let mut len = 0;
+    for (x, y) in a.chunks_exact(8).zip(b.chunks_exact(8)) {
+        let diff = word(x) ^ word(y);
+        if diff != 0 {
+            return len + (diff.trailing_zeros() / 8) as usize;
+        }
+        len += 8;
+    }
+    let tail = a[len..].iter().zip(&b[len..]);
+    len + tail.take_while(|(x, y)| x == y).count()
+}
+
 /// Compressed size of `data` (convenience for the size series).
 pub fn compressed_len(data: &[u8]) -> usize {
     compress(data).len()
+}
+
+/// The match finder the word-at-a-time one replaced — `usize` chains,
+/// byte-at-a-time extension, every candidate extended — kept as what the
+/// tests hold `tokens` to.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::{hash3, HASH_BITS, MAX_CHAIN, MAX_MATCH, MIN_MATCH, WINDOW};
+
+    pub(crate) fn tokens(data: &[u8], mut put: impl FnMut(u32, u8)) {
+        let mut head = vec![usize::MAX; 1 << HASH_BITS];
+        let mut prev = vec![usize::MAX; data.len().max(1)];
+
+        let find = |head: &[usize], prev: &[usize], i: usize| -> Option<(usize, usize)> {
+            if i + MIN_MATCH > data.len() {
+                return None;
+            }
+            let mut best: Option<(usize, usize)> = None; // (len, dist)
+            let mut cand = head[hash3(data, i)];
+            let mut chain = 0;
+            while cand != usize::MAX && chain < MAX_CHAIN {
+                if i - cand > WINDOW {
+                    break;
+                }
+                let max_len = MAX_MATCH.min(data.len() - i);
+                let mut len = 0;
+                while len < max_len && data[cand + len] == data[i + len] {
+                    len += 1;
+                }
+                if len >= MIN_MATCH && best.is_none_or(|(bl, _)| len > bl) {
+                    best = Some((len, i - cand));
+                    if len == max_len {
+                        break;
+                    }
+                }
+                cand = prev[cand];
+                chain += 1;
+            }
+            best
+        };
+        let insert = |head: &mut [usize], prev: &mut [usize], i: usize| {
+            if i + MIN_MATCH <= data.len() {
+                let h = hash3(data, i);
+                prev[i] = head[h];
+                head[h] = i;
+            }
+        };
+
+        let mut i = 0usize;
+        while i < data.len() {
+            let m = find(&head, &prev, i);
+            // lazy matching: prefer a longer match starting at i+1
+            let take = match m {
+                Some((len, dist)) => {
+                    let next = if i + 1 < data.len() {
+                        // peek without inserting i first (conservative)
+                        find(&head, &prev, i + 1)
+                    } else {
+                        None
+                    };
+                    match next {
+                        Some((nlen, _)) if nlen > len + 1 => None, // emit literal, match next round
+                        _ => Some((len, dist)),
+                    }
+                }
+                None => None,
+            };
+            match take {
+                Some((len, dist)) => {
+                    put(0, 1);
+                    let v = (dist - 1) as u32;
+                    let width = (32 - v.leading_zeros()) as u8;
+                    put(u32::from(width), 4);
+                    put(v, width);
+                    put((len - MIN_MATCH) as u32, 8);
+                    for k in 0..len {
+                        insert(&mut head, &mut prev, i + k);
+                    }
+                    i += len;
+                }
+                None => {
+                    put(1, 1);
+                    put(data[i] as u32, 8);
+                    insert(&mut head, &mut prev, i);
+                    i += 1;
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -238,12 +365,13 @@ pub(crate) mod tests {
         (out.len() == n).then_some(out)
     }
 
-    /// `compress` as it was: the same tokens through the reference writer.
+    /// `compress` as it was: the reference matcher's tokens through the
+    /// reference writer.
     pub(crate) fn reference_compress(data: &[u8]) -> Vec<u8> {
         let mut out = Vec::new();
         write_varint(&mut out, data.len() as u64);
         let mut w = crate::bitio::reference::BitWriter::default();
-        tokens(data, |v, n| w.write_bits(v, n));
+        reference::tokens(data, |v, n| w.write_bits(v, n));
         out.extend_from_slice(&w.finish());
         out
     }
@@ -257,6 +385,13 @@ pub(crate) mod tests {
                 x as u8
             })
             .collect()
+    }
+
+    /// Noise with its first 64 bytes repeated `dist` bytes on.
+    fn repeat_at(dist: usize) -> Vec<u8> {
+        let mut data = xorshift_bytes(dist, 0xED6E);
+        data.extend_from_within(..64);
+        data
     }
 
     /// Inputs that reach every decoder path: nothing, literals only, XML
@@ -290,14 +425,38 @@ pub(crate) mod tests {
         ]
     }
 
+    /// Compressed against `compress` as it was — the reference matcher
+    /// through the bit-at-a-time writer — so a change to either the
+    /// matcher or the writer shows as different bytes; with a repeat at
+    /// the window's edge and one byte past it.
     #[test]
     fn compress_writes_the_bytes_the_bit_at_a_time_writer_wrote() {
-        for data in corpus() {
+        for data in corpus()
+            .into_iter()
+            .chain([repeat_at(WINDOW), repeat_at(WINDOW + 1)])
+        {
             let packed = compress(&data);
             assert_eq!(packed, reference_compress(&data), "{} bytes in", data.len());
             assert_eq!(decompress(&packed).as_deref(), Some(&data[..]));
             assert_eq!(decompress_exact(&packed, data.len()), Some(data.clone()));
             assert_eq!(decompress_exact(&packed, data.len() + 1), None);
+        }
+    }
+
+    /// Journal payloads (`doc_to_bytes`) of a seeded OMIM release sequence:
+    /// what an LZSS journal stores, with the long near and far repeats of
+    /// real records that the corpus above only imitates.
+    #[test]
+    fn compress_writes_the_bytes_the_reference_matcher_chose_for_omim_payloads() {
+        let releases = xarch_datagen::omim::OmimGen::new(0x1A55).sequence(120, 8);
+        for (at, doc) in releases.iter().enumerate() {
+            let payload = xarch_storage::payload::doc_to_bytes(doc).expect("a generated release");
+            assert_eq!(
+                compress(&payload),
+                reference_compress(&payload),
+                "release {at}: {} bytes in",
+                payload.len()
+            );
         }
     }
 

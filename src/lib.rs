@@ -58,7 +58,7 @@
 //! |---|---|---|---|---|---|---|---|
 //! | default | [`core::Archive`] | §4.2 | archive + version fit in RAM; fastest merges and queries | native: the query kernel ([`core::kernel`]) — key-path descent by sibling scan + visibility-filtered subtree walk; `history_values` emits once per interval of constant content (cut at the subtree's own timestamps), an unchanged `diff` emits nothing | batch nested merge — each archive level is sorted and walked once per batch, byte-identical to a serial replay | `&self`, lock-free; a view is a clone over copy-on-write arena chunks — O(changed) | `query.*` / `ingest.*` latency histograms via the outermost [`core::ObservedStore`] wrapper |
 //! | `.chunks(n)` | [`core::ChunkedArchive`] | §5 | data outgrows one merge's memory: top-level records are hash-partitioned into `n` independent archives, merged chunk by chunk | native: all five kinds route to the owning chunk's kernel; `range` fans out and merges; the document root spans chunks and is composed from retrieves | the whole batch is partitioned once, then chunks merge their sub-batches on parallel worker threads | `&self`, lock-free; a view clones each partition the same way | `query.*` / `ingest.*` histograms (whole-store timing spans all chunks) |
-//! | `.durable(path)` + `.checkpoint_every(n)` | [`storage::DurableArchive`] | — | the archive must outlive the process: every commit is journaled to a checksummed segment file and replayed on reopen (composes with any row above); a checkpoint cadence keeps reopen cost flat vs history by restoring the newest snapshot block and replaying only the tail | a [`Layer`] that intercepts nothing: every query is the wrapped backend's own; indexes are re-established during replay | **group commit** — one multi-version block, one commit word, one fsync per batch; a torn batch recovers to the pre-batch state, never a prefix | `&self`; reads never touch the journal — a view is the wrapped store's, taken after the commit lands | `segment.*` / `checkpoint.*` write/fsync counters, `recovery.*` replay counters + duration, structured recovery events (torn tail, corrupt block, skipped checkpoint) |
+//! | `.durable(path)` + `.checkpoint_every(n)` | [`storage::DurableArchive`] | — | the archive must outlive the process: every commit is journaled to a segment file checksummed block by block ([`storage::crc32`]) and replayed on reopen (composes with any row above); a checkpoint cadence keeps reopen cost flat vs history by restoring the newest snapshot block and replaying only the tail | a [`Layer`] that intercepts nothing: every query is the wrapped backend's own; indexes are re-established during replay | **group commit** — one multi-version block, one commit word, one fsync per batch; a torn batch recovers to the pre-batch state, never a prefix | `&self`; reads never touch the journal — a view is the wrapped store's, taken after the commit lands | `segment.*` / `checkpoint.*` write/fsync counters, `recovery.*` replay counters + duration, structured recovery events (torn tail, corrupt block, skipped checkpoint) |
 //! | `.with_index()` | [`index::IndexedArchive`] | §7 | query-heavy service workloads on the in-memory tier: timestamp trees + history index over the archive's arena, refreshed once per commit over just the nodes the merge wrote (refused together with `.chunks(n)`, whose queries already go to the owning chunk) | indexed: the same query kernel over the §7 structures — `O(l log d)` descent, probe counts proportional to the answer | one batch merge, then one index refresh over what the whole batch wrote | `&self`; probe counters are atomics, shared by every view; index tables share chunks | `index.history.comparisons` / `index.timestamp.probes` bound to the shared registry |
 //! | [`ColdArchive::open`](storage::ColdArchive::open) | [`storage::ColdArchive`] | — | rarely-read archives that must answer without startup cost: queries run straight off the mmap'd segment file via a per-block version index, decoding only the blocks each answer needs — the archive is never materialized in RAM | per-block: `retrieve`/`as_of` decode one block, `retrieve_into` writes XML straight from its bytes and `as_of` builds only the element it returns; `history` streams block-at-a-time the same way; `range`/`history_values`/`diff` ride the trait fallbacks | n/a — cold readers are read-only (a shared OS lock admits any number of them beside each other, and refuses a live writer) | `&self`; the map itself is the shared state | `cold.retrieves` / `cold.blocks_decoded` / `cold.bytes_decoded` counters + `cold.mapped_bytes` gauge ([`storage::ColdArchive::open_observed`]) |
 //!
@@ -177,7 +177,8 @@
 //!
 //! Two service crates sit on top of the facade (and are therefore not
 //! re-exported here): `xarch_proto` (`crates/proto`), the CRC-framed
-//! wire protocol and blocking client, and `xarch_server`
+//! wire protocol (framed with the same [`storage::crc32`] as every
+//! block) and blocking client, and `xarch_server`
 //! (`crates/server`), the `xarch-server` network archive service.
 //!
 //! ## Tooling
@@ -185,7 +186,7 @@
 //! | tool | run | enforces |
 //! |---|---|---|
 //! | `xarch_analysis` (`crates/analysis`) | `cargo run --release -p xarch_analysis -- check` | panic-freedom in decode/recovery paths, no lock guard across fsync/snapshot, no truncating casts in `storage`, `&self` [`StoreReader`] methods + `Send`/`Sync` store impls, `// SAFETY:` on every `unsafe` block, no ad-hoc `Instant::now()` timing or `eprintln!` event logging outside `xarch_obs` in library code |
-//! | docs drift gate (`tests/docs.rs`) | `cargo test --test docs` | `docs/FORMAT.md`'s magic / format-revision / layout constants match `crates/storage` source, `docs/PROTOCOL.md`'s handshake constants / verb bytes / error codes match `crates/proto` source (golden tests), and every intra-repo link in `README.md` / `docs/*.md` resolves |
+//! | docs drift gate (`tests/docs.rs`) | `cargo test --test docs` | `docs/FORMAT.md`'s magic / format-revision / layout constants match `crates/storage` source, `docs/PROTOCOL.md`'s handshake constants / verb bytes / error codes match `crates/proto` source (golden tests), both specs' CRC-32 check value matches [`storage::crc32`], and every intra-repo link in `README.md` / `docs/*.md` resolves |
 //!
 //! The analyzer runs in CI as a required gate; deliberate exemptions use
 //! in-place `// xarch-allow: <rule> -- <reason>` comments, all of which

@@ -212,6 +212,34 @@ fn format_spec_lzss_golden_vector_is_what_the_coder_writes_and_reads() {
     assert!(repeat_at(32769) > 60, "no match past the window");
 }
 
+/// Both specs give the checksum's standard check value; the live function
+/// must produce it. The CRC of a fixed seeded 1 MiB buffer pins the long
+/// path as well: the value is what the slice-by-8-only implementation
+/// computed, so the folded kernel must reproduce it bit for bit.
+#[test]
+fn crc32_check_value_is_what_the_live_function_computes() {
+    use xarch::storage::crc32;
+    for spec in ["docs/FORMAT.md", "docs/PROTOCOL.md"] {
+        let doc = read(&repo_root().join(spec));
+        let cell = table_value(&doc, "CRC32_CHECK");
+        assert_eq!(
+            eval(cell),
+            Some(u64::from(crc32(b"123456789"))),
+            "{spec} documents the CRC-32 check value as {cell}"
+        );
+    }
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let mib: Vec<u8> = (0..1 << 20)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x.to_le_bytes()[0]
+        })
+        .collect();
+    assert_eq!(crc32(&mib), 0x85B1_00CB);
+}
+
 // ---------- the PROTOCOL.md golden tests ----------
 
 #[test]
