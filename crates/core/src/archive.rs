@@ -108,13 +108,17 @@ impl Clone for TouchedLog {
 
 /// What the merges of an [`Archive`] have done so far, as counts that
 /// repeat exactly: keyed subtrees Nested Merge returned at without
-/// descending, and node pairs its equality walks looked at to decide.
+/// descending, node pairs its equality walks looked at to decide, and the
+/// keys annotation extracted for it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MergeTally {
     /// Matched subtrees found equal and never written beneath — skipped.
     pub subtrees_skipped: u64,
     /// Archive/version node pairs the equality walks compared.
     pub nodes_compared: u64,
+    /// Keyed version nodes whose key was extracted: none beneath a
+    /// subtree the archive already held when the version was annotated.
+    pub keys_extracted: u64,
 }
 
 /// How contents beneath frontier nodes are compacted.
@@ -192,6 +196,10 @@ pub struct Archive {
     /// Tests switch the no-op rule off to get the full walk it must equal.
     #[cfg(test)]
     pub(crate) full_walk: bool,
+    /// Tests annotate every version whole, holding nothing, to get the
+    /// merge that annotating against the archive must equal.
+    #[cfg(test)]
+    pub(crate) eager_annotate: bool,
 }
 
 impl Archive {
@@ -225,6 +233,8 @@ impl Archive {
             touched: TouchedLog::default(),
             #[cfg(test)]
             full_walk: false,
+            #[cfg(test)]
+            eager_annotate: false,
         }
     }
 
@@ -253,6 +263,8 @@ impl Archive {
             touched: TouchedLog::default(),
             #[cfg(test)]
             full_walk: false,
+            #[cfg(test)]
+            eager_annotate: false,
         };
         for i in 0..a.len() {
             let id = ANodeId(i as u32);

@@ -41,14 +41,30 @@
 //! 300 — therefore costs one read of what it did not change plus the
 //! walk of what it did. [`Archive::merge_tally`] counts both.
 //!
+//! **Annotate against the archive.** `add_version` and `add_versions`
+//! run Annotate Keys (§4.1) against the archive (a batch against the
+//! archive as it stands before the batch), and the no-op rule's walk runs
+//! inside it: each keyed version node, once its key is extracted, is
+//! paired as `merge_children` pairs it, and where the rule applies its
+//! equality walk runs there and its verdict is kept. A node found equal
+//! is *held*: its subtree is neither annotated nor walked a second time,
+//! every node in it records its *twin* (the archive node it equals), and
+//! the merge reads a held node's descendants' classes and keys from their
+//! twins through one accessor (`Version::annotation`) — a batch descends
+//! into a held part where another version differs, and `copy_subtree`
+//! copies one. So a release pays key extraction only for what changed;
+//! [`MergeTally::keys_extracted`](crate::MergeTally::keys_extracted)
+//! counts it.
+//!
 //! Above the frontier, children not covered by any key (mixed content,
 //! schema drift) fall back to whole-value matching — the "conventional diff
 //! techniques" escape hatch of §3, in its simplest form.
 
+use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 
-use xarch_keys::{annotate, Annotations, KeyValue, NodeClass};
+use xarch_keys::{annotate_holding, Annotations, KeyError, KeyValue, NodeClass};
 use xarch_xml::canon::canonical;
 use xarch_xml::{Document, NodeId, NodeKind, Sym};
 
@@ -57,16 +73,22 @@ use crate::timeset::TimeSet;
 use crate::weave::weave_frontier;
 
 /// One incoming version as the merge reads it: the document, its key
-/// annotations, and the version number it is archived as.
+/// annotations, what annotating it against the archive paired, and the
+/// version number it is archived as.
 pub(crate) struct Version<'a> {
     pub doc: &'a Document,
-    pub ann: &'a Annotations,
+    ann: &'a Annotations,
+    /// Per node of `doc`, what annotation paired it with; empty when the
+    /// version was annotated on its own (nothing held).
+    links: &'a [Link],
+    /// Archive child lists annotation sorted; the merge takes them.
+    sorted: &'a Sorted,
     /// The version number being merged.
     pub i: u32,
     /// `doc`'s symbols in the archive's table as of the start of the
     /// merge, so tags and attribute names compare as `Sym`s. `None` is a
     /// name the archive did not have then; the merge may have interned it
-    /// since, so those compare by spelling ([`Version::same_name`]).
+    /// since, so those compare by spelling ([`Names::same`]).
     syms: Vec<Option<Sym>>,
     /// The paper pairs the archive root `rA` with a virtual root `rD`
     /// whose only child is the document root: this is that child list.
@@ -74,13 +96,28 @@ pub(crate) struct Version<'a> {
 }
 
 impl<'a> Version<'a> {
-    fn new(a: &Archive, doc: &'a Document, ann: &'a Annotations, i: u32) -> Self {
+    fn new(
+        a: &Archive,
+        doc: &'a Document,
+        (ann, links): (&'a Annotations, &'a [Link]),
+        sorted: &'a Sorted,
+        i: u32,
+    ) -> Self {
         Version {
             doc,
             ann,
+            links,
+            sorted,
             i,
-            syms: doc.syms().iter().map(|(_, n)| a.syms().get(n)).collect(),
+            syms: syms_of(a, doc),
             top: [doc.root()],
+        }
+    }
+
+    fn names(&self) -> Names<'_> {
+        Names {
+            doc: self.doc,
+            syms: &self.syms,
         }
     }
 
@@ -89,14 +126,83 @@ impl<'a> Version<'a> {
         self.syms[s.index()].unwrap_or_else(|| a.intern(self.doc.syms().resolve(s)))
     }
 
+    /// The class and key of version node `y` — every read of either goes
+    /// through here. Where the annotate walk reached `y` they are its own;
+    /// beneath a held node they are its twin's, which a merge stored with
+    /// exactly what Annotate Keys gives the equal subtree.
+    fn annotation<'s>(&'s self, a: &'s Archive, y: NodeId) -> (NodeClass, Option<&'s KeyValue>) {
+        if let Some(class) = self.ann.annotated(y) {
+            return (class, self.ann.key(y));
+        }
+        match self.links.get(y.index()) {
+            Some(&Link::Twin(x)) => (a.node(x).class, a.node(x).key.as_ref()),
+            _ => panic!("a version node left unannotated has a twin"),
+        }
+    }
+
+    fn is_frontier(&self, a: &Archive, y: NodeId) -> bool {
+        self.annotation(a, y).0 == NodeClass::Frontier
+    }
+
+    /// The no-op rule's verdict at `(x, y)`, when annotation reached it.
+    fn verdict(&self, x: ANodeId, y: NodeId) -> Option<Verdict> {
+        match self.links.get(y.index()) {
+            Some(&Link::Paired(px, verdict)) if px == x => verdict,
+            _ => None,
+        }
+    }
+}
+
+/// `doc`'s symbols in the archive's table (`None`: not there yet).
+fn syms_of(a: &Archive, doc: &Document) -> Vec<Option<Sym>> {
+    doc.syms().iter().map(|(_, n)| a.syms().get(n)).collect()
+}
+
+/// A version document and its symbols in the archive's table, as the
+/// equality walk reads them.
+#[derive(Clone, Copy)]
+struct Names<'a> {
+    doc: &'a Document,
+    syms: &'a [Option<Sym>],
+}
+
+impl Names<'_> {
     /// Whether the archive's symbol `x` and `doc`'s symbol `y` are one name.
-    fn same_name(&self, a: &Archive, x: Sym, y: Sym) -> bool {
+    fn same(&self, a: &Archive, x: Sym, y: Sym) -> bool {
         match self.syms[y.index()] {
             Some(mapped) => mapped == x,
             None => a.syms().resolve(x) == self.doc.syms().resolve(y),
         }
     }
 }
+
+/// What annotating a version against the archive found for one node.
+#[derive(Clone, Copy)]
+enum Link {
+    /// Not paired: not keyed, beneath an unpaired node, or no archive
+    /// node has its label.
+    Unpaired,
+    /// A keyed node and the archive node the label walk pairs it with,
+    /// with the no-op rule's verdict there — `None` where the rule does
+    /// not apply (the archive node has been written beneath).
+    Paired(ANodeId, Option<Verdict>),
+    /// A node beneath a held one: its *twin*, the archive node the
+    /// equality walk found it equal to.
+    Twin(ANodeId),
+}
+
+/// The no-op rule's answer at one pair, and the node pairs compared to
+/// reach it — what `unchanged` adds to the tally when it uses it.
+#[derive(Clone, Copy)]
+struct Verdict {
+    same: bool,
+    compared: u32,
+}
+
+/// The keyed children of archive nodes, sorted by label: sorted once per
+/// commit, where annotation first looks a partner up, and taken by the
+/// merge's walk of that node. A batch shares one.
+type Sorted = RefCell<HashMap<ANodeId, Vec<ANodeId>>>;
 
 /// A child label — tag name plus key value, the paper's
 /// `l{p1=v1, ..., pk=vk}` — read where it is stored.
@@ -112,8 +218,8 @@ fn x_label(a: &Archive, id: ANodeId) -> Option<LabelRef<'_>> {
 }
 
 /// The label of version node `id`, when it is a keyed element.
-fn y_label<'a>(ver: &Version<'a>, id: NodeId) -> Option<LabelRef<'a>> {
-    match (&ver.doc.node(id).kind, ver.ann.key(id)) {
+fn y_label<'s>(a: &'s Archive, ver: &'s Version<'_>, id: NodeId) -> Option<LabelRef<'s>> {
+    match (&ver.doc.node(id).kind, ver.annotation(a, id).1) {
         (NodeKind::Element(s), Some(k)) => Some((ver.doc.syms().resolve(*s), k)),
         _ => None,
     }
@@ -124,10 +230,17 @@ fn cmp_labels(p: LabelRef<'_>, q: LabelRef<'_>) -> Ordering {
     p.0.cmp(q.0).then_with(|| p.1.cmp_parts(q.1))
 }
 
+/// [`sort_keyed_x`], or the list annotation sorted for `x` — once: a
+/// second walk of `x` in the same commit sorts afresh.
+fn sorted_keyed_x(a: &Archive, x: ANodeId, sorted: &Sorted) -> Vec<ANodeId> {
+    let cached = sorted.borrow_mut().remove(&x);
+    cached.unwrap_or_else(|| sort_keyed_x(a, x))
+}
+
 /// The keyed children of archive node `x`, sorted by label. The sort is
 /// stable, so siblings that (illegally) share a label keep document order
 /// and pair positionally.
-fn sorted_keyed_x(a: &Archive, x: ANodeId) -> Vec<ANodeId> {
+fn sort_keyed_x(a: &Archive, x: ANodeId) -> Vec<ANodeId> {
     let mut kx: Vec<(LabelRef<'_>, ANodeId)> = Vec::new();
     for &c in a.children(x) {
         debug_assert!(
@@ -142,11 +255,11 @@ fn sorted_keyed_x(a: &Archive, x: ANodeId) -> Vec<ANodeId> {
 
 /// Splits a version child list into its keyed children, sorted by label
 /// (stably, as [`sorted_keyed_x`]), and the others in document order.
-fn split_y(ver: &Version<'_>, y_children: &[NodeId]) -> (Vec<NodeId>, Vec<NodeId>) {
+fn split_y(a: &Archive, ver: &Version<'_>, y_children: &[NodeId]) -> (Vec<NodeId>, Vec<NodeId>) {
     let mut ky: Vec<(LabelRef<'_>, NodeId)> = Vec::new();
     let mut oy = Vec::new();
     for &c in y_children {
-        match y_label(ver, c) {
+        match y_label(a, ver, c) {
             Some(l) => ky.push((l, c)),
             None => oy.push(c),
         }
@@ -164,27 +277,38 @@ fn unkeyed_x(a: &Archive, x: ANodeId) -> Vec<ANodeId> {
 const KEYED: &str = "the keyed lists hold keyed elements";
 
 impl Archive {
-    /// Annotates `doc` against the archive's key spec and merges it as the
+    /// Annotates `doc` against the archive — Annotate Keys with the no-op
+    /// rule decided as the walk goes, so a subtree the archive already
+    /// holds is neither annotated nor walked twice — and merges it as the
     /// next version. Returns the assigned version number.
     pub fn add_version(&mut self, doc: &Document) -> Result<u32, MergeError> {
-        let ann = annotate(doc, self.spec())?;
-        self.add_annotated(doc, &ann)
+        let sorted = Sorted::default();
+        let (ann, links) = annotate_against(self, doc, &sorted)?;
+        self.merge_version(doc, (&ann, &links), &sorted)
     }
 
     /// Merges an already-annotated version (callers that annotate once and
     /// reuse, e.g. the chunked archiver, use this entry point).
     pub fn add_annotated(&mut self, doc: &Document, ann: &Annotations) -> Result<u32, MergeError> {
-        if !ann.is_keyed(doc.root()) {
-            return Err(MergeError::UnkeyedRoot(doc.tag_name(doc.root()).to_owned()));
-        }
+        self.merge_version(doc, (ann, &[]), &Sorted::default())
+    }
+
+    fn merge_version(
+        &mut self,
+        doc: &Document,
+        annotated: (&Annotations, &[Link]),
+        sorted: &Sorted,
+    ) -> Result<u32, MergeError> {
+        check_root(doc, annotated.0)?;
         self.touched.0.clear();
+        self.tally.keys_extracted += annotated.0.keyed_count() as u64;
         let i = self.bump_version();
         let root = self.root();
         let t_cur = self
             .augment_time(root, i)
             .expect("root carries a timestamp")
             .clone();
-        let ver = Version::new(self, doc, ann, i);
+        let ver = Version::new(self, doc, annotated, sorted, i);
         merge_children(self, root, &ver, &ver.top, &t_cur);
         Ok(i)
     }
@@ -202,24 +326,25 @@ impl Archive {
     /// recovered from each node's per-batch presence set (see
     /// `batch_merge_children` in this module).
     ///
-    /// Every document is annotated and validated *before* any state is
-    /// touched, so a rejected batch leaves the archive unchanged — unlike
-    /// a serial replay, which stops at the first bad document with the
-    /// earlier ones already merged. An empty batch is a no-op.
+    /// Every document is annotated (each against the archive as it stands
+    /// before the batch) and validated *before* any state is touched, so a
+    /// rejected batch leaves the archive unchanged — unlike a serial
+    /// replay, which stops at the first bad document with the earlier ones
+    /// already merged. An empty batch is a no-op.
     pub fn add_versions(&mut self, docs: &[Document]) -> Result<Vec<u32>, MergeError> {
         if docs.is_empty() {
             return Ok(Vec::new());
         }
-        let anns = docs
+        let sorted = Sorted::default();
+        let annotated = docs
             .iter()
-            .map(|d| annotate(d, self.spec()))
+            .map(|d| annotate_against(self, d, &sorted))
             .collect::<Result<Vec<_>, _>>()?;
-        for (doc, ann) in docs.iter().zip(&anns) {
-            if !ann.is_keyed(doc.root()) {
-                return Err(MergeError::UnkeyedRoot(doc.tag_name(doc.root()).to_owned()));
-            }
+        for (doc, (ann, _)) in docs.iter().zip(&annotated) {
+            check_root(doc, ann)?;
         }
-        Ok(self.add_annotated_versions(docs, &anns))
+        let annotated = annotated.iter().map(|(ann, links)| (ann, &links[..]));
+        Ok(self.merge_batch(docs, annotated, &sorted))
     }
 
     /// Batch merge of already-annotated versions (the chunked archiver
@@ -230,6 +355,17 @@ impl Archive {
         docs: &[Document],
         anns: &[Annotations],
     ) -> Vec<u32> {
+        let unpaired: &[Link] = &[];
+        let annotated = anns.iter().map(|ann| (ann, unpaired));
+        self.merge_batch(docs, annotated, &Sorted::default())
+    }
+
+    fn merge_batch<'v>(
+        &mut self,
+        docs: &'v [Document],
+        annotated: impl Iterator<Item = (&'v Annotations, &'v [Link])>,
+        sorted: &'v Sorted,
+    ) -> Vec<u32> {
         self.touched.0.clear();
         let root = self.root();
         let eff0 = self
@@ -238,9 +374,10 @@ impl Archive {
             .clone()
             .expect("root carries a timestamp");
         let mut vers: Vec<Version<'_>> = Vec::with_capacity(docs.len());
-        for (doc, ann) in docs.iter().zip(anns) {
+        for (doc, annotated) in docs.iter().zip(annotated) {
+            self.tally.keys_extracted += annotated.0.keyed_count() as u64;
             let i = self.bump_version();
-            vers.push(Version::new(self, doc, ann, i));
+            vers.push(Version::new(self, doc, annotated, sorted, i));
             self.augment_time(root, i);
         }
         let levels: Vec<BatchLevel<'_>> = vers
@@ -271,50 +408,194 @@ impl Archive {
     }
 }
 
+/// Refuses a version whose root no root-level key covers.
+fn check_root(doc: &Document, ann: &Annotations) -> Result<(), MergeError> {
+    if ann.is_keyed(doc.root()) {
+        return Ok(());
+    }
+    Err(MergeError::UnkeyedRoot(doc.tag_name(doc.root()).to_owned()))
+}
+
+/// Annotate Keys (§4.1) for `doc` against the archive as it stands, with
+/// the no-op rule decided as the walk goes.
+///
+/// Each keyed node, once its key is extracted, is paired as
+/// [`merge_children`] will pair it: under its parent's partner (the
+/// archive root for the document root), the k-th sibling with its label
+/// takes the k-th archive child with that label. Where the partner `x`
+/// has not been written beneath, the equality walk of the no-op rule runs
+/// here, and its verdict is kept for the merge. A node found equal is
+/// *held*: the walk stops there, and every node beneath it records its
+/// twin, the archive node it equals. A held subtree equals content that
+/// was annotated when it was merged, so the first key error in document
+/// order — the one returned — is the one [`xarch_keys::annotate`] returns.
+fn annotate_against(
+    a: &Archive,
+    doc: &Document,
+    sorted: &Sorted,
+) -> Result<(Annotations, Vec<Link>), KeyError> {
+    #[cfg(test)]
+    if a.eager_annotate {
+        return Ok((xarch_keys::annotate(doc, a.spec())?, Vec::new()));
+    }
+    let syms = syms_of(a, doc);
+    let mut pairer = Pairer {
+        a,
+        names: Names { doc, syms: &syms },
+        links: Vec::new(),
+        sorted: &mut sorted.borrow_mut(),
+        claims: HashMap::new(),
+    };
+    let ann = annotate_holding(doc, a.spec(), &mut |y, key| pairer.hold(y, key))?;
+    Ok((ann, pairer.links))
+}
+
+/// The state of one [`annotate_against`] walk.
+struct Pairer<'p> {
+    a: &'p Archive,
+    names: Names<'p>,
+    /// One per node of the document once the first keyed node pairs
+    /// (empty until then: a version the archive holds nothing of costs
+    /// none — an empty archive's first batch, say).
+    links: Vec<Link>,
+    sorted: &'p mut HashMap<ANodeId, Vec<ANodeId>>,
+    /// Per archive parent, per position in its sorted list: how many
+    /// version siblings with the label starting there have been paired.
+    claims: HashMap<ANodeId, Vec<u32>>,
+}
+
+impl Pairer<'_> {
+    /// Pairs keyed node `y` and answers whether it is held.
+    fn hold(&mut self, y: NodeId, key: &KeyValue) -> bool {
+        let link = self.pair(y, key);
+        if !self.links.is_empty() || !matches!(link, Link::Unpaired) {
+            self.links_mut()[y.index()] = link;
+        }
+        matches!(link, Link::Paired(_, Some(Verdict { same: true, .. })))
+    }
+
+    fn links_mut(&mut self) -> &mut [Link] {
+        if self.links.is_empty() {
+            self.links = vec![Link::Unpaired; self.names.doc.len()];
+        }
+        &mut self.links
+    }
+
+    fn pair(&mut self, y: NodeId, key: &KeyValue) -> Link {
+        let (a, names) = (self.a, self.names);
+        let above = match names.doc.parent(y) {
+            None => a.root(),
+            Some(p) => match self.links.get(p.index()) {
+                Some(&Link::Paired(x, _)) => x,
+                _ => return Link::Unpaired,
+            },
+        };
+        let NodeKind::Element(tag) = names.doc.node(y).kind else {
+            return Link::Unpaired;
+        };
+        let label = (names.doc.syms().resolve(tag), key);
+        let kx = (self.sorted)
+            .entry(above)
+            .or_insert_with(|| sort_keyed_x(a, above));
+        let cmp = |c: &ANodeId| cmp_labels(x_label(a, *c).expect(KEYED), label);
+        let first = kx.partition_point(|c| cmp(c) == Ordering::Less);
+        let claims = (self.claims)
+            .entry(above)
+            .or_insert_with(|| vec![0; kx.len()]);
+        let Some(k) = claims.get_mut(first) else {
+            return Link::Unpaired;
+        };
+        let at = first + *k as usize;
+        *k += 1;
+        let Some(&x) = kx.get(at).filter(|c| cmp(c) == Ordering::Equal) else {
+            return Link::Unpaired;
+        };
+        if rule_off(a, x) {
+            return Link::Paired(x, None);
+        }
+        let mut compared = 0;
+        let links = self.links_mut();
+        let mut twin = |yc: NodeId, xc| links[yc.index()] = Link::Twin(xc);
+        let same = same_children(a, x, names, y, &mut compared, &mut twin);
+        Link::Paired(x, Some(Verdict { same, compared }))
+    }
+}
+
+/// Whether the no-op rule is off at archive node `x`: something beneath
+/// it has been written (or a test asked for the full walk).
+fn rule_off(a: &Archive, x: ANodeId) -> bool {
+    #[cfg(test)]
+    if a.full_walk {
+        return true;
+    }
+    a.node(x).written_beneath
+}
+
 /// The no-op rule: `true` when merging every `(version, y)` of `ys` into
 /// the matched archive node `x` would write nothing beneath `x`, so the
 /// caller, having brought `time(x)` up to date, may return.
 ///
 /// That holds when nothing beneath `x` carries a timestamp of its own and
-/// `children(x) =v children(y)` for each `y` — decided here by one
-/// allocation-free walk that reads both sides in place. The walk wants
-/// children *and attributes* in the same order; a subtree that is equal
-/// only up to a reordering answers `false` and takes the full walk, which
-/// pairs by label and finds it equal the slow way.
+/// `children(x) =v children(y)` for each `y` — decided by one
+/// allocation-free walk that reads both sides in place, usually already
+/// run by [`annotate_against`], whose verdict is then taken as it stands.
+/// The walk wants children *and attributes* in the same order; a subtree
+/// that is equal only up to a reordering answers `false` and takes the
+/// full walk, which pairs by label and finds it equal the slow way.
 fn unchanged<'v>(
     a: &mut Archive,
     x: ANodeId,
     mut ys: impl Iterator<Item = (&'v Version<'v>, NodeId)>,
 ) -> bool {
-    #[cfg(test)]
-    if a.full_walk {
-        return false;
-    }
-    if a.node(x).written_beneath {
+    if rule_off(a, x) {
         return false;
     }
     let mut compared = 0;
-    let same = ys.all(|(ver, y)| same_children(a, x, ver, y, &mut compared));
+    let same = ys.all(|(ver, y)| {
+        let verdict = ver.verdict(x, y).unwrap_or_else(|| {
+            let mut n = 0;
+            let same = same_children(a, x, ver.names(), y, &mut n, &mut |_, _| {});
+            Verdict { same, compared: n }
+        });
+        compared += u64::from(verdict.compared);
+        verdict.same
+    });
     a.tally.nodes_compared += compared;
     a.tally.subtrees_skipped += u64::from(same);
     same
 }
 
-/// `children(x) =v children(y)`, position by position. Only asked of an
-/// `x` with no timestamp beneath it, so no stamp node can turn up.
-fn same_children(a: &Archive, x: ANodeId, ver: &Version<'_>, y: NodeId, n: &mut u64) -> bool {
-    let (xs, ys) = (a.children(x), ver.doc.children(y));
+/// `children(x) =v children(y)`, position by position, handing `twin`
+/// each pair it compares. Only asked of an `x` with no timestamp beneath
+/// it, so no stamp node can turn up.
+fn same_children(
+    a: &Archive,
+    x: ANodeId,
+    names: Names<'_>,
+    y: NodeId,
+    n: &mut u32,
+    twin: &mut impl FnMut(NodeId, ANodeId),
+) -> bool {
+    let (xs, ys) = (a.children(x), names.doc.children(y));
     xs.len() == ys.len()
         && xs
             .iter()
             .zip(ys)
-            .all(|(&xc, &yc)| same_node(a, xc, ver, yc, n))
+            .all(|(&xc, &yc)| same_node(a, xc, names, yc, n, twin))
 }
 
-fn same_node(a: &Archive, xc: ANodeId, ver: &Version<'_>, yc: NodeId, n: &mut u64) -> bool {
+fn same_node(
+    a: &Archive,
+    xc: ANodeId,
+    names: Names<'_>,
+    yc: NodeId,
+    n: &mut u32,
+    twin: &mut impl FnMut(NodeId, ANodeId),
+) -> bool {
     *n += 1;
-    let (xn, yn) = (a.node(xc), ver.doc.node(yc));
-    let same_name = |x: Sym, y: Sym| ver.same_name(a, x, y);
+    twin(yc, xc);
+    let (xn, yn) = (a.node(xc), names.doc.node(yc));
+    let same_name = |x: Sym, y: Sym| names.same(a, x, y);
     match (&xn.kind, &yn.kind) {
         (AKind::Text(t1), NodeKind::Text(t2)) => t1 == t2,
         (AKind::Element(s1), NodeKind::Element(s2)) => {
@@ -325,7 +606,7 @@ fn same_node(a: &Archive, xc: ANodeId, ver: &Version<'_>, yc: NodeId, n: &mut u6
                     .iter()
                     .zip(&yn.attrs)
                     .all(|(p, q)| same_name(p.0, q.0) && p.1 == q.1)
-                && same_children(a, xc, ver, yc, n)
+                && same_children(a, xc, names, yc, n, twin)
         }
         _ => false,
     }
@@ -341,7 +622,7 @@ fn nested_merge(a: &mut Archive, x: ANodeId, ver: &Version<'_>, y: NodeId, inher
     }
     let own = a.node(x).time.clone();
     let t_cur = own.as_ref().unwrap_or(inherited);
-    if ver.ann.is_frontier(y) {
+    if ver.is_frontier(a, y) {
         frontier_merge(a, x, ver, y, t_cur);
     } else {
         merge_children(a, x, ver, ver.doc.children(y), t_cur);
@@ -357,15 +638,15 @@ pub(crate) fn merge_children(
     y_children: &[NodeId],
     t_cur: &TimeSet,
 ) {
-    let kx = sorted_keyed_x(a, x);
+    let kx = sorted_keyed_x(a, x, ver.sorted);
     let ox = unkeyed_x(a, x);
-    let (ky, oy) = split_y(ver, y_children);
+    let (ky, oy) = split_y(a, ver, y_children);
 
     // Merge pass over the two sorted lists.
     let (mut ix, mut iy) = (0usize, 0usize);
     while ix < kx.len() && iy < ky.len() {
         let lx = x_label(a, kx[ix]).expect(KEYED);
-        let ly = y_label(ver, ky[iy]).expect(KEYED);
+        let ly = y_label(a, ver, ky[iy]).expect(KEYED);
         match cmp_labels(lx, ly) {
             Ordering::Equal => {
                 // action (a): recursive merge
@@ -421,7 +702,8 @@ pub(crate) fn copy_subtree(
     y: NodeId,
     parent: ANodeId,
 ) -> ANodeId {
-    let class = ver.ann.class(y);
+    let (class, key) = ver.annotation(a, y);
+    let key = key.cloned();
     let node = match &ver.doc.node(y).kind {
         NodeKind::Element(s) => {
             let tag = ver.intern(a, *s);
@@ -429,7 +711,7 @@ pub(crate) fn copy_subtree(
                 attrs: (ver.doc.attrs(y).iter())
                     .map(|(s, v)| (ver.intern(a, *s), v.clone()))
                     .collect(),
-                key: ver.ann.key(y).cloned(),
+                key,
                 ..ANode::new(AKind::Element(tag), class)
             }
         }
@@ -525,8 +807,10 @@ fn batch_merge_children(a: &mut Archive, x: ANodeId, levels: &[BatchLevel<'_>], 
 
     // Partition and sort the archive's children ONCE for the whole batch,
     // and each version's: sorted keyed children + the others in doc order.
-    let kx = sorted_keyed_x(a, x);
-    let (kys, oys): (Vec<_>, Vec<_>) = levels.iter().map(|l| split_y(l.ver, l.children)).unzip();
+    let kx = sorted_keyed_x(a, x, levels[0].ver.sorted);
+    let (kys, oys): (Vec<_>, Vec<_>) = (levels.iter())
+        .map(|l| split_y(a, l.ver, l.children))
+        .unzip();
 
     // k-way label walk. Each round consumes at most one front entry per
     // list, so duplicate labels pair positionally across rounds. New
@@ -538,7 +822,7 @@ fn batch_merge_children(a: &mut Archive, x: ANodeId, levels: &[BatchLevel<'_>], 
     loop {
         let front = |li: usize| {
             let y = *kys[li].get(iys[li])?;
-            Some((y, y_label(levels[li].ver, y).expect(KEYED)))
+            Some((y, y_label(a, levels[li].ver, y).expect(KEYED)))
         };
         let x_front = kx.get(ix).map(|&c| (c, x_label(a, c).expect(KEYED)));
         let mut min = x_front.map(|f| f.1);
@@ -642,11 +926,11 @@ fn batch_merge_node(
     if unchanged(a, xc, parts.iter().map(in_batch)) {
         return;
     }
-    let frontier = levels[parts[0].0].ver.ann.is_frontier(parts[0].1);
+    let frontier = levels[parts[0].0].ver.is_frontier(a, parts[0].1);
     debug_assert!(
         parts
             .iter()
-            .all(|&(li, y)| levels[li].ver.ann.is_frontier(y) == frontier),
+            .all(|&(li, y)| levels[li].ver.is_frontier(a, y) == frontier),
         "frontier classification must agree across a batch"
     );
     if frontier {
@@ -854,6 +1138,8 @@ fn node_equals(a: &Archive, xc: ANodeId, doc: &Document, yc: NodeId) -> bool {
 
 #[cfg(test)]
 mod edit_scripts;
+#[cfg(test)]
+mod held_tests;
 #[cfg(test)]
 mod skip_tests;
 

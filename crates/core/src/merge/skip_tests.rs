@@ -60,7 +60,8 @@ fn assert_same_as_full_walk(docs: &[Document]) -> [MergeTally; 2] {
                 i + 1
             );
         }
-        assert_eq!(full.merge_tally(), MergeTally::default());
+        let off = full.merge_tally();
+        assert_eq!((off.subtrees_skipped, off.nodes_compared), (0, 0));
         for (i, d) in docs.iter().enumerate() {
             let got = skipping.retrieve(i as u32 + 1).unwrap();
             assert!(
@@ -339,6 +340,7 @@ fn tally_of(base: &Document, next: &Document) -> MergeTally {
     MergeTally {
         subtrees_skipped: after.subtrees_skipped - before.subtrees_skipped,
         nodes_compared: after.nodes_compared - before.nodes_compared,
+        keys_extracted: after.keys_extracted - before.keys_extracted,
     }
 }
 
@@ -349,22 +351,32 @@ fn the_tally_counts_what_a_release_changed() {
     let root = base.root();
     let beneath_root = nodes_beneath(&base, root);
     let extra_record = nodes_beneath(&omim(3, 1), NodeId(0));
+    let keyed = xarch_keys::annotate(&base, &omim_spec())
+        .unwrap()
+        .keyed_count() as u64;
 
     // a first release archived twice: ROOT itself has never been written
-    // beneath, so the rule returns there — one skip, nothing descended
+    // beneath, so the rule returns there — one skip, nothing descended,
+    // and of the second release's keys only ROOT's extracted (ROOT held)
     let mut a = Archive::new(omim_spec());
     a.add_version(&base).unwrap();
-    assert_eq!(a.merge_tally(), MergeTally::default());
+    let first = MergeTally {
+        keys_extracted: keyed,
+        ..MergeTally::default()
+    };
+    assert_eq!(a.merge_tally(), first);
     a.add_version(&base).unwrap();
     let once = MergeTally {
         subtrees_skipped: 1,
         nodes_compared: beneath_root,
+        keys_extracted: keyed + 1,
     };
     assert_eq!(a.merge_tally(), once);
 
     // the same as one batch into an empty archive: every name is one the
     // merge interns itself, after the versions' symbols were mapped, and
-    // they must still compare equal — two skips at ROOT, nothing descended
+    // they must still compare equal — two skips at ROOT, nothing descended.
+    // A batch is annotated against the archive before it: all of it here
     let mut batched = Archive::new(omim_spec());
     batched
         .add_versions(&[base.clone(), base.clone(), base.clone()])
@@ -372,6 +384,7 @@ fn the_tally_counts_what_a_release_changed() {
     let twice = MergeTally {
         subtrees_skipped: 2,
         nodes_compared: 2 * beneath_root,
+        keys_extracted: 3 * keyed,
     };
     assert_eq!(batched.merge_tally(), twice);
 
@@ -379,6 +392,8 @@ fn the_tally_counts_what_a_release_changed() {
     // Record skipped, none descended into — each node compared once
     let same = tally_of(&base, &base);
     assert_eq!(same.subtrees_skipped, 301);
+    // ROOT's key and each Record's, every Record held
+    assert_eq!(same.keys_extracted, 1 + 301);
     assert_eq!(
         same.nodes_compared,
         beneath_root - 300 + extra_record - 1,

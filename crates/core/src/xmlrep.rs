@@ -5,18 +5,18 @@
 //! timestamp differs from its parent's is wrapped in a `<T t="...">`
 //! element (assumed to live in a separate namespace); stamp nodes beneath
 //! frontier nodes render as `<T>` elements directly. [`from_xml`] parses
-//! such a document back into an [`Archive`], re-annotating keys — so
+//! such a document back into an [`Archive`], re-annotating keys with the
+//! walk a merge annotates its versions with — so
 //! archives can be stored, exchanged, compressed (with the XMill-style
 //! compressor of `xarch-compress`) and queried with ordinary XML tools.
 
-use std::collections::HashMap;
 use std::fmt;
 
-use xarch_keys::{KeySpec, NodeClass};
+use xarch_keys::{annotate, Annotations, KeySpec, NodeClass};
 use xarch_xml::writer::{to_compact_string, to_pretty_string};
 use xarch_xml::{Document, NodeId, NodeKind};
 
-use crate::archive::{AKind, ANode, ANodeId, Archive};
+use crate::archive::{AKind, ANode, ANodeId, Archive, Compaction};
 use crate::timeset::TimeSet;
 
 /// The timestamp element tag (`<T t="...">`).
@@ -126,8 +126,17 @@ impl Archive {
 }
 
 /// Parses a Fig-5 archive document back into an [`Archive`] governed by
-/// `spec`. Key values and node classes are re-derived during the walk.
-pub fn from_xml(doc: &Document, spec: &KeySpec) -> Result<Archive, XmlRepError> {
+/// `spec` and compacted as `compaction` says — the mode decides what a
+/// `<T>` beneath a frontier node is: a stamp alternative under
+/// [`Compaction::Alternatives`], the timestamp of the child it wraps under
+/// [`Compaction::Weave`]. Classes and keys are what [`annotate`](fn@annotate) gives the
+/// archive's content with every `<T>` dissolved, so an imported node
+/// stores exactly what a merge would have.
+pub fn from_xml(
+    doc: &Document,
+    spec: &KeySpec,
+    compaction: Compaction,
+) -> Result<Archive, XmlRepError> {
     let root_did = doc.root();
     if doc.tag_name(root_did) != STAMP_TAG {
         return Err(XmlRepError(format!(
@@ -154,36 +163,19 @@ pub fn from_xml(doc: &Document, spec: &KeySpec) -> Result<Archive, XmlRepError> 
             doc.tag_name(*root_el)
         )));
     }
-    let mut a = Archive::new(spec.clone());
+    let mut a = Archive::with_compaction(spec.clone(), compaction);
     a.set_latest(latest);
     let root_aid = a.root();
     a.set_time(root_aid, t);
-    // copy attrs of <root> if any
     copy_attrs(doc, *root_el, &mut a, root_aid);
-
-    // Prepare keyed-path lookup for re-annotation.
-    let mut keyed: HashMap<Vec<String>, usize> = HashMap::new();
-    for (i, k) in spec.keys().iter().enumerate() {
-        keyed.insert(k.keyed_path().steps().to_vec(), i);
-    }
-    let frontier: Vec<Vec<String>> = spec
-        .frontier_paths()
-        .iter()
-        .map(|p| p.steps().to_vec())
-        .collect();
-    let mut labels: Vec<String> = Vec::new();
+    let mut import = Import {
+        doc,
+        spec,
+        compaction,
+        plain: vec![NodeId(0); doc.len()],
+    };
     for &c in doc.children(*root_el) {
-        build(
-            doc,
-            c,
-            &mut a,
-            root_aid,
-            spec,
-            &keyed,
-            &frontier,
-            &mut labels,
-            false,
-        )?;
+        import.build(c, &mut a, root_aid, false, None)?;
     }
     a.touched.0.clear(); // an import is no merge
     Ok(a)
@@ -208,153 +200,108 @@ fn copy_attrs(doc: &Document, did: NodeId, a: &mut Archive, aid: ANodeId) {
     }
 }
 
-/// Recursively translates a document node into the archive, tracking the
-/// label path (stamps are transparent) and annotating keys.
-#[allow(clippy::too_many_arguments)]
-fn build(
-    doc: &Document,
-    did: NodeId,
-    a: &mut Archive,
-    parent: ANodeId,
-    spec: &KeySpec,
-    keyed: &HashMap<Vec<String>, usize>,
-    frontier: &[Vec<String>],
-    labels: &mut Vec<String>,
-    beyond: bool,
-) -> Result<(), XmlRepError> {
-    match &doc.node(did).kind {
-        NodeKind::Text(txt) => {
-            a.push_node(
-                parent,
-                ANode::new(
-                    AKind::Text(txt.clone()),
-                    if beyond {
-                        NodeClass::BeyondFrontier
-                    } else {
-                        NodeClass::Text
-                    },
-                ),
-            );
-            Ok(())
-        }
-        NodeKind::Element(s) if doc.syms().resolve(*s) == STAMP_TAG => {
-            let t = parse_time(doc, did)?;
-            // A <T> wrapping a single element above the frontier is an
-            // explicit timestamp on that element; a <T> beneath a frontier
-            // node is a stamp alternative. We distinguish by `beyond`.
-            if beyond {
-                let stamp =
-                    a.push_node(parent, ANode::new(AKind::Stamp, NodeClass::BeyondFrontier));
-                a.set_time(stamp, t);
-                for &c in doc.children(did) {
-                    build(doc, c, a, stamp, spec, keyed, frontier, labels, true)?;
-                }
-                Ok(())
-            } else {
-                // unwrap: children get the explicit time
-                for &c in doc.children(did) {
-                    let before = a.children(parent).len();
-                    build(doc, c, a, parent, spec, keyed, frontier, labels, false)?;
-                    let new_children: Vec<ANodeId> = a.children(parent)[before..].to_vec();
-                    for nc in new_children {
-                        a.set_time(nc, t.clone());
+/// One import: the Fig-5 document, and per node of it its copy in the
+/// *plain* document of the subtree being built — the archive's content
+/// with every `<T>` dissolved, which is what gets annotated.
+struct Import<'d> {
+    doc: &'d Document,
+    spec: &'d KeySpec,
+    compaction: Compaction,
+    plain: Vec<NodeId>,
+}
+
+impl Import<'_> {
+    /// Translates Fig-5 node `did` into the archive under `parent`. An
+    /// element or text takes the class and key its plain copy was
+    /// annotated with (`ann`; `None` above the document roots, where each
+    /// root is copied out and annotated as it is reached). A `<T>` is a
+    /// stamp node where `stamps` says so; otherwise its children are built
+    /// in its place and take its timestamp.
+    fn build(
+        &mut self,
+        did: NodeId,
+        a: &mut Archive,
+        parent: ANodeId,
+        stamps: bool,
+        ann: Option<&Annotations>,
+    ) -> Result<(), XmlRepError> {
+        let doc = self.doc;
+        match &doc.node(did).kind {
+            NodeKind::Text(txt) => {
+                let class = ann.map_or(NodeClass::Text, |ann| ann.class(self.plain[did.index()]));
+                a.push_node(parent, ANode::new(AKind::Text(txt.clone()), class));
+            }
+            NodeKind::Element(s) if doc.syms().resolve(*s) == STAMP_TAG => {
+                let t = parse_time(doc, did)?;
+                if stamps {
+                    let stamp =
+                        a.push_node(parent, ANode::new(AKind::Stamp, NodeClass::BeyondFrontier));
+                    a.set_time(stamp, t);
+                    for &c in doc.children(did) {
+                        self.build(c, a, stamp, true, ann)?;
                     }
-                }
-                Ok(())
-            }
-        }
-        NodeKind::Element(s) => {
-            let tag = doc.syms().resolve(*s).to_owned();
-            labels.push(tag.clone());
-            let (class, key) = if beyond {
-                (NodeClass::BeyondFrontier, None)
-            } else if let Some(&ki) = keyed.get(labels.as_slice()) {
-                let k = &spec.keys()[ki];
-                let kv = extract_key(a_doc(doc), did, &k.key_paths)
-                    .map_err(|m| XmlRepError(format!("at /{}: {m}", labels.join("/"))))?;
-                let is_frontier = frontier.iter().any(|f| f == labels);
-                (
-                    if is_frontier {
-                        NodeClass::Frontier
-                    } else {
-                        NodeClass::Keyed
-                    },
-                    Some(kv),
-                )
-            } else {
-                (NodeClass::Unkeyed, None)
-            };
-            let sym = a.intern(&tag);
-            let aid = a.push_node(
-                parent,
-                ANode {
-                    key,
-                    ..ANode::new(AKind::Element(sym), class)
-                },
-            );
-            copy_attrs(doc, did, a, aid);
-            let child_beyond = beyond || class == NodeClass::Frontier;
-            for &c in doc.children(did) {
-                build(doc, c, a, aid, spec, keyed, frontier, labels, child_beyond)?;
-            }
-            labels.pop();
-            Ok(())
-        }
-    }
-}
-
-fn a_doc(doc: &Document) -> &Document {
-    doc
-}
-
-/// Extracts a key value from a *document* node, resolving key paths through
-/// element children (stamps must not occur inside key values — key values
-/// are immutable while the element exists).
-fn extract_key(
-    doc: &Document,
-    id: NodeId,
-    key_paths: &[xarch_xml::Path],
-) -> Result<xarch_keys::KeyValue, String> {
-    use xarch_keys::KeyPart;
-    use xarch_xml::canon::canonical;
-    use xarch_xml::escape::escape_attr;
-
-    let fper = xarch_keys::Fingerprinter::default();
-    let mut parts = Vec::with_capacity(key_paths.len());
-    for p in key_paths {
-        let canon = if p.is_empty() {
-            canonical(doc, id)
-        } else {
-            let mut cur = id;
-            let steps = p.steps();
-            let mut found_attr: Option<String> = None;
-            for (i, step) in steps.iter().enumerate() {
-                // Key-path nodes are never <T>-wrapped: key values are
-                // constant while their element exists, so they always
-                // inherit. Resolve among *direct* element children only.
-                let matches: Vec<NodeId> = doc.child_elements(cur, step).collect();
-                match matches.len() {
-                    1 => cur = matches[0],
-                    0 if i == steps.len() - 1 => {
-                        if let Some(v) = doc.attr(cur, step) {
-                            found_attr = Some(format!("@{}=\"{}\"", step, escape_attr(v)));
-                            break;
+                } else {
+                    for &c in doc.children(did) {
+                        let before = a.children(parent).len();
+                        self.build(c, a, parent, false, ann)?;
+                        let built: Vec<ANodeId> = a.children(parent)[before..].to_vec();
+                        for nc in built {
+                            a.set_time(nc, t.clone());
                         }
-                        return Err(format!("key path `{p}`: step `{step}` not found"));
                     }
-                    0 => return Err(format!("key path `{p}`: step `{step}` not found")),
-                    n => return Err(format!("key path `{p}`: step `{step}` matched {n} nodes")),
                 }
             }
-            found_attr.unwrap_or_else(|| canonical(doc, cur))
-        };
-        let fp = fper.fp(&canon);
-        parts.push(KeyPart {
-            path: p.to_string().into(),
-            canon,
-            fp,
-        });
+            NodeKind::Element(s) => {
+                let fresh;
+                let ann = match ann {
+                    Some(ann) => ann,
+                    None => {
+                        let mut plain = Document::new(doc.syms().resolve(*s));
+                        let root = plain.root();
+                        self.plain[did.index()] = root;
+                        self.dissolve(did, &mut plain, root);
+                        fresh =
+                            annotate(&plain, self.spec).map_err(|e| XmlRepError(e.to_string()))?;
+                        &fresh
+                    }
+                };
+                let plain = self.plain[did.index()];
+                let class = ann.class(plain);
+                let node = ANode {
+                    key: ann.key(plain).cloned(),
+                    ..ANode::new(AKind::Element(a.intern(doc.syms().resolve(*s))), class)
+                };
+                let aid = a.push_node(parent, node);
+                copy_attrs(doc, did, a, aid);
+                let stamps = self.compaction == Compaction::Alternatives
+                    && matches!(class, NodeClass::Frontier | NodeClass::BeyondFrontier);
+                for &c in doc.children(did) {
+                    self.build(c, a, aid, stamps, Some(ann))?;
+                }
+            }
+        }
+        Ok(())
     }
-    parts.sort_by(|a, b| a.path.cmp(&b.path));
-    Ok(xarch_keys::KeyValue { parts })
+
+    /// Copies the children of Fig-5 node `did` under `at` in `plain`, each
+    /// `<T>` replaced by its children, recording every copy.
+    fn dissolve(&mut self, did: NodeId, plain: &mut Document, at: NodeId) {
+        let doc = self.doc;
+        for &c in doc.children(did) {
+            match &doc.node(c).kind {
+                NodeKind::Text(txt) => self.plain[c.index()] = plain.add_text(at, txt),
+                NodeKind::Element(s) if doc.syms().resolve(*s) == STAMP_TAG => {
+                    self.dissolve(c, plain, at)
+                }
+                NodeKind::Element(s) => {
+                    let copy = plain.add_element(at, doc.syms().resolve(*s));
+                    for (n, v) in doc.attrs(c) {
+                        plain.set_attr(copy, doc.syms().resolve(*n), v);
+                    }
+                    self.plain[c.index()] = copy;
+                    self.dissolve(c, plain, copy);
+                }
+            }
+        }
+    }
 }

@@ -164,7 +164,7 @@ fn figure_5_xml_round_trip() {
 
     // parse the XML text and rebuild the archive
     let reparsed = parse(&txt).unwrap();
-    let b = xarch_core::xmlrep::from_xml(&reparsed, a.spec()).unwrap();
+    let b = xarch_core::xmlrep::from_xml(&reparsed, a.spec(), a.compaction()).unwrap();
     b.check_invariants().unwrap();
     assert_eq!(b.latest(), 4);
     for v in 1..=4 {

@@ -21,7 +21,10 @@
 //! to report an error. There is one walker; what happens to a key that
 //! cannot be extracted is its caller's choice ([`annotate`] stops at the
 //! first, `validate` records them all), and either way the pass is
-//! complete before anyone acts on its result.
+//! complete before anyone acts on its result. A caller may also stop the
+//! walk at a keyed node once its key is extracted ([`annotate_holding`]):
+//! Nested Merge does so at subtrees the archive already holds, and reads
+//! what it needs there from the archive instead.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -160,13 +163,27 @@ impl std::error::Error for KeyError {}
 /// Per-node key annotations for one document.
 #[derive(Debug, Clone)]
 pub struct Annotations {
-    classes: Vec<NodeClass>,
+    /// `None`: the walk never reached the node — it lies beneath a node
+    /// [`annotate_holding`]'s caller held, or beneath an element nested
+    /// past [`MAX_DEPTH`].
+    classes: Vec<Option<NodeClass>>,
     keys: Vec<Option<KeyValue>>,
+    extracted: usize,
 }
 
 impl Annotations {
     /// The classification of `id`.
+    ///
+    /// # Panics
+    /// Panics if the walk left `id` unannotated (see [`Annotations::annotated`]).
     pub fn class(&self, id: NodeId) -> NodeClass {
+        self.annotated(id)
+            .expect("the node lies beneath a held node and was never annotated")
+    }
+
+    /// The classification of `id`, or `None` where the walk did not reach
+    /// it: beneath a node held by [`annotate_holding`]'s caller.
+    pub fn annotated(&self, id: NodeId) -> Option<NodeClass> {
         self.classes[id.index()]
     }
 
@@ -185,9 +202,9 @@ impl Annotations {
         self.class(id) == NodeClass::Frontier
     }
 
-    /// Number of keyed nodes (diagnostics).
+    /// Number of keyed nodes whose key was extracted.
     pub fn keyed_count(&self) -> usize {
-        self.keys.iter().filter(|k| k.is_some()).count()
+        self.extracted
     }
 }
 
@@ -223,6 +240,23 @@ pub fn annotate_under(
     walk.run(&mut Err)
 }
 
+/// Runs Annotate Keys over `doc` as [`annotate`] does, asking `hold` at
+/// every keyed node, once its key is extracted and before its children
+/// are walked, whether to stop there. A node `hold` answers `true` for
+/// keeps its class and key, and its descendants are left unannotated
+/// ([`Annotations::annotated`] answers `None` for them). The walk is in
+/// document order, so `hold` has been asked about a node's keyed
+/// ancestors before it is asked about the node.
+pub fn annotate_holding(
+    doc: &Document,
+    spec: &KeySpec,
+    hold: Hold<'_>,
+) -> Result<Annotations, KeyError> {
+    let mut walk = Walk::new(doc, spec, Fingerprinter::default());
+    walk.hold = Some(hold);
+    walk.run(&mut Err)
+}
+
 /// Lenient annotation used by [`crate::validate`]: key-extraction failures
 /// are recorded as violations instead of aborting, and the offending node is
 /// left key-less (it will also not participate in sibling-uniqueness checks).
@@ -251,6 +285,9 @@ pub(crate) fn annotate_lenient(
     }
 }
 
+/// [`annotate_holding`]'s question at a keyed node: hold it?
+type Hold<'h> = &'h mut dyn FnMut(NodeId, &KeyValue) -> bool;
+
 /// What a walk does with a key-extraction failure: `Err` ends the walk
 /// with it, `Ok` leaves the node key-less and carries on.
 type Sink<'s> = &'s mut dyn FnMut(KeyError) -> Result<(), KeyError>;
@@ -273,6 +310,8 @@ struct Walk<'a> {
     /// allocation of exactly its length — a batch holds the annotations of
     /// all its documents at once, and slack in every part adds up.
     scratch: String,
+    /// [`annotate_holding`]'s question; `None` walks everything.
+    hold: Option<Hold<'a>>,
 }
 
 impl<'a> Walk<'a> {
@@ -285,10 +324,12 @@ impl<'a> Walk<'a> {
             syms: spec.names.iter().map(|n| doc.syms().get(n)).collect(),
             fper,
             ann: Annotations {
-                classes: vec![NodeClass::Text; doc.len()],
+                classes: vec![None; doc.len()],
                 keys: vec![None; doc.len()],
+                extracted: 0,
             },
             scratch: String::new(),
+            hold: None,
         }
     }
 
@@ -345,11 +386,11 @@ impl<'a> Walk<'a> {
         let doc = self.doc;
         let tag = match doc.node(id).kind {
             NodeKind::Text(_) => {
-                self.ann.classes[id.index()] = if beyond {
+                self.ann.classes[id.index()] = Some(if beyond {
                     NodeClass::BeyondFrontier
                 } else {
                     NodeClass::Text
-                };
+                });
                 return Ok(());
             }
             NodeKind::Element(s) => s,
@@ -359,11 +400,14 @@ impl<'a> Walk<'a> {
             return sink(self.error(id, message));
         }
         let (state, child_beyond) = self.step(above, beyond, |name| self.syms[name] == Some(tag));
-        self.ann.classes[id.index()] = if beyond {
+        self.ann.classes[id.index()] = Some(if beyond {
             NodeClass::BeyondFrontier
         } else if let Some(rule) = state.and_then(|s| self.spec.rule(s)) {
             match self.key_value(id, rule) {
-                Ok(kv) => self.ann.keys[id.index()] = Some(kv),
+                Ok(kv) => {
+                    self.ann.keys[id.index()] = Some(kv);
+                    self.ann.extracted += 1;
+                }
                 Err(message) => sink(self.error(id, message))?,
             }
             if rule.frontier {
@@ -373,7 +417,12 @@ impl<'a> Walk<'a> {
             }
         } else {
             NodeClass::Unkeyed
-        };
+        });
+        if let (Some(hold), Some(key)) = (&mut self.hold, &self.ann.keys[id.index()]) {
+            if hold(id, key) {
+                return Ok(());
+            }
+        }
         for &c in doc.children(id) {
             self.node(c, state, child_beyond, depth + 1, sink)?;
         }
@@ -553,6 +602,58 @@ mod tests {
         let emp = parse("<emp><fn>Jane</fn></emp>").unwrap();
         let e = annotate_under(&emp, &spec, &["db", "dept"]).unwrap_err();
         assert_eq!(e.at, "db/dept/emp");
+    }
+
+    /// A held node keeps its class and key; nothing beneath it is
+    /// annotated or asked about, and every other node reads as `annotate`
+    /// has it. A walk that holds nothing is `annotate`'s.
+    #[test]
+    fn a_held_node_keeps_its_annotation_and_leaves_its_subtree_unannotated() {
+        let doc = version4();
+        let spec = company_spec();
+        let whole = annotate(&doc, &spec).unwrap();
+        let dept = doc.first_child_element(doc.root(), "dept").unwrap();
+        let john = doc.first_child_element(dept, "emp").unwrap();
+        let beneath: Vec<NodeId> = doc.preorder(john).skip(1).collect();
+        let mut asked = Vec::new();
+        let held = annotate_holding(&doc, &spec, &mut |id, key| {
+            assert_eq!(Some(key), whole.key(id));
+            asked.push(id);
+            id == john
+        })
+        .unwrap();
+        let keyed_outside = |id: &NodeId| whole.key(*id).is_some() && !beneath.contains(id);
+        let want: Vec<NodeId> = doc.preorder(doc.root()).filter(keyed_outside).collect();
+        assert_eq!(
+            asked, want,
+            "every keyed node outside the held subtree, in order"
+        );
+        for id in doc.preorder(doc.root()) {
+            if beneath.contains(&id) {
+                assert_eq!((held.annotated(id), held.key(id)), (None, None));
+            } else {
+                assert_eq!(held.annotated(id), Some(whole.class(id)));
+                assert_eq!(held.key(id), whole.key(id));
+            }
+        }
+        // fn, ln, sal and tel beneath John were never extracted
+        assert_eq!(held.keyed_count(), whole.keyed_count() - 4);
+
+        let all = annotate_holding(&doc, &spec, &mut |_, _| false).unwrap();
+        for id in doc.preorder(doc.root()) {
+            assert_eq!(all.class(id), whole.class(id));
+            assert_eq!(all.key(id), whole.key(id));
+        }
+        assert_eq!(all.keyed_count(), whole.keyed_count());
+    }
+
+    #[test]
+    #[should_panic(expected = "never annotated")]
+    fn an_unannotated_node_has_no_class_to_read() {
+        let doc = version4();
+        let held = annotate_holding(&doc, &company_spec(), &mut |_, _| true).unwrap();
+        let db_child = doc.children(doc.root())[0];
+        held.class(db_child);
     }
 
     #[test]

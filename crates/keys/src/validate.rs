@@ -67,8 +67,9 @@ pub fn validate(doc: &Document, spec: &KeySpec) -> Vec<Violation> {
         if !matches!(doc.node(id).kind, NodeKind::Element(_)) {
             continue;
         }
-        match ann.class(id) {
-            NodeClass::Unkeyed
+        // an element nested past `MAX_DEPTH` is reported, not descended
+        match ann.annotated(id) {
+            Some(NodeClass::Unkeyed)
                 // Key-path nodes (e.g. `fn` under `emp`) are implicitly keyed
                 // by the paper's "implied keys" convention; only flag nodes
                 // that are not part of any parent's key value.
@@ -79,7 +80,7 @@ pub fn validate(doc: &Document, spec: &KeySpec) -> Vec<Violation> {
                         detail: "element above the frontier is not keyed".into(),
                     });
                 }
-            NodeClass::Keyed | NodeClass::Frontier => {
+            Some(NodeClass::Keyed | NodeClass::Frontier) => {
                 check_sibling_uniqueness(doc, id, &ann, &mut out);
             }
             _ => {}

@@ -592,14 +592,72 @@ fn stress_durable_indexed() {
     );
 }
 
-/// A backend wrapper that parks inside every merge for `delay`,
-/// advertising the stall through `in_merge`. Its views come from the
-/// trait's *default* `view` (serial replay into an in-memory archive), so
-/// this doubles as racing coverage for replay-built views.
+/// A backend wrapper that parks inside every merge until readers have
+/// completed `need` probes that began and ended while it was parked. Its
+/// views come from the trait's *default* `view` (serial replay into an
+/// in-memory archive), so this doubles as racing coverage for replay-built
+/// views.
 struct StallingStore {
     inner: Box<dyn VersionStore>,
-    delay: std::time::Duration,
-    in_merge: Arc<std::sync::atomic::AtomicBool>,
+    latch: Arc<Latch>,
+}
+
+/// Where a parked merge and the readers meet. `merge` counts merge starts
+/// and ends, so it is odd while a merge is parked; `probes` counts the
+/// probes completed within the current one.
+struct Latch {
+    state: std::sync::Mutex<(u64, u64)>,
+    probed: std::sync::Condvar,
+    need: u64,
+}
+
+/// How long a merge waits for the readers before it fails the test.
+const LATCH_BOUND: std::time::Duration = std::time::Duration::from_secs(10);
+
+impl Latch {
+    /// The merge a probe starting now begins in (odd: one is parked).
+    fn merge(&self) -> u64 {
+        self.state
+            .lock()
+            .expect("a thread panicked holding the latch")
+            .0
+    }
+
+    /// A probe that began in `began` has ended: it counts if that merge is
+    /// still parked.
+    fn probed(&self, began: u64) -> bool {
+        let mut state = self
+            .state
+            .lock()
+            .expect("a thread panicked holding the latch");
+        let inside = began % 2 == 1 && state.0 == began;
+        if inside {
+            state.1 += 1;
+            self.probed.notify_all();
+        }
+        inside
+    }
+
+    /// Parks the calling merge until `need` probes have completed inside
+    /// it; fails with the count after [`LATCH_BOUND`].
+    fn park(&self) {
+        let mut state = self
+            .state
+            .lock()
+            .expect("a thread panicked holding the latch");
+        *state = (state.0 + 1, 0);
+        let (mut state, waited) = (self.probed)
+            .wait_timeout_while(state, LATCH_BOUND, |s| s.1 < self.need)
+            .expect("a thread panicked holding the latch");
+        assert!(
+            !waited.timed_out(),
+            "readers completed only {} of {} probes while merge {} was parked",
+            state.1,
+            self.need,
+            state.0 / 2 + 1
+        );
+        state.0 += 1;
+    }
 }
 
 impl xarch::core::Layer for StallingStore {
@@ -612,47 +670,41 @@ impl xarch::core::Layer for StallingStore {
 
 impl VersionStore for StallingStore {
     fn add_version(&mut self, doc: &xarch::xml::Document) -> Result<u32, xarch::StoreError> {
-        self.in_merge
-            .store(true, std::sync::atomic::Ordering::Release);
-        std::thread::sleep(self.delay);
-        let r = self.inner.add_version(doc);
-        self.in_merge
-            .store(false, std::sync::atomic::Ordering::Release);
-        r
+        self.latch.park();
+        self.inner.add_version(doc)
     }
     fn add_empty_version(&mut self) -> Result<u32, xarch::StoreError> {
-        self.in_merge
-            .store(true, std::sync::atomic::Ordering::Release);
-        std::thread::sleep(self.delay);
-        let r = self.inner.add_empty_version();
-        self.in_merge
-            .store(false, std::sync::atomic::Ordering::Release);
-        r
+        self.latch.park();
+        self.inner.add_empty_version()
     }
 }
 
 /// The reader-latency regression: readers must keep completing *inside* a
-/// writer's stall window, not queue behind it. Every merge is held open
-/// for a fixed delay; readers probe the byte-compare invariant throughout
-/// and count the probes that started **and** finished while a merge was
-/// verifiably in flight. Under the old global-RwLock handle a reader that
-/// arrived mid-merge parked until the merge released the write lock, so
-/// this count stayed at (essentially) zero; with wait-free publication it
-/// reaches the thousands.
+/// writer's stall, not queue behind it. Every merge parks, holding the
+/// handle's writer side, until readers have completed probes of the
+/// byte-compare invariant that began **and** ended while it was parked.
+/// Under the old global-RwLock handle a reader that arrived mid-merge
+/// parked until the merge released the write lock, so no such probe could
+/// complete and the first merge fails after [`LATCH_BOUND`]; with
+/// wait-free publication every merge is released by the readers, with no
+/// dependence on how the threads are scheduled.
 #[test]
 fn stress_reader_latency_under_writer_stall() {
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::atomic::{AtomicU64, Ordering};
 
-    const STALL: std::time::Duration = std::time::Duration::from_millis(15);
     const STALL_READERS: usize = 8;
+    const PROBES_PER_MERGE: u64 = 2;
 
     let mut serial: Box<dyn VersionStore> = ArchiveBuilder::new(spec()).build();
     let exp = Arc::new(serial_replay(&mut serial));
-    let in_merge = Arc::new(AtomicBool::new(false));
+    let latch = Arc::new(Latch {
+        state: std::sync::Mutex::new((0, 0)),
+        probed: std::sync::Condvar::new(),
+        need: PROBES_PER_MERGE,
+    });
     let handle = ArchiveHandle::new(Box::new(StallingStore {
         inner: ArchiveBuilder::new(spec()).build(),
-        delay: STALL,
-        in_merge: Arc::clone(&in_merge),
+        latch: Arc::clone(&latch),
     }));
     let mid_merge_reads = AtomicU64::new(0);
 
@@ -669,12 +721,12 @@ fn stress_reader_latency_under_writer_stall() {
         for _ in 0..STALL_READERS {
             let handle = handle.clone();
             let exp = Arc::clone(&exp);
-            let in_merge = Arc::clone(&in_merge);
+            let latch = Arc::clone(&latch);
             let mid = &mid_merge_reads;
             s.spawn(move || {
                 let mut probes = 0u64;
                 loop {
-                    let stalled_before = in_merge.load(Ordering::Acquire);
+                    let began = latch.merge();
                     let snap = handle.snapshot();
                     let p = snap.pinned();
                     // cheap probe: the streamed bytes at the pin must
@@ -684,7 +736,7 @@ fn stress_reader_latency_under_writer_stall() {
                         let wrote = snap.retrieve_into(p, &mut sink).unwrap();
                         assert_eq!(wrote.then_some(sink), exp.bytes[p as usize]);
                     }
-                    if stalled_before && in_merge.load(Ordering::Acquire) {
+                    if latch.probed(began) {
                         mid.fetch_add(1, Ordering::Relaxed);
                     }
                     probes += 1;
@@ -702,11 +754,10 @@ fn stress_reader_latency_under_writer_stall() {
 
     assert_eq!(handle.latest(), VERSIONS);
     check_snapshot("stalled-writer/final", &handle.snapshot(), &exp);
-    let mid = mid_merge_reads.load(std::sync::atomic::Ordering::Relaxed);
+    let mid = mid_merge_reads.load(Ordering::Relaxed);
     assert!(
-        mid >= (STALL_READERS as u64) * 2,
-        "readers should land inside merge stall windows (wait-free reads), \
-         but only {mid} probes completed mid-merge"
+        mid >= u64::from(VERSIONS) * PROBES_PER_MERGE,
+        "every merge is released by probes completed inside it, but only {mid} were"
     );
 }
 

@@ -870,7 +870,7 @@ fn a_version_block_nested_past_max_depth_is_corrupt_on_open() {
 #[test]
 fn a_checkpoint_nested_past_max_depth_is_skipped_loudly() {
     use xarch::compress::BlockCodec;
-    use xarch::core::{state, xmlrep};
+    use xarch::core::{state, xmlrep, Compaction};
     use xarch::storage::block::{encode_block, BlockKind};
     use xarch::storage::encode_checkpoint;
     use xarch::xml::MAX_DEPTH;
@@ -884,15 +884,22 @@ fn a_checkpoint_nested_past_max_depth_is_skipped_loudly() {
         }
     }
     // the Fig-5 form of an archive one level deeper than any grows: the
-    // synthetic root, `db`, and `MAX_DEPTH + 2` elements beneath
+    // synthetic root, `db`, `rec`, `val` and `MAX_DEPTH` stamps nested
+    // beneath (an import annotates the content, stamps dissolved, and
+    // refuses a *document* nested past the bound)
     let mut fig5 = xarch::xml::Document::new("T");
     let top = fig5.root();
     fig5.set_attr(top, "t", "1-3");
-    let mut at = fig5.add_element(top, "root");
-    for _ in 0..MAX_DEPTH + 3 {
-        at = fig5.add_element(at, "db");
+    let db = fig5.add_element(top, "root");
+    let db = fig5.add_element(db, "db");
+    let rec = fig5.add_element(db, "rec");
+    fig5.add_text_element(rec, "id", "1");
+    let mut at = fig5.add_element(rec, "val");
+    for _ in 0..MAX_DEPTH {
+        at = fig5.add_element(at, "T");
+        fig5.set_attr(at, "t", "1");
     }
-    let too_deep = xmlrep::from_xml(&fig5, &spec()).unwrap();
+    let too_deep = xmlrep::from_xml(&fig5, &spec(), Compaction::Alternatives).unwrap();
     let raw = encode_checkpoint(0, 3, &state::encode_archive(&too_deep));
     let cp_at = std::fs::metadata(&path).unwrap().len();
     let block = encode_block(

@@ -95,7 +95,7 @@ fn pipeline(versions: &[Document], spec: &xarch::keys::KeySpec) {
     }
     let xml_text = a.to_xml_pretty();
     let reparsed = parse(&xml_text).unwrap();
-    let b = xarch::core::xmlrep::from_xml(&reparsed, spec).unwrap();
+    let b = xarch::core::xmlrep::from_xml(&reparsed, spec, a.compaction()).unwrap();
     for (i, d) in versions.iter().enumerate() {
         let got = b.retrieve(i as u32 + 1).unwrap();
         assert!(

@@ -155,7 +155,7 @@ proptest! {
         // XML round trip preserves everything too
         let xml_text = a.to_xml_pretty();
         let reparsed = parse(&xml_text).unwrap();
-        let b = xarch::core::xmlrep::from_xml(&reparsed, &spec).unwrap();
+        let b = xarch::core::xmlrep::from_xml(&reparsed, &spec, a.compaction()).unwrap();
         for (i, d) in docs.iter().enumerate() {
             let got = b.retrieve(i as u32 + 1).expect("archived version");
             prop_assert!(equiv_modulo_key_order(&got, d, &spec));
