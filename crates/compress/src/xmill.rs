@@ -90,18 +90,18 @@ fn xml_compress_with(doc: &Document, compress: impl Fn(&[u8]) -> Vec<u8>) -> Vec
         containers: &mut Containers,
         path: &mut Vec<String>,
     ) {
-        match &doc.node(id).kind {
+        match doc.kind(id) {
             NodeKind::Text(t) => {
                 write_varint(structure, TOKEN_TEXT);
                 containers.push(&path.join("/"), t.as_bytes());
             }
             NodeKind::Element(s) => {
-                let tag = doc.syms().resolve(*s).to_owned();
+                let tag = doc.syms().resolve(s).to_owned();
                 let tid = name_id(names, ids, &tag);
                 write_varint(structure, token_open(tid));
                 path.push(tag);
                 for (a, v) in doc.attrs(id) {
-                    let an = doc.syms().resolve(*a).to_owned();
+                    let an = doc.syms().resolve(a).to_owned();
                     let aid = name_id(names, ids, &an);
                     write_varint(structure, token_attr(aid));
                     let cpath = format!("{}/@{an}", path.join("/"));

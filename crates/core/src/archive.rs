@@ -21,6 +21,7 @@ use xarch_keys::{KeyError, KeySpec, KeyValue, NodeClass};
 use xarch_xml::{Sym, SymbolTable};
 
 use crate::cow::CowVec;
+use crate::state::MAX_TREE_DEPTH;
 use crate::timeset::TimeSet;
 
 /// Index of a node in the archive arena.
@@ -487,48 +488,77 @@ impl Archive {
     ///    frontier nodes (or beneath unkeyed fallback nodes);
     /// 3. the root's timestamp is exactly `1..=latest`;
     /// 4. a node with a timestamped node beneath it is marked
-    ///    [`ANode::written_beneath`] (marked with none beneath is allowed).
+    ///    [`ANode::written_beneath`] (marked with none beneath is allowed);
+    /// 5. the tree nests at most [`MAX_TREE_DEPTH`] below the root.
+    ///
+    /// The walk keeps one frame per open node, the inherited timestamp
+    /// borrowed, so it allocates nothing per node.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let root_time = self
-            .node(self.root)
-            .time
-            .clone()
-            .ok_or("root must carry a timestamp")?;
-        if self.latest > 0 && root_time != TimeSet::from_range(1, self.latest) {
+        let root_time =
+            (self.node(self.root).time.as_ref()).ok_or("root must carry a timestamp")?;
+        if self.latest > 0 && *root_time != TimeSet::from_range(1, self.latest) {
             return Err(format!("root timestamp {root_time} != 1-{}", self.latest));
         }
-        self.check_rec(self.root, &root_time).map(|_| ())
+        let mut open = vec![self.enter(self.root, root_time)?];
+        while let Some(top) = open.last_mut() {
+            if let Some(&c) = self.node(top.id).children.get(top.next) {
+                top.next += 1;
+                let inherited = top.time;
+                if open.len() > MAX_TREE_DEPTH {
+                    return Err(format!("node {c:?} nests deeper than {MAX_TREE_DEPTH}"));
+                }
+                open.push(self.enter(c, inherited)?);
+                continue;
+            }
+            let (id, stamped_beneath) = (top.id, top.stamped_beneath);
+            let n = self.node(id);
+            if stamped_beneath && !n.written_beneath {
+                return Err(format!(
+                    "node {id:?} has a timestamp beneath it but is not marked written_beneath"
+                ));
+            }
+            open.pop();
+            if let Some(parent) = open.last_mut() {
+                parent.stamped_beneath |= stamped_beneath || n.time.is_some();
+            }
+        }
+        Ok(())
     }
 
-    /// Checks the subtree at `id`; answers whether any node in it, `id`
-    /// included, carries a timestamp of its own.
-    fn check_rec(&self, id: ANodeId, inherited: &TimeSet) -> Result<bool, String> {
+    /// The frame of node `id` for [`Archive::check_invariants`], which
+    /// checks its own timestamp against the `inherited` one.
+    fn enter<'a>(&'a self, id: ANodeId, inherited: &'a TimeSet) -> Result<Checked<'a>, String> {
         let n = self.node(id);
-        let eff = match &n.time {
-            Some(t) => {
-                if !inherited.is_superset(t) {
-                    return Err(format!(
-                        "node {id:?}: time {t} not a subset of parent's {inherited}"
-                    ));
-                }
-                t.clone()
+        let time = match &n.time {
+            Some(t) if !inherited.is_superset(t) => {
+                return Err(format!(
+                    "node {id:?}: time {t} not a subset of parent's {inherited}"
+                ));
             }
-            None => inherited.clone(),
+            Some(t) => t,
+            None if matches!(n.kind, AKind::Stamp) => {
+                return Err(format!("stamp node {id:?} without explicit timestamp"));
+            }
+            None => inherited,
         };
-        if matches!(n.kind, AKind::Stamp) && n.time.is_none() {
-            return Err(format!("stamp node {id:?} without explicit timestamp"));
-        }
-        let mut stamped_beneath = false;
-        for &c in &n.children {
-            stamped_beneath |= self.check_rec(c, &eff)?;
-        }
-        if stamped_beneath && !n.written_beneath {
-            return Err(format!(
-                "node {id:?} has a timestamp beneath it but is not marked written_beneath"
-            ));
-        }
-        Ok(stamped_beneath || n.time.is_some())
+        Ok(Checked {
+            id,
+            time,
+            next: 0,
+            stamped_beneath: false,
+        })
     }
+}
+
+/// A node [`Archive::check_invariants`] has entered and not yet left.
+struct Checked<'a> {
+    id: ANodeId,
+    /// Its effective timestamp.
+    time: &'a TimeSet,
+    /// The position of its next child to enter.
+    next: usize,
+    /// Some node beneath it carries a timestamp of its own.
+    stamped_beneath: bool,
 }
 
 #[cfg(test)]
@@ -577,7 +607,61 @@ mod tests {
             },
         );
         let _ = db;
-        assert!(a.check_invariants().is_err());
+        let err = a.check_invariants().unwrap_err();
+        assert!(err.contains("not a subset of parent's 1-2"), "{err}");
+    }
+
+    /// Each refusal of the walk fires, at any depth it can reach.
+    #[test]
+    fn invariant_refusals_fire() {
+        let checked = |build: &dyn Fn(&mut Archive, ANodeId)| {
+            let mut a = Archive::new(spec());
+            let root = a.root();
+            a.node_mut(root).time = Some(TimeSet::from_range(1, 2));
+            a.latest = 2;
+            let db = a.intern("db");
+            let mut at = root;
+            for _ in 0..3 {
+                at = a.push_node(at, ANode::new(AKind::Element(db), NodeClass::Keyed));
+            }
+            build(&mut a, at);
+            a.check_invariants()
+        };
+        checked(&|_, _| {}).unwrap();
+        let err = checked(&|a, at| {
+            a.push_node(at, ANode::new(AKind::Stamp, NodeClass::BeyondFrontier));
+        })
+        .unwrap_err();
+        assert!(err.contains("without explicit timestamp"), "{err}");
+        let err = checked(&|a, at| {
+            let text = ANode {
+                time: Some(TimeSet::from_version(2)),
+                ..ANode::new(AKind::Text("x".into()), NodeClass::Text)
+            };
+            a.push_node(at, text);
+        })
+        .unwrap_err();
+        assert!(err.contains("not marked written_beneath"), "{err}");
+        let err = checked(&|a, at| {
+            let text = ANode {
+                time: Some(TimeSet::from_range(1, 3)),
+                ..ANode::new(AKind::Text("x".into()), NodeClass::Text)
+            };
+            a.push_node(at, text);
+        })
+        .unwrap_err();
+        assert!(err.contains("not a subset of parent's 1-2"), "{err}");
+        let err = checked(&|a, mut at| {
+            for _ in 0..MAX_TREE_DEPTH {
+                at = a.push_node(at, ANode::new(AKind::Stamp, NodeClass::BeyondFrontier));
+                a.node_mut(at).time = Some(TimeSet::from_version(1));
+            }
+        })
+        .unwrap_err();
+        assert!(
+            err.contains(&format!("nests deeper than {MAX_TREE_DEPTH}")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -141,10 +141,10 @@ impl ChunkedArchive {
         let n = self.chunks.len();
         let mut parts: Vec<Vec<NodeId>> = vec![Vec::new(); n];
         for &c in doc.children(root) {
-            let idx = match (&doc.node(c).kind, ann.key(c)) {
+            let idx = match (doc.kind(c), ann.key(c)) {
                 (NodeKind::Element(s), Some(k)) => {
                     let label = partition_label(
-                        doc.syms().resolve(*s),
+                        doc.syms().resolve(s),
                         k.parts.iter().map(|p| p.canon.as_str()),
                     );
                     (fingerprint(&label) % n as u128) as usize
@@ -153,18 +153,13 @@ impl ChunkedArchive {
             };
             parts[idx].push(c);
         }
-        let attrs: Vec<(String, String)> = doc
-            .attrs(root)
-            .iter()
-            .map(|(s, v)| (doc.syms().resolve(*s).to_owned(), v.clone()))
-            .collect();
         parts
             .iter()
             .map(|part| {
                 let mut sub = Document::new(root_tag);
                 let sub_root = sub.root();
-                for (name, value) in &attrs {
-                    sub.set_attr(sub_root, name, value);
+                for (name, value) in doc.attrs(root) {
+                    sub.set_attr(sub_root, doc.syms().resolve(name), value);
                 }
                 for &c in part {
                     sub.copy_subtree_from(doc, c, sub_root);
@@ -320,13 +315,8 @@ impl ChunkedArchive {
             if let Some(part) = chunk.retrieve(v) {
                 any = true;
                 let part_root = part.root();
-                for (name, value) in part
-                    .attrs(part_root)
-                    .iter()
-                    .map(|(s, val)| (part.syms().resolve(*s).to_owned(), val.clone()))
-                    .collect::<Vec<_>>()
-                {
-                    out.set_attr(out_root, &name, &value);
+                for (name, value) in part.attrs(part_root) {
+                    out.set_attr(out_root, part.syms().resolve(name), value);
                 }
                 for &c in part.children(part_root) {
                     out.copy_subtree_from(&part, c, out_root);

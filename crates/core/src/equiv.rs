@@ -31,16 +31,8 @@ pub fn equiv_modulo_key_order(a: &Document, b: &Document, spec: &KeySpec) -> boo
 }
 
 fn attrs_equal(a: &Document, x: NodeId, b: &Document, y: NodeId) -> bool {
-    let mut xa: Vec<(&str, &str)> = a
-        .attrs(x)
-        .iter()
-        .map(|(s, v)| (a.syms().resolve(*s), v.as_str()))
-        .collect();
-    let mut ya: Vec<(&str, &str)> = b
-        .attrs(y)
-        .iter()
-        .map(|(s, v)| (b.syms().resolve(*s), v.as_str()))
-        .collect();
+    let mut xa: Vec<(&str, &str)> = a.attrs(x).map(|(s, v)| (a.syms().resolve(s), v)).collect();
+    let mut ya: Vec<(&str, &str)> = b.attrs(y).map(|(s, v)| (b.syms().resolve(s), v)).collect();
     xa.sort_unstable();
     ya.sort_unstable();
     xa == ya
@@ -67,9 +59,9 @@ fn equiv_nodes(
     let mut ka: Vec<(String, KeyValue, NodeId)> = Vec::new();
     let mut oa: Vec<NodeId> = Vec::new();
     for &c in a.children(x) {
-        match (&a.node(c).kind, ann_a.key(c)) {
+        match (a.kind(c), ann_a.key(c)) {
             (NodeKind::Element(s), Some(k)) => {
-                ka.push((a.syms().resolve(*s).to_owned(), k.clone(), c))
+                ka.push((a.syms().resolve(s).to_owned(), k.clone(), c))
             }
             _ => oa.push(c),
         }
@@ -77,9 +69,9 @@ fn equiv_nodes(
     let mut kb: Vec<(String, KeyValue, NodeId)> = Vec::new();
     let mut ob: Vec<NodeId> = Vec::new();
     for &c in b.children(y) {
-        match (&b.node(c).kind, ann_b.key(c)) {
+        match (b.kind(c), ann_b.key(c)) {
             (NodeKind::Element(s), Some(k)) => {
-                kb.push((b.syms().resolve(*s).to_owned(), k.clone(), c))
+                kb.push((b.syms().resolve(s).to_owned(), k.clone(), c))
             }
             _ => ob.push(c),
         }

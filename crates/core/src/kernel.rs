@@ -22,7 +22,7 @@
 use std::cmp::Ordering;
 use std::ops::RangeInclusive;
 
-use xarch_xml::{Document, NodeId};
+use xarch_xml::{Builder, Document};
 
 use crate::archive::{AKind, ANodeId, Archive};
 use crate::history::KeyQuery;
@@ -124,38 +124,33 @@ fn content_at(a: &Archive, nav: &impl Nav, id: ANodeId, v: u32) -> Option<Docume
 /// The element `id`, visible at `v`, as a standalone document (`None` for
 /// a text or stamp node).
 fn emit(a: &Archive, nav: &impl Nav, id: ANodeId, v: u32) -> Option<Document> {
-    let mut doc = Document::new(a.tag_name(id)?);
-    let did = doc.root();
-    copy_attrs(a, id, &mut doc, did);
-    emit_children(a, nav, id, v, &mut doc, did);
-    Some(doc)
+    let mut b = Builder::new(a.tag_name(id)?);
+    copy_attrs(a, id, &mut b);
+    emit_children(a, nav, id, v, &mut b);
+    Some(b.finish())
 }
 
-fn copy_attrs(a: &Archive, id: ANodeId, doc: &mut Document, did: NodeId) {
+/// Sets the attributes of `id` on the element open in `b`.
+fn copy_attrs(a: &Archive, id: ANodeId, b: &mut Builder) {
     for (name, value) in &a.node(id).attrs {
-        doc.set_attr(did, a.syms().resolve(*name), value);
+        b.attr(a.syms().resolve(*name), value);
     }
 }
 
-fn emit_children(
-    a: &Archive,
-    nav: &impl Nav,
-    id: ANodeId,
-    v: u32,
-    doc: &mut Document,
-    did: NodeId,
-) {
+/// Emits the children of `id` visible at `v` into the element open in `b`.
+fn emit_children(a: &Archive, nav: &impl Nav, id: ANodeId, v: u32, b: &mut Builder) {
     for c in nav.visible(a, id, v) {
         match &a.node(c).kind {
             // transparent: emit the alternative's content in place
-            AKind::Stamp => emit_children(a, nav, c, v, doc, did),
+            AKind::Stamp => emit_children(a, nav, c, v, b),
             AKind::Element(s) => {
-                let e = doc.add_element(did, a.syms().resolve(*s));
-                copy_attrs(a, c, doc, e);
-                emit_children(a, nav, c, v, doc, e);
+                b.open(a.syms().resolve(*s));
+                copy_attrs(a, c, b);
+                emit_children(a, nav, c, v, b);
+                b.close();
             }
             AKind::Text(t) => {
-                doc.add_text(did, t);
+                b.text(t);
             }
         }
     }

@@ -219,8 +219,8 @@ fn x_label(a: &Archive, id: ANodeId) -> Option<LabelRef<'_>> {
 
 /// The label of version node `id`, when it is a keyed element.
 fn y_label<'s>(a: &'s Archive, ver: &'s Version<'_>, id: NodeId) -> Option<LabelRef<'s>> {
-    match (&ver.doc.node(id).kind, ver.annotation(a, id).1) {
-        (NodeKind::Element(s), Some(k)) => Some((ver.doc.syms().resolve(*s), k)),
+    match (ver.doc.kind(id), ver.annotation(a, id).1) {
+        (NodeKind::Element(s), Some(k)) => Some((ver.doc.syms().resolve(s), k)),
         _ => None,
     }
 }
@@ -490,7 +490,7 @@ impl Pairer<'_> {
                 _ => return Link::Unpaired,
             },
         };
-        let NodeKind::Element(tag) = names.doc.node(y).kind else {
+        let NodeKind::Element(tag) = names.doc.kind(y) else {
             return Link::Unpaired;
         };
         let label = (names.doc.syms().resolve(tag), key);
@@ -594,18 +594,15 @@ fn same_node(
 ) -> bool {
     *n += 1;
     twin(yc, xc);
-    let (xn, yn) = (a.node(xc), names.doc.node(yc));
+    let xn = a.node(xc);
     let same_name = |x: Sym, y: Sym| names.same(a, x, y);
-    match (&xn.kind, &yn.kind) {
+    match (&xn.kind, names.doc.kind(yc)) {
         (AKind::Text(t1), NodeKind::Text(t2)) => t1 == t2,
         (AKind::Element(s1), NodeKind::Element(s2)) => {
-            same_name(*s1, *s2)
-                && xn.attrs.len() == yn.attrs.len()
-                && xn
-                    .attrs
-                    .iter()
-                    .zip(&yn.attrs)
-                    .all(|(p, q)| same_name(p.0, q.0) && p.1 == q.1)
+            let y_attrs = names.doc.attrs(yc);
+            same_name(*s1, s2)
+                && xn.attrs.len() == y_attrs.len()
+                && (xn.attrs.iter().zip(y_attrs)).all(|(p, q)| same_name(p.0, q.0) && p.1 == q.1)
                 && same_children(a, xc, names, yc, n, twin)
         }
         _ => false,
@@ -704,18 +701,18 @@ pub(crate) fn copy_subtree(
 ) -> ANodeId {
     let (class, key) = ver.annotation(a, y);
     let key = key.cloned();
-    let node = match &ver.doc.node(y).kind {
+    let node = match ver.doc.kind(y) {
         NodeKind::Element(s) => {
-            let tag = ver.intern(a, *s);
+            let tag = ver.intern(a, s);
             ANode {
-                attrs: (ver.doc.attrs(y).iter())
-                    .map(|(s, v)| (ver.intern(a, *s), v.clone()))
+                attrs: (ver.doc.attrs(y))
+                    .map(|(s, v)| (ver.intern(a, s), v.to_owned()))
                     .collect(),
                 key,
                 ..ANode::new(AKind::Element(tag), class)
             }
         }
-        NodeKind::Text(t) => ANode::new(AKind::Text(t.clone()), class),
+        NodeKind::Text(t) => ANode::new(AKind::Text(t.to_owned()), class),
     };
     let id = a.push_node(parent, node);
     for &c in ver.doc.children(y) {
@@ -1104,10 +1101,10 @@ pub(crate) fn content_equals(
 }
 
 fn node_equals(a: &Archive, xc: ANodeId, doc: &Document, yc: NodeId) -> bool {
-    match (&a.node(xc).kind, &doc.node(yc).kind) {
+    match (&a.node(xc).kind, doc.kind(yc)) {
         (AKind::Text(t1), NodeKind::Text(t2)) => t1 == t2,
         (AKind::Element(s1), NodeKind::Element(s2)) => {
-            if a.syms().resolve(*s1) != doc.syms().resolve(*s2) {
+            if a.syms().resolve(*s1) != doc.syms().resolve(s2) {
                 return false;
             }
             // attrs as sets
@@ -1122,8 +1119,7 @@ fn node_equals(a: &Archive, xc: ANodeId, doc: &Document, yc: NodeId) -> bool {
                 .collect();
             let mut a2: Vec<(&str, &str)> = doc
                 .attrs(yc)
-                .iter()
-                .map(|(s, v)| (doc.syms().resolve(*s), v.as_str()))
+                .map(|(s, v)| (doc.syms().resolve(s), v))
                 .collect();
             a1.sort_unstable();
             a2.sort_unstable();

@@ -159,7 +159,7 @@ fn faulty(template: &str, fault: &str) -> Document {
     let mut doc = parse(&template.replace("{F}", fault)).unwrap();
     let deep = doc
         .preorder(doc.root())
-        .find(|&n| matches!(doc.node(n).kind, NodeKind::Element(_)) && doc.tag_name(n) == "deep");
+        .find(|&n| matches!(doc.kind(n), NodeKind::Element(_)) && doc.tag_name(n) == "deep");
     if let Some(mut at) = deep {
         for _ in 0..MAX_DEPTH {
             at = doc.add_element(at, "deep");

@@ -194,7 +194,7 @@ pub fn keyed_children_in_doc(doc: &Document, spec: &KeySpec, prefix: &[KeyQuery]
     };
     let mut out = Vec::new();
     for c in ids {
-        if let (NodeKind::Element(_), Some(k)) = (&doc.node(c).kind, ann.key(c)) {
+        if let (NodeKind::Element(_), Some(k)) = (doc.kind(c), ann.key(c)) {
             out.push(KeyQuery {
                 tag: doc.tag_name(c).to_owned(),
                 parts: k
@@ -211,18 +211,13 @@ pub fn keyed_children_in_doc(doc: &Document, spec: &KeySpec, prefix: &[KeyQuery]
 /// Copies the subtree rooted at `id` out of `doc` as a standalone
 /// [`Document`] (the shape `as_of` returns).
 pub fn subtree_doc(doc: &Document, id: NodeId) -> Option<Document> {
-    let NodeKind::Element(_) = doc.node(id).kind else {
+    let NodeKind::Element(_) = doc.kind(id) else {
         return None;
     };
     let mut out = Document::new(doc.tag_name(id));
     let root = out.root();
-    let attrs: Vec<(String, String)> = doc
-        .attrs(id)
-        .iter()
-        .map(|(s, v)| (doc.syms().resolve(*s).to_owned(), v.clone()))
-        .collect();
-    for (n, v) in attrs {
-        out.set_attr(root, &n, &v);
+    for (name, value) in doc.attrs(id) {
+        out.set_attr(root, doc.syms().resolve(name), value);
     }
     for &c in doc.children(id) {
         out.copy_subtree_from(doc, c, root);
@@ -240,7 +235,7 @@ pub fn step_matches_doc(
     id: NodeId,
     step: &KeyQuery,
 ) -> bool {
-    let NodeKind::Element(_) = doc.node(id).kind else {
+    let NodeKind::Element(_) = doc.kind(id) else {
         return false;
     };
     if doc.tag_name(id) != step.tag {

@@ -26,7 +26,9 @@ use crate::archive::{AKind, ANode, ANodeId, Archive, Compaction};
 use crate::chunk::ChunkedArchive;
 use crate::store::StoreError;
 use crate::timeset::TimeSet;
-use crate::wire::{get_bytes, get_str, get_varint, put_bytes, put_str, put_varint, WireError};
+use crate::wire::{
+    get_bytes, get_str, get_str_ref, get_varint, put_bytes, put_str, put_varint, WireError,
+};
 
 /// State tag: a plain in-memory [`Archive`] snapshot.
 pub const STATE_ARCHIVE: u8 = 1;
@@ -319,7 +321,11 @@ fn get_archive_body(
                 }
                 let mut parts = Vec::with_capacity(part_count);
                 for _ in 0..part_count {
-                    let path = get_str(buf, pos).map_err(corrupt)?;
+                    let at = *pos;
+                    let path = get_str_ref(buf, pos).map_err(corrupt)?;
+                    let Some(path) = expect_spec.path_name(path) else {
+                        return Err(corrupt_at(at, "checkpoint state: undeclared key path"));
+                    };
                     let canon = get_str(buf, pos).map_err(corrupt)?;
                     let at = *pos;
                     let Some(fp_bytes) = buf.get(at..at + 16) else {
@@ -329,7 +335,7 @@ fn get_archive_body(
                     let mut fp = [0u8; 16];
                     fp.copy_from_slice(fp_bytes);
                     parts.push(KeyPart {
-                        path: path.into(),
+                        path,
                         canon,
                         fp: u128::from_le_bytes(fp),
                     });
@@ -388,6 +394,8 @@ fn get_archive_body(
         return Err(corrupt_at(*pos, "checkpoint state: unreachable nodes"));
     }
 
+    // the restoring spec, whose path names the key parts share
+    let spec = expect_spec.clone();
     let archive = Archive::from_arena(spec, compaction, syms, nodes, root, latest);
     archive
         .check_invariants()
@@ -622,6 +630,34 @@ mod tests {
             .expect_err("one level deeper than an archive grows");
         assert!(
             matches!(&err, StoreError::Corrupt { reason, .. } if reason.contains("too deep")),
+            "{err}"
+        );
+    }
+
+    /// A restored key part takes its path from the restoring spec; a path
+    /// the spec does not declare is corruption at the path's offset.
+    #[test]
+    fn an_undeclared_key_path_is_corrupt_at_its_offset() {
+        let a = populated();
+        let state = encode_archive(&a);
+        let part = (0..a.len() as u32)
+            .find_map(|i| a.node(ANodeId(i)).key.as_ref()?.parts.first().cloned())
+            .expect("a record keyed by `id`");
+        assert_eq!(&*part.path, "id");
+        let mut written = Vec::new();
+        put_str(&mut written, &part.path);
+        put_str(&mut written, &part.canon);
+        written.extend_from_slice(&part.fp.to_le_bytes());
+        let at = (state.windows(written.len()))
+            .position(|w| w == written)
+            .expect("the part is in the state");
+        let mut renamed = state.clone();
+        renamed[at + 2] = b'x';
+        let err = decode_archive(&renamed, &spec(), Compaction::Alternatives)
+            .expect_err("`ix` is no key path of the spec");
+        assert!(
+            matches!(&err, StoreError::Corrupt { offset, reason }
+                if *offset == at as u64 && reason.contains("undeclared key path")),
             "{err}"
         );
     }

@@ -14,7 +14,7 @@ use std::fmt;
 
 use xarch_keys::{annotate, Annotations, KeySpec, NodeClass};
 use xarch_xml::writer::{to_compact_string, to_pretty_string};
-use xarch_xml::{Document, NodeId, NodeKind};
+use xarch_xml::{Builder, Document, NodeId, NodeKind};
 
 use crate::archive::{AKind, ANode, ANodeId, Archive, Compaction};
 use crate::timeset::TimeSet;
@@ -40,18 +40,17 @@ impl Archive {
     /// Renders the archive as the Fig-5 XML document:
     /// `<T t="1-4"><root> ... </root></T>`.
     pub fn to_xml(&self) -> Document {
-        let mut doc = Document::new(STAMP_TAG);
+        let mut b = Builder::new(STAMP_TAG);
         let t = self
             .node(self.root())
             .time
             .as_ref()
             .expect("root carries a timestamp");
-        let root_did = doc.root();
-        doc.set_attr(root_did, STAMP_ATTR, &t.to_string());
-        let el = doc.add_element(root_did, "root");
-        self.emit_attrs(self.root(), &mut doc, el);
-        self.emit_xml_children(self.root(), &mut doc, el);
-        doc
+        b.attr(STAMP_ATTR, &t.to_string());
+        b.open("root");
+        self.emit_attrs(self.root(), &mut b);
+        self.emit_xml_children(self.root(), &mut b);
+        b.finish()
     }
 
     /// The archive serialized as line-oriented XML text — the form whose
@@ -71,55 +70,37 @@ impl Archive {
         self.to_xml_pretty().len()
     }
 
-    fn emit_attrs(&self, id: ANodeId, doc: &mut Document, did: NodeId) {
-        let attrs: Vec<(String, String)> = self
-            .node(id)
-            .attrs
-            .iter()
-            .map(|(s, v)| (self.syms().resolve(*s).to_owned(), v.clone()))
-            .collect();
-        for (n, v) in attrs {
-            doc.set_attr(did, &n, &v);
+    /// Sets the attributes of `id` on the element open in `b`.
+    fn emit_attrs(&self, id: ANodeId, b: &mut Builder) {
+        for (name, value) in &self.node(id).attrs {
+            b.attr(self.syms().resolve(*name), value);
         }
     }
 
-    fn emit_xml_children(&self, id: ANodeId, doc: &mut Document, did: NodeId) {
+    /// Emits the children of `id` into the element open in `b`: each
+    /// that carries a timestamp within a `<T>` — a stamp node as the
+    /// `<T>` of its children.
+    fn emit_xml_children(&self, id: ANodeId, b: &mut Builder) {
         for &c in self.children(id) {
             let n = self.node(c);
+            if let Some(t) = &n.time {
+                b.open(STAMP_TAG);
+                b.attr(STAMP_ATTR, &t.to_string());
+            }
             match &n.kind {
-                AKind::Stamp => {
-                    let t_el = doc.add_element(did, STAMP_TAG);
-                    let t = n.time.as_ref().expect("stamp time");
-                    doc.set_attr(t_el, STAMP_ATTR, &t.to_string());
-                    self.emit_xml_children(c, doc, t_el);
-                }
+                AKind::Stamp => self.emit_xml_children(c, b),
                 AKind::Element(s) => {
-                    let tag = self.syms().resolve(*s).to_owned();
-                    let parent = match &n.time {
-                        Some(t) => {
-                            let w = doc.add_element(did, STAMP_TAG);
-                            doc.set_attr(w, STAMP_ATTR, &t.to_string());
-                            w
-                        }
-                        None => did,
-                    };
-                    let el = doc.add_element(parent, &tag);
-                    self.emit_attrs(c, doc, el);
-                    self.emit_xml_children(c, doc, el);
+                    b.open(self.syms().resolve(*s));
+                    self.emit_attrs(c, b);
+                    self.emit_xml_children(c, b);
+                    b.close();
                 }
                 AKind::Text(txt) => {
-                    let txt = txt.clone();
-                    match &n.time {
-                        Some(t) => {
-                            let w = doc.add_element(did, STAMP_TAG);
-                            doc.set_attr(w, STAMP_ATTR, &t.to_string());
-                            doc.add_text(w, &txt);
-                        }
-                        None => {
-                            doc.add_text(did, &txt);
-                        }
-                    }
+                    b.text(txt);
                 }
+            }
+            if n.time.is_some() {
+                b.close();
             }
         }
     }
@@ -150,7 +131,7 @@ pub fn from_xml(
         .children(root_did)
         .iter()
         .copied()
-        .filter(|&c| matches!(doc.node(c).kind, NodeKind::Element(_)))
+        .filter(|&c| matches!(doc.kind(c), NodeKind::Element(_)))
         .collect();
     let [root_el] = inner.as_slice() else {
         return Err(XmlRepError(
@@ -189,14 +170,9 @@ fn parse_time(doc: &Document, el: NodeId) -> Result<TimeSet, XmlRepError> {
 }
 
 fn copy_attrs(doc: &Document, did: NodeId, a: &mut Archive, aid: ANodeId) {
-    let attrs: Vec<(String, String)> = doc
-        .attrs(did)
-        .iter()
-        .map(|(s, v)| (doc.syms().resolve(*s).to_owned(), v.clone()))
-        .collect();
-    for (n, v) in attrs {
-        let sym = a.intern(&n);
-        a.node_mut(aid).attrs.push((sym, v));
+    for (name, value) in doc.attrs(did) {
+        let sym = a.intern(doc.syms().resolve(name));
+        a.node_mut(aid).attrs.push((sym, value.to_owned()));
     }
 }
 
@@ -226,12 +202,12 @@ impl Import<'_> {
         ann: Option<&Annotations>,
     ) -> Result<(), XmlRepError> {
         let doc = self.doc;
-        match &doc.node(did).kind {
+        match doc.kind(did) {
             NodeKind::Text(txt) => {
                 let class = ann.map_or(NodeClass::Text, |ann| ann.class(self.plain[did.index()]));
-                a.push_node(parent, ANode::new(AKind::Text(txt.clone()), class));
+                a.push_node(parent, ANode::new(AKind::Text(txt.to_owned()), class));
             }
-            NodeKind::Element(s) if doc.syms().resolve(*s) == STAMP_TAG => {
+            NodeKind::Element(s) if doc.syms().resolve(s) == STAMP_TAG => {
                 let t = parse_time(doc, did)?;
                 if stamps {
                     let stamp =
@@ -256,10 +232,10 @@ impl Import<'_> {
                 let ann = match ann {
                     Some(ann) => ann,
                     None => {
-                        let mut plain = Document::new(doc.syms().resolve(*s));
-                        let root = plain.root();
-                        self.plain[did.index()] = root;
-                        self.dissolve(did, &mut plain, root);
+                        let mut plain = Builder::new(doc.syms().resolve(s));
+                        self.plain[did.index()] = NodeId(0);
+                        self.dissolve(did, &mut plain, NodeId(0));
+                        let plain = plain.finish();
                         fresh =
                             annotate(&plain, self.spec).map_err(|e| XmlRepError(e.to_string()))?;
                         &fresh
@@ -269,7 +245,7 @@ impl Import<'_> {
                 let class = ann.class(plain);
                 let node = ANode {
                     key: ann.key(plain).cloned(),
-                    ..ANode::new(AKind::Element(a.intern(doc.syms().resolve(*s))), class)
+                    ..ANode::new(AKind::Element(a.intern(doc.syms().resolve(s))), class)
                 };
                 let aid = a.push_node(parent, node);
                 copy_attrs(doc, did, a, aid);
@@ -283,23 +259,25 @@ impl Import<'_> {
         Ok(())
     }
 
-    /// Copies the children of Fig-5 node `did` under `at` in `plain`, each
-    /// `<T>` replaced by its children, recording every copy.
-    fn dissolve(&mut self, did: NodeId, plain: &mut Document, at: NodeId) {
+    /// Copies the children of Fig-5 node `did` into the element `at`, open
+    /// in `plain`, each `<T>` replaced by its children, recording every
+    /// copy (empty text, which `plain` does not take, as `at`).
+    fn dissolve(&mut self, did: NodeId, plain: &mut Builder, at: NodeId) {
         let doc = self.doc;
         for &c in doc.children(did) {
-            match &doc.node(c).kind {
-                NodeKind::Text(txt) => self.plain[c.index()] = plain.add_text(at, txt),
-                NodeKind::Element(s) if doc.syms().resolve(*s) == STAMP_TAG => {
+            match doc.kind(c) {
+                NodeKind::Text(txt) => self.plain[c.index()] = plain.text(txt).unwrap_or(at),
+                NodeKind::Element(s) if doc.syms().resolve(s) == STAMP_TAG => {
                     self.dissolve(c, plain, at)
                 }
                 NodeKind::Element(s) => {
-                    let copy = plain.add_element(at, doc.syms().resolve(*s));
-                    for (n, v) in doc.attrs(c) {
-                        plain.set_attr(copy, doc.syms().resolve(*n), v);
+                    let copy = plain.open(doc.syms().resolve(s));
+                    for (name, value) in doc.attrs(c) {
+                        plain.attr(doc.syms().resolve(name), value);
                     }
                     self.plain[c.index()] = copy;
                     self.dissolve(c, plain, copy);
+                    plain.close();
                 }
             }
         }

@@ -19,7 +19,7 @@ use xarch_core::store::StoreError;
 use xarch_core::TimeSet;
 use xarch_keys::{annotate, KeySpec};
 use xarch_xml::escape::{write_attr_pair, write_text};
-use xarch_xml::Document;
+use xarch_xml::{Builder, Document};
 
 use crate::etree::{merge_tree, EKind, ETree};
 use crate::events::{
@@ -427,35 +427,36 @@ fn tree_to_doc(t: &ETree) -> Document {
     let EKind::Element { tag, attrs } = &t.kind else {
         panic!("document root must be an element");
     };
-    let mut doc = Document::new(tag);
-    let root = doc.root();
+    let mut b = Builder::new(tag);
     for (a, v) in attrs {
-        doc.set_attr(root, a, v);
+        b.attr(a, v);
     }
     for c in &t.children {
-        add_tree(&mut doc, root, c);
+        add_tree(&mut b, c);
     }
-    doc
+    b.finish()
 }
 
-fn add_tree(doc: &mut Document, parent: xarch_xml::NodeId, t: &ETree) {
+/// Adds `t` to the element open in `b`, a stamp by its children.
+fn add_tree(b: &mut Builder, t: &ETree) {
     match &t.kind {
         EKind::Text(s) => {
-            doc.add_text(parent, s);
+            b.text(s);
         }
         EKind::Stamp => {
             for c in &t.children {
-                add_tree(doc, parent, c);
+                add_tree(b, c);
             }
         }
         EKind::Element { tag, attrs } => {
-            let e = doc.add_element(parent, tag);
+            b.open(tag);
             for (a, v) in attrs {
-                doc.set_attr(e, a, v);
+                b.attr(a, v);
             }
             for c in &t.children {
-                add_tree(doc, e, c);
+                add_tree(b, c);
             }
+            b.close();
         }
     }
 }

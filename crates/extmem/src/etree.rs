@@ -43,20 +43,19 @@ pub struct ETree {
 impl ETree {
     /// Builds a fragment from an annotated document subtree.
     pub fn from_doc(doc: &Document, ann: &Annotations, id: NodeId) -> ETree {
-        match &doc.node(id).kind {
+        match doc.kind(id) {
             NodeKind::Text(t) => ETree {
-                kind: EKind::Text(t.clone()),
+                kind: EKind::Text(t.to_owned()),
                 sort_key: None,
                 frontier: false,
                 time: None,
                 children: Vec::new(),
             },
             NodeKind::Element(s) => {
-                let tag = doc.syms().resolve(*s).to_owned();
+                let tag = doc.syms().resolve(s).to_owned();
                 let attrs = doc
                     .attrs(id)
-                    .iter()
-                    .map(|(a, v)| (doc.syms().resolve(*a).to_owned(), v.clone()))
+                    .map(|(a, v)| (doc.syms().resolve(a).to_owned(), v.to_owned()))
                     .collect();
                 let sort_key = ann.key(id).map(|k| {
                     let mut s = tag.clone();

@@ -58,12 +58,12 @@ pub fn estimate_sizes(doc: &Document) -> Vec<usize> {
     let mut sizes = vec![0usize; doc.len()];
     fn rec(doc: &Document, id: NodeId, sizes: &mut Vec<usize>) -> usize {
         let mut s = 8;
-        match &doc.node(id).kind {
+        match doc.kind(id) {
             NodeKind::Text(t) => s += t.len(),
             NodeKind::Element(sym) => {
-                s += doc.syms().resolve(*sym).len();
+                s += doc.syms().resolve(sym).len();
                 for (a, v) in doc.attrs(id) {
-                    s += doc.syms().resolve(*a).len() + v.len() + 4;
+                    s += doc.syms().resolve(a).len() + v.len() + 4;
                 }
                 for &c in doc.children(id) {
                     s += rec(doc, c, sizes);
@@ -97,7 +97,7 @@ fn emit_sorted(
         return Ok(());
     }
     // spine node: must be a keyed, non-frontier element
-    let NodeKind::Element(sym) = &doc.node(id).kind else {
+    let NodeKind::Element(sym) = doc.kind(id) else {
         return Err(StreamError::new("oversized text node"));
     };
     match ann.class(id) {
@@ -106,12 +106,12 @@ fn emit_sorted(
             return Err(StreamError::new(format!(
                 "node <{}> exceeds the memory budget but is {c:?}; the external \
                  archiver streams only keyed non-frontier nodes",
-                doc.syms().resolve(*sym)
+                doc.syms().resolve(sym)
             )))
         }
     }
     let key = ann.key(id).expect("keyed");
-    let mut sort_key = doc.syms().resolve(*sym).to_owned();
+    let mut sort_key = doc.syms().resolve(sym).to_owned();
     sort_key.push('\u{0}');
     for p in &key.parts {
         sort_key.push_str(&p.path);
@@ -120,11 +120,10 @@ fn emit_sorted(
         sort_key.push('\u{2}');
     }
     let header = SpineHeader {
-        tag: doc.syms().resolve(*sym).to_owned(),
+        tag: doc.syms().resolve(sym).to_owned(),
         attrs: doc
             .attrs(id)
-            .iter()
-            .map(|(a, v)| (doc.syms().resolve(*a).to_owned(), v.clone()))
+            .map(|(a, v)| (doc.syms().resolve(a).to_owned(), v.to_owned()))
             .collect(),
         sort_key: Some(sort_key),
         time: None,
@@ -156,7 +155,7 @@ fn emit_sorted(
         *run_bytes = 0;
     };
     for &c in doc.children(id) {
-        if matches!(doc.node(c).kind, NodeKind::Text(_)) || ann.key(c).is_none() {
+        if matches!(doc.kind(c), NodeKind::Text(_)) || ann.key(c).is_none() {
             return Err(StreamError::new(
                 "unkeyed child of a streamed (spine) node — cover it with a key",
             ));

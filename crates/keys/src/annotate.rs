@@ -384,7 +384,7 @@ impl<'a> Walk<'a> {
         sink: Sink<'_>,
     ) -> Result<(), KeyError> {
         let doc = self.doc;
-        let tag = match doc.node(id).kind {
+        let tag = match doc.kind(id) {
             NodeKind::Text(_) => {
                 self.ann.classes[id.index()] = Some(if beyond {
                     NodeClass::BeyondFrontier
@@ -466,14 +466,14 @@ impl<'a> Walk<'a> {
             let mut hits = doc
                 .children(cur)
                 .iter()
-                .filter(|&&c| matches!(doc.node(c).kind, NodeKind::Element(s) if Some(s) == want));
+                .filter(|&&c| matches!(doc.kind(c), NodeKind::Element(s) if Some(s) == want));
             match (hits.next(), hits.count()) {
                 (Some(&c), 0) => cur = c,
                 (None, _) => {
                     // The final step may name an attribute (paths consist of
                     // "node and attribute names", Appendix A.2).
                     let attr = (i == kp.steps.len() - 1)
-                        .then(|| doc.attrs(cur).iter().find(|a| Some(a.0) == want))
+                        .then(|| doc.attrs(cur).find(|a| Some(a.0) == want))
                         .flatten();
                     let step = &self.spec.names[step];
                     return match attr {
@@ -580,7 +580,7 @@ mod tests {
         let whole = annotate(&doc, &spec).unwrap();
         let mut cut_out = 0;
         for id in doc.preorder(doc.root()) {
-            let NodeKind::Element(_) = doc.node(id).kind else {
+            let NodeKind::Element(_) = doc.kind(id) else {
                 continue;
             };
             let mut sub = Document::new(doc.tag_name(id));

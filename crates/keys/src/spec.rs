@@ -153,6 +153,15 @@ impl KeySpec {
         Self::new(keys)
     }
 
+    /// The name every key part extracted along the key path rendered as
+    /// `path` (`.` when empty) carries, shared with the parts a merge
+    /// extracts; `None` if no key of the spec has such a path.
+    pub fn path_name(&self, path: &str) -> Option<PathName> {
+        let rules = self.compiled.states.iter().filter_map(|s| s.rule.as_ref());
+        let mut paths = rules.flat_map(|rule| &rule.key_paths);
+        paths.find(|kp| kp.name == path).map(|kp| kp.name.clone())
+    }
+
     /// The keys, in declaration order.
     pub fn keys(&self) -> &[Key] {
         &self.keys

@@ -64,7 +64,7 @@ pub fn validate(doc: &Document, spec: &KeySpec) -> Vec<Violation> {
     let ann = annotate_lenient(doc, spec, &mut out);
     // sibling uniqueness + coverage
     for id in doc.preorder(doc.root()) {
-        if !matches!(doc.node(id).kind, NodeKind::Element(_)) {
+        if !matches!(doc.kind(id), NodeKind::Element(_)) {
             continue;
         }
         // an element nested past `MAX_DEPTH` is reported, not descended
@@ -114,7 +114,7 @@ fn check_sibling_uniqueness(
     let mut groups: HashMap<String, usize> = HashMap::new();
     for &c in doc.children(parent) {
         if let Some(kv) = ann.key(c) {
-            let tag = match doc.node(c).kind {
+            let tag = match doc.kind(c) {
                 NodeKind::Element(s) => doc.syms().resolve(s),
                 NodeKind::Text(_) => continue,
             };

@@ -401,13 +401,14 @@ impl<'b> Sink<'b> for FirstMatch<'_, 'b> {
             return Ok(Visit::Skip);
         }
         let mut probe = KeyProbe {
-            built: DocBuilder::new(),
+            // only the part the key reads is built
+            built: DocBuilder::new(false),
             key: self.key,
             depth: 0,
         };
         walk(entry, self.above.len(), &mut probe).map_err(|e| entry_err(at, e))?;
         // (a key that cannot be read names nothing)
-        let named = probe.built.doc.is_some_and(|doc| {
+        let named = probe.built.finish().is_some_and(|doc| {
             annotate_under(&doc, self.spec, self.above)
                 .is_ok_and(|ann| query::step_matches_doc(&doc, &ann, doc.root(), self.step))
         });

@@ -31,7 +31,7 @@ use xarch_core::{StoreError, TimeSet};
 use xarch_extmem::events::{FLAG_KEY, FLAG_TIME, KIND_SMALL, KIND_STAMP, KIND_TEXT};
 use xarch_extmem::{decode_small, get_varint, StreamError};
 use xarch_xml::escape::{escape_text_into, push_attr_pair};
-use xarch_xml::{Document, NodeId, NodeKind, MAX_DEPTH};
+use xarch_xml::{Builder, Document, NodeId, NodeKind, MAX_BYTES, MAX_DEPTH};
 
 /// Encodes `doc` as one small-node event entry. A document nested deeper
 /// than [`MAX_DEPTH`] is refused: the walk would refuse to read it back.
@@ -82,7 +82,7 @@ impl Encoder {
     /// than [`MAX_DEPTH`].
     // xarch-allow: recursion -- bounded by MAX_DEPTH: an element deeper ends the pass
     fn measure(&mut self, doc: &Document, id: NodeId, depth: usize) -> Option<usize> {
-        match &doc.node(id).kind {
+        match doc.kind(id) {
             NodeKind::Text(t) => Some(1 + str_len(t)),
             NodeKind::Element(tag) => {
                 if depth > MAX_DEPTH {
@@ -91,9 +91,9 @@ impl Encoder {
                 let slot = self.bodies.len();
                 self.bodies.push(0);
                 let attrs = doc.attrs(id);
-                let mut body = str_len(doc.syms().resolve(*tag)) + varint_len(attrs.len());
+                let mut body = str_len(doc.syms().resolve(tag)) + varint_len(attrs.len());
                 for (a, v) in attrs {
-                    body += str_len(doc.syms().resolve(*a)) + str_len(v);
+                    body += str_len(doc.syms().resolve(a)) + str_len(v);
                 }
                 for &c in doc.children(id) {
                     body += self.measure(doc, c, depth + 1)?;
@@ -110,7 +110,7 @@ impl Encoder {
     /// Second pass: appends the entry for `id`.
     // xarch-allow: recursion -- bounded by MAX_DEPTH: it runs on what `measure` admitted
     fn emit(&mut self, doc: &Document, id: NodeId, out: &mut Vec<u8>) {
-        match &doc.node(id).kind {
+        match doc.kind(id) {
             NodeKind::Text(t) => {
                 out.push(KIND_TEXT);
                 wire::put_str(out, t);
@@ -123,11 +123,11 @@ impl Encoder {
                 debug_assert!(body.is_some(), "an element `measure` did not see");
                 wire::put_varint(out, body.unwrap_or_default() as u64);
                 self.emitted += 1;
-                wire::put_str(out, doc.syms().resolve(*tag));
+                wire::put_str(out, doc.syms().resolve(tag));
                 let attrs = doc.attrs(id);
                 wire::put_varint(out, attrs.len() as u64);
                 for (a, v) in attrs {
-                    wire::put_str(out, doc.syms().resolve(*a));
+                    wire::put_str(out, doc.syms().resolve(a));
                     wire::put_str(out, v);
                 }
                 for &c in doc.children(id) {
@@ -161,11 +161,11 @@ pub fn bytes_to_doc(buf: &[u8]) -> Result<Document, StreamError> {
 /// [`bytes_to_doc`] of an element's entry, cut from a payload in which
 /// `above` elements enclose it.
 pub(crate) fn doc_beneath(buf: &[u8], above: usize) -> Result<Document, StreamError> {
-    let mut built = DocBuilder::new();
+    let mut built = DocBuilder::new(true);
     walk(buf, above, &mut built)?;
     // `walk` refuses a payload that does not begin an element
     built
-        .doc
+        .finish()
         .ok_or_else(|| StreamError::new("version payload root is not an element"))
 }
 
@@ -209,52 +209,67 @@ pub(crate) trait Sink<'b> {
     fn close(&mut self, tag: &'b str);
 }
 
-/// The sink that builds the [`Document`]: [`bytes_to_doc`]'s, and what the
-/// cold reader builds the part of a record it keys with.
+/// The sink that builds the [`Document`] through an `xarch_xml`
+/// [`Builder`]: [`bytes_to_doc`]'s, and what the cold reader builds the
+/// part of a record it keys with. The builder folds what the document
+/// would: empty text, and an attribute named twice.
 #[derive(Debug)]
 pub(crate) struct DocBuilder {
-    /// Built so far; `None` until the first element opens.
-    pub(crate) doc: Option<Document>,
-    cur: NodeId,
+    built: Option<Builder>,
+    /// The whole entry walked becomes the document: the builder is sized
+    /// from it.
+    whole: bool,
 }
 
 impl DocBuilder {
-    pub(crate) fn new() -> Self {
-        DocBuilder {
-            doc: None,
-            cur: NodeId(0),
-        }
+    pub(crate) fn new(whole: bool) -> Self {
+        DocBuilder { built: None, whole }
+    }
+
+    /// The document built; `None` if no element opened.
+    pub(crate) fn finish(self) -> Option<Document> {
+        self.built.map(Builder::finish)
     }
 }
 
 impl<'b> Sink<'b> for DocBuilder {
     #[inline]
-    fn open(&mut self, tag: &'b str, _: usize, _: &'b [u8]) -> Result<Visit, StreamError> {
-        self.cur = match &mut self.doc {
-            Some(doc) => doc.add_element(self.cur, tag),
-            None => self.doc.insert(Document::new(tag)).root(),
-        };
+    fn open(&mut self, tag: &'b str, at: usize, entry: &'b [u8]) -> Result<Visit, StreamError> {
+        match &mut self.built {
+            Some(b) => {
+                b.open(tag);
+            }
+            // the root's entry holds every string the document will
+            None if entry.len() > MAX_BYTES => {
+                let long = format!("an element entry longer than {MAX_BYTES} bytes");
+                return Err(StreamError::at(at, long));
+            }
+            None => {
+                let input = if self.whole { entry.len() } else { 0 };
+                self.built = Some(Builder::with_capacity(tag, input));
+            }
+        }
         Ok(Visit::Enter)
     }
 
     #[inline]
     fn attr(&mut self, name: &'b str, value: &'b str) {
-        if let Some(doc) = &mut self.doc {
-            doc.set_attr(self.cur, name, value);
+        if let Some(b) = &mut self.built {
+            b.attr(name, value);
         }
     }
 
     #[inline]
     fn text(&mut self, text: &'b str) {
-        if let Some(doc) = &mut self.doc {
-            doc.add_text(self.cur, text);
+        if let Some(b) = &mut self.built {
+            b.text(text);
         }
     }
 
     #[inline]
     fn close(&mut self, _: &'b str) {
-        if let Some(doc) = &self.doc {
-            self.cur = doc.parent(self.cur).unwrap_or(self.cur);
+        if let Some(b) = &mut self.built {
+            b.close();
         }
     }
 }
@@ -591,12 +606,12 @@ mod tests {
     /// The oracle: the document as the fragment tree `encode_small` takes
     /// — how payloads were written before the two-pass encoder.
     fn etree_of(doc: &Document, id: NodeId) -> ETree {
-        let kind = match &doc.node(id).kind {
-            NodeKind::Text(t) => EKind::Text(t.clone()),
+        let kind = match doc.kind(id) {
+            NodeKind::Text(t) => EKind::Text(t.to_owned()),
             NodeKind::Element(s) => EKind::Element {
-                tag: doc.syms().resolve(*s).to_owned(),
-                attrs: (doc.attrs(id).iter())
-                    .map(|(a, v)| (doc.syms().resolve(*a).to_owned(), v.clone()))
+                tag: doc.syms().resolve(s).to_owned(),
+                attrs: (doc.attrs(id))
+                    .map(|(a, v)| (doc.syms().resolve(a).to_owned(), v.to_owned()))
                     .collect(),
             },
         };

@@ -20,16 +20,15 @@ pub fn canonical(doc: &Document, id: NodeId) -> String {
 
 /// Appends the canonical form of the subtree rooted at `id` to `out`.
 pub fn canonical_into(doc: &Document, id: NodeId, out: &mut String) {
-    match &doc.node(id).kind {
+    match doc.kind(id) {
         NodeKind::Text(t) => escape_text_into(t, out),
         NodeKind::Element(sym) => {
-            let tag = doc.syms().resolve(*sym);
+            let tag = doc.syms().resolve(sym);
             out.push('<');
             out.push_str(tag);
             let mut attrs: Vec<(&str, &str)> = doc
                 .attrs(id)
-                .iter()
-                .map(|(s, v)| (doc.syms().resolve(*s), v.as_str()))
+                .map(|(s, v)| (doc.syms().resolve(s), v))
                 .collect();
             attrs.sort_unstable();
             for (a, v) in attrs {

@@ -10,9 +10,10 @@
 //! * **A-nodes** (attributes) — name/value pairs attached to an element,
 //! * **T-nodes** (text), holding a string value.
 //!
-//! Documents are stored in an arena ([`Document`]) addressed by [`NodeId`];
-//! tag and attribute names are interned as [`Sym`]s in a per-document
-//! [`SymbolTable`]. The crate provides:
+//! Documents are stored in flat arrays ([`Document`]) addressed by
+//! [`NodeId`] and built front to back by a [`Builder`]; tag and attribute
+//! names are interned as [`Sym`]s in a per-document [`SymbolTable`]. The
+//! crate provides:
 //!
 //! * a hand-written, dependency-free parser ([`parser::parse`]),
 //! * compact and line-oriented writers ([`writer`]) — the line-oriented form
@@ -34,7 +35,7 @@ pub mod sym;
 pub mod writer;
 
 pub use error::{ParseError, Result};
-pub use model::{Document, Node, NodeId, NodeKind};
+pub use model::{Builder, Document, NodeId, NodeKind, MAX_BYTES};
 pub use order::{cmp_nodes, value_equal};
 pub use parser::{parse, MAX_DEPTH};
 pub use path::Path;

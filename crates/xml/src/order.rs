@@ -21,13 +21,13 @@ use crate::model::{Document, NodeId, NodeKind};
 /// Compares the XML values rooted at `a` (in `da`) and `b` (in `db`)
 /// under the total order `≤v`.
 pub fn cmp_nodes(da: &Document, a: NodeId, db: &Document, b: NodeId) -> Ordering {
-    match (&da.node(a).kind, &db.node(b).kind) {
+    match (da.kind(a), db.kind(b)) {
         (NodeKind::Text(ta), NodeKind::Text(tb)) => ta.cmp(tb),
         (NodeKind::Text(_), NodeKind::Element(_)) => Ordering::Less,
         (NodeKind::Element(_), NodeKind::Text(_)) => Ordering::Greater,
         (NodeKind::Element(sa), NodeKind::Element(sb)) => {
-            let ta = da.syms().resolve(*sa);
-            let tb = db.syms().resolve(*sb);
+            let ta = da.syms().resolve(sa);
+            let tb = db.syms().resolve(sb);
             ta.cmp(tb)
                 .then_with(|| cmp_node_lists(da, da.children(a), db, db.children(b)))
                 .then_with(|| cmp_attr_sets(da, a, db, b))
@@ -54,13 +54,11 @@ pub fn cmp_node_lists(da: &Document, xs: &[NodeId], db: &Document, ys: &[NodeId]
 fn cmp_attr_sets(da: &Document, a: NodeId, db: &Document, b: NodeId) -> Ordering {
     let mut xs: Vec<(&str, &str)> = da
         .attrs(a)
-        .iter()
-        .map(|(s, v)| (da.syms().resolve(*s), v.as_str()))
+        .map(|(s, v)| (da.syms().resolve(s), v))
         .collect();
     let mut ys: Vec<(&str, &str)> = db
         .attrs(b)
-        .iter()
-        .map(|(s, v)| (db.syms().resolve(*s), v.as_str()))
+        .map(|(s, v)| (db.syms().resolve(s), v))
         .collect();
     xs.sort_unstable();
     ys.sort_unstable();

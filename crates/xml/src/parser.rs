@@ -8,20 +8,20 @@
 //! timestamp namespace is handled). Whitespace-only text nodes are dropped
 //! — the paper's value model ignores inter-element whitespace (§4.3 fn. 3).
 //!
-//! One forward pass: text and attribute values are scanned for the byte
-//! that ends them eight bytes at a time; names stay slices of the input,
-//! interned through a small cache; a text run goes to the document straight
-//! from the input; open elements are an explicit stack, at most
-//! [`MAX_DEPTH`] deep; and only the byte offset is kept — an error counts
-//! its line and column from it.
+//! One forward pass into a [`Builder`]: text and attribute values are
+//! scanned for the byte that ends them eight bytes at a time; names stay
+//! slices of the input until the builder interns them through its cache; a
+//! text run goes to the builder straight from the input; open elements are
+//! an explicit stack, at most [`MAX_DEPTH`] deep; and only the byte offset
+//! is kept — an error counts its line and column from it. Input longer
+//! than [`MAX_BYTES`] is refused: the document's text could not be held.
 
 use std::borrow::Cow;
 use std::ops::Range;
 
 use crate::error::{ParseError, Result};
 use crate::escape::resolve_entity;
-use crate::model::{Document, NodeId};
-use crate::sym::Sym;
+use crate::model::{Builder, Document, MAX_BYTES};
 
 /// The deepest elements nest (the root is at depth 1): one bound from the
 /// wire to the disk. The parser refuses deeper text, annotation and the
@@ -38,21 +38,15 @@ pub fn parse(input: &str) -> Result<Document> {
     Parser {
         src: input,
         pos: 0,
-        names: [None; NAME_SLOTS],
         run: 0..0,
         scratch: String::new(),
     }
     .document()
 }
 
-/// Slots of the parser's name cache.
-const NAME_SLOTS: usize = 64;
-
 struct Parser<'a> {
     src: &'a str,
     pos: usize,
-    /// Names met so far and their symbols, direct-mapped by a hash.
-    names: [Option<(&'a str, Sym)>; NAME_SLOTS],
     /// The text of the innermost open element not yet added to it is
     /// `scratch` then `run` — `scratch` empty unless an entity, a CDATA
     /// section or a comment split the text, so a plain run is not copied.
@@ -156,24 +150,6 @@ impl<'a> Parser<'a> {
         Ok(&self.src[start..self.pos])
     }
 
-    /// `name`'s symbol in `doc`: the cached one, else the document's — it
-    /// interns the name on first sight, in the order the parse meets names
-    /// — which then takes the name's cache slot.
-    fn sym(&mut self, doc: &mut Document, name: &'a str) -> Sym {
-        let hash = name.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
-        });
-        let slot = (hash >> 58) as usize % NAME_SLOTS;
-        match self.names[slot] {
-            Some((cached, sym)) if cached == name => sym,
-            _ => {
-                let sym = doc.intern(name);
-                self.names[slot] = Some((name, sym));
-                sym
-            }
-        }
-    }
-
     /// The character a reference stands for, the `&` just behind: its name
     /// is at most 13 bytes, then `;`.
     fn entity(&mut self) -> Result<char> {
@@ -227,9 +203,9 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Reads the attributes of `el`, its name just read, to the end of its
-    /// start tag: `true` when content follows, `false` after `/>`.
-    fn start_tag(&mut self, doc: &mut Document, el: NodeId) -> Result<bool> {
+    /// Reads the attributes of the element just opened in `builder` to the end of
+    /// its start tag: `true` when content follows, `false` after `/>`.
+    fn start_tag(&mut self, builder: &mut Builder) -> Result<bool> {
         loop {
             self.skip_ws();
             match self.peek() {
@@ -247,11 +223,9 @@ impl<'a> Parser<'a> {
                     self.expect(b'=')?;
                     self.skip_ws();
                     let value = self.attr_value()?;
-                    let sym = self.sym(doc, name);
-                    if doc.attrs(el).iter().any(|a| a.0 == sym) {
+                    if !builder.attr(name, &value) {
                         return Err(self.err(format!("duplicate attribute `{name}`")));
                     }
-                    doc.set_attr_sym(el, sym, &value);
                 }
                 _ => return Err(self.err("malformed start tag")),
             }
@@ -265,8 +239,9 @@ impl<'a> Parser<'a> {
             .push_str(&src[std::mem::replace(&mut self.run, range)]);
     }
 
-    /// Adds the pending text to `el`, unless it is all whitespace.
-    fn flush(&mut self, doc: &mut Document, el: NodeId) {
+    /// Adds the pending text to the innermost open element, unless it is
+    /// all whitespace.
+    fn flush(&mut self, b: &mut Builder) {
         let text = if self.scratch.is_empty() {
             &self.src[self.run.clone()]
         } else {
@@ -274,13 +249,17 @@ impl<'a> Parser<'a> {
             &self.scratch
         };
         if !text.chars().all(char::is_whitespace) {
-            doc.add_text(el, text);
+            b.text(text);
         }
         self.run = 0..0;
         self.scratch.clear();
     }
 
     fn document(mut self) -> Result<Document> {
+        if self.src.len() > MAX_BYTES {
+            self.pos = MAX_BYTES;
+            return Err(self.err(format!("document longer than {MAX_BYTES} bytes")));
+        }
         if self.src.starts_with('\u{feff}') {
             self.pos = 3;
         }
@@ -290,14 +269,13 @@ impl<'a> Parser<'a> {
         }
         self.pos += 1;
         let tag = self.name()?;
-        let mut doc = Document::new(tag);
-        let root = doc.root();
-        // the elements open, innermost last, with their names as written
+        let mut b = Builder::with_capacity(tag, self.src.len());
+        // the names of the elements open in `b` as written, innermost last
         let mut open = Vec::new();
-        if self.start_tag(&mut doc, root)? {
-            open.push((root, tag));
+        if self.start_tag(&mut b)? {
+            open.push(tag);
         }
-        while let Some(&(el, tag)) = open.last() {
+        while let Some(&tag) = open.last() {
             let rest = self.rest();
             match rest.first() {
                 None => return Err(self.err(format!("unexpected EOF inside <{tag}>"))),
@@ -308,7 +286,7 @@ impl<'a> Parser<'a> {
                     self.scratch.push(c);
                 }
                 Some(b'<') if rest.starts_with(b"</") => {
-                    self.flush(&mut doc, el);
+                    self.flush(&mut b);
                     self.pos += 2;
                     let close = self.name()?;
                     if close != tag {
@@ -319,6 +297,7 @@ impl<'a> Parser<'a> {
                     self.skip_ws();
                     self.expect(b'>')?;
                     open.pop();
+                    b.close();
                 }
                 Some(b'<') if rest.starts_with(b"<!--") => {
                     self.pos += 4;
@@ -335,7 +314,7 @@ impl<'a> Parser<'a> {
                     self.skip_past("?>", "processing instruction")?;
                 }
                 Some(b'<') => {
-                    self.flush(&mut doc, el);
+                    self.flush(&mut b);
                     let at = self.pos;
                     self.pos += 1;
                     let name = self.name()?;
@@ -343,10 +322,11 @@ impl<'a> Parser<'a> {
                         self.pos = at;
                         return Err(self.err(format!("elements nest deeper than {MAX_DEPTH}")));
                     }
-                    let sym = self.sym(&mut doc, name);
-                    let child = doc.add_element_sym(el, sym);
-                    if self.start_tag(&mut doc, child)? {
-                        open.push((child, name));
+                    b.open(name);
+                    if self.start_tag(&mut b)? {
+                        open.push(name);
+                    } else {
+                        b.close();
                     }
                 }
                 Some(_) => {
@@ -360,7 +340,7 @@ impl<'a> Parser<'a> {
         if self.pos < self.src.len() {
             return Err(self.err("content after root element"));
         }
-        Ok(doc)
+        Ok(b.finish())
     }
 }
 

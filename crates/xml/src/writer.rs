@@ -20,15 +20,15 @@ pub fn to_compact_string(doc: &Document) -> String {
 
 /// Appends the compact serialization of the subtree at `id` to `out`.
 pub fn write_compact(doc: &Document, id: NodeId, out: &mut String) {
-    match &doc.node(id).kind {
+    match doc.kind(id) {
         NodeKind::Text(t) => escape_text_into(t, out),
         NodeKind::Element(sym) => {
-            let tag = doc.syms().resolve(*sym);
+            let tag = doc.syms().resolve(sym);
             out.push('<');
             out.push_str(tag);
             for (a, v) in doc.attrs(id) {
                 out.push(' ');
-                out.push_str(doc.syms().resolve(*a));
+                out.push_str(doc.syms().resolve(a));
                 out.push_str("=\"");
                 escape_attr_into(v, out);
                 out.push('"');
@@ -61,12 +61,12 @@ pub fn to_pretty_string(doc: &Document, indent: usize) -> String {
 fn is_text_only(doc: &Document, id: NodeId) -> bool {
     doc.children(id)
         .iter()
-        .all(|&c| matches!(doc.node(c).kind, NodeKind::Text(_)))
+        .all(|&c| matches!(doc.kind(c), NodeKind::Text(_)))
 }
 
 fn write_pretty(doc: &Document, id: NodeId, indent: usize, depth: usize, out: &mut String) {
     let pad = indent * depth;
-    match &doc.node(id).kind {
+    match doc.kind(id) {
         NodeKind::Text(t) => {
             for _ in 0..pad {
                 out.push(' ');
@@ -75,7 +75,7 @@ fn write_pretty(doc: &Document, id: NodeId, indent: usize, depth: usize, out: &m
             out.push('\n');
         }
         NodeKind::Element(sym) => {
-            let tag = doc.syms().resolve(*sym);
+            let tag = doc.syms().resolve(sym);
             for _ in 0..pad {
                 out.push(' ');
             }
@@ -83,7 +83,7 @@ fn write_pretty(doc: &Document, id: NodeId, indent: usize, depth: usize, out: &m
             out.push_str(tag);
             for (a, v) in doc.attrs(id) {
                 out.push(' ');
-                out.push_str(doc.syms().resolve(*a));
+                out.push_str(doc.syms().resolve(a));
                 out.push_str("=\"");
                 escape_attr_into(v, out);
                 out.push('"');
@@ -93,7 +93,7 @@ fn write_pretty(doc: &Document, id: NodeId, indent: usize, depth: usize, out: &m
             } else if is_text_only(doc, id) {
                 out.push('>');
                 for &c in doc.children(id) {
-                    if let NodeKind::Text(t) = &doc.node(c).kind {
+                    if let NodeKind::Text(t) = doc.kind(c) {
                         escape_text_into(t, out);
                     }
                 }
