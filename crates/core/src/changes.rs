@@ -70,7 +70,7 @@ fn label_of(a: &Archive, id: ANodeId) -> String {
     };
     let tag = a.syms().resolve(s);
     match &n.key {
-        Some(k) if !k.parts.is_empty() => format!("{tag}{k}"),
+        Some(k) if !k.parts().is_empty() => format!("{tag}{k}"),
         _ => tag.to_owned(),
     }
 }

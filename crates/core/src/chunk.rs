@@ -17,7 +17,7 @@
 use std::io::{self, Write};
 use std::sync::Arc;
 
-use xarch_keys::{annotate, fingerprint, Annotations, KeySpec};
+use xarch_keys::{annotate, fingerprint, Annotations, KeySpec, KeyValue};
 use xarch_xml::escape::write_attr_pair;
 use xarch_xml::{Document, NodeId, NodeKind};
 
@@ -31,11 +31,11 @@ use crate::timeset::TimeSet;
 /// it) hashes to: `tag|canon|canon…` over the key parts in sorted-path
 /// order. Partitioning (`add_version`) and query routing (`chunk_for`)
 /// must agree byte for byte — both call this.
-fn partition_label<'a>(tag: &str, canons: impl Iterator<Item = &'a str>) -> String {
+fn partition_label(tag: &str, key: &KeyValue) -> String {
     let mut label = tag.to_owned();
-    for canon in canons {
+    for part in key.parts() {
         label.push('|');
-        label.push_str(canon);
+        label.push_str(&part.canon);
     }
     label
 }
@@ -143,10 +143,7 @@ impl ChunkedArchive {
         for &c in doc.children(root) {
             let idx = match (doc.kind(c), ann.key(c)) {
                 (NodeKind::Element(s), Some(k)) => {
-                    let label = partition_label(
-                        doc.syms().resolve(s),
-                        k.parts.iter().map(|p| p.canon.as_str()),
-                    );
+                    let label = partition_label(doc.syms().resolve(s), k);
                     (fingerprint(&label) % n as u128) as usize
                 }
                 _ => 0,
@@ -369,10 +366,7 @@ impl ChunkedArchive {
     /// cannot drift from partitioning), letting a query touch one chunk
     /// instead of all of them.
     fn chunk_for(&self, step: &KeyQuery) -> usize {
-        let label = partition_label(
-            &step.tag,
-            step.parts.iter().map(|(_, canon)| canon.as_str()),
-        );
+        let label = partition_label(step.tag(), step.key());
         (fingerprint(&label) % self.chunks.len() as u128) as usize
     }
 

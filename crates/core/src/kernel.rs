@@ -62,8 +62,7 @@ impl Nav for Scan {
     const LABEL_ORDERED: bool = false;
 
     fn child(&self, a: &Archive, parent: ANodeId, step: &KeyQuery) -> Option<ANodeId> {
-        let addressed =
-            |&c: &ANodeId| a.node(c).key.is_some() && a.query_cmp(c, step) == Ordering::Equal;
+        let addressed = |&c: &ANodeId| a.query_cmp(c, step) == Ordering::Equal;
         a.children(parent).iter().copied().find(addressed)
     }
 
@@ -192,8 +191,11 @@ pub fn range<N: Nav>(
         return Vec::new();
     };
     let inherited = a.effective_time(node);
-    let mut out = Vec::new();
-    for &c in nav.keyed(a, node) {
+    let keyed = nav.keyed(a, node);
+    // a row shares its label with the archive node and holds a one-run
+    // lifetime inline, so the result is the one block the scan allocates
+    let mut out = Vec::with_capacity(keyed.len());
+    for &c in keyed {
         let own = a.node(c).time.as_ref();
         let time = own.unwrap_or(&inherited).clamp_range(lo, hi);
         if time.is_empty() {

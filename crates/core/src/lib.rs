@@ -68,8 +68,10 @@ pub use changes::{describe_changes, Change, ChangeKind};
 pub use chunk::ChunkedArchive;
 pub use cow::CowVec;
 pub use equiv::equiv_modulo_key_order;
-pub use history::KeyQuery;
+pub use history::{cmp_labels, KeyQuery, Label};
 pub use observed::{ObservedStore, QueryMetrics};
 pub use query::{ElementHistory, RangeEntry, VersionDelta};
 pub use store::{Layer, StoreError, StoreReader, StoreStats, StoreView, VersionStore};
 pub use timeset::TimeSet;
+/// The key-value types a [`KeyQuery`] step holds, shared with the archive.
+pub use xarch_keys::{KeyPart, KeyValue, PathName};

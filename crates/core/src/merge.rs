@@ -69,6 +69,7 @@ use xarch_xml::canon::canonical;
 use xarch_xml::{Document, NodeId, NodeKind, Sym};
 
 use crate::archive::{AKind, ANode, ANodeId, Archive, Compaction, MergeError};
+use crate::history::{cmp_labels, Label};
 use crate::timeset::TimeSet;
 use crate::weave::weave_frontier;
 
@@ -204,30 +205,12 @@ struct Verdict {
 /// merge's walk of that node. A batch shares one.
 type Sorted = RefCell<HashMap<ANodeId, Vec<ANodeId>>>;
 
-/// A child label — tag name plus key value, the paper's
-/// `l{p1=v1, ..., pk=vk}` — read where it is stored.
-type LabelRef<'a> = (&'a str, &'a KeyValue);
-
-/// The label of archive node `id`, when it is a keyed element.
-fn x_label(a: &Archive, id: ANodeId) -> Option<LabelRef<'_>> {
-    let n = a.node(id);
-    match (&n.kind, &n.key) {
-        (AKind::Element(s), Some(k)) => Some((a.syms().resolve(*s), k)),
-        _ => None,
-    }
-}
-
 /// The label of version node `id`, when it is a keyed element.
-fn y_label<'s>(a: &'s Archive, ver: &'s Version<'_>, id: NodeId) -> Option<LabelRef<'s>> {
+fn y_label<'s>(a: &'s Archive, ver: &'s Version<'_>, id: NodeId) -> Option<Label<'s>> {
     match (ver.doc.kind(id), ver.annotation(a, id).1) {
         (NodeKind::Element(s), Some(k)) => Some((ver.doc.syms().resolve(s), k)),
         _ => None,
     }
-}
-
-/// The label order `≤lab`.
-fn cmp_labels(p: LabelRef<'_>, q: LabelRef<'_>) -> Ordering {
-    p.0.cmp(q.0).then_with(|| p.1.cmp_parts(q.1))
 }
 
 /// [`sort_keyed_x`], or the list annotation sorted for `x` — once: a
@@ -241,13 +224,13 @@ fn sorted_keyed_x(a: &Archive, x: ANodeId, sorted: &Sorted) -> Vec<ANodeId> {
 /// stable, so siblings that (illegally) share a label keep document order
 /// and pair positionally.
 fn sort_keyed_x(a: &Archive, x: ANodeId) -> Vec<ANodeId> {
-    let mut kx: Vec<(LabelRef<'_>, ANodeId)> = Vec::new();
+    let mut kx: Vec<(Label<'_>, ANodeId)> = Vec::new();
     for &c in a.children(x) {
         debug_assert!(
             !matches!(a.node(c).kind, AKind::Stamp),
             "stamp nodes occur only beneath frontier nodes"
         );
-        kx.extend(x_label(a, c).map(|l| (l, c)));
+        kx.extend(a.label(c).map(|l| (l, c)));
     }
     kx.sort_by(|p, q| cmp_labels(p.0, q.0));
     kx.into_iter().map(|p| p.1).collect()
@@ -256,7 +239,7 @@ fn sort_keyed_x(a: &Archive, x: ANodeId) -> Vec<ANodeId> {
 /// Splits a version child list into its keyed children, sorted by label
 /// (stably, as [`sorted_keyed_x`]), and the others in document order.
 fn split_y(a: &Archive, ver: &Version<'_>, y_children: &[NodeId]) -> (Vec<NodeId>, Vec<NodeId>) {
-    let mut ky: Vec<(LabelRef<'_>, NodeId)> = Vec::new();
+    let mut ky: Vec<(Label<'_>, NodeId)> = Vec::new();
     let mut oy = Vec::new();
     for &c in y_children {
         match y_label(a, ver, c) {
@@ -271,7 +254,7 @@ fn split_y(a: &Archive, ver: &Version<'_>, y_children: &[NodeId]) -> (Vec<NodeId
 /// The children of `x` that are not keyed elements, in document order.
 fn unkeyed_x(a: &Archive, x: ANodeId) -> Vec<ANodeId> {
     let others = a.children(x).iter().copied();
-    others.filter(|&c| x_label(a, c).is_none()).collect()
+    others.filter(|&c| a.label(c).is_none()).collect()
 }
 
 const KEYED: &str = "the keyed lists hold keyed elements";
@@ -497,7 +480,7 @@ impl Pairer<'_> {
         let kx = (self.sorted)
             .entry(above)
             .or_insert_with(|| sort_keyed_x(a, above));
-        let cmp = |c: &ANodeId| cmp_labels(x_label(a, *c).expect(KEYED), label);
+        let cmp = |c: &ANodeId| cmp_labels(a.label(*c).expect(KEYED), label);
         let first = kx.partition_point(|c| cmp(c) == Ordering::Less);
         let claims = (self.claims)
             .entry(above)
@@ -642,7 +625,7 @@ pub(crate) fn merge_children(
     // Merge pass over the two sorted lists.
     let (mut ix, mut iy) = (0usize, 0usize);
     while ix < kx.len() && iy < ky.len() {
-        let lx = x_label(a, kx[ix]).expect(KEYED);
+        let lx = a.label(kx[ix]).expect(KEYED);
         let ly = y_label(a, ver, ky[iy]).expect(KEYED);
         match cmp_labels(lx, ly) {
             Ordering::Equal => {
@@ -821,7 +804,7 @@ fn batch_merge_children(a: &mut Archive, x: ANodeId, levels: &[BatchLevel<'_>], 
             let y = *kys[li].get(iys[li])?;
             Some((y, y_label(a, levels[li].ver, y).expect(KEYED)))
         };
-        let x_front = kx.get(ix).map(|&c| (c, x_label(a, c).expect(KEYED)));
+        let x_front = kx.get(ix).map(|&c| (c, a.label(c).expect(KEYED)));
         let mut min = x_front.map(|f| f.1);
         for li in 0..levels.len() {
             if let Some((_, lab)) = front(li) {
@@ -863,7 +846,7 @@ fn batch_merge_children(a: &mut Archive, x: ANodeId, levels: &[BatchLevel<'_>], 
     // sort keeps label order within each version
     news.sort_by_key(|&(first_li, _, _)| first_li);
     let mut news = news.into_iter().peekable();
-    let mut have_unkeyed_x = a.children(x).iter().any(|&c| x_label(a, c).is_none());
+    let mut have_unkeyed_x = a.children(x).iter().any(|&c| a.label(c).is_none());
 
     // Insertions and unkeyed matching, replayed in version order so the
     // archive's child append order is byte-identical to a serial replay:

@@ -13,38 +13,14 @@
 //! version), and the chunked archive routes to the owning chunk.
 
 use std::cmp::Ordering;
+use std::sync::Arc;
 
 use xarch_diff::{diff_lines, split_lines};
 use xarch_keys::{annotate, KeySpec};
 use xarch_xml::{Document, NodeId, NodeKind};
 
-use crate::history::KeyQuery;
+use crate::history::{cmp_labels, KeyQuery};
 use crate::timeset::TimeSet;
-
-impl PartialOrd for KeyQuery {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// The label order `≤lab` of §4.2 — tag, then key arity, then key paths,
-/// then key values — the same order the merge sorts children by, so range
-/// results are comparable byte-for-byte across backends.
-impl Ord for KeyQuery {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.tag.cmp(&other.tag).then_with(|| {
-            self.parts.len().cmp(&other.parts.len()).then_with(|| {
-                for (a, b) in self.parts.iter().zip(other.parts.iter()) {
-                    let o = a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1));
-                    if o != Ordering::Equal {
-                        return o;
-                    }
-                }
-                Ordering::Equal
-            })
-        })
-    }
-}
 
 /// The full temporal account of one element: the versions it exists in,
 /// and each distinct content it held, with the versions that held it.
@@ -194,15 +170,9 @@ pub fn keyed_children_in_doc(doc: &Document, spec: &KeySpec, prefix: &[KeyQuery]
     };
     let mut out = Vec::new();
     for c in ids {
-        if let (NodeKind::Element(_), Some(k)) = (doc.kind(c), ann.key(c)) {
-            out.push(KeyQuery {
-                tag: doc.tag_name(c).to_owned(),
-                parts: k
-                    .parts
-                    .iter()
-                    .map(|p| (p.path.to_string(), p.canon.clone()))
-                    .collect(),
-            });
+        if let (NodeKind::Element(s), Some(k)) = (doc.kind(c), ann.key(c)) {
+            let tag = Arc::clone(doc.syms().shared(s));
+            out.push(KeyQuery::labelled(tag, k.clone()));
         }
     }
     out
@@ -235,20 +205,10 @@ pub fn step_matches_doc(
     id: NodeId,
     step: &KeyQuery,
 ) -> bool {
-    let NodeKind::Element(_) = doc.kind(id) else {
+    let (NodeKind::Element(s), Some(k)) = (doc.kind(id), ann.key(id)) else {
         return false;
     };
-    if doc.tag_name(id) != step.tag {
-        return false;
-    }
-    let Some(k) = ann.key(id) else {
-        return false;
-    };
-    k.parts.len() == step.parts.len()
-        && k.parts
-            .iter()
-            .zip(step.parts.iter())
-            .all(|(p, (qp, qv))| *p.path == **qp && p.canon == *qv)
+    cmp_labels((doc.syms().resolve(s), k), step.label()) == Ordering::Equal
 }
 
 #[cfg(test)]
@@ -291,12 +251,12 @@ mod tests {
         let mut kids = keyed_children_in_doc(&doc, &spec(), &[KeyQuery::new("db")]);
         kids.sort();
         assert_eq!(kids.len(), 2);
-        assert_eq!(kids[0].parts[0].1, "<id>1</id>");
-        assert_eq!(kids[1].parts[0].1, "<id>2</id>");
+        assert_eq!(kids[0].key().parts()[0].canon, "<id>1</id>");
+        assert_eq!(kids[1].key().parts()[0].canon, "<id>2</id>");
         // empty prefix addresses the document root itself
         let top = keyed_children_in_doc(&doc, &spec(), &[]);
         assert_eq!(top.len(), 1);
-        assert_eq!(top[0].tag, "db");
+        assert_eq!(top[0].tag(), "db");
     }
 
     #[test]

@@ -148,9 +148,34 @@ fn get_timeset(buf: &[u8], pos: &mut usize, latest: u32) -> Result<TimeSet, Stor
             return Err(corrupt_at(at, "checkpoint state: interval past latest"));
         }
         prev_hi = Some(hi);
-        t = t.union(&TimeSet::from_range(lo, hi));
+        // in order, so a push coalesces an adjacent run as a union would
+        t.push_run((lo, hi));
     }
     Ok(t)
+}
+
+/// Decodes one key part written by [`put_archive_body`]: its path, which
+/// must be one `spec` declares and takes its name from, its canonical
+/// value and its fingerprint.
+fn get_key_part(buf: &[u8], pos: &mut usize, spec: &KeySpec) -> Result<KeyPart, StoreError> {
+    let at = *pos;
+    let path = get_str_ref(buf, pos).map_err(corrupt)?;
+    let Some(path) = spec.path_name(path) else {
+        return Err(corrupt_at(at, "checkpoint state: undeclared key path"));
+    };
+    let canon = get_str(buf, pos).map_err(corrupt)?;
+    let at = *pos;
+    let Some(fp_bytes) = buf.get(at..at + 16) else {
+        return Err(corrupt_at(at, "checkpoint state: truncated fingerprint"));
+    };
+    *pos += 16;
+    let mut fp = [0u8; 16];
+    fp.copy_from_slice(fp_bytes);
+    Ok(KeyPart {
+        path,
+        canon,
+        fp: u128::from_le_bytes(fp),
+    })
 }
 
 /// Appends the body of one [`Archive`] (no backend tag).
@@ -198,8 +223,8 @@ fn put_archive_body(out: &mut Vec<u8>, a: &Archive) {
             None => out.push(0),
             Some(k) => {
                 out.push(1);
-                put_varint(out, k.parts.len() as u64);
-                for p in &k.parts {
+                put_varint(out, k.parts().len() as u64);
+                for p in k.parts() {
                     put_str(out, &p.path);
                     put_str(out, &p.canon);
                     out.extend_from_slice(&p.fp.to_le_bytes());
@@ -272,6 +297,8 @@ fn get_archive_body(
         }
     };
     let mut nodes = Vec::with_capacity(node_count);
+    // one node's key parts, gathered here so its key value is one block
+    let mut parts = Vec::new();
     for _ in 0..node_count {
         let kind = match get_byte(buf, pos)? {
             0 => AKind::Element(get_sym(buf, pos)?),
@@ -319,28 +346,10 @@ fn get_archive_body(
                 if part_count > buf.len() {
                     return Err(corrupt_at(*pos, "checkpoint state: implausible key arity"));
                 }
-                let mut parts = Vec::with_capacity(part_count);
                 for _ in 0..part_count {
-                    let at = *pos;
-                    let path = get_str_ref(buf, pos).map_err(corrupt)?;
-                    let Some(path) = expect_spec.path_name(path) else {
-                        return Err(corrupt_at(at, "checkpoint state: undeclared key path"));
-                    };
-                    let canon = get_str(buf, pos).map_err(corrupt)?;
-                    let at = *pos;
-                    let Some(fp_bytes) = buf.get(at..at + 16) else {
-                        return Err(corrupt_at(at, "checkpoint state: truncated fingerprint"));
-                    };
-                    *pos += 16;
-                    let mut fp = [0u8; 16];
-                    fp.copy_from_slice(fp_bytes);
-                    parts.push(KeyPart {
-                        path,
-                        canon,
-                        fp: u128::from_le_bytes(fp),
-                    });
+                    parts.push(get_key_part(buf, pos, expect_spec)?);
                 }
-                Some(KeyValue { parts })
+                Some(parts.drain(..).collect::<KeyValue>())
             }
             _ => return Err(corrupt_at(*pos - 1, "checkpoint state: bad key flag")),
         };
@@ -641,7 +650,7 @@ mod tests {
         let a = populated();
         let state = encode_archive(&a);
         let part = (0..a.len() as u32)
-            .find_map(|i| a.node(ANodeId(i)).key.as_ref()?.parts.first().cloned())
+            .find_map(|i| a.node(ANodeId(i)).key.as_ref()?.parts().first().cloned())
             .expect("a record keyed by `id`");
         assert_eq!(&*part.path, "id");
         let mut written = Vec::new();
@@ -737,5 +746,65 @@ mod tests {
         assert_eq!(fresh.latest(), a.latest());
         // restore refuses to clobber a populated store
         assert!(a.restore_checkpoint(&state).is_err());
+    }
+
+    /// `(lo, span)` runs as [`put_timeset`] lays them out, written raw so
+    /// a test can lay out what the writer never would.
+    fn raw_timeset(runs: &[(u64, u64)]) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_varint(&mut out, runs.len() as u64);
+        for &(lo, span) in runs {
+            put_varint(&mut out, lo);
+            put_varint(&mut out, span);
+        }
+        out
+    }
+
+    #[test]
+    fn a_thousand_run_timestamp_round_trips() {
+        let t: TimeSet = (1..=2000).step_by(2).collect();
+        assert_eq!(t.run_count(), 1000);
+        let mut buf = Vec::new();
+        put_timeset(&mut buf, &t);
+        let mut pos = 0;
+        assert_eq!(get_timeset(&buf, &mut pos, 2000).unwrap(), t);
+        assert_eq!(pos, buf.len());
+    }
+
+    #[test]
+    fn adjacent_timestamp_runs_coalesce_on_decode() {
+        // 1-2 and 3, then 5-7 and 8-9: what a union of the runs reads
+        let buf = raw_timeset(&[(1, 1), (3, 0), (5, 2), (8, 1)]);
+        let mut pos = 0;
+        let t = get_timeset(&buf, &mut pos, 9).unwrap();
+        assert_eq!(t.to_string(), "1-3,5-9");
+        assert_eq!(t.run_count(), 2);
+        let one = get_timeset(&raw_timeset(&[(2, 0), (3, 4)]), &mut 0, 9).unwrap();
+        assert_eq!(one, TimeSet::from_range(2, 7));
+    }
+
+    #[test]
+    fn timestamp_refusals_keep_their_offsets() {
+        let refused = |runs: &[(u64, u64)], latest| {
+            let buf = raw_timeset(runs);
+            match get_timeset(&buf, &mut 0, latest) {
+                Err(StoreError::Corrupt { offset, reason }) => (offset, reason),
+                other => panic!("{runs:?} decoded to {other:?}"),
+            }
+        };
+        // each refusal names the offset of the run it refuses: the count
+        // takes byte 0 and every run here two bytes
+        let (at, why) = refused(&[(1, 1), (2, 0)], 9);
+        assert_eq!(at, 3);
+        assert!(why.contains("out of order"), "{why}");
+        let (at, why) = refused(&[(0, 1)], 9);
+        assert_eq!(at, 1);
+        assert!(why.contains("out of order"), "{why}");
+        let (at, why) = refused(&[(1, 0), (4, 6)], 9);
+        assert_eq!(at, 3);
+        assert!(why.contains("past latest"), "{why}");
+        let (at, why) = refused(&[(u64::from(u32::MAX), 1)], u32::MAX);
+        assert_eq!(at, 1);
+        assert!(why.contains("overflow"), "{why}");
     }
 }

@@ -8,12 +8,54 @@
 //! numbers" (§1).
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// A set of `u32` versions, run-length encoded as closed intervals.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Hash)]
+///
+/// A set of at most one run — most lifetimes in an accretive archive, and
+/// every range row's window — holds it inline and owns no heap block;
+/// more runs live in a vector. Equality, hashing and `Debug` read
+/// [`TimeSet::intervals`], never which of the two holds them.
+#[derive(Clone, Default)]
 pub struct TimeSet {
-    /// Sorted, disjoint, non-adjacent closed intervals `(lo, hi)`.
-    runs: Vec<(u32, u32)>,
+    runs: Runs,
+}
+
+/// The sorted, disjoint, non-adjacent closed intervals `(lo, hi)` of a
+/// [`TimeSet`]. `One` holds exactly one run; `Many` holds none, or two or
+/// more.
+#[derive(Clone)]
+enum Runs {
+    One((u32, u32)),
+    Many(Vec<(u32, u32)>),
+}
+
+impl Default for Runs {
+    fn default() -> Self {
+        Runs::Many(Vec::new())
+    }
+}
+
+impl PartialEq for TimeSet {
+    fn eq(&self, other: &Self) -> bool {
+        self.intervals() == other.intervals()
+    }
+}
+
+impl Eq for TimeSet {}
+
+impl Hash for TimeSet {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.intervals().hash(state);
+    }
+}
+
+impl fmt::Debug for TimeSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TimeSet")
+            .field("runs", &self.intervals())
+            .finish()
+    }
 }
 
 /// Error parsing the textual `1-3,5,7-9` form.
@@ -36,7 +78,7 @@ impl TimeSet {
 
     /// A singleton set `{v}`.
     pub fn from_version(v: u32) -> Self {
-        Self { runs: vec![(v, v)] }
+        Self::from_range(v, v)
     }
 
     /// The full range `lo..=hi` (empty if `lo > hi`).
@@ -45,44 +87,74 @@ impl TimeSet {
             Self::new()
         } else {
             Self {
-                runs: vec![(lo, hi)],
+                runs: Runs::One((lo, hi)),
+            }
+        }
+    }
+
+    /// Adds the run `(lo, hi)`, which starts after every run held so far
+    /// begins, coalescing it with the last run when they overlap or touch
+    /// — how a union, a clamp and a decoder build a set in ascending
+    /// order. A set that ends up one run never touches the heap.
+    pub(crate) fn push_run(&mut self, (lo, hi): (u32, u32)) {
+        match &mut self.runs {
+            Runs::Many(runs) if runs.is_empty() => self.runs = Runs::One((lo, hi)),
+            Runs::One(last) if lo <= last.1.saturating_add(1) => last.1 = last.1.max(hi),
+            Runs::One(last) => self.runs = Runs::Many(vec![*last, (lo, hi)]),
+            Runs::Many(runs) => match runs.last_mut() {
+                Some(last) if lo <= last.1.saturating_add(1) => last.1 = last.1.max(hi),
+                _ => runs.push((lo, hi)),
+            },
+        }
+    }
+
+    /// Holds a vector left with one run inline again.
+    fn settle(&mut self) {
+        if let Runs::Many(runs) = &self.runs {
+            if let &[one] = runs.as_slice() {
+                self.runs = Runs::One(one);
             }
         }
     }
 
     /// True if the set contains no versions.
     pub fn is_empty(&self) -> bool {
-        self.runs.is_empty()
+        self.intervals().is_empty()
     }
 
     /// Number of versions in the set.
     pub fn count(&self) -> u64 {
-        self.runs.iter().map(|&(lo, hi)| (hi - lo) as u64 + 1).sum()
+        (self.intervals().iter())
+            .map(|&(lo, hi)| (hi - lo) as u64 + 1)
+            .sum()
     }
 
     /// Number of intervals (the storage cost driver).
     pub fn run_count(&self) -> usize {
-        self.runs.len()
+        self.intervals().len()
     }
 
     /// The intervals themselves.
     pub fn intervals(&self) -> &[(u32, u32)] {
-        &self.runs
+        match &self.runs {
+            Runs::One(one) => std::slice::from_ref(one),
+            Runs::Many(runs) => runs,
+        }
     }
 
     /// Smallest version, if any.
     pub fn min(&self) -> Option<u32> {
-        self.runs.first().map(|&(lo, _)| lo)
+        self.intervals().first().map(|&(lo, _)| lo)
     }
 
     /// Largest version, if any.
     pub fn max(&self) -> Option<u32> {
-        self.runs.last().map(|&(_, hi)| hi)
+        self.intervals().last().map(|&(_, hi)| hi)
     }
 
     /// Membership test (binary search over runs).
     pub fn contains(&self, v: u32) -> bool {
-        self.runs
+        self.intervals()
             .binary_search_by(|&(lo, hi)| {
                 if v < lo {
                     std::cmp::Ordering::Greater
@@ -95,134 +167,86 @@ impl TimeSet {
             .is_ok()
     }
 
-    /// Inserts one version, coalescing adjacent runs.
+    /// Inserts one version, coalescing adjacent runs. A version inside or
+    /// touching a set's one run extends it in place.
     pub fn insert(&mut self, v: u32) {
-        // Find the first run with lo > v.
-        let pos = self.runs.partition_point(|&(lo, _)| lo <= v);
-        // Check the run before: may contain or be adjacent to v.
-        if pos > 0 {
-            let (lo, hi) = self.runs[pos - 1];
-            if v <= hi {
-                return; // already present
+        match &mut self.runs {
+            Runs::One((lo, hi)) if v.saturating_add(1) >= *lo && v <= hi.saturating_add(1) => {
+                *lo = (*lo).min(v);
+                *hi = (*hi).max(v);
             }
-            if v == hi + 1 {
-                self.runs[pos - 1].1 = v;
-                // maybe coalesce with the following run
-                if pos < self.runs.len() && self.runs[pos].0 == v + 1 {
-                    self.runs[pos - 1].1 = self.runs[pos].1;
-                    self.runs.remove(pos);
-                }
-                return;
+            Runs::One(run) => {
+                let run = *run;
+                let runs = match v < run.0 {
+                    true => vec![(v, v), run],
+                    false => vec![run, (v, v)],
+                };
+                self.runs = Runs::Many(runs);
             }
-            let _ = lo;
+            Runs::Many(runs) if runs.is_empty() => self.runs = Runs::One((v, v)),
+            Runs::Many(runs) => {
+                insert_into(runs, v);
+                self.settle();
+            }
         }
-        // Check the run after: v may extend it downwards.
-        if pos < self.runs.len() && self.runs[pos].0 == v + 1 {
-            self.runs[pos].0 = v;
-            return;
-        }
-        self.runs.insert(pos, (v, v));
     }
 
-    /// Removes one version, splitting a run if needed.
+    /// Removes one version, splitting a run if needed. Taking an end off a
+    /// set's one run shortens it in place.
     pub fn remove(&mut self, v: u32) {
-        let pos = match self.runs.binary_search_by(|&(lo, hi)| {
-            if v < lo {
-                std::cmp::Ordering::Greater
-            } else if v > hi {
-                std::cmp::Ordering::Less
-            } else {
-                std::cmp::Ordering::Equal
-            }
-        }) {
-            Ok(p) => p,
-            Err(_) => return,
-        };
-        let (lo, hi) = self.runs[pos];
-        match (v == lo, v == hi) {
-            (true, true) => {
-                self.runs.remove(pos);
-            }
-            (true, false) => self.runs[pos].0 = v + 1,
-            (false, true) => self.runs[pos].1 = v - 1,
-            (false, false) => {
-                self.runs[pos].1 = v - 1;
-                self.runs.insert(pos + 1, (v + 1, hi));
+        match &mut self.runs {
+            Runs::One((lo, hi)) if v < *lo || v > *hi => {}
+            Runs::One((lo, hi)) if *lo == *hi => self.runs = Runs::default(),
+            Runs::One((lo, _)) if v == *lo => *lo = v + 1,
+            Runs::One((_, hi)) if v == *hi => *hi = v - 1,
+            Runs::One((lo, hi)) => self.runs = Runs::Many(vec![(*lo, v - 1), (v + 1, *hi)]),
+            Runs::Many(runs) => {
+                remove_from(runs, v);
+                self.settle();
             }
         }
     }
 
     /// Set union.
     pub fn union(&self, other: &TimeSet) -> TimeSet {
-        let mut out: Vec<(u32, u32)> = Vec::with_capacity(self.runs.len() + other.runs.len());
-        let mut a = self.runs.iter().peekable();
-        let mut b = other.runs.iter().peekable();
-        let push = |out: &mut Vec<(u32, u32)>, r: (u32, u32)| {
-            if let Some(last) = out.last_mut() {
-                // coalesce overlapping or adjacent runs
-                if r.0 <= last.1.saturating_add(1) {
-                    last.1 = last.1.max(r.1);
-                    return;
-                }
-            }
-            out.push(r);
-        };
-        loop {
-            let next = match (a.peek(), b.peek()) {
-                (Some(&&x), Some(&&y)) => {
-                    if x.0 <= y.0 {
-                        a.next();
-                        x
-                    } else {
-                        b.next();
-                        y
-                    }
-                }
-                (Some(&&x), None) => {
-                    a.next();
-                    x
-                }
-                (None, Some(&&y)) => {
-                    b.next();
-                    y
-                }
-                (None, None) => break,
-            };
-            push(&mut out, next);
+        let mut out = TimeSet::new();
+        let mut a = self.intervals().iter().peekable();
+        let mut b = other.intervals().iter().peekable();
+        while let Some(&next) = match (a.peek(), b.peek()) {
+            (Some(x), Some(y)) if y.0 < x.0 => b.next(),
+            (Some(_), _) => a.next(),
+            (None, _) => b.next(),
+        } {
+            out.push_run(next);
         }
-        TimeSet { runs: out }
+        out
     }
 
     /// The subset of the set falling inside the closed window `lo..=hi` —
     /// the restriction a range query applies to an element's lifetime.
     pub fn clamp_range(&self, lo: u32, hi: u32) -> TimeSet {
-        if lo > hi {
-            return TimeSet::new();
+        let mut out = TimeSet::new();
+        for &(a, b) in self.intervals() {
+            let (a, b) = (a.max(lo), b.min(hi));
+            if a <= b {
+                out.push_run((a, b));
+            }
         }
-        TimeSet {
-            runs: self
-                .runs
-                .iter()
-                .filter_map(|&(a, b)| {
-                    let (a, b) = (a.max(lo), b.min(hi));
-                    (a <= b).then_some((a, b))
-                })
-                .collect(),
-        }
+        out
     }
 
     /// True if `self ⊇ other` — the paper's archive invariant is that a
     /// node's timestamp is a superset of every descendant's.
     pub fn is_superset(&self, other: &TimeSet) -> bool {
-        other.runs.iter().all(|&(lo, hi)| {
+        other.intervals().iter().all(|&(lo, hi)| {
             // find run containing lo, check it extends to hi
-            self.runs.iter().any(|&(slo, shi)| slo <= lo && hi <= shi)
+            (self.intervals().iter()).any(|&(slo, shi)| slo <= lo && hi <= shi)
         })
     }
 
     /// Iterates all versions in ascending order.
     pub fn versions(&self) -> impl Iterator<Item = u32> + '_ {
-        self.runs.iter().flat_map(|&(lo, hi)| lo..=hi)
+        self.intervals().iter().flat_map(|&(lo, hi)| lo..=hi)
     }
 
     /// Parses the paper's notation, e.g. `1-3,5,7-9`. An empty string is
@@ -271,7 +295,7 @@ impl TimeSet {
 
 impl fmt::Display for TimeSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (i, &(lo, hi)) in self.runs.iter().enumerate() {
+        for (i, &(lo, hi)) in self.intervals().iter().enumerate() {
             if i > 0 {
                 write!(f, ",")?;
             }
@@ -282,6 +306,55 @@ impl fmt::Display for TimeSet {
             }
         }
         Ok(())
+    }
+}
+
+/// Inserts `v` into the runs of a set of more than one run, coalescing
+/// adjacent runs.
+fn insert_into(runs: &mut Vec<(u32, u32)>, v: u32) {
+    // Find the first run with lo > v.
+    let pos = runs.partition_point(|&(lo, _)| lo <= v);
+    // Check the run before: may contain or be adjacent to v.
+    if pos > 0 {
+        let hi = runs[pos - 1].1;
+        if v <= hi {
+            return; // already present
+        }
+        if v == hi + 1 {
+            runs[pos - 1].1 = v;
+            // maybe coalesce with the following run
+            if pos < runs.len() && runs[pos].0 == v + 1 {
+                runs[pos - 1].1 = runs[pos].1;
+                runs.remove(pos);
+            }
+            return;
+        }
+    }
+    // Check the run after: v may extend it downwards.
+    if pos < runs.len() && runs[pos].0 == v + 1 {
+        runs[pos].0 = v;
+        return;
+    }
+    runs.insert(pos, (v, v));
+}
+
+/// Removes `v` from the runs of a set of more than one run, splitting the
+/// run that holds it if needed.
+fn remove_from(runs: &mut Vec<(u32, u32)>, v: u32) {
+    let pos = runs.partition_point(|&(_, hi)| hi < v);
+    let Some(&(lo, hi)) = runs.get(pos).filter(|&&(lo, _)| lo <= v) else {
+        return;
+    };
+    match (v == lo, v == hi) {
+        (true, true) => {
+            runs.remove(pos);
+        }
+        (true, false) => runs[pos].0 = v + 1,
+        (false, true) => runs[pos].1 = v - 1,
+        (false, false) => {
+            runs[pos].1 = v - 1;
+            runs.insert(pos + 1, (v + 1, hi));
+        }
     }
 }
 
@@ -419,11 +492,16 @@ mod tests {
             for w in 0..60u32 {
                 assert_eq!(t.contains(w), model.contains(&w));
             }
+            assert_canonical(&t);
         }
         let got: Vec<u32> = t.versions().collect();
         let want: Vec<u32> = model.into_iter().collect();
         assert_eq!(got, want);
-        // runs are canonical: sorted, disjoint, non-adjacent
+    }
+
+    /// Runs are canonical — sorted, disjoint, non-adjacent — and a set of
+    /// exactly one run holds it inline.
+    fn assert_canonical(t: &TimeSet) {
         for w in t.intervals().windows(2) {
             assert!(
                 w[0].1 + 1 < w[1].0,
@@ -431,5 +509,102 @@ mod tests {
                 t.intervals()
             );
         }
+        assert_eq!(matches!(t.runs, Runs::One(_)), t.run_count() == 1, "{t:?}");
+    }
+
+    #[test]
+    fn union_and_clamp_match_the_model() {
+        let mut seed = 0x2545F4914F6CDD1Du64;
+        let mut next = move |n: u64| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed % n) as u32
+        };
+        for _ in 0..500 {
+            let mut sets = [
+                (TimeSet::new(), BTreeSet::new()),
+                (TimeSet::new(), BTreeSet::new()),
+            ];
+            for (t, model) in &mut sets {
+                let density = 1 + next(4);
+                for v in 1..=40u32 {
+                    if next(4) < density {
+                        t.insert(v);
+                        model.insert(v);
+                    }
+                }
+            }
+            let [(a, ma), (b, mb)] = &sets;
+            let u = a.union(b);
+            assert_canonical(&u);
+            assert_eq!(u.versions().collect::<BTreeSet<u32>>(), ma | mb);
+            let (lo, hi) = (next(45), next(45));
+            let c = a.clamp_range(lo, hi);
+            assert_canonical(&c);
+            let want: BTreeSet<u32> = ma
+                .iter()
+                .copied()
+                .filter(|v| (lo..=hi).contains(v))
+                .collect();
+            assert_eq!(c.versions().collect::<BTreeSet<u32>>(), want, "{lo}..={hi}");
+        }
+    }
+
+    /// One run is held inline, none or several in a vector — and equality,
+    /// hashing and `Debug` read the intervals, never the representation.
+    #[test]
+    fn a_one_run_set_compares_by_its_intervals() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+
+        let inline = TimeSet::from_range(1, 3);
+        let spilled = TimeSet {
+            runs: Runs::Many(vec![(1, 3)]),
+        };
+        assert!(matches!(inline.runs, Runs::One(_)));
+        assert_eq!(inline, spilled);
+        let hash = |t: &TimeSet| {
+            let mut h = DefaultHasher::new();
+            t.hash(&mut h);
+            h.finish()
+        };
+        assert_eq!(hash(&inline), hash(&spilled));
+        assert_eq!(format!("{inline:?}"), format!("{spilled:?}"));
+        assert_eq!(format!("{inline:?}"), "TimeSet { runs: [(1, 3)] }");
+        assert_ne!(inline, TimeSet::new());
+    }
+
+    #[test]
+    fn pushed_runs_coalesce_like_a_union() {
+        let mut t = TimeSet::new();
+        for run in [(1, 2), (3, 3), (5, 6), (6, 9), (12, 12)] {
+            t.push_run(run);
+            assert_canonical(&t);
+        }
+        assert_eq!(t.to_string(), "1-3,5-9,12");
+        let mut one = TimeSet::new();
+        one.push_run((4, 4));
+        one.push_run((5, 8));
+        assert_eq!(one, TimeSet::from_range(4, 8));
+        assert_canonical(&one);
+    }
+
+    #[test]
+    fn removal_splits_and_rejoins_one_run() {
+        let mut t = TimeSet::from_range(1, 5);
+        t.remove(3);
+        assert_eq!(t.to_string(), "1-2,4-5");
+        t.insert(3);
+        assert_canonical(&t);
+        assert_eq!(t, TimeSet::from_range(1, 5));
+        t.remove(0);
+        t.remove(6);
+        assert_eq!(t, TimeSet::from_range(1, 5));
+        for v in 1..=5 {
+            t.remove(v);
+            assert_canonical(&t);
+        }
+        assert!(t.is_empty());
     }
 }

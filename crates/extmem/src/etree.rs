@@ -60,7 +60,7 @@ impl ETree {
                 let sort_key = ann.key(id).map(|k| {
                     let mut s = tag.clone();
                     s.push('\u{0}');
-                    for p in &k.parts {
+                    for p in k.parts() {
                         s.push_str(&p.path);
                         s.push('\u{1}');
                         s.push_str(&p.canon);

@@ -113,7 +113,7 @@ fn emit_sorted(
     let key = ann.key(id).expect("keyed");
     let mut sort_key = doc.syms().resolve(sym).to_owned();
     sort_key.push('\u{0}');
-    for p in &key.parts {
+    for p in key.parts() {
         sort_key.push_str(&p.path);
         sort_key.push('\u{1}');
         sort_key.push_str(&p.canon);

@@ -15,7 +15,7 @@
 use std::cmp::Ordering;
 use std::sync::Arc;
 
-use xarch_core::{ANodeId, Archive, CowVec, KeyQuery};
+use xarch_core::{cmp_labels, ANodeId, Archive, CowVec, KeyQuery};
 use xarch_obs::Counter;
 
 /// Sorted child-key lists for every keyed node: one slot per archive node
@@ -151,13 +151,10 @@ impl HistoryIndex {
 }
 
 fn cmp_children(archive: &Archive, a: ANodeId, b: ANodeId) -> Ordering {
-    let ta = archive.tag_name(a).unwrap_or("");
-    let tb = archive.tag_name(b).unwrap_or("");
-    ta.cmp(tb)
-        .then_with(|| match (&archive.node(a).key, &archive.node(b).key) {
-            (Some(ka), Some(kb)) => ka.cmp_parts(kb),
-            _ => Ordering::Equal,
-        })
+    match (archive.label(a), archive.label(b)) {
+        (Some(p), Some(q)) => cmp_labels(p, q),
+        _ => Ordering::Equal,
+    }
 }
 
 #[cfg(test)]
@@ -303,7 +300,7 @@ mod tests {
         let prefix = vec![KeyQuery::new("db")];
         let hits = idx.range(&prefix, 1..=2).unwrap();
         assert_eq!(hits.len(), 2, "{hits:?}"); // two departments
-        assert_eq!(hits[0].step.tag, "dept");
+        assert_eq!(hits[0].step.tag(), "dept");
         assert_eq!(hits[0].time.to_string(), "1-2"); // finance
         assert_eq!(hits[1].time.to_string(), "2"); // marketing
                                                    // window clamps: only version 1

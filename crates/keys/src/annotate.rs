@@ -35,7 +35,7 @@ use xarch_xml::canon::canonical_into;
 use xarch_xml::escape::escape_attr;
 use xarch_xml::{Document, NodeId, NodeKind, Sym, MAX_DEPTH};
 
-use crate::fingerprint::Fingerprinter;
+use crate::fingerprint::{fingerprint, Fingerprinter};
 use crate::spec::{Compiled, KeyPath, KeySpec, Rule};
 
 /// A key path's name as key parts carry it: an `Arc<str>`, so every part
@@ -63,6 +63,12 @@ impl From<String> for PathName {
     }
 }
 
+impl From<&str> for PathName {
+    fn from(name: &str) -> Self {
+        PathName(name.into())
+    }
+}
+
 /// One component of a key value: the key path, the canonical form of the
 /// value found at its end, and the fingerprint of that canonical form.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -76,29 +82,58 @@ pub struct KeyPart {
     pub fp: u128,
 }
 
+impl KeyPart {
+    /// The part `path = canon` built outside an annotation pass (a query
+    /// step, a decoded message), fingerprinted at full width. Comparisons
+    /// verify canonical values whenever fingerprints agree, so a part
+    /// fingerprinted here orders and equals the same value annotated under
+    /// any [`Fingerprinter`].
+    pub fn new(path: PathName, canon: String) -> Self {
+        let fp = fingerprint(&canon);
+        KeyPart { path, canon, fp }
+    }
+}
+
 /// A node's key value: its key parts sorted by key-path name (the paper's
 /// `≤lab` assumes lexicographically ordered `pᵢ`).
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The parts sit behind one shared `Arc`: annotation builds them once,
+/// and the archive node, each query step naming it and each range row
+/// listing it hold that one copy — cloning a key value bumps a reference
+/// count and copies no string. The unit key `{}` holds nothing at all.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct KeyValue {
-    pub parts: Vec<KeyPart>,
+    parts: Option<Arc<[KeyPart]>>,
 }
 
 impl KeyValue {
     /// The empty key value (for `{}` keys — "at most one such node").
     pub fn unit() -> Self {
-        Self { parts: Vec::new() }
+        Self { parts: None }
+    }
+
+    /// The parts, sorted by key-path name.
+    pub fn parts(&self) -> &[KeyPart] {
+        self.parts.as_deref().unwrap_or_default()
     }
 
     /// Compares two key values as `≤lab` does after equal tags: by arity,
     /// then per part by path name, then by value.
     ///
-    /// Fingerprints short-circuit the common unequal case; on fingerprint
+    /// Two holders of one shared key value are equal at once. Otherwise
+    /// fingerprints short-circuit the common unequal case; on fingerprint
     /// equality the canonical values are compared — this is the §4.3
     /// collision-verification protocol, so a weak fingerprinter can never
     /// cause two distinct keys to be treated as equal.
     pub fn cmp_parts(&self, other: &Self) -> Ordering {
-        self.parts.len().cmp(&other.parts.len()).then_with(|| {
-            for (a, b) in self.parts.iter().zip(other.parts.iter()) {
+        if let (Some(a), Some(b)) = (&self.parts, &other.parts) {
+            if Arc::ptr_eq(a, b) {
+                return Ordering::Equal;
+            }
+        }
+        let (ours, theirs) = (self.parts(), other.parts());
+        ours.len().cmp(&theirs.len()).then_with(|| {
+            for (a, b) in ours.iter().zip(theirs) {
                 let o = a.path.cmp(&b.path);
                 if o != Ordering::Equal {
                     return o;
@@ -115,10 +150,26 @@ impl KeyValue {
     }
 }
 
+/// The key value of the parts, in the order given — sorted by path
+/// wherever it is built from a key, as annotation builds it. One
+/// allocation when the iterator knows its length; none for no parts.
+impl FromIterator<KeyPart> for KeyValue {
+    fn from_iter<I: IntoIterator<Item = KeyPart>>(parts: I) -> Self {
+        let parts = parts.into_iter();
+        if parts.size_hint().1 == Some(0) {
+            return Self::unit();
+        }
+        let parts: Arc<[KeyPart]> = parts.collect();
+        Self {
+            parts: (!parts.is_empty()).then_some(parts),
+        }
+    }
+}
+
 impl fmt::Display for KeyValue {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{{")?;
-        for (i, p) in self.parts.iter().enumerate() {
+        for (i, p) in self.parts().iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -310,6 +361,9 @@ struct Walk<'a> {
     /// allocation of exactly its length — a batch holds the annotations of
     /// all its documents at once, and slack in every part adds up.
     scratch: String,
+    /// Where one key's canonical values wait until every path resolved, so
+    /// the key value is then built in one allocation.
+    canons: Vec<String>,
     /// [`annotate_holding`]'s question; `None` walks everything.
     hold: Option<Hold<'a>>,
 }
@@ -329,6 +383,7 @@ impl<'a> Walk<'a> {
                 extracted: 0,
             },
             scratch: String::new(),
+            canons: Vec::new(),
             hold: None,
         }
     }
@@ -434,15 +489,11 @@ impl<'a> Walk<'a> {
     /// the message of the first key path, as declared, that does not
     /// resolve.
     fn key_value(&mut self, id: NodeId, rule: &Rule) -> Result<KeyValue, String> {
-        let mut parts = Vec::with_capacity(rule.key_paths.len());
+        let mut canons = std::mem::take(&mut self.canons);
         let mut failed: Option<(usize, String)> = None;
         for kp in &rule.key_paths {
             match self.resolve(id, kp) {
-                Ok(canon) => parts.push(KeyPart {
-                    path: kp.name.clone(),
-                    fp: self.fper.fp(&canon),
-                    canon,
-                }),
+                Ok(canon) => canons.push(canon),
                 Err(message) => {
                     if failed.as_ref().is_none_or(|f| kp.declared < f.0) {
                         failed = Some((kp.declared, message));
@@ -450,9 +501,23 @@ impl<'a> Walk<'a> {
                 }
             }
         }
-        match failed {
-            None => Ok(KeyValue { parts }),
+        let key = match failed {
+            None => Ok((rule.key_paths.iter().zip(canons.drain(..)))
+                .map(|(kp, canon)| self.part(kp, canon))
+                .collect()),
             Some((_, message)) => Err(message),
+        };
+        canons.clear();
+        self.canons = canons;
+        key
+    }
+
+    /// The part of key path `kp` whose value resolved to `canon`.
+    fn part(&self, kp: &KeyPath, canon: String) -> KeyPart {
+        KeyPart {
+            path: kp.name.clone(),
+            fp: self.fper.fp(&canon),
+            canon,
         }
     }
 
@@ -531,9 +596,9 @@ mod tests {
         let ann = annotate(&doc, &spec).unwrap();
         let dept = doc.first_child_element(doc.root(), "dept").unwrap();
         let kv = ann.key(dept).unwrap();
-        assert_eq!(kv.parts.len(), 1);
-        assert_eq!(kv.parts[0].path, "name");
-        assert_eq!(kv.parts[0].canon, "<name>finance</name>");
+        assert_eq!(kv.parts().len(), 1);
+        assert_eq!(kv.parts()[0].path, "name");
+        assert_eq!(kv.parts()[0].canon, "<name>finance</name>");
 
         let emps: Vec<NodeId> = doc.child_elements(dept, "emp").collect();
         let john = ann.key(emps[0]).unwrap();
@@ -666,7 +731,7 @@ mod tests {
         let k1 = ann.key(tels[0]).unwrap();
         let k2 = ann.key(tels[1]).unwrap();
         assert_ne!(k1.cmp_parts(k2), Ordering::Equal);
-        assert!(k1.parts[0].canon.contains("123-6789"));
+        assert!(k1.parts()[0].canon.contains("123-6789"));
     }
 
     #[test]
@@ -686,7 +751,7 @@ mod tests {
         let ann = annotate(&doc, &spec).unwrap();
         let items: Vec<NodeId> = doc.child_elements(doc.root(), "item").collect();
         let k1 = ann.key(items[0]).unwrap();
-        assert_eq!(k1.parts[0].canon, "@id=\"i1\"");
+        assert_eq!(k1.parts()[0].canon, "@id=\"i1\"");
         assert_ne!(k1.cmp_parts(ann.key(items[1]).unwrap()), Ordering::Equal);
     }
 
@@ -746,11 +811,11 @@ mod tests {
         let ann = annotate(&doc, &spec).unwrap();
         let c = doc.first_child_element(doc.root(), "Contributors").unwrap();
         let kv = ann.key(c).unwrap();
-        assert_eq!(kv.parts.len(), 3);
+        assert_eq!(kv.parts().len(), 3);
         // parts sorted by path name
-        assert_eq!(kv.parts[0].path, "Date/Month");
-        assert_eq!(kv.parts[1].path, "Date/Year");
-        assert_eq!(kv.parts[2].path, "Name");
+        assert_eq!(kv.parts()[0].path, "Date/Month");
+        assert_eq!(kv.parts()[1].path, "Date/Year");
+        assert_eq!(kv.parts()[2].path, "Name");
     }
 
     #[test]

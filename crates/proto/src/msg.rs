@@ -14,8 +14,16 @@
 //! complete message produce [`DecodeError::Trailing`] — nothing panics,
 //! nothing is silently ignored.
 
-use xarch_core::wire::{get_bytes, get_str, get_varint, put_bytes, put_str, put_varint, WireError};
-use xarch_core::{ElementHistory, KeyQuery, RangeEntry, StoreStats, TimeSet, VersionDelta};
+use std::ops::Deref;
+use std::sync::Arc;
+
+use xarch_core::wire::{
+    get_bytes, get_str, get_str_ref, get_varint, put_bytes, put_str, put_varint, WireError,
+};
+use xarch_core::{
+    ElementHistory, KeyPart, KeyQuery, KeyValue, PathName, RangeEntry, StoreStats, TimeSet,
+    VersionDelta,
+};
 
 use crate::{MIN_PROTO_VERSION, PROTO_MAGIC, PROTO_VERSION};
 
@@ -242,30 +250,73 @@ fn get_string(buf: &[u8], pos: &mut usize) -> Result<String, WireError> {
 fn put_steps(out: &mut Vec<u8>, steps: &[KeyQuery]) {
     put_varint(out, steps.len() as u64);
     for s in steps {
-        put_str(out, &s.tag);
-        put_varint(out, s.parts.len() as u64);
-        for (path, value) in &s.parts {
+        put_str(out, s.tag());
+        put_varint(out, s.parts().len() as u64);
+        for (path, value) in s.parts() {
             put_str(out, path);
             put_str(out, value);
         }
     }
 }
 
-fn get_steps(buf: &[u8], pos: &mut usize) -> Result<Vec<KeyQuery>, WireError> {
+/// The tags and key-path names one message has decoded so far. The rows
+/// of a range answer repeat a handful of them, so a repeat shares the
+/// first copy — a reference count — instead of allocating its own.
+#[derive(Default)]
+struct Names {
+    tags: Vec<Arc<str>>,
+    paths: Vec<PathName>,
+}
+
+/// How many distinct names a message shares; past that, a name is
+/// allocated each time it occurs, so a crafted message of many names
+/// costs no more than it did without sharing.
+const SHARED_NAMES: usize = 16;
+
+/// The copy of `name` in `seen`, put there on first sight.
+fn shared<T: Clone + Deref<Target = str> + for<'a> From<&'a str>>(
+    seen: &mut Vec<T>,
+    name: &str,
+) -> T {
+    if let Some(copy) = seen.iter().find(|copy| &***copy == name) {
+        return copy.clone();
+    }
+    let copy = T::from(name);
+    if seen.len() < SHARED_NAMES {
+        seen.push(copy.clone());
+    }
+    copy
+}
+
+fn get_steps(buf: &[u8], pos: &mut usize, names: &mut Names) -> Result<Vec<KeyQuery>, WireError> {
     let n = get_varint(buf, pos)?;
     let mut steps = Vec::new();
     for _ in 0..n {
-        let tag = get_string(buf, pos)?;
-        let parts_n = get_varint(buf, pos)?;
-        let mut parts = Vec::new();
-        for _ in 0..parts_n {
-            let path = get_string(buf, pos)?;
-            let value = get_string(buf, pos)?;
-            parts.push((path, value));
-        }
-        steps.push(KeyQuery { tag, parts });
+        steps.push(get_step(buf, pos, names)?);
     }
     Ok(steps)
+}
+
+fn get_step(buf: &[u8], pos: &mut usize, names: &mut Names) -> Result<KeyQuery, WireError> {
+    let tag = shared(&mut names.tags, get_str_ref(buf, pos)?);
+    // the parts keep the order they came in, one allocation for one part
+    let key: KeyValue = match get_varint(buf, pos)? {
+        1 => std::iter::once(get_part(buf, pos, names)?).collect(),
+        parts_n => {
+            let mut parts = Vec::new();
+            for _ in 0..parts_n {
+                parts.push(get_part(buf, pos, names)?);
+            }
+            parts.into_iter().collect()
+        }
+    };
+    Ok(KeyQuery::labelled(tag, key))
+}
+
+fn get_part(buf: &[u8], pos: &mut usize, names: &mut Names) -> Result<KeyPart, WireError> {
+    let path = shared(&mut names.paths, get_str_ref(buf, pos)?);
+    let value = get_string(buf, pos)?;
+    Ok(KeyPart::new(path, value))
 }
 
 fn put_timeset(out: &mut Vec<u8>, t: &TimeSet) {
@@ -549,27 +600,27 @@ impl Request {
             verbs::AS_OF => Request::AsOf {
                 lease: get_varint(buf, p)?,
                 v: get_u32(buf, p)?,
-                steps: get_steps(buf, p)?,
+                steps: get_steps(buf, p, &mut Names::default())?,
             },
             verbs::HISTORY => Request::History {
                 lease: get_varint(buf, p)?,
-                steps: get_steps(buf, p)?,
+                steps: get_steps(buf, p, &mut Names::default())?,
             },
             verbs::HISTORY_VALUES => Request::HistoryValues {
                 lease: get_varint(buf, p)?,
-                steps: get_steps(buf, p)?,
+                steps: get_steps(buf, p, &mut Names::default())?,
             },
             verbs::RANGE => Request::Range {
                 lease: get_varint(buf, p)?,
                 lo: get_u32(buf, p)?,
                 hi: get_u32(buf, p)?,
-                prefix: get_steps(buf, p)?,
+                prefix: get_steps(buf, p, &mut Names::default())?,
             },
             verbs::DIFF => Request::Diff {
                 lease: get_varint(buf, p)?,
                 v1: get_u32(buf, p)?,
                 v2: get_u32(buf, p)?,
-                steps: get_steps(buf, p)?,
+                steps: get_steps(buf, p, &mut Names::default())?,
             },
             verbs::STATS => Request::Stats {
                 lease: get_varint(buf, p)?,
@@ -925,16 +976,20 @@ impl Response {
             tags::RANGE => {
                 let n = get_varint(buf, p)?;
                 let mut entries = Vec::new();
+                let mut names = Names::default();
                 for _ in 0..n {
                     let at = *p;
-                    let mut steps = get_steps(buf, p)?;
-                    let step = match (steps.pop(), steps.is_empty()) {
-                        (Some(step), true) => step,
+                    let step = match get_varint(buf, p)? {
+                        1 => get_step(buf, p, &mut names)?,
                         _ => {
+                            // the steps are read first, so a malformed one is
+                            // refused where it lies, then their count
+                            *p = at;
+                            get_steps(buf, p, &mut names)?;
                             return Err(DecodeError::Wire(WireError {
                                 offset: at,
                                 reason: "range entry must carry exactly one step",
-                            }))
+                            }));
                         }
                     };
                     let time = get_timeset(buf, p)?;
@@ -1356,5 +1411,59 @@ mod tests {
         }
         assert!(ErrorCode::from_code(0).is_none());
         assert!(ErrorCode::from_code(10).is_none());
+    }
+
+    #[test]
+    fn range_rows_share_the_names_they_repeat() {
+        let rows: Vec<RangeEntry> = (0..40)
+            .map(|i| RangeEntry {
+                step: KeyQuery::new(if i % 2 == 0 { "rec" } else { "note" })
+                    .with_text("id", &i.to_string()),
+                time: TimeSet::from_version(i + 1),
+            })
+            .collect();
+        let back = Response::decode(&Response::Range(rows.clone()).encode()).unwrap();
+        let Response::Range(back) = back else {
+            panic!("a range answer decodes as one");
+        };
+        assert_eq!(back, rows);
+        let tag = |i: usize| back[i].step.tag().as_ptr();
+        let path = |i: usize| back[i].step.key().parts()[0].path.as_ptr();
+        assert_eq!((tag(0), tag(1)), (tag(38), tag(39)), "one copy per tag");
+        assert_ne!(tag(0), tag(1));
+        assert!((1..40).all(|i| path(i) == path(0)), "one copy of `id`");
+        // names past the shared ones decode as well, each its own copy
+        let many: Vec<RangeEntry> = (0..3 * SHARED_NAMES as u32)
+            .map(|i| RangeEntry {
+                step: KeyQuery::new(&format!("t{i}")).with_text(&format!("p{i}"), "v"),
+                time: TimeSet::from_version(1),
+            })
+            .collect();
+        let back = Response::decode(&Response::Range(many.clone()).encode()).unwrap();
+        assert_eq!(back, Response::Range(many));
+    }
+
+    #[test]
+    fn a_range_row_of_other_than_one_step_is_refused_at_its_start() {
+        for steps in [vec![], steps()] {
+            let mut body = vec![tags::RANGE];
+            put_varint(&mut body, 1);
+            let at = body.len();
+            put_steps(&mut body, &steps);
+            put_timeset(&mut body, &timeset());
+            let err = Response::decode(&body).unwrap_err();
+            assert!(
+                matches!(&err, DecodeError::Wire(WireError { offset, reason })
+                    if *offset == at && reason.contains("exactly one step")),
+                "{err}"
+            );
+        }
+        // a malformed step is refused where it lies, before the count
+        let mut body = vec![tags::RANGE];
+        put_varint(&mut body, 1);
+        put_steps(&mut body, &steps());
+        body.truncate(body.len() - 2);
+        let err = Response::decode(&body).unwrap_err();
+        assert!(!err.to_string().contains("exactly one step"), "{err}");
     }
 }

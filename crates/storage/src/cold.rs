@@ -334,7 +334,7 @@ fn find_in_payload(
     for step in steps {
         // the key governing an element of the step's tag at this depth:
         // off the keyed paths, nothing has a key for the step to name
-        let here = LabelPath::from_steps(above.iter().copied().chain([step.tag.as_str()]));
+        let here = LabelPath::from_steps(above.iter().copied().chain([step.tag()]));
         let Some(key) = spec.key_for_path(&here) else {
             return Ok(None);
         };
@@ -356,7 +356,7 @@ fn find_in_payload(
             return Ok(None);
         };
         found = Some((at + child_at, child));
-        above.push(&step.tag);
+        above.push(step.tag());
     }
     let Some((at, entry)) = found else {
         return Ok(None);
@@ -397,7 +397,7 @@ impl<'b> Sink<'b> for FirstMatch<'_, 'b> {
         if !std::mem::replace(&mut self.inside, true) {
             return Ok(Visit::Enter);
         }
-        if tag != self.step.tag {
+        if tag != self.step.tag() {
             return Ok(Visit::Skip);
         }
         let mut probe = KeyProbe {

@@ -7,6 +7,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// An interned name. Only meaningful together with the [`SymbolTable`]
 /// that produced it.
@@ -30,11 +31,13 @@ impl fmt::Display for Sym {
 /// An append-only string interner.
 ///
 /// Interned strings are never freed; lookups are O(1) amortised in both
-/// directions (`intern` via a hash map, `resolve` via a vector).
+/// directions (`intern` via a hash map, `resolve` via a vector). Each name
+/// is one shared `Arc<str>`: the map and the vector hold the same copy,
+/// and [`SymbolTable::shared`] hands it out without copying the string.
 #[derive(Debug, Default, Clone)]
 pub struct SymbolTable {
-    names: Vec<String>,
-    index: HashMap<String, Sym>,
+    names: Vec<Arc<str>>,
+    index: HashMap<Arc<str>, Sym>,
 }
 
 impl SymbolTable {
@@ -49,8 +52,9 @@ impl SymbolTable {
             return s;
         }
         let s = Sym(self.names.len() as u32);
-        self.names.push(name.to_owned());
-        self.index.insert(name.to_owned(), s);
+        let name: Arc<str> = name.into();
+        self.names.push(Arc::clone(&name));
+        self.index.insert(name, s);
         s
     }
 
@@ -65,6 +69,17 @@ impl SymbolTable {
     /// Panics if `sym` was produced by a different table and is out of range.
     #[inline]
     pub fn resolve(&self, sym: Sym) -> &str {
+        &self.names[sym.index()]
+    }
+
+    /// The table's own copy of `sym`'s name, for a holder that keeps the
+    /// name beyond a borrow of the table: cloning it bumps a reference
+    /// count and copies no string.
+    ///
+    /// # Panics
+    /// Panics if `sym` was produced by a different table and is out of range.
+    #[inline]
+    pub fn shared(&self, sym: Sym) -> &Arc<str> {
         &self.names[sym.index()]
     }
 
@@ -83,7 +98,7 @@ impl SymbolTable {
         self.names
             .iter()
             .enumerate()
-            .map(|(i, n)| (Sym(i as u32), n.as_str()))
+            .map(|(i, n)| (Sym(i as u32), &**n))
     }
 }
 
@@ -124,6 +139,16 @@ mod tests {
         t.intern("x");
         assert!(t.get("x").is_some());
         assert_eq!(t.len(), 1);
+    }
+
+    #[test]
+    fn shared_names_are_the_tables_one_copy() {
+        let mut t = SymbolTable::new();
+        let s = t.intern("gene");
+        let held = Arc::clone(t.shared(s));
+        let again = t.intern("gene");
+        assert!(Arc::ptr_eq(&held, t.shared(again)));
+        assert_eq!(&*held, "gene");
     }
 
     #[test]

@@ -76,8 +76,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("gene 6230 read {content} at versions {versions}");
     }
     // …which genes were alive during versions 1-2?
+    // (each hit names its child by tag and key parts, shared with the
+    // archive rather than copied, and can be fed back as a query step)
     for hit in store.range(&[KeyQuery::new("db")], 1..=2)? {
-        println!("alive in v1-2: {:?} at {}", hit.step.parts[0].1, hit.time);
+        for (path, value) in hit.step.parts() {
+            println!(
+                "alive in v1-2: <{}> {path} = {value} at {}",
+                hit.step.tag(),
+                hit.time
+            );
+        }
     }
     // …and what changed in gene 6230 between versions 1 and 2?
     let delta = store.diff(&gene("6230"), 1, 2)?;

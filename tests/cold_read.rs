@@ -66,14 +66,8 @@ fn rec(id: u32) -> KeyQuery {
 /// depth and for every reason.
 fn paths() -> Vec<Vec<KeyQuery>> {
     let db = || KeyQuery::new("db");
-    let note = |text: &str| KeyQuery {
-        tag: "note".into(),
-        parts: vec![(".".into(), format!("<note>{text}</note>"))],
-    };
-    let src = |name: &str| KeyQuery {
-        tag: "src".into(),
-        parts: vec![("name".into(), format!("@name=\"{name}\""))],
-    };
+    let note = |text: &str| KeyQuery::new("note").with_canon(".", &format!("<note>{text}</note>"));
+    let src = |name: &str| KeyQuery::new("src").with_canon("name", &format!("@name=\"{name}\""));
     vec![
         vec![],
         vec![db()],

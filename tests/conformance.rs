@@ -11,17 +11,22 @@ use std::io::Write;
 use std::ops::RangeInclusive;
 use std::sync::{Arc, Mutex};
 
+use xarch::core::kernel::{locate, Scan};
 use xarch::core::query::{find_in_doc, subtree_doc};
 use xarch::core::{
-    equiv_modulo_key_order, Archive, Compaction, KeyQuery, ObservedStore, StoreView, TimeSet,
+    equiv_modulo_key_order, ANodeId, Archive, ChunkedArchive, Compaction, KeyQuery, ObservedStore,
+    StoreView, TimeSet,
 };
+use xarch::datagen::company::{company_spec, company_versions};
 use xarch::datagen::omim::{omim_spec, OmimGen};
-use xarch::keys::KeySpec;
+use xarch::datagen::swissprot::{swissprot_spec, SwissProtGen};
+use xarch::datagen::xmark::{xmark_spec, XmarkGen};
+use xarch::keys::{annotate_with, Fingerprinter, KeySpec};
 use xarch::xml::writer::to_compact_string;
-use xarch::xml::{parse, Document};
+use xarch::xml::{parse, Document, NodeId, NodeKind};
 use xarch::{
-    ArchiveBuilder, ElementHistory, RangeEntry, StoreError, StoreReader, StoreStats, VersionDelta,
-    VersionStore,
+    ArchiveBuilder, ElementHistory, IndexedArchive, RangeEntry, StoreError, StoreReader,
+    StoreStats, VersionDelta, VersionStore,
 };
 
 fn spec() -> KeySpec {
@@ -405,7 +410,7 @@ fn range_scans_clamp_lifetimes() {
         let hits = s.range(&prefix, 1..=3).unwrap();
         let summary: Vec<(String, String)> = hits
             .iter()
-            .map(|e| (e.step.parts[0].1.clone(), e.time.to_string()))
+            .map(|e| (e.step.key().parts()[0].canon.clone(), e.time.to_string()))
             .collect();
         assert_eq!(
             summary,
@@ -420,7 +425,7 @@ fn range_scans_clamp_lifetimes() {
         let hits = s.range(&prefix, 1..=2).unwrap();
         let summary: Vec<(String, String)> = hits
             .iter()
-            .map(|e| (e.step.parts[0].1.clone(), e.time.to_string()))
+            .map(|e| (e.step.key().parts()[0].canon.clone(), e.time.to_string()))
             .collect();
         assert_eq!(
             summary,
@@ -433,7 +438,7 @@ fn range_scans_clamp_lifetimes() {
         // empty prefix addresses the synthetic root: one hit, the doc root
         let hits = s.range(&[], 1..=3).unwrap();
         assert_eq!(hits.len(), 1, "{label}");
-        assert_eq!(hits[0].step.tag, "db", "{label}");
+        assert_eq!(hits[0].step.tag(), "db", "{label}");
         assert_eq!(hits[0].time.to_string(), "1-3", "{label}");
         // a window beyond the archive is empty
         assert!(s.range(&prefix, 7..=9).unwrap().is_empty(), "{label}");
@@ -826,5 +831,155 @@ fn every_wrapper_reaches_the_inner_fast_path() {
                 assert_eq!(hits, [method], "{label}::{method}");
             }
         }
+    }
+}
+
+/// The datagen corpora, a few releases each: every key shape the
+/// generators produce — `{}`, one text part, several parts along
+/// structured paths, attributes, and whole-content keys.
+fn corpora() -> Vec<(&'static str, KeySpec, Vec<Document>)> {
+    vec![
+        ("company", company_spec(), company_versions()),
+        ("omim", omim_spec(), OmimGen::new(3).sequence(60, 6)),
+        (
+            "swissprot",
+            swissprot_spec(),
+            SwissProtGen::new(5).sequence(30, 5),
+        ),
+        (
+            "xmark",
+            xmark_spec(),
+            XmarkGen::new(9).key_mutation_sequence(40, 4, 0.1),
+        ),
+    ]
+}
+
+/// The key-query path of archive node `id`: the step of each node from
+/// the document root down, or `None` when one of them has no key.
+fn path_to(a: &Archive, id: ANodeId) -> Option<Vec<KeyQuery>> {
+    let mut steps = Vec::new();
+    let mut cur = id;
+    while cur != a.root() {
+        steps.push(a.step_of(cur)?);
+        cur = a.node(cur).parent?;
+    }
+    steps.reverse();
+    Some(steps)
+}
+
+/// A step is the node's own label: the path of `step_of`s from the root
+/// leads back to the node, by sibling scan and by the sorted index alike.
+#[test]
+fn every_keyed_node_is_located_by_its_own_steps() {
+    for (corpus, spec, docs) in corpora() {
+        let mut indexed = IndexedArchive::new(spec);
+        indexed.add_versions(&docs).unwrap();
+        let a = indexed.archive();
+        let mut located = 0;
+        for id in (0..a.len() as u32).map(ANodeId) {
+            let Some(path) = path_to(a, id) else {
+                continue;
+            };
+            assert_eq!(locate(a, &Scan, &path), Some(id), "{corpus}: {path:?}");
+            assert_eq!(locate(a, &indexed, &path), Some(id), "{corpus}: {path:?}");
+            located += 1;
+        }
+        assert!(located >= 10, "{corpus}: {located} located");
+    }
+}
+
+/// The step a caller builds for keyed node `n` of `doc` from what the
+/// document shows: `with_text` for a text-only element at the end of a
+/// key path, `with_attr` for an attribute, `with_canon` for anything else
+/// (content keys, structured values). `used` counts the calls of each.
+fn built_step(doc: &Document, n: NodeId, parts: &[(&str, &str)], used: &mut [u32; 3]) -> KeyQuery {
+    let mut step = KeyQuery::new(doc.tag_name(n));
+    for &(path, canon) in parts {
+        let end = path
+            .split('/')
+            .try_fold(n, |cur, name| doc.first_child_element(cur, name));
+        let text_only = end.filter(
+            |&e| matches!(doc.children(e), [t] if matches!(doc.kind(*t), NodeKind::Text(_))),
+        );
+        let (kind, built) = match (text_only, doc.attr(n, path)) {
+            (Some(e), _) if path != "." => (0, step.with_text(path, &doc.text_content(e))),
+            (None, Some(value)) if canon.starts_with('@') => (1, step.with_attr(path, value)),
+            _ => (2, step.with_canon(path, canon)),
+        };
+        used[kind] += 1;
+        step = built;
+    }
+    step
+}
+
+/// Steps built by the public constructors equal, hash and order exactly
+/// as the steps an archive holds — here annotated under 8-bit
+/// fingerprints, where distinct key values share fingerprints all the
+/// time and only the canonical values can tell them apart.
+#[test]
+fn constructed_steps_equal_held_ones_under_a_narrow_fingerprinter() {
+    use std::collections::hash_map::DefaultHasher;
+    use std::hash::{Hash, Hasher};
+    let hash = |q: &KeyQuery| {
+        let mut h = DefaultHasher::new();
+        q.hash(&mut h);
+        h.finish()
+    };
+    let (mut collisions, mut used) = (0, [0; 3]);
+    for (corpus, spec, docs) in corpora() {
+        let doc = docs.last().unwrap();
+        let ann = annotate_with(doc, &spec, Fingerprinter::with_bits(8)).unwrap();
+        let mut pairs = Vec::new();
+        for n in (0..doc.len() as u32).map(NodeId) {
+            let (NodeKind::Element(s), Some(key)) = (doc.kind(n), ann.key(n)) else {
+                continue;
+            };
+            let held = KeyQuery::labelled(Arc::clone(doc.syms().shared(s)), key.clone());
+            let parts: Vec<(&str, &str)> = held.parts().collect();
+            let built = built_step(doc, n, &parts, &mut used);
+            assert_eq!(built, held, "{corpus}");
+            assert_eq!(built.cmp(&held), std::cmp::Ordering::Equal, "{corpus}");
+            assert_eq!(hash(&built), hash(&held), "{corpus}");
+            pairs.push((held, built));
+        }
+        assert!(pairs.len() >= 10, "{corpus}: {} keyed nodes", pairs.len());
+        // the order of any two held steps is the order of their built twins
+        for (h1, b1) in &pairs {
+            for (h2, b2) in pairs.iter().step_by(7) {
+                assert_eq!(h1.cmp(h2), b1.cmp(b2), "{corpus}: {h1:?} vs {h2:?}");
+                let shared_fp = (h1.key().parts().iter().zip(h2.key().parts()))
+                    .any(|(p, q)| p.fp == q.fp && p.canon != q.canon);
+                collisions += usize::from(shared_fp && h1.tag() == h2.tag());
+            }
+        }
+    }
+    assert!(collisions > 0, "8-bit fingerprints collide somewhere");
+    assert!(
+        used.iter().all(|&n| n > 0),
+        "every constructor is exercised: {used:?}"
+    );
+}
+
+/// A chunked archive fans a root-level range out to every chunk and
+/// merges the rows: they come back in strictly ascending label order, and
+/// as the unchunked archive lists them.
+#[test]
+fn chunked_range_rows_stay_in_label_order() {
+    let docs = OmimGen::new(11).sequence(80, 8);
+    let mut chunked = ChunkedArchive::new(omim_spec(), 4);
+    let mut plain = Archive::new(omim_spec());
+    for doc in &docs {
+        chunked.add_version(doc).unwrap();
+        plain.add_version(doc).unwrap();
+    }
+    let root = [KeyQuery::new("ROOT")];
+    for window in [1..=1, 2..=6, 1..=8] {
+        let rows = chunked.range(&root, window.clone());
+        assert!(rows.len() > 40, "{window:?}: {} rows", rows.len());
+        assert!(
+            rows.windows(2).all(|w| w[0].step < w[1].step),
+            "{window:?}: rows out of label order"
+        );
+        assert_eq!(rows, plain.range(&root, window.clone()), "{window:?}");
     }
 }

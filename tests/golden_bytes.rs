@@ -6,18 +6,21 @@
 //! (`remove_child`, `set_text`, new records appended beneath earlier
 //! parents), so a CRC-32 of each sequence's compact XML pins the mutation
 //! API; the payload and checkpoint CRCs pin what the journal and the
-//! checkpoints write from those documents. The values were taken from the
-//! code before the change; a change that moves any of these bytes must
-//! say why and take them again.
+//! checkpoints write from those documents. The wire CRCs pin the encoded
+//! query requests and their answers over the same fixture, so a change to
+//! how query steps or answer rows are held in memory cannot move a byte
+//! on the wire. The values were taken from the code before each change; a
+//! change that moves any of these bytes must say why and take them again.
 
-use xarch::core::{Archive, VersionStore};
+use xarch::core::{Archive, KeyQuery, StoreReader, VersionStore};
 use xarch::datagen::omim::{omim_spec, OmimGen};
 use xarch::datagen::swissprot::SwissProtGen;
 use xarch::datagen::xmark::XmarkGen;
 use xarch::storage::payload::{doc_to_bytes, docs_to_batch_bytes};
 use xarch::storage::{crc32, Crc32};
 use xarch::xml::writer::to_compact_string;
-use xarch::xml::Document;
+use xarch::xml::{Document, NodeId};
+use xarch_proto::{Request, Response};
 
 /// One CRC over every document's compact XML, each followed by a newline.
 fn xml_crc(docs: &[Document]) -> u32 {
@@ -75,4 +78,112 @@ fn checkpoints_keep_their_bytes() {
         }
     }
     assert_eq!(got, [0x6f1f_ed05, 0x1474_eea5, 0x5bea_6c4f], "{got:#010x?}");
+}
+
+/// The text of the element `path` (slash-separated) leads to from `at`.
+fn text_at(doc: &Document, at: NodeId, path: &str) -> String {
+    let end = path
+        .split('/')
+        .try_fold(at, |cur, name| doc.first_child_element(cur, name));
+    doc.text_content(end.expect("the fixture element carries the path"))
+}
+
+/// The key-query paths of the fixture's first record in its newest
+/// release, and of that record's first contributor (a step of five key
+/// parts), both built by the public constructors.
+fn first_record(docs: &[Document]) -> (Vec<KeyQuery>, Vec<KeyQuery>) {
+    let doc = docs.last().expect("the fixture has releases");
+    let rec = (doc.child_elements(doc.root(), "Record"))
+        .find(|&r| doc.first_child_element(r, "Contributors").is_some())
+        .expect("some record lists contributors");
+    let record = vec![
+        KeyQuery::new("ROOT"),
+        KeyQuery::new("Record").with_text("Num", &text_at(doc, rec, "Num")),
+    ];
+    let c = doc
+        .first_child_element(rec, "Contributors")
+        .expect("found above");
+    let mut step = KeyQuery::new("Contributors");
+    for path in ["Name", "CNtype", "Date/Month", "Date/Day", "Date/Year"] {
+        step = step.with_text(path, &text_at(doc, c, path));
+    }
+    let mut deep = record.clone();
+    deep.push(step);
+    (record, deep)
+}
+
+#[test]
+fn query_wire_messages_keep_their_bytes() {
+    let docs = omim();
+    let mut archive = Archive::new(omim_spec());
+    for doc in &docs {
+        archive.add_version(doc).expect("OMIM releases are keyed");
+    }
+    let (record, deep) = first_record(&docs);
+    assert!(
+        archive.find(&deep).is_some(),
+        "the constructed path resolves"
+    );
+    let requests = [
+        Request::AsOf {
+            lease: 0,
+            v: 9,
+            steps: deep.clone(),
+        },
+        Request::Diff {
+            lease: 3,
+            v1: 2,
+            v2: 11,
+            steps: record.clone(),
+        },
+        Request::Range {
+            lease: 0,
+            lo: 3,
+            hi: 7,
+            prefix: vec![KeyQuery::new("ROOT")],
+        },
+        Request::HistoryValues {
+            lease: 0,
+            steps: deep.clone(),
+        },
+    ];
+    let responses = [
+        Response::Range(archive.range(&[KeyQuery::new("ROOT")], 3..=7)),
+        Response::Range(archive.range(&record, 1..=12)),
+        Response::HistoryValues(archive.history_values(&record).expect("in memory")),
+        Response::HistoryValues(archive.history_values(&deep).expect("in memory")),
+    ];
+    for r in &responses {
+        let answered = match r {
+            Response::Range(rows) => !rows.is_empty(),
+            Response::HistoryValues(h) => h.as_ref().is_some_and(|h| !h.values.is_empty()),
+            _ => false,
+        };
+        assert!(answered, "the fixture answers every pinned query");
+    }
+    let mut got = Vec::new();
+    for r in &requests {
+        let bytes = r.encode();
+        assert_eq!(Request::decode(&bytes).as_ref(), Ok(r), "{r:?}");
+        got.push(crc32(&bytes));
+    }
+    for r in &responses {
+        let bytes = r.encode();
+        assert_eq!(Response::decode(&bytes).as_ref(), Ok(r));
+        got.push(crc32(&bytes));
+    }
+    assert_eq!(
+        got,
+        [
+            0xbd86_4e6a,
+            0xab97_cb22,
+            0x5fb3_fcb6,
+            0x94f8_7560,
+            0x0902_1fd0,
+            0x6207_4e1f,
+            0x735b_feba,
+            0x5250_77db
+        ],
+        "{got:#010x?}"
+    );
 }
