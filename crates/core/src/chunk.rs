@@ -353,7 +353,7 @@ impl ChunkedArchive {
             }
             let mut open = true;
             for &(i, dr) in &visible {
-                self.chunks[i].write_content(dr, v, &mut open, out)?;
+                self.chunks[i].write_content(&Scan, dr, v, &mut open, out)?;
             }
             write_end(root_tag.as_bytes(), open, out)
         })?;

@@ -213,8 +213,10 @@ pub fn range<N: Nav>(
 
 /// The full temporal account of one element: one descent, one sweep of
 /// the stored subtree for its change points, then one emit per interval of
-/// constant content. Equal contents of separated intervals (A → B → A)
-/// fold into one entry, entries ordered by first appearance.
+/// constant content — by the retrieve scan's own writer, into one buffer,
+/// so an interval costs no `Document` and a content already recorded no
+/// allocation. Equal contents of separated intervals (A → B → A) fold
+/// into one entry, entries ordered by first appearance.
 pub fn history_values(a: &Archive, nav: &impl Nav, steps: &[KeyQuery]) -> Option<ElementHistory> {
     let id = locate(a, nav, steps)?;
     let existence = a.effective_time(id);
@@ -223,16 +225,28 @@ pub fn history_values(a: &Archive, nav: &impl Nav, steps: &[KeyQuery]) -> Option
     cuts.sort_unstable();
     cuts.dedup();
     let mut values = Vec::new();
+    let mut content = Vec::new();
     for &(lo, hi) in existence.intervals() {
         // the change points that split this run of the element's lifetime
         let inside = &cuts[cuts.partition_point(|&c| c <= lo)..cuts.partition_point(|&c| c <= hi)];
         let starts = [lo].into_iter().chain(inside.iter().copied());
         let ends = inside.iter().map(|&c| c - 1).chain([hi]);
         for (start, end) in starts.zip(ends) {
-            if let Some(sub) = content_at(a, nav, id, start) {
-                let content = xarch_xml::writer::to_compact_string(&sub);
-                record_value(&mut values, (start, end), content);
-            }
+            // beneath the synthetic root, the document (absent from an
+            // empty version)
+            let el = match id == a.root() {
+                true => doc_root(a, nav, start),
+                false => Some(id),
+            };
+            let Some(el) = el else { continue };
+            let AKind::Element(tag) = a.node(el).kind else {
+                continue; // `locate` and `doc_root` yield elements only
+            };
+            content.clear();
+            a.write_element(nav, el, tag, start, &mut content)
+                .expect("a Vec takes every byte");
+            let content = std::str::from_utf8(&content).expect("the archive holds UTF-8");
+            record_value(&mut values, (start, end), content);
         }
     }
     Some(ElementHistory { existence, values })

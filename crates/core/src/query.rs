@@ -45,12 +45,12 @@ pub struct ElementHistory {
 pub(crate) fn record_value(
     values: &mut Vec<(TimeSet, String)>,
     (lo, hi): (u32, u32),
-    content: String,
+    content: &str,
 ) {
     let held = TimeSet::from_range(lo, hi);
-    match values.iter_mut().find(|(_, c)| *c == content) {
+    match values.iter_mut().find(|(_, c)| c == content) {
         Some((t, _)) => *t = t.union(&held),
-        None => values.push((held, content)),
+        None => values.push((held, content.to_owned())),
     }
 }
 

@@ -6,7 +6,9 @@
 //! [`crate::kernel::retrieve`]) materializes the version as a `Document`,
 //! and [`Archive::retrieve_into`], here, streams the visible nodes
 //! directly into an [`io::Write`] sink as compact XML — the same single
-//! scan, but with O(depth) memory instead of a full tree.
+//! scan, but with O(depth) memory instead of a full tree. The same writer,
+//! over the caller's navigator, renders the contents of the kernel's
+//! `history_values`.
 
 use std::io::{self, Write};
 
@@ -14,7 +16,7 @@ use xarch_xml::escape::{write_attr_pair, write_text};
 use xarch_xml::Sym;
 
 use crate::archive::{AKind, ANodeId, Archive};
-use crate::kernel::{doc_root, Scan};
+use crate::kernel::{doc_root, Nav, Scan};
 
 /// Runs `emit` against a buffered front of `out`. The scan writes a few
 /// bytes at a time (a `<`, a tag, a `>`), and behind the `dyn Write` of
@@ -75,15 +77,17 @@ impl Archive {
         let AKind::Element(tag) = self.node(root).kind else {
             return Ok(false); // `doc_root` yields elements only
         };
-        buffered(out, |out| self.write_element(root, tag, v, out))?;
+        buffered(out, |out| self.write_element(&Scan, root, tag, v, out))?;
         Ok(true)
     }
 
     /// Writes the element `id`, visible at `v`, as compact XML: tag,
     /// attribute and text bytes go to `out` as they are, escaped run by
-    /// run — nothing is formatted or allocated per node.
-    fn write_element<W: Write + ?Sized>(
+    /// run — nothing is formatted or allocated per node. `nav` lists the
+    /// children visible at `v`.
+    pub(crate) fn write_element<W: Write + ?Sized>(
         &self,
+        nav: &impl Nav,
         id: ANodeId,
         tag: Sym,
         v: u32,
@@ -96,7 +100,7 @@ impl Archive {
             write_attr_pair(self.syms().resolve(*a), val, out)?;
         }
         let mut open = true;
-        self.write_content(id, v, &mut open, out)?;
+        self.write_content(nav, id, v, &mut open, out)?;
         write_end(tag, open, out)
     }
 
@@ -108,24 +112,22 @@ impl Archive {
     /// splice their contents under one document root.)
     pub(crate) fn write_content<W: Write + ?Sized>(
         &self,
+        nav: &impl Nav,
         id: ANodeId,
         v: u32,
         open: &mut bool,
         out: &mut W,
     ) -> io::Result<()> {
-        for &c in self.children(id) {
-            if !self.visible(c, v) {
-                continue;
-            }
+        for c in nav.visible(self, id, v) {
             match &self.node(c).kind {
-                AKind::Stamp => self.write_content(c, v, open, out)?,
+                AKind::Stamp => self.write_content(nav, c, v, open, out)?,
                 AKind::Text(t) => {
                     close_start_tag(open, out)?;
                     write_text(t, out)?;
                 }
                 AKind::Element(tag) => {
                     close_start_tag(open, out)?;
-                    self.write_element(c, *tag, v, out)?;
+                    self.write_element(nav, c, *tag, v, out)?;
                 }
             }
         }
@@ -141,34 +143,49 @@ impl Archive {
 
 #[cfg(test)]
 mod tests {
+    use xarch_datagen::omim::{omim_spec, OmimGen};
+    use xarch_datagen::swissprot::{swissprot_spec, SwissProtGen};
+    use xarch_datagen::xmark::{xmark_spec, XmarkGen};
     use xarch_keys::KeySpec;
-    use xarch_xml::parse;
+    use xarch_xml::writer::to_compact_string;
+    use xarch_xml::{parse, Document};
 
     use crate::archive::Archive;
-    use crate::equiv::equiv_modulo_key_order;
+
+    /// Every version of an archive of `docs`, streamed, is byte for byte
+    /// the compact XML of the same version retrieved as a `Document`.
+    fn assert_streams_as_retrieved(spec: KeySpec, docs: &[Document]) {
+        let mut a = Archive::new(spec);
+        for doc in docs {
+            a.add_version(doc).unwrap();
+        }
+        for v in 1..=a.latest() {
+            let doc = a.retrieve(v).unwrap();
+            let mut bytes = Vec::new();
+            assert!(a.retrieve_into(v, &mut bytes).unwrap());
+            assert_eq!(
+                String::from_utf8(bytes).unwrap(),
+                to_compact_string(&doc),
+                "streamed v{v} diverged"
+            );
+        }
+    }
 
     #[test]
     fn retrieve_into_matches_retrieve() {
         let spec =
             KeySpec::parse("(/, (db, {}))\n(/db, (rec, {id}))\n(/db/rec, (val, {}))").unwrap();
-        let mut a = Archive::new(spec.clone());
-        for src in [
+        let small = [
             "<db><rec><id>1</id><val>x</val></rec></db>",
             "<db><rec><id>1</id><val>y</val></rec><rec><id>2</id><val/></rec></db>",
-        ] {
-            a.add_version(&parse(src).unwrap()).unwrap();
-        }
-        for v in 1..=2 {
-            let doc = a.retrieve(v).unwrap();
-            let mut bytes = Vec::new();
-            assert!(a.retrieve_into(v, &mut bytes).unwrap());
-            let reparsed = parse(std::str::from_utf8(&bytes).unwrap()).unwrap();
-            assert!(
-                equiv_modulo_key_order(&reparsed, &doc, &spec),
-                "streamed v{v} diverged: {}",
-                String::from_utf8_lossy(&bytes)
-            );
-        }
+        ];
+        assert_streams_as_retrieved(spec, &small.map(|src| parse(src).unwrap()));
+        assert_streams_as_retrieved(omim_spec(), &OmimGen::new(7).sequence(120, 12));
+        assert_streams_as_retrieved(swissprot_spec(), &SwissProtGen::new(11).sequence(40, 6));
+        let xmark = XmarkGen::new(13).random_change_sequence(60, 5, 0.1);
+        assert_streams_as_retrieved(xmark_spec(), &xmark);
+        let keyed = XmarkGen::new(17).key_mutation_sequence(60, 5, 0.1);
+        assert_streams_as_retrieved(xmark_spec(), &keyed);
     }
 
     #[test]

@@ -268,7 +268,7 @@ fn history_values_by_version<R: StoreReader + ?Sized>(
             continue;
         };
         let content = xarch_xml::writer::to_compact_string(&sub);
-        query::record_value(&mut values, (v, v), content);
+        query::record_value(&mut values, (v, v), &content);
     }
     Ok(Some(ElementHistory { existence, values }))
 }

@@ -9,17 +9,25 @@
 //! checkpoints write from those documents. The wire CRCs pin the encoded
 //! query requests and their answers over the same fixture, so a change to
 //! how query steps or answer rows are held in memory cannot move a byte
-//! on the wire. The values were taken from the code before each change; a
+//! on the wire. The escape-dense fixture puts every escapable character at
+//! every offset of short strings, in runs and beside multi-byte UTF-8,
+//! through each XML emitter: the `Document` writer, the canonical form,
+//! the archive scan, the cold payload renderer and a `history_values`
+//! answer. The values were taken from the code before each change; a
 //! change that moves any of these bytes must say why and take them again.
 
-use xarch::core::{Archive, KeyQuery, StoreReader, VersionStore};
+use xarch::compress::BlockCodec;
+use xarch::core::{equiv_modulo_key_order, Archive, KeyQuery, StoreReader, VersionStore};
 use xarch::datagen::omim::{omim_spec, OmimGen};
 use xarch::datagen::swissprot::SwissProtGen;
 use xarch::datagen::xmark::XmarkGen;
+use xarch::keys::KeySpec;
 use xarch::storage::payload::{doc_to_bytes, docs_to_batch_bytes};
-use xarch::storage::{crc32, Crc32};
+use xarch::storage::{crc32, scratch_path, Crc32};
+use xarch::xml::canon::canonical;
 use xarch::xml::writer::to_compact_string;
-use xarch::xml::{Document, NodeId};
+use xarch::xml::{Builder, Document, NodeId};
+use xarch::{ArchiveBuilder, ColdArchive, DurableOptions};
 use xarch_proto::{Request, Response};
 
 /// One CRC over every document's compact XML, each followed by a newline.
@@ -183,6 +191,179 @@ fn query_wire_messages_keep_their_bytes() {
             0x6207_4e1f,
             0x735b_feba,
             0x5250_77db
+        ],
+        "{got:#010x?}"
+    );
+}
+
+/// The strings of the escape-dense fixture: every length 0..=24 with each
+/// of `& < > " '` at every offset in plain ASCII, a run of them of every
+/// length, and each beside 2-, 3- and 4-byte UTF-8 at every offset mod 8.
+fn dense_strings() -> Vec<String> {
+    const SPECIALS: [char; 5] = ['&', '<', '>', '"', '\''];
+    let filler = |i: usize| char::from(b'a' + (i % 26) as u8);
+    let mut out = Vec::new();
+    for len in 0..=24 {
+        for c in SPECIALS {
+            for at in 0..len {
+                let s = (0..len).map(|i| if i == at { c } else { filler(i) });
+                out.push(s.collect());
+            }
+        }
+        out.push(SPECIALS.iter().cycle().take(len).collect());
+    }
+    for wide in ["é", "€", "😀"] {
+        for c in SPECIALS {
+            for pad in 0..8 {
+                let lead: String = (0..pad).map(filler).collect();
+                out.push(format!("{lead}{wide}{c}{wide}"));
+                out.push(format!("{lead}{c}{wide}{c}{c}"));
+            }
+        }
+    }
+    out
+}
+
+fn dense_spec() -> KeySpec {
+    KeySpec::parse(
+        "(/, (db, {}))\n\
+         (/db, (rec, {id}))\n\
+         (/db/rec, (val, {}))\n\
+         (/db/rec, (k, {.}))",
+    )
+    .unwrap()
+}
+
+/// Release `v` (1..=4) of the escape-dense fixture, built through the
+/// `Builder`: one record per dense string, carrying it as attribute
+/// values, as text, and as the value of a `{.}`-keyed element. Record `i`
+/// is absent from each release `v` for which `i + v` is a multiple of 5;
+/// in the unkeyed content beneath its `val`, the text gains the release
+/// number where `i % 3 == v % 3` and the attribute is reversed where
+/// `i % 4 == v % 4`. (A keyed element's own attributes are stored once,
+/// so they stay the same in every release.)
+fn dense_release(strings: &[String], v: usize) -> Document {
+    let mut b = Builder::new("db");
+    b.attr("rel", "\"&<>'");
+    for (i, s) in strings.iter().enumerate() {
+        if (i + v).is_multiple_of(5) {
+            continue;
+        }
+        b.open("rec");
+        b.attr("a", s);
+        b.open("id");
+        b.text(&i.to_string());
+        b.close();
+        b.open("val");
+        b.open("t");
+        let attr: String = match i % 4 == v % 4 {
+            true => s.chars().rev().collect(),
+            false => s.clone(),
+        };
+        b.attr("a", &attr);
+        match i % 3 == v % 3 {
+            true => b.text(&format!("{s}{v}")),
+            false => b.text(s),
+        };
+        b.close();
+        b.close();
+        b.open("k");
+        b.attr("q", s);
+        b.text(s);
+        b.close();
+        b.close();
+    }
+    b.finish()
+}
+
+/// A record of the dense fixture that is absent from release 3, whose
+/// text gains the release number in 1 and 4 and whose attribute is
+/// reversed in 2, and which holds at least three escapable characters.
+fn dense_record(strings: &[String]) -> Vec<KeyQuery> {
+    let escapables = |s: &str| s.chars().filter(|c| "&<>\"'".contains(*c)).count();
+    let i = (0..strings.len())
+        .find(|&i| i % 60 == 22 && escapables(&strings[i]) >= 3)
+        .expect("the fixture has runs");
+    vec![
+        KeyQuery::new("db"),
+        KeyQuery::new("rec").with_text("id", &i.to_string()),
+    ]
+}
+
+#[test]
+fn escape_dense_bytes_keep_their_bytes_through_every_emitter() {
+    let strings = dense_strings();
+    let docs: Vec<Document> = (1..=4).map(|v| dense_release(&strings, v)).collect();
+    let mut canon = Crc32::new();
+    for doc in &docs {
+        canon.update(canonical(doc, doc.root()).as_bytes());
+    }
+
+    let spec = dense_spec();
+    let mut archive = Archive::new(spec.clone());
+    for doc in &docs {
+        archive.add_version(doc).expect("the fixture is keyed");
+    }
+    let mut hot = Crc32::new();
+    for v in 1..=4 {
+        let mut bytes = Vec::new();
+        assert!(archive.retrieve_into(v, &mut bytes).unwrap());
+        let doc = archive.retrieve(v).expect("archived");
+        let given = &docs[v as usize - 1];
+        assert!(equiv_modulo_key_order(&doc, given, &spec), "v{v}");
+        assert_eq!(bytes, to_compact_string(&doc).as_bytes(), "v{v}");
+        hot.update(&bytes);
+    }
+
+    let path = scratch_path("golden-dense");
+    let options = DurableOptions {
+        compression: BlockCodec::Lzss,
+        sync: false,
+        checkpoint_every: None,
+    };
+    let mut durable = ArchiveBuilder::new(spec)
+        .durable_with(&path, options)
+        .try_build()
+        .unwrap();
+    durable.add_version(&docs[0]).unwrap();
+    durable.add_versions(&docs[1..]).unwrap();
+    drop(durable);
+    let cold = ColdArchive::open(&path).unwrap();
+    let mut cold_crc = Crc32::new();
+    for v in 1..=4 {
+        let mut bytes = Vec::new();
+        assert!(cold.retrieve_into(v, &mut bytes).unwrap());
+        // the cold path renders the release as it was journaled, in its
+        // own record order
+        let given = to_compact_string(&docs[v as usize - 1]);
+        assert_eq!(bytes, given.as_bytes(), "cold v{v}");
+        cold_crc.update(&bytes);
+    }
+    drop(cold);
+    std::fs::remove_file(&path).ok();
+
+    let history = archive
+        .history_values(&dense_record(&strings))
+        .expect("in memory");
+    let values = history.as_ref().map_or(0, |h| h.values.len());
+    assert!(values >= 3, "the pinned record changes: {history:?}");
+    let answer = Response::HistoryValues(history).encode();
+
+    let got = [
+        xml_crc(&docs),
+        canon.finish(),
+        hot.finish(),
+        cold_crc.finish(),
+        crc32(&answer),
+    ];
+    assert_eq!(
+        got,
+        [
+            0x3663_d71c,
+            0xa877_8227,
+            0x0694_c1bf,
+            0x3f62_6b22,
+            0x62eb_a08b
         ],
         "{got:#010x?}"
     );
