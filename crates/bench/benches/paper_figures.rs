@@ -32,7 +32,7 @@ fn main() {
     } else {
         for f in figs {
             if !run(f, &scale) {
-                eprintln!("unknown figure id `{f}`; try 7, 11a, 11b, 12a, 12b, 13, 14, c1, c2, claims, extmem, backends, index, queries, ablation, durability, concurrency, all");
+                eprintln!("unknown figure id `{f}`; try 7, 11a, 11b, 12a, 12b, 13, 14, c1, c2, claims, extmem, index, queries, ablation, durability, concurrency, all");
                 std::process::exit(2);
             }
         }

@@ -7,7 +7,7 @@
 //! (`crates/bench/src/bin/xarch-bench/README.md`), not here.
 
 use xarch::{ArchiveBuilder, StoreReader, VersionStore};
-use xarch_core::{Archive, KeyQuery};
+use xarch_core::{Archive, ChunkedArchive, KeyQuery};
 use xarch_datagen::omim::{omim_spec, OmimGen};
 use xarch_datagen::swissprot::{swissprot_spec, SwissProtGen};
 use xarch_datagen::xmark::{xmark_spec, XmarkGen};
@@ -278,37 +278,6 @@ pub fn fig_extmem(scale: &Scale) {
     println!();
 }
 
-/// Cross-backend comparison: the same workload archived by every storage
-/// tier the builder offers, reported through the unified `stats()` surface
-/// — the §4.2 / §5 implementations side by side.
-pub fn fig_backends(scale: &Scale) {
-    let versions = OmimGen::new(0xBEEF).sequence(scale.omim_records / 2, 8);
-    let spec = omim_spec();
-    let backends: Vec<(&str, Box<dyn VersionStore>)> = vec![
-        (
-            "in-memory (§4.2)",
-            ArchiveBuilder::new(spec.clone()).build(),
-        ),
-        (
-            "chunked(8) (§5)",
-            ArchiveBuilder::new(spec.clone()).chunks(8).build(),
-        ),
-    ];
-    println!("## Backends: one workload, every storage tier (OMIM-like, 8 versions)");
-    println!("backend,versions,elements,texts,stamps,size_bytes");
-    for (label, mut store) in backends {
-        for d in &versions {
-            store.add_version(d).expect("merge");
-        }
-        let s = store.stats().expect("stats");
-        println!(
-            "{label},{},{},{},{},{}",
-            s.versions, s.elements, s.texts, s.stamps, s.size_bytes
-        );
-    }
-    println!();
-}
-
 /// §7: retrieval probes with timestamp trees vs a full scan, and history
 /// lookups via the sorted index vs the naive walk.
 ///
@@ -443,16 +412,14 @@ pub fn fig_ablation(scale: &Scale) {
     let xspec = xmark_spec();
     println!("## Ablation: chunked vs whole archiving (XMark, 10% change)");
     println!("variant,archive_bytes");
-    for (name, builder) in [
-        ("whole", ArchiveBuilder::new(xspec.clone())),
-        ("chunked(4)", ArchiveBuilder::new(xspec.clone()).chunks(4)),
-    ] {
-        let mut store = builder.build();
-        for d in &xversions {
-            store.add_version(d).expect("merge");
-        }
-        println!("{name},{}", store.stats().expect("stats").size_bytes);
+    let mut whole = ArchiveBuilder::new(xspec.clone()).build();
+    let mut chunked = ChunkedArchive::new(xspec, 4);
+    for d in &xversions {
+        whole.add_version(d).expect("merge");
+        chunked.add_version(d).expect("merge");
     }
+    println!("whole,{}", whole.stats().expect("stats").size_bytes);
+    println!("chunked(4),{}", chunked.size_bytes());
     println!();
 }
 
@@ -1245,7 +1212,6 @@ pub fn run(fig: &str, scale: &Scale) -> bool {
         "c2" => fig_c2(scale),
         "claims" => claims(scale),
         "extmem" => fig_extmem(scale),
-        "backends" => fig_backends(scale),
         "index" => fig_index(scale),
         "queries" => fig_queries(scale),
         "ablation" => fig_ablation(scale),
@@ -1266,7 +1232,6 @@ pub fn run(fig: &str, scale: &Scale) -> bool {
                 "c2",
                 "claims",
                 "extmem",
-                "backends",
                 "index",
                 "queries",
                 "ablation",

@@ -19,7 +19,7 @@
 //!   `io::Write` sink,
 //! * [`store`] — the [`StoreReader`] / [`VersionStore`] trait pair: the
 //!   shared-read query surface (all `&self`) and the mutators on top,
-//!   implemented by every storage backend (in-memory, chunked, indexed),
+//!   implemented by every storage backend (in-memory, indexed, durable),
 //!   and [`Layer`], the forwarding-by-default base of every wrapper,
 //! * [`history`] — key-query steps and frontier value histories (§7.2),
 //! * [`query`] — the temporal query model: `as_of` / `history_values` /
@@ -28,8 +28,8 @@
 //! * [`changes`] — key-aware (semantically meaningful) change descriptions,
 //! * [`xmlrep`] — the `<T t="...">` XML representation (Fig 5) and its
 //!   inverse, making the archive "yet another XML document",
-//! * [`chunk`] — hash-partitioned chunked archiving (§5's memory
-//!   workaround),
+//! * [`chunk`] — hash-partitioned chunked archiving, §5's memory
+//!   workaround, kept as the ablation experiment (not a store),
 //! * [`cow`] — the chunked copy-on-write arena under the archive (and the
 //!   §7 index tables) that makes [`VersionStore::view`] cost O(changed),
 //! * [`equiv`] — key-aware document equivalence used to state correctness,

@@ -270,8 +270,9 @@ impl Archive {
         self.merge_version(doc, (&ann, &links), &sorted)
     }
 
-    /// Merges an already-annotated version (callers that annotate once and
-    /// reuse, e.g. the chunked archiver, use this entry point).
+    /// Merges a version annotated in full by `xarch_keys::annotate`, with
+    /// no subtree held (§5's chunked experiment annotates each chunk's
+    /// sub-document itself and merges it here).
     pub fn add_annotated(&mut self, doc: &Document, ann: &Annotations) -> Result<u32, MergeError> {
         self.merge_version(doc, (ann, &[]), &Sorted::default())
     }
@@ -328,19 +329,6 @@ impl Archive {
         }
         let annotated = annotated.iter().map(|(ann, links)| (ann, &links[..]));
         Ok(self.merge_batch(docs, annotated, &sorted))
-    }
-
-    /// Batch merge of already-annotated versions (the chunked archiver
-    /// annotates per chunk sub-document and calls this). Cannot fail: the
-    /// caller has validated every document against the spec.
-    pub(crate) fn add_annotated_versions(
-        &mut self,
-        docs: &[Document],
-        anns: &[Annotations],
-    ) -> Vec<u32> {
-        let unpaired: &[Link] = &[];
-        let annotated = anns.iter().map(|ann| (ann, unpaired));
-        self.merge_batch(docs, annotated, &Sorted::default())
     }
 
     fn merge_batch<'v>(

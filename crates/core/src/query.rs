@@ -10,7 +10,7 @@
 //! fallbacks are built from. The fast paths live elsewhere: the arena's
 //! in [`crate::kernel`] (scanned or §7-indexed; `history_values` and
 //! `diff` answered from the stored change points rather than version by
-//! version), and the chunked archive routes to the owning chunk.
+//! version).
 
 use std::cmp::Ordering;
 use std::sync::Arc;

@@ -1,11 +1,10 @@
-//! Checkpoint state codecs for the in-memory backends.
+//! Checkpoint state codec for the in-memory archive.
 //!
 //! A durable store periodically serializes its materialized archive into
 //! a *checkpoint block* (see `docs/FORMAT.md` §Checkpoint blocks) so that
 //! reopen restores the snapshot and replays only the tail of the journal.
-//! This module defines the state payloads for [`Archive`] and
-//! [`ChunkedArchive`]; the indexed archive reuses the plain archive's
-//! state and rebuilds its indexes from it.
+//! This module defines the state payload for [`Archive`]; the indexed
+//! archive reuses it and rebuilds its indexes from it.
 //!
 //! Every state payload starts with a one-byte backend tag so a restoring
 //! store can tell "this checkpoint was taken by a different backend
@@ -23,19 +22,14 @@ use xarch_keys::{KeyPart, KeySpec, KeyValue, NodeClass};
 use xarch_xml::{Sym, SymbolTable, MAX_DEPTH};
 
 use crate::archive::{AKind, ANode, ANodeId, Archive, Compaction};
-use crate::chunk::ChunkedArchive;
 use crate::store::StoreError;
 use crate::timeset::TimeSet;
-use crate::wire::{
-    get_bytes, get_str, get_str_ref, get_varint, put_bytes, put_str, put_varint, WireError,
-};
+use crate::wire::{get_str, get_str_ref, get_varint, put_str, put_varint, WireError};
 
 /// State tag: a plain in-memory [`Archive`] snapshot.
 pub const STATE_ARCHIVE: u8 = 1;
-/// State tag: a [`ChunkedArchive`] snapshot (per-chunk archive bodies).
-pub const STATE_CHUNKED: u8 = 2;
-// Tags 3 and 5 are retired (`docs/FORMAT.md`): a state carrying either is
-// a configuration mismatch like any foreign tag, and neither is ever
+// Tags 2, 3 and 5 are retired (`docs/FORMAT.md`): a state carrying one
+// is a configuration mismatch like any foreign tag, and none is ever
 // reassigned.
 
 /// How far below its synthetic root an archive's nodes reach: a document's
@@ -443,80 +437,6 @@ pub fn decode_archive(
     Ok(Some(a))
 }
 
-/// Serializes a [`ChunkedArchive`] into a tagged checkpoint state
-/// payload: the chunk layout plus one archive body per chunk.
-pub fn encode_chunked(c: &ChunkedArchive) -> Vec<u8> {
-    let mut out = vec![STATE_CHUNKED];
-    put_varint(&mut out, c.chunk_count() as u64);
-    match c.root_tag() {
-        None => out.push(0),
-        Some(t) => {
-            out.push(1);
-            put_str(&mut out, t);
-        }
-    }
-    put_varint(&mut out, c.latest() as u64);
-    for chunk in c.chunks() {
-        let mut body = Vec::new();
-        put_archive_body(&mut body, chunk);
-        put_bytes(&mut out, &body);
-    }
-    out
-}
-
-/// Restores a [`ChunkedArchive`] from a tagged state payload. The same
-/// `Ok(None)` fallback contract as [`decode_archive`]; a chunk-count
-/// mismatch with the restoring store's configuration also answers
-/// `Ok(None)`.
-pub fn decode_chunked(
-    state: &[u8],
-    expect_spec: &KeySpec,
-    expect_chunks: usize,
-    expect_compaction: Compaction,
-) -> Result<Option<ChunkedArchive>, StoreError> {
-    let mut pos = 0;
-    if get_byte(state, &mut pos)? != STATE_CHUNKED {
-        return Ok(None);
-    }
-    let chunk_count = get_varint(state, &mut pos).map_err(corrupt)? as usize;
-    if chunk_count != expect_chunks {
-        return Ok(None);
-    }
-    let root_tag = match get_byte(state, &mut pos)? {
-        0 => None,
-        1 => Some(get_str(state, &mut pos).map_err(corrupt)?),
-        _ => return Err(corrupt_at(pos - 1, "checkpoint state: bad root-tag flag")),
-    };
-    let latest = get_u32(state, &mut pos)?;
-    let mut chunks = Vec::with_capacity(chunk_count);
-    for _ in 0..chunk_count {
-        let body = get_bytes(state, &mut pos).map_err(corrupt)?;
-        let mut body_pos = 0;
-        let Some(a) = get_archive_body(body, &mut body_pos, expect_spec, expect_compaction)? else {
-            return Ok(None);
-        };
-        if body_pos != body.len() {
-            return Err(corrupt_at(
-                body_pos,
-                "checkpoint state: trailing chunk bytes",
-            ));
-        }
-        if a.latest() != latest {
-            return Err(corrupt_at(body_pos, "checkpoint state: chunk version skew"));
-        }
-        chunks.push(a);
-    }
-    if pos != state.len() {
-        return Err(corrupt_at(pos, "checkpoint state: trailing bytes"));
-    }
-    Ok(Some(ChunkedArchive::from_parts(
-        expect_spec.clone(),
-        chunks,
-        root_tag,
-        latest,
-    )))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -684,9 +604,10 @@ mod tests {
         assert!(decode_archive(&state, &other, Compaction::Alternatives)
             .unwrap()
             .is_none());
-        // a foreign backend tag: the retired external-memory (3) and
-        // key-path sidecar (5) tags read as a mismatch like any other
-        for tag in [3, 5] {
+        // a foreign backend tag: the retired chunked (2), external-memory
+        // (3) and key-path sidecar (5) tags read as a mismatch like any
+        // other
+        for tag in [2, 3, 5] {
             let mut tagged = state.clone();
             tagged[0] = tag;
             assert!(decode_archive(&tagged, &spec(), Compaction::Alternatives)
@@ -708,31 +629,6 @@ mod tests {
                 b.check_invariants().unwrap();
             }
         }
-    }
-
-    #[test]
-    fn chunked_state_round_trips() {
-        let mut c = ChunkedArchive::new(spec(), 3);
-        for d in &docs() {
-            c.add_version(d).unwrap();
-        }
-        let state = encode_chunked(&c);
-        let r = decode_chunked(&state, &spec(), 3, Compaction::Alternatives)
-            .unwrap()
-            .expect("matching config restores");
-        assert_eq!(r.latest(), c.latest());
-        for v in 1..=c.latest() {
-            let mut want = Vec::new();
-            let mut got = Vec::new();
-            let w = c.retrieve_into(v, &mut want).unwrap();
-            let g = r.retrieve_into(v, &mut got).unwrap();
-            assert_eq!(w, g);
-            assert_eq!(want, got);
-        }
-        // chunk-count mismatch falls back
-        assert!(decode_chunked(&state, &spec(), 4, Compaction::Alternatives)
-            .unwrap()
-            .is_none());
     }
 
     #[test]

@@ -5,12 +5,14 @@
 //! with interval-set timestamps — and then describes three ways of running
 //! it: wholly in memory (§4.2), hash-partitioned into chunks when the data
 //! outgrows memory (§5), and as a streaming external-memory pipeline
-//! (§6.3). [`VersionStore`] captures the contract the two serving tiers
-//! share, so callers (tests, benches, services) are written once and the
-//! storage tier becomes a configuration choice — the separation of
-//! logical archive from physical tier that production cold-storage
-//! archives make. The external-memory pipeline (`xarch_extmem`) is kept
-//! as the §6 reproduction of its I/O counts, not as a serving tier.
+//! (§6.3). Only the first serves: the chunked archive ([`crate::chunk`])
+//! is kept as §5's ablation and the external-memory pipeline
+//! (`xarch_extmem`) as the §6 reproduction of its I/O counts.
+//! [`VersionStore`] captures the contract the in-memory archive and the
+//! layers over it (indexes, a journal, metrics) share, so callers (tests,
+//! benches, services) are written once and the layering becomes a
+//! configuration choice — the separation of logical archive from
+//! physical tier that production cold-storage archives make.
 //!
 //! The contract is split along the read/write axis. [`StoreReader`] holds
 //! every query method with a `&self` receiver: versions are immutable once
@@ -33,7 +35,6 @@ use xarch_keys::KeySpec;
 use xarch_xml::Document;
 
 use crate::archive::{Archive, ArchiveStats, MergeError};
-use crate::chunk::ChunkedArchive;
 use crate::history::KeyQuery;
 use crate::kernel;
 use crate::query::{self, ElementHistory, RangeEntry, VersionDelta};
@@ -106,9 +107,8 @@ impl From<io::Error> for StoreError {
 
 /// Backend-independent aggregate statistics.
 ///
-/// For partitioned backends the node counts sum over partitions (each
-/// chunk carries its own synthetic root and document root), so they
-/// describe *storage*, not the logical document tree.
+/// The node counts describe *storage* (synthetic roots and stamps
+/// included), not the logical document tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StoreStats {
     /// Number of archived versions (= `latest()`).
@@ -186,9 +186,9 @@ pub trait StoreReader {
     // complete once the six methods above work (`ColdArchive` and foreign
     // backends ride these). The fast paths are overrides whose cost is
     // proportional to the answer, not the archive: the arena backends
-    // call the query kernel (`crate::kernel`, scanned or §7-indexed), the
-    // chunked archive routes to the owning chunk. Wrappers never land here
-    // by accident: they implement [`Layer`], which forwards by default.
+    // call the query kernel (`crate::kernel`, scanned or §7-indexed).
+    // Wrappers never land here by accident: they implement [`Layer`],
+    // which forwards by default.
 
     /// Partial retrieval: the subtree addressed by `steps` as it existed
     /// at version `v`, or `None` when the element (or the version) does
@@ -424,7 +424,6 @@ pub type StoreView = Arc<dyn StoreReader + Send + Sync>;
 /// | backend | paper | crate | reads |
 /// |---|---|---|---|
 /// | [`Archive`] | §4.2 in-memory nested merge | `xarch_core` | the query kernel over [`kernel::Scan`] |
-/// | [`ChunkedArchive`] | §5 hash-partitioned chunks | `xarch_core` | every kind routed to the owning chunk's [`Archive`] |
 /// | `IndexedArchive` | §7 indexes over the arena | `xarch_index` | [`Layer`] over [`Archive`]: the query kernel over the indexes |
 /// | `DurableArchive` | durable segmented journal over any of the above | `xarch_storage` | [`Layer`]: intercepts nothing |
 /// | [`crate::ObservedStore`] | latency histograms over any of the above | `xarch_core` | [`Layer`]: times each query kind |
@@ -451,8 +450,7 @@ pub trait VersionStore: StoreReader + Send + Sync {
     /// suite in `tests/batch_equivalence.rs` holds every backend to that),
     /// but backends override this with *batch-native* fast paths: the
     /// in-memory archive pre-combines the batch and walks its own child
-    /// lists once instead of once per version, the chunked archive merges
-    /// its partitions on parallel worker threads, and the durable wrapper
+    /// lists once instead of once per version, and the durable wrapper
     /// journals the batch as one group-committed block with a single fsync
     /// (a torn batch recovers to the pre-batch state — never a prefix).
     ///
@@ -486,7 +484,7 @@ pub trait VersionStore: StoreReader + Send + Sync {
     ///
     /// Answers `Ok(true)` when the state was recognized and restored,
     /// `Ok(false)` when it was taken under a different backend
-    /// configuration (tag, key spec, compaction, chunk layout — the
+    /// configuration (tag, key spec, compaction — the
     /// caller falls back to a full journal replay, which rebuilds
     /// correctly under the new configuration), and `Err` when the payload
     /// is structurally damaged or the store is not empty.
@@ -614,106 +612,6 @@ impl VersionStore for Archive {
     }
 }
 
-impl StoreReader for ChunkedArchive {
-    fn spec(&self) -> &KeySpec {
-        ChunkedArchive::spec(self)
-    }
-
-    fn latest(&self) -> u32 {
-        ChunkedArchive::latest(self)
-    }
-
-    fn retrieve(&self, v: u32) -> Result<Option<Document>, StoreError> {
-        Ok(ChunkedArchive::retrieve(self, v))
-    }
-
-    fn retrieve_into(&self, v: u32, out: &mut dyn Write) -> Result<bool, StoreError> {
-        Ok(ChunkedArchive::retrieve_into(self, v, out)?)
-    }
-
-    fn history(&self, steps: &[KeyQuery]) -> Result<Option<TimeSet>, StoreError> {
-        Ok(ChunkedArchive::history(self, steps))
-    }
-
-    fn stats(&self) -> Result<StoreStats, StoreError> {
-        Ok(StoreStats::from_archive(
-            ChunkedArchive::stats(self),
-            ChunkedArchive::latest(self),
-            self.size_bytes(),
-        ))
-    }
-
-    fn as_of(&self, steps: &[KeyQuery], v: u32) -> Result<Option<Document>, StoreError> {
-        Ok(ChunkedArchive::as_of(self, steps, v))
-    }
-
-    fn history_values(&self, steps: &[KeyQuery]) -> Result<Option<ElementHistory>, StoreError> {
-        match self.owner(steps) {
-            Some(chunk) => chunk.history_values(steps),
-            // the document root spans every chunk
-            None => history_values_by_version(self, steps),
-        }
-    }
-
-    fn range(
-        &self,
-        prefix: &[KeyQuery],
-        versions: RangeInclusive<u32>,
-    ) -> Result<Vec<RangeEntry>, StoreError> {
-        Ok(ChunkedArchive::range(self, prefix, versions))
-    }
-
-    fn diff(&self, steps: &[KeyQuery], v1: u32, v2: u32) -> Result<VersionDelta, StoreError> {
-        match self.owner(steps) {
-            Some(chunk) => chunk.diff(steps, v1, v2),
-            None => diff_of_as_ofs(self, steps, v1, v2),
-        }
-    }
-}
-
-impl VersionStore for ChunkedArchive {
-    fn add_version(&mut self, doc: &Document) -> Result<u32, StoreError> {
-        Ok(ChunkedArchive::add_version(self, doc)?)
-    }
-
-    fn add_empty_version(&mut self) -> Result<u32, StoreError> {
-        Ok(ChunkedArchive::add_empty_version(self))
-    }
-
-    fn add_versions(&mut self, docs: &[Document]) -> Result<Vec<u32>, StoreError> {
-        Ok(ChunkedArchive::add_versions(self, docs)?)
-    }
-
-    fn checkpoint_state(&self) -> Result<Option<Vec<u8>>, StoreError> {
-        Ok(Some(crate::state::encode_chunked(self)))
-    }
-
-    fn restore_checkpoint(&mut self, state: &[u8]) -> Result<bool, StoreError> {
-        if ChunkedArchive::latest(self) != 0 {
-            return Err(StoreError::Backend(
-                "restore_checkpoint requires an empty store".into(),
-            ));
-        }
-        let compaction = self.chunks()[0].compaction();
-        match crate::state::decode_chunked(
-            state,
-            ChunkedArchive::spec(self),
-            self.chunk_count(),
-            compaction,
-        )? {
-            Some(restored) => {
-                *self = restored;
-                Ok(true)
-            }
-            None => Ok(false),
-        }
-    }
-
-    fn view(&self) -> Result<StoreView, StoreError> {
-        Ok(Arc::new(self.clone()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -721,30 +619,25 @@ mod tests {
     #[test]
     fn trait_is_object_safe_and_uniform() {
         let spec = KeySpec::parse("(/, (db, {}))\n(/db, (rec, {id}))").unwrap();
-        let mut stores: Vec<Box<dyn VersionStore>> = vec![
-            Box::new(Archive::new(spec.clone())),
-            Box::new(ChunkedArchive::new(spec.clone(), 3)),
-        ];
+        let mut s: Box<dyn VersionStore> = Box::new(Archive::new(spec));
         let doc = xarch_xml::parse("<db><rec><id>1</id><val>x</val></rec></db>").unwrap();
-        for s in &mut stores {
-            assert_eq!(s.add_version(&doc).unwrap(), 1);
-            assert!(s.has_version(1));
-            assert!(!s.has_version(2));
-            let got = s.retrieve(1).unwrap().unwrap();
-            assert!(crate::equiv_modulo_key_order(&got, &doc, s.spec()));
-            let mut bytes = Vec::new();
-            assert!(s.retrieve_into(1, &mut bytes).unwrap());
-            let reparsed = xarch_xml::parse(std::str::from_utf8(&bytes).unwrap()).unwrap();
-            assert!(crate::equiv_modulo_key_order(&reparsed, &doc, s.spec()));
-            let stats = s.stats().unwrap();
-            assert_eq!(stats.versions, 1);
-            assert!(stats.elements > 0 && stats.size_bytes > 0);
-            let q = [
-                KeyQuery::new("db"),
-                KeyQuery::new("rec").with_text("id", "1"),
-            ];
-            assert_eq!(s.history(&q).unwrap().unwrap().to_string(), "1");
-        }
+        assert_eq!(s.add_version(&doc).unwrap(), 1);
+        assert!(s.has_version(1));
+        assert!(!s.has_version(2));
+        let got = s.retrieve(1).unwrap().unwrap();
+        assert!(crate::equiv_modulo_key_order(&got, &doc, s.spec()));
+        let mut bytes = Vec::new();
+        assert!(s.retrieve_into(1, &mut bytes).unwrap());
+        let reparsed = xarch_xml::parse(std::str::from_utf8(&bytes).unwrap()).unwrap();
+        assert!(crate::equiv_modulo_key_order(&reparsed, &doc, s.spec()));
+        let stats = s.stats().unwrap();
+        assert_eq!(stats.versions, 1);
+        assert!(stats.elements > 0 && stats.size_bytes > 0);
+        let q = [
+            KeyQuery::new("db"),
+            KeyQuery::new("rec").with_text("id", "1"),
+        ];
+        assert_eq!(s.history(&q).unwrap().unwrap().to_string(), "1");
     }
 
     #[test]
@@ -753,7 +646,6 @@ mod tests {
         // and must be safe to issue from many threads at once
         fn assert_send_sync<T: Send + Sync + ?Sized>() {}
         assert_send_sync::<Archive>();
-        assert_send_sync::<ChunkedArchive>();
         assert_send_sync::<StoreError>();
         assert_send_sync::<Box<dyn VersionStore>>();
         assert_send_sync::<Box<dyn StoreReader + Send + Sync>>();

@@ -12,7 +12,7 @@
 //! write_timeout_ms = 30000
 //! allow_shutdown = false
 //!
-//! # backend: memory | chunked:<n>; indexed = true needs memory
+//! # backend: memory (the one tier; the line may be left out)
 //! backend = memory
 //! indexed = true
 //! durable = /var/lib/xarch/journal
@@ -70,15 +70,6 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// The storage tier named in the config file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BackendChoice {
-    /// `backend = memory` (the default).
-    Memory,
-    /// `backend = chunked:<n>` — `n` hash partitions.
-    Chunked(usize),
-}
-
 /// A validated server configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -99,9 +90,7 @@ pub struct ServerConfig {
     pub spec: KeySpec,
     /// The spec's source text (echoed to clients in the handshake).
     pub spec_text: String,
-    /// Storage tier.
-    pub backend: BackendChoice,
-    /// Maintain the §7 query indexes (in-memory backend only).
+    /// Maintain the §7 query indexes.
     pub indexed: bool,
     /// Journal path for crash-safe persistence.
     pub durable: Option<PathBuf>,
@@ -119,9 +108,7 @@ impl ServerConfig {
         let mut read_timeout = Some(Duration::from_millis(30_000));
         let mut write_timeout = Some(Duration::from_millis(30_000));
         let mut allow_shutdown = false;
-        // (value, the line that set it): a refused pairing names its line
-        let mut backend = (BackendChoice::Memory, 0);
-        let mut indexed = (false, 0);
+        let mut indexed = false;
         let mut durable = None;
         let mut checkpoint_every = None;
         let mut spec_lines: Vec<(usize, String)> = Vec::new();
@@ -166,33 +153,14 @@ impl ServerConfig {
                 "read_timeout_ms" => read_timeout = parse_timeout(n, key, value)?,
                 "write_timeout_ms" => write_timeout = parse_timeout(n, key, value)?,
                 "allow_shutdown" => allow_shutdown = parse_bool(n, key, value)?,
-                "indexed" => indexed = (parse_bool(n, key, value)?, n),
+                "indexed" => indexed = parse_bool(n, key, value)?,
                 "backend" => {
-                    backend.1 = n;
-                    backend.0 = match value {
-                        "memory" => BackendChoice::Memory,
-                        other => match other.strip_prefix("chunked:") {
-                            Some(count) => {
-                                let c: usize = parse_num(n, "chunked partition count", count)?;
-                                if c == 0 {
-                                    return Err(ConfigError::at(
-                                        n,
-                                        "chunked backend needs at least one partition",
-                                    ));
-                                }
-                                BackendChoice::Chunked(c)
-                            }
-                            None => {
-                                return Err(ConfigError::at(
-                                    n,
-                                    format!(
-                                        "unknown backend `{other}` \
-                                         (expected memory, chunked:<n>)"
-                                    ),
-                                ))
-                            }
-                        },
-                    };
+                    if value != "memory" {
+                        return Err(ConfigError::at(
+                            n,
+                            format!("unknown backend `{value}` (expected memory)"),
+                        ));
+                    }
                 }
                 "durable" => {
                     if value.is_empty() {
@@ -235,10 +203,6 @@ impl ServerConfig {
             .join("\n");
         let spec = KeySpec::parse(&spec_text)
             .map_err(|e| ConfigError::at(first_spec_line, format!("invalid key spec: {e}")))?;
-        if indexed.0 && matches!(backend.0, BackendChoice::Chunked(_)) {
-            let why = "indexed = true needs backend = memory: the §7 indexes live in one archive";
-            return Err(ConfigError::at(backend.1.max(indexed.1), why));
-        }
         if checkpoint_every.is_some() && durable.is_none() {
             return Err(ConfigError::general(
                 "checkpoint_every is set but durable is not: checkpoints need a journal",
@@ -254,8 +218,7 @@ impl ServerConfig {
             allow_shutdown,
             spec,
             spec_text,
-            backend: backend.0,
-            indexed: indexed.0,
+            indexed,
             durable,
             checkpoint_every,
         })
@@ -274,9 +237,6 @@ impl ServerConfig {
     /// locally to compare answers.
     pub fn builder(&self) -> ArchiveBuilder {
         let mut b = ArchiveBuilder::new(self.spec.clone());
-        if let BackendChoice::Chunked(n) = self.backend {
-            b = b.chunks(n);
-        }
         if self.indexed {
             b = b.with_index();
         }
@@ -328,7 +288,7 @@ max_frame_len = 65536
 read_timeout_ms = 100
 write_timeout_ms = 0
 allow_shutdown = yes
-backend = chunked:8
+backend = memory
 indexed = off
 spec = (/, (db, {}))
 spec = (/db, (rec, {id}))
@@ -343,7 +303,6 @@ spec = (/db, (rec, {id}))
         assert_eq!(cfg.read_timeout, Some(Duration::from_millis(100)));
         assert_eq!(cfg.write_timeout, None, "0 disables the deadline");
         assert!(cfg.allow_shutdown);
-        assert_eq!(cfg.backend, BackendChoice::Chunked(8));
         assert!(!cfg.indexed);
         assert!(cfg.spec_text.contains("rec"));
     }
@@ -353,7 +312,6 @@ spec = (/db, (rec, {id}))
         let cfg = ServerConfig::from_text("spec = (/, (db, {}))\n").unwrap();
         assert_eq!(cfg.workers, 4);
         assert!(!cfg.allow_shutdown);
-        assert_eq!(cfg.backend, BackendChoice::Memory);
         assert_eq!(cfg.max_frame_len, MAX_FRAME_LEN);
     }
 
@@ -366,6 +324,7 @@ spec = (/db, (rec, {id}))
             ("\nmax_frame_len = 3\n", 2),
             ("backend = florp\n", 1),
             ("backend = chunked:0\n", 1),
+            ("backend = chunked:4\n", 1),
             ("allow_shutdown = maybe\n", 1),
             ("mystery = 1\n", 1),
             ("spec = this is not a grammar\n", 1),
@@ -378,29 +337,11 @@ spec = (/db, (rec, {id}))
     }
 
     #[test]
-    fn an_index_over_a_chunked_backend_is_rejected_on_its_line() {
-        let spec = "spec = (/, (db, {}))\n";
-        for (text, line) in [
-            (format!("indexed = true\nbackend = chunked:4\n{spec}"), 2),
-            (format!("backend = chunked:4\n{spec}indexed = true\n"), 3),
-        ] {
-            let err = ServerConfig::from_text(&text).unwrap_err();
-            assert_eq!(err.line, Some(line), "{text:?} → {err}");
-            assert!(err.message.contains("backend = memory"), "{err}");
-        }
-        // either half alone is fine
-        let indexed = ServerConfig::from_text(&format!("indexed = true\n{spec}")).unwrap();
-        assert!(indexed.indexed);
-        let chunked = ServerConfig::from_text(&format!("backend = chunked:4\n{spec}")).unwrap();
-        assert_eq!(chunked.backend, BackendChoice::Chunked(4));
-    }
-
-    #[test]
     fn extmem_is_an_unknown_backend() {
         let err = ServerConfig::from_text("backend = extmem\nspec = (/, (db, {}))\n").unwrap_err();
         assert_eq!(err.line, Some(1), "{err}");
         assert!(err.message.contains("unknown backend `extmem`"), "{err}");
-        assert!(err.message.contains("memory, chunked:<n>"), "{err}");
+        assert!(err.message.contains("(expected memory)"), "{err}");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! [`DurableArchive`]: persistence as a `VersionStore` wrapper.
 //!
-//! The inner store (in-memory, chunked, or indexed) holds the
+//! The inner store (in-memory or indexed) holds the
 //! merged archive; the segment file journals every committed version.
 //! `add_version` runs the merge first (so a rejected document leaves both
 //! layers untouched), then appends one checksummed block and syncs before

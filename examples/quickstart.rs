@@ -22,11 +22,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          (/db/gene, (seq, {}))",
     )?;
 
-    // 2. Pick a storage tier. The default is the in-memory archiver of
-    //    §4.2; `.chunks(n)` (§5) selects hash partitions without changing
-    //    any code below. `.with_index()` maintains the §7 query indexes
-    //    over the in-memory tier, so the temporal queries in step 5 cost
-    //    time proportional to their answers.
+    // 2. Configure the store. The in-memory archiver of §4.2 is the one
+    //    tier; `.with_index()` maintains the §7 query indexes over it, so
+    //    the temporal queries in step 5 cost time proportional to their
+    //    answers, without changing any code below.
     let mut store = ArchiveBuilder::new(spec.clone()).with_index().build();
 
     // 3. Archive versions as they are published.

@@ -8,11 +8,12 @@
 //! The paper contributes one archiving *model* — all versions merged into
 //! a single tree, elements identified across versions by their keys,
 //! interval-set timestamps recording when each element exists — and three
-//! ways of running it. This crate serves the first two — in memory (§4.2)
-//! and hash-partitioned into chunks (§5) — behind one trait,
-//! [`VersionStore`], configured through [`ArchiveBuilder`], and reproduces
-//! the third, §6's external-memory archiver, for its I/O counts in
-//! [`extmem`]. Serving looks like this:
+//! ways of running it. This crate serves the first, in memory (§4.2),
+//! behind one trait, [`VersionStore`], configured through
+//! [`ArchiveBuilder`]. It reproduces the other two as experiments: §5's
+//! hash-partitioned chunks ([`core::chunk`]) for the ablation's sizes,
+//! and §6's external-memory archiver for its I/O counts in [`extmem`].
+//! Serving looks like this:
 //!
 //! ```
 //! use xarch::core::KeyQuery;
@@ -57,16 +58,14 @@
 //! | builder call | backend | paper | when to use | `as_of` / `history` / `range` / `history_values` / `diff` | bulk ingest ([`VersionStore::add_versions`]) | shared reads, published [`view`](VersionStore::view) | observability (`.with_observability(..)`) |
 //! |---|---|---|---|---|---|---|---|
 //! | default | [`core::Archive`] | §4.2 | archive + version fit in RAM; fastest merges and queries | native: the query kernel ([`core::kernel`]) — key-path descent by sibling scan + visibility-filtered subtree walk; `history_values` emits once per interval of constant content (cut at the subtree's own timestamps), an unchanged `diff` emits nothing | batch nested merge — each archive level is sorted and walked once per batch, byte-identical to a serial replay | `&self`, lock-free; a view is a clone over copy-on-write arena chunks — O(changed) | `query.*` / `ingest.*` latency histograms via the outermost [`core::ObservedStore`] wrapper |
-//! | `.chunks(n)` | [`core::ChunkedArchive`] | §5 | data outgrows one merge's memory: top-level records are hash-partitioned into `n` independent archives, merged chunk by chunk | native: all five kinds route to the owning chunk's kernel; `range` fans out and merges; the document root spans chunks and is composed from retrieves | the whole batch is partitioned once, then chunks merge their sub-batches on parallel worker threads | `&self`, lock-free; a view clones each partition the same way | `query.*` / `ingest.*` histograms (whole-store timing spans all chunks) |
 //! | `.durable(path)` + `.checkpoint_every(n)` | [`storage::DurableArchive`] | — | the archive must outlive the process: every commit is journaled to a segment file checksummed block by block ([`storage::crc32`]) and replayed on reopen (composes with any row above); a checkpoint cadence keeps reopen cost flat vs history by restoring the newest snapshot block and replaying only the tail | a [`Layer`] that intercepts nothing: every query is the wrapped backend's own; indexes are re-established during replay | **group commit** — one multi-version block, one commit word, one fsync per batch; a torn batch recovers to the pre-batch state, never a prefix | `&self`; reads never touch the journal — a view is the wrapped store's, taken after the commit lands | `segment.*` / `checkpoint.*` write/fsync counters, `recovery.*` replay counters + duration, structured recovery events (torn tail, corrupt block, skipped checkpoint) |
-//! | `.with_index()` | [`index::IndexedArchive`] | §7 | query-heavy service workloads on the in-memory tier: timestamp trees + history index over the archive's arena, refreshed once per commit over just the nodes the merge wrote (refused together with `.chunks(n)`, whose queries already go to the owning chunk) | indexed: the same query kernel over the §7 structures — `O(l log d)` descent, probe counts proportional to the answer | one batch merge, then one index refresh over what the whole batch wrote | `&self`; probe counters are atomics, shared by every view; index tables share chunks | `index.history.comparisons` / `index.timestamp.probes` bound to the shared registry |
+//! | `.with_index()` | [`index::IndexedArchive`] | §7 | query-heavy service workloads on the in-memory tier: timestamp trees + history index over the archive's arena, refreshed once per commit over just the nodes the merge wrote; composes with every other builder call | indexed: the same query kernel over the §7 structures — `O(l log d)` descent, probe counts proportional to the answer | one batch merge, then one index refresh over what the whole batch wrote | `&self`; probe counters are atomics, shared by every view; index tables share chunks | `index.history.comparisons` / `index.timestamp.probes` bound to the shared registry |
 //! | [`ColdArchive::open`](storage::ColdArchive::open) | [`storage::ColdArchive`] | — | rarely-read archives that must answer without startup cost: queries run straight off the mmap'd segment file via a per-block version index, decoding only the blocks each answer needs — the archive is never materialized in RAM | per-block: `retrieve`/`as_of` decode one block, `retrieve_into` writes XML straight from its bytes and `as_of` builds only the element it returns; `history` streams block-at-a-time the same way; `range`/`history_values`/`diff` ride the trait fallbacks | n/a — cold readers are read-only (a shared OS lock admits any number of them beside each other, and refuses a live writer) | `&self`; the map itself is the shared state | `cold.retrieves` / `cold.blocks_decoded` / `cold.bytes_decoded` counters + `cold.mapped_bytes` gauge ([`storage::ColdArchive::open_observed`]) |
 //!
 //! `.compaction(Compaction::Weave)` additionally selects Fig 10's
-//! "further compaction" beneath frontier nodes for the in-memory and
-//! chunked backends. Durable configurations can fail to open (corrupt
-//! file, key-spec mismatch), so prefer [`ArchiveBuilder::try_build`] over
-//! `build()` when `.durable(..)` is set. The on-disk format all the
+//! "further compaction" beneath frontier nodes. Durable configurations
+//! can fail to open (corrupt file, key-spec mismatch), so prefer
+//! [`ArchiveBuilder::try_build`] over `build()` when `.durable(..)` is set. The on-disk format all the
 //! durable rows share — superblock, block grammar, checkpoint envelope,
 //! recovery rules — is specified byte-for-byte in `docs/FORMAT.md`, and
 //! a golden test pins the spec's constants to the source.
@@ -155,7 +154,7 @@
 //! * [`diff`] — Myers line diff, delta repositories, SCCS weave;
 //! * [`core`] — the archiver: Nested Merge, timestamps, retrieval,
 //!   temporal history, the query kernel and model
-//!   (`as_of`/`history`/`history_values`/`range`/`diff`), change description, chunking, the
+//!   (`as_of`/`history`/`history_values`/`range`/`diff`), change description, §5's chunking experiment, the
 //!   Fig-5 XML form, and the [`VersionStore`] / [`Layer`] traits;
 //! * [`compress`] — LZSS (gzip-class) and XMill-style compressors;
 //! * [`extmem`] — the §6 reproduction: the external-memory archiver with

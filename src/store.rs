@@ -1,9 +1,8 @@
 //! The builder facade: configure an archive once, get back a
-//! [`Box<dyn VersionStore>`] for whichever storage tier fits the workload.
+//! [`Box<dyn VersionStore>`] with the layers the workload needs.
 //!
-//! There are two tiers — one in-memory archive (the default, §4.2) or
-//! `.chunks(n)` hash partitions (§5) — and `.with_index()` adds the §7
-//! indexes to the in-memory tier:
+//! There is one tier, the in-memory archive (§4.2), and `.with_index()`
+//! adds the §7 indexes to it:
 //!
 //! ```
 //! use xarch::ArchiveBuilder;
@@ -13,7 +12,6 @@
 //! let spec = KeySpec::parse("(/, (db, {}))")?;
 //! let store = ArchiveBuilder::new(spec.clone())
 //!     .compaction(Compaction::Weave)
-//!     .chunks(16)
 //!     .build();
 //! assert_eq!(store.latest(), 0);
 //! let indexed = ArchiveBuilder::new(spec).with_index().build();
@@ -22,7 +20,7 @@
 //! ```
 //!
 //! Persistence is one more axis of the same configuration: `.durable(path)`
-//! wraps whichever tier was selected in a crash-safe on-disk journal
+//! wraps the configured store in a crash-safe on-disk journal
 //! (see `xarch_storage`), replayed on reopen:
 //!
 //! ```
@@ -32,7 +30,6 @@
 //! let path = xarch::storage::scratch_path("builder-doc");
 //! let spec = KeySpec::parse("(/, (db, {}))")?;
 //! let store = ArchiveBuilder::new(spec.clone())
-//!     .chunks(4)
 //!     .durable(&path)
 //!     .try_build()?;
 //! assert_eq!(store.latest(), 0);
@@ -44,20 +41,18 @@
 use std::path::PathBuf;
 
 use crate::handle::ArchiveHandle;
-use xarch_core::{Archive, ChunkedArchive, Compaction, ObservedStore, StoreError, VersionStore};
+use xarch_core::{Archive, Compaction, ObservedStore, StoreError, VersionStore};
 use xarch_index::IndexedArchive;
 use xarch_keys::KeySpec;
 use xarch_obs::Obs;
 use xarch_storage::{DurableArchive, DurableOptions};
 
-/// Configures and constructs an archive: the in-memory tier (§4.2) by
-/// default, or `.chunks(n)` hash partitions (§5).
+/// Configures and constructs an archive: the in-memory tier (§4.2),
+/// optionally indexed, journaled and observed.
 #[derive(Debug, Clone)]
 pub struct ArchiveBuilder {
     spec: KeySpec,
     compaction: Compaction,
-    /// `Some(n)`: the chunked tier with `n` partitions.
-    chunks: Option<usize>,
     durable: Option<(PathBuf, DurableOptions)>,
     /// Checkpoint cadence requested before `.durable(..)` was called —
     /// folded into the journal options when the durable layer is added.
@@ -74,7 +69,6 @@ impl ArchiveBuilder {
         Self {
             spec,
             compaction: Compaction::default(),
-            chunks: None,
             durable: None,
             checkpoint_every: None,
             indexed: false,
@@ -98,10 +92,8 @@ impl ArchiveBuilder {
     /// index over the in-memory archive's arena
     /// ([`xarch_index::IndexedArchive`]) — so `as_of`, `history`, `range`
     /// and `diff` cost time proportional to the answer instead of a
-    /// whole-version materialization. In-memory tier only:
-    /// [`ArchiveBuilder::try_build`] refuses it together with
-    /// `.chunks(n)`, whose queries already go to the owning chunk.
-    /// Composes with `.durable(..)`: journal replay re-establishes the
+    /// whole-version materialization. Composes with every other option,
+    /// `.durable(..)` included: journal replay re-establishes the
     /// index on reopen, so queries never pay a rebuild.
     pub fn with_index(mut self) -> Self {
         self.indexed = true;
@@ -109,21 +101,15 @@ impl ArchiveBuilder {
     }
 
     /// Sets the frontier compaction mode (§4.2's alternatives vs Fig 10's
-    /// weave), for either tier.
+    /// weave).
     pub fn compaction(mut self, compaction: Compaction) -> Self {
         self.compaction = compaction;
         self
     }
 
-    /// Selects the chunked tier with `n` hash partitions.
-    pub fn chunks(mut self, n: usize) -> Self {
-        self.chunks = Some(n);
-        self
-    }
-
-    /// Wraps the selected tier in a crash-safe on-disk journal at
+    /// Wraps the configured store in a crash-safe on-disk journal at
     /// `path` (created if absent, replayed if present) with default
-    /// [`DurableOptions`]. Composes with `.chunks(..)`, `.with_index()` and
+    /// [`DurableOptions`]. Composes with `.with_index()` and
     /// `.compaction(..)`: those configure the wrapped store, this makes it
     /// persistent. Use [`ArchiveBuilder::try_build`] to surface open/replay
     /// errors.
@@ -156,42 +142,19 @@ impl ArchiveBuilder {
         self
     }
 
-    /// Builds the configured store, surfacing construction errors — a
+    /// Builds the configured store, surfacing construction errors: a
     /// durable store can fail to open (I/O error, corrupt segment,
-    /// key-spec mismatch) and a misconfiguration (zero chunks, or chunks
-    /// with the §7 indexes) is rejected here instead of misbehaving
-    /// downstream. Pure in-memory configurations cannot fail.
+    /// key-spec mismatch). In-memory configurations cannot fail.
     pub fn try_build(self) -> Result<Box<dyn VersionStore>, StoreError> {
         let obs = self.observability;
-        let inner: Box<dyn VersionStore> = match (self.chunks, self.indexed) {
-            (Some(0), _) => {
-                return Err(StoreError::Backend(
-                    "chunked backend requires at least one partition (chunks(0) has nowhere \
-                     to hash records to)"
-                        .into(),
-                ))
+        let inner: Box<dyn VersionStore> = if self.indexed {
+            let mut idx = IndexedArchive::with_compaction(self.spec, self.compaction);
+            if let Some(o) = &obs {
+                idx.bind_observability(o.registry());
             }
-            (Some(_), true) => {
-                return Err(StoreError::Backend(
-                    "with_index() needs the in-memory tier: the §7 indexes live in one \
-                     archive's arena, and chunks(n) already answers every query from the \
-                     owning chunk"
-                        .into(),
-                ))
-            }
-            (Some(n), false) => Box::new(ChunkedArchive::with_compaction(
-                self.spec,
-                n,
-                self.compaction,
-            )),
-            (None, false) => Box::new(Archive::with_compaction(self.spec, self.compaction)),
-            (None, true) => {
-                let mut idx = IndexedArchive::with_compaction(self.spec, self.compaction);
-                if let Some(o) = &obs {
-                    idx.bind_observability(o.registry());
-                }
-                Box::new(idx)
-            }
+            Box::new(idx)
+        } else {
+            Box::new(Archive::with_compaction(self.spec, self.compaction))
         };
         let inner: Box<dyn VersionStore> = match self.durable {
             None => inner,
@@ -220,8 +183,8 @@ impl ArchiveBuilder {
     /// behind a merge ([`ArchiveHandle::snapshot`] clones the `Arc` of the
     /// published view). The handle owns the one built store and publishes
     /// an immutable [`VersionStore::view`] of it after every commit.
-    /// Composes with every builder axis — `.chunks(..)` or
-    /// `.with_index()`, and `.durable(..)`. Surfaces the same construction
+    /// Composes with every builder axis — `.with_index()` and
+    /// `.durable(..)`. Surfaces the same construction
     /// errors as [`ArchiveBuilder::try_build`].
     pub fn try_build_shared(self) -> Result<ArchiveHandle, StoreError> {
         let obs = self.observability.clone();
@@ -271,10 +234,7 @@ mod tests {
         let builders = [
             ArchiveBuilder::new(spec()),
             ArchiveBuilder::new(spec()).with_index(),
-            ArchiveBuilder::new(spec()).chunks(4),
-            ArchiveBuilder::new(spec())
-                .compaction(Compaction::Weave)
-                .chunks(16),
+            ArchiveBuilder::new(spec()).compaction(Compaction::Weave),
         ];
         for b in builders {
             let mut store = b.build();
@@ -291,7 +251,6 @@ mod tests {
         {
             let mut store = ArchiveBuilder::new(spec())
                 .compaction(Compaction::Weave)
-                .chunks(4)
                 .durable(&path)
                 .try_build()
                 .unwrap();
@@ -300,7 +259,6 @@ mod tests {
         // reopening through the same builder configuration replays the journal
         let store = ArchiveBuilder::new(spec())
             .compaction(Compaction::Weave)
-            .chunks(4)
             .durable(&path)
             .try_build()
             .unwrap();
@@ -308,53 +266,6 @@ mod tests {
         let got = store.retrieve(1).unwrap().unwrap();
         assert!(equiv_modulo_key_order(&got, &doc, store.spec()));
         std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn zero_chunks_is_rejected_at_build_time() {
-        // a zero-partition hash has nowhere to put records; it must fail
-        // loudly at construction, not misbehave on the first merge
-        for b in [
-            ArchiveBuilder::new(spec()).chunks(0),
-            ArchiveBuilder::new(spec()).chunks(0).with_index(),
-            ArchiveBuilder::new(spec())
-                .chunks(0)
-                .durable(xarch_storage::scratch_path("builder-zero-chunks")),
-        ] {
-            let err = b.try_build().map(|_| ()).unwrap_err();
-            assert!(
-                matches!(err, StoreError::Backend(_)),
-                "expected Backend error, got {err}"
-            );
-            assert!(err.to_string().contains("at least one partition"), "{err}");
-        }
-        // the panicking variant surfaces the same failure
-        let panicked = std::panic::catch_unwind(|| ArchiveBuilder::new(spec()).chunks(0).build());
-        assert!(panicked.is_err());
-        // and a valid chunk count still builds
-        assert!(ArchiveBuilder::new(spec()).chunks(1).try_build().is_ok());
-    }
-
-    #[test]
-    fn chunks_with_index_is_rejected_at_build_time() {
-        // the §7 indexes live in one archive's arena; a chunked store has
-        // n of them, so the combination is refused rather than served
-        // from some other index design
-        for b in [
-            ArchiveBuilder::new(spec()).chunks(4).with_index(),
-            ArchiveBuilder::new(spec()).with_index().chunks(4),
-            ArchiveBuilder::new(spec())
-                .chunks(4)
-                .with_index()
-                .durable(xarch_storage::scratch_path("builder-chunked-indexed")),
-        ] {
-            let err = b.try_build().map(|_| ()).unwrap_err();
-            assert!(
-                matches!(err, StoreError::Backend(_)),
-                "expected Backend error, got {err}"
-            );
-            assert!(err.to_string().contains("in-memory tier"), "{err}");
-        }
     }
 
     #[test]

@@ -85,20 +85,9 @@ fn all_configs(spec: &KeySpec, guard: &mut ScratchFiles) -> Vec<(&'static str, S
             Box::new(move || ArchiveBuilder::new(s.clone()).with_index().build()),
         ));
     }
-    {
-        let s = s.clone();
-        out.push((
-            "chunked(4)",
-            Box::new(move || ArchiveBuilder::new(s.clone()).chunks(4).build()),
-        ));
-    }
     out.push((
         "durable",
         durable_factory(s.clone(), "batch-eq-durable", |b| b, guard),
-    ));
-    out.push((
-        "durable/chunked(4)",
-        durable_factory(s.clone(), "batch-eq-chunked", |b| b.chunks(4), guard),
     ));
     out.push((
         "durable/indexed",

@@ -338,47 +338,11 @@ fn stress_in_memory_weave() {
 }
 
 #[test]
-fn stress_chunked_weave() {
-    use xarch::core::Compaction;
-    stress(
-        "chunked(4)/weave",
-        ArchiveBuilder::new(spec())
-            .compaction(Compaction::Weave)
-            .chunks(4)
-            .build(),
-        ArchiveBuilder::new(spec())
-            .compaction(Compaction::Weave)
-            .chunks(4)
-            .build(),
-    );
-}
-
-#[test]
-fn stress_chunked() {
-    stress(
-        "chunked(4)",
-        ArchiveBuilder::new(spec()).chunks(4).build(),
-        ArchiveBuilder::new(spec()).chunks(4).build(),
-    );
-}
-
-#[test]
 fn stress_batch_writer_in_memory() {
     stress_batch_writer(
         "in-memory/batched",
         ArchiveBuilder::new(spec()).build(),
         ArchiveBuilder::new(spec()).build(),
-    );
-}
-
-#[test]
-fn stress_batch_writer_chunked() {
-    // the chunked batch path merges partitions on worker threads while
-    // readers hammer snapshots — the widest concurrency surface
-    stress_batch_writer(
-        "chunked(4)/batched",
-        ArchiveBuilder::new(spec()).chunks(4).build(),
-        ArchiveBuilder::new(spec()).chunks(4).build(),
     );
 }
 

@@ -14,8 +14,8 @@ use std::sync::{Arc, Mutex};
 use xarch::core::kernel::{locate, Scan};
 use xarch::core::query::{find_in_doc, subtree_doc};
 use xarch::core::{
-    equiv_modulo_key_order, ANodeId, Archive, ChunkedArchive, Compaction, KeyQuery, ObservedStore,
-    StoreView, TimeSet,
+    equiv_modulo_key_order, ANodeId, Archive, Compaction, KeyQuery, ObservedStore, StoreView,
+    TimeSet,
 };
 use xarch::datagen::company::{company_spec, company_versions};
 use xarch::datagen::omim::{omim_spec, OmimGen};
@@ -67,24 +67,14 @@ fn all_backends(spec: &KeySpec) -> (ScratchFiles, Vec<NamedStore>) {
 /// given frontier compaction mode.
 fn backends_compacting(spec: &KeySpec, compaction: Compaction) -> (ScratchFiles, Vec<NamedStore>) {
     let durable_path = xarch::storage::scratch_path("conformance");
-    let durable_chunked_path = xarch::storage::scratch_path("conformance-chunked");
     let durable_indexed_path = xarch::storage::scratch_path("conformance-indexed");
-    let guard = ScratchFiles(vec![
-        durable_path.clone(),
-        durable_chunked_path.clone(),
-        durable_indexed_path.clone(),
-    ]);
+    let guard = ScratchFiles(vec![durable_path.clone(), durable_indexed_path.clone()]);
     let builder = || ArchiveBuilder::new(spec.clone()).compaction(compaction);
     let durable = |b: ArchiveBuilder, path| b.durable(path).try_build().expect("durable store");
     let backends = vec![
         ("in-memory", builder().build()),
         ("in-memory/indexed", builder().with_index().build()),
-        ("chunked(4)", builder().chunks(4).build()),
         ("durable", durable(builder(), durable_path)),
-        (
-            "durable/chunked(4)",
-            durable(builder().chunks(4), durable_chunked_path),
-        ),
         (
             "durable/indexed",
             durable(builder().with_index(), durable_indexed_path),
@@ -958,28 +948,4 @@ fn constructed_steps_equal_held_ones_under_a_narrow_fingerprinter() {
         used.iter().all(|&n| n > 0),
         "every constructor is exercised: {used:?}"
     );
-}
-
-/// A chunked archive fans a root-level range out to every chunk and
-/// merges the rows: they come back in strictly ascending label order, and
-/// as the unchunked archive lists them.
-#[test]
-fn chunked_range_rows_stay_in_label_order() {
-    let docs = OmimGen::new(11).sequence(80, 8);
-    let mut chunked = ChunkedArchive::new(omim_spec(), 4);
-    let mut plain = Archive::new(omim_spec());
-    for doc in &docs {
-        chunked.add_version(doc).unwrap();
-        plain.add_version(doc).unwrap();
-    }
-    let root = [KeyQuery::new("ROOT")];
-    for window in [1..=1, 2..=6, 1..=8] {
-        let rows = chunked.range(&root, window.clone());
-        assert!(rows.len() > 40, "{window:?}: {} rows", rows.len());
-        assert!(
-            rows.windows(2).all(|w| w[0].step < w[1].step),
-            "{window:?}: rows out of label order"
-        );
-        assert_eq!(rows, plain.range(&root, window.clone()), "{window:?}");
-    }
 }

@@ -143,7 +143,7 @@ fn format_spec_state_tags_match_the_source() {
     let retired = "retired in rev 2: read as a configuration mismatch, never reassigned";
     let tags: &[(u8, &str)] = &[
         (state::STATE_ARCHIVE, "`Archive`"),
-        (state::STATE_CHUNKED, "`ChunkedArchive`"),
+        (2, retired),
         (3, retired),
         (5, retired),
     ];

@@ -948,8 +948,9 @@ fn a_checkpoint_nested_past_max_depth_is_skipped_loudly() {
 }
 
 /// A checkpoint the checksum vouches for whose state carries a retired
-/// tag — 3 (the external-memory event stream) or 5 (the key-path query
-/// sidecar) — reads as taken under another configuration: the in-memory
+/// tag — 2 (the chunked archive's bodies), 3 (the external-memory event
+/// stream) or 5 (the key-path query sidecar) — reads as taken under
+/// another configuration: the in-memory
 /// and the indexed store both replay the whole journal, nothing is
 /// counted as damage, and every version comes back byte-identical.
 #[test]
@@ -974,7 +975,7 @@ fn a_checkpoint_with_a_retired_state_tag_is_a_mismatch_not_damage() {
             b
         }
     };
-    for tag in [3u8, 5] {
+    for tag in [2u8, 3, 5] {
         for indexed in [false, true] {
             let path = scratch_path("retired-state-tag");
             {

@@ -2,13 +2,14 @@
 //! → archive → serialize → compress → retrieve → query — on all three
 //! datasets, plus the figure-level sanity properties.
 //!
-//! The paper's §5 equivalence claim (chunked archiving reconstructs the
-//! same database as whole-document archiving) is stated once, as
-//! [`archive_equiv`] over the `VersionStore` contract, and run against
-//! every backend the `ArchiveBuilder` can produce; the external archiver
-//! (§6) has its own differential suite in `crates/extmem/tests`.
+//! Every version comes back, materialized and streamed, from every backend
+//! the `ArchiveBuilder` can produce ([`archive_equiv`] over the
+//! `VersionStore` contract). The paper's §5 equivalence claim (chunked
+//! archiving reconstructs the same database as whole-document archiving)
+//! is checked on the `ChunkedArchive` experiment directly; the external
+//! archiver (§6) has its own differential suite in `crates/extmem/tests`.
 
-use xarch::core::{equiv_modulo_key_order, Archive, Compaction};
+use xarch::core::{equiv_modulo_key_order, Archive, ChunkedArchive, Compaction};
 use xarch::datagen::omim::{omim_spec, OmimGen};
 use xarch::datagen::swissprot::{swissprot_spec, SwissProtGen};
 use xarch::datagen::xmark::{xmark_spec, XmarkGen};
@@ -27,10 +28,6 @@ fn all_backends(spec: &KeySpec) -> Vec<(&'static str, Box<dyn VersionStore>)> {
             ArchiveBuilder::new(spec.clone())
                 .compaction(Compaction::Weave)
                 .build(),
-        ),
-        (
-            "chunked(3)",
-            ArchiveBuilder::new(spec.clone()).chunks(3).build(),
         ),
     ]
 }
@@ -155,6 +152,49 @@ fn xmark_random_change_pipeline() {
 fn xmark_key_mutation_pipeline() {
     let mut g = XmarkGen::new(104);
     pipeline(&g.key_mutation_sequence(25, 5, 10.0), &xmark_spec());
+}
+
+/// §5: "we can obtain the archive of the whole data by merging the archive
+/// and the version chunk by chunk, and concatenating the results" — every
+/// version a three-chunk archive retrieves is the release, and is what
+/// the whole archive retrieves.
+#[test]
+fn chunked_archive_retrieves_what_the_whole_archive_does() {
+    let mut omim = OmimGen::new(101);
+    omim.del_ratio = 0.02;
+    omim.ins_ratio = 0.05;
+    omim.mod_ratio = 0.02;
+    let datasets = [
+        ("omim", omim.sequence(40, 6), omim_spec()),
+        (
+            "swissprot",
+            SwissProtGen::new(102).sequence(12, 4),
+            swissprot_spec(),
+        ),
+        (
+            "xmark",
+            XmarkGen::new(103).random_change_sequence(25, 5, 10.0),
+            xmark_spec(),
+        ),
+    ];
+    for (label, versions, spec) in datasets {
+        let mut whole = Archive::new(spec.clone());
+        let mut chunked = ChunkedArchive::new(spec.clone(), 3);
+        for d in &versions {
+            whole.add_version(d).unwrap();
+            chunked.add_version(d).unwrap();
+        }
+        assert_eq!(chunked.latest() as usize, versions.len(), "{label}");
+        for (i, d) in versions.iter().enumerate() {
+            let v = i as u32 + 1;
+            let got = chunked
+                .retrieve(v)
+                .unwrap_or_else(|| panic!("{label}: version {v} missing"));
+            assert!(equiv_modulo_key_order(&got, d, &spec), "{label} v{v}");
+            let want = whole.retrieve(v).unwrap();
+            assert!(equiv_modulo_key_order(&got, &want, &spec), "{label} v{v}");
+        }
+    }
 }
 
 #[test]

@@ -114,7 +114,6 @@ fn every_query_kind_populates_its_histogram_on_every_backend() {
             "in-memory/indexed",
             ArchiveBuilder::new(spec()).with_index(),
         ),
-        ("chunked(4)", ArchiveBuilder::new(spec()).chunks(4)),
         (
             "durable/indexed",
             ArchiveBuilder::new(spec())

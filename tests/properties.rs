@@ -172,7 +172,6 @@ proptest! {
         let docs: Vec<Document> = versions.iter().map(|v| build_version(v)).collect();
         let backends: Vec<(&str, Box<dyn VersionStore>)> = vec![
             ("in-memory", ArchiveBuilder::new(spec.clone()).build()),
-            ("chunked(3)", ArchiveBuilder::new(spec.clone()).chunks(3).build()),
         ];
         for (label, mut store) in backends {
             for d in &docs {
@@ -208,7 +207,6 @@ proptest! {
         let docs: Vec<Document> = versions.iter().map(|v| build_version(v)).collect();
         let configs: Vec<BackendConfig> = vec![
             ("in-memory", ArchiveBuilder::new),
-            ("chunked(3)", |s| ArchiveBuilder::new(s).chunks(3)),
         ];
         for (label, configure) in configs {
             let path = xarch::storage::scratch_path("prop-reopen");
@@ -346,7 +344,6 @@ proptest! {
         let backends: Vec<(&str, Box<dyn VersionStore>)> = vec![
             ("in-memory", ArchiveBuilder::new(spec.clone()).build()),
             ("in-memory/indexed", ArchiveBuilder::new(spec.clone()).with_index().build()),
-            ("chunked(3)", ArchiveBuilder::new(spec.clone()).chunks(3).build()),
         ];
         for (label, mut store) in backends {
             for d in &docs {
@@ -445,8 +442,7 @@ proptest! {
         // The kernel answers both from the stored change points; the
         // definitions are per version (`common`). Random edit sequences —
         // marker 0 turns one version in eight empty — through the scanning
-        // kernel under both compaction modes, the indexed kernel and the
-        // chunk-routed one.
+        // kernel under both compaction modes and the indexed kernel.
         use xarch::core::{Compaction, KeyQuery};
 
         let spec = mini_spec();
@@ -466,7 +462,6 @@ proptest! {
             ("in-memory/weave", builder().compaction(Compaction::Weave).build()),
             ("in-memory/indexed", builder().with_index().build()),
             ("in-memory/weave/indexed", builder().compaction(Compaction::Weave).with_index().build()),
-            ("chunked(3)", builder().chunks(3).build()),
         ];
         for (label, mut store) in backends {
             for (recs, marker) in &versions {
@@ -509,7 +504,6 @@ proptest! {
         let configs: Vec<BackendConfig> = vec![
             ("in-memory", ArchiveBuilder::new),
             ("in-memory/indexed", |s| ArchiveBuilder::new(s).with_index()),
-            ("chunked(3)", |s| ArchiveBuilder::new(s).chunks(3)),
         ];
         let queries: Vec<Vec<xarch::core::KeyQuery>> = {
             use xarch::core::KeyQuery;

@@ -406,7 +406,7 @@ fn a_document_at_max_depth_round_trips_ingest_restart_and_cold_read() {
 #[test]
 fn every_backend_serves_documents_at_max_depth() {
     let val = || [q(1), vec![KeyQuery::new("val")]].concat();
-    for extra in ["", "indexed = true\n", "backend = chunked:3\n"] {
+    for extra in ["", "indexed = true\n"] {
         let server = start(extra);
         let mut client = Client::connect(server.addr()).unwrap();
         let batch: Vec<String> = (1..=3).map(deepest_release).collect();
