@@ -1,9 +1,9 @@
 //! # xarch-bench
 //!
-//! The experiment harness regenerating every table and figure of the
-//! paper's evaluation (§5, §6, §7, Appendix C). The custom-harness bench
-//! target `paper_figures` (run by `cargo bench`) prints each figure's data
-//! series as CSV.
+//! The paper's evaluation (§5, §6, §7, Appendix C) as exact integers:
+//! [`figures`] renders each section of `docs/RESULTS.md`, and
+//! `tests/results.rs` compares every section with the committed file byte
+//! for byte and asserts the paper's claims on the same rows.
 //!
 //! The repository's measured benchmark — end-to-end metrics with regression
 //! bounds, per-layer traces — is the `xarch-bench` binary; see

@@ -13,7 +13,7 @@ use xarch_keys::KeySpec;
 use xarch_xml::writer::to_pretty_string;
 use xarch_xml::Document;
 
-/// One row of a figure's data series. `None` = not sampled at this version.
+/// One row of a figure's data series.
 #[derive(Debug, Clone)]
 pub struct SizeRow {
     pub version: u32,
@@ -25,66 +25,26 @@ pub struct SizeRow {
     pub inc_bytes: usize,
     /// `V1 + cumulative diffs`.
     pub cumu_bytes: usize,
-    /// `gzip(V1 + incremental diffs)` (LZSS substitute).
-    pub gzip_inc: Option<usize>,
-    /// `gzip(V1 + cumulative diffs)`.
-    pub gzip_cumu: Option<usize>,
-    /// `xmill(archive)`.
-    pub xmill_archive: Option<usize>,
-    /// `xmill(V1 + ... + Vi)` — all versions side by side in one XML tree.
-    pub xmill_concat: Option<usize>,
+    /// The compressed sizes; `None` = not sampled at this version.
+    pub compressed: Option<Compressed>,
 }
 
-impl SizeRow {
-    /// CSV header matching [`SizeRow::csv`].
-    pub fn csv_header() -> &'static str {
-        "version,version_bytes,archive,v1_plus_inc_diffs,v1_plus_cumu_diffs,\
-         gzip_inc,gzip_cumu,xmill_archive,xmill_concat"
-    }
-
-    /// One CSV line; unsampled cells are empty.
-    pub fn csv(&self) -> String {
-        let opt = |v: Option<usize>| v.map(|x| x.to_string()).unwrap_or_default();
-        format!(
-            "{},{},{},{},{},{},{},{},{}",
-            self.version,
-            self.version_bytes,
-            self.archive_bytes,
-            self.inc_bytes,
-            self.cumu_bytes,
-            opt(self.gzip_inc),
-            opt(self.gzip_cumu),
-            opt(self.xmill_archive),
-            opt(self.xmill_concat),
-        )
-    }
-}
-
-/// Options controlling how much work the series does.
+/// The compressed columns of a [`SizeRow`].
 #[derive(Debug, Clone, Copy)]
-pub struct SeriesOptions {
-    /// Run the compressors every `compress_every` versions (and always at
-    /// the last version). 0 disables compression sampling.
-    pub compress_every: usize,
-    /// Track the cumulative-diff repository (quadratic cost; Fig 12–14
-    /// keep only its compressed line).
-    pub with_cumulative: bool,
-    /// Compress the concatenation of all versions (`xmill(V1+..+Vi)`).
-    pub with_concat: bool,
+pub struct Compressed {
+    /// `gzip(V1 + incremental diffs)` (LZSS substitute).
+    pub gzip_inc: usize,
+    /// `gzip(V1 + cumulative diffs)`.
+    pub gzip_cumu: usize,
+    /// `xmill(archive)`.
+    pub xmill_archive: usize,
+    /// `xmill(V1 + ... + Vi)` — all versions side by side in one XML tree.
+    pub xmill_concat: usize,
 }
 
-impl Default for SeriesOptions {
-    fn default() -> Self {
-        Self {
-            compress_every: 5,
-            with_cumulative: true,
-            with_concat: true,
-        }
-    }
-}
-
-/// Computes the full size series for a version sequence.
-pub fn size_series(versions: &[Document], spec: &KeySpec, opts: SeriesOptions) -> Vec<SizeRow> {
+/// Computes the size series for a version sequence, with the compressed
+/// columns at every `compress_every`-th version and at the last.
+pub fn size_series(versions: &[Document], spec: &KeySpec, compress_every: usize) -> Vec<SizeRow> {
     let mut archive = Archive::new(spec.clone());
     let mut inc = IncrementalRepo::new();
     let mut cumu = CumulativeRepo::new();
@@ -96,42 +56,23 @@ pub fn size_series(versions: &[Document], spec: &KeySpec, opts: SeriesOptions) -
         let text = to_pretty_string(doc, 0);
         archive.add_version(doc).expect("version satisfies keys");
         inc.add_version(&text);
-        if opts.with_cumulative {
-            cumu.add_version(&text);
-        }
-        if opts.with_concat {
-            let root = concat.root();
-            concat.copy_subtree_from(doc, doc.root(), root);
-        }
+        cumu.add_version(&text);
+        let root = concat.root();
+        concat.copy_subtree_from(doc, doc.root(), root);
 
-        let sample = opts.compress_every > 0
-            && ((v as usize).is_multiple_of(opts.compress_every) || idx + 1 == versions.len());
-        let (gzip_inc, gzip_cumu, xmill_archive, xmill_concat) = if sample {
-            let gi = Some(lzss::compress(inc.serialized().as_bytes()).len());
-            let gc = opts
-                .with_cumulative
-                .then(|| lzss::compress(cumu.serialized().as_bytes()).len());
-            let xa = Some(xmill::xml_compress(&archive.to_xml()).len());
-            let xc = opts.with_concat.then(|| xmill::xml_compress(&concat).len());
-            (gi, gc, xa, xc)
-        } else {
-            (None, None, None, None)
-        };
-
+        let sample = (v as usize).is_multiple_of(compress_every) || idx + 1 == versions.len();
         rows.push(SizeRow {
             version: v,
             version_bytes: text.len(),
             archive_bytes: archive.size_bytes(),
             inc_bytes: inc.size_bytes(),
-            cumu_bytes: if opts.with_cumulative {
-                cumu.size_bytes()
-            } else {
-                0
-            },
-            gzip_inc,
-            gzip_cumu,
-            xmill_archive,
-            xmill_concat,
+            cumu_bytes: cumu.size_bytes(),
+            compressed: sample.then(|| Compressed {
+                gzip_inc: lzss::compress(inc.serialized().as_bytes()).len(),
+                gzip_cumu: lzss::compress(cumu.serialized().as_bytes()).len(),
+                xmill_archive: xmill::xml_compress(&archive.to_xml()).len(),
+                xmill_concat: xmill::xml_compress(&concat).len(),
+            }),
         });
     }
     rows
@@ -144,15 +85,7 @@ mod tests {
 
     #[test]
     fn company_series_is_sane() {
-        let rows = size_series(
-            &company_versions(),
-            &company_spec(),
-            SeriesOptions {
-                compress_every: 2,
-                with_cumulative: true,
-                with_concat: true,
-            },
-        );
+        let rows = size_series(&company_versions(), &company_spec(), 3);
         assert_eq!(rows.len(), 4);
         // archive and repos grow monotonically
         for w in rows.windows(2) {
@@ -160,14 +93,12 @@ mod tests {
             assert!(w[1].inc_bytes >= w[0].inc_bytes);
             assert!(w[1].cumu_bytes >= w[0].cumu_bytes);
         }
-        // last row is always sampled
-        let last = rows.last().unwrap();
-        assert!(last.gzip_inc.is_some());
-        assert!(last.xmill_archive.is_some());
-        // csv shape
-        assert_eq!(
-            last.csv().split(',').count(),
-            SizeRow::csv_header().split(',').count()
-        );
+        // every third row is sampled, and the last always is
+        let sampled: Vec<u32> = rows
+            .iter()
+            .filter(|r| r.compressed.is_some())
+            .map(|r| r.version)
+            .collect();
+        assert_eq!(sampled, [3, 4]);
     }
 }

@@ -736,6 +736,25 @@ mod tests {
             assert!(cold.is_mapped());
         }
         std::fs::remove_file(&path).unwrap();
+
+        // twice the history: retrieving the newest of 16 versions decodes
+        // its own block, under a quarter of the mapped segment
+        let path = scratch_path("cold-basic-16");
+        write_segment(&path, DurableOptions::default(), 16);
+        let cold = ColdArchive::open(&path).unwrap();
+        let got = StoreReader::retrieve(&cold, 16).unwrap().unwrap();
+        assert!(xarch_core::equiv_modulo_key_order(
+            &got,
+            &doc_n(16),
+            cold.spec()
+        ));
+        let (decoded, mapped) = (cold.bytes_decoded(), cold.mapped_bytes());
+        assert!(decoded > 0);
+        assert!(
+            decoded * 4 < mapped,
+            "retrieving v16 decoded {decoded} of {mapped} mapped bytes"
+        );
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -734,7 +734,11 @@ mod tests {
         {
             let mut d = DurableArchive::open(&path, fresh_inner()).unwrap();
             let before = d.journal_bytes();
+            let (blocks, syncs) = (d.journal_blocks(), d.journal_syncs());
             assert_eq!(d.add_versions(&docs).unwrap(), vec![1, 2, 3]);
+            // one block, one fsync, whatever the batch size
+            assert_eq!(d.journal_blocks() - blocks, 1);
+            assert_eq!(d.journal_syncs() - syncs, 1);
             // the whole batch is ONE block: header + batch payload + trailer
             let raw = crate::payload::docs_to_batch_bytes(&docs).unwrap();
             assert_eq!(
@@ -818,6 +822,34 @@ mod tests {
         d.add_version(&doc_n(6)).unwrap();
         assert_eq!(d.checkpoints_written(), 1, "one new checkpoint after v6");
         std::fs::remove_file(&path).unwrap();
+
+        // the replayed tail is bounded by the cadence, not the history: 3x
+        // the versions at cadence 4 replays the same tail
+        let opts = DurableOptions {
+            checkpoint_every: Some(4),
+            ..DurableOptions::default()
+        };
+        let tails: Vec<u32> = [8u32, 24]
+            .into_iter()
+            .map(|n| {
+                let path = scratch_path("durable-checkpointed-tail");
+                {
+                    let mut d = DurableArchive::open_with(&path, opts, fresh_inner()).unwrap();
+                    for v in 1..=n {
+                        d.add_version(&doc_n(v)).unwrap();
+                    }
+                }
+                let d = DurableArchive::open_with(&path, opts, fresh_inner()).unwrap();
+                let rec = d.recovery();
+                assert!(rec.checkpoint_loaded, "n={n}: no checkpoint restored");
+                assert_eq!(rec.versions_recovered, n);
+                assert_eq!(d.latest(), n);
+                std::fs::remove_file(&path).unwrap();
+                rec.tail_blocks_replayed
+            })
+            .collect();
+        assert_eq!(tails[0], tails[1], "tail grew with the history");
+        assert!(tails[1] < 4, "tail {} not below the cadence", tails[1]);
     }
 
     #[test]

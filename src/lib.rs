@@ -97,8 +97,9 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! See `examples/bulk_load.rs` for group-committed durable bulk loading
-//! and the `ingest` bench figure for what batching buys.
+//! See `examples/bulk_load.rs` for group-committed durable bulk loading,
+//! and `xarch-bench`'s `write` workload (`phase_a_ms` serial, `phase_b_ms`
+//! batched) for what batching buys.
 //!
 //! ## Serving concurrent readers
 //!

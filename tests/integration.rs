@@ -1,6 +1,7 @@
 //! Cross-crate integration tests: the whole pipeline — generate → validate
 //! → archive → serialize → compress → retrieve → query — on all three
-//! datasets, plus the figure-level sanity properties.
+//! datasets, plus the figure-level shapes at test scale. The paper's exact
+//! figures and claims are `tests/results.rs`'s, over `docs/RESULTS.md`.
 //!
 //! Every version comes back, materialized and streamed, from every backend
 //! the `ArchiveBuilder` can produce ([`archive_equiv`] over the
@@ -201,85 +202,23 @@ fn chunked_archive_retrieves_what_the_whole_archive_does() {
 fn figure_sanity_properties_hold() {
     // The figure-level shapes the paper reports, at test scale: cumulative
     // diffs dominate incremental; xmill(archive) beats gzip(inc diffs).
-    let scale = xarch_bench_scale();
-    xarch_bench::figures::sanity(&scale).unwrap();
-}
-
-#[test]
-fn queries_figure_shows_sublinear_indexed_probes() {
-    // The §7 claim the temporal query engine reproduces: indexed probe
-    // counts grow sublinearly in the version count while the
-    // full-retrieve-then-filter scan tracks archive size.
-    let scale = xarch_bench_scale();
-    xarch_bench::figures::queries_sanity(&scale).unwrap();
-}
-
-#[test]
-fn ingest_figure_shows_group_commit_speedup() {
-    // The bulk-ingest structural gate: serial durable ingest journals one
-    // block + one fsync per version, batch-64 group-commits exactly one of
-    // each. (The speed-up that buys is xarch-bench's to measure.)
-    let scale = xarch_bench_scale();
-    xarch_bench::figures::ingest_sanity(&scale).unwrap();
-}
-
-#[test]
-fn durability_figure_shows_flat_checkpointed_reopen_and_cold_reads() {
-    // The checkpoint + cold-read acceptance gate: a checkpointed reopen
-    // replays a bounded tail regardless of history length, and a cold
-    // retrieve decodes only its block's bytes off the mmap'd segment —
-    // never the whole archive.
-    let scale = xarch_bench_scale();
-    xarch_bench::figures::durability_sanity(&scale).unwrap();
-}
-
-#[test]
-fn concurrency_figure_shows_wait_free_read_scaling() {
-    // The publication structural gate: snapshot readers make progress
-    // alone, eight together, and eight racing an actively-merging writer.
-    let scale = xarch_bench_scale();
-    xarch_bench::figures::concurrency_sanity(&scale).unwrap();
-}
-
-#[test]
-fn service_figure_shows_ingest_does_not_starve_network_readers() {
-    // The serving structural gate: 4 client connections streaming
-    // retrieves over real sockets are answered both idle and during
-    // concurrent ingest — merges may tax readers but never starve them.
-    let scale = xarch_bench_scale();
-    xarch_bench::figures::service_sanity(&scale).unwrap();
-}
-
-fn xarch_bench_scale() -> xarch_bench::figures::Scale {
-    // large enough that the compression margin (which grows with version
-    // count) is decisive, small enough for test time
-    xarch_bench::figures::Scale {
-        omim_records: 250,
-        omim_versions: 40,
-        sp_records: 10,
-        sp_versions: 5,
-        xmark_items: 30,
-        xmark_versions: 5,
-    }
-}
-
-#[test]
-fn worst_case_shape_archive_larger_than_diffs() {
-    // Fig 14's premise: under key mutation the archive stores mutated items
-    // twice while the diff repository stores a one-line change.
-    let mut g = XmarkGen::new(105);
-    let versions = g.key_mutation_sequence(60, 8, 10.0);
-    let mut a = Archive::new(xmark_spec());
-    let mut inc = IncrementalRepo::new();
-    for d in &versions {
-        a.add_version(d).unwrap();
-        inc.add_version(&to_pretty_string(d, 0));
-    }
+    // 250 records × 40 versions is large enough that the compression margin
+    // (which grows with the version count) is decisive.
+    let versions = OmimGen::new(0xA11CE).sequence(250, 40);
+    let rows = xarch_bench::size_series(&versions, &omim_spec(), 40);
+    let last = rows.last().expect("rows");
     assert!(
-        a.size_bytes() > inc.size_bytes() * 5 / 4,
-        "archive {} should clearly exceed inc diffs {} in the worst case",
-        a.size_bytes(),
-        inc.size_bytes()
+        last.cumu_bytes > last.inc_bytes,
+        "cumulative diffs {} should exceed incremental diffs {}",
+        last.cumu_bytes,
+        last.inc_bytes
+    );
+    let c = last.compressed.expect("the last version is sampled");
+    assert!(
+        c.xmill_archive < c.gzip_inc,
+        "xmill(archive)={} should beat gzip(inc)={}",
+        c.xmill_archive,
+        c.gzip_inc
     );
 }
 
