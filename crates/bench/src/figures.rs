@@ -11,13 +11,13 @@
 
 use std::fmt::Write as _;
 
-use xarch::{ArchiveBuilder, StoreReader, VersionStore};
-use xarch_core::{Archive, ChunkedArchive, KeyQuery, MergeTally};
+use xarch::ArchiveBuilder;
+use xarch_core::{kernel, Archive, ChunkedArchive, KeyQuery, MergeTally};
 use xarch_datagen::omim::{omim_spec, OmimGen};
 use xarch_datagen::swissprot::{swissprot_spec, SwissProtGen};
 use xarch_datagen::xmark::{xmark_spec, XmarkGen};
 use xarch_extmem::{ExtArchive, IoConfig};
-use xarch_index::IndexedArchive;
+use xarch_index::Indexes;
 use xarch_xml::writer::to_pretty_string;
 use xarch_xml::Document;
 
@@ -480,14 +480,14 @@ pub fn index() -> String {
     for d in &versions {
         archive.add_version(d).expect("merge");
     }
-    let idx = IndexedArchive::from_archive(archive);
-    let scan = idx.archive().scan_cost();
+    let idx = Indexes::build(&archive);
+    let scan = archive.scan_cost();
     let n = INDEX_VERSIONS;
     let retrievals: Vec<_> = [1, n / 4, n / 2, n]
         .into_iter()
         .map(|v| {
             idx.reset_probes();
-            StoreReader::retrieve(&idx, v).expect("retrieve");
+            kernel::retrieve(&archive, &idx, v).expect("retrieve");
             row![v, idx.timestamp_index().probes(), scan]
         })
         .collect();
@@ -498,9 +498,7 @@ pub fn index() -> String {
         .into_iter()
         .map(|(num, note)| {
             hidx.reset();
-            let found = StoreReader::history(&idx, &record(num))
-                .expect("history")
-                .is_some();
+            let found = kernel::history(&archive, &idx, &record(num)).is_some();
             row![
                 format!("`Record[Num={num}]`{note}"),
                 hidx.comparisons(),
@@ -548,18 +546,18 @@ pub fn queries() -> (String, Vec<QueryRow>) {
     let versions = g.sequence(QUERIES_RECORDS, QUERIES_AT[QUERIES_AT.len() - 1]);
     let num = first_num(&versions[0]);
     let q = record(&num);
-    let mut idx = IndexedArchive::new(omim_spec());
+    let mut archive = Archive::new(omim_spec());
+    let mut idx = Indexes::build(&archive);
     let mut out = Vec::new();
     for (i, d) in versions.iter().enumerate() {
-        VersionStore::add_version(&mut idx, d).expect("merge");
+        archive.add_version(d).expect("merge");
+        idx.refresh(&archive);
         if QUERIES_AT.contains(&(i + 1)) {
             idx.reset_probes();
-            StoreReader::as_of(&idx, &q, 1)
-                .expect("as_of")
-                .expect("archived");
+            kernel::as_of(&archive, &idx, &q, 1).expect("archived");
             out.push(QueryRow {
                 versions: i + 1,
-                scan_nodes: idx.archive().scan_cost(),
+                scan_nodes: archive.scan_cost(),
                 probes: idx.history_index().comparisons() + idx.timestamp_index().probes(),
             });
         }

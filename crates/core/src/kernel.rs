@@ -8,7 +8,7 @@
 //! timestamp tree) — the [`Nav`] a caller passes in, statically
 //! dispatched. The query kinds themselves are written once, here, as
 //! functions over `(&Archive, &impl Nav)`; [`Archive`]'s own methods call
-//! them with [`Scan`], `xarch_index::IndexedArchive` with its indexes.
+//! them with [`Scan`], `xarch_index::Indexes` with the §7 indexes.
 //!
 //! The two questions about *change* — [`history_values`] and [`diff`] —
 //! are answered from what the archive already stores (§2, §7.2): a node is

@@ -19,8 +19,9 @@
 //!   `io::Write` sink,
 //! * [`store`] — the [`StoreReader`] / [`VersionStore`] trait pair: the
 //!   shared-read query surface (all `&self`) and the mutators on top,
-//!   implemented by every storage backend (in-memory, indexed, durable),
-//!   and [`Layer`], the forwarding-by-default base of every wrapper,
+//!   implemented by [`Archive`] and by the facade's `xarch::Store`,
+//! * [`observed`] — [`QueryMetrics`], the `query.*` / `ingest.*`
+//!   latency histograms and counters the store records into,
 //! * [`history`] — key-query steps and frontier value histories (§7.2),
 //! * [`query`] — the temporal query model: `as_of` / `history_values` /
 //!   `range` / `diff` result types and the document-side navigation the
@@ -31,15 +32,14 @@
 //! * [`chunk`] — hash-partitioned chunked archiving, §5's memory
 //!   workaround, kept as the ablation experiment (not a store),
 //! * [`cow`] — the chunked copy-on-write arena under the archive (and the
-//!   §7 index tables) that makes [`VersionStore::view`] cost O(changed),
+//!   §7 index tables) that makes publishing a snapshot cost O(changed),
 //! * [`equiv`] — key-aware document equivalence used to state correctness,
 //! * [`wire`] — the shared varint/string wire primitives (one byte-level
 //!   grammar for event streams, checkpoint states, and durable block
 //!   payloads — see `docs/FORMAT.md`),
-//! * [`state`] — checkpoint state codecs behind
-//!   [`VersionStore::checkpoint_state`] /
-//!   [`VersionStore::restore_checkpoint`], the hooks the durable layer
-//!   uses to make reopen time flat in history length.
+//! * [`state`] — the archive's checkpoint codec
+//!   ([`state::encode_archive`] / [`state::decode_archive`]), which the
+//!   journal uses to make reopen time flat in history length.
 
 #![warn(missing_docs)]
 
@@ -69,9 +69,9 @@ pub use chunk::ChunkedArchive;
 pub use cow::CowVec;
 pub use equiv::equiv_modulo_key_order;
 pub use history::{cmp_labels, KeyQuery, Label};
-pub use observed::{ObservedStore, QueryMetrics};
+pub use observed::QueryMetrics;
 pub use query::{ElementHistory, RangeEntry, VersionDelta};
-pub use store::{Layer, StoreError, StoreReader, StoreStats, StoreView, VersionStore};
+pub use store::{StoreError, StoreReader, StoreStats, VersionStore};
 pub use timeset::TimeSet;
 /// The key-value types a [`KeyQuery`] step holds, shared with the archive.
 pub use xarch_keys::{KeyPart, KeyValue, PathName};

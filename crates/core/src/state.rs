@@ -440,7 +440,6 @@ pub fn decode_archive(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::VersionStore;
 
     fn spec() -> KeySpec {
         KeySpec::parse("(/, (db, {}))\n(/db, (rec, {id}))\n(/db/rec, (val, {}))").unwrap()
@@ -497,7 +496,7 @@ mod tests {
 
     /// A run is decoded in O(1), whatever it spans, and an archive body
     /// refuses one that reaches past its own `latest` — a flipped varint
-    /// continuation bit used to spin `restore_checkpoint` for up to 2³²
+    /// continuation bit used to spin a checkpoint restore for up to 2³²
     /// inserts.
     #[test]
     fn a_run_spanning_the_whole_version_space_decodes_promptly_and_is_refused() {
@@ -629,19 +628,6 @@ mod tests {
                 b.check_invariants().unwrap();
             }
         }
-    }
-
-    #[test]
-    fn version_store_trait_checkpoints_through_the_default_methods() {
-        let mut a = populated();
-        let state = VersionStore::checkpoint_state(&a)
-            .unwrap()
-            .expect("in-memory archive supports checkpoints");
-        let mut fresh = Archive::new(spec());
-        assert!(fresh.restore_checkpoint(&state).unwrap());
-        assert_eq!(fresh.latest(), a.latest());
-        // restore refuses to clobber a populated store
-        assert!(a.restore_checkpoint(&state).is_err());
     }
 
     /// `(lo, span)` runs as [`put_timeset`] lays them out, written raw so

@@ -1,5 +1,4 @@
-//! The polymorphic archiver contract: one archiving *model*, many storage
-//! tiers.
+//! The archiver's query and ingest contract.
 //!
 //! The paper contributes a single archiving model — key-based nested merge
 //! with interval-set timestamps — and then describes three ways of running
@@ -8,28 +7,23 @@
 //! (§6.3). Only the first serves: the chunked archive ([`crate::chunk`])
 //! is kept as §5's ablation and the external-memory pipeline
 //! (`xarch_extmem`) as the §6 reproduction of its I/O counts.
-//! [`VersionStore`] captures the contract the in-memory archive and the
-//! layers over it (indexes, a journal, metrics) share, so callers (tests,
-//! benches, services) are written once and the layering becomes a
-//! configuration choice — the separation of logical archive from
-//! physical tier that production cold-storage archives make.
 //!
 //! The contract is split along the read/write axis. [`StoreReader`] holds
 //! every query method with a `&self` receiver: versions are immutable once
 //! merged (a later merge only decides membership of *its own* version
 //! number in each timestamp, never of earlier ones), so reads never need
-//! to exclude each other and backends account their per-pass costs with
-//! atomics instead of `&mut self`. [`VersionStore`] adds the two mutators
-//! on top. Both traits are object-safe: `Box<dyn VersionStore>` is the
-//! unit the `xarch::ArchiveBuilder` facade hands out, and `VersionStore`
-//! requires `Send + Sync` so one store can serve many reader threads
-//! behind a shared handle (`xarch::ArchiveHandle`).
+//! to exclude each other and per-pass costs are counted with atomics
+//! instead of `&mut self`. [`VersionStore`] adds the mutators on top and
+//! requires `Send + Sync`. The one store the `xarch::ArchiveBuilder`
+//! facade builds (`xarch::Store`: the archive, its optional §7 indexes,
+//! journal and metrics) implements both; so do [`Archive`] on its own,
+//! the reference the tests compare against, and `xarch_storage`'s
+//! `ColdArchive` (reads only), so one test body runs hot and cold.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{self, Write};
 use std::ops::RangeInclusive;
-use std::sync::Arc;
 
 use xarch_keys::KeySpec;
 use xarch_xml::Document;
@@ -182,13 +176,11 @@ pub trait StoreReader {
 
     // ---- temporal queries (§7) ------------------------------------------
     //
-    // Every method below has a whole-document fallback, so a backend is
-    // complete once the six methods above work (`ColdArchive` and foreign
-    // backends ride these). The fast paths are overrides whose cost is
-    // proportional to the answer, not the archive: the arena backends
-    // call the query kernel (`crate::kernel`, scanned or §7-indexed).
-    // Wrappers never land here by accident: they implement [`Layer`],
-    // which forwards by default.
+    // Every method below has a whole-document fallback, so a reader is
+    // complete once the six methods above work (`ColdArchive` rides
+    // these). The fast paths are overrides whose cost is proportional to
+    // the answer, not the archive: the archive and the store call the
+    // query kernel (`crate::kernel`, scanned or §7-indexed).
 
     /// Partial retrieval: the subtree addressed by `steps` as it existed
     /// at version `v`, or `None` when the element (or the version) does
@@ -286,152 +278,14 @@ fn diff_of_as_ofs<R: StoreReader + ?Sized>(
     Ok(query::delta(a.as_ref(), b.as_ref(), v1, v2))
 }
 
-/// A reader that wraps another reader. Every [`StoreReader`] method is
-/// defaulted here to forward to [`Layer::inner`], and the blanket impl
-/// below turns a `Layer` into a `StoreReader` — so a wrapper spells only
-/// the methods it intercepts, and one it does not mention reaches the inner
-/// store's *own* method, fast path included, never the whole-retrieve
-/// fallbacks above.
-///
-/// Implement it by path (`impl xarch_core::Layer for W`) rather than
-/// importing it: a wrapper answers every method under both trait names,
-/// so with both in scope a plain `w.retrieve(v)` would be ambiguous.
-pub trait Layer {
-    /// What this layer wraps.
-    type Inner: StoreReader + ?Sized;
-
-    /// The wrapped reader.
-    fn inner(&self) -> &Self::Inner;
-
-    /// [`StoreReader::spec`], forwarded.
-    fn spec(&self) -> &KeySpec {
-        self.inner().spec()
-    }
-
-    /// [`StoreReader::latest`], forwarded.
-    fn latest(&self) -> u32 {
-        self.inner().latest()
-    }
-
-    /// [`StoreReader::has_version`], forwarded.
-    fn has_version(&self, v: u32) -> bool {
-        self.inner().has_version(v)
-    }
-
-    /// [`StoreReader::retrieve`], forwarded.
-    fn retrieve(&self, v: u32) -> Result<Option<Document>, StoreError> {
-        self.inner().retrieve(v)
-    }
-
-    /// [`StoreReader::retrieve_into`], forwarded.
-    fn retrieve_into(&self, v: u32, out: &mut dyn Write) -> Result<bool, StoreError> {
-        self.inner().retrieve_into(v, out)
-    }
-
-    /// [`StoreReader::history`], forwarded.
-    fn history(&self, steps: &[KeyQuery]) -> Result<Option<TimeSet>, StoreError> {
-        self.inner().history(steps)
-    }
-
-    /// [`StoreReader::stats`], forwarded.
-    fn stats(&self) -> Result<StoreStats, StoreError> {
-        self.inner().stats()
-    }
-
-    /// [`StoreReader::as_of`], forwarded.
-    fn as_of(&self, steps: &[KeyQuery], v: u32) -> Result<Option<Document>, StoreError> {
-        self.inner().as_of(steps, v)
-    }
-
-    /// [`StoreReader::history_values`], forwarded.
-    fn history_values(&self, steps: &[KeyQuery]) -> Result<Option<ElementHistory>, StoreError> {
-        self.inner().history_values(steps)
-    }
-
-    /// [`StoreReader::range`], forwarded.
-    fn range(
-        &self,
-        prefix: &[KeyQuery],
-        versions: RangeInclusive<u32>,
-    ) -> Result<Vec<RangeEntry>, StoreError> {
-        self.inner().range(prefix, versions)
-    }
-
-    /// [`StoreReader::diff`], forwarded.
-    fn diff(&self, steps: &[KeyQuery], v1: u32, v2: u32) -> Result<VersionDelta, StoreError> {
-        self.inner().diff(steps, v1, v2)
-    }
-}
-
-impl<L: Layer> StoreReader for L {
-    fn spec(&self) -> &KeySpec {
-        Layer::spec(self)
-    }
-
-    fn latest(&self) -> u32 {
-        Layer::latest(self)
-    }
-
-    fn has_version(&self, v: u32) -> bool {
-        Layer::has_version(self, v)
-    }
-
-    fn retrieve(&self, v: u32) -> Result<Option<Document>, StoreError> {
-        Layer::retrieve(self, v)
-    }
-
-    fn retrieve_into(&self, v: u32, out: &mut dyn Write) -> Result<bool, StoreError> {
-        Layer::retrieve_into(self, v, out)
-    }
-
-    fn history(&self, steps: &[KeyQuery]) -> Result<Option<TimeSet>, StoreError> {
-        Layer::history(self, steps)
-    }
-
-    fn stats(&self) -> Result<StoreStats, StoreError> {
-        Layer::stats(self)
-    }
-
-    fn as_of(&self, steps: &[KeyQuery], v: u32) -> Result<Option<Document>, StoreError> {
-        Layer::as_of(self, steps, v)
-    }
-
-    fn history_values(&self, steps: &[KeyQuery]) -> Result<Option<ElementHistory>, StoreError> {
-        Layer::history_values(self, steps)
-    }
-
-    fn range(
-        &self,
-        prefix: &[KeyQuery],
-        versions: RangeInclusive<u32>,
-    ) -> Result<Vec<RangeEntry>, StoreError> {
-        Layer::range(self, prefix, versions)
-    }
-
-    fn diff(&self, steps: &[KeyQuery], v1: u32, v2: u32) -> Result<VersionDelta, StoreError> {
-        Layer::diff(self, steps, v1, v2)
-    }
-}
-
-/// An immutable, shareable reader over a store as it stood at one committed
-/// version — what [`VersionStore::view`] returns, `xarch::ArchiveHandle`
-/// publishes and `xarch::Snapshot` holds.
-pub type StoreView = Arc<dyn StoreReader + Send + Sync>;
-
-/// The full archiver contract shared by every storage backend: the
-/// [`StoreReader`] query surface plus the two mutators.
-///
-/// | backend | paper | crate | reads |
-/// |---|---|---|---|
-/// | [`Archive`] | §4.2 in-memory nested merge | `xarch_core` | the query kernel over [`kernel::Scan`] |
-/// | `IndexedArchive` | §7 indexes over the arena | `xarch_index` | [`Layer`] over [`Archive`]: the query kernel over the indexes |
-/// | `DurableArchive` | durable segmented journal over any of the above | `xarch_storage` | [`Layer`]: intercepts nothing |
-/// | [`crate::ObservedStore`] | latency histograms over any of the above | `xarch_core` | [`Layer`]: times each query kind |
+/// The full archiver contract: the [`StoreReader`] query surface plus the
+/// mutators. [`Archive`] implements it in memory, running the query kernel
+/// over [`kernel::Scan`]; `xarch::Store` adds the §7 indexes, the journal
+/// and the metrics around one archive.
 ///
 /// `Send + Sync` is part of the contract: a store is single-writer by
-/// `&mut` discipline, but its reads are `&self` and safe to share, so
-/// every backend must be shareable across threads (per-pass accounting
-/// uses atomics, never `Cell`).
+/// `&mut` discipline, but its reads are `&self` and safe to share across
+/// threads (per-pass accounting uses atomics, never `Cell`).
 pub trait VersionStore: StoreReader + Send + Sync {
     /// Merges `doc` as the next version; returns its version number.
     fn add_version(&mut self, doc: &Document) -> Result<u32, StoreError>;
@@ -442,86 +296,26 @@ pub trait VersionStore: StoreReader + Send + Sync {
 
     /// Bulk ingest: merges `docs` as consecutive versions and returns the
     /// version numbers assigned, in order. `add_versions(&[])` is a no-op
-    /// that returns `Ok(vec![])` on every backend — no version number is
-    /// burned and durable backends write nothing.
+    /// that returns `Ok(vec![])` on every store — no version number is
+    /// burned and a journal writes nothing.
     ///
     /// The observable result is identical to calling
     /// [`VersionStore::add_version`] once per document (the differential
-    /// suite in `tests/batch_equivalence.rs` holds every backend to that),
-    /// but backends override this with *batch-native* fast paths: the
-    /// in-memory archive pre-combines the batch and walks its own child
-    /// lists once instead of once per version, and the durable wrapper
-    /// journals the batch as one group-committed block with a single fsync
-    /// (a torn batch recovers to the pre-batch state — never a prefix).
+    /// suite in `tests/batch_equivalence.rs` holds every configuration to
+    /// that), but the archive pre-combines the batch and walks its own
+    /// child lists once instead of once per version, and a journal writes
+    /// the batch as one group-committed block with a single fsync (a torn
+    /// batch recovers to the pre-batch state — never a prefix).
     ///
-    /// Native paths also validate the whole batch *before* mutating any
-    /// state, so a rejected batch leaves the store untouched; only this
-    /// default loop can stop part-way (at the first rejected document).
+    /// The archive validates the whole batch *before* mutating any state,
+    /// so a rejected batch leaves the store untouched; only this default
+    /// loop can stop part-way (at the first rejected document).
     fn add_versions(&mut self, docs: &[Document]) -> Result<Vec<u32>, StoreError> {
         let mut assigned = Vec::with_capacity(docs.len());
         for doc in docs {
             assigned.push(self.add_version(doc)?);
         }
         Ok(assigned)
-    }
-
-    /// Serializes the store's materialized state into an opaque
-    /// checkpoint payload (see `crate::state` and `docs/FORMAT.md`
-    /// §Checkpoint blocks).
-    ///
-    /// `Ok(None)` means the backend does not support checkpoints — the
-    /// durable wrapper then simply never writes checkpoint blocks and
-    /// reopen replays the full journal, exactly as before. The payload is
-    /// backend-tagged: restoring it into a differently-configured store
-    /// answers `Ok(false)` from [`VersionStore::restore_checkpoint`]
-    /// rather than producing a wrong archive.
-    fn checkpoint_state(&self) -> Result<Option<Vec<u8>>, StoreError> {
-        Ok(None)
-    }
-
-    /// Restores a payload produced by [`VersionStore::checkpoint_state`]
-    /// into this (empty) store.
-    ///
-    /// Answers `Ok(true)` when the state was recognized and restored,
-    /// `Ok(false)` when it was taken under a different backend
-    /// configuration (tag, key spec, compaction — the
-    /// caller falls back to a full journal replay, which rebuilds
-    /// correctly under the new configuration), and `Err` when the payload
-    /// is structurally damaged or the store is not empty.
-    fn restore_checkpoint(&mut self, state: &[u8]) -> Result<bool, StoreError> {
-        let _ = state;
-        Ok(false)
-    }
-
-    /// An immutable view of the store as it stands now: a reader that
-    /// answers every query exactly as `self` does at this moment and never
-    /// changes afterwards, however many merges `self` absorbs.
-    ///
-    /// This is the publication primitive behind `xarch::ArchiveHandle`:
-    /// the handle owns one store, applies each mutation once, and swaps
-    /// the resulting view in for readers — `xarch::Snapshot` holds the
-    /// `Arc`.
-    ///
-    /// Every in-tree backend overrides this with structural sharing (a
-    /// clone over copy-on-write chunks, an `Arc`'d stream), so a view
-    /// costs O(changed), not O(archive); wrappers view what they wrap
-    /// (durable wrappers view only their in-memory store: reads never
-    /// touch the journal). The default replays every version into a fresh
-    /// in-memory [`Archive`] under the same key spec — semantically
-    /// equivalent answers for any foreign backend, at in-memory cost.
-    fn view(&self) -> Result<StoreView, StoreError> {
-        let mut replay = Archive::new(self.spec().clone());
-        for v in 1..=self.latest() {
-            match self.retrieve(v)? {
-                Some(doc) => {
-                    replay.add_version(&doc)?;
-                }
-                None => {
-                    replay.add_empty_version();
-                }
-            }
-        }
-        Ok(Arc::new(replay))
     }
 }
 
@@ -586,29 +380,6 @@ impl VersionStore for Archive {
 
     fn add_versions(&mut self, docs: &[Document]) -> Result<Vec<u32>, StoreError> {
         Ok(Archive::add_versions(self, docs)?)
-    }
-
-    fn checkpoint_state(&self) -> Result<Option<Vec<u8>>, StoreError> {
-        Ok(Some(crate::state::encode_archive(self)))
-    }
-
-    fn restore_checkpoint(&mut self, state: &[u8]) -> Result<bool, StoreError> {
-        if Archive::latest(self) != 0 {
-            return Err(StoreError::Backend(
-                "restore_checkpoint requires an empty store".into(),
-            ));
-        }
-        match crate::state::decode_archive(state, Archive::spec(self), self.compaction())? {
-            Some(restored) => {
-                *self = restored;
-                Ok(true)
-            }
-            None => Ok(false),
-        }
-    }
-
-    fn view(&self) -> Result<StoreView, StoreError> {
-        Ok(Arc::new(self.clone()))
     }
 }
 

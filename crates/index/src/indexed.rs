@@ -1,12 +1,13 @@
-//! [`IndexedArchive`]: the in-memory archiver with the §7 index
-//! structures kept current, answering temporal queries in time
-//! proportional to the answer.
+//! [`Indexes`]: the two §7 index structures kept current beside an
+//! archive, so the query kernel answers in time proportional to the
+//! answer.
 //!
 //! The plain [`Archive`] runs the query kernel (`xarch_core::kernel`) with
 //! a full scan for `retrieve` and a per-level sibling scan for `history`.
-//! This wrapper runs the same kernel over the history index (§7.2, sorted
-//! child-key lists) and the timestamp index (§7.1, per-node timestamp
-//! trees), both maintained *incrementally* after every merge, so:
+//! [`Indexes`] is the kernel's other navigator: the history index (§7.2,
+//! sorted child-key lists) and the timestamp index (§7.1, per-node
+//! timestamp trees), both maintained *incrementally* after every merge,
+//! so:
 //!
 //! * `history` / `locate` cost `O(l log d)` comparisons,
 //! * `retrieve` and `as_of` prune invisible subtrees via the timestamp
@@ -14,67 +15,50 @@
 //! * `range` reads straight off one sorted child list.
 //!
 //! Each commit — one version, a batch or an empty version — ends with one
-//! refresh of both indexes over the nodes the merge wrote
+//! [`Indexes::refresh`] of both indexes over the nodes the merge wrote
 //! ([`Archive::touched`]; see [`HistoryIndex::refresh`] and
 //! [`TimestampIndex::refresh`]), so index upkeep costs what the merge
 //! wrote and the archiver keeps the paper's merge complexity.
 
-use std::ops::RangeInclusive;
-use std::sync::Arc;
-
-use xarch_core::kernel::{self, Nav};
-use xarch_core::{
-    ANodeId, Archive, Compaction, ElementHistory, KeyQuery, RangeEntry, StoreError, StoreView,
-    TimeSet, VersionDelta, VersionStore,
-};
-use xarch_keys::KeySpec;
-use xarch_xml::Document;
+use xarch_core::kernel::Nav;
+use xarch_core::{ANodeId, Archive, KeyQuery};
 
 use crate::keyindex::HistoryIndex;
 use crate::tstree::TimestampIndex;
 
-/// An in-memory [`Archive`] bundled with incrementally maintained §7
-/// indexes; implements the full [`VersionStore`] query surface with
-/// indexed fast paths.
+/// The §7 indexes over one archive. They describe the archive they were
+/// built or last refreshed from; every method taking an archive expects
+/// that one.
 #[derive(Debug, Clone)]
-pub struct IndexedArchive {
-    archive: Archive,
+pub struct Indexes {
     hist: HistoryIndex,
     ts: TimestampIndex,
 }
 
-impl IndexedArchive {
-    /// An empty indexed archive governed by `spec`.
-    pub fn new(spec: KeySpec) -> Self {
-        Self::with_compaction(spec, Compaction::default())
-    }
-
-    /// An empty indexed archive with an explicit frontier compaction mode.
-    pub fn with_compaction(spec: KeySpec, compaction: Compaction) -> Self {
-        Self::from_archive(Archive::with_compaction(spec, compaction))
-    }
-
-    /// Indexes an existing archive (one full build; afterwards maintenance
-    /// is incremental).
-    pub fn from_archive(archive: Archive) -> Self {
+impl Indexes {
+    /// Indexes `archive` with one full build; afterwards maintenance is
+    /// incremental ([`Indexes::refresh`]).
+    pub fn build(archive: &Archive) -> Self {
         Self {
-            hist: HistoryIndex::build(&archive),
-            ts: TimestampIndex::build(&archive),
-            archive,
+            hist: HistoryIndex::build(archive),
+            ts: TimestampIndex::build(archive),
         }
     }
 
-    /// The underlying archive.
-    pub fn archive(&self) -> &Archive {
-        &self.archive
+    /// Brings both indexes up to `archive` after its last merge, over the
+    /// nodes that merge wrote ([`Archive::touched`]).
+    pub fn refresh(&mut self, archive: &Archive) {
+        let touched = archive.touched();
+        self.hist.refresh(archive, touched);
+        self.ts.refresh(archive, touched);
     }
 
-    /// The §7.2 history index (probe counters live here).
+    /// The §7.2 history index (its comparison counter lives here).
     pub fn history_index(&self) -> &HistoryIndex {
         &self.hist
     }
 
-    /// The §7.1 timestamp index (probe counters live here).
+    /// The §7.1 timestamp index (its probe counter lives here).
     pub fn timestamp_index(&self) -> &TimestampIndex {
         &self.ts
     }
@@ -89,7 +73,9 @@ impl IndexedArchive {
     /// Bind both probe counters to `registry` under the canonical names
     /// `index.history.comparisons` / `index.timestamp.probes`, carrying
     /// the counts so far — the §7 accounting then has one source of truth
-    /// shared by the store and the exposition writers.
+    /// shared by the store and the exposition writers. Clones share the
+    /// bound handles, so reads served from published copies keep charging
+    /// them.
     pub fn bind_observability(&mut self, registry: &xarch_obs::Registry) {
         self.hist.bind_counter(registry.counter(
             "index.history.comparisons",
@@ -102,20 +88,12 @@ impl IndexedArchive {
             "timestamp-tree probes spent pruning invisible subtrees",
         ));
     }
-
-    /// Brings both indexes up to the archive's last merge.
-    fn refresh(&mut self) {
-        let touched = self.archive.touched();
-        self.hist.refresh(&self.archive, touched);
-        self.ts.refresh(&self.archive, touched);
-    }
 }
 
 /// The indexed navigator: a key step is one binary search over the
 /// history index, and the children visible at `v` come off the timestamp
-/// tree — both charged to the probe counters. `a` is always
-/// `self.archive`.
-impl Nav for IndexedArchive {
+/// tree — both charged to the probe counters.
+impl Nav for Indexes {
     const LABEL_ORDERED: bool = true;
 
     fn child(&self, a: &Archive, parent: ANodeId, step: &KeyQuery) -> Option<ANodeId> {
@@ -136,110 +114,13 @@ impl Nav for IndexedArchive {
     }
 }
 
-/// Every query kind but streaming retrieval runs the kernel over the
-/// indexes; `retrieve_into` (like everything else) is the archive's own.
-impl xarch_core::Layer for IndexedArchive {
-    type Inner = Archive;
-
-    fn inner(&self) -> &Archive {
-        &self.archive
-    }
-
-    fn retrieve(&self, v: u32) -> Result<Option<Document>, StoreError> {
-        Ok(kernel::retrieve(&self.archive, self, v))
-    }
-
-    fn history(&self, steps: &[KeyQuery]) -> Result<Option<TimeSet>, StoreError> {
-        Ok(kernel::history(&self.archive, self, steps))
-    }
-
-    fn as_of(&self, steps: &[KeyQuery], v: u32) -> Result<Option<Document>, StoreError> {
-        Ok(kernel::as_of(&self.archive, self, steps, v))
-    }
-
-    fn history_values(&self, steps: &[KeyQuery]) -> Result<Option<ElementHistory>, StoreError> {
-        Ok(kernel::history_values(&self.archive, self, steps))
-    }
-
-    fn range(
-        &self,
-        prefix: &[KeyQuery],
-        versions: RangeInclusive<u32>,
-    ) -> Result<Vec<RangeEntry>, StoreError> {
-        Ok(kernel::range(&self.archive, self, prefix, versions))
-    }
-
-    fn diff(&self, steps: &[KeyQuery], v1: u32, v2: u32) -> Result<VersionDelta, StoreError> {
-        Ok(kernel::diff(&self.archive, self, steps, v1, v2))
-    }
-}
-
-impl VersionStore for IndexedArchive {
-    fn add_version(&mut self, doc: &Document) -> Result<u32, StoreError> {
-        let v = self.archive.add_version(doc)?;
-        self.refresh();
-        Ok(v)
-    }
-
-    fn add_empty_version(&mut self) -> Result<u32, StoreError> {
-        let v = self.archive.add_empty_version();
-        self.refresh();
-        Ok(v)
-    }
-
-    fn add_versions(&mut self, docs: &[Document]) -> Result<Vec<u32>, StoreError> {
-        // one one-pass batch merge, then one refresh: the index describes
-        // the final archive state only, and the touched log holds every
-        // node the whole batch wrote
-        let assigned = self.archive.add_versions(docs)?;
-        self.refresh();
-        Ok(assigned)
-    }
-
-    fn checkpoint_state(&self) -> Result<Option<Vec<u8>>, StoreError> {
-        // the indexes are derived data: the archive snapshot alone is the
-        // state, so a checkpoint stays restorable by a plain Archive (and
-        // vice versa) when `.with_index()` is toggled between runs
-        Ok(Some(xarch_core::state::encode_archive(&self.archive)))
-    }
-
-    fn restore_checkpoint(&mut self, state: &[u8]) -> Result<bool, StoreError> {
-        if self.archive.latest() != 0 {
-            return Err(StoreError::Backend(
-                "restore_checkpoint requires an empty store".into(),
-            ));
-        }
-        let decoded = xarch_core::state::decode_archive(
-            state,
-            self.archive.spec(),
-            self.archive.compaction(),
-        )?;
-        let Some(restored) = decoded else {
-            return Ok(false);
-        };
-        // rebuild the derived indexes, then re-bind the live counter
-        // handles so registry-bound probe accounting survives the restore
-        let (hist, ts) = (self.hist.counter_handle(), self.ts.counter_handle());
-        *self = Self::from_archive(restored);
-        self.hist.bind_counter(hist);
-        self.ts.bind_counter(ts);
-        Ok(true)
-    }
-
-    fn view(&self) -> Result<StoreView, StoreError> {
-        // archive and derived indexes clone structurally (copy-on-write
-        // chunks); the clone shares the registry-bound probe counter
-        // handles, so reads served from views keep charging `index.*`
-        Ok(Arc::new(self.clone()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xarch_core::{equiv_modulo_key_order, StoreReader};
+    use xarch_core::equiv_modulo_key_order;
+    use xarch_core::kernel::{self, Scan};
     use xarch_keys::KeySpec;
-    use xarch_xml::parse;
+    use xarch_xml::{parse, Document};
 
     fn spec() -> KeySpec {
         KeySpec::parse("(/, (db, {}))\n(/db, (rec, {id}))\n(/db/rec, (val, {}))").unwrap()
@@ -256,20 +137,26 @@ mod tests {
         .collect()
     }
 
-    #[test]
-    fn indexed_store_matches_plain_archive() {
-        let mut plain = Archive::new(spec());
-        let mut indexed = IndexedArchive::new(spec());
-        for d in versions() {
-            plain.add_version(&d).unwrap();
-            indexed.add_version(&d).unwrap();
+    /// An archive of `docs` with its indexes refreshed after every merge.
+    fn indexed(docs: &[Document]) -> (Archive, Indexes) {
+        let mut a = Archive::new(spec());
+        let mut ix = Indexes::build(&a);
+        for d in docs {
+            a.add_version(d).unwrap();
+            ix.refresh(&a);
         }
+        (a, ix)
+    }
+
+    #[test]
+    fn indexed_kernel_matches_plain_archive() {
+        let (a, ix) = indexed(&versions());
         for v in 0..=4u32 {
-            let want = plain.retrieve(v);
-            let got = indexed.retrieve(v).unwrap();
+            let want = a.retrieve(v);
+            let got = kernel::retrieve(&a, &ix, v);
             assert_eq!(want.is_some(), got.is_some(), "v{v}");
             if let (Some(w), Some(g)) = (want, got) {
-                assert!(equiv_modulo_key_order(&g, &w, plain.spec()), "v{v}");
+                assert!(equiv_modulo_key_order(&g, &w, a.spec()), "v{v}");
             }
         }
         let q = vec![
@@ -277,36 +164,33 @@ mod tests {
             KeyQuery::new("rec").with_text("id", "1"),
         ];
         assert_eq!(
-            indexed.history(&q).unwrap(),
-            plain.history(&q),
+            kernel::history(&a, &ix, &q),
+            a.history(&q),
             "history diverged"
         );
         for v in 1..=3u32 {
-            let want = plain.as_of(&q, v);
-            let got = indexed.as_of(&q, v).unwrap();
+            let want = a.as_of(&q, v);
+            let got = kernel::as_of(&a, &ix, &q, v);
             assert_eq!(want.is_some(), got.is_some(), "as_of v{v}");
             if let (Some(w), Some(g)) = (want, got) {
-                assert!(equiv_modulo_key_order(&g, &w, plain.spec()), "as_of v{v}");
+                assert!(equiv_modulo_key_order(&g, &w, a.spec()), "as_of v{v}");
             }
         }
         let prefix = vec![KeyQuery::new("db")];
         assert_eq!(
-            indexed.range(&prefix, 1..=3).unwrap(),
-            plain.range(&prefix, 1..=3)
+            kernel::range(&a, &ix, &prefix, 1..=3),
+            a.range(&prefix, 1..=3)
         );
     }
 
     #[test]
     fn history_values_tracks_content_changes() {
-        let mut s = IndexedArchive::new(spec());
-        for d in versions() {
-            s.add_version(&d).unwrap();
-        }
+        let (a, ix) = indexed(&versions());
         let q = vec![
             KeyQuery::new("db"),
             KeyQuery::new("rec").with_text("id", "1"),
         ];
-        let h = s.history_values(&q).unwrap().expect("rec 1 archived");
+        let h = kernel::history_values(&a, &ix, &q).expect("rec 1 archived");
         assert_eq!(h.existence.to_string(), "1-2");
         assert_eq!(h.values.len(), 2, "{:?}", h.values);
         assert!(h.values[0].1.contains("<val>a</val>"));
@@ -315,46 +199,9 @@ mod tests {
         assert_eq!(h.values[1].0.to_string(), "2");
     }
 
-    #[test]
-    fn checkpoint_restore_rebuilds_indexes_and_keeps_bound_counters() {
-        let mut s = IndexedArchive::new(spec());
-        for d in versions() {
-            s.add_version(&d).unwrap();
-        }
-        let state = s
-            .checkpoint_state()
-            .unwrap()
-            .expect("indexed archive checkpoints");
-
-        let registry = xarch_obs::Registry::new();
-        let mut fresh = IndexedArchive::new(spec());
-        fresh.bind_observability(&registry);
-        assert!(fresh.restore_checkpoint(&state).unwrap());
-        assert_eq!(fresh.latest(), 3);
-        let q = vec![
-            KeyQuery::new("db"),
-            KeyQuery::new("rec").with_text("id", "1"),
-        ];
-        assert_eq!(fresh.history(&q).unwrap().unwrap().to_string(), "1-2");
-        // the registry-bound probe counters must still be the live handles
-        let _ = fresh.as_of(&q, 2).unwrap().expect("rec 1 at v2");
-        let comparisons = registry
-            .get_counter("index.history.comparisons")
-            .expect("still bound");
-        assert!(comparisons.get() > 0, "restore detached the counter");
-
-        // a plain-archive restore also accepts an IndexedArchive state
-        let mut plain = Archive::new(spec());
-        assert!(plain.restore_checkpoint(&state).unwrap());
-        assert_eq!(plain.latest(), 3);
-
-        // populated stores refuse to restore
-        assert!(fresh.restore_checkpoint(&state).is_err());
-    }
-
     /// Publication is O(changed): after a merge that changes `k` of `N`
     /// records, all but O(k) chunks of the archive arena and of both index
-    /// tables are still pointer-equal with the view taken before it.
+    /// tables are still pointer-equal with the copy taken before it.
     #[test]
     fn a_merge_of_k_changed_records_keeps_all_but_k_chunks_shared_with_the_view() {
         const N: usize = 640;
@@ -368,19 +215,17 @@ mod tests {
             src.push_str("</db>");
             parse(&src).unwrap()
         };
-        let mut s = IndexedArchive::new(spec());
-        s.add_version(&doc(&[])).unwrap();
-        s.add_version(&doc(&[])).unwrap();
-        let unshared = |s: &IndexedArchive, view: &IndexedArchive| {
-            let arena = view.archive.nodes();
-            let (hist, hist_total) = view.hist.shared_chunks(&s.hist);
-            let (ts, ts_total) = view.ts.shared_chunks(&s.ts);
+        let (mut a, mut ix) = indexed(&[doc(&[]), doc(&[])]);
+        let unshared = |(a, ix): (&Archive, &Indexes), (va, vix): (&Archive, &Indexes)| {
+            let arena = va.nodes();
+            let (hist, hist_total) = vix.hist.shared_chunks(&ix.hist);
+            let (ts, ts_total) = vix.ts.shared_chunks(&ix.ts);
             assert!(
                 arena.chunk_count() > 10 * K && ts_total > 10 * K,
                 "fixture too small"
             );
             (
-                arena.chunk_count() - arena.shared_chunks(s.archive.nodes()),
+                arena.chunk_count() - arena.shared_chunks(a.nodes()),
                 hist_total - hist,
                 ts_total - ts,
             )
@@ -388,48 +233,50 @@ mod tests {
         // (lists, trees) the refresh after the last merge re-derived — a
         // count that depends only on what the merge wrote, so a second
         // refresh on copies of the indexes repeats it
-        let rederived = |s: &IndexedArchive| {
-            let touched = s.archive.touched();
+        let rederived = |a: &Archive, ix: &Indexes| {
+            let touched = a.touched();
             (
-                s.hist.clone().refresh(&s.archive, touched),
-                s.ts.clone().refresh(&s.archive, touched),
+                ix.hist.clone().refresh(a, touched),
+                ix.ts.clone().refresh(a, touched),
             )
         };
 
-        let view = s.clone();
+        let view = (a.clone(), ix.clone());
         assert_eq!(
-            unshared(&s, &view),
+            unshared((&a, &ix), (&view.0, &view.1)),
             (0, 0, 0),
             "a fresh view shares everything"
         );
 
         // an unchanged release writes the root and document-root timestamps
-        s.add_version(&doc(&[])).unwrap();
-        let (arena, hist, ts) = unshared(&s, &view);
+        a.add_version(&doc(&[])).unwrap();
+        ix.refresh(&a);
+        let (arena, hist, ts) = unshared((&a, &ix), (&view.0, &view.1));
         assert!(arena <= 1 && hist == 0 && ts <= 1, "{arena} {hist} {ts}");
-        assert_eq!(rederived(&s), (2, 2), "not O(N)");
+        assert_eq!(rederived(&a, &ix), (2, 2), "not O(N)");
 
         // K changed records: their frontier nodes split into alternatives
-        let view = s.clone();
-        s.add_version(&doc(&[5, 300, 600])).unwrap();
-        let (arena, hist, ts) = unshared(&s, &view);
+        let view = (a.clone(), ix.clone());
+        a.add_version(&doc(&[5, 300, 600])).unwrap();
+        ix.refresh(&a);
+        let (arena, hist, ts) = unshared((&a, &ix), (&view.0, &view.1));
         assert!(arena <= 2 * K + 2, "arena copied {arena} chunks");
         assert_eq!(hist, 0, "no keyed child joined any list");
         assert!(ts <= 2 * K + 2, "timestamp index copied {ts} chunks");
         // per record: rec, val, the old content, and two stamps to hold it
         // and the new — beside the root and the document root
-        assert_eq!(rederived(&s), (2 + 5 * K, 2 + 5 * K));
+        assert_eq!(rederived(&a, &ix), (2 + 5 * K, 2 + 5 * K));
 
         // and the view still answers as of its pin
-        assert_eq!(view.latest(), 3);
+        assert_eq!(view.0.latest(), 3);
         let q = vec![
             KeyQuery::new("db"),
             KeyQuery::new("rec").with_text("id", "300"),
         ];
-        let old = view.as_of(&q, 3).unwrap().expect("rec 300 at v3");
+        let old = kernel::as_of(&view.0, &view.1, &q, 3).expect("rec 300 at v3");
         assert!(xarch_xml::writer::to_compact_string(&old).contains("<val>old</val>"));
-        assert!(view.as_of(&q, 4).unwrap().is_none());
-        let new = s.as_of(&q, 4).unwrap().expect("rec 300 at v4");
+        assert!(kernel::as_of(&view.0, &view.1, &q, 4).is_none());
+        let new = kernel::as_of(&a, &ix, &q, 4).expect("rec 300 at v4");
         assert!(xarch_xml::writer::to_compact_string(&new).contains("<val>new</val>"));
     }
 
@@ -437,24 +284,26 @@ mod tests {
     fn probes_stay_proportional_to_answer() {
         // 64 records, only record 0 queried: locate + subtree emit must
         // probe far fewer nodes than the archive holds
-        let mut s = IndexedArchive::new(spec());
-        for v in 0..4u32 {
-            let mut src = String::from("<db>");
-            for i in 0..64 {
-                src.push_str(&format!("<rec><id>{i}</id><val>v{v}</val></rec>"));
-            }
-            src.push_str("</db>");
-            s.add_version(&parse(&src).unwrap()).unwrap();
-        }
-        s.reset_probes();
+        let docs: Vec<Document> = (0..4u32)
+            .map(|v| {
+                let mut src = String::from("<db>");
+                for i in 0..64 {
+                    src.push_str(&format!("<rec><id>{i}</id><val>v{v}</val></rec>"));
+                }
+                src.push_str("</db>");
+                parse(&src).unwrap()
+            })
+            .collect();
+        let (a, ix) = indexed(&docs);
+        ix.reset_probes();
         let q = vec![
             KeyQuery::new("db"),
             KeyQuery::new("rec").with_text("id", "7"),
         ];
-        let sub = s.as_of(&q, 2).unwrap().expect("exists");
+        let sub = kernel::as_of(&a, &ix, &q, 2).expect("exists");
         assert!(xarch_xml::writer::to_compact_string(&sub).contains("<id>7</id>"));
-        let scan = s.archive().scan_cost();
-        let touched = s.history_index().comparisons() + s.timestamp_index().probes();
+        let scan = a.scan_cost();
+        let touched = ix.history_index().comparisons() + ix.timestamp_index().probes();
         assert!(
             touched * 4 < scan,
             "indexed as_of touched {touched} vs scan {scan}"
@@ -465,7 +314,7 @@ mod tests {
     /// identically through the scanning and the indexed navigator, and the
     /// indexed one is charged a pinned number of comparisons and probes.
     ///
-    /// The pre-kernel `IndexedArchive` spent 407 / 22819 on this script
+    /// The pre-kernel indexed archive spent 407 / 22819 on this script
     /// (measured at 864d3b1) and so did the kernel up to f6408c2. The
     /// counts below were re-measured by the commit on top of f6408c2 that
     /// answers `history_values` and `diff` from the stored change points:
@@ -489,16 +338,15 @@ mod tests {
             src.push_str("</db>");
             parse(&src).unwrap()
         };
-        let mut plain = Archive::new(spec());
-        let mut indexed = IndexedArchive::new(spec());
+        let mut a = Archive::new(spec());
+        let mut ix = Indexes::build(&a);
         for v in 1..=8u32 {
             if v == 5 {
-                plain.add_empty_version();
-                indexed.add_empty_version().unwrap();
+                a.add_empty_version();
             } else {
-                plain.add_version(&doc(v)).unwrap();
-                indexed.add_version(&doc(v)).unwrap();
+                a.add_version(&doc(v)).unwrap();
             }
+            ix.refresh(&a);
         }
         let rec = |i: u32| {
             vec![
@@ -510,28 +358,31 @@ mod tests {
         paths.push(vec![]);
         paths.push(vec![KeyQuery::new("db")]);
         paths.push([rec(20), vec![KeyQuery::new("val")]].concat());
-        let xml = |d: Option<Document>| d.map(|d| xarch_xml::writer::to_compact_string(&d));
-        let script = |s: &dyn StoreReader| {
+        fn script(a: &Archive, nav: &impl Nav, paths: &[Vec<KeyQuery>]) -> Vec<String> {
+            let xml = |d: Option<Document>| d.map(|d| xarch_xml::writer::to_compact_string(&d));
             let mut said = Vec::new();
             for v in 0..=9 {
-                said.push(format!("retrieve {v} {:?}", xml(s.retrieve(v).unwrap())));
+                said.push(format!(
+                    "retrieve {v} {:?}",
+                    xml(kernel::retrieve(a, nav, v))
+                ));
             }
-            for q in &paths {
-                said.push(format!("{q:?} history {:?}", s.history(q).unwrap()));
+            for q in paths {
+                said.push(format!("{q:?} history {:?}", kernel::history(a, nav, q)));
                 for v in [1, 4, 5, 8, 9] {
-                    said.push(format!("as_of {v} {:?}", xml(s.as_of(q, v).unwrap())));
+                    said.push(format!("as_of {v} {:?}", xml(kernel::as_of(a, nav, q, v))));
                 }
-                said.push(format!("{:?}", s.history_values(q).unwrap()));
-                said.push(format!("{:?}", s.diff(q, 2, 7).unwrap()));
+                said.push(format!("{:?}", kernel::history_values(a, nav, q)));
+                said.push(format!("{:?}", kernel::diff(a, nav, q, 2, 7)));
                 for window in [1..=8, 3..=5, 6..=20] {
-                    said.push(format!("{:?}", s.range(q, window).unwrap()));
+                    said.push(format!("{:?}", kernel::range(a, nav, q, window)));
                 }
             }
             said
-        };
-        indexed.reset_probes();
-        assert_eq!(script(&indexed), script(&plain));
-        assert_eq!(indexed.history_index().comparisons(), COMPARISONS);
-        assert_eq!(indexed.timestamp_index().probes(), PROBES);
+        }
+        ix.reset_probes();
+        assert_eq!(script(&a, &ix, &paths), script(&a, &Scan, &paths));
+        assert_eq!(ix.history_index().comparisons(), COMPARISONS);
+        assert_eq!(ix.timestamp_index().probes(), PROBES);
     }
 }

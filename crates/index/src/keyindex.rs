@@ -57,13 +57,6 @@ impl HistoryIndex {
         self.comparisons = counter;
     }
 
-    /// The live comparison-counter handle (shared, cheap to clone) — lets
-    /// a checkpoint restore rebuild the index and keep recording into an
-    /// already registry-bound counter.
-    pub(crate) fn counter_handle(&self) -> Counter {
-        self.comparisons.clone()
-    }
-
     /// Brings the index up to `archive` after a merge that wrote `ids`
     /// (its [`Archive::touched`] log; repeats are fine): re-derives the
     /// list of each, once. Returns how many lists it re-derived.
@@ -159,15 +152,16 @@ fn cmp_children(archive: &Archive, a: ANodeId, b: ANodeId) -> Ordering {
 
 #[cfg(test)]
 mod tests {
-    use xarch_core::{Archive, KeyQuery, StoreReader, VersionStore};
+    use xarch_core::kernel::history;
+    use xarch_core::{Archive, KeyQuery};
     use xarch_keys::KeySpec;
     use xarch_xml::parse;
 
-    use crate::IndexedArchive;
+    use crate::Indexes;
 
     /// `a`, indexed by one full build.
-    fn built(a: &Archive) -> IndexedArchive {
-        IndexedArchive::from_archive(a.clone())
+    fn built(a: &Archive) -> Indexes {
+        Indexes::build(a)
     }
 
     fn spec() -> KeySpec {
@@ -220,7 +214,7 @@ mod tests {
             ],
         ];
         for q in &queries {
-            assert_eq!(idx.history(q).unwrap(), a.history(q), "query {q:?}");
+            assert_eq!(history(&a, &idx, q), a.history(q), "query {q:?}");
         }
     }
 
@@ -243,11 +237,12 @@ mod tests {
              <emp><fn>John</fn><ln>Doe</ln><sal>99K</sal></emp>\
              <emp><fn>Jane</fn><ln>Smith</ln><sal>85K</sal></emp></dept></db>",
         ];
-        let mut idx = IndexedArchive::new(spec());
+        let mut a = Archive::new(spec());
+        let mut idx = built(&a);
         for (n, src) in versions.iter().enumerate() {
-            idx.add_version(&parse(src).unwrap()).unwrap();
-            let a = idx.archive();
-            let rebuilt = built(a);
+            a.add_version(&parse(src).unwrap()).unwrap();
+            idx.refresh(&a);
+            let rebuilt = built(&a);
             let queries: Vec<Vec<KeyQuery>> = vec![
                 vec![KeyQuery::new("db")],
                 vec![
@@ -276,35 +271,36 @@ mod tests {
             ];
             for q in &queries {
                 assert_eq!(
-                    idx.history(q).unwrap(),
-                    rebuilt.history(q).unwrap(),
+                    history(&a, &idx, q),
+                    history(&a, &rebuilt, q),
                     "after version {}: query {q:?}",
                     n + 1
                 );
-                assert_eq!(idx.history(q).unwrap(), a.history(q), "naive, v{}", n + 1);
+                assert_eq!(history(&a, &idx, q), a.history(q), "naive, v{}", n + 1);
             }
         }
         // empty versions terminate everything but the root
-        idx.add_empty_version().unwrap();
-        let rebuilt = built(idx.archive());
+        a.add_empty_version();
+        idx.refresh(&a);
+        let rebuilt = built(&a);
         let q = vec![KeyQuery::new("db")];
-        assert_eq!(idx.history(&q).unwrap(), rebuilt.history(&q).unwrap());
-        assert_eq!(idx.history(&q).unwrap(), idx.archive().history(&q));
+        assert_eq!(history(&a, &idx, &q), history(&a, &rebuilt, &q));
+        assert_eq!(history(&a, &idx, &q), a.history(&q));
     }
 
     #[test]
     fn locate_and_range_walk_the_lists() {
         let a = sample();
         let idx = built(&a);
-        assert_eq!(idx.history(&[]).unwrap().unwrap().to_string(), "1-2");
+        assert_eq!(history(&a, &idx, &[]).unwrap().to_string(), "1-2");
         let prefix = vec![KeyQuery::new("db")];
-        let hits = idx.range(&prefix, 1..=2).unwrap();
+        let hits = xarch_core::kernel::range(&a, &idx, &prefix, 1..=2);
         assert_eq!(hits.len(), 2, "{hits:?}"); // two departments
         assert_eq!(hits[0].step.tag(), "dept");
         assert_eq!(hits[0].time.to_string(), "1-2"); // finance
         assert_eq!(hits[1].time.to_string(), "2"); // marketing
                                                    // window clamps: only version 1
-        let hits = idx.range(&prefix, 1..=1).unwrap();
+        let hits = xarch_core::kernel::range(&a, &idx, &prefix, 1..=1);
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].time.to_string(), "1");
     }
@@ -317,7 +313,7 @@ mod tests {
             KeyQuery::new("db"),
             KeyQuery::new("dept").with_text("name", "hr"),
         ];
-        assert_eq!(idx.history(&q).unwrap(), None);
+        assert_eq!(history(&a, &idx, &q), None);
         assert_eq!(a.history(&q), None);
     }
 
@@ -340,7 +336,7 @@ mod tests {
                 .with_text("fn", "F100")
                 .with_text("ln", "L100"),
         ];
-        let t = idx.history(&q).unwrap().unwrap();
+        let t = history(&a, &idx, &q).unwrap();
         assert_eq!(t.to_string(), "1");
         // 3 levels, d ≤ 257 → well under 3 * (log2(257)+1) ≈ 27
         let hist = idx.history_index();
@@ -377,6 +373,6 @@ mod tests {
                 .with_text("fn", "Jane")
                 .with_text("ln", "Smith"),
         ];
-        assert_eq!(idx.history(&q).unwrap().unwrap().to_string(), "2,4");
+        assert_eq!(history(&a, &idx, &q).unwrap().to_string(), "2,4");
     }
 }

@@ -1,7 +1,7 @@
 //! # xarch-index
 //!
 //! The auxiliary index structures of §7 of *Archiving Scientific Data*,
-//! and the indexed `VersionStore` built from them:
+//! and the query-kernel navigator built from them:
 //!
 //! * [`tstree`] — **timestamp trees** (Fig 15): per-node binary trees over
 //!   the children's timestamps, letting version retrieval probe
@@ -10,10 +10,11 @@
 //! * [`keyindex`] — sorted lists of child key values, answering the
 //!   temporal history of an element addressed by an `l`-step key path in
 //!   `O(l log d)` comparisons (binary search per level);
-//! * [`indexed`] — [`IndexedArchive`], the in-memory archiver with both
-//!   structures refreshed after every commit from the nodes the merge
-//!   wrote, answering `as_of` / `history` / `range` in time proportional
-//!   to the answer.
+//! * [`indexed`] — [`Indexes`], both structures refreshed after every
+//!   commit from the nodes the merge wrote: the `xarch_core::kernel::Nav`
+//!   that answers `as_of` / `history` / `range` in time proportional to
+//!   the answer (`xarch::Store` keeps one beside its archive under
+//!   `.with_index()`).
 //!
 //! All index structures are `Send + Sync` — probe counters are atomics —
 //! so one built index can serve concurrent readers. Neither rebuilds per
@@ -24,7 +25,7 @@ pub mod indexed;
 pub mod keyindex;
 pub mod tstree;
 
-pub use indexed::IndexedArchive;
+pub use indexed::Indexes;
 pub use keyindex::HistoryIndex;
 pub use tstree::TimestampIndex;
 
@@ -41,6 +42,6 @@ mod tests {
         // reader threads is safe by construction
         assert_send_sync::<HistoryIndex>();
         assert_send_sync::<TimestampIndex>();
-        assert_send_sync::<IndexedArchive>();
+        assert_send_sync::<Indexes>();
     }
 }

@@ -185,13 +185,6 @@ impl TimestampIndex {
         self.probes = counter;
     }
 
-    /// The live probe-counter handle (shared, cheap to clone) — lets a
-    /// checkpoint restore rebuild the index and keep recording into an
-    /// already registry-bound counter.
-    pub(crate) fn counter_handle(&self) -> Counter {
-        self.probes.clone()
-    }
-
     /// Brings the index up to `archive` after a merge that wrote `ids`
     /// (its [`Archive::touched`] log; repeats are fine): re-derives, once
     /// each, the tree of every written node — its child list may have
@@ -265,11 +258,11 @@ impl TimestampIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xarch_core::{equiv_modulo_key_order, Archive, StoreReader};
+    use xarch_core::{equiv_modulo_key_order, kernel, Archive};
     use xarch_keys::KeySpec;
     use xarch_xml::parse;
 
-    use crate::IndexedArchive;
+    use crate::Indexes;
 
     fn spec() -> KeySpec {
         KeySpec::parse("(/, (db, {}))\n(/db, (rec, {id}))\n(/db/rec, (val, {}))").unwrap()
@@ -286,9 +279,9 @@ mod tests {
 
     /// Retrieves `v` through the timestamp trees; returns the document and
     /// the probes that one retrieval spent.
-    fn retrieve(idx: &IndexedArchive, v: u32) -> (Option<xarch_xml::Document>, usize) {
+    fn retrieve(a: &Archive, idx: &Indexes, v: u32) -> (Option<xarch_xml::Document>, usize) {
         let before = idx.timestamp_index().probes();
-        let doc = idx.retrieve(v).unwrap();
+        let doc = kernel::retrieve(a, idx, v);
         (doc, idx.timestamp_index().probes() - before)
     }
 
@@ -307,10 +300,10 @@ mod tests {
     #[test]
     fn indexed_retrieval_matches_scan() {
         let (a, versions) = sample_archive();
-        let idx = IndexedArchive::from_archive(a.clone());
+        let idx = Indexes::build(&a);
         for (i, want) in versions.iter().enumerate() {
             let v = i as u32 + 1;
-            let (got, probes) = retrieve(&idx, v);
+            let (got, probes) = retrieve(&a, &idx, v);
             let got = got.expect("version exists");
             assert!(equiv_modulo_key_order(&got, want, a.spec()), "version {v}");
             assert!(probes > 0);
@@ -320,9 +313,10 @@ mod tests {
     #[test]
     fn early_versions_probe_fewer_nodes() {
         // Version 1 touches 1/8 of the records: pruning must show.
-        let idx = IndexedArchive::from_archive(sample_archive().0);
-        let (_, probes_v1) = retrieve(&idx, 1);
-        let (_, probes_v8) = retrieve(&idx, 8);
+        let a = sample_archive().0;
+        let idx = Indexes::build(&a);
+        let (_, probes_v1) = retrieve(&a, &idx, 1);
+        let (_, probes_v8) = retrieve(&a, &idx, 8);
         assert!(
             probes_v1 < probes_v8,
             "v1 probes {probes_v1} should be < v8 probes {probes_v8}"
@@ -345,9 +339,10 @@ mod tests {
 
     #[test]
     fn missing_version_is_none() {
-        let idx = IndexedArchive::from_archive(sample_archive().0);
-        assert!(retrieve(&idx, 0).0.is_none());
-        assert!(retrieve(&idx, 99).0.is_none());
+        let a = sample_archive().0;
+        let idx = Indexes::build(&a);
+        assert!(retrieve(&a, &idx, 0).0.is_none());
+        assert!(retrieve(&a, &idx, 99).0.is_none());
     }
 
     #[test]

@@ -716,7 +716,7 @@ fn with_snapshot<R: From<Response>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xarch_core::Archive;
+    use xarch_core::{Archive, KeyQuery, StoreStats, TimeSet};
     use xarch_keys::KeySpec;
     use xarch_proto::frame::{write_frame, KEEP_CAPACITY, MAX_FRAME_LEN};
     use xarch_xml::Document;
@@ -787,16 +787,30 @@ mod tests {
     /// Writes half a document, then fails.
     struct TornRender(Archive);
 
-    impl xarch_core::Layer for TornRender {
-        type Inner = Archive;
+    impl StoreReader for TornRender {
+        fn spec(&self) -> &KeySpec {
+            self.0.spec()
+        }
 
-        fn inner(&self) -> &Archive {
-            &self.0
+        fn latest(&self) -> u32 {
+            self.0.latest()
+        }
+
+        fn retrieve(&self, v: u32) -> Result<Option<Document>, StoreError> {
+            StoreReader::retrieve(&self.0, v)
         }
 
         fn retrieve_into(&self, _: u32, out: &mut dyn Write) -> Result<bool, StoreError> {
             out.write_all(b"<db>half a docum")?;
             Err(StoreError::Backend("the disk caught fire".into()))
+        }
+
+        fn history(&self, steps: &[KeyQuery]) -> Result<Option<TimeSet>, StoreError> {
+            StoreReader::history(&self.0, steps)
+        }
+
+        fn stats(&self) -> Result<StoreStats, StoreError> {
+            StoreReader::stats(&self.0)
         }
     }
 

@@ -2,9 +2,8 @@
 //! materialized archive state.
 //!
 //! A checkpoint block (kind 4, see `docs/FORMAT.md` §Checkpoint blocks)
-//! carries the inner backend's serialized state as produced by
-//! [`VersionStore::checkpoint_state`](xarch_core::VersionStore::checkpoint_state),
-//! wrapped in a small envelope:
+//! carries the archive's serialized state as produced by
+//! [`xarch_core::state::encode_archive`], wrapped in a small envelope:
 //!
 //! ```text
 //! ┌───────────────────┬─────────────────┬───────────────────────────┐

@@ -1,8 +1,8 @@
 //! [`ColdArchive`]: read-only queries straight off the memory-mapped
 //! segment file.
 //!
-//! A [`DurableArchive`](crate::DurableArchive) materializes the whole
-//! archive in its inner backend before it can answer anything — the right
+//! A [`Journal`](crate::Journal) reopen materializes the whole archive
+//! in memory before it can answer anything — the right
 //! trade for a writer, but wasteful for a one-off query against a large,
 //! cold segment. `ColdArchive` takes the other corner of the design
 //! space: it memory-maps the file, builds a tiny *per-block version
@@ -688,17 +688,17 @@ impl StoreReader for ColdArchive {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::durable::{DurableArchive, DurableOptions};
+    use crate::durable::{DurableOptions, Journal};
     use crate::scratch_path;
-    use xarch_core::{Archive, VersionStore};
+    use xarch_core::{Archive, Compaction};
     use xarch_xml::parse;
 
     fn spec() -> KeySpec {
         KeySpec::parse("(/, (db, {}))\n(/db, (rec, {id}))\n(/db/rec, (val, {}))").unwrap()
     }
 
-    fn fresh_inner() -> Box<dyn VersionStore> {
-        Box::new(Archive::new(spec()))
+    fn open_journal(path: &std::path::Path, opts: DurableOptions) -> (Journal, Archive) {
+        Journal::open(path, opts, spec(), Compaction::default(), None).unwrap()
     }
 
     fn doc_n(n: u32) -> Document {
@@ -706,9 +706,9 @@ mod tests {
     }
 
     fn write_segment(path: &std::path::Path, opts: DurableOptions, n: u32) {
-        let mut d = DurableArchive::open_with(path, opts, fresh_inner()).unwrap();
+        let (mut j, mut a) = open_journal(path, opts);
         for i in 1..=n {
-            d.add_version(&doc_n(i)).unwrap();
+            j.add_version(&mut a, &doc_n(i)).unwrap();
         }
     }
 
@@ -766,12 +766,13 @@ mod tests {
             ..DurableOptions::default()
         };
         {
-            let mut d = DurableArchive::open_with(&path, opts, fresh_inner()).unwrap();
-            d.add_version(&doc_n(1)).unwrap();
-            d.add_versions(&[doc_n(2), doc_n(3), doc_n(4)]).unwrap();
-            d.add_empty_version().unwrap();
-            d.add_version(&doc_n(6)).unwrap();
-            assert!(d.checkpoints_written() > 0, "cadence must have fired");
+            let (mut j, mut a) = open_journal(&path, opts);
+            j.add_version(&mut a, &doc_n(1)).unwrap();
+            j.add_versions(&mut a, &[doc_n(2), doc_n(3), doc_n(4)])
+                .unwrap();
+            j.add_empty_version(&mut a).unwrap();
+            j.add_version(&mut a, &doc_n(6)).unwrap();
+            assert!(j.checkpoints_written() > 0, "cadence must have fired");
         }
         let cold = ColdArchive::open(&path).unwrap();
         assert_eq!(cold.latest(), 6);
@@ -843,7 +844,7 @@ mod tests {
     #[test]
     fn cold_open_is_refused_while_a_writer_is_live() {
         let path = scratch_path("cold-lock");
-        let d = DurableArchive::open(&path, fresh_inner()).unwrap();
+        let d = open_journal(&path, DurableOptions::default());
         let err = ColdArchive::open(&path).map(|_| ()).unwrap_err();
         assert!(err.to_string().contains("open for writing"), "{err}");
         drop(d);

@@ -1,12 +1,12 @@
 //! # xarch-storage
 //!
 //! Durable on-disk archive storage: an append-only, segmented,
-//! self-describing file format plus [`DurableArchive`], the persistent
-//! [`VersionStore`](xarch_core::VersionStore) backend built on it.
+//! self-describing file format plus [`Journal`], the crash-safe journal
+//! of an in-memory archive built on it.
 //!
 //! The paper's archiver "reads the archive from disk, merges the incoming
-//! version, and writes it back"; the other backends in this workspace keep
-//! the archive in process memory and lose it on exit. This crate closes
+//! version, and writes it back"; an in-memory archive alone loses it on
+//! exit. This crate closes
 //! that gap the way production cold-storage archives do (Gray et al.,
 //! *Online Scientific Data Curation, Publication, and Archiving*): a
 //! durable, integrity-checked, self-describing format in which every
@@ -29,8 +29,8 @@
 //! └────────────────────────────────────────────────────────────────┘
 //! ┌──────────────────────── block (version 2) ─────────────────────┐ …
 //! ┌────────────────── checkpoint block (covers 1..=n) ─────────────┐
-//! │ same header/trailer grammar; payload = snapshot of the wrapped │
-//! │ backend's materialized state, back-chained to the previous one │
+//! │ same header/trailer grammar; payload = snapshot of the         │
+//! │ archive's state, back-chained to the previous one              │
 //! └────────────────────────────────────────────────────────────────┘
 //! ```
 //!
@@ -63,9 +63,9 @@
 //!
 //! Blocks journal the *input* documents, not the merged archive. Reopen
 //! replays them through the same deterministic Nested Merge, rebuilding
-//! exactly the pre-crash state for any inner backend — the differential
-//! tests assert the reopened store is version-for-version byte-identical
-//! to one that never left memory.
+//! exactly the pre-crash archive — the differential tests assert the
+//! reopened store is version-for-version byte-identical to one that never
+//! left memory.
 //!
 //! Checkpoint blocks cap what that costs: with
 //! [`DurableOptions::checkpoint_every`] set (or the builder's
@@ -118,7 +118,7 @@ pub use block::{BlockHeader, BlockKind, ScannedBlock};
 pub use checkpoint::{decode_checkpoint, encode_checkpoint, CheckpointPayload};
 pub use cold::ColdArchive;
 pub use crc::{crc32, Crc32};
-pub use durable::{DurableArchive, DurableOptions};
+pub use durable::{DurableOptions, Journal};
 pub use metrics::{ColdMetrics, StorageMetrics};
 pub use mmap::MappedFile;
 pub use segment::{scan_checkpoints, CheckpointRef, RecoveryStats, ResumeFrom, Segment};

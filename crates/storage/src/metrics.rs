@@ -48,7 +48,7 @@ pub struct StorageMetrics {
 
 impl Default for StorageMetrics {
     /// Detached handles and a silent tracer — what an unobserved
-    /// `DurableArchive` embeds.
+    /// `Journal` embeds.
     fn default() -> Self {
         Self {
             fsyncs: Counter::new(),

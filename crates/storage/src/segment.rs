@@ -60,7 +60,7 @@ impl RecoveryStats {
 /// Where a checkpointed open resumes: the verified checkpoint block and
 /// the version count its snapshot restored. Produced by the durable
 /// layer after [`scan_checkpoints`] + a successful state restore;
-/// [`Segment::open_observed_from`] re-verifies the block under the
+/// [`Segment::open`] re-verifies the block under the
 /// exclusive lock before trusting it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResumeFrom {
@@ -90,7 +90,7 @@ pub struct CheckpointRef {
 /// seeks over payloads, so the cost is proportional to the block *count*,
 /// not the file size. Advisory: headers are unverified and the scan stops
 /// quietly at the first structural anomaly (the authoritative
-/// verification happens in [`Segment::open_observed_from`]); an
+/// verification happens in [`Segment::open`]); an
 /// unreadable or checkpoint-free segment yields an empty list.
 pub fn scan_checkpoints(path: &Path) -> Result<Vec<CheckpointRef>, StoreError> {
     let mut file = File::open(path)?;
@@ -230,15 +230,11 @@ fn lock_exclusive(file: &File, path: &Path) -> Result<(), StoreError> {
 }
 
 impl Segment {
-    /// Creates (or truncates) a segment file holding only the superblock.
-    pub fn create(path: &Path, spec: &KeySpec, sync: bool) -> Result<Segment, StoreError> {
-        Self::create_observed(path, spec, sync, StorageMetrics::detached())
-    }
-
-    /// [`Segment::create`] recording into the given metric handles.
+    /// Creates (or truncates) a segment file holding only the superblock,
+    /// recording into the given metric handles.
     // not .truncate(true): truncation must happen *after* the lock (below)
     #[allow(clippy::suspicious_open_options)]
-    pub fn create_observed(
+    pub fn create(
         path: &Path,
         spec: &KeySpec,
         sync: bool,
@@ -282,35 +278,16 @@ impl Segment {
     /// callback returns how many versions the block committed — 1 for
     /// plain and empty blocks, the batch size for group-commit blocks —
     /// which drives the sequence check and the next append's version.
-    pub fn open(
-        path: &Path,
-        spec: &KeySpec,
-        sync: bool,
-        on_block: impl FnMut(ScannedBlock<'static>) -> Result<u32, StoreError>,
-    ) -> Result<(Segment, RecoveryStats), StoreError> {
-        Self::open_observed(path, spec, sync, StorageMetrics::detached(), on_block)
-    }
-
-    /// [`Segment::open`] recording recovery outcomes (torn-tail
-    /// truncations, corrupt blocks, replay duration) into the given
-    /// metric handles and emitting structured recovery events.
-    pub fn open_observed(
-        path: &Path,
-        spec: &KeySpec,
-        sync: bool,
-        metrics: StorageMetrics,
-        on_block: impl FnMut(ScannedBlock<'static>) -> Result<u32, StoreError>,
-    ) -> Result<(Segment, RecoveryStats), StoreError> {
-        Self::open_observed_from(path, spec, sync, metrics, None, on_block)
-    }
-
-    /// [`Segment::open_observed`] with an optional checkpoint resume
-    /// point: when `resume` is set, the block at its offset is re-verified
-    /// under the exclusive lock (it must be a committed checkpoint
-    /// covering exactly `resume.versions`), the journal prefix it covers
-    /// is skipped, and only the tail after it is scanned and replayed —
+    /// Recovery outcomes (torn-tail truncations, corrupt blocks, replay
+    /// duration) land in the given metric handles, with structured
+    /// recovery events.
+    ///
+    /// When `resume` is set, the block at its offset is re-verified under
+    /// the exclusive lock (it must be a committed checkpoint covering
+    /// exactly `resume.versions`), the journal prefix it covers is
+    /// skipped, and only the tail after it is scanned and replayed —
     /// reopen cost becomes proportional to the tail, not the history.
-    pub fn open_observed_from(
+    pub fn open(
         path: &Path,
         spec: &KeySpec,
         sync: bool,
@@ -379,7 +356,7 @@ impl Segment {
         };
 
         // blocks, one at a time — only the current payload is in memory,
-        // so reopening stays within the inner backend's working set
+        // so reopening stays within the archive's working set
         let mut versions = 0u32;
         let mut offset = first_block;
         let mut stats = RecoveryStats::default();
@@ -784,17 +761,24 @@ mod tests {
     #[test]
     fn create_append_reopen() {
         let path = scratch_path("segment-basic");
-        let mut seg = Segment::create(&path, &spec(), true).unwrap();
+        let mut seg = Segment::create(&path, &spec(), true, StorageMetrics::detached()).unwrap();
         seg.append(BlockKind::Version, BlockCodec::Raw, 1, 3, b"abc")
             .unwrap();
         seg.append(BlockKind::Empty, BlockCodec::Raw, 2, 0, b"")
             .unwrap();
         drop(seg);
         let mut blocks = Vec::new();
-        let (seg, stats) = Segment::open(&path, &spec(), true, |b| {
-            blocks.push(b);
-            Ok(1)
-        })
+        let (seg, stats) = Segment::open(
+            &path,
+            &spec(),
+            true,
+            StorageMetrics::detached(),
+            None,
+            |b| {
+                blocks.push(b);
+                Ok(1)
+            },
+        )
         .unwrap();
         assert_eq!(blocks.len(), 2);
         assert_eq!(blocks[0].payload, b"abc".as_slice());
@@ -808,7 +792,7 @@ mod tests {
     #[test]
     fn batch_block_advances_the_sequence_by_its_count() {
         let path = scratch_path("segment-batch");
-        let mut seg = Segment::create(&path, &spec(), true).unwrap();
+        let mut seg = Segment::create(&path, &spec(), true, StorageMetrics::detached()).unwrap();
         seg.append(BlockKind::Version, BlockCodec::Raw, 1, 3, b"abc")
             .unwrap();
         // one block commits versions 2..=4
@@ -819,14 +803,21 @@ mod tests {
             .unwrap();
         drop(seg);
         let mut kinds = Vec::new();
-        let (seg, stats) = Segment::open(&path, &spec(), true, |b| {
-            kinds.push(b.header.kind);
-            Ok(if b.header.kind == BlockKind::Batch {
-                3
-            } else {
-                1
-            })
-        })
+        let (seg, stats) = Segment::open(
+            &path,
+            &spec(),
+            true,
+            StorageMetrics::detached(),
+            None,
+            |b| {
+                kinds.push(b.header.kind);
+                Ok(if b.header.kind == BlockKind::Batch {
+                    3
+                } else {
+                    1
+                })
+            },
+        )
         .unwrap();
         assert_eq!(
             kinds,
@@ -843,7 +834,7 @@ mod tests {
     #[test]
     fn torn_tail_is_truncated_and_survivors_kept() {
         let path = scratch_path("segment-torn");
-        let mut seg = Segment::create(&path, &spec(), true).unwrap();
+        let mut seg = Segment::create(&path, &spec(), true, StorageMetrics::detached()).unwrap();
         seg.append(BlockKind::Version, BlockCodec::Raw, 1, 3, b"abc")
             .unwrap();
         let committed = seg.len_bytes();
@@ -853,10 +844,17 @@ mod tests {
         f.write_all(&[1, 0, 2, 0, 0, 0, 9, 9]).unwrap();
         drop(f);
         let mut blocks = Vec::new();
-        let (seg, stats) = Segment::open(&path, &spec(), true, |b| {
-            blocks.push(b);
-            Ok(1)
-        })
+        let (seg, stats) = Segment::open(
+            &path,
+            &spec(),
+            true,
+            StorageMetrics::detached(),
+            None,
+            |b| {
+                blocks.push(b);
+                Ok(1)
+            },
+        )
         .unwrap();
         assert_eq!(blocks.len(), 1);
         assert_eq!(stats.truncated_bytes, 8);
@@ -869,11 +867,18 @@ mod tests {
     #[test]
     fn spec_mismatch_is_rejected() {
         let path = scratch_path("segment-spec");
-        Segment::create(&path, &spec(), true).unwrap();
+        Segment::create(&path, &spec(), true, StorageMetrics::detached()).unwrap();
         let other = KeySpec::parse("(/, (other, {}))").unwrap();
-        let err = Segment::open(&path, &other, true, |_| Ok(1))
-            .map(|_| ())
-            .unwrap_err();
+        let err = Segment::open(
+            &path,
+            &other,
+            true,
+            StorageMetrics::detached(),
+            None,
+            |_| Ok(1),
+        )
+        .map(|_| ())
+        .unwrap_err();
         assert!(matches!(err, StoreError::Backend(_)), "{err}");
         assert!(err.to_string().contains("key spec mismatch"), "{err}");
         std::fs::remove_file(&path).unwrap();
@@ -882,7 +887,7 @@ mod tests {
     #[test]
     fn out_of_order_append_is_rejected() {
         let path = scratch_path("segment-order");
-        let mut seg = Segment::create(&path, &spec(), true).unwrap();
+        let mut seg = Segment::create(&path, &spec(), true, StorageMetrics::detached()).unwrap();
         assert!(seg
             .append(BlockKind::Version, BlockCodec::Raw, 5, 0, b"")
             .is_err());

@@ -10,8 +10,8 @@
 use std::time::Instant;
 
 use xarch::datagen::omim::{omim_spec, OmimGen};
-use xarch::storage::{scratch_path, DurableArchive};
-use xarch::{ArchiveBuilder, VersionStore};
+use xarch::storage::scratch_path;
+use xarch::{ArchiveBuilder, StoreReader, VersionStore};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let spec = omim_spec();
@@ -25,8 +25,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ---- first life: ingest the release as TWO group-committed batches
     {
-        let inner = ArchiveBuilder::new(spec.clone()).with_index().build();
-        let mut store = DurableArchive::open(&path, inner)?;
+        let mut store = ArchiveBuilder::new(spec.clone())
+            .with_index()
+            .durable(&path)
+            .open()?;
         let start = Instant::now();
         let first = store.add_versions(&release[..16])?;
         let second = store.add_versions(&release[16..])?;
@@ -37,27 +39,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             elapsed.as_secs_f64() * 1e3,
             release.len() as f64 / elapsed.as_secs_f64(),
         );
+        let journal = store.journal().expect("built durable");
         println!(
             "journal work: {} blocks, {} fsyncs (one of each per batch — \
              a serial load would have paid {} of each)",
-            store.journal_blocks(),
-            store.journal_syncs(),
+            journal.journal_blocks(),
+            journal.journal_syncs(),
             release.len(),
         );
-        assert_eq!(store.journal_blocks(), 2);
-        assert_eq!(store.journal_syncs(), 2);
+        assert_eq!(journal.journal_blocks(), 2);
+        assert_eq!(journal.journal_syncs(), 2);
         // dropped with no shutdown protocol: the batches are already
         // checksummed, commit-worded, and synced
     }
 
     // ---- second life: the batches replay atomically on reopen ---------
-    let inner = ArchiveBuilder::new(spec.clone()).with_index().build();
-    let store = DurableArchive::open(&path, inner)?;
-    use xarch::StoreReader;
+    let store = ArchiveBuilder::new(spec.clone())
+        .with_index()
+        .durable(&path)
+        .open()?;
+    let recovery = store.journal().expect("built durable").recovery();
     println!(
         "reopened: {} versions recovered from {} verified bytes",
-        store.recovery().versions_recovered,
-        store.recovery().bytes_scanned,
+        recovery.versions_recovered, recovery.bytes_scanned,
     );
     assert_eq!(store.latest(), release.len() as u32);
     let last = store

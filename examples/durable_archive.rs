@@ -7,9 +7,9 @@
 //! ```
 
 use xarch::keys::KeySpec;
-use xarch::storage::{scratch_path, DurableArchive};
+use xarch::storage::scratch_path;
 use xarch::xml::parse;
-use xarch::ArchiveBuilder;
+use xarch::{ArchiveBuilder, StoreReader};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let spec = KeySpec::parse(
@@ -41,9 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // ---- second life: reopen from the same path ------------------------
-    let store = ArchiveBuilder::new(spec.clone())
-        .durable(&path)
-        .try_build()?;
+    let store = ArchiveBuilder::new(spec).durable(&path).open()?;
     println!("second life: reopened with {} versions", store.latest());
 
     // v1 was committed by the previous process and comes back intact
@@ -52,12 +50,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "v1 document: {}",
         xarch::xml::writer::to_compact_string(&v1)
     );
-    drop(store);
 
-    // ---- recovery stats (the concrete type exposes what open() did) ----
-    let inner = ArchiveBuilder::new(spec).build();
-    let durable = DurableArchive::open(&path, inner)?;
-    let stats = durable.recovery();
+    // ---- recovery stats: the store's journal says what open() did ------
+    let journal = store.journal().expect("built durable");
+    let stats = journal.recovery();
     println!(
         "recovery   : {} versions from {} verified bytes, torn tail: {}",
         stats.versions_recovered,
@@ -68,7 +64,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "none".into()
         }
     );
-    println!("journal    : {} bytes on disk", durable.journal_bytes());
+    println!("journal    : {} bytes on disk", journal.journal_bytes());
+    drop(store);
 
     std::fs::remove_file(&path)?;
     Ok(())

@@ -1,5 +1,5 @@
-//! The concurrent service layer: one writer, many readers, over any
-//! backend — one archive instance, published as immutable views.
+//! The concurrent service layer: one writer, many readers, over one
+//! [`Store`] — published as immutable views.
 //!
 //! The paper's archive is *append-only*: merging version `i` decides only
 //! whether `i` belongs to each element's timestamp, and — timestamps being
@@ -12,8 +12,8 @@
 //!   and owns **one** store. Writes are single-writer, serialized on a
 //!   mutex that **readers never touch**, and each mutation is applied
 //!   once — journal and fsync included;
-//! * after a mutation commits, the writer takes the store's
-//!   [`VersionStore::view`] — an immutable reader sharing every unchanged
+//! * after a mutation commits, the writer copies the store's readable
+//!   state — archive, indexes and metric handles, sharing every unchanged
 //!   chunk with the store, so it costs O(changed) — and **publishes** it
 //!   with one pointer swap, whose lock is never held across a merge, an
 //!   fsync or a query: a reader never waits behind a writer, and a writer
@@ -55,9 +55,10 @@ use std::ops::RangeInclusive;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
+use crate::store::Store;
 use xarch_core::{
-    Archive, ElementHistory, KeyQuery, RangeEntry, StoreError, StoreReader, StoreStats, StoreView,
-    TimeSet, VersionDelta, VersionStore,
+    ElementHistory, KeyQuery, RangeEntry, StoreError, StoreReader, StoreStats, TimeSet,
+    VersionDelta, VersionStore,
 };
 use xarch_keys::KeySpec;
 use xarch_obs::{Counter, Histogram, Obs};
@@ -69,7 +70,7 @@ struct HandleMetrics {
     /// `handle.snapshot_pins` — snapshots taken (repeatable-read pins).
     snapshot_pins: Counter,
     /// `handle.write_lock_hold` — writer section per mutation (µs):
-    /// apply (durability included), take the view, publish.
+    /// apply (durability included), copy the view, publish.
     write_lock_hold: Histogram,
     /// `handle.publications` — views published, one per committed mutation.
     publications: Counter,
@@ -98,11 +99,18 @@ impl HandleMetrics {
     }
 }
 
+/// Runs just before the writer touches the store, given the mutation's
+/// documents: tests park a merge on it, or panic in one.
+#[cfg(test)]
+type WriteHook = Box<dyn FnMut(&[Document]) + Send>;
+
 /// The write side: the one store, and — once it may be inconsistent (a
-/// panic mid-merge) or ahead of what could be published — why writes stop.
+/// panic mid-merge) — why writes stop.
 struct Writer {
-    store: Box<dyn VersionStore>,
+    store: Store,
     fault: Option<String>,
+    #[cfg(test)]
+    hook: Option<WriteHook>,
 }
 
 /// The state one handle and all its clones share.
@@ -111,7 +119,7 @@ struct Shared {
     writer: Mutex<Writer>,
     /// The view every read path answers from. Locked only to clone or
     /// swap the `Arc` — never across a merge, an fsync or a query.
-    published: RwLock<StoreView>,
+    published: RwLock<Arc<Store>>,
     /// Cached: `StoreReader::spec` returns a borrow, which no guard may back.
     spec: KeySpec,
     metrics: HandleMetrics,
@@ -120,7 +128,7 @@ struct Shared {
 impl Shared {
     /// The published view: one `Arc` clone. (A poisoned lock still holds
     /// a valid pointer — the only write under it is `publish`'s swap.)
-    fn current(&self) -> StoreView {
+    fn current(&self) -> Arc<Store> {
         Arc::clone(&self.published.read().unwrap_or_else(|p| p.into_inner()))
     }
 
@@ -128,7 +136,7 @@ impl Shared {
     /// after the guard (freeing a last reference can be slow). The analyzer
     /// keeps lock guards off this call (`lock-discipline`); only the writer
     /// mutex, which no reader takes, spans it.
-    fn publish(&self, view: StoreView) {
+    fn publish(&self, view: Arc<Store>) {
         let mut slot = self.published.write().unwrap_or_else(|p| p.into_inner());
         let _displaced = std::mem::replace(&mut *slot, view);
         drop(slot);
@@ -144,13 +152,16 @@ impl Shared {
             .map_err(|_| StoreError::Backend("archive handle writer lock is poisoned".into()))
     }
 
-    /// One serialized mutation: apply `op` to the store once, take the
-    /// resulting view, publish it.
+    /// One serialized mutation of `docs`: apply `op` to the store once,
+    /// then publish the store's view.
+    #[cfg_attr(not(test), allow(unused_variables))]
     fn mutate<T>(
         &self,
-        op: impl FnOnce(&mut dyn VersionStore) -> Result<T, StoreError>,
+        docs: &[Document],
+        op: impl FnOnce(&mut Store) -> Result<T, StoreError>,
     ) -> Result<T, StoreError> {
-        let mut w = self.writer()?;
+        let mut guard = self.writer()?;
+        let w = &mut *guard;
         if let Some(why) = &w.fault {
             return Err(StoreError::Backend(format!(
                 "archive handle is quarantined ({why}); reads keep serving the published \
@@ -159,28 +170,29 @@ impl Shared {
         }
         // declared after the guard, so it records the whole writer section
         let _hold = self.metrics.write_lock_hold.start_timer();
-        let store = w.store.as_mut();
         let applied = catch_unwind(AssertUnwindSafe(|| {
-            // a clean rejection returns here, the store untouched: backends
-            // validate before mutating
-            let value = op(store)?;
-            Ok((value, store.view()))
-        }));
-        let why = match applied {
-            Ok(Ok((value, Ok(view)))) => {
-                self.publish(view);
-                return Ok(value);
+            #[cfg(test)]
+            if let Some(hook) = &mut w.hook {
+                hook(docs);
             }
-            Ok(Err(rejected)) => return Err(rejected),
-            // committed (durably, if the store journals) but unpublishable:
-            // a later write would publish a view that skips a version
-            Ok(Ok((_, Err(e)))) => format!("committed version could not be published: {e}"),
+            // a clean rejection returns here, the store untouched: the
+            // archive validates before mutating
+            op(&mut w.store)
+        }));
+        match applied {
+            Ok(Ok(value)) => {
+                self.publish(Arc::new(w.store.view()));
+                Ok(value)
+            }
+            Ok(Err(rejected)) => Err(rejected),
             // half-applied merge: the store may be inconsistent. Readers
             // stay on the last published view; writes stop here.
-            Err(panic) => format!("writer panicked mid-merge: {}", panic_msg(&panic)),
-        };
-        w.fault = Some(why.clone());
-        Err(StoreError::Backend(why))
+            Err(panic) => {
+                let why = format!("writer panicked mid-merge: {}", panic_msg(&panic));
+                w.fault = Some(why.clone());
+                Err(StoreError::Backend(why))
+            }
+        }
     }
 }
 
@@ -193,14 +205,14 @@ fn panic_msg(p: &(dyn std::any::Any + Send)) -> &str {
 }
 
 /// A cheaply-clonable, thread-safe handle to a shared archive:
-/// single-writer / multi-reader over any [`VersionStore`] backend, with
-/// reads that never wait behind a writer (see the module docs).
+/// single-writer / multi-reader over one [`Store`], with reads that never
+/// wait behind a writer (see the module docs).
 ///
 /// Reads through the handle (it implements [`StoreReader`]) are *live* —
 /// each query answers from whatever view is published when it starts; for
 /// consistency across several queries take an [`ArchiveHandle::snapshot`].
 /// Constructed by [`crate::ArchiveBuilder::build_shared`] /
-/// [`crate::ArchiveBuilder::try_build_shared`], or from any boxed store
+/// [`crate::ArchiveBuilder::try_build_shared`], or from a built store
 /// with [`ArchiveHandle::new`].
 #[derive(Clone)]
 pub struct ArchiveHandle {
@@ -214,34 +226,26 @@ impl std::fmt::Debug for ArchiveHandle {
 }
 
 impl ArchiveHandle {
-    /// Wraps `store` for shared use with detached (unregistered) handle
-    /// metrics, publishing a [`VersionStore::view`] of it at once. If that
-    /// view cannot be built (a foreign backend whose replay fails), the
-    /// handle starts quarantined over an empty view: writes are refused.
-    pub fn new(store: Box<dyn VersionStore>) -> Self {
-        Self::with_metrics(store, HandleMetrics::default())
+    /// Shares `store`, publishing its view at once, with detached
+    /// (unregistered) `handle.*` metrics.
+    pub fn new(store: Store) -> Self {
+        Self::with_observability(store, None)
     }
 
-    /// Like [`ArchiveHandle::new`], with `handle.*` registered in `obs`.
-    pub fn observed(store: Box<dyn VersionStore>, obs: &Obs) -> Self {
-        Self::with_metrics(store, HandleMetrics::registered(obs))
-    }
-
-    fn with_metrics(store: Box<dyn VersionStore>, metrics: HandleMetrics) -> Self {
-        let spec = store.spec().clone();
-        let (view, fault) = match store.view() {
-            Ok(view) => (view, None),
-            Err(e) => (
-                Arc::new(Archive::new(spec.clone())) as StoreView,
-                Some(format!("initial view construction failed: {e}")),
-            ),
-        };
+    /// Like [`ArchiveHandle::new`], with `handle.*` registered in `obs`
+    /// when there is one.
+    pub(crate) fn with_observability(store: Store, obs: Option<&Obs>) -> Self {
         Self {
             shared: Arc::new(Shared {
-                writer: Mutex::new(Writer { store, fault }),
-                published: RwLock::new(view),
-                spec,
-                metrics,
+                published: RwLock::new(Arc::new(store.view())),
+                spec: store.spec().clone(),
+                writer: Mutex::new(Writer {
+                    store,
+                    fault: None,
+                    #[cfg(test)]
+                    hook: None,
+                }),
+                metrics: obs.map_or_else(HandleMetrics::default, HandleMetrics::registered),
             }),
         }
     }
@@ -250,20 +254,25 @@ impl ArchiveHandle {
     /// the writer mutex; readers keep answering from the published view
     /// until the merge publishes, and earlier snapshots are unaffected.
     pub fn add_version(&self, doc: &Document) -> Result<u32, StoreError> {
-        self.shared.mutate(|s| s.add_version(doc))
+        self.shared
+            .mutate(std::slice::from_ref(doc), |s| s.add_version(doc))
     }
 
     /// Archives an *empty* database as the next version.
     pub fn add_empty_version(&self) -> Result<u32, StoreError> {
-        self.shared.mutate(|s| s.add_empty_version())
+        self.shared.mutate(&[], |s| s.add_empty_version())
     }
 
     /// Bulk ingest as **one** writer section with **one** publication:
-    /// the backend's batch fast path runs while readers keep answering
-    /// from the published view, and a snapshot pins either the pre-batch
-    /// or the post-batch version, never a prefix.
+    /// the archive's batch merge runs while readers keep answering from
+    /// the published view, and a snapshot pins either the pre-batch or the
+    /// post-batch version, never a prefix. An empty batch commits nothing,
+    /// so it returns `Ok(vec![])` without entering the writer section.
     pub fn add_versions(&self, docs: &[Document]) -> Result<Vec<u32>, StoreError> {
-        self.shared.mutate(|s| s.add_versions(docs))
+        if docs.is_empty() {
+            return Ok(Vec::new());
+        }
+        self.shared.mutate(docs, |s| s.add_versions(docs))
     }
 
     /// A read-only view pinned at the currently-published version. Taking
@@ -278,9 +287,6 @@ impl ArchiveHandle {
 }
 
 /// Live reads: each query answers from the view published as it starts.
-/// That view is an owned `Arc` taken under the publication lock, not a
-/// borrow [`xarch_core::Layer::inner`] could hand out — hence the
-/// forwards spelled out.
 impl StoreReader for ArchiveHandle {
     fn spec(&self) -> &KeySpec {
         &self.shared.spec
@@ -321,48 +327,6 @@ impl StoreReader for ArchiveHandle {
     }
 }
 
-/// Pinned reads: every query is the held view's own.
-impl xarch_core::Layer for Snapshot {
-    type Inner = dyn StoreReader + Send + Sync;
-
-    fn inner(&self) -> &(dyn StoreReader + Send + Sync + 'static) {
-        self.view.as_ref()
-    }
-}
-
-/// The handle is itself a [`VersionStore`], so it can slot into any code
-/// written against the trait (conformance suites, generic drivers). The
-/// `&mut` receivers are a formality — writes really synchronize on the
-/// internal writer mutex.
-impl VersionStore for ArchiveHandle {
-    fn add_version(&mut self, doc: &Document) -> Result<u32, StoreError> {
-        ArchiveHandle::add_version(self, doc)
-    }
-
-    fn add_empty_version(&mut self) -> Result<u32, StoreError> {
-        ArchiveHandle::add_empty_version(self)
-    }
-
-    fn add_versions(&mut self, docs: &[Document]) -> Result<Vec<u32>, StoreError> {
-        // NOT the trait's default loop: the whole batch must land as one
-        // writer section and one publication so readers never interleave
-        ArchiveHandle::add_versions(self, docs)
-    }
-
-    fn checkpoint_state(&self) -> Result<Option<Vec<u8>>, StoreError> {
-        // a read of the store itself: it queues behind a running writer
-        self.shared.writer()?.store.checkpoint_state()
-    }
-
-    fn restore_checkpoint(&mut self, state: &[u8]) -> Result<bool, StoreError> {
-        self.shared.mutate(|s| s.restore_checkpoint(state))
-    }
-
-    fn view(&self) -> Result<StoreView, StoreError> {
-        Ok(self.shared.current())
-    }
-}
-
 /// A read-only view of a shared archive pinned at one version `P`.
 ///
 /// The snapshot *is* the archive as of `P`: `latest()` answers `P`,
@@ -375,7 +339,7 @@ impl VersionStore for ArchiveHandle {
 /// alive only the chunks later merges have since rewritten.
 #[derive(Clone)]
 pub struct Snapshot {
-    view: StoreView,
+    view: Arc<Store>,
 }
 
 impl std::fmt::Debug for Snapshot {
@@ -391,12 +355,55 @@ impl Snapshot {
     }
 }
 
+/// Pinned reads: every query is the held view's own.
+impl StoreReader for Snapshot {
+    fn spec(&self) -> &KeySpec {
+        self.view.spec()
+    }
+    fn latest(&self) -> u32 {
+        self.view.latest()
+    }
+    fn has_version(&self, v: u32) -> bool {
+        self.view.has_version(v)
+    }
+    fn retrieve(&self, v: u32) -> Result<Option<Document>, StoreError> {
+        self.view.retrieve(v)
+    }
+    fn retrieve_into(&self, v: u32, out: &mut dyn Write) -> Result<bool, StoreError> {
+        self.view.retrieve_into(v, out)
+    }
+    fn history(&self, steps: &[KeyQuery]) -> Result<Option<TimeSet>, StoreError> {
+        self.view.history(steps)
+    }
+    fn stats(&self) -> Result<StoreStats, StoreError> {
+        self.view.stats()
+    }
+    fn as_of(&self, steps: &[KeyQuery], v: u32) -> Result<Option<Document>, StoreError> {
+        self.view.as_of(steps, v)
+    }
+    fn history_values(&self, steps: &[KeyQuery]) -> Result<Option<ElementHistory>, StoreError> {
+        self.view.history_values(steps)
+    }
+    fn range(
+        &self,
+        prefix: &[KeyQuery],
+        versions: RangeInclusive<u32>,
+    ) -> Result<Vec<RangeEntry>, StoreError> {
+        self.view.range(prefix, versions)
+    }
+    fn diff(&self, steps: &[KeyQuery], v1: u32, v2: u32) -> Result<VersionDelta, StoreError> {
+        self.view.diff(steps, v1, v2)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot_oracle as oracle;
     use crate::store::ArchiveBuilder;
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::Barrier;
+    use xarch_core::Archive;
     use xarch_xml::parse;
 
     fn spec() -> KeySpec {
@@ -411,6 +418,14 @@ mod tests {
         }
         s.push_str("</db>");
         parse(&s).unwrap()
+    }
+
+    /// A handle over an in-memory store whose writer runs `hook` on each
+    /// mutation's documents just before it touches the store.
+    fn hooked(hook: impl FnMut(&[Document]) + Send + 'static) -> ArchiveHandle {
+        let handle = ArchiveBuilder::new(spec()).build_shared();
+        handle.shared.writer.lock().unwrap().hook = Some(Box::new(hook));
+        handle
     }
 
     #[test]
@@ -536,11 +551,12 @@ mod tests {
 
     #[test]
     fn handle_serves_trait_driven_code() {
-        // the handle is a VersionStore itself
-        let mut store: Box<dyn VersionStore> = Box::new(ArchiveBuilder::new(spec()).build_shared());
-        store.add_version(&doc(1)).unwrap();
-        assert_eq!(store.latest(), 1);
-        assert!(store.retrieve(1).unwrap().is_some());
+        // the handle is a StoreReader itself
+        let handle = ArchiveBuilder::new(spec()).build_shared();
+        handle.add_version(&doc(1)).unwrap();
+        let reader: &dyn StoreReader = &handle;
+        assert_eq!(reader.latest(), 1);
+        assert!(reader.retrieve(1).unwrap().is_some());
     }
 
     #[test]
@@ -573,43 +589,6 @@ mod tests {
         assert_eq!(handle.latest(), 5);
     }
 
-    /// The test doubles below wrap an [`Archive`] as `inner` and intercept
-    /// only mutations; their reads are the archive's.
-    macro_rules! reads_from_inner {
-        ($ty:ty) => {
-            impl xarch_core::Layer for $ty {
-                type Inner = Archive;
-                fn inner(&self) -> &Archive {
-                    &self.inner
-                }
-            }
-        };
-    }
-
-    /// A store whose merges rendezvous with the test on barriers while
-    /// `stall` is set, holding the writer section open deterministically.
-    struct GatedStore {
-        inner: Archive,
-        stall: Arc<AtomicBool>,
-        entered: Arc<Barrier>,
-        released: Arc<Barrier>,
-    }
-
-    reads_from_inner!(GatedStore);
-
-    impl VersionStore for GatedStore {
-        fn add_version(&mut self, doc: &Document) -> Result<u32, StoreError> {
-            if self.stall.load(Ordering::Acquire) {
-                self.entered.wait();
-                self.released.wait();
-            }
-            VersionStore::add_version(&mut self.inner, doc)
-        }
-        fn add_empty_version(&mut self) -> Result<u32, StoreError> {
-            VersionStore::add_empty_version(&mut self.inner)
-        }
-    }
-
     /// Satellite regression: pinning snapshots (and every read) must be
     /// wait-free while a slow merge holds the write path. Deterministic —
     /// the merge is parked on a barrier, not a timer: with the old global
@@ -619,12 +598,15 @@ mod tests {
         let stall = Arc::new(AtomicBool::new(false));
         let entered = Arc::new(Barrier::new(2));
         let released = Arc::new(Barrier::new(2));
-        let handle = ArchiveHandle::new(Box::new(GatedStore {
-            inner: Archive::new(spec()),
-            stall: Arc::clone(&stall),
-            entered: Arc::clone(&entered),
-            released: Arc::clone(&released),
-        }));
+        let handle = hooked({
+            let (stall, entered, released) = (stall.clone(), entered.clone(), released.clone());
+            move |_| {
+                if stall.load(Ordering::Acquire) {
+                    entered.wait();
+                    released.wait();
+                }
+            }
+        });
         handle.add_version(&doc(1)).unwrap();
         stall.store(true, Ordering::Release);
 
@@ -633,7 +615,7 @@ mod tests {
             s.spawn(move || {
                 writer.add_version(&doc(2)).unwrap();
             });
-            // the merge is now parked inside the store, writer mutex held …
+            // the merge is now parked in the writer section, mutex held …
             entered.wait();
             // … and every read path still answers instantly
             let snap = handle.snapshot();
@@ -648,72 +630,55 @@ mod tests {
         assert!(handle.retrieve(2).unwrap().is_some());
     }
 
-    /// A store that counts the mutations that reach it.
-    struct CountingStore {
-        inner: Archive,
-        singles: Arc<AtomicUsize>,
-        batches: Arc<AtomicUsize>,
-    }
-
-    reads_from_inner!(CountingStore);
-
-    impl VersionStore for CountingStore {
-        fn add_version(&mut self, doc: &Document) -> Result<u32, StoreError> {
-            self.singles.fetch_add(1, Ordering::Relaxed);
-            VersionStore::add_version(&mut self.inner, doc)
-        }
-        fn add_empty_version(&mut self) -> Result<u32, StoreError> {
-            self.singles.fetch_add(1, Ordering::Relaxed);
-            VersionStore::add_empty_version(&mut self.inner)
-        }
-        fn add_versions(&mut self, docs: &[Document]) -> Result<Vec<u32>, StoreError> {
-            self.batches.fetch_add(1, Ordering::Relaxed);
-            VersionStore::add_versions(&mut self.inner, docs)
-        }
-        fn view(&self) -> Result<StoreView, StoreError> {
-            self.inner.view()
-        }
-    }
-
-    /// One instance: a mutation through the handle reaches the wrapped
-    /// store exactly once.
+    /// One instance: a mutation through the handle reaches the store
+    /// exactly once and publishes once, read off the registry.
     #[test]
     fn each_mutation_is_applied_to_the_store_exactly_once() {
-        let singles = Arc::new(AtomicUsize::new(0));
-        let batches = Arc::new(AtomicUsize::new(0));
-        let handle = ArchiveHandle::new(Box::new(CountingStore {
-            inner: Archive::new(spec()),
-            singles: Arc::clone(&singles),
-            batches: Arc::clone(&batches),
-        }));
+        let obs = Obs::disconnected();
+        let handle = ArchiveBuilder::new(spec())
+            .with_observability(obs.clone())
+            .build_shared();
         handle.add_version(&doc(1)).unwrap();
         handle.add_empty_version().unwrap();
         handle.add_versions(&[doc(2), doc(3)]).unwrap();
-        assert_eq!(handle.add_versions(&[]).unwrap(), Vec::<u32>::new());
-        assert_eq!(singles.load(Ordering::Relaxed), 2);
-        assert_eq!(batches.load(Ordering::Relaxed), 2);
+        let r = obs.registry();
+        let count = |name| r.get_counter(name).unwrap().get();
+        assert_eq!(count("ingest.versions"), 4);
+        assert_eq!(count("ingest.batches"), 1);
+        assert_eq!(count("handle.publications"), 3);
+        let merges = r.get_histogram("ingest.merge_duration").unwrap();
+        assert_eq!(merges.count(), 2, "one sample per single-version commit");
         assert_eq!(handle.latest(), 4);
         assert_eq!(handle.snapshot().pinned(), 4);
     }
 
-    /// A store that panics mid-merge when the incoming document carries
-    /// the poison marker.
-    struct FaultyStore {
-        inner: Archive,
-    }
+    /// An empty batch commits nothing, so it enters no writer section and
+    /// publishes nothing — on a quarantined handle too, which answers it
+    /// `Ok(vec![])` as every store does.
+    #[test]
+    fn an_empty_batch_publishes_nothing() {
+        let obs = Obs::disconnected();
+        let handle = ArchiveBuilder::new(spec())
+            .with_observability(obs.clone())
+            .build_shared();
+        handle.add_version(&doc(1)).unwrap();
+        let r = obs.registry();
+        let moved = || {
+            (
+                r.get_counter("handle.publications").unwrap().get(),
+                r.get_histogram("handle.write_lock_hold").unwrap().count(),
+                r.get_counter("ingest.batches").unwrap().get(),
+            )
+        };
+        let before = moved();
+        assert_eq!(before, (1, 1, 0));
+        assert_eq!(handle.add_versions(&[]).unwrap(), Vec::<u32>::new());
+        assert_eq!(moved(), before);
+        assert_eq!(handle.snapshot().pinned(), 1);
 
-    reads_from_inner!(FaultyStore);
-
-    impl VersionStore for FaultyStore {
-        fn add_version(&mut self, doc: &Document) -> Result<u32, StoreError> {
-            if xarch_xml::writer::to_compact_string(doc).contains("boom") {
-                panic!("injected merge fault");
-            }
-            VersionStore::add_version(&mut self.inner, doc)
-        }
-        fn add_empty_version(&mut self) -> Result<u32, StoreError> {
-            VersionStore::add_empty_version(&mut self.inner)
-        }
+        handle.shared.writer.lock().unwrap().fault = Some("test".into());
+        assert_eq!(handle.add_versions(&[]).unwrap(), Vec::<u32>::new());
+        assert!(handle.add_versions(&[doc(2)]).is_err(), "still quarantined");
     }
 
     /// Satellite regression: a writer panic must not cascade into the
@@ -722,9 +687,16 @@ mod tests {
     /// published version and the write side degrades to `Backend` errors.
     #[test]
     fn writer_panic_quarantines_writes_but_readers_keep_answering() {
-        let handle = ArchiveHandle::new(Box::new(FaultyStore {
-            inner: Archive::new(spec()),
-        }));
+        // a merge that panics when the incoming document carries the
+        // poison marker
+        let handle = hooked(|docs| {
+            let poisoned = docs
+                .iter()
+                .any(|d| xarch_xml::writer::to_compact_string(d).contains("boom"));
+            if poisoned {
+                panic!("injected merge fault");
+            }
+        });
         handle.add_version(&doc(1)).unwrap();
         let snap = handle.snapshot();
 
@@ -767,5 +739,147 @@ mod tests {
         handle.add_version(&doc(2)).unwrap();
         assert_eq!(handle.latest(), 2);
         assert!(handle.retrieve(2).unwrap().is_some());
+    }
+    /// Where a parked merge and the readers meet. `merge` counts merge starts
+    /// and ends, so it is odd while a merge is parked; `probes` counts the
+    /// probes completed within the current one.
+    struct Latch {
+        state: std::sync::Mutex<(u64, u64)>,
+        probed: std::sync::Condvar,
+        need: u64,
+    }
+
+    /// How long a merge waits for the readers before it fails the test.
+    const LATCH_BOUND: std::time::Duration = std::time::Duration::from_secs(10);
+
+    impl Latch {
+        /// The merge a probe starting now begins in (odd: one is parked).
+        fn merge(&self) -> u64 {
+            self.state
+                .lock()
+                .expect("a thread panicked holding the latch")
+                .0
+        }
+
+        /// A probe that began in `began` has ended: it counts if that merge
+        /// is still parked.
+        fn probed(&self, began: u64) -> bool {
+            let mut state = self
+                .state
+                .lock()
+                .expect("a thread panicked holding the latch");
+            let inside = began % 2 == 1 && state.0 == began;
+            if inside {
+                state.1 += 1;
+                self.probed.notify_all();
+            }
+            inside
+        }
+
+        /// Parks the calling merge until `need` probes have completed
+        /// inside it; fails with the count after [`LATCH_BOUND`].
+        fn park(&self) {
+            let mut state = self
+                .state
+                .lock()
+                .expect("a thread panicked holding the latch");
+            *state = (state.0 + 1, 0);
+            let (mut state, waited) = (self.probed)
+                .wait_timeout_while(state, LATCH_BOUND, |s| s.1 < self.need)
+                .expect("a thread panicked holding the latch");
+            assert!(
+                !waited.timed_out(),
+                "readers completed only {} of {} probes while merge {} was parked",
+                state.1,
+                self.need,
+                state.0 / 2 + 1
+            );
+            state.0 += 1;
+        }
+    }
+
+    /// The reader-latency regression: readers must keep completing *inside*
+    /// a writer's stall, not queue behind it. Every merge parks on the
+    /// writer hook, holding the handle's writer side, until readers have
+    /// completed probes of the byte-compare invariant that began **and**
+    /// ended while it was parked. Under the old global-RwLock handle a
+    /// reader that arrived mid-merge parked until the merge released the
+    /// write lock, so no such probe could complete and the first merge
+    /// fails after [`LATCH_BOUND`]; with wait-free publication every merge
+    /// is released by the readers, with no dependence on how the threads
+    /// are scheduled. Run optimized too (CI does), so the threads genuinely
+    /// interleave.
+    #[test]
+    fn stress_reader_latency_under_writer_stall() {
+        use oracle::{check_snapshot, serial_replay, version_doc, VERSIONS};
+
+        const STALL_READERS: usize = 8;
+        const PROBES_PER_MERGE: u64 = 2;
+
+        let mut serial = Archive::new(oracle::spec());
+        let exp = Arc::new(serial_replay(&mut serial));
+        let latch = Arc::new(Latch {
+            state: std::sync::Mutex::new((0, 0)),
+            probed: std::sync::Condvar::new(),
+            need: PROBES_PER_MERGE,
+        });
+        let handle = hooked({
+            let latch = Arc::clone(&latch);
+            move |_| latch.park()
+        });
+        let mid_merge_reads = AtomicU64::new(0);
+
+        std::thread::scope(|s| {
+            let writer = handle.clone();
+            s.spawn(move || {
+                for v in 1..=VERSIONS {
+                    match version_doc(v) {
+                        Some(doc) => assert_eq!(writer.add_version(&doc).unwrap(), v),
+                        None => assert_eq!(writer.add_empty_version().unwrap(), v),
+                    }
+                }
+            });
+            for _ in 0..STALL_READERS {
+                let handle = handle.clone();
+                let exp = Arc::clone(&exp);
+                let latch = Arc::clone(&latch);
+                let mid = &mid_merge_reads;
+                s.spawn(move || {
+                    let mut probes = 0u64;
+                    loop {
+                        let began = latch.merge();
+                        let snap = handle.snapshot();
+                        let p = snap.pinned();
+                        // cheap probe: the streamed bytes at the pin must
+                        // match the serial recording, merge in flight or not
+                        if p > 0 {
+                            let mut sink = Vec::new();
+                            let wrote = snap.retrieve_into(p, &mut sink).unwrap();
+                            assert_eq!(wrote.then_some(sink), exp.bytes[p as usize]);
+                        }
+                        if latch.probed(began) {
+                            mid.fetch_add(1, Ordering::Relaxed);
+                        }
+                        probes += 1;
+                        if probes.is_multiple_of(32) {
+                            // periodic full byte-compare across the query
+                            // surface
+                            check_snapshot("stalled-writer", &snap, &exp);
+                        }
+                        if p == VERSIONS {
+                            break;
+                        }
+                    }
+                });
+            }
+        });
+
+        assert_eq!(handle.latest(), VERSIONS);
+        check_snapshot("stalled-writer/final", &handle.snapshot(), &exp);
+        let mid = mid_merge_reads.load(Ordering::Relaxed);
+        assert!(
+            mid >= u64::from(VERSIONS) * PROBES_PER_MERGE,
+            "every merge is released by probes completed inside it, but only {mid} were"
+        );
     }
 }

@@ -8,9 +8,9 @@
 //! The paper contributes one archiving *model* — all versions merged into
 //! a single tree, elements identified across versions by their keys,
 //! interval-set timestamps recording when each element exists — and three
-//! ways of running it. This crate serves the first, in memory (§4.2),
-//! behind one trait, [`VersionStore`], configured through
-//! [`ArchiveBuilder`]. It reproduces the other two as experiments: §5's
+//! ways of running it. This crate serves the first, in memory (§4.2), as
+//! one [`Store`] configured through [`ArchiveBuilder`] and queried
+//! through the [`StoreReader`] / [`VersionStore`] traits. It reproduces the other two as experiments: §5's
 //! hash-partitioned chunks ([`core::chunk`]) for the ablation's sizes,
 //! and §6's external-memory archiver for its I/O counts in [`extmem`].
 //! Serving looks like this:
@@ -48,36 +48,38 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! ## Choosing a backend
+//! ## Configuring the store
 //!
-//! Every backend implements the same [`VersionStore`] contract and
-//! produces version-for-version equivalent databases (the integration
-//! suite verifies this); they differ in where the merge's working set
-//! lives and how temporal queries are answered:
+//! [`ArchiveBuilder::open`] builds one [`Store`]: an in-memory
+//! [`core::Archive`] plus whatever the builder asked for. Every
+//! configuration answers version-for-version identically (the
+//! conformance suite verifies this); they differ in how temporal queries
+//! are navigated and what survives the process:
 //!
-//! | builder call | backend | paper | when to use | `as_of` / `history` / `range` / `history_values` / `diff` | bulk ingest ([`VersionStore::add_versions`]) | shared reads, published [`view`](VersionStore::view) | observability (`.with_observability(..)`) |
-//! |---|---|---|---|---|---|---|---|
-//! | default | [`core::Archive`] | §4.2 | archive + version fit in RAM; fastest merges and queries | native: the query kernel ([`core::kernel`]) — key-path descent by sibling scan + visibility-filtered subtree walk; `history_values` emits once per interval of constant content (cut at the subtree's own timestamps), an unchanged `diff` emits nothing | batch nested merge — each archive level is sorted and walked once per batch, byte-identical to a serial replay | `&self`, lock-free; a view is a clone over copy-on-write arena chunks — O(changed) | `query.*` / `ingest.*` latency histograms via the outermost [`core::ObservedStore`] wrapper |
-//! | `.durable(path)` + `.checkpoint_every(n)` | [`storage::DurableArchive`] | — | the archive must outlive the process: every commit is journaled to a segment file checksummed block by block ([`storage::crc32`]) and replayed on reopen (composes with any row above); a checkpoint cadence keeps reopen cost flat vs history by restoring the newest snapshot block and replaying only the tail | a [`Layer`] that intercepts nothing: every query is the wrapped backend's own; indexes are re-established during replay | **group commit** — one multi-version block, one commit word, one fsync per batch; a torn batch recovers to the pre-batch state, never a prefix | `&self`; reads never touch the journal — a view is the wrapped store's, taken after the commit lands | `segment.*` / `checkpoint.*` write/fsync counters, `recovery.*` replay counters + duration, structured recovery events (torn tail, corrupt block, skipped checkpoint) |
-//! | `.with_index()` | [`index::IndexedArchive`] | §7 | query-heavy service workloads on the in-memory tier: timestamp trees + history index over the archive's arena, refreshed once per commit over just the nodes the merge wrote; composes with every other builder call | indexed: the same query kernel over the §7 structures — `O(l log d)` descent, probe counts proportional to the answer | one batch merge, then one index refresh over what the whole batch wrote | `&self`; probe counters are atomics, shared by every view; index tables share chunks | `index.history.comparisons` / `index.timestamp.probes` bound to the shared registry |
-//! | [`ColdArchive::open`](storage::ColdArchive::open) | [`storage::ColdArchive`] | — | rarely-read archives that must answer without startup cost: queries run straight off the mmap'd segment file via a per-block version index, decoding only the blocks each answer needs — the archive is never materialized in RAM | per-block: `retrieve`/`as_of` decode one block, `retrieve_into` writes XML straight from its bytes and `as_of` builds only the element it returns; `history` streams block-at-a-time the same way; `range`/`history_values`/`diff` ride the trait fallbacks | n/a — cold readers are read-only (a shared OS lock admits any number of them beside each other, and refuses a live writer) | `&self`; the map itself is the shared state | `cold.retrieves` / `cold.blocks_decoded` / `cold.bytes_decoded` counters + `cold.mapped_bytes` gauge ([`storage::ColdArchive::open_observed`]) |
+//! | builder call | part of the [`Store`] | paper | queries | bulk ingest ([`VersionStore::add_versions`]) | observability (`.with_observability(..)`) |
+//! |---|---|---|---|---|---|
+//! | default | [`core::Archive`] | §4.2 | the query kernel ([`core::kernel`]) over [`core::kernel::Scan`]: key-path descent by sibling scan + visibility-filtered subtree walk; `history_values` emits once per interval of constant content, an unchanged `diff` emits nothing; `retrieve_into` streams the archive's own scan | batch nested merge — each archive level is sorted and walked once per batch, byte-identical to a serial replay | `query.*` / `ingest.*` latency histograms ([`core::QueryMetrics`]) |
+//! | `.with_index()` | [`index::Indexes`] | §7 | the same kernel over timestamp trees + the history index — `O(l log d)` descent, probe counts proportional to the answer; the indexes are refreshed once per commit over just the nodes the merge wrote | one batch merge, then one index refresh | `index.history.comparisons` / `index.timestamp.probes` |
+//! | `.durable(path)` + `.checkpoint_every(n)` | [`storage::Journal`] | — | reads never touch the journal. Every commit is journaled to a segment file checksummed block by block ([`storage::crc32`]); reopen restores the newest checkpoint and replays the tail behind it (an indexed store builds its indexes once, after replay) | **group commit** — one multi-version block, one commit word, one fsync per batch; a torn batch recovers to the pre-batch state, never a prefix | `segment.*` / `checkpoint.*` write/fsync counters, `recovery.*` replay counters + duration, structured recovery events |
+//! | [`ColdArchive::open`](storage::ColdArchive::open) | — (a read-only reader of a segment file) | — | per-block: `retrieve`/`as_of` decode one block of the mmap'd segment; `range`/`history_values`/`diff` ride the trait fallbacks | n/a — read-only (a shared OS lock admits any number of readers, and refuses a live writer) | `cold.*` counters + `cold.mapped_bytes` ([`storage::ColdArchive::open_observed`]) |
 //!
 //! `.compaction(Compaction::Weave)` additionally selects Fig 10's
 //! "further compaction" beneath frontier nodes. Durable configurations
 //! can fail to open (corrupt file, key-spec mismatch), so prefer
-//! [`ArchiveBuilder::try_build`] over `build()` when `.durable(..)` is set. The on-disk format all the
-//! durable rows share — superblock, block grammar, checkpoint envelope,
-//! recovery rules — is specified byte-for-byte in `docs/FORMAT.md`, and
-//! a golden test pins the spec's constants to the source.
+//! [`ArchiveBuilder::open`] or [`ArchiveBuilder::try_build`] over
+//! `build()` when `.durable(..)` is set. The on-disk format — superblock,
+//! block grammar, checkpoint envelope, recovery rules — is specified
+//! byte-for-byte in `docs/FORMAT.md`, and a golden test pins the spec's
+//! constants to the source.
 //!
 //! ## Bulk ingest
 //!
 //! Real curated archives arrive as releases. [`VersionStore::add_versions`]
-//! ingests a whole batch through the per-tier fast paths in the table —
-//! always observably identical to one [`VersionStore::add_version`] per
-//! document (`tests/batch_equivalence.rs` holds every backend to that) —
-//! and native paths validate the whole batch before mutating anything,
-//! so a rejected batch leaves the store untouched. Behind an
+//! ingests a whole batch through the batch paths in the table — always
+//! observably identical to one [`VersionStore::add_version`] per document
+//! (`tests/batch_equivalence.rs` holds every configuration to that) — and
+//! the archive validates the whole batch before mutating anything, so a
+//! rejected batch leaves the store untouched. Behind an
 //! [`ArchiveHandle`], the batch lands as one writer section and one
 //! publication, and snapshots pin either side of it, never the middle:
 //!
@@ -111,10 +113,10 @@
 //! and [`ArchiveHandle::snapshot`] pins a [`Snapshot`] at the current
 //! version: it holds the immutable view published for that version, so a
 //! reader observes one consistent archive while merges continue behind it.
-//! The handle keeps **one** archive instance: each commit is applied once
-//! and published as a view that shares every unchanged chunk with the
-//! store (`VersionStore::view`), so readers never wait behind a writer
-//! and a snapshot costs one `Arc` clone.
+//! The handle keeps **one** [`Store`]: each commit is applied once and
+//! published as a view that shares every unchanged chunk with the store,
+//! so readers never wait behind a writer and a snapshot costs one `Arc`
+//! clone.
 //!
 //! ```
 //! use xarch::keys::KeySpec;
@@ -156,21 +158,22 @@
 //! * [`core`] — the archiver: Nested Merge, timestamps, retrieval,
 //!   temporal history, the query kernel and model
 //!   (`as_of`/`history`/`history_values`/`range`/`diff`), change description, §5's chunking experiment, the
-//!   Fig-5 XML form, and the [`VersionStore`] / [`Layer`] traits;
+//!   Fig-5 XML form, the [`StoreReader`] / [`VersionStore`] traits and the
+//!   `query.*` / `ingest.*` metric handles;
 //! * [`compress`] — LZSS (gzip-class) and XMill-style compressors;
 //! * [`extmem`] — the §6 reproduction: the external-memory archiver with
 //!   I/O accounting (not a serving backend), and the event codec the
 //!   journal payloads reuse;
 //! * [`storage`] — the durable segmented archive format (specified in
-//!   `docs/FORMAT.md`), the crash-safe [`storage::DurableArchive`]
-//!   backend with checkpointed reopen, and the mmap'd
-//!   [`storage::ColdArchive`] cold-read path;
-//! * [`index`] — timestamp trees, the history index, and the indexed
-//!   `VersionStore` built on them;
+//!   `docs/FORMAT.md`), the crash-safe [`storage::Journal`] with
+//!   checkpointed reopen, and the mmap'd [`storage::ColdArchive`]
+//!   cold-read path;
+//! * [`index`] — timestamp trees, the history index, and
+//!   [`index::Indexes`], the query kernel's navigator over both;
 //! * [`obs`] — the dependency-free observability layer: metrics registry
 //!   (counters/gauges/latency histograms over lock-free atomics),
 //!   structured tracing events with a post-mortem ring buffer, and
-//!   Prometheus/JSON exposition — threaded through every backend by
+//!   Prometheus/JSON exposition — threaded through every layer by
 //!   [`ArchiveBuilder::with_observability`] (see `examples/ops_report.rs`);
 //! * [`datagen`] — OMIM/Swiss-Prot/XMark-like generators and the paper's
 //!   change simulators.
@@ -207,11 +210,17 @@ pub use xarch_xml as xml;
 mod handle;
 mod store;
 
+// the snapshot oracle shared with `tests/concurrency.rs` names this crate
+// `xarch`, as an integration test does
+#[cfg(test)]
+extern crate self as xarch;
+#[cfg(test)]
+#[path = "../tests/common/snapshot_oracle.rs"]
+mod snapshot_oracle;
+
 pub use handle::{ArchiveHandle, Snapshot};
-pub use store::ArchiveBuilder;
+pub use store::{ArchiveBuilder, Store};
 pub use xarch_core::{
-    ElementHistory, Layer, RangeEntry, StoreError, StoreReader, StoreStats, VersionDelta,
-    VersionStore,
+    ElementHistory, RangeEntry, StoreError, StoreReader, StoreStats, VersionDelta, VersionStore,
 };
-pub use xarch_index::IndexedArchive;
-pub use xarch_storage::{ColdArchive, DurableArchive, DurableOptions, RecoveryStats};
+pub use xarch_storage::{ColdArchive, DurableOptions, RecoveryStats};

@@ -17,7 +17,7 @@ use std::cell::Cell;
 
 use xarch::core::{Archive, KeyPart, KeyQuery, KeyValue, StoreReader, TimeSet, VersionStore};
 use xarch::datagen::omim::{omim_spec, OmimGen};
-use xarch::IndexedArchive;
+use xarch::{ArchiveBuilder, Store};
 
 thread_local! {
     /// Blocks this thread has asked the allocator for.
@@ -59,10 +59,13 @@ const RECORDS: usize = 300;
 const VERSIONS: u32 = 64;
 
 /// Seed 7's OMIM releases of 300 records, ingested in batches of 8 into
-/// an indexed archive.
-fn fixture() -> IndexedArchive {
+/// an indexed store.
+fn fixture() -> Store {
     let docs = OmimGen::new(7).sequence(RECORDS, VERSIONS as usize);
-    let mut store = IndexedArchive::new(omim_spec());
+    let mut store = ArchiveBuilder::new(omim_spec())
+        .with_index()
+        .open()
+        .unwrap();
     for batch in docs.chunks(8) {
         store.add_versions(batch).expect("OMIM releases are keyed");
     }

@@ -12,158 +12,18 @@
 
 use std::sync::Arc;
 
-use xarch::core::KeyQuery;
-use xarch::keys::KeySpec;
-use xarch::xml::parse;
-use xarch::{ArchiveBuilder, ArchiveHandle, RangeEntry, StoreReader, VersionStore};
+use xarch::{ArchiveBuilder, ArchiveHandle, Store, StoreReader};
 
-/// Versions the writer merges (version `EMPTY_VERSION` is archived
-/// empty); record `r` is present in version `v` iff `(v + r) % 4 != 0`,
-/// so records churn — inserted, deleted, reinserted — across the run.
-const VERSIONS: u32 = 12;
-const EMPTY_VERSION: u32 = 7;
-const RECORDS: u32 = 8;
+#[path = "common/snapshot_oracle.rs"]
+mod oracle;
+
+use oracle::{check_snapshot, serial_replay, spec, version_doc, VERSIONS};
+
 const READERS: usize = 4;
-
-fn spec() -> KeySpec {
-    KeySpec::parse("(/, (db, {}))\n(/db, (rec, {id}))\n(/db/rec, (val, {}))").unwrap()
-}
-
-fn version_doc(v: u32) -> Option<xarch::xml::Document> {
-    if v == EMPTY_VERSION {
-        return None;
-    }
-    let mut s = String::from("<db>");
-    for r in 1..=RECORDS {
-        if (v + r).is_multiple_of(4) {
-            continue;
-        }
-        s.push_str(&format!("<rec><id>{r}</id><val>r{r}v{v}</val></rec>"));
-    }
-    s.push_str("</db>");
-    Some(parse(&s).unwrap())
-}
-
-fn queries() -> Vec<Vec<KeyQuery>> {
-    let rec = |id: &str| {
-        vec![
-            KeyQuery::new("db"),
-            KeyQuery::new("rec").with_text("id", id),
-        ]
-    };
-    vec![
-        rec("1"),
-        rec("2"),
-        rec("99"), // never archived
-        vec![],    // the synthetic root
-    ]
-}
-
-fn compact(doc: &xarch::xml::Document) -> String {
-    xarch::xml::writer::to_compact_string(doc)
-}
-
-/// Everything a snapshot pinned at `P` must answer, recorded from the
-/// serial store the moment version `P` committed. Index 0 is the empty
-/// archive.
-struct Expected {
-    /// `bytes[v]`: the streamed serialization of version `v` (`None` for
-    /// empty versions). Recorded once — committed versions are immutable.
-    bytes: Vec<Option<Vec<u8>>>,
-    /// `as_of[qi][v]`: the addressed subtree at version `v`, compact.
-    as_of: Vec<Vec<Option<String>>>,
-    /// `history[qi][pin]`: the existence set (displayed) at each pin.
-    history: Vec<Vec<Option<String>>>,
-    /// `range[pin]`: keyed children of `<db>` over the whole window.
-    range: Vec<Vec<RangeEntry>>,
-}
-
-/// Grows `store` through the full version sequence, recording the
-/// expected answer set at every pin level.
-fn serial_replay(store: &mut Box<dyn VersionStore>) -> Expected {
-    let qs = queries();
-    let prefix = [KeyQuery::new("db")];
-    let mut exp = Expected {
-        bytes: vec![None],
-        as_of: vec![vec![None]; qs.len()],
-        history: vec![Vec::new(); qs.len()],
-        range: Vec::new(),
-    };
-    // pin 0: the empty archive
-    for (qi, q) in qs.iter().enumerate() {
-        exp.history[qi].push(store.history(q).unwrap().map(|t| t.to_string()));
-    }
-    exp.range.push(store.range(&prefix, 1..=u32::MAX).unwrap());
-    for v in 1..=VERSIONS {
-        match version_doc(v) {
-            Some(doc) => assert_eq!(store.add_version(&doc).unwrap(), v),
-            None => assert_eq!(store.add_empty_version().unwrap(), v),
-        }
-        let mut bytes = Vec::new();
-        let wrote = store.retrieve_into(v, &mut bytes).unwrap();
-        exp.bytes.push(wrote.then_some(bytes));
-        for (qi, q) in qs.iter().enumerate() {
-            exp.as_of[qi].push(store.as_of(q, v).unwrap().map(|d| compact(&d)));
-            exp.history[qi].push(store.history(q).unwrap().map(|t| t.to_string()));
-        }
-        exp.range.push(store.range(&prefix, 1..=u32::MAX).unwrap());
-    }
-    exp
-}
-
-/// One reader thread: snapshot, then interrogate it and compare every
-/// answer with the serial recordings at the pinned version.
-fn check_snapshot(label: &str, snap: &xarch::Snapshot, exp: &Expected) {
-    let p = snap.pinned();
-    assert_eq!(snap.latest(), p, "{label}");
-    let qs = queries();
-
-    // reads beyond the pin never leak, even while the writer is ahead
-    assert!(!snap.has_version(p + 1), "{label} pin {p}");
-    assert!(snap.retrieve(p + 1).unwrap().is_none(), "{label} pin {p}");
-    let mut sink = Vec::new();
-    assert!(!snap.retrieve_into(p + 1, &mut sink).unwrap());
-
-    // full retrieval: byte-identical to the serial replay
-    for v in 1..=p {
-        let mut got = Vec::new();
-        let wrote = snap.retrieve_into(v, &mut got).unwrap();
-        let want = &exp.bytes[v as usize];
-        assert_eq!(wrote, want.is_some(), "{label} retrieve v{v} pin {p}");
-        if let Some(want) = want {
-            assert_eq!(&got, want, "{label} retrieve v{v} pin {p}");
-        }
-    }
-
-    for (qi, q) in qs.iter().enumerate() {
-        // history pinned: equal to what the serial store said at pin P
-        let got = snap.history(q).unwrap().map(|t| t.to_string());
-        assert_eq!(
-            got, exp.history[qi][p as usize],
-            "{label} history q{qi} pin {p}"
-        );
-        // as_of at every version up to the pin
-        for v in 1..=p {
-            let got = snap.as_of(q, v).unwrap().map(|d| compact(&d));
-            assert_eq!(
-                got, exp.as_of[qi][v as usize],
-                "{label} as_of q{qi} v{v} pin {p}"
-            );
-        }
-        // as_of beyond the pin is absent
-        assert!(snap.as_of(q, p + 1).unwrap().is_none(), "{label} q{qi}");
-    }
-
-    // range over an unbounded window clamps to the pin
-    let got = snap.range(&[KeyQuery::new("db")], 1..=u32::MAX).unwrap();
-    assert_eq!(got, exp.range[p as usize], "{label} range pin {p}");
-
-    assert_eq!(snap.stats().unwrap().versions, p, "{label} stats pin {p}");
-}
 
 /// The harness: serial replay on one store, then a racing writer and
 /// `READERS` snapshot readers on a second store of the same configuration.
-fn stress(label: &str, mut serial: Box<dyn VersionStore>, live: Box<dyn VersionStore>) {
+fn stress(label: &str, mut serial: Store, live: Store) {
     let exp = Arc::new(serial_replay(&mut serial));
     drop(serial); // releases durable file locks before the race starts
     let handle = ArchiveHandle::new(live);
@@ -215,11 +75,7 @@ fn stress(label: &str, mut serial: Box<dyn VersionStore>, live: Box<dyn VersionS
 /// pin is exactly the bug the single-write-lock design rules out. Every
 /// pinned snapshot is still checked byte-for-byte against the serial
 /// recordings.
-fn stress_batch_writer(
-    label: &str,
-    mut serial: Box<dyn VersionStore>,
-    live: Box<dyn VersionStore>,
-) {
+fn stress_batch_writer(label: &str, mut serial: Store, live: Store) {
     // consecutive non-empty runs become batches; the empty version is its
     // own commit. Boundaries: 0, 3, 6, 7, 10, 12 for the 12-version run.
     let mut batches: Vec<Vec<xarch::xml::Document>> = Vec::new();
@@ -304,8 +160,8 @@ impl Drop for Scratch {
 fn stress_in_memory() {
     stress(
         "in-memory",
-        ArchiveBuilder::new(spec()).build(),
-        ArchiveBuilder::new(spec()).build(),
+        ArchiveBuilder::new(spec()).open().unwrap(),
+        ArchiveBuilder::new(spec()).open().unwrap(),
     );
 }
 
@@ -313,8 +169,8 @@ fn stress_in_memory() {
 fn stress_in_memory_indexed() {
     stress(
         "in-memory/indexed",
-        ArchiveBuilder::new(spec()).with_index().build(),
-        ArchiveBuilder::new(spec()).with_index().build(),
+        ArchiveBuilder::new(spec()).with_index().open().unwrap(),
+        ArchiveBuilder::new(spec()).with_index().open().unwrap(),
     );
 }
 
@@ -330,10 +186,12 @@ fn stress_in_memory_weave() {
         "in-memory/weave",
         ArchiveBuilder::new(spec())
             .compaction(Compaction::Weave)
-            .build(),
+            .open()
+            .unwrap(),
         ArchiveBuilder::new(spec())
             .compaction(Compaction::Weave)
-            .build(),
+            .open()
+            .unwrap(),
     );
 }
 
@@ -341,8 +199,8 @@ fn stress_in_memory_weave() {
 fn stress_batch_writer_in_memory() {
     stress_batch_writer(
         "in-memory/batched",
-        ArchiveBuilder::new(spec()).build(),
-        ArchiveBuilder::new(spec()).build(),
+        ArchiveBuilder::new(spec()).open().unwrap(),
+        ArchiveBuilder::new(spec()).open().unwrap(),
     );
 }
 
@@ -353,8 +211,8 @@ fn stress_batch_writer_in_memory_indexed() {
     // trees and history index do not yet cover
     stress_batch_writer(
         "in-memory/indexed/batched",
-        ArchiveBuilder::new(spec()).with_index().build(),
-        ArchiveBuilder::new(spec()).with_index().build(),
+        ArchiveBuilder::new(spec()).with_index().open().unwrap(),
+        ArchiveBuilder::new(spec()).with_index().open().unwrap(),
     );
 }
 
@@ -367,11 +225,11 @@ fn stress_batch_writer_durable() {
         "durable/batched",
         ArchiveBuilder::new(spec())
             .durable(serial_path)
-            .try_build()
+            .open()
             .expect("serial durable store"),
         ArchiveBuilder::new(spec())
             .durable(live_path)
-            .try_build()
+            .open()
             .expect("live durable store"),
     );
 }
@@ -385,11 +243,11 @@ fn stress_durable() {
         "durable",
         ArchiveBuilder::new(spec())
             .durable(serial_path)
-            .try_build()
+            .open()
             .expect("serial durable store"),
         ArchiveBuilder::new(spec())
             .durable(live_path)
-            .try_build()
+            .open()
             .expect("live durable store"),
     );
 }
@@ -546,187 +404,12 @@ fn stress_durable_indexed() {
         ArchiveBuilder::new(spec())
             .with_index()
             .durable(serial_path)
-            .try_build()
+            .open()
             .expect("serial durable store"),
         ArchiveBuilder::new(spec())
             .with_index()
             .durable(live_path)
-            .try_build()
+            .open()
             .expect("live durable store"),
     );
-}
-
-/// A backend wrapper that parks inside every merge until readers have
-/// completed `need` probes that began and ended while it was parked. Its
-/// views come from the trait's *default* `view` (serial replay into an
-/// in-memory archive), so this doubles as racing coverage for replay-built
-/// views.
-struct StallingStore {
-    inner: Box<dyn VersionStore>,
-    latch: Arc<Latch>,
-}
-
-/// Where a parked merge and the readers meet. `merge` counts merge starts
-/// and ends, so it is odd while a merge is parked; `probes` counts the
-/// probes completed within the current one.
-struct Latch {
-    state: std::sync::Mutex<(u64, u64)>,
-    probed: std::sync::Condvar,
-    need: u64,
-}
-
-/// How long a merge waits for the readers before it fails the test.
-const LATCH_BOUND: std::time::Duration = std::time::Duration::from_secs(10);
-
-impl Latch {
-    /// The merge a probe starting now begins in (odd: one is parked).
-    fn merge(&self) -> u64 {
-        self.state
-            .lock()
-            .expect("a thread panicked holding the latch")
-            .0
-    }
-
-    /// A probe that began in `began` has ended: it counts if that merge is
-    /// still parked.
-    fn probed(&self, began: u64) -> bool {
-        let mut state = self
-            .state
-            .lock()
-            .expect("a thread panicked holding the latch");
-        let inside = began % 2 == 1 && state.0 == began;
-        if inside {
-            state.1 += 1;
-            self.probed.notify_all();
-        }
-        inside
-    }
-
-    /// Parks the calling merge until `need` probes have completed inside
-    /// it; fails with the count after [`LATCH_BOUND`].
-    fn park(&self) {
-        let mut state = self
-            .state
-            .lock()
-            .expect("a thread panicked holding the latch");
-        *state = (state.0 + 1, 0);
-        let (mut state, waited) = (self.probed)
-            .wait_timeout_while(state, LATCH_BOUND, |s| s.1 < self.need)
-            .expect("a thread panicked holding the latch");
-        assert!(
-            !waited.timed_out(),
-            "readers completed only {} of {} probes while merge {} was parked",
-            state.1,
-            self.need,
-            state.0 / 2 + 1
-        );
-        state.0 += 1;
-    }
-}
-
-impl xarch::core::Layer for StallingStore {
-    type Inner = dyn VersionStore;
-
-    fn inner(&self) -> &(dyn VersionStore + 'static) {
-        self.inner.as_ref()
-    }
-}
-
-impl VersionStore for StallingStore {
-    fn add_version(&mut self, doc: &xarch::xml::Document) -> Result<u32, xarch::StoreError> {
-        self.latch.park();
-        self.inner.add_version(doc)
-    }
-    fn add_empty_version(&mut self) -> Result<u32, xarch::StoreError> {
-        self.latch.park();
-        self.inner.add_empty_version()
-    }
-}
-
-/// The reader-latency regression: readers must keep completing *inside* a
-/// writer's stall, not queue behind it. Every merge parks, holding the
-/// handle's writer side, until readers have completed probes of the
-/// byte-compare invariant that began **and** ended while it was parked.
-/// Under the old global-RwLock handle a reader that arrived mid-merge
-/// parked until the merge released the write lock, so no such probe could
-/// complete and the first merge fails after [`LATCH_BOUND`]; with
-/// wait-free publication every merge is released by the readers, with no
-/// dependence on how the threads are scheduled.
-#[test]
-fn stress_reader_latency_under_writer_stall() {
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    const STALL_READERS: usize = 8;
-    const PROBES_PER_MERGE: u64 = 2;
-
-    let mut serial: Box<dyn VersionStore> = ArchiveBuilder::new(spec()).build();
-    let exp = Arc::new(serial_replay(&mut serial));
-    let latch = Arc::new(Latch {
-        state: std::sync::Mutex::new((0, 0)),
-        probed: std::sync::Condvar::new(),
-        need: PROBES_PER_MERGE,
-    });
-    let handle = ArchiveHandle::new(Box::new(StallingStore {
-        inner: ArchiveBuilder::new(spec()).build(),
-        latch: Arc::clone(&latch),
-    }));
-    let mid_merge_reads = AtomicU64::new(0);
-
-    std::thread::scope(|s| {
-        let writer = handle.clone();
-        s.spawn(move || {
-            for v in 1..=VERSIONS {
-                match version_doc(v) {
-                    Some(doc) => assert_eq!(writer.add_version(&doc).unwrap(), v),
-                    None => assert_eq!(writer.add_empty_version().unwrap(), v),
-                }
-            }
-        });
-        for _ in 0..STALL_READERS {
-            let handle = handle.clone();
-            let exp = Arc::clone(&exp);
-            let latch = Arc::clone(&latch);
-            let mid = &mid_merge_reads;
-            s.spawn(move || {
-                let mut probes = 0u64;
-                loop {
-                    let began = latch.merge();
-                    let snap = handle.snapshot();
-                    let p = snap.pinned();
-                    // cheap probe: the streamed bytes at the pin must
-                    // match the serial recording, merge in flight or not
-                    if p > 0 {
-                        let mut sink = Vec::new();
-                        let wrote = snap.retrieve_into(p, &mut sink).unwrap();
-                        assert_eq!(wrote.then_some(sink), exp.bytes[p as usize]);
-                    }
-                    if latch.probed(began) {
-                        mid.fetch_add(1, Ordering::Relaxed);
-                    }
-                    probes += 1;
-                    if probes.is_multiple_of(32) {
-                        // periodic full byte-compare across the query surface
-                        check_snapshot("stalled-writer", &snap, &exp);
-                    }
-                    if p == VERSIONS {
-                        break;
-                    }
-                }
-            });
-        }
-    });
-
-    assert_eq!(handle.latest(), VERSIONS);
-    check_snapshot("stalled-writer/final", &handle.snapshot(), &exp);
-    let mid = mid_merge_reads.load(Ordering::Relaxed);
-    assert!(
-        mid >= u64::from(VERSIONS) * PROBES_PER_MERGE,
-        "every merge is released by probes completed inside it, but only {mid} were"
-    );
-}
-
-#[test]
-fn stalling_store_is_shareable_across_threads() {
-    fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<StallingStore>();
 }

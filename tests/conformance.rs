@@ -7,27 +7,20 @@
 
 mod common;
 
-use std::io::Write;
-use std::ops::RangeInclusive;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use xarch::core::kernel::{locate, Scan};
 use xarch::core::query::{find_in_doc, subtree_doc};
-use xarch::core::{
-    equiv_modulo_key_order, ANodeId, Archive, Compaction, KeyQuery, ObservedStore, StoreView,
-    TimeSet,
-};
+use xarch::core::{equiv_modulo_key_order, ANodeId, Archive, Compaction, KeyQuery};
 use xarch::datagen::company::{company_spec, company_versions};
 use xarch::datagen::omim::{omim_spec, OmimGen};
 use xarch::datagen::swissprot::{swissprot_spec, SwissProtGen};
 use xarch::datagen::xmark::{xmark_spec, XmarkGen};
+use xarch::index::Indexes;
 use xarch::keys::{annotate_with, Fingerprinter, KeySpec};
 use xarch::xml::writer::to_compact_string;
 use xarch::xml::{parse, Document, NodeId, NodeKind};
-use xarch::{
-    ArchiveBuilder, ElementHistory, IndexedArchive, RangeEntry, StoreError, StoreReader,
-    StoreStats, VersionDelta, VersionStore,
-};
+use xarch::{ArchiveBuilder, ArchiveHandle, Store, StoreReader, VersionStore};
 
 fn spec() -> KeySpec {
     KeySpec::parse("(/, (db, {}))\n(/db, (rec, {id}))\n(/db/rec, (val, {}))").unwrap()
@@ -47,7 +40,7 @@ impl Drop for ScratchFiles {
 }
 
 /// A labelled store under test.
-type NamedStore = (&'static str, Box<dyn VersionStore>);
+type NamedStore = (&'static str, Store);
 
 /// Every backend, built from the facade, as the acceptance criteria
 /// require — each storage tier plain, and the in-memory tier with the
@@ -59,7 +52,7 @@ type NamedStore = (&'static str, Box<dyn VersionStore>);
 fn all_backends(spec: &KeySpec) -> (ScratchFiles, Vec<NamedStore>) {
     let (guard, mut backends) = backends_compacting(spec, Compaction::Alternatives);
     let weave = ArchiveBuilder::new(spec.clone()).compaction(Compaction::Weave);
-    backends.insert(1, ("in-memory/weave", weave.build()));
+    backends.insert(1, ("in-memory/weave", weave.open().unwrap()));
     (guard, backends)
 }
 
@@ -70,10 +63,10 @@ fn backends_compacting(spec: &KeySpec, compaction: Compaction) -> (ScratchFiles,
     let durable_indexed_path = xarch::storage::scratch_path("conformance-indexed");
     let guard = ScratchFiles(vec![durable_path.clone(), durable_indexed_path.clone()]);
     let builder = || ArchiveBuilder::new(spec.clone()).compaction(compaction);
-    let durable = |b: ArchiveBuilder, path| b.durable(path).try_build().expect("durable store");
+    let durable = |b: ArchiveBuilder, path| b.durable(path).open().expect("durable store");
     let backends = vec![
-        ("in-memory", builder().build()),
-        ("in-memory/indexed", builder().with_index().build()),
+        ("in-memory", builder().open().unwrap()),
+        ("in-memory/indexed", builder().with_index().open().unwrap()),
         ("durable", durable(builder(), durable_path)),
         (
             "durable/indexed",
@@ -154,7 +147,7 @@ fn snapshots_pin_reads_on_every_backend() {
     };
     let (_scratch, backends) = all_backends(&spec());
     for (label, s) in backends {
-        let handle = xarch::ArchiveHandle::new(s);
+        let handle = ArchiveHandle::new(s);
         // a snapshot pinned at every version, with what it answered then
         let mut pins = vec![handle.snapshot()];
         handle.add_version(&v1).unwrap();
@@ -567,7 +560,7 @@ fn history_values_and_diff_equal_their_per_version_definitions() {
                     None => s.add_empty_version().unwrap(),
                 };
             }
-            if let Err(diverged) = common::check_against_definitions(s.as_ref(), &paths) {
+            if let Err(diverged) = common::check_against_definitions(&s, &paths) {
                 panic!("{label} under {compaction:?}: {diverged}");
             }
             // and the definitions say what the script was written to say
@@ -682,144 +675,59 @@ fn streamed_bytes_are_the_compact_writers_on_text_that_needs_escaping() {
     }
 }
 
-/// An in-memory store that logs which of its own `StoreReader` methods
-/// ran; its views share the log.
-#[derive(Clone)]
-struct Recording {
-    archive: Archive,
-    log: Arc<Mutex<Vec<&'static str>>>,
-}
-
-impl Recording {
-    fn hit(&self, method: &'static str) -> &Archive {
-        self.log.lock().unwrap().push(method);
-        &self.archive
-    }
-}
-
-impl StoreReader for Recording {
-    fn spec(&self) -> &KeySpec {
-        self.hit("spec").spec()
-    }
-    fn latest(&self) -> u32 {
-        self.hit("latest").latest()
-    }
-    fn has_version(&self, v: u32) -> bool {
-        self.hit("has_version").has_version(v)
-    }
-    fn retrieve(&self, v: u32) -> Result<Option<Document>, StoreError> {
-        StoreReader::retrieve(self.hit("retrieve"), v)
-    }
-    fn retrieve_into(&self, v: u32, out: &mut dyn Write) -> Result<bool, StoreError> {
-        StoreReader::retrieve_into(self.hit("retrieve_into"), v, out)
-    }
-    fn history(&self, steps: &[KeyQuery]) -> Result<Option<TimeSet>, StoreError> {
-        StoreReader::history(self.hit("history"), steps)
-    }
-    fn stats(&self) -> Result<StoreStats, StoreError> {
-        StoreReader::stats(self.hit("stats"))
-    }
-    fn as_of(&self, steps: &[KeyQuery], v: u32) -> Result<Option<Document>, StoreError> {
-        StoreReader::as_of(self.hit("as_of"), steps, v)
-    }
-    fn history_values(&self, q: &[KeyQuery]) -> Result<Option<ElementHistory>, StoreError> {
-        self.hit("history_values").history_values(q)
-    }
-    fn range(&self, q: &[KeyQuery], w: RangeInclusive<u32>) -> Result<Vec<RangeEntry>, StoreError> {
-        StoreReader::range(self.hit("range"), q, w)
-    }
-    fn diff(&self, q: &[KeyQuery], v1: u32, v2: u32) -> Result<VersionDelta, StoreError> {
-        self.hit("diff").diff(q, v1, v2)
-    }
-}
-
-impl VersionStore for Recording {
-    fn add_version(&mut self, doc: &Document) -> Result<u32, StoreError> {
-        VersionStore::add_version(&mut self.archive, doc)
-    }
-    fn add_empty_version(&mut self) -> Result<u32, StoreError> {
-        VersionStore::add_empty_version(&mut self.archive)
-    }
-    fn view(&self) -> Result<StoreView, StoreError> {
-        Ok(Arc::new(self.clone()))
-    }
-}
-
 #[test]
 fn every_wrapper_reaches_the_inner_fast_path() {
-    // Each wrapper forwards every reader method it does not intercept to
-    // the *same-named* method of the store it wraps — so an inner fast
-    // path (an indexed `history_values`, say) is never silently replaced
-    // by the trait's whole-retrieve fallback composing it from
-    // per-version `retrieve`s. Removing any forward fails this test.
-    fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<Recording>();
+    // The handle and its snapshots forward every reader method to the
+    // store's *same-named* method — so the indexed kernel is never
+    // silently replaced by the trait's whole-retrieve fallback composing
+    // an answer from per-version `retrieve`s. The §7 work a query charges
+    // is the witness: the same through every surface as through the store
+    // itself. Removing any forward fails this test.
     let q = [
         KeyQuery::new("db"),
         KeyQuery::new("rec").with_text("id", "1"),
     ];
     type Call<'a> = &'a dyn Fn(&dyn StoreReader);
-    let methods: [(&str, Call); 11] = [
-        ("spec", &|r| _ = r.spec()),
-        ("latest", &|r| _ = r.latest()),
-        ("has_version", &|r| _ = r.has_version(1)),
-        ("retrieve", &|r| _ = r.retrieve(1).unwrap()),
+    let queries: [(&str, Call); 7] = [
+        ("retrieve", &|r| _ = r.retrieve(2).unwrap()),
         ("retrieve_into", &|r| {
-            _ = r.retrieve_into(1, &mut Vec::new()).unwrap()
+            _ = r.retrieve_into(2, &mut Vec::new()).unwrap()
         }),
         ("history", &|r| _ = r.history(&q).unwrap()),
-        ("stats", &|r| _ = r.stats().unwrap()),
         ("as_of", &|r| _ = r.as_of(&q, 1).unwrap()),
         ("history_values", &|r| _ = r.history_values(&q).unwrap()),
         ("range", &|r| _ = r.range(&q[..1], 1..=2).unwrap()),
         ("diff", &|r| _ = r.diff(&q, 1, 2).unwrap()),
     ];
-
-    let log = Arc::new(Mutex::new(Vec::new()));
-    let recording = || -> Box<dyn VersionStore> {
-        Box::new(Recording {
-            archive: Archive::new(spec()),
-            log: Arc::clone(&log),
-        })
+    let mut store = ArchiveBuilder::new(spec()).with_index().open().unwrap();
+    for val in ["a", "b"] {
+        let src = format!("<db><rec><id>1</id><val>{val}</val></rec></db>");
+        store.add_version(&parse(&src).unwrap()).unwrap();
+    }
+    let work = |r: &dyn StoreReader, call: Call, index: &Indexes| {
+        index.reset_probes();
+        call(r);
+        (
+            index.history_index().comparisons(),
+            index.timestamp_index().probes(),
+        )
     };
-    let path = xarch::storage::scratch_path("conformance-forwarding");
-    let _scratch = ScratchFiles(vec![path.clone()]);
-    let durable = xarch::DurableArchive::open(&path, recording()).unwrap();
-    let observed = ObservedStore::new(recording(), &xarch::obs::Obs::disconnected());
-    let handle = xarch::ArchiveHandle::new(recording());
-    // (wrapper, the store under test, the methods it answers itself)
-    let mut wrappers: Vec<(&str, Box<dyn VersionStore>, &[&str])> = vec![
-        ("DurableArchive", Box::new(durable), &[]),
-        ("ObservedStore", Box::new(observed), &[]),
-        // the key spec is cached: no guard may back the returned borrow
-        ("ArchiveHandle", Box::new(handle.clone()), &["spec"]),
-    ];
-    for (_, store, _) in &mut wrappers {
-        for val in ["a", "b"] {
-            let src = format!("<db><rec><id>1</id><val>{val}</val></rec></db>");
-            store.add_version(&parse(&src).unwrap()).unwrap();
-        }
-    }
+    // (the published copies share the store's probe counters)
+    let index = store.indexes().unwrap().clone();
+    let own: Vec<_> = queries
+        .iter()
+        .map(|(_, c)| work(&store, *c, &index))
+        .collect();
+    assert_eq!(own[1], (0, 0), "retrieve_into is the archive's own scan");
+    assert!(own.iter().skip(2).all(|w| w.0 > 0), "{own:?}");
+    let handle = ArchiveHandle::new(store);
     let snapshot = handle.snapshot();
-    let mut readers: Vec<(&str, &dyn StoreReader, &[&str])> = vec![("Snapshot", &snapshot, &[])];
-    for (label, store, intercepted) in &wrappers {
-        readers.push((label, store.as_ref(), intercepted));
-    }
-
-    for (label, reader, intercepted) in readers {
-        for (method, call) in methods {
-            log.lock().unwrap().clear();
-            call(reader);
-            let hits = log.lock().unwrap().clone();
-            if intercepted.contains(&method) {
-                // answered by the wrapper: at most a version-count lookup
-                assert!(
-                    hits.iter().all(|h| *h == "latest"),
-                    "{label}::{method} reached {hits:?}"
-                );
-            } else {
-                assert_eq!(hits, [method], "{label}::{method}");
-            }
+    for (label, reader) in [
+        ("ArchiveHandle", &handle as &dyn StoreReader),
+        ("Snapshot", &snapshot),
+    ] {
+        for ((method, call), want) in queries.iter().zip(&own) {
+            assert_eq!(work(reader, *call, &index), *want, "{label}::{method}");
         }
     }
 }
@@ -862,9 +770,10 @@ fn path_to(a: &Archive, id: ANodeId) -> Option<Vec<KeyQuery>> {
 #[test]
 fn every_keyed_node_is_located_by_its_own_steps() {
     for (corpus, spec, docs) in corpora() {
-        let mut indexed = IndexedArchive::new(spec);
-        indexed.add_versions(&docs).unwrap();
-        let a = indexed.archive();
+        let mut a = Archive::new(spec);
+        a.add_versions(&docs).unwrap();
+        let indexed = Indexes::build(&a);
+        let a = &a;
         let mut located = 0;
         for id in (0..a.len() as u32).map(ANodeId) {
             let Some(path) = path_to(a, id) else {

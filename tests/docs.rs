@@ -663,3 +663,171 @@ fn every_committed_ledger_parses_and_names_what_the_benchmark_declares() {
         }
     }
 }
+
+// ---------- README's metric catalogue against the live registry ----------
+
+/// `{a,b}` alternatives in a metric name, expanded (one group at most).
+fn expand_braces(name: &str) -> Vec<String> {
+    let (Some(open), Some(close)) = (name.find('{'), name.find('}')) else {
+        return vec![name.to_string()];
+    };
+    name[open + 1..close]
+        .split(',')
+        .map(|alt| format!("{}{alt}{}", &name[..open], &name[close + 1..]))
+        .collect()
+}
+
+/// Every name README's metric table lists: the backticked names of each
+/// row's first cell (`a` / `b` lists two), `{a,b}` expanded, and
+/// `server.<verb>.duration` expanded over `verbs`.
+fn readme_metric_names(readme: &str, verbs: &[&str]) -> std::collections::BTreeSet<String> {
+    let table = readme
+        .split_once("| metric | type | unit | origin |")
+        .expect("README has the metric table")
+        .1;
+    let mut names = std::collections::BTreeSet::new();
+    for row in table.lines().skip(2).take_while(|l| l.starts_with('|')) {
+        let cell = row.split('|').nth(1).unwrap_or_default();
+        for (i, span) in cell.split('`').enumerate() {
+            if i % 2 == 0 {
+                continue; // outside the backticks
+            }
+            for name in expand_braces(span) {
+                if name.contains("<verb>") {
+                    names.extend(verbs.iter().map(|v| name.replace("<verb>", v)));
+                } else {
+                    names.insert(name);
+                }
+            }
+        }
+    }
+    names
+}
+
+/// README's metric table is the catalogue operators read, so it must
+/// name exactly what the registry holds once every layer has reported: a
+/// served, durable, indexed, checkpointed store answering one request of
+/// each verb, its reopen, and a cold reader of the same segment. A name
+/// on one side only fails, and is printed.
+#[test]
+fn readme_metric_table_matches_the_live_registry() {
+    use xarch::core::KeyQuery;
+    use xarch::obs::Obs;
+    use xarch::{ArchiveBuilder, ColdArchive};
+    use xarch_proto::{Client, Request};
+    use xarch_server::{Server, ServerConfig};
+
+    const SPEC: &str = "(/, (db, {}))\n(/db, (rec, {id}))";
+    // every verb of the protocol, as the server's histograms name them
+    let verbs: Vec<&str> = [
+        Request::Hello { min: 1, max: 1 },
+        Request::Ping,
+        Request::Retrieve { lease: 0, v: 1 },
+        Request::AsOf {
+            lease: 0,
+            v: 1,
+            steps: vec![],
+        },
+        Request::History {
+            lease: 0,
+            steps: vec![],
+        },
+        Request::HistoryValues {
+            lease: 0,
+            steps: vec![],
+        },
+        Request::Range {
+            lease: 0,
+            lo: 1,
+            hi: 1,
+            prefix: vec![],
+        },
+        Request::Diff {
+            lease: 0,
+            v1: 1,
+            v2: 1,
+            steps: vec![],
+        },
+        Request::Stats { lease: 0 },
+        Request::Latest { lease: 0 },
+        Request::Ingest { docs: vec![] },
+        Request::SnapOpen,
+        Request::SnapClose { lease: 0 },
+        Request::Metrics,
+        Request::Health,
+        Request::Shutdown,
+    ]
+    .iter()
+    .map(Request::verb_name)
+    .collect();
+
+    let path = xarch::storage::scratch_path("readme-metrics");
+    let obs = Obs::disconnected();
+    let builder = || {
+        ArchiveBuilder::new(xarch::keys::KeySpec::parse(SPEC).unwrap())
+            .with_index()
+            .durable(&path)
+            .checkpoint_every(2)
+            .with_observability(obs.clone())
+    };
+    let mut config = String::from("listen = 127.0.0.1:0\nworkers = 1\nallow_shutdown = true\n");
+    for line in SPEC.lines() {
+        config.push_str(&format!("spec = {line}\n"));
+    }
+    let config = ServerConfig::from_text(&config).unwrap();
+    let (handle, served_obs) = builder().try_build_served().unwrap();
+    let server = Server::serve(config, handle, served_obs).unwrap();
+    {
+        // the handshake is the `hello`
+        let mut client = Client::connect(server.addr()).unwrap();
+        let rec = |id: &str| {
+            vec![
+                KeyQuery::new("db"),
+                KeyQuery::new("rec").with_text("id", id),
+            ]
+        };
+        client.ping().unwrap();
+        let docs: Vec<String> = (1..=3)
+            .map(|n| format!("<db><rec><id>{n}</id></rec></db>"))
+            .collect();
+        assert_eq!(client.ingest(&docs).unwrap(), vec![1, 2, 3]);
+        let (lease, _) = client.open_snapshot().unwrap();
+        assert!(client.retrieve(lease, 2).unwrap().is_some());
+        assert!(client.as_of(lease, 1, &rec("1")).unwrap().is_some());
+        assert!(client.history(lease, &rec("1")).unwrap().is_some());
+        assert!(client.history_values(lease, &rec("1")).unwrap().is_some());
+        assert!(!client
+            .range(lease, &rec("1")[..1], 1, 3)
+            .unwrap()
+            .is_empty());
+        let _ = client.diff(lease, &rec("1"), 1, 3).unwrap();
+        assert_eq!(client.stats(lease).unwrap().versions, 3);
+        assert_eq!(client.latest(lease).unwrap(), 3);
+        client.close_snapshot(lease).unwrap();
+        let _ = client.metrics().unwrap();
+        let _ = client.health().unwrap();
+        client.shutdown().unwrap();
+    }
+    server.wait();
+    let reopened = builder().open().unwrap();
+    assert!(reopened.journal().unwrap().recovery().checkpoint_loaded);
+    drop(reopened);
+    let cold = ColdArchive::open_observed(&path, &obs).unwrap();
+    drop(cold);
+    std::fs::remove_file(&path).unwrap();
+
+    let live: std::collections::BTreeSet<String> = obs
+        .registry()
+        .samples()
+        .into_iter()
+        .map(|s| s.name)
+        .collect();
+    let documented = readme_metric_names(&read(&repo_root().join("README.md")), &verbs);
+    let undocumented: Vec<_> = live.difference(&documented).collect();
+    let unregistered: Vec<_> = documented.difference(&live).collect();
+    assert!(
+        undocumented.is_empty() && unregistered.is_empty(),
+        "registered but not in README's metric table: {undocumented:?}\n\
+         in README's metric table but never registered: {unregistered:?}"
+    );
+}

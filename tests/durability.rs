@@ -15,7 +15,7 @@ use xarch::datagen::omim::{omim_spec, OmimGen};
 use xarch::keys::KeySpec;
 use xarch::storage::scratch_path;
 use xarch::xml::parse;
-use xarch::{ArchiveBuilder, DurableArchive, StoreError, StoreReader, VersionStore};
+use xarch::{ArchiveBuilder, Store, StoreError, StoreReader, VersionStore};
 
 fn spec() -> KeySpec {
     KeySpec::parse("(/, (db, {}))\n(/db, (rec, {id}))\n(/db/rec, (val, {}))").unwrap()
@@ -32,8 +32,8 @@ fn versions() -> Vec<xarch::xml::Document> {
     .collect()
 }
 
-fn reopen(path: &Path) -> Result<Box<dyn VersionStore>, StoreError> {
-    ArchiveBuilder::new(spec()).durable(path).try_build()
+fn reopen(path: &Path) -> Result<Store, StoreError> {
+    ArchiveBuilder::new(spec()).durable(path).open()
 }
 
 /// Streams version `v` out of `store`, asserting it exists.
@@ -61,7 +61,7 @@ fn kill_and_reopen_recovers_every_acknowledged_version() {
     assert_eq!(recovered.latest(), docs.len() as u32);
     for v in 1..=docs.len() as u32 {
         assert_eq!(
-            bytes_of(recovered.as_mut(), v),
+            bytes_of(&mut recovered, v),
             bytes_of(reference.as_mut(), v),
             "v{v} diverged from the never-closed in-memory store"
         );
@@ -104,9 +104,11 @@ fn torn_final_write_is_truncated_and_all_committed_versions_survive() {
 
     // the recovery stats record the cleanup, and the torn bytes are gone
     // from the file itself
-    let inner = ArchiveBuilder::new(spec()).build();
-    let d = DurableArchive::open(&path, inner).unwrap();
-    assert!(!d.recovery().recovered_torn_tail(), "second open is clean");
+    let d = reopen(&path).unwrap();
+    assert!(
+        !d.journal().unwrap().recovery().recovered_torn_tail(),
+        "second open is clean"
+    );
     std::fs::remove_file(&path).unwrap();
 }
 
@@ -123,8 +125,8 @@ fn torn_tail_recovery_reports_stats() {
     let mut f = OpenOptions::new().append(true).open(&path).unwrap();
     f.write_all(&torn).unwrap();
     drop(f);
-    let d = DurableArchive::open(&path, ArchiveBuilder::new(spec()).build()).unwrap();
-    let stats = d.recovery();
+    let d = reopen(&path).unwrap();
+    let stats = d.journal().unwrap().recovery();
     assert_eq!(stats.versions_recovered, 3);
     assert_eq!(stats.truncated_bytes, torn.len() as u64);
     assert!(stats.recovered_torn_tail());
@@ -136,8 +138,8 @@ fn bit_flip_in_block_body_is_rejected_with_offset() {
     let path = scratch_path("bit-flip");
     let superblock_end;
     {
-        let mut durable = DurableArchive::open(&path, ArchiveBuilder::new(spec()).build()).unwrap();
-        superblock_end = durable.journal_bytes();
+        let mut durable = reopen(&path).unwrap();
+        superblock_end = durable.journal().unwrap().journal_bytes();
         let docs = versions();
         for d in &docs {
             durable.add_version(d).unwrap();
@@ -177,12 +179,12 @@ fn truncation_mid_block_keeps_all_fully_committed_versions() {
     let docs = versions();
     let commit_points: Vec<u64>;
     {
-        let mut durable = DurableArchive::open(&path, ArchiveBuilder::new(spec()).build()).unwrap();
+        let mut durable = reopen(&path).unwrap();
         commit_points = docs
             .iter()
             .map(|d| {
                 durable.add_version(d).unwrap();
-                durable.journal_bytes()
+                durable.journal().unwrap().journal_bytes()
             })
             .collect();
     }
@@ -201,7 +203,7 @@ fn truncation_mid_block_keeps_all_fully_committed_versions() {
     }
     for v in 1..=2 {
         assert_eq!(
-            bytes_of(store.as_mut(), v),
+            bytes_of(&mut store, v),
             bytes_of(reference.as_mut(), v),
             "v{v} diverged after mid-block truncation"
         );
@@ -253,14 +255,13 @@ fn torn_batch_block_recovers_to_the_pre_batch_state() {
         f.set_len(cut).unwrap();
         drop(f);
 
-        let inner = ArchiveBuilder::new(spec()).build();
-        let mut d = DurableArchive::open(&path, inner).unwrap();
+        let mut d = reopen(&path).unwrap();
         assert_eq!(
             d.latest(),
             1,
             "cut at {cut}: a torn batch must restore zero of its versions"
         );
-        let stats = d.recovery();
+        let stats = d.journal().unwrap().recovery();
         assert_eq!(stats.versions_recovered, 1, "cut at {cut}");
         assert_eq!(stats.truncated_bytes, cut - pre_batch_end, "cut at {cut}");
         assert!(stats.recovered_torn_tail(), "cut at {cut}");
@@ -285,8 +286,8 @@ fn bit_flip_inside_a_committed_batch_block_is_corrupt_with_offset() {
     let docs = versions();
     let batch_at;
     {
-        let mut d = DurableArchive::open(&path, ArchiveBuilder::new(spec()).build()).unwrap();
-        batch_at = d.journal_bytes();
+        let mut d = reopen(&path).unwrap();
+        batch_at = d.journal().unwrap().journal_bytes();
         d.add_versions(&docs[..2]).unwrap();
         // a later plain block makes the batch block *interior*
         d.add_version(&docs[2]).unwrap();
@@ -320,15 +321,15 @@ fn empty_batch_writes_no_journal_block() {
     // the no-op contract at the journal level: no block, no version, no
     // fsync side effects — the file is byte-identical before and after
     let path = scratch_path("empty-batch");
-    let mut d = DurableArchive::open(&path, ArchiveBuilder::new(spec()).build()).unwrap();
+    let mut d = reopen(&path).unwrap();
     d.add_version(&versions()[0]).unwrap();
     let before = std::fs::metadata(&path).unwrap().len();
     assert_eq!(d.add_versions(&[]).unwrap(), Vec::<u32>::new());
     assert_eq!(d.latest(), 1);
-    assert_eq!(d.journal_bytes(), before);
+    assert_eq!(d.journal().unwrap().journal_bytes(), before);
     assert_eq!(std::fs::metadata(&path).unwrap().len(), before);
     drop(d);
-    let d = DurableArchive::open(&path, ArchiveBuilder::new(spec()).build()).unwrap();
+    let d = reopen(&path).unwrap();
     assert_eq!(d.latest(), 1);
     std::fs::remove_file(&path).unwrap();
 }
@@ -485,12 +486,15 @@ fn indexed_durable_answers_queries_after_reopen() {
     std::fs::remove_file(&path).unwrap();
 }
 
-fn checkpointed(path: &Path, every: u32) -> DurableArchive {
+fn checkpointed(path: &Path, every: u32) -> Store {
     let options = xarch::DurableOptions {
         checkpoint_every: Some(every),
         ..xarch::DurableOptions::default()
     };
-    DurableArchive::open_with(path, options, ArchiveBuilder::new(spec()).build()).unwrap()
+    ArchiveBuilder::new(spec())
+        .durable_with(path, options)
+        .open()
+        .unwrap()
 }
 
 #[test]
@@ -508,6 +512,8 @@ fn kill_mid_checkpoint_write_recovers_the_pre_checkpoint_state() {
             d.add_version(doc).unwrap();
         }
         let off = d
+            .journal()
+            .unwrap()
             .last_checkpoint_offset()
             .expect("cadence 3 fired at version 3");
         (off, std::fs::metadata(&path).unwrap().len())
@@ -530,7 +536,7 @@ fn kill_mid_checkpoint_write_recovers_the_pre_checkpoint_state() {
         drop(f);
         let mut d = checkpointed(&path, 3);
         assert_eq!(d.latest(), 3, "cut at {cut}");
-        let stats = d.recovery();
+        let stats = d.journal().unwrap().recovery();
         assert_eq!(stats.versions_recovered, 3, "cut at {cut}");
         assert!(stats.recovered_torn_tail(), "cut at {cut}");
         assert!(
@@ -569,8 +575,8 @@ fn bit_flip_inside_a_committed_checkpoint_is_skipped_loudly() {
         // indistinguishable from a torn append and is truncated instead,
         // so the interior position is what this test is about
         d.add_empty_version().unwrap();
-        assert_eq!(d.checkpoints_written(), 2);
-        let cp = d.last_checkpoint_offset().unwrap();
+        assert_eq!(d.journal().unwrap().checkpoints_written(), 2);
+        let cp = d.journal().unwrap().last_checkpoint_offset().unwrap();
         d.add_empty_version().unwrap();
         cp
     };
@@ -593,11 +599,13 @@ fn bit_flip_inside_a_committed_checkpoint_is_skipped_loudly() {
         checkpoint_every: Some(2),
         ..xarch::DurableOptions::default()
     };
-    let mut d =
-        DurableArchive::open_observed(&path, options, ArchiveBuilder::new(spec()).build(), &obs)
-            .unwrap();
+    let mut d = ArchiveBuilder::new(spec())
+        .durable_with(&path, options)
+        .with_observability(obs.clone())
+        .open()
+        .unwrap();
     assert_eq!(d.latest(), 5);
-    let stats = d.recovery();
+    let stats = d.journal().unwrap().recovery();
     assert_eq!(stats.versions_recovered, 5);
     assert!(
         stats.checkpoint_loaded,
@@ -644,8 +652,8 @@ fn bit_flip_in_the_only_checkpoint_falls_back_to_full_replay() {
         for doc in &docs {
             d.add_version(doc).unwrap();
         }
-        assert_eq!(d.checkpoints_written(), 1);
-        d.last_checkpoint_offset().unwrap()
+        assert_eq!(d.journal().unwrap().checkpoints_written(), 1);
+        d.journal().unwrap().last_checkpoint_offset().unwrap()
     };
     let mut bytes = std::fs::read(&path).unwrap();
     let flip_at = cp_off as usize + xarch::storage::block::BLOCK_HEADER_LEN + 1;
@@ -654,7 +662,7 @@ fn bit_flip_in_the_only_checkpoint_falls_back_to_full_replay() {
 
     let mut d = checkpointed(&path, 3);
     assert_eq!(d.latest(), 3);
-    let stats = d.recovery();
+    let stats = d.journal().unwrap().recovery();
     assert!(!stats.checkpoint_loaded, "no intact checkpoint to load");
     assert_eq!(stats.versions_recovered, 3, "full replay still recovers");
     let mut reference = ArchiveBuilder::new(spec()).build();
@@ -752,7 +760,7 @@ fn bit_flip_sweep_never_panics_and_never_lies() {
                 );
                 for v in 1..=latest {
                     assert_eq!(
-                        bytes_of(recovered.as_mut(), v),
+                        bytes_of(&mut recovered, v),
                         bytes_of(reference.as_mut(), v),
                         "byte {i}: v{v} bytes diverged after recovery"
                     );
@@ -834,7 +842,7 @@ fn a_version_block_nested_past_max_depth_is_corrupt_on_open() {
     assert_eq!(d.latest(), 1, "the refused version was never journaled");
     let mut reference = ArchiveBuilder::new(spec()).build();
     reference.add_version(&deepest).unwrap();
-    assert_eq!(bytes_of(d.as_mut(), 1), bytes_of(reference.as_mut(), 1));
+    assert_eq!(bytes_of(&mut d, 1), bytes_of(reference.as_mut(), 1));
     drop(d);
 
     let at = std::fs::metadata(&path).unwrap().len();
@@ -914,15 +922,16 @@ fn a_checkpoint_nested_past_max_depth_is_skipped_loudly() {
     drop(f);
 
     let obs = xarch::obs::Obs::disconnected();
-    let mut d = DurableArchive::open_observed(
-        &path,
-        Default::default(),
-        ArchiveBuilder::new(spec()).build(),
-        &obs,
-    )
-    .unwrap();
+    let mut d = ArchiveBuilder::new(spec())
+        .durable(&path)
+        .with_observability(obs.clone())
+        .open()
+        .unwrap();
     assert_eq!(d.latest(), 3);
-    assert!(!d.recovery().checkpoint_loaded, "the journal was replayed");
+    assert!(
+        !d.journal().unwrap().recovery().checkpoint_loaded,
+        "the journal was replayed"
+    );
     let skipped = obs.registry().get_counter("recovery.checkpoints_skipped");
     assert_eq!(skipped.map(|c| c.get()), Some(1));
     let warned = obs.recent_events().into_iter().any(|e| {
@@ -1001,17 +1010,15 @@ fn a_checkpoint_with_a_retired_state_tag_is_a_mismatch_not_damage() {
             drop(f);
 
             let obs = xarch::obs::Obs::disconnected();
-            let mut d = DurableArchive::open_observed(
-                &path,
-                Default::default(),
-                builder(indexed).build(),
-                &obs,
-            )
-            .unwrap();
+            let mut d = builder(indexed)
+                .durable(&path)
+                .with_observability(obs.clone())
+                .open()
+                .unwrap();
             let at = format!("tag {tag}, indexed {indexed}");
             assert_eq!(d.latest(), 3, "{at}");
             assert!(
-                !d.recovery().checkpoint_loaded,
+                !d.journal().unwrap().recovery().checkpoint_loaded,
                 "{at}: the journal was replayed"
             );
             let skipped = obs.registry().get_counter("recovery.checkpoints_skipped");

@@ -1,7 +1,7 @@
 //! The §7 indexes refreshed from what each merge wrote, against a full
 //! build of the same archive.
 //!
-//! An `IndexedArchive` re-derives, after each commit, only the timestamp
+//! An indexed store re-derives, after each commit, only the timestamp
 //! trees and history lists of the nodes the merge wrote (and, for the
 //! trees, of their parents). Every test here commits versions to one —
 //! singly, as batches split every way in two, as empty versions, and after
@@ -10,36 +10,43 @@
 //! from the archive alone.
 
 use proptest::prelude::*;
-use xarch::core::{ANodeId, Compaction, VersionStore};
+use xarch::core::state::{decode_archive, encode_archive};
+use xarch::core::{ANodeId, Archive, Compaction, VersionStore};
 use xarch::datagen::company::{company_spec, company_versions};
 use xarch::datagen::omim::{omim_spec, OmimGen};
 use xarch::datagen::swissprot::{swissprot_spec, SwissProtGen};
 use xarch::datagen::xmark::{xmark_spec, XmarkGen};
-use xarch::index::{HistoryIndex, IndexedArchive, TimestampIndex};
+use xarch::index::{HistoryIndex, Indexes, TimestampIndex};
 use xarch::keys::KeySpec;
 use xarch::xml::Document;
+use xarch::{ArchiveBuilder, Store};
 
 #[path = "../crates/core/src/merge/edit_scripts.rs"]
 mod edit_scripts;
 
 const MODES: [Compaction; 2] = [Compaction::Alternatives, Compaction::Weave];
 
-/// Every node's tree and list in `s` equal a full build's.
-fn assert_as_built(s: &IndexedArchive, after: &str) {
-    let a = s.archive();
+/// Every node's tree and list in `ix` equal a full build's of `a`.
+fn assert_built_from(a: &Archive, ix: &Indexes, after: &str) {
     let (trees, lists) = (TimestampIndex::build(a), HistoryIndex::build(a));
     for id in (0..a.len() as u32).map(ANodeId) {
         assert_eq!(
-            s.timestamp_index().tree(id),
+            ix.timestamp_index().tree(id),
             trees.tree(id),
             "{after}: timestamp tree of {id:?}"
         );
         assert_eq!(
-            s.history_index().list(id),
+            ix.history_index().list(id),
             lists.list(id),
             "{after}: history list of {id:?}"
         );
     }
+}
+
+/// Every node's tree and list in the indexed store `s` equal a full
+/// build's.
+fn assert_as_built(s: &Store, after: &str) {
+    assert_built_from(s.archive(), s.indexes().expect("indexed"), after);
 }
 
 /// Commits `docs` in every way the store offers and checks the indexes
@@ -50,7 +57,13 @@ fn assert_as_built(s: &IndexedArchive, after: &str) {
 fn assert_refresh_equals_build(spec: &KeySpec, docs: &[Document]) {
     let half = docs.len() / 2;
     for mode in MODES {
-        let fresh = || IndexedArchive::with_compaction(spec.clone(), mode);
+        let fresh = || {
+            ArchiveBuilder::new(spec.clone())
+                .compaction(mode)
+                .with_index()
+                .open()
+                .unwrap()
+        };
 
         let mut s = fresh();
         for (i, d) in docs.iter().enumerate() {
@@ -72,15 +85,17 @@ fn assert_refresh_equals_build(spec: &KeySpec, docs: &[Document]) {
             assert_as_built(&s, &format!("{mode:?}, second batch after {split}"));
         }
 
+        // a reopen restores the archive from its checkpoint, builds the
+        // indexes once, and refreshes them per commit from then on
         let mut live = fresh();
         live.add_versions(&docs[..half]).unwrap();
-        let state = live.checkpoint_state().unwrap().expect("checkpoints");
-        let mut restored = fresh();
-        assert!(restored.restore_checkpoint(&state).unwrap());
-        assert_as_built(&restored, &format!("{mode:?}, restored"));
+        let state = encode_archive(live.archive());
+        let mut restored = decode_archive(&state, spec, mode).unwrap().unwrap();
+        let mut ix = Indexes::build(&restored);
         for (i, d) in docs[half..].iter().enumerate() {
             restored.add_version(d).unwrap();
-            assert_as_built(&restored, &format!("{mode:?}, restored + {}", i + 1));
+            ix.refresh(&restored);
+            assert_built_from(&restored, &ix, &format!("{mode:?}, restored + {}", i + 1));
         }
     }
 }

@@ -5,15 +5,17 @@
 //!   exactly ONE fsync, read off the registry (`segment.fsyncs`) — the
 //!   same invariant `examples/bulk_load.rs` proves from the storage
 //!   layer's own accessors, now visible to operators;
-//! * after a conformance-style matrix run over every backend, every query
-//!   kind has a populated latency histogram and the ingest counters agree
-//!   with what was merged.
+//! * after a conformance-style matrix run over every configuration, every
+//!   query kind has a populated latency histogram and the ingest counters
+//!   agree with what was merged; and one query of each kind, through the
+//!   store, its shared handle or a snapshot, records exactly one sample,
+//!   in its own histogram.
 
 use xarch::core::KeyQuery;
 use xarch::keys::KeySpec;
 use xarch::obs::Obs;
 use xarch::xml::parse;
-use xarch::ArchiveBuilder;
+use xarch::{ArchiveBuilder, StoreReader, VersionStore};
 
 fn spec() -> KeySpec {
     KeySpec::parse("(/, (db, {}))\n(/db, (rec, {id}))\n(/db/rec, (val, {}))").unwrap()
@@ -122,7 +124,7 @@ fn every_query_kind_populates_its_histogram_on_every_backend() {
         ),
     ];
 
-    for (label, builder) in matrix {
+    for (label, builder) in matrix.clone() {
         let obs = Obs::disconnected();
         let mut store = builder
             .with_observability(obs.clone())
@@ -179,6 +181,56 @@ fn every_query_kind_populates_its_histogram_on_every_backend() {
             "{label}:\n{json}"
         );
         drop(store);
+    }
+
+    // One query of each kind, through each read surface, in a fresh
+    // registry: exactly one sample, in that kind's histogram. A surface
+    // missing a forward would fall back to the trait's whole-retrieve
+    // default and record into the wrong histograms.
+    let q = [
+        KeyQuery::new("db"),
+        KeyQuery::new("rec").with_text("id", "1"),
+    ];
+    type Query<'a> = &'a dyn Fn(&dyn StoreReader);
+    let kinds: [Query; 6] = [
+        &|r| _ = r.retrieve(2).unwrap(),
+        &|r| _ = r.as_of(&q, 1).unwrap(),
+        &|r| _ = r.history(&q).unwrap(),
+        &|r| _ = r.history_values(&q).unwrap(),
+        &|r| _ = r.range(&q[..1], 1..=3).unwrap(),
+        &|r| _ = r.diff(&q, 1, 3).unwrap(),
+    ];
+    for (label, builder) in matrix {
+        for surface in ["Store", "ArchiveHandle", "Snapshot"] {
+            for (kind, query) in QUERY_HISTOGRAMS.iter().zip(kinds) {
+                let _ = std::fs::remove_file(&durable_path);
+                let obs = Obs::disconnected();
+                let builder = builder.clone().with_observability(obs.clone());
+                let docs = [doc(1), doc(2), doc(3)];
+                let counts =
+                    || QUERY_HISTOGRAMS.map(|h| obs.registry().get_histogram(h).unwrap().count());
+                let before;
+                if surface == "Store" {
+                    let mut store = builder.open().unwrap();
+                    store.add_versions(&docs).unwrap();
+                    before = counts();
+                    query(&store);
+                } else {
+                    let handle = builder.try_build_shared().unwrap();
+                    handle.add_versions(&docs).unwrap();
+                    before = counts();
+                    match surface {
+                        "ArchiveHandle" => query(&handle),
+                        _ => query(&handle.snapshot()),
+                    }
+                }
+                assert_eq!(before, [0; 6], "{label}/{surface}: ingest ran no query");
+                for (name, count) in QUERY_HISTOGRAMS.iter().zip(counts()) {
+                    let want = u64::from(name == kind);
+                    assert_eq!(count, want, "{label}/{surface}, {kind}: {name}");
+                }
+            }
+        }
     }
 }
 
