@@ -470,10 +470,8 @@ pub struct ApiFacts {
 }
 
 /// Rule 4 — **api-contract**, per-file half: every method in an
-/// `impl StoreReader for …` block — or an `impl Layer for …` one, which
-/// becomes a reader impl through the blanket — takes `&self` (reads must
-/// be shareable),
-/// and `impl VersionStore for …` sites are collected so the engine can
+/// `impl StoreReader for …` block takes `&self` (reads must be
+/// shareable), and `impl VersionStore for …` sites are collected so the engine can
 /// check each has an `assert_send_sync::<T>()` in its crate.
 pub fn api_contract(ctx: &FileCtx<'_>) -> (Vec<RawDiag>, ApiFacts) {
     let t = ctx.toks;
@@ -544,10 +542,7 @@ pub fn api_contract(ctx: &FileCtx<'_>) -> (Vec<RawDiag>, ApiFacts) {
                 }
             }
         }
-        let reader = ["StoreReader", "Layer"]
-            .into_iter()
-            .find(|name| trait_mentions(name));
-        if let Some(reader) = reader.filter(|_| !ctx.skip(Rule::ApiContract, i)) {
+        if trait_mentions("StoreReader") && !ctx.skip(Rule::ApiContract, i) {
             // every fn in the block must take &self, not &mut self
             let mut k = body_start;
             while k < body_end {
@@ -571,7 +566,7 @@ pub fn api_contract(ctx: &FileCtx<'_>) -> (Vec<RawDiag>, ApiFacts) {
                             out.push(diag(
                                 fn_tok,
                                 format!(
-                                    "`{reader}` impl method `{fn_name}` takes `&mut self` — \
+                                    "`StoreReader` impl method `{fn_name}` takes `&mut self` — \
                                      the shared-read contract requires `&self` receivers"
                                 ),
                             ));

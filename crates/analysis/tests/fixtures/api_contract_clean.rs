@@ -15,14 +15,6 @@ impl StoreReader for Reader {
     }
 }
 
-pub struct Wrapper(Reader);
-
-impl xarch_core::Layer for Wrapper {
-    fn latest(&self) -> u32 {
-        1
-    }
-}
-
 pub struct Store;
 
 impl VersionStore for Store {}

@@ -13,14 +13,6 @@ impl StoreReader for Reader {
     }
 }
 
-pub struct Wrapper(Reader);
-
-impl xarch_core::Layer for Wrapper {
-    fn latest(&mut self) -> u32 { //~ api-contract
-        1
-    }
-}
-
 pub struct Store;
 
 impl VersionStore for Store {} //~ api-contract

@@ -16,8 +16,10 @@
 //! its pages out of order, so even an intact commit word cannot prove the
 //! payload reached disk. An *interior* block that fails verification can
 //! only be bit rot on committed data and fails loudly.
-
-use std::borrow::Cow;
+//!
+//! Every reader of a segment — the journal's reopen and the cold reader —
+//! steps through it with one header walk, [`walk`], and checks each block
+//! it reads, and the bytes where the walk stopped, with [`scan_block`].
 
 use xarch_compress::BlockCodec;
 use xarch_core::StoreError;
@@ -112,20 +114,113 @@ pub struct BlockHeader {
 pub struct ScannedBlock<'a> {
     /// The decoded, CRC-verified header.
     pub header: BlockHeader,
-    /// Stored payload bytes (still encoded per `header.codec`): the buffer
-    /// a streaming reader read them into, or borrowed from a mapped file.
-    pub payload: Cow<'a, [u8]>,
+    /// Stored payload bytes (still encoded per `header.codec`), borrowed
+    /// from the file's bytes.
+    pub payload: &'a [u8],
     /// Byte offset of the block header within the file.
     pub offset: u64,
+}
+
+/// One block as the header walk steps over it: where it lies and what its
+/// header says it is. Unverified — [`scan_block`] checks the block itself.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Step {
+    /// File offset of the block header.
+    pub offset: u64,
+    /// What the header's kind byte names.
+    pub kind: BlockKind,
+    /// The header's version field.
+    pub version: u32,
+    /// File offset one past the block's trailer: where the next block
+    /// begins.
+    pub end: u64,
+}
+
+/// The header walk over a segment file's bytes: every block from a given
+/// offset on, 22 header bytes read per block and its payload stepped over.
+/// It stops at the first header it cannot step over — an unknown kind, an
+/// implausible stored length, a span past end of file — and the bytes
+/// there are then classified by [`scan_block`].
+#[derive(Debug, Clone)]
+pub struct Walk<'a> {
+    bytes: &'a [u8],
+    offset: u64,
+}
+
+/// Walks the block headers of the file `bytes` (all of it, so offsets are
+/// file offsets) from the block at `from`.
+pub fn walk(bytes: &[u8], from: u64) -> Walk<'_> {
+    Walk {
+        bytes,
+        offset: from,
+    }
+}
+
+/// The block at `offset` in `bytes` if its header can be stepped over.
+fn step_at(bytes: &[u8], offset: u64) -> Option<Step> {
+    let header = bytes
+        .get(usize::try_from(offset).ok()?..)?
+        .get(..BLOCK_HEADER_LEN)?;
+    let kind = BlockKind::from_id(*header.first()?)?;
+    let stored_len = declared_payload_len(header).filter(|&l| l <= MAX_PAYLOAD)?;
+    let end = offset.checked_add(span(stored_len))?;
+    (end <= bytes.len() as u64).then_some(Step {
+        offset,
+        kind,
+        version: le_u32(header, 2)?,
+        end,
+    })
+}
+
+/// The file span of a block holding `stored_len` payload bytes.
+pub(crate) fn span(stored_len: u64) -> u64 {
+    stored_len + (BLOCK_HEADER_LEN + BLOCK_TRAILER_LEN) as u64
+}
+
+impl Walk<'_> {
+    /// Where the bytes the walk has not stepped over begin: once it is
+    /// exhausted, the end of file or the header it stopped at.
+    pub(crate) fn offset(&self) -> u64 {
+        self.offset
+    }
+
+    /// Classifies the bytes from where the walk stands to end of file by
+    /// the format's torn-vs-rot rules ([`scan_block`]): `Ok(None)` when
+    /// there are none, `Ok(Some(offset))` when they are a torn tail — an
+    /// append that never committed — and the positioned corruption
+    /// otherwise.
+    pub(crate) fn torn_from(&self) -> Result<Option<u64>, StoreError> {
+        if self.offset >= self.bytes.len() as u64 {
+            return Ok(None);
+        }
+        match scan_block(self.bytes, self.offset) {
+            Scan::TornTail => Ok(Some(self.offset)),
+            Scan::Corrupt(e) => Err(e),
+            Scan::Block(_) => Err(StoreError::Corrupt {
+                offset: self.offset,
+                reason: "header walk stopped at a block that verifies".into(),
+            }),
+        }
+    }
+}
+
+impl Iterator for Walk<'_> {
+    type Item = Step;
+
+    fn next(&mut self) -> Option<Step> {
+        let step = step_at(self.bytes, self.offset)?;
+        self.offset = step.end;
+        Some(step)
+    }
 }
 
 /// The payload of a verified block as it was handed to the writer: the
 /// stored bytes decoded per `header.codec`, exactly `header.raw_len` of
 /// them. The header's length (at most [`MAX_PAYLOAD`], or the block would
 /// not have scanned) is the only one trusted: an encoding that declares
-/// another is refused before anything is allocated for it. Takes the block
-/// by value, so an owned raw payload is moved out rather than copied, and
-/// a borrowed one is copied once or decompressed straight from the map.
+/// another is refused before anything is allocated for it. A raw payload
+/// is copied once, a compressed one decompressed straight from the file's
+/// bytes.
 pub fn decode_payload(b: ScannedBlock<'_>) -> Result<Vec<u8>, StoreError> {
     let ScannedBlock {
         header,
@@ -186,21 +281,16 @@ fn corrupt(offset: u64, reason: impl Into<String>) -> Scan<'static> {
     })
 }
 
-/// The declared payload size of the block whose complete 22-byte header is
-/// in `header`, or `None` when `header` is shorter than
-/// [`BLOCK_HEADER_LEN`]. Used by streaming readers to know how much to
-/// read next; the value is *unvalidated* (check against [`MAX_PAYLOAD`]
-/// before allocating).
-pub fn declared_payload_len(header: &[u8]) -> Option<u64> {
+/// The declared payload size of the block whose 22-byte header is
+/// `header` (unvalidated), or `None` when `header` is short.
+fn declared_payload_len(header: &[u8]) -> Option<u64> {
     le_u64(header, 14)
 }
 
-/// Examines one block given its complete 22-byte `header`, the bytes read
-/// after it (`body` = payload + trailer, possibly short at end of file,
-/// owned or borrowed: the verified payload is handed back in it, never
-/// copied), its file `offset`, `bytes_after_end` — how many file bytes
-/// exist beyond the block's declared end — and `eof_commit_word` — whether
-/// the file's final four bytes are [`COMMIT_MAGIC`].
+/// Examines the block starting at `offset` in `buf`, where `buf` holds the
+/// **whole file** (indexing is offset-absolute, and the end of `buf` is
+/// treated as end of file). The CRC is checked over `buf` in place, and a
+/// verified block's payload borrows from it.
 ///
 /// Torn-write classification leans on append-only prefix semantics: a
 /// crashed append leaves a strict *prefix* of the block, so a complete
@@ -208,21 +298,21 @@ pub fn declared_payload_len(header: &[u8]) -> Option<u64> {
 /// [`MAX_PAYLOAD`] (the writer enforces that bound). An impossible length
 /// in a complete header is therefore bit rot, never a torn write — it must
 /// fail loudly rather than silently truncate away later committed blocks.
-/// A *plausible* rotted length that runs past end of file is caught by
-/// `eof_commit_word`: a genuine torn append cannot leave a later block's
-/// commit word as the file's final bytes, so "length overruns the file,
-/// yet the file ends committed" is also bit rot, not a tear.
-pub fn scan_block_parts<'a>(
-    header: &[u8],
-    body: impl Into<Cow<'a, [u8]>>,
-    offset: u64,
-    bytes_after_end: u64,
-    eof_commit_word: bool,
-) -> Scan<'a> {
-    let body = body.into();
-    if header.len() < BLOCK_HEADER_LEN {
+/// A *plausible* rotted length that runs past end of file is caught by the
+/// file's final four bytes: a genuine torn append cannot leave a later
+/// block's commit word there, so "length overruns the file, yet the file
+/// ends committed" is also bit rot, not a tear.
+pub fn scan_block(buf: &[u8], offset: u64) -> Scan<'_> {
+    let Ok(o) = usize::try_from(offset) else {
+        return corrupt(offset, "block offset exceeds the address space");
+    };
+    let Some(rest) = buf.get(o..) else {
+        return Scan::TornTail;
+    };
+    if rest.len() < BLOCK_HEADER_LEN {
         return Scan::TornTail;
     }
+    let (header, body) = rest.split_at(BLOCK_HEADER_LEN);
     // a complete header makes these reads infallible, but decode paths are
     // total by policy: a short slice degrades to the torn-tail outcome
     let (Some(&kind_id), Some(&codec_id), Some(version), Some(raw_len), Some(stored_len)) = (
@@ -247,7 +337,7 @@ pub fn scan_block_parts<'a>(
         return corrupt(offset, "block span overflows the address space");
     };
     if body.len() < needed {
-        return if eof_commit_word {
+        return if buf.last_chunk::<4>() == Some(&COMMIT_MAGIC.to_le_bytes()) {
             corrupt(
                 offset,
                 format!(
@@ -260,6 +350,7 @@ pub fn scan_block_parts<'a>(
             Scan::TornTail
         };
     }
+    let at_eof = body.len() == needed;
     let (Some(trailer), Some(payload)) = (body.get(payload_len..needed), body.get(..payload_len))
     else {
         return Scan::TornTail;
@@ -270,17 +361,14 @@ pub fn scan_block_parts<'a>(
     if commit != COMMIT_MAGIC {
         // no commit word at the very end of the file = torn write;
         // anywhere else it is corruption
-        return if bytes_after_end == 0 {
+        return if at_eof {
             Scan::TornTail
         } else {
             corrupt(offset, "missing commit word on an interior block")
         };
     }
-    let Some(header_fixed) = header.get(..BLOCK_HEADER_LEN) else {
-        return Scan::TornTail;
-    };
     let mut crc = crate::crc::Crc32::new();
-    crc.update(header_fixed);
+    crc.update(header);
     crc.update(payload);
     let actual = crc.finish();
     if actual != stored_crc {
@@ -293,7 +381,7 @@ pub fn scan_block_parts<'a>(
         // borrowing the last one's commit word — so before truncating, the
         // doomed span is searched for an intact committed block, which a
         // genuine torn append cannot contain.
-        return if bytes_after_end == 0 && !contains_committed_block(payload) {
+        return if at_eof && !contains_committed_block(payload) {
             Scan::TornTail
         } else {
             corrupt(
@@ -309,15 +397,6 @@ pub fn scan_block_parts<'a>(
     };
     let Some(codec) = BlockCodec::from_id(codec_id) else {
         return corrupt(offset, format!("unknown block codec {codec_id}"));
-    };
-    // hand the verified payload back in the buffer it was read into (the
-    // trailer is 8 bytes — truncating beats copying on the replay path)
-    let payload = match body {
-        Cow::Owned(mut bytes) => {
-            bytes.truncate(payload_len);
-            Cow::Owned(bytes)
-        }
-        Cow::Borrowed(bytes) => Cow::Borrowed(bytes.get(..payload_len).unwrap_or_default()),
     };
     Scan::Block(ScannedBlock {
         header: BlockHeader {
@@ -336,90 +415,28 @@ pub fn scan_block_parts<'a>(
 /// byte offset. Used to keep a bit-rotted length field from masquerading
 /// as a torn tail: the region a torn-write truncation is about to discard
 /// is the uncommitted prefix of a single append, which cannot contain an
-/// intact committed block. The byte scan's cheap header filter (kind,
-/// codec, bounded lengths, in-range end) passes for roughly 2⁻⁵⁰ of random
-/// offsets, so the CRC is almost never computed — this only runs on the
-/// rare recovery path anyway.
+/// intact committed block. The cheap header filter (a step of the header
+/// walk, a known codec, a bounded raw length) passes for roughly 2⁻⁵⁰ of
+/// random offsets, so the CRC is almost never computed — this only runs on
+/// the rare recovery path anyway.
 fn contains_committed_block(region: &[u8]) -> bool {
-    let min = BLOCK_HEADER_LEN + BLOCK_TRAILER_LEN;
-    if region.len() < min {
-        return false;
-    }
-    for s in 0..=region.len() - min {
-        let Some(h) = region.get(s..s + BLOCK_HEADER_LEN) else {
-            continue;
-        };
-        let (Some(&kind_id), Some(&codec_id)) = (h.first(), h.get(1)) else {
-            continue;
-        };
-        if BlockKind::from_id(kind_id).is_none() || BlockCodec::from_id(codec_id).is_none() {
-            continue;
-        }
-        let (Some(raw_len), Some(stored_len)) = (le_u64(h, 6), declared_payload_len(h)) else {
-            continue;
-        };
-        if stored_len > MAX_PAYLOAD || raw_len > MAX_PAYLOAD {
-            continue;
-        }
-        let Ok(payload_len) = usize::try_from(stored_len) else {
-            continue;
-        };
-        let Some(end) = payload_len
-            .checked_add(BLOCK_TRAILER_LEN)
-            .and_then(|span| (s + BLOCK_HEADER_LEN).checked_add(span))
+    (0..region.len() as u64).any(|s| {
+        let block = step_at(region, s)
+            .and_then(|step| region.get(usize::try_from(s).ok()?..usize::try_from(step.end).ok()?));
+        let Some((covered, trailer)) =
+            block.and_then(|b| b.split_last_chunk::<BLOCK_TRAILER_LEN>())
         else {
-            continue;
+            return false;
         };
-        if end > region.len() {
-            continue;
-        }
-        let Some(trailer) = region.get(end - BLOCK_TRAILER_LEN..end) else {
-            continue;
-        };
-        if trailer.get(4..) != Some(COMMIT_MAGIC.to_le_bytes().as_slice()) {
-            continue;
-        }
-        let (Some(stored_crc), Some(covered)) =
-            (le_u32(trailer, 0), region.get(s..end - BLOCK_TRAILER_LEN))
-        else {
-            continue;
-        };
-        if crc32(covered) == stored_crc {
-            return true;
-        }
-    }
-    false
-}
-
-/// Examines the block starting at `offset` in `buf`, where `buf` holds the
-/// **whole file** (indexing is offset-absolute, and the end of `buf` is
-/// treated as end of file). In-memory convenience over
-/// [`scan_block_parts`]: the CRC is checked over `buf` in place, and a
-/// verified block's payload borrows from it.
-pub fn scan_block(buf: &[u8], offset: u64) -> Scan<'_> {
-    let Ok(o) = usize::try_from(offset) else {
-        return corrupt(offset, "block offset exceeds the address space");
-    };
-    let Some(rest) = buf.get(o..) else {
-        return Scan::TornTail;
-    };
-    if rest.len() < BLOCK_HEADER_LEN {
-        return Scan::TornTail;
-    }
-    let (header, body) = rest.split_at(BLOCK_HEADER_LEN);
-    let Some(stored_len) = declared_payload_len(header) else {
-        return Scan::TornTail;
-    };
-    let needed = stored_len.saturating_add(BLOCK_TRAILER_LEN as u64);
-    let bytes_after_end = (body.len() as u64).saturating_sub(needed);
-    let Ok(take) = usize::try_from(needed.min(body.len() as u64)) else {
-        return Scan::TornTail;
-    };
-    let Some(taken) = body.get(..take) else {
-        return Scan::TornTail;
-    };
-    let eof_commit_word = buf.last_chunk::<4>() == Some(&COMMIT_MAGIC.to_le_bytes());
-    scan_block_parts(header, taken, offset, bytes_after_end, eof_commit_word)
+        covered
+            .get(1)
+            .copied()
+            .and_then(BlockCodec::from_id)
+            .is_some()
+            && le_u64(covered, 6).is_some_and(|raw| raw <= MAX_PAYLOAD)
+            && le_u32(trailer, 4) == Some(COMMIT_MAGIC)
+            && le_u32(trailer, 0) == Some(crc32(covered))
+    })
 }
 
 #[cfg(test)]
@@ -557,5 +574,59 @@ mod tests {
         let last = buf.len() - 1;
         buf[last] ^= 0xFF;
         assert!(matches!(scan_block(&buf, 0), Scan::TornTail));
+    }
+
+    #[test]
+    fn the_walk_steps_over_every_block_and_stops_where_it_cannot() {
+        let mut buf = encode_block(BlockKind::Version, BlockCodec::Raw, 1, 3, b"abc");
+        buf.extend_from_slice(&encode_block(
+            BlockKind::Checkpoint,
+            BlockCodec::Raw,
+            1,
+            2,
+            b"cp",
+        ));
+        buf.extend_from_slice(&encode_block(BlockKind::Empty, BlockCodec::Raw, 2, 0, &[]));
+        let steps: Vec<(BlockKind, u32, u64, u64)> = walk(&buf, 0)
+            .map(|s| (s.kind, s.version, s.offset, s.end))
+            .collect();
+        assert_eq!(
+            steps,
+            [
+                (BlockKind::Version, 1, 0, 33),
+                (BlockKind::Checkpoint, 1, 33, 65),
+                (BlockKind::Empty, 2, 65, 95),
+            ]
+        );
+        let mut w = walk(&buf, 0);
+        assert_eq!(w.by_ref().count(), 3);
+        assert_eq!((w.offset(), w.torn_from().unwrap()), (95, None));
+        // a strict prefix of a fourth block is a torn tail
+        let mut torn = buf.clone();
+        torn.extend_from_slice(&encode_block(BlockKind::Empty, BlockCodec::Raw, 3, 0, &[])[..10]);
+        let mut w = walk(&torn, 33);
+        assert_eq!(w.by_ref().count(), 2);
+        assert_eq!(w.torn_from().unwrap(), Some(95));
+        // an unknown kind or an implausible length stops the walk at that
+        // block, and in the interior that is rot
+        for (at, byte) in [(33, 9u8), (33 + 21, 0x40)] {
+            let mut rot = buf.clone();
+            rot[at] |= byte;
+            let mut w = walk(&rot, 0);
+            assert_eq!((w.by_ref().count(), w.offset()), (1, 33), "byte {at}");
+            let err = w.torn_from().unwrap_err();
+            assert!(
+                matches!(err, StoreError::Corrupt { offset: 33, .. }),
+                "{err}"
+            );
+        }
+        // a rotted codec byte or raw length is stepped over: checking the
+        // block is scan_block's
+        for at in [1, 6 + 7] {
+            let mut rot = buf.clone();
+            rot[at] |= 0x40;
+            assert_eq!(walk(&rot, 0).count(), 3, "byte {at}");
+            assert!(matches!(scan_block(&rot, 0), Scan::Corrupt(_)), "byte {at}");
+        }
     }
 }

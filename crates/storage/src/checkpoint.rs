@@ -15,9 +15,11 @@
 //! └───────────────────┴─────────────────┴───────────────────────────┘
 //! ```
 //!
-//! The `prev` offset back-chains checkpoints so recovery can walk to an
-//! older snapshot when the newest one is damaged; `covered` duplicates the
-//! block header's version field so a decoded payload is self-contained.
+//! `prev` back-chains each checkpoint to the one before it. It is written
+//! for the format, but no reader follows it: recovery takes the
+//! checkpoints the block walk finds (`crate::block::walk`), newest first.
+//! `covered` duplicates the block header's version field so a decoded
+//! payload is self-contained.
 //! Checkpoints are *pure redundancy*: every bit of state they carry is
 //! derivable by replaying the journal, so a damaged checkpoint is loudly
 //! recorded and skipped — never a reason an open fails.
@@ -25,9 +27,10 @@
 use xarch_core::wire::{get_bytes, get_varint, put_bytes, put_varint};
 use xarch_core::StoreError;
 
-/// A decoded checkpoint payload.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CheckpointPayload {
+/// A decoded checkpoint payload, borrowing the state from the payload
+/// bytes it was decoded from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CheckpointPayload<'a> {
     /// File offset of the previous checkpoint block's header, `0` when
     /// this is the segment's first checkpoint (offset 0 is always inside
     /// the superblock, so it cannot address a block).
@@ -36,7 +39,7 @@ pub struct CheckpointPayload {
     /// blocks for versions `covered + 1..` rebuilds the full state.
     pub covered: u32,
     /// The backend-tagged opaque state (see `xarch_core::state`).
-    pub state: Vec<u8>,
+    pub state: &'a [u8],
 }
 
 /// Encodes a checkpoint payload (the *uncompressed* block payload; the
@@ -55,7 +58,7 @@ pub fn encode_checkpoint(prev: u64, covered: u32, state: &[u8]) -> Vec<u8> {
 pub fn decode_checkpoint(
     payload: &[u8],
     payload_offset: u64,
-) -> Result<CheckpointPayload, StoreError> {
+) -> Result<CheckpointPayload<'_>, StoreError> {
     let at = |pos: usize, reason: String| StoreError::Corrupt {
         offset: payload_offset.saturating_add(pos as u64),
         reason,
@@ -71,7 +74,7 @@ pub fn decode_checkpoint(
             "checkpoint: covered version overflows u32".into(),
         )
     })?;
-    let state = get_bytes(payload, &mut pos).map_err(wire)?.to_vec();
+    let state = get_bytes(payload, &mut pos).map_err(wire)?;
     if pos != payload.len() {
         return Err(at(pos, "checkpoint: trailing bytes after state".into()));
     }
@@ -97,7 +100,8 @@ mod tests {
 
     #[test]
     fn first_checkpoint_has_no_back_chain() {
-        let dec = decode_checkpoint(&encode_checkpoint(0, 1, &[]), 0).unwrap();
+        let enc = encode_checkpoint(0, 1, &[]);
+        let dec = decode_checkpoint(&enc, 0).unwrap();
         assert_eq!(dec.prev, 0);
         assert!(dec.state.is_empty());
     }

@@ -6,8 +6,9 @@
 //! trade for a writer, but wasteful for a one-off query against a large,
 //! cold segment. `ColdArchive` takes the other corner of the design
 //! space: it memory-maps the file, builds a tiny *per-block version
-//! index* from a header-only walk (22 bytes per block; payloads are never
-//! touched), and then serves [`StoreReader`] queries by decoding exactly
+//! index* from the block walk the journal recovers with
+//! ([`block::walk`]: 22 bytes per block; payloads are never touched), and
+//! then serves [`StoreReader`] queries by decoding exactly
 //! the blocks they need. A point `retrieve`/`as_of` checksums and decodes
 //! one block; the rest of the file stays untouched OS page cache at most.
 //!
@@ -30,7 +31,7 @@
 //! §Recovery): a torn tail at open is quietly ignored (those bytes were
 //! never acknowledged), while any damage to a committed block — at open
 //! where the header walk trips over it, or at query time when the block's
-//! CRC fails — surfaces as a positioned
+//! CRC fails (an empty version's too) — surfaces as a positioned
 //! [`StoreError::Corrupt`]. A cold
 //! reader never truncates or repairs: it has no write permission on the
 //! segment at all.
@@ -45,7 +46,7 @@ use xarch_keys::{annotate_under, Key, KeySpec};
 use xarch_obs::{Level, Obs};
 use xarch_xml::{Document, Path as LabelPath};
 
-use crate::block::{self, BlockKind, Scan, BLOCK_HEADER_LEN, BLOCK_TRAILER_LEN, MAX_PAYLOAD};
+use crate::block::{self, BlockKind, Scan, Step};
 use crate::metrics::ColdMetrics;
 use crate::mmap::MappedFile;
 use crate::payload::{
@@ -188,12 +189,10 @@ impl ColdArchive {
         (v < e.first_version.saturating_add(e.count)).then_some(e)
     }
 
-    /// Checksums and decodes the single block at `entry`, returning the
-    /// *uncompressed* payload.
-    fn load_block(&self, entry: IndexEntry) -> Result<Vec<u8>, StoreError> {
-        let bytes = self.map.as_slice();
-        let scanned = match block::scan_block(bytes, entry.offset) {
-            Scan::Block(b) => b,
+    /// Checksums the single block at `entry`, reporting a failure.
+    fn verify(&self, entry: IndexEntry) -> Result<block::ScannedBlock<'_>, StoreError> {
+        match block::scan_block(self.map.as_slice(), entry.offset) {
+            Scan::Block(b) => Ok(b),
             Scan::Corrupt(e) => {
                 self.metrics.event(
                     Level::Error,
@@ -203,18 +202,22 @@ impl ColdArchive {
                         ("reason", e.to_string()),
                     ],
                 );
-                return Err(e);
+                Err(e)
             }
             // the index only holds blocks whose full span was present at
             // open, and the shared lock bars truncation while we live
-            Scan::TornTail => {
-                return Err(corrupt(
-                    entry.offset,
-                    "indexed block vanished from the mapped segment",
-                ));
-            }
-        };
-        let span = block_span(scanned.header.stored_len);
+            Scan::TornTail => Err(corrupt(
+                entry.offset,
+                "indexed block vanished from the mapped segment",
+            )),
+        }
+    }
+
+    /// Checksums and decodes the single block at `entry`, returning the
+    /// *uncompressed* payload.
+    fn load_block(&self, entry: IndexEntry) -> Result<Vec<u8>, StoreError> {
+        let scanned = self.verify(entry)?;
+        let span = block::span(scanned.header.stored_len);
         let raw = block::decode_payload(scanned)?;
         self.metrics.blocks_decoded.inc();
         self.metrics.bytes_decoded.add(span);
@@ -223,16 +226,21 @@ impl ColdArchive {
 
     /// Hands `read` the payload of version `v` — its own `doc_to_bytes`
     /// bytes, out of the one block holding it — and positions a refusal at
-    /// that block. `None` when `v` was never archived or archived empty.
+    /// that block. `None` when `v` was never archived, or archived empty —
+    /// an answer its block's checksum vouches for, like any other.
     fn read_version<T>(
         &self,
         v: u32,
         read: impl FnOnce(&[u8]) -> Result<T, StreamError>,
     ) -> Result<Option<T>, StoreError> {
         self.metrics.retrieves.inc();
-        let Some(entry) = self.entry_for(v).filter(|e| e.kind != BlockKind::Empty) else {
+        let Some(entry) = self.entry_for(v) else {
             return Ok(None);
         };
+        if entry.kind == BlockKind::Empty {
+            // nothing to decode, but the answer is the block's to vouch for
+            return self.verify(entry).map(|_| None);
+        }
         let raw = self.load_block(entry)?;
         let versions = versions_in(entry, &raw)?;
         let held = usize::try_from(v.saturating_sub(entry.first_version))
@@ -468,91 +476,30 @@ impl<'b> Sink<'b> for KeyProbe<'_> {
     }
 }
 
-/// Total file span of a block with the given stored payload size.
-fn block_span(stored_len: u64) -> u64 {
-    stored_len + (BLOCK_HEADER_LEN + BLOCK_TRAILER_LEN) as u64
-}
-
-/// Walks block headers (payloads untouched) building the version index.
-/// Returns the data-block entries, the latest committed version, and —
-/// when the final data block was a batch whose count had to be learned by
-/// decoding it — the byte span that decode charged.
+/// Builds the version index from the block walk (headers only, payloads
+/// untouched). Returns the data-block entries, the latest committed
+/// version, and — when the final data block was a batch whose count had
+/// to be learned by decoding it — the byte span that decode charged.
 #[allow(clippy::type_complexity)]
 fn build_index(
     bytes: &[u8],
     first_block: u64,
 ) -> Result<(Vec<IndexEntry>, u32, Option<u64>), StoreError> {
-    struct RawEntry {
-        offset: u64,
-        kind: BlockKind,
-        version: u32,
-    }
-    let len = bytes.len() as u64;
-    let min_block = (BLOCK_HEADER_LEN + BLOCK_TRAILER_LEN) as u64;
-    let mut raw: Vec<RawEntry> = Vec::new();
-    let mut offset = first_block;
-    // classify whatever made the walk stop: torn tails are quietly
-    // excluded (those bytes were never acknowledged), anything else is
-    // loud — scan_block applies the format's full torn-vs-rot rules
-    let classify_stop = |offset: u64| -> Result<(), StoreError> {
-        match block::scan_block(bytes, offset) {
-            Scan::TornTail => Ok(()),
-            Scan::Corrupt(e) => Err(e),
-            Scan::Block(_) => Err(corrupt(
-                offset,
-                "header walk stopped at a block that verifies — internal inconsistency",
-            )),
-        }
-    };
-    while offset < len {
-        if len - offset < min_block {
-            classify_stop(offset)?;
-            break;
-        }
-        let header = bytes
-            .get(
-                usize::try_from(offset)
-                    .map_err(|_| corrupt(offset, "block offset exceeds the address space"))?..,
-            )
-            .and_then(|r| r.get(..BLOCK_HEADER_LEN));
-        let Some(header) = header else {
-            classify_stop(offset)?;
-            break;
-        };
-        let (Some(&kind_byte), Some(version), Some(stored_len)) = (
-            header.first(),
-            crate::bytes::le_u32(header, 2),
-            block::declared_payload_len(header),
-        ) else {
-            classify_stop(offset)?;
-            break;
-        };
-        let end = offset
-            .saturating_add(min_block)
-            .saturating_add(stored_len.min(MAX_PAYLOAD));
-        if stored_len > MAX_PAYLOAD || end > len || BlockKind::from_kind_byte(kind_byte).is_none() {
-            classify_stop(offset)?;
-            break;
-        }
-        // kind_byte just round-tripped through from_kind_byte above
-        if let Some(kind) = BlockKind::from_kind_byte(kind_byte) {
-            if kind != BlockKind::Checkpoint {
-                raw.push(RawEntry {
-                    offset,
-                    kind,
-                    version,
-                });
-            }
-        }
-        offset = end;
-    }
+    let mut walk = block::walk(bytes, first_block);
+    let steps: Vec<Step> = walk
+        .by_ref()
+        .filter(|s| s.kind != BlockKind::Checkpoint)
+        .collect();
+    // a torn tail is quietly excluded (those bytes were never
+    // acknowledged); anything else the walk stopped at is loud
+    walk.torn_from()?;
     // counts: a block's span in version space reaches to the next data
     // block's first version; the final block needs its payload decoded
     // only if it is a batch
-    let mut index = Vec::with_capacity(raw.len());
+    let mut index = Vec::with_capacity(steps.len());
     let mut latest = 0u32;
     let mut decoded_span = None;
-    for (i, e) in raw.iter().enumerate() {
+    for (i, e) in steps.iter().enumerate() {
         let expected = latest.saturating_add(1);
         if e.version != expected {
             return Err(corrupt(
@@ -563,7 +510,7 @@ fn build_index(
                 ),
             ));
         }
-        let count = match raw.get(i + 1) {
+        let count = match steps.get(i + 1) {
             Some(next) => next
                 .version
                 .checked_sub(e.version)
@@ -587,7 +534,7 @@ fn build_index(
                         return Err(corrupt(e.offset, "indexed block failed re-verification"))
                     }
                 };
-                decoded_span = Some(block_span(scanned.header.stored_len));
+                decoded_span = Some(block::span(scanned.header.stored_len));
                 let payload = block::decode_payload(scanned)?;
                 // the count, held to the length prefixes: every entry in
                 // bounds and nothing after the last
@@ -658,6 +605,8 @@ impl StoreReader for ColdArchive {
         let mut ts = TimeSet::new();
         for &entry in &self.index {
             if entry.kind == BlockKind::Empty {
+                // holds nothing, as its verified block says
+                self.verify(entry)?;
                 continue;
             }
             let raw = self.load_block(entry)?;
@@ -688,6 +637,7 @@ impl StoreReader for ColdArchive {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::BLOCK_HEADER_LEN;
     use crate::durable::{DurableOptions, Journal};
     use crate::scratch_path;
     use xarch_core::{Archive, Compaction};

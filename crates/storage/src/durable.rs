@@ -7,6 +7,13 @@
 //! survives a `kill -9`. On open, the newest checkpoint is restored and
 //! the journaled documents behind it are replayed through the same
 //! deterministic merge, rebuilding exactly the pre-crash archive.
+//!
+//! Open locks the file before it reads a byte of it, maps it once, and
+//! steps through it with the block walk the cold reader uses
+//! ([`block::walk`]): the walk lists the checkpoints, the newest that
+//! restores is verified once, and the tail behind it is verified and
+//! replayed from the same bytes. The map is dropped before the file is cut
+//! back to its committed prefix or appended to.
 
 use std::path::{Path, PathBuf};
 
@@ -17,13 +24,17 @@ use xarch_keys::KeySpec;
 use xarch_obs::{Level, Obs};
 use xarch_xml::Document;
 
-use crate::block::{decode_payload, BlockKind, Scan, BLOCK_HEADER_LEN, MAX_PAYLOAD};
+use crate::block::{
+    self, decode_payload, BlockKind, Scan, ScannedBlock, Step, BLOCK_HEADER_LEN, MAX_PAYLOAD,
+};
 use crate::checkpoint::{decode_checkpoint, encode_checkpoint};
 use crate::metrics::StorageMetrics;
+use crate::mmap::MappedFile;
 use crate::payload::{
     batch_bytes_to_docs, bytes_to_doc, doc_to_bytes, docs_to_batch_bytes, positioned,
 };
-use crate::segment::{scan_block_at, scan_checkpoints, RecoveryStats, ResumeFrom, Segment};
+use crate::segment::Segment;
+use crate::superblock;
 
 /// Tuning knobs for a [`Journal`].
 #[derive(Debug, Clone, Copy)]
@@ -59,6 +70,39 @@ impl Default for DurableOptions {
             sync: true,
             checkpoint_every: None,
         }
+    }
+}
+
+/// What [`Journal::open`] found and did while rebuilding state from a
+/// segment file.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RecoveryStats {
+    /// Total committed versions re-established by the open: versions
+    /// restored from a checkpoint snapshot (when one was loaded) plus
+    /// versions replayed block-by-block from the journal.
+    pub versions_recovered: u32,
+    /// Bytes of data verified during the open: the superblock plus every
+    /// scanned block. A checkpointed open skips the journal prefix the
+    /// snapshot covers, so this is smaller than the file when
+    /// [`RecoveryStats::checkpoint_loaded`] is set.
+    pub bytes_scanned: u64,
+    /// Bytes of uncommitted torn tail dropped by truncation (0 on a clean
+    /// shutdown).
+    pub truncated_bytes: u64,
+    /// True when the open restored a checkpoint snapshot instead of
+    /// replaying the whole journal — reopen cost was then proportional to
+    /// the tail, not the history.
+    pub checkpoint_loaded: bool,
+    /// Journal blocks replayed through the merge path by this open (the
+    /// tail after the checkpoint, or every block when none was loaded).
+    /// Checkpoint blocks themselves are not replay work and are excluded.
+    pub tail_blocks_replayed: u32,
+}
+
+impl RecoveryStats {
+    /// True when the file ended in a torn write that open() cleaned up.
+    pub fn recovered_torn_tail(&self) -> bool {
+        self.truncated_bytes > 0
     }
 }
 
@@ -101,11 +145,12 @@ impl Journal {
     /// (torn-tail truncation, corrupt blocks, skipped checkpoints,
     /// poisoning); without it they are detached.
     ///
-    /// Recovery restores the newest intact checkpoint, walking back past
-    /// damaged ones, and replays the journal tail behind it. A checkpoint
-    /// taken under another configuration (compaction mode) is a mismatch:
-    /// the whole journal is replayed instead, which rebuilds correctly
-    /// under the new configuration.
+    /// Recovery restores the newest checkpoint the block walk finds that
+    /// verifies and decodes, skipping damaged ones, and replays the
+    /// journal tail behind it. A checkpoint taken under another
+    /// configuration (compaction mode) is a mismatch: the whole journal is
+    /// replayed instead, which rebuilds correctly under the new
+    /// configuration.
     pub fn open(
         path: impl AsRef<Path>,
         options: DurableOptions,
@@ -115,7 +160,10 @@ impl Journal {
     ) -> Result<(Self, Archive), StoreError> {
         let path: PathBuf = path.as_ref().to_owned();
         let metrics = obs.map_or_else(StorageMetrics::detached, StorageMetrics::registered);
-        let journal = |segment, recovery, (last_checkpoint, last_checkpoint_covered)| Self {
+        let fresh = superblock::encode(&spec)?;
+        let file = Segment::lock(&path)?;
+        let map = MappedFile::map(&file)?;
+        let journal = |segment, recovery, last_checkpoint, last_checkpoint_covered| Self {
             segment,
             options,
             recovery,
@@ -123,151 +171,59 @@ impl Journal {
             last_checkpoint_covered,
             poisoned: None,
         };
-        let file_len = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-        let expected_superblock = crate::superblock::encode(&spec)?;
-        // A file shorter than its superblock *and* byte-identical to a
-        // prefix of it is a create() torn by a crash: the superblock never
-        // completed, so no version can have been committed — recreating is
-        // safe. Anything else short-but-different is corruption and falls
-        // through to Segment::open's loud failure.
-        let torn_create = file_len > 0
-            && file_len < expected_superblock.len() as u64
-            && expected_superblock.starts_with(&std::fs::read(&path)?);
-        if file_len == 0 || torn_create {
-            let segment = Segment::create(&path, &spec, options.sync, metrics)?;
+        // An empty file, or one shorter than its superblock *and*
+        // byte-identical to a prefix of it — a create() torn by a crash:
+        // the superblock never completed, so no version can have been
+        // committed and recreating is safe. Anything else short is
+        // corruption, which the superblock decode below refuses loudly.
+        if map.len() < fresh.len() && fresh.starts_with(map.as_slice()) {
             let recovery = RecoveryStats {
-                truncated_bytes: if torn_create { file_len } else { 0 },
+                truncated_bytes: map.len() as u64,
                 ..RecoveryStats::default()
             };
+            drop(map);
+            let segment = Segment::create(file, &path, &fresh, options.sync, metrics)?;
             let archive = Archive::with_compaction(spec, compaction);
-            return Ok((journal(segment, recovery, (0, 0)), archive));
+            return Ok((journal(segment, recovery, 0, 0), archive));
         }
-        // Fast reopen: restore the newest intact checkpoint snapshot, then
-        // have the segment scan skip the journal prefix it covers. The
-        // pre-scan runs without the write lock; `Segment::open`
-        // re-verifies the chosen block under the lock before trusting it.
-        // Every failure here falls back — to an older snapshot, then to a
-        // full replay — because a checkpoint is pure redundancy over the
-        // journal.
-        let mut restored: Option<(Archive, ResumeFrom)> = None;
-        for cand in scan_checkpoints(&path)
-            .unwrap_or_default()
-            .into_iter()
-            .rev()
-        {
-            let verified = match scan_block_at(&path, cand.offset) {
-                Ok(Scan::Block(b)) if b.header.kind == BlockKind::Checkpoint => b,
-                // damaged or torn candidate: an older snapshot may be fine
-                _ => continue,
-            };
-            let covered = verified.header.version;
-            // a snapshot that does not decode is one more damaged candidate
-            let Ok(raw) = decode_payload(verified) else {
-                continue;
-            };
-            let payload_at = cand.offset + BLOCK_HEADER_LEN as u64;
-            let Ok(cp) = decode_checkpoint(&raw, payload_at) else {
-                continue;
-            };
-            if cp.covered != covered {
-                continue;
-            }
-            match decode_archive(&cp.state, &spec, compaction) {
-                Ok(Some(archive)) => {
-                    let resume = ResumeFrom {
-                        checkpoint_offset: cand.offset,
-                        versions: cp.covered,
-                    };
-                    restored = Some((archive, resume));
-                    break;
-                }
-                // the snapshot is intact but was taken under a different
-                // configuration — older snapshots would mismatch the same
-                // way, so go straight to a full replay
-                Ok(None) => break,
-                // state bytes the block's checksum vouches for and the
-                // decoder refuses (a tree nested too deep, say): loudly,
-                // walk back to an older snapshot
-                Err(e) => {
-                    metrics.checkpoints_skipped.inc();
-                    metrics.event(
-                        Level::Warn,
-                        "recovery.checkpoint_skipped",
-                        &[
-                            ("offset", cand.offset.to_string()),
-                            ("reason", e.to_string()),
-                        ],
-                    );
-                }
-            }
+        let (stored_spec, first_block) = superblock::decode(map.as_slice())?;
+        if stored_spec != spec {
+            return Err(StoreError::Backend(format!(
+                "key spec mismatch: segment {} was created under a different key specification \
+                 (stored {} keys, requested {})",
+                path.display(),
+                stored_spec.len(),
+                spec.len(),
+            )));
         }
-        let resume = restored.as_ref().map(|(_, r)| *r);
-        let mut archive = match restored {
-            Some((archive, _)) => archive,
-            None => Archive::with_compaction(spec.clone(), compaction),
-        };
-        // the newest checkpoint seen — restored or replayed over — so the
-        // next checkpoint back-chains to it and the cadence counter
-        // continues instead of restarting
-        let mut last_cp: (u64, u32) = resume.map_or((0, 0), |r| (r.checkpoint_offset, r.versions));
-        // replay happens inside the scan callback, so only one block's
-        // payload is ever materialized — reopening stays within the
-        // archive's working set
-        let (segment, recovery) = Segment::open(
-            &path,
-            &spec,
-            options.sync,
-            metrics,
-            resume,
-            |b| {
-                let (header, offset) = (b.header, b.offset);
-                let (replayed, committed) = match header.kind {
-                    BlockKind::Checkpoint => {
-                        // nothing to replay — the snapshot duplicates
-                        // journal state — but remember it
-                        last_cp = (offset, header.version);
-                        return Ok(0);
-                    }
-                    BlockKind::Empty => (archive.add_empty_version(), 1u32),
-                    BlockKind::Version => {
-                        let raw = decode_payload(b)?;
-                        let doc = bytes_to_doc(&raw).map_err(|e| positioned(offset, e))?;
-                        (archive.add_version(&doc)?, 1)
-                    }
-                    BlockKind::Batch => {
-                        // a verified batch block replays atomically through
-                        // the archive's own batch merge, so reopening
-                        // restores exactly the group-committed state
-                        let raw = decode_payload(b)?;
-                        let docs = batch_bytes_to_docs(&raw).map_err(|e| positioned(offset, e))?;
-                        let assigned = archive.add_versions(&docs)?;
-                        let Some(first) = assigned.first().copied() else {
-                            return Err(StoreError::Corrupt {
-                                offset,
-                                reason: "batch block with zero versions".into(),
-                            });
-                        };
-                        let count =
-                            u32::try_from(assigned.len()).map_err(|_| StoreError::Corrupt {
-                                offset,
-                                reason: "batch version count exceeds u32".into(),
-                            })?;
-                        (first, count)
-                    }
-                };
-                if replayed != header.version {
-                    return Err(StoreError::Corrupt {
-                    offset,
-                    reason: format!(
-                        "replay desynchronized: block commits version {}, store assigned {replayed}",
-                        header.version
-                    ),
-                });
-                }
-                Ok(committed)
-            },
-        )?;
-        Ok((journal(segment, recovery, last_cp), archive))
+        let r = recover(&map, first_block, spec, compaction, &metrics)?;
+        drop(map);
+        let next = r.stats.versions_recovered.saturating_add(1);
+        let segment = Segment::resume(file, &path, r.kept, next, options.sync, metrics)?;
+        let metrics = segment.metrics();
+        if r.stats.recovered_torn_tail() {
+            metrics.torn_tail_truncations.inc();
+            metrics.event(
+                Level::Warn,
+                "recovery.torn_tail",
+                &[
+                    ("offset", r.kept.to_string()),
+                    ("dropped_bytes", r.stats.truncated_bytes.to_string()),
+                ],
+            );
+        }
+        metrics.event(
+            Level::Info,
+            "segment.open",
+            &[
+                ("versions", r.stats.versions_recovered.to_string()),
+                ("bytes", r.kept.to_string()),
+                ("truncated_bytes", r.stats.truncated_bytes.to_string()),
+                ("checkpoint_loaded", r.stats.checkpoint_loaded.to_string()),
+            ],
+        );
+        let (offset, covered) = r.last_checkpoint;
+        Ok((journal(segment, r.stats, offset, covered), r.archive))
     }
 
     /// What `open` found and did while rebuilding from the segment file.
@@ -488,6 +444,240 @@ impl Journal {
     }
 }
 
+/// What recovery made of a segment's bytes.
+struct Recovered {
+    archive: Archive,
+    stats: RecoveryStats,
+    /// Length of the committed prefix; the file is cut back to it.
+    kept: u64,
+    /// The newest checkpoint seen — restored or replayed over — as (file
+    /// offset, versions covered), so the next checkpoint back-chains to it
+    /// and the cadence counter continues instead of restarting.
+    last_checkpoint: (u64, u32),
+}
+
+/// Rebuilds the archive from the mapped segment `map`, whose superblock
+/// verified and whose blocks begin at `first_block`: restores the newest
+/// usable checkpoint the block walk finds, then verifies and replays the
+/// blocks behind it under the format's recovery rules (`docs/FORMAT.md`
+/// §Recovery). Pages are released behind the cursor, so a full replay
+/// holds about one block of the file at a time.
+fn recover(
+    map: &MappedFile,
+    first_block: u64,
+    spec: KeySpec,
+    compaction: Compaction,
+    metrics: &StorageMetrics,
+) -> Result<Recovered, StoreError> {
+    // records the wall time of every recovery, clean or failed
+    let _timer = metrics.replay_duration.start_timer();
+    let bytes = map.as_slice();
+    let mut walk = block::walk(bytes, first_block);
+    let checkpoints: Vec<Step> = walk
+        .by_ref()
+        .inspect(|s| map.release(s.offset..s.end))
+        .filter(|s| s.kind == BlockKind::Checkpoint)
+        .collect();
+    // A checkpoint is pure redundancy over the journal: one that is torn,
+    // damaged or does not decode is passed over for an older one, and with
+    // none usable the whole journal is replayed.
+    let mut restored = None;
+    for cp in checkpoints.iter().rev() {
+        let raw = match block::scan_block(bytes, cp.offset) {
+            Scan::Block(b) => decode_payload(b).ok(),
+            _ => None,
+        };
+        map.release(cp.offset..cp.end);
+        let payload_at = cp.offset + BLOCK_HEADER_LEN as u64;
+        let Some(payload) = raw
+            .as_deref()
+            .and_then(|raw| decode_checkpoint(raw, payload_at).ok())
+            .filter(|p| p.covered == cp.version)
+        else {
+            continue;
+        };
+        match decode_archive(payload.state, &spec, compaction) {
+            Ok(Some(archive)) => {
+                restored = Some((archive, *cp));
+                break;
+            }
+            // the snapshot is intact but was taken under a different
+            // configuration — older snapshots would mismatch the same
+            // way, so go straight to a full replay
+            Ok(None) => break,
+            // state bytes the block's checksum vouches for and the decoder
+            // refuses (a tree nested too deep, say): loudly, on to an
+            // older snapshot
+            Err(e) => {
+                metrics.checkpoints_skipped.inc();
+                metrics.event(
+                    Level::Warn,
+                    "recovery.checkpoint_skipped",
+                    &[("offset", cp.offset.to_string()), ("reason", e.to_string())],
+                );
+            }
+        }
+    }
+    let mut stats = RecoveryStats {
+        checkpoint_loaded: restored.is_some(),
+        ..RecoveryStats::default()
+    };
+    let (mut archive, from, mut last_checkpoint) = match restored {
+        Some((archive, cp)) => {
+            metrics.checkpoints_loaded.inc();
+            metrics.event(
+                Level::Info,
+                "recovery.checkpoint_loaded",
+                &[
+                    ("offset", cp.offset.to_string()),
+                    ("covered", cp.version.to_string()),
+                ],
+            );
+            (archive, cp.end, (cp.offset, cp.version))
+        }
+        None => (
+            Archive::with_compaction(spec, compaction),
+            first_block,
+            (0, 0),
+        ),
+    };
+    let restored_versions = last_checkpoint.1;
+    let mut versions = restored_versions;
+    let mut tail = block::walk(bytes, from);
+    let mut torn = None;
+    for step in tail.by_ref() {
+        let offset = step.offset;
+        match block::scan_block(bytes, offset) {
+            // checkpoints commit nothing: the header records how many
+            // versions the snapshot covers, which must agree with the
+            // journal so far
+            Scan::Block(b) if b.header.kind == BlockKind::Checkpoint => {
+                if b.header.version != versions {
+                    let reason = format!(
+                        "checkpoint claims to cover version {}, journal holds {versions}",
+                        b.header.version
+                    );
+                    return Err(refused(metrics, offset, corrupt(offset, reason)));
+                }
+                last_checkpoint = (offset, versions);
+            }
+            Scan::Block(b) => {
+                let expected = versions.saturating_add(1);
+                if b.header.version != expected {
+                    let reason = format!(
+                        "block sequence broken: expected version {expected}, found {}",
+                        b.header.version
+                    );
+                    return Err(refused(metrics, offset, corrupt(offset, reason)));
+                }
+                replay(&mut archive, b)?;
+                versions = archive.latest();
+                stats.tail_blocks_replayed = stats.tail_blocks_replayed.saturating_add(1);
+            }
+            // a rotted checkpoint is loud but never fatal: every bit of its
+            // state is rederivable from the journal, so record it and step
+            // over its span — whole, by the commit word at its declared
+            // end — to the blocks behind it
+            Scan::Corrupt(e)
+                if step.kind == BlockKind::Checkpoint && ends_committed(bytes, &step) =>
+            {
+                metrics.corrupt_blocks.inc();
+                metrics.checkpoints_skipped.inc();
+                metrics.event(
+                    Level::Warn,
+                    "recovery.checkpoint_skipped",
+                    &[("offset", offset.to_string()), ("reason", e.to_string())],
+                );
+            }
+            Scan::Corrupt(e) => return Err(refused(metrics, offset, e)),
+            Scan::TornTail => {
+                torn = Some(offset);
+                break;
+            }
+        }
+        map.release(offset..step.end);
+    }
+    let torn = match torn {
+        Some(at) => Some(at),
+        None => tail
+            .torn_from()
+            .map_err(|e| refused(metrics, tail.offset(), e))?,
+    };
+    let kept = torn.unwrap_or(bytes.len() as u64);
+    stats.versions_recovered = versions;
+    stats.truncated_bytes = (bytes.len() as u64).saturating_sub(kept);
+    // a checkpointed open verified the superblock and the tail only
+    stats.bytes_scanned = first_block + kept.saturating_sub(from);
+    metrics
+        .versions_replayed
+        .add(u64::from(versions.saturating_sub(restored_versions)));
+    Ok(Recovered {
+        archive,
+        stats,
+        kept,
+        last_checkpoint,
+    })
+}
+
+fn corrupt(offset: u64, reason: String) -> StoreError {
+    StoreError::Corrupt { offset, reason }
+}
+
+/// Counts and reports the block at `offset` that recovery refuses with
+/// `e`, and hands `e` on.
+fn refused(metrics: &StorageMetrics, offset: u64, e: StoreError) -> StoreError {
+    metrics.corrupt_blocks.inc();
+    metrics.event(
+        Level::Error,
+        "recovery.corrupt_block",
+        &[("offset", offset.to_string()), ("reason", e.to_string())],
+    );
+    e
+}
+
+/// True when the commit word sits at the declared end of the walked block
+/// `step`: its span is whole, whatever its checksum says.
+fn ends_committed(bytes: &[u8], step: &Step) -> bool {
+    usize::try_from(step.end)
+        .ok()
+        .and_then(|end| bytes.get(..end))
+        .and_then(<[u8]>::last_chunk::<4>)
+        == Some(&block::COMMIT_MAGIC.to_le_bytes())
+}
+
+/// Replays the verified data block `b` into `archive` through the merge
+/// that committed it — a batch through the archive's own batch merge, so a
+/// reopen restores exactly the group-committed state.
+fn replay(archive: &mut Archive, b: ScannedBlock<'_>) -> Result<(), StoreError> {
+    let (version, offset) = (b.header.version, b.offset);
+    let replayed = match b.header.kind {
+        BlockKind::Empty => archive.add_empty_version(),
+        BlockKind::Version => {
+            let raw = decode_payload(b)?;
+            let doc = bytes_to_doc(&raw).map_err(|e| positioned(offset, e))?;
+            archive.add_version(&doc)?
+        }
+        BlockKind::Batch => {
+            let raw = decode_payload(b)?;
+            let docs = batch_bytes_to_docs(&raw).map_err(|e| positioned(offset, e))?;
+            let assigned = archive.add_versions(&docs)?;
+            let first = assigned.first().copied();
+            first.ok_or_else(|| corrupt(offset, "batch block with zero versions".into()))?
+        }
+        // nothing to replay: the snapshot duplicates journal state
+        BlockKind::Checkpoint => return Ok(()),
+    };
+    if replayed != version {
+        return Err(corrupt(
+            offset,
+            format!(
+                "replay desynchronized: block commits version {version}, store assigned {replayed}"
+            ),
+        ));
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -686,8 +876,24 @@ mod tests {
             assert!(equiv_modulo_key_order(&got, &doc_n(n), a.spec()));
         }
         // the cadence counter resumed: v6 completes a new 2-version stride
+        let restored_at = j.last_checkpoint_offset();
         j.add_version(&mut a, &doc_n(6)).unwrap();
         assert_eq!(j.checkpoints_written(), 1, "one new checkpoint after v6");
+        // and the new checkpoint back-chains to the restored one
+        let bytes = std::fs::read(&path).unwrap();
+        let first_block = superblock::encode(&spec()).unwrap().len() as u64;
+        let checkpoints: Vec<Step> = block::walk(&bytes, first_block)
+            .filter(|s| s.kind == BlockKind::Checkpoint)
+            .collect();
+        let [.., restored, newest] = checkpoints.as_slice() else {
+            panic!("{} checkpoints", checkpoints.len());
+        };
+        assert_eq!(restored_at, Some(restored.offset));
+        let Scan::Block(b) = block::scan_block(&bytes, newest.offset) else {
+            panic!("the new checkpoint does not verify");
+        };
+        let raw = decode_payload(b).unwrap();
+        assert_eq!(decode_checkpoint(&raw, 0).unwrap().prev, restored.offset);
         std::fs::remove_file(&path).unwrap();
 
         // the replayed tail is bounded by the cadence, not the history: 3x

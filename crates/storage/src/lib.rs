@@ -118,18 +118,18 @@ pub use block::{BlockHeader, BlockKind, ScannedBlock};
 pub use checkpoint::{decode_checkpoint, encode_checkpoint, CheckpointPayload};
 pub use cold::ColdArchive;
 pub use crc::{crc32, Crc32};
-pub use durable::{DurableOptions, Journal};
+pub use durable::{DurableOptions, Journal, RecoveryStats};
 pub use metrics::{ColdMetrics, StorageMetrics};
 pub use mmap::MappedFile;
-pub use segment::{scan_checkpoints, CheckpointRef, RecoveryStats, ResumeFrom, Segment};
+pub use segment::Segment;
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A unique scratch path under the system temp directory — for examples,
 /// benches, and tests that need a throwaway segment file. Unique per
-/// process and call; stale files from earlier runs are truncated by
-/// [`Segment::create`].
+/// process and call; a stale file from an earlier run is recovered or
+/// recreated by whatever opens it.
 pub fn scratch_path(tag: &str) -> PathBuf {
     static SEQ: AtomicU64 = AtomicU64::new(0);
     let n = SEQ.fetch_add(1, Ordering::Relaxed);

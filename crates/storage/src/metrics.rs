@@ -29,7 +29,8 @@ pub struct StorageMetrics {
     pub corrupt_blocks: Counter,
     /// `recovery.versions_replayed` — committed versions replayed on open.
     pub versions_replayed: Counter,
-    /// `recovery.replay_duration` — wall time of `Segment::open` (µs).
+    /// `recovery.replay_duration` — wall time of a reopen's recovery:
+    /// checkpoint restore plus verification and replay of the tail (µs).
     pub replay_duration: Histogram,
     /// `checkpoint.blocks_written` — checkpoint blocks appended.
     pub checkpoints_written: Counter,
@@ -118,7 +119,7 @@ impl StorageMetrics {
             replay_duration: r.histogram(
                 "recovery.replay_duration",
                 "micros",
-                "wall time of journal replay on open",
+                "wall time of reopen recovery: checkpoint restore and tail replay",
             ),
             checkpoints_written: r.counter(
                 "checkpoint.blocks_written",

@@ -1,14 +1,16 @@
-//! Read-only memory mapping for the cold-read path.
+//! Read-only memory mapping for reading a segment back: the cold reader
+//! and the journal's reopen.
 //!
 //! [`MappedFile`] exposes a segment file as a `&[u8]` without reading it
 //! into heap memory: on Unix it is a `PROT_READ`/`MAP_PRIVATE` `mmap`, so
 //! the OS pages bytes in on demand and a cold query touches only the
-//! blocks it actually decodes. On other platforms (and for zero-length
+//! blocks it actually decodes; a reopen hands back what it has replayed
+//! ([`MappedFile::release`]). On other platforms (and for zero-length
 //! files, which `mmap` rejects) it degrades to a buffered read — the same
 //! API, without the laziness.
 //!
-//! No external crate is involved: the Unix path declares the two libc
-//! entry points it needs directly.
+//! No external crate is involved: the Unix path declares the libc entry
+//! points it needs directly.
 
 use std::fs::File;
 #[cfg(not(unix))]
@@ -88,6 +90,23 @@ impl MappedFile {
         self.len() == 0
     }
 
+    /// Hands the pages under the file range `range` back to the OS, and
+    /// those before it that reading it may have brought in (a page fault
+    /// maps the cached pages around it too, up to a page table's span). The
+    /// bytes stay readable — a later read faults them in again from the
+    /// file — but stop counting against the process until then, so a
+    /// reader that consumes the file front to back, releasing each piece
+    /// it is done with, holds about one piece of it at a time. Advisory: a
+    /// no-op for the buffered fallback, and wherever the OS declines.
+    pub fn release(&self, range: std::ops::Range<u64>) {
+        #[cfg(unix)]
+        if let Backing::Mapped(m) = &self.backing {
+            m.release(range);
+        }
+        #[cfg(not(unix))]
+        let _ = range;
+    }
+
     /// True when the bytes are served by a real memory map (false on the
     /// buffered fallback and for empty files) — the observability layer
     /// reports this so "cold read without materializing" claims are
@@ -108,7 +127,7 @@ mod unix {
 
     use xarch_core::StoreError;
 
-    // The two libc entry points the map needs, declared directly so no
+    // The libc entry points the map needs, declared directly so no
     // external crate is required. Flag values below are identical on
     // every Tier-1 Unix (Linux, macOS, the BSDs).
     extern "C" {
@@ -121,10 +140,16 @@ mod unix {
             offset: i64,
         ) -> *mut core::ffi::c_void;
         fn munmap(addr: *mut core::ffi::c_void, len: usize) -> i32;
+        fn madvise(addr: *mut core::ffi::c_void, len: usize, advice: i32) -> i32;
+        fn getpagesize() -> i32;
     }
 
     const PROT_READ: i32 = 1;
     const MAP_PRIVATE: i32 = 2;
+    const MADV_DONTNEED: i32 = 4;
+    /// The widest span a page fault maps around itself: one page table's
+    /// reach (2 MiB with 4 KiB pages).
+    const FAULT_AROUND: usize = 2 << 20;
     /// `mmap`'s error return (`MAP_FAILED`), defined as `(void *) -1`.
     const MAP_FAILED: *mut core::ffi::c_void = usize::MAX as *mut core::ffi::c_void;
 
@@ -176,6 +201,44 @@ mod unix {
         }
     }
 
+    impl Mapping {
+        pub(super) fn release(&self, range: std::ops::Range<u64>) {
+            // SAFETY: getpagesize reads a constant of the process; it has
+            // no preconditions and cannot fail.
+            let page = usize::try_from(unsafe { getpagesize() }).unwrap_or(0);
+            let (Ok(start), Ok(end)) = (usize::try_from(range.start), usize::try_from(range.end))
+            else {
+                return;
+            };
+            let start = start.saturating_sub(FAULT_AROUND);
+            // whole pages only: the mapping starts on a page boundary, so
+            // rounding both ends down keeps the range page-aligned
+            let end = end.min(self.len);
+            let (Some(start), Some(end)) = (
+                start.checked_rem(page).map(|r| start - r),
+                end.checked_rem(page).map(|r| end - r),
+            ) else {
+                return;
+            };
+            if start >= end {
+                return;
+            }
+            // The mapping is private and was never written, so
+            // MADV_DONTNEED only drops page copies of the file: the next
+            // read of them faults the same file bytes back in, and every
+            // borrow of as_slice() keeps reading what it read before.
+            // SAFETY: start..end is page-aligned and inside the live mapping
+            // made in new() (end is clamped to its length); see above.
+            let _ = unsafe {
+                madvise(
+                    self.ptr.add(start).cast_mut().cast::<core::ffi::c_void>(),
+                    end - start,
+                    MADV_DONTNEED,
+                )
+            };
+        }
+    }
+
     impl Drop for Mapping {
         fn drop(&mut self) {
             // SAFETY: ptr/len are the exact values returned by the mmap
@@ -203,6 +266,24 @@ mod tests {
             assert!(m.is_mapped());
         }
         drop(m); // unmaps without error
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn released_pages_still_read_the_file() {
+        let path = scratch_path("mmap-release");
+        let bytes: Vec<u8> = (0..3 * 65_536u32).map(|i| (i % 251) as u8).collect();
+        std::fs::write(&path, &bytes).unwrap();
+        let file = File::open(&path).unwrap();
+        let m = MappedFile::map(&file).unwrap();
+        assert_eq!(m.as_slice(), bytes.as_slice());
+        // unaligned, empty, whole and out-of-range releases are all fine
+        m.release(1..100_001);
+        m.release(7..7);
+        m.release(0..bytes.len() as u64);
+        m.release(0..u64::MAX);
+        assert_eq!(m.as_slice(), bytes.as_slice());
+        drop(m);
         std::fs::remove_file(&path).unwrap();
     }
 

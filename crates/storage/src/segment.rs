@@ -1,197 +1,24 @@
-//! The segment file: superblock + append-only block sequence, with
-//! crash-safe open.
+//! The segment file: superblock + append-only block sequence.
 //!
 //! A [`Segment`] is the durable half of the archive: every committed
-//! version is one appended block (synced before the commit is
-//! acknowledged), and [`Segment::open`] streams the file back through a
-//! per-block callback — verifying checksums, truncating an uncommitted
-//! torn tail instead of refusing to open, and holding only one block's
-//! payload in memory at a time so reopening never exceeds the inner
-//! backend's working set.
+//! version is one appended block, synced before the commit is
+//! acknowledged. The segment owns the file and its exclusive OS lock.
+//! Reading the file back is [`Journal::open`](crate::Journal::open)'s: it
+//! maps the locked file, steps through it with the block walk
+//! ([`crate::block::walk`]) that the cold reader uses too — verifying,
+//! restoring the newest usable checkpoint, replaying the tail — and then
+//! resumes the segment for appending, cut back to what it kept.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use xarch_compress::BlockCodec;
 use xarch_core::StoreError;
-use xarch_keys::KeySpec;
 use xarch_obs::Level;
 
-use crate::block::{
-    self, encode_block, BlockKind, Scan, ScannedBlock, BLOCK_HEADER_LEN, BLOCK_TRAILER_LEN,
-    COMMIT_MAGIC,
-};
+use crate::block::{self, encode_block, BlockKind};
 use crate::metrics::StorageMetrics;
-use crate::superblock;
-
-/// What `open()` found and did while rebuilding state from a segment file.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RecoveryStats {
-    /// Total committed versions re-established by the open: versions
-    /// restored from a checkpoint snapshot (when one was loaded) plus
-    /// versions replayed block-by-block from the journal.
-    pub versions_recovered: u32,
-    /// Bytes of data verified during the open: the superblock plus every
-    /// scanned block. A checkpointed open skips the journal prefix the
-    /// snapshot covers, so this is smaller than the file when
-    /// [`RecoveryStats::checkpoint_loaded`] is set.
-    pub bytes_scanned: u64,
-    /// Bytes of uncommitted torn tail dropped by truncation (0 on a clean
-    /// shutdown).
-    pub truncated_bytes: u64,
-    /// True when the open restored a checkpoint snapshot instead of
-    /// replaying the whole journal — reopen cost was then proportional to
-    /// the tail, not the history.
-    pub checkpoint_loaded: bool,
-    /// Journal blocks replayed through the merge path by this open (the
-    /// tail after the checkpoint, or every block when none was loaded).
-    /// Checkpoint blocks themselves are not replay work and are excluded.
-    pub tail_blocks_replayed: u32,
-}
-
-impl RecoveryStats {
-    /// True when the file ended in a torn write that open() cleaned up.
-    pub fn recovered_torn_tail(&self) -> bool {
-        self.truncated_bytes > 0
-    }
-}
-
-/// Where a checkpointed open resumes: the verified checkpoint block and
-/// the version count its snapshot restored. Produced by the durable
-/// layer after [`scan_checkpoints`] + a successful state restore;
-/// [`Segment::open`] re-verifies the block under the
-/// exclusive lock before trusting it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ResumeFrom {
-    /// File offset of the restored checkpoint block's header.
-    pub checkpoint_offset: u64,
-    /// Versions the restored snapshot covers; the tail scan's sequence
-    /// check continues from here.
-    pub versions: u32,
-}
-
-/// A checkpoint candidate found by [`scan_checkpoints`]' header-only
-/// pre-scan. Unverified: the CRC is only checked when the candidate is
-/// actually read (see [`scan_block_at`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CheckpointRef {
-    /// File offset of the block header.
-    pub offset: u64,
-    /// The version count the header claims the snapshot covers.
-    pub covered: u32,
-    /// File offset one past the block's trailer — where tail replay
-    /// resumes after a successful restore.
-    pub end: u64,
-}
-
-/// Header-only forward scan listing every checkpoint block candidate in
-/// the segment at `path`, oldest first. Reads 22 bytes per block and
-/// seeks over payloads, so the cost is proportional to the block *count*,
-/// not the file size. Advisory: headers are unverified and the scan stops
-/// quietly at the first structural anomaly (the authoritative
-/// verification happens in [`Segment::open`]); an
-/// unreadable or checkpoint-free segment yields an empty list.
-pub fn scan_checkpoints(path: &Path) -> Result<Vec<CheckpointRef>, StoreError> {
-    let mut file = File::open(path)?;
-    let len = file.metadata()?.len();
-    let mut out = Vec::new();
-    // superblock fixed prefix → spec length → first block offset
-    if len < superblock::FIXED_LEN as u64 {
-        return Ok(out);
-    }
-    let mut fixed = [0u8; superblock::FIXED_LEN];
-    file.read_exact(&mut fixed)?;
-    let Some(spec_len) = superblock::declared_spec_len(&fixed) else {
-        return Ok(out);
-    };
-    if spec_len > superblock::MAX_SPEC_LEN {
-        return Ok(out);
-    }
-    let mut offset = (superblock::FIXED_LEN as u64)
-        .saturating_add(spec_len)
-        .saturating_add(4);
-    let min_block = (BLOCK_HEADER_LEN + BLOCK_TRAILER_LEN) as u64;
-    let mut header = [0u8; BLOCK_HEADER_LEN];
-    file.seek(SeekFrom::Start(offset))?;
-    while offset.saturating_add(min_block) <= len {
-        file.read_exact(&mut header)?;
-        let Some(stored_len) = block::declared_payload_len(&header) else {
-            break;
-        };
-        if stored_len > block::MAX_PAYLOAD {
-            break;
-        }
-        let end = offset.saturating_add(min_block).saturating_add(stored_len);
-        if end > len {
-            break;
-        }
-        if header.first() == Some(&BlockKind::Checkpoint.kind_byte()) {
-            let Some(covered) = crate::bytes::le_u32(&header, 2) else {
-                break;
-            };
-            out.push(CheckpointRef {
-                offset,
-                covered,
-                end,
-            });
-        }
-        file.seek(SeekFrom::Start(end))?;
-        offset = end;
-    }
-    Ok(out)
-}
-
-/// Reads and fully verifies the single block at `offset` in the segment
-/// at `path`, classifying failures exactly like the sequential scan (torn
-/// tail vs interior corruption). I/O failures are `Err`; content
-/// classification is the returned [`Scan`].
-pub fn scan_block_at(path: &Path, offset: u64) -> Result<Scan<'static>, StoreError> {
-    let mut file = File::open(path)?;
-    let len = file.metadata()?.len();
-    let eof_commit_word = if len >= offset.saturating_add(4) && len >= 4 {
-        let mut last = [0u8; 4];
-        file.seek(SeekFrom::End(-4))?;
-        file.read_exact(&mut last)?;
-        last == COMMIT_MAGIC.to_le_bytes()
-    } else {
-        false
-    };
-    if len.saturating_sub(offset) < BLOCK_HEADER_LEN as u64 {
-        return Ok(Scan::TornTail);
-    }
-    let mut header = [0u8; BLOCK_HEADER_LEN];
-    file.seek(SeekFrom::Start(offset))?;
-    file.read_exact(&mut header)?;
-    let Some(declared) = block::declared_payload_len(&header) else {
-        return Ok(Scan::TornTail);
-    };
-    if declared > block::MAX_PAYLOAD {
-        return Ok(Scan::Corrupt(StoreError::Corrupt {
-            offset,
-            reason: format!("implausible payload length {declared} in block header"),
-        }));
-    }
-    let needed = declared + BLOCK_TRAILER_LEN as u64;
-    let available = needed.min(len.saturating_sub(offset + BLOCK_HEADER_LEN as u64));
-    let Ok(take) = usize::try_from(available) else {
-        return Ok(Scan::Corrupt(StoreError::Corrupt {
-            offset,
-            reason: "block span exceeds the address space".into(),
-        }));
-    };
-    let mut body = vec![0u8; take];
-    file.read_exact(&mut body)?;
-    let end = offset + BLOCK_HEADER_LEN as u64 + needed;
-    let bytes_after_end = len.saturating_sub(end);
-    Ok(block::scan_block_parts(
-        &header,
-        body,
-        offset,
-        bytes_after_end,
-        eof_commit_word,
-    ))
-}
 
 /// An open segment file positioned for appending.
 #[derive(Debug)]
@@ -212,50 +39,50 @@ fn backend(err: impl Into<String>) -> StoreError {
     StoreError::Backend(err.into())
 }
 
-/// Takes the OS advisory lock that makes the segment single-writer: two
-/// handles appending to one journal would overwrite each other's
-/// acknowledged commits. The lock dies with the file handle (and with the
-/// process, so a crash never leaves a stale lock behind).
-fn lock_exclusive(file: &File, path: &Path) -> Result<(), StoreError> {
-    use std::fs::TryLockError;
-    match file.try_lock() {
-        Ok(()) => Ok(()),
-        Err(TryLockError::WouldBlock) => Err(backend(format!(
-            "segment {} is already open in another archive handle \
-             (concurrent writers would corrupt the journal)",
-            path.display()
-        ))),
-        Err(TryLockError::Error(e)) => Err(StoreError::Io(e)),
-    }
-}
-
 impl Segment {
-    /// Creates (or truncates) a segment file holding only the superblock,
-    /// recording into the given metric handles.
-    // not .truncate(true): truncation must happen *after* the lock (below)
+    /// Opens the segment file at `path`, creating it when absent, and
+    /// takes the OS advisory lock that makes the segment single-writer —
+    /// before a byte of it is read. Two handles appending to one journal
+    /// would overwrite each other's acknowledged commits. The lock dies
+    /// with the file handle (and with the process, so a crash never leaves
+    /// a stale lock behind).
+    // not .truncate(true): the file is recovered, or recreated by `create`
     #[allow(clippy::suspicious_open_options)]
-    pub fn create(
-        path: &Path,
-        spec: &KeySpec,
-        sync: bool,
-        metrics: StorageMetrics,
-    ) -> Result<Segment, StoreError> {
-        // take the lock before truncating, so losing a create race cannot
-        // wipe a segment another handle is actively appending to
-        let mut file = OpenOptions::new()
+    pub fn lock(path: &Path) -> Result<File, StoreError> {
+        use std::fs::TryLockError;
+        let file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .open(path)?;
-        lock_exclusive(&file, path)?;
+        match file.try_lock() {
+            Ok(()) => Ok(file),
+            Err(TryLockError::WouldBlock) => Err(backend(format!(
+                "segment {} is already open in another archive handle \
+                 (concurrent writers would corrupt the journal)",
+                path.display()
+            ))),
+            Err(TryLockError::Error(e)) => Err(StoreError::Io(e)),
+        }
+    }
+
+    /// Starts the locked `file` afresh: whatever it held is dropped and
+    /// `superblock` ([`crate::superblock::encode`]) written in its place.
+    pub fn create(
+        mut file: File,
+        path: &Path,
+        superblock: &[u8],
+        sync: bool,
+        metrics: StorageMetrics,
+    ) -> Result<Segment, StoreError> {
         file.set_len(0)?;
         file.seek(SeekFrom::Start(0))?;
-        let sb = superblock::encode(spec)?;
-        file.write_all(&sb)?;
+        file.write_all(superblock)?;
         if sync {
             file.sync_data()?;
         }
-        metrics.journal_len.set_u64(sb.len() as u64);
+        let len = superblock.len() as u64;
+        metrics.journal_len.set_u64(len);
         metrics.event(
             Level::Info,
             "segment.create",
@@ -264,332 +91,40 @@ impl Segment {
         Ok(Segment {
             file,
             path: path.to_owned(),
-            len: sb.len() as u64,
+            len,
             next_version: 1,
             sync,
             metrics,
         })
     }
 
-    /// Opens an existing segment file: verifies the superblock against
-    /// `spec`, then scans, checksums, and hands each committed block to
-    /// `on_block` in order (truncating a torn tail first). Replay happens
-    /// inside the callback so only one block is ever materialized. The
-    /// callback returns how many versions the block committed — 1 for
-    /// plain and empty blocks, the batch size for group-commit blocks —
-    /// which drives the sequence check and the next append's version.
-    /// Recovery outcomes (torn-tail truncations, corrupt blocks, replay
-    /// duration) land in the given metric handles, with structured
-    /// recovery events.
-    ///
-    /// When `resume` is set, the block at its offset is re-verified under
-    /// the exclusive lock (it must be a committed checkpoint covering
-    /// exactly `resume.versions`), the journal prefix it covers is
-    /// skipped, and only the tail after it is scanned and replayed —
-    /// reopen cost becomes proportional to the tail, not the history.
-    pub fn open(
+    /// Positions the locked `file` for appending after the `len` bytes
+    /// recovery kept, cutting off whatever follows them (a torn tail);
+    /// `next_version` is the version the next append must carry.
+    pub fn resume(
+        mut file: File,
         path: &Path,
-        spec: &KeySpec,
+        len: u64,
+        next_version: u32,
         sync: bool,
         metrics: StorageMetrics,
-        resume: Option<ResumeFrom>,
-        mut on_block: impl FnMut(ScannedBlock<'static>) -> Result<u32, StoreError>,
-    ) -> Result<(Segment, RecoveryStats), StoreError> {
-        // records replay wall time on every exit, clean or failed
-        let _replay = metrics.replay_duration.start_timer();
-        let mut file = OpenOptions::new().read(true).write(true).open(path)?;
-        lock_exclusive(&file, path)?;
-        let file_len = file.metadata()?.len();
-
-        // superblock: fixed prefix first, then the spec + its checksum
-        let prefix_len = usize::try_from(file_len.min(superblock::FIXED_LEN as u64))
-            .unwrap_or(superblock::FIXED_LEN);
-        let mut sb = vec![0u8; prefix_len];
-        file.read_exact(&mut sb)?;
-        if sb.len() == superblock::FIXED_LEN {
-            let Some(spec_len) = superblock::declared_spec_len(&sb) else {
-                return Err(StoreError::Corrupt {
-                    offset: 12,
-                    reason: "superblock fixed prefix truncated".into(),
-                });
-            };
-            if spec_len > superblock::MAX_SPEC_LEN {
-                return Err(StoreError::Corrupt {
-                    offset: 12,
-                    reason: format!("implausible key spec length {spec_len} in superblock"),
-                });
-            }
-            let rest_len = spec_len
-                .saturating_add(4)
-                .min(file_len.saturating_sub(sb.len() as u64));
-            let rest = usize::try_from(rest_len).map_err(|_| StoreError::Corrupt {
-                offset: 12,
-                reason: "superblock spec length exceeds the address space".into(),
-            })?;
-            let mut tail = vec![0u8; rest];
-            file.read_exact(&mut tail)?;
-            sb.extend_from_slice(&tail);
-        }
-        let (stored_spec, first_block) = superblock::decode(&sb)?;
-        if &stored_spec != spec {
-            return Err(backend(format!(
-                "key spec mismatch: segment {} was created under a different key specification \
-                 (stored {} keys, requested {})",
-                path.display(),
-                stored_spec.len(),
-                spec.len(),
-            )));
-        }
-
-        // whether the file's final four bytes are a commit word — the
-        // signal that distinguishes a bit-rotted length field (which must
-        // fail loudly) from a genuine torn append (which cannot leave a
-        // later block's commit word at end of file)
-        let eof_commit_word = if file_len >= first_block + 4 {
-            let mut last = [0u8; 4];
-            file.seek(SeekFrom::End(-4))?;
-            file.read_exact(&mut last)?;
-            file.seek(SeekFrom::Start(first_block))?;
-            last == COMMIT_MAGIC.to_le_bytes()
-        } else {
-            false
-        };
-
-        // blocks, one at a time — only the current payload is in memory,
-        // so reopening stays within the archive's working set
-        let mut versions = 0u32;
-        let mut offset = first_block;
-        let mut stats = RecoveryStats::default();
-        let mut len = file_len;
-        if let Some(r) = resume {
-            // the resume point came from an unlocked pre-scan; re-verify
-            // under the exclusive lock that it is still a committed
-            // checkpoint covering exactly what the snapshot restored
-            let end = match scan_block_at(path, r.checkpoint_offset)? {
-                Scan::Block(b)
-                    if b.header.kind == BlockKind::Checkpoint && b.header.version == r.versions =>
-                {
-                    r.checkpoint_offset
-                        + (b.payload.len() + BLOCK_HEADER_LEN + BLOCK_TRAILER_LEN) as u64
-                }
-                _ => {
-                    metrics.corrupt_blocks.inc();
-                    return Err(StoreError::Corrupt {
-                        offset: r.checkpoint_offset,
-                        reason: "checkpoint resume point failed re-verification".into(),
-                    });
-                }
-            };
-            versions = r.versions;
-            offset = end.min(len);
-            stats.checkpoint_loaded = true;
-            metrics.checkpoints_loaded.inc();
-            metrics.event(
-                Level::Info,
-                "recovery.checkpoint_loaded",
-                &[
-                    ("offset", r.checkpoint_offset.to_string()),
-                    ("covered", r.versions.to_string()),
-                ],
-            );
-            file.seek(SeekFrom::Start(offset))?;
-        }
-        let resumed_at = offset;
-        let mut header = [0u8; BLOCK_HEADER_LEN];
-        while offset < len {
-            // Some(end) when the bytes at `offset` are identifiably a
-            // *complete* checkpoint block (kind byte, commit word at its
-            // declared end): a corrupt one can then be skipped instead of
-            // failing the open — checkpoints are pure redundancy
-            let mut checkpoint_span_end: Option<u64> = None;
-            let scan = if len - offset < BLOCK_HEADER_LEN as u64 {
-                Scan::TornTail
-            } else {
-                file.read_exact(&mut header)?;
-                match block::declared_payload_len(&header) {
-                    // unreachable with a full header buffer, but decode
-                    // paths are total by policy
-                    None => Scan::TornTail,
-                    // an implausible length is rejected before any allocation
-                    Some(declared) if declared > block::MAX_PAYLOAD => {
-                        Scan::Corrupt(StoreError::Corrupt {
-                            offset,
-                            reason: format!(
-                                "implausible payload length {declared} in block header"
-                            ),
-                        })
-                    }
-                    Some(declared) => {
-                        let needed = declared + BLOCK_TRAILER_LEN as u64;
-                        let available = needed.min(len - offset - BLOCK_HEADER_LEN as u64);
-                        match usize::try_from(available) {
-                            Err(_) => Scan::Corrupt(StoreError::Corrupt {
-                                offset,
-                                reason: "block span exceeds the address space".into(),
-                            }),
-                            Ok(take) => {
-                                let mut body = vec![0u8; take];
-                                file.read_exact(&mut body)?;
-                                let end = offset + BLOCK_HEADER_LEN as u64 + needed;
-                                let bytes_after_end = len.saturating_sub(end);
-                                let commit_ok = available == needed
-                                    && body.len().checked_sub(4).and_then(|s| body.get(s..))
-                                        == Some(COMMIT_MAGIC.to_le_bytes().as_slice());
-                                if commit_ok
-                                    && header.first() == Some(&BlockKind::Checkpoint.kind_byte())
-                                {
-                                    checkpoint_span_end = Some(end);
-                                }
-                                block::scan_block_parts(
-                                    &header,
-                                    body,
-                                    offset,
-                                    bytes_after_end,
-                                    eof_commit_word,
-                                )
-                            }
-                        }
-                    }
-                }
-            };
-            match scan {
-                Scan::Block(b) if b.header.kind == BlockKind::Checkpoint => {
-                    // checkpoints commit nothing: the header records how
-                    // many versions the snapshot covers, which must agree
-                    // with the journal so far
-                    if b.header.version != versions {
-                        metrics.corrupt_blocks.inc();
-                        metrics.event(
-                            Level::Error,
-                            "recovery.corrupt_block",
-                            &[
-                                ("offset", offset.to_string()),
-                                ("reason", "checkpoint coverage skew".to_string()),
-                            ],
-                        );
-                        return Err(StoreError::Corrupt {
-                            offset,
-                            reason: format!(
-                                "checkpoint claims to cover version {}, journal holds {versions}",
-                                b.header.version
-                            ),
-                        });
-                    }
-                    offset += (b.payload.len() + BLOCK_HEADER_LEN + BLOCK_TRAILER_LEN) as u64;
-                    let committed = on_block(b)?;
-                    if committed != 0 {
-                        return Err(StoreError::Corrupt {
-                            offset,
-                            reason: "checkpoint block claimed to commit versions".into(),
-                        });
-                    }
-                }
-                Scan::Block(b) => {
-                    let expected = versions + 1;
-                    if b.header.version != expected {
-                        metrics.corrupt_blocks.inc();
-                        metrics.event(
-                            Level::Error,
-                            "recovery.corrupt_block",
-                            &[
-                                ("offset", offset.to_string()),
-                                ("reason", "sequence broken".to_string()),
-                            ],
-                        );
-                        return Err(StoreError::Corrupt {
-                            offset,
-                            reason: format!(
-                                "block sequence broken: expected version {expected}, found {}",
-                                b.header.version
-                            ),
-                        });
-                    }
-                    offset += (b.payload.len() + BLOCK_HEADER_LEN + BLOCK_TRAILER_LEN) as u64;
-                    let committed = on_block(b)?;
-                    if committed == 0 {
-                        return Err(StoreError::Corrupt {
-                            offset,
-                            reason: "block committed zero versions".into(),
-                        });
-                    }
-                    versions = expected + (committed - 1);
-                    stats.tail_blocks_replayed = stats.tail_blocks_replayed.saturating_add(1);
-                }
-                Scan::Corrupt(e) if checkpoint_span_end.is_some() => {
-                    // a rotted checkpoint is loud but never fatal: every
-                    // bit of its state is rederivable from the journal, so
-                    // record it and step over its (commit-word-delimited)
-                    // span to the blocks behind it
-                    let Some(end) = checkpoint_span_end else {
-                        return Err(e);
-                    };
-                    metrics.corrupt_blocks.inc();
-                    metrics.checkpoints_skipped.inc();
-                    metrics.event(
-                        Level::Warn,
-                        "recovery.checkpoint_skipped",
-                        &[("offset", offset.to_string()), ("reason", e.to_string())],
-                    );
-                    offset = end;
-                }
-                Scan::TornTail => {
-                    stats.truncated_bytes = len - offset;
-                    file.set_len(offset)?;
-                    if sync {
-                        file.sync_data()?;
-                    }
-                    len = offset;
-                    metrics.torn_tail_truncations.inc();
-                    metrics.event(
-                        Level::Warn,
-                        "recovery.torn_tail",
-                        &[
-                            ("offset", offset.to_string()),
-                            ("dropped_bytes", stats.truncated_bytes.to_string()),
-                        ],
-                    );
-                }
-                Scan::Corrupt(e) => {
-                    metrics.corrupt_blocks.inc();
-                    metrics.event(
-                        Level::Error,
-                        "recovery.corrupt_block",
-                        &[("offset", offset.to_string()), ("reason", e.to_string())],
-                    );
-                    return Err(e);
-                }
+    ) -> Result<Segment, StoreError> {
+        if file.metadata()?.len() > len {
+            file.set_len(len)?;
+            if sync {
+                file.sync_data()?;
             }
         }
-        file.seek(SeekFrom::End(0))?;
-        stats.versions_recovered = versions;
-        // a checkpointed open verified the superblock and the tail only
-        stats.bytes_scanned = first_block + len.saturating_sub(resumed_at);
-        let restored = resume.map_or(0, |r| r.versions);
-        metrics
-            .versions_replayed
-            .add(u64::from(versions.saturating_sub(restored)));
+        file.seek(SeekFrom::Start(len))?;
         metrics.journal_len.set_u64(len);
-        metrics.event(
-            Level::Info,
-            "segment.open",
-            &[
-                ("versions", versions.to_string()),
-                ("bytes", len.to_string()),
-                ("truncated_bytes", stats.truncated_bytes.to_string()),
-                ("checkpoint_loaded", stats.checkpoint_loaded.to_string()),
-            ],
-        );
-        Ok((
-            Segment {
-                file,
-                path: path.to_owned(),
-                len,
-                next_version: versions + 1,
-                sync,
-                metrics,
-            },
-            stats,
-        ))
+        Ok(Segment {
+            file,
+            path: path.to_owned(),
+            len,
+            next_version,
+            sync,
+            metrics,
+        })
     }
 
     /// Appends one committed block for version `version` and (by default)
@@ -753,46 +288,19 @@ impl Segment {
 mod tests {
     use super::*;
     use crate::scratch_path;
+    use xarch_keys::KeySpec;
 
-    fn spec() -> KeySpec {
-        KeySpec::parse("(/, (db, {}))\n(/db, (rec, {id}))").unwrap()
+    fn create(path: &Path) -> Segment {
+        let spec = KeySpec::parse("(/, (db, {}))\n(/db, (rec, {id}))").unwrap();
+        let sb = crate::superblock::encode(&spec).unwrap();
+        let file = Segment::lock(path).unwrap();
+        Segment::create(file, path, &sb, true, StorageMetrics::detached()).unwrap()
     }
 
     #[test]
-    fn create_append_reopen() {
-        let path = scratch_path("segment-basic");
-        let mut seg = Segment::create(&path, &spec(), true, StorageMetrics::detached()).unwrap();
-        seg.append(BlockKind::Version, BlockCodec::Raw, 1, 3, b"abc")
-            .unwrap();
-        seg.append(BlockKind::Empty, BlockCodec::Raw, 2, 0, b"")
-            .unwrap();
-        drop(seg);
-        let mut blocks = Vec::new();
-        let (seg, stats) = Segment::open(
-            &path,
-            &spec(),
-            true,
-            StorageMetrics::detached(),
-            None,
-            |b| {
-                blocks.push(b);
-                Ok(1)
-            },
-        )
-        .unwrap();
-        assert_eq!(blocks.len(), 2);
-        assert_eq!(blocks[0].payload, b"abc".as_slice());
-        assert_eq!(blocks[1].header.kind, BlockKind::Empty);
-        assert_eq!(stats.versions_recovered, 2);
-        assert!(!stats.recovered_torn_tail());
-        assert_eq!(seg.next_version(), 3);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn batch_block_advances_the_sequence_by_its_count() {
-        let path = scratch_path("segment-batch");
-        let mut seg = Segment::create(&path, &spec(), true, StorageMetrics::detached()).unwrap();
+    fn appends_advance_the_sequence_by_what_they_commit() {
+        let path = scratch_path("segment-appends");
+        let mut seg = create(&path);
         seg.append(BlockKind::Version, BlockCodec::Raw, 1, 3, b"abc")
             .unwrap();
         // one block commits versions 2..=4
@@ -801,96 +309,49 @@ mod tests {
         assert_eq!(seg.next_version(), 5);
         seg.append(BlockKind::Empty, BlockCodec::Raw, 5, 0, b"")
             .unwrap();
-        drop(seg);
-        let mut kinds = Vec::new();
-        let (seg, stats) = Segment::open(
-            &path,
-            &spec(),
-            true,
-            StorageMetrics::detached(),
-            None,
-            |b| {
-                kinds.push(b.header.kind);
-                Ok(if b.header.kind == BlockKind::Batch {
-                    3
-                } else {
-                    1
-                })
-            },
-        )
-        .unwrap();
-        assert_eq!(
-            kinds,
-            vec![BlockKind::Version, BlockKind::Batch, BlockKind::Empty]
-        );
-        assert_eq!(stats.versions_recovered, 5);
         assert_eq!(seg.next_version(), 6);
-        // a batch may not claim zero versions
-        let mut seg = seg;
+        assert_eq!(seg.blocks_appended(), 3);
+        assert_eq!(seg.len_bytes(), std::fs::metadata(&path).unwrap().len());
+        // a batch may not claim zero versions, nor an append skip one
         assert!(seg.append_batch(BlockCodec::Raw, 6, 0, 0, b"").is_err());
+        assert!(seg
+            .append(BlockKind::Version, BlockCodec::Raw, 9, 0, b"")
+            .is_err());
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
-    fn torn_tail_is_truncated_and_survivors_kept() {
-        let path = scratch_path("segment-torn");
-        let mut seg = Segment::create(&path, &spec(), true, StorageMetrics::detached()).unwrap();
+    fn a_second_lock_is_refused_while_the_first_lives() {
+        let path = scratch_path("segment-lock");
+        let seg = create(&path);
+        let err = Segment::lock(&path).unwrap_err();
+        assert!(err.to_string().contains("already open"), "{err}");
+        drop(seg);
+        assert!(Segment::lock(&path).is_ok());
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn resume_cuts_off_what_recovery_did_not_keep() {
+        let path = scratch_path("segment-resume");
+        let mut seg = create(&path);
         seg.append(BlockKind::Version, BlockCodec::Raw, 1, 3, b"abc")
             .unwrap();
-        let committed = seg.len_bytes();
+        let kept = seg.len_bytes();
         drop(seg);
-        // simulate a crash mid-append: a partial second block
+        // a crash mid-append: a partial second block
         let mut f = OpenOptions::new().append(true).open(&path).unwrap();
         f.write_all(&[1, 0, 2, 0, 0, 0, 9, 9]).unwrap();
         drop(f);
-        let mut blocks = Vec::new();
-        let (seg, stats) = Segment::open(
-            &path,
-            &spec(),
-            true,
-            StorageMetrics::detached(),
-            None,
-            |b| {
-                blocks.push(b);
-                Ok(1)
-            },
-        )
-        .unwrap();
-        assert_eq!(blocks.len(), 1);
-        assert_eq!(stats.truncated_bytes, 8);
-        assert!(stats.recovered_torn_tail());
-        assert_eq!(seg.len_bytes(), committed);
-        assert_eq!(std::fs::metadata(&path).unwrap().len(), committed);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn spec_mismatch_is_rejected() {
-        let path = scratch_path("segment-spec");
-        Segment::create(&path, &spec(), true, StorageMetrics::detached()).unwrap();
-        let other = KeySpec::parse("(/, (other, {}))").unwrap();
-        let err = Segment::open(
-            &path,
-            &other,
-            true,
-            StorageMetrics::detached(),
-            None,
-            |_| Ok(1),
-        )
-        .map(|_| ())
-        .unwrap_err();
-        assert!(matches!(err, StoreError::Backend(_)), "{err}");
-        assert!(err.to_string().contains("key spec mismatch"), "{err}");
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn out_of_order_append_is_rejected() {
-        let path = scratch_path("segment-order");
-        let mut seg = Segment::create(&path, &spec(), true, StorageMetrics::detached()).unwrap();
-        assert!(seg
-            .append(BlockKind::Version, BlockCodec::Raw, 5, 0, b"")
-            .is_err());
+        let file = Segment::lock(&path).unwrap();
+        let mut seg =
+            Segment::resume(file, &path, kept, 2, true, StorageMetrics::detached()).unwrap();
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), kept);
+        seg.append(BlockKind::Empty, BlockCodec::Raw, 2, 0, b"")
+            .unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        let kinds: Vec<_> = block::walk(&bytes, kept - 33).map(|s| s.kind).collect();
+        assert_eq!(kinds, [BlockKind::Version, BlockKind::Empty]);
         std::fs::remove_file(&path).unwrap();
     }
 }

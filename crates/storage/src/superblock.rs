@@ -26,8 +26,7 @@ pub const FORMAT_VERSION: u32 = 2;
 /// Oldest format revision this build still reads.
 pub const MIN_FORMAT_VERSION: u32 = 1;
 
-/// Size of the superblock's fixed prefix (magic + format + spec length) —
-/// the part a streaming reader consumes before it knows the full size.
+/// Size of the superblock's fixed prefix (magic + format + spec length).
 pub const FIXED_LEN: usize = 16;
 
 /// Largest accepted key-spec text (1 MiB) — specs are a handful of lines,
@@ -35,13 +34,6 @@ pub const FIXED_LEN: usize = 16;
 /// length field from driving a multi-gigabyte read before the checksum
 /// gets a chance to reject the superblock.
 pub const MAX_SPEC_LEN: u64 = 1 << 20;
-
-/// The spec length a fixed prefix declares (unvalidated; the checksum is
-/// verified by [`decode`] once the full superblock is read). `None` when
-/// the prefix is shorter than [`FIXED_LEN`].
-pub fn declared_spec_len(fixed: &[u8]) -> Option<u64> {
-    le_u32(fixed, 12).map(u64::from)
-}
 
 /// The textual form of a spec stored in the superblock: the explicit
 /// (non-implied) keys, one per line, in the paper's syntax. Implied keys

@@ -525,3 +525,48 @@ fn a_payload_nested_past_max_depth_is_corrupt_to_every_read_of_it() {
     assert!(out.is_empty());
     std::fs::remove_file(&path).unwrap();
 }
+
+/// A version block whose kind byte rotted to "empty" does not make the
+/// version empty: the cold reader checks the block's checksum before it
+/// answers "nothing here", and refuses at the block, as the journal does.
+#[test]
+fn an_empty_answer_is_one_its_block_vouches_for() {
+    let path = scratch_path("cold-read-empty-lie");
+    let payloads: Vec<_> = (1..=3)
+        .map(|n| doc_to_bytes(&release(n)).unwrap())
+        .collect();
+    let blocks: Vec<_> = payloads
+        .into_iter()
+        .map(|p| (BlockKind::Version, p))
+        .collect();
+    write_blocks(&path, &blocks);
+    let first_block = superblock::encode(&spec()).unwrap().len();
+    let mut bytes = std::fs::read(&path).unwrap();
+    assert_eq!(bytes[first_block], BlockKind::Version.kind_byte());
+    bytes[first_block] = BlockKind::Empty.kind_byte();
+    std::fs::write(&path, &bytes).unwrap();
+
+    let at = first_block as u64;
+    let cold = ColdArchive::open(&path).unwrap();
+    assert_eq!(cold.latest(), 3);
+    let mut out = Vec::new();
+    for (query, result) in [
+        ("retrieve", cold.retrieve(1).map(|_| ())),
+        ("retrieve_into", cold.retrieve_into(1, &mut out).map(|_| ())),
+        (
+            "history",
+            cold.history(&[KeyQuery::new("db"), rec(1)]).map(|_| ()),
+        ),
+    ] {
+        let (offset, reason) = corrupt_reason(result.unwrap_err());
+        assert_eq!(offset, at, "{query}: {reason}");
+        assert!(reason.contains("checksum"), "{query}: {reason}");
+    }
+    assert!(out.is_empty());
+    assert!(cold.retrieve(2).unwrap().is_some());
+    drop(cold);
+    let journal = ArchiveBuilder::new(spec()).durable(&path).open();
+    let (offset, _) = corrupt_reason(journal.map(|_| ()).unwrap_err());
+    assert_eq!(offset, at);
+    std::fs::remove_file(&path).unwrap();
+}

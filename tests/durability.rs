@@ -871,22 +871,19 @@ fn a_version_block_nested_past_max_depth_is_corrupt_on_open() {
     std::fs::remove_file(&path).unwrap();
 }
 
-/// A checkpoint the checksum vouches for, holding a tree deeper than any
-/// archive grows: restore refuses it, and the reopen says so — the
-/// skipped-checkpoint counter and a positioned event — and replays the
-/// journal instead, as for any checkpoint it cannot use.
-#[test]
-fn a_checkpoint_nested_past_max_depth_is_skipped_loudly() {
+/// Journals [`versions`] at `path` and appends a checkpoint block the
+/// checksum vouches for, covering all three, whose state holds a tree
+/// deeper than any archive grows. Returns the checkpoint's offset.
+fn with_a_too_deep_checkpoint(path: &Path) -> u64 {
     use xarch::compress::BlockCodec;
     use xarch::core::{state, xmlrep, Compaction};
     use xarch::storage::block::{encode_block, BlockKind};
     use xarch::storage::encode_checkpoint;
     use xarch::xml::MAX_DEPTH;
 
-    let path = scratch_path("too-deep-checkpoint");
     let docs = versions();
     {
-        let mut d = reopen(&path).unwrap();
+        let mut d = reopen(path).unwrap();
         for doc in &docs {
             d.add_version(doc).unwrap();
         }
@@ -909,7 +906,7 @@ fn a_checkpoint_nested_past_max_depth_is_skipped_loudly() {
     }
     let too_deep = xmlrep::from_xml(&fig5, &spec(), Compaction::Alternatives).unwrap();
     let raw = encode_checkpoint(0, 3, &state::encode_archive(&too_deep));
-    let cp_at = std::fs::metadata(&path).unwrap().len();
+    let cp_at = std::fs::metadata(path).unwrap().len();
     let block = encode_block(
         BlockKind::Checkpoint,
         BlockCodec::Raw,
@@ -917,10 +914,21 @@ fn a_checkpoint_nested_past_max_depth_is_skipped_loudly() {
         raw.len() as u64,
         &raw,
     );
-    let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+    let mut f = OpenOptions::new().append(true).open(path).unwrap();
     f.write_all(&block).unwrap();
     drop(f);
+    cp_at
+}
 
+/// A checkpoint the checksum vouches for, holding a tree deeper than any
+/// archive grows: restore refuses it, and the reopen says so — the
+/// skipped-checkpoint counter and a positioned event — and replays the
+/// journal instead, as for any checkpoint it cannot use.
+#[test]
+fn a_checkpoint_nested_past_max_depth_is_skipped_loudly() {
+    let path = scratch_path("too-deep-checkpoint");
+    let cp_at = with_a_too_deep_checkpoint(&path);
+    let docs = versions();
     let obs = xarch::obs::Obs::disconnected();
     let mut d = ArchiveBuilder::new(spec())
         .durable(&path)
@@ -954,6 +962,102 @@ fn a_checkpoint_nested_past_max_depth_is_skipped_loudly() {
         assert_eq!(bytes_of(&mut d, v), bytes_of(reference.as_mut(), v), "v{v}");
     }
     std::fs::remove_file(&path).unwrap();
+}
+
+/// A second writer is refused at the lock, before it reads a byte of the
+/// segment: the damaged checkpoint the first writer stepped over is not
+/// decoded again, and nothing lands in the refused writer's registry.
+#[test]
+fn a_refused_second_writer_reads_nothing_of_the_segment() {
+    let path = scratch_path("refused-writer");
+    with_a_too_deep_checkpoint(&path);
+    let first = reopen(&path).unwrap();
+    let obs = xarch::obs::Obs::disconnected();
+    let err = ArchiveBuilder::new(spec())
+        .durable(&path)
+        .with_observability(obs.clone())
+        .open()
+        .map(|_| ())
+        .unwrap_err();
+    assert!(err.to_string().contains("already open"), "{err}");
+    let skipped = obs.registry().get_counter("recovery.checkpoints_skipped");
+    assert!(
+        matches!(skipped.map(|c| c.get()), None | Some(0)),
+        "the refused writer decoded the checkpoint"
+    );
+    let recovery: Vec<_> = obs
+        .recent_events()
+        .into_iter()
+        .filter(|e| e.target.starts_with("recovery."))
+        .collect();
+    assert!(recovery.is_empty(), "{recovery:?}");
+    drop(first);
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// The journal and the cold reader step through a segment with one block
+/// walk, so they agree on what its bytes say: rot in a block a later
+/// checkpoint covers is refused by both at that block, and every torn
+/// prefix of the segment reads back to the same latest version.
+#[test]
+fn the_journal_and_the_cold_reader_agree_on_rot_and_on_every_prefix() {
+    use xarch::storage::block::{walk, BlockKind};
+    use xarch::ColdArchive;
+
+    let path = scratch_path("readers-agree");
+    let docs = versions();
+    {
+        // v1, a batch of v2–v3, an empty v4 and v5, checkpoints after v3
+        // and v5
+        let mut d = checkpointed(&path, 2);
+        d.add_version(&docs[0]).unwrap();
+        d.add_versions(&docs[1..]).unwrap();
+        d.add_empty_version().unwrap();
+        d.add_version(&docs[0]).unwrap();
+        assert_eq!(d.journal().unwrap().checkpoints_written(), 2);
+    }
+    let pristine = std::fs::read(&path).unwrap();
+    let first_block = xarch::storage::superblock::encode(&spec()).unwrap().len();
+    let steps: Vec<_> = walk(&pristine, first_block as u64).collect();
+    let kinds: Vec<_> = steps.iter().map(|s| s.kind).collect();
+    assert_eq!(
+        kinds,
+        [
+            BlockKind::Version,
+            BlockKind::Batch,
+            BlockKind::Checkpoint,
+            BlockKind::Empty,
+            BlockKind::Version,
+            BlockKind::Checkpoint,
+        ]
+    );
+
+    // the batch's kind byte rotted to an unassigned id
+    let batch = steps[1].offset;
+    let mut rotted = pristine.clone();
+    rotted[batch as usize] = 0x7F;
+    std::fs::write(&path, &rotted).unwrap();
+    for (reader, result) in [
+        ("journal", reopen(&path).map(|_| ())),
+        ("cold", ColdArchive::open(&path).map(|_| ())),
+    ] {
+        match result {
+            Err(StoreError::Corrupt { offset, .. }) => assert_eq!(offset, batch, "{reader}"),
+            other => panic!("{reader}: expected Corrupt at {batch}, got {other:?}"),
+        }
+    }
+
+    // every prefix at or past the first block: a torn tail to both
+    let copy = scratch_path("readers-agree-copy");
+    for len in first_block..=pristine.len() {
+        std::fs::write(&path, &pristine[..len]).unwrap();
+        std::fs::write(&copy, &pristine[..len]).unwrap();
+        let cold = ColdArchive::open(&path).unwrap().latest();
+        let journal = reopen(&copy).unwrap().latest();
+        assert_eq!(cold, journal, "prefix of {len} bytes");
+    }
+    std::fs::remove_file(&path).unwrap();
+    std::fs::remove_file(&copy).unwrap();
 }
 
 /// A checkpoint the checksum vouches for whose state carries a retired
