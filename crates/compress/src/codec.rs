@@ -60,14 +60,13 @@ impl BlockCodec {
     /// Decodes bytes written by [`BlockCodec::encode`] for a payload of
     /// `raw_len` bytes. Returns `None` when `data` is not a valid encoding
     /// of exactly that many bytes under this codec — decided from what the
-    /// encoding declares, before anything is allocated on its word. An
-    /// owned raw payload is handed back as it came, a borrowed one copied;
-    /// a compressed one is decoded from wherever it lies.
-    pub fn decode<'a>(self, data: impl Into<Cow<'a, [u8]>>, raw_len: usize) -> Option<Vec<u8>> {
-        let data = data.into();
+    /// encoding declares, before anything is allocated on its word. A raw
+    /// payload is borrowed where it lies, never copied; a compressed one
+    /// is decoded from there into a buffer of its own.
+    pub fn decode(self, data: &[u8], raw_len: usize) -> Option<Cow<'_, [u8]>> {
         match self {
-            BlockCodec::Raw => (data.len() == raw_len).then(|| data.into_owned()),
-            BlockCodec::Lzss => lzss::decompress_exact(&data, raw_len),
+            BlockCodec::Raw => (data.len() == raw_len).then_some(Cow::Borrowed(data)),
+            BlockCodec::Lzss => lzss::decompress_exact(data, raw_len).map(Cow::Owned),
         }
     }
 }
@@ -89,9 +88,10 @@ mod tests {
         let data = b"hello world".to_vec();
         let (c, enc) = BlockCodec::Raw.encode(&data);
         assert_eq!(c, BlockCodec::Raw);
-        assert!(matches!(enc, std::borrow::Cow::Borrowed(_)));
-        assert_eq!(c.decode(enc.to_vec(), data.len()), Some(data.clone()));
-        assert_eq!(c.decode(data.clone(), data.len() + 1), None);
+        assert!(matches!(enc, Cow::Borrowed(_)));
+        let dec = c.decode(&enc, data.len());
+        assert!(matches!(dec, Some(Cow::Borrowed(d)) if d == &data[..]));
+        assert_eq!(c.decode(&data, data.len() + 1), None);
     }
 
     #[test]
@@ -105,8 +105,8 @@ mod tests {
         let (c, enc) = BlockCodec::Lzss.encode(&data);
         assert_eq!(c, BlockCodec::Lzss);
         assert!(enc.len() < data.len());
-        assert_eq!(c.decode(enc.to_vec(), data.len()), Some(data.clone()));
-        assert_eq!(c.decode(enc.to_vec(), data.len() - 1), None);
+        assert_eq!(c.decode(&enc, data.len()).as_deref(), Some(&data[..]));
+        assert_eq!(c.decode(&enc, data.len() - 1), None);
     }
 
     #[test]
@@ -116,7 +116,7 @@ mod tests {
         let data: Vec<u8> = (0u8..=50).collect();
         let (c, enc) = BlockCodec::Lzss.encode(&data);
         assert_eq!(c, BlockCodec::Raw);
-        assert!(matches!(enc, std::borrow::Cow::Borrowed(_)));
+        assert!(matches!(enc, Cow::Borrowed(_)));
         assert_eq!(enc.as_ref(), &data[..]);
     }
 }

@@ -95,9 +95,10 @@ impl ANode {
 
 /// The ids [`Archive::node_mut`] handed out since the current merge
 /// began. Like `written_beneath` above it is derived state, never
-/// persisted; unlike it, it lives for one merge — `add_version`,
-/// `add_versions` and `add_empty_version` clear it before they write —
-/// and a clone starts empty, so the log never rides into a published view.
+/// persisted; unlike it, it lives for one commit — `add_version`,
+/// `add_annotated`, `add_versions` (once for the whole batch) and
+/// `add_empty_version` clear it before they write — and a clone starts
+/// empty, so the log never rides into a published view.
 #[derive(Debug, Default)]
 pub(crate) struct TouchedLog(pub(crate) Vec<ANodeId>);
 

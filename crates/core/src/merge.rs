@@ -42,17 +42,15 @@
 //! walk of what it did. [`Archive::merge_tally`] counts both.
 //!
 //! **Annotate against the archive.** `add_version` and `add_versions`
-//! run Annotate Keys (§4.1) against the archive (a batch against the
-//! archive as it stands before the batch), and the no-op rule's walk runs
-//! inside it: each keyed version node, once its key is extracted, is
-//! paired as `merge_children` pairs it, and where the rule applies its
-//! equality walk runs there and its verdict is kept. A node found equal
-//! is *held*: its subtree is neither annotated nor walked a second time,
-//! every node in it records its *twin* (the archive node it equals), and
-//! the merge reads a held node's descendants' classes and keys from their
-//! twins through one accessor (`Version::annotation`) — a batch descends
-//! into a held part where another version differs, and `copy_subtree`
-//! copies one. So a release pays key extraction only for what changed;
+//! run Annotate Keys (§4.1) against the archive (each document of a batch
+//! against the archive as the documents before it left it), and the
+//! no-op rule's walk runs inside it: each keyed version node, once its
+//! key is extracted, is paired as `merge_children` pairs it, and where
+//! the rule applies its equality walk runs there and its verdict is kept.
+//! A node found equal is *held*: its subtree is neither annotated nor
+//! walked a second time, and the merge, which takes the verdict and
+//! returns there, reads nothing beneath it. So a release pays key
+//! extraction only for what changed;
 //! [`MergeTally::keys_extracted`](crate::MergeTally::keys_extracted)
 //! counts it.
 //!
@@ -88,8 +86,7 @@ pub(crate) struct Version<'a> {
     pub i: u32,
     /// `doc`'s symbols in the archive's table as of the start of the
     /// merge, so tags and attribute names compare as `Sym`s. `None` is a
-    /// name the archive did not have then; the merge may have interned it
-    /// since, so those compare by spelling ([`Names::same`]).
+    /// name the archive did not have then ([`Names::same`]).
     syms: Vec<Option<Sym>>,
     /// The paper pairs the archive root `rA` with a virtual root `rD`
     /// whose only child is the document root: this is that child list.
@@ -127,22 +124,19 @@ impl<'a> Version<'a> {
         self.syms[s.index()].unwrap_or_else(|| a.intern(self.doc.syms().resolve(s)))
     }
 
-    /// The class and key of version node `y` — every read of either goes
-    /// through here. Where the annotate walk reached `y` they are its own;
-    /// beneath a held node they are its twin's, which a merge stored with
-    /// exactly what Annotate Keys gives the equal subtree.
-    fn annotation<'s>(&'s self, a: &'s Archive, y: NodeId) -> (NodeClass, Option<&'s KeyValue>) {
-        if let Some(class) = self.ann.annotated(y) {
-            return (class, self.ann.key(y));
-        }
-        match self.links.get(y.index()) {
-            Some(&Link::Twin(x)) => (a.node(x).class, a.node(x).key.as_ref()),
-            _ => panic!("a version node left unannotated has a twin"),
-        }
+    /// The class and key of version node `y`. The annotate walk leaves
+    /// only the nodes beneath a held one unannotated, and the merge
+    /// returns at a held node.
+    fn annotation(&self, y: NodeId) -> (NodeClass, Option<&KeyValue>) {
+        let class = self
+            .ann
+            .annotated(y)
+            .expect("the merge reads no node beneath a held one");
+        (class, self.ann.key(y))
     }
 
-    fn is_frontier(&self, a: &Archive, y: NodeId) -> bool {
-        self.annotation(a, y).0 == NodeClass::Frontier
+    fn is_frontier(&self, y: NodeId) -> bool {
+        self.annotation(y).0 == NodeClass::Frontier
     }
 
     /// The no-op rule's verdict at `(x, y)`, when annotation reached it.
@@ -168,12 +162,13 @@ struct Names<'a> {
 }
 
 impl Names<'_> {
-    /// Whether the archive's symbol `x` and `doc`'s symbol `y` are one name.
-    fn same(&self, a: &Archive, x: Sym, y: Sym) -> bool {
-        match self.syms[y.index()] {
-            Some(mapped) => mapped == x,
-            None => a.syms().resolve(x) == self.doc.syms().resolve(y),
-        }
+    /// Whether the archive's symbol `x` and `doc`'s symbol `y` are one
+    /// name. A name the archive lacked when `syms` was mapped matches
+    /// nothing: the equality walk reads only beneath nodes nothing has
+    /// been written beneath, so it never meets a node this version's
+    /// merge made, the only kind that could carry a newer name.
+    fn same(&self, x: Sym, y: Sym) -> bool {
+        self.syms[y.index()] == Some(x)
     }
 }
 
@@ -187,9 +182,6 @@ enum Link {
     /// with the no-op rule's verdict there — `None` where the rule does
     /// not apply (the archive node has been written beneath).
     Paired(ANodeId, Option<Verdict>),
-    /// A node beneath a held one: its *twin*, the archive node the
-    /// equality walk found it equal to.
-    Twin(ANodeId),
 }
 
 /// The no-op rule's answer at one pair, and the node pairs compared to
@@ -201,20 +193,20 @@ struct Verdict {
 }
 
 /// The keyed children of archive nodes, sorted by label: sorted once per
-/// commit, where annotation first looks a partner up, and taken by the
-/// merge's walk of that node. A batch shares one.
+/// version, where annotation first looks a partner up, and taken by the
+/// merge's walk of that node.
 type Sorted = RefCell<HashMap<ANodeId, Vec<ANodeId>>>;
 
 /// The label of version node `id`, when it is a keyed element.
-fn y_label<'s>(a: &'s Archive, ver: &'s Version<'_>, id: NodeId) -> Option<Label<'s>> {
-    match (ver.doc.kind(id), ver.annotation(a, id).1) {
+fn y_label<'s>(ver: &'s Version<'_>, id: NodeId) -> Option<Label<'s>> {
+    match (ver.doc.kind(id), ver.annotation(id).1) {
         (NodeKind::Element(s), Some(k)) => Some((ver.doc.syms().resolve(s), k)),
         _ => None,
     }
 }
 
 /// [`sort_keyed_x`], or the list annotation sorted for `x` — once: a
-/// second walk of `x` in the same commit sorts afresh.
+/// second walk of `x` in the same version sorts afresh.
 fn sorted_keyed_x(a: &Archive, x: ANodeId, sorted: &Sorted) -> Vec<ANodeId> {
     let cached = sorted.borrow_mut().remove(&x);
     cached.unwrap_or_else(|| sort_keyed_x(a, x))
@@ -238,11 +230,11 @@ fn sort_keyed_x(a: &Archive, x: ANodeId) -> Vec<ANodeId> {
 
 /// Splits a version child list into its keyed children, sorted by label
 /// (stably, as [`sorted_keyed_x`]), and the others in document order.
-fn split_y(a: &Archive, ver: &Version<'_>, y_children: &[NodeId]) -> (Vec<NodeId>, Vec<NodeId>) {
+fn split_y(ver: &Version<'_>, y_children: &[NodeId]) -> (Vec<NodeId>, Vec<NodeId>) {
     let mut ky: Vec<(Label<'_>, NodeId)> = Vec::new();
     let mut oy = Vec::new();
     for &c in y_children {
-        match y_label(a, ver, c) {
+        match y_label(ver, c) {
             Some(l) => ky.push((l, c)),
             None => oy.push(c),
         }
@@ -265,16 +257,46 @@ impl Archive {
     /// holds is neither annotated nor walked twice — and merges it as the
     /// next version. Returns the assigned version number.
     pub fn add_version(&mut self, doc: &Document) -> Result<u32, MergeError> {
-        let sorted = Sorted::default();
-        let (ann, links) = annotate_against(self, doc, &sorted)?;
-        self.merge_version(doc, (&ann, &links), &sorted)
+        self.touched.0.clear();
+        self.merge_against(doc)
     }
 
     /// Merges a version annotated in full by `xarch_keys::annotate`, with
     /// no subtree held (§5's chunked experiment annotates each chunk's
     /// sub-document itself and merges it here).
     pub fn add_annotated(&mut self, doc: &Document, ann: &Annotations) -> Result<u32, MergeError> {
+        self.touched.0.clear();
         self.merge_version(doc, (ann, &[]), &Sorted::default())
+    }
+
+    /// Bulk ingest: merges `docs` as consecutive versions, one at a time,
+    /// each annotated against the archive as the documents before it left
+    /// it, and returns the assigned version numbers. The archive is the
+    /// one a serial replay builds, tally included; [`Archive::touched`]
+    /// spans the whole batch.
+    ///
+    /// All or nothing: the batch starts from a rollback point — a clone,
+    /// the copy-on-write view a published snapshot is — and the first
+    /// rejected document puts the archive back there and returns that
+    /// document's error. An empty batch is a no-op.
+    pub fn add_versions(&mut self, docs: &[Document]) -> Result<Vec<u32>, MergeError> {
+        if docs.is_empty() {
+            return Ok(Vec::new());
+        }
+        let before = self.clone();
+        self.touched.0.clear();
+        let merged: Result<Vec<u32>, _> = docs.iter().map(|d| self.merge_against(d)).collect();
+        if merged.is_err() {
+            *self = before;
+        }
+        merged
+    }
+
+    /// Annotates `doc` against the archive and merges it.
+    fn merge_against(&mut self, doc: &Document) -> Result<u32, MergeError> {
+        let sorted = Sorted::default();
+        let (ann, links) = annotate_against(self, doc, &sorted)?;
+        self.merge_version(doc, (&ann, &links), &sorted)
     }
 
     fn merge_version(
@@ -284,7 +306,6 @@ impl Archive {
         sorted: &Sorted,
     ) -> Result<u32, MergeError> {
         check_root(doc, annotated.0)?;
-        self.touched.0.clear();
         self.tally.keys_extracted += annotated.0.keyed_count() as u64;
         let i = self.bump_version();
         let root = self.root();
@@ -295,71 +316,6 @@ impl Archive {
         let ver = Version::new(self, doc, annotated, sorted, i);
         merge_children(self, root, &ver, &ver.top, &t_cur);
         Ok(i)
-    }
-
-    /// Bulk ingest (batch nested merge): merges `docs` as consecutive
-    /// versions with **one pass over the archive**, returning the assigned
-    /// version numbers.
-    ///
-    /// The result is identical — timestamps, node order, stamp structure —
-    /// to merging the documents one at a time, but each archive child list
-    /// is sorted and walked once per *batch* instead of once per version:
-    /// the per-level walk pairs the archive's sorted labels against all
-    /// `k` versions' sorted labels simultaneously, and the serial
-    /// semantics (augment / terminate / insert, in version order) are
-    /// recovered from each node's per-batch presence set (see
-    /// `batch_merge_children` in this module).
-    ///
-    /// Every document is annotated (each against the archive as it stands
-    /// before the batch) and validated *before* any state is touched, so a
-    /// rejected batch leaves the archive unchanged — unlike a serial
-    /// replay, which stops at the first bad document with the earlier ones
-    /// already merged. An empty batch is a no-op.
-    pub fn add_versions(&mut self, docs: &[Document]) -> Result<Vec<u32>, MergeError> {
-        if docs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let sorted = Sorted::default();
-        let annotated = docs
-            .iter()
-            .map(|d| annotate_against(self, d, &sorted))
-            .collect::<Result<Vec<_>, _>>()?;
-        for (doc, (ann, _)) in docs.iter().zip(&annotated) {
-            check_root(doc, ann)?;
-        }
-        let annotated = annotated.iter().map(|(ann, links)| (ann, &links[..]));
-        Ok(self.merge_batch(docs, annotated, &sorted))
-    }
-
-    fn merge_batch<'v>(
-        &mut self,
-        docs: &'v [Document],
-        annotated: impl Iterator<Item = (&'v Annotations, &'v [Link])>,
-        sorted: &'v Sorted,
-    ) -> Vec<u32> {
-        self.touched.0.clear();
-        let root = self.root();
-        let eff0 = self
-            .node(root)
-            .time
-            .clone()
-            .expect("root carries a timestamp");
-        let mut vers: Vec<Version<'_>> = Vec::with_capacity(docs.len());
-        for (doc, annotated) in docs.iter().zip(annotated) {
-            self.tally.keys_extracted += annotated.0.keyed_count() as u64;
-            let i = self.bump_version();
-            vers.push(Version::new(self, doc, annotated, sorted, i));
-            self.augment_time(root, i);
-        }
-        let levels: Vec<BatchLevel<'_>> = vers
-            .iter()
-            .map(|ver| BatchLevel {
-                ver,
-                children: &ver.top,
-            })
-            .collect();
-        batch_merge_children(self, root, &levels, &eff0);
-        vers.iter().map(|ver| ver.i).collect()
     }
 
     /// Archives an *empty* database as the next version (§2's footnote:
@@ -396,8 +352,7 @@ fn check_root(doc: &Document, ann: &Annotations) -> Result<(), MergeError> {
 /// takes the k-th archive child with that label. Where the partner `x`
 /// has not been written beneath, the equality walk of the no-op rule runs
 /// here, and its verdict is kept for the merge. A node found equal is
-/// *held*: the walk stops there, and every node beneath it records its
-/// twin, the archive node it equals. A held subtree equals content that
+/// *held*: the walk stops there. A held subtree equals content that
 /// was annotated when it was merged, so the first key error in document
 /// order — the one returned — is the one [`xarch_keys::annotate`] returns.
 fn annotate_against(
@@ -485,9 +440,7 @@ impl Pairer<'_> {
             return Link::Paired(x, None);
         }
         let mut compared = 0;
-        let links = self.links_mut();
-        let mut twin = |yc: NodeId, xc| links[yc.index()] = Link::Twin(xc);
-        let same = same_children(a, x, names, y, &mut compared, &mut twin);
+        let same = same_children(a, x, names, y, &mut compared);
         Link::Paired(x, Some(Verdict { same, compared }))
     }
 }
@@ -502,79 +455,54 @@ fn rule_off(a: &Archive, x: ANodeId) -> bool {
     a.node(x).written_beneath
 }
 
-/// The no-op rule: `true` when merging every `(version, y)` of `ys` into
-/// the matched archive node `x` would write nothing beneath `x`, so the
-/// caller, having brought `time(x)` up to date, may return.
+/// The no-op rule: `true` when merging version node `y` into the matched
+/// archive node `x` would write nothing beneath `x`, so the caller,
+/// having brought `time(x)` up to date, may return.
 ///
 /// That holds when nothing beneath `x` carries a timestamp of its own and
-/// `children(x) =v children(y)` for each `y` — decided by one
-/// allocation-free walk that reads both sides in place, usually already
-/// run by [`annotate_against`], whose verdict is then taken as it stands.
-/// The walk wants children *and attributes* in the same order; a subtree
-/// that is equal only up to a reordering answers `false` and takes the
-/// full walk, which pairs by label and finds it equal the slow way.
-fn unchanged<'v>(
-    a: &mut Archive,
-    x: ANodeId,
-    mut ys: impl Iterator<Item = (&'v Version<'v>, NodeId)>,
-) -> bool {
+/// `children(x) =v children(y)` — decided by one allocation-free walk
+/// that reads both sides in place, usually already run by
+/// [`annotate_against`], whose verdict is then taken as it stands. The
+/// walk wants children *and attributes* in the same order; a subtree that
+/// is equal only up to a reordering answers `false` and takes the full
+/// walk, which pairs by label and finds it equal the slow way.
+fn unchanged(a: &mut Archive, x: ANodeId, ver: &Version<'_>, y: NodeId) -> bool {
     if rule_off(a, x) {
         return false;
     }
-    let mut compared = 0;
-    let same = ys.all(|(ver, y)| {
-        let verdict = ver.verdict(x, y).unwrap_or_else(|| {
-            let mut n = 0;
-            let same = same_children(a, x, ver.names(), y, &mut n, &mut |_, _| {});
-            Verdict { same, compared: n }
-        });
-        compared += u64::from(verdict.compared);
-        verdict.same
+    let verdict = ver.verdict(x, y).unwrap_or_else(|| {
+        let mut compared = 0;
+        let same = same_children(a, x, ver.names(), y, &mut compared);
+        Verdict { same, compared }
     });
-    a.tally.nodes_compared += compared;
-    a.tally.subtrees_skipped += u64::from(same);
-    same
+    a.tally.nodes_compared += u64::from(verdict.compared);
+    a.tally.subtrees_skipped += u64::from(verdict.same);
+    verdict.same
 }
 
-/// `children(x) =v children(y)`, position by position, handing `twin`
-/// each pair it compares. Only asked of an `x` with no timestamp beneath
+/// `children(x) =v children(y)`, position by position, counting in `n`
+/// the pairs it compares. Only asked of an `x` with no timestamp beneath
 /// it, so no stamp node can turn up.
-fn same_children(
-    a: &Archive,
-    x: ANodeId,
-    names: Names<'_>,
-    y: NodeId,
-    n: &mut u32,
-    twin: &mut impl FnMut(NodeId, ANodeId),
-) -> bool {
+fn same_children(a: &Archive, x: ANodeId, names: Names<'_>, y: NodeId, n: &mut u32) -> bool {
     let (xs, ys) = (a.children(x), names.doc.children(y));
     xs.len() == ys.len()
         && xs
             .iter()
             .zip(ys)
-            .all(|(&xc, &yc)| same_node(a, xc, names, yc, n, twin))
+            .all(|(&xc, &yc)| same_node(a, xc, names, yc, n))
 }
 
-fn same_node(
-    a: &Archive,
-    xc: ANodeId,
-    names: Names<'_>,
-    yc: NodeId,
-    n: &mut u32,
-    twin: &mut impl FnMut(NodeId, ANodeId),
-) -> bool {
+fn same_node(a: &Archive, xc: ANodeId, names: Names<'_>, yc: NodeId, n: &mut u32) -> bool {
     *n += 1;
-    twin(yc, xc);
     let xn = a.node(xc);
-    let same_name = |x: Sym, y: Sym| names.same(a, x, y);
     match (&xn.kind, names.doc.kind(yc)) {
         (AKind::Text(t1), NodeKind::Text(t2)) => t1 == t2,
         (AKind::Element(s1), NodeKind::Element(s2)) => {
             let y_attrs = names.doc.attrs(yc);
-            same_name(*s1, s2)
+            names.same(*s1, s2)
                 && xn.attrs.len() == y_attrs.len()
-                && (xn.attrs.iter().zip(y_attrs)).all(|(p, q)| same_name(p.0, q.0) && p.1 == q.1)
-                && same_children(a, xc, names, yc, n, twin)
+                && (xn.attrs.iter().zip(y_attrs)).all(|(p, q)| names.same(p.0, q.0) && p.1 == q.1)
+                && same_children(a, xc, names, yc, n)
         }
         _ => false,
     }
@@ -585,12 +513,12 @@ fn same_node(
 fn nested_merge(a: &mut Archive, x: ANodeId, ver: &Version<'_>, y: NodeId, inherited: &TimeSet) {
     // "If time(x) exists, then add i to time(x), let T be time(x)."
     a.augment_time(x, ver.i);
-    if unchanged(a, x, std::iter::once((ver, y))) {
+    if unchanged(a, x, ver, y) {
         return;
     }
     let own = a.node(x).time.clone();
     let t_cur = own.as_ref().unwrap_or(inherited);
-    if ver.is_frontier(a, y) {
+    if ver.is_frontier(y) {
         frontier_merge(a, x, ver, y, t_cur);
     } else {
         merge_children(a, x, ver, ver.doc.children(y), t_cur);
@@ -608,13 +536,13 @@ pub(crate) fn merge_children(
 ) {
     let kx = sorted_keyed_x(a, x, ver.sorted);
     let ox = unkeyed_x(a, x);
-    let (ky, oy) = split_y(a, ver, y_children);
+    let (ky, oy) = split_y(ver, y_children);
 
     // Merge pass over the two sorted lists.
     let (mut ix, mut iy) = (0usize, 0usize);
     while ix < kx.len() && iy < ky.len() {
         let lx = a.label(kx[ix]).expect(KEYED);
-        let ly = y_label(a, ver, ky[iy]).expect(KEYED);
+        let ly = y_label(ver, ky[iy]).expect(KEYED);
         match cmp_labels(lx, ly) {
             Ordering::Equal => {
                 // action (a): recursive merge
@@ -654,12 +582,9 @@ pub(crate) fn terminate(a: &mut Archive, xc: ANodeId, t_cur: &TimeSet, i: u32) {
 }
 
 /// Action (c): copy a version subtree into the archive with timestamp `{i}`.
-/// Returns the id of the copied root (the batch merge recurses into it for
-/// the later versions of a batch).
-fn insert_new(a: &mut Archive, parent: ANodeId, ver: &Version<'_>, y: NodeId) -> ANodeId {
+fn insert_new(a: &mut Archive, parent: ANodeId, ver: &Version<'_>, y: NodeId) {
     let id = copy_subtree(a, ver, y, parent);
     a.set_time(id, TimeSet::from_version(ver.i));
-    id
 }
 
 /// Deep-copies a version subtree into the archive, carrying over key values
@@ -670,7 +595,7 @@ pub(crate) fn copy_subtree(
     y: NodeId,
     parent: ANodeId,
 ) -> ANodeId {
-    let (class, key) = ver.annotation(a, y);
+    let (class, key) = ver.annotation(y);
     let key = key.cloned();
     let node = match ver.doc.kind(y) {
         NodeKind::Element(s) => {
@@ -690,233 +615,6 @@ pub(crate) fn copy_subtree(
         copy_subtree(a, ver, c, id);
     }
     id
-}
-
-// ---------------------------------------------------------------------------
-// Batch nested merge
-//
-// The serial algorithm pays, per version, a sort + walk of every archive
-// child list it descends through — for a k-document batch that is k sorted
-// walks of lists whose size tracks the whole archive. The batch merge
-// below pairs the archive's sorted labels against all k versions' sorted
-// labels in ONE walk, and reconstructs exactly what a serial replay would
-// have done to each node from its batch presence set:
-//
-// * a node matched in versions P of the batch (present set S at its
-//   parent) ends with time  pre ∪ P  when its timestamp was explicit,
-//   stays inheriting when P = S, and becomes  eff0 ∪ P  when it was
-//   inheriting but missed some version — because the serial replay
-//   terminates it at the first absent version q with t_cur(q) − {q}
-//   = eff0 ∪ {p ∈ P : p < q}, then inserts the later present versions;
-// * an archive-only node is terminated once, at the batch's first
-//   version, with t_cur(v₁) − {v₁} = its parent's pre-batch effective
-//   time eff0 (later versions are no-ops once the timestamp is explicit);
-// * a version-only label is inserted at its first present version and the
-//   later versions' subtrees are nested-merged into the new node — the
-//   exact serial sequence.
-//
-// t_cur(p) at any node is recovered as  eff0 ∪ {v ∈ S : v ≤ p}  where
-// eff0 is the node's pre-batch effective timestamp and S its presence
-// set, so no formula ever reads a timestamp the batch already mutated.
-//
-// Order matters for byte-identity: a serial replay appends version j's
-// new keyed subtrees (in label order) and then its unkeyed insertions
-// (in document order) before version j+1 touches anything, so insertions
-// are deferred out of the label walk and replayed version by version.
-// Frontier nodes and unkeyed (mixed-content) children are handled by the
-// serial helpers per present version, in version order — their costs are
-// bounded by version content, not archive size.
-//
-// The no-op rule holds for a batch as for one version: a matched node
-// nothing was ever written beneath, whose subtree EVERY present version
-// of the batch equals, gets its timestamp as above and nothing else.
-// ---------------------------------------------------------------------------
-
-/// A deferred insertion found during the k-way label walk: the level that
-/// first introduces the label, its version node, and the later levels'
-/// nodes to nested-merge into the fresh subtree.
-type DeferredInsert = (usize, NodeId, Vec<(usize, NodeId)>);
-
-/// One version of a batch at the current tree level: the version and the
-/// child list to merge.
-#[derive(Clone, Copy)]
-struct BatchLevel<'a> {
-    ver: &'a Version<'a>,
-    children: &'a [NodeId],
-}
-
-/// `eff0 ∪ {v ∈ versions : v ≤ upto}` — the node's effective timestamp as
-/// of the serial replay of batch version `upto` (versions are ascending).
-fn t_cur_at(eff0: &TimeSet, versions: &[u32], upto: u32) -> TimeSet {
-    let mut t = eff0.clone();
-    for &v in versions {
-        if v > upto {
-            break;
-        }
-        t.insert(v);
-    }
-    t
-}
-
-/// The batch counterpart of [`merge_children`]: merges every batch
-/// version's child list into archive node `x` with one sorted walk of
-/// `x`'s children. `levels` holds the versions in which `x` is present
-/// (ascending); `eff0` is `x`'s pre-batch effective timestamp.
-fn batch_merge_children(a: &mut Archive, x: ANodeId, levels: &[BatchLevel<'_>], eff0: &TimeSet) {
-    // one version left at this subtree: the serial walk is the batch walk,
-    // minus the batch scaffolding — common under newly inserted records
-    if let [l] = levels {
-        let mut t_cur = eff0.clone();
-        t_cur.insert(l.ver.i);
-        merge_children(a, x, l.ver, l.children, &t_cur);
-        return;
-    }
-    let present: Vec<u32> = levels.iter().map(|l| l.ver.i).collect();
-
-    // Partition and sort the archive's children ONCE for the whole batch,
-    // and each version's: sorted keyed children + the others in doc order.
-    let kx = sorted_keyed_x(a, x, levels[0].ver.sorted);
-    let (kys, oys): (Vec<_>, Vec<_>) = (levels.iter())
-        .map(|l| split_y(a, l.ver, l.children))
-        .unzip();
-
-    // k-way label walk. Each round consumes at most one front entry per
-    // list, so duplicate labels pair positionally across rounds. New
-    // labels are deferred (in label order, with their first version) so
-    // they append in serial order below.
-    let mut ix = 0usize;
-    let mut iys = vec![0usize; levels.len()];
-    let mut news: Vec<DeferredInsert> = Vec::new();
-    loop {
-        let front = |li: usize| {
-            let y = *kys[li].get(iys[li])?;
-            Some((y, y_label(a, levels[li].ver, y).expect(KEYED)))
-        };
-        let x_front = kx.get(ix).map(|&c| (c, a.label(c).expect(KEYED)));
-        let mut min = x_front.map(|f| f.1);
-        for li in 0..levels.len() {
-            if let Some((_, lab)) = front(li) {
-                if min.is_none_or(|m| cmp_labels(m, lab) == Ordering::Greater) {
-                    min = Some(lab);
-                }
-            }
-        }
-        let Some(min) = min else { break };
-        let x_here = x_front
-            .filter(|f| cmp_labels(f.1, min) == Ordering::Equal)
-            .map(|f| f.0);
-        let parts: Vec<(usize, NodeId)> = (0..levels.len())
-            .filter_map(|li| {
-                let (y, lab) = front(li)?;
-                (cmp_labels(lab, min) == Ordering::Equal).then_some((li, y))
-            })
-            .collect();
-        ix += usize::from(x_here.is_some());
-        for &(li, _) in &parts {
-            iys[li] += 1;
-        }
-        match x_here {
-            // archive-only: serial terminates at the batch's first version
-            // with t_cur(v₁) − {v₁} = eff0; later versions are no-ops
-            Some(xc) if parts.is_empty() => {
-                if a.node(xc).time.is_none() {
-                    a.set_time(xc, eff0.clone());
-                }
-            }
-            Some(xc) => batch_merge_node(a, xc, levels, &parts, eff0),
-            None => {
-                let (first_li, first_y) = parts[0];
-                news.push((first_li, first_y, parts[1..].to_vec()));
-            }
-        }
-    }
-    // group the deferred insertions by first-present version; the stable
-    // sort keeps label order within each version
-    news.sort_by_key(|&(first_li, _, _)| first_li);
-    let mut news = news.into_iter().peekable();
-    let mut have_unkeyed_x = a.children(x).iter().any(|&c| a.label(c).is_none());
-
-    // Insertions and unkeyed matching, replayed in version order so the
-    // archive's child append order is byte-identical to a serial replay:
-    // version j's new keyed subtrees (label order), then its unkeyed
-    // insertions (doc order), then version j+1's.
-    for (li, l) in levels.iter().enumerate() {
-        while let Some((_, y, followups)) = news.next_if(|&(first, _, _)| first == li) {
-            let id = insert_new(a, x, l.ver, y);
-            // later versions of the batch merge into the fresh node — its
-            // timestamp is explicit, so these are self-contained and do
-            // not touch x's child list
-            for &(fli, fy) in &followups {
-                let fv = levels[fli].ver;
-                nested_merge(a, id, fv, fy, &t_cur_at(eff0, &present, fv.i));
-            }
-        }
-        // unkeyed matching only when there is anything unkeyed in play —
-        // fully keyed levels (the common case) skip the child rescan.
-        // Once one version inserts an unkeyed child, later versions must
-        // rescan: their pools include it.
-        let oy = &oys[li];
-        if have_unkeyed_x || !oy.is_empty() {
-            let ox = unkeyed_x(a, x);
-            let t_cur = t_cur_at(eff0, &present, l.ver.i);
-            match_unkeyed(a, x, &ox, l.ver, oy, &t_cur);
-            have_unkeyed_x = have_unkeyed_x || !oy.is_empty();
-        }
-    }
-}
-
-/// Batch merge of one matched archive node: applies the serial replay's
-/// final timestamp (see the module notes above), then descends — the
-/// frontier sequentially per present version, everything else through
-/// another one-walk [`batch_merge_children`].
-fn batch_merge_node(
-    a: &mut Archive,
-    xc: ANodeId,
-    levels: &[BatchLevel<'_>],
-    parts: &[(usize, NodeId)],
-    eff0_parent: &TimeSet,
-) {
-    let part_versions: Vec<u32> = parts.iter().map(|&(li, _)| levels[li].ver.i).collect();
-    let eff0 = match &a.node(xc).time {
-        Some(pre) => pre.clone(),
-        None => eff0_parent.clone(),
-    };
-    if a.node(xc).time.is_some() {
-        for &v in &part_versions {
-            a.augment_time(xc, v);
-        }
-    } else if parts.len() < levels.len() {
-        // terminated at its first absent version, then re-augmented
-        // (present wherever the parent is, it would keep inheriting)
-        a.set_time(xc, t_cur_at(&eff0, &part_versions, u32::MAX));
-    }
-    let in_batch = |&(li, y): &(usize, NodeId)| (levels[li].ver, y);
-    if unchanged(a, xc, parts.iter().map(in_batch)) {
-        return;
-    }
-    let frontier = levels[parts[0].0].ver.is_frontier(a, parts[0].1);
-    debug_assert!(
-        parts
-            .iter()
-            .all(|&(li, y)| levels[li].ver.is_frontier(a, y) == frontier),
-        "frontier classification must agree across a batch"
-    );
-    if frontier {
-        for &(li, y) in parts {
-            let ver = levels[li].ver;
-            let t_cur = t_cur_at(&eff0, &part_versions, ver.i);
-            frontier_merge(a, xc, ver, y, &t_cur);
-        }
-    } else {
-        let sub: Vec<BatchLevel<'_>> = parts
-            .iter()
-            .map(|&(li, y)| BatchLevel {
-                ver: levels[li].ver,
-                children: levels[li].ver.doc.children(y),
-            })
-            .collect();
-        batch_merge_children(a, xc, &sub, &eff0);
-    }
 }
 
 /// Frontier handling (§4.2): beneath the deepest keyed nodes, contents are
@@ -999,9 +697,7 @@ fn match_unkeyed(
                 // time == None: inherits, which already includes i
                 a.augment_time(xc, ver.i);
             }
-            None => {
-                insert_new(a, x, ver, yc);
-            }
+            None => insert_new(a, x, ver, yc),
         }
     }
     for (_, rest) in by_canon {

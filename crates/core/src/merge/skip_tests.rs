@@ -44,7 +44,7 @@ fn assert_bits_exact(a: &Archive) {
 /// after every version that the two agree byte for byte, that the
 /// invariants hold and the bits are exact, and at the end that every
 /// version reads back; then holds every two-batch split to the same
-/// bytes. Returns the shipped archive's tally.
+/// bytes and the same tally. Returns the shipped archive's tally.
 fn assert_same_as_full_walk(docs: &[Document]) -> [MergeTally; 2] {
     MODES.map(|mode| {
         let (mut skipping, mut full) = (archive(mode, false), archive(mode, true));
@@ -83,6 +83,7 @@ fn assert_same_as_full_walk(docs: &[Document]) -> [MergeTally; 2] {
                 want,
                 "{mode:?}: batches split at {split} diverged from the full walk"
             );
+            assert_eq!(batched.merge_tally(), skipping.merge_tally(), "{mode:?}");
         }
         skipping.merge_tally()
     })
@@ -217,9 +218,8 @@ fn woven_content_that_gained_timestamps_is_revisited() {
     assert_eq!(texts.count(), 1);
 }
 
-/// `batch_merge_node`: a record present in only some versions of a batch
-/// gets its timestamp there; one the batch never lists is terminated by
-/// the label walk.
+/// A record present in only some versions of a batch gets its timestamp
+/// there; one the batch never lists is terminated.
 #[test]
 fn a_batch_marks_what_it_stamps() {
     let two = "<db><rec><id>1</id><val>a</val></rec><rec><id>2</id><val>b</val></rec></db>";
@@ -241,27 +241,55 @@ fn a_batch_marks_what_it_stamps() {
     }
 }
 
-/// A batch in which only some versions equal the archive's record: the
-/// rule needs every one of them, so the batch descends for all.
+/// A batch tallies as serial merges: every document of it is annotated
+/// against the archive the ones before it left, so a record the batch
+/// changes and restores is held again (`[a, a, b, a]`), and so is every
+/// record an OMIM-shaped release leaves alone — for every two-batch
+/// split.
 #[test]
-fn a_batch_with_one_changed_part_descends() {
+fn a_batch_tallies_as_serial_merges() {
     let a = "<db><rec><id>1</id><val>a</val></rec></db>";
     let b = "<db><rec><id>1</id><val>b</val></rec></db>";
-    let docs = parsed(&[a, a, b, a]);
-    assert_same_as_full_walk(&docs);
-    for mode in MODES {
-        let mut batched = archive(mode, false);
-        batched.add_version(&docs[0]).unwrap();
-        let before = batched.merge_tally();
-        batched.add_versions(&docs[1..]).unwrap();
-        // db and rec compared and refused; beneath rec, id skipped once
-        // for the whole batch and val merged version by version
-        assert_eq!(
-            batched.merge_tally().subtrees_skipped - before.subtrees_skipped,
-            1,
-            "{mode:?}"
-        );
+    assert_batches_tally_as_serial(&spec(), &parsed(&[a, a, b, a]));
+
+    // releases that change one record's Text, drop one record and add one
+    let mut releases = vec![omim(0, 24)];
+    for r in 1..8 {
+        let mut next = releases[r - 1].clone();
+        let root = next.root();
+        let rec = next.children(root)[(5 * r) % next.children(root).len()];
+        let text = next.first_child_element(rec, "Text").unwrap();
+        next.set_text(next.children(text)[0], &format!("revised in {r}"));
+        next.remove_child(root, (3 * r) % next.children(root).len());
+        let extra = omim(10 * r as u64, 1);
+        next.copy_subtree_from(&extra, extra.children(extra.root())[0], root);
+        releases.push(next);
     }
+    let skipped = assert_batches_tally_as_serial(&omim_spec(), &releases);
+    assert!(skipped > 100, "{skipped}");
+}
+
+/// Archives `docs` serially and as two batches split at every point, in
+/// both compaction modes, and wants the same archive and the same tally.
+/// Returns the subtrees the serial merges skipped, summed over the modes.
+fn assert_batches_tally_as_serial(spec: &KeySpec, docs: &[Document]) -> u64 {
+    let mut skipped = 0;
+    for mode in MODES {
+        let mut serial = Archive::with_compaction(spec.clone(), mode);
+        for d in docs {
+            serial.add_version(d).unwrap();
+        }
+        skipped += serial.merge_tally().subtrees_skipped;
+        for split in 0..=docs.len() {
+            let mut batched = Archive::with_compaction(spec.clone(), mode);
+            batched.add_versions(&docs[..split]).unwrap();
+            batched.add_versions(&docs[split..]).unwrap();
+            let what = format!("{mode:?}: split at {split}");
+            assert_eq!(batched.to_xml_pretty(), serial.to_xml_pretty(), "{what}");
+            assert_eq!(batched.merge_tally(), serial.merge_tally(), "{what}");
+        }
+    }
+    skipped
 }
 
 // ---------- counts ----------
@@ -373,10 +401,10 @@ fn the_tally_counts_what_a_release_changed() {
     };
     assert_eq!(a.merge_tally(), once);
 
-    // the same as one batch into an empty archive: every name is one the
-    // merge interns itself, after the versions' symbols were mapped, and
-    // they must still compare equal — two skips at ROOT, nothing descended.
-    // A batch is annotated against the archive before it: all of it here
+    // the same three times as one batch into an empty archive: each
+    // version is annotated against the archive the ones before it left,
+    // so the second and the third are held at ROOT — two skips, nothing
+    // descended, and of their keys only ROOT's extracted
     let mut batched = Archive::new(omim_spec());
     batched
         .add_versions(&[base.clone(), base.clone(), base.clone()])
@@ -384,7 +412,7 @@ fn the_tally_counts_what_a_release_changed() {
     let twice = MergeTally {
         subtrees_skipped: 2,
         nodes_compared: 2 * beneath_root,
-        keys_extracted: 3 * keyed,
+        keys_extracted: keyed + 2,
     };
     assert_eq!(batched.merge_tally(), twice);
 

@@ -299,24 +299,15 @@ pub trait VersionStore: StoreReader + Send + Sync {
     /// that returns `Ok(vec![])` on every store — no version number is
     /// burned and a journal writes nothing.
     ///
-    /// The observable result is identical to calling
-    /// [`VersionStore::add_version`] once per document (the differential
-    /// suite in `tests/batch_equivalence.rs` holds every configuration to
-    /// that), but the archive pre-combines the batch and walks its own
-    /// child lists once instead of once per version, and a journal writes
-    /// the batch as one group-committed block with a single fsync (a torn
-    /// batch recovers to the pre-batch state — never a prefix).
-    ///
-    /// The archive validates the whole batch *before* mutating any state,
-    /// so a rejected batch leaves the store untouched; only this default
-    /// loop can stop part-way (at the first rejected document).
-    fn add_versions(&mut self, docs: &[Document]) -> Result<Vec<u32>, StoreError> {
-        let mut assigned = Vec::with_capacity(docs.len());
-        for doc in docs {
-            assigned.push(self.add_version(doc)?);
-        }
-        Ok(assigned)
-    }
+    /// Every store merges a batch as serial merges, one
+    /// [`VersionStore::add_version`] per document (the differential suite
+    /// in `tests/batch_equivalence.rs` holds every configuration to
+    /// that), and rolls a rejected batch back: the first rejected
+    /// document's error is returned and the store is left as it was. A
+    /// journal writes the batch as one group-committed block with a single
+    /// fsync (a torn batch recovers to the pre-batch state — never a
+    /// prefix).
+    fn add_versions(&mut self, docs: &[Document]) -> Result<Vec<u32>, StoreError>;
 }
 
 impl StoreReader for Archive {

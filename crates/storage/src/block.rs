@@ -21,6 +21,8 @@
 //! steps through it with one header walk, [`walk`], and checks each block
 //! it reads, and the bytes where the walk stopped, with [`scan_block`].
 
+use std::borrow::Cow;
+
 use xarch_compress::BlockCodec;
 use xarch_core::StoreError;
 
@@ -219,9 +221,9 @@ impl Iterator for Walk<'_> {
 /// them. The header's length (at most [`MAX_PAYLOAD`], or the block would
 /// not have scanned) is the only one trusted: an encoding that declares
 /// another is refused before anything is allocated for it. A raw payload
-/// is copied once, a compressed one decompressed straight from the file's
-/// bytes.
-pub fn decode_payload(b: ScannedBlock<'_>) -> Result<Vec<u8>, StoreError> {
+/// is borrowed from the file's bytes, a compressed one decompressed
+/// straight from them.
+pub fn decode_payload(b: ScannedBlock<'_>) -> Result<Cow<'_, [u8]>, StoreError> {
     let ScannedBlock {
         header,
         payload,
@@ -458,6 +460,8 @@ mod tests {
                 assert_eq!(b.header.kind, BlockKind::Version);
                 assert_eq!(b.header.version, 3);
                 assert_eq!(b.payload, payload);
+                // a raw payload is read where it lies, not copied
+                assert!(matches!(decode_payload(b), Ok(Cow::Borrowed(p)) if p == payload));
             }
             other => panic!("expected a block, got {other:?}"),
         }

@@ -36,6 +36,7 @@
 //! reader never truncates or repairs: it has no write permission on the
 //! segment at all.
 
+use std::borrow::Cow;
 use std::fs::File;
 use std::io::Write;
 use std::path::Path;
@@ -214,8 +215,8 @@ impl ColdArchive {
     }
 
     /// Checksums and decodes the single block at `entry`, returning the
-    /// *uncompressed* payload.
-    fn load_block(&self, entry: IndexEntry) -> Result<Vec<u8>, StoreError> {
+    /// *uncompressed* payload: a raw one borrowed from the mapped file.
+    fn load_block(&self, entry: IndexEntry) -> Result<Cow<'_, [u8]>, StoreError> {
         let scanned = self.verify(entry)?;
         let span = block::span(scanned.header.stored_len);
         let raw = block::decode_payload(scanned)?;

@@ -344,11 +344,11 @@ impl Journal {
         Ok(v)
     }
 
-    /// Group commit: the whole batch is merged through the archive's batch
-    /// merge and journaled as ONE length-prefixed multi-version block —
-    /// one append, one commit word, **one fsync** — so either the entire
-    /// batch survives a crash or none of it does. An empty batch writes
-    /// nothing.
+    /// Group commit: the whole batch is merged by the archive, one
+    /// document after another, and journaled as ONE length-prefixed
+    /// multi-version block — one append, one commit word, **one fsync** —
+    /// so either the entire batch survives a crash or none of it does. An
+    /// empty batch writes nothing.
     pub fn add_versions(
         &mut self,
         archive: &mut Archive,
@@ -375,7 +375,7 @@ impl Journal {
         let assigned = match archive.add_versions(docs) {
             Ok(assigned) => assigned,
             Err(e) => {
-                // the archive validates the whole batch before merging any
+                // the archive rolls a rejected batch back whole
                 debug_assert_eq!(archive.latest(), before);
                 return Err(e.into());
             }
@@ -487,16 +487,18 @@ fn recover(
             Scan::Block(b) => decode_payload(b).ok(),
             _ => None,
         };
-        map.release(cp.offset..cp.end);
         let payload_at = cp.offset + BLOCK_HEADER_LEN as u64;
-        let Some(payload) = raw
+        let decoded = raw
             .as_deref()
             .and_then(|raw| decode_checkpoint(raw, payload_at).ok())
             .filter(|p| p.covered == cp.version)
-        else {
+            .map(|payload| decode_archive(payload.state, &spec, compaction));
+        // a raw payload is read in place: release it once decoded
+        map.release(cp.offset..cp.end);
+        let Some(decoded) = decoded else {
             continue;
         };
-        match decode_archive(payload.state, &spec, compaction) {
+        match decoded {
             Ok(Some(archive)) => {
                 restored = Some((archive, *cp));
                 break;
@@ -645,8 +647,8 @@ fn ends_committed(bytes: &[u8], step: &Step) -> bool {
         == Some(&block::COMMIT_MAGIC.to_le_bytes())
 }
 
-/// Replays the verified data block `b` into `archive` through the merge
-/// that committed it — a batch through the archive's own batch merge, so a
+/// Replays the verified data block `b` into `archive` through the call
+/// that committed it — a batch through `Archive::add_versions`, so a
 /// reopen restores exactly the group-committed state.
 fn replay(archive: &mut Archive, b: ScannedBlock<'_>) -> Result<(), StoreError> {
     let (version, offset) = (b.header.version, b.offset);

@@ -175,8 +175,9 @@ impl Shared {
             if let Some(hook) = &mut w.hook {
                 hook(docs);
             }
-            // a clean rejection returns here, the store untouched: the
-            // archive validates before mutating
+            // a clean rejection returns here, the store untouched: a
+            // rejected document writes nothing, a rejected batch is rolled
+            // back
             op(&mut w.store)
         }));
         match applied {
@@ -264,10 +265,11 @@ impl ArchiveHandle {
     }
 
     /// Bulk ingest as **one** writer section with **one** publication:
-    /// the archive's batch merge runs while readers keep answering from
-    /// the published view, and a snapshot pins either the pre-batch or the
-    /// post-batch version, never a prefix. An empty batch commits nothing,
-    /// so it returns `Ok(vec![])` without entering the writer section.
+    /// the archive merges the documents one after another while readers
+    /// keep answering from the published view, and a snapshot pins either
+    /// the pre-batch or the post-batch version, never a prefix. An empty
+    /// batch commits nothing, so it returns `Ok(vec![])` without entering
+    /// the writer section.
     pub fn add_versions(&self, docs: &[Document]) -> Result<Vec<u32>, StoreError> {
         if docs.is_empty() {
             return Ok(Vec::new());

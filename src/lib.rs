@@ -58,8 +58,8 @@
 //!
 //! | builder call | part of the [`Store`] | paper | queries | bulk ingest ([`VersionStore::add_versions`]) | observability (`.with_observability(..)`) |
 //! |---|---|---|---|---|---|
-//! | default | [`core::Archive`] | §4.2 | the query kernel ([`core::kernel`]) over [`core::kernel::Scan`]: key-path descent by sibling scan + visibility-filtered subtree walk; `history_values` emits once per interval of constant content, an unchanged `diff` emits nothing; `retrieve_into` streams the archive's own scan | batch nested merge — each archive level is sorted and walked once per batch, byte-identical to a serial replay | `query.*` / `ingest.*` latency histograms ([`core::QueryMetrics`]) |
-//! | `.with_index()` | [`index::Indexes`] | §7 | the same kernel over timestamp trees + the history index — `O(l log d)` descent, probe counts proportional to the answer; the indexes are refreshed once per commit over just the nodes the merge wrote | one batch merge, then one index refresh | `index.history.comparisons` / `index.timestamp.probes` |
+//! | default | [`core::Archive`] | §4.2 | the query kernel ([`core::kernel`]) over [`core::kernel::Scan`]: key-path descent by sibling scan + visibility-filtered subtree walk; `history_values` emits once per interval of constant content, an unchanged `diff` emits nothing; `retrieve_into` streams the archive's own scan | one Nested Merge per document behind a copy-on-write rollback point — the archive a serial replay builds, and nothing of a rejected batch | `query.*` / `ingest.*` latency histograms ([`core::QueryMetrics`]) |
+//! | `.with_index()` | [`index::Indexes`] | §7 | the same kernel over timestamp trees + the history index — `O(l log d)` descent, probe counts proportional to the answer; the indexes are refreshed once per commit over just the nodes the merge wrote | the same merges, then one index refresh | `index.history.comparisons` / `index.timestamp.probes` |
 //! | `.durable(path)` + `.checkpoint_every(n)` | [`storage::Journal`] | — | reads never touch the journal. Every commit is journaled to a segment file checksummed block by block ([`storage::crc32`]); reopen restores the newest checkpoint and replays the tail behind it (an indexed store builds its indexes once, after replay) | **group commit** — one multi-version block, one commit word, one fsync per batch; a torn batch recovers to the pre-batch state, never a prefix | `segment.*` / `checkpoint.*` write/fsync counters, `recovery.*` replay counters + duration, structured recovery events |
 //! | [`ColdArchive::open`](storage::ColdArchive::open) | — (a read-only reader of a segment file) | — | per-block: `retrieve`/`as_of` decode one block of the mmap'd segment; `range`/`history_values`/`diff` ride the trait fallbacks | n/a — read-only (a shared OS lock admits any number of readers, and refuses a live writer) | `cold.*` counters + `cold.mapped_bytes` ([`storage::ColdArchive::open_observed`]) |
 //!
@@ -75,11 +75,11 @@
 //! ## Bulk ingest
 //!
 //! Real curated archives arrive as releases. [`VersionStore::add_versions`]
-//! ingests a whole batch through the batch paths in the table — always
-//! observably identical to one [`VersionStore::add_version`] per document
-//! (`tests/batch_equivalence.rs` holds every configuration to that) — and
-//! the archive validates the whole batch before mutating anything, so a
-//! rejected batch leaves the store untouched. Behind an
+//! ingests a whole batch as one commit — the archive merges it as one
+//! [`VersionStore::add_version`] per document, so the result is always
+//! the same (`tests/batch_equivalence.rs` holds every configuration to
+//! that) — and rolls a rejected batch back to the copy-on-write clone it
+//! started from, so a rejected batch leaves the store untouched. Behind an
 //! [`ArchiveHandle`], the batch lands as one writer section and one
 //! publication, and snapshots pin either side of it, never the middle:
 //!

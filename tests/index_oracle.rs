@@ -145,3 +145,59 @@ fn refresh_equals_build_on_xmark() {
 fn refresh_equals_build_on_the_company_database() {
     assert_refresh_equals_build(&company_spec(), &company_versions());
 }
+
+/// A rejected batch rolls the indexed store back whole: its first
+/// document merged (a record inserted under a tag name the archive had
+/// never interned, another record's content changed) before its second
+/// was refused, and the archive, its tally, its symbol table and the
+/// indexes are as they were — and refresh from there on the next commit.
+#[test]
+fn a_rejected_batch_rolls_the_indexes_back_with_the_archive() {
+    let spec = KeySpec::parse(edit_scripts::SPEC).unwrap();
+    let parse = |s: &str| xarch::xml::parse(s).unwrap();
+    let batch = [
+        parse(
+            "<db><rec><id>1</id><val>z</val></rec>\
+             <rec><id>3</id><val>c</val><memo kind=\"new\">unseen</memo></rec></db>",
+        ),
+        // `grp` without its key path `name`
+        parse("<db><rec><id>1</id><val>a</val><grp><item><k>1</k></item></grp></rec></db>"),
+    ];
+    for mode in MODES {
+        let mut s = ArchiveBuilder::new(spec.clone())
+            .compaction(mode)
+            .with_index()
+            .open()
+            .unwrap();
+        s.add_version(&parse(
+            "<db><rec><id>1</id><val>a</val></rec><rec><id>2</id><val>b</val></rec></db>",
+        ))
+        .unwrap();
+        s.add_version(&parse("<db><rec><id>1</id><val>a</val></rec></db>"))
+            .unwrap();
+        assert_as_built(&s, &format!("{mode:?}, before the batch"));
+        let state = |s: &Store| {
+            let a = s.archive();
+            (
+                a.to_xml_pretty(),
+                a.latest(),
+                a.merge_tally(),
+                a.syms().len(),
+            )
+        };
+        let before = state(&s);
+        assert!(s.archive().syms().get("memo").is_none());
+
+        assert!(s.add_versions(&batch).is_err());
+        assert_eq!(
+            state(&s),
+            before,
+            "{mode:?}: the rejected batch left a trace"
+        );
+        assert_as_built(&s, &format!("{mode:?}, after the rejected batch"));
+
+        assert_eq!(s.add_version(&batch[0]).unwrap(), 3);
+        assert!(s.archive().syms().get("memo").is_some());
+        assert_as_built(&s, &format!("{mode:?}, after the next commit"));
+    }
+}
