@@ -62,11 +62,12 @@ impl BlockCodec {
     /// of exactly that many bytes under this codec — decided from what the
     /// encoding declares, before anything is allocated on its word. A raw
     /// payload is borrowed where it lies, never copied; a compressed one
-    /// is decoded from there into a buffer of its own.
-    pub fn decode(self, data: &[u8], raw_len: usize) -> Option<Cow<'_, [u8]>> {
+    /// is decoded from there into `buf`'s allocation when it holds the
+    /// payload, else into a buffer of its own ([`lzss::decompress_exact`]).
+    pub fn decode(self, data: &[u8], raw_len: usize, buf: Vec<u8>) -> Option<Cow<'_, [u8]>> {
         match self {
             BlockCodec::Raw => (data.len() == raw_len).then_some(Cow::Borrowed(data)),
-            BlockCodec::Lzss => lzss::decompress_exact(data, raw_len).map(Cow::Owned),
+            BlockCodec::Lzss => lzss::decompress_exact(data, raw_len, buf).map(Cow::Owned),
         }
     }
 }
@@ -89,9 +90,9 @@ mod tests {
         let (c, enc) = BlockCodec::Raw.encode(&data);
         assert_eq!(c, BlockCodec::Raw);
         assert!(matches!(enc, Cow::Borrowed(_)));
-        let dec = c.decode(&enc, data.len());
+        let dec = c.decode(&enc, data.len(), Vec::new());
         assert!(matches!(dec, Some(Cow::Borrowed(d)) if d == &data[..]));
-        assert_eq!(c.decode(&data, data.len() + 1), None);
+        assert_eq!(c.decode(&data, data.len() + 1, Vec::new()), None);
     }
 
     #[test]
@@ -105,8 +106,11 @@ mod tests {
         let (c, enc) = BlockCodec::Lzss.encode(&data);
         assert_eq!(c, BlockCodec::Lzss);
         assert!(enc.len() < data.len());
-        assert_eq!(c.decode(&enc, data.len()).as_deref(), Some(&data[..]));
-        assert_eq!(c.decode(&enc, data.len() - 1), None);
+        assert_eq!(
+            c.decode(&enc, data.len(), Vec::new()).as_deref(),
+            Some(&data[..])
+        );
+        assert_eq!(c.decode(&enc, data.len() - 1, Vec::new()), None);
     }
 
     #[test]

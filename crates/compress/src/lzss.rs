@@ -438,8 +438,33 @@ pub(crate) mod tests {
             let packed = compress(&data);
             assert_eq!(packed, reference_compress(&data), "{} bytes in", data.len());
             assert_eq!(decompress(&packed).as_deref(), Some(&data[..]));
-            assert_eq!(decompress_exact(&packed, data.len()), Some(data.clone()));
-            assert_eq!(decompress_exact(&packed, data.len() + 1), None);
+            assert_eq!(
+                decompress_exact(&packed, data.len(), Vec::new()),
+                Some(data.clone())
+            );
+            assert_eq!(decompress_exact(&packed, data.len() + 1, Vec::new()), None);
+        }
+    }
+
+    /// Decoding into a buffer handed in: its old contents never show, its
+    /// allocation is kept when it holds the output (and replaced when it
+    /// does not), and a stream of another length is refused as ever.
+    #[test]
+    fn decompress_exact_reuses_a_buffer_that_holds_the_output() {
+        for data in corpus() {
+            let packed = compress(&data);
+            let big = vec![0xA5; data.len() + 64];
+            let at = big.as_ptr();
+            let out = decompress_exact(&packed, data.len(), big).unwrap();
+            assert_eq!(out, data);
+            assert_eq!(out.as_ptr(), at, "{} bytes: buffer not reused", data.len());
+            let small = vec![0x5A; data.len() / 2];
+            assert_eq!(
+                decompress_exact(&packed, data.len(), small),
+                Some(data.clone())
+            );
+            let junk = vec![0xFF; data.len()];
+            assert_eq!(decompress_exact(&packed, data.len() + 1, junk), None);
         }
     }
 

@@ -12,17 +12,21 @@ const MIN_TOKEN_BITS: usize = 1 + 8;
 
 /// Decompresses a buffer produced by [`compress`](super::compress).
 pub fn decompress(buf: &[u8]) -> Option<Vec<u8>> {
-    decode(buf, None)
+    decode(buf, None, Vec::new())
 }
 
 /// [`decompress`] for a caller that knows how long the output must be: a
 /// stream declaring any other length is refused before anything is
-/// allocated for it.
-pub fn decompress_exact(buf: &[u8], len: usize) -> Option<Vec<u8>> {
-    decode(buf, Some(len))
+/// allocated for it. The output goes into `out`'s allocation, which is
+/// reused (its contents dropped) when it can hold the output; else `out`
+/// is freed and a buffer of exactly the output's length allocated. A
+/// reader that decodes block after block into the buffers it lets go of
+/// touches no fresh pages for them; `Vec::new()` allocates afresh.
+pub fn decompress_exact(buf: &[u8], len: usize, out: Vec<u8>) -> Option<Vec<u8>> {
+    decode(buf, Some(len), out)
 }
 
-fn decode(buf: &[u8], expected: Option<usize>) -> Option<Vec<u8>> {
+fn decode(buf: &[u8], expected: Option<usize>, mut out: Vec<u8>) -> Option<Vec<u8>> {
     let mut pos = 0usize;
     let n = usize::try_from(read_varint(buf, &mut pos)?).ok()?;
     if expected.is_some_and(|len| len != n) {
@@ -37,7 +41,10 @@ fn decode(buf: &[u8], expected: Option<usize>) -> Option<Vec<u8>> {
         return None;
     }
     let mut r = BitReader::new(stream);
-    let mut out = Vec::with_capacity(n);
+    out.clear();
+    if out.capacity() < n {
+        out = Vec::with_capacity(n);
+    }
     while out.len() < n {
         let word = r.peek();
         if word & 1 == 1 {

@@ -233,11 +233,12 @@ fn a_duplicate_label_equal_to_an_archived_subtree_is_held_in_its_place() {
     }
 }
 
-/// A batch whose later version holds a subtree on a twin an earlier
-/// version of the batch writes beneath: the batch descends into the held
-/// part beside the changed one and reads it through the twins — a `grp`
-/// whose item changed, a frontier `val` whose content changed, and a whole
-/// record changed and then restored.
+/// A batch in which a later version holds a subtree that an earlier
+/// version of the same batch changed — a `grp` whose item changed, a
+/// frontier `val` whose content changed, a whole record changed and then
+/// restored. A batch is serial merges behind a rollback point, so each
+/// version is held against the archive the versions before it left, and
+/// the result, serially and at every batch split, is the eager archive.
 #[test]
 fn a_held_node_whose_twin_the_batch_writes_beneath_merges_as_eager() {
     let rec = |val: &str, v: &str, tel: &str| {
@@ -263,8 +264,10 @@ fn a_held_node_whose_twin_the_batch_writes_beneath_merges_as_eager() {
     }
 }
 
-/// A batch that changes a record and then restores it: the restored
-/// version is held on a twin the first has written beneath.
+/// A batch that changes a record and then restores it: each version merges
+/// in turn behind the batch's rollback point, against the archive the merge
+/// before it left. The archive is the eager one, and holding what did not
+/// change extracts fewer keys than annotating every version whole.
 #[test]
 fn a_batch_that_changes_a_record_and_restores_it_merges_as_eager() {
     let a = "<db><rec><id>1</id><val>a</val></rec><rec><id>2</id><val>b</val></rec></db>";

@@ -224,6 +224,12 @@ impl Iterator for Walk<'_> {
 /// is borrowed from the file's bytes, a compressed one decompressed
 /// straight from them.
 pub fn decode_payload(b: ScannedBlock<'_>) -> Result<Cow<'_, [u8]>, StoreError> {
+    decode_payload_in(b, Vec::new())
+}
+
+/// [`decode_payload`], a compressed payload decoded into `buf`'s
+/// allocation when it holds the payload ([`BlockCodec::decode`]).
+pub fn decode_payload_in(b: ScannedBlock<'_>, buf: Vec<u8>) -> Result<Cow<'_, [u8]>, StoreError> {
     let ScannedBlock {
         header,
         payload,
@@ -231,7 +237,7 @@ pub fn decode_payload(b: ScannedBlock<'_>) -> Result<Cow<'_, [u8]>, StoreError> 
     } = b;
     usize::try_from(header.raw_len)
         .ok()
-        .and_then(|raw_len| header.codec.decode(payload, raw_len))
+        .and_then(|raw_len| header.codec.decode(payload, raw_len, buf))
         .ok_or_else(|| StoreError::Corrupt {
             offset: offset + BLOCK_HEADER_LEN as u64,
             reason: format!(

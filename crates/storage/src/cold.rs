@@ -12,6 +12,17 @@
 //! the blocks they need. A point `retrieve`/`as_of` checksums and decodes
 //! one block; the rest of the file stays untouched OS page cache at most.
 //!
+//! The last few LZSS blocks decoded stay in a small LRU cache keyed by
+//! block offset ([`CACHED_BLOCKS`] blocks, at most [`CACHED_BYTES`]), so a
+//! reader that comes back to a block — point queries cycling over a few
+//! versions, or `range`/`diff`/`history_values` asking a batch block for
+//! each of its versions — neither checksums nor decodes it again: a hit
+//! skips both, which are most of a point query's cost. Raw blocks are not
+//! cached: they are borrowed from the map, so there is no decode to save,
+//! and checksumming them on every read keeps every answer to bytes checked
+//! just before it. The `history` scan takes hits but keeps nothing, so a
+//! scan does not flush the blocks point queries come back to.
+//!
 //! What a query then does with the decoded payload is as little as its
 //! answer needs, all of it through the one payload walk
 //! ([`crate::payload`]): `retrieve_into` writes the XML straight from the
@@ -32,15 +43,24 @@
 //! never acknowledged), while any damage to a committed block — at open
 //! where the header walk trips over it, or at query time when the block's
 //! CRC fails (an empty version's too) — surfaces as a positioned
-//! [`StoreError::Corrupt`]. A cold
+//! [`StoreError::Corrupt`]. Every answer comes from bytes whose CRC
+//! verified: a raw block is checksummed on every read, an LZSS block when
+//! a query first decodes it, and a cached payload is the output of a
+//! decode whose block verified just before it. So a block that rots after
+//! it was decoded still answers from the bytes checked then, until the
+//! cache lets it go; the next read that decodes it refuses it. A cold
 //! reader never truncates or repairs: it has no write permission on the
 //! segment at all.
 
 use std::borrow::Cow;
+use std::fmt;
 use std::fs::File;
 use std::io::Write;
+use std::ops::Deref;
 use std::path::Path;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
+use xarch_compress::BlockCodec;
 use xarch_core::{query, KeyQuery, StoreError, StoreReader, StoreStats, TimeSet};
 use xarch_extmem::StreamError;
 use xarch_keys::{annotate_under, Key, KeySpec};
@@ -71,6 +91,107 @@ struct IndexEntry {
     count: u32,
 }
 
+/// Decoded LZSS blocks the cache keeps, at most: a reader cycling over a
+/// few versions hits, a uniform one misses whatever the size.
+const CACHED_BLOCKS: usize = 4;
+
+/// Decoded bytes the cache keeps, at most (about ten 360 KB OMIM
+/// releases, so [`CACHED_BLOCKS`] binds first on them). A block that
+/// decodes to more is served and dropped, so a segment of large batch
+/// blocks never pins gigabytes.
+const CACHED_BYTES: usize = 4 << 20;
+
+/// The LZSS payloads decoded last, keyed by block offset, least recently
+/// used first. The lock is held to look up, evict or insert — never while
+/// a block is checksummed, decoded or walked — and what it evicts is freed
+/// after it is released, or decoded into again: a miss reuses the buffer
+/// of the block it evicts, so it touches no fresh pages (a new buffer per
+/// miss, freed out of order, had the allocator trim and regrow its heap:
+/// about 22 page faults a miss on 360 KB blocks).
+#[derive(Default)]
+struct BlockCache {
+    entries: Mutex<Vec<(u64, Arc<Vec<u8>>)>>,
+}
+
+impl BlockCache {
+    /// Whether a block that decodes to `len` bytes is one to keep.
+    fn fits(len: usize) -> bool {
+        len <= CACHED_BYTES
+    }
+
+    fn entries(&self) -> MutexGuard<'_, Vec<(u64, Arc<Vec<u8>>)>> {
+        // the entries are whole after any panic: a push or a remove
+        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The payload of the block at `offset`, made the most recently used.
+    fn get(&self, offset: u64) -> Option<Arc<Vec<u8>>> {
+        let mut entries = self.entries();
+        let at = entries.iter().position(|(o, _)| *o == offset)?;
+        let hit = entries.remove(at);
+        let payload = Arc::clone(&hit.1);
+        entries.push(hit);
+        Some(payload)
+    }
+
+    /// Evicts the least recently used block if the cache is full, and
+    /// hands back its buffer unless a query still reads it.
+    fn make_room(&self) -> Vec<u8> {
+        let mut entries = self.entries();
+        let evicted = (entries.len() >= CACHED_BLOCKS).then(|| entries.remove(0));
+        drop(entries);
+        evicted
+            .and_then(|(_, payload)| Arc::try_unwrap(payload).ok())
+            .unwrap_or_default()
+    }
+
+    /// Keeps `payload` as the block at `offset`'s, evicting the least
+    /// recently used past either bound.
+    fn insert(&self, offset: u64, payload: &Arc<Vec<u8>>) {
+        if !Self::fits(payload.len()) {
+            return;
+        }
+        let mut evicted = Vec::new();
+        let mut entries = self.entries();
+        // (a reader racing this one may have decoded the block too)
+        entries.retain(|(o, _)| *o != offset);
+        entries.push((offset, Arc::clone(payload)));
+        let held = |e: &[(u64, Arc<Vec<u8>>)]| e.iter().map(|(_, p)| p.len()).sum::<usize>();
+        while entries.len() > CACHED_BLOCKS || held(&entries) > CACHED_BYTES {
+            evicted.push(entries.remove(0));
+        }
+        drop(entries);
+        drop(evicted);
+    }
+}
+
+impl fmt::Debug for BlockCache {
+    /// Offsets and decoded lengths, not the bytes.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map()
+            .entries(self.entries().iter().map(|(o, p)| (o, p.len())))
+            .finish()
+    }
+}
+
+/// A data block's verified, decoded payload: a raw one borrowed from the
+/// map, an LZSS one shared with the cache.
+enum Payload<'a> {
+    Mapped(&'a [u8]),
+    Decoded(Arc<Vec<u8>>),
+}
+
+impl Deref for Payload<'_> {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        match self {
+            Payload::Mapped(bytes) => bytes,
+            Payload::Decoded(bytes) => bytes,
+        }
+    }
+}
+
 /// A read-only archive view served directly off the mmap'd segment file.
 ///
 /// Built by [`ColdArchive::open`]; answers every [`StoreReader`] query
@@ -94,6 +215,7 @@ pub struct ColdArchive {
     index: Vec<IndexEntry>,
     latest: u32,
     metrics: ColdMetrics,
+    cache: BlockCache,
 }
 
 fn corrupt(offset: u64, reason: impl Into<String>) -> StoreError {
@@ -158,6 +280,7 @@ impl ColdArchive {
             index,
             latest,
             metrics,
+            cache: BlockCache::default(),
         })
     }
 
@@ -214,15 +337,38 @@ impl ColdArchive {
         }
     }
 
-    /// Checksums and decodes the single block at `entry`, returning the
-    /// *uncompressed* payload: a raw one borrowed from the mapped file.
-    fn load_block(&self, entry: IndexEntry) -> Result<Cow<'_, [u8]>, StoreError> {
+    /// The *uncompressed* payload of the single block at `entry`: from
+    /// the cache, with no checksum and no decode, if an earlier query
+    /// decoded it; else checksummed and decoded — a raw one borrowed from
+    /// the mapped file, an LZSS one kept in the cache if `keep`.
+    fn load_block(&self, entry: IndexEntry, keep: bool) -> Result<Payload<'_>, StoreError> {
+        if let Some(hit) = self.cache.get(entry.offset) {
+            self.metrics.block_cache_hits.inc();
+            return Ok(Payload::Decoded(hit));
+        }
         let scanned = self.verify(entry)?;
         let span = block::span(scanned.header.stored_len);
-        let raw = block::decode_payload(scanned)?;
+        let keep = keep
+            && scanned.header.codec == BlockCodec::Lzss
+            && usize::try_from(scanned.header.raw_len).is_ok_and(BlockCache::fits);
+        let buf = if keep {
+            self.cache.make_room()
+        } else {
+            Vec::new()
+        };
+        let raw = block::decode_payload_in(scanned, buf)?;
         self.metrics.blocks_decoded.inc();
         self.metrics.bytes_decoded.add(span);
-        Ok(raw)
+        Ok(match raw {
+            Cow::Borrowed(bytes) => Payload::Mapped(bytes),
+            Cow::Owned(decoded) => {
+                let decoded = Arc::new(decoded);
+                if keep {
+                    self.cache.insert(entry.offset, &decoded);
+                }
+                Payload::Decoded(decoded)
+            }
+        })
     }
 
     /// Hands `read` the payload of version `v` — its own `doc_to_bytes`
@@ -242,7 +388,7 @@ impl ColdArchive {
             // nothing to decode, but the answer is the block's to vouch for
             return self.verify(entry).map(|_| None);
         }
-        let raw = self.load_block(entry)?;
+        let raw = self.load_block(entry, true)?;
         let versions = versions_in(entry, &raw)?;
         let held = usize::try_from(v.saturating_sub(entry.first_version))
             .ok()
@@ -601,7 +747,9 @@ impl StoreReader for ColdArchive {
 
     /// Streaming scan: decodes one block at a time (never the whole
     /// archive at once) and probes each version's payload for the
-    /// addressed element.
+    /// addressed element. A block in the cache is read from there, but the
+    /// scan keeps none of those it decodes: it would flush what point
+    /// queries come back to.
     fn history(&self, steps: &[KeyQuery]) -> Result<Option<TimeSet>, StoreError> {
         let mut ts = TimeSet::new();
         for &entry in &self.index {
@@ -610,7 +758,7 @@ impl StoreReader for ColdArchive {
                 self.verify(entry)?;
                 continue;
             }
-            let raw = self.load_block(entry)?;
+            let raw = self.load_block(entry, false)?;
             for (v, payload) in (entry.first_version..).zip(versions_in(entry, &raw)?) {
                 let found = payload.read(|bytes| find_in_payload(bytes, &self.spec, steps))?;
                 if found.is_some() {
@@ -804,6 +952,45 @@ mod tests {
         let c2 = ColdArchive::open(&path).unwrap();
         assert_eq!(c1.latest(), c2.latest());
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn the_block_cache_is_bounded_in_blocks_and_in_bytes() {
+        let cache = BlockCache::default();
+        let block = |n: usize| Arc::new(vec![7u8; n]);
+        for at in 0..6 {
+            cache.insert(at, &block(10));
+        }
+        assert!((0..2).all(|at| cache.get(at).is_none()));
+        assert!((2..6).all(|at| cache.get(at).is_some()));
+        // too big to keep at all
+        cache.insert(9, &block(CACHED_BYTES + 1));
+        assert!(cache.get(9).is_none());
+        // two halves of the byte bound leave room for nothing else
+        cache.insert(10, &block(CACHED_BYTES / 2));
+        cache.insert(11, &block(CACHED_BYTES / 2));
+        assert!((2..6).all(|at| cache.get(at).is_none()));
+        assert!(cache.get(10).is_some() && cache.get(11).is_some());
+    }
+
+    #[test]
+    fn a_miss_decodes_into_the_buffer_it_evicts_unless_a_query_holds_it() {
+        let cache = BlockCache::default();
+        assert_eq!(cache.make_room().capacity(), 0, "room to spare");
+        for at in 0..4 {
+            cache.insert(at, &Arc::new(vec![0u8; 100 + at as usize]));
+        }
+        let spare = cache.make_room();
+        assert_eq!(spare.capacity(), 100);
+        assert!(cache.get(0).is_none() && cache.get(1).is_some());
+        cache.insert(4, &Arc::new(spare));
+        // block 2 is the least recently used now, and a query reads it
+        let held = cache.get(2).unwrap();
+        for at in [3, 1, 4] {
+            assert!(cache.get(at).is_some());
+        }
+        assert_eq!(cache.make_room().capacity(), 0);
+        assert_eq!(held.len(), 102);
     }
 
     #[test]

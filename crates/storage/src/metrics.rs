@@ -172,6 +172,10 @@ pub struct ColdMetrics {
     /// `cold.bytes_decoded` — stored block bytes checksummed and decoded
     /// on behalf of cold queries.
     pub bytes_decoded: Counter,
+    /// `cold.block_cache_hits` — blocks a cold query read from the
+    /// reader's cache of decoded LZSS blocks, neither checksummed nor
+    /// decoded again (they move neither counter above).
+    pub block_cache_hits: Counter,
     /// `cold.mapped_bytes` — bytes of segment file currently mapped.
     pub mapped_bytes: Gauge,
     tracer: Tracer,
@@ -183,6 +187,7 @@ impl Default for ColdMetrics {
             retrieves: Counter::new(),
             blocks_decoded: Counter::new(),
             bytes_decoded: Counter::new(),
+            block_cache_hits: Counter::new(),
             mapped_bytes: Gauge::new(),
             tracer: Tracer::silent(),
         }
@@ -214,6 +219,11 @@ impl ColdMetrics {
                 "cold.bytes_decoded",
                 "bytes",
                 "stored block bytes decoded for cold queries",
+            ),
+            block_cache_hits: r.counter(
+                "cold.block_cache_hits",
+                "blocks",
+                "decoded blocks cold queries read from the reader's cache",
             ),
             mapped_bytes: r.gauge(
                 "cold.mapped_bytes",

@@ -18,7 +18,7 @@ use xarch::storage::payload::{bytes_to_doc, doc_to_bytes, docs_to_batch_bytes};
 use xarch::storage::{scratch_path, superblock};
 use xarch::xml::writer::to_compact_string;
 use xarch::xml::{parse, Document};
-use xarch::{ArchiveBuilder, ColdArchive, DurableOptions, StoreReader};
+use xarch::{ArchiveBuilder, ColdArchive, DurableOptions, StoreReader, VersionStore};
 
 fn spec() -> KeySpec {
     KeySpec::parse(
@@ -118,6 +118,267 @@ fn as_xml(doc: Option<Document>) -> Option<String> {
     doc.map(|d| to_compact_string(&d))
 }
 
+/// A reader's `cold.blocks_decoded` and `cold.block_cache_hits`.
+struct Reads<'a>(&'a Obs);
+
+impl Reads<'_> {
+    fn now(&self) -> (u64, u64) {
+        let get = |name| self.0.registry().get_counter(name).unwrap().get();
+        (get("cold.blocks_decoded"), get("cold.block_cache_hits"))
+    }
+
+    /// Blocks decoded and cache hits since `before`.
+    fn since(&self, before: (u64, u64)) -> (u64, u64) {
+        let now = self.now();
+        (now.0 - before.0, now.1 - before.1)
+    }
+}
+
+/// The paths of [`paths`] beneath the root, which both stores answer
+/// alike: the hot archive keeps the root's attributes as the first
+/// release wrote them (`rel="1"`), the journal as each release did.
+fn records() -> Vec<Vec<KeyQuery>> {
+    paths().split_off(2)
+}
+
+/// `versions` releases, each its own block, journaled under `compression`
+/// at `path` and merged into an in-memory store, which is returned.
+fn write_releases(
+    path: &std::path::Path,
+    compression: BlockCodec,
+    versions: u32,
+) -> Box<dyn VersionStore> {
+    let options = DurableOptions {
+        compression,
+        sync: false,
+        checkpoint_every: None,
+    };
+    let mut d = ArchiveBuilder::new(spec())
+        .durable_with(path, options)
+        .try_build()
+        .unwrap();
+    let mut hot = ArchiveBuilder::new(spec()).build();
+    for n in 1..=versions {
+        d.add_version(&release(n)).unwrap();
+        hot.add_version(&release(n)).unwrap();
+    }
+    hot
+}
+
+/// Point queries cycling over three versions: an LZSS block is checksummed
+/// and decoded on its first read and served from the cache after it; a
+/// raw block is checksummed on every read and never cached. A `history`
+/// scan then takes the cached blocks and keeps none it decodes.
+#[test]
+fn cycling_as_of_decodes_an_lzss_block_once_and_checks_a_raw_one_every_read() {
+    for (compression, want, scan) in [
+        (BlockCodec::Lzss, (3, 21), (3, 3)),
+        (BlockCodec::Raw, (24, 0), (6, 0)),
+    ] {
+        let path = scratch_path("cold-read-cycle");
+        let hot = write_releases(&path, compression, 6);
+        let obs = Obs::new();
+        let cold = ColdArchive::open_observed(&path, &obs).unwrap();
+        let reads = Reads(&obs);
+        let all = records();
+        let before = reads.now();
+        for i in 0..24 {
+            let v = [2, 4, 6][i % 3];
+            let steps = &all[i % all.len()];
+            assert_eq!(
+                as_xml(cold.as_of(steps, v).unwrap()),
+                as_xml(hot.as_of(steps, v).unwrap()),
+                "as_of({steps:?}, {v}) under {compression:?}"
+            );
+        }
+        assert_eq!(reads.since(before), want, "{compression:?}");
+        let before = reads.now();
+        cold.history(&all[0]).unwrap();
+        assert_eq!(reads.since(before), scan, "history under {compression:?}");
+        let before = reads.now();
+        cold.as_of(&all[0], 1).unwrap();
+        assert_eq!(reads.since(before), (1, 0), "as_of at 1 after the scan");
+        drop(cold);
+        std::fs::remove_file(&path).unwrap();
+    }
+}
+
+/// Rot written through a second file handle after the reader opened: the
+/// first read that decodes the block refuses it at its offset. A version
+/// an LZSS reader decoded before the rot answers from the bytes whose
+/// checksum verified then; a raw block is checked again, and refused.
+#[cfg(unix)]
+#[test]
+fn rot_after_open_is_refused_where_a_block_is_first_decoded() {
+    use std::io::{Seek, SeekFrom, Write as _};
+    use xarch::storage::block::{walk, BLOCK_HEADER_LEN};
+    for compression in [BlockCodec::Lzss, BlockCodec::Raw] {
+        let path = scratch_path("cold-read-rot-after-open");
+        let hot = write_releases(&path, compression, 3);
+        let bytes = std::fs::read(&path).unwrap();
+        let (_, first) = superblock::decode(&bytes).unwrap();
+        let blocks: Vec<u64> = walk(&bytes, first)
+            .filter(|s| s.kind == BlockKind::Version)
+            .map(|s| s.offset)
+            .collect();
+        assert_eq!(blocks.len(), 3);
+
+        let cold = ColdArchive::open(&path).unwrap();
+        assert!(cold.is_mapped());
+        let v1 = hot.retrieve(1).unwrap();
+        assert_eq!(as_xml(cold.retrieve(1).unwrap()), as_xml(v1.clone()));
+        // one payload byte of versions 1 and 2 flipped, on the file
+        let mut file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        for &at in &blocks[..2] {
+            let at = at + BLOCK_HEADER_LEN as u64 + 2;
+            let byte = bytes[usize::try_from(at).unwrap()] ^ 0x40;
+            file.seek(SeekFrom::Start(at)).unwrap();
+            file.write_all(&[byte]).unwrap();
+        }
+        file.sync_all().unwrap();
+        drop(file);
+
+        let (offset, reason) = corrupt_reason(cold.retrieve(2).unwrap_err());
+        assert_eq!(offset, blocks[1], "{compression:?}: {reason}");
+        assert!(reason.contains("checksum"), "{compression:?}: {reason}");
+        let mut out = Vec::new();
+        corrupt_reason(cold.retrieve_into(2, &mut out).unwrap_err());
+        assert!(out.is_empty());
+        match compression {
+            BlockCodec::Lzss => {
+                assert_eq!(as_xml(cold.retrieve(1).unwrap()), as_xml(v1));
+                let steps = [KeyQuery::new("db"), rec(2)];
+                assert_eq!(
+                    as_xml(cold.as_of(&steps, 1).unwrap()),
+                    as_xml(hot.as_of(&steps, 1).unwrap())
+                );
+            }
+            BlockCodec::Raw => {
+                let (offset, _) = corrupt_reason(cold.retrieve(1).unwrap_err());
+                assert_eq!(offset, blocks[0]);
+            }
+        }
+        // the block nobody rotted reads as ever
+        let steps = [KeyQuery::new("db"), rec(2)];
+        assert_eq!(
+            as_xml(cold.as_of(&steps, 3).unwrap()),
+            as_xml(hot.as_of(&steps, 3).unwrap())
+        );
+        drop(cold);
+        std::fs::remove_file(&path).unwrap();
+    }
+}
+
+/// The trait's per-version `range`, `diff` and `history_values` over a
+/// batch block of three LZSS versions: the first read decodes it, every
+/// later one — the `history` scan's included — is a cache hit.
+#[test]
+fn range_diff_and_history_values_decode_a_batch_block_once() {
+    let path = scratch_path("cold-read-batch-once");
+    let options = DurableOptions {
+        compression: BlockCodec::Lzss,
+        sync: false,
+        checkpoint_every: None,
+    };
+    let docs = [release(1), release(2), release(3)];
+    let mut d = ArchiveBuilder::new(spec())
+        .durable_with(&path, options)
+        .try_build()
+        .unwrap();
+    d.add_versions(&docs).unwrap();
+    drop(d);
+    let mut hot = ArchiveBuilder::new(spec()).build();
+    hot.add_versions(&docs).unwrap();
+
+    let obs = Obs::new();
+    let cold = ColdArchive::open_observed(&path, &obs).unwrap();
+    assert_eq!(cold.latest(), 3);
+    let reads = Reads(&obs);
+    let db = [KeyQuery::new("db")];
+    let record = [KeyQuery::new("db"), rec(2)];
+
+    let before = reads.now();
+    assert_eq!(
+        cold.range(&db, 1..=3).unwrap(),
+        hot.range(&db, 1..=3).unwrap()
+    );
+    assert_eq!(reads.since(before), (1, 2), "range: one decode, two hits");
+
+    let before = reads.now();
+    assert_eq!(
+        cold.diff(&record, 1, 3).unwrap(),
+        hot.diff(&record, 1, 3).unwrap()
+    );
+    assert_eq!(reads.since(before), (0, 2), "diff: two hits");
+
+    let before = reads.now();
+    assert_eq!(
+        cold.history_values(&record).unwrap(),
+        hot.history_values(&record).unwrap()
+    );
+    // the scan, then `as_of` at each of the three versions
+    assert_eq!(reads.since(before), (0, 4), "history_values: four hits");
+    drop(cold);
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// Four threads share one reader and cycle over more versions than its
+/// cache holds, so they evict what the others are about to read: every
+/// answer is the hot store's, and every read is one block, decoded or hit.
+#[test]
+fn threads_sharing_a_reader_past_its_cache_answer_as_the_hot_store() {
+    use std::sync::Arc;
+    const VERSIONS: u32 = 9;
+    const CALLS: usize = 45;
+    let path = scratch_path("cold-read-threads");
+    let hot = write_releases(&path, BlockCodec::Lzss, VERSIONS);
+    let all = records();
+    let want: Arc<Vec<Vec<Option<String>>>> = Arc::new(
+        (1..=VERSIONS)
+            .map(|v| {
+                (all.iter())
+                    .map(|p| as_xml(hot.as_of(p, v).unwrap()))
+                    .collect()
+            })
+            .collect(),
+    );
+    let all = Arc::new(all);
+    let obs = Obs::new();
+    let cold = Arc::new(ColdArchive::open_observed(&path, &obs).unwrap());
+    let reads = Reads(&obs);
+    let before = reads.now();
+    let threads: Vec<_> = (0..4)
+        .map(|t| {
+            let (cold, want, all) = (Arc::clone(&cold), Arc::clone(&want), Arc::clone(&all));
+            std::thread::spawn(move || {
+                for i in 0..CALLS {
+                    let v = (t * 2 + i) % VERSIONS as usize;
+                    let p = (t + i) % all.len();
+                    let got = as_xml(cold.as_of(&all[p], v as u32 + 1).unwrap());
+                    assert_eq!(
+                        got,
+                        want[v][p],
+                        "thread {t}: as_of({:?}, {})",
+                        all[p],
+                        v + 1
+                    );
+                }
+            })
+        })
+        .collect();
+    for t in threads {
+        t.join().unwrap();
+    }
+    let (decoded, hits) = reads.since(before);
+    assert_eq!(decoded + hits, 4 * CALLS as u64);
+    assert!(
+        decoded > u64::from(VERSIONS),
+        "{decoded} decoded: nothing was evicted"
+    );
+    drop(cold);
+    std::fs::remove_file(&path).unwrap();
+}
+
 #[test]
 fn cold_answers_equal_the_whole_document_route_over_every_block_kind() {
     let mut segment_lens = Vec::new();
@@ -127,17 +388,27 @@ fn cold_answers_equal_the_whole_document_route_over_every_block_kind() {
         segment_lens.push(std::fs::metadata(&path).unwrap().len());
         let obs = Obs::new();
         let cold = ColdArchive::open_observed(&path, &obs).unwrap();
-        let decoded = || {
-            obs.registry()
-                .get_counter("cold.blocks_decoded")
-                .unwrap()
-                .get()
-        };
+        let reads = Reads(&obs);
         assert_eq!(cold.latest(), 6);
 
         for v in 0..=7 {
+            let before = reads.now();
             let whole = cold.retrieve(v).unwrap();
-            let before = decoded();
+            let held = u64::from(whole.is_some());
+            // one block read, decoded unless an earlier version's read of
+            // the same LZSS block left it in the cache
+            let (decoded, hits) = reads.since(before);
+            assert_eq!(decoded + hits, held, "retrieve({v}) reads");
+            if compression == BlockCodec::Raw {
+                assert_eq!(hits, 0, "retrieve({v}) of a raw block");
+            }
+            // from here on the version's block has been read: a raw one is
+            // checksummed on every read, an LZSS one is in the cache
+            let again = match compression {
+                BlockCodec::Raw => (held, 0),
+                BlockCodec::Lzss => (0, held),
+            };
+            let before = reads.now();
             let mut out = Vec::new();
             let wrote = cold.retrieve_into(v, &mut out).unwrap();
             assert_eq!(wrote, whole.is_some(), "version {v}");
@@ -146,13 +417,12 @@ fn cold_answers_equal_the_whole_document_route_over_every_block_kind() {
                 as_xml(whole.clone()).unwrap_or_default(),
                 "retrieve_into({v}) under {compression:?}"
             );
-            let held = u64::from(whole.is_some());
-            assert_eq!(decoded() - before, held, "retrieve_into({v}) decodes");
+            assert_eq!(reads.since(before), again, "retrieve_into({v}) reads");
 
             for path in paths() {
-                let before = decoded();
+                let before = reads.now();
                 let got = cold.as_of(&path, v).unwrap();
-                assert_eq!(decoded() - before, held, "as_of({path:?}, {v}) decodes");
+                assert_eq!(reads.since(before), again, "as_of({path:?}, {v}) reads");
                 let want = match &whole {
                     Some(doc) if path.is_empty() => Some(doc.clone()),
                     Some(doc) => {
