@@ -13,7 +13,7 @@
 //! one block; the rest of the file stays untouched OS page cache at most.
 //!
 //! The last few LZSS blocks decoded stay in a small LRU cache keyed by
-//! block offset ([`CACHED_BLOCKS`] blocks, at most [`CACHED_BYTES`]), so a
+//! block offset (`CACHED_BLOCKS` blocks, at most `CACHED_BYTES`), so a
 //! reader that comes back to a block — point queries cycling over a few
 //! versions, or `range`/`diff`/`history_values` asking a batch block for
 //! each of its versions — neither checksums nor decodes it again: a hit

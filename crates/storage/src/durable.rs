@@ -10,12 +10,14 @@
 //!
 //! Open locks the file before it reads a byte of it, maps it once, and
 //! steps through it with the block walk the cold reader uses
-//! ([`block::walk`]): the walk lists the checkpoints, the newest that
-//! restores is verified once, and the tail behind it is verified and
-//! replayed from the same bytes. The map is dropped before the file is cut
-//! back to its committed prefix or appended to.
+//! ([`block::walk`]): the walk lists the checkpoints, and while the newest
+//! that restores is verified and decoded, a reader thread verifies and
+//! decodes the tail behind it from the same bytes; the merges stay on the
+//! opening thread, in journal order. The map is dropped before the file is
+//! cut back to its committed prefix or appended to.
 
 use std::path::{Path, PathBuf};
+use std::sync::mpsc;
 
 use xarch_compress::BlockCodec;
 use xarch_core::state::{decode_archive, encode_archive};
@@ -24,9 +26,7 @@ use xarch_keys::KeySpec;
 use xarch_obs::{Level, Obs};
 use xarch_xml::Document;
 
-use crate::block::{
-    self, decode_payload, BlockKind, Scan, ScannedBlock, Step, BLOCK_HEADER_LEN, MAX_PAYLOAD,
-};
+use crate::block::{self, decode_payload, BlockKind, Scan, Step, BLOCK_HEADER_LEN, MAX_PAYLOAD};
 use crate::checkpoint::{decode_checkpoint, encode_checkpoint};
 use crate::metrics::StorageMetrics;
 use crate::mmap::MappedFile;
@@ -82,9 +82,10 @@ pub struct RecoveryStats {
     /// versions replayed block-by-block from the journal.
     pub versions_recovered: u32,
     /// Bytes of data verified during the open: the superblock plus every
-    /// scanned block. A checkpointed open skips the journal prefix the
-    /// snapshot covers, so this is smaller than the file when
-    /// [`RecoveryStats::checkpoint_loaded`] is set.
+    /// scanned block, each counted once — the restored checkpoint, any
+    /// newer one passed over, and the tail. A checkpointed open skips the
+    /// journal prefix the snapshot covers, so this is smaller than the file
+    /// when [`RecoveryStats::checkpoint_loaded`] is set.
     pub bytes_scanned: u64,
     /// Bytes of uncommitted torn tail dropped by truncation (0 on a clean
     /// shutdown).
@@ -456,12 +457,49 @@ struct Recovered {
     last_checkpoint: (u64, u32),
 }
 
+/// Blocks the read-ahead verifies and decodes ahead of the merge: the depth
+/// of its channel. Each one holds its decoded documents until the merge
+/// takes it, so it stays a small constant.
+const READ_AHEAD: usize = 2;
+
+/// One walked block, verified and decoded ([`prepare`]), waiting to be
+/// applied in journal order.
+enum Prepared {
+    /// A verified checkpoint block and the versions its header says it
+    /// covers.
+    Checkpoint(u32),
+    /// A verified data block: the version its header commits (a batch's
+    /// first) and its decoded versions, or why they do not decode.
+    Data(u32, Result<Commit, StoreError>),
+    /// Committed-looking bytes that fail verification.
+    Corrupt(StoreError),
+    /// The file ends in an uncommitted append here.
+    Torn,
+}
+
+/// The decoded versions of one data block, merged through the call that
+/// committed them.
+enum Commit {
+    Empty,
+    Version(Document),
+    Batch(Vec<Document>),
+}
+
 /// Rebuilds the archive from the mapped segment `map`, whose superblock
-/// verified and whose blocks begin at `first_block`: restores the newest
-/// usable checkpoint the block walk finds, then verifies and replays the
-/// blocks behind it under the format's recovery rules (`docs/FORMAT.md`
-/// §Recovery). Pages are released behind the cursor, so a full replay
-/// holds about one block of the file at a time.
+/// verified and whose blocks begin at `first_block`, under the format's
+/// recovery rules (`docs/FORMAT.md` §Recovery).
+///
+/// The header walk lists the checkpoints. A reader thread then verifies and
+/// decodes the blocks behind the newest of them ([`prepare`]), up to
+/// [`READ_AHEAD`] blocks ahead, while this thread restores the newest
+/// checkpoint that decodes. This thread then applies every block behind the
+/// restored state in journal order — the blocks between an older restored
+/// checkpoint and the newest prepared in line, then the reader's — so the
+/// merges, and the archive they build, are those of a serial replay. Pages
+/// are released behind the merge, so a full replay holds about one block of
+/// the file at a time. Every return, early or not, joins the reader: the
+/// receiver is dropped first, so a reader blocked on a full channel sees it
+/// gone and stops.
 fn recover(
     map: &MappedFile,
     first_block: u64,
@@ -478,146 +516,130 @@ fn recover(
         .inspect(|s| map.release(s.offset..s.end))
         .filter(|s| s.kind == BlockKind::Checkpoint)
         .collect();
-    // A checkpoint is pure redundancy over the journal: one that is torn,
-    // damaged or does not decode is passed over for an older one, and with
-    // none usable the whole journal is replayed.
-    let mut restored = None;
-    for cp in checkpoints.iter().rev() {
-        let raw = match block::scan_block(bytes, cp.offset) {
-            Scan::Block(b) => decode_payload(b).ok(),
-            _ => None,
-        };
-        let payload_at = cp.offset + BLOCK_HEADER_LEN as u64;
-        let decoded = raw
-            .as_deref()
-            .and_then(|raw| decode_checkpoint(raw, payload_at).ok())
-            .filter(|p| p.covered == cp.version)
-            .map(|payload| decode_archive(payload.state, &spec, compaction));
-        // a raw payload is read in place: release it once decoded
-        map.release(cp.offset..cp.end);
-        let Some(decoded) = decoded else {
-            continue;
-        };
-        match decoded {
-            Ok(Some(archive)) => {
-                restored = Some((archive, *cp));
-                break;
-            }
-            // the snapshot is intact but was taken under a different
-            // configuration — older snapshots would mismatch the same
-            // way, so go straight to a full replay
-            Ok(None) => break,
-            // state bytes the block's checksum vouches for and the decoder
-            // refuses (a tree nested too deep, say): loudly, on to an
-            // older snapshot
-            Err(e) => {
-                metrics.checkpoints_skipped.inc();
-                metrics.event(
-                    Level::Warn,
-                    "recovery.checkpoint_skipped",
-                    &[("offset", cp.offset.to_string()), ("reason", e.to_string())],
-                );
-            }
-        }
-    }
-    let mut stats = RecoveryStats {
-        checkpoint_loaded: restored.is_some(),
-        ..RecoveryStats::default()
-    };
-    let (mut archive, from, mut last_checkpoint) = match restored {
-        Some((archive, cp)) => {
-            metrics.checkpoints_loaded.inc();
-            metrics.event(
-                Level::Info,
-                "recovery.checkpoint_loaded",
-                &[
-                    ("offset", cp.offset.to_string()),
-                    ("covered", cp.version.to_string()),
-                ],
-            );
-            (archive, cp.end, (cp.offset, cp.version))
-        }
-        None => (
-            Archive::with_compaction(spec, compaction),
-            first_block,
-            (0, 0),
-        ),
-    };
-    let restored_versions = last_checkpoint.1;
-    let mut versions = restored_versions;
-    let mut tail = block::walk(bytes, from);
-    let mut torn = None;
-    for step in tail.by_ref() {
-        let offset = step.offset;
-        match block::scan_block(bytes, offset) {
-            // checkpoints commit nothing: the header records how many
-            // versions the snapshot covers, which must agree with the
-            // journal so far
-            Scan::Block(b) if b.header.kind == BlockKind::Checkpoint => {
-                if b.header.version != versions {
-                    let reason = format!(
-                        "checkpoint claims to cover version {}, journal holds {versions}",
-                        b.header.version
-                    );
-                    return Err(refused(metrics, offset, corrupt(offset, reason)));
+    let ahead_from = checkpoints.last().map_or(first_block, |cp| cp.end);
+    std::thread::scope(|scope| {
+        let (ahead, prepared) = mpsc::sync_channel(READ_AHEAD);
+        scope.spawn(move || {
+            for step in block::walk(bytes, ahead_from) {
+                if ahead.send((step, prepare(bytes, step.offset))).is_err() {
+                    return;
                 }
-                last_checkpoint = (offset, versions);
             }
-            Scan::Block(b) => {
-                let expected = versions.saturating_add(1);
-                if b.header.version != expected {
-                    let reason = format!(
-                        "block sequence broken: expected version {expected}, found {}",
-                        b.header.version
-                    );
-                    return Err(refused(metrics, offset, corrupt(offset, reason)));
-                }
-                replay(&mut archive, b)?;
-                versions = archive.latest();
-                stats.tail_blocks_replayed = stats.tail_blocks_replayed.saturating_add(1);
-            }
-            // a rotted checkpoint is loud but never fatal: every bit of its
-            // state is rederivable from the journal, so record it and step
-            // over its span — whole, by the commit word at its declared
-            // end — to the blocks behind it
-            Scan::Corrupt(e)
-                if step.kind == BlockKind::Checkpoint && ends_committed(bytes, &step) =>
-            {
-                metrics.corrupt_blocks.inc();
-                metrics.checkpoints_skipped.inc();
+        });
+        let restored = restore(map, &checkpoints, &spec, compaction, metrics);
+        let mut stats = RecoveryStats {
+            checkpoint_loaded: restored.is_some(),
+            ..RecoveryStats::default()
+        };
+        // the archive to merge into, where the blocks it verified begin,
+        // where those it has not yet applied begin, and the newest checkpoint
+        let (mut archive, scanned_from, from, mut last_checkpoint) = match restored {
+            Some((archive, cp)) => {
+                metrics.checkpoints_loaded.inc();
                 metrics.event(
-                    Level::Warn,
-                    "recovery.checkpoint_skipped",
-                    &[("offset", offset.to_string()), ("reason", e.to_string())],
+                    Level::Info,
+                    "recovery.checkpoint_loaded",
+                    &[
+                        ("offset", cp.offset.to_string()),
+                        ("covered", cp.version.to_string()),
+                    ],
                 );
+                (archive, cp.offset, cp.end, (cp.offset, cp.version))
             }
-            Scan::Corrupt(e) => return Err(refused(metrics, offset, e)),
-            Scan::TornTail => {
-                torn = Some(offset);
-                break;
+            None => (
+                Archive::with_compaction(spec, compaction),
+                first_block,
+                first_block,
+                (0, 0),
+            ),
+        };
+        let restored_versions = last_checkpoint.1;
+        let mut versions = restored_versions;
+        // the blocks between the restored state and the read-ahead's start
+        let in_line = block::walk(bytes, from)
+            .take_while(|s| s.offset < ahead_from)
+            .map(|s| (s, prepare(bytes, s.offset)));
+        let mut torn = None;
+        for (step, block) in in_line.chain(prepared) {
+            let offset = step.offset;
+            match block {
+                // checkpoints commit nothing: the header records how many
+                // versions the snapshot covers, which must agree with the
+                // journal so far
+                Prepared::Checkpoint(covers) => {
+                    if covers != versions {
+                        let reason = format!(
+                            "checkpoint claims to cover version {covers}, journal holds {versions}"
+                        );
+                        return Err(refused(metrics, offset, corrupt(offset, reason)));
+                    }
+                    last_checkpoint = (offset, versions);
+                }
+                Prepared::Data(version, commit) => {
+                    let expected = versions.saturating_add(1);
+                    if version != expected {
+                        let reason = format!(
+                            "block sequence broken: expected version {expected}, found {version}"
+                        );
+                        return Err(refused(metrics, offset, corrupt(offset, reason)));
+                    }
+                    let merged = merge(&mut archive, commit?, offset)?;
+                    if merged != version {
+                        let reason = format!(
+                            "replay desynchronized: block commits version {version}, \
+                             store assigned {merged}"
+                        );
+                        return Err(corrupt(offset, reason));
+                    }
+                    versions = archive.latest();
+                    stats.tail_blocks_replayed = stats.tail_blocks_replayed.saturating_add(1);
+                }
+                // a rotted checkpoint is loud but never fatal: every bit of
+                // its state is rederivable from the journal, so record it and
+                // step over its span — whole, by the commit word at its
+                // declared end — to the blocks behind it
+                Prepared::Corrupt(e)
+                    if step.kind == BlockKind::Checkpoint && ends_committed(bytes, &step) =>
+                {
+                    metrics.corrupt_blocks.inc();
+                    metrics.checkpoints_skipped.inc();
+                    metrics.event(
+                        Level::Warn,
+                        "recovery.checkpoint_skipped",
+                        &[("offset", offset.to_string()), ("reason", e.to_string())],
+                    );
+                }
+                Prepared::Corrupt(e) => return Err(refused(metrics, offset, e)),
+                Prepared::Torn => {
+                    torn = Some(offset);
+                    break;
+                }
             }
+            map.release(offset..step.end);
         }
-        map.release(offset..step.end);
-    }
-    let torn = match torn {
-        Some(at) => Some(at),
-        None => tail
-            .torn_from()
-            .map_err(|e| refused(metrics, tail.offset(), e))?,
-    };
-    let kept = torn.unwrap_or(bytes.len() as u64);
-    stats.versions_recovered = versions;
-    stats.truncated_bytes = (bytes.len() as u64).saturating_sub(kept);
-    // a checkpointed open verified the superblock and the tail only
-    stats.bytes_scanned = first_block + kept.saturating_sub(from);
-    metrics
-        .versions_replayed
-        .add(u64::from(versions.saturating_sub(restored_versions)));
-    Ok(Recovered {
-        archive,
-        stats,
-        kept,
-        last_checkpoint,
+        // both walks stop where the bytes can no longer be stepped over
+        let torn = match torn {
+            Some(at) => Some(at),
+            None => walk
+                .torn_from()
+                .map_err(|e| refused(metrics, walk.offset(), e))?,
+        };
+        let kept = torn.unwrap_or(bytes.len() as u64);
+        stats.versions_recovered = versions;
+        stats.truncated_bytes = (bytes.len() as u64).saturating_sub(kept);
+        // the superblock, then every block from the restored checkpoint on,
+        // each once: newer checkpoints passed over lie in that span, or past
+        // the committed prefix when the newest is torn
+        stats.bytes_scanned = first_block + kept.max(ahead_from).saturating_sub(scanned_from);
+        metrics
+            .versions_replayed
+            .add(u64::from(versions.saturating_sub(restored_versions)));
+        Ok(Recovered {
+            archive,
+            stats,
+            kept,
+            last_checkpoint,
+        })
     })
 }
 
@@ -647,37 +669,91 @@ fn ends_committed(bytes: &[u8], step: &Step) -> bool {
         == Some(&block::COMMIT_MAGIC.to_le_bytes())
 }
 
-/// Replays the verified data block `b` into `archive` through the call
-/// that committed it — a batch through `Archive::add_versions`, so a
-/// reopen restores exactly the group-committed state.
-fn replay(archive: &mut Archive, b: ScannedBlock<'_>) -> Result<(), StoreError> {
-    let (version, offset) = (b.header.version, b.offset);
-    let replayed = match b.header.kind {
-        BlockKind::Empty => archive.add_empty_version(),
-        BlockKind::Version => {
-            let raw = decode_payload(b)?;
-            let doc = bytes_to_doc(&raw).map_err(|e| positioned(offset, e))?;
-            archive.add_version(&doc)?
+/// Restores the newest of `checkpoints` (in file order) that verifies and
+/// decodes, with the block it came from. A checkpoint is pure redundancy
+/// over the journal: one that is torn, damaged or does not decode is passed
+/// over for an older one; one taken under another configuration ends the
+/// search, as every older one would mismatch the same way — the whole
+/// journal is replayed instead.
+fn restore(
+    map: &MappedFile,
+    checkpoints: &[Step],
+    spec: &KeySpec,
+    compaction: Compaction,
+    metrics: &StorageMetrics,
+) -> Option<(Archive, Step)> {
+    let bytes = map.as_slice();
+    for cp in checkpoints.iter().rev() {
+        let raw = match block::scan_block(bytes, cp.offset) {
+            Scan::Block(b) => decode_payload(b).ok(),
+            _ => None,
+        };
+        let payload_at = cp.offset + BLOCK_HEADER_LEN as u64;
+        let decoded = raw
+            .as_deref()
+            .and_then(|raw| decode_checkpoint(raw, payload_at).ok())
+            .filter(|p| p.covered == cp.version)
+            .map(|payload| decode_archive(payload.state, spec, compaction));
+        // a raw payload is read in place: release it once decoded
+        map.release(cp.offset..cp.end);
+        match decoded {
+            None => {}
+            Some(Ok(Some(archive))) => return Some((archive, *cp)),
+            Some(Ok(None)) => return None,
+            // state bytes the block's checksum vouches for and the decoder
+            // refuses (a tree nested too deep, say): loudly, on to an
+            // older snapshot
+            Some(Err(e)) => {
+                metrics.checkpoints_skipped.inc();
+                metrics.event(
+                    Level::Warn,
+                    "recovery.checkpoint_skipped",
+                    &[("offset", cp.offset.to_string()), ("reason", e.to_string())],
+                );
+            }
         }
-        BlockKind::Batch => {
-            let raw = decode_payload(b)?;
+    }
+    None
+}
+
+/// Verifies the block at `offset` of the file `bytes` and decodes what a
+/// data block commits. Runs on either thread: it reads `bytes` only.
+fn prepare(bytes: &[u8], offset: u64) -> Prepared {
+    let b = match block::scan_block(bytes, offset) {
+        Scan::Block(b) => b,
+        Scan::Corrupt(e) => return Prepared::Corrupt(e),
+        Scan::TornTail => return Prepared::Torn,
+    };
+    let version = b.header.version;
+    let commit = match b.header.kind {
+        BlockKind::Checkpoint => return Prepared::Checkpoint(version),
+        BlockKind::Empty => Ok(Commit::Empty),
+        BlockKind::Version => decode_payload(b).and_then(|raw| {
+            let doc = bytes_to_doc(&raw).map_err(|e| positioned(offset, e))?;
+            Ok(Commit::Version(doc))
+        }),
+        BlockKind::Batch => decode_payload(b).and_then(|raw| {
             let docs = batch_bytes_to_docs(&raw).map_err(|e| positioned(offset, e))?;
+            Ok(Commit::Batch(docs))
+        }),
+    };
+    Prepared::Data(version, commit)
+}
+
+/// Merges the versions of the data block at `offset` into `archive` through
+/// the call that committed them — a batch through `Archive::add_versions`,
+/// so a reopen restores exactly the group-committed state — and returns the
+/// (first) version the archive assigned.
+fn merge(archive: &mut Archive, commit: Commit, offset: u64) -> Result<u32, StoreError> {
+    Ok(match commit {
+        Commit::Empty => archive.add_empty_version(),
+        Commit::Version(doc) => archive.add_version(&doc)?,
+        Commit::Batch(docs) => {
             let assigned = archive.add_versions(&docs)?;
             let first = assigned.first().copied();
             first.ok_or_else(|| corrupt(offset, "batch block with zero versions".into()))?
         }
-        // nothing to replay: the snapshot duplicates journal state
-        BlockKind::Checkpoint => return Ok(()),
-    };
-    if replayed != version {
-        return Err(corrupt(
-            offset,
-            format!(
-                "replay desynchronized: block commits version {version}, store assigned {replayed}"
-            ),
-        ));
-    }
-    Ok(())
+    })
 }
 
 #[cfg(test)]
@@ -982,6 +1058,208 @@ mod tests {
         let (_, a) = open_with(&path, opts).unwrap();
         let got = a.retrieve(1).unwrap();
         assert!(equiv_modulo_key_order(&got, &doc, a.spec()));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Checkpoint cadence of the segments the read-ahead tests build.
+    const CADENCE: u32 = 3;
+
+    fn every(n: u32) -> DurableOptions {
+        DurableOptions {
+            checkpoint_every: Some(n),
+            ..DurableOptions::default()
+        }
+    }
+
+    /// The blocks of the segment at `path` after its superblock, as the
+    /// header walk finds them, with the superblock's length.
+    fn blocks_of(path: &Path) -> (u64, Vec<Step>) {
+        let bytes = std::fs::read(path).unwrap();
+        let first_block = superblock::encode(&spec()).unwrap().len() as u64;
+        (first_block, block::walk(&bytes, first_block).collect())
+    }
+
+    /// Writes versions `1..=checkpointed` of `doc_n` at cadence [`CADENCE`],
+    /// then `tail` more without checkpoints: a segment whose newest
+    /// checkpoint covers `checkpointed` and whose tail is `tail` blocks.
+    fn segment_with_tail(path: &Path, checkpointed: u32, tail: u32) {
+        {
+            let (mut j, mut a) = open_with(path, every(CADENCE)).unwrap();
+            for n in 1..=checkpointed {
+                j.add_version(&mut a, &doc_n(n)).unwrap();
+            }
+        }
+        let (mut j, mut a) = open(path).unwrap();
+        for n in checkpointed + 1..=checkpointed + tail {
+            j.add_version(&mut a, &doc_n(n)).unwrap();
+        }
+    }
+
+    /// The archive of versions `1..=n` of `doc_n`, merged in memory by a
+    /// store that never crashed.
+    fn never_crashed(n: u32) -> Archive {
+        let mut a = Archive::with_compaction(spec(), Compaction::default());
+        for v in 1..=n {
+            a.add_version(&doc_n(v)).unwrap();
+        }
+        a
+    }
+
+    fn flip_payload_byte(path: &Path, step: &Step) {
+        let mut bytes = std::fs::read(path).unwrap();
+        bytes[step.offset as usize + BLOCK_HEADER_LEN + 1] ^= 0x20;
+        std::fs::write(path, bytes).unwrap();
+    }
+
+    #[test]
+    fn bytes_scanned_counts_every_block_the_open_verified() {
+        // the superblock, the restored checkpoint and the tail behind it
+        let path = scratch_path("durable-scanned");
+        segment_with_tail(&path, 2 * CADENCE, 2);
+        let (first_block, steps) = blocks_of(&path);
+        let newest = steps
+            .iter()
+            .rposition(|s| s.kind == BlockKind::Checkpoint)
+            .unwrap();
+        let spans = |from: usize| steps[from..].iter().map(|s| s.end - s.offset).sum::<u64>();
+        let (j, _) = open(&path).unwrap();
+        let rec = j.recovery();
+        assert!(rec.checkpoint_loaded);
+        assert_eq!(rec.tail_blocks_replayed, 2);
+        assert_eq!(rec.bytes_scanned, first_block + spans(newest));
+        drop(j);
+
+        // the newest checkpoint rotted: the older one restores, and the
+        // rotted one is counted once, inside the span behind the older
+        flip_payload_byte(&path, &steps[newest]);
+        let older = steps[..newest]
+            .iter()
+            .rposition(|s| s.kind == BlockKind::Checkpoint)
+            .unwrap();
+        let (j, _) = open(&path).unwrap();
+        let rec = j.recovery();
+        assert!(rec.checkpoint_loaded);
+        assert_eq!(rec.tail_blocks_replayed, CADENCE + 2);
+        assert_eq!(rec.bytes_scanned, first_block + spans(older));
+        assert_eq!(
+            j.last_checkpoint_offset(),
+            Some(steps[older].offset),
+            "a rotted checkpoint is no back-chain target"
+        );
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_merge_refusal_in_the_read_ahead_tail_is_the_open_error() {
+        // a CRC-valid version block whose document repeats a key path, deep
+        // in a tail longer than the read-ahead holds: the open returns the
+        // merge's error — and returns at all, with the reader blocked on a
+        // full channel until the receiver goes
+        let path = scratch_path("durable-ahead-refused");
+        segment_with_tail(&path, CADENCE, 2);
+        let bad = parse("<db><rec><id>1</id><id>2</id><val>x</val></rec></db>").unwrap();
+        let tail = 3 + 2 * READ_AHEAD as u32;
+        let mut bytes = Vec::new();
+        for v in CADENCE + 3..=CADENCE + 2 + tail {
+            let doc = if v == CADENCE + 4 {
+                bad.clone()
+            } else {
+                doc_n(v)
+            };
+            let raw = doc_to_bytes(&doc).unwrap();
+            bytes.extend(block::encode_block(
+                BlockKind::Version,
+                BlockCodec::Raw,
+                v,
+                raw.len() as u64,
+                &raw,
+            ));
+        }
+        let mut file = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&path)
+            .unwrap();
+        std::io::Write::write_all(&mut file, &bytes).unwrap();
+        drop(file);
+        let mut reference = never_crashed(CADENCE + 3);
+        let want = StoreError::from(reference.add_version(&bad).unwrap_err()).to_string();
+        let err = open(&path).map(|_| ()).unwrap_err();
+        assert_eq!(err.to_string(), want);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn rot_inside_the_read_ahead_tail_is_refused_at_its_offset() {
+        let path = scratch_path("durable-ahead-rot");
+        let tail = 3 + 2 * READ_AHEAD as u32;
+        segment_with_tail(&path, CADENCE, tail);
+        let (_, steps) = blocks_of(&path);
+        let rotted = steps[steps.len() - tail as usize + 2];
+        assert_eq!(rotted.kind, BlockKind::Version);
+        flip_payload_byte(&path, &rotted);
+        match open(&path).map(|_| ()).unwrap_err() {
+            StoreError::Corrupt { offset, .. } => assert_eq!(offset, rotted.offset),
+            other => panic!("{other}"),
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_rotted_newest_checkpoint_replays_from_the_older_one() {
+        let path = scratch_path("durable-ahead-older");
+        let tail = 1 + 2 * READ_AHEAD as u32;
+        segment_with_tail(&path, 2 * CADENCE, tail);
+        let (_, steps) = blocks_of(&path);
+        let newest = steps
+            .iter()
+            .rposition(|s| s.kind == BlockKind::Checkpoint)
+            .unwrap();
+        flip_payload_byte(&path, &steps[newest]);
+        let (j, a) = open(&path).unwrap();
+        let rec = j.recovery();
+        assert!(rec.checkpoint_loaded);
+        // the versions between the two checkpoints, then the tail
+        assert_eq!(rec.tail_blocks_replayed, CADENCE + tail);
+        assert_eq!(rec.versions_recovered, 2 * CADENCE + tail);
+        assert_eq!(
+            encode_archive(&a),
+            encode_archive(&never_crashed(2 * CADENCE + tail))
+        );
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn batch_and_empty_blocks_replay_from_the_read_ahead() {
+        let path = scratch_path("durable-ahead-kinds");
+        let docs: Vec<_> = (1..=12).map(doc_n).collect();
+        let mut reference = Archive::with_compaction(spec(), Compaction::default());
+        {
+            let (mut j, mut a) = open_with(&path, every(CADENCE)).unwrap();
+            for doc in &docs[..CADENCE as usize] {
+                j.add_version(&mut a, doc).unwrap();
+                reference.add_version(doc).unwrap();
+            }
+        }
+        let (mut j, mut a) = open(&path).unwrap();
+        let mut tail = 0;
+        for (i, chunk) in docs[CADENCE as usize..].chunks(3).enumerate() {
+            j.add_versions(&mut a, chunk).unwrap();
+            reference.add_versions(chunk).unwrap();
+            if i % 2 == 0 {
+                j.add_empty_version(&mut a).unwrap();
+                reference.add_empty_version();
+                tail += 1;
+            }
+            tail += 1;
+        }
+        drop(j);
+        assert!(tail > 2 * READ_AHEAD as u32, "tail of {tail} blocks");
+        let (j, a) = open(&path).unwrap();
+        let rec = j.recovery();
+        assert!(rec.checkpoint_loaded);
+        assert_eq!(rec.tail_blocks_replayed, tail);
+        assert_eq!(rec.versions_recovered, reference.latest());
+        assert_eq!(encode_archive(&a), encode_archive(&reference));
         std::fs::remove_file(&path).unwrap();
     }
 }
