@@ -1113,9 +1113,11 @@ mod tests {
 
     #[test]
     fn bytes_scanned_counts_every_block_the_open_verified() {
-        // the superblock, the restored checkpoint and the tail behind it
+        // the superblock, the restored checkpoint and the tail behind it,
+        // longer than the read-ahead holds
         let path = scratch_path("durable-scanned");
-        segment_with_tail(&path, 2 * CADENCE, 2);
+        let tail = 1 + 2 * READ_AHEAD as u32;
+        segment_with_tail(&path, 2 * CADENCE, tail);
         let (first_block, steps) = blocks_of(&path);
         let newest = steps
             .iter()
@@ -1125,21 +1127,27 @@ mod tests {
         let (j, _) = open(&path).unwrap();
         let rec = j.recovery();
         assert!(rec.checkpoint_loaded);
-        assert_eq!(rec.tail_blocks_replayed, 2);
+        assert_eq!(rec.tail_blocks_replayed, tail);
         assert_eq!(rec.bytes_scanned, first_block + spans(newest));
         drop(j);
 
-        // the newest checkpoint rotted: the older one restores, and the
-        // rotted one is counted once, inside the span behind the older
+        // the newest checkpoint rotted: the older one restores, the versions
+        // between the two replay in line ahead of the tail, and the rotted
+        // one is counted once, inside the span behind the older
         flip_payload_byte(&path, &steps[newest]);
         let older = steps[..newest]
             .iter()
             .rposition(|s| s.kind == BlockKind::Checkpoint)
             .unwrap();
-        let (j, _) = open(&path).unwrap();
+        let (j, a) = open(&path).unwrap();
         let rec = j.recovery();
         assert!(rec.checkpoint_loaded);
-        assert_eq!(rec.tail_blocks_replayed, CADENCE + 2);
+        assert_eq!(rec.tail_blocks_replayed, CADENCE + tail);
+        assert_eq!(rec.versions_recovered, 2 * CADENCE + tail);
+        assert_eq!(
+            encode_archive(&a),
+            encode_archive(&never_crashed(2 * CADENCE + tail))
+        );
         assert_eq!(rec.bytes_scanned, first_block + spans(older));
         assert_eq!(
             j.last_checkpoint_offset(),
@@ -1201,30 +1209,6 @@ mod tests {
             StoreError::Corrupt { offset, .. } => assert_eq!(offset, rotted.offset),
             other => panic!("{other}"),
         }
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn a_rotted_newest_checkpoint_replays_from_the_older_one() {
-        let path = scratch_path("durable-ahead-older");
-        let tail = 1 + 2 * READ_AHEAD as u32;
-        segment_with_tail(&path, 2 * CADENCE, tail);
-        let (_, steps) = blocks_of(&path);
-        let newest = steps
-            .iter()
-            .rposition(|s| s.kind == BlockKind::Checkpoint)
-            .unwrap();
-        flip_payload_byte(&path, &steps[newest]);
-        let (j, a) = open(&path).unwrap();
-        let rec = j.recovery();
-        assert!(rec.checkpoint_loaded);
-        // the versions between the two checkpoints, then the tail
-        assert_eq!(rec.tail_blocks_replayed, CADENCE + tail);
-        assert_eq!(rec.versions_recovered, 2 * CADENCE + tail);
-        assert_eq!(
-            encode_archive(&a),
-            encode_archive(&never_crashed(2 * CADENCE + tail))
-        );
         std::fs::remove_file(&path).unwrap();
     }
 
