@@ -20,9 +20,6 @@ pub enum Rule {
     /// No truncating `as` casts (to `u8`/`u16`/`u32`/`usize`/…) in
     /// offset/length arithmetic: use `try_into`/checked conversions.
     CastSafety,
-    /// `StoreReader` impl methods take `&self`; every `VersionStore` impl
-    /// has an `assert_send_sync::<T>()` static assertion in its crate.
-    ApiContract,
     /// Every `unsafe` token carries a `// SAFETY:` comment.
     UnsafeAudit,
     /// No ad-hoc `Instant::now()` timing or `eprintln!`/`eprint!` event
@@ -40,13 +37,12 @@ pub enum Rule {
 }
 
 impl Rule {
-    /// The seven path-scoped invariant rules (excludes the suppression
+    /// The six path-scoped invariant rules (excludes the suppression
     /// meta-rule, which is always active).
-    pub const CHECKABLE: [Rule; 7] = [
+    pub const CHECKABLE: [Rule; 6] = [
         Rule::PanicFreedom,
         Rule::LockDiscipline,
         Rule::CastSafety,
-        Rule::ApiContract,
         Rule::UnsafeAudit,
         Rule::ObsDiscipline,
         Rule::Recursion,
@@ -59,7 +55,6 @@ impl Rule {
             Rule::PanicFreedom => "panic-freedom",
             Rule::LockDiscipline => "lock-discipline",
             Rule::CastSafety => "cast-safety",
-            Rule::ApiContract => "api-contract",
             Rule::UnsafeAudit => "unsafe-audit",
             Rule::ObsDiscipline => "obs-discipline",
             Rule::Recursion => "recursion",
@@ -73,7 +68,6 @@ impl Rule {
             "panic-freedom" => Some(Rule::PanicFreedom),
             "lock-discipline" => Some(Rule::LockDiscipline),
             "cast-safety" => Some(Rule::CastSafety),
-            "api-contract" => Some(Rule::ApiContract),
             "unsafe-audit" => Some(Rule::UnsafeAudit),
             "obs-discipline" => Some(Rule::ObsDiscipline),
             "recursion" => Some(Rule::Recursion),
@@ -145,8 +139,7 @@ impl Config {
     ///   `FrameError`/`DecodeError` or a structured error response.
     /// * `cast-safety` binds to the whole storage crate, where offsets and
     ///   lengths cross between `u64` file arithmetic and in-memory sizes.
-    /// * `lock-discipline`, `api-contract` and `unsafe-audit` bind
-    ///   workspace-wide.
+    /// * `lock-discipline` and `unsafe-audit` bind workspace-wide.
     /// * `obs-discipline` binds to the library crates and the facade —
     ///   not to `crates/obs` (it *implements* the sanctioned timing), not
     ///   to `crates/analysis` (a CLI reporting to a console), not to
@@ -158,8 +151,7 @@ impl Config {
     ///   places a tree is built from untrusted bytes: the XML parser and
     ///   the checkpoint state decoder.
     pub fn project_policy() -> Self {
-        const UNTRUSTED_BYTES: [&str; 14] = [
-            "crates/storage/src/segment.rs",
+        const UNTRUSTED_BYTES: [&str; 13] = [
             "crates/storage/src/block.rs",
             "crates/storage/src/payload.rs",
             "crates/storage/src/superblock.rs",
@@ -184,7 +176,6 @@ impl Config {
                 ),
                 (Rule::LockDiscipline, PathFilter::everywhere()),
                 (Rule::CastSafety, PathFilter::only(["crates/storage/src/"])),
-                (Rule::ApiContract, PathFilter::everywhere()),
                 (Rule::UnsafeAudit, PathFilter::everywhere()),
                 (
                     Rule::ObsDiscipline,
@@ -287,7 +278,7 @@ mod tests {
         assert!(p.scope(Rule::UnsafeAudit).unwrap().matches("src/handle.rs"));
         let od = p.scope(Rule::ObsDiscipline).unwrap();
         assert!(od.matches("src/handle.rs"));
-        assert!(od.matches("crates/storage/src/segment.rs"));
+        assert!(od.matches("crates/storage/src/durable.rs"));
         assert!(
             !od.matches("crates/obs/src/metrics.rs"),
             "obs implements the timers"

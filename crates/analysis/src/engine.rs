@@ -1,8 +1,7 @@
 //! The analysis driver: walks sources, runs the rules in their configured
 //! scopes, detects `#[cfg(test)]` regions, resolves `xarch-allow`
-//! suppressions, and runs the crate-level api-contract pass.
+//! suppressions.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
 use std::io;
@@ -287,12 +286,11 @@ fn names_a_bound(reason: &str) -> bool {
             .all(|c| c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_')
 }
 
-/// Per-file intermediate state feeding the crate-level pass.
+/// Per-file intermediate state, before suppressions are resolved.
 struct FileAnalysis {
     path: String,
     diags: Vec<(Rule, RawDiag)>,
     suppressions: Vec<PendingSuppression>,
-    api_facts: rules::ApiFacts,
 }
 
 /// Runs the full analysis over in-memory sources. Paths must be
@@ -316,7 +314,6 @@ pub fn analyze_sources(files: &[SourceFile], config: &Config) -> Analysis {
             comments: &lexed.comments,
         };
         let (suppressions, mut diags) = parse_suppressions(&lexed.comments);
-        let mut api_facts = rules::ApiFacts::default();
         for rule in Rule::CHECKABLE {
             let Some(scope) = config.scope(rule) else {
                 continue;
@@ -333,11 +330,6 @@ pub fn analyze_sources(files: &[SourceFile], config: &Config) -> Analysis {
                 }
                 Rule::CastSafety => {
                     diags.extend(rules::cast_safety(&ctx).into_iter().map(|d| (rule, d)));
-                }
-                Rule::ApiContract => {
-                    let (ds, facts) = rules::api_contract(&ctx);
-                    diags.extend(ds.into_iter().map(|d| (rule, d)));
-                    api_facts = facts;
                 }
                 Rule::UnsafeAudit => {
                     let (ds, sites) = rules::unsafe_audit(&ctx);
@@ -362,48 +354,7 @@ pub fn analyze_sources(files: &[SourceFile], config: &Config) -> Analysis {
             path: f.path.clone(),
             diags,
             suppressions,
-            api_facts,
         });
-    }
-
-    // Crate-level api-contract pass: every `impl VersionStore for T` needs
-    // an `assert_send_sync::<T>()` somewhere in the same crate.
-    if config.scope(Rule::ApiContract).is_some() {
-        let mut asserted: BTreeMap<String, Vec<String>> = BTreeMap::new();
-        for fa in &per_file {
-            asserted
-                .entry(crate_of(&fa.path))
-                .or_default()
-                .extend(fa.api_facts.send_sync_assertions.iter().cloned());
-        }
-        let mut extra: Vec<(usize, (Rule, RawDiag))> = Vec::new();
-        for (idx, fa) in per_file.iter().enumerate() {
-            let krate = crate_of(&fa.path);
-            let have = asserted.get(&krate).map(Vec::as_slice).unwrap_or(&[]);
-            for vs in &fa.api_facts.version_store_impls {
-                if !have.contains(&vs.type_name) {
-                    extra.push((
-                        idx,
-                        (
-                            Rule::ApiContract,
-                            RawDiag {
-                                line: vs.line,
-                                col: vs.col,
-                                message: format!(
-                                    "`VersionStore` impl for `{ty}` has no \
-                                     `assert_send_sync::<{ty}>()` static assertion in `{krate}` \
-                                     — the handle layer shares stores across threads",
-                                    ty = vs.type_name
-                                ),
-                            },
-                        ),
-                    ));
-                }
-            }
-        }
-        for (idx, d) in extra {
-            per_file[idx].diags.push(d);
-        }
     }
 
     // Suppression resolution: an allow on line L covers findings on L (a
@@ -610,23 +561,6 @@ mod tests {
         assert!(msgs.iter().any(|m| m.contains("unused")));
         assert!(msgs.iter().any(|m| m.contains("missing ` -- <reason>`")));
         assert!(msgs.iter().any(|m| m.contains("unknown rule")));
-    }
-
-    #[test]
-    fn version_store_assertion_is_checked_per_crate() {
-        let with = SourceFile {
-            path: "crates/a/src/lib.rs".into(),
-            text: "impl VersionStore for Good {}\nfn t() { assert_send_sync::<Good>(); }\n".into(),
-        };
-        let without = SourceFile {
-            path: "crates/b/src/lib.rs".into(),
-            text: "impl VersionStore for Bad {}\n".into(),
-        };
-        let a = analyze_sources(&[with, without], &Config::single(Rule::ApiContract));
-        let v: Vec<_> = a.violations().collect();
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].message.contains("Bad"));
-        assert_eq!(v[0].file, "crates/b/src/lib.rs");
     }
 
     #[test]

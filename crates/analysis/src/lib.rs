@@ -4,7 +4,7 @@
 //! sources, enforcing the architectural invariants the type system cannot:
 //!
 //! * **panic-freedom** — decode/recovery modules
-//!   (`crates/storage/src/{segment,block,payload,superblock,durable}.rs`,
+//!   (`crates/storage/src/{block,payload,superblock,durable}.rs`,
 //!   `crates/extmem/src/events.rs`) must never panic on untrusted bytes:
 //!   no `unwrap`/`expect`/`panic!`-family macros/slice-indexing outside
 //!   `#[cfg(test)]`.
@@ -14,9 +14,6 @@
 //!   point must swap the readers' view in with no other lock held).
 //! * **cast-safety** — no truncating `as` casts on offset/length
 //!   arithmetic in `crates/storage`; use `try_into`/checked conversions.
-//! * **api-contract** — `StoreReader` impl methods take `&self`, and every
-//!   `VersionStore` impl has an `assert_send_sync::<T>()` static assertion
-//!   in its crate.
 //! * **unsafe-audit** — every `unsafe` carries a `// SAFETY:` comment; a
 //!   full inventory is generated in `report` mode.
 //! * **recursion** — no function on a decode path, in the XML parser or

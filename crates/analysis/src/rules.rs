@@ -1,4 +1,4 @@
-//! The seven invariant rules, as token-sequence lints.
+//! The six invariant rules, as token-sequence lints.
 //!
 //! Each rule is a pure function from a lexed file to raw findings
 //! (line/col/message). The engine decides scope (which paths a rule binds
@@ -336,7 +336,7 @@ fn initializer_binds_guard(stmt: &[Tok]) -> bool {
     true
 }
 
-/// Rule 6 — **obs-discipline**: library code must not time operations
+/// Rule 5 — **obs-discipline**: library code must not time operations
 /// with raw `Instant::now()` or log events with `eprintln!`/`eprint!` —
 /// timing goes through `xarch_obs` histogram timers/spans (so the sample
 /// lands in the registry) and events go through the `Tracer` (so they hit
@@ -382,7 +382,7 @@ pub fn obs_discipline(ctx: &FileCtx<'_>) -> Vec<RawDiag> {
     out
 }
 
-/// Rule 7 — **recursion**: a function that calls itself recurses once per
+/// Rule 6 — **recursion**: a function that calls itself recurses once per
 /// level of what it walks, so untrusted input nested deep enough overflows
 /// the stack — an abort, which no `Result` and no `panic-freedom` catches.
 /// Flags the function (at its `fn`) when its body calls it by name: a bare
@@ -452,138 +452,6 @@ pub fn recursion(ctx: &FileCtx<'_>) -> Vec<RawDiag> {
     out
 }
 
-/// A `VersionStore` impl found in a file (for the crate-level half of the
-/// api-contract rule).
-#[derive(Debug, Clone)]
-pub struct VersionStoreImpl {
-    pub type_name: String,
-    pub line: u32,
-    pub col: u32,
-}
-
-/// Per-file facts the api-contract rule reports to the crate-level pass.
-#[derive(Debug, Default)]
-pub struct ApiFacts {
-    pub version_store_impls: Vec<VersionStoreImpl>,
-    /// Type names appearing in `assert_send_sync::<T>()` calls.
-    pub send_sync_assertions: Vec<String>,
-}
-
-/// Rule 4 — **api-contract**, per-file half: every method in an
-/// `impl StoreReader for …` block takes `&self` (reads must be
-/// shareable), and `impl VersionStore for …` sites are collected so the engine can
-/// check each has an `assert_send_sync::<T>()` in its crate.
-pub fn api_contract(ctx: &FileCtx<'_>) -> (Vec<RawDiag>, ApiFacts) {
-    let t = ctx.toks;
-    let mut out = Vec::new();
-    let mut facts = ApiFacts::default();
-    let mut i = 0;
-    while i < t.len() {
-        // assert_send_sync::<T>() — collect every ident inside the turbofish
-        if t[i].is_ident("assert_send_sync")
-            && t.get(i + 1).is_some_and(|x| x.is_punct(':'))
-            && t.get(i + 2).is_some_and(|x| x.is_punct(':'))
-            && t.get(i + 3).is_some_and(|x| x.is_punct('<'))
-        {
-            let mut angle = 1i32;
-            let mut k = i + 4;
-            while k < t.len() && angle > 0 {
-                if t[k].is_punct('<') {
-                    angle += 1;
-                } else if t[k].is_punct('>') {
-                    angle -= 1;
-                } else if t[k].kind == TokKind::Ident {
-                    facts.send_sync_assertions.push(t[k].text.clone());
-                }
-                k += 1;
-            }
-            i = k;
-            continue;
-        }
-        if !t[i].is_ident("impl") {
-            i += 1;
-            continue;
-        }
-        // impl header: tokens up to the opening `{` (or `;`)
-        let mut body_start = None;
-        let mut header_end = i + 1;
-        while header_end < t.len() {
-            if t[header_end].is_punct('{') {
-                body_start = Some(header_end + 1);
-                break;
-            }
-            if t[header_end].is_punct(';') {
-                break;
-            }
-            header_end += 1;
-        }
-        let header = &t[i + 1..header_end];
-        let for_pos = header.iter().position(|x| x.is_ident("for"));
-        let trait_mentions =
-            |name: &str| for_pos.is_some_and(|f| header.iter().take(f).any(|x| x.is_ident(name)));
-        let Some(body_start) = body_start else {
-            i = header_end + 1;
-            continue;
-        };
-        let body_end = matching_brace(t, body_start - 1);
-        if trait_mentions("VersionStore") && !ctx.skip(Rule::ApiContract, i) {
-            // the implementing type: first ident after `for`
-            if let Some(f) = for_pos {
-                if let Some(ty) = header
-                    .iter()
-                    .skip(f + 1)
-                    .find(|x| x.kind == TokKind::Ident && !matches!(x.text.as_str(), "dyn" | "mut"))
-                {
-                    facts.version_store_impls.push(VersionStoreImpl {
-                        type_name: ty.text.clone(),
-                        line: t[i].line,
-                        col: t[i].col,
-                    });
-                }
-            }
-        }
-        if trait_mentions("StoreReader") && !ctx.skip(Rule::ApiContract, i) {
-            // every fn in the block must take &self, not &mut self
-            let mut k = body_start;
-            while k < body_end {
-                if t[k].is_ident("fn") {
-                    let fn_tok = &t[k];
-                    let fn_name = t.get(k + 1).map(|x| x.text.clone()).unwrap_or_default();
-                    // scan the parameter list
-                    let mut p = k;
-                    while p < body_end && !t[p].is_punct('(') {
-                        p += 1;
-                    }
-                    let params_end = matching_paren(t, p);
-                    let mut q = p;
-                    while q + 2 < params_end {
-                        if t[q].is_punct('&')
-                            && (t[q + 1].is_ident("mut") && t[q + 2].is_ident("self")
-                                || t[q + 1].kind == TokKind::Lifetime
-                                    && t[q + 2].is_ident("mut")
-                                    && t.get(q + 3).is_some_and(|x| x.is_ident("self")))
-                        {
-                            out.push(diag(
-                                fn_tok,
-                                format!(
-                                    "`StoreReader` impl method `{fn_name}` takes `&mut self` — \
-                                     the shared-read contract requires `&self` receivers"
-                                ),
-                            ));
-                            break;
-                        }
-                        q += 1;
-                    }
-                    k = params_end;
-                }
-                k += 1;
-            }
-        }
-        i = body_start;
-    }
-    (out, facts)
-}
-
 /// Index of the `}` matching the `{` at `open`.
 fn matching_brace(t: &[Tok], open: usize) -> usize {
     let mut d = 0i32;
@@ -625,7 +493,7 @@ pub struct UnsafeSite {
     pub documented: bool,
 }
 
-/// Rule 5 — **unsafe-audit**: every `unsafe` token (block, fn, impl,
+/// Rule 4 — **unsafe-audit**: every `unsafe` token (block, fn, impl,
 /// trait) must carry a `// SAFETY:` comment on the same line or within the
 /// three lines above it. Returns findings plus the full inventory
 /// (documented sites included) for `report` mode.

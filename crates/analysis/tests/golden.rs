@@ -99,16 +99,6 @@ fn cast_safety_clean_fixture_passes() {
 }
 
 #[test]
-fn api_contract_fires_at_marked_lines() {
-    assert_fires(Rule::ApiContract, "api_contract_violating.rs");
-}
-
-#[test]
-fn api_contract_clean_fixture_passes() {
-    assert_clean(Rule::ApiContract, "api_contract_clean.rs");
-}
-
-#[test]
 fn unsafe_audit_fires_at_marked_lines() {
     assert_fires(Rule::UnsafeAudit, "unsafe_audit_violating.rs");
 }

@@ -42,11 +42,11 @@ impl BlockCodec {
     /// bytes. A compressing codec falls back to [`BlockCodec::Raw`] when
     /// compression does not shrink the payload, so callers must record the
     /// returned codec, not the requested one. Raw (and fallback) output
-    /// borrows the input — no copy on the uncompressed hot path.
+    /// borrows the input — no copy on the uncompressed hot path. Empty input
+    /// has nothing to shrink and is not handed to the compressor.
     pub fn encode(self, data: &[u8]) -> (BlockCodec, Cow<'_, [u8]>) {
         match self {
-            BlockCodec::Raw => (BlockCodec::Raw, Cow::Borrowed(data)),
-            BlockCodec::Lzss => {
+            BlockCodec::Lzss if !data.is_empty() => {
                 let c = lzss::compress(data);
                 if c.len() < data.len() {
                     (BlockCodec::Lzss, Cow::Owned(c))
@@ -54,6 +54,7 @@ impl BlockCodec {
                     (BlockCodec::Raw, Cow::Borrowed(data))
                 }
             }
+            _ => (BlockCodec::Raw, Cow::Borrowed(data)),
         }
     }
 

@@ -165,11 +165,6 @@ fn common_prefix(a: &[u8], b: &[u8]) -> usize {
     len + tail.take_while(|(x, y)| x == y).count()
 }
 
-/// Compressed size of `data` (convenience for the size series).
-pub fn compressed_len(data: &[u8]) -> usize {
-    compress(data).len()
-}
-
 /// The match finder the word-at-a-time one replaced — `usize` chains,
 /// byte-at-a-time extension, every candidate extended — kept as what the
 /// tests hold `tokens` to.

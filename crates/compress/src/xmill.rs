@@ -235,11 +235,6 @@ pub fn xml_decompress(buf: &[u8]) -> Option<Document> {
     doc
 }
 
-/// Compressed size of a document (convenience for size series).
-pub fn xml_compressed_len(doc: &Document) -> usize {
-    xml_compress(doc).len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -285,12 +285,6 @@ impl TimeSet {
         }
         Ok(out)
     }
-
-    /// Approximate serialized size of the timestamp in bytes (used by size
-    /// accounting before the archive is rendered to XML).
-    pub fn encoded_len(&self) -> usize {
-        self.to_string().len()
-    }
 }
 
 impl fmt::Display for TimeSet {

@@ -77,11 +77,6 @@ impl Obs {
         }
     }
 
-    /// Bundle an existing registry and tracer.
-    pub fn with_parts(registry: Registry, tracer: Tracer) -> Self {
-        Self { registry, tracer }
-    }
-
     /// The bundled metric registry.
     pub fn registry(&self) -> &Registry {
         &self.registry

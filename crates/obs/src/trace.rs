@@ -7,7 +7,7 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::io::Write as _;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::metrics::Histogram;
@@ -150,7 +150,7 @@ struct TracerInner {
     /// Max level forwarded to the sink (ring capture is unconditional).
     filter: AtomicU8,
     seq: AtomicU64,
-    sink: RwLock<Arc<dyn EventSink>>,
+    sink: Arc<dyn EventSink>,
     ring: Mutex<VecDeque<Event>>,
     ring_cap: usize,
 }
@@ -166,7 +166,7 @@ impl fmt::Debug for dyn EventSink {
 /// Every emitted event lands in the bounded ring buffer (so post-mortems
 /// after recovery or poisoning can read back what happened regardless of
 /// console verbosity); events at or above the level filter additionally
-/// go to the pluggable sink.
+/// go to the sink it was built with.
 #[derive(Clone, Debug)]
 pub struct Tracer {
     inner: Arc<TracerInner>,
@@ -190,7 +190,7 @@ impl Tracer {
             inner: Arc::new(TracerInner {
                 filter: AtomicU8::new(filter as u8),
                 seq: AtomicU64::new(0),
-                sink: RwLock::new(sink),
+                sink,
                 ring: Mutex::new(VecDeque::with_capacity(DEFAULT_RING_CAPACITY)),
                 ring_cap: DEFAULT_RING_CAPACITY,
             }),
@@ -210,12 +210,6 @@ impl Tracer {
     /// Change the sink forwarding threshold at runtime.
     pub fn set_level(&self, level: Level) {
         self.inner.filter.store(level as u8, Ordering::Relaxed);
-    }
-
-    /// Replace the sink (e.g. route events into a log shipper).
-    pub fn set_sink(&self, sink: Arc<dyn EventSink>) {
-        let mut g = self.inner.sink.write().unwrap_or_else(|e| e.into_inner());
-        *g = sink;
     }
 
     /// Whether an event at `level` would reach the sink.
@@ -240,11 +234,7 @@ impl Tracer {
             ring.push_back(event.clone());
         }
         if self.enabled(level) {
-            let sink = {
-                let g = self.inner.sink.read().unwrap_or_else(|e| e.into_inner());
-                Arc::clone(&g)
-            };
-            sink.emit(&event);
+            self.inner.sink.emit(&event);
         }
     }
 

@@ -206,11 +206,6 @@ impl RunningServer {
         &self.ctx.obs
     }
 
-    /// Whether shutdown has begun.
-    pub fn is_shutting_down(&self) -> bool {
-        self.ctx.shutting_down.load(Ordering::SeqCst)
-    }
-
     /// Graceful shutdown: stop accepting, let every in-flight request
     /// finish, join the pool. Committed ingest is already on disk — the
     /// journal group-commits synchronously — so draining the workers is

@@ -258,6 +258,9 @@ impl ColdArchive {
         let bytes = map.as_slice();
         let (spec, first_block) = superblock::decode(bytes)?;
         let (index, latest, decoded) = build_index(bytes, first_block)?;
+        // the header walk faulted in the pages around every header; a query
+        // maps back only the blocks it reads
+        map.release(first_block..bytes.len() as u64);
         metrics.mapped_bytes.set_u64(bytes.len() as u64);
         if let Some(span) = decoded {
             metrics.blocks_decoded.inc();

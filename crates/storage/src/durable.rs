@@ -15,7 +15,13 @@
 //! decodes the tail behind it from the same bytes; the merges stay on the
 //! opening thread, in journal order. The map is dropped before the file is
 //! cut back to its committed prefix or appended to.
+//!
+//! The journal is the segment file's only writer: it holds the file and its
+//! exclusive OS lock, and every block it writes — version, batch, empty or
+//! checkpoint — goes through one append.
 
+use std::fs::{File, OpenOptions};
+use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc;
 
@@ -26,14 +32,15 @@ use xarch_keys::KeySpec;
 use xarch_obs::{Level, Obs};
 use xarch_xml::Document;
 
-use crate::block::{self, decode_payload, BlockKind, Scan, Step, BLOCK_HEADER_LEN, MAX_PAYLOAD};
+use crate::block::{
+    self, decode_payload, encode_block, BlockKind, Scan, Step, BLOCK_HEADER_LEN, MAX_PAYLOAD,
+};
 use crate::checkpoint::{decode_checkpoint, encode_checkpoint};
 use crate::metrics::StorageMetrics;
 use crate::mmap::MappedFile;
 use crate::payload::{
     batch_bytes_to_docs, bytes_to_doc, doc_to_bytes, docs_to_batch_bytes, positioned,
 };
-use crate::segment::Segment;
 use crate::superblock;
 
 /// Tuning knobs for a [`Journal`].
@@ -112,8 +119,19 @@ impl RecoveryStats {
 /// The commit methods take the archive [`Journal::open`] returned; reads
 /// never touch the journal.
 pub struct Journal {
-    segment: Segment,
+    /// The segment file, under this journal's exclusive lock and
+    /// positioned at its end.
+    file: File,
+    path: PathBuf,
+    /// Current length of the segment file in bytes.
+    len: u64,
+    /// The version the next data block must carry.
+    next_version: u32,
     options: DurableOptions,
+    /// Canonical `segment.*` / `checkpoint.*` / `recovery.*` metric
+    /// handles — detached (per-journal) by default, registry-backed when
+    /// the journal was opened observed.
+    metrics: StorageMetrics,
     recovery: RecoveryStats,
     /// File offset of the newest checkpoint block's header (0 = none;
     /// offset 0 is always inside the superblock). Back-chained into the
@@ -131,7 +149,7 @@ pub struct Journal {
 impl std::fmt::Debug for Journal {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Journal")
-            .field("path", &self.segment.path())
+            .field("path", &self.path)
             .field("options", &self.options)
             .field("recovery", &self.recovery)
             .finish()
@@ -162,69 +180,83 @@ impl Journal {
         let path: PathBuf = path.as_ref().to_owned();
         let metrics = obs.map_or_else(StorageMetrics::detached, StorageMetrics::registered);
         let fresh = superblock::encode(&spec)?;
-        let file = Segment::lock(&path)?;
+        let mut file = lock(&path)?;
         let map = MappedFile::map(&file)?;
-        let journal = |segment, recovery, last_checkpoint, last_checkpoint_covered| Self {
-            segment,
-            options,
-            recovery,
-            last_checkpoint,
-            last_checkpoint_covered,
-            poisoned: None,
-        };
         // An empty file, or one shorter than its superblock *and*
         // byte-identical to a prefix of it — a create() torn by a crash:
         // the superblock never completed, so no version can have been
         // committed and recreating is safe. Anything else short is
         // corruption, which the superblock decode below refuses loudly.
-        if map.len() < fresh.len() && fresh.starts_with(map.as_slice()) {
-            let recovery = RecoveryStats {
-                truncated_bytes: map.len() as u64,
-                ..RecoveryStats::default()
-            };
+        let r = if map.len() < fresh.len() && fresh.starts_with(map.as_slice()) {
+            let truncated_bytes = map.len() as u64;
             drop(map);
-            let segment = Segment::create(file, &path, &fresh, options.sync, metrics)?;
-            let archive = Archive::with_compaction(spec, compaction);
-            return Ok((journal(segment, recovery, 0, 0), archive));
-        }
-        let (stored_spec, first_block) = superblock::decode(map.as_slice())?;
-        if stored_spec != spec {
-            return Err(StoreError::Backend(format!(
-                "key spec mismatch: segment {} was created under a different key specification \
-                 (stored {} keys, requested {})",
-                path.display(),
-                stored_spec.len(),
-                spec.len(),
-            )));
-        }
-        let r = recover(&map, first_block, spec, compaction, &metrics)?;
-        drop(map);
-        let next = r.stats.versions_recovered.saturating_add(1);
-        let segment = Segment::resume(file, &path, r.kept, next, options.sync, metrics)?;
-        let metrics = segment.metrics();
-        if r.stats.recovered_torn_tail() {
-            metrics.torn_tail_truncations.inc();
+            create(&mut file, &fresh, options.sync)?;
             metrics.event(
-                Level::Warn,
-                "recovery.torn_tail",
+                Level::Info,
+                "segment.create",
+                &[("path", path.display().to_string())],
+            );
+            Recovered {
+                archive: Archive::with_compaction(spec, compaction),
+                stats: RecoveryStats {
+                    truncated_bytes,
+                    ..RecoveryStats::default()
+                },
+                kept: fresh.len() as u64,
+                last_checkpoint: (0, 0),
+            }
+        } else {
+            let (stored_spec, first_block) = superblock::decode(map.as_slice())?;
+            if stored_spec != spec {
+                return Err(StoreError::Backend(format!(
+                    "key spec mismatch: segment {} was created under a different key \
+                     specification (stored {} keys, requested {})",
+                    path.display(),
+                    stored_spec.len(),
+                    spec.len(),
+                )));
+            }
+            let r = recover(&map, first_block, spec, compaction, &metrics)?;
+            drop(map);
+            resume(&mut file, r.kept, options.sync)?;
+            if r.stats.recovered_torn_tail() {
+                metrics.torn_tail_truncations.inc();
+                metrics.event(
+                    Level::Warn,
+                    "recovery.torn_tail",
+                    &[
+                        ("offset", r.kept.to_string()),
+                        ("dropped_bytes", r.stats.truncated_bytes.to_string()),
+                    ],
+                );
+            }
+            metrics.event(
+                Level::Info,
+                "segment.open",
                 &[
-                    ("offset", r.kept.to_string()),
-                    ("dropped_bytes", r.stats.truncated_bytes.to_string()),
+                    ("versions", r.stats.versions_recovered.to_string()),
+                    ("bytes", r.kept.to_string()),
+                    ("truncated_bytes", r.stats.truncated_bytes.to_string()),
+                    ("checkpoint_loaded", r.stats.checkpoint_loaded.to_string()),
                 ],
             );
-        }
-        metrics.event(
-            Level::Info,
-            "segment.open",
-            &[
-                ("versions", r.stats.versions_recovered.to_string()),
-                ("bytes", r.kept.to_string()),
-                ("truncated_bytes", r.stats.truncated_bytes.to_string()),
-                ("checkpoint_loaded", r.stats.checkpoint_loaded.to_string()),
-            ],
-        );
-        let (offset, covered) = r.last_checkpoint;
-        Ok((journal(segment, r.stats, offset, covered), r.archive))
+            r
+        };
+        metrics.journal_len.set_u64(r.kept);
+        let (last_checkpoint, last_checkpoint_covered) = r.last_checkpoint;
+        let journal = Self {
+            file,
+            path,
+            len: r.kept,
+            next_version: r.stats.versions_recovered.saturating_add(1),
+            options,
+            metrics,
+            recovery: r.stats,
+            last_checkpoint,
+            last_checkpoint_covered,
+            poisoned: None,
+        };
+        Ok((journal, r.archive))
     }
 
     /// What `open` found and did while rebuilding from the segment file.
@@ -241,29 +273,30 @@ impl Journal {
     /// Checkpoint blocks appended through this journal (through this
     /// *registry* when it was opened observed against a shared one).
     pub fn checkpoints_written(&self) -> u64 {
-        self.segment.metrics().checkpoints_written.get()
+        self.metrics.checkpoints_written.get()
     }
 
     /// The segment file's path.
     pub fn path(&self) -> &Path {
-        self.segment.path()
+        &self.path
     }
 
     /// Current size of the segment file in bytes.
     pub fn journal_bytes(&self) -> u64 {
-        self.segment.len_bytes()
+        self.len
     }
 
     /// Journal blocks appended by this journal — one per `add_version` /
-    /// `add_empty_version`, one per whole `add_versions` batch.
+    /// `add_empty_version`, one per whole `add_versions` batch (through
+    /// this *registry* when it was opened observed against a shared one).
     pub fn journal_blocks(&self) -> u64 {
-        self.segment.blocks_appended()
+        self.metrics.blocks_written.get()
     }
 
     /// fsyncs issued by this journal — group commit's measurable effect is
     /// exactly one per batch instead of one per version.
     pub fn journal_syncs(&self) -> u64 {
-        self.segment.syncs_issued()
+        self.metrics.fsyncs.get()
     }
 
     /// True when a journal append failed after its merge committed: the
@@ -277,8 +310,7 @@ impl Journal {
     /// Record that memory ran ahead of disk: further commits are refused
     /// and the event lands in the tracer's ring buffer for post-mortems.
     fn poison(&mut self, why: String) {
-        self.segment
-            .metrics()
+        self.metrics
             .event(Level::Error, "durable.poisoned", &[("why", why.clone())]);
         self.poisoned = Some(why);
     }
@@ -289,18 +321,9 @@ impl Journal {
             Some(why) => Err(StoreError::Backend(format!(
                 "durable store refused the commit: a previous journal append failed ({why}); \
                  reopen the archive from {} to resynchronize",
-                self.segment.path().display()
+                self.path.display()
             ))),
         }
-    }
-
-    /// Poisons the journal if an append of an already-merged commit
-    /// failed (memory would otherwise silently run ahead of disk).
-    fn appended(&mut self, result: Result<(), StoreError>) -> Result<(), StoreError> {
-        if let Err(e) = &result {
-            self.poison(e.to_string());
-        }
-        result
     }
 
     /// Merges `doc` into `archive` as its next version and journals it.
@@ -324,12 +347,7 @@ impl Journal {
         // merge next: a rejected document leaves the archive unchanged and
         // nothing invalid reaches the journal
         let v = archive.add_version(doc)?;
-        let (codec, payload) = self.options.compression.encode(&raw);
-        let appended =
-            self.segment
-                .append(BlockKind::Version, codec, v, raw.len() as u64, &payload);
-        self.appended(appended)?;
-        self.maybe_checkpoint(archive);
+        self.commit(archive, BlockKind::Version, v, &raw)?;
         Ok(v)
     }
 
@@ -337,11 +355,7 @@ impl Journal {
     pub fn add_empty_version(&mut self, archive: &mut Archive) -> Result<u32, StoreError> {
         self.check_writable()?;
         let v = archive.add_empty_version();
-        let appended = self
-            .segment
-            .append(BlockKind::Empty, BlockCodec::Raw, v, 0, &[]);
-        self.appended(appended)?;
-        self.maybe_checkpoint(archive);
+        self.commit(archive, BlockKind::Empty, v, &[])?;
         Ok(v)
     }
 
@@ -383,19 +397,28 @@ impl Journal {
         };
         debug_assert_eq!(assigned.first().copied(), Some(before + 1));
         debug_assert_eq!(assigned.len(), docs.len());
-        let count = u32::try_from(assigned.len()).map_err(|_| {
-            StoreError::Backend(format!(
-                "batch of {} versions exceeds the u32 version space",
-                assigned.len()
-            ))
-        })?;
-        let (codec, payload) = self.options.compression.encode(&raw);
-        let appended =
-            self.segment
-                .append_batch(codec, before + 1, count, raw.len() as u64, &payload);
-        self.appended(appended)?;
-        self.maybe_checkpoint(archive);
+        self.commit(archive, BlockKind::Batch, before + 1, &raw)?;
         Ok(assigned)
+    }
+
+    /// The tail every commit shares: journals the versions from `first` on
+    /// that `archive` has just merged, whose payload is `raw`, as one block
+    /// of `kind` — poisoning the journal if that fails, as memory is then
+    /// ahead of disk — and takes a checkpoint if one is due.
+    fn commit(
+        &mut self,
+        archive: &Archive,
+        kind: BlockKind,
+        first: u32,
+        raw: &[u8],
+    ) -> Result<(), StoreError> {
+        let count = archive.latest() + 1 - first;
+        if let Err(e) = self.append(kind, first, count, raw) {
+            self.poison(e.to_string());
+            return Err(e);
+        }
+        self.maybe_checkpoint(archive);
+        Ok(())
     }
 
     /// Appends a checkpoint block of `archive` if the configured cadence
@@ -421,7 +444,7 @@ impl Journal {
         let state = encode_archive(archive);
         let raw = encode_checkpoint(self.last_checkpoint, covered, &state);
         if raw.len() as u64 > MAX_PAYLOAD {
-            self.segment.metrics().event(
+            self.metrics.event(
                 Level::Warn,
                 "durable.checkpoint_skipped",
                 &[(
@@ -431,11 +454,7 @@ impl Journal {
             );
             return;
         }
-        let (codec, payload) = self.options.compression.encode(&raw);
-        match self
-            .segment
-            .append_checkpoint(codec, raw.len() as u64, &payload)
-        {
+        match self.append(BlockKind::Checkpoint, covered, 0, &raw) {
             Ok(offset) => {
                 self.last_checkpoint = offset;
                 self.last_checkpoint_covered = covered;
@@ -443,6 +462,116 @@ impl Journal {
             Err(e) => self.poison(format!("checkpoint append failed: {e}")),
         }
     }
+
+    /// Appends the payload `raw` as one block, encoded under the configured
+    /// codec — one write, then a sync when `sync` is set — and returns the
+    /// file offset of its header. A data block carries the first version it
+    /// commits and commits `count`; a checkpoint carries the versions its
+    /// snapshot covers and commits none, so it alone leaves the version
+    /// counter where it is. A block that does not continue the journal's
+    /// sequence is refused before a byte is written: the archive a commit
+    /// merged into need not be the one this journal recovered.
+    fn append(
+        &mut self,
+        kind: BlockKind,
+        version: u32,
+        count: u32,
+        raw: &[u8],
+    ) -> Result<u64, StoreError> {
+        let expected = match kind {
+            BlockKind::Checkpoint => self.next_version.saturating_sub(1),
+            _ => self.next_version,
+        };
+        if version != expected {
+            return Err(StoreError::Backend(format!(
+                "out-of-order append: segment expects version {expected}, got {version}"
+            )));
+        }
+        let (codec, payload) = self.options.compression.encode(raw);
+        // the bound readers rely on: a complete header never declares an
+        // implausible length, so one on disk is provably bit rot. Every
+        // caller refuses or skips a raw payload over it, and a codec never
+        // stores more than the raw bytes.
+        debug_assert!(payload.len() <= raw.len() && payload.len() as u64 <= MAX_PAYLOAD);
+        let offset = self.len;
+        let block = encode_block(kind, codec, version, raw.len() as u64, &payload);
+        self.file.write_all(&block)?;
+        if self.options.sync {
+            self.file.sync_data()?;
+            self.metrics.fsyncs.inc();
+        }
+        let bytes = block.len() as u64;
+        self.len += bytes;
+        self.next_version += count;
+        self.metrics.journal_len.set_u64(self.len);
+        if kind == BlockKind::Checkpoint {
+            self.metrics.checkpoints_written.inc();
+            self.metrics.checkpoint_bytes.add(bytes);
+            self.metrics.event(
+                Level::Info,
+                "segment.checkpoint",
+                &[
+                    ("covered", version.to_string()),
+                    ("bytes", bytes.to_string()),
+                    ("offset", offset.to_string()),
+                ],
+            );
+        } else {
+            self.metrics.blocks_written.inc();
+            self.metrics.bytes_written.add(bytes);
+        }
+        Ok(offset)
+    }
+}
+
+/// Opens the segment file at `path`, creating it when absent, and takes the
+/// OS advisory lock that makes the journal single-writer — before a byte of
+/// it is read. Two handles appending to one journal would overwrite each
+/// other's acknowledged commits. The lock dies with the file handle (and
+/// with the process, so a crash never leaves a stale lock behind).
+// not .truncate(true): the file is recovered, or recreated by `create`
+#[allow(clippy::suspicious_open_options)]
+fn lock(path: &Path) -> Result<File, StoreError> {
+    use std::fs::TryLockError;
+    let file = OpenOptions::new()
+        .read(true)
+        .write(true)
+        .create(true)
+        .open(path)?;
+    match file.try_lock() {
+        Ok(()) => Ok(file),
+        Err(TryLockError::WouldBlock) => Err(StoreError::Backend(format!(
+            "segment {} is already open in another archive handle \
+             (concurrent writers would corrupt the journal)",
+            path.display()
+        ))),
+        Err(TryLockError::Error(e)) => Err(StoreError::Io(e)),
+    }
+}
+
+/// Starts the locked `file` afresh: whatever it held is dropped and
+/// `superblock` ([`superblock::encode`]) written in its place.
+fn create(file: &mut File, superblock: &[u8], sync: bool) -> Result<(), StoreError> {
+    file.set_len(0)?;
+    file.seek(SeekFrom::Start(0))?;
+    file.write_all(superblock)?;
+    if sync {
+        file.sync_data()?;
+    }
+    Ok(())
+}
+
+/// Positions the locked `file` for appending after the `len` bytes recovery
+/// kept, cutting off whatever follows them (a torn tail).
+fn resume(file: &mut File, len: u64, sync: bool) -> Result<(), StoreError> {
+    if file.metadata()?.len() > len {
+        file.set_len(len)?;
+        if sync {
+            file.sync_data()?;
+        }
+    }
+    file.seek(SeekFrom::Start(len))?;
+    Ok(())
 }
 
 /// What recovery made of a segment's bytes.
@@ -1244,6 +1373,94 @@ mod tests {
         assert_eq!(rec.tail_blocks_replayed, tail);
         assert_eq!(rec.versions_recovered, reference.latest());
         assert_eq!(encode_archive(&a), encode_archive(&reference));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn appends_continue_the_sequence_and_refuse_another_archives_commit() {
+        let path = scratch_path("durable-sequence");
+        let (mut j, mut a) = open(&path).unwrap();
+        j.add_version(&mut a, &doc_n(1)).unwrap();
+        // one block commits versions 2..=4
+        j.add_versions(&mut a, &[doc_n(2), doc_n(3), doc_n(4)])
+            .unwrap();
+        j.add_empty_version(&mut a).unwrap();
+        assert_eq!(j.next_version, 6);
+        assert_eq!(j.journal_blocks(), 3);
+        let len = std::fs::metadata(&path).unwrap().len();
+        assert_eq!(j.journal_bytes(), len);
+        let (_, steps) = blocks_of(&path);
+        let headers: Vec<_> = steps.iter().map(|s| (s.kind, s.version)).collect();
+        assert_eq!(
+            headers,
+            [
+                (BlockKind::Version, 1),
+                (BlockKind::Batch, 2),
+                (BlockKind::Empty, 5)
+            ]
+        );
+        // an archive this journal did not recover merges the document as
+        // its version 3; the journal expects 6 and refuses the block, and
+        // the merge it cannot undo poisons the journal
+        let mut other = never_crashed(2);
+        let err = j.add_version(&mut other, &doc_n(3)).unwrap_err();
+        assert!(err.to_string().contains("out-of-order"), "{err}");
+        assert_eq!(other.latest(), 3);
+        assert!(j.is_poisoned());
+        assert_eq!(j.journal_bytes(), len, "a refused block reached disk");
+        drop(j);
+        let (j, _) = open(&path).unwrap();
+        assert_eq!(j.recovery().versions_recovered, 5);
+        assert!(!j.recovery().recovered_torn_tail());
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_failed_append_poisons_the_journal_and_reopen_recovers_the_acknowledged() {
+        let path = scratch_path("durable-poisoned");
+        let obs = Obs::disconnected();
+        let (mut j, mut a) = Journal::open(
+            &path,
+            DurableOptions::default(),
+            spec(),
+            Compaction::default(),
+            Some(&obs),
+        )
+        .unwrap();
+        for n in 1..=2 {
+            j.add_version(&mut a, &doc_n(n)).unwrap();
+        }
+        let acknowledged = j.journal_bytes();
+        // the same file through a read-only handle: the next write fails
+        j.file = File::open(&path).unwrap();
+        let err = j.add_version(&mut a, &doc_n(3)).unwrap_err();
+        assert!(matches!(err, StoreError::Io(_)), "{err}");
+        assert!(j.is_poisoned());
+        // the merge had run: memory is now ahead of disk
+        assert_eq!(a.latest(), 3);
+        assert_eq!(j.journal_bytes(), acknowledged);
+        let poisoned = obs
+            .tracer()
+            .recent()
+            .into_iter()
+            .filter(|e| e.target == "durable.poisoned")
+            .count();
+        assert_eq!(poisoned, 1);
+        let refusals = [
+            j.add_version(&mut a, &doc_n(4)).map(drop),
+            j.add_versions(&mut a, &[doc_n(4), doc_n(5)]).map(drop),
+            j.add_empty_version(&mut a).map(drop),
+        ];
+        for refused in refusals {
+            let err = refused.unwrap_err();
+            assert!(err.to_string().contains("reopen"), "{err}");
+        }
+        assert_eq!(a.latest(), 3, "a refused commit moved the archive");
+        drop(j);
+        let (j, a) = open(&path).unwrap();
+        assert_eq!(j.recovery().versions_recovered, 2);
+        assert_eq!(a.latest(), 2);
+        assert_eq!(encode_archive(&a), encode_archive(&never_crashed(2)));
         std::fs::remove_file(&path).unwrap();
     }
 }

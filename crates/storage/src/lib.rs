@@ -2,7 +2,8 @@
 //!
 //! Durable on-disk archive storage: an append-only, segmented,
 //! self-describing file format plus [`Journal`], the crash-safe journal
-//! of an in-memory archive built on it.
+//! of an in-memory archive built on it — the file's only writer, which
+//! holds its exclusive lock and appends every block.
 //!
 //! The paper's archiver "reads the archive from disk, merges the incoming
 //! version, and writes it back"; an in-memory archive alone loses it on
@@ -111,7 +112,6 @@ pub mod durable;
 pub mod metrics;
 pub mod mmap;
 pub mod payload;
-pub mod segment;
 pub mod superblock;
 
 pub use block::{BlockHeader, BlockKind, ScannedBlock};
@@ -121,7 +121,6 @@ pub use crc::{crc32, Crc32};
 pub use durable::{DurableOptions, Journal, RecoveryStats};
 pub use metrics::{ColdMetrics, StorageMetrics};
 pub use mmap::MappedFile;
-pub use segment::Segment;
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -1,7 +1,7 @@
 //! Storage-layer observability: the canonical `segment.*` / `recovery.*`
 //! metric handles and the tracer the journal reports through.
 //!
-//! A [`StorageMetrics`] is embedded in every [`Segment`](crate::Segment);
+//! A [`StorageMetrics`] is embedded in every [`Journal`](crate::Journal);
 //! by default it is *detached* (per-handle counters, silent tracer), and
 //! [`StorageMetrics::registered`] binds the same handles to an
 //! [`Obs`] registry so the exposition writers see them.

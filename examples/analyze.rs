@@ -1,6 +1,6 @@
 //! Run the workspace invariant analyzer end to end: the same
-//! panic-freedom / lock-discipline / cast-safety / api-contract /
-//! unsafe-audit gate CI enforces, printed as a full report and then run
+//! panic-freedom / lock-discipline / cast-safety / unsafe-audit /
+//! obs-discipline / recursion gate CI enforces, printed as a full report and then run
 //! in check mode against this very checkout. A non-empty violation list
 //! exits non-zero, so the examples smoke job doubles as an analyzer run.
 //!

@@ -188,7 +188,7 @@
 //!
 //! | tool | run | enforces |
 //! |---|---|---|
-//! | `xarch_analysis` (`crates/analysis`) | `cargo run --release -p xarch_analysis -- check` | panic-freedom in decode/recovery paths, no lock guard across fsync/snapshot, no truncating casts in `storage`, `&self` [`StoreReader`] methods + `Send`/`Sync` store impls, `// SAFETY:` on every `unsafe` block, no ad-hoc `Instant::now()` timing or `eprintln!` event logging outside `xarch_obs` in library code |
+//! | `xarch_analysis` (`crates/analysis`) | `cargo run --release -p xarch_analysis -- check` | panic-freedom in decode/recovery paths, no lock guard across fsync/snapshot, no truncating casts in `storage`, `// SAFETY:` on every `unsafe` block, no ad-hoc `Instant::now()` timing or `eprintln!` event logging outside `xarch_obs` in library code |
 //! | docs drift gate (`tests/docs.rs`) | `cargo test --test docs` | `docs/FORMAT.md`'s magic / format-revision / layout constants match `crates/storage` source, `docs/PROTOCOL.md`'s handshake constants / verb bytes / error codes match `crates/proto` source (golden tests), both specs' CRC-32 check value matches [`storage::crc32`], and every intra-repo link in `README.md` / `docs/*.md` resolves |
 //!
 //! The analyzer runs in CI as a required gate; deliberate exemptions use

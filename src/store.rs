@@ -63,10 +63,11 @@ use xarch_xml::Document;
 pub struct ArchiveBuilder {
     spec: KeySpec,
     compaction: Compaction,
-    durable: Option<(PathBuf, DurableOptions)>,
-    /// Checkpoint cadence requested before `.durable(..)` was called —
-    /// folded into the journal options when the durable layer is added.
-    checkpoint_every: Option<u32>,
+    /// The segment file, when the store is journaled.
+    durable: Option<PathBuf>,
+    /// The journal's options; a checkpoint cadence set before
+    /// `.durable(..)` waits here until the journal is added.
+    options: DurableOptions,
     indexed: bool,
     observability: Option<Obs>,
 }
@@ -80,7 +81,7 @@ impl ArchiveBuilder {
             spec,
             compaction: Compaction::default(),
             durable: None,
-            checkpoint_every: None,
+            options: DurableOptions::default(),
             indexed: false,
             observability: None,
         }
@@ -127,11 +128,12 @@ impl ArchiveBuilder {
 
     /// Like [`ArchiveBuilder::durable`], with explicit journal options
     /// (per-block compression, sync policy, checkpoint cadence).
-    pub fn durable_with(mut self, path: impl Into<PathBuf>, mut options: DurableOptions) -> Self {
-        if options.checkpoint_every.is_none() {
-            options.checkpoint_every = self.checkpoint_every;
-        }
-        self.durable = Some((path.into(), options));
+    pub fn durable_with(mut self, path: impl Into<PathBuf>, options: DurableOptions) -> Self {
+        self.options = DurableOptions {
+            checkpoint_every: options.checkpoint_every.or(self.options.checkpoint_every),
+            ..options
+        };
+        self.durable = Some(path.into());
         self
     }
 
@@ -142,11 +144,7 @@ impl ArchiveBuilder {
     /// [`ArchiveBuilder::durable_with`] (order does not matter); `n = 0`
     /// disables checkpointing.
     pub fn checkpoint_every(mut self, n: u32) -> Self {
-        let cadence = (n > 0).then_some(n);
-        match &mut self.durable {
-            Some((_, options)) => options.checkpoint_every = cadence,
-            None => self.checkpoint_every = cadence,
-        }
+        self.options.checkpoint_every = (n > 0).then_some(n);
         self
     }
 
@@ -157,9 +155,9 @@ impl ArchiveBuilder {
         let obs = self.observability.as_ref();
         let (archive, journal) = match self.durable {
             None => (Archive::with_compaction(self.spec, self.compaction), None),
-            Some((path, options)) => {
+            Some(path) => {
                 let (journal, archive) =
-                    Journal::open(path, options, self.spec, self.compaction, obs)?;
+                    Journal::open(path, self.options, self.spec, self.compaction, obs)?;
                 (archive, Some(journal))
             }
         };
@@ -433,7 +431,8 @@ mod tests {
 
     #[test]
     fn store_is_shareable_across_threads() {
-        // the api-contract rule's assertion for `impl VersionStore for Store`
+        // the handle hands `Arc<Store>` copies to reader threads (and
+        // `VersionStore: Send + Sync` would refuse the impl without it)
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Store>();
     }
@@ -578,14 +577,13 @@ mod tests {
             .durable(xarch_storage::scratch_path("builder-cp-after"))
             .checkpoint_every(3);
         for b in [before, after] {
-            let (_, options) = b.durable.as_ref().unwrap();
-            assert_eq!(options.checkpoint_every, Some(3));
+            assert_eq!(b.options.checkpoint_every, Some(3));
         }
         let off = ArchiveBuilder::new(spec())
             .checkpoint_every(5)
             .checkpoint_every(0)
             .durable(xarch_storage::scratch_path("builder-cp-off"));
-        assert_eq!(off.durable.as_ref().unwrap().1.checkpoint_every, None);
+        assert_eq!(off.options.checkpoint_every, None);
         // explicit options win over a builder-level cadence
         let explicit = ArchiveBuilder::new(spec())
             .checkpoint_every(9)
@@ -596,10 +594,7 @@ mod tests {
                     ..DurableOptions::default()
                 },
             );
-        assert_eq!(
-            explicit.durable.as_ref().unwrap().1.checkpoint_every,
-            Some(2)
-        );
+        assert_eq!(explicit.options.checkpoint_every, Some(2));
     }
 
     #[test]
