@@ -16,7 +16,8 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use xarch_keys::{KeyPart, KeyValue};
-use xarch_xml::escape::{escape_attr, escape_text_into};
+use xarch_xml::canon::attribute_into;
+use xarch_xml::escape::escape_text_into;
 
 use crate::archive::{AKind, ANodeId, Archive};
 use crate::timeset::TimeSet;
@@ -76,7 +77,8 @@ impl KeyQuery {
 
     /// Adds a key part that is an attribute, e.g. `.with_attr("id", "i1")`.
     pub fn with_attr(self, name: &str, value: &str) -> Self {
-        let canon = format!("@{}=\"{}\"", name, escape_attr(value));
+        let mut canon = String::new();
+        attribute_into(name, value, &mut canon);
         self.with_part(name, canon)
     }
 

@@ -196,10 +196,8 @@ pub fn subtree_doc(doc: &Document, id: NodeId) -> Option<Document> {
 }
 
 /// True if `id` is an element with the tag and exactly the key value
-/// `step` names — one level of [`find_in_doc`], for a caller that walks
-/// the levels itself (`doc` may then be a subtree annotated in its place,
-/// [`xarch_keys::annotate_under`]).
-pub fn step_matches_doc(
+/// `step` names: one level of [`find_in_doc`].
+fn step_matches_doc(
     doc: &Document,
     ann: &xarch_keys::Annotations,
     id: NodeId,

@@ -52,17 +52,6 @@ fn corrupt_at(pos: usize, reason: impl Into<String>) -> StoreError {
     }
 }
 
-/// The spec's source text: its non-implied keys, one per line — the same
-/// canonical rendering the storage superblock records.
-fn spec_source(spec: &KeySpec) -> String {
-    spec.keys()
-        .iter()
-        .filter(|k| !k.implied)
-        .map(|k| k.to_string())
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
 fn compaction_id(c: Compaction) -> u8 {
     match c {
         Compaction::Alternatives => 0,
@@ -176,7 +165,7 @@ fn get_key_part(buf: &[u8], pos: &mut usize, spec: &KeySpec) -> Result<KeyPart, 
 fn put_archive_body(out: &mut Vec<u8>, a: &Archive) {
     put_varint(out, a.latest() as u64);
     out.push(compaction_id(a.compaction()));
-    put_str(out, &spec_source(a.spec()));
+    put_str(out, &a.spec().to_string());
     let syms = a.syms();
     put_varint(out, syms.len() as u64);
     for (_, name) in syms.iter() {
@@ -586,6 +575,41 @@ mod tests {
         assert!(
             matches!(&err, StoreError::Corrupt { offset, reason }
                 if *offset == at as u64 && reason.contains("undeclared key path")),
+            "{err}"
+        );
+    }
+
+    /// A checkpoint's spec text is parsed: written otherwise, the same
+    /// spec restores, and text that does not parse is corrupt where it
+    /// ends.
+    #[test]
+    fn a_spec_written_otherwise_is_parsed() {
+        let a = populated();
+        let state = encode_archive(&a);
+        // tag, `latest`, compaction, then the spec text
+        let mut pos = 1;
+        get_varint(&state, &mut pos).unwrap();
+        pos += 1;
+        let text_at = pos;
+        let text = get_str_ref(&state, &mut pos).unwrap();
+        assert_eq!(text, spec().to_string());
+        let with_text = |text: &str| {
+            let mut out = state[..text_at].to_vec();
+            put_str(&mut out, text);
+            out.extend_from_slice(&state[pos..]);
+            (out, text_at + 1 + text.len())
+        };
+        let (spaced, _) =
+            with_text("# the same keys\n(/,(db,{}))\n(/db, (rec, {id}))\n(/db/rec, (val, {}))");
+        let b = decode_archive(&spaced, &spec(), Compaction::Alternatives)
+            .unwrap()
+            .expect("the same spec restores");
+        assert_eq!(encode_archive(&b), state);
+        let (broken, end) = with_text("(/db, (rec, {id}))");
+        let err = decode_archive(&broken, &spec(), Compaction::Alternatives).unwrap_err();
+        assert!(
+            matches!(&err, StoreError::Corrupt { offset, reason }
+                if *offset == end as u64 && reason.contains("bad key spec")),
             "{err}"
         );
     }

@@ -31,8 +31,7 @@ use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
 
-use xarch_xml::canon::canonical_into;
-use xarch_xml::escape::escape_attr;
+use xarch_xml::canon::{attribute_into, canonical_into};
 use xarch_xml::{Document, NodeId, NodeKind, Sym, MAX_DEPTH};
 
 use crate::fingerprint::{fingerprint, Fingerprinter};
@@ -275,22 +274,6 @@ pub fn annotate_with(
     Walk::new(doc, spec, fper).run(&mut Err)
 }
 
-/// Runs Annotate Keys over `doc` as the subtree it is of a larger
-/// document, its root a child of the node at label path `above`: every
-/// node gets the class and key the whole document's [`annotate`] gives it
-/// (key paths resolve inside the node they key, so the subtree is all the
-/// walk needs). It is that same walk, entered at the trie state — and the
-/// side of the frontier — that `above` leads to.
-pub fn annotate_under(
-    doc: &Document,
-    spec: &KeySpec,
-    above: &[&str],
-) -> Result<Annotations, KeyError> {
-    let mut walk = Walk::new(doc, spec, Fingerprinter::default());
-    walk.above = above;
-    walk.run(&mut Err)
-}
-
 /// Runs Annotate Keys over `doc` as [`annotate`] does, asking `hold` at
 /// every keyed node, once its key is extracted and before its children
 /// are walked, whether to stop there. A node `hold` answers `true` for
@@ -348,9 +331,6 @@ type Sink<'s> = &'s mut dyn FnMut(KeyError) -> Result<(), KeyError>;
 /// far.
 struct Walk<'a> {
     doc: &'a Document,
-    /// The label path `doc`'s root sits beneath (empty for a whole
-    /// document).
-    above: &'a [&'a str],
     spec: &'a Compiled,
     /// `spec.names` in `doc`'s symbol table (`None`: the document never
     /// uses the name, so no node or attribute can match it).
@@ -373,7 +353,6 @@ impl<'a> Walk<'a> {
         let spec = spec.compiled();
         Walk {
             doc,
-            above: &[],
             spec,
             syms: spec.names.iter().map(|n| doc.syms().get(n)).collect(),
             fper,
@@ -389,20 +368,14 @@ impl<'a> Walk<'a> {
     }
 
     fn run(mut self, sink: Sink<'_>) -> Result<Annotations, KeyError> {
-        let (mut state, mut beyond) = (Some(Compiled::ROOT), false);
-        for label in self.above {
-            (state, beyond) = self.step(state, beyond, |name| self.spec.names[name] == *label);
-        }
-        self.node(self.doc.root(), state, beyond, self.above.len() + 1, sink)?;
+        self.node(self.doc.root(), Some(Compiled::ROOT), false, 1, sink)?;
         Ok(self.ann)
     }
 
-    /// A key error at `id`, named by its whole label path.
+    /// A key error at `id`, named by its label path.
     fn error(&self, id: NodeId, message: String) -> KeyError {
-        let labels = self.above.iter().map(|l| (*l).to_owned());
-        let at = labels.chain(self.doc.label_path(id)).collect::<Vec<_>>();
         KeyError {
-            at: at.join("/"),
+            at: self.doc.label_path(id).join("/"),
             message,
         }
     }
@@ -541,10 +514,12 @@ impl<'a> Walk<'a> {
                         .then(|| doc.attrs(cur).find(|a| Some(a.0) == want))
                         .flatten();
                     let step = &self.spec.names[step];
-                    return match attr {
-                        Some((_, v)) => Ok(format!("@{}=\"{}\"", step, escape_attr(v))),
-                        None => Err(format!("key path `{}`: step `{step}` not found", &*kp.name)),
+                    let Some((_, v)) = attr else {
+                        return Err(format!("key path `{}`: step `{step}` not found", &*kp.name));
                     };
+                    self.scratch.clear();
+                    attribute_into(step, v, &mut self.scratch);
+                    return Ok(self.scratch.clone());
                 }
                 (Some(_), more) => {
                     return Err(format!(
@@ -628,45 +603,6 @@ mod tests {
         // text under sal is beyond the frontier
         let sal_text = doc.children(sal)[0];
         assert_eq!(ann.class(sal_text), NodeClass::BeyondFrontier);
-    }
-
-    /// Every element of the document, cut out and annotated under the
-    /// label path it came from, is annotated as it was in place — above,
-    /// at and beyond the frontier, and off the keyed paths altogether.
-    #[test]
-    fn a_subtree_annotates_under_its_path_as_it_does_in_place() {
-        let doc = parse(
-            "<db><dept><name>finance</name><memo><sal>note</sal></memo>\
-               <emp><fn>Jane</fn><ln>Smith</ln><sal><cur>USD</cur>95K</sal><tel>1</tel><tel>2</tel></emp>\
-             </dept></db>",
-        )
-        .unwrap();
-        let spec = company_spec();
-        let whole = annotate(&doc, &spec).unwrap();
-        let mut cut_out = 0;
-        for id in doc.preorder(doc.root()) {
-            let NodeKind::Element(_) = doc.kind(id) else {
-                continue;
-            };
-            let mut sub = Document::new(doc.tag_name(id));
-            for &c in doc.children(id) {
-                sub.copy_subtree_from(&doc, c, sub.root());
-            }
-            let mut above = doc.label_path(id);
-            above.pop();
-            let above: Vec<&str> = above.iter().map(String::as_str).collect();
-            let ann = annotate_under(&sub, &spec, &above).unwrap();
-            for (here, there) in doc.preorder(id).zip(sub.preorder(sub.root())) {
-                assert_eq!(ann.class(there), whole.class(here), "under /{above:?}");
-                assert_eq!(ann.key(there), whole.key(here), "under /{above:?}");
-            }
-            cut_out += 1;
-        }
-        assert_eq!(cut_out, 12);
-        // a key that does not resolve is reported at its whole label path
-        let emp = parse("<emp><fn>Jane</fn></emp>").unwrap();
-        let e = annotate_under(&emp, &spec, &["db", "dept"]).unwrap_err();
-        assert_eq!(e.at, "db/dept/emp");
     }
 
     /// A held node keeps its class and key; nothing beneath it is
@@ -853,8 +789,7 @@ mod tests {
     }
 
     /// A document built deeper than the parser admits is refused at its
-    /// first element past `MAX_DEPTH` — counted from the whole document's
-    /// root when a subtree is annotated in its place — and not descended.
+    /// first element past `MAX_DEPTH`, and not descended.
     #[test]
     fn a_document_nested_past_max_depth_is_refused() {
         let spec = KeySpec::parse("(/, (db, {}))").unwrap();
@@ -867,11 +802,9 @@ mod tests {
             doc
         };
         assert!(annotate(&nested(MAX_DEPTH), &spec).is_ok());
-        assert!(annotate_under(&nested(MAX_DEPTH - 1), &spec, &["x"]).is_ok());
         for e in [
             annotate(&nested(MAX_DEPTH + 1), &spec).unwrap_err(),
             annotate(&nested(50_000), &spec).unwrap_err(),
-            annotate_under(&nested(MAX_DEPTH), &spec, &["x"]).unwrap_err(),
         ] {
             assert_eq!(e.message, format!("elements nest deeper than {MAX_DEPTH}"));
             assert_eq!(e.at.split('/').count(), MAX_DEPTH + 1, "{}", e.at);

@@ -27,8 +27,8 @@ pub mod spec;
 pub mod validate;
 
 pub use annotate::{
-    annotate, annotate_holding, annotate_under, annotate_with, Annotations, KeyError, KeyPart,
-    KeyValue, NodeClass, PathName,
+    annotate, annotate_holding, annotate_with, Annotations, KeyError, KeyPart, KeyValue, NodeClass,
+    PathName,
 };
 pub use fingerprint::{fingerprint, Fingerprinter};
 pub use spec::{Key, KeySpec, SpecError};

@@ -205,7 +205,28 @@ impl KeySpec {
     /// node at that label path). The paper's assumptions guarantee at most
     /// one.
     pub fn key_for_path(&self, path: &Path) -> Option<&Key> {
-        self.keys.iter().find(|k| &k.keyed_path() == path)
+        let keyed = |k: &&Key| (k.context.steps().iter().chain(k.target.steps())).eq(path.steps());
+        self.keys.iter().find(keyed)
+    }
+
+    /// The key paths of the key governing nodes at the label path `path`,
+    /// in the order the parts of its key values take (sorted by name, the
+    /// order `≤lab` assumes), each as its name and its steps; `None` if
+    /// `path` is not a keyed path.
+    pub fn key_paths_for(&self, path: &Path) -> Option<Vec<(&PathName, &[String])>> {
+        let key = self.key_for_path(path)?;
+        let c = &self.compiled;
+        let mut at = Compiled::ROOT;
+        for step in path.steps() {
+            at = c.step(at, |n| c.names[n] == *step)?;
+        }
+        let paths = &c.rule(at)?.key_paths;
+        Some(
+            paths
+                .iter()
+                .map(|kp| (&kp.name, key.key_paths[kp.declared].steps()))
+                .collect(),
+        )
     }
 
     /// True if `path` is a keyed path of this spec.
@@ -397,6 +418,23 @@ impl Compiled {
     }
 }
 
+/// The spec's source text: its explicit (non-implied) keys, one per line,
+/// in the paper's syntax — what [`KeySpec::parse`] reads back to an equal
+/// spec (the implied keys are derived again), and what a segment's
+/// superblock and a checkpoint record.
+impl fmt::Display for KeySpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let explicit = self.keys.iter().filter(|k| !k.implied);
+        for (i, k) in explicit.enumerate() {
+            if i > 0 {
+                f.write_str("\n")?;
+            }
+            write!(f, "{k}")?;
+        }
+        Ok(())
+    }
+}
+
 /// Parses a single `(/ctx, (target, {p1, p2}))` line.
 fn parse_key(line: &str) -> Result<Key, String> {
     let s = line.trim();
@@ -583,5 +621,28 @@ mod tests {
         // implied keys cover the key-path interior, e.g. Contributors/Date/Month
         assert!(spec.is_keyed_path(&Path::parse("ROOT/Record/Contributors/Date/Month")));
         assert!(spec.is_frontier_path(&Path::parse("ROOT/Record/Contributors/Date/Month")));
+        // the parts of a key value follow the paths' names, not the
+        // declaration
+        let paths = spec.key_paths_for(&Path::parse("ROOT/Record/Contributors"));
+        let paths: Vec<(String, Vec<&str>)> = (paths.unwrap().into_iter())
+            .map(|(name, steps)| (name.to_string(), steps.iter().map(|s| &**s).collect()))
+            .collect();
+        assert_eq!(
+            paths,
+            [
+                ("CNtype".to_string(), vec!["CNtype"]),
+                ("Date/Day".to_string(), vec!["Date", "Day"]),
+                ("Date/Month".to_string(), vec!["Date", "Month"]),
+                ("Date/Year".to_string(), vec!["Date", "Year"]),
+                ("Name".to_string(), vec!["Name"]),
+            ]
+        );
+        let word = spec.key_paths_for(&Path::parse("ROOT/AlternativeTitle"));
+        assert!(word.is_none(), "not a keyed path");
+        let alt = spec.key_paths_for(&Path::parse("ROOT/Record/AlternativeTitle"));
+        let (name, steps) = alt.unwrap()[0];
+        assert_eq!((name.to_string(), steps.len()), (".".to_string(), 0));
+        let title = spec.key_paths_for(&Path::parse("ROOT/Record/Title"));
+        assert_eq!(title.unwrap().len(), 0);
     }
 }

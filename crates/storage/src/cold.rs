@@ -27,12 +27,12 @@
 //! answer needs, all of it through the one payload walk
 //! ([`crate::payload`]): `retrieve_into` writes the XML straight from the
 //! entry bytes, and `as_of`/`history` descend the entries by their key
-//! steps — over siblings by their body lengths — building of each
-//! candidate only what its key reads, keyed by the evaluator `annotate`
-//! runs entered at the candidate's label path
-//! ([`xarch_keys::annotate_under`]), and whole only the element found.
-//! `history_values`, `range` and `diff` are the trait's per-version
-//! definitions over these.
+//! steps — over siblings by their body lengths — keying each candidate
+//! straight off the entries its key reads, with `annotate`'s rules and the
+//! canonical form's one writer ([`xarch_xml::canon::CanonWriter`]), and
+//! building nothing but, whole, the element found. The steps' keys are
+//! looked up once per query. `history_values`, `range` and `diff` are the
+//! trait's per-version definitions over these.
 //!
 //! Cold readers hold a *shared* OS lock, so any number may coexist — but
 //! a live writer (which holds the exclusive lock) blocks cold opens and
@@ -61,17 +61,18 @@ use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use xarch_compress::BlockCodec;
-use xarch_core::{query, KeyQuery, StoreError, StoreReader, StoreStats, TimeSet};
+use xarch_core::{KeyQuery, StoreError, StoreReader, StoreStats, TimeSet};
 use xarch_extmem::StreamError;
-use xarch_keys::{annotate_under, Key, KeySpec};
+use xarch_keys::{KeySpec, PathName};
 use xarch_obs::{Level, Obs};
-use xarch_xml::{Document, Path as LabelPath};
+use xarch_xml::canon::{self, CanonWriter};
+use xarch_xml::{Document, Path as LabelPath, MAX_BYTES};
 
 use crate::block::{self, BlockKind, Scan, Step};
 use crate::metrics::ColdMetrics;
 use crate::mmap::MappedFile;
 use crate::payload::{
-    bytes_to_doc, bytes_to_xml, doc_beneath, entry_err, positioned, walk, BatchEntries, DocBuilder,
+    bytes_to_doc, bytes_to_xml, doc_beneath, entry_err, positioned, walk, walk_in, BatchEntries,
     Sink, Visit,
 };
 use crate::superblock;
@@ -470,51 +471,75 @@ fn versions_in(entry: IndexEntry, raw: &[u8]) -> Result<Vec<VersionPayload<'_>>,
     }
 }
 
+/// The key governing the elements one query step names, resolved once per
+/// query ([`step_keys`]) and read by [`KeyReader`] for every candidate.
+#[derive(Debug)]
+struct StepKey<'s> {
+    /// Each key path's name (`.` when empty) and steps, in the order the
+    /// parts of a key value take ([`KeySpec::key_paths_for`]).
+    paths: Vec<(&'s PathName, &'s [String])>,
+    /// Some key path is `.`: a candidate is read whole.
+    reads_all: bool,
+}
+
+/// The keys governing `steps`, one per step, for as many steps as stay on
+/// the spec's keyed paths: past them nothing has a key for a step to name.
+fn step_keys<'s>(spec: &'s KeySpec, steps: &[KeyQuery]) -> Vec<StepKey<'s>> {
+    let mut here = LabelPath::empty();
+    let mut keys = Vec::with_capacity(steps.len());
+    for step in steps {
+        here = here.child(step.tag());
+        let Some(paths) = spec.key_paths_for(&here) else {
+            break;
+        };
+        let reads_all = paths.iter().any(|p| p.1.is_empty());
+        keys.push(StepKey { paths, reads_all });
+    }
+    keys
+}
+
 /// The element `steps` address in the document the version payload
 /// `payload` holds — what `query::find_in_doc` finds in the whole
 /// document — as a document of its own, found without building the
-/// document around it. One level per step: among the children of the
-/// element found so far (the payload's root, for the first step) the
-/// first the step names is the one followed, with no way back, as in
-/// `find_in_doc`. A candidate is keyed from the part of it its key reads
-/// ([`KeyProbe`]) and everything else is stepped over by its declared
-/// length (the block's checksum has vouched for the payload; what is
-/// stepped over is not verified again), so a point query builds a few
-/// nodes per record it passes and, whole, the element it returns.
+/// document around it. `keys` are the steps' keys ([`step_keys`]). One
+/// level per step: among the children of the element found so far (the
+/// payload's root, for the first step) the first the step names is the
+/// one followed, with no way back, as in `find_in_doc`. A candidate is
+/// keyed straight off the entries its key reads ([`KeyReader`]) and
+/// everything else is stepped over by its declared length (the block's
+/// checksum has vouched for the payload; what is stepped over is not
+/// verified again), so a point query builds nothing for a record it
+/// passes and, whole, the element it returns.
 fn find_in_payload(
     payload: &[u8],
-    spec: &KeySpec,
+    keys: &[StepKey<'_>],
     steps: &[KeyQuery],
 ) -> Result<Option<Document>, StreamError> {
     // the element the steps so far lead to, and where in `payload` it lies
     let mut found: Option<(usize, &[u8])> = None;
-    let mut above: Vec<&str> = Vec::new();
-    for step in steps {
-        // the key governing an element of the step's tag at this depth:
+    for (depth, step) in steps.iter().enumerate() {
         // off the keyed paths, nothing has a key for the step to name
-        let here = LabelPath::from_steps(above.iter().copied().chain([step.tag()]));
-        let Some(key) = spec.key_for_path(&here) else {
+        let Some(key) = keys.get(depth) else {
             return Ok(None);
         };
         let (at, entry) = found.unwrap_or((0, payload));
         let mut level = FirstMatch {
             step,
-            key,
-            spec,
-            above: &above,
+            reader: KeyReader::new(key),
+            // the candidates sit beneath the entry walked and the elements
+            // enclosing it (the payload: none)
+            above: depth,
             // the payload's root is the one candidate for the first step;
             // after it, the candidates are the children of the last found
             inside: found.is_none(),
             found: None,
+            entered: Vec::new(),
         };
-        // `above` names the elements the candidates sit in: the last is
-        // the entry walked, the others enclose it (the payload: none)
-        walk(entry, above.len().saturating_sub(1), &mut level).map_err(|e| within(at, e))?;
+        walk(entry, depth.saturating_sub(1), &mut level).map_err(|e| within(at, e))?;
         let Some((child_at, child)) = level.found else {
             return Ok(None);
         };
         found = Some((at + child_at, child));
-        above.push(step.tag());
     }
     let Some((at, entry)) = found else {
         return Ok(None);
@@ -538,19 +563,20 @@ fn within(at: usize, e: StreamError) -> StreamError {
 /// One level of [`find_in_payload`], as a sink: enters the element whose
 /// children are the candidates, steps over each child that is not the one
 /// `step` names, and stops at the first that is.
-struct FirstMatch<'a, 'b> {
+struct FirstMatch<'a, 'k, 'b> {
     step: &'a KeyQuery,
-    /// The key governing elements of the step's tag at this level.
-    key: &'a Key,
-    spec: &'a KeySpec,
-    /// The label path the candidates sit beneath.
-    above: &'a [&'a str],
+    /// Keys each candidate of the step's tag.
+    reader: KeyReader<'k, 'b>,
+    /// Elements enclosing the candidates in the payload.
+    above: usize,
     /// The element whose children are the candidates has been entered.
     inside: bool,
     found: Option<(usize, &'b [u8])>,
+    /// The stack of each candidate's walk, reused.
+    entered: Vec<(usize, &'b str)>,
 }
 
-impl<'b> Sink<'b> for FirstMatch<'_, 'b> {
+impl<'b> Sink<'b> for FirstMatch<'_, '_, 'b> {
     fn open(&mut self, tag: &'b str, at: usize, entry: &'b [u8]) -> Result<Visit, StreamError> {
         if !std::mem::replace(&mut self.inside, true) {
             return Ok(Visit::Enter);
@@ -558,19 +584,9 @@ impl<'b> Sink<'b> for FirstMatch<'_, 'b> {
         if tag != self.step.tag() {
             return Ok(Visit::Skip);
         }
-        let mut probe = KeyProbe {
-            // only the part the key reads is built
-            built: DocBuilder::new(false),
-            key: self.key,
-            depth: 0,
-        };
-        walk(entry, self.above.len(), &mut probe).map_err(|e| entry_err(at, e))?;
-        // (a key that cannot be read names nothing)
-        let named = probe.built.finish().is_some_and(|doc| {
-            annotate_under(&doc, self.spec, self.above)
-                .is_ok_and(|ann| query::step_matches_doc(&doc, &ann, doc.root(), self.step))
-        });
-        if named {
+        walk_in(entry, self.above, &mut self.reader, &mut self.entered)
+            .map_err(|e| entry_err(at, e))?;
+        if self.reader.names(self.step) {
             self.found = Some((at, entry));
             return Ok(Visit::Stop);
         }
@@ -582,47 +598,178 @@ impl<'b> Sink<'b> for FirstMatch<'_, 'b> {
     fn close(&mut self, _: &'b str) {}
 }
 
-/// The sink that builds, of the one element a payload holds, the part its
-/// key is read from, as a document for the key evaluator: its attributes,
-/// and whole each child a key path begins with — all of it when it is
-/// keyed by its own content (`.`). The other children are stepped over.
-struct KeyProbe<'a> {
-    built: DocBuilder,
+/// The sink that keys the one element a payload entry holds, as
+/// `annotate` keys it, from the entries alone: each key path is followed
+/// down the children its steps name, and the canonical form of the value
+/// at its end is written into one scratch string, reused candidate after
+/// candidate. It reads what its key reads — the element's attributes,
+/// whole each child a key path begins with, all of it when the element is
+/// keyed by its own content (`.`) — and steps over the other children.
+struct KeyReader<'k, 'b> {
     /// The key governing the element.
-    key: &'a Key,
+    key: &'k StepKey<'k>,
     /// Elements entered and not yet left.
     depth: usize,
+    /// How far each key path has been followed, in the key's order.
+    follows: Vec<Follow<'b>>,
+    /// The depth of the outermost element open whose form is being
+    /// written, if one is.
+    writing: Option<usize>,
+    canon: CanonWriter<'b>,
+    /// The canonical forms of the key paths' values, and beyond them of an
+    /// attribute value when [`KeyReader::names`] writes it.
+    scratch: String,
 }
 
-impl KeyProbe<'_> {
-    fn reads_all(&self) -> bool {
-        self.key.key_paths.iter().any(LabelPath::is_empty)
+/// How far one key path has been followed into the element being keyed,
+/// under `resolve`'s rules: each step names exactly one element child,
+/// the first of them is followed, and where none is, a last step may name
+/// an attribute.
+#[derive(Debug, Clone, Copy, Default)]
+struct Follow<'b> {
+    /// The depth of the element along the path open now (the element
+    /// keyed: 0).
+    open: usize,
+    /// The depth of the deepest element along the path found so far.
+    reached: usize,
+    /// A step named a second element: the key cannot be read.
+    twice: bool,
+    /// Where the form of the element at the path's end lies in `scratch`.
+    span: (usize, usize),
+    /// The last value of the attribute the last step names, on the
+    /// element one step short of the end.
+    attr: Option<&'b str>,
+}
+
+impl<'k> KeyReader<'k, '_> {
+    fn new(key: &'k StepKey<'k>) -> Self {
+        KeyReader {
+            key,
+            depth: 0,
+            follows: Vec::new(),
+            writing: None,
+            canon: CanonWriter::default(),
+            scratch: String::new(),
+        }
+    }
+
+    /// Whether the element last walked has the key value `step` names: a
+    /// part per key path, each of the path's name and the canonical value
+    /// found at its end. A key path that cannot be read names nothing.
+    fn names(&mut self, step: &KeyQuery) -> bool {
+        let key = self.key;
+        if step.parts().len() != key.paths.len() {
+            return false;
+        }
+        for ((name, steps), (f, (path, want))) in
+            (key.paths.iter()).zip(self.follows.iter().zip(step.parts()))
+        {
+            if **name != path || f.twice {
+                return false;
+            }
+            let (from, to) = if f.reached == steps.len() {
+                f.span
+            } else if let (Some(value), Some(last)) = (f.attr, steps.last()) {
+                // one step short of the end, no element named by the last
+                let from = self.scratch.len();
+                canon::attribute_into(last, value, &mut self.scratch);
+                (from, self.scratch.len())
+            } else {
+                return false;
+            };
+            if self.scratch.get(from..to) != Some(want) {
+                return false;
+            }
+        }
+        true
     }
 }
 
-impl<'b> Sink<'b> for KeyProbe<'_> {
+impl<'b> Sink<'b> for KeyReader<'_, 'b> {
     fn open(&mut self, tag: &'b str, at: usize, entry: &'b [u8]) -> Result<Visit, StreamError> {
-        let begins = |path: &LabelPath| path.steps().first().is_some_and(|s| s == tag);
-        if self.depth == 1 && !self.reads_all() && !self.key.key_paths.iter().any(begins) {
+        let key = self.key;
+        let depth = self.depth;
+        if depth == 0 {
+            // the element keyed, held to what a document of it could hold
+            if entry.len() > MAX_BYTES {
+                let long = format!("an element entry longer than {MAX_BYTES} bytes");
+                return Err(StreamError::at(at, long));
+            }
+            self.follows.clear();
+            self.follows.resize(key.paths.len(), Follow::default());
+            self.scratch.clear();
+        } else if depth == 1
+            && !key.reads_all
+            && !(key.paths.iter()).any(|p| p.1.first().is_some_and(|s| s == tag))
+        {
             return Ok(Visit::Skip);
         }
         self.depth += 1;
-        self.built.open(tag, at, entry)
+        // the paths this element is the next step of, and those it ends
+        let mut ends = false;
+        for (f, (_, steps)) in self.follows.iter_mut().zip(&key.paths) {
+            let next = depth > 0
+                && !f.twice
+                && f.open + 1 == depth
+                && steps.get(depth - 1).is_some_and(|s| s == tag);
+            if next {
+                if f.reached >= depth {
+                    f.twice = true;
+                    continue;
+                }
+                (f.open, f.reached) = (depth, depth);
+            }
+            ends |= (next || depth == 0) && steps.len() == depth;
+        }
+        if self.writing.is_some() || ends {
+            let from = self.canon.open(tag, &mut self.scratch);
+            self.writing.get_or_insert(depth);
+            for (f, (_, steps)) in self.follows.iter_mut().zip(&key.paths) {
+                if !f.twice && f.open == depth && steps.len() == depth {
+                    f.span.0 = from;
+                }
+            }
+        }
+        Ok(Visit::Enter)
     }
 
     fn attr(&mut self, name: &'b str, value: &'b str) {
-        self.built.attr(name, value);
+        if self.writing.is_some() {
+            self.canon.attr(name, value);
+        }
+        let depth = self.depth.saturating_sub(1);
+        for (f, (_, steps)) in self.follows.iter_mut().zip(&self.key.paths) {
+            let last = steps.len() == depth + 1 && steps.last().is_some_and(|s| s == name);
+            if !f.twice && f.open == depth && last {
+                f.attr = Some(value);
+            }
+        }
     }
 
     fn text(&mut self, text: &'b str) {
-        if self.depth > 1 || self.reads_all() {
-            self.built.text(text);
+        if self.writing.is_some() {
+            self.canon.text(text, &mut self.scratch);
         }
     }
 
     fn close(&mut self, tag: &'b str) {
         self.depth = self.depth.saturating_sub(1);
-        self.built.close(tag);
+        let depth = self.depth;
+        if self.writing.is_some() {
+            self.canon.close(tag, &mut self.scratch);
+        }
+        if self.writing == Some(depth) {
+            self.writing = None;
+        }
+        let end = self.scratch.len();
+        for (f, (_, steps)) in self.follows.iter_mut().zip(&self.key.paths) {
+            if f.open == depth && !f.twice {
+                if steps.len() == depth {
+                    f.span.1 = end;
+                }
+                f.open = depth.saturating_sub(1);
+            }
+        }
     }
 }
 
@@ -744,7 +891,8 @@ impl StoreReader for ColdArchive {
         if steps.is_empty() {
             return self.retrieve(v);
         }
-        let found = self.read_version(v, |payload| find_in_payload(payload, &self.spec, steps))?;
+        let keys = step_keys(&self.spec, steps);
+        let found = self.read_version(v, |payload| find_in_payload(payload, &keys, steps))?;
         Ok(found.flatten())
     }
 
@@ -755,6 +903,7 @@ impl StoreReader for ColdArchive {
     /// queries come back to.
     fn history(&self, steps: &[KeyQuery]) -> Result<Option<TimeSet>, StoreError> {
         let mut ts = TimeSet::new();
+        let keys = step_keys(&self.spec, steps);
         for &entry in &self.index {
             if entry.kind == BlockKind::Empty {
                 // holds nothing, as its verified block says
@@ -763,7 +912,7 @@ impl StoreReader for ColdArchive {
             }
             let raw = self.load_block(entry, false)?;
             for (v, payload) in (entry.first_version..).zip(versions_in(entry, &raw)?) {
-                let found = payload.read(|bytes| find_in_payload(bytes, &self.spec, steps))?;
+                let found = payload.read(|bytes| find_in_payload(bytes, &keys, steps))?;
                 if found.is_some() {
                     ts.insert(v);
                 }

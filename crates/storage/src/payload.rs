@@ -23,8 +23,8 @@
 //! each element whether to enter it, step over it by its declared length,
 //! or stop: [`bytes_to_doc`]'s sink builds the [`Document`],
 //! [`bytes_to_xml`]'s writes the XML the document would serialize to
-//! without building it, and the cold reader's look for one element and
-//! step over the rest.
+//! without building it, and the cold reader's key each candidate off its
+//! entries, look for one element and step over the rest.
 
 use xarch_core::wire;
 use xarch_core::{StoreError, TimeSet};
@@ -161,7 +161,7 @@ pub fn bytes_to_doc(buf: &[u8]) -> Result<Document, StreamError> {
 /// [`bytes_to_doc`] of an element's entry, cut from a payload in which
 /// `above` elements enclose it.
 pub(crate) fn doc_beneath(buf: &[u8], above: usize) -> Result<Document, StreamError> {
-    let mut built = DocBuilder::new(true);
+    let mut built = DocBuilder::default();
     walk(buf, above, &mut built)?;
     // `walk` refuses a payload that does not begin an element
     built
@@ -210,24 +210,17 @@ pub(crate) trait Sink<'b> {
 }
 
 /// The sink that builds the [`Document`] through an `xarch_xml`
-/// [`Builder`]: [`bytes_to_doc`]'s, and what the cold reader builds the
-/// part of a record it keys with. The builder folds what the document
-/// would: empty text, and an attribute named twice.
-#[derive(Debug)]
-pub(crate) struct DocBuilder {
+/// [`Builder`] sized from the entry walked: [`bytes_to_doc`]'s, and the
+/// cold reader's for the element it returns. The builder folds what the
+/// document would: empty text, and an attribute named twice.
+#[derive(Debug, Default)]
+struct DocBuilder {
     built: Option<Builder>,
-    /// The whole entry walked becomes the document: the builder is sized
-    /// from it.
-    whole: bool,
 }
 
 impl DocBuilder {
-    pub(crate) fn new(whole: bool) -> Self {
-        DocBuilder { built: None, whole }
-    }
-
     /// The document built; `None` if no element opened.
-    pub(crate) fn finish(self) -> Option<Document> {
+    fn finish(self) -> Option<Document> {
         self.built.map(Builder::finish)
     }
 }
@@ -244,10 +237,7 @@ impl<'b> Sink<'b> for DocBuilder {
                 let long = format!("an element entry longer than {MAX_BYTES} bytes");
                 return Err(StreamError::at(at, long));
             }
-            None => {
-                let input = if self.whole { entry.len() } else { 0 };
-                self.built = Some(Builder::with_capacity(tag, input));
-            }
+            None => self.built = Some(Builder::with_capacity(tag, entry.len())),
         }
         Ok(Visit::Enter)
     }
@@ -355,6 +345,19 @@ pub(crate) fn walk<'b>(
     above: usize,
     sink: &mut impl Sink<'b>,
 ) -> Result<(), StreamError> {
+    walk_in(buf, above, sink, &mut Vec::new())
+}
+
+/// [`walk`] keeping the elements it has entered and not yet left in
+/// `entered` (whatever it held is dropped), so a caller walking one small
+/// entry after another allocates that stack once.
+pub(crate) fn walk_in<'b>(
+    buf: &'b [u8],
+    above: usize,
+    sink: &mut impl Sink<'b>,
+    entered: &mut Vec<(usize, &'b str)>,
+) -> Result<(), StreamError> {
+    entered.clear();
     if buf.first() != Some(&KIND_SMALL) {
         // refused for certain; the stream decoder first has its say on how
         // well-formed whatever is there is
@@ -366,9 +369,8 @@ pub(crate) fn walk<'b>(
         return Err(StreamError::new("version payload root is not an element"));
     }
     let mut r = Reader { buf, pos: 0 };
-    // the elements entered and not yet left, outermost first: where each
-    // body ends, and its tag
-    let mut entered: Vec<(usize, &'b str)> = Vec::new();
+    // `entered`: the elements entered and not yet left, outermost first:
+    // where each body ends, and its tag
     let mut stamp_seen = false;
     loop {
         while let Some(&(_, tag)) = entered.last().filter(|top| r.pos >= top.0) {

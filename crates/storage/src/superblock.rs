@@ -35,25 +35,13 @@ pub const FIXED_LEN: usize = 16;
 /// gets a chance to reject the superblock.
 pub const MAX_SPEC_LEN: u64 = 1 << 20;
 
-/// The textual form of a spec stored in the superblock: the explicit
-/// (non-implied) keys, one per line, in the paper's syntax. Implied keys
-/// are regenerated by [`KeySpec::parse`] on open, so storing them would
-/// only duplicate derivable state.
-pub fn spec_text(spec: &KeySpec) -> String {
-    spec.keys()
-        .iter()
-        .filter(|k| !k.implied)
-        .map(|k| k.to_string())
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
 /// Encodes the superblock: `magic · format · spec_len · spec · crc32`.
 ///
 /// Fails (with [`StoreError::Backend`]) on a spec whose text exceeds
 /// [`MAX_SPEC_LEN`] — such a superblock could never be read back.
 pub fn encode(spec: &KeySpec) -> Result<Vec<u8>, StoreError> {
-    let text = spec_text(spec);
+    // the explicit keys: the implied ones are derived again on open
+    let text = spec.to_string();
     let spec_len = u32::try_from(text.len())
         .ok()
         .filter(|&l| u64::from(l) <= MAX_SPEC_LEN)
@@ -213,6 +201,6 @@ mod tests {
     #[test]
     fn spec_text_reparses_to_equal_spec() {
         let s = spec();
-        assert_eq!(KeySpec::parse(&spec_text(&s)).unwrap(), s);
+        assert_eq!(KeySpec::parse(&s.to_string()).unwrap(), s);
     }
 }

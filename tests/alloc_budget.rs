@@ -8,16 +8,20 @@
 //! timestamps it is built from allocate nothing at all. Escaping into a
 //! reserved `String` allocates nothing, a streamed retrieve into a
 //! reserved `Vec` only its buffered front, and `history_values` no
-//! `Document` per interval of constant content. The counts here
+//! `Document` per interval of constant content. A cold point query keys
+//! each record it passes straight off the decoded payload, and allocates
+//! nothing for it. The counts here
 //! are blocks asked of the allocator by the calling thread, so they repeat
 //! exactly and pin that shape without timing anything.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use xarch::compress::BlockCodec;
 use xarch::core::{Archive, KeyPart, KeyQuery, KeyValue, StoreReader, TimeSet, VersionStore};
 use xarch::datagen::omim::{omim_spec, OmimGen};
-use xarch::{ArchiveBuilder, Store};
+use xarch::storage::scratch_path;
+use xarch::{ArchiveBuilder, ColdArchive, DurableOptions, Store};
 
 thread_local! {
     /// Blocks this thread has asked the allocator for.
@@ -246,4 +250,46 @@ fn history_values_renders_without_a_document_per_interval() {
     assert_eq!(answer, same);
     assert!(indexed < 172, "indexed: {indexed} blocks");
     assert!(scanned <= 16, "plain: {scanned} blocks, 82 before");
+}
+
+/// A cold `as_of` whose last step names no record, on an LZSS block the
+/// reader's cache already holds: every record of the release is keyed off
+/// the decoded payload, none matches, and nothing is built. The blocks it
+/// asks the allocator for are the query's own — the steps' keys, each
+/// level's walk stacks and scratch string, the payload list: 16 — the
+/// same over 30 records as over 300. Keyed through a `Document` of each
+/// record's key part, the query took blocks in proportion to the records.
+#[test]
+fn a_cold_point_query_allocates_nothing_per_record_it_passes() {
+    let steps = [
+        KeyQuery::new("ROOT"),
+        KeyQuery::new("Record").with_text("Num", "0"),
+    ];
+    let counts = [30, 300].map(|records| {
+        let path = scratch_path("alloc-budget-cold");
+        let options = DurableOptions {
+            compression: BlockCodec::Lzss,
+            sync: false,
+            checkpoint_every: None,
+        };
+        let mut store = ArchiveBuilder::new(omim_spec())
+            .durable_with(&path, options)
+            .try_build()
+            .unwrap();
+        let release = OmimGen::new(7).sequence(records, 1);
+        store.add_version(&release[0]).unwrap();
+        drop(store);
+        let cold = ColdArchive::open(&path).unwrap();
+        // the first read decodes the block into the cache
+        assert!(cold.as_of(&steps, 1).unwrap().is_none());
+        let (n, found) = blocks(|| cold.as_of(&steps, 1).unwrap());
+        assert!(found.is_none(), "{records} records");
+        let (again, _) = blocks(|| cold.as_of(&steps, 1).unwrap());
+        assert_eq!(again, n, "the count repeats");
+        drop(cold);
+        std::fs::remove_file(&path).unwrap();
+        n
+    });
+    assert_eq!(counts[0], counts[1], "30 records vs 300");
+    assert!(counts[0] <= 20, "{} blocks", counts[0]);
 }

@@ -7,6 +7,8 @@
 
 mod common;
 
+use proptest::prelude::*;
+
 use xarch::compress::BlockCodec;
 use xarch::core::query::{find_in_doc, subtree_doc};
 use xarch::core::{KeyQuery, StoreError};
@@ -704,6 +706,77 @@ fn the_first_of_two_siblings_with_one_key_is_the_one_followed() {
     std::fs::remove_file(&path).unwrap();
 }
 
+/// What only a payload no parser wrote can hold — an attribute named twice
+/// and empty text — is keyed as the document built of it has it: the
+/// attribute's last value, the text dropped.
+#[test]
+fn a_repeated_attribute_and_empty_text_key_as_the_document_built_of_them() {
+    let node = |kind: EKind, children: Vec<ETree>| ETree {
+        kind,
+        sort_key: None,
+        frontier: false,
+        time: None,
+        children,
+    };
+    let el = |tag: &str, attrs: &[(&str, &str)], children| {
+        let attrs = (attrs.iter())
+            .map(|(n, v)| (n.to_string(), v.to_string()))
+            .collect();
+        node(
+            EKind::Element {
+                tag: tag.into(),
+                attrs,
+            },
+            children,
+        )
+    };
+    let text = |t: &str| node(EKind::Text(t.into()), vec![]);
+    let note = el(
+        "note",
+        &[("b", "x"), ("a", "<"), ("b", "z")],
+        vec![text(""), text("p"), text(""), el("i", &[], vec![text("")])],
+    );
+    let tree = el(
+        "db",
+        &[],
+        vec![
+            el("rec", &[("id", "1"), ("id", "2")], vec![text("")]),
+            el("rec", &[("id", "3")], vec![note, el("val", &[], vec![])]),
+        ],
+    );
+    let mut payload = Vec::new();
+    encode_small(&tree, &mut payload);
+    let doc = bytes_to_doc(&payload).unwrap();
+    let path = scratch_path("cold-read-folded");
+    write_blocks(&path, &[(BlockKind::Version, payload)]);
+    let cold = ColdArchive::open(&path).unwrap();
+    let db = || KeyQuery::new("db");
+    let rec = |id: &str| KeyQuery::new("rec").with_attr("id", id);
+    let note = |canon: &str| KeyQuery::new("note").with_canon(".", canon);
+    let folded = r#"<note a="&lt;" b="z">p<i></i></note>"#;
+    let mut found = 0;
+    for steps in [
+        vec![db(), rec("2")],
+        vec![db(), rec("1")],
+        vec![db(), rec("3"), note(folded)],
+        vec![
+            db(),
+            rec("3"),
+            note(r#"<note a="&lt;" b="x">p<i></i></note>"#),
+        ],
+    ] {
+        let want = find_in_doc(&doc, cold.spec(), &steps).and_then(|id| subtree_doc(&doc, id));
+        found += usize::from(want.is_some());
+        assert_eq!(
+            as_xml(cold.as_of(&steps, 1).unwrap()),
+            as_xml(want),
+            "{steps:?}"
+        );
+    }
+    assert_eq!(found, 2);
+    std::fs::remove_file(&path).unwrap();
+}
+
 /// `db`/`rec 1`/`val`, and beneath `val` a chain of `d` that brings the
 /// document to `depth` elements in all — built, not parsed, so it can be
 /// deeper than the parser admits.
@@ -839,4 +912,375 @@ fn an_empty_answer_is_one_its_block_vouches_for() {
     let (offset, _) = corrupt_reason(journal.map(|_| ()).unwrap_err());
     assert_eq!(offset, at);
     std::fs::remove_file(&path).unwrap();
+}
+
+/// The bytes a generated case is drawn from, read in turn; past the end
+/// they come round again.
+struct Draw<'a> {
+    bytes: &'a [u8],
+    at: usize,
+}
+
+impl Draw<'_> {
+    fn below(&mut self, n: u8) -> u8 {
+        let b = self.bytes[self.at % self.bytes.len()];
+        self.at += 1;
+        b % n
+    }
+
+    /// One of a few values, so keys collide across records and versions.
+    fn value(&mut self) -> &'static str {
+        ["1", "2", "a&b", "<q>", "née"][usize::from(self.below(5))]
+    }
+}
+
+/// A generated element. `unreadable` marks one whose own key cannot be
+/// read: a key path missing, or naming two children.
+#[derive(Default)]
+struct Gen {
+    tag: &'static str,
+    attrs: Vec<(&'static str, &'static str)>,
+    kids: Vec<Kid>,
+    unreadable: bool,
+}
+
+enum Kid {
+    El(Gen),
+    Text(&'static str),
+}
+
+impl Gen {
+    fn new(tag: &'static str) -> Self {
+        Gen {
+            tag,
+            ..Gen::default()
+        }
+    }
+
+    fn with(mut self, kid: Gen) -> Self {
+        self.kids.push(Kid::El(kid));
+        self
+    }
+
+    fn text(tag: &'static str, text: &'static str) -> Self {
+        let mut el = Gen::new(tag);
+        el.kids.push(Kid::Text(text));
+        el
+    }
+
+    /// The XML of the element; `renamed`, with every unreadable element's
+    /// tag replaced by one no key or step names.
+    fn xml(&self, renamed: bool, out: &mut String) {
+        use xarch::xml::escape::escape_attr;
+        let tag = if renamed && self.unreadable {
+            "unreadable"
+        } else {
+            self.tag
+        };
+        out.push_str(&format!("<{tag}"));
+        for (name, value) in &self.attrs {
+            out.push_str(&format!(" {name}=\"{}\"", escape_attr(value)));
+        }
+        out.push('>');
+        for kid in &self.kids {
+            match kid {
+                Kid::El(el) => el.xml(renamed, out),
+                Kid::Text(t) => out.push_str(&escape_attr(t)),
+            }
+        }
+        out.push_str(&format!("</{tag}>"));
+    }
+
+    fn shuffle(&mut self, d: &mut Draw) {
+        for i in (1..self.kids.len()).rev() {
+            let j = usize::from(d.below(255)) % (i + 1);
+            self.kids.swap(i, j);
+        }
+    }
+}
+
+/// The keys a generated case may give `rec`: a child or an attribute, a
+/// multi-part key with nested paths (OMIM's `Contributors`), its own
+/// content, and none.
+const REC_KEYS: [&str; 4] = [
+    "id",
+    "Name, CNtype, Date/Month, Date/Day, Date/Year",
+    ".",
+    "",
+];
+
+fn generated_spec(variant: usize) -> KeySpec {
+    KeySpec::parse(&format!(
+        "(/, (db, {{}}))\n\
+         (/db, (rec, {{{}}}))\n\
+         (/db/rec, (c, {{Name, Date/Month}}))\n\
+         (/db/rec, (t, {{.}}))\n\
+         (/db/rec, (u, {{}}))",
+        REC_KEYS[variant]
+    ))
+    .unwrap()
+}
+
+/// A `Date` holding the `Month` (as a child, an attribute or both), and
+/// when `full` a `Day` (sometimes twice) and a `Year` (sometimes missing).
+fn date(d: &mut Draw, full: bool, unreadable: &mut bool) -> Gen {
+    let mut date = Gen::new("Date");
+    match d.below(4) {
+        0 | 1 => date = date.with(Gen::text("Month", d.value())),
+        2 => date.attrs.push(("Month", d.value())),
+        _ => {
+            date.attrs.push(("Month", d.value()));
+            date = date.with(Gen::text("Month", d.value()));
+        }
+    }
+    if full {
+        for _ in 0..1 + usize::from(d.below(8) == 7) {
+            date = date.with(Gen::text("Day", d.value()));
+        }
+        match d.below(8) {
+            7 => *unreadable = true,
+            _ => date = date.with(Gen::text("Year", d.value())),
+        }
+        *unreadable |= date
+            .kids
+            .iter()
+            .filter(|k| matches!(k, Kid::El(g) if g.tag == "Day"))
+            .count()
+            > 1;
+    }
+    if d.below(3) == 0 {
+        date = date.with(Gen::text("z", d.value()));
+    }
+    date.shuffle(d);
+    date
+}
+
+/// `n` copies of an element, each drawn anew, as `unreadable` when
+/// there is not exactly one.
+fn key_children(n: u8, unreadable: &mut bool, mut one: impl FnMut() -> Gen) -> Vec<Gen> {
+    *unreadable |= n != 1;
+    (0..n).map(|_| one()).collect()
+}
+
+/// How many of a key-path child a candidate gets: mostly one, sometimes
+/// two, sometimes none.
+fn copies(d: &mut Draw) -> u8 {
+    match d.below(8) {
+        6 => 2,
+        7 => 0,
+        _ => 1,
+    }
+}
+
+/// A `c`, keyed by `{Name, Date/Month}`; unreadable only when `may_fail`.
+fn contributor(d: &mut Draw, may_fail: bool) -> Gen {
+    let mut c = Gen::new("c");
+    let mut unreadable = false;
+    let names = if may_fail { copies(d) } else { 1 };
+    for name in key_children(names, &mut unreadable, || Gen::text("Name", d.value())) {
+        c = c.with(name);
+    }
+    let dates = if may_fail { copies(d) } else { 1 };
+    let mut kids = Vec::new();
+    for _ in 0..dates {
+        kids.push(date(d, false, &mut unreadable));
+    }
+    unreadable |= dates != 1;
+    for kid in kids {
+        c = c.with(kid);
+    }
+    c.unreadable = unreadable;
+    c.shuffle(d);
+    c
+}
+
+/// A `rec` under key `variant` of [`REC_KEYS`], with what its key reads
+/// — now and then unreadably — and other children around it.
+fn record(d: &mut Draw, variant: usize) -> Gen {
+    let mut rec = Gen::new("rec");
+    let mut unreadable = false;
+    match variant {
+        0 => match d.below(6) {
+            0 | 5 => rec = rec.with(Gen::text("id", d.value())),
+            1 => rec.attrs.push(("id", d.value())),
+            2 => {
+                rec.attrs.push(("id", d.value()));
+                rec = rec.with(Gen::text("id", d.value()));
+            }
+            3 => {
+                rec = rec.with(Gen::text("id", d.value()));
+                rec = rec.with(Gen::text("id", d.value()));
+                unreadable = true;
+            }
+            _ => unreadable = true,
+        },
+        1 => {
+            let names = copies(d);
+            for name in key_children(names, &mut unreadable, || Gen::text("Name", d.value())) {
+                rec = rec.with(name);
+            }
+            match d.below(4) {
+                0 | 1 => rec = rec.with(Gen::text("CNtype", d.value())),
+                2 => rec.attrs.push(("CNtype", d.value())),
+                _ => {
+                    rec.attrs.push(("CNtype", d.value()));
+                    rec = rec.with(Gen::text("CNtype", d.value()));
+                }
+            }
+            let dates = copies(d);
+            unreadable |= dates != 1;
+            for _ in 0..dates {
+                let date = date(d, true, &mut unreadable);
+                rec = rec.with(date);
+            }
+        }
+        _ => {}
+    }
+    if d.below(3) == 0 {
+        rec.attrs.push(("k", d.value()));
+    }
+    for _ in 0..d.below(4) {
+        rec = match d.below(6) {
+            // a content-keyed record holding an unreadable `c` would key
+            // by the renamed tag in the renamed document
+            0 | 1 => rec.with(contributor(d, variant != 2)),
+            2 => rec.with(Gen::text("t", d.value()).with(Gen::text("w", d.value()))),
+            3 => rec.with(Gen::text("u", d.value())),
+            4 => rec.with(Gen::new("x").with(Gen::text("Name", d.value()))),
+            _ => {
+                rec.kids.push(Kid::Text(d.value()));
+                rec
+            }
+        };
+    }
+    rec.unreadable = unreadable;
+    rec.shuffle(d);
+    rec
+}
+
+fn release_of(d: &mut Draw, variant: usize) -> Gen {
+    let mut db = Gen::new("db");
+    for _ in 0..d.below(6) {
+        db = db.with(record(d, variant));
+    }
+    if d.below(4) == 0 {
+        db.kids.push(Kid::Text(d.value()));
+    }
+    db
+}
+
+/// Every keyed element of `doc` addressed by the keys `annotate` gives it
+/// and its ancestors, and each of those paths with its last step naming
+/// a key no element has.
+fn generated_paths(doc: &Document, spec: &KeySpec) -> Vec<Vec<KeyQuery>> {
+    use std::sync::Arc;
+    use xarch::core::{KeyPart, KeyValue};
+    use xarch::xml::NodeKind;
+    let ann = xarch::keys::annotate(doc, spec).expect("the renamed document annotates");
+    let mut paths = Vec::new();
+    for id in doc.preorder(doc.root()) {
+        let mut steps = Vec::new();
+        let mut at = Some(id);
+        while let Some(n) = at {
+            let (NodeKind::Element(tag), Some(key)) = (doc.kind(n), ann.key(n)) else {
+                break;
+            };
+            steps.push(KeyQuery::labelled(
+                Arc::clone(doc.syms().shared(tag)),
+                key.clone(),
+            ));
+            at = doc.parent(n);
+        }
+        if at.is_some() || steps.is_empty() {
+            continue;
+        }
+        steps.reverse();
+        let last = steps.last().unwrap();
+        let parts: Vec<KeyPart> = last.key().parts().to_vec();
+        let mut elsewhere = steps.clone();
+        elsewhere.pop();
+        let tag: Arc<str> = last.tag().into();
+        let mutated = match parts.split_last() {
+            // a part's value changed, or a part dropped
+            Some((p, rest)) if parts.len().is_multiple_of(2) => rest
+                .iter()
+                .cloned()
+                .chain([KeyPart::new(p.path.clone(), format!("{}x", p.canon))])
+                .collect::<KeyValue>(),
+            Some((_, rest)) => rest.iter().cloned().collect(),
+            None => std::iter::once(KeyPart::new("id".into(), "<id>1</id>".into())).collect(),
+        };
+        elsewhere.push(KeyQuery::labelled(tag, mutated));
+        paths.push(steps);
+        paths.push(elsewhere);
+    }
+    paths
+}
+
+proptest! {
+    /// Generated key specs and releases: `rec` keyed by a child or an
+    /// attribute, by five parts with nested paths, by its content or by
+    /// nothing; `c` by two parts whose nested one may end in an attribute;
+    /// candidates with a key path missing or naming two children. Each
+    /// `as_of` and `history` of every keyed element, and of each with a
+    /// key no element has, equals the whole-document route on the
+    /// document the payload holds. A document holding a candidate whose
+    /// key cannot be read is one `annotate` refuses whole; the route is
+    /// taken there on the same document with each such candidate renamed
+    /// to a tag no step names — which names nothing, as the cold path's
+    /// candidate does — and the answer is cut from the document stored.
+    #[test]
+    fn cold_point_queries_equal_the_whole_document_route_on_generated_keys(
+        bytes in proptest::collection::vec(any::<u8>(), 64..256)
+    ) {
+        let mut d = Draw { bytes: &bytes, at: 0 };
+        let variant = usize::from(d.below(4));
+        let spec = generated_spec(variant);
+        let releases: Vec<Gen> = (0..1 + d.below(3)).map(|_| release_of(&mut d, variant)).collect();
+        let xml = |g: &Gen, renamed| {
+            let mut out = String::new();
+            g.xml(renamed, &mut out);
+            parse(&out).unwrap()
+        };
+        let stored: Vec<Document> = releases.iter().map(|g| xml(g, false)).collect();
+        let renamed: Vec<Document> = releases.iter().map(|g| xml(g, true)).collect();
+
+        // the first release its own block, the others one batch
+        let mut file = superblock::encode(&spec).unwrap();
+        let mut blocks = vec![(BlockKind::Version, 1, doc_to_bytes(&stored[0]).unwrap())];
+        if stored.len() > 1 {
+            blocks.push((BlockKind::Batch, 2, docs_to_batch_bytes(&stored[1..]).unwrap()));
+        }
+        for (kind, v, payload) in blocks {
+            let (codec, bytes) = BlockCodec::Lzss.encode(&payload);
+            file.extend_from_slice(&encode_block(kind, codec, v, payload.len() as u64, &bytes));
+        }
+        let path = scratch_path("cold-read-generated");
+        std::fs::write(&path, file).unwrap();
+        let cold = ColdArchive::open(&path).unwrap();
+        prop_assert_eq!(cold.latest() as usize, stored.len());
+
+        let mut paths: Vec<Vec<KeyQuery>> =
+            renamed.iter().flat_map(|doc| generated_paths(doc, &spec)).collect();
+        paths.push(vec![KeyQuery::new("db"), KeyQuery::new("rec")]);
+        for steps in &paths {
+            let mut held = Vec::new();
+            for (i, (doc, renamed)) in stored.iter().zip(&renamed).enumerate() {
+                let v = i as u32 + 1;
+                let want = find_in_doc(renamed, &spec, steps).and_then(|id| subtree_doc(doc, id));
+                if want.is_some() {
+                    held.push(v);
+                }
+                prop_assert_eq!(
+                    as_xml(cold.as_of(steps, v).unwrap()),
+                    as_xml(want),
+                    "as_of({:?}, {}) under {{{}}}", steps, v, REC_KEYS[variant]
+                );
+            }
+            let history = cold.history(steps).unwrap().map(|t| t.versions().collect::<Vec<_>>());
+            prop_assert_eq!(history, (!held.is_empty()).then_some(held), "history({:?})", steps);
+        }
+        drop(cold);
+        std::fs::remove_file(&path).unwrap();
+    }
 }
