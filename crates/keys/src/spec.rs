@@ -83,57 +83,34 @@ impl Default for KeySpec {
     fn default() -> Self {
         Self {
             keys: Vec::new(),
-            compiled: Compiled::new(&[]),
+            compiled: Compiled::empty(),
         }
     }
 }
 
 impl KeySpec {
     /// Builds a spec from keys, adding the implied keys of §3 and checking
-    /// the structural assumptions.
-    pub fn new(keys: Vec<Key>) -> Result<Self, SpecError> {
-        let mut spec = Self {
-            keys,
-            ..Self::default()
-        };
-        spec.add_implied_keys();
-        spec.check_assumptions()?;
-        spec.compiled = Compiled::new(&spec.keys);
-        Ok(spec)
+    /// the structural assumptions (`check_assumptions`), all of it on the
+    /// compiled trie of keyed paths: no path is cloned to decide them.
+    pub fn new(mut keys: Vec<Key>) -> Result<Self, SpecError> {
+        let mut c = Compiled::empty();
+        let placed: Vec<Placed> = keys.iter().map(|k| c.place(k)).collect();
+        let implied = c.imply(&keys, &placed);
+        keys.extend(implied);
+        check_assumptions(&keys, &placed, &c)?;
+        for s in &mut c.states {
+            if let Some(rule) = &mut s.rule {
+                // the trie holds keyed paths only, so every leaf is one and
+                // every inner state has a keyed path beneath it
+                rule.frontier = s.edges.is_empty();
+            }
+        }
+        Ok(Self { keys, compiled: c })
     }
 
     /// The spec as the annotate walk reads it.
     pub(crate) fn compiled(&self) -> &Compiled {
         &self.compiled
-    }
-
-    /// Synthesizes the implied keys: for every explicit key
-    /// `(Q, (Q', {..., Pi, ...}))` with a non-empty key path
-    /// `Pi = p1/.../pm`, each node along `Q/Q'/p1/.../pj` exists uniquely,
-    /// so the unit keys `(Q/Q'/p1/../p(j-1), (pj, {}))` hold. These make
-    /// key-path nodes (e.g. `fn`, `name`) *frontier nodes* — exactly the
-    /// frontier the paper lists for the company database in §3.
-    fn add_implied_keys(&mut self) {
-        let mut have: HashSet<Path> = self.keys.iter().map(|k| k.keyed_path()).collect();
-        let mut extra = Vec::new();
-        for k in &self.keys {
-            for p in &k.key_paths {
-                let mut ctx = k.keyed_path();
-                for step in p.steps() {
-                    let kp = ctx.child(step);
-                    if have.insert(kp) {
-                        extra.push(Key {
-                            context: ctx.clone(),
-                            target: Path::from_steps([step.clone()]),
-                            key_paths: Vec::new(),
-                            implied: true,
-                        });
-                    }
-                    ctx = ctx.child(step);
-                }
-            }
-        }
-        self.keys.extend(extra);
     }
 
     /// Parses the paper's line-oriented syntax. Blank lines and `#` comments
@@ -218,7 +195,7 @@ impl KeySpec {
         let c = &self.compiled;
         let mut at = Compiled::ROOT;
         for step in path.steps() {
-            at = c.step(at, |n| c.names[n] == *step)?;
+            at = c.step_named(at, step)?;
         }
         let paths = &c.rule(at)?.key_paths;
         Some(
@@ -242,57 +219,61 @@ impl KeySpec {
                 .iter()
                 .any(|q| path.is_proper_prefix_of(q))
     }
+}
 
-    /// Checks the structural assumptions of §3:
-    ///
-    /// 1. **insertion-friendly**: every key's context is either the root or
-    ///    itself a keyed path (keys are relative to the parent's key);
-    /// 2. keyed paths are unique (one key per target path);
-    /// 3. no keyed path lies strictly beneath a *key path* of another key —
-    ///    nodes inside key values must not themselves be keyed (the paper's
-    ///    third restriction).
-    fn check_assumptions(&self) -> Result<(), SpecError> {
-        let keyed: Vec<Path> = self.keyed_paths();
-        let mut seen: HashSet<Path> = HashSet::new();
-        for k in &self.keys {
-            let kp = k.keyed_path();
-            if !seen.insert(kp.clone()) {
-                return Err(SpecError {
-                    line: 0,
-                    message: format!("duplicate key for path {kp}"),
-                });
-            }
-            if !k.context.is_empty() && !keyed.iter().any(|p| p == &k.context) {
-                return Err(SpecError {
-                    line: 0,
-                    message: format!(
-                        "key {k} is not insertion-friendly: context {} is not itself keyed",
-                        k.context
-                    ),
-                });
-            }
+/// Where [`Compiled::place`] put one key: its context's state, its keyed
+/// path's state, and whether a key before it has the same keyed path.
+#[derive(Debug, Clone, Copy)]
+struct Placed {
+    context: usize,
+    keyed: usize,
+    duplicate: bool,
+}
+
+/// Checks the structural assumptions of §3 on the trie `c` of `keys`: the
+/// keys declared, placed at `placed`, then the keys they imply.
+///
+/// 1. **insertion-friendly**: every key's context is either the root or
+///    itself a keyed path (keys are relative to the parent's key) — its
+///    context state is the root or carries a rule;
+/// 2. keyed paths are unique (one key per target path);
+/// 3. no keyed path lies strictly beneath a *key path* of another key —
+///    nodes inside key values must not themselves be keyed (the paper's
+///    third restriction). Every trie state leads to a keyed path, so this
+///    is: the state a key path ends at has no edge.
+///
+/// Implied keys hold all three by construction and have no key paths, so
+/// only the declared keys — one per entry of `placed` — are checked.
+fn check_assumptions(keys: &[Key], placed: &[Placed], c: &Compiled) -> Result<(), SpecError> {
+    let refuse = |message| Err(SpecError { line: 0, message });
+    for (k, at) in keys.iter().zip(placed) {
+        if at.duplicate {
+            return refuse(format!("duplicate key for path {}", k.keyed_path()));
         }
-        // restriction 3: nothing keyed strictly below a key path
-        for k in &self.keys {
-            for p in &k.key_paths {
-                if p.is_empty() {
-                    continue;
-                }
-                let full = k.keyed_path().concat(p);
-                for other in &keyed {
-                    if full.is_proper_prefix_of(other) {
-                        return Err(SpecError {
-                            line: 0,
-                            message: format!(
-                                "keyed path {other} lies beneath key path {full} of {k}"
-                            ),
-                        });
-                    }
-                }
-            }
+        if at.context != Compiled::ROOT && c.states[at.context].rule.is_none() {
+            return refuse(format!(
+                "key {k} is not insertion-friendly: context {} is not itself keyed",
+                k.context
+            ));
         }
-        Ok(())
     }
+    // restriction 3: nothing keyed strictly below a key path
+    for (k, at) in keys.iter().zip(placed) {
+        for p in k.key_paths.iter().filter(|p| !p.is_empty()) {
+            let end = (p.steps().iter()).try_fold(at.keyed, |s, step| c.step_named(s, step));
+            if end.is_some_and(|end| c.states[end].edges.is_empty()) {
+                continue;
+            }
+            let full = k.keyed_path().concat(p);
+            let mut keyed = keys.iter().map(Key::keyed_path);
+            if let Some(other) = keyed.find(|o| full.is_proper_prefix_of(o)) {
+                return refuse(format!(
+                    "keyed path {other} lies beneath key path {full} of {k}"
+                ));
+            }
+        }
+    }
+    Ok(())
 }
 
 /// A [`KeySpec`] compiled for one pass over a document: the keyed paths
@@ -345,50 +326,99 @@ impl Compiled {
     /// The state of the empty path, above the document root.
     pub const ROOT: usize = 0;
 
-    fn new(keys: &[Key]) -> Self {
-        let mut c = Compiled {
+    fn empty() -> Self {
+        Compiled {
             names: Vec::new(),
             states: vec![State::default()],
+        }
+    }
+
+    /// Adds the keyed path of `k` and its rule, and says where they went.
+    fn place(&mut self, k: &Key) -> Placed {
+        let context = self.descend(Self::ROOT, k.context.steps());
+        let keyed = self.descend(context, k.target.steps());
+        let mut key_paths: Vec<KeyPath> = k
+            .key_paths
+            .iter()
+            .enumerate()
+            .map(|(declared, p)| KeyPath {
+                name: p.to_string().into(),
+                steps: p.steps().iter().map(|s| self.name(s)).collect(),
+                declared,
+            })
+            .collect();
+        key_paths.sort_by(|a, b| a.name.cmp(&b.name));
+        let rule = Rule {
+            key_paths,
+            frontier: false,
         };
-        for k in keys {
-            let mut at = Self::ROOT;
-            for step in k.context.steps().iter().chain(k.target.steps()) {
-                let name = c.name(step);
-                at = match c.states[at].edges.iter().find(|e| e.0 == name) {
-                    Some(&(_, to)) => to,
-                    None => {
-                        c.states.push(State::default());
-                        let to = c.states.len() - 1;
-                        c.states[at].edges.push((name, to));
-                        to
+        let duplicate = self.states[keyed].rule.replace(rule).is_some();
+        Placed {
+            context,
+            keyed,
+            duplicate,
+        }
+    }
+
+    /// The implied keys of the `keys` placed at `placed`, added to the trie:
+    /// for every key `(Q, (Q', {..., Pi, ...}))` with a non-empty key path
+    /// `Pi = p1/.../pm`, each node along `Q/Q'/p1/.../pj` exists uniquely,
+    /// so the unit keys `(Q/Q'/p1/../p(j-1), (pj, {}))` hold where no key
+    /// is declared. These make key-path nodes (e.g. `fn`, `name`)
+    /// *frontier nodes* — exactly the frontier the paper lists for the
+    /// company database in §3.
+    fn imply(&mut self, keys: &[Key], placed: &[Placed]) -> Vec<Key> {
+        let mut implied = Vec::new();
+        for (k, at) in keys.iter().zip(placed) {
+            for p in &k.key_paths {
+                let mut state = at.keyed;
+                for (j, step) in p.steps().iter().enumerate() {
+                    state = self.descend(state, std::slice::from_ref(step));
+                    if self.states[state].rule.is_some() {
+                        continue;
                     }
-                };
-            }
-            let mut key_paths: Vec<KeyPath> = k
-                .key_paths
-                .iter()
-                .enumerate()
-                .map(|(declared, p)| KeyPath {
-                    name: p.to_string().into(),
-                    steps: p.steps().iter().map(|s| c.name(s)).collect(),
-                    declared,
-                })
-                .collect();
-            key_paths.sort_by(|a, b| a.name.cmp(&b.name));
-            // keyed paths are unique (`check_assumptions`)
-            c.states[at].rule = Some(Rule {
-                key_paths,
-                frontier: false,
-            });
-        }
-        for s in &mut c.states {
-            if let Some(rule) = &mut s.rule {
-                // the trie holds keyed paths only, so every leaf is one and
-                // every inner state has a keyed path beneath it
-                rule.frontier = s.edges.is_empty();
+                    self.states[state].rule = Some(Rule {
+                        key_paths: Vec::new(),
+                        frontier: false,
+                    });
+                    let above = p.steps().get(..j).unwrap_or_default();
+                    implied.push(Key {
+                        context: Path::from_steps(
+                            (k.context.steps().iter())
+                                .chain(k.target.steps())
+                                .chain(above),
+                        ),
+                        target: Path::from_steps([step]),
+                        key_paths: Vec::new(),
+                        implied: true,
+                    });
+                }
             }
         }
-        c
+        implied
+    }
+
+    /// The state at the end of `steps` from `at`, adding the states the
+    /// trie lacks.
+    fn descend(&mut self, mut at: usize, steps: &[String]) -> usize {
+        for step in steps {
+            let name = self.name(step);
+            at = match self.step(at, |n| n == name) {
+                Some(to) => to,
+                None => {
+                    self.states.push(State::default());
+                    let to = self.states.len() - 1;
+                    self.states[at].edges.push((name, to));
+                    to
+                }
+            };
+        }
+        at
+    }
+
+    /// The state one step below `state` along the edge named `name`.
+    fn step_named(&self, state: usize, name: &str) -> Option<usize> {
+        self.step(state, |n| self.names[n] == name)
     }
 
     fn name(&mut self, name: &str) -> usize {

@@ -18,10 +18,16 @@
 //! only be bit rot on committed data and fails loudly.
 //!
 //! Every reader of a segment — the journal's reopen and the cold reader —
-//! steps through it with one header walk, [`walk`], and checks each block
-//! it reads, and the bytes where the walk stopped, with [`scan_block`].
+//! lists its blocks with one header walk, [`Walk`]: from the file by one
+//! positioned read per header (`walk_file`), so listing them brings no
+//! page of the reader's map in, or over bytes in memory ([`walk`]). Both
+//! readers hold the headers' version sequence to one rule
+//! (`check_sequence`) and check each block they read, and the bytes
+//! where the walk stopped, with [`scan_block`].
 
 use std::borrow::Cow;
+use std::convert::Infallible;
+use std::fs::File;
 
 use xarch_compress::BlockCodec;
 use xarch_core::StoreError;
@@ -138,40 +144,131 @@ pub struct Step {
     pub end: u64,
 }
 
-/// The header walk over a segment file's bytes: every block from a given
-/// offset on, 22 header bytes read per block and its payload stepped over.
-/// It stops at the first header it cannot step over — an unknown kind, an
+/// The header walk over a segment file: every block from a given offset
+/// on, one 22-byte header read per block and its payload stepped over. It
+/// stops at the first header it cannot step over — an unknown kind, an
 /// implausible stored length, a span past end of file — and the bytes
 /// there are then classified by [`scan_block`].
+///
+/// The headers come from a source `S`: the file's bytes in memory
+/// ([`walk`]: each step yields a [`Step`]) or the file itself, one
+/// positioned read per header (`walk_file`: each step yields a
+/// `Result`, as a read can fail). The rules a step follows are the same
+/// for both.
 #[derive(Debug, Clone)]
-pub struct Walk<'a> {
-    bytes: &'a [u8],
+pub struct Walk<S> {
+    source: S,
     offset: u64,
+    /// The block stepped over last.
+    last: Option<Step>,
 }
 
 /// Walks the block headers of the file `bytes` (all of it, so offsets are
 /// file offsets) from the block at `from`.
-pub fn walk(bytes: &[u8], from: u64) -> Walk<'_> {
+pub fn walk(bytes: &[u8], from: u64) -> Walk<&[u8]> {
     Walk {
-        bytes,
+        source: bytes,
         offset: from,
+        last: None,
     }
 }
 
-/// The block at `offset` in `bytes` if its header can be stepped over.
-fn step_at(bytes: &[u8], offset: u64) -> Option<Step> {
-    let header = bytes
-        .get(usize::try_from(offset).ok()?..)?
-        .get(..BLOCK_HEADER_LEN)?;
-    let kind = BlockKind::from_id(*header.first()?)?;
-    let stored_len = declared_payload_len(header).filter(|&l| l <= MAX_PAYLOAD)?;
-    let end = offset.checked_add(span(stored_len))?;
-    (end <= bytes.len() as u64).then_some(Step {
-        offset,
-        kind,
-        version: le_u32(header, 2)?,
-        end,
-    })
+/// Walks the block headers of `file`, whose bytes (its map) are `bytes`,
+/// from the block at `from`: each header is read from the file at its
+/// position, so listing the blocks brings no page of the map in, and a
+/// read that fails is a [`StoreError::Io`] — never a stop, which a reader
+/// would take for a torn tail. A step's span is bounded by `bytes`, whose
+/// blocks a reader then verifies and decodes; so the file must be locked
+/// against writers while both are in use. The buffered fallback of
+/// [`crate::mmap::MappedFile`] holds the file's bytes already, and walks
+/// them.
+pub(crate) fn walk_file<'a>(file: &'a File, bytes: &'a [u8], from: u64) -> Walk<FileHeaders<'a>> {
+    Walk {
+        source: FileHeaders { file, bytes },
+        offset: from,
+        last: None,
+    }
+}
+
+/// Where a [`Walk`] reads block headers from.
+pub trait Headers {
+    /// What a failed read is.
+    type Error;
+    /// The segment file's bytes: no block the walk steps over ends past
+    /// them, and `Walk::torn_from` classifies them.
+    fn bytes(&self) -> &[u8];
+    /// The 22 header bytes at `offset`, or `None` when fewer than that
+    /// remain before the end of [`Headers::bytes`].
+    fn header(&self, offset: u64) -> Result<Option<[u8; BLOCK_HEADER_LEN]>, Self::Error>;
+}
+
+impl Headers for &[u8] {
+    type Error = Infallible;
+
+    fn bytes(&self) -> &[u8] {
+        self
+    }
+
+    fn header(&self, offset: u64) -> Result<Option<[u8; BLOCK_HEADER_LEN]>, Infallible> {
+        let rest = usize::try_from(offset).ok().and_then(|o| self.get(o..));
+        Ok(rest.and_then(|r| r.first_chunk().copied()))
+    }
+}
+
+/// A segment file read by position, its length that of its map.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FileHeaders<'a> {
+    file: &'a File,
+    bytes: &'a [u8],
+}
+
+impl Headers for FileHeaders<'_> {
+    type Error = std::io::Error;
+
+    fn bytes(&self) -> &[u8] {
+        self.bytes
+    }
+
+    #[cfg(unix)]
+    fn header(&self, offset: u64) -> std::io::Result<Option<[u8; BLOCK_HEADER_LEN]>> {
+        use std::os::unix::fs::FileExt;
+        let end = offset.checked_add(BLOCK_HEADER_LEN as u64);
+        if end.is_none_or(|end| end > self.bytes.len() as u64) {
+            return Ok(None);
+        }
+        let mut header = [0; BLOCK_HEADER_LEN];
+        self.file.read_exact_at(&mut header, offset)?;
+        Ok(Some(header))
+    }
+
+    #[cfg(not(unix))]
+    fn header(&self, offset: u64) -> std::io::Result<Option<[u8; BLOCK_HEADER_LEN]>> {
+        let _ = self.file;
+        let Ok(header) = self.bytes.header(offset);
+        Ok(header)
+    }
+}
+
+/// The block at `offset` of `source` if its header can be stepped over: a
+/// known kind byte, a stored length within [`MAX_PAYLOAD`], and a span
+/// that ends inside the file.
+fn step_at<S: Headers>(source: &S, offset: u64) -> Result<Option<Step>, S::Error> {
+    let Some(header) = source.header(offset)? else {
+        return Ok(None);
+    };
+    let step = || {
+        let [kind, ..] = header;
+        let kind = BlockKind::from_id(kind)?;
+        let stored_len = declared_payload_len(&header).filter(|&l| l <= MAX_PAYLOAD)?;
+        let end = offset.checked_add(span(stored_len))?;
+        (end <= source.bytes().len() as u64).then_some(Step {
+            offset,
+            kind,
+            version: le_u32(&header, 2)?,
+            end,
+        })
+    };
+    Ok(step())
 }
 
 /// The file span of a block holding `stored_len` payload bytes.
@@ -179,7 +276,7 @@ pub(crate) fn span(stored_len: u64) -> u64 {
     stored_len + (BLOCK_HEADER_LEN + BLOCK_TRAILER_LEN) as u64
 }
 
-impl Walk<'_> {
+impl<S: Headers> Walk<S> {
     /// Where the bytes the walk has not stepped over begin: once it is
     /// exhausted, the end of file or the header it stopped at.
     pub(crate) fn offset(&self) -> u64 {
@@ -190,12 +287,25 @@ impl Walk<'_> {
     /// the format's torn-vs-rot rules ([`scan_block`]): `Ok(None)` when
     /// there are none, `Ok(Some(offset))` when they are a torn tail — an
     /// append that never committed — and the positioned corruption
-    /// otherwise.
+    /// otherwise. Where the walk stopped short of end of file, the block
+    /// it stepped over last must end in its commit word: one that does
+    /// not has a rotted length, which led the walk into the bytes behind
+    /// it, and is refused as a replay of it is.
     pub(crate) fn torn_from(&self) -> Result<Option<u64>, StoreError> {
-        if self.offset >= self.bytes.len() as u64 {
+        let bytes = self.source.bytes();
+        if self.offset >= bytes.len() as u64 {
             return Ok(None);
         }
-        match scan_block(self.bytes, self.offset) {
+        if let Some(last) = self.last.filter(|last| !ends_committed(bytes, last)) {
+            return Err(match scan_block(bytes, last.offset) {
+                Scan::Corrupt(e) => e,
+                _ => StoreError::Corrupt {
+                    offset: last.offset,
+                    reason: "missing commit word on an interior block".into(),
+                },
+            });
+        }
+        match scan_block(bytes, self.offset) {
             Scan::TornTail => Ok(Some(self.offset)),
             Scan::Corrupt(e) => Err(e),
             Scan::Block(_) => Err(StoreError::Corrupt {
@@ -204,16 +314,87 @@ impl Walk<'_> {
             }),
         }
     }
+
+    /// The next step, the walk moved past it.
+    fn advance(&mut self) -> Result<Option<Step>, S::Error> {
+        let step = step_at(&self.source, self.offset)?;
+        if let Some(step) = step {
+            self.offset = step.end;
+            self.last = Some(step);
+        }
+        Ok(step)
+    }
 }
 
-impl Iterator for Walk<'_> {
+impl Iterator for Walk<&[u8]> {
     type Item = Step;
 
     fn next(&mut self) -> Option<Step> {
-        let step = step_at(self.bytes, self.offset)?;
-        self.offset = step.end;
-        Some(step)
+        let Ok(step) = self.advance();
+        step
     }
+}
+
+impl Iterator for Walk<FileHeaders<'_>> {
+    type Item = Result<Step, StoreError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.advance().map_err(StoreError::Io).transpose()
+    }
+}
+
+/// True when the commit word sits at the declared end of the walked block
+/// `step`: its span is whole, whatever its checksum says.
+pub(crate) fn ends_committed(bytes: &[u8], step: &Step) -> bool {
+    usize::try_from(step.end)
+        .ok()
+        .and_then(|end| bytes.get(..end))
+        .and_then(<[u8]>::last_chunk::<4>)
+        == Some(&COMMIT_MAGIC.to_le_bytes())
+}
+
+/// Checks that the data blocks among `steps` — a walk's listing of the
+/// file `bytes`, in file order — carry the versions a writer gives them:
+/// 1 first, then one more than a version or empty block's, and more than
+/// a batch's, whose count its header does not hold. Where a header breaks
+/// the sequence, the blocks on either side of the break are classified in
+/// file order, as a replay meets them ([`scan_block`]): the first that
+/// does not verify is refused, or — the file's final block — cut as a
+/// torn tail, `Ok(Some(offset))`. Two blocks that verify and do not
+/// continue one another are refused at the second. Every header is read
+/// by the walk already, so a segment whose sequence holds costs nothing
+/// more; both readers run this on their listing, so a rotted version field
+/// is refused by both where the cold reader's index would trust it.
+pub(crate) fn check_sequence(bytes: &[u8], steps: &[Step]) -> Result<Option<u64>, StoreError> {
+    let mut before: Option<&Step> = None;
+    for step in steps.iter().filter(|s| s.kind != BlockKind::Checkpoint) {
+        let after_batch = before.is_some_and(|b| b.kind == BlockKind::Batch);
+        let expected = before.map_or(1, |b| u64::from(b.version) + 1);
+        let version = u64::from(step.version);
+        if version == expected || (after_batch && version > expected) {
+            before = Some(step);
+            continue;
+        }
+        for s in before.into_iter().chain([step]) {
+            match scan_block(bytes, s.offset) {
+                Scan::Block(_) => {}
+                Scan::TornTail => return Ok(Some(s.offset)),
+                Scan::Corrupt(e) => return Err(e),
+            }
+        }
+        let reason = match before {
+            Some(b) if after_batch => format!(
+                "block sequence not increasing: version {version} follows {}",
+                b.version
+            ),
+            _ => format!("block sequence broken: expected version {expected}, found {version}"),
+        };
+        return Err(StoreError::Corrupt {
+            offset: step.offset,
+            reason,
+        });
+    }
+    Ok(None)
 }
 
 /// The payload of a verified block as it was handed to the writer: the
@@ -429,7 +610,8 @@ pub fn scan_block(buf: &[u8], offset: u64) -> Scan<'_> {
 /// the rare recovery path anyway.
 fn contains_committed_block(region: &[u8]) -> bool {
     (0..region.len() as u64).any(|s| {
-        let block = step_at(region, s)
+        let Ok(step) = step_at(&region, s);
+        let block = step
             .and_then(|step| region.get(usize::try_from(s).ok()?..usize::try_from(step.end).ok()?));
         let Some((covered, trailer)) =
             block.and_then(|b| b.split_last_chunk::<BLOCK_TRAILER_LEN>())
@@ -637,6 +819,157 @@ mod tests {
             rot[at] |= 0x40;
             assert_eq!(walk(&rot, 0).count(), 3, "byte {at}");
             assert!(matches!(scan_block(&rot, 0), Scan::Corrupt(_)), "byte {at}");
+        }
+    }
+
+    /// What a walk from `from` yields and where it stops, with how
+    /// [`Walk::torn_from`] classifies the bytes there.
+    fn walked<S: Headers>(
+        walk: Walk<S>,
+        steps: impl FnOnce(&mut Walk<S>) -> Vec<Step>,
+    ) -> (Vec<Step>, u64, Result<Option<u64>, String>) {
+        let mut walk = walk;
+        let steps = steps(&mut walk);
+        let torn = walk.torn_from().map_err(|e| e.to_string());
+        (steps, walk.offset(), torn)
+    }
+
+    /// The positioned reads of the file give the steps, the stop and the
+    /// classification there that the file's bytes give: on every prefix of
+    /// a segment holding every block kind, and with any one header byte
+    /// flipped.
+    #[test]
+    fn the_file_and_its_bytes_walk_alike() {
+        let mut buf = encode_block(BlockKind::Version, BlockCodec::Raw, 1, 3, b"abc");
+        buf.extend_from_slice(&encode_block(
+            BlockKind::Batch,
+            BlockCodec::Raw,
+            2,
+            4,
+            b"wxyz",
+        ));
+        buf.extend_from_slice(&encode_block(
+            BlockKind::Checkpoint,
+            BlockCodec::Raw,
+            3,
+            2,
+            b"cp",
+        ));
+        buf.extend_from_slice(&encode_block(BlockKind::Empty, BlockCodec::Raw, 4, 0, &[]));
+        let starts: Vec<u64> = walk(&buf, 0).map(|s| s.offset).collect();
+        assert_eq!(starts.len(), 4);
+        let mut cases: Vec<Vec<u8>> = (0..=buf.len()).map(|n| buf[..n].to_vec()).collect();
+        for &start in &starts {
+            for i in 0..BLOCK_HEADER_LEN {
+                let mut flipped = buf.clone();
+                flipped[start as usize + i] ^= 0xFF;
+                cases.push(flipped);
+            }
+        }
+        let path = crate::scratch_path("block-walk-file");
+        for bytes in &cases {
+            std::fs::write(&path, bytes).unwrap();
+            let file = File::open(&path).unwrap();
+            for from in [0, starts[1]] {
+                let by_bytes = walked(walk(bytes, from), |w| w.by_ref().collect());
+                let by_file = walked(walk_file(&file, bytes, from), |w| {
+                    w.by_ref().collect::<Result<_, _>>().unwrap()
+                });
+                assert_eq!(by_file, by_bytes, "{} bytes from {from}", bytes.len());
+            }
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A header the file will not give up is an I/O error, not the end of
+    /// the walk — a reader would cut the blocks behind it away as a torn
+    /// tail.
+    #[cfg(unix)]
+    #[test]
+    fn a_failed_header_read_is_an_error_not_a_stop() {
+        let buf = encode_block(BlockKind::Empty, BlockCodec::Raw, 1, 0, &[]);
+        let path = crate::scratch_path("block-walk-unreadable");
+        std::fs::write(&path, &buf).unwrap();
+        let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        let mut w = walk_file(&file, &buf, 0);
+        assert!(matches!(w.next(), Some(Err(StoreError::Io(_)))));
+        assert_eq!(w.offset(), 0);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Versions run 1 first, then one more after a version or empty block
+    /// and more after a batch. A break is refused at the first of the two
+    /// blocks around it that does not verify, at the second when both do,
+    /// and the file's final block that does not verify is a torn tail.
+    /// Where a rotted length sends the walk into the middle of the next
+    /// block, the block it came from is refused.
+    #[test]
+    fn a_broken_sequence_is_refused_where_the_rot_is() {
+        let segment = |blocks: &[(BlockKind, u32)]| {
+            let mut buf = Vec::new();
+            for &(kind, version) in blocks {
+                buf.extend_from_slice(&encode_block(kind, BlockCodec::Raw, version, 2, b"ab"));
+            }
+            let steps: Vec<Step> = walk(&buf, 0).collect();
+            (buf, steps)
+        };
+        let (buf, steps) = segment(&[
+            (BlockKind::Version, 1),
+            (BlockKind::Batch, 2),
+            (BlockKind::Checkpoint, 4),
+            (BlockKind::Empty, 5),
+            (BlockKind::Version, 6),
+        ]);
+        assert_eq!(check_sequence(&buf, &steps).unwrap(), None);
+        let version_byte = |i: usize| usize::try_from(steps[i].offset).unwrap() + 2;
+        let checked = |buf: &[u8]| check_sequence(buf, &walk(buf, 0).collect::<Vec<_>>());
+        let refused_at = |buf: &[u8]| match checked(buf) {
+            Err(StoreError::Corrupt { offset, reason }) => (offset, reason),
+            other => panic!("expected a refusal, got {other:?}"),
+        };
+        // the empty block's 5 rotted to 4 still follows the batch, and
+        // breaks at the block after it: the empty block is refused
+        let mut rot = buf.clone();
+        rot[version_byte(3)] = 4;
+        let (offset, reason) = refused_at(&rot);
+        assert_eq!(offset, steps[3].offset);
+        assert!(reason.contains("checksum"), "{reason}");
+        // the first block's version rotted: refused at it
+        let mut rot = buf.clone();
+        rot[version_byte(0)] = 0;
+        assert_eq!(refused_at(&rot).0, 0);
+        // the final block's: a torn tail
+        let mut rot = buf.clone();
+        rot[version_byte(4)] = 9;
+        assert_eq!(checked(&rot).unwrap(), Some(steps[4].offset));
+        // blocks that verify and do not continue one another
+        let (buf, steps) = segment(&[(BlockKind::Version, 1), (BlockKind::Empty, 3)]);
+        match check_sequence(&buf, &steps) {
+            Err(StoreError::Corrupt { offset, reason }) => {
+                assert_eq!(offset, steps[1].offset);
+                assert!(reason.contains("expected version 2, found 3"), "{reason}");
+            }
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+        let (buf, steps) = segment(&[(BlockKind::Batch, 1), (BlockKind::Empty, 1)]);
+        match check_sequence(&buf, &steps) {
+            Err(StoreError::Corrupt { offset, reason }) => {
+                assert_eq!(offset, steps[1].offset);
+                assert!(reason.contains("not increasing"), "{reason}");
+            }
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+        // a length one byte long leads the walk off the block boundaries
+        let (mut buf, steps) = segment(&[(BlockKind::Version, 1), (BlockKind::Version, 2)]);
+        buf[14] += 1;
+        let mut w = walk(&buf, 0);
+        assert_eq!(w.by_ref().count(), 1);
+        assert_ne!(w.offset(), steps[1].offset);
+        match w.torn_from() {
+            Err(StoreError::Corrupt { offset: 0, reason }) => {
+                assert!(reason.contains("commit word"), "{reason}")
+            }
+            other => panic!("expected a refusal at 0, got {other:?}"),
         }
     }
 }

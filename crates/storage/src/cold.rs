@@ -6,11 +6,12 @@
 //! trade for a writer, but wasteful for a one-off query against a large,
 //! cold segment. `ColdArchive` takes the other corner of the design
 //! space: it memory-maps the file, builds a tiny *per-block version
-//! index* from the block walk the journal recovers with
-//! ([`block::walk`]: 22 bytes per block; payloads are never touched), and
-//! then serves [`StoreReader`] queries by decoding exactly
-//! the blocks they need. A point `retrieve`/`as_of` checksums and decodes
-//! one block; the rest of the file stays untouched OS page cache at most.
+//! index* from the block walk the journal recovers with — one positioned
+//! read of the file per 22-byte header, so opening brings no page of the
+//! map in and has none to hand back — and then serves [`StoreReader`]
+//! queries by decoding exactly the blocks they need. A point
+//! `retrieve`/`as_of` checksums and decodes one block; the rest of the file
+//! stays untouched OS page cache at most.
 //!
 //! The last few LZSS blocks decoded stay in a small LRU cache keyed by
 //! block offset (`CACHED_BLOCKS` blocks, at most `CACHED_BYTES`), so a
@@ -48,9 +49,13 @@
 //! a query first decodes it, and a cached payload is the output of a
 //! decode whose block verified just before it. So a block that rots after
 //! it was decoded still answers from the bytes checked then, until the
-//! cache lets it go; the next read that decodes it refuses it. A cold
-//! reader never truncates or repairs: it has no write permission on the
-//! segment at all.
+//! cache lets it go; the next read that decodes it refuses it. An answer
+//! that no stored byte can change is not a read: `retrieve(v)` past
+//! `latest` is `None`, `history(&[])` is every version (the synthetic root
+//! exists in each), and steps that leave the spec's keyed paths address
+//! nothing — each answered from the index built at open, with no block
+//! checksummed. A cold reader never truncates or repairs: it has no write
+//! permission on the segment at all.
 
 use std::borrow::Cow;
 use std::fmt;
@@ -258,10 +263,7 @@ impl ColdArchive {
         let map = MappedFile::map(&file)?;
         let bytes = map.as_slice();
         let (spec, first_block) = superblock::decode(bytes)?;
-        let (index, latest, decoded) = build_index(bytes, first_block)?;
-        // the header walk faulted in the pages around every header; a query
-        // maps back only the blocks it reads
-        map.release(first_block..bytes.len() as u64);
+        let (index, latest, decoded) = build_index(&file, bytes, first_block)?;
         metrics.mapped_bytes.set_u64(bytes.len() as u64);
         if let Some(span) = decoded {
             metrics.blocks_decoded.inc();
@@ -482,26 +484,26 @@ struct StepKey<'s> {
     reads_all: bool,
 }
 
-/// The keys governing `steps`, one per step, for as many steps as stay on
-/// the spec's keyed paths: past them nothing has a key for a step to name.
-fn step_keys<'s>(spec: &'s KeySpec, steps: &[KeyQuery]) -> Vec<StepKey<'s>> {
+/// The keys governing `steps`, one per step; `None` when a step leaves the
+/// spec's keyed paths, past which nothing has a key for a step to name —
+/// so no payload can hold what the steps address.
+fn step_keys<'s>(spec: &'s KeySpec, steps: &[KeyQuery]) -> Option<Vec<StepKey<'s>>> {
     let mut here = LabelPath::empty();
     let mut keys = Vec::with_capacity(steps.len());
     for step in steps {
         here = here.child(step.tag());
-        let Some(paths) = spec.key_paths_for(&here) else {
-            break;
-        };
+        let paths = spec.key_paths_for(&here)?;
         let reads_all = paths.iter().any(|p| p.1.is_empty());
         keys.push(StepKey { paths, reads_all });
     }
-    keys
+    Some(keys)
 }
 
 /// The element `steps` address in the document the version payload
 /// `payload` holds — what `query::find_in_doc` finds in the whole
 /// document — as a document of its own, found without building the
-/// document around it. `keys` are the steps' keys ([`step_keys`]). One
+/// document around it. `keys` are the steps' keys, one per step
+/// ([`step_keys`]). One
 /// level per step: among the children of the element found so far (the
 /// payload's root, for the first step) the first the step names is the
 /// one followed, with no way back, as in `find_in_doc`. A candidate is
@@ -517,11 +519,7 @@ fn find_in_payload(
 ) -> Result<Option<Document>, StreamError> {
     // the element the steps so far lead to, and where in `payload` it lies
     let mut found: Option<(usize, &[u8])> = None;
-    for (depth, step) in steps.iter().enumerate() {
-        // off the keyed paths, nothing has a key for the step to name
-        let Some(key) = keys.get(depth) else {
-            return Ok(None);
-        };
+    for (depth, (step, key)) in steps.iter().zip(keys).enumerate() {
         let (at, entry) = found.unwrap_or((0, payload));
         let mut level = FirstMatch {
             step,
@@ -773,63 +771,46 @@ impl<'b> Sink<'b> for KeyReader<'_, 'b> {
     }
 }
 
-/// Builds the version index from the block walk (headers only, payloads
-/// untouched). Returns the data-block entries, the latest committed
+/// Builds the version index of `file`, whose map is `bytes`, from the
+/// block walk (headers only, read from the file: no page of the map is
+/// touched). Returns the data-block entries, the latest committed
 /// version, and — when the final data block was a batch whose count had
 /// to be learned by decoding it — the byte span that decode charged.
 #[allow(clippy::type_complexity)]
 fn build_index(
+    file: &File,
     bytes: &[u8],
     first_block: u64,
 ) -> Result<(Vec<IndexEntry>, u32, Option<u64>), StoreError> {
-    let mut walk = block::walk(bytes, first_block);
-    let steps: Vec<Step> = walk
-        .by_ref()
-        .filter(|s| s.kind != BlockKind::Checkpoint)
-        .collect();
+    let mut walk = block::walk_file(file, bytes, first_block);
+    let steps: Vec<Step> = walk.by_ref().collect::<Result<_, _>>()?;
     // a torn tail is quietly excluded (those bytes were never
-    // acknowledged); anything else the walk stopped at is loud
+    // acknowledged); anything else the walk stopped at, or the header
+    // sequence breaks at, is loud
+    let torn = block::check_sequence(bytes, &steps)?;
     walk.torn_from()?;
+    let steps: Vec<Step> = (steps.into_iter())
+        .filter(|s| s.kind != BlockKind::Checkpoint && torn.is_none_or(|t| s.offset < t))
+        .collect();
     // counts: a block's span in version space reaches to the next data
-    // block's first version; the final block needs its payload decoded
-    // only if it is a batch
+    // block's first version (`check_sequence` has held it above this
+    // one's); the final block needs its payload decoded only if it is a
+    // batch
     let mut index = Vec::with_capacity(steps.len());
     let mut latest = 0u32;
     let mut decoded_span = None;
     for (i, e) in steps.iter().enumerate() {
-        let expected = latest.saturating_add(1);
-        if e.version != expected {
-            return Err(corrupt(
-                e.offset,
-                format!(
-                    "block sequence broken: expected version {expected}, found {}",
-                    e.version
-                ),
-            ));
-        }
         let count = match steps.get(i + 1) {
-            Some(next) => next
-                .version
-                .checked_sub(e.version)
-                .filter(|&c| c >= 1)
-                .ok_or_else(|| {
-                    corrupt(
-                        next.offset,
-                        format!(
-                            "block sequence not increasing: version {} follows {}",
-                            next.version, e.version
-                        ),
-                    )
-                })?,
+            Some(next) => next.version.saturating_sub(e.version),
             None if e.kind == BlockKind::Batch => {
                 // the only case needing a payload: the final batch block's
                 // count is not derivable from a successor header
                 let scanned = match block::scan_block(bytes, e.offset) {
                     Scan::Block(b) => b,
                     Scan::Corrupt(err) => return Err(err),
-                    Scan::TornTail => {
-                        return Err(corrupt(e.offset, "indexed block failed re-verification"))
-                    }
+                    // the final block, not verifying: a torn append, which
+                    // the journal cuts too
+                    Scan::TornTail => break,
                 };
                 decoded_span = Some(block::span(scanned.header.stored_len));
                 let payload = block::decode_payload(scanned)?;
@@ -891,7 +872,9 @@ impl StoreReader for ColdArchive {
         if steps.is_empty() {
             return self.retrieve(v);
         }
-        let keys = step_keys(&self.spec, steps);
+        let Some(keys) = step_keys(&self.spec, steps) else {
+            return Ok(None);
+        };
         let found = self.read_version(v, |payload| find_in_payload(payload, &keys, steps))?;
         Ok(found.flatten())
     }
@@ -902,8 +885,14 @@ impl StoreReader for ColdArchive {
     /// scan keeps none of those it decodes: it would flush what point
     /// queries come back to.
     fn history(&self, steps: &[KeyQuery]) -> Result<Option<TimeSet>, StoreError> {
+        if steps.is_empty() {
+            // the synthetic root, which exists in every version
+            return Ok(Some(TimeSet::from_range(1, self.latest)));
+        }
+        let Some(keys) = step_keys(&self.spec, steps) else {
+            return Ok(None);
+        };
         let mut ts = TimeSet::new();
-        let keys = step_keys(&self.spec, steps);
         for &entry in &self.index {
             if entry.kind == BlockKind::Empty {
                 // holds nothing, as its verified block says

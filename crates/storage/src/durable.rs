@@ -9,12 +9,14 @@
 //! deterministic merge, rebuilding exactly the pre-crash archive.
 //!
 //! Open locks the file before it reads a byte of it, maps it once, and
-//! steps through it with the block walk the cold reader uses
-//! ([`block::walk`]): the walk lists the checkpoints, and while the newest
-//! that restores is verified and decoded, a reader thread verifies and
-//! decodes the tail behind it from the same bytes; the merges stay on the
-//! opening thread, in journal order. The map is dropped before the file is
-//! cut back to its committed prefix or appended to.
+//! lists its blocks with the block walk the cold reader uses — one
+//! positioned read of the file per header, so listing maps no page —
+//! holding their version sequence to the cold reader's rule. While the
+//! newest checkpoint that restores is verified and decoded, a reader
+//! thread verifies and decodes the tail behind it from the map; the merges
+//! stay on the opening thread, in journal order, and release each block's
+//! pages once applied. The map is dropped before the file is cut back to
+//! its committed prefix or appended to.
 //!
 //! The journal is the segment file's only writer: it holds the file and its
 //! exclusive OS lock, and every block it writes — version, batch, empty or
@@ -216,7 +218,7 @@ impl Journal {
                     spec.len(),
                 )));
             }
-            let r = recover(&map, first_block, spec, compaction, &metrics)?;
+            let r = recover(&file, &map, first_block, spec, compaction, &metrics)?;
             drop(map);
             resume(&mut file, r.kept, options.sync)?;
             if r.stats.recovered_torn_tail() {
@@ -614,11 +616,13 @@ enum Commit {
     Batch(Vec<Document>),
 }
 
-/// Rebuilds the archive from the mapped segment `map`, whose superblock
-/// verified and whose blocks begin at `first_block`, under the format's
-/// recovery rules (`docs/FORMAT.md` §Recovery).
+/// Rebuilds the archive from the segment `file`, mapped as `map`, whose
+/// superblock verified and whose blocks begin at `first_block`, under the
+/// format's recovery rules (`docs/FORMAT.md` §Recovery).
 ///
-/// The header walk lists the checkpoints. A reader thread then verifies and
+/// The header walk lists the checkpoints, reading each header from the
+/// file ([`block::walk_file`]), so it brings no page of the map in; a read
+/// that fails fails the open. A reader thread then verifies and
 /// decodes the blocks behind the newest of them ([`prepare`]), up to
 /// [`READ_AHEAD`] blocks ahead, while this thread restores the newest
 /// checkpoint that decodes. This thread then applies every block behind the
@@ -630,6 +634,7 @@ enum Commit {
 /// receiver is dropped first, so a reader blocked on a full channel sees it
 /// gone and stops.
 fn recover(
+    file: &File,
     map: &MappedFile,
     first_block: u64,
     spec: KeySpec,
@@ -639,12 +644,18 @@ fn recover(
     // records the wall time of every recovery, clean or failed
     let _timer = metrics.replay_duration.start_timer();
     let bytes = map.as_slice();
-    let mut walk = block::walk(bytes, first_block);
-    let checkpoints: Vec<Step> = walk
-        .by_ref()
-        .inspect(|s| map.release(s.offset..s.end))
-        .filter(|s| s.kind == BlockKind::Checkpoint)
-        .collect();
+    let mut walk = block::walk_file(file, bytes, first_block);
+    let mut listed: Vec<Step> = walk.by_ref().collect::<Result<_, _>>()?;
+    // a header that breaks the version sequence is refused here, behind a
+    // checkpoint too; a torn final block is the replay's to cut
+    if let Err(e) = block::check_sequence(bytes, &listed) {
+        return Err(match e {
+            StoreError::Corrupt { offset, .. } => refused(metrics, offset, e),
+            e => e,
+        });
+    }
+    listed.retain(|s| s.kind == BlockKind::Checkpoint);
+    let checkpoints = listed;
     let ahead_from = checkpoints.last().map_or(first_block, |cp| cp.end);
     std::thread::scope(|scope| {
         let (ahead, prepared) = mpsc::sync_channel(READ_AHEAD);
@@ -728,7 +739,8 @@ fn recover(
                 // step over its span — whole, by the commit word at its
                 // declared end — to the blocks behind it
                 Prepared::Corrupt(e)
-                    if step.kind == BlockKind::Checkpoint && ends_committed(bytes, &step) =>
+                    if step.kind == BlockKind::Checkpoint
+                        && block::ends_committed(bytes, &step) =>
                 {
                     metrics.corrupt_blocks.inc();
                     metrics.checkpoints_skipped.inc();
@@ -786,16 +798,6 @@ fn refused(metrics: &StorageMetrics, offset: u64, e: StoreError) -> StoreError {
         &[("offset", offset.to_string()), ("reason", e.to_string())],
     );
     e
-}
-
-/// True when the commit word sits at the declared end of the walked block
-/// `step`: its span is whole, whatever its checksum says.
-fn ends_committed(bytes: &[u8], step: &Step) -> bool {
-    usize::try_from(step.end)
-        .ok()
-        .and_then(|end| bytes.get(..end))
-        .and_then(<[u8]>::last_chunk::<4>)
-        == Some(&block::COMMIT_MAGIC.to_le_bytes())
 }
 
 /// Restores the newest of `checkpoints` (in file order) that verifies and

@@ -4,10 +4,13 @@
 //! [`MappedFile`] exposes a segment file as a `&[u8]` without reading it
 //! into heap memory: on Unix it is a `PROT_READ`/`MAP_PRIVATE` `mmap`, so
 //! the OS pages bytes in on demand and a cold query touches only the
-//! blocks it actually decodes; a reopen hands back what it has replayed
-//! ([`MappedFile::release`]). On other platforms (and for zero-length
-//! files, which `mmap` rejects) it degrades to a buffered read — the same
-//! API, without the laziness.
+//! blocks it actually decodes. Listing the blocks does not go through the
+//! map — the header walk reads each header from the file by position — so
+//! an open faults in only the payloads it reads: a reopen's restored
+//! checkpoint and replayed tail, which it hands back behind itself
+//! ([`MappedFile::release`], called by replay and restore only). On other
+//! platforms (and for zero-length files, which `mmap` rejects) it degrades
+//! to a buffered read — the same API, without the laziness.
 //!
 //! No external crate is involved: the Unix path declares the libc entry
 //! points it needs directly.

@@ -293,3 +293,16 @@ fn a_cold_point_query_allocates_nothing_per_record_it_passes() {
     assert_eq!(counts[0], counts[1], "30 records vs 300");
     assert!(counts[0] <= 20, "{} blocks", counts[0]);
 }
+
+/// Parsing a key spec — every segment open, checkpoint restore and server
+/// start does it — decides the paper's assumptions on the compiled trie of
+/// keyed paths, so the blocks it asks for are the spec's own: its keys'
+/// steps, the implied keys, the trie. Checked by cloning key paths into
+/// sets, the OMIM spec's parse took 1 046.
+#[test]
+fn parsing_a_key_spec_allocates_the_spec_and_no_set_of_paths() {
+    let text = omim_spec().to_string();
+    let (n, spec) = blocks(|| xarch::keys::KeySpec::parse(&text).unwrap());
+    assert_eq!(spec, omim_spec());
+    assert!(n <= 350, "{n} blocks");
+}

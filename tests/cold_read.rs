@@ -19,7 +19,7 @@ use xarch::storage::block::{encode_block, BlockKind};
 use xarch::storage::payload::{bytes_to_doc, doc_to_bytes, docs_to_batch_bytes};
 use xarch::storage::{scratch_path, superblock};
 use xarch::xml::writer::to_compact_string;
-use xarch::xml::{parse, Document};
+use xarch::xml::{parse, Document, Path as LabelPath};
 use xarch::{ArchiveBuilder, ColdArchive, DurableOptions, StoreReader, VersionStore};
 
 fn spec() -> KeySpec {
@@ -98,6 +98,14 @@ fn paths() -> Vec<Vec<KeyQuery>> {
     ]
 }
 
+/// True when every step of `path` stays on the spec's keyed paths.
+fn on_keyed_paths(spec: &KeySpec, path: &[KeyQuery]) -> bool {
+    (1..=path.len()).all(|n| {
+        let tags = path[..n].iter().map(KeyQuery::tag);
+        spec.is_keyed_path(&LabelPath::from_steps(tags))
+    })
+}
+
 /// Versions 1, a batch of 2–4, an empty 5, and 6: every data block kind.
 fn write_mixed(path: &std::path::Path, compression: BlockCodec) {
     let options = DurableOptions {
@@ -138,9 +146,13 @@ impl Reads<'_> {
 
 /// The paths of [`paths`] beneath the root, which both stores answer
 /// alike: the hot archive keeps the root's attributes as the first
-/// release wrote them (`rel="1"`), the journal as each release did.
+/// release wrote them (`rel="1"`), the journal as each release did. Only
+/// those that stay on the keyed paths, so a cold `as_of` of each reads one
+/// block.
 fn records() -> Vec<Vec<KeyQuery>> {
-    paths().split_off(2)
+    let mut records = paths().split_off(2);
+    records.retain(|p| on_keyed_paths(&spec(), p));
+    records
 }
 
 /// `versions` releases, each its own block, journaled under `compression`
@@ -424,6 +436,13 @@ fn cold_answers_equal_the_whole_document_route_over_every_block_kind() {
             for path in paths() {
                 let before = reads.now();
                 let got = cold.as_of(&path, v).unwrap();
+                // steps off the keyed paths address nothing a block could
+                // hold: none is read
+                let again = if on_keyed_paths(cold.spec(), &path) {
+                    again
+                } else {
+                    (0, 0)
+                };
                 assert_eq!(reads.since(before), again, "as_of({path:?}, {v}) reads");
                 let want = match &whole {
                     Some(doc) if path.is_empty() => Some(doc.clone()),
@@ -435,7 +454,7 @@ fn cold_answers_equal_the_whole_document_route_over_every_block_kind() {
                 assert_eq!(as_xml(got), as_xml(want), "as_of({path:?}, {v})");
             }
         }
-        for path in paths().iter().filter(|p| !p.is_empty()) {
+        for path in &paths() {
             let want = common::history_values_by_definition(&cold, path);
             assert_eq!(
                 cold.history(path).unwrap(),
@@ -452,7 +471,15 @@ fn cold_answers_equal_the_whole_document_route_over_every_block_kind() {
         assert_eq!(versions(&paths()[12]), None);
         // and `history_values` / `diff`, the per-version definitions over
         // these, still say what the definitions say
-        common::check_against_definitions(&cold, &paths()[1..8]).unwrap();
+        common::check_against_definitions(&cold, &paths()[0..8]).unwrap();
+        // a history off the keyed paths decodes no block
+        let before = reads.now();
+        assert_eq!(cold.history(&[KeyQuery::new("nope")]).unwrap(), None);
+        assert_eq!(
+            reads.since(before),
+            (0, 0),
+            "history of steps off the keyed paths"
+        );
         drop(cold);
         std::fs::remove_file(&path).unwrap();
     }
@@ -912,6 +939,81 @@ fn an_empty_answer_is_one_its_block_vouches_for() {
     let (offset, _) = corrupt_reason(journal.map(|_| ()).unwrap_err());
     assert_eq!(offset, at);
     std::fs::remove_file(&path).unwrap();
+}
+
+/// An answer no stored byte can change is not a read. The empty path
+/// addresses the synthetic root, which exists in every version, an empty
+/// one too: `history(&[])` and `history_values(&[])` answer as the hot
+/// store does at every latest, 0 included, and `history(&[])` checksums
+/// no block. Steps that leave the keyed paths — at the first step or
+/// below a record — address nothing, and no block is read to say so.
+#[test]
+fn the_empty_path_and_steps_off_the_keyed_paths_answer_without_a_read() {
+    use xarch::datagen::omim::{omim_spec, OmimGen};
+    let releases = OmimGen::new(7).sequence(20, 4);
+    let record = KeyQuery::new("Record").with_text("Num", "0");
+    let off_keyed_paths = [
+        vec![KeyQuery::new("nope")],
+        vec![KeyQuery::new("ROOT"), record.clone(), KeyQuery::new("nope")],
+    ];
+    for latest in 0..=5u32 {
+        let path = scratch_path("cold-read-empty-path");
+        let options = DurableOptions {
+            compression: BlockCodec::Lzss,
+            sync: false,
+            checkpoint_every: None,
+        };
+        let mut durable = ArchiveBuilder::new(omim_spec())
+            .durable_with(&path, options)
+            .try_build()
+            .unwrap();
+        let mut hot = ArchiveBuilder::new(omim_spec()).build();
+        let mut docs = releases.iter();
+        for v in 1..=latest {
+            // version 3 is empty
+            if v == 3 {
+                durable.add_empty_version().unwrap();
+                hot.add_empty_version().unwrap();
+            } else {
+                let doc = docs.next().unwrap();
+                durable.add_version(doc).unwrap();
+                hot.add_version(doc).unwrap();
+            }
+        }
+        drop(durable);
+        let obs = Obs::new();
+        let cold = ColdArchive::open_observed(&path, &obs).unwrap();
+        let reads = Reads(&obs);
+        assert_eq!(cold.latest(), latest);
+
+        let before = reads.now();
+        let history = cold.history(&[]).unwrap();
+        assert_eq!(reads.since(before), (0, 0), "history(&[]) at {latest}");
+        assert_eq!(
+            history,
+            hot.history(&[]).unwrap(),
+            "history(&[]) at {latest}"
+        );
+        let values = cold.history_values(&[]).unwrap();
+        assert_eq!(values, hot.history_values(&[]).unwrap(), "at {latest}");
+        if latest > 0 {
+            let existence = values.map(|h| h.existence.versions().collect::<Vec<_>>());
+            assert_eq!(existence, Some((1..=latest).collect()), "at {latest}");
+        }
+
+        for steps in &off_keyed_paths {
+            let before = reads.now();
+            assert_eq!(cold.history(steps).unwrap(), None, "{steps:?} at {latest}");
+            for v in 0..=latest + 1 {
+                assert!(cold.as_of(steps, v).unwrap().is_none(), "{steps:?} at {v}");
+                assert!(hot.as_of(steps, v).unwrap().is_none(), "{steps:?} at {v}");
+            }
+            assert_eq!(reads.since(before), (0, 0), "{steps:?} at {latest}");
+            assert_eq!(hot.history(steps).unwrap(), None, "{steps:?} at {latest}");
+        }
+        drop(cold);
+        std::fs::remove_file(&path).unwrap();
+    }
 }
 
 /// The bytes a generated case is drawn from, read in turn; past the end

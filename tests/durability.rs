@@ -1056,6 +1056,48 @@ fn the_journal_and_the_cold_reader_agree_on_rot_and_on_every_prefix() {
         let journal = reopen(&copy).unwrap().latest();
         assert_eq!(cold, journal, "prefix of {len} bytes");
     }
+
+    // a header's version or stored_len field rotted, in an interior block
+    // and in the final one — of the segment, and of its prefix that ends
+    // in a data block: both refuse at the same offset, or both keep the
+    // same versions
+    let to_last_data = usize::try_from(steps[4].end).unwrap();
+    for (segment, blocks) in [
+        (&pristine[..], &steps[..]),
+        (&pristine[..to_last_data], &steps[..5]),
+    ] {
+        for step in blocks {
+            let version = (2..6).map(|at| ("version", at));
+            let stored_len = (14..22).map(|at| ("stored_len", at));
+            let flips = version
+                .chain(stored_len)
+                .flat_map(|f| [(f, 0x01), (f, 0x80)]);
+            for ((field, at), bit) in flips {
+                let mut rotted = segment.to_vec();
+                rotted[usize::try_from(step.offset).unwrap() + at] ^= bit;
+                std::fs::write(&path, &rotted).unwrap();
+                std::fs::write(&copy, &rotted).unwrap();
+                let cold = ColdArchive::open(&path).map(|c| c.latest());
+                let journal = reopen(&copy).map(|s| s.latest());
+                let case = format!(
+                    "{field} byte {at} ^ {bit:#x} of the {:?} at {} in {} bytes",
+                    step.kind,
+                    step.offset,
+                    segment.len()
+                );
+                match (cold, journal) {
+                    (Ok(cold), Ok(journal)) => assert_eq!(cold, journal, "{case}"),
+                    (
+                        Err(StoreError::Corrupt { offset: cold, .. }),
+                        Err(StoreError::Corrupt {
+                            offset: journal, ..
+                        }),
+                    ) => assert_eq!(cold, journal, "{case}"),
+                    other => panic!("{case}: {other:?}"),
+                }
+            }
+        }
+    }
     std::fs::remove_file(&path).unwrap();
     std::fs::remove_file(&copy).unwrap();
 }
