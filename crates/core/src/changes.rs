@@ -10,7 +10,7 @@
 use std::fmt;
 
 use crate::archive::{AKind, ANodeId, Archive};
-use crate::timeset::TimeSet;
+use crate::timeset::{TimeRef, TimeSet};
 
 /// The kind of an element-wise change.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,12 +64,11 @@ pub fn describe_changes(a: &Archive, i: u32, j: u32) -> Vec<Change> {
 }
 
 fn label_of(a: &Archive, id: ANodeId) -> String {
-    let n = a.node(id);
-    let AKind::Element(s) = n.kind else {
+    let AKind::Element(s) = a.kind(id) else {
         return "#text".to_owned();
     };
     let tag = a.syms().resolve(s);
-    match &n.key {
+    match a.key(id) {
         Some(k) if !k.parts().is_empty() => format!("{tag}{k}"),
         _ => tag.to_owned(),
     }
@@ -85,11 +84,10 @@ fn walk(
     out: &mut Vec<Change>,
 ) {
     for &c in a.children(id) {
-        let n = a.node(c);
-        let eff = n.time.clone().unwrap_or_else(|| inherited.clone());
+        let eff = a.time(c).map_or_else(|| inherited.clone(), TimeRef::to_set);
         let at_i = eff.contains(i);
         let at_j = eff.contains(j);
-        match &n.kind {
+        match a.kind(c) {
             AKind::Element(_) => {
                 let lbl = label_of(a, c);
                 match (at_i, at_j) {
@@ -136,10 +134,10 @@ fn walk(
 /// frontier node, or a node with only text/beyond-frontier children).
 fn is_frontier_like(a: &Archive, id: ANodeId) -> bool {
     use xarch_keys::NodeClass;
-    matches!(a.node(id).class, NodeClass::Frontier)
+    matches!(a.class(id), NodeClass::Frontier)
         || a.children(id)
             .iter()
-            .any(|&c| matches!(a.node(c).kind, AKind::Stamp))
+            .any(|&c| matches!(a.kind(c), AKind::Stamp))
 }
 
 /// The canonical content of node `id` as of version `v`.
@@ -151,13 +149,10 @@ fn content_at(a: &Archive, id: ANodeId, v: u32) -> String {
 
 fn content_at_rec(a: &Archive, id: ANodeId, v: u32, out: &mut String) {
     for &c in a.children(id) {
-        let n = a.node(c);
-        if let Some(t) = &n.time {
-            if !t.contains(v) {
-                continue;
-            }
+        if a.time(c).is_some_and(|t| !t.contains(v)) {
+            continue;
         }
-        match &n.kind {
+        match a.kind(c) {
             AKind::Stamp => content_at_rec(a, c, v, out),
             _ => out.push_str(&crate::merge::canonical_anode(a, c)),
         }

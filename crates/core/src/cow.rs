@@ -48,6 +48,16 @@ impl<T: Clone> CowVec<T> {
         self.len == 0
     }
 
+    /// The arena of `chunks`, each full but the last, every one put behind
+    /// its `Arc` as it is.
+    pub(crate) fn from_chunks(chunks: Vec<Vec<T>>) -> Self {
+        debug_assert!(chunks.iter().rev().skip(1).all(|c| c.len() == CHUNK));
+        Self {
+            len: chunks.iter().map(Vec::len).sum(),
+            chunks: chunks.into_iter().map(Arc::new).collect(),
+        }
+    }
+
     /// The element at `i`, if any.
     #[inline]
     pub fn get(&self, i: usize) -> Option<&T> {
@@ -96,6 +106,18 @@ impl<T: Clone> CowVec<T> {
     /// Number of chunks.
     pub fn chunk_count(&self) -> usize {
         self.chunks.len()
+    }
+
+    /// Chunks at the same position that are not shared by pointer yet hold
+    /// the same elements: copies a write did not need.
+    #[cfg(test)]
+    pub(crate) fn needless_copies(&self, other: &Self) -> usize
+    where
+        T: PartialEq,
+    {
+        (self.chunks.iter().zip(&other.chunks))
+            .filter(|(a, b)| !Arc::ptr_eq(a, b) && a == b)
+            .count()
     }
 
     /// How many chunks `self` and `other` share by pointer — the measure

@@ -163,9 +163,8 @@ impl fmt::Debug for KeyQuery {
 impl Archive {
     /// The label of archive node `id`, when it is a keyed element.
     pub fn label(&self, id: ANodeId) -> Option<Label<'_>> {
-        let n = self.node(id);
-        match (&n.kind, &n.key) {
-            (AKind::Element(s), Some(k)) => Some((self.syms().resolve(*s), k)),
+        match (self.kind(id), self.key(id)) {
+            (AKind::Element(s), Some(k)) => Some((self.syms().resolve(s), k)),
             _ => None,
         }
     }
@@ -175,10 +174,9 @@ impl Archive {
     /// text, stamp, and unkeyed fallback nodes, which no key path can
     /// address.
     pub fn step_of(&self, id: ANodeId) -> Option<KeyQuery> {
-        let n = self.node(id);
-        match (&n.kind, &n.key) {
+        match (self.kind(id), self.key(id)) {
             (AKind::Element(s), Some(k)) => Some(KeyQuery::labelled(
-                Arc::clone(self.syms().shared(*s)),
+                Arc::clone(self.syms().shared(s)),
                 k.clone(),
             )),
             _ => None,
@@ -194,7 +192,7 @@ impl Archive {
         let children = self.children(id);
         let has_stamps = children
             .iter()
-            .any(|&c| matches!(self.node(c).kind, AKind::Stamp));
+            .any(|&c| matches!(self.kind(c), AKind::Stamp));
         if !has_stamps {
             // single alternative for the node's whole lifetime
             let content = self.content_canonical(id);
@@ -206,8 +204,8 @@ impl Archive {
         }
         let mut out = TimeSet::new();
         for &c in children {
-            if matches!(self.node(c).kind, AKind::Stamp) && self.content_canonical(c) == canon {
-                out = out.union(self.node(c).time.as_ref().expect("stamp time"));
+            if matches!(self.kind(c), AKind::Stamp) && self.content_canonical(c) == canon {
+                out = out.union(&self.time(c).expect("stamp time").to_set());
             }
         }
         Some(out)

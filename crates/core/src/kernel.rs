@@ -100,7 +100,7 @@ pub fn doc_root(a: &Archive, nav: &impl Nav, v: u32) -> Option<ANodeId> {
         return None;
     }
     nav.visible(a, a.root(), v)
-        .find(|&c| matches!(a.node(c).kind, AKind::Element(_)))
+        .find(|&c| matches!(a.kind(c), AKind::Element(_)))
 }
 
 /// Reconstructs version `v` (§7.1); `None` as for [`doc_root`].
@@ -131,19 +131,19 @@ fn emit(a: &Archive, nav: &impl Nav, id: ANodeId, v: u32) -> Option<Document> {
 
 /// Sets the attributes of `id` on the element open in `b`.
 fn copy_attrs(a: &Archive, id: ANodeId, b: &mut Builder) {
-    for (name, value) in &a.node(id).attrs {
-        b.attr(a.syms().resolve(*name), value);
+    for (name, value) in a.attrs(id) {
+        b.attr(a.syms().resolve(name), value);
     }
 }
 
 /// Emits the children of `id` visible at `v` into the element open in `b`.
 fn emit_children(a: &Archive, nav: &impl Nav, id: ANodeId, v: u32, b: &mut Builder) {
     for c in nav.visible(a, id, v) {
-        match &a.node(c).kind {
+        match a.kind(c) {
             // transparent: emit the alternative's content in place
             AKind::Stamp => emit_children(a, nav, c, v, b),
             AKind::Element(s) => {
-                b.open(a.syms().resolve(*s));
+                b.open(a.syms().resolve(s));
                 copy_attrs(a, c, b);
                 emit_children(a, nav, c, v, b);
                 b.close();
@@ -196,8 +196,8 @@ pub fn range<N: Nav>(
     // lifetime inline, so the result is the one block the scan allocates
     let mut out = Vec::with_capacity(keyed.len());
     for &c in keyed {
-        let own = a.node(c).time.as_ref();
-        let time = own.unwrap_or(&inherited).clamp_range(lo, hi);
+        let own = a.time(c).unwrap_or(inherited.view());
+        let time = own.clamp_range(lo, hi);
         if time.is_empty() {
             continue;
         }
@@ -239,7 +239,7 @@ pub fn history_values(a: &Archive, nav: &impl Nav, steps: &[KeyQuery]) -> Option
                 false => Some(id),
             };
             let Some(el) = el else { continue };
-            let AKind::Element(tag) = a.node(el).kind else {
+            let AKind::Element(tag) = a.kind(el) else {
                 continue; // `locate` and `doc_root` yield elements only
             };
             content.clear();
@@ -257,7 +257,7 @@ pub fn history_values(a: &Archive, nav: &impl Nav, steps: &[KeyQuery]) -> Option
 /// and the first version after it.
 fn change_points(a: &Archive, id: ANodeId, cuts: &mut Vec<u32>) {
     for &c in a.children(id) {
-        if let Some(t) = &a.node(c).time {
+        if let Some(t) = a.time(c) {
             for &(lo, hi) in t.intervals() {
                 cuts.extend([lo, hi.saturating_add(1)]);
             }
@@ -298,7 +298,7 @@ pub fn diff(a: &Archive, nav: &impl Nav, steps: &[KeyQuery], v1: u32, v2: u32) -
 /// at the other. `id` is visible at both.
 fn separated(a: &Archive, id: ANodeId, v1: u32, v2: u32) -> bool {
     a.children(id).iter().any(|&c| {
-        let held = a.node(c).time.as_ref();
+        let held = a.time(c);
         match held.map(|t| (t.contains(v1), t.contains(v2))) {
             // invisible at both, and so is everything beneath it
             Some((false, false)) => false,

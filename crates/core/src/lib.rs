@@ -31,8 +31,9 @@
 //!   inverse, making the archive "yet another XML document",
 //! * [`chunk`] — hash-partitioned chunked archiving, §5's memory
 //!   workaround, kept as the ablation experiment (not a store),
-//! * [`cow`] — the chunked copy-on-write arena under the archive (and the
-//!   §7 index tables) that makes publishing a snapshot cost O(changed),
+//! * [`cow`] — the chunked copy-on-write arena under the archive's nodes
+//!   (and the §7 index tables) that, with the pools of runs beside it,
+//!   makes publishing a snapshot cost O(changed),
 //! * [`equiv`] — key-aware document equivalence used to state correctness,
 //! * [`wire`] — the shared varint/string wire primitives (one byte-level
 //!   grammar for event streams, checkpoint states, and durable block
@@ -52,6 +53,7 @@ pub mod history;
 pub mod kernel;
 pub mod merge;
 pub mod observed;
+mod pool;
 pub mod query;
 pub mod retrieve;
 pub mod state;
@@ -72,6 +74,6 @@ pub use history::{cmp_labels, KeyQuery, Label};
 pub use observed::QueryMetrics;
 pub use query::{ElementHistory, RangeEntry, VersionDelta};
 pub use store::{StoreError, StoreReader, StoreStats, VersionStore};
-pub use timeset::TimeSet;
+pub use timeset::{TimeRef, TimeSet};
 /// The key-value types a [`KeyQuery`] step holds, shared with the archive.
 pub use xarch_keys::{KeyPart, KeyValue, PathName};

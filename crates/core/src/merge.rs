@@ -32,7 +32,7 @@
 //! The precondition matters: beneath a node that *has* been written — a
 //! record terminated once, a `Text` with two alternatives — the same
 //! children can need `i` added to a timestamp, so such a node always takes
-//! the walk. "Written beneath" is [`ANode::written_beneath`], kept by
+//! the walk. "Written beneath" is [`Archive::written_beneath`], kept by
 //! `Archive::set_time`, through which every timestamp is assigned. The
 //! equality asked for is positional, attributes included, so it allocates
 //! nothing and hashes nothing; a subtree that is equal only after
@@ -66,9 +66,9 @@ use xarch_keys::{annotate_holding, Annotations, KeyError, KeyValue, NodeClass};
 use xarch_xml::canon::canonical;
 use xarch_xml::{Document, NodeId, NodeKind, Sym};
 
-use crate::archive::{AKind, ANode, ANodeId, Archive, Compaction, MergeError};
+use crate::archive::{AKind, ANodeId, Archive, Compaction, MergeError};
 use crate::history::{cmp_labels, Label};
-use crate::timeset::TimeSet;
+use crate::timeset::{TimeRef, TimeSet};
 use crate::weave::weave_frontier;
 
 /// One incoming version as the merge reads it: the document, its key
@@ -219,7 +219,7 @@ fn sort_keyed_x(a: &Archive, x: ANodeId) -> Vec<ANodeId> {
     let mut kx: Vec<(Label<'_>, ANodeId)> = Vec::new();
     for &c in a.children(x) {
         debug_assert!(
-            !matches!(a.node(c).kind, AKind::Stamp),
+            !matches!(a.kind(c), AKind::Stamp),
             "stamp nodes occur only beneath frontier nodes"
         );
         kx.extend(a.label(c).map(|l| (l, c)));
@@ -308,14 +308,17 @@ impl Archive {
         check_root(doc, annotated.0)?;
         self.tally.keys_extracted += annotated.0.keyed_count() as u64;
         let i = self.bump_version();
-        let root = self.root();
-        let t_cur = self
-            .augment_time(root, i)
-            .expect("root carries a timestamp")
-            .clone();
+        let t_cur = self.stamp_root(i);
         let ver = Version::new(self, doc, annotated, sorted, i);
-        merge_children(self, root, &ver, &ver.top, &t_cur);
+        merge_children(self, self.root(), &ver, &ver.top, &t_cur);
         Ok(i)
+    }
+
+    /// Adds version `i` to the root's timestamp and returns the result.
+    fn stamp_root(&mut self, i: u32) -> TimeSet {
+        let root = self.root();
+        self.augment_time(root, i);
+        self.time(root).expect("root carries a timestamp").to_set()
     }
 
     /// Archives an *empty* database as the next version (§2's footnote:
@@ -323,12 +326,8 @@ impl Archive {
     pub fn add_empty_version(&mut self) -> u32 {
         self.touched.0.clear();
         let i = self.bump_version();
-        let root = self.root();
-        let t_cur = self
-            .augment_time(root, i)
-            .expect("root carries a timestamp")
-            .clone();
-        for c in self.children(root).to_vec() {
+        let t_cur = self.stamp_root(i);
+        for c in self.children(self.root()).to_vec() {
             terminate(self, c, &t_cur, i);
         }
         i
@@ -452,7 +451,7 @@ fn rule_off(a: &Archive, x: ANodeId) -> bool {
     if a.full_walk {
         return true;
     }
-    a.node(x).written_beneath
+    a.written_beneath(x)
 }
 
 /// The no-op rule: `true` when merging version node `y` into the matched
@@ -494,14 +493,13 @@ fn same_children(a: &Archive, x: ANodeId, names: Names<'_>, y: NodeId, n: &mut u
 
 fn same_node(a: &Archive, xc: ANodeId, names: Names<'_>, yc: NodeId, n: &mut u32) -> bool {
     *n += 1;
-    let xn = a.node(xc);
-    match (&xn.kind, names.doc.kind(yc)) {
+    match (a.kind(xc), names.doc.kind(yc)) {
         (AKind::Text(t1), NodeKind::Text(t2)) => t1 == t2,
         (AKind::Element(s1), NodeKind::Element(s2)) => {
-            let y_attrs = names.doc.attrs(yc);
-            names.same(*s1, s2)
-                && xn.attrs.len() == y_attrs.len()
-                && (xn.attrs.iter().zip(y_attrs)).all(|(p, q)| names.same(p.0, q.0) && p.1 == q.1)
+            let (x_attrs, y_attrs) = (a.attrs(xc), names.doc.attrs(yc));
+            names.same(s1, s2)
+                && x_attrs.len() == y_attrs.len()
+                && (x_attrs.zip(y_attrs)).all(|(p, q)| names.same(p.0, q.0) && p.1 == q.1)
                 && same_children(a, xc, names, yc, n)
         }
         _ => false,
@@ -516,7 +514,7 @@ fn nested_merge(a: &mut Archive, x: ANodeId, ver: &Version<'_>, y: NodeId, inher
     if unchanged(a, x, ver, y) {
         return;
     }
-    let own = a.node(x).time.clone();
+    let own = a.time(x).map(TimeRef::to_set);
     let t_cur = own.as_ref().unwrap_or(inherited);
     if ver.is_frontier(y) {
         frontier_merge(a, x, ver, y, t_cur);
@@ -574,7 +572,7 @@ pub(crate) fn merge_children(
 
 /// Action (b): "If time(x′) does not exist, then let time(x′) be T − {i}."
 pub(crate) fn terminate(a: &mut Archive, xc: ANodeId, t_cur: &TimeSet, i: u32) {
-    if a.node(xc).time.is_none() {
+    if a.time(xc).is_none() {
         let mut t = t_cur.clone();
         t.remove(i);
         a.set_time(xc, t);
@@ -596,21 +594,18 @@ pub(crate) fn copy_subtree(
     parent: ANodeId,
 ) -> ANodeId {
     let (class, key) = ver.annotation(y);
-    let key = key.cloned();
-    let node = match ver.doc.kind(y) {
+    let id = match ver.doc.kind(y) {
         NodeKind::Element(s) => {
             let tag = ver.intern(a, s);
-            ANode {
-                attrs: (ver.doc.attrs(y))
-                    .map(|(s, v)| (ver.intern(a, s), v.to_owned()))
-                    .collect(),
-                key,
-                ..ANode::new(AKind::Element(tag), class)
+            let id = a.push_node(parent, AKind::Element(tag), class, key.cloned());
+            for (s, v) in ver.doc.attrs(y) {
+                let name = ver.intern(a, s);
+                a.push_attr(id, name, v);
             }
+            id
         }
-        NodeKind::Text(t) => ANode::new(AKind::Text(t.to_owned()), class),
+        NodeKind::Text(t) => a.push_node(parent, AKind::Text(t), class, None),
     };
-    let id = a.push_node(parent, node);
     for &c in ver.doc.children(y) {
         copy_subtree(a, ver, c, id);
     }
@@ -626,18 +621,14 @@ fn frontier_merge(a: &mut Archive, x: ANodeId, ver: &Version<'_>, y: NodeId, t_c
     }
     let (doc, i) = (ver.doc, ver.i);
     let y_children = doc.children(y);
-    let is_stamp = |a: &Archive, c: ANodeId| matches!(a.node(c).kind, AKind::Stamp);
+    let is_stamp = |a: &Archive, c: ANodeId| matches!(a.kind(c), AKind::Stamp);
     if !a.children(x).iter().any(|&c| is_stamp(a, c)) {
         // "If every node in children(x) is not a timestamp node":
         if !content_equals(a, a.children(x), doc, y_children) {
             // split into two alternatives t1 = T−{i}, t2 = {i}
-            let old: Vec<ANodeId> = std::mem::take(&mut a.node_mut(x).children);
             let mut t_old = t_cur.clone();
             t_old.remove(i);
-            let t1 = push_stamp(a, x, t_old);
-            for c in old {
-                a.attach(t1, c);
-            }
+            a.wrap_children(x, t_old);
             push_alternative(a, x, ver, y_children);
         }
         // equal contents: nothing to do, children keep inheriting
@@ -649,7 +640,8 @@ fn frontier_merge(a: &mut Archive, x: ANodeId, ver: &Version<'_>, y: NodeId, t_c
             .find(|&sc| content_equals(a, a.children(sc), doc, y_children));
         match stamp {
             Some(sc) => {
-                a.augment_time(sc, i).expect("stamps carry timestamps");
+                let stamped = a.augment_time(sc, i);
+                debug_assert!(stamped, "stamps carry timestamps");
             }
             None => push_alternative(a, x, ver, y_children),
         }
@@ -658,7 +650,7 @@ fn frontier_merge(a: &mut Archive, x: ANodeId, ver: &Version<'_>, y: NodeId, t_c
 
 /// Appends an empty `<T t="t">` alternative to frontier node `x`.
 fn push_stamp(a: &mut Archive, x: ANodeId, t: TimeSet) -> ANodeId {
-    let stamp = a.push_node(x, ANode::new(AKind::Stamp, NodeClass::BeyondFrontier));
+    let stamp = a.push_node(x, AKind::Stamp, NodeClass::BeyondFrontier, None);
     a.set_time(stamp, t);
     stamp
 }
@@ -716,17 +708,14 @@ pub(crate) fn canonical_anode(a: &Archive, id: ANodeId) -> String {
 
 fn canonical_anode_into(a: &Archive, id: ANodeId, out: &mut String) {
     use xarch_xml::escape::{escape_attr_into, escape_text_into};
-    match &a.node(id).kind {
+    match a.kind(id) {
         AKind::Text(t) => escape_text_into(t, out),
         AKind::Element(s) => {
-            let tag = a.syms().resolve(*s).to_owned();
+            let tag = a.syms().resolve(s).to_owned();
             out.push('<');
             out.push_str(&tag);
-            let mut attrs: Vec<(&str, &str)> = a
-                .node(id)
-                .attrs
-                .iter()
-                .map(|(s, v)| (a.syms().resolve(*s), v.as_str()))
+            let mut attrs: Vec<(&str, &str)> = (a.attrs(id))
+                .map(|(s, v)| (a.syms().resolve(s), v))
                 .collect();
             attrs.sort_unstable();
             for (n, v) in attrs {
@@ -768,21 +757,18 @@ pub(crate) fn content_equals(
 }
 
 fn node_equals(a: &Archive, xc: ANodeId, doc: &Document, yc: NodeId) -> bool {
-    match (&a.node(xc).kind, doc.kind(yc)) {
+    match (a.kind(xc), doc.kind(yc)) {
         (AKind::Text(t1), NodeKind::Text(t2)) => t1 == t2,
         (AKind::Element(s1), NodeKind::Element(s2)) => {
-            if a.syms().resolve(*s1) != doc.syms().resolve(s2) {
+            if a.syms().resolve(s1) != doc.syms().resolve(s2) {
                 return false;
             }
             // attrs as sets
-            let n1 = a.node(xc);
-            if n1.attrs.len() != doc.attrs(yc).len() {
+            if a.attrs(xc).len() != doc.attrs(yc).len() {
                 return false;
             }
-            let mut a1: Vec<(&str, &str)> = n1
-                .attrs
-                .iter()
-                .map(|(s, v)| (a.syms().resolve(*s), v.as_str()))
+            let mut a1: Vec<(&str, &str)> = (a.attrs(xc))
+                .map(|(s, v)| (a.syms().resolve(s), v))
                 .collect();
             let mut a2: Vec<(&str, &str)> = doc
                 .attrs(yc)

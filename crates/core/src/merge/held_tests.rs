@@ -42,10 +42,9 @@ fn assert_alike(held: &Archive, eager: &Archive, since: [MergeTally; 2], what: &
     assert_eq!(held.to_xml_pretty(), eager.to_xml_pretty(), "{what}");
     let mut pairs = vec![(held.root(), eager.root())];
     while let Some((x, y)) = pairs.pop() {
-        let (h, e) = (held.node(x), eager.node(y));
         assert_eq!(
-            (&h.time, &h.key, h.class),
-            (&e.time, &e.key, e.class),
+            (held.time(x), held.key(x), held.class(x)),
+            (eager.time(y), eager.key(y), eager.class(y)),
             "{what}"
         );
         assert_eq!(held.children(x).len(), eager.children(y).len(), "{what}");

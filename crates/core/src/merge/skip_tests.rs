@@ -34,8 +34,8 @@ fn assert_bits_exact(a: &Archive) {
         for &c in a.children(id) {
             beneath |= stamped(a, c);
         }
-        assert_eq!(a.node(id).written_beneath, beneath, "bit of {id:?}");
-        beneath || a.node(id).time.is_some()
+        assert_eq!(a.written_beneath(id), beneath, "bit of {id:?}");
+        beneath || a.time(id).is_some()
     }
     stamped(a, a.root());
 }
@@ -212,9 +212,9 @@ fn woven_content_that_gained_timestamps_is_revisited() {
     // the Text really did gain a stamp of its own
     let mut a = archive(Compaction::Weave, false);
     a.add_versions(&parsed(&[xy, x])).unwrap();
-    let texts = (0..a.len() as u32).map(ANodeId).filter(|&n| {
-        matches!(&a.node(n).kind, AKind::Text(t) if t == "y") && a.node(n).time.is_some()
-    });
+    let texts = (0..a.len() as u32)
+        .map(ANodeId)
+        .filter(|&n| matches!(a.kind(n), AKind::Text(t) if t == "y") && a.time(n).is_some());
     assert_eq!(texts.count(), 1);
 }
 

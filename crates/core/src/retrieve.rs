@@ -63,7 +63,7 @@ impl Archive {
     /// Visibility of a node at version `v` given that its parent is
     /// visible: explicit timestamp decides, otherwise inherited (= true).
     pub(crate) fn visible(&self, id: ANodeId, v: u32) -> bool {
-        self.node(id).time.as_ref().is_none_or(|t| t.contains(v))
+        self.time(id).is_none_or(|t| t.contains(v))
     }
 
     /// Streaming retrieval: serializes version `v` directly into `out` as
@@ -74,7 +74,7 @@ impl Archive {
         let Some(root) = doc_root(self, &Scan, v) else {
             return Ok(false);
         };
-        let AKind::Element(tag) = self.node(root).kind else {
+        let AKind::Element(tag) = self.kind(root) else {
             return Ok(false); // `doc_root` yields elements only
         };
         buffered(out, |out| self.write_element(&Scan, root, tag, v, out))?;
@@ -107,8 +107,8 @@ impl Archive {
         let tag = self.syms().resolve(tag).as_bytes();
         out.write_all(b"<")?;
         out.write_all(tag)?;
-        for (a, val) in &self.node(id).attrs {
-            write_attr_pair(self.syms().resolve(*a), val, out)?;
+        for (a, val) in self.attrs(id) {
+            write_attr_pair(self.syms().resolve(a), val, out)?;
         }
         let mut open = true;
         self.write_content(nav, id, v, &mut open, out)?;
@@ -130,7 +130,7 @@ impl Archive {
         out: &mut W,
     ) -> io::Result<()> {
         for c in nav.visible(self, id, v) {
-            match &self.node(c).kind {
+            match self.kind(c) {
                 AKind::Stamp => self.write_content(nav, c, v, open, out)?,
                 AKind::Text(t) => {
                     close_start_tag(open, out)?;
@@ -138,7 +138,7 @@ impl Archive {
                 }
                 AKind::Element(tag) => {
                     close_start_tag(open, out)?;
-                    self.write_element(nav, c, *tag, v, out)?;
+                    self.write_element(nav, c, tag, v, out)?;
                 }
             }
         }

@@ -13,16 +13,28 @@
 //! configuration) apart from "this checkpoint is damaged" (a positioned
 //! [`StoreError::Corrupt`]).
 //!
-//! The byte grammar uses the shared [`crate::wire`] primitives; decoding
-//! is panic-free and ends with [`Archive::check_invariants`], so a
-//! corrupted-but-checksummed state can never produce a structurally
-//! broken archive.
+//! The byte grammar uses the shared [`crate::wire`] primitives. A restore
+//! is one decode and one walk. The decode lays each node straight into an
+//! arena and pools shaped as the archive keeps them — text and attribute
+//! values into the text pool, child lists and attributes as runs, key-path
+//! names resolved against one table of the restoring spec's. The walk then
+//! checks, iteratively, that the nodes form one tree under the root (ids
+//! in range, no cycle or shared subtree, parent pointers that agree, at
+//! most [`MAX_TREE_DEPTH`] deep, nothing unreachable) and every timestamp
+//! rule of [`Archive::check_invariants`], and derives the
+//! `written_beneath` bits the checkpoint does not store. Decoding is
+//! panic-free, so a corrupted-but-checksummed state can never produce a
+//! structurally broken archive.
 
-use xarch_keys::{KeyPart, KeySpec, KeyValue, NodeClass};
+use std::sync::Arc;
+
+use xarch_keys::{KeyPart, KeySpec, KeyValue, NodeClass, PathName};
 use xarch_xml::{Sym, SymbolTable, MAX_DEPTH};
 
-use crate::archive::{AKind, ANode, ANodeId, Archive, Compaction};
+use crate::archive::{AKind, ANodeId, Archive, Compaction, Decoded, Refusal};
 use crate::store::StoreError;
+use crate::timeset::TimeRef;
+#[cfg(test)]
 use crate::timeset::TimeSet;
 use crate::wire::{get_str, get_str_ref, get_varint, put_str, put_varint, WireError};
 
@@ -80,9 +92,9 @@ fn class_from_id(id: u8) -> Option<NodeClass> {
     })
 }
 
-/// Appends a [`TimeSet`] as `varint run-count` then per run
+/// Appends a timestamp's runs as `varint run-count` then per run
 /// `varint lo, varint (hi - lo)`.
-fn put_timeset(out: &mut Vec<u8>, t: &TimeSet) {
+fn put_timeset(out: &mut Vec<u8>, t: TimeRef<'_>) {
     let runs = t.intervals();
     put_varint(out, runs.len() as u64);
     for &(lo, hi) in runs {
@@ -105,18 +117,23 @@ fn get_byte(buf: &[u8], pos: &mut usize) -> Result<u8, StoreError> {
     Ok(b)
 }
 
-/// Decodes a [`TimeSet`] written by [`put_timeset`], rejecting unordered
-/// or overflowing intervals and any run reaching past `latest`, the newest
-/// version the payload can mention. The cost is per run, never per
-/// version.
-fn get_timeset(buf: &[u8], pos: &mut usize, latest: u32) -> Result<TimeSet, StoreError> {
+/// Decodes the runs of a timestamp written by [`put_timeset`] into `out`
+/// (cleared first), rejecting unordered or overflowing intervals and any
+/// run reaching past `latest`, the newest version the payload can
+/// mention. Adjacent runs coalesce, as a union would. The cost is per
+/// run, never per version.
+fn get_runs(
+    buf: &[u8],
+    pos: &mut usize,
+    latest: u32,
+    out: &mut Vec<(u32, u32)>,
+) -> Result<(), StoreError> {
+    out.clear();
     let runs = get_varint(buf, pos).map_err(corrupt)? as usize;
     // a run costs ≥ 2 encoded bytes; an implausible count is corruption
     if runs > buf.len() / 2 + 1 {
         return Err(corrupt_at(*pos, "checkpoint state: implausible run count"));
     }
-    let mut t = TimeSet::new();
-    let mut prev_hi: Option<u32> = None;
     for _ in 0..runs {
         let at = *pos;
         let lo = get_u32(buf, pos)?;
@@ -124,26 +141,35 @@ fn get_timeset(buf: &[u8], pos: &mut usize, latest: u32) -> Result<TimeSet, Stor
         let hi = lo
             .checked_add(span)
             .ok_or_else(|| corrupt_at(at, "checkpoint state: interval overflow"))?;
-        if lo == 0 || prev_hi.is_some_and(|p| lo <= p) {
+        if lo == 0 || out.last().is_some_and(|&(_, p)| lo <= p) {
             return Err(corrupt_at(at, "checkpoint state: intervals out of order"));
         }
         if hi > latest {
             return Err(corrupt_at(at, "checkpoint state: interval past latest"));
         }
-        prev_hi = Some(hi);
-        // in order, so a push coalesces an adjacent run as a union would
-        t.push_run((lo, hi));
+        match out.last_mut() {
+            Some(last) if lo == last.1 + 1 => last.1 = hi,
+            _ => out.push((lo, hi)),
+        }
     }
-    Ok(t)
+    Ok(())
+}
+
+/// [`get_runs`] as a [`TimeSet`].
+#[cfg(test)]
+fn get_timeset(buf: &[u8], pos: &mut usize, latest: u32) -> Result<TimeSet, StoreError> {
+    let mut runs = Vec::new();
+    get_runs(buf, pos, latest, &mut runs)?;
+    Ok(TimeRef::new(&runs).to_set())
 }
 
 /// Decodes one key part written by [`put_archive_body`]: its path, which
-/// must be one `spec` declares and takes its name from, its canonical
-/// value and its fingerprint.
-fn get_key_part(buf: &[u8], pos: &mut usize, spec: &KeySpec) -> Result<KeyPart, StoreError> {
+/// must be one of the restoring spec's `names` and takes its name from
+/// there, its canonical value and its fingerprint.
+fn get_key_part(buf: &[u8], pos: &mut usize, names: &[&PathName]) -> Result<KeyPart, StoreError> {
     let at = *pos;
     let path = get_str_ref(buf, pos).map_err(corrupt)?;
-    let Some(path) = spec.path_name(path) else {
+    let Some(&path) = names.iter().find(|name| ***name == path) else {
         return Err(corrupt_at(at, "checkpoint state: undeclared key path"));
     };
     let canon = get_str(buf, pos).map_err(corrupt)?;
@@ -155,7 +181,7 @@ fn get_key_part(buf: &[u8], pos: &mut usize, spec: &KeySpec) -> Result<KeyPart, 
     let mut fp = [0u8; 16];
     fp.copy_from_slice(fp_bytes);
     Ok(KeyPart {
-        path,
+        path: path.clone(),
         canon,
         fp: u128::from_le_bytes(fp),
     })
@@ -173,8 +199,8 @@ fn put_archive_body(out: &mut Vec<u8>, a: &Archive) {
     }
     put_varint(out, a.len() as u64);
     for i in 0..a.len() {
-        let n = a.node(ANodeId(i as u32));
-        match &n.kind {
+        let id = ANodeId(i as u32);
+        match a.kind(id) {
             AKind::Element(s) => {
                 out.push(0);
                 put_varint(out, s.index() as u64);
@@ -185,24 +211,26 @@ fn put_archive_body(out: &mut Vec<u8>, a: &Archive) {
             }
             AKind::Stamp => out.push(2),
         }
-        put_varint(out, n.parent.map_or(0, |p| p.0 as u64 + 1));
-        put_varint(out, n.children.len() as u64);
-        for c in &n.children {
+        put_varint(out, a.parent(id).map_or(0, |p| p.0 as u64 + 1));
+        let children = a.children(id);
+        put_varint(out, children.len() as u64);
+        for c in children {
             put_varint(out, c.0 as u64);
         }
-        put_varint(out, n.attrs.len() as u64);
-        for (s, v) in &n.attrs {
+        let attrs = a.attrs(id);
+        put_varint(out, attrs.len() as u64);
+        for (s, v) in attrs {
             put_varint(out, s.index() as u64);
             put_str(out, v);
         }
-        match &n.time {
+        match a.time(id) {
             None => out.push(0),
             Some(t) => {
                 out.push(1);
                 put_timeset(out, t);
             }
         }
-        match &n.key {
+        match a.key(id) {
             None => out.push(0),
             Some(k) => {
                 out.push(1);
@@ -214,7 +242,7 @@ fn put_archive_body(out: &mut Vec<u8>, a: &Archive) {
                 }
             }
         }
-        out.push(class_id(n.class));
+        out.push(class_id(a.class(id)));
     }
     put_varint(out, a.root().0 as u64);
 }
@@ -222,6 +250,11 @@ fn put_archive_body(out: &mut Vec<u8>, a: &Archive) {
 /// Decodes one archive body at `*pos`. `expect` carries the restoring
 /// store's spec and compaction mode; a mismatch answers `Ok(None)` so the
 /// caller can fall back to a full replay under its own configuration.
+///
+/// Each node goes straight into an arena and pools laid out as the
+/// archive keeps them ([`Decoded`]) — its text, children, attributes and
+/// timestamp runs where they stay — and then one walk
+/// ([`Decoded::finish`]) checks the tree and derives what is not stored.
 fn get_archive_body(
     buf: &[u8],
     pos: &mut usize,
@@ -234,8 +267,8 @@ fn get_archive_body(
         1 => Compaction::Weave,
         _ => return Err(corrupt_at(*pos - 1, "checkpoint state: bad compaction id")),
     };
-    let spec_src = get_str(buf, pos).map_err(corrupt)?;
-    let spec = KeySpec::parse(&spec_src)
+    let spec_src = get_str_ref(buf, pos).map_err(corrupt)?;
+    let spec = KeySpec::parse(spec_src)
         .map_err(|e| corrupt_at(*pos, format!("checkpoint state: bad key spec: {e}")))?;
     if spec != *expect_spec || compaction != expect_compaction {
         return Ok(None);
@@ -250,8 +283,8 @@ fn get_archive_body(
     }
     let mut syms = SymbolTable::new();
     for _ in 0..sym_count {
-        let name = get_str(buf, pos).map_err(corrupt)?;
-        syms.intern(&name);
+        let name = get_str_ref(buf, pos).map_err(corrupt)?;
+        syms.intern(name);
     }
     if syms.len() != sym_count {
         return Err(corrupt_at(*pos, "checkpoint state: duplicate symbol"));
@@ -279,13 +312,22 @@ fn get_archive_body(
             Err(corrupt_at(at, "checkpoint state: node id out of range"))
         }
     };
-    let mut nodes = Vec::with_capacity(node_count);
-    // one node's key parts, gathered here so its key value is one block
-    let mut parts = Vec::new();
+    // the restoring spec's path names, which the key parts share, looked
+    // up in one table
+    let mut names: Vec<&PathName> = Vec::new();
+    for name in expect_spec.path_names() {
+        if !names.contains(&name) {
+            names.push(name);
+        }
+    }
+    let mut d = Decoded::new();
+    // one node's timestamp runs and key parts, gathered here so that
+    // neither costs a block of its own
+    let (mut runs, mut parts) = (Vec::new(), Vec::new());
     for _ in 0..node_count {
         let kind = match get_byte(buf, pos)? {
             0 => AKind::Element(get_sym(buf, pos)?),
-            1 => AKind::Text(get_str(buf, pos).map_err(corrupt)?),
+            1 => AKind::Text(get_str_ref(buf, pos).map_err(corrupt)?),
             2 => AKind::Stamp,
             _ => return Err(corrupt_at(*pos - 1, "checkpoint state: bad node kind")),
         };
@@ -303,23 +345,28 @@ fn get_archive_body(
                 "checkpoint state: implausible child count",
             ));
         }
-        let mut children = Vec::with_capacity(child_count);
-        for _ in 0..child_count {
-            children.push(get_id(buf, pos)?);
-        }
+        let children = d.kids.extend_with(child_count, || get_id(buf, pos))?;
         let attr_count = get_varint(buf, pos).map_err(corrupt)? as usize;
         if attr_count > buf.len() {
             return Err(corrupt_at(*pos, "checkpoint state: implausible attr count"));
         }
-        let mut attrs = Vec::with_capacity(attr_count);
-        for _ in 0..attr_count {
-            let s = get_sym(buf, pos)?;
-            let v = get_str(buf, pos).map_err(corrupt)?;
-            attrs.push((s, v));
+        if attr_count > 0 && matches!(kind, AKind::Text(_)) {
+            return Err(corrupt_at(
+                *pos,
+                "checkpoint state: attributes on a text node",
+            ));
         }
+        let attrs = d.attrs.extend_with(attr_count, || {
+            let name = get_sym(buf, pos)?;
+            let value = get_str_ref(buf, pos).map_err(corrupt)?;
+            Ok::<_, StoreError>((name, d.text.push(value)))
+        })?;
         let time = match get_byte(buf, pos)? {
             0 => None,
-            1 => Some(get_timeset(buf, pos, latest)?),
+            1 => {
+                get_runs(buf, pos, latest, &mut runs)?;
+                Some(&runs[..])
+            }
             _ => return Err(corrupt_at(*pos - 1, "checkpoint state: bad time flag")),
         };
         let key = match get_byte(buf, pos)? {
@@ -330,7 +377,7 @@ fn get_archive_body(
                     return Err(corrupt_at(*pos, "checkpoint state: implausible key arity"));
                 }
                 for _ in 0..part_count {
-                    parts.push(get_key_part(buf, pos, expect_spec)?);
+                    parts.push(get_key_part(buf, pos, &names)?);
                 }
                 Some(parts.drain(..).collect::<KeyValue>())
             }
@@ -338,60 +385,19 @@ fn get_archive_body(
         };
         let class = class_from_id(get_byte(buf, pos)?)
             .ok_or_else(|| corrupt_at(*pos - 1, "checkpoint state: bad node class"))?;
-        nodes.push(ANode {
-            parent,
-            children,
-            attrs,
-            time,
-            key,
-            ..ANode::new(kind, class)
-        });
+        d.push(kind, parent, (children, attrs), time, key, class);
     }
     let root = get_id(buf, pos)?;
-
-    // Iterative tree validation BEFORE the arena is handed to any
-    // recursive walker: a corrupted child id can form a cycle or share a
-    // subtree, and recursion over either overflows the stack instead of
-    // erroring — as does a tree deeper than any archive grows. Every
-    // child edge must lead to an unvisited node whose parent pointer
-    // agrees, at most `MAX_TREE_DEPTH` below the root.
-    if nodes.get(root.index()).is_some_and(|r| r.parent.is_some()) {
-        return Err(corrupt_at(*pos, "checkpoint state: root has a parent"));
-    }
-    let mut visited = vec![false; node_count];
-    let mut stack = vec![(root, 0)];
-    while let Some((id, depth)) = stack.pop() {
-        if depth > MAX_TREE_DEPTH {
-            return Err(corrupt_at(*pos, "checkpoint state: tree nests too deep"));
-        }
-        let Some(seen) = visited.get_mut(id.index()) else {
-            return Err(corrupt_at(*pos, "checkpoint state: node id out of range"));
-        };
-        if *seen {
-            return Err(corrupt_at(*pos, "checkpoint state: node cycle"));
-        }
-        *seen = true;
-        let Some(n) = nodes.get(id.index()) else {
-            return Err(corrupt_at(*pos, "checkpoint state: node id out of range"));
-        };
-        for &c in &n.children {
-            let child_parent = nodes.get(c.index()).and_then(|cn| cn.parent);
-            if child_parent != Some(id) {
-                return Err(corrupt_at(*pos, "checkpoint state: parent pointer skew"));
-            }
-            stack.push((c, depth + 1));
-        }
-    }
-    if !visited.iter().all(|&v| v) {
-        return Err(corrupt_at(*pos, "checkpoint state: unreachable nodes"));
-    }
-
     // the restoring spec, whose path names the key parts share
-    let spec = expect_spec.clone();
-    let archive = Archive::from_arena(spec, compaction, syms, nodes, root, latest);
-    archive
-        .check_invariants()
-        .map_err(|e| corrupt_at(*pos, format!("checkpoint state: broken invariant: {e}")))?;
+    let config = (Arc::new(expect_spec.clone()), compaction, syms, latest);
+    let archive = d.finish(config, root).map_err(|refusal| {
+        let reason = match refusal {
+            Refusal::TooDeep(_) => "tree nests too deep".to_owned(),
+            Refusal::Broken(e) => format!("broken invariant: {e}"),
+            other => other.to_string(),
+        };
+        corrupt_at(*pos, format!("checkpoint state: {reason}"))
+    })?;
     Ok(Some(archive))
 }
 
@@ -491,12 +497,12 @@ mod tests {
     fn a_run_spanning_the_whole_version_space_decodes_promptly_and_is_refused() {
         let whole = TimeSet::from_range(1, u32::MAX);
         let mut bytes = Vec::new();
-        put_timeset(&mut bytes, &whole);
+        put_timeset(&mut bytes, whole.view());
         assert_eq!(get_timeset(&bytes, &mut 0, u32::MAX).unwrap(), whole);
 
         let mut a = populated();
         let root = a.root();
-        a.node_mut(root).time = Some(whole);
+        a.put_time(root, whole.intervals());
         let err = decode_archive(&encode_archive(&a), &spec(), Compaction::Alternatives)
             .expect_err("a timestamp past `latest` is corruption");
         assert!(
@@ -537,12 +543,9 @@ mod tests {
         }
         let leaf = (0..a.len() as u32)
             .map(ANodeId)
-            .find(|&id| matches!(a.node(id).kind, AKind::Text(_)))
+            .find(|&id| matches!(a.kind(id), AKind::Text(_)))
             .unwrap();
-        a.push_node(
-            leaf,
-            ANode::new(AKind::Text("deeper".into()), NodeClass::BeyondFrontier),
-        );
+        a.push_node(leaf, AKind::Text("deeper"), NodeClass::BeyondFrontier, None);
         let err = decode_archive(&encode_archive(&a), &spec, Compaction::Alternatives)
             .expect_err("one level deeper than an archive grows");
         assert!(
@@ -558,7 +561,7 @@ mod tests {
         let a = populated();
         let state = encode_archive(&a);
         let part = (0..a.len() as u32)
-            .find_map(|i| a.node(ANodeId(i)).key.as_ref()?.parts().first().cloned())
+            .find_map(|i| a.key(ANodeId(i))?.parts().first().cloned())
             .expect("a record keyed by `id`");
         assert_eq!(&*part.path, "id");
         let mut written = Vec::new();
@@ -671,7 +674,7 @@ mod tests {
         let t: TimeSet = (1..=2000).step_by(2).collect();
         assert_eq!(t.run_count(), 1000);
         let mut buf = Vec::new();
-        put_timeset(&mut buf, &t);
+        put_timeset(&mut buf, t.view());
         let mut pos = 0;
         assert_eq!(get_timeset(&buf, &mut pos, 2000).unwrap(), t);
         assert_eq!(pos, buf.len());

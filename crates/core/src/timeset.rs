@@ -142,6 +142,12 @@ impl TimeSet {
         }
     }
 
+    /// The set as a [`TimeRef`], the form an archive node's timestamp is
+    /// read in.
+    pub fn view(&self) -> TimeRef<'_> {
+        TimeRef(self.intervals())
+    }
+
     /// Smallest version, if any.
     pub fn min(&self) -> Option<u32> {
         self.intervals().first().map(|&(lo, _)| lo)
@@ -154,17 +160,7 @@ impl TimeSet {
 
     /// Membership test (binary search over runs).
     pub fn contains(&self, v: u32) -> bool {
-        self.intervals()
-            .binary_search_by(|&(lo, hi)| {
-                if v < lo {
-                    std::cmp::Ordering::Greater
-                } else if v > hi {
-                    std::cmp::Ordering::Less
-                } else {
-                    std::cmp::Ordering::Equal
-                }
-            })
-            .is_ok()
+        self.view().contains(v)
     }
 
     /// Inserts one version, coalescing adjacent runs. A version inside or
@@ -225,23 +221,13 @@ impl TimeSet {
     /// The subset of the set falling inside the closed window `lo..=hi` —
     /// the restriction a range query applies to an element's lifetime.
     pub fn clamp_range(&self, lo: u32, hi: u32) -> TimeSet {
-        let mut out = TimeSet::new();
-        for &(a, b) in self.intervals() {
-            let (a, b) = (a.max(lo), b.min(hi));
-            if a <= b {
-                out.push_run((a, b));
-            }
-        }
-        out
+        self.view().clamp_range(lo, hi)
     }
 
     /// True if `self ⊇ other` — the paper's archive invariant is that a
     /// node's timestamp is a superset of every descendant's.
     pub fn is_superset(&self, other: &TimeSet) -> bool {
-        other.intervals().iter().all(|&(lo, hi)| {
-            // find run containing lo, check it extends to hi
-            (self.intervals().iter()).any(|&(slo, shi)| slo <= lo && hi <= shi)
-        })
+        self.view().is_superset(other.view())
     }
 
     /// Iterates all versions in ascending order.
@@ -289,7 +275,84 @@ impl TimeSet {
 
 impl fmt::Display for TimeSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (i, &(lo, hi)) in self.intervals().iter().enumerate() {
+        self.view().fmt(f)
+    }
+}
+
+/// A [`TimeSet`] borrowed from where it is stored — the runs of an archive
+/// node's timestamp, inline in the node or in the archive's run pool, or
+/// of a `TimeSet` ([`TimeSet::view`]). Equality, `Debug` and `Display`
+/// read the runs, as `TimeSet`'s do.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TimeRef<'a>(&'a [(u32, u32)]);
+
+impl<'a> TimeRef<'a> {
+    /// Borrows runs that are sorted, disjoint and non-adjacent, as a
+    /// `TimeSet` holds them.
+    pub(crate) fn new(runs: &'a [(u32, u32)]) -> Self {
+        Self(runs)
+    }
+
+    /// The intervals themselves.
+    pub fn intervals(self) -> &'a [(u32, u32)] {
+        self.0
+    }
+
+    /// Largest version, if any.
+    pub fn max(self) -> Option<u32> {
+        self.0.last().map(|&(_, hi)| hi)
+    }
+
+    /// Membership test (binary search over runs).
+    #[inline]
+    pub fn contains(self, v: u32) -> bool {
+        self.0
+            .binary_search_by(|&(lo, hi)| {
+                if v < lo {
+                    std::cmp::Ordering::Greater
+                } else if v > hi {
+                    std::cmp::Ordering::Less
+                } else {
+                    std::cmp::Ordering::Equal
+                }
+            })
+            .is_ok()
+    }
+
+    /// True if `self ⊇ other`.
+    pub fn is_superset(self, other: TimeRef<'_>) -> bool {
+        other.0.iter().all(|&(lo, hi)| {
+            // find run containing lo, check it extends to hi
+            (self.0.iter()).any(|&(slo, shi)| slo <= lo && hi <= shi)
+        })
+    }
+
+    /// The subset falling inside the closed window `lo..=hi`
+    /// ([`TimeSet::clamp_range`]).
+    pub fn clamp_range(self, lo: u32, hi: u32) -> TimeSet {
+        let mut out = TimeSet::new();
+        for &(a, b) in self.0 {
+            let (a, b) = (a.max(lo), b.min(hi));
+            if a <= b {
+                out.push_run((a, b));
+            }
+        }
+        out
+    }
+
+    /// An owned copy.
+    pub fn to_set(self) -> TimeSet {
+        let mut out = TimeSet::new();
+        for &run in self.0 {
+            out.push_run(run);
+        }
+        out
+    }
+}
+
+impl fmt::Display for TimeRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (i, &(lo, hi)) in self.0.iter().enumerate() {
             if i > 0 {
                 write!(f, ",")?;
             }
@@ -300,6 +363,12 @@ impl fmt::Display for TimeSet {
             }
         }
         Ok(())
+    }
+}
+
+impl PartialEq<TimeSet> for TimeRef<'_> {
+    fn eq(&self, other: &TimeSet) -> bool {
+        self.0 == other.intervals()
     }
 }
 

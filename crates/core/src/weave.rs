@@ -39,7 +39,7 @@ pub(crate) fn weave_frontier(
     let live: Vec<bool> = old_children
         .iter()
         .map(|&c| match prev {
-            Some(p) => a.node(c).time.as_ref().is_none_or(|t| t.contains(p)),
+            Some(p) => a.time(c).is_none_or(|t| t.contains(p)),
             None => false,
         })
         .collect();
@@ -57,7 +57,9 @@ pub(crate) fn weave_frontier(
     let y_refs: Vec<&str> = y_canons.iter().map(|s| s.as_str()).collect();
     let script = xarch_diff::diff_lines(&x_refs, &y_refs);
 
-    // Rebuild the child list, interleaving kept, terminated and new nodes.
+    // Rebuild the child list, interleaving kept, terminated and new nodes:
+    // a new node is appended to x's children and put in its place at the
+    // end.
     let mut new_children: Vec<ANodeId> = Vec::with_capacity(old_children.len() + y_children.len());
     let mut live_idx = 0usize; // position among live children
     let mut y_pos = 0usize; // position in y_children
@@ -67,10 +69,6 @@ pub(crate) fn weave_frontier(
         for k in 0..count {
             let yc = y_children[*y_pos + k];
             let id = copy_subtree(a, ver, yc, x);
-            // copy_subtree appended id to x's children; we manage order
-            // ourselves, so pop it back off.
-            let popped = a.node_mut(x).children.pop();
-            debug_assert_eq!(popped, Some(id));
             a.set_time(id, TimeSet::from_version(i));
             out.push(id);
         }
@@ -120,7 +118,5 @@ pub(crate) fn weave_frontier(
         insert_ys(a, &mut new_children, &mut y_pos, count);
     }
     debug_assert_eq!(y_pos, y_children.len());
-    if new_children != old_children {
-        a.node_mut(x).children = new_children;
-    }
+    a.reorder_children(x, &new_children);
 }

@@ -16,7 +16,7 @@ use xarch_keys::{annotate, Annotations, KeySpec, NodeClass};
 use xarch_xml::writer::{to_compact_string, to_pretty_string};
 use xarch_xml::{Builder, Document, NodeId, NodeKind};
 
-use crate::archive::{AKind, ANode, ANodeId, Archive, Compaction};
+use crate::archive::{AKind, ANodeId, Archive, Compaction};
 use crate::timeset::TimeSet;
 
 /// The timestamp element tag (`<T t="...">`).
@@ -41,11 +41,7 @@ impl Archive {
     /// `<T t="1-4"><root> ... </root></T>`.
     pub fn to_xml(&self) -> Document {
         let mut b = Builder::new(STAMP_TAG);
-        let t = self
-            .node(self.root())
-            .time
-            .as_ref()
-            .expect("root carries a timestamp");
+        let t = self.time(self.root()).expect("root carries a timestamp");
         b.attr(STAMP_ATTR, &t.to_string());
         b.open("root");
         self.emit_attrs(self.root(), &mut b);
@@ -72,8 +68,8 @@ impl Archive {
 
     /// Sets the attributes of `id` on the element open in `b`.
     fn emit_attrs(&self, id: ANodeId, b: &mut Builder) {
-        for (name, value) in &self.node(id).attrs {
-            b.attr(self.syms().resolve(*name), value);
+        for (name, value) in self.attrs(id) {
+            b.attr(self.syms().resolve(name), value);
         }
     }
 
@@ -82,15 +78,15 @@ impl Archive {
     /// `<T>` of its children.
     fn emit_xml_children(&self, id: ANodeId, b: &mut Builder) {
         for &c in self.children(id) {
-            let n = self.node(c);
-            if let Some(t) = &n.time {
+            let time = self.time(c);
+            if let Some(t) = time {
                 b.open(STAMP_TAG);
                 b.attr(STAMP_ATTR, &t.to_string());
             }
-            match &n.kind {
+            match self.kind(c) {
                 AKind::Stamp => self.emit_xml_children(c, b),
                 AKind::Element(s) => {
-                    b.open(self.syms().resolve(*s));
+                    b.open(self.syms().resolve(s));
                     self.emit_attrs(c, b);
                     self.emit_xml_children(c, b);
                     b.close();
@@ -99,7 +95,7 @@ impl Archive {
                     b.text(txt);
                 }
             }
-            if n.time.is_some() {
+            if time.is_some() {
                 b.close();
             }
         }
@@ -172,7 +168,7 @@ fn parse_time(doc: &Document, el: NodeId) -> Result<TimeSet, XmlRepError> {
 fn copy_attrs(doc: &Document, did: NodeId, a: &mut Archive, aid: ANodeId) {
     for (name, value) in doc.attrs(did) {
         let sym = a.intern(doc.syms().resolve(name));
-        a.node_mut(aid).attrs.push((sym, value.to_owned()));
+        a.push_attr(aid, sym, value);
     }
 }
 
@@ -205,13 +201,12 @@ impl Import<'_> {
         match doc.kind(did) {
             NodeKind::Text(txt) => {
                 let class = ann.map_or(NodeClass::Text, |ann| ann.class(self.plain[did.index()]));
-                a.push_node(parent, ANode::new(AKind::Text(txt.to_owned()), class));
+                a.push_node(parent, AKind::Text(txt), class, None);
             }
             NodeKind::Element(s) if doc.syms().resolve(s) == STAMP_TAG => {
                 let t = parse_time(doc, did)?;
                 if stamps {
-                    let stamp =
-                        a.push_node(parent, ANode::new(AKind::Stamp, NodeClass::BeyondFrontier));
+                    let stamp = a.push_node(parent, AKind::Stamp, NodeClass::BeyondFrontier, None);
                     a.set_time(stamp, t);
                     for &c in doc.children(did) {
                         self.build(c, a, stamp, true, ann)?;
@@ -243,11 +238,8 @@ impl Import<'_> {
                 };
                 let plain = self.plain[did.index()];
                 let class = ann.class(plain);
-                let node = ANode {
-                    key: ann.key(plain).cloned(),
-                    ..ANode::new(AKind::Element(a.intern(doc.syms().resolve(s))), class)
-                };
-                let aid = a.push_node(parent, node);
+                let tag = a.intern(doc.syms().resolve(s));
+                let aid = a.push_node(parent, AKind::Element(tag), class, ann.key(plain).cloned());
                 copy_attrs(doc, did, a, aid);
                 let stamps = self.compaction == Compaction::Alternatives
                     && matches!(class, NodeClass::Frontier | NodeClass::BeyondFrontier);

@@ -84,7 +84,7 @@ fn every_version_retrievable_with_weave() {
 fn figure_4_timestamps() {
     let a = archive_versions(Compaction::Alternatives);
     // root t=[1-4]
-    let root_t = a.node(a.root()).time.clone().unwrap();
+    let root_t = a.time(a.root()).unwrap().to_set();
     assert_eq!(root_t.to_string(), "1-4");
 
     let db = KeyQuery::new("db");
@@ -188,7 +188,7 @@ fn empty_version_footnote() {
     let v5 = a.add_empty_version();
     assert_eq!(v5, 5);
     a.check_invariants().unwrap();
-    assert_eq!(a.node(a.root()).time.clone().unwrap().to_string(), "1-5");
+    assert_eq!(a.time(a.root()).unwrap().to_string(), "1-5");
     let db_t = a.history(&[KeyQuery::new("db")]).unwrap();
     assert_eq!(db_t.to_string(), "1-4");
     assert!(a.has_version(5));
@@ -324,5 +324,5 @@ fn idempotent_version_is_cheap() {
     assert_eq!(before.elements, after.elements);
     assert_eq!(before.texts, after.texts);
     let t = TimeSet::from_range(1, 2);
-    assert_eq!(a.node(a.root()).time.clone().unwrap(), t);
+    assert_eq!(a.time(a.root()).unwrap(), t);
 }

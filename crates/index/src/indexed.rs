@@ -217,15 +217,14 @@ mod tests {
         };
         let (mut a, mut ix) = indexed(&[doc(&[]), doc(&[])]);
         let unshared = |(a, ix): (&Archive, &Indexes), (va, vix): (&Archive, &Indexes)| {
-            let arena = va.nodes();
             let (hist, hist_total) = vix.hist.shared_chunks(&ix.hist);
             let (ts, ts_total) = vix.ts.shared_chunks(&ix.ts);
             assert!(
-                arena.chunk_count() > 10 * K && ts_total > 10 * K,
+                va.chunk_count() > 10 * K && ts_total > 10 * K,
                 "fixture too small"
             );
             (
-                arena.chunk_count() - arena.shared_chunks(a.nodes()),
+                va.chunk_count() - va.shared_chunks(a),
                 hist_total - hist,
                 ts_total - ts,
             )

@@ -42,11 +42,17 @@ impl HistoryIndex {
     /// Builds the index with a single scan of the archive: the list of
     /// every arena node, each derived from its own children.
     pub fn build(archive: &Archive) -> Self {
-        let mut idx = Self::default();
-        for i in 0..archive.len() as u32 {
-            idx.rederive(archive, ANodeId(i));
+        let mut keyed = Vec::new();
+        let lists = (0..archive.len() as u32)
+            .map(|i| {
+                keyed_children(archive, ANodeId(i), &mut keyed);
+                (!keyed.is_empty()).then(|| keyed.as_slice().into())
+            })
+            .collect();
+        Self {
+            lists,
+            ..Self::default()
         }
-        idx
     }
 
     /// Replace the comparison counter with `counter` (typically one
@@ -64,23 +70,15 @@ impl HistoryIndex {
         let mut ids = ids.to_vec();
         ids.sort_unstable();
         ids.dedup();
+        let mut keyed = Vec::new();
         for &id in &ids {
-            self.rederive(archive, id);
+            keyed_children(archive, id, &mut keyed);
+            if self.list(id) != keyed.as_slice() {
+                *self.lists.slot_mut(id.index()) =
+                    (!keyed.is_empty()).then(|| keyed.as_slice().into());
+            }
         }
         ids.len()
-    }
-
-    /// Derives `id`'s list from its children and stores it if it differs.
-    fn rederive(&mut self, archive: &Archive, id: ANodeId) {
-        let mut keyed: Vec<ANodeId> = (archive.children(id).iter())
-            .copied()
-            .filter(|&c| archive.node(c).key.is_some())
-            .collect();
-        // sort by (tag, key value) — the same order query_cmp probes
-        keyed.sort_by(|&a, &b| cmp_children(archive, a, b));
-        if self.list(id) != keyed.as_slice() {
-            *self.lists.slot_mut(id.index()) = (!keyed.is_empty()).then(|| keyed.into());
-        }
     }
 
     /// `id`'s keyed children in label order (none for a node without any).
@@ -141,6 +139,15 @@ impl HistoryIndex {
             self.lists.chunk_count(),
         )
     }
+}
+
+/// Derives `id`'s list into `keyed`: its keyed children, sorted by
+/// (tag, key value) — the same order `query_cmp` probes.
+fn keyed_children(archive: &Archive, id: ANodeId, keyed: &mut Vec<ANodeId>) {
+    keyed.clear();
+    let children = archive.children(id).iter().copied();
+    keyed.extend(children.filter(|&c| archive.key(c).is_some()));
+    keyed.sort_by(|&a, &b| cmp_children(archive, a, b));
 }
 
 fn cmp_children(archive: &Archive, a: ANodeId, b: ANodeId) -> Ordering {

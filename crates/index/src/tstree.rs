@@ -19,7 +19,7 @@
 
 use std::sync::Arc;
 
-use xarch_core::{ANodeId, Archive, CowVec, TimeSet};
+use xarch_core::{ANodeId, Archive, CowVec, TimeRef, TimeSet};
 use xarch_obs::Counter;
 
 /// One node of a timestamp binary tree. `time` is `None` when a child
@@ -48,42 +48,52 @@ pub struct TsTree {
 }
 
 impl TsTree {
-    /// Builds the tree for `parent`'s children ("pairing nodes repeatedly
-    /// in a bottom-up manner and taking the union of timestamps").
-    fn build(archive: &Archive, parent: ANodeId) -> Self {
-        let mut nodes = Vec::new();
-        let mut level: Vec<usize> = Vec::new();
-        for &c in archive.children(parent) {
-            let time = archive.node(c).time.clone();
+    /// Builds the tree for `parent`'s `k > 0` children ("pairing nodes
+    /// repeatedly in a bottom-up manner and taking the union of
+    /// timestamps") into exactly the `2k − 1` nodes it has. `level` is
+    /// scratch that each level is paired in place in, kept by the caller
+    /// from one tree to the next.
+    fn build(archive: &Archive, parent: ANodeId, level: &mut Vec<usize>) -> Self {
+        let children = archive.children(parent);
+        let k = children.len();
+        let mut nodes = Vec::with_capacity(2 * k - 1);
+        level.clear();
+        for (i, &c) in children.iter().enumerate() {
+            let time = archive.time(c).map(TimeRef::to_set);
             nodes.push(TsNode::Leaf { time, child: c });
-            level.push(nodes.len() - 1);
+            level.push(i);
         }
-        let k = level.len();
         while level.len() > 1 {
-            let mut next = Vec::with_capacity(level.len().div_ceil(2));
-            for pair in level.chunks(2) {
-                if let [l, r] = pair {
-                    let time = match (nodes[*l].time(), nodes[*r].time()) {
-                        (Some(a), Some(b)) => Some(a.union(b)),
-                        _ => None,
-                    };
-                    nodes.push(TsNode::Inner {
-                        time,
-                        left: *l,
-                        right: *r,
-                    });
-                    next.push(nodes.len() - 1);
-                } else {
-                    next.push(pair[0]);
-                }
+            let n = level.len();
+            for at in (0..n).step_by(2) {
+                level[at / 2] = match level.get(at..at + 2) {
+                    Some(&[l, r]) => {
+                        let time = match (nodes[l].time(), nodes[r].time()) {
+                            (Some(a), Some(b)) => Some(a.union(b)),
+                            _ => None,
+                        };
+                        nodes.push(TsNode::Inner {
+                            time,
+                            left: l,
+                            right: r,
+                        });
+                        nodes.len() - 1
+                    }
+                    _ => level[at],
+                };
             }
-            level = next;
+            level.truncate(n.div_ceil(2));
         }
         TsTree {
             root: level.first().copied(),
             nodes,
             k,
         }
+    }
+
+    /// The tree of `parent`'s children, none for a childless node.
+    fn of(archive: &Archive, parent: ANodeId, level: &mut Vec<usize>) -> Option<Self> {
+        (!archive.children(parent).is_empty()).then(|| Self::build(archive, parent, level))
     }
 
     /// Children relevant to version `v` — given that the tree's own node
@@ -171,11 +181,14 @@ impl TimestampIndex {
     /// Builds the index ("the timestamp trees are created each time a new
     /// version arrives and after nested merge is applied").
     pub fn build(archive: &Archive) -> Self {
-        let mut idx = Self::default();
-        for i in 0..archive.len() as u32 {
-            idx.rederive(archive, ANodeId(i));
+        let mut level = Vec::new();
+        let trees = (0..archive.len() as u32)
+            .map(|i| TsTree::of(archive, ANodeId(i), &mut level).map(Arc::new))
+            .collect();
+        Self {
+            trees,
+            ..Self::default()
         }
-        idx
     }
 
     /// Replace the probe counter with `counter` (typically one registered
@@ -194,21 +207,22 @@ impl TimestampIndex {
     /// re-derived.
     pub fn refresh(&mut self, archive: &Archive, ids: &[ANodeId]) -> usize {
         let mut ids: Vec<ANodeId> = (ids.iter())
-            .flat_map(|&id| [Some(id), archive.node(id).parent])
+            .flat_map(|&id| [Some(id), archive.parent(id)])
             .flatten()
             .collect();
         ids.sort_unstable();
         ids.dedup();
+        let mut level = Vec::new();
         for &id in &ids {
-            self.rederive(archive, id);
+            self.rederive(archive, id, &mut level);
         }
         ids.len()
     }
 
     /// Derives `id`'s tree (none for a childless node) and stores it if it
     /// differs.
-    fn rederive(&mut self, archive: &Archive, id: ANodeId) {
-        let tree = (!archive.children(id).is_empty()).then(|| TsTree::build(archive, id));
+    fn rederive(&mut self, archive: &Archive, id: ANodeId, level: &mut Vec<usize>) {
+        let tree = TsTree::of(archive, id, level);
         if self.tree(id) != tree.as_ref() {
             *self.trees.slot_mut(id.index()) = tree.map(Arc::new);
         }

@@ -130,13 +130,12 @@ impl KeySpec {
         Self::new(keys)
     }
 
-    /// The name every key part extracted along the key path rendered as
-    /// `path` (`.` when empty) carries, shared with the parts a merge
-    /// extracts; `None` if no key of the spec has such a path.
-    pub fn path_name(&self, path: &str) -> Option<PathName> {
+    /// The names the key parts a merge extracts carry, one per key path
+    /// of each key (a path rendered as `.` when empty, and repeated where
+    /// keys share it), each shared with the parts that carry it.
+    pub fn path_names(&self) -> impl Iterator<Item = &PathName> {
         let rules = self.compiled.states.iter().filter_map(|s| s.rule.as_ref());
-        let mut paths = rules.flat_map(|rule| &rule.key_paths);
-        paths.find(|kp| kp.name == path).map(|kp| kp.name.clone())
+        rules.flat_map(|rule| rule.key_paths.iter().map(|kp| &kp.name))
     }
 
     /// The keys, in declaration order.

@@ -54,7 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     archive.add_empty_version();
     println!(
         "after empty v5: root t={}, db t={}",
-        archive.node(archive.root()).time.clone().unwrap(),
+        archive.time(archive.root()).unwrap(),
         archive.history(&[KeyQuery::new("db")]).unwrap()
     );
 

@@ -306,3 +306,50 @@ fn parsing_a_key_spec_allocates_the_spec_and_no_set_of_paths() {
     assert_eq!(spec, omim_spec());
     assert!(n <= 350, "{n} blocks");
 }
+
+/// A checkpoint restore decodes each node straight into the archive's
+/// arena and pools: it allocates the key values it decodes — one block
+/// for each value's parts and one per non-empty canonical value — two
+/// blocks per chunk of the arena and the pools (the chunk and its `Arc`),
+/// and a constant besides: the spec it parses from the checkpoint and the
+/// copy the archive keeps, the symbol table, the chunk lists and the
+/// walk's stacks. Nothing per node: the constant was 448 blocks for the
+/// 12-version checkpoint's 13 574 nodes when this was written, and the
+/// same for 4 versions.
+#[test]
+fn a_checkpoint_restore_allocates_its_key_values_its_chunks_and_a_constant() {
+    use xarch::core::state::{decode_archive, encode_archive};
+    use xarch::core::{ANodeId, Compaction};
+    let docs = OmimGen::new(7).sequence(RECORDS, 12);
+    let spec = omim_spec();
+    for versions in [4, 12] {
+        let mut a = Archive::new(omim_spec());
+        for d in &docs[..versions] {
+            a.add_version(d).unwrap();
+        }
+        let state = encode_archive(&a);
+        let (n, restored) = blocks(|| decode_archive(&state, &spec, Compaction::Alternatives));
+        let restored = restored.unwrap().expect("same spec and compaction");
+        assert_eq!(encode_archive(&restored), state);
+        let key_blocks: usize = (0..restored.len() as u32)
+            .filter_map(|i| restored.key(ANodeId(i)))
+            .filter(|k| !k.parts().is_empty())
+            .map(|k| 1 + k.parts().iter().filter(|p| !p.canon.is_empty()).count())
+            .sum();
+        let chunk_blocks = 2 * restored.chunk_count();
+        let rest = n as i64 - (key_blocks + chunk_blocks) as i64;
+        assert!(
+            (0..=480).contains(&rest),
+            "{versions} versions, {} nodes: {n} blocks, {key_blocks} for key values, \
+             {chunk_blocks} for chunks, {rest} more",
+            restored.len()
+        );
+    }
+}
+
+/// An archive node holds its strings and lists as runs of the archive's
+/// pools and owns no heap block but its key value, in 64 bytes.
+#[test]
+fn an_archive_node_is_64_bytes() {
+    assert_eq!(std::mem::size_of::<xarch::core::ANode>(), 64);
+}

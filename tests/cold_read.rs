@@ -996,6 +996,14 @@ fn the_empty_path_and_steps_off_the_keyed_paths_answer_without_a_read() {
         );
         let values = cold.history_values(&[]).unwrap();
         assert_eq!(values, hot.history_values(&[]).unwrap(), "at {latest}");
+        // and both are what the definition says, before any version too
+        let by_definition = common::history_values_by_definition(&cold, &[]);
+        assert_eq!(values, by_definition, "cold by definition at {latest}");
+        let hot_by_definition = common::history_values_by_definition(&*hot, &[]);
+        assert_eq!(
+            hot_by_definition, by_definition,
+            "hot by definition at {latest}"
+        );
         if latest > 0 {
             let existence = values.map(|h| h.existence.versions().collect::<Vec<_>>());
             assert_eq!(existence, Some((1..=latest).collect()), "at {latest}");

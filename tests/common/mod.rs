@@ -37,7 +37,9 @@ pub fn history_values_by_definition(
             }
         }
     }
-    (!existence.is_empty()).then_some(ElementHistory { existence, values })
+    // the synthetic root is there before any version is, with an empty
+    // existence
+    (path.is_empty() || !existence.is_empty()).then_some(ElementHistory { existence, values })
 }
 
 /// Holds `store` to both definitions on every path: `history_values`

@@ -759,7 +759,7 @@ fn path_to(a: &Archive, id: ANodeId) -> Option<Vec<KeyQuery>> {
     let mut cur = id;
     while cur != a.root() {
         steps.push(a.step_of(cur)?);
-        cur = a.node(cur).parent?;
+        cur = a.parent(cur)?;
     }
     steps.reverse();
     Some(steps)

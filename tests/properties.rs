@@ -113,6 +113,28 @@ fn build_version(recs: &[(u8, String, Vec<u8>)]) -> Document {
     doc
 }
 
+/// The first node whose `written_beneath` bit is not exactly "some node
+/// beneath carries a timestamp of its own", with the bit it should have.
+fn stamped_beneath_but_unmarked(a: &Archive) -> Option<(xarch::core::ANodeId, bool)> {
+    // children come after their parents in no fixed order, so derive the
+    // bits bottom-up over a preorder
+    let mut order = vec![a.root()];
+    let mut i = 0;
+    while let Some(&id) = order.get(i) {
+        order.extend_from_slice(a.children(id));
+        i += 1;
+    }
+    let mut beneath = vec![false; a.len()];
+    for &id in order.iter().rev() {
+        let below = (a.children(id).iter()).any(|&c| beneath[c.index()] || a.time(c).is_some());
+        beneath[id.index()] = below;
+        if a.written_beneath(id) != below {
+            return Some((id, below));
+        }
+    }
+    None
+}
+
 fn mini_spec() -> KeySpec {
     KeySpec::parse("(/, (db, {}))\n(/db, (rec, {id}))\n(/db/rec, (val, {}))\n(/db/rec, (tel, {.}))")
         .unwrap()
@@ -477,6 +499,50 @@ proptest! {
             }
             let checked = common::check_against_definitions(store.as_ref(), &paths);
             prop_assert!(checked.is_ok(), "{}: {}", label, checked.unwrap_err());
+        }
+    }
+
+    #[test]
+    fn checkpoint_restore_re_encodes_the_same_bytes_and_bits(
+        versions in proptest::collection::vec(version_strategy(), 1..8),
+        cuts in proptest::collection::vec(1usize..4, 1..7),
+        next in version_strategy()
+    ) {
+        // an archive built of RANDOM batches restores from its checkpoint
+        // into one that encodes to the same bytes, whose written_beneath
+        // bits are exact, and that merges the next version into the same
+        // bytes as the archive never checkpointed — in both compactions
+        use xarch::core::state::{decode_archive, encode_archive};
+        use xarch::core::Compaction;
+        let spec = mini_spec();
+        let docs: Vec<Document> = versions.iter().map(|v| build_version(v)).collect();
+        for compaction in [Compaction::Alternatives, Compaction::Weave] {
+            let mut live = Archive::with_compaction(spec.clone(), compaction);
+            let mut at = 0;
+            for &cut in cuts.iter().cycle() {
+                if at == docs.len() {
+                    break;
+                }
+                let take = cut.min(docs.len() - at);
+                live.add_versions(&docs[at..at + take]).unwrap();
+                at += take;
+            }
+            let bytes = encode_archive(&live);
+            let mut restored = decode_archive(&bytes, &spec, compaction)
+                .unwrap()
+                .expect("same spec and compaction");
+            prop_assert_eq!(&encode_archive(&restored), &bytes, "{:?}", compaction);
+            for a in [&live, &restored] {
+                prop_assert_eq!(stamped_beneath_but_unmarked(a), None, "{:?}", compaction);
+            }
+            let next = build_version(&next);
+            live.add_version(&next).unwrap();
+            restored.add_version(&next).unwrap();
+            prop_assert_eq!(
+                encode_archive(&restored),
+                encode_archive(&live),
+                "{:?}: the next merge diverged", compaction
+            );
         }
     }
 

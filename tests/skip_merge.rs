@@ -90,18 +90,17 @@ fn a_checkpoint_restored_archive_merges_as_the_live_one() {
 /// attributes, timestamp, key and class.
 fn assert_same_nodes(live: &Archive, other: &Archive, what: &str) {
     let show = |a: &Archive, id| {
-        let n = a.node(id);
-        let kind = match &n.kind {
-            AKind::Element(s) => format!("<{}>", a.syms().resolve(*s)),
+        let kind = match a.kind(id) {
+            AKind::Element(s) => format!("<{}>", a.syms().resolve(s)),
             AKind::Text(t) => format!("{t:?}"),
             AKind::Stamp => "<T>".to_owned(),
         };
-        let attrs: Vec<(&str, &str)> = (n.attrs.iter())
-            .map(|(s, v)| (a.syms().resolve(*s), v.as_str()))
+        let attrs: Vec<(&str, &str)> = (a.attrs(id))
+            .map(|(s, v)| (a.syms().resolve(s), v))
             .collect();
-        let time = n.time.as_ref().map(|t| t.to_string());
-        let key = n.key.as_ref().map(|k| k.to_string());
-        format!("{kind} {attrs:?} t={time:?} key={key:?} {:?}", n.class)
+        let time = a.time(id).map(|t| t.to_string());
+        let key = a.key(id).map(|k| k.to_string());
+        format!("{kind} {attrs:?} t={time:?} key={key:?} {:?}", a.class(id))
     };
     let mut pairs = vec![(live.root(), other.root())];
     while let Some((x, y)) = pairs.pop() {
