@@ -515,6 +515,11 @@ pub fn index() -> String {
         ACCRETIVE_INS_RATIO * 100.0
     ));
     md.para("### §7.1: retrieving version v — timestamp-tree probes vs a full scan");
+    md.para(
+        "A node keeps a tree only where one of its children has a timestamp of \
+         its own; the children of any other node inherit, so they are read off \
+         its child list with no probe.",
+    );
     md.table(&["version", "tree probes", "scan nodes"], &retrievals);
     md.para("### §7.2: a key's history — sorted-index comparisons vs a naive scan");
     md.table(&["query", "comparisons", "naive nodes", "found"], &lookups);

@@ -6,7 +6,9 @@
 //! * [`tstree`] — **timestamp trees** (Fig 15): per-node binary trees over
 //!   the children's timestamps, letting version retrieval probe
 //!   `O(α log(k/α))` tree nodes instead of scanning all `k` children
-//!   (with the paper's 2k probe cut-off fallback);
+//!   (with the paper's 2k probe cut-off fallback) — kept only for a node
+//!   with a child that has a timestamp of its own, since children that
+//!   all inherit are visible wherever their parent is;
 //! * [`keyindex`] — sorted lists of child key values, answering the
 //!   temporal history of an element addressed by an `l`-step key path in
 //!   `O(l log d)` comparisons (binary search per level);

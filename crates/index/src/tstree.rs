@@ -10,12 +10,20 @@
 //!
 //! Timestamps are stored as the archive stores them: a child that
 //! *inherits* its parent's timestamp (§2) is a leaf with no timestamp of
-//! its own, relevant wherever the parent is. A tree therefore changes only
-//! when its node's child list or a child's own timestamp does — that is,
-//! when the merge wrote the node or one of its children — so a refresh
-//! re-derives just those trees, and leaves every other tree, and every
-//! table chunk that holds only such trees, shared with the views
-//! published before it.
+//! its own, relevant wherever the parent is. A tree whose leaves all
+//! inherit therefore prunes nothing, and none is kept: a node has a tree
+//! only when one of its children has a timestamp of its own, and the
+//! children of any other node are all visible wherever it is. A build
+//! finds those nodes by descending only through nodes that have been
+//! written beneath ([`Archive::written_beneath`]); below any other node
+//! every descendant inherits.
+//!
+//! A tree changes only when its node's child list or a child's own
+//! timestamp does — that is, when the merge wrote the node or one of its
+//! children — so a refresh re-derives just those trees (adding one where
+//! a child gained a timestamp of its own, dropping one where none is left),
+//! and leaves every other tree, and every table chunk that holds only such
+//! trees, shared with the views published before it.
 
 use std::sync::Arc;
 
@@ -91,9 +99,11 @@ impl TsTree {
         }
     }
 
-    /// The tree of `parent`'s children, none for a childless node.
+    /// The tree of `parent`'s children, none unless one of them has a
+    /// timestamp of its own: a tree of inheriting leaves prunes nothing.
     fn of(archive: &Archive, parent: ANodeId, level: &mut Vec<usize>) -> Option<Self> {
-        (!archive.children(parent).is_empty()).then(|| Self::build(archive, parent, level))
+        let own = |&c: &ANodeId| archive.time(c).is_some();
+        (archive.children(parent).iter().any(own)).then(|| Self::build(archive, parent, level))
     }
 
     /// Children relevant to version `v` — given that the tree's own node
@@ -158,10 +168,12 @@ impl TsNode {
     }
 }
 
-/// Timestamp trees for every internal archive node, built with one scan
-/// or refreshed after each merge from what it wrote: one slot per
-/// archive node (by arena index) in a copy-on-write [`CowVec`], each tree
-/// behind an `Arc`, so cloning the index shares everything.
+/// The timestamp trees of the archive nodes that have a child with a
+/// timestamp of its own, built with one descent or refreshed after each
+/// merge from what it wrote: a slot per archive node (by arena index) up
+/// to the last that has a tree, the slot of any other empty, in a
+/// copy-on-write [`CowVec`], each tree behind an `Arc`, so cloning the
+/// index shares everything.
 ///
 /// The probe counter is an [`xarch_obs::Counter`] (atomic under the hood)
 /// shared by every clone, so a built index can be shared across reader
@@ -179,12 +191,21 @@ pub struct TimestampIndex {
 
 impl TimestampIndex {
     /// Builds the index ("the timestamp trees are created each time a new
-    /// version arrives and after nested merge is applied").
+    /// version arrives and after nested merge is applied"). Only a node
+    /// written beneath can have a child with a timestamp of its own, so
+    /// the descent from the root enters no other.
     pub fn build(archive: &Archive) -> Self {
+        let mut trees = CowVec::new();
         let mut level = Vec::new();
-        let trees = (0..archive.len() as u32)
-            .map(|i| TsTree::of(archive, ANodeId(i), &mut level).map(Arc::new))
-            .collect();
+        let root = archive.root();
+        let mut stack = Vec::from_iter(archive.written_beneath(root).then_some(root));
+        while let Some(id) = stack.pop() {
+            if let Some(tree) = TsTree::of(archive, id, &mut level) {
+                *trees.slot_mut(id.index()) = Some(Arc::new(tree));
+            }
+            let beneath = |&c: &ANodeId| archive.written_beneath(c);
+            stack.extend(archive.children(id).iter().copied().filter(beneath));
+        }
         Self {
             trees,
             ..Self::default()
@@ -219,8 +240,8 @@ impl TimestampIndex {
         ids.len()
     }
 
-    /// Derives `id`'s tree (none for a childless node) and stores it if it
-    /// differs.
+    /// Derives `id`'s tree (none unless a child has a timestamp of its
+    /// own) and stores it if it differs.
     fn rederive(&mut self, archive: &Archive, id: ANodeId, level: &mut Vec<usize>) {
         let tree = TsTree::of(archive, id, level);
         if self.tree(id) != tree.as_ref() {
@@ -229,16 +250,24 @@ impl TimestampIndex {
     }
 
     /// The children of `parent` relevant to version `v` (at which `parent`
-    /// itself must exist), using the tree.
-    pub fn relevant_children(&self, parent: ANodeId, v: u32) -> Vec<ANodeId> {
-        match self.tree(parent) {
+    /// itself must exist), in document order: those its tree does not
+    /// prune, charged to the probe counter, or — where it has no tree,
+    /// every child inheriting — all of `archive`'s, with no probe.
+    pub fn relevant_children<'a>(
+        &'a self,
+        archive: &'a Archive,
+        parent: ANodeId,
+        v: u32,
+    ) -> impl Iterator<Item = ANodeId> + 'a {
+        let (pruned, all) = match self.tree(parent) {
             Some(t) => {
                 let (out, p) = t.relevant(v);
                 self.probes.add(p as u64);
-                out
+                (out, &[][..])
             }
-            None => Vec::new(),
-        }
+            None => (Vec::new(), archive.children(parent)),
+        };
+        pruned.into_iter().chain(all.iter().copied())
     }
 
     /// Probe counter since construction (or the last reset).
@@ -363,7 +392,13 @@ mod tests {
     fn empty_node_has_no_tree() {
         let (a, _) = sample_archive();
         let idx = TimestampIndex::build(&a);
-        // leaf text nodes have no trees
-        assert!(idx.relevant_children(ANodeId(u32::MAX - 1), 1).is_empty());
+        // leaf text nodes have no trees, and no children to answer
+        let leaf = (0..a.len() as u32)
+            .map(ANodeId)
+            .find(|&id| a.children(id).is_empty())
+            .expect("a leaf");
+        assert!(idx.tree(leaf).is_none());
+        assert_eq!(idx.relevant_children(&a, leaf, 1).count(), 0);
+        assert_eq!(idx.probes(), 0);
     }
 }
