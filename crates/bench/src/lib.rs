@@ -8,6 +8,7 @@
 //! The repository's measured benchmark — end-to-end metrics with regression
 //! bounds, per-layer traces — is the `xarch-bench` binary; see
 //! `crates/bench/src/bin/xarch-bench/README.md`.
+#![deny(clippy::print_stderr)]
 
 pub mod figures;
 pub mod series;

@@ -1,4 +1,16 @@
 //! Bit-level I/O over byte buffers (LSB-first), plus LEB128 varints.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
 
 /// The low `n` bits of a word set (`n` ≤ 64).
 #[inline]

@@ -17,6 +17,7 @@
 //!
 //! Both codecs are real (lossless, round-trip tested), so the size series
 //! they produce are honest measurements, not estimates.
+#![deny(clippy::print_stderr)]
 
 pub mod bitio;
 pub mod codec;

@@ -3,6 +3,18 @@
 //! and copies a match in one piece, and it answers `None` — never a panic,
 //! never an allocation sized by the stream's own say-so alone — to input
 //! that is not an LZSS stream.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
 
 use super::{MAX_MATCH, MIN_MATCH};
 use crate::bitio::{read_varint, BitReader};

@@ -43,6 +43,7 @@
 //!   journal uses to make reopen time flat in history length.
 
 #![warn(missing_docs)]
+#![deny(clippy::print_stderr)]
 
 pub mod archive;
 pub mod changes;

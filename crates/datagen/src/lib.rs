@@ -21,6 +21,7 @@
 //! * [`words`] — deterministic text/name/DNA generators.
 //!
 //! Everything is seeded; no generator touches wall-clock or global state.
+#![deny(clippy::print_stderr)]
 
 pub mod company;
 pub mod omim;

@@ -12,6 +12,7 @@
 //!   **cumulative** (V1 + deltas-from-V1) repositories of §5;
 //! * [`sccs`] — an SCCS-style weave (Rochkind '75), the closest ancestor of
 //!   the paper's merging approach (§8).
+#![deny(clippy::print_stderr)]
 
 pub mod myers;
 pub mod repo;

@@ -14,6 +14,18 @@
 //! key files play in §6.1. Tag names are stored inline (generated data has
 //! tiny vocabularies; an id dictionary would change constants, not
 //! asymptotics).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
 
 use xarch_core::state::MAX_TREE_DEPTH;
 use xarch_core::TimeSet;
@@ -128,7 +140,8 @@ fn get_str(buf: &[u8], pos: &mut usize) -> Result<String> {
 // ---------- small-node encoding ----------
 
 /// Encodes a whole fragment as a *small* entry.
-// xarch-allow: recursion -- bounded by MAX_TREE_DEPTH: fragments come from annotated documents or `decode_small`, and both refuse deeper
+// Recursive, bounded by MAX_TREE_DEPTH: fragments come from annotated
+// documents or `decode_small`, and both refuse deeper.
 pub fn encode_small(tree: &ETree, out: &mut Vec<u8>) {
     match &tree.kind {
         EKind::Text(t) => {
@@ -138,7 +151,10 @@ pub fn encode_small(tree: &ETree, out: &mut Vec<u8>) {
         EKind::Stamp => {
             out.push(KIND_STAMP);
             let mut body = Vec::new();
-            // xarch-allow: panic-freedom -- encoder input invariant: the builder always stamps Stamp nodes; this is not a decode path
+            #[expect(
+                clippy::expect_used,
+                reason = "encoder input invariant: the builder always stamps Stamp nodes; this is not a decode path"
+            )]
             let time = tree.time.as_ref().expect("stamp time");
             put_str(&mut body, &time.to_string());
             for c in &tree.children {
@@ -190,7 +206,7 @@ pub fn decode_small(buf: &[u8], pos: &mut usize) -> Result<ETree> {
 }
 
 /// [`decode_small`] of an entry `depth` entries inside the one decoded.
-// xarch-allow: recursion -- bounded by MAX_TREE_DEPTH: deeper entries are refused
+// Recursive, bounded by MAX_TREE_DEPTH: deeper entries are refused.
 fn decode_nested(buf: &[u8], pos: &mut usize, depth: usize) -> Result<ETree> {
     if depth > MAX_TREE_DEPTH {
         return err_at(*pos, format!("entries nest deeper than {MAX_TREE_DEPTH}"));

@@ -27,6 +27,7 @@
 //! The archiver is not a [`xarch_core::VersionStore`]: it archives,
 //! retrieves and counts pages, nothing more. Its event codec is also the
 //! journal's version-payload grammar (`xarch_storage`).
+#![deny(clippy::print_stderr)]
 
 pub mod archiver;
 pub mod etree;

@@ -22,6 +22,7 @@
 //! so one built index can serve concurrent readers. Neither rebuilds per
 //! version, as the paper suggests: both re-derive only what the merge
 //! wrote (`refresh` over `Archive::touched`).
+#![deny(clippy::print_stderr)]
 
 pub mod indexed;
 pub mod keyindex;

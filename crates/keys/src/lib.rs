@@ -20,6 +20,7 @@
 //!   per-node key values;
 //! * canonical-form **fingerprints** with the collision-verification
 //!   protocol of §4.3 ([`mod@fingerprint`]).
+#![deny(clippy::print_stderr)]
 
 pub mod annotate;
 pub mod fingerprint;

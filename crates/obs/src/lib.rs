@@ -36,6 +36,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(clippy::print_stderr)]
 
 mod expo;
 mod metrics;

@@ -177,8 +177,7 @@ impl Histogram {
     /// Start a guard that records the elapsed time (µs) when dropped.
     ///
     /// This is the sanctioned way to time an operation — the workspace
-    /// `obs-discipline` analysis rule rejects raw `Instant::now()` timing
-    /// outside this crate.
+    /// `clippy.toml` disallows raw `Instant::now()` outside this crate.
     #[inline]
     pub fn start_timer(&self) -> Timer {
         Timer {

@@ -38,6 +38,20 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(clippy::print_stderr)]
+// every byte a peer sends is decoded here: refuse it, never panic on it
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
 
 pub mod client;
 pub mod frame;

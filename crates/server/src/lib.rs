@@ -38,6 +38,7 @@
 //! [`Snapshot`]: xarch::Snapshot
 
 #![warn(missing_docs)]
+#![deny(clippy::print_stderr)]
 
 pub mod config;
 mod metrics;

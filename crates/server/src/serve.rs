@@ -30,6 +30,18 @@
 //!   `need-hello`;
 //! * nothing in this path panics: a worker survives any byte sequence a
 //!   peer can send.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
 
 use std::collections::HashMap;
 use std::io::{self, BufReader, Write};

@@ -1,10 +1,10 @@
 //! Checked little-endian field reads for the decode paths.
 //!
-//! Decode code must never panic on corrupt input (the `panic-freedom`
-//! invariant enforced by `xarch_analysis`), so raw slice indexing and
-//! `try_into().expect(..)` are banned there. These helpers express the
-//! same reads as total functions: out-of-range offsets yield `None`, which
-//! callers map to a positioned `StoreError::Corrupt`.
+//! Decode code must never panic on corrupt input (the crate denies
+//! `clippy::indexing_slicing` and `clippy::expect_used`), so raw slice
+//! indexing and `try_into().expect(..)` are banned there. These helpers
+//! express the same reads as total functions: out-of-range offsets yield
+//! `None`, which callers map to a positioned `StoreError::Corrupt`.
 
 /// Reads a little-endian `u32` at `at`, if `buf` is long enough.
 pub(crate) fn le_u32(buf: &[u8], at: usize) -> Option<u32> {

@@ -86,20 +86,24 @@
 //!
 //! ## Enforced invariants
 //!
-//! The decode/recovery modules in this crate are under the workspace's
-//! `panic-freedom` and `cast-safety` invariants (enforced in CI by
-//! `cargo run -p xarch_analysis -- check` and backed by the clippy denies
-//! below): corrupt bytes must surface as positioned
-//! [`StoreError::Corrupt`](xarch_core::StoreError::Corrupt) values — never
-//! a panic, never a silently truncating `as` cast.
+//! Every byte this crate reads may be corrupt, so the clippy denies below
+//! bind the whole crate outside its tests: corrupt bytes must surface as
+//! positioned [`StoreError::Corrupt`](xarch_core::StoreError::Corrupt)
+//! values — never a panic, an out-of-bounds index or a silently
+//! truncating `as` cast.
 #![warn(missing_docs)]
+#![deny(clippy::print_stderr)]
 #![cfg_attr(
     not(test),
     deny(
         clippy::unwrap_used,
         clippy::expect_used,
         clippy::panic,
-        clippy::unreachable
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::cast_possible_truncation
     )
 )]
 

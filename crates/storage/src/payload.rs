@@ -80,7 +80,7 @@ impl Encoder {
     /// beneath pushed onto `bodies` in document order — the order
     /// [`Encoder::emit`] reads them in. `None` once an element lies deeper
     /// than [`MAX_DEPTH`].
-    // xarch-allow: recursion -- bounded by MAX_DEPTH: an element deeper ends the pass
+    // Recursive, bounded by MAX_DEPTH: an element deeper ends the pass.
     fn measure(&mut self, doc: &Document, id: NodeId, depth: usize) -> Option<usize> {
         match doc.kind(id) {
             NodeKind::Text(t) => Some(1 + str_len(t)),
@@ -108,7 +108,7 @@ impl Encoder {
     }
 
     /// Second pass: appends the entry for `id`.
-    // xarch-allow: recursion -- bounded by MAX_DEPTH: it runs on what `measure` admitted
+    // Recursive, bounded by MAX_DEPTH: it runs on what `measure` admitted.
     fn emit(&mut self, doc: &Document, id: NodeId, out: &mut Vec<u8>) {
         match doc.kind(id) {
             NodeKind::Text(t) => {

@@ -23,6 +23,7 @@
 //! * the canonical form used for fingerprinting in [`canon`]
 //!   (string equality of canonical forms ⇔ value equality),
 //! * simple label-path expressions in [`path`].
+#![deny(clippy::print_stderr)]
 
 pub mod canon;
 pub mod error;

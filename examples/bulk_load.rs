@@ -29,6 +29,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .with_index()
             .durable(&path)
             .open()?;
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "an example prints its own wall time for the reader"
+        )]
         let start = Instant::now();
         let first = store.add_versions(&release[..16])?;
         let second = store.add_versions(&release[16..])?;

@@ -53,7 +53,7 @@
 use std::io::Write;
 use std::ops::RangeInclusive;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::store::Store;
 use xarch_core::{
@@ -113,36 +113,53 @@ struct Writer {
     hook: Option<WriteHook>,
 }
 
+mod slot {
+    use std::sync::{Arc, PoisonError, RwLock};
+
+    use crate::store::Store;
+
+    /// The view every read path answers from. Its lock is the one readers
+    /// share with the writer, and it is private to this module: no guard
+    /// on it lives anywhere but in `load` and `swap`, so none is ever held
+    /// across a merge, an fsync or a query.
+    pub(super) struct Published(RwLock<Arc<Store>>);
+
+    impl Published {
+        pub(super) fn new(view: Arc<Store>) -> Self {
+            Self(RwLock::new(view))
+        }
+
+        /// The published view: one `Arc` clone. (A poisoned lock still
+        /// holds a valid pointer — the only write under it is `swap`'s.)
+        pub(super) fn load(&self) -> Arc<Store> {
+            Arc::clone(&self.0.read().unwrap_or_else(PoisonError::into_inner))
+        }
+
+        /// The publication point: one pointer swap. The guard is a
+        /// temporary of the `let`, so the displaced view drops after it
+        /// (freeing a last reference can be slow).
+        pub(super) fn swap(&self, view: Arc<Store>) {
+            let _displaced = std::mem::replace(
+                &mut *self.0.write().unwrap_or_else(PoisonError::into_inner),
+                view,
+            );
+        }
+    }
+}
+
 /// The state one handle and all its clones share.
 struct Shared {
     /// Serializes writers and owns the store. Readers never touch it.
     writer: Mutex<Writer>,
-    /// The view every read path answers from. Locked only to clone or
-    /// swap the `Arc` — never across a merge, an fsync or a query.
-    published: RwLock<Arc<Store>>,
+    /// The view every read path answers from; only the writer mutex,
+    /// which no reader takes, spans a swap.
+    published: slot::Published,
     /// Cached: `StoreReader::spec` returns a borrow, which no guard may back.
     spec: KeySpec,
     metrics: HandleMetrics,
 }
 
 impl Shared {
-    /// The published view: one `Arc` clone. (A poisoned lock still holds
-    /// a valid pointer — the only write under it is `publish`'s swap.)
-    fn current(&self) -> Arc<Store> {
-        Arc::clone(&self.published.read().unwrap_or_else(|p| p.into_inner()))
-    }
-
-    /// The publication point: one pointer swap; the displaced view drops
-    /// after the guard (freeing a last reference can be slow). The analyzer
-    /// keeps lock guards off this call (`lock-discipline`); only the writer
-    /// mutex, which no reader takes, spans it.
-    fn publish(&self, view: Arc<Store>) {
-        let mut slot = self.published.write().unwrap_or_else(|p| p.into_inner());
-        let _displaced = std::mem::replace(&mut *slot, view);
-        drop(slot);
-        self.metrics.publications.inc();
-    }
-
     /// Enters the writer section. Poison is unreachable (`mutate` catches
     /// merge panics before the guard drops) and refused rather than
     /// recovered: a store abandoned mid-update must not be written again.
@@ -182,7 +199,8 @@ impl Shared {
         }));
         match applied {
             Ok(Ok(value)) => {
-                self.publish(Arc::new(w.store.view()));
+                self.published.swap(Arc::new(w.store.view()));
+                self.metrics.publications.inc();
                 Ok(value)
             }
             Ok(Err(rejected)) => Err(rejected),
@@ -238,7 +256,7 @@ impl ArchiveHandle {
     pub(crate) fn with_observability(store: Store, obs: Option<&Obs>) -> Self {
         Self {
             shared: Arc::new(Shared {
-                published: RwLock::new(Arc::new(store.view())),
+                published: slot::Published::new(Arc::new(store.view())),
                 spec: store.spec().clone(),
                 writer: Mutex::new(Writer {
                     store,
@@ -283,7 +301,7 @@ impl ArchiveHandle {
     pub fn snapshot(&self) -> Snapshot {
         self.shared.metrics.snapshot_pins.inc();
         Snapshot {
-            view: self.shared.current(),
+            view: self.shared.published.load(),
         }
     }
 }
@@ -294,38 +312,38 @@ impl StoreReader for ArchiveHandle {
         &self.shared.spec
     }
     fn latest(&self) -> u32 {
-        self.shared.current().latest()
+        self.shared.published.load().latest()
     }
     fn has_version(&self, v: u32) -> bool {
-        self.shared.current().has_version(v)
+        self.shared.published.load().has_version(v)
     }
     fn retrieve(&self, v: u32) -> Result<Option<Document>, StoreError> {
-        self.shared.current().retrieve(v)
+        self.shared.published.load().retrieve(v)
     }
     fn retrieve_into(&self, v: u32, out: &mut dyn Write) -> Result<bool, StoreError> {
-        self.shared.current().retrieve_into(v, out)
+        self.shared.published.load().retrieve_into(v, out)
     }
     fn history(&self, steps: &[KeyQuery]) -> Result<Option<TimeSet>, StoreError> {
-        self.shared.current().history(steps)
+        self.shared.published.load().history(steps)
     }
     fn stats(&self) -> Result<StoreStats, StoreError> {
-        self.shared.current().stats()
+        self.shared.published.load().stats()
     }
     fn as_of(&self, steps: &[KeyQuery], v: u32) -> Result<Option<Document>, StoreError> {
-        self.shared.current().as_of(steps, v)
+        self.shared.published.load().as_of(steps, v)
     }
     fn history_values(&self, steps: &[KeyQuery]) -> Result<Option<ElementHistory>, StoreError> {
-        self.shared.current().history_values(steps)
+        self.shared.published.load().history_values(steps)
     }
     fn range(
         &self,
         prefix: &[KeyQuery],
         versions: RangeInclusive<u32>,
     ) -> Result<Vec<RangeEntry>, StoreError> {
-        self.shared.current().range(prefix, versions)
+        self.shared.published.load().range(prefix, versions)
     }
     fn diff(&self, steps: &[KeyQuery], v1: u32, v2: u32) -> Result<VersionDelta, StoreError> {
-        self.shared.current().diff(steps, v1, v2)
+        self.shared.published.load().diff(steps, v1, v2)
     }
 }
 

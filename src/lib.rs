@@ -188,13 +188,13 @@
 //!
 //! | tool | run | enforces |
 //! |---|---|---|
-//! | `xarch_analysis` (`crates/analysis`) | `cargo run --release -p xarch_analysis -- check` | panic-freedom in decode/recovery paths, no lock guard across fsync/snapshot, no truncating casts in `storage`, `// SAFETY:` on every `unsafe` block, no ad-hoc `Instant::now()` timing or `eprintln!` event logging outside `xarch_obs` in library code |
-//! | docs drift gate (`tests/docs.rs`) | `cargo test --test docs` | `docs/FORMAT.md`'s magic / format-revision / layout constants match `crates/storage` source, `docs/PROTOCOL.md`'s handshake constants / verb bytes / error codes match `crates/proto` source (golden tests), both specs' CRC-32 check value matches [`storage::crc32`], and every intra-repo link in `README.md` / `docs/*.md` resolves |
+//! | clippy (`clippy.toml`, crate and module lint attributes) | `cargo clippy --workspace --all-targets -- -D warnings` | no `unwrap`/`expect`/`panic!`/indexing on the decode paths, no truncating casts in `storage`, `// SAFETY:` on every `unsafe` block, no raw `Instant::now()` timing outside `xarch_obs`, no `eprintln!` in library code |
+//! | nesting bound (`tests/deep_input.rs`) | `cargo test --test deep_input` | every decode entry point refuses input nested far past `xarch_xml::MAX_DEPTH` on a thread with a fixed stack, with no overflow |
+//! | docs drift gate (`tests/docs.rs`) | `cargo test --test docs` | `docs/FORMAT.md`'s magic / format-revision / layout constants match `crates/storage` source, `docs/PROTOCOL.md`'s handshake constants / verb bytes / error codes match `crates/proto` source (golden tests), both specs' CRC-32 check value matches [`storage::crc32`], every intra-repo link in `README.md` / `docs/*.md` resolves, and README's invariants table names the lints each listed file denies |
 //!
-//! The analyzer runs in CI as a required gate; deliberate exemptions use
-//! in-place `// xarch-allow: <rule> -- <reason>` comments, all of which
-//! the `report` mode prints as a ledger (see the README's "Enforced
-//! invariants" section and the `analyze` example).
+//! A deliberate exception to a lint is an `#[expect(lint, reason = "…")]`
+//! on the item it covers (see the README's "Enforced invariants" section).
+#![deny(clippy::print_stderr)]
 
 pub use xarch_compress as compress;
 pub use xarch_core as core;

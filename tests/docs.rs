@@ -5,7 +5,8 @@
 //! `docs/*.md` must resolve — a renamed file or section fails CI
 //! instead of silently breaking the specs' cross-references. The
 //! committed benchmark ledgers (`BENCH_<pr>.json`) are held to the shape
-//! `BENCHMARK.json` declares by the same gate.
+//! `BENCHMARK.json` declares by the same gate, and README's table of
+//! enforced invariants to the lint attributes of the files it names.
 
 use std::path::{Path, PathBuf};
 
@@ -830,4 +831,138 @@ fn readme_metric_table_matches_the_live_registry() {
         "registered but not in README's metric table: {undocumented:?}\n\
          in README's metric table but never registered: {unregistered:?}"
     );
+}
+
+// ---------- README's enforced invariants ----------
+
+/// The backticked spans of a markdown table cell.
+fn backticked(cell: &str) -> impl Iterator<Item = &str> {
+    cell.split('`').skip(1).step_by(2)
+}
+
+/// The closing bracket matching the opening one at `text[0]`.
+fn matching(text: &str, open: char, close: char) -> Option<usize> {
+    let mut depth = 0;
+    for (i, c) in text.char_indices() {
+        if c == open {
+            depth += 1;
+        } else if c == close {
+            depth -= 1;
+            if depth == 0 {
+                return Some(i);
+            }
+        }
+    }
+    None
+}
+
+/// Every lint a `deny(..)` names in the inner attributes (`#![..]` at
+/// column 0) of a Rust source, whether bare or under `cfg_attr`.
+fn denied_lints(source: &str) -> std::collections::BTreeSet<String> {
+    let source = format!("\n{source}");
+    let mut denied = std::collections::BTreeSet::new();
+    for (at, _) in source.match_indices("\n#![") {
+        let attr = &source[at + 3..];
+        let attr = &attr[..matching(attr, '[', ']').expect("a closed attribute")];
+        for (d, _) in attr.match_indices("deny(") {
+            let group = &attr[d + 4..];
+            let group = &group[1..matching(group, '(', ')').expect("a closed deny")];
+            denied.extend(group.split(',').map(|l| l.trim().to_owned()));
+        }
+    }
+    denied
+}
+
+/// The files a `where` cell names: `.rs` and `.toml` paths, with
+/// `crates/*/src/lib.rs` standing for every member crate's library root.
+fn named_files(cell: &str) -> Vec<PathBuf> {
+    let root = repo_root();
+    let mut files = Vec::new();
+    for span in backticked(cell).filter(|s| s.ends_with(".rs") || s.ends_with(".toml")) {
+        match span.split_once("/*/") {
+            Some((dir, rest)) => {
+                let mut crates: Vec<PathBuf> = std::fs::read_dir(root.join(dir))
+                    .unwrap()
+                    .map(|e| e.unwrap().path().join(rest))
+                    .filter(|p| p.exists())
+                    .collect();
+                crates.sort();
+                assert!(!crates.is_empty(), "`{span}` names no file");
+                files.extend(crates);
+            }
+            None => files.push(root.join(span)),
+        }
+    }
+    files
+}
+
+/// README's invariants table names the lints that enforce each
+/// invariant and the files that deny them. Each named Rust source denies
+/// every lint of its row in its inner attributes; `Cargo.toml` denies
+/// them as workspace lints; `clippy.toml` disallows every path the row
+/// names. Deleting a module's attribute, narrowing a crate's list or
+/// renaming a file fails here.
+#[test]
+fn readme_invariants_table_matches_the_lint_attributes() {
+    let readme = read(&repo_root().join("README.md"));
+    let table = readme
+        .split_once("| invariant | enforced by | where |")
+        .expect("README has the invariants table")
+        .1;
+    let mut checked = 0;
+    for row in table.lines().skip(2).take_while(|l| l.starts_with('|')) {
+        let cells: Vec<&str> = row.split('|').collect();
+        let (enforced_by, place) = (cells[2], cells[3]);
+        let lints: Vec<&str> = backticked(enforced_by)
+            .filter(|s| s.starts_with("clippy::"))
+            .collect();
+        if lints.is_empty() {
+            continue; // a test or a type
+        }
+        let files = named_files(place);
+        assert!(!files.is_empty(), "a lint row names no file: {row}");
+        for file in files {
+            let text = read(&file);
+            let name = file.file_name().unwrap().to_str().unwrap();
+            let missing: Vec<&str> = match name {
+                "Cargo.toml" => {
+                    let clippy = text
+                        .split_once("[workspace.lints.clippy]")
+                        .expect("workspace clippy lints")
+                        .1;
+                    let clippy = clippy.split("\n[").next().unwrap();
+                    lints
+                        .iter()
+                        .copied()
+                        .filter(|l| {
+                            let lint = l.trim_start_matches("clippy::");
+                            !clippy.contains(&format!("\n{lint} = \"deny\""))
+                        })
+                        .collect()
+                }
+                "clippy.toml" => {
+                    assert_eq!(lints, ["clippy::disallowed_methods"], "{row}");
+                    backticked(enforced_by)
+                        .filter(|s| s.contains("::") && !s.starts_with("clippy::"))
+                        .filter(|path| !text.contains(&format!("path = \"{path}\"")))
+                        .collect()
+                }
+                _ => {
+                    let denied = denied_lints(&text);
+                    lints
+                        .iter()
+                        .copied()
+                        .filter(|l| !denied.contains(*l))
+                        .collect()
+                }
+            };
+            assert!(
+                missing.is_empty(),
+                "{} does not enforce {missing:?}",
+                file.display()
+            );
+            checked += 1;
+        }
+    }
+    assert!(checked >= 10, "the table names {checked} lint files");
 }
